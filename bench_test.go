@@ -296,8 +296,7 @@ func BenchmarkFig15_Fence(b *testing.B) {
 func BenchmarkFig16a_Threads(b *testing.B) {
 	e := benchEnv(b, dataset.Amzn)
 	for _, family := range []string{"RMI", "PGM", "RS", "RBS", "BTree", "RobinHash"} {
-		sweep := registry.Sweep(family, e.Keys)
-		nb := sweep[len(sweep)/2]
+		nb, _ := registry.Builder(family, e.Keys)
 		idx, err := nb.Builder.Build(e.Keys)
 		if err != nil {
 			b.Fatal(err)

@@ -41,11 +41,10 @@ func TestMeasureWarmAllFamilies(t *testing.T) {
 	want := e.Checksum()
 	families := append(append([]string{}, registry.ParetoFamilies...), "FST", "Wormhole", "RobinHash", "CuckooMap", "BS")
 	for _, family := range families {
-		sweep := registry.Sweep(family, e.Keys)
-		if len(sweep) == 0 {
+		nb, ok := registry.Builder(family, e.Keys)
+		if !ok {
 			t.Fatalf("no sweep for %s", family)
 		}
-		nb := sweep[len(sweep)/2]
 		idx, err := nb.Builder.Build(e.Keys)
 		if err != nil {
 			t.Fatalf("%s: %v", family, err)

@@ -698,11 +698,10 @@ func fig16a(r *Run) ([]report.Table, error) {
 // midVariant picks the middle configuration of a family's sweep (the
 // paper fixes ~50MB models for Figure 16a).
 func midVariant(e *Env, family string) core.Index {
-	sweep := registry.Sweep(family, e.Keys)
-	if len(sweep) == 0 {
+	nb, ok := registry.Builder(family, e.Keys)
+	if !ok {
 		return nil
 	}
-	nb := sweep[len(sweep)/2]
 	idx, err := nb.Builder.Build(e.Keys)
 	if err != nil {
 		return nil
@@ -771,11 +770,10 @@ func CollectCountersMid(o Options, name dataset.Name, families []string) ([]Coun
 func countersMidFromEnv(e *Env, families []string) []CounterRow {
 	var rows []CounterRow
 	for _, family := range families {
-		sweep := registry.Sweep(family, e.Keys)
-		if len(sweep) == 0 {
+		nb, ok := registry.Builder(family, e.Keys)
+		if !ok {
 			continue
 		}
-		nb := sweep[len(sweep)/2]
 		idx, err := nb.Builder.Build(e.Keys)
 		if err != nil {
 			continue
@@ -805,12 +803,17 @@ func countersMidFromEnv(e *Env, families []string) []CounterRow {
 }
 
 // fig17 reports single-threaded build times at 1x..4x dataset scale
-// for the fastest-lookup variant of each structure (Figure 17).
+// for the fastest-lookup variant of each structure (Figure 17). The
+// paper's figure leaves tuning out; a store that picks a configuration
+// per shard build and per major merge pays it every time, so tune(ms)
+// prices resolving the built rung from its ladder — RMI's tuner run,
+// nothing for the families whose ladders are fixed.
 func fig17(r *Run) ([]report.Table, error) {
 	o := r.Options
 	families := r.Families([]string{"PGM", "RS", "RMI", "RBS", "ART", "BTree", "IBTree", "FAST", "FST", "Wormhole", "RobinHash"})
 	t := report.New("fig17", "Figure 17: build times (fastest lookup variants, amzn)").
 		Dims("index", "keys").
+		Float("tune(ms)", "ms", 2).
 		Float("build(ms)", "ms", 2)
 	for mult := 1; mult <= 4; mult++ {
 		e, err := r.EnvAt(dataset.Amzn, o.N*mult, o.Lookups)
@@ -824,11 +827,15 @@ func fig17(r *Run) ([]report.Table, error) {
 			if idx == nil {
 				continue
 			}
+			start := time.Now()
+			registry.SweepEntry(family, nb.Label, e.Keys)
+			tune := time.Since(start)
 			_, dur, err := MeasureBuild(nb.Builder, e.Keys)
 			if err != nil {
 				continue
 			}
-			t.Row([]string{family, strconv.Itoa(o.N * mult)}, float64(dur.Microseconds())/1000)
+			t.Row([]string{family, strconv.Itoa(o.N * mult)},
+				float64(tune.Microseconds())/1000, float64(dur.Microseconds())/1000)
 		}
 	}
 	return []report.Table{*t}, nil

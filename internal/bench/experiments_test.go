@@ -109,7 +109,7 @@ func TestFig16cEndToEnd(t *testing.T) {
 }
 
 func TestFig17EndToEnd(t *testing.T) {
-	runExperiment(t, "fig17", "Figure 17", "build(ms)", "Wormhole")
+	runExperiment(t, "fig17", "Figure 17", "tune(ms)", "build(ms)", "Wormhole")
 }
 
 func TestFig14ColdSlowerThanWarm(t *testing.T) {

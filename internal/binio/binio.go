@@ -45,6 +45,15 @@ type Writer struct {
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 func (w *Writer) write(p []byte) {
+	if w.Raw(p); w.err == nil {
+		w.crc = crc64.Update(w.crc, CRCTable, p)
+	}
+}
+
+// Raw writes bytes that stay out of the running CRC64: bulk payload
+// whose own checksum the caller has already recorded, so hashing it a
+// second time on the way out would buy nothing. Len counts them.
+func (w *Writer) Raw(p []byte) {
 	if w.err != nil {
 		return
 	}
@@ -52,7 +61,6 @@ func (w *Writer) write(p []byte) {
 		w.err = err
 		return
 	}
-	w.crc = crc64.Update(w.crc, CRCTable, p)
 	w.n += int64(len(p))
 }
 
@@ -89,7 +97,8 @@ func (w *Writer) Str(s string) {
 	w.write([]byte(s))
 }
 
-// Sum64 returns the CRC64 of everything written so far.
+// Sum64 returns the CRC64 of everything written so far, Raw bytes
+// excepted.
 func (w *Writer) Sum64() uint64 { return w.crc }
 
 // Len returns the number of bytes written so far.

@@ -132,3 +132,17 @@ func TestWriterReaderCRCAgree(t *testing.T) {
 		t.Errorf("reader CRC %x != writer CRC %x", got, want)
 	}
 }
+
+func TestRawBytesStayOutOfCRC(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.U64(12345)
+	sum := w.Sum64()
+	w.Raw([]byte{1, 2, 3})
+	if w.Sum64() != sum {
+		t.Errorf("Raw moved the running CRC: %x -> %x", sum, w.Sum64())
+	}
+	if w.Len() != 11 || !bytes.Equal(buf.Bytes()[8:], []byte{1, 2, 3}) {
+		t.Errorf("Raw bytes not written or not counted: Len %d, buffer %v", w.Len(), buf.Bytes())
+	}
+}

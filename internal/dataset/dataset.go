@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -129,7 +129,7 @@ func genFace(n int, seed uint64) []core.Key {
 	for i := 0; i < outliers; i++ {
 		keys[n-outliers+i] = lo + r.next()%(hi-lo)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	dedupeInPlaceFill(r, keys, 1, hi)
 	return keys
 }
@@ -191,7 +191,7 @@ func genOSM(n int, seed uint64) []core.Key {
 		seen[d] = struct{}{}
 		keys = append(keys, d)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
@@ -260,7 +260,7 @@ func dedupeInPlaceFill(r *rng, keys []core.Key, lo, hi uint64) {
 		if !dup {
 			return
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 	}
 }
 

@@ -400,3 +400,36 @@ func TestArrivals(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenStreams pins every generator to the streams recorded at
+// commit 9ff2292: set-up optimisations (slices.Sort, the hoisted zipf
+// constant) must leave the benchmark's inputs bit-identical.
+func TestGoldenStreams(t *testing.T) {
+	golden := []struct {
+		ds                     Name
+		full, small, zipf, ins uint64
+	}{
+		{Amzn, 0xfd019eedac94b238, 0xf17d4d6265736365, 0x3d4333062067dc4a, 0xc0e168eec7c312b1},
+		{Face, 0xf232bde47753e910, 0x9c4d1ff2fff942f2, 0x981828b8741f87ab, 0x1077b7e341cf8061},
+		{OSM, 0x0b3ed379ef617fd2, 0x83f5dc5712f64d53, 0x09be9c748845f758, 0xf248f700aeb0a539},
+		{Wiki, 0x2a9ee9c981ddfe6c, 0x1ce69c5b114f87ae, 0x90a8b92155e59149, 0x23fb6bd71a788ffe},
+	}
+	for _, g := range golden {
+		keys := MustGenerate(g.ds, 50_000, 1)
+		if got := Checksum(keys); got != g.small {
+			t.Errorf("%s n=50k: checksum %016x, want %016x", g.ds, got, g.small)
+		}
+		if got := Checksum(ZipfLookups(keys, 20_000, 0.99, 7)); got != g.zipf {
+			t.Errorf("%s: ZipfLookups checksum %016x, want %016x", g.ds, got, g.zipf)
+		}
+		if got := Checksum(InsertKeys(keys, 20_000, 7)); got != g.ins {
+			t.Errorf("%s: InsertKeys checksum %016x, want %016x", g.ds, got, g.ins)
+		}
+		if testing.Short() {
+			continue
+		}
+		if got := Checksum(MustGenerate(g.ds, 2_000_000, 1)); got != g.full {
+			t.Errorf("%s n=2M: checksum %016x, want %016x", g.ds, got, g.full)
+		}
+	}
+}

@@ -40,21 +40,21 @@ func ZipfLookups(keys []core.Key, m int, theta float64, seed uint64) []core.Key 
 type zipf struct {
 	r        *rng
 	n        int
-	theta    float64
 	alpha    float64
 	zetan    float64
+	zeta2    float64 // 1 + 0.5^theta: the cumulative weight of ranks 0 and 1
 	eta      float64
 	scramble uint64
 }
 
 func newZipf(n int, theta float64, r *rng) *zipf {
-	z := &zipf{r: r, n: n, theta: theta, scramble: r.next()}
+	z := &zipf{r: r, n: n, scramble: r.next()}
 	for i := 1; i <= n; i++ {
 		z.zetan += 1 / math.Pow(float64(i), theta)
 	}
 	z.alpha = 1 / (1 - theta)
-	zeta2 := 1 + math.Pow(0.5, theta)
-	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/z.zetan)
+	z.zeta2 = 1 + math.Pow(0.5, theta)
+	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
 }
 
@@ -65,7 +65,7 @@ func (z *zipf) next() int {
 	switch {
 	case uz < 1:
 		rank = 0
-	case uz < 1+math.Pow(0.5, z.theta):
+	case uz < z.zeta2:
 		rank = 1
 	default:
 		rank = int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

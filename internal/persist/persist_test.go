@@ -3,9 +3,11 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/binio"
@@ -132,6 +134,47 @@ func TestTableRoundTrip(t *testing.T) {
 	st, _ := os.Stat(path)
 	if st.Size()%8 != 0 || st.Size() < int64(16*len(keys)) {
 		t.Fatalf("suspicious file size %d", st.Size())
+	}
+}
+
+// TestTableGoldenBytes pins the table file byte for byte to what commit
+// 9ff2292 wrote (CRC64 of the whole file), across the empty table, a
+// single block, both sides of a block boundary and a multi-block table:
+// skipping the second hash of the data blocks must not move a byte, and
+// the file must still read back.
+func TestTableGoldenBytes(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Amzn, 10_000, 1)
+	payloads := dataset.Payloads(len(keys), 1)
+	golden := []struct {
+		n    int
+		size int
+		crc  uint64
+	}{
+		{0, 4096, 0x0b08c209f7d27b3c},
+		{1, 8200, 0x753b2fac2f168ce7},
+		{511, 12280, 0xa5ded6052ec15de1},
+		{512, 12288, 0xfe125801616a81b3},
+		{10_000, 166016, 0x4598d5cb530f8751},
+	}
+	for _, g := range golden {
+		path := filepath.Join(t.TempDir(), "t.tab")
+		if err := WriteTable(path, keys[:g.n], payloads[:g.n]); err != nil {
+			t.Fatalf("n=%d: write: %v", g.n, err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := crc64.Checksum(file, binio.CRCTable); len(file) != g.size || got != g.crc {
+			t.Errorf("n=%d: file is %d bytes, CRC64 %016x; want %d bytes, %016x", g.n, len(file), got, g.size, g.crc)
+		}
+		gk, gp, err := ReadTableFrom(bytes.NewReader(file), int64(len(file)))
+		if err != nil {
+			t.Fatalf("n=%d: read: %v", g.n, err)
+		}
+		if !slices.Equal(gk, keys[:g.n]) || !slices.Equal(gp, payloads[:g.n]) {
+			t.Errorf("n=%d: table did not round-trip", g.n)
+		}
 	}
 }
 

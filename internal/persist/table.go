@@ -89,10 +89,13 @@ func WriteTable(path string, keys []core.Key, payloads []uint64) error {
 		w.U64(crcKeys)
 		w.U64(crcPays)
 		w.U64(w.Sum64())
+		// Past the header nothing reads the writer's running CRC, and
+		// the blocks' own CRCs are already in the header: write them raw
+		// rather than hash every data byte a second time.
 		pad(w, keysOff-w.Len())
-		w.Bytes(keyBytes)
+		w.Raw(keyBytes)
 		pad(w, paysOff-w.Len())
-		w.Bytes(payBytes)
+		w.Raw(payBytes)
 		return w.Err()
 	})
 }
@@ -104,7 +107,7 @@ func pad(w *binio.Writer, n int64) {
 		if c > tableBlock {
 			c = tableBlock
 		}
-		w.Bytes(zeros[:c])
+		w.Raw(zeros[:c])
 		n -= c
 	}
 }

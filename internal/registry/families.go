@@ -27,65 +27,63 @@ import (
 var strides = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 func init() {
-	Register("RMI", func(keys []core.Key) []NamedBuilder {
-		cfgs := rmi.ParetoConfigs(keys, 10)
-		out := make([]NamedBuilder, 0, len(cfgs))
-		for _, c := range cfgs {
-			out = append(out, NamedBuilder{c.String(), rmi.Builder{Config: c}})
+	Register("RMI", func(keys []core.Key) []Rung {
+		var out []Rung
+		for _, b := range rmi.ParetoBranches(len(keys), 10) {
+			// The knob is the tail of rmi.Config.String(), the one part
+			// of the label that does not wait for the tuner.
+			out = append(out, Rung{Knob: lbl("B=%d]", b), Resolve: func() NamedBuilder {
+				c := rmi.TuneBranch(keys, b)
+				return NamedBuilder{c.String(), rmi.Builder{Config: c}}
+			}})
 		}
 		return out
 	})
-	Register("PGM", func(keys []core.Key) []NamedBuilder {
-		var out []NamedBuilder
+	Register("PGM", func([]core.Key) []Rung {
+		var out []Rung
 		for _, eps := range []int{4096, 1024, 512, 256, 128, 64, 32, 16, 8, 4} {
-			out = append(out, NamedBuilder{lbl("eps=%d", eps), pgm.Builder{Eps: eps}})
+			out = append(out, fixed(lbl("eps=%d", eps), pgm.Builder{Eps: eps}))
 		}
 		return out
 	})
-	Register("RS", func(keys []core.Key) []NamedBuilder {
-		var out []NamedBuilder
+	Register("RS", func([]core.Key) []Rung {
+		var out []Rung
 		type rc struct{ err, bits int }
 		for _, c := range []rc{{4096, 4}, {1024, 6}, {512, 8}, {256, 10}, {128, 12},
 			{64, 14}, {32, 16}, {16, 18}, {8, 20}, {4, 22}} {
-			out = append(out, NamedBuilder{lbl("eps=%d,r=%d", c.err, c.bits),
-				rs.Builder{Config: rs.Config{SplineErr: c.err, RadixBits: c.bits}}})
+			out = append(out, fixed(lbl("eps=%d,r=%d", c.err, c.bits),
+				rs.Builder{Config: rs.Config{SplineErr: c.err, RadixBits: c.bits}}))
 		}
 		return out
 	})
-	Register("RBS", func(keys []core.Key) []NamedBuilder {
-		var out []NamedBuilder
+	Register("RBS", func([]core.Key) []Rung {
+		var out []Rung
 		for _, bits := range []int{4, 6, 8, 10, 12, 14, 16, 18, 20, 22} {
-			out = append(out, NamedBuilder{lbl("r=%d", bits), rbs.Builder{RadixBits: bits}})
+			out = append(out, fixed(lbl("r=%d", bits), rbs.Builder{RadixBits: bits}))
 		}
 		return out
 	})
-	Register("BTree", strideSweep(func(s int) core.Builder { return btree.Builder{Stride: s} }))
-	Register("IBTree", strideSweep(func(s int) core.Builder { return ibtree.Builder{Stride: s} }))
-	Register("ART", strideSweep(func(s int) core.Builder { return art.Builder{Stride: s} }))
-	Register("FAST", strideSweep(func(s int) core.Builder { return fast.Builder{Stride: s} }))
-	Register("FST", func(keys []core.Key) []NamedBuilder {
-		var out []NamedBuilder
+	Register("BTree", strideLadder(func(s int) core.Builder { return btree.Builder{Stride: s} }))
+	Register("IBTree", strideLadder(func(s int) core.Builder { return ibtree.Builder{Stride: s} }))
+	Register("ART", strideLadder(func(s int) core.Builder { return art.Builder{Stride: s} }))
+	Register("FAST", strideLadder(func(s int) core.Builder { return fast.Builder{Stride: s} }))
+	Register("FST", func([]core.Key) []Rung {
+		var out []Rung
 		for _, s := range []int{1, 4, 16, 64} {
-			out = append(out, NamedBuilder{lbl("stride=%d", s), fst.Builder{Stride: s}})
+			out = append(out, fixed(lbl("stride=%d", s), fst.Builder{Stride: s}))
 		}
 		return out
 	})
-	Register("Wormhole", func(keys []core.Key) []NamedBuilder {
-		var out []NamedBuilder
+	Register("Wormhole", func([]core.Key) []Rung {
+		var out []Rung
 		for _, s := range []int{1, 4, 16, 64} {
-			out = append(out, NamedBuilder{lbl("stride=%d", s), wormhole.Builder{Stride: s}})
+			out = append(out, fixed(lbl("stride=%d", s), wormhole.Builder{Stride: s}))
 		}
 		return out
 	})
-	Register("BS", func(keys []core.Key) []NamedBuilder {
-		return []NamedBuilder{{"", rbs.BinarySearchBuilder{}}}
-	})
-	Register("RobinHash", func(keys []core.Key) []NamedBuilder {
-		return []NamedBuilder{{"lf=0.25", hashidx.RobinHoodBuilder{}}}
-	})
-	Register("CuckooMap", func(keys []core.Key) []NamedBuilder {
-		return []NamedBuilder{{"lf=0.99", hashidx.CuckooBuilder{}}}
-	})
+	Register("BS", single("", rbs.BinarySearchBuilder{}))
+	Register("RobinHash", single("lf=0.25", hashidx.RobinHoodBuilder{}))
+	Register("CuckooMap", single("lf=0.99", hashidx.CuckooBuilder{}))
 
 	// Compaction rebuild hooks: the learned families re-pick their
 	// mid-sweep configuration over the merged key set — RMI re-runs its
@@ -133,16 +131,22 @@ const tierLearnedMin = 1 << 14
 // to cut the last mile to a handful of probes.
 const tierEps = 256
 
-func strideSweep(mk func(int) core.Builder) SweepFunc {
-	return func(keys []core.Key) []NamedBuilder {
-		out := make([]NamedBuilder, 0, len(strides))
-		// Large stride = small index first, matching the sweep order of
-		// the learned structures.
+// strideLadder is the ladder of a subset-stride structure. Large
+// stride = small index first, matching the ladder order of the learned
+// structures.
+func strideLadder(mk func(int) core.Builder) LadderFunc {
+	return func([]core.Key) []Rung {
+		out := make([]Rung, 0, len(strides))
 		for i := len(strides) - 1; i >= 0; i-- {
-			out = append(out, NamedBuilder{lbl("stride=%d", strides[i]), mk(strides[i])})
+			out = append(out, fixed(lbl("stride=%d", strides[i]), mk(strides[i])))
 		}
 		return out
 	}
+}
+
+// single is the ladder of a structure with one configuration.
+func single(label string, b core.Builder) LadderFunc {
+	return func([]core.Key) []Rung { return []Rung{fixed(label, b)} }
 }
 
 func lbl(format string, args ...any) string {

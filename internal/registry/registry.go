@@ -1,9 +1,16 @@
 // Package registry is the single catalog of index-structure families:
-// every family self-describes as a name plus a sweep constructor that
+// every family self-describes as a name plus a ladder constructor that
 // yields its configuration ladder (small index to large) for a given
 // key set. The benchmark harness, the sosd CLI, and the serving layer
 // all consume this one catalog, so adding a family here makes it
 // available everywhere at once.
+//
+// A ladder is lazy: enumerating its rungs is free, and a rung's
+// configuration is tuned to the keys only when that rung is resolved.
+// Sweep resolves every rung (the figures), Builder the middle one (a
+// serving shard, a compaction rebuild), SweepEntry the one a label
+// names (a warm-opened shard) — one ladder definition per family, and
+// nobody pays for tuning a rung they don't build.
 package registry
 
 import (
@@ -20,21 +27,43 @@ type NamedBuilder struct {
 	Builder core.Builder
 }
 
-// SweepFunc returns a family's configuration sweep for a key set,
+// Rung is one step of a family's configuration ladder, not yet tuned.
+type Rung struct {
+	// Knob is the rung's position on the ladder — branching factor, ε,
+	// stride — spelled as it appears in the rung's label ("B=4096]",
+	// "eps=64", "stride=8"). It is known without tuning, and the label
+	// Resolve produces contains it; SweepEntry uses that to skip rungs
+	// a label cannot name. A knob that also occurs in a sibling's label
+	// costs that lookup one wasted Resolve, never a wrong answer.
+	Knob string
+	// Resolve returns the rung's labelled builder. For a family tuned
+	// per key set this is where the tuning happens.
+	Resolve func() NamedBuilder
+}
+
+// fixed is the rung of a configuration that needs no tuning: its label
+// is its knob and resolving it is free.
+func fixed(label string, b core.Builder) Rung {
+	nb := NamedBuilder{label, b}
+	return Rung{Knob: label, Resolve: func() NamedBuilder { return nb }}
+}
+
+// LadderFunc returns a family's configuration ladder for a key set,
 // ordered small index to large. Learned structures tune per dataset,
 // mirroring the paper's author-tuned configurations, which is why the
-// sweep is a function of the keys rather than a static list.
-type SweepFunc func(keys []core.Key) []NamedBuilder
+// ladder is a function of the keys rather than a static list. It must
+// be cheap: per-key-set work belongs in Rung.Resolve.
+type LadderFunc func(keys []core.Key) []Rung
 
-var families = map[string]SweepFunc{}
+var families = map[string]LadderFunc{}
 
 // Register adds a family to the catalog. It panics on duplicate names:
 // two packages claiming one family is a programming error, and the
 // catalog is assembled at init time where failing loudly is the only
 // useful behaviour.
-func Register(family string, fn SweepFunc) {
+func Register(family string, fn LadderFunc) {
 	if fn == nil {
-		panic(fmt.Sprintf("registry: nil sweep for family %q", family))
+		panic(fmt.Sprintf("registry: nil ladder for family %q", family))
 	}
 	if _, dup := families[family]; dup {
 		panic(fmt.Sprintf("registry: duplicate family %q", family))
@@ -58,9 +87,9 @@ func Families() []string {
 	return out
 }
 
-// Sweep returns the configuration sweep for a registered family, small
-// index to large, or nil for an unknown family.
-func Sweep(family string, keys []core.Key) []NamedBuilder {
+// ladder returns a registered family's rungs, or nil for an unknown
+// family.
+func ladder(family string, keys []core.Key) []Rung {
 	fn, ok := families[family]
 	if !ok {
 		return nil
@@ -68,16 +97,31 @@ func Sweep(family string, keys []core.Key) []NamedBuilder {
 	return fn(keys)
 }
 
-// Builder returns the single mid-sweep builder of a family: the
+// Sweep returns the configuration sweep for a registered family — every
+// rung of its ladder resolved, small index to large — or nil for an
+// unknown family.
+func Sweep(family string, keys []core.Key) []NamedBuilder {
+	rungs := ladder(family, keys)
+	if rungs == nil {
+		return nil
+	}
+	out := make([]NamedBuilder, len(rungs))
+	for i, r := range rungs {
+		out[i] = r.Resolve()
+	}
+	return out
+}
+
+// Builder returns the single mid-ladder builder of a family: the
 // canonical "one reasonable configuration" used when a caller (e.g. a
-// serving shard) wants a family without sweeping. ok is false for an
-// unknown family or an empty sweep.
+// serving shard) wants a family without sweeping. Only that rung is
+// resolved. ok is false for an unknown family or an empty ladder.
 func Builder(family string, keys []core.Key) (NamedBuilder, bool) {
-	sweep := Sweep(family, keys)
-	if len(sweep) == 0 {
+	rungs := ladder(family, keys)
+	if len(rungs) == 0 {
 		return NamedBuilder{}, false
 	}
-	return sweep[len(sweep)/2], true
+	return rungs[len(rungs)/2].Resolve(), true
 }
 
 // ID returns the deterministic cross-process identifier of a family
@@ -104,12 +148,17 @@ func ParseID(id string) (family, label string) {
 }
 
 // SweepEntry looks up one catalog entry by its stable name: the entry
-// of family's sweep over keys whose label matches. ok is false when the
-// family is unknown or no entry of the sweep carries the label (e.g. a
-// learned family whose tuned ladder changed because the key set did).
+// of family's sweep over keys whose label matches. Only rungs whose
+// knob appears in the label are resolved, so naming a tuned rung costs
+// that rung's tuning and no other's. ok is false when the family is
+// unknown or no entry of the sweep carries the label (e.g. a learned
+// family whose tuned ladder changed because the key set did).
 func SweepEntry(family, label string, keys []core.Key) (NamedBuilder, bool) {
-	for _, nb := range Sweep(family, keys) {
-		if nb.Label == label {
+	for _, r := range ladder(family, keys) {
+		if !strings.Contains(label, r.Knob) {
+			continue
+		}
+		if nb := r.Resolve(); nb.Label == label {
 			return nb, true
 		}
 	}

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -81,7 +82,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Error("duplicate Register did not panic")
 		}
 	}()
-	Register("RMI", func([]core.Key) []NamedBuilder { return nil })
+	Register("RMI", func([]core.Key) []Rung { return nil })
 }
 
 func TestRegisterNilPanics(t *testing.T) {
@@ -180,6 +181,89 @@ func TestSweepEntryStableAcrossSweeps(t *testing.T) {
 	if _, ok := SweepEntry("NoSuchFamily", "", keys); ok {
 		t.Error("unknown family resolved")
 	}
+}
+
+// TestBuilderIsMidSweep pins the lazy ladder to the eager one: the
+// single rung Builder resolves is the sweep's middle entry — same
+// label, same index size — for the serving families on every dataset,
+// from a ladder of two rungs to the benchmark's 2M keys.
+func TestBuilderIsMidSweep(t *testing.T) {
+	sizes := []int{1_000, 250_000, 2_000_000}
+	if testing.Short() {
+		sizes = sizes[:2]
+	}
+	for _, n := range sizes {
+		for _, ds := range dataset.All() {
+			keys := dataset.MustGenerate(ds, n, 1)
+			for _, fam := range ServeFamilies {
+				sweep := Sweep(fam, keys)
+				want := sweep[len(sweep)/2]
+				got, ok := Builder(fam, keys)
+				if !ok || got.Label != want.Label {
+					t.Fatalf("%s/%s n=%d: Builder = %q (ok=%v), mid-sweep = %q", fam, ds, n, got.Label, ok, want.Label)
+				}
+				gotIdx, err := got.Builder.Build(keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantIdx, err := want.Builder.Build(keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotIdx.SizeBytes() != wantIdx.SizeBytes() {
+					t.Errorf("%s/%s n=%d: Builder index %d B, mid-sweep %d B", fam, ds, n, gotIdx.SizeBytes(), wantIdx.SizeBytes())
+				}
+				for _, nb := range sweep {
+					if e, ok := SweepEntry(fam, nb.Label, keys); !ok || e != nb {
+						t.Errorf("%s/%s n=%d: SweepEntry(%q) = %v, %v", fam, ds, n, nb.Label, e, ok)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLadderResolvesOnlyWhatIsAsked registers a family whose rungs
+// count their resolutions: Builder must resolve the middle rung alone,
+// SweepEntry the named rung alone, Sweep each rung once.
+func TestLadderResolvesOnlyWhatIsAsked(t *testing.T) {
+	const rungs = 7
+	var resolved [rungs]int
+	Register("CountingLadder", func([]core.Key) []Rung {
+		out := make([]Rung, rungs)
+		for i := range out {
+			knob := fmt.Sprintf("k=%d]", i)
+			out[i] = Rung{Knob: knob, Resolve: func() NamedBuilder {
+				resolved[i]++
+				return NamedBuilder{Label: "tuned[" + knob}
+			}}
+		}
+		return out
+	})
+	defer delete(families, "CountingLadder")
+	check := func(what string, want [rungs]int) {
+		t.Helper()
+		if resolved != want {
+			t.Errorf("%s resolved rungs %v, want %v", what, resolved, want)
+		}
+		resolved = [rungs]int{}
+	}
+	if nb, ok := Builder("CountingLadder", nil); !ok || nb.Label != "tuned[k=3]" {
+		t.Errorf("Builder = %q, %v", nb.Label, ok)
+	}
+	check("Builder", [rungs]int{3: 1})
+	if nb, ok := SweepEntry("CountingLadder", "tuned[k=5]", nil); !ok || nb.Label != "tuned[k=5]" {
+		t.Errorf("SweepEntry = %q, %v", nb.Label, ok)
+	}
+	check("SweepEntry", [rungs]int{5: 1})
+	if _, ok := SweepEntry("CountingLadder", "tuned[k=9]", nil); ok {
+		t.Error("SweepEntry resolved a label no rung carries")
+	}
+	check("SweepEntry miss", [rungs]int{})
+	if got := len(Sweep("CountingLadder", nil)); got != rungs {
+		t.Errorf("Sweep returned %d entries", got)
+	}
+	check("Sweep", [rungs]int{1, 1, 1, 1, 1, 1, 1})
 }
 
 // TestCodecCatalog verifies every family the persistence subsystem

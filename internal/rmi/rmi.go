@@ -84,47 +84,85 @@ const leafSizeBytes = modelSizeBytes + 4*4
 
 // New trains an RMI over sorted keys.
 func New(keys []core.Key, cfg Config) (*Index, error) {
-	n := len(keys)
-	if n == 0 {
+	if len(keys) == 0 {
 		return nil, errors.New("rmi: empty key set")
 	}
-	if cfg.Branch < 1 {
-		cfg.Branch = 1
-	}
-	if cfg.Branch > n {
-		cfg.Branch = n
-	}
-	idx := &Index{cfg: cfg, n: n}
+	fkeys := floatKeys(keys)
+	return trainStage1(fkeys, cfg.Stage1, cfg.Branch).finish(fkeys, cfg.Stage2), nil
+}
 
-	// Stage 1: fit on the full CDF. The model predicts positions in
-	// [0, n-1]; routing scales by B/n.
-	fkeys := make([]float64, n)
+// floatKeys converts keys to the float64 domain the models work in.
+func floatKeys(keys []core.Key) []float64 {
+	fkeys := make([]float64, len(keys))
 	for i, k := range keys {
 		fkeys[i] = float64(k)
 	}
-	idx.stage1 = fitModel(cfg.Stage1, fkeys, 0)
+	return fkeys
+}
 
+// stage1Fits counts stage-1 model fits by (kind, branch) while non-nil.
+// Tests set it to pin how much work tuning does; it is never set while
+// anything trains concurrently.
+var stage1Fits map[[2]int]int
+
+// routed is the top half of a trained RMI: the stage-1 model and the
+// routing of every training key through it. Nothing in it depends on
+// the stage-2 kind, so the tuner fits and routes once per stage-1 kind
+// and finishes the same routed stage with each stage-2 candidate.
+type routed struct {
+	top Index // cfg.Stage1, cfg.Branch, n and stage1 set; no leaves
+	// assign is the leaf each key routes to; first/last are the span of
+	// positions each leaf receives (first < 0 for an empty leaf).
+	assign, first, last []int
+}
+
+// trainStage1 fits the stage-1 model on the full CDF and routes every
+// key through it. The model predicts positions in [0, n-1]; routing
+// scales by B/n.
+func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
+	n := len(fkeys)
+	if branch < 1 {
+		branch = 1
+	}
+	if branch > n {
+		branch = n
+	}
+	if stage1Fits != nil {
+		stage1Fits[[2]int{int(kind), branch}]++
+	}
+	r := &routed{
+		top:    Index{cfg: Config{Stage1: kind, Branch: branch}, n: n, stage1: fitModel(kind, fkeys, 0)},
+		assign: make([]int, n),
+		first:  make([]int, branch),
+		last:   make([]int, branch),
+	}
 	// Route every key through stage 1 with exactly the lookup-time
 	// routing function, and record the span of positions each leaf
 	// receives. Monotone stage-1 models make spans contiguous; the
 	// span bookkeeping below stays correct even if float rounding
 	// produces a stray non-monotone assignment.
-	B := cfg.Branch
-	idx.leaves = make([]leaf, B)
-	assign := make([]int, n)
-	first := make([]int, B)
-	last := make([]int, B)
-	for li := range first {
-		first[li] = -1
+	for li := range r.first {
+		r.first[li] = -1
 	}
 	for i := range fkeys {
-		li := idx.route(fkeys[i])
-		assign[i] = li
-		if first[li] < 0 {
-			first[li] = i
+		li := r.top.route(fkeys[i])
+		r.assign[i] = li
+		if r.first[li] < 0 {
+			r.first[li] = i
 		}
-		last[li] = i
+		r.last[li] = i
 	}
+	return r
+}
+
+// finish trains the stage-2 leaves of the given kind over the routing
+// and returns the complete index. r is not modified and can be
+// finished again with another kind.
+func (r *routed) finish(fkeys []float64, stage2 ModelKind) *Index {
+	idx := r.top
+	idx.cfg.Stage2 = stage2
+	n, B := idx.n, idx.cfg.Branch
+	idx.leaves = make([]leaf, B)
 
 	// Fit each leaf on the contiguous span of keys it received.
 	// Empty leaves get a constant model at the boundary position so
@@ -133,22 +171,23 @@ func New(keys []core.Key, cfg Config) (*Index, error) {
 	nextStart := n
 	for li := B - 1; li >= 0; li-- {
 		lf := &idx.leaves[li]
-		if first[li] < 0 {
+		first, last := r.first[li], r.last[li]
+		if first < 0 {
 			p := clampPos(nextStart, n)
 			lf.m = fitModel(ModelLinearSpline, nil, float64(p))
 			lf.loPos, lf.hiPos = int32(p), int32(p)
 			lf.errLo, lf.errHi = 1, 1
 			continue
 		}
-		lf.m = fitModel(cfg.Stage2, fkeys[first[li]:last[li]+1], float64(first[li]))
-		lf.loPos, lf.hiPos = int32(first[li]), int32(last[li])
-		nextStart = first[li]
+		lf.m = fitModel(stage2, fkeys[first:last+1], float64(first))
+		lf.loPos, lf.hiPos = int32(first), int32(last)
+		nextStart = first
 	}
 
 	// Error collection: replay every key through the lookup path so the
 	// recorded bounds are exact for present keys by construction.
 	for i := range fkeys {
-		lf := &idx.leaves[assign[i]]
+		lf := &idx.leaves[r.assign[i]]
 		d := lf.clampPredict(fkeys[i]) - i
 		// Over-prediction (d > 0) means the true position lies below
 		// the prediction: it widens the low margin, and vice versa.
@@ -159,7 +198,7 @@ func New(keys []core.Key, cfg Config) (*Index, error) {
 			lf.errHi = int32(-d + 1)
 		}
 	}
-	return idx, nil
+	return &idx
 }
 
 func clampPos(p, n int) int {

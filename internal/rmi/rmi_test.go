@@ -194,22 +194,86 @@ func TestRMIMaxErrorWidth(t *testing.T) {
 	}
 }
 
-func TestParetoConfigs(t *testing.T) {
+func TestParetoLadder(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 100000, 1)
-	cfgs := ParetoConfigs(keys, 5)
-	if len(cfgs) == 0 || len(cfgs) > 5 {
-		t.Fatalf("got %d configs", len(cfgs))
+	branches := ParetoBranches(len(keys), 5)
+	if len(branches) == 0 || len(branches) > 5 {
+		t.Fatalf("got %d rungs", len(branches))
 	}
 	// Branch factors must span small to large.
-	if cfgs[0].Branch >= cfgs[len(cfgs)-1].Branch {
-		t.Errorf("configs not spanning sizes: %v", cfgs)
+	if branches[0] >= branches[len(branches)-1] {
+		t.Errorf("ladder not spanning sizes: %v", branches)
 	}
-	for _, cfg := range cfgs {
+	for _, b := range branches {
+		cfg := TuneBranch(keys, b)
+		if cfg.Branch != b {
+			t.Errorf("rung %d tuned to branch %d", b, cfg.Branch)
+		}
 		idx, err := New(keys, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
 		checkValidity(t, idx, keys, keys[:200])
+	}
+	// The ladder of an empty key set has one rung; resolving it must
+	// yield a configuration (whose build then reports the empty set).
+	if cfg := TuneBranch(nil, ParetoBranches(0, 5)[0]); cfg.Branch != 1 {
+		t.Errorf("empty key set tuned to %v", cfg)
+	}
+}
+
+// TestTuneBranchSharesStage1 pins the work one rung's tuning does: one
+// stage-1 fit per distinct stage-1 kind of the candidate grid, all at
+// the rung's own (sample-scaled) branching factor.
+func TestTuneBranchSharesStage1(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.OSM, 300000, 1)
+	stage1Fits = map[[2]int]int{}
+	defer func() { stage1Fits = nil }()
+	const branch = 4096
+	TuneBranch(keys, branch)
+
+	kinds := map[ModelKind]bool{}
+	for _, c := range candidateCombos {
+		kinds[c.s1] = true
+	}
+	if len(stage1Fits) != len(kinds) {
+		t.Errorf("tuning one rung fitted %d (kind, branch) stage-1 models, want %d: %v", len(stage1Fits), len(kinds), stage1Fits)
+	}
+	sb := branch * tuneSampleMax / len(keys)
+	for kb, fits := range stage1Fits {
+		if fits != 1 {
+			t.Errorf("stage-1 kind %v fitted %d times", ModelKind(kb[0]), fits)
+		}
+		if kb[1] != sb {
+			t.Errorf("tuning branch %d (sample-scaled %d) trained at branch %d", branch, sb, kb[1])
+		}
+	}
+}
+
+// TestTuneBranchMatchesFromScratch checks the shared-routing tuner
+// against the definition it optimises: train every candidate
+// combination from scratch on the sample and keep the first cheapest.
+func TestTuneBranchMatchesFromScratch(t *testing.T) {
+	for _, ds := range dataset.All() {
+		for _, n := range []int{1000, 60000, 300000} {
+			keys := dataset.MustGenerate(ds, n, 1)
+			s := sample(keys, tuneSampleMax)
+			for _, branch := range ParetoBranches(n, 10) {
+				want, wantCost := Config{}, math.Inf(1)
+				for _, combo := range candidateCombos {
+					idx, err := New(s, Config{Stage1: combo.s1, Stage2: combo.s2, Branch: max(1, branch*len(s)/n)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c := proxyCost(idx); c < wantCost {
+						want, wantCost = Config{Stage1: combo.s1, Stage2: combo.s2, Branch: branch}, c
+					}
+				}
+				if got, cost := bestComboFor(keys, branch); got != want || cost != wantCost {
+					t.Errorf("%s n=%d B=%d: tuned %v (cost %v), from scratch %v (cost %v)", ds, n, branch, got, cost, want, wantCost)
+				}
+			}
+		}
 	}
 }
 

@@ -74,29 +74,41 @@ func sample(keys []core.Key, m int) []core.Key {
 }
 
 // bestComboFor returns the lowest-proxy-cost (stage1, stage2) pair for
-// the given branch factor, tuned on a sample of keys.
+// the given branch factor, tuned on a sample of keys. The sample is
+// drawn and converted once, each distinct stage-1 kind is fitted and
+// routed once, and every stage-2 kind paired with it is scored over
+// that shared routing — the same models, costs and tie-breaks as
+// training each combination from scratch, for about half the work.
 func bestComboFor(keys []core.Key, branch int) (Config, float64) {
-	s := sample(keys, tuneSampleMax)
+	best := Config{Stage1: ModelLinear, Stage2: ModelLinear, Branch: branch}
+	bestCost := math.Inf(1)
+	if len(keys) == 0 {
+		return best, bestCost
+	}
+	s := floatKeys(sample(keys, tuneSampleMax))
 	// Scale the branch factor to the sample so leaf occupancy (and
 	// hence log2 error) is comparable to the full build.
 	sb := branch * len(s) / len(keys)
-	if sb < 1 {
-		sb = 1
-	}
-	best := Config{Stage1: ModelLinear, Stage2: ModelLinear, Branch: branch}
-	bestCost := math.Inf(1)
+	tops := map[ModelKind]*routed{}
 	for _, combo := range candidateCombos {
-		cfg := Config{Stage1: combo.s1, Stage2: combo.s2, Branch: sb}
-		idx, err := New(s, cfg)
-		if err != nil {
-			continue
+		top := tops[combo.s1]
+		if top == nil {
+			top = trainStage1(s, combo.s1, sb)
+			tops[combo.s1] = top
 		}
-		if c := proxyCost(idx); c < bestCost {
+		if c := proxyCost(top.finish(s, combo.s2)); c < bestCost {
 			bestCost = c
 			best = Config{Stage1: combo.s1, Stage2: combo.s2, Branch: branch}
 		}
 	}
 	return best, bestCost
+}
+
+// TuneBranch returns the tuned configuration at one branching factor:
+// one rung of the ParetoBranches ladder, resolved on its own.
+func TuneBranch(keys []core.Key, branch int) Config {
+	cfg, _ := bestComboFor(keys, branch)
+	return cfg
 }
 
 // branchGrid returns the branching factors explored for a dataset of n
@@ -112,11 +124,12 @@ func branchGrid(n int) []int {
 	return grid
 }
 
-// ParetoConfigs returns up to count tuned configurations spanning the
-// size range (small to large), one per branching factor, mirroring the
-// paper's "ten configurations ranging from minimum to maximum size".
-func ParetoConfigs(keys []core.Key, count int) []Config {
-	grid := branchGrid(len(keys))
+// ParetoBranches returns up to count branching factors spanning the
+// size range (small to large) for n keys, mirroring the paper's "ten
+// configurations ranging from minimum to maximum size". The ladder is
+// a function of n alone; TuneBranch resolves the rungs a caller wants.
+func ParetoBranches(n, count int) []int {
+	grid := branchGrid(n)
 	if count > 0 && len(grid) > count {
 		// Thin the grid evenly, keeping the extremes.
 		thin := make([]int, count)
@@ -125,12 +138,7 @@ func ParetoConfigs(keys []core.Key, count int) []Config {
 		}
 		grid = thin
 	}
-	cfgs := make([]Config, 0, len(grid))
-	for _, b := range grid {
-		cfg, _ := bestComboFor(keys, b)
-		cfgs = append(cfgs, cfg)
-	}
-	return cfgs
+	return grid
 }
 
 // Tune returns the best configuration whose index size fits within
