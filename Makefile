@@ -53,8 +53,12 @@ obs-smoke:
 # concurrent clients against the server with compactions and a
 # snapshot racing the traffic; obs scrapes a registry while recorders
 # hammer it; repl streams a primary into followers killed mid-flight).
+# The warm-restart test runs ten more times: it is the one that caught
+# a follower publishing its position before the batch was readable,
+# and then only two times in ten.
 race:
 	$(GO) test -race ./internal/serve/ ./internal/table/ ./internal/stats/ ./internal/load/ ./internal/persist/ ./internal/net/ ./internal/obs/ ./internal/repl/
+	$(GO) test -race -count=10 -run TestFollowerWarmRestart ./internal/repl/
 
 # serve prints the serving-layer experiment at a quick scale.
 serve:

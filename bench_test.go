@@ -355,6 +355,26 @@ func BenchmarkFig17_BuildTimes(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild times the two single-pass learned builds at the
+// registry's mid-sweep configuration on osm, the dataset with the most
+// spline points and segments: one fit pass plus the margin walk.
+func BenchmarkBuild(b *testing.B) {
+	e := benchEnv(b, dataset.OSM)
+	for _, family := range []string{"RS", "PGM"} {
+		nb, ok := registry.Builder(family, e.Keys)
+		if !ok {
+			b.Fatalf("%s: no mid-sweep builder", family)
+		}
+		b.Run(family, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := nb.Builder.Build(e.Keys); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // serveN sizes the serving-layer benchmarks: 1M keys (8 MB of keys +
 // 8 MB of payloads) so the data array exceeds mid-level caches and the
 // batched path's overlapped memory accesses have misses to hide.

@@ -14,9 +14,7 @@ package dataset
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
-	"slices"
 
 	"repro/internal/core"
 )
@@ -94,6 +92,7 @@ func genAmzn(n int, seed uint64) []core.Key {
 	// Slowly drifting gap scale: piecewise segments of ~n/64 keys with
 	// gap means that random-walk between 8 and 4096.
 	logScale := 5.0 // log2 of mean gap
+	var mean float64
 	segLen := n/64 + 1
 	for i := 0; i < n; i++ {
 		if i%segLen == 0 {
@@ -104,8 +103,8 @@ func genAmzn(n int, seed uint64) []core.Key {
 			if logScale > 12 {
 				logScale = 12
 			}
+			mean = math.Exp2(logScale)
 		}
-		mean := math.Exp2(logScale)
 		gap := uint64(mean*r.lognorm(0, 0.35)) + 1
 		cur += gap
 		keys[i] = cur
@@ -129,7 +128,7 @@ func genFace(n int, seed uint64) []core.Key {
 	for i := 0; i < outliers; i++ {
 		keys[n-outliers+i] = lo + r.next()%(hi-lo)
 	}
-	slices.Sort(keys)
+	sortKeys(keys)
 	dedupeInPlaceFill(r, keys, 1, hi)
 	return keys
 }
@@ -175,23 +174,35 @@ func genOSM(n int, seed uint64) []core.Key {
 		}
 		return &clusters[lo]
 	}
-	seen := make(map[uint64]struct{}, n+n/8)
+	// Cells are drawn a block at a time and deduplicated afterwards.
+	// Drawing one is a long dependent chain (two logarithms, a cosine, the
+	// curve walk); a probe of the 32 MB set in the middle of it is a cache
+	// miss with nothing to overlap, whereas the probes of a block, back
+	// to back, overlap with each other. The draws and the order of the
+	// cells are those of a one-at-a-time loop; it would have stopped at
+	// the n-th distinct cell, so the rest of the last block is dropped.
+	seen := newU64Set(n)
 	keys := make([]core.Key, 0, n)
+	var block [256]uint64
 	for len(keys) < n {
-		c := pick()
-		x := int64(c.cx + r.norm()*c.sd)
-		y := int64(c.cy + r.norm()*c.sd)
-		if x < 0 || y < 0 || x >= int64(grid) || y >= int64(grid) {
-			continue
+		m := 0
+		for m < len(block) {
+			c := pick()
+			x := int64(c.cx + r.norm()*c.sd)
+			y := int64(c.cy + r.norm()*c.sd)
+			if x < 0 || y < 0 || x >= int64(grid) || y >= int64(grid) {
+				continue
+			}
+			block[m] = hilbertD2(order, uint64(x), uint64(y))
+			m++
 		}
-		d := hilbertD2(order, uint64(x), uint64(y))
-		if _, dup := seen[d]; dup {
-			continue
+		for _, d := range block[:] {
+			if len(keys) < n && seen.add(d) {
+				keys = append(keys, d)
+			}
 		}
-		seen[d] = struct{}{}
-		keys = append(keys, d)
 	}
-	slices.Sort(keys)
+	sortKeys(keys)
 	return keys
 }
 
@@ -230,16 +241,13 @@ func genWiki(n int, seed uint64) []core.Key {
 
 // uniqueUniform draws n unique uniform keys in [lo, hi).
 func uniqueUniform(r *rng, n int, lo, hi uint64) []core.Key {
-	seen := make(map[uint64]struct{}, n+n/8)
+	seen := newU64Set(n)
 	keys := make([]core.Key, 0, n)
 	span := hi - lo
 	for len(keys) < n {
-		k := lo + r.next()%span
-		if _, dup := seen[k]; dup {
-			continue
+		if k := lo + r.next()%span; seen.add(k) {
+			keys = append(keys, k)
 		}
-		seen[k] = struct{}{}
-		keys = append(keys, k)
 	}
 	return keys
 }
@@ -260,7 +268,7 @@ func dedupeInPlaceFill(r *rng, keys []core.Key, lo, hi uint64) {
 		if !dup {
 			return
 		}
-		slices.Sort(keys)
+		sortKeys(keys)
 	}
 }
 
@@ -359,13 +367,11 @@ func CDF(keys []core.Key, m int) (xs []core.Key, ys []float64) {
 // bytes, deterministic across runs and platforms. It is the dataset
 // identity printed in startup summaries and recorded in run metadata.
 func Checksum(keys []core.Key) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
+	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for _, k := range keys {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(k >> (8 * i))
+		for i := 0; i < 64; i += 8 {
+			h = (h ^ uint64(byte(k>>i))) * 1099511628211
 		}
-		h.Write(b[:])
 	}
-	return h.Sum64()
+	return h
 }

@@ -89,7 +89,7 @@ func mix64(z uint64) uint64 {
 // and must have gaps (every benchmark dataset does).
 func InsertKeys(keys []core.Key, m int, seed uint64) []core.Key {
 	r := newRNG(seed ^ 0x1453)
-	seen := make(map[core.Key]struct{}, m+m/8)
+	seen := newU64Set(m)
 	out := make([]core.Key, 0, m)
 	for len(out) < m {
 		i := r.intn(len(keys))
@@ -106,14 +106,15 @@ func InsertKeys(keys []core.Key, m int, seed uint64) []core.Key {
 		if k < keys[i] {
 			continue // wrapped past the top of the key space
 		}
-		if _, dup := seen[k]; dup {
-			continue
+		if i+1 == len(keys) {
+			// Only the open-ended last gap can reach a present key.
+			if pos := core.LowerBound(keys, k); pos < len(keys) && keys[pos] == k {
+				continue
+			}
 		}
-		if pos := core.LowerBound(keys, k); pos < len(keys) && keys[pos] == k {
-			continue // only possible in the open-ended last gap
+		if seen.add(k) {
+			out = append(out, k)
 		}
-		seen[k] = struct{}{}
-		out = append(out, k)
 	}
 	return out
 }

@@ -1,0 +1,64 @@
+package persist
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"repro/internal/binio"
+	"repro/internal/dataset"
+	"repro/internal/registry"
+)
+
+// TestGoldenEncodedIndexes pins the encoded RS and PGM indexes — spline
+// points, radix table, segments and, above all, the verified margins —
+// to the frame checksums recorded at commit c5f58c4, before the margin
+// passes became cursor walks: a build-time optimisation must leave the
+// built index byte for byte what it was. The value is the CRC64 each
+// EncodeIndex frame ends with, which covers every byte before it.
+func TestGoldenEncodedIndexes(t *testing.T) {
+	golden := []struct {
+		n               int
+		ds              dataset.Name
+		rs, pgm         uint64
+		rsSize, pgmSize int
+	}{
+		{50_000, dataset.Amzn, 0x4be19f89232100b5, 0xb2e0ae5387769938, 66104, 1140},
+		{50_000, dataset.Face, 0x80385a21817dde35, 0xef6f2f4a6373440d, 65696, 168},
+		{50_000, dataset.OSM, 0xed2589158bff187a, 0x2c7b1e196585e7f6, 70064, 6852},
+		{50_000, dataset.Wiki, 0x878a406a2124cc67, 0x9031e13581484a46, 66032, 1028},
+		{2_000_000, dataset.Amzn, 0x1fc6642eeece481a, 0x4549678de9af55b7, 66692, 1896},
+		{2_000_000, dataset.Face, 0x5200d132c3cbef86, 0x4f928648a7ef6974, 70916, 5528},
+		{2_000_000, dataset.OSM, 0x9b00a05768afc67c, 0xef41a3340e392709, 130928, 115448},
+		{2_000_000, dataset.Wiki, 0xace5ecc540bde73d, 0xdbd47bacc3aacfed, 87752, 44400},
+	}
+	for _, g := range golden {
+		if testing.Short() && g.n > 50_000 {
+			continue
+		}
+		keys := dataset.MustGenerate(g.ds, g.n, 1)
+		for _, want := range []struct {
+			family string
+			crc    uint64
+			size   int
+		}{{"RS", g.rs, g.rsSize}, {"PGM", g.pgm, g.pgmSize}} {
+			nb, ok := registry.Builder(want.family, keys)
+			if !ok {
+				t.Fatalf("%s: no mid-sweep builder", want.family)
+			}
+			idx, err := nb.Builder.Build(keys)
+			if err != nil {
+				t.Fatalf("%s on %s n=%d: %v", want.family, g.ds, g.n, err)
+			}
+			var buf bytes.Buffer
+			if err := EncodeIndex(binio.NewWriter(&buf), idx); err != nil {
+				t.Fatalf("%s on %s n=%d: encode: %v", want.family, g.ds, g.n, err)
+			}
+			crc := binary.LittleEndian.Uint64(buf.Bytes()[buf.Len()-8:])
+			if crc != want.crc || idx.SizeBytes() != want.size {
+				t.Errorf("%s on %s n=%d: frame crc %#016x size %d, recorded %#016x size %d",
+					want.family, g.ds, g.n, crc, idx.SizeBytes(), want.crc, want.size)
+			}
+		}
+	}
+}

@@ -103,6 +103,12 @@ func New(keys []core.Key, eps int) (*Index, error) {
 // and the routed segment's prediction for x lies between its
 // predictions at k and at the next distinct key. Taking margins over
 // those extremes at every distinct key covers all queries.
+//
+// The walk is in key order with the routed segment as a forward-only
+// cursor, and the prediction at the next distinct key — computed as the
+// top of the current key's gap — is carried over as that key's own
+// prediction unless the cursor moves first: one evaluation per distinct
+// key, plus one per segment boundary.
 func computeDataMargins(keys []core.Key, segs []Segment, eps int) (errLo, errHi []int32) {
 	n, m := len(keys), len(segs)
 	errLo = make([]int32, m)
@@ -111,36 +117,33 @@ func computeDataMargins(keys []core.Key, segs []Segment, eps int) (errLo, errHi 
 		errLo[i], errHi[i] = int32(eps+1), int32(eps+1)
 	}
 	si := 0
+	pred := -1 // segs[si]'s prediction at keys[i]; negative: not evaluated yet
 	for i := 0; i < n; {
 		k := keys[i]
-		j := i
-		for j+1 < n && keys[j+1] == k {
-			j++
+		nr := i + 1 // lower-bound rank of any key in the gap above k
+		for nr < n && keys[nr] == k {
+			nr++
 		}
-		nr := j + 1 // lower-bound rank of any key in the gap above k
 		for si+1 < m && segs[si+1].Key <= k {
 			si++
+			pred = -1
 		}
 		nextPos := n
 		if si+1 < m {
 			nextPos = int(segs[si+1].Pos)
 		}
-		pred := predict(segs[si], nextPos, k)
-		if need := int32(pred - i + 1); need > errLo[si] {
-			errLo[si] = need
+		if pred < 0 {
+			pred = predict(segs[si], nextPos, k)
 		}
-		if need := int32(nr - pred + 1); need > errHi[si] {
-			errHi[si] = need
-		}
-		if j+1 < n {
+		errLo[si] = max(errLo[si], int32(pred-i+1))
+		errHi[si] = max(errHi[si], int32(nr-pred+1))
+		if nr < n {
 			// Gap queries route to this segment but can be predicted as
 			// high as the (clamped) prediction at the next distinct key.
-			predGap := predict(segs[si], nextPos, keys[j+1])
-			if need := int32(predGap - nr + 1); need > errLo[si] {
-				errLo[si] = need
-			}
+			pred = predict(segs[si], nextPos, keys[nr])
+			errLo[si] = max(errLo[si], int32(pred-nr+1))
 		}
-		i = j + 1
+		i = nr
 	}
 	return errLo, errHi
 }

@@ -434,16 +434,15 @@ func (f *Follower) session(nc stdnet.Conn) {
 			f.mu.Lock()
 			st := f.st
 			okShard := st != nil && int(m.Shard) < len(f.applied)
-			var have uint64
-			if okShard {
-				have = f.applied[m.Shard]
-			}
+			// This loop applies each batch before it reads the next, so
+			// what it has applied is also all it has received so far.
+			received := append([]uint64(nil), f.applied...)
 			f.mu.Unlock()
-			if !okShard || m.Seq > have+1 {
+			if !okShard || m.Seq > received[m.Shard]+1 {
 				return // no store yet, or a gap: resubscribe from REPLSTATE
 			}
 			ops := m.Ops
-			if skip := have + 1 - m.Seq; skip > 0 {
+			if skip := received[m.Shard] + 1 - m.Seq; skip > 0 {
 				if skip >= uint64(len(ops)) {
 					ops = nil // stale duplicate, already applied
 				} else {
@@ -452,13 +451,10 @@ func (f *Follower) session(nc stdnet.Conn) {
 			}
 			// Ack on receipt, before the apply: acked may lead applied,
 			// never trail it — applied <= acked <= streamed.
+			end := m.Seq + uint64(len(m.Ops)) - 1
+			received[m.Shard] = max(received[m.Shard], end)
 			f.ackedOps.Add(uint64(len(m.Ops)))
-			f.mu.Lock()
-			if end := m.Seq + uint64(len(m.Ops)) - 1; end > f.applied[m.Shard] {
-				f.applied[m.Shard] = end
-			}
-			f.mu.Unlock()
-			if err := f.sendAck(nc, &wbuf); err != nil {
+			if err := net.WriteMsg(nc, &wbuf, &net.Msg{Type: net.MsgAck, Seqs: received}); err != nil {
 				return
 			}
 			if len(ops) > 0 {
@@ -467,6 +463,12 @@ func (f *Follower) session(nc stdnet.Conn) {
 				}
 				f.appliedOps.Add(uint64(len(ops)))
 			}
+			// The position moves only now that the ops are readable:
+			// whoever sees it (WaitCaughtUp, Applied, the heartbeat lag,
+			// REPLSTATE, the next subscription) can read what it covers.
+			f.mu.Lock()
+			f.applied[m.Shard] = max(f.applied[m.Shard], end)
+			f.mu.Unlock()
 			if sinceSync++; sinceSync >= f.cfg.SyncEvery {
 				sinceSync = 0
 				if err := f.syncState(st); err != nil {

@@ -350,32 +350,32 @@ func (idx *Index) LookupBatch(keys []core.Key, out []core.Bound) {
 // the gaps between them, returning global search margins valid for
 // arbitrary lower-bound queries (see the analogous reasoning in
 // package pgm).
+//
+// It is one in-order walk. Keys ascend, so the spline segment holding
+// the current key — what Lookup finds through the radix table and a
+// binary search — is a cursor that only ever moves forward. A query in
+// the gap above a key can be predicted as high as the next distinct
+// key is, against a lower bound that is that key's rank: the very term
+// the next key contributes for itself, so the gaps need no evaluation
+// of their own. Every distinct key is interpolated once and no key is
+// routed.
 func computeMargins(keys []core.Key, idx *Index) (errLo, errHi int) {
 	errLo, errHi = idx.cfg.SplineErr+1, idx.cfg.SplineErr+1
-	n := len(keys)
+	n, pts := len(keys), idx.points
+	seg := 0
 	for i := 0; i < n; {
 		k := keys[i]
-		j := i
-		for j+1 < n && keys[j+1] == k {
-			j++
+		nr := i + 1 // lower-bound rank of any key in the gap above k
+		for nr < n && keys[nr] == k {
+			nr++
 		}
-		nr := j + 1
-		seg := idx.segmentFor(k)
+		for seg+1 < len(pts) && pts[seg+1].Key <= k {
+			seg++
+		}
 		pred := idx.interpolate(seg, k)
-		if need := pred - i + 1; need > errLo {
-			errLo = need
-		}
-		if need := nr - pred + 1; need > errHi {
-			errHi = need
-		}
-		if j+1 < n {
-			segG := idx.segmentFor(keys[j+1])
-			predG := idx.interpolate(segG, keys[j+1])
-			if need := predG - nr + 1; need > errLo {
-				errLo = need
-			}
-		}
-		i = j + 1
+		errLo = max(errLo, pred-i+1)
+		errHi = max(errHi, nr-pred+1)
+		i = nr
 	}
 	return errLo, errHi
 }
