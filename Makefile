@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 vet bench bench-smoke bench-quick report-smoke obs-smoke race serve serve-write serve-lsm serve-tail serve-net serve-obs serve-repl persist fuzz-smoke examples doccheck perfgate perfgate-update build-audit
+.PHONY: tier1 vet loc bench bench-smoke bench-quick report-smoke obs-smoke race serve serve-write serve-lsm serve-tail serve-net serve-obs serve-repl persist fuzz-smoke examples doccheck perfgate perfgate-update build-audit
 
 # tier1 is the verify recipe: everything must build and every test pass.
 tier1:
@@ -8,6 +8,15 @@ tier1:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the non-test Go line count of every internal/ package and
+# their total — the number the roadmap's north star wants to go down.
+# CI's test job runs it, so every PR's log carries it.
+loc:
+	@total=0; for d in internal/*/; do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%6d  %s\n' $$n $${d%/}; total=$$((total+n)); \
+	done; printf '%6d  internal (total)\n' $$total
 
 # bench runs the root benchmark subset exercising the serving layer.
 bench:

@@ -6,12 +6,13 @@ package serve
 // the tier runs flushed from earlier deltas (LSM tiering). Writers
 // publish a new delta by copy-on-write under the shard's single-writer
 // lock; readers always load one consistent (runs, delta, frozen-delta)
-// snapshot through the shard's atomic pointer and merge on the fly.
-// When a delta grows past the compaction threshold it is frozen and —
-// depending on the tiering policy — flushed into a new small run with
-// a cheap tier index, or merged into fewer (or one) runs with a full
-// index rebuild, republished in one pointer swap. See DESIGN.md
-// "Write path".
+// snapshot through the shard's atomic pointer and merge on the fly —
+// one read path for every shape: probe the run set (1..N runs), then
+// overlay the deltas. When a delta grows past the compaction threshold
+// it is frozen and — depending on the tiering policy — flushed into a
+// new small run with a cheap tier index, or merged into fewer (or one)
+// runs with a full index rebuild, republished in one pointer swap. See
+// DESIGN.md "Write path".
 
 import (
 	"repro/internal/core"
@@ -124,34 +125,6 @@ func (d *delta) overlay(top *delta) *delta {
 
 // sizeBytes reports the delta's memory footprint.
 func (d *delta) sizeBytes() int { return d.len() * 17 } // 8B key + 8B val + 1B tomb
-
-// mergeDelta merges a base run with a delta into a fresh sorted run:
-// delta entries shadow every base occurrence of their key (duplicate
-// base runs collapse to the single upserted value) and tombstoned keys
-// are dropped. The inputs are not modified.
-func mergeDelta(bk []core.Key, bv []uint64, d *delta) ([]core.Key, []uint64) {
-	outK := make([]core.Key, 0, len(bk)+d.len())
-	outV := make([]uint64, 0, len(bk)+d.len())
-	i, j := 0, 0
-	for i < len(bk) || j < d.len() {
-		if j >= d.len() || (i < len(bk) && bk[i] < d.keys[j]) {
-			outK = append(outK, bk[i])
-			outV = append(outV, bv[i])
-			i++
-			continue
-		}
-		x := d.keys[j]
-		for i < len(bk) && bk[i] == x {
-			i++ // shadowed by the delta entry
-		}
-		if !d.tombs[j] {
-			outK = append(outK, x)
-			outV = append(outV, d.vals[j])
-		}
-		j++
-	}
-	return outK, outV
-}
 
 // mergeLayer is one sorted input of a K-way shard merge: a run's (or
 // delta's) key/payload arrays plus optional parallel tombstone bits.
@@ -268,8 +241,8 @@ func mergeLayers(layers []mergeLayer, dropTombs bool) ([]core.Key, []uint64, []b
 // one allowed duplicate keys, newer runs shadow older ones and may
 // carry tombstones), the active delta absorbing writes, and (while a
 // compaction is in flight) the frozen delta being flushed or merged.
-// Every transition — write, freeze, flush, merge, replace — installs a
-// fresh shardState under the shard's write lock, so a reader's single
+// Every transition — write, freeze, flush, merge — installs a fresh
+// shardState under the shard's write lock, so a reader's single
 // atomic load always observes a mutually consistent view. runIDs names
 // each run's index catalog entry (the manifest codec tag), parallel to
 // runs.
@@ -283,8 +256,11 @@ type shardState struct {
 // base returns the shard's base run.
 func (s *shardState) base() *table.Table { return s.runs[0] }
 
-// single reports whether reads can use the one-run fast path: exactly
-// the base run, which never carries tombstones.
+// single reports whether the shard is fully compacted: exactly the base
+// run. It is a policy predicate, not a read-path switch — reads serve
+// 1..N runs through the same code, and a single-run shard (which has
+// read amplification 1 by construction) merely pays no read-amp
+// accounting and needs no merge.
 func (s *shardState) single() bool { return len(s.runs) == 1 }
 
 // pending returns the newest pending write for key, consulting the
@@ -311,9 +287,9 @@ func (s *shardState) deltaLen() int {
 }
 
 // get serves a merged point read: pending writes shadow the runs,
-// newer runs shadow older. probes reports the number of runs probed on
-// the multi-run path (0 when the fast path answered) — the numerator
-// of the shard's measured read amplification.
+// newer runs shadow older. probes reports the number of runs probed (0
+// when a pending write answered) — the numerator of the shard's
+// measured read amplification.
 func (s *shardState) get(x core.Key) (val uint64, found bool, probes int) {
 	if v, tomb, ok := s.pending(x); ok {
 		if tomb {
@@ -321,86 +297,37 @@ func (s *shardState) get(x core.Key) (val uint64, found bool, probes int) {
 		}
 		return v, true, 0
 	}
-	if s.single() {
-		v, ok := s.base().Get(x)
-		return v, ok, 0
-	}
 	return table.GetRuns(s.runs, x)
 }
 
-// getBatch serves a merged batched read into out, with scratch (at
-// least len(keys) long) as working space for per-key found bits on the
-// multi-run path. A single-run shard takes the base table's batched
-// fast path and overlays the (small, bounded) deltas; a tiered shard
-// probes the run set newest-first through table.GetBatchRuns. probes
-// reports the run probes issued (0 on the fast path).
-func (s *shardState) getBatch(keys []core.Key, out []uint64, scratch []bool) (found, probes int) {
-	if s.single() {
-		found = s.base().GetBatch(keys, out)
-		if s.del.len() == 0 && s.frozen == nil {
-			return found, 0
-		}
-		for i, x := range keys {
-			v, tomb, ok := s.pending(x)
-			if !ok {
-				continue
-			}
-			if _, inBase := s.base().Get(x); inBase {
-				found--
-			}
-			if tomb {
-				out[i] = 0
-			} else {
-				out[i] = v
-				found++
-			}
-		}
-		return found, 0
-	}
-	found, probes = table.GetBatchRuns(s.runs, keys, out, scratch)
+// getBatch serves a merged batched read: out[i] receives the live
+// payload of keys[i] (0 when absent) and found[i] its presence bit,
+// both resolved against this one shard snapshot; n is the number
+// present. The run set is probed newest-first through
+// table.GetBatchRuns, whose found bits then drive the overlay of the
+// (small, bounded) deltas: a pending write replaces whatever the runs
+// said about its key. probes reports the run probes issued.
+func (s *shardState) getBatch(keys []core.Key, out []uint64, found []bool) (n, probes int) {
+	n, probes = table.GetBatchRuns(s.runs, keys, out, found)
 	if s.del.len() == 0 && s.frozen == nil {
-		return found, probes
+		return n, probes
 	}
 	for i, x := range keys {
 		v, tomb, ok := s.pending(x)
 		if !ok {
 			continue
 		}
-		if scratch[i] {
-			found--
+		if found[i] {
+			n--
 		}
 		if tomb {
-			out[i], scratch[i] = 0, false
+			out[i], found[i] = 0, false
 		} else {
-			out[i], scratch[i] = v, true
-			found++
+			out[i], found[i] = v, true
+			n++
 		}
 	}
-	return found, probes
-}
-
-// getBatchFound is getBatch plus per-key found bits, resolved against
-// this same shard snapshot: out alone cannot distinguish a zero payload
-// from absence.
-func (s *shardState) getBatchFound(keys []core.Key, out []uint64, found []bool) (n, probes int) {
-	if !s.single() {
-		// The multi-run path materializes found bits anyway; resolve
-		// them straight into the caller's array.
-		return s.getBatch(keys, out, found)
-	}
-	n, _ = s.getBatch(keys, out, nil)
-	for i, x := range keys {
-		if out[i] != 0 {
-			found[i] = true
-			continue
-		}
-		if _, tomb, ok := s.pending(x); ok {
-			found[i] = !tomb // a pending non-tombstone zero is present
-		} else {
-			_, found[i] = s.base().Get(x)
-		}
-	}
-	return n, 0
+	return n, probes
 }
 
 // scanLayers assembles the shard's merge layers for [lo, hi), ordered
@@ -440,46 +367,23 @@ func (s *shardState) scan(lo, hi core.Key, visit func(core.Key, uint64) bool) bo
 	})
 }
 
-// liveLen reports the shard's live pair count. The single-run shape
-// (base length adjusted by each pending entry's effect — a tombstone
-// removes every base occurrence of its key, an upsert collapses a
-// duplicate run to one pair or adds a new key) costs one base probe
-// per pending entry; a tiered shard pays a full merge walk instead,
-// counting pairs exactly as a major merge would emit them.
+// liveLen reports the shard's live pair count: the base run's length
+// adjusted by the effect of each key the layers above it hold (tier
+// runs, frozen delta, active delta; newest wins) — a tombstone removes
+// every base occurrence of its key, an upsert collapses a duplicate run
+// to one pair or adds a new key. One base probe per upper-layer key.
 func (s *shardState) liveLen() int {
-	if !s.single() {
-		n := 0
-		mergeVisit(s.scanLayers(0, ^core.Key(0)), func(k core.Key, v uint64, tomb bool) bool {
-			if !tomb {
-				n++
-			}
-			return true
-		})
-		// The max key is excluded from the [0, ^0) window; count it by hand.
-		n += s.liveCountKey(^core.Key(0))
-		return n
+	layers := make([]mergeLayer, 0, len(s.runs)+1)
+	for _, t := range s.runs[1:] {
+		layers = append(layers, runLayer(t))
 	}
+	if s.frozen != nil {
+		layers = append(layers, deltaLayer(s.frozen))
+	}
+	layers = append(layers, deltaLayer(s.del))
 	n := s.base().Len()
-	f := s.frozen
-	if f == nil {
-		f = emptyDelta
-	}
-	a := s.del
-	i, j := 0, 0
-	for i < a.len() || j < f.len() {
-		var x core.Key
-		var tomb bool
-		if j >= f.len() || (i < a.len() && a.keys[i] <= f.keys[j]) {
-			x, tomb = a.keys[i], a.tombs[i]
-			if j < f.len() && f.keys[j] == x {
-				j++
-			}
-			i++
-		} else {
-			x, tomb = f.keys[j], f.tombs[j]
-			j++
-		}
-		c := s.base().CountKey(x)
+	mergeVisit(layers, func(k core.Key, _ uint64, tomb bool) bool {
+		c := s.base().CountKey(k)
 		switch {
 		case tomb:
 			n -= c
@@ -488,28 +392,7 @@ func (s *shardState) liveLen() int {
 		default:
 			n -= c - 1
 		}
-	}
+		return true
+	})
 	return n
-}
-
-// liveCountKey reports the live occurrence count of exactly key x
-// (newest-wins across deltas and runs; base duplicates count
-// individually when the base wins).
-func (s *shardState) liveCountKey(x core.Key) int {
-	if v, tomb, ok := s.pending(x); ok {
-		_ = v
-		if tomb {
-			return 0
-		}
-		return 1
-	}
-	for r := len(s.runs) - 1; r >= 1; r-- {
-		if pos, hit := s.runs[r].Find(x); hit {
-			if s.runs[r].TombAt(pos) {
-				return 0
-			}
-			return 1
-		}
-	}
-	return s.base().CountKey(x)
 }

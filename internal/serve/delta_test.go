@@ -52,28 +52,6 @@ func TestDeltaWith(t *testing.T) {
 	}
 }
 
-func TestMergeDelta(t *testing.T) {
-	bk := []core.Key{2, 4, 4, 6, 8}
-	bv := []uint64{20, 40, 41, 60, 80}
-	d := emptyDelta.
-		with(1, 10, false). // insert below
-		with(4, 44, false). // upsert collapses the duplicate run
-		with(6, 0, true).   // delete
-		with(9, 90, false). // insert above
-		with(7, 0, true)    // tombstone for an absent key: no effect
-	k, v := mergeDelta(bk, bv, d)
-	wantK := []core.Key{1, 2, 4, 8, 9}
-	wantV := []uint64{10, 20, 44, 80, 90}
-	if len(k) != len(wantK) {
-		t.Fatalf("merged keys %v, want %v", k, wantK)
-	}
-	for i := range wantK {
-		if k[i] != wantK[i] || v[i] != wantV[i] {
-			t.Fatalf("merged[%d] = (%d,%d), want (%d,%d)", i, k[i], v[i], wantK[i], wantV[i])
-		}
-	}
-}
-
 // TestMutableOracle runs a randomized insert/update/delete/get
 // sequence against a map oracle, with a small compaction threshold so
 // background compactions fire mid-sequence, then checks the full store
@@ -268,30 +246,6 @@ func TestDeleteEverything(t *testing.T) {
 	}
 	if v, ok := st.Get(keys[42]); !ok || v != 7 {
 		t.Fatalf("Get after reinsert+compact = (%d,%v), want (7,true)", v, ok)
-	}
-}
-
-// TestReplaceDiscardsPending: Replace supersedes a shard wholesale,
-// dropping its uncompacted writes.
-func TestReplaceDiscardsPending(t *testing.T) {
-	keys, payloads := testData(t, 2000)
-	st, err := New(keys, payloads, Config{Shards: 2, Family: "BTree", CompactThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	x := st.seps[0] // first key of shard 0
-	st.Put(x, 111111)
-	lo := 0
-	hi := core.LowerBound(keys, st.seps[1])
-	if err := st.Replace(0, keys[lo:hi], payloads[lo:hi]); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := st.Get(x); !ok || v != payloads[0] {
-		t.Fatalf("Get(%d) = (%d,%v) after Replace, want original (%d,true)", x, v, ok, payloads[0])
-	}
-	if st.DeltaLen() != 0 {
-		t.Fatalf("DeltaLen = %d after Replace, want 0", st.DeltaLen())
 	}
 }
 

@@ -13,8 +13,8 @@ package serve
 //
 // A store opened from a snapshot is "attached": every Put/Delete
 // appends to its shard's WAL before becoming visible, and every
-// compaction or Replace commits the new run set and truncates the WAL
-// to the writes still pending — the commit (manifest rename) happens
+// compaction commits the new run set and truncates the WAL to the
+// writes still pending — the commit (manifest rename) happens
 // under the shard's write lock, so no write can slip between the WAL
 // seed it captures and the moment it takes effect. At any instant,
 // replaying a shard's committed WAL over its committed runs reproduces
@@ -300,8 +300,7 @@ func (st *Store) exportTo(abs string, onShard func(shard int)) error {
 // directory at a fresh generation: file sets for any runs not already
 // committed, a WAL seeded with the still-pending writes, and the
 // manifest naming them. It is the incremental, single-shard form of
-// Snapshot, run after every compaction and Replace on an attached
-// store.
+// Snapshot, run after every compaction on an attached store.
 func (st *Store) persistShard(i int) error {
 	st.persistMu.Lock()
 	defer st.persistMu.Unlock()
@@ -331,9 +330,8 @@ func sameRuns(a, b []*table.Table) bool {
 // small new run. The WAL seed and the manifest rename happen under the
 // lock, so the commit point and the captured pending set agree exactly
 // — this is what keeps the replay invariant through compaction
-// truncations and through Replace's wholesale discard of pending
-// writes. Writers to this one shard stall for the WAL+manifest commit;
-// readers and other shards are unaffected.
+// truncations. Writers to this one shard stall for the WAL+manifest
+// commit; readers and other shards are unaffected.
 func (st *Store) persistShardLocked(i int) error {
 	dir := st.dir
 	gen := st.gen + 1
@@ -450,15 +448,10 @@ func Open(dir string, cfg Config) (*Store, error) {
 	st.builders = make([]core.Builder, nShards) // resolved lazily at first compaction
 	st.builderIDs = make([]string, nShards)
 	st.wals = make([]*persist.WAL, nShards)
-	switch {
-	case cfg.BuilderFor != nil:
+	if cfg.BuilderFor != nil {
+		// Only openRun's no-codec base rebuild asks for it; compactions
+		// resolve their builder from the shard's codec tag.
 		st.builderFor = wrapBuilderFor(cfg.BuilderFor)
-	case m.Family != "" && registry.Has(m.Family):
-		st.builderFor = familyBuilderFor(m.Family)
-	default:
-		st.builderFor = func(int, []core.Key) (core.Builder, string, error) {
-			return nil, "", fmt.Errorf("serve: store family %q not in registry; Replace unavailable", m.Family)
-		}
 	}
 
 	// Populate the boundary metadata first: the shard loaders below

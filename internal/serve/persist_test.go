@@ -480,56 +480,6 @@ func TestStableIDsAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestReplaceDurability is the Replace crash-consistency regression:
-// a logged write superseded wholesale by Replace must not be
-// resurrected by WAL replay after a crash, because Replace commits a
-// full generation (base + truncated WAL + manifest) atomically.
-func TestReplaceDurability(t *testing.T) {
-	keys, payloads := testData(t, 3000)
-	st, err := New(keys, payloads, Config{Shards: 2, Family: "PGM", CompactThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := st.Snapshot(dir); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-
-	live, err := Open(dir, Config{CompactThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A logged write into shard 0, then a Replace that deliberately
-	// discards it.
-	k := keys[0]
-	live.Put(k, 111)
-	end := core.LowerBound(keys, live.seps[1])
-	repVals := make([]uint64, end)
-	for i := range repVals {
-		repVals[i] = 5000 + uint64(i)
-	}
-	if err := live.Replace(0, append([]core.Key(nil), keys[:end]...), repVals); err != nil {
-		t.Fatal(err)
-	}
-	if err := live.PersistErr(); err != nil {
-		t.Fatal(err)
-	}
-	// Crash (no Close) and recover: the replacement wins everywhere.
-	rec, err := Open(dir, Config{})
-	if err != nil {
-		t.Fatalf("open after crash: %v", err)
-	}
-	if v, ok := rec.Get(k); !ok || v != 5000 {
-		t.Fatalf("Get(%d) = (%d,%v) after Replace+crash, want 5000 (discarded Put resurrected?)", k, v, ok)
-	}
-	if v, ok := rec.Get(keys[end-1]); !ok || v != 5000+uint64(end-1) {
-		t.Fatalf("replacement payload lost: Get(%d) = (%d,%v)", keys[end-1], v, ok)
-	}
-	rec.Close()
-	live.Close()
-}
-
 // TestSnapshotAttachedBySpelledPath ensures attached-directory
 // detection is path-identity based, not string based: snapshotting the
 // attached directory under a different spelling must still refresh the

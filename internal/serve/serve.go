@@ -10,10 +10,13 @@
 // Concurrency model: reads (Get, GetBatch, Scan, Range) are lock-free —
 // they load each shard's current state (run set + delta buffers)
 // through one atomic pointer — and may run from any number of
-// goroutines. Writes are single-writer per shard: Put, Delete, and
-// Replace serialize on a per-shard mutex, derive the new state off to
-// the side (copy-on-write delta, or a freshly built table), and publish
-// it with one pointer swap, so readers never block and never observe a
+// goroutines, and every read — point or batched, one run or many, clean
+// or dirty — takes the same path: probe the run set newest-first
+// (table.GetRuns / table.GetBatchRuns, which report per-key found
+// bits), then overlay the pending deltas. Writes are single-writer per
+// shard: Put, Delete, and Apply serialize on a per-shard mutex, derive
+// the new state off to the side (copy-on-write delta), and publish it
+// with one pointer swap, so readers never block and never observe a
 // half-applied write. Compaction freezes a shard's delta, flushes or
 // merges off the write lock (writes continue into a fresh active
 // delta), and republishes the shard with another swap. See DESIGN.md
@@ -180,8 +183,8 @@ type Store struct {
 	scratch   sync.Pool // *batchScratch
 	closed    atomic.Bool
 
-	// Replica mode: a read-only store refuses Put/Delete/Replace (each
-	// refusal counted) while Apply — the replication stream's entry
+	// Replica mode: a read-only store refuses Put/Delete (each refusal
+	// counted) while Apply — the replication stream's entry
 	// point — still lands batches. Flipped by SetReadOnly at any time.
 	readOnly      atomic.Bool
 	readOnlyDrops atomic.Uint64
@@ -217,8 +220,8 @@ type Store struct {
 // shardStats carries one shard's measured read-amplification window
 // and rebuild-cost estimates. probes/ops accumulate from multi-run
 // reads only (a single-run shard has amplification 1 by construction
-// and pays no accounting); probes0/ops0 snapshot the window base at
-// the shard's last merge. The per-key cost EWMAs are measured from
+// and pays no accounting — see noteReads); probes0/ops0 snapshot the
+// window base at the shard's last merge. The per-key cost EWMAs are measured from
 // actual compactions: major from full-merge index re-tunes, minor from
 // tier flushes and tier merges.
 type shardStats struct {
@@ -244,14 +247,13 @@ func ewmaUpdate(a *atomic.Uint64, obs float64) {
 }
 
 type job struct {
-	s       *shardState
-	shard   int
-	keys    []core.Key
-	out     []uint64
-	scratch []bool // found-bit working space; the result itself for wantFound jobs
-	want    bool   // caller wants the found bits (GetBatchFound)
-	found   *atomic.Int64
-	wg      *sync.WaitGroup
+	s     *shardState
+	shard int
+	keys  []core.Key
+	out   []uint64
+	found []bool // per-key found bits, resolved by every job
+	hits  *atomic.Int64
+	wg    *sync.WaitGroup
 }
 
 type batchScratch struct {
@@ -508,8 +510,8 @@ func (st *Store) journalEvent(i int, kind string, runsBefore, runsAfter, keys in
 }
 
 // buildShard picks (and records) the shard's builder and constructs its
-// table. Callers that can race hold writeMu[i]; during New each shard
-// is touched by exactly one goroutine.
+// table. Only New calls it, where each shard is touched by exactly one
+// goroutine.
 func (st *Store) buildShard(i int, keys []core.Key, payloads []uint64) (*table.Table, error) {
 	b, id, err := st.builderFor(i, keys)
 	if err != nil {
@@ -527,14 +529,9 @@ func (st *Store) buildShard(i int, keys []core.Key, payloads []uint64) (*table.T
 func (st *Store) worker() {
 	defer st.workersWG.Done()
 	for j := range st.jobs {
-		var n, probes int
-		if j.want {
-			n, probes = j.s.getBatchFound(j.keys, j.out, j.scratch)
-		} else {
-			n, probes = j.s.getBatch(j.keys, j.out, j.scratch)
-		}
-		j.found.Add(int64(n))
-		if probes > 0 {
+		n, probes := j.s.getBatch(j.keys, j.out, j.found)
+		j.hits.Add(int64(n))
+		if probes > 0 && !j.s.single() {
 			st.noteReads(j.shard, probes, len(j.keys))
 		}
 		j.wg.Done()
@@ -545,7 +542,12 @@ func (st *Store) worker() {
 // amplification window, and every ampCheckEvery ops re-evaluates the
 // read-path merge trigger — so a shard whose writes stopped but whose
 // reads still pay tiered probes gets merged without waiting for the
-// next write.
+// next write. Callers guard it with probes > 0 && !s.single() on the
+// state the read was served from: a single-run shard is not accounted
+// (the run-probe counters and the laws over them count multi-run reads
+// only), nor is a read that a pending write answered without probing a
+// run — and the guard inlines where this function does not, so the
+// compacted read path pays no call.
 func (st *Store) noteReads(i, probes, ops int) {
 	ss := &st.stats[i]
 	ss.probes.Add(int64(probes))
@@ -555,7 +557,7 @@ func (st *Store) noteReads(i, probes, ops int) {
 	}
 	ss.sinceCheck.Store(0)
 	s := st.shards[i].Load()
-	if len(s.runs) > 1 && s.frozen == nil && st.ampWindowExceeded(i) {
+	if !s.single() && s.frozen == nil && st.ampWindowExceeded(i) {
 		st.requestCompact(i)
 	}
 }
@@ -778,21 +780,16 @@ func (st *Store) Shard(i int) *table.Table { return st.shards[i].Load().base() }
 // Get returns the live payload for key, or false when absent. Pending
 // writes shadow the runs; newer runs shadow older. With a tracer
 // configured, the sampled request records its shard-route and
-// run-probe phases; every other request pays one atomic add.
+// run-probe phases; every other request pays one atomic add (sp is nil
+// then, and Span methods are nil-safe).
 func (st *Store) Get(key core.Key) (uint64, bool) {
-	if sp := st.tracer.Sample(); sp != nil {
-		i := st.shardOf(key)
-		sp.Mark(obs.PhaseShardRoute)
-		v, ok, probes := st.shards[i].Load().get(key)
-		sp.Mark(obs.PhaseRunProbe)
-		if probes > 0 {
-			st.noteReads(i, probes, 1)
-		}
-		return v, ok
-	}
+	sp := st.tracer.Sample()
 	i := st.shardOf(key)
-	v, ok, probes := st.shards[i].Load().get(key)
-	if probes > 0 {
+	sp.Mark(obs.PhaseShardRoute)
+	s := st.shards[i].Load()
+	v, ok, probes := s.get(key)
+	sp.Mark(obs.PhaseRunProbe)
+	if probes > 0 && !s.single() {
 		st.noteReads(i, probes, 1)
 	}
 	return v, ok
@@ -897,9 +894,9 @@ func (st *Store) Apply(i int, ops []persist.Op) error {
 	return nil
 }
 
-// SetReadOnly flips the store's replica gate: while set, Put, Delete,
-// and Replace are refused (counted in ReadOnlyDrops) and Apply remains
-// the only write path. Reads are unaffected.
+// SetReadOnly flips the store's replica gate: while set, Put and
+// Delete are refused (counted in ReadOnlyDrops) and Apply remains the
+// only write path. Reads are unaffected.
 func (st *Store) SetReadOnly(v bool) { st.readOnly.Store(v) }
 
 // ReadOnly reports whether the store currently refuses direct writes.
@@ -1000,10 +997,11 @@ func (st *Store) compactor() {
 // the Compact path — merge everything into a single freshly indexed
 // base run; finally publish the new run set with one pointer swap. A
 // shard already being compacted is a no-op, as is a clean single-run
-// shard. A compaction with an empty delta (merge-only: triggered by
-// read amplification or force) freezes a fresh empty-delta marker so
-// the publish-time conflict check still detects an intervening
-// Replace.
+// shard. Freezing is what marks the shard as being compacted (writes
+// carry the frozen delta along, and nothing else clears it), so the
+// state loaded at publish time is the frozen one plus the writes that
+// arrived meanwhile; a merge-only compaction (read amplification or
+// force over a clean delta) freezes the empty delta.
 func (st *Store) compactShard(i int, force bool) error {
 	st.writeMu[i].Lock()
 	s := st.shards[i].Load()
@@ -1023,9 +1021,6 @@ func (st *Store) compactShard(i int, force bool) error {
 		// metriclint) holds the write path to.
 		st.deltaFreezes.Add(1)
 	}
-	if frozen.len() == 0 {
-		frozen = &delta{} // unique identity for the merge-only conflict check
-	}
 	st.shards[i].Store(&shardState{runs: s.runs, runIDs: s.runIDs, del: emptyDelta, frozen: frozen})
 	builder := st.builders[i]
 	builderID := st.builderIDs[i]
@@ -1036,11 +1031,6 @@ func (st *Store) compactShard(i int, force bool) error {
 
 	st.writeMu[i].Lock()
 	s2 := st.shards[i].Load()
-	if s2.frozen != frozen {
-		// A Replace superseded the shard wholesale; drop the work.
-		st.writeMu[i].Unlock()
-		return nil
-	}
 	if err != nil {
 		// Rebuild failed: fold the frozen delta back under the writes
 		// that arrived meanwhile so nothing is lost.
@@ -1338,7 +1328,7 @@ func (st *Store) getBatchInto(keys []core.Key, out []uint64, fbits []bool) int {
 	sp.Mark(obs.PhaseShardRoute)
 
 	var wg sync.WaitGroup
-	var found atomic.Int64
+	var hits atomic.Int64
 	for sh := 0; sh < nShards; sh++ {
 		lo, hi := starts[sh], starts[sh+1]
 		if lo == hi {
@@ -1346,14 +1336,13 @@ func (st *Store) getBatchInto(keys []core.Key, out []uint64, fbits []bool) int {
 		}
 		wg.Add(1)
 		st.jobs <- job{
-			s:       st.shards[sh].Load(),
-			shard:   sh,
-			keys:    s.gkeys[lo:hi],
-			out:     s.gout[lo:hi],
-			scratch: s.gfound[lo:hi],
-			want:    fbits != nil,
-			found:   &found,
-			wg:      &wg,
+			s:     st.shards[sh].Load(),
+			shard: sh,
+			keys:  s.gkeys[lo:hi],
+			out:   s.gout[lo:hi],
+			found: s.gfound[lo:hi],
+			hits:  &hits,
+			wg:    &wg,
 		}
 	}
 	wg.Wait()
@@ -1369,7 +1358,7 @@ func (st *Store) getBatchInto(keys []core.Key, out []uint64, fbits []bool) int {
 	}
 	sp.Mark(obs.PhaseMerge)
 	st.scratch.Put(s)
-	return int(found.Load())
+	return int(hits.Load())
 }
 
 // Scan visits the store's live pairs with key in [lo, hi) in ascending
@@ -1430,52 +1419,4 @@ func (s *batchScratch) ensure(n, nShards int) {
 	}
 	s.offs = s.offs[:nShards+1]
 	s.starts = s.starts[:nShards+1]
-}
-
-// Replace rebuilds shard i over new data, discarding the shard's
-// pending delta writes and tier runs (Replace supersedes them
-// wholesale; an in-flight compaction of the shard is abandoned at
-// publish time). keys must be sorted, stay within the shard's key
-// range (first key equal to the shard's separator, last key below the
-// next separator), and match payloads in length. Replace is the
-// single-writer path: concurrent writes on one shard serialize,
-// readers continue on the old state until the atomic swap.
-func (st *Store) Replace(i int, keys []core.Key, payloads []uint64) error {
-	if st.readOnly.Load() {
-		st.readOnlyDrops.Add(1)
-		return errors.New("serve: store is read-only")
-	}
-	if i < 0 || i >= len(st.shards) {
-		return fmt.Errorf("serve: no shard %d", i)
-	}
-	if len(keys) == 0 {
-		return errors.New("serve: empty replacement")
-	}
-	if keys[0] != st.seps[i] {
-		return fmt.Errorf("serve: replacement must start at separator %d, got %d", st.seps[i], keys[0])
-	}
-	if i+1 < len(st.seps) && keys[len(keys)-1] >= st.seps[i+1] {
-		return fmt.Errorf("serve: replacement key %d crosses into shard %d", keys[len(keys)-1], i+1)
-	}
-	st.writeMu[i].Lock()
-	t, err := st.buildShard(i, keys, payloads)
-	if err != nil {
-		st.writeMu[i].Unlock()
-		return err
-	}
-	st.shards[i].Store(&shardState{runs: []*table.Table{t}, runIDs: []string{st.builderIDs[i]}, del: emptyDelta})
-	st.writeMu[i].Unlock()
-	// An attached store makes the replacement durable immediately (and
-	// truncates the superseded WAL entries with it). The replacement
-	// is already published either way, so a commit failure — like the
-	// identical failure on the compaction path — degrades durability,
-	// not the return value: it is surfaced through PersistErr, and a
-	// crash before a later successful commit reverts to the
-	// pre-Replace state.
-	if st.dir != "" {
-		if perr := st.persistShard(i); perr != nil {
-			st.notePersistErr(perr)
-		}
-	}
-	return nil
 }

@@ -115,28 +115,27 @@ func TestConcurrentGetBatch(t *testing.T) {
 	}
 }
 
-// TestReplaceUnderReads rebuilds one shard while readers stream
-// batches: readers must never block on the writer and must always
-// observe either the old or the new table, never a mix.
-func TestReplaceUnderReads(t *testing.T) {
+// TestSwapUnderReads rewrites one shard's payloads round after round —
+// a Put per key into the delta, then a Compact that freezes the delta
+// and publishes a rebuilt base — while readers stream batches. Readers
+// must never block on the writer, and every key they read must carry
+// its old payload or a newer one, never a mix of states: round r writes
+// old*(r+1), so a reader's view of a key may only move forward.
+func TestSwapUnderReads(t *testing.T) {
 	keys, payloads := testData(t, 8000)
-	st, err := New(keys, payloads, Config{Shards: 4, Family: "BTree"})
+	st, err := New(keys, payloads, Config{Shards: 4, Family: "BTree", CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 
-	// The replacement doubles shard 1's payloads over the same keys.
 	sh := 1
 	lo := core.LowerBound(keys, st.seps[sh])
 	hi := len(keys)
 	if sh+1 < len(st.seps) {
 		hi = core.LowerBound(keys, st.seps[sh+1])
 	}
-	newPayloads := make([]uint64, hi-lo)
-	for i := range newPayloads {
-		newPayloads[i] = payloads[lo+i] * 2
-	}
+	const rounds = 5
 
 	stop := make(chan struct{})
 	readerErrs := make(chan string, 4)
@@ -147,25 +146,40 @@ func TestReplaceUnderReads(t *testing.T) {
 			defer readers.Done()
 			probes := dataset.Lookups(keys[lo:hi], 256, uint64(c+11))
 			out := make([]uint64, len(probes))
+			found := make([]bool, len(probes))
+			seen := make([]uint64, len(probes)) // newest round observed per probe
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				st.GetBatch(probes, out)
+				if n := st.GetBatchFound(probes, out, found); n != len(probes) {
+					readerErrs <- "batch lost a key that was never deleted"
+					return
+				}
 				for i, x := range probes {
 					old, _ := expectGet(keys, payloads, x)
-					if out[i] != old && out[i] != old*2 {
-						readerErrs <- "batch saw neither old nor new payload"
+					m := out[i] / old
+					if !found[i] || out[i] != old*m || m < 1 || m > rounds+1 {
+						readerErrs <- "batch saw a payload no round ever wrote"
 						return
 					}
+					if m < seen[i] {
+						readerErrs <- "key moved backwards: a swap exposed an older state"
+						return
+					}
+					seen[i] = m
 				}
 			}
 		}(c)
 	}
-	for rep := 0; rep < 5; rep++ {
-		if err := st.Replace(sh, keys[lo:hi], newPayloads); err != nil {
+	for r := 1; r <= rounds; r++ {
+		for i := lo; i < hi; i++ {
+			old, _ := expectGet(keys, payloads, keys[i]) // first occurrence, should keys repeat
+			st.Put(keys[i], old*uint64(r+1))
+		}
+		if err := st.Compact(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,33 +190,12 @@ func TestReplaceUnderReads(t *testing.T) {
 		t.Fatal(msg)
 	}
 
-	// After the last replace, reads must see the new payloads.
+	// After the last swap, reads must see the final round's payloads.
 	x := keys[lo]
-	want := payloads[lo] * 2
+	want, _ := expectGet(keys, payloads, x)
+	want *= rounds + 1
 	if got, ok := st.Get(x); !ok || got != want {
-		t.Fatalf("after replace: Get(%d) = %d, want %d", x, got, want)
-	}
-}
-
-// TestReplaceValidation covers the writer-path guard rails.
-func TestReplaceValidation(t *testing.T) {
-	keys, payloads := testData(t, 4000)
-	st, err := New(keys, payloads, Config{Shards: 4, Family: "RS"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Replace(-1, keys, payloads); err == nil {
-		t.Error("negative shard accepted")
-	}
-	if err := st.Replace(0, nil, nil); err == nil {
-		t.Error("empty replacement accepted")
-	}
-	// A replacement crossing into the next shard's range must fail.
-	if st.NumShards() >= 2 {
-		if err := st.Replace(0, keys, payloads); err == nil {
-			t.Error("cross-shard replacement accepted")
-		}
+		t.Fatalf("after the last swap: Get(%d) = %d, want %d", x, got, want)
 	}
 }
 

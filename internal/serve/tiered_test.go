@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
@@ -59,19 +61,33 @@ func checkOracle(t *testing.T, st *Store, oracle map[core.Key]uint64, universe [
 	}
 }
 
-// TestTieredRunsOracle drives the tiered write path explicitly: a low
-// threshold stacks several flushed runs per shard, deletions land as
-// tombstones in runs newer than the base pairs they shadow, and the
-// full read surface is checked against a map oracle while the shards
-// are dirty (multiple runs plus a pending delta), after the background
-// tier merges, and after a forced full merge back to one run.
+// TestTieredRunsOracle drives the write path explicitly: a low
+// threshold stacks several flushed runs per shard (or, in the
+// MaxRuns: 1 row, re-merges the single run every time), deletions land
+// as tombstones in runs newer than the base pairs they shadow, and the
+// full read surface — Len included, with the largest possible key live
+// — is checked against a map oracle while the shards are dirty (runs
+// plus a pending delta), with a merge parked mid-flight (runs plus a
+// frozen delta plus a fresh active delta on top), after the background
+// merges, and after a forced full merge back to one run.
 func TestTieredRunsOracle(t *testing.T) {
-	for _, family := range []string{"PGM", "BTree"} {
-		t.Run(family, func(t *testing.T) {
+	for _, row := range []struct {
+		family  string
+		maxRuns int
+		gated   bool // park a merge mid-flight; needs a family without a rebuild hook
+	}{
+		{"PGM", 4, false},
+		{"BTree", 4, true},
+		{"BTree", 1, true},
+	} {
+		t.Run(fmt.Sprintf("%s/MaxRuns=%d", row.family, row.maxRuns), func(t *testing.T) {
 			keys, payloads := testData(t, 8000)
-			st, err := New(keys, payloads, Config{
-				Shards: 2, Family: family, CompactThreshold: 64, MaxRuns: 4,
-			})
+			cfg := Config{Shards: 2, Family: row.family, CompactThreshold: 64, MaxRuns: row.maxRuns}
+			var g gatedBuilder
+			if row.gated {
+				cfg, g = gatedConfig(cfg, row.family)
+			}
+			st, err := New(keys, payloads, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +97,10 @@ func TestTieredRunsOracle(t *testing.T) {
 				oracle[k] = payloads[i]
 			}
 			inserts := dataset.InsertKeys(keys, 3000, 5)
-			universe := append(append([]core.Key{}, keys...), inserts...)
+			maxKey := ^core.Key(0)
+			universe := append(append([]core.Key{maxKey}, keys...), inserts...)
+			st.Put(maxKey, 99)
+			oracle[maxKey] = 99
 
 			// Interleave inserts with deletions of base keys so flushed
 			// runs carry tombstones shadowing pairs in older runs.
@@ -95,11 +114,15 @@ func TestTieredRunsOracle(t *testing.T) {
 				}
 			}
 			st.WaitCompactions()
-			if st.Flushes() == 0 {
-				t.Fatal("no delta flushes despite tiering enabled and threshold crossed")
-			}
-			if st.MaxRunCount() < 2 {
-				t.Fatalf("max run count %d, want >= 2 (tiering never stacked a run)", st.MaxRunCount())
+			if row.maxRuns > 1 {
+				if st.Flushes() == 0 {
+					t.Fatal("no delta flushes despite tiering enabled and threshold crossed")
+				}
+				if st.MaxRunCount() < 2 {
+					t.Fatalf("max run count %d, want >= 2 (tiering never stacked a run)", st.MaxRunCount())
+				}
+			} else if st.Flushes() != 0 || st.MaxRunCount() != 1 {
+				t.Fatalf("MaxRuns 1 stacked runs: %d flushes, max run count %d", st.Flushes(), st.MaxRunCount())
 			}
 			for i := 0; i < st.NumShards(); i++ {
 				if n := st.RunCount(i); n > st.cfg.MaxRuns+1 {
@@ -107,13 +130,61 @@ func TestTieredRunsOracle(t *testing.T) {
 				}
 			}
 
-			// Dirty check: runs plus a fresh pending delta on top.
+			// Dirty check: runs plus a fresh pending delta on top, whose
+			// tombstones move Len.
 			for i := 0; i < 40; i++ {
 				k := inserts[i*17%len(inserts)]
 				st.Put(k, uint64(i)<<20|3)
 				oracle[k] = uint64(i)<<20 | 3
+				if i%2 == 0 {
+					victim := keys[(i*13+1)%len(keys)]
+					st.Delete(victim)
+					delete(oracle, victim)
+				}
 			}
 			checkOracle(t, st, oracle, universe, "dirty")
+
+			if row.gated {
+				// Frozen check: the dirty delta above is frozen under a
+				// parked merge; these writes land in a fresh active delta
+				// and must shadow frozen entries, run pairs and each other.
+				// First top shard 0's delta up with tombstones (they move
+				// Len), staying under the threshold so that the background
+				// compactor sleeps on.
+				st.WaitCompactions()
+				for i := 0; i < 10 && st.shards[0].Load().del.len() < st.cfg.CompactThreshold-1; i++ {
+					victim := keys[i*29+3] // low keys: shard 0
+					st.Delete(victim)
+					delete(oracle, victim)
+				}
+				release := parkCompact(t, st, g)
+				for i := 0; i < 40; i++ {
+					k := inserts[i*17%len(inserts)] // the keys the dirty stage wrote
+					switch i % 4 {
+					case 0:
+						st.Delete(k)
+						delete(oracle, k)
+					case 1:
+						st.Put(k, 0) // a live zero payload
+						oracle[k] = 0
+					}
+					victim := keys[(i*11+5)%len(keys)]
+					st.Delete(victim)
+					delete(oracle, victim)
+				}
+				st.Delete(maxKey)
+				delete(oracle, maxKey)
+				checkOracle(t, st, oracle, universe, "frozen in flight")
+				st.Put(maxKey, 7)
+				oracle[maxKey] = 7
+				checkOracle(t, st, oracle, universe, "frozen in flight, max key back")
+				release()
+				checkOracle(t, st, oracle, universe, "released")
+				for i := 0; i < 20; i++ { // dirty again for the stages below
+					st.Put(inserts[i*31%len(inserts)], uint64(i)+77)
+					oracle[inserts[i*31%len(inserts)]] = uint64(i) + 77
+				}
+			}
 
 			st.WaitCompactions()
 			checkOracle(t, st, oracle, universe, "post-flush")
@@ -319,27 +390,75 @@ func (g gatedBuilder) Build(keys []core.Key) (core.Index, error) {
 
 func (g gatedBuilder) Name() string { return g.inner.Name() }
 
-func newGatedStore(t *testing.T, shards, threshold int) (*Store, []core.Key, gatedBuilder) {
-	t.Helper()
-	keys, payloads := testData(t, 4000)
+// gatedConfig returns cfg with a BuilderFor that builds family's
+// mid-sweep index behind a gate. family must have no compaction rebuild
+// hook (a hook re-picks the builder and would step around the gate).
+func gatedConfig(cfg Config, family string) (Config, gatedBuilder) {
 	g := gatedBuilder{
 		armed:   &atomic.Bool{},
 		entered: make(chan struct{}, 64),
 		gate:    make(chan struct{}),
 	}
-	st, err := New(keys, payloads, Config{
+	cfg.BuilderFor = func(shard int, ks []core.Key) (core.Builder, error) {
+		nb, _ := registry.Builder(family, ks)
+		return gatedBuilder{inner: nb.Builder, armed: g.armed, entered: g.entered, gate: g.gate}, nil
+	}
+	return cfg, g
+}
+
+func newGatedStore(t *testing.T, shards, threshold int) (*Store, []core.Key, gatedBuilder) {
+	t.Helper()
+	keys, payloads := testData(t, 4000)
+	cfg, g := gatedConfig(Config{
 		Shards:           shards,
 		CompactThreshold: threshold,
 		MaxRuns:          1, // classic mode: every compaction rebuilds through the builder
-		BuilderFor: func(shard int, ks []core.Key) (core.Builder, error) {
-			nb, _ := registry.Builder("RBS", ks)
-			return gatedBuilder{inner: nb.Builder, armed: g.armed, entered: g.entered, gate: g.gate}, nil
-		},
-	})
+	}, "RBS")
+	st, err := New(keys, payloads, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st, keys, g
+}
+
+// parkCompact parks a forced merge of shard 0 mid-flight: it waits out
+// the background compactor (the caller issues no reads or writes
+// meanwhile, so nothing new starts), makes sure shard 0 has a pending
+// write to freeze, arms the gate and starts Compact, and returns once
+// shard 0's rebuild is parked on the gate — its delta frozen, its merge
+// in flight. It stays so until release, which lets the merge through
+// and waits for Compact to finish. The gate opens once; park at most
+// once per store.
+func parkCompact(t *testing.T, st *Store, g gatedBuilder) (release func()) {
+	t.Helper()
+	st.WaitCompactions()
+	if st.shards[0].Load().del.len() == 0 {
+		// Rewrite a key's current state: a pending entry, no change.
+		if v, ok := st.Get(st.seps[0]); ok {
+			st.Put(st.seps[0], v)
+		} else {
+			st.Delete(st.seps[0])
+		}
+	}
+	g.armed.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- st.Compact() }()
+	select {
+	case <-g.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("forced Compact never reached the index rebuild")
+	}
+	if f := st.shards[0].Load().frozen; f == nil || f.len() == 0 {
+		t.Fatal("shard 0 holds no frozen delta while its merge is parked")
+	}
+	return func() {
+		t.Helper()
+		g.armed.Store(false)
+		close(g.gate)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // waitGoroutineState polls the full goroutine dump until some
@@ -584,5 +703,42 @@ func TestReadAmpTriggersMerge(t *testing.T) {
 		if v, ok := st.Get(k); !ok || v != uint64(i)+1 {
 			t.Fatalf("insert %d = (%d,%v) after amp merge", k, v, ok)
 		}
+	}
+}
+
+// TestSingleRunReadsNotAccounted: the run-probe counters (and the
+// "run probes >= multirun ops" law metriclint holds them to) count
+// multi-run reads only. Reads of a compacted store report a probe per
+// key like any other, and must still leave both counters at zero.
+func TestSingleRunReadsNotAccounted(t *testing.T) {
+	keys, payloads := testData(t, 8000)
+	reg := obs.NewRegistry()
+	st, err := New(keys, payloads, Config{Shards: 4, Family: "PGM", CompactThreshold: -1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.Put(keys[0]+1, 5)
+	st.Delete(keys[1])
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	probes := dataset.Lookups(keys, 256, 13)
+	out := make([]uint64, len(probes))
+	found := make([]bool, len(probes))
+	for i := 0; i < 10000; i++ {
+		st.Get(probes[i%len(probes)])
+		if i%100 == 0 {
+			st.GetBatch(probes, out)
+			st.GetBatchFound(probes, out, found)
+		}
+	}
+	for _, name := range []string{"sosd_store_run_probes_total", "sosd_store_multirun_ops_total"} {
+		if v, ok := reg.Value(name); !ok || v != 0 {
+			t.Errorf("%s = %v (registered %v) after single-run reads only, want 0", name, v, ok)
+		}
+	}
+	if amp := st.ReadAmp(); amp != 1 {
+		t.Errorf("ReadAmp = %v on a store that never served a multi-run read, want 1", amp)
 	}
 }

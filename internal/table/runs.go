@@ -1,16 +1,15 @@
 package table
 
-// The LSM run-set read path: a shard of the serving layer holds an
-// ordered set of sorted runs (oldest first; newer runs shadow older
-// ones, and a tombstone in a newer run hides every older occurrence of
-// its key). FindBatch is the per-run primitive — the same pipelined
-// block machinery as GetBatch, but resolving positions and presence
-// bits instead of gathering payloads, so the caller can consult the
-// run's tombstone bits. GetBatchRuns composes it across a run set:
-// each run is probed once with the still-unresolved subset of the
-// batch, newest run first, so the pipelined probe rounds are reused
-// per run and the total probe count (the read-amplification numerator)
-// falls as keys resolve early.
+// The batched read path, for one run or many. A shard of the serving
+// layer holds an ordered set of sorted runs (oldest first; newer runs
+// shadow older ones, and a tombstone in a newer run hides every older
+// occurrence of its key); a lone Table is the one-run case. findBlock
+// is the only kernel: it resolves position and presence for a block of
+// keys in one run. GetBatchRuns composes it across the run set, block
+// by block: the newest run is probed with the caller's block in place,
+// each older run only with the keys still unresolved, so the pipelined
+// probe rounds are reused per run and the total probe count (the
+// read-amplification numerator) falls as keys resolve early.
 
 import (
 	"sync"
@@ -19,28 +18,30 @@ import (
 	"repro/internal/search"
 )
 
-// FindBatch resolves the lower-bound position of every key: pos[i]
-// receives the position (clamped into [0, Len]) and hit[i] whether the
-// pair at pos[i] carries keys[i]. len(pos) and len(hit) must be at
-// least len(keys). It runs the same block pipeline as GetBatch —
-// batched bound prediction, pipelined probe rounds, scalar last mile
-// with sorted-probe reuse.
-func (t *Table) FindBatch(keys []core.Key, pos []int32, hit []bool) {
-	if len(pos) < len(keys) || len(hit) < len(keys) {
-		panic("table: FindBatch output shorter than key batch")
-	}
-	var bounds [batchBlock]core.Bound
-	for off := 0; off < len(keys); off += batchBlock {
-		end := off + batchBlock
-		if end > len(keys) {
-			end = len(keys)
-		}
-		t.findBlock(keys[off:end], pos[off:end], hit[off:end], bounds[:end-off])
-	}
+// runScratch is the working set of one block: the kernel's bounds and
+// results, the still-unresolved keys gathered for the next older run
+// with their positions in the block, and a found-bit sink for callers
+// that pass none. It is pooled because the bounds pass through the
+// core.LookupBatch interface call and would otherwise escape to the
+// heap on every batch. Everything is block-sized, so a pooled scratch
+// never grows with the batch.
+type runScratch struct {
+	bounds [batchBlock]core.Bound
+	pos    [batchBlock]int32
+	hit    [batchBlock]bool
+	keys   [batchBlock]core.Key
+	ids    [batchBlock]int32
+	sink   [batchBlock]bool
 }
 
-// findBlock resolves one block of at most batchBlock keys.
+var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+
+// findBlock resolves one block of at most batchBlock keys: pos[i]
+// receives the lower-bound position of chunk[i] (in [0, Len]) and
+// hit[i] whether the pair there carries it. bs is scratch for the
+// bounds.
 func (t *Table) findBlock(chunk []core.Key, pos []int32, hit []bool, bs []core.Bound) {
+	// Pass 1: bound prediction, vectorized when the index supports it.
 	core.LookupBatch(t.idx, chunk, bs)
 
 	keys := t.keys
@@ -51,10 +52,22 @@ func (t *Table) findBlock(chunk []core.Key, pos []int32, hit []bool, bs []core.B
 		}
 		return
 	}
+
+	// Pass 2: pipelined probe rounds through the batched search layer.
+	// Every active bound takes one branchless probe per round; the
+	// probes of a round are independent, so their data-array loads
+	// overlap instead of chaining like the per-key path's log2(width)
+	// dependent misses.
 	if n >= pipelineMinKeys {
 		search.NarrowBatch(keys, chunk, bs, narrowWidth, maxProbeRounds)
 	}
 
+	// Pass 3: scalar last mile on the narrowed bounds, reusing the
+	// previous position as a floor whenever the block is locally
+	// ascending (LB is monotone in the key, so a later-or-equal key
+	// can never land before an earlier key's resolved position). The
+	// floor seed (prevKey=0, prevPos=0) makes the first iteration a
+	// no-op without a havePrev flag.
 	prevPos := 0
 	var prevKey core.Key
 	bs = bs[:len(chunk)]
@@ -75,88 +88,94 @@ func (t *Table) findBlock(chunk []core.Key, pos []int32, hit []bool, bs []core.B
 	}
 }
 
-// runScratch is the reusable working set of GetBatchRuns: the gathered
-// unresolved-key subset, its per-run probe results, and the two
-// ping-pong lists of still-unresolved batch positions.
-type runScratch struct {
-	keys []core.Key
-	pos  []int32
-	hit  []bool
-	idx  []int32
-	next []int32
-}
-
-var runScratchPool = sync.Pool{New: func() any { return &runScratch{} }}
-
-func (s *runScratch) ensure(n int) {
-	if cap(s.keys) < n {
-		s.keys = make([]core.Key, n)
-		s.pos = make([]int32, n)
-		s.hit = make([]bool, n)
-		s.idx = make([]int32, n)
-		s.next = make([]int32, n)
-	}
-}
-
 // GetBatchRuns serves a merged batched lookup across an ordered run
 // set: runs[0] is the oldest (base) run, runs[len-1] the newest; a key
 // resolves at its newest occurrence, and a tombstone occurrence
 // resolves the key as absent, shadowing every older run. out[i]
 // receives the live payload of keys[i] (0 when absent) and found[i]
-// its presence bit; both must be at least len(keys) long. It returns
-// the number of present keys and the total number of per-run probes
-// issued — the numerator of the measured read amplification
-// (probes/keys == 1 when every key resolves in the newest run).
+// its presence bit; out must be at least len(keys) long, and so must
+// found unless it is nil (the caller wants payloads and the count
+// only). It returns the number of present keys and the total number of
+// per-run probes issued — the numerator of the measured read
+// amplification (probes/keys == 1 when every key resolves in the
+// newest run).
 func GetBatchRuns(runs []*Table, keys []core.Key, out []uint64, found []bool) (hits, probes int) {
 	n := len(keys)
-	if len(out) < n || len(found) < n {
+	if len(out) < n || (found != nil && len(found) < n) {
 		panic("table: GetBatchRuns output shorter than key batch")
 	}
-	if n == 0 {
-		return 0, 0
-	}
-	for i := range keys {
-		out[i], found[i] = 0, false
-	}
-
 	s := runScratchPool.Get().(*runScratch)
-	s.ensure(n)
-	active := s.idx[:n]
-	for i := range active {
-		active[i] = int32(i)
+	for off := 0; off < n; off += batchBlock {
+		end := min(off+batchBlock, n)
+		fb := s.sink[:end-off]
+		if found != nil {
+			fb = found[off:end]
+		}
+		h, p := s.probeBlock(runs, keys[off:end], out[off:end], fb)
+		hits += h
+		probes += p
 	}
-	spare := s.next[:0]
+	runScratchPool.Put(s)
+	return hits, probes
+}
 
-	for r := len(runs) - 1; r >= 0 && len(active) > 0; r-- {
+// probeBlock serves one block of at most batchBlock keys across the
+// run set, newest run first. The resolve loop after each run's kernel
+// call is branch-free in the data (clamp, mask, unconditional store,
+// conditional advance): hit/miss mixes are exactly what a predictor
+// cannot learn. Every unresolved key is written on every pass, so the
+// first run probed initializes out and found.
+func (s *runScratch) probeBlock(runs []*Table, keys []core.Key, out []uint64, found []bool) (hits, probes int) {
+	sub := keys     // the newest run is probed with the caller's block in place
+	var ids []int32 // block positions of sub; nil = the identity
+	for r := len(runs) - 1; r >= 0 && len(sub) > 0; r-- {
 		t := runs[r]
-		if t.Len() == 0 {
+		n := len(t.keys)
+		if n == 0 {
 			continue
 		}
-		m := len(active)
+		m := len(sub)
 		probes += m
-		sub := s.keys[:m]
-		for j, id := range active {
-			sub[j] = keys[id]
-		}
-		t.FindBatch(sub, s.pos[:m], s.hit[:m])
-		next := spare[:0]
-		for j, id := range active {
-			if !s.hit[j] {
-				next = append(next, id)
-				continue
+		pos, hit := s.pos[:m], s.hit[:m]
+		t.findBlock(sub, pos, hit, s.bounds[:m])
+
+		payloads := t.payloads[:n] // len(payloads)==len(keys): lets BCE drop the gather checks
+		tombs := t.tombs           // a local: the stores to found could alias the field
+		k := 0
+		for j, x := range sub {
+			id := j
+			if ids != nil {
+				id = int(ids[j])
 			}
-			p := int(s.pos[j])
-			if t.tombs != nil && t.tombs[p] {
-				continue // resolved: newest occurrence is a tombstone
+			at := uint(pos[j])
+			if at >= uint(n) {
+				at = uint(n) - 1 // conditional move; pos==n loads a dummy slot
 			}
-			out[id] = t.payloads[p]
-			found[id] = true
-			hits++
+			h := 0
+			if hit[j] {
+				h = 1
+			}
+			live := h
+			if tombs != nil && tombs[at] {
+				live = 0 // newest occurrence is a tombstone: resolved, absent
+			}
+			out[id] = payloads[at] * uint64(live)
+			found[id] = live != 0
+			hits += live
+			if r > 0 {
+				// Gather the misses for the older runs. sub and ids may
+				// alias s.keys and s.ids; k never passes j, so compacting
+				// in place is safe.
+				s.keys[k], s.ids[k] = x, int32(id)
+				k += 1 - h
+			}
 		}
-		active, spare = next, active
+		sub, ids = s.keys[:k], s.ids[:k]
 	}
-	s.idx, s.next = s.idx[:cap(s.idx)], s.next[:cap(s.next)]
-	runScratchPool.Put(s)
+	if probes == 0 { // no non-empty run: nothing above wrote the outputs
+		clear(out)
+		clear(found)
+	}
 	return hits, probes
 }
 

@@ -4,13 +4,16 @@
 // serves the full key→payload path — point reads, range scans, and a
 // batched lookup fast path.
 //
-// The batched path (GetBatch) amortizes the two halves of a lookup
-// over a batch: bound prediction goes through core.BatchIndex when the
-// index implements it (one call per batch instead of one interface
-// dispatch per key), and the last-mile search runs as rounds of
-// independent probes across the batch, so the random data-array loads
-// of different keys overlap in the memory system instead of
-// serializing behind one binary search at a time.
+// The batched path amortizes the two halves of a lookup over a batch:
+// bound prediction goes through core.BatchIndex when the index
+// implements it (one call per batch instead of one interface dispatch
+// per key), and the last-mile search runs as rounds of independent
+// probes across the batch, so the random data-array loads of different
+// keys overlap in the memory system instead of serializing behind one
+// binary search at a time. There is one such path (runs.go): a block
+// kernel that resolves position and presence per key, and
+// GetBatchRuns, which composes it across an ordered set of 1..N runs;
+// Table.GetBatch is its one-run caller.
 package table
 
 import (
@@ -25,10 +28,10 @@ import (
 //
 // A Table built with NewTombed additionally carries a tombstone bit per
 // pair: the run participates in an LSM-tiered run set where a newer
-// run's tombstone must shadow older runs' occurrences of its key. Only
-// the run-set read path (GetBatchRuns, Find + TombAt) interprets the
-// bits; the plain single-table methods (Get, GetBatch, Range, Scan)
-// serve the raw pairs and are reserved for tombstone-free tables.
+// run's tombstone must shadow older runs' occurrences of its key. The
+// run-set read path (GetBatchRuns and its one-run caller GetBatch,
+// GetRuns) reads a tombstoned pair as absent; Get, Range and Scan serve
+// the raw pairs and are reserved for tombstone-free tables.
 type Table struct {
 	keys     []core.Key
 	payloads []uint64
@@ -149,9 +152,6 @@ func (t *Table) Tombs() []bool { return t.tombs }
 // HasTombs reports whether any pair of the table is a tombstone.
 func (t *Table) HasTombs() bool { return t.tombs != nil }
 
-// TombAt reports whether the pair at position pos is a tombstone.
-func (t *Table) TombAt(pos int) bool { return t.tombs != nil && t.tombs[pos] }
-
 // Index returns the underlying search-bound index.
 func (t *Table) Index() core.Index { return t.idx }
 
@@ -247,83 +247,9 @@ const pipelineMinKeys = 1 << 18
 
 // GetBatch looks up a batch of keys: out[i] receives the payload for
 // keys[i], or 0 when absent, and the number of keys found is returned.
-// len(out) must be at least len(keys). The batch is processed in
-// blocks of bounds-prediction, pipelined probe rounds, and scalar
-// last-mile; ascending runs within a block additionally narrow each
-// bound by the previous key's resolved position (sorted-probe reuse).
+// len(out) must be at least len(keys). It is the one-run case of
+// GetBatchRuns, which documents the block pipeline.
 func (t *Table) GetBatch(keys []core.Key, out []uint64) int {
-	if len(out) < len(keys) {
-		panic("table: GetBatch output shorter than key batch")
-	}
-	found := 0
-	var bounds [batchBlock]core.Bound
-	for off := 0; off < len(keys); off += batchBlock {
-		end := off + batchBlock
-		if end > len(keys) {
-			end = len(keys)
-		}
-		found += t.getBlock(keys[off:end], out[off:end], bounds[:end-off])
-	}
-	return found
-}
-
-// getBlock serves one block of at most batchBlock keys.
-func (t *Table) getBlock(chunk []core.Key, out []uint64, bs []core.Bound) int {
-	// Pass 1: bound prediction, vectorized when the index supports it.
-	core.LookupBatch(t.idx, chunk, bs)
-
-	keys, payloads := t.keys, t.payloads
-	n := len(keys)
-	if n == 0 {
-		for i := range out[:len(chunk)] {
-			out[i] = 0
-		}
-		return 0
-	}
-
-	// Pass 2: pipelined probe rounds through the batched search layer.
-	// Every active bound takes one branchless probe per round; the
-	// probes of a round are independent, so their data-array loads
-	// overlap instead of chaining like the per-key path's log2(width)
-	// dependent misses.
-	if n >= pipelineMinKeys {
-		search.NarrowBatch(keys, chunk, bs, narrowWidth, maxProbeRounds)
-	}
-
-	// Pass 3: scalar last mile on the narrowed bounds, reusing the
-	// previous position as a floor whenever the block is locally
-	// ascending (LB is monotone in the key, so a later-or-equal key
-	// can never land before an earlier key's resolved position). The
-	// loop is flat: the floor seed (prevKey=0, prevPos=0) makes the
-	// first iteration a no-op without a havePrev flag, and the
-	// hit/miss accounting is a clamp + mask instead of a branch the
-	// predictor can't learn on mixed hit/miss workloads.
-	found := 0
-	prevPos := 0
-	var prevKey core.Key
-	bs = bs[:len(chunk)]
-	out = out[:len(chunk)]
-	payloads = payloads[:n] // len(payloads)==len(keys): lets BCE drop the gather checks
-	for i, x := range chunk {
-		b := bs[i]
-		if x >= prevKey && prevPos > b.Lo {
-			b.Lo = prevPos
-			if b.Lo > b.Hi {
-				b.Lo = b.Hi
-			}
-		}
-		pos := t.fn(keys, x, b)
-		prevPos, prevKey = pos, x
-		at := uint(pos)
-		if at >= uint(n) {
-			at = uint(n) - 1 // conditional move; pos==n loads a dummy slot
-		}
-		hit := 0
-		if pos < n && keys[at] == x {
-			hit = 1
-		}
-		found += hit
-		out[i] = payloads[at] * uint64(hit)
-	}
-	return found
+	hits, _ := GetBatchRuns([]*Table{t}, keys, out, nil)
+	return hits
 }
