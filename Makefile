@@ -6,8 +6,10 @@ GO ?= go
 tier1:
 	$(GO) build ./... && $(GO) test ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # loc prints the non-test Go line count of every internal/ package and
 # their total — the number the roadmap's north star wants to go down.

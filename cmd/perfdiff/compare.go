@@ -15,9 +15,9 @@ import (
 type direction int
 
 const (
-	neutral     direction = iota // no better/worse: never gated
-	lowerBetter                  // latency, size, misses: up is bad
-	higherBetter                 // throughput, speedup: down is bad
+	neutral      direction = iota // no better/worse: never gated
+	lowerBetter                   // latency, size, misses: up is bad
+	higherBetter                  // throughput, speedup: down is bad
 )
 
 // unitDirection classifies every unit the experiment catalog emits.
@@ -36,11 +36,11 @@ func unitDirection(unit string) direction {
 
 // Delta is one watched metric compared across the two documents.
 type Delta struct {
-	Key      string  // experiment/title/dims/metric, human-readable
-	Unit     string
-	Base     float64
-	Current  float64
-	Pct      float64 // signed change in the regression direction: positive = worse
+	Key       string // experiment/title/dims/metric, human-readable
+	Unit      string
+	Base      float64
+	Current   float64
+	Pct       float64 // signed change in the regression direction: positive = worse
 	Regressed bool
 }
 

@@ -1,10 +1,10 @@
 // Package binio provides the little-endian wire primitives shared by
 // every on-disk encoder and decoder of the persistence subsystem: a
-// Writer that accumulates a running CRC64 alongside the bytes it emits,
-// and a bounded Reader over an in-memory buffer whose every allocation
-// is guarded by the bytes actually remaining, so a decoder fed
-// truncated or bit-flipped input returns an error instead of panicking
-// or allocating unbounded memory.
+// span-buffered Writer that accumulates a running CRC64 alongside the
+// bytes it emits, and a bounded Reader over an in-memory buffer whose
+// every allocation is guarded by the bytes actually remaining, so a
+// decoder fed truncated or bit-flipped input returns an error instead
+// of panicking or allocating unbounded memory.
 package binio
 
 import (
@@ -29,32 +29,61 @@ func Corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }
 
-// Writer emits little-endian primitives to an underlying io.Writer,
-// tracking a running CRC64 of everything written and holding the first
-// error (sticky), so encode paths can write unconditionally and check
-// once at the end.
+// BufSize is the span a sink-backed Writer collects before it hands
+// bytes on; Raw payloads of at least this size skip the buffer.
+const BufSize = 64 << 10
+
+// Writer encodes little-endian primitives into a buffer it owns and
+// hands them to the underlying io.Writer in spans of up to BufSize
+// bytes, folding each span into a running CRC64 once instead of once
+// per primitive. Nothing is guaranteed to have reached the sink before
+// Flush; the first sink error is sticky, so encode paths can write
+// unconditionally and check once at the end. With no sink (the zero
+// value, or NewWriter(nil)) it is a pure in-memory encoder: Buffered
+// returns everything written since Reset.
 type Writer struct {
-	w   io.Writer
-	crc uint64
-	n   int64
-	err error
-	buf [8]byte
+	w      io.Writer
+	buf    []byte // encoded, not yet handed to w
+	hashed int    // buf[:hashed] is in crc already, or is Raw
+	crc    uint64
+	n      int64 // bytes handed to w
+	err    error
 }
 
-// NewWriter wraps w.
+// NewWriter returns a Writer over w; nil makes an in-memory encoder.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-func (w *Writer) write(p []byte) {
-	if w.Raw(p); w.err == nil {
-		w.crc = crc64.Update(w.crc, CRCTable, p)
+// Reset empties the Writer, keeping its sink and its buffer's memory.
+func (w *Writer) Reset() {
+	w.buf, w.hashed, w.crc, w.n, w.err = w.buf[:0], 0, 0, 0, nil
+}
+
+// Buffered returns the encoded bytes not yet handed to the sink — with
+// no sink, all of them. The view is valid until the next write.
+func (w *Writer) Buffered() []byte { return w.buf }
+
+// fold brings the running CRC up to date with the buffer.
+func (w *Writer) fold() {
+	if w.hashed < len(w.buf) {
+		w.crc = crc64.Update(w.crc, CRCTable, w.buf[w.hashed:])
+		w.hashed = len(w.buf)
 	}
 }
 
-// Raw writes bytes that stay out of the running CRC64: bulk payload
-// whose own checksum the caller has already recorded, so hashing it a
-// second time on the way out would buy nothing. Len counts them.
-func (w *Writer) Raw(p []byte) {
-	if w.err != nil {
+// Flush hands every buffered byte to the sink and returns the sticky
+// error. It must precede any fsync of the sink.
+func (w *Writer) Flush() error {
+	if w.w == nil {
+		return nil
+	}
+	w.fold()
+	w.emit(w.buf)
+	w.buf, w.hashed = w.buf[:0], 0
+	return w.err
+}
+
+func (w *Writer) emit(p []byte) {
+	if w.err != nil || len(p) == 0 {
 		return
 	}
 	if _, err := w.w.Write(p); err != nil {
@@ -64,22 +93,44 @@ func (w *Writer) Raw(p []byte) {
 	w.n += int64(len(p))
 }
 
+// reserve flushes first if n more bytes would overfill the span.
+func (w *Writer) reserve(n int) {
+	if w.w != nil && len(w.buf)+n > BufSize {
+		w.Flush()
+	}
+}
+
+// Raw writes bytes that stay out of the running CRC64: bulk payload
+// whose own checksum the caller has already recorded, so hashing it a
+// second time on the way out would buy nothing. Len counts them.
+func (w *Writer) Raw(p []byte) {
+	w.fold()
+	if w.w != nil && len(p) >= BufSize { // straight to the sink, uncopied
+		w.Flush()
+		w.emit(p)
+		return
+	}
+	w.reserve(len(p))
+	w.buf = append(w.buf, p...)
+	w.hashed = len(w.buf)
+}
+
 // U8 writes one byte.
 func (w *Writer) U8(v uint8) {
-	w.buf[0] = v
-	w.write(w.buf[:1])
+	w.reserve(1)
+	w.buf = append(w.buf, v)
 }
 
 // U32 writes a little-endian uint32.
 func (w *Writer) U32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], v)
-	w.write(w.buf[:4])
+	w.reserve(4)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 }
 
 // U64 writes a little-endian uint64.
 func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:8], v)
-	w.write(w.buf[:8])
+	w.reserve(8)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
 // I64 writes a little-endian int64 (two's complement).
@@ -89,20 +140,27 @@ func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // Bytes writes raw bytes (no length prefix).
-func (w *Writer) Bytes(p []byte) { w.write(p) }
+func (w *Writer) Bytes(p []byte) {
+	w.reserve(len(p))
+	w.buf = append(w.buf, p...)
+}
 
 // Str writes a uint32 length prefix followed by the string bytes.
 func (w *Writer) Str(s string) {
 	w.U32(uint32(len(s)))
-	w.write([]byte(s))
+	w.reserve(len(s))
+	w.buf = append(w.buf, s...)
 }
 
 // Sum64 returns the CRC64 of everything written so far, Raw bytes
 // excepted.
-func (w *Writer) Sum64() uint64 { return w.crc }
+func (w *Writer) Sum64() uint64 {
+	w.fold()
+	return w.crc
+}
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int64 { return w.n }
+// Len returns the number of bytes written so far, buffered or not.
+func (w *Writer) Len() int64 { return w.n + int64(len(w.buf)) }
 
 // Err returns the first underlying write error, or nil.
 func (w *Writer) Err() error { return w.err }

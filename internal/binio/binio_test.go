@@ -17,7 +17,7 @@ func TestRoundTripPrimitives(t *testing.T) {
 	w.F64(3.14159)
 	w.Str("hello")
 	w.Bytes([]byte{1, 2, 3})
-	if err := w.Err(); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if w.Len() != int64(buf.Len()) {
@@ -73,6 +73,7 @@ func TestCountGuardsAllocation(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.U32(1 << 31)
+	w.Flush()
 	r := NewReader(buf.Bytes())
 	if n := r.Count(8); n != 0 {
 		t.Errorf("Count = %d, want 0", n)
@@ -89,6 +90,7 @@ func TestCountAcceptsExactFit(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		w.U64(uint64(i))
 	}
+	w.Flush()
 	r := NewReader(buf.Bytes())
 	if n := r.Count(8); n != 3 {
 		t.Fatalf("Count = %d, want 3 (err %v)", n, r.Err())
@@ -99,6 +101,7 @@ func TestStrLimit(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.Str("abcdef")
+	w.Flush()
 	r := NewReader(buf.Bytes())
 	if s := r.Str(3); s != "" || !errors.Is(r.Err(), ErrCorrupt) {
 		t.Errorf("Str over limit: %q, err %v", s, r.Err())
@@ -110,6 +113,7 @@ func TestFiniteF64RejectsNaNInf(t *testing.T) {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
 		w.F64(v)
+		w.Flush()
 		r := NewReader(buf.Bytes())
 		r.FiniteF64()
 		if !errors.Is(r.Err(), ErrCorrupt) {
@@ -124,6 +128,7 @@ func TestWriterReaderCRCAgree(t *testing.T) {
 	w.U64(12345)
 	w.Str("payload")
 	want := w.Sum64()
+	w.Flush()
 
 	r := NewReader(buf.Bytes())
 	r.U64()
@@ -142,6 +147,7 @@ func TestRawBytesStayOutOfCRC(t *testing.T) {
 	if w.Sum64() != sum {
 		t.Errorf("Raw moved the running CRC: %x -> %x", sum, w.Sum64())
 	}
+	w.Flush()
 	if w.Len() != 11 || !bytes.Equal(buf.Bytes()[8:], []byte{1, 2, 3}) {
 		t.Errorf("Raw bytes not written or not counted: Len %d, buffer %v", w.Len(), buf.Bytes())
 	}

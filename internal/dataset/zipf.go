@@ -7,6 +7,7 @@ package dataset
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -47,11 +48,26 @@ type zipf struct {
 	scramble uint64
 }
 
-func newZipf(n int, theta float64, r *rng) *zipf {
-	z := &zipf{r: r, n: n, scramble: r.next()}
-	for i := 1; i <= n; i++ {
-		z.zetan += 1 / math.Pow(float64(i), theta)
+// zetaMemo holds ζ(n, θ) = Σ 1/i^θ, keyed by [2]float64{n, θ}: n
+// math.Pow calls, a function of its arguments alone, and every stream
+// over one key set asks for the same one.
+var zetaMemo sync.Map
+
+func zeta(n int, theta float64) float64 {
+	key := [2]float64{float64(n), theta}
+	if v, ok := zetaMemo.Load(key); ok {
+		return v.(float64)
 	}
+	var sum float64
+	for i := 1; i <= n; i++ {
+		sum += 1 / math.Pow(float64(i), theta)
+	}
+	zetaMemo.Store(key, sum)
+	return sum
+}
+
+func newZipf(n int, theta float64, r *rng) *zipf {
+	z := &zipf{r: r, n: n, scramble: r.next(), zetan: zeta(n, theta)}
 	z.alpha = 1 / (1 - theta)
 	z.zeta2 = 1 + math.Pow(0.5, theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)

@@ -1,7 +1,6 @@
 package net
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/binio"
 	"repro/internal/core"
 )
 
@@ -52,7 +52,7 @@ type Client struct {
 	addr string // redial target ("" disables reconnection)
 
 	wmu  sync.Mutex // serializes frame writes
-	wbuf bytes.Buffer
+	wbuf binio.Writer
 
 	mu            sync.Mutex
 	nc            net.Conn
@@ -187,7 +187,7 @@ func (c *Client) reader(nc net.Conn, epoch uint64, done chan struct{}) {
 	defer close(done)
 	var scratch []byte
 	for {
-		m, sc, err := readMsg(nc, scratch)
+		m, sc, err := ReadMsg(nc, scratch)
 		if err != nil {
 			c.failConn(epoch, fmt.Errorf("net: connection lost: %w", err))
 			return
@@ -223,7 +223,7 @@ func (c *Client) call(m *Msg) (*Msg, error) {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := writeMsg(nc, &c.wbuf, m)
+	err := WriteMsg(nc, &c.wbuf, m)
 	c.wmu.Unlock()
 	if err != nil {
 		c.failConn(epoch, fmt.Errorf("net: write failed: %w", err))

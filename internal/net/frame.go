@@ -20,7 +20,6 @@
 package net
 
 import (
-	"bytes"
 	"io"
 	"math"
 
@@ -115,8 +114,8 @@ type Msg struct {
 	Type   uint8
 	ID     uint64
 	Key    core.Key
-	Val    uint64 // MsgPut value; MsgSnapFile byte offset
-	Found  bool   // MsgValue found bit; MsgSnapFile last-chunk bit
+	Val    uint64     // MsgPut value; MsgSnapFile byte offset
+	Found  bool       // MsgValue found bit; MsgSnapFile last-chunk bit
 	Keys   []core.Key // MsgGetBatch; MsgTopoReply separators
 	Vals   []uint64   // MsgValueBatch
 	FoundN uint32     // MsgValueBatch: number of keys found
@@ -212,11 +211,10 @@ func mergeVars(a, b []obs.Var) []obs.Var {
 	return out
 }
 
-// encodeMsg appends m's body encoding to buf (reset first) and returns
-// the body bytes.
-func encodeMsg(buf *bytes.Buffer, m *Msg) ([]byte, error) {
-	buf.Reset()
-	w := binio.NewWriter(buf)
+// encodeMsg encodes m's body into w (reset first; it has no sink) and
+// returns the body bytes, valid until w's next use.
+func encodeMsg(w *binio.Writer, m *Msg) ([]byte, error) {
+	w.Reset()
 	w.U8(m.Type)
 	w.U64(m.ID)
 	switch m.Type {
@@ -360,10 +358,7 @@ func encodeMsg(buf *bytes.Buffer, m *Msg) ([]byte, error) {
 	default:
 		return nil, binio.Corruptf("encode: unknown message type %d", m.Type)
 	}
-	if w.Err() != nil {
-		return nil, w.Err()
-	}
-	return buf.Bytes(), nil
+	return w.Buffered(), nil
 }
 
 // encodeSeqs writes a bounded per-shard sequence vector.
@@ -598,9 +593,12 @@ func decodeMsg(body []byte) (*Msg, error) {
 	return m, nil
 }
 
-// writeMsg encodes m and writes it as one framed message, using buf as
-// the encode scratch. Callers serialize access to (w, buf).
-func writeMsg(w io.Writer, buf *bytes.Buffer, m *Msg) error {
+// WriteMsg encodes m and writes it as one framed message, using buf as
+// the encode scratch (a sinkless Writer, its zero value included).
+// Callers serialize access to (w, buf). Exported, like ReadMsg, for the
+// replication subsystem, whose streaming connections speak the same
+// frame protocol outside the Server's request/response loop.
+func WriteMsg(w io.Writer, buf *binio.Writer, m *Msg) error {
 	body, err := encodeMsg(buf, m)
 	if err != nil {
 		return err
@@ -608,9 +606,9 @@ func writeMsg(w io.Writer, buf *bytes.Buffer, m *Msg) error {
 	return binio.WriteFramed(w, body)
 }
 
-// readMsg reads and decodes one framed message, reusing scratch; it
+// ReadMsg reads and decodes one framed message, reusing scratch; it
 // returns the (possibly grown) scratch for the next call.
-func readMsg(r io.Reader, scratch []byte) (*Msg, []byte, error) {
+func ReadMsg(r io.Reader, scratch []byte) (*Msg, []byte, error) {
 	body, err := binio.ReadFramed(r, scratch, MaxFrameBody)
 	if err != nil {
 		return nil, scratch, err
@@ -620,19 +618,4 @@ func readMsg(r io.Reader, scratch []byte) (*Msg, []byte, error) {
 		scratch = body[:cap(body)]
 	}
 	return m, scratch, err
-}
-
-// WriteMsg encodes m and writes it as one framed message, using buf as
-// the encode scratch. Callers serialize access to (w, buf). Exported
-// for the replication subsystem, whose streaming connections speak the
-// same frame protocol outside the Server's request/response loop.
-func WriteMsg(w io.Writer, buf *bytes.Buffer, m *Msg) error {
-	return writeMsg(w, buf, m)
-}
-
-// ReadMsg reads and decodes one framed message, reusing scratch; it
-// returns the (possibly grown) scratch for the next call. The exported
-// face of readMsg (see WriteMsg).
-func ReadMsg(r io.Reader, scratch []byte) (*Msg, []byte, error) {
-	return readMsg(r, scratch)
 }

@@ -1,12 +1,12 @@
 package net
 
 import (
-	"bytes"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/binio"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -265,8 +265,8 @@ func (s *Server) acceptLoop() {
 			// connection closes — cheaper than a handshake the request
 			// queue would refuse anyway.
 			s.shedConns.Add(1)
-			var buf bytes.Buffer
-			_ = writeMsg(nc, &buf, &Msg{Type: MsgRetryLater})
+			var buf binio.Writer
+			_ = WriteMsg(nc, &buf, &Msg{Type: MsgRetryLater})
 			_ = nc.Close()
 			continue
 		}
@@ -467,7 +467,7 @@ func (c *srvConn) run() {
 
 	var scratch []byte
 	for {
-		m, sc, err := readMsg(c.nc, scratch)
+		m, sc, err := ReadMsg(c.nc, scratch)
 		if err != nil {
 			break // EOF, severed, or corrupt frame: the stream is over
 		}
@@ -484,13 +484,13 @@ func (c *srvConn) run() {
 }
 
 func (c *srvConn) writer() {
-	var buf bytes.Buffer
+	var buf binio.Writer
 	for {
 		select {
 		case <-c.done:
 			return
 		case m := <-c.outC:
-			if err := writeMsg(c.nc, &buf, m); err != nil {
+			if err := WriteMsg(c.nc, &buf, m); err != nil {
 				c.teardown()
 				return
 			}

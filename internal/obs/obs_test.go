@@ -62,13 +62,13 @@ func TestRegistryVarsAndValue(t *testing.T) {
 	h.Observe(300)
 
 	want := map[string]float64{
-		"a_total":        7,
-		`b{shard="0"}`:   -2,
-		"c":              1.5,
-		"d_total":        9,
-		"e_ns_count":     2,
-		"e_ns_sum":       400,
-		"e_ns_max":       300,
+		"a_total":      7,
+		`b{shard="0"}`: -2,
+		"c":            1.5,
+		"d_total":      9,
+		"e_ns_count":   2,
+		"e_ns_sum":     400,
+		"e_ns_max":     300,
 	}
 	for id, v := range want {
 		got, ok := r.Value(id)

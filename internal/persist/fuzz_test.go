@@ -32,11 +32,11 @@ func seedIndexFrames(tb testing.TB) map[string][]byte {
 		if err != nil {
 			tb.Fatalf("%s: %v", family, err)
 		}
-		var buf bytes.Buffer
-		if err := EncodeIndex(binio.NewWriter(&buf), idx); err != nil {
+		buf := binio.NewWriter(nil)
+		if err := EncodeIndex(buf, idx); err != nil {
 			tb.Fatalf("%s: encode: %v", family, err)
 		}
-		out[family] = buf.Bytes()
+		out[family] = buf.Buffered()
 	}
 	return out
 }
@@ -180,22 +180,22 @@ func FuzzManifest(f *testing.F) {
 			}},
 		},
 	}
-	var buf bytes.Buffer
-	if err := EncodeManifest(binio.NewWriter(&buf), m); err != nil {
+	buf := binio.NewWriter(nil)
+	if err := EncodeManifest(buf, m); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
+	f.Add(buf.Buffered())
 	f.Add([]byte("sosdMAN2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeManifest(data)
 		if err != nil {
 			return
 		}
-		var re bytes.Buffer
-		if err := EncodeManifest(binio.NewWriter(&re), got); err != nil {
+		re := binio.NewWriter(nil)
+		if err := EncodeManifest(re, got); err != nil {
 			t.Fatalf("re-encode of decoded manifest failed: %v", err)
 		}
-		if !bytes.Equal(re.Bytes(), data) {
+		if !bytes.Equal(re.Buffered(), data) {
 			t.Fatalf("manifest round-trip not byte-identical")
 		}
 	})
@@ -208,11 +208,11 @@ func FuzzTombs(f *testing.F) {
 	for i := range tombs {
 		tombs[i] = i%3 == 0
 	}
-	var buf bytes.Buffer
-	if err := EncodeTombs(binio.NewWriter(&buf), tombs); err != nil {
+	buf := binio.NewWriter(nil)
+	if err := EncodeTombs(buf, tombs); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
+	f.Add(buf.Buffered())
 	f.Add([]byte("sosdTMB1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, count := range []int{0, 1, 37, 64, 4096} {
@@ -227,23 +227,12 @@ func FuzzTombs(f *testing.F) {
 	})
 }
 
-// TestWriteFuzzCorpus regenerates the checked-in seed corpus under
-// testdata/fuzz when PERSIST_WRITE_CORPUS=1 — run it after a format
-// change and commit the result so `go test -fuzz` always starts from
-// valid artifacts of the current version.
-func TestWriteFuzzCorpus(t *testing.T) {
-	if os.Getenv("PERSIST_WRITE_CORPUS") == "" {
-		t.Skip("set PERSIST_WRITE_CORPUS=1 to regenerate testdata/fuzz")
-	}
+// fuzzCorpus is the checked-in seed corpus under testdata/fuzz, as the
+// encoders write it now: target/name -> input bytes.
+func fuzzCorpus(t *testing.T) map[string][]byte {
+	corpus := map[string][]byte{}
 	write := func(target, name string, data []byte) {
-		dir := filepath.Join("testdata", "fuzz", target)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		corpus[filepath.Join(target, name)] = append([]byte(nil), data...)
 	}
 	frames := seedIndexFrames(t)
 	families := registry.CodecFamilies()
@@ -280,24 +269,65 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	write("FuzzTable", "clean", tab)
 	write("FuzzTable", "trunc", tab[:5000])
 
-	var mbuf bytes.Buffer
+	mbuf := binio.NewWriter(nil)
 	m := &Manifest{Family: "RMI", Shards: []ShardMeta{{Sep: 0, Codec: "RMI/rmi[linear,linear,B=64]", WAL: "shard-0000.wal", Runs: []RunMeta{
 		{Codec: "RMI/rmi[linear,linear,B=64]", Table: "shard-0000-r00.tab", Index: "shard-0000-r00.idx"},
 		{Codec: "BS", Table: "shard-0000-r01.tab", Tombs: "shard-0000-r01.tmb"},
 	}}}}
-	if err := EncodeManifest(binio.NewWriter(&mbuf), m); err != nil {
+	if err := EncodeManifest(mbuf, m); err != nil {
 		t.Fatal(err)
 	}
-	write("FuzzManifest", "clean", mbuf.Bytes())
+	write("FuzzManifest", "clean", mbuf.Buffered())
 
-	var tbuf bytes.Buffer
+	tbuf := binio.NewWriter(nil)
 	tombs := make([]bool, 37)
 	for i := range tombs {
 		tombs[i] = i%3 == 0
 	}
-	if err := EncodeTombs(binio.NewWriter(&tbuf), tombs); err != nil {
+	if err := EncodeTombs(tbuf, tombs); err != nil {
 		t.Fatal(err)
 	}
-	write("FuzzTombs", "clean", tbuf.Bytes())
+	write("FuzzTombs", "clean", tbuf.Buffered())
+	return corpus
+}
+
+func corpusFile(data []byte) []byte {
+	return []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n")
+}
+
+// TestWriteFuzzCorpus regenerates the checked-in seed corpus under
+// testdata/fuzz when PERSIST_WRITE_CORPUS=1 — run it after a format
+// change and commit the result so `go test -fuzz` always starts from
+// valid artifacts of the current version.
+func TestWriteFuzzCorpus(t *testing.T) {
+	if os.Getenv("PERSIST_WRITE_CORPUS") == "" {
+		t.Skip("set PERSIST_WRITE_CORPUS=1 to regenerate testdata/fuzz")
+	}
+	for name, data := range fuzzCorpus(t) {
+		path := filepath.Join("testdata", "fuzz", name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, corpusFile(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	fmt.Println("fuzz corpus regenerated")
+}
+
+// TestEncodersMatchCheckedInCorpus holds every writer to the bytes in
+// testdata/fuzz: an index frame per codec family, a seeded WAL, a table
+// file, a manifest and a tombstone bitmap, all committed when each
+// primitive was still its own write and its own CRC update. A change to
+// how bytes leave (buffering, CRC folding) must reproduce them exactly;
+// a change of format regenerates them (see TestWriteFuzzCorpus).
+func TestEncodersMatchCheckedInCorpus(t *testing.T) {
+	for name, data := range fuzzCorpus(t) {
+		have, err := os.ReadFile(filepath.Join("testdata", "fuzz", name))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if !bytes.Equal(have, corpusFile(data)) {
+			t.Errorf("%s: the encoder no longer writes the checked-in bytes", name)
+		}
+	}
 }

@@ -22,6 +22,7 @@ package persist
 import (
 	"fmt"
 	"hash/crc64"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -42,54 +43,65 @@ var indexMagic = []byte("sosdIDX1")
 
 // AtomicWrite writes a file via temp + fsync + rename + directory
 // fsync, the commit discipline shared by every persisted artifact.
-// write receives a binio.Writer over the temp file.
-func AtomicWrite(path string, write func(w *binio.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// write receives a span-buffered binio.Writer over the temp file.
+func AtomicWrite(path string, write func(w *binio.Writer) error) error {
+	f, n, err := commitFile(path, direct, write)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	w := binio.NewWriter(tmp)
-	if err = write(w); err != nil {
-		return err
-	}
-	if err = w.Err(); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	fsyncs.Add(1)
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	snapshotBytes.Add(uint64(w.Len()))
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	snapshotBytes.Add(uint64(n))
+	return f.Close()
 }
 
-// syncDir fsyncs a directory so a completed rename survives power loss.
-// Best-effort on platforms where directories cannot be fsynced.
-func syncDir(dir string) error {
+func direct(f *os.File) io.Writer { return f }
+
+// commitFile is that discipline: encode into a temp file next to path,
+// Flush the Writer, fsync, rename into place, fsync the directory. On
+// any error the temp file is removed and nothing is renamed. It returns
+// the file still open — the descriptor survives the rename, so a WAL's
+// committed file and its append handle are the same inode — and the
+// bytes written. sink stands between the Writer and the file so tests
+// can make a write fail.
+func commitFile(path string, sink func(*os.File) io.Writer, write func(w *binio.Writer) error) (*os.File, int64, error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return nil, 0, err
+	}
+	w := binio.NewWriter(sink(tmp))
+	if err = write(w); err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = tmp.Sync()
+		fsyncs.Add(1)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return nil, 0, err
+	}
+	if err := SyncDir(dir); err != nil {
+		tmp.Close()
+		return nil, 0, err
+	}
+	return tmp, w.Len(), nil
+}
+
+// SyncDir fsyncs a directory so a completed rename survives power loss.
+// Best-effort where directories cannot be fsynced (some filesystems
+// return EINVAL): only a directory that cannot be opened is an error.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
 	fsyncs.Add(1)
-	if err := d.Sync(); err != nil && !os.IsPermission(err) {
-		// Some filesystems return EINVAL for directory fsync; treat any
-		// sync failure as best-effort rather than failing the commit.
-		return nil
-	}
+	_ = d.Sync()
 	return nil
 }
 

@@ -85,11 +85,11 @@ func TestIndexRoundTripEquivalence(t *testing.T) {
 func TestIndexFrameCorruption(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 2000, 7)
 	for family, idx := range buildFamilies(t, keys) {
-		var buf bytes.Buffer
-		if err := EncodeIndex(binio.NewWriter(&buf), idx); err != nil {
+		buf := binio.NewWriter(nil)
+		if err := EncodeIndex(buf, idx); err != nil {
 			t.Fatalf("%s: encode: %v", family, err)
 		}
-		data := buf.Bytes()
+		data := buf.Buffered()
 		if _, err := DecodeIndex(data); err != nil {
 			t.Fatalf("%s: clean decode failed: %v", family, err)
 		}
@@ -346,16 +346,16 @@ func TestManifestRejectsTraversalAndDisorder(t *testing.T) {
 			{Sep: 5, WAL: "w", Runs: runs(RunMeta{Table: "t"})},
 			{Sep: 5, WAL: "w2", Runs: runs(RunMeta{Table: "t2"})}}},
 		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{Table: ""})}}},
-		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w"}}},                                                // no runs
+		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w"}}},                                               // no runs
 		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{Table: "t", Tombs: "tm"})}}}, // tombed base
 		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{Table: "t"}, RunMeta{Table: "t2", Tombs: "..\\tm"})}}},
 	}
 	for i, m := range bad {
-		var buf bytes.Buffer
-		if err := EncodeManifest(binio.NewWriter(&buf), m); err != nil {
+		buf := binio.NewWriter(nil)
+		if err := EncodeManifest(buf, m); err != nil {
 			t.Fatalf("case %d encode: %v", i, err)
 		}
-		if _, err := DecodeManifest(buf.Bytes()); !errors.Is(err, binio.ErrCorrupt) {
+		if _, err := DecodeManifest(buf.Buffered()); !errors.Is(err, binio.ErrCorrupt) {
 			t.Errorf("case %d: err = %v, want ErrCorrupt", i, err)
 		}
 	}
@@ -404,11 +404,11 @@ func TestTombsRoundTripAndRejects(t *testing.T) {
 func TestManifestCorruption(t *testing.T) {
 	m := &Manifest{Family: "RMI", Shards: []ShardMeta{{Sep: 0, Codec: "RMI", WAL: "w",
 		Runs: []RunMeta{{Codec: "RMI", Table: "t"}}}}}
-	var buf bytes.Buffer
-	if err := EncodeManifest(binio.NewWriter(&buf), m); err != nil {
+	buf := binio.NewWriter(nil)
+	if err := EncodeManifest(buf, m); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	data := buf.Bytes()
+	data := buf.Buffered()
 	for pos := 0; pos < len(data); pos++ {
 		mut := append([]byte(nil), data...)
 		mut[pos] ^= 0x10

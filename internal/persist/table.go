@@ -92,24 +92,12 @@ func WriteTable(path string, keys []core.Key, payloads []uint64) error {
 		// Past the header nothing reads the writer's running CRC, and
 		// the blocks' own CRCs are already in the header: write them raw
 		// rather than hash every data byte a second time.
-		pad(w, keysOff-w.Len())
+		w.Raw(make([]byte, keysOff-w.Len())) // zero padding, under a block
 		w.Raw(keyBytes)
-		pad(w, paysOff-w.Len())
+		w.Raw(make([]byte, paysOff-w.Len()))
 		w.Raw(payBytes)
 		return w.Err()
 	})
-}
-
-func pad(w *binio.Writer, n int64) {
-	var zeros [tableBlock]byte
-	for n > 0 {
-		c := n
-		if c > tableBlock {
-			c = tableBlock
-		}
-		w.Raw(zeros[:c])
-		n -= c
-	}
 }
 
 // ReadTableFrom loads a table file through an io.ReaderAt of known

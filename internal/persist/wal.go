@@ -15,7 +15,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/binio"
 	"repro/internal/core"
@@ -111,43 +110,27 @@ func ReplayWAL(data []byte) (ops []Op, validLen int64, err error) {
 // ops (the pending delta a snapshot or compaction leaves live) and
 // returns it open for appends.
 func CreateWAL(path string, seed []Op) (*WAL, error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	f, n, err := commitFile(path, direct, seedWAL(seed))
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*WAL, error) {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return nil, err
+	walBytes.Add(uint64(n))
+	return &WAL{f: f, path: path, n: len(seed)}, nil
+}
+
+// seedWAL encodes a fresh log: the header, then one record per op.
+func seedWAL(seed []Op) func(w *binio.Writer) error {
+	return func(w *binio.Writer) error {
+		w.Bytes(walMagic)
+		w.U32(FormatVersion)
+		w.U32(0)
+		var buf [walRecordLen]byte
+		for _, op := range seed {
+			encodeRecord(buf[:], op)
+			w.Bytes(buf[:])
+		}
+		return nil
 	}
-	w := binio.NewWriter(tmp)
-	w.Bytes(walMagic)
-	w.U32(FormatVersion)
-	w.U32(0)
-	var buf [walRecordLen]byte
-	for _, op := range seed {
-		encodeRecord(buf[:], op)
-		w.Bytes(buf[:])
-	}
-	if err := w.Err(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	fsyncs.Add(1)
-	walBytes.Add(uint64(w.Len()))
-	// Rename before closing: the fd survives the rename, so the
-	// committed file and the append handle are the same inode.
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fail(err)
-	}
-	if err := syncDir(dir); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	return &WAL{f: tmp, path: path, n: len(seed)}, nil
 }
 
 // OpenWAL opens an existing log, replays its intact records, truncates

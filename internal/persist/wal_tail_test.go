@@ -85,7 +85,7 @@ func TestWALTailTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[walHeaderLen+6*walRecordLen+4] ^= 0xff             // corrupt record 6's key
+	data[walHeaderLen+6*walRecordLen+4] ^= 0xff               // corrupt record 6's key
 	torn := data[:walHeaderLen+7*walRecordLen+walRecordLen/2] // record 7 half-written
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	stdnet "net"
@@ -12,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/binio"
 	"repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/persist"
@@ -358,7 +358,7 @@ func (f *Follower) run() {
 
 // session runs one connection: subscribe, then the frame loop.
 func (f *Follower) session(nc stdnet.Conn) {
-	var wbuf bytes.Buffer
+	var wbuf binio.Writer
 	f.mu.Lock()
 	sub := &net.Msg{Type: net.MsgSubscribe, Epoch: f.epoch, Gen: f.gen,
 		Seqs: append([]uint64(nil), f.applied...)}
@@ -494,7 +494,7 @@ func (f *Follower) session(nc stdnet.Conn) {
 }
 
 // sendAck reports the current applied vector back to the primary.
-func (f *Follower) sendAck(nc stdnet.Conn, wbuf *bytes.Buffer) error {
+func (f *Follower) sendAck(nc stdnet.Conn, wbuf *binio.Writer) error {
 	f.mu.Lock()
 	seqs := append([]uint64(nil), f.applied...)
 	f.mu.Unlock()
@@ -526,6 +526,7 @@ type bootstrapRx struct {
 	dir      string
 	cur      *os.File
 	curName  string
+	curOff   uint64 // bytes of cur received so far
 	manifest string // temp path of the received manifest, "" until seen
 }
 
@@ -558,18 +559,19 @@ func (b *bootstrapRx) chunk(m *net.Msg) error {
 		if err != nil {
 			return err
 		}
-		b.cur, b.curName = f, m.Name
+		b.cur, b.curName, b.curOff = f, m.Name, 0
 		if m.Name == persist.ManifestName {
 			b.manifest = f.Name()
 		}
 	} else if b.curName != m.Name {
 		return fmt.Errorf("repl: interleaved snapshot files %q and %q", b.curName, m.Name)
-	} else if off, _ := b.cur.Seek(0, 1); uint64(off) != m.Val {
-		return fmt.Errorf("repl: %q chunk at offset %d, file at %d", m.Name, m.Val, off)
+	} else if b.curOff != m.Val {
+		return fmt.Errorf("repl: %q chunk at offset %d, file at %d", m.Name, m.Val, b.curOff)
 	}
 	if _, err := b.cur.Write(m.Data); err != nil {
 		return err
 	}
+	b.curOff += uint64(len(m.Data))
 	if m.Found { // last chunk
 		if err := b.cur.Sync(); err != nil {
 			return err
@@ -584,6 +586,9 @@ func (b *bootstrapRx) chunk(m *net.Msg) error {
 
 // commit renames the shipped manifest into place — the snapshot's
 // atomic commit point, after which Open sees a complete generation.
+// The directory is fsynced on both sides of the rename: before, so the
+// shipped files' names are durable ahead of the manifest that points at
+// them; after, so the commit itself is.
 func (b *bootstrapRx) commit() error {
 	if b.cur != nil {
 		return errors.New("repl: snapshot ended mid-file")
@@ -591,11 +596,14 @@ func (b *bootstrapRx) commit() error {
 	if b.manifest == "" {
 		return errors.New("repl: snapshot ended without a manifest")
 	}
+	if err := persist.SyncDir(b.dir); err != nil {
+		return err
+	}
 	if err := os.Rename(b.manifest, filepath.Join(b.dir, persist.ManifestName)); err != nil {
 		return err
 	}
 	b.manifest = ""
-	return nil
+	return persist.SyncDir(b.dir)
 }
 
 // safeSnapName accepts only bare file names — no separators, no path

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	stdnet "net"
@@ -11,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/binio"
 	"repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/persist"
@@ -285,7 +285,7 @@ func (s *session) serve() {
 		p.wg.Done()
 	}()
 
-	var wbuf bytes.Buffer
+	var wbuf binio.Writer
 	sub, _, err := net.ReadMsg(s.nc, nil)
 	if err != nil || sub.Type != net.MsgSubscribe {
 		return
@@ -337,12 +337,14 @@ func (s *session) serve() {
 	<-ackDone
 }
 
-// bootstrap exports a consistent snapshot (capturing each shard's
-// stream position under its write lock), ships every file chunk by
-// chunk with the manifest last, and ends with the position vector the
-// snapshot corresponds to. The follower commits by renaming the
-// manifest into place only when told the ship is complete.
-func (s *session) bootstrap(wbuf *bytes.Buffer) error {
+// bootstrap is a pipeline: the follower is told a snapshot is coming
+// (it discards any local state), the store exports its shards (each
+// capturing its stream position under its write lock), and a shard's
+// files ship chunk by chunk as soon as its export completes, while
+// later shards are still being written. The manifest goes last, then
+// the position vector the snapshot corresponds to; only then does the
+// follower commit, by renaming the manifest into place.
+func (s *session) bootstrap(wbuf *binio.Writer) error {
 	p := s.p
 	p.bootstraps.Add(1)
 	dir, err := os.MkdirTemp(p.cfg.SnapDir, "repl-snap-*")
@@ -350,38 +352,46 @@ func (s *session) bootstrap(wbuf *bytes.Buffer) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-
-	base := make([]uint64, p.st.NumShards())
-	if err := p.st.SnapshotWith(dir, func(i int) { base[i] = p.log.SeqOf(i) }); err != nil {
+	if err := net.WriteMsg(s.nc, wbuf, &net.Msg{Type: net.MsgResync}); err != nil {
 		return err
+	}
+
+	shards := p.st.NumShards()
+	base := make([]uint64, shards)
+	// Room for every shard: the export never waits on the ship.
+	done := make(chan persist.ShardMeta, shards)
+	exportErr := make(chan error, 1)
+	go func() {
+		exportErr <- p.st.SnapshotWith(dir,
+			func(i int) { base[i] = p.log.SeqOf(i) },
+			func(sm persist.ShardMeta) { done <- sm })
+		close(done)
+	}()
+	chunk := make([]byte, p.cfg.ChunkSize)
+	var shipErr error
+	for sm := range done { // drained even after a failed ship: dir outlives the export
+		var names []string
+		for _, run := range sm.Runs {
+			names = append(names, run.Table, run.Index, run.Tombs)
+		}
+		for _, name := range append(names, sm.WAL) {
+			if name != "" && shipErr == nil {
+				shipErr = s.shipFile(wbuf, chunk, dir, name)
+			}
+		}
+	}
+	if err := <-exportErr; err != nil {
+		return err
+	}
+	if shipErr != nil {
+		return shipErr
 	}
 	m, err := persist.ReadManifest(filepath.Join(dir, persist.ManifestName))
 	if err != nil {
 		return err
 	}
-	// Tell the follower a snapshot is coming (it discards any local
-	// state), then ship data files first, manifest last.
-	if err := net.WriteMsg(s.nc, wbuf, &net.Msg{Type: net.MsgResync}); err != nil {
+	if err := s.shipFile(wbuf, chunk, dir, persist.ManifestName); err != nil {
 		return err
-	}
-	var names []string
-	for _, sm := range m.Shards {
-		for _, run := range sm.Runs {
-			names = append(names, run.Table)
-			if run.Index != "" {
-				names = append(names, run.Index)
-			}
-			if run.Tombs != "" {
-				names = append(names, run.Tombs)
-			}
-		}
-		names = append(names, sm.WAL)
-	}
-	names = append(names, persist.ManifestName)
-	for _, name := range names {
-		if err := s.shipFile(wbuf, dir, name); err != nil {
-			return err
-		}
 	}
 	s.mu.Lock()
 	s.start = append([]uint64(nil), base...)
@@ -393,16 +403,15 @@ func (s *session) bootstrap(wbuf *bytes.Buffer) error {
 	})
 }
 
-// shipFile streams one snapshot file as MsgSnapFile chunks. Every file
-// sends at least one chunk (the last-chunk bit is how the follower
-// knows to close and fsync it), so empty files ship too.
-func (s *session) shipFile(wbuf *bytes.Buffer, dir, name string) error {
+// shipFile streams one snapshot file as MsgSnapFile chunks of len(buf)
+// bytes. Every file sends at least one chunk (the last-chunk bit is how
+// the follower knows to close and fsync it), so empty files ship too.
+func (s *session) shipFile(wbuf *binio.Writer, buf []byte, dir, name string) error {
 	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	buf := make([]byte, s.p.cfg.ChunkSize)
 	var off uint64
 	for {
 		n, rerr := io.ReadFull(f, buf)
@@ -434,7 +443,7 @@ func (s *session) shipFile(wbuf *bytes.Buffer, dir, name string) error {
 // cursor, wait for the next append or heartbeat tick, repeat. A
 // follower that falls off the ring mid-stream is told to resync and
 // the session ends (it reconnects into a fresh bootstrap).
-func (s *session) stream(wbuf *bytes.Buffer) {
+func (s *session) stream(wbuf *binio.Writer) {
 	p := s.p
 	hb := time.NewTicker(p.cfg.HeartbeatEvery)
 	defer hb.Stop()

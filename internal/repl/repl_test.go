@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"os"
 	"testing"
@@ -100,12 +101,19 @@ func TestStateRoundTrip(t *testing.T) {
 		out.Seqs[0] != 3 || out.Seqs[2] != 99 {
 		t.Fatalf("round trip: %+v", out)
 	}
-	// A flipped byte is detected.
 	path := dir + "/" + StateName
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The file is what the per-primitive writer of commit 5ff5fd2 wrote
+	// for this state, byte for byte.
+	const golden = "736f73645245503101000000efbeadde0000000007000000000000000300000003000000000000000000000000000000" +
+		"6300000000000000cfba1042887bc6a5"
+	if got := hex.EncodeToString(data); got != golden {
+		t.Fatalf("REPLSTATE bytes changed:\n got %s\nwant %s", got, golden)
+	}
+	// A flipped byte is detected.
 	data[len(data)-12] ^= 0x40
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

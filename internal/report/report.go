@@ -61,9 +61,9 @@ type Table struct {
 	// the table (e.g. "fig7").
 	Experiment string `json:"experiment"`
 	// Title is the human heading, e.g. the paper figure caption.
-	Title  string   `json:"title,omitempty"`
-	Schema Schema   `json:"schema"`
-	Rows   []Row    `json:"rows"`
+	Title  string `json:"title,omitempty"`
+	Schema Schema `json:"schema"`
+	Rows   []Row  `json:"rows"`
 	// Notes are free-text footnotes rendered after the rows.
 	Notes []string `json:"notes,omitempty"`
 }

@@ -171,6 +171,24 @@ func (st *Store) writeShardRun(dir string, i int, gen uint64, r int, tab *table.
 	return rm, nil
 }
 
+// writeRuns writes the file set of each of s's runs into dir at
+// generation gen, except the runs committed holds already: those keep
+// the files an earlier generation wrote.
+func (st *Store) writeRuns(dir string, i int, gen uint64, s *shardState, committed map[*table.Table]persist.RunMeta) ([]persist.RunMeta, error) {
+	runs := make([]persist.RunMeta, len(s.runs))
+	for r, t := range s.runs {
+		rm, ok := committed[t]
+		if !ok {
+			var err error
+			if rm, err = st.writeShardRun(dir, i, gen, r, t, s.runIDs[r]); err != nil {
+				return nil, err
+			}
+		}
+		runs[r] = rm
+	}
+	return runs, nil
+}
+
 // cleanStaleShardFiles removes generation files the committed manifest
 // no longer references. Best-effort: leftovers waste space, never
 // correctness.
@@ -202,14 +220,7 @@ func cleanStaleShardFiles(dir string, m *persist.Manifest) {
 // to its own directory commits shard by shard and swaps the live WALs,
 // truncating each to the pending writes just captured.
 func (st *Store) Snapshot(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return err
-	}
-	if st.dir != "" && abs == st.dir {
+	if abs, err := filepath.Abs(dir); err == nil && st.dir != "" && abs == st.dir {
 		st.persistMu.Lock()
 		defer st.persistMu.Unlock()
 		for i := range st.shards {
@@ -219,18 +230,19 @@ func (st *Store) Snapshot(dir string) error {
 		}
 		return nil
 	}
-
-	return st.exportTo(abs, nil)
+	return st.SnapshotWith(dir, nil, nil)
 }
 
-// SnapshotWith is Snapshot restricted to a foreign directory, with a
-// per-shard capture callback: onShard(i) runs under shard i's write
-// lock at the exact moment the shard's state is captured, so no write
-// can land between the callback and the captured (runs, pending)
-// point. The replication primary uses it to record, per shard, the
-// stream position a bootstrap snapshot corresponds to — the exported
-// state contains precisely the writes the callback has seen.
-func (st *Store) SnapshotWith(dir string, onShard func(shard int)) error {
+// SnapshotWith is Snapshot restricted to a foreign directory, with two
+// per-shard callbacks, either of which may be nil. onShard(i) runs
+// under shard i's write lock at the moment the shard's state is
+// captured, so the exported state contains precisely the writes the
+// callback has seen: the replication primary records there the stream
+// position a bootstrap snapshot corresponds to. exported(meta) runs
+// once a shard's files are complete and durable in dir, before the
+// manifest naming them exists, so the primary can ship them while later
+// shards are written. Both run on the export's worker goroutines.
+func (st *Store) SnapshotWith(dir string, onShard func(shard int), exported func(persist.ShardMeta)) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -241,17 +253,17 @@ func (st *Store) SnapshotWith(dir string, onShard func(shard int)) error {
 	if st.dir != "" && abs == st.dir {
 		return fmt.Errorf("serve: SnapshotWith targets the attached directory %s", dir)
 	}
-	return st.exportTo(abs, onShard)
+	return st.exportTo(abs, onShard, exported)
 }
 
 // exportTo writes a complete generation of the store's state into the
-// foreign directory abs: capture each shard from one atomic state load
-// under the shard's write lock (with the optional capture callback),
-// then commit with a single manifest rename. Exports serialize only
-// against each other (exportMu), never against the attached
-// directory's compaction commits — a long backup must not stall the
-// compactor behind persistMu.
-func (st *Store) exportTo(abs string, onShard func(shard int)) error {
+// foreign directory abs: shards are exported Workers at a time, each
+// captured from one atomic state load under its own write lock, then
+// the whole is committed with a single manifest rename. Exports
+// serialize only against each other (exportMu), never against the
+// attached directory's compaction commits — a long backup must not
+// stall the compactor behind persistMu.
+func (st *Store) exportTo(abs string, onShard func(shard int), exported func(persist.ShardMeta)) error {
 	st.exportMu.Lock()
 	defer st.exportMu.Unlock()
 	gen := uint64(1)
@@ -263,37 +275,55 @@ func (st *Store) exportTo(abs string, onShard func(shard int)) error {
 		Gen:    gen,
 		Shards: make([]persist.ShardMeta, len(st.shards)),
 	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(st.shards))
+	slots := make(chan struct{}, st.cfg.Workers)
 	for i := range st.shards {
-		st.writeMu[i].Lock()
-		s := st.shards[i].Load()
-		tag := st.builderIDs[i] // read with its state under the lock
-		if onShard != nil {
-			onShard(i)
-		}
-		st.writeMu[i].Unlock()
-		runs := make([]persist.RunMeta, len(s.runs))
-		for r, t := range s.runs {
-			rm, err := st.writeShardRun(abs, i, gen, r, t, s.runIDs[r])
-			if err != nil {
-				return err
+		slots <- struct{}{}
+		wg.Add(1)
+		go func(i int) {
+			defer func() { <-slots; wg.Done() }()
+			if m.Shards[i], errs[i] = st.exportShard(abs, i, gen, onShard); errs[i] == nil && exported != nil {
+				exported(m.Shards[i])
 			}
-			runs[r] = rm
-		}
-		walName := walFileName(i, gen)
-		w, err := persist.CreateWAL(filepath.Join(abs, walName), pendingOps(s))
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		m.Shards[i] = persist.ShardMeta{Sep: st.seps[i], Codec: tag, WAL: walName, Runs: runs}
 	}
 	if err := persist.WriteManifest(filepath.Join(abs, persist.ManifestName), m); err != nil {
 		return err
 	}
 	cleanStaleShardFiles(abs, m)
 	return nil
+}
+
+// exportShard captures shard i and writes its run files and seeded WAL
+// into abs at generation gen.
+func (st *Store) exportShard(abs string, i int, gen uint64, onShard func(shard int)) (persist.ShardMeta, error) {
+	st.writeMu[i].Lock()
+	s := st.shards[i].Load()
+	tag := st.builderIDs[i] // read with its state under the lock
+	if onShard != nil {
+		onShard(i)
+	}
+	st.writeMu[i].Unlock()
+	runs, err := st.writeRuns(abs, i, gen, s, nil)
+	if err != nil {
+		return persist.ShardMeta{}, err
+	}
+	walName := walFileName(i, gen)
+	w, err := persist.CreateWAL(filepath.Join(abs, walName), pendingOps(s))
+	if err != nil {
+		return persist.ShardMeta{}, err
+	}
+	if err := w.Close(); err != nil {
+		return persist.ShardMeta{}, err
+	}
+	return persist.ShardMeta{Sep: st.seps[i], Codec: tag, WAL: walName, Runs: runs}, nil
 }
 
 // persistShard commits shard i's current state to the attached
@@ -337,17 +367,9 @@ func (st *Store) persistShardLocked(i int) error {
 	gen := st.gen + 1
 	for {
 		s := st.shards[i].Load()
-		runs := make([]persist.RunMeta, len(s.runs))
-		for r, t := range s.runs {
-			if rm, ok := st.persistedRuns[i][t]; ok {
-				runs[r] = rm
-				continue
-			}
-			rm, err := st.writeShardRun(dir, i, gen, r, t, s.runIDs[r])
-			if err != nil {
-				return err
-			}
-			runs[r] = rm
+		runs, err := st.writeRuns(dir, i, gen, s, st.persistedRuns[i])
+		if err != nil {
+			return err
 		}
 
 		st.writeMu[i].Lock()

@@ -1112,8 +1112,8 @@ func (st *Store) buildCompacted(i int, s *shardState, frozen *delta, builder cor
 			st.minorMerges.Add(1)
 			st.journalEvent(i, "minor", len(runs), 2, len(k), time.Since(t0))
 			return compactResult{
-				runs:   []*table.Table{runs[0], mr},
-				runIDs: []string{runIDs[0], mid},
+				runs:    []*table.Table{runs[0], mr},
+				runIDs:  []string{runIDs[0], mid},
 				builder: builder, builderID: builderID, merged: true,
 			}, nil
 		}

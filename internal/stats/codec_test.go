@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"sync"
@@ -12,13 +11,12 @@ import (
 
 func encodeHist(t *testing.T, h *Histogram) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := binio.NewWriter(&buf)
+	w := binio.NewWriter(nil)
 	h.EncodeTo(w)
 	if w.Err() != nil {
 		t.Fatal(w.Err())
 	}
-	return buf.Bytes()
+	return w.Buffered()
 }
 
 // TestHistogramCodecRoundTrip checks that a decoded histogram reports

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -61,13 +60,12 @@ func TestHistogramScrapeInvariants(t *testing.T) {
 			prev = v
 		}
 		// (3) an immutable snapshot round-trips exactly.
-		var buf bytes.Buffer
-		w := binio.NewWriter(&buf)
+		w := binio.NewWriter(nil)
 		snap.EncodeTo(w)
 		if w.Err() != nil {
 			t.Fatal(w.Err())
 		}
-		dec, err := DecodeHistogram(binio.NewReader(buf.Bytes()))
+		dec, err := DecodeHistogram(binio.NewReader(w.Buffered()))
 		if err != nil {
 			t.Fatal(err)
 		}
