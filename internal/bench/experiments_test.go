@@ -24,16 +24,6 @@ func renderCatalog(t *testing.T, name string, o Options) string {
 		t.Fatalf("experiment %q not in catalog", name)
 	}
 	tables, err := exp.Run(NewRun(o))
-	// serve-repl enforces a goodput ratio between topologies it measures
-	// one after the other, each needing both of the machine's CPUs; a
-	// neighbouring package's CPU-bound test takes one away for the length
-	// of a row (with one core kept busy the ratio is missed in 9 runs of
-	// 20). A missed ratio is measured again, twice at most; any other
-	// error fails at once.
-	for again := 2; again > 0 && err != nil && strings.Contains(err.Error(), "single-replica"); again-- {
-		t.Logf("%s: %v; measuring again", name, err)
-		tables, err = exp.Run(NewRun(o))
-	}
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -55,12 +45,7 @@ func renderCatalog(t *testing.T, name string, o Options) string {
 
 func runExperiment(t *testing.T, name string, wantMarkers ...string) {
 	t.Helper()
-	runExperimentWith(t, name, tiny, wantMarkers...)
-}
-
-func runExperimentWith(t *testing.T, name string, o Options, wantMarkers ...string) {
-	t.Helper()
-	out := renderCatalog(t, name, o)
+	out := renderCatalog(t, name, tiny)
 	for _, marker := range wantMarkers {
 		if !strings.Contains(out, marker) {
 			t.Errorf("%s output missing %q:\n%s", name, marker, clip(out))
@@ -167,14 +152,7 @@ func TestServeObsSweepEndToEnd(t *testing.T) {
 }
 
 func TestServeReplSweepEndToEnd(t *testing.T) {
-	// The experiment enforces a goodput ratio between its rows. At tiny's
-	// 400 lookups each of its 96 workers issues four reads and a row is
-	// measured in 30 ms, so one descheduling decides the ratio (8 misses
-	// in 30 runs on an otherwise idle 2-CPU box, 1 in 30 at ten times the
-	// reads).
-	o := tiny
-	o.Lookups = 4000
-	runExperimentWith(t, "serve-repl", o,
+	runExperiment(t, "serve-repl",
 		"Replicated serving", "speedup", "goodput", "detect+promote", "ready")
 }
 

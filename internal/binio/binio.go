@@ -34,13 +34,11 @@ func Corruptf(format string, args ...any) error {
 const BufSize = 64 << 10
 
 // Writer encodes little-endian primitives into a buffer it owns and
-// hands them to the underlying io.Writer in spans of up to BufSize
-// bytes, folding each span into a running CRC64 once instead of once
-// per primitive. Nothing is guaranteed to have reached the sink before
-// Flush; the first sink error is sticky, so encode paths can write
-// unconditionally and check once at the end. With no sink (the zero
-// value, or NewWriter(nil)) it is a pure in-memory encoder: Buffered
-// returns everything written since Reset.
+// hands them to its sink in spans of up to BufSize bytes, folding each
+// span into a running CRC64 once. Nothing is sure to have reached the
+// sink before Flush; the first sink error is sticky, so encode paths
+// write unconditionally and check once at the end. With no sink (the
+// zero value, NewWriter(nil)) it encodes in memory: see Buffered.
 type Writer struct {
 	w      io.Writer
 	buf    []byte // encoded, not yet handed to w
@@ -73,24 +71,20 @@ func (w *Writer) fold() {
 // Flush hands every buffered byte to the sink and returns the sticky
 // error. It must precede any fsync of the sink.
 func (w *Writer) Flush() error {
-	if w.w == nil {
-		return nil
+	if w.w != nil {
+		w.fold()
+		w.emit(w.buf)
+		w.buf, w.hashed = w.buf[:0], 0
 	}
-	w.fold()
-	w.emit(w.buf)
-	w.buf, w.hashed = w.buf[:0], 0
 	return w.err
 }
 
 func (w *Writer) emit(p []byte) {
-	if w.err != nil || len(p) == 0 {
-		return
+	if w.err == nil && len(p) > 0 {
+		if _, w.err = w.w.Write(p); w.err == nil {
+			w.n += int64(len(p))
+		}
 	}
-	if _, err := w.w.Write(p); err != nil {
-		w.err = err
-		return
-	}
-	w.n += int64(len(p))
 }
 
 // reserve flushes first if n more bytes would overfill the span.
@@ -152,8 +146,7 @@ func (w *Writer) Str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Sum64 returns the CRC64 of everything written so far, Raw bytes
-// excepted.
+// Sum64 returns the CRC64 of everything written so far bar Raw bytes.
 func (w *Writer) Sum64() uint64 {
 	w.fold()
 	return w.crc

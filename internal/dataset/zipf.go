@@ -49,8 +49,7 @@ type zipf struct {
 }
 
 // zetaMemo holds ζ(n, θ) = Σ 1/i^θ, keyed by [2]float64{n, θ}: n
-// math.Pow calls, a function of its arguments alone, and every stream
-// over one key set asks for the same one.
+// math.Pow calls that every stream over one key set would repeat.
 var zetaMemo sync.Map
 
 func zeta(n int, theta float64) float64 {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/binio"
@@ -61,7 +62,8 @@ func TestCommitLeavesInSpans(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "rmi.idx")
 	var c countedFile
-	f, n, err := commitFile(path, c.sink, encode)
+	var written atomic.Uint64
+	f, err := commitFile(path, c.sink, &written, encode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +72,8 @@ func TestCommitLeavesInSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(file, mem.Buffered()) || n != int64(len(file)) {
-		t.Fatalf("file (%d bytes, reported %d) differs from the in-memory encoding (%d bytes)", len(file), n, mem.Len())
+	if !bytes.Equal(file, mem.Buffered()) || written.Load() != uint64(len(file)) {
+		t.Fatalf("file (%d bytes, reported %d) differs from the in-memory encoding (%d bytes)", len(file), written.Load(), mem.Len())
 	}
 	t.Logf("%d bytes in %d writes", len(file), c.writes)
 	if limit := len(file)/binio.BufSize + 2; c.writes > limit {
@@ -99,17 +101,19 @@ func TestCommitFailedWriteLeavesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		var clean countedFile
-		f, _, err := commitFile(filepath.Join(t.TempDir(), name), clean.sink, encode)
+		var written atomic.Uint64
+		f, err := commitFile(filepath.Join(t.TempDir(), name), clean.sink, &written, encode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
+		committed := written.Load()
 		if clean.writes < 2 {
 			t.Fatalf("%s: only %d writes; the case needs a mid-file failure and a final one", name, clean.writes)
 		}
 		for k := 1; k <= clean.writes; k++ {
 			c := countedFile{failAt: k}
-			if _, _, err := commitFile(path, c.sink, encode); !errors.Is(err, errDiskFull) {
+			if _, err := commitFile(path, c.sink, &written, encode); !errors.Is(err, errDiskFull) {
 				t.Fatalf("%s, write %d of %d failing: err = %v, want the sink's", name, k, clean.writes, err)
 			}
 			entries, err := os.ReadDir(dir)
@@ -121,6 +125,9 @@ func TestCommitFailedWriteLeavesNothing(t *testing.T) {
 			}
 			if have, _ := os.ReadFile(path); string(have) != "previous" {
 				t.Fatalf("%s, write %d failing: the committed file was replaced", name, k)
+			}
+			if written.Load() != committed {
+				t.Fatalf("%s, write %d failing: %d bytes counted as written", name, k, written.Load()-committed)
 			}
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"repro/internal/binio"
 	"repro/internal/core"
@@ -45,28 +46,26 @@ var indexMagic = []byte("sosdIDX1")
 // fsync, the commit discipline shared by every persisted artifact.
 // write receives a span-buffered binio.Writer over the temp file.
 func AtomicWrite(path string, write func(w *binio.Writer) error) error {
-	f, n, err := commitFile(path, direct, write)
-	if err != nil {
-		return err
+	f, err := commitFile(path, direct, &snapshotBytes, write)
+	if err == nil {
+		f.Close() // fsynced and renamed: Close has nothing left to report
 	}
-	snapshotBytes.Add(uint64(n))
-	return f.Close()
+	return err
 }
 
 func direct(f *os.File) io.Writer { return f }
 
 // commitFile is that discipline: encode into a temp file next to path,
-// Flush the Writer, fsync, rename into place, fsync the directory. On
-// any error the temp file is removed and nothing is renamed. It returns
-// the file still open — the descriptor survives the rename, so a WAL's
-// committed file and its append handle are the same inode — and the
-// bytes written. sink stands between the Writer and the file so tests
-// can make a write fail.
-func commitFile(path string, sink func(*os.File) io.Writer, write func(w *binio.Writer) error) (*os.File, int64, error) {
+// Flush the Writer, fsync (the bytes now count towards written), rename
+// into place, fsync the directory. An error before the rename removes
+// the temp file. The file comes back open: the descriptor survives the
+// rename, so a WAL appends to the inode it committed. sink stands
+// between Writer and file so tests can fail a write.
+func commitFile(path string, sink func(*os.File) io.Writer, written *atomic.Uint64, write func(w *binio.Writer) error) (*os.File, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	w := binio.NewWriter(sink(tmp))
 	if err = write(w); err == nil {
@@ -77,18 +76,19 @@ func commitFile(path string, sink func(*os.File) io.Writer, write func(w *binio.
 		fsyncs.Add(1)
 	}
 	if err == nil {
+		written.Add(uint64(w.Len()))
 		err = os.Rename(tmp.Name(), path)
 	}
 	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return nil, 0, err
+		return nil, err
 	}
 	if err := SyncDir(dir); err != nil {
 		tmp.Close()
-		return nil, 0, err
+		return nil, err
 	}
-	return tmp, w.Len(), nil
+	return tmp, nil
 }
 
 // SyncDir fsyncs a directory so a completed rename survives power loss.

@@ -110,11 +110,10 @@ func ReplayWAL(data []byte) (ops []Op, validLen int64, err error) {
 // ops (the pending delta a snapshot or compaction leaves live) and
 // returns it open for appends.
 func CreateWAL(path string, seed []Op) (*WAL, error) {
-	f, n, err := commitFile(path, direct, seedWAL(seed))
+	f, err := commitFile(path, direct, &walBytes, seedWAL(seed))
 	if err != nil {
 		return nil, err
 	}
-	walBytes.Add(uint64(n))
 	return &WAL{f: f, path: path, n: len(seed)}, nil
 }
 

@@ -586,9 +586,8 @@ func (b *bootstrapRx) chunk(m *net.Msg) error {
 
 // commit renames the shipped manifest into place — the snapshot's
 // atomic commit point, after which Open sees a complete generation.
-// The directory is fsynced on both sides of the rename: before, so the
-// shipped files' names are durable ahead of the manifest that points at
-// them; after, so the commit itself is.
+// The directory is fsynced before the rename, so the shipped files are
+// durable ahead of the manifest naming them, and after, so the commit is.
 func (b *bootstrapRx) commit() error {
 	if b.cur != nil {
 		return errors.New("repl: snapshot ended mid-file")

@@ -337,13 +337,14 @@ func (s *session) serve() {
 	<-ackDone
 }
 
-// bootstrap is a pipeline: the follower is told a snapshot is coming
-// (it discards any local state), the store exports its shards (each
-// capturing its stream position under its write lock), and a shard's
+// bootstrap is a pipeline: the store exports its shards (each
+// capturing its stream position under its write lock) and a shard's
 // files ship chunk by chunk as soon as its export completes, while
-// later shards are still being written. The manifest goes last, then
-// the position vector the snapshot corresponds to; only then does the
-// follower commit, by renaming the manifest into place.
+// later shards are still being written. MsgResync goes out ahead of the
+// first file and no earlier: the follower drops its local state on it.
+// The manifest goes last, then the position vector the snapshot
+// corresponds to; only then does the follower commit, by renaming the
+// manifest into place.
 func (s *session) bootstrap(wbuf *binio.Writer) error {
 	p := s.p
 	p.bootstraps.Add(1)
@@ -352,24 +353,31 @@ func (s *session) bootstrap(wbuf *binio.Writer) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	if err := net.WriteMsg(s.nc, wbuf, &net.Msg{Type: net.MsgResync}); err != nil {
-		return err
-	}
 
-	shards := p.st.NumShards()
-	base := make([]uint64, shards)
-	// Room for every shard: the export never waits on the ship.
-	done := make(chan persist.ShardMeta, shards)
+	base := make([]uint64, p.st.NumShards())
+	// Room for every shard: the export never waits on the ship. A failed
+	// ship sets dead, and the export stops at its next shard.
+	done := make(chan persist.ShardMeta, len(base))
+	var dead atomic.Bool
 	exportErr := make(chan error, 1)
 	go func() {
 		exportErr <- p.st.SnapshotWith(dir,
 			func(i int) { base[i] = p.log.SeqOf(i) },
-			func(sm persist.ShardMeta) { done <- sm })
+			func(sm persist.ShardMeta) error {
+				if dead.Load() {
+					return fmt.Errorf("repl: bootstrap ship failed")
+				}
+				done <- sm
+				return nil
+			})
 		close(done)
 	}()
 	chunk := make([]byte, p.cfg.ChunkSize)
-	var shipErr error
-	for sm := range done { // drained even after a failed ship: dir outlives the export
+	shipErr, resynced := error(nil), false
+	for sm := range done { // drained to the end: dir must outlive the export
+		if !resynced {
+			shipErr, resynced = net.WriteMsg(s.nc, wbuf, &net.Msg{Type: net.MsgResync}), true
+		}
 		var names []string
 		for _, run := range sm.Runs {
 			names = append(names, run.Table, run.Index, run.Tombs)
@@ -379,12 +387,13 @@ func (s *session) bootstrap(wbuf *binio.Writer) error {
 				shipErr = s.shipFile(wbuf, chunk, dir, name)
 			}
 		}
-	}
-	if err := <-exportErr; err != nil {
-		return err
+		dead.Store(shipErr != nil)
 	}
 	if shipErr != nil {
 		return shipErr
+	}
+	if err := <-exportErr; err != nil {
+		return err
 	}
 	m, err := persist.ReadManifest(filepath.Join(dir, persist.ManifestName))
 	if err != nil {

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -79,7 +81,7 @@ func TestExportWorkersAgreeWithOracle(t *testing.T) {
 					captured[k] = v
 				}
 			},
-			func(sm persist.ShardMeta) {
+			func(sm persist.ShardMeta) error {
 				mu.Lock()
 				defer mu.Unlock()
 				completions++
@@ -91,6 +93,7 @@ func TestExportWorkersAgreeWithOracle(t *testing.T) {
 				if _, err := os.Stat(filepath.Join(dir, persist.ManifestName)); err == nil {
 					t.Errorf("workers=%d: manifest committed before every shard completed", workers)
 				}
+				return nil
 			})
 		close(stop)
 		wg.Wait()
@@ -135,10 +138,11 @@ func TestExportFailingShardCommitsNothing(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var completed []persist.ShardMeta
-	err = st.SnapshotWith(dir, nil, func(sm persist.ShardMeta) {
+	err = st.SnapshotWith(dir, nil, func(sm persist.ShardMeta) error {
 		mu.Lock()
 		completed = append(completed, sm)
 		mu.Unlock()
+		return nil
 	})
 	if err == nil {
 		t.Fatal("export over a blocked shard file succeeded")
@@ -156,5 +160,49 @@ func TestExportFailingShardCommitsNothing(t *testing.T) {
 	}
 	if err := st.Snapshot(dir); err == nil {
 		t.Error("plain Snapshot over the same blocked file succeeded")
+	}
+}
+
+// TestExportStopsAtFirstError: once a shard has failed — its files, or
+// the caller's completion callback — no further shard is started: on one
+// worker the shards behind the failure leave no file in the directory.
+func TestExportStopsAtFirstError(t *testing.T) {
+	keys, payloads := testData(t, 4000)
+	st, err := New(keys, payloads, Config{Shards: 8, Workers: 1, Family: "PGM"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const bad = 2
+	errCallback := errors.New("callback refuses")
+	for name, setup := range map[string]func(dir string) func(persist.ShardMeta) error{
+		"shard": func(dir string) func(persist.ShardMeta) error {
+			if err := os.MkdirAll(filepath.Join(dir, runTabName(bad, 1, 0), "squatter"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		},
+		"callback": func(string) func(persist.ShardMeta) error {
+			return func(sm persist.ShardMeta) error {
+				if sm.Sep == st.seps[bad] {
+					return errCallback
+				}
+				return nil
+			}
+		},
+	} {
+		dir := t.TempDir()
+		err := st.SnapshotWith(dir, nil, setup(dir))
+		if err == nil || (name == "callback" && !errors.Is(err, errCallback)) {
+			t.Fatalf("%s: export err = %v", name, err)
+		}
+		for i := bad + 1; i < 8; i++ {
+			if m, _ := filepath.Glob(filepath.Join(dir, fmt.Sprintf("shard-%04d-*", i))); len(m) != 0 {
+				t.Errorf("%s: shard %d was exported after shard %d failed: %v", name, i, bad, m)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, persist.ManifestName)); !os.IsNotExist(err) {
+			t.Errorf("%s: manifest after a failed export: stat err = %v", name, err)
+		}
 	}
 }

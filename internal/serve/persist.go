@@ -234,15 +234,15 @@ func (st *Store) Snapshot(dir string) error {
 }
 
 // SnapshotWith is Snapshot restricted to a foreign directory, with two
-// per-shard callbacks, either of which may be nil. onShard(i) runs
-// under shard i's write lock at the moment the shard's state is
-// captured, so the exported state contains precisely the writes the
-// callback has seen: the replication primary records there the stream
-// position a bootstrap snapshot corresponds to. exported(meta) runs
-// once a shard's files are complete and durable in dir, before the
-// manifest naming them exists, so the primary can ship them while later
-// shards are written. Both run on the export's worker goroutines.
-func (st *Store) SnapshotWith(dir string, onShard func(shard int), exported func(persist.ShardMeta)) error {
+// per-shard callbacks, either of which may be nil; both run on the
+// export's worker goroutines. onShard(i) runs under shard i's write
+// lock as the shard's state is captured, so the exported state holds
+// precisely the writes the callback has seen: the replication primary
+// records its stream position there. exported(meta) runs once a shard's
+// files are durable in dir, before the manifest naming them exists, so
+// the primary can ship them while later shards are written; an error
+// from it fails the export as a failed shard does.
+func (st *Store) SnapshotWith(dir string, onShard func(shard int), exported func(persist.ShardMeta) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -263,7 +263,7 @@ func (st *Store) SnapshotWith(dir string, onShard func(shard int), exported func
 // serialize only against each other (exportMu), never against the
 // attached directory's compaction commits — a long backup must not
 // stall the compactor behind persistMu.
-func (st *Store) exportTo(abs string, onShard func(shard int), exported func(persist.ShardMeta)) error {
+func (st *Store) exportTo(abs string, onShard func(shard int), exported func(persist.ShardMeta) error) error {
 	st.exportMu.Lock()
 	defer st.exportMu.Unlock()
 	gen := uint64(1)
@@ -276,23 +276,28 @@ func (st *Store) exportTo(abs string, onShard func(shard int), exported func(per
 		Shards: make([]persist.ShardMeta, len(st.shards)),
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, len(st.shards))
+	var failed atomic.Pointer[error] // the first error; no shard starts after it
 	slots := make(chan struct{}, st.cfg.Workers)
 	for i := range st.shards {
 		slots <- struct{}{}
+		if failed.Load() != nil {
+			break
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer func() { <-slots; wg.Done() }()
-			if m.Shards[i], errs[i] = st.exportShard(abs, i, gen, onShard); errs[i] == nil && exported != nil {
-				exported(m.Shards[i])
+			var err error
+			if m.Shards[i], err = st.exportShard(abs, i, gen, onShard); err == nil && exported != nil {
+				err = exported(m.Shards[i])
+			}
+			if err != nil {
+				failed.CompareAndSwap(nil, &err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := failed.Load(); err != nil {
+		return *err
 	}
 	if err := persist.WriteManifest(filepath.Join(abs, persist.ManifestName), m); err != nil {
 		return err
@@ -320,10 +325,7 @@ func (st *Store) exportShard(abs string, i int, gen uint64, onShard func(shard i
 	if err != nil {
 		return persist.ShardMeta{}, err
 	}
-	if err := w.Close(); err != nil {
-		return persist.ShardMeta{}, err
-	}
-	return persist.ShardMeta{Sep: st.seps[i], Codec: tag, WAL: walName, Runs: runs}, nil
+	return persist.ShardMeta{Sep: st.seps[i], Codec: tag, WAL: walName, Runs: runs}, w.Close()
 }
 
 // persistShard commits shard i's current state to the attached

@@ -224,11 +224,9 @@ func TestTombstoneShadowsOlderRuns(t *testing.T) {
 	victim := keys[len(keys)/2]
 
 	st.Delete(victim)
-	// Pad the delta to the threshold exactly, so the tombstone flushes
-	// into a tier run above the base and no write lands behind the
-	// flush: more padding left a remainder whenever the compactor was
-	// slower than the writes (under -race, most runs).
-	pad := dataset.InsertKeys(keys, 31, 9)
+	// Pad the delta past the threshold so the tombstone flushes into a
+	// tier run above the base.
+	pad := dataset.InsertKeys(keys, 64, 9)
 	for i, k := range pad {
 		st.Put(k, uint64(i)+100)
 	}
