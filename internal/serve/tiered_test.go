@@ -113,13 +113,13 @@ func TestTieredRunsOracle(t *testing.T) {
 					delete(oracle, victim)
 				}
 			}
-			st.WaitCompactions()
+			// Every flush stacks a run, but where the run count rests once
+			// the compactor is idle depends on whether each shard's last
+			// round merged: all shards back at one run is a legal end state.
+			waitDrained(t, st)
 			if row.maxRuns > 1 {
 				if st.Flushes() == 0 {
 					t.Fatal("no delta flushes despite tiering enabled and threshold crossed")
-				}
-				if st.MaxRunCount() < 2 {
-					t.Fatalf("max run count %d, want >= 2 (tiering never stacked a run)", st.MaxRunCount())
 				}
 			} else if st.Flushes() != 0 || st.MaxRunCount() != 1 {
 				t.Fatalf("MaxRuns 1 stacked runs: %d flushes, max run count %d", st.Flushes(), st.MaxRunCount())
@@ -230,12 +230,14 @@ func TestTombstoneShadowsOlderRuns(t *testing.T) {
 	for i, k := range pad {
 		st.Put(k, uint64(i)+100)
 	}
-	st.WaitCompactions()
+	waitDrained(t, st)
 	if st.RunCount(0) < 2 {
 		t.Fatalf("run count %d, want >= 2", st.RunCount(0))
 	}
-	if st.DeltaLen() != 0 {
-		t.Fatalf("delta not flushed: %d pending", st.DeltaLen())
+	// The tombstone was the first of 65 writes at threshold 32, so the
+	// first freeze took it; the writes after the last freeze stay pending.
+	if _, _, ok := st.shards[0].Load().pending(victim); ok {
+		t.Fatal("tombstone still pending: it was not flushed into a tier run")
 	}
 
 	if _, ok := st.Get(victim); ok {
