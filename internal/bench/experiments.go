@@ -398,39 +398,48 @@ func countersFromEnv(e *Env, families []string) []CounterRow {
 	var rows []CounterRow
 	for _, family := range families {
 		for _, nb := range registry.Sweep(family, e.Keys) {
-			idx, err := nb.Builder.Build(e.Keys)
-			if err != nil {
-				continue
+			if row, ok := counterRow(e, family, nb, 3); ok {
+				rows = append(rows, row)
 			}
-			tr, m := traceFor(family, idx, e)
-			if tr == nil {
-				continue
-			}
-			meas := measureWarmBest(e, idx, 3)
-			// Warm the simulated cache, then measure.
-			for _, x := range e.Lookups {
-				tr.Lookup(x)
-			}
-			m.ResetCounters()
-			for _, x := range e.Lookups {
-				tr.Lookup(x)
-			}
-			c := m.Counters()
-			nl := float64(len(e.Lookups))
-			rows = append(rows, CounterRow{
-				Dataset:      e.Dataset,
-				Family:       family,
-				Label:        nb.Label,
-				SizeMB:       MB(idx.SizeBytes()),
-				Log2Err:      AvgLog2Width(e, idx),
-				NsPerLookup:  meas.NsPerLookup,
-				CacheMisses:  float64(c.CacheMisses) / nl,
-				BranchMisses: float64(c.BranchMisses) / nl,
-				Instructions: float64(c.Instructions) / nl,
-			})
 		}
 	}
 	return rows
+}
+
+// counterRow builds one configuration and reads its simulated counters
+// beside the fastest of reps warm timings; ok is false when the
+// configuration does not build or has no traced form.
+func counterRow(e *Env, family string, nb registry.NamedBuilder, reps int) (CounterRow, bool) {
+	idx, err := nb.Builder.Build(e.Keys)
+	if err != nil {
+		return CounterRow{}, false
+	}
+	tr, m := traceFor(family, idx, e)
+	if tr == nil {
+		return CounterRow{}, false
+	}
+	meas := measureWarmBest(e, idx, reps)
+	// Warm the simulated cache, then measure.
+	for _, x := range e.Lookups {
+		tr.Lookup(x)
+	}
+	m.ResetCounters()
+	for _, x := range e.Lookups {
+		tr.Lookup(x)
+	}
+	c := m.Counters()
+	nl := float64(len(e.Lookups))
+	return CounterRow{
+		Dataset:      e.Dataset,
+		Family:       family,
+		Label:        nb.Label,
+		SizeMB:       MB(idx.SizeBytes()),
+		Log2Err:      AvgLog2Width(e, idx),
+		NsPerLookup:  meas.NsPerLookup,
+		CacheMisses:  float64(c.CacheMisses) / nl,
+		BranchMisses: float64(c.BranchMisses) / nl,
+		Instructions: float64(c.Instructions) / nl,
+	}, true
 }
 
 // traceFor wires a built index into a fresh simulated machine. The
@@ -770,34 +779,11 @@ func CollectCountersMid(o Options, name dataset.Name, families []string) ([]Coun
 func countersMidFromEnv(e *Env, families []string) []CounterRow {
 	var rows []CounterRow
 	for _, family := range families {
-		nb, ok := registry.Builder(family, e.Keys)
-		if !ok {
-			continue
+		if nb, ok := registry.Builder(family, e.Keys); ok {
+			if row, ok := counterRow(e, family, nb, 1); ok {
+				rows = append(rows, row)
+			}
 		}
-		idx, err := nb.Builder.Build(e.Keys)
-		if err != nil {
-			continue
-		}
-		tr, m := traceFor(family, idx, e)
-		if tr == nil {
-			continue
-		}
-		meas := MeasureWarm(e, idx, search.BinarySearch)
-		for _, x := range e.Lookups {
-			tr.Lookup(x)
-		}
-		m.ResetCounters()
-		for _, x := range e.Lookups {
-			tr.Lookup(x)
-		}
-		c := m.Counters()
-		nl := float64(len(e.Lookups))
-		rows = append(rows, CounterRow{
-			Dataset: e.Dataset, Family: family, Label: nb.Label,
-			SizeMB:      MB(idx.SizeBytes()),
-			NsPerLookup: meas.NsPerLookup,
-			CacheMisses: float64(c.CacheMisses) / nl,
-		})
 	}
 	return rows
 }

@@ -97,6 +97,3 @@ func (idx *Index) PathIDs(key core.Key, dst []int32) []int32 {
 
 // NumNodes reports the underlying tree's node count.
 func (idx *Index) NumNodes() int { return idx.tree.NumNodes() }
-
-// NodeKeys reports the per-node key capacity (for size modelling).
-func (idx *Index) NodeKeys() int { return fanout }

@@ -231,12 +231,6 @@ func RegisterTier(family string, fn TierFunc) {
 	tiers[family] = fn
 }
 
-// HasTier reports whether a family registered a tier-run builder hook.
-func HasTier(family string) bool {
-	_, ok := tiers[family]
-	return ok
-}
-
 // TierBuilder returns the builder for indexing a small tier run of
 // keys, plus its catalog ID for persistence: the family's tier hook
 // when registered, otherwise the zero-cost binary-search fallback

@@ -9,20 +9,23 @@ package serve
 // snapshot through the shard's atomic pointer and merge on the fly —
 // one read path for every shape: probe the run set (1..N runs), then
 // overlay the deltas. When a delta grows past the compaction threshold
-// it is frozen and — depending on the tiering policy — flushed into a
-// new small run with a cheap tier index, or merged into fewer (or one)
-// runs with a full index rebuild, republished in one pointer swap. See
-// DESIGN.md "Write path".
+// it is frozen and merged, with the newest runs the tiering policy
+// names, into one run that replaces them, republished in one pointer
+// swap. See DESIGN.md "Write path".
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/core"
+	"repro/internal/persist"
 	"repro/internal/table"
 )
 
 // delta is an immutable sorted run of pending writes for one shard:
 // keys ascending and unique, vals the upserted payloads, tombs marking
 // deletions. A delta is never mutated after publication; writers derive
-// a new delta with `with` and swap the shard state pointer.
+// a new delta with `apply` and swap the shard state pointer.
 type delta struct {
 	keys  []core.Key
 	vals  []uint64
@@ -44,6 +47,37 @@ func (d *delta) get(x core.Key) (val uint64, tomb, ok bool) {
 		return d.vals[pos], d.tombs[pos], true
 	}
 	return 0, false, false
+}
+
+// apply returns d with ops folded in, in op order: the last write to a
+// key wins, within the batch and over what d held. It is the one way a
+// delta comes to hold a write — live Puts and Deletes, replicated
+// batches and WAL replay alike. A batch of one takes `with`'s two
+// memmoves; a larger one is sorted once and overlaid, linear in
+// len(d)+len(ops) where op-at-a-time copy-on-write would be quadratic.
+func (d *delta) apply(ops []persist.Op) *delta {
+	switch len(ops) {
+	case 0:
+		return d
+	case 1:
+		return d.with(ops[0].Key, ops[0].Val, ops[0].Tomb)
+	}
+	sorted := slices.Clone(ops)
+	slices.SortStableFunc(sorted, func(a, b persist.Op) int { return cmp.Compare(a.Key, b.Key) })
+	top := &delta{
+		keys:  make([]core.Key, 0, len(sorted)),
+		vals:  make([]uint64, 0, len(sorted)),
+		tombs: make([]bool, 0, len(sorted)),
+	}
+	for j, op := range sorted {
+		if j+1 < len(sorted) && sorted[j+1].Key == op.Key {
+			continue // the sort is stable: a later write to the key follows
+		}
+		top.keys = append(top.keys, op.Key)
+		top.vals = append(top.vals, op.Val)
+		top.tombs = append(top.tombs, op.Tomb)
+	}
+	return d.overlay(top)
 }
 
 // with returns a new delta with the write applied: an existing entry
@@ -88,9 +122,9 @@ func (d *delta) window(lo, hi core.Key) (keys []core.Key, vals []uint64, tombs [
 	return d.keys[start:end], d.vals[start:end], d.tombs[start:end]
 }
 
-// overlay merges d under top: entries of top win on equal keys. It is
-// the recovery path when a compaction's index rebuild fails and the
-// frozen delta must fold back under the writes that arrived meanwhile.
+// overlay merges d under top: entries of top win on equal keys. A batch
+// lands on the active delta this way, and a frozen delta goes back
+// under the active one (pendingDelta).
 func (d *delta) overlay(top *delta) *delta {
 	if top.len() == 0 {
 		return d
@@ -200,13 +234,19 @@ func mergeVisit(layers []mergeLayer, visit func(k core.Key, v uint64, tomb bool)
 	}
 }
 
-// mergeLayers materializes the merged view of layers into fresh
-// arrays. With dropTombs (a major merge into the base run) tombstoned
+// mergeLayers materializes the merged view of layers into fresh arrays
+// (one layer kept with its tombstones is its own merged view and is
+// returned as is). With dropTombs (a major merge into the base run) tombstoned
 // keys are omitted and the returned tombs is nil; without it (a minor
 // merge of upper tiers, which must keep shadowing the base) the
 // winners' tombstone bits are carried through, with an all-false array
 // normalized to nil.
 func mergeLayers(layers []mergeLayer, dropTombs bool) ([]core.Key, []uint64, []bool) {
+	if len(layers) == 1 && !dropTombs {
+		// A flush: the frozen delta is immutable and unique-keyed, so the
+		// tier run shares its arrays instead of copying them.
+		return layers[0].keys, layers[0].vals, layers[0].tombs
+	}
 	n := 0
 	for _, l := range layers {
 		n += len(l.keys)
@@ -275,6 +315,15 @@ func (s *shardState) pending(x core.Key) (val uint64, tomb, ok bool) {
 		}
 	}
 	return 0, false, false
+}
+
+// pendingDelta returns every pending write of the shard as one delta:
+// the frozen delta under the active one, whose newer writes win.
+func (s *shardState) pendingDelta() *delta {
+	if s.frozen == nil {
+		return s.del
+	}
+	return s.frozen.overlay(s.del)
 }
 
 // deltaLen reports the shard's pending entries across both buffers.

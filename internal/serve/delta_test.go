@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/persist"
 )
 
 // testRNG is a tiny splitmix64 for deterministic op sequences.
@@ -48,6 +50,53 @@ func TestDeltaWith(t *testing.T) {
 	_ = d.with(50, 999, false)
 	if v, _, _ := old.get(50); v != 501 {
 		t.Fatalf("with mutated the receiver: get(50) = %d", v)
+	}
+}
+
+// TestDeltaApplyMatchesSequentialWith holds the batch fold to the
+// op-at-a-time oracle: apply(ops) must equal folding the same ops with
+// `with`, one by one, in order — for an empty batch, a batch of one
+// (the `with` arm), small batches and large ones (the sort-and-overlay
+// arm), with keys repeated inside the batch in both orders
+// (tombstone-then-upsert, upsert-then-tombstone) and keys the delta
+// already holds. The receiver must come through unchanged.
+func TestDeltaApplyMatchesSequentialWith(t *testing.T) {
+	rng := testRNG{s: 11}
+	for _, size := range []int{0, 1, 2, 3, 17, 4096} {
+		for trial := 0; trial < 8; trial++ {
+			// A pool about the size of the batch: repeats inside it are
+			// common, and so are hits on the keys seeded below.
+			pool := uint64(size + 4)
+			base := emptyDelta
+			for i := 0; i < trial*3; i++ {
+				base = base.with(core.Key(rng.next()%pool), rng.next(), rng.intn(3) == 0)
+			}
+			before := delta{keys: slices.Clone(base.keys), vals: slices.Clone(base.vals), tombs: slices.Clone(base.tombs)}
+			ops := make([]persist.Op, size)
+			for i := range ops {
+				ops[i] = persist.Op{Key: core.Key(rng.next() % pool), Val: rng.next(), Tomb: rng.intn(3) == 0}
+			}
+			if size >= 2 { // both orders on one key, whatever the draw
+				ops[size-2] = persist.Op{Key: 1, Tomb: true}
+				ops[size-1] = persist.Op{Key: 1, Val: 41}
+			}
+			if size >= 17 {
+				ops[5] = persist.Op{Key: 2, Val: 43}
+				ops[9] = persist.Op{Key: 2, Tomb: true}
+			}
+			want := base
+			for _, op := range ops {
+				want = want.with(op.Key, op.Val, op.Tomb)
+			}
+			got := base.apply(ops)
+			if !slices.Equal(got.keys, want.keys) || !slices.Equal(got.vals, want.vals) || !slices.Equal(got.tombs, want.tombs) {
+				t.Fatalf("size %d trial %d: apply differs from sequential with\n got  %v %v %v\n want %v %v %v",
+					size, trial, got.keys, got.vals, got.tombs, want.keys, want.vals, want.tombs)
+			}
+			if !slices.Equal(base.keys, before.keys) || !slices.Equal(base.vals, before.vals) || !slices.Equal(base.tombs, before.tombs) {
+				t.Fatalf("size %d trial %d: apply mutated its receiver", size, trial)
+			}
+		}
 	}
 }
 

@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -50,8 +48,9 @@ func runTmbName(i int, gen uint64, r int) string {
 }
 func walFileName(i int, gen uint64) string { return fmt.Sprintf("shard-%04d-g%06d.wal", i, gen) }
 
-// notePersistErr records the store's first background persistence
-// failure (WAL append, compaction commit); PersistErr surfaces it.
+// notePersistErr records the store's first background failure (WAL
+// append, compaction rebuild, compaction commit); PersistErr surfaces
+// it.
 func (st *Store) notePersistErr(err error) {
 	st.persistErrMu.Lock()
 	if st.persistErr == nil {
@@ -60,11 +59,12 @@ func (st *Store) notePersistErr(err error) {
 	st.persistErrMu.Unlock()
 }
 
-// PersistErr reports the first persistence failure the store has
-// swallowed on a background path (WAL appends, compaction commits).
-// A non-nil result means the in-memory state is fine but durability
-// is degraded: the next Snapshot to a healthy location should be
-// treated as urgent.
+// PersistErr reports the first failure the store has swallowed on a
+// background path: a WAL append or compaction commit, after which the
+// in-memory state is fine but durability is degraded (the next Snapshot
+// to a healthy location should be treated as urgent), or a background
+// compaction's rebuild, after which every write is still served but
+// from a delta that was folded back instead of merged.
 func (st *Store) PersistErr() error {
 	st.persistErrMu.Lock()
 	defer st.persistErrMu.Unlock()
@@ -79,10 +79,7 @@ func (st *Store) Dir() string { return st.dir }
 // barrier for stores running without SyncWrites. Safe alongside
 // concurrent writes and compactions.
 func (st *Store) SyncWAL() error {
-	if st.wals == nil {
-		return nil // volatile store: nothing to sync
-	}
-	for i := range st.writeMu {
+	for i := range st.writeMu { // a volatile store's slots are all nil
 		st.writeMu[i].Lock()
 		w := st.wals[i]
 		var err error
@@ -103,10 +100,7 @@ func (st *Store) SyncWAL() error {
 // committed as a run yet, and replaying it over the committed run set
 // reproduces the same merged view.
 func pendingOps(s *shardState) []persist.Op {
-	d := s.del
-	if s.frozen != nil {
-		d = s.frozen.overlay(s.del)
-	}
+	d := s.pendingDelta()
 	if d.len() == 0 {
 		return nil
 	}
@@ -115,34 +109,6 @@ func pendingOps(s *shardState) []persist.Op {
 		ops[i] = persist.Op{Key: d.keys[i], Val: d.vals[i], Tomb: d.tombs[i]}
 	}
 	return ops
-}
-
-// deltaFromOps replays WAL records into a delta: last write per key
-// wins, entries sorted. Linear in the op count (not the quadratic
-// one-at-a-time copy-on-write path used for live writes).
-func deltaFromOps(ops []persist.Op) *delta {
-	if len(ops) == 0 {
-		return emptyDelta
-	}
-	last := make(map[core.Key]persist.Op, len(ops))
-	for _, op := range ops {
-		last[op.Key] = op
-	}
-	keys := make([]core.Key, 0, len(last))
-	for k := range last {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	d := &delta{
-		keys:  keys,
-		vals:  make([]uint64, len(keys)),
-		tombs: make([]bool, len(keys)),
-	}
-	for i, k := range keys {
-		d.vals[i] = last[k].Val
-		d.tombs[i] = last[k].Tomb
-	}
-	return d
 }
 
 // writeShardRun writes one immutable run of shard i into dir at
@@ -436,8 +402,8 @@ func wrapBuilderFor(custom func(shard int, keys []core.Key) (core.Builder, error
 // serves exactly the state current when the snapshot (plus any logged
 // writes) was taken. The returned store is attached: subsequent writes
 // append to the WALs and compactions advance the on-disk state. cfg
-// supplies the runtime knobs (Search, Workers, CompactThreshold,
-// MaxRuns, AmpBound, SyncWrites, BuilderFor); the shard structure,
+// supplies the runtime knobs (Workers, CompactThreshold, MaxRuns,
+// AmpBound, SyncWrites, BuilderFor); the shard structure,
 // family and index configuration come from the manifest.
 func Open(dir string, cfg Config) (*Store, error) {
 	abs, err := filepath.Abs(dir)
@@ -448,30 +414,11 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: open %s: %w", dir, err)
 	}
-	if cfg.Search == nil {
-		cfg.Search = search.BinarySearch
-	}
 	cfg.Family = m.Family
 	nShards := len(m.Shards)
-	if cfg.Workers <= 0 {
-		cfg.Workers = nShards
-		if ncpu := runtime.NumCPU(); cfg.Workers > ncpu {
-			cfg.Workers = ncpu
-		}
-	}
-	if cfg.CompactThreshold == 0 {
-		cfg.CompactThreshold = DefaultCompactThreshold
-	}
-	normalizeTierConfig(&cfg)
-
-	st := &Store{cfg: cfg, dir: abs, gen: m.Gen}
+	st := newStore(cfg, nShards) // builders stay nil: resolved lazily at first major
+	st.dir, st.gen = abs, m.Gen
 	st.meta = append([]persist.ShardMeta(nil), m.Shards...)
-	st.seps = make([]core.Key, nShards)
-	st.shards = make([]atomic.Pointer[shardState], nShards)
-	st.writeMu = make([]sync.Mutex, nShards)
-	st.builders = make([]core.Builder, nShards) // resolved lazily at first compaction
-	st.builderIDs = make([]string, nShards)
-	st.wals = make([]*persist.WAL, nShards)
 	if cfg.BuilderFor != nil {
 		// Only openRun's no-codec base rebuild asks for it; compactions
 		// resolve their builder from the shard's codec tag.
@@ -484,27 +431,14 @@ func Open(dir string, cfg Config) (*Store, error) {
 		st.seps[i] = m.Shards[i].Sep
 		st.builderIDs[i] = m.Shards[i].Codec
 	}
-	// Load shards concurrently: table reads are I/O-bound, decodes
-	// cheap, and the occasional no-codec rebuild CPU-bound.
-	var wg sync.WaitGroup
-	errs := make([]error, nShards)
-	for i := range m.Shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = st.openShard(abs, i, &m.Shards[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, w := range st.wals {
-				if w != nil {
-					w.Close()
-				}
+	err = st.populate(func(i int) error { return st.openShard(abs, i, &m.Shards[i]) })
+	if err != nil {
+		for _, w := range st.wals {
+			if w != nil {
+				w.Close()
 			}
-			return nil, err
 		}
+		return nil, err
 	}
 	// The just-loaded runs are exactly what the manifest committed, so
 	// the first checkpoint of an unchanged shard can reuse every file.
@@ -517,16 +451,10 @@ func Open(dir string, cfg Config) (*Store, error) {
 		}
 		st.persistedRuns[i] = committed
 	}
+	// A replayed delta past the threshold has queued its shard (commit
+	// does, as for any write): the compactor picks it up right away
+	// instead of waiting for the next write.
 	st.start()
-	// Replayed deltas past the threshold compact in the background
-	// right away instead of waiting for the next write.
-	if cfg.CompactThreshold > 0 {
-		for i := range st.shards {
-			if st.shards[i].Load().del.len() >= cfg.CompactThreshold {
-				st.requestCompact(i)
-			}
-		}
-	}
 	return st, nil
 }
 
@@ -554,8 +482,12 @@ func (st *Store) openShard(dir string, i int, meta *persist.ShardMeta) error {
 			return fmt.Errorf("serve: shard %d wal holds key %d owned by shard %d", i, op.Key, st.shardOf(op.Key))
 		}
 	}
+	// Replay is a commit like any other write. The log is attached only
+	// afterwards, so the records are not appended to the file they came
+	// from.
+	st.shards[i].Store(&shardState{runs: runs, runIDs: runIDs, del: emptyDelta})
+	st.commit(i, ops, nil)
 	st.wals[i] = wal
-	st.shards[i].Store(&shardState{runs: runs, runIDs: runIDs, del: deltaFromOps(ops)})
 	return nil
 }
 
@@ -587,7 +519,7 @@ func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta) (*table.Tabl
 
 	switch {
 	case len(keys) == 0:
-		return table.Empty(st.cfg.Search), nil
+		return table.Empty(search.BinarySearch), nil
 	case rm.Index != "":
 		idx, err := persist.ReadIndex(filepath.Join(dir, rm.Index))
 		if err != nil {
@@ -605,7 +537,7 @@ func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta) (*table.Tabl
 		if err := sampleValidate(keys, idx); err != nil {
 			return nil, fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
 		}
-		tab, err := table.NewTombed(keys, payloads, tombs, idx, st.cfg.Search)
+		tab, err := table.NewTombed(keys, payloads, tombs, idx, search.BinarySearch)
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
 		}
@@ -627,7 +559,7 @@ func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta) (*table.Tabl
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
 		}
-		tab, err := table.BuildTombed(b, keys, payloads, tombs, st.cfg.Search)
+		tab, err := table.BuildTombed(b, keys, payloads, tombs, search.BinarySearch)
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d run %d rebuild: %w", i, r, err)
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -346,6 +347,66 @@ func TestCompactionTruncatesWAL(t *testing.T) {
 	}
 	assertStateEqual(t, warm, oracle, "after truncated reopen")
 	warm.Close()
+}
+
+// TestWriteOverFailingWAL: Put and Apply take the same path over a log
+// that refuses appends (the shard's live WAL is closed underneath the
+// store). The write is still published — durability is degraded, not
+// the store — the append's error is what PersistErr holds, and with
+// SyncWrites on no fsync is spent on a log with a hole in it.
+func TestWriteOverFailingWAL(t *testing.T) {
+	keys, payloads := testData(t, 2000)
+	seed, err := New(keys, payloads, Config{Shards: 1, Family: "BTree"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := seed.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	seed.Close()
+	fresh := []persist.Op{{Key: keys[10] + 1, Val: 71}, {Key: keys[20], Tomb: true}, {Key: keys[30] + 1, Val: 73}}
+	for _, row := range []struct {
+		name  string
+		write func(st *Store)
+	}{
+		{"Put", func(st *Store) {
+			st.Put(fresh[0].Key, fresh[0].Val)
+			st.Delete(fresh[1].Key)
+			st.Put(fresh[2].Key, fresh[2].Val)
+		}},
+		{"Apply", func(st *Store) {
+			if err := st.Apply(0, fresh); err != nil {
+				t.Error(err)
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			st, err := Open(dir, Config{CompactThreshold: -1, SyncWrites: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if err := st.wals[0].Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := persist.CountersNow()
+			row.write(st)
+			after := persist.CountersNow()
+			if err := st.PersistErr(); !errors.Is(err, os.ErrClosed) {
+				t.Fatalf("PersistErr = %v, want the refused append", err)
+			}
+			if after.WALAppends != before.WALAppends || after.Fsyncs != before.Fsyncs {
+				t.Errorf("%d appends and %d fsyncs counted on a log that refuses appends, want none",
+					after.WALAppends-before.WALAppends, after.Fsyncs-before.Fsyncs)
+			}
+			for _, op := range fresh {
+				if v, ok := st.Get(op.Key); ok == op.Tomb || v != op.Val {
+					t.Errorf("Get(%d) = (%d,%v) after %+v", op.Key, v, ok, op)
+				}
+			}
+		})
+	}
 }
 
 // TestEmptyShardPersistence deletes every key of shard 0, compacts it

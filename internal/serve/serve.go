@@ -14,12 +14,15 @@
 // or dirty — takes the same path: probe the run set newest-first
 // (table.GetRuns / table.GetBatchRuns, which report per-key found
 // bits), then overlay the pending deltas. Writes are single-writer per
-// shard: Put, Delete, and Apply serialize on a per-shard mutex, derive
-// the new state off to the side (copy-on-write delta), and publish it
-// with one pointer swap, so readers never block and never observe a
-// half-applied write. Compaction freezes a shard's delta, flushes or
-// merges off the write lock (writes continue into a fresh active
-// delta), and republishes the shard with another swap. See DESIGN.md
+// shard and take one path too: Put, Delete, Apply and WAL replay all go
+// through commit, which serializes on a per-shard mutex, logs the ops,
+// derives the new state off to the side (copy-on-write delta), and
+// publishes it with one pointer swap, so readers never block and never
+// observe a half-applied write. Compaction freezes a shard's delta and,
+// off the write lock (writes continue into a fresh active delta),
+// takes one kind of step — merge the newest runs plus the frozen delta
+// into one run that replaces them — as often as the tiering policy
+// asks, then republishes the shard with another swap. See DESIGN.md
 // "Write path".
 package serve
 
@@ -91,9 +94,6 @@ type Config struct {
 	// shards, a B-tree on adversarial ones).
 	BuilderFor func(shard int, keys []core.Key) (core.Builder, error)
 
-	// Search is the last-mile search function; nil defaults to binary.
-	Search search.Fn
-
 	// Workers is the goroutine-pool size serving batched lookups; 0
 	// defaults to min(Shards, runtime.NumCPU()).
 	Workers int
@@ -105,10 +105,12 @@ type Config struct {
 	CompactThreshold int
 
 	// MaxRuns bounds a shard's sorted-run count: a frozen delta flushes
-	// into a new tier run until the shard holds MaxRuns runs, then the
-	// tiering policy merges. 0 defaults to DefaultMaxRuns; 1 (or
-	// negative) disables tiering — every compaction merges the full
-	// shard and re-tunes its index, the classic single-run write path.
+	// into a new tier run until the shard holds more than MaxRuns runs,
+	// then the tiering policy merges. 0 defaults to DefaultMaxRuns. 1
+	// (or negative) is the policy value under which every round merges
+	// the whole shard into one run and re-tunes its index — the classic
+	// single-run write path, and what Compact asks of a round whatever
+	// MaxRuns is.
 	MaxRuns int
 
 	// AmpBound is the measured read-amplification (run probes per
@@ -123,13 +125,14 @@ type Config struct {
 	// process crash), and SyncWAL provides an explicit storage barrier.
 	SyncWrites bool
 
-	// WriteHook, when non-nil, observes every write applied to the
-	// store — Put, Delete, and Apply batches — called under the owning
-	// shard's write lock after the WAL append and the state publish, so
-	// invocations for one shard arrive in exactly the order the writes
-	// took effect. It must be fast and must not call back into the
-	// store. The replication primary uses it to assign per-shard
-	// sequence numbers and feed its stream log.
+	// WriteHook, when non-nil, observes every Put and Delete the store
+	// accepts (not Apply batches: a replica does not re-stream what it
+	// was streamed). It is called under the owning shard's write lock
+	// after the WAL append and the state publish, so invocations for one
+	// shard arrive in exactly the order the writes took effect. It must
+	// be fast and must not call back into the store. The replication
+	// primary uses it to assign per-shard sequence numbers and feed its
+	// stream log.
 	WriteHook func(shard int, op persist.Op)
 
 	// Metrics, when non-nil, receives the store's observability series
@@ -161,13 +164,13 @@ type Store struct {
 
 	builderFor func(shard int, keys []core.Key) (core.Builder, string, error)
 
-	// Persistence state (zero unless the store was opened from a
-	// snapshot directory): the attached directory (absolute), one live
-	// WAL per shard (slots guarded by writeMu), a mutex serializing
-	// snapshot/manifest commits, the last committed generation and
-	// manifest entries (guarded by persistMu), the per-shard map of
-	// already-committed run files (guarded by persistMu), and the first
-	// background persistence failure.
+	// Persistence state (zero, and every WAL slot nil, unless the store
+	// was opened from a snapshot directory): the attached directory
+	// (absolute), one live WAL per shard (slots guarded by writeMu), a
+	// mutex serializing snapshot/manifest commits, the last committed
+	// generation and manifest entries (guarded by persistMu), the
+	// per-shard map of already-committed run files (guarded by
+	// persistMu), and the first background failure.
 	dir           string
 	wals          []*persist.WAL
 	persistMu     sync.Mutex
@@ -193,9 +196,7 @@ type Store struct {
 	// the per-shard queued flags, the queued-or-running count, and the
 	// stop flag; compactCond wakes the compactor when work (or stop)
 	// arrives, idleCond wakes WaitCompactions waiters when the count
-	// drains to zero. requestCompact never drops a request and Close
-	// never races a send — the two liveness holes of the old
-	// channel-based queue.
+	// drains to zero.
 	compactMu      sync.Mutex
 	compactCond    *sync.Cond
 	idleCond       *sync.Cond
@@ -212,9 +213,6 @@ type Store struct {
 	minorMerges  atomic.Uint64
 	majorMerges  atomic.Uint64
 	deltaFreezes atomic.Uint64 // delta fills frozen for a tier flush
-
-	journal *obs.Journal
-	tracer  *obs.Tracer
 }
 
 // shardStats carries one shard's measured read-amplification window
@@ -288,29 +286,8 @@ func New(keys []core.Key, payloads []uint64, cfg Config) (*Store, error) {
 	if cfg.Family == "" {
 		cfg.Family = "PGM"
 	}
-	if cfg.Search == nil {
-		cfg.Search = search.BinarySearch
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = cfg.Shards
-		if ncpu := runtime.NumCPU(); cfg.Workers > ncpu {
-			cfg.Workers = ncpu
-		}
-	}
-	if cfg.CompactThreshold == 0 {
-		cfg.CompactThreshold = DefaultCompactThreshold
-	}
-	normalizeTierConfig(&cfg)
-
-	st := &Store{cfg: cfg}
-	if cfg.BuilderFor != nil {
-		st.builderFor = wrapBuilderFor(cfg.BuilderFor)
-	} else {
-		family := cfg.Family
-		if !registry.Has(family) {
-			return nil, fmt.Errorf("serve: unknown index family %q", family)
-		}
-		st.builderFor = familyBuilderFor(family)
+	if cfg.BuilderFor == nil && !registry.Has(cfg.Family) {
+		return nil, fmt.Errorf("serve: unknown index family %q", cfg.Family)
 	}
 
 	// Partition: shard i starts at the i-th near-equal cut, advanced
@@ -329,60 +306,78 @@ func New(keys []core.Key, payloads []uint64, cfg Config) (*Store, error) {
 		starts = append(starts, s)
 		prev = s
 	}
-	nShards := len(starts)
-	st.seps = make([]core.Key, nShards)
-	st.shards = make([]atomic.Pointer[shardState], nShards)
-	st.writeMu = make([]sync.Mutex, nShards)
-	st.builders = make([]core.Builder, nShards)
-	st.builderIDs = make([]string, nShards)
-
-	// Build shard tables concurrently: builds are independent and the
-	// learned families are CPU-bound.
-	var wg sync.WaitGroup
-	errs := make([]error, nShards)
-	for i := 0; i < nShards; i++ {
-		lo := starts[i]
-		hi := n
-		if i+1 < nShards {
-			hi = starts[i+1]
-		}
-		st.seps[i] = keys[lo]
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			t, err := st.buildShard(i, keys[lo:hi], payloads[lo:hi])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			st.shards[i].Store(&shardState{
-				runs: []*table.Table{t}, runIDs: []string{st.builderIDs[i]}, del: emptyDelta,
-			})
-		}(i, lo, hi)
+	st := newStore(cfg, len(starts))
+	if cfg.BuilderFor != nil {
+		st.builderFor = wrapBuilderFor(cfg.BuilderFor)
+	} else {
+		st.builderFor = familyBuilderFor(cfg.Family)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	for i, lo := range starts {
+		st.seps[i] = keys[lo]
+	}
+	starts = append(starts, n) // shard i owns keys[starts[i]:starts[i+1]]
+	err := st.populate(func(i int) error {
+		lo, hi := starts[i], starts[i+1]
+		return st.buildShard(i, keys[lo:hi], payloads[lo:hi])
+	})
+	if err != nil {
+		return nil, err
 	}
 	st.start()
 	return st, nil
 }
 
-// normalizeTierConfig resolves the tiering defaults (shared by New and
-// Open).
-func normalizeTierConfig(cfg *Config) {
+// populate fills every shard slot, concurrently — shards are
+// independent, index builds CPU-bound and snapshot loads I/O-bound —
+// and returns the shards' errors, joined.
+func (st *Store) populate(fill func(shard int) error) error {
+	var wg sync.WaitGroup
+	errs := make([]error, len(st.shards))
+	for i := range st.shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fill(i)
+		}(i)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// newStore is the one constructor behind New and Open: cfg's zero-valued
+// knobs defaulted, nShards empty shard slots allocated. The caller fills
+// the slots its own way (build, or load and replay) and calls start.
+// The compaction queue is usable from here on — a replayed delta past
+// the threshold queues its shard before the compactor exists, and
+// start's compactor finds the request waiting.
+func newStore(cfg Config, nShards int) *Store {
+	if cfg.Workers <= 0 {
+		cfg.Workers = min(nShards, runtime.NumCPU())
+	}
+	if cfg.CompactThreshold == 0 {
+		cfg.CompactThreshold = DefaultCompactThreshold
+	}
 	if cfg.MaxRuns == 0 {
 		cfg.MaxRuns = DefaultMaxRuns
 	}
 	if cfg.AmpBound == 0 {
 		cfg.AmpBound = DefaultAmpBound
 	}
+	st := &Store{
+		cfg:           cfg,
+		seps:          make([]core.Key, nShards),
+		shards:        make([]atomic.Pointer[shardState], nShards),
+		writeMu:       make([]sync.Mutex, nShards),
+		builders:      make([]core.Builder, nShards),
+		builderIDs:    make([]string, nShards),
+		wals:          make([]*persist.WAL, nShards),
+		compactQueued: make([]bool, nShards),
+		stats:         make([]shardStats, nShards),
+	}
+	st.compactCond = sync.NewCond(&st.compactMu)
+	st.idleCond = sync.NewCond(&st.compactMu)
+	return st
 }
-
-// tiered reports whether flushes may stack tier runs (MaxRuns > 1).
-func (st *Store) tiered() bool { return st.cfg.MaxRuns > 1 }
 
 // familyBuilderFor is the registry-backed shard builder used when no
 // custom BuilderFor is configured: the family's mid-sweep entry, with
@@ -400,22 +395,15 @@ func familyBuilderFor(family string) func(int, []core.Key) (core.Builder, string
 // start launches the worker pool and the background compactor over the
 // already-populated shard array (shared by New and Open).
 func (st *Store) start() {
-	nShards := len(st.shards)
 	st.scratch.New = func() any { return &batchScratch{} }
 	st.jobs = make(chan job)
 	for w := 0; w < st.cfg.Workers; w++ {
 		st.workersWG.Add(1)
 		go st.worker()
 	}
+	st.registerMetrics(st.cfg.Metrics)
 	// One compactor: merges are CPU-bound index rebuilds, and a single
 	// goroutine keeps them off the serving cores; requests queue.
-	st.compactCond = sync.NewCond(&st.compactMu)
-	st.idleCond = sync.NewCond(&st.compactMu)
-	st.compactQueued = make([]bool, nShards)
-	st.stats = make([]shardStats, nShards)
-	st.journal = st.cfg.Journal
-	st.tracer = st.cfg.Tracer
-	st.registerMetrics(st.cfg.Metrics)
 	st.compactWG.Add(1)
 	go st.compactor()
 }
@@ -494,13 +482,10 @@ func (st *Store) windowAmp(i int) (amp float64, ops int64) {
 }
 
 // journalEvent appends one write-path event with the tiering-policy
-// inputs as the compactor saw them. No-op without a journal.
+// inputs as the compactor saw them (a nil journal drops it).
 func (st *Store) journalEvent(i int, kind string, runsBefore, runsAfter, keys int, dur time.Duration) {
-	if st.journal == nil {
-		return
-	}
 	amp, ops := st.windowAmp(i)
-	st.journal.Append(obs.Event{
+	st.cfg.Journal.Append(obs.Event{
 		Shard: i, Kind: kind,
 		RunsBefore: runsBefore, RunsAfter: runsAfter, Keys: keys, Dur: dur,
 		ReadAmp: amp, WindowOps: ops,
@@ -509,21 +494,21 @@ func (st *Store) journalEvent(i int, kind string, runsBefore, runsAfter, keys in
 	})
 }
 
-// buildShard picks (and records) the shard's builder and constructs its
-// table. Only New calls it, where each shard is touched by exactly one
-// goroutine.
-func (st *Store) buildShard(i int, keys []core.Key, payloads []uint64) (*table.Table, error) {
+// buildShard picks (and records) the shard's builder, constructs its
+// table and publishes it as the shard's base run. Only New calls it,
+// where each shard is touched by exactly one goroutine.
+func (st *Store) buildShard(i int, keys []core.Key, payloads []uint64) error {
 	b, id, err := st.builderFor(i, keys)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	st.builders[i] = b
-	st.builderIDs[i] = id
-	t, err := table.Build(b, keys, payloads, st.cfg.Search)
+	st.builders[i], st.builderIDs[i] = b, id
+	t, err := table.Build(b, keys, payloads, search.BinarySearch)
 	if err != nil {
-		return nil, fmt.Errorf("serve: shard %d: %w", i, err)
+		return fmt.Errorf("serve: shard %d: %w", i, err)
 	}
-	return t, nil
+	st.shards[i].Store(&shardState{runs: []*table.Table{t}, runIDs: []string{id}, del: emptyDelta})
+	return nil
 }
 
 func (st *Store) worker() {
@@ -566,13 +551,8 @@ func (st *Store) noteReads(i, probes, ops int) {
 // amplification since its last merge exceeds the configured bound
 // (with at least ampMinWindow lookups of evidence).
 func (st *Store) ampWindowExceeded(i int) bool {
-	ss := &st.stats[i]
-	ops := ss.ops.Load() - ss.ops0.Load()
-	if ops < ampMinWindow {
-		return false
-	}
-	probes := ss.probes.Load() - ss.probes0.Load()
-	return float64(probes) > st.cfg.AmpBound*float64(ops)
+	amp, ops := st.windowAmp(i)
+	return ops >= ampMinWindow && amp > st.cfg.AmpBound
 }
 
 // resetAmpWindow re-bases shard i's amplification window after a merge
@@ -783,7 +763,7 @@ func (st *Store) Shard(i int) *table.Table { return st.shards[i].Load().base() }
 // run-probe phases; every other request pays one atomic add (sp is nil
 // then, and Span methods are nil-safe).
 func (st *Store) Get(key core.Key) (uint64, bool) {
-	sp := st.tracer.Sample()
+	sp := st.cfg.Tracer.Sample()
 	i := st.shardOf(key)
 	sp.Mark(obs.PhaseShardRoute)
 	s := st.shards[i].Load()
@@ -800,98 +780,93 @@ func (st *Store) Get(key core.Key) (uint64, bool) {
 // returns; it lands in the shard's delta buffer and is flushed or
 // merged into the shard's run set by a later compaction.
 func (st *Store) Put(key core.Key, payload uint64) {
-	st.write(key, payload, false)
+	st.write(persist.Op{Key: key, Val: payload})
 }
 
 // Delete removes key. Deleting an absent key is a no-op that still
 // costs a tombstone until the next major merge.
 func (st *Store) Delete(key core.Key) {
-	st.write(key, 0, true)
+	st.write(persist.Op{Key: key, Tomb: true})
 }
 
-func (st *Store) write(key core.Key, payload uint64, tomb bool) {
+// write is the gate in front of commit for direct writes: a read-only
+// replica refuses them (the network front end rejects them earlier with
+// an explicit error; this drop counter catches in-process callers).
+func (st *Store) write(op persist.Op) {
 	if st.readOnly.Load() {
-		// A read-only replica refuses direct writes (the network front
-		// end rejects them earlier with an explicit error; this drop
-		// counter catches in-process callers).
 		st.readOnlyDrops.Add(1)
 		return
 	}
-	i := st.shardOf(key)
-	st.writeMu[i].Lock()
-	// WAL-before-state: the record must be on its way to disk before
-	// any reader can observe the write, or a crash could lose an
-	// acknowledged update. WAL failures (disk full, dead device) are
-	// stashed rather than dropped: the write stays visible in memory
-	// and PersistErr reports the store's durability is degraded.
-	op := persist.Op{Key: key, Val: payload, Tomb: tomb}
-	if st.wals != nil && st.wals[i] != nil {
-		if err := st.wals[i].Append(op); err != nil {
-			st.notePersistErr(err)
-		} else if st.cfg.SyncWrites {
-			if err := st.wals[i].Sync(); err != nil {
-				st.notePersistErr(err)
-			}
-		}
-	}
-	s := st.shards[i].Load()
-	ns := &shardState{runs: s.runs, runIDs: s.runIDs, del: s.del.with(key, payload, tomb), frozen: s.frozen}
-	st.shards[i].Store(ns)
-	if st.cfg.WriteHook != nil {
-		st.cfg.WriteHook(i, op)
-	}
-	trigger := st.cfg.CompactThreshold > 0 &&
-		ns.del.len() >= st.cfg.CompactThreshold && ns.frozen == nil
-	st.writeMu[i].Unlock()
-	if trigger {
-		st.requestCompact(i)
-	}
+	st.commit(st.shardOf(op.Key), []persist.Op{op}, st.cfg.WriteHook)
 }
 
 // Apply lands a batch of replicated ops on shard i, in op order with
 // last-write-wins semantics — the follower half of the replication
 // stream. It bypasses the read-only gate (it IS the write path of a
-// read-only replica) and fires no WriteHook (a replica does not
-// re-stream what it was streamed). Every op is WAL-appended first on
-// an attached store, then the whole batch is folded into the shard's
-// delta with one copy-on-write publish. Ops must route to shard i.
+// read-only replica) and passes commit no hook (a replica does not
+// re-stream what it was streamed). Ops must route to shard i.
 func (st *Store) Apply(i int, ops []persist.Op) error {
 	if i < 0 || i >= len(st.shards) {
 		return fmt.Errorf("serve: no shard %d", i)
-	}
-	if len(ops) == 0 {
-		return nil
 	}
 	for _, op := range ops {
 		if st.shardOf(op.Key) != i {
 			return fmt.Errorf("serve: apply: key %d routes to shard %d, not %d", op.Key, st.shardOf(op.Key), i)
 		}
 	}
+	if len(ops) > 0 {
+		st.commit(i, ops, nil)
+	}
+	return nil
+}
+
+// commit is the store's one mutation: it lands ops, which must all
+// route to shard i, in op order as a single state change. Put, Delete,
+// Apply and Open's WAL replay all end here.
+func (st *Store) commit(i int, ops []persist.Op, hook func(shard int, op persist.Op)) {
 	st.writeMu[i].Lock()
-	if st.wals != nil && st.wals[i] != nil {
+	// WAL-before-state: the records must be on their way to disk before
+	// any reader can observe the writes, or a crash could lose an
+	// acknowledged update. A WAL failure (disk full, dead device) stops
+	// the logging of this batch — no sync of a log with a hole in it —
+	// and is stashed rather than dropped: the writes stay visible in
+	// memory and PersistErr reports that durability is degraded.
+	if w := st.wals[i]; w != nil {
+		var err error
 		for _, op := range ops {
-			if err := st.wals[i].Append(op); err != nil {
-				st.notePersistErr(err)
+			if err = w.Append(op); err != nil {
 				break
 			}
 		}
-		if st.cfg.SyncWrites {
-			if err := st.wals[i].Sync(); err != nil {
-				st.notePersistErr(err)
-			}
+		if err == nil && st.cfg.SyncWrites {
+			err = w.Sync()
+		}
+		if err != nil {
+			st.notePersistErr(err)
 		}
 	}
 	s := st.shards[i].Load()
-	// The batch is newer than everything pending: overlay it on top.
-	ns := &shardState{runs: s.runs, runIDs: s.runIDs, del: s.del.overlay(deltaFromOps(ops)), frozen: s.frozen}
+	ns := &shardState{runs: s.runs, runIDs: s.runIDs, del: s.del.apply(ops), frozen: s.frozen}
 	st.shards[i].Store(ns)
-	trigger := st.cfg.CompactThreshold > 0 &&
-		ns.del.len() >= st.cfg.CompactThreshold && ns.frozen == nil
+	// The hook runs under the lock so that one shard's invocations arrive
+	// in the order its writes took effect.
+	if hook != nil {
+		for _, op := range ops {
+			hook(i, op)
+		}
+	}
 	st.writeMu[i].Unlock()
-	if trigger {
+	if st.overThreshold(ns) {
 		st.requestCompact(i)
 	}
-	return nil
+}
+
+// overThreshold reports whether s's active delta is due for the
+// background compactor: compaction on, the threshold reached, and no
+// round in flight on the shard (the compactor asks again when that one
+// publishes).
+func (st *Store) overThreshold(s *shardState) bool {
+	return st.cfg.CompactThreshold > 0 && s.frozen == nil && s.del.len() >= st.cfg.CompactThreshold
 }
 
 // SetReadOnly flips the store's replica gate: while set, Put and
@@ -953,8 +928,9 @@ func (st *Store) WaitCompactions() {
 // past the threshold during its own compaction is re-compacted in
 // place. On stop the queue is drained before exit, so every accepted
 // request completes and WaitCompactions waiters are always released.
-// Rebuild errors fold the delta back and stop the loop for that
-// request; see compactShard.
+// A failed round has folded the delta back (see compactShard); its
+// error goes to PersistErr and ends that request — the shard's next
+// write past the threshold queues it again.
 func (st *Store) compactor() {
 	defer st.compactWG.Done()
 	st.compactMu.Lock()
@@ -973,11 +949,10 @@ func (st *Store) compactor() {
 
 		for {
 			if err := st.compactShard(i, false); err != nil {
+				st.notePersistErr(err)
 				break
 			}
-			s := st.shards[i].Load()
-			if st.cfg.CompactThreshold <= 0 || s.frozen != nil ||
-				s.del.len() < st.cfg.CompactThreshold {
+			if !st.overThreshold(st.shards[i].Load()) {
 				break
 			}
 		}
@@ -992,49 +967,53 @@ func (st *Store) compactor() {
 
 // compactShard runs one compaction round on shard i: freeze the active
 // delta (writes continue into a fresh one, readers continue on the
-// frozen snapshot), then off the write lock either flush it into a new
-// tier run, consolidate runs per the tiering policy, or — under force,
-// the Compact path — merge everything into a single freshly indexed
-// base run; finally publish the new run set with one pointer swap. A
-// shard already being compacted is a no-op, as is a clean single-run
-// shard. Freezing is what marks the shard as being compacted (writes
-// carry the frozen delta along, and nothing else clears it), so the
-// state loaded at publish time is the frozen one plus the writes that
-// arrived meanwhile; a merge-only compaction (read amplification or
-// force over a clean delta) freezes the empty delta.
+// frozen snapshot), take the merge steps the tiering policy asks for
+// off the write lock (buildCompacted), and publish the new run set with
+// one pointer swap. force is the Compact entry; all it does is set the
+// round's run bound to 1, the policy value under which a round merges
+// everything into a single freshly indexed, tombstone-free base run. A
+// shard already being compacted is a no-op, as is one with nothing
+// pending and nothing for the policy to merge. Freezing is what marks
+// the shard as being compacted (writes carry the frozen delta along,
+// and nothing else clears it), so the state loaded at publish time is
+// the frozen one plus the writes that arrived meanwhile; a merge-only
+// round (read amplification or force over a clean delta) freezes the
+// empty delta.
 func (st *Store) compactShard(i int, force bool) error {
+	maxRuns := max(st.cfg.MaxRuns, 1)
+	if force {
+		maxRuns = 1
+	}
 	st.writeMu[i].Lock()
 	s := st.shards[i].Load()
-	// A clean shard is still compactable when the tiering policy has
-	// work pending: a run count over the bound, or a read-amp trigger
-	// (the merge-only compaction a pure read load can queue).
-	policyPending := st.tiered() && len(s.runs) > 1 &&
-		(len(s.runs) > st.cfg.MaxRuns || st.ampWindowExceeded(i))
-	if s.frozen != nil || (s.del.len() == 0 && (!force || s.single()) && !policyPending) {
+	// A clean shard still has work when it holds more runs than the
+	// bound allows or a read-amp trigger is up — the merge-only round a
+	// pure read load can queue.
+	mergeDue := len(s.runs) > maxRuns || (len(s.runs) > 1 && st.ampWindowExceeded(i))
+	if s.frozen != nil || (s.del.len() == 0 && !mergeDue) {
 		st.writeMu[i].Unlock()
 		return nil
 	}
 	frozen := s.del
-	if !force && st.tiered() && frozen.len() > 0 {
+	if maxRuns > 1 && frozen.len() > 0 {
 		// A delta fill handed to the flusher: the independent end of the
 		// flushes==freezes conservation law the serve-obs experiment (and
 		// metriclint) holds the write path to.
 		st.deltaFreezes.Add(1)
 	}
 	st.shards[i].Store(&shardState{runs: s.runs, runIDs: s.runIDs, del: emptyDelta, frozen: frozen})
-	builder := st.builders[i]
-	builderID := st.builderIDs[i]
+	rs := runSet{runs: s.runs, runIDs: s.runIDs, builder: st.builders[i], builderID: st.builderIDs[i]}
 	st.writeMu[i].Unlock()
 
 	start := time.Now()
-	res, err := st.buildCompacted(i, s, frozen, builder, builderID, force)
+	res, err := st.buildCompacted(i, rs, frozen, maxRuns)
 
 	st.writeMu[i].Lock()
 	s2 := st.shards[i].Load()
 	if err != nil {
 		// Rebuild failed: fold the frozen delta back under the writes
 		// that arrived meanwhile so nothing is lost.
-		st.shards[i].Store(&shardState{runs: s2.runs, runIDs: s2.runIDs, del: frozen.overlay(s2.del)})
+		st.shards[i].Store(&shardState{runs: s2.runs, runIDs: s2.runIDs, del: s2.pendingDelta()})
 		st.writeMu[i].Unlock()
 		return fmt.Errorf("serve: compact shard %d: %w", i, err)
 	}
@@ -1042,8 +1021,8 @@ func (st *Store) compactShard(i int, force bool) error {
 	st.builderIDs[i] = res.builderID // keeps the manifest codec tag tracking re-tunes
 	st.shards[i].Store(&shardState{runs: res.runs, runIDs: res.runIDs, del: s2.del})
 	st.writeMu[i].Unlock()
-	if res.merged {
-		st.resetAmpWindow(i)
+	if len(res.runs) <= len(s.runs) {
+		st.resetAmpWindow(i) // a merge, not only a flush, changed the run structure
 	}
 	st.compactions.Add(1)
 	st.compactNs.Add(time.Since(start).Nanoseconds())
@@ -1060,111 +1039,102 @@ func (st *Store) compactShard(i int, force bool) error {
 	return nil
 }
 
-// compactResult is the outcome of a compaction's off-lock build phase.
-type compactResult struct {
+// runSet is a shard's runs and the builder of its base run, as a
+// compaction round carries them from step to step off the write lock.
+type runSet struct {
 	runs      []*table.Table
 	runIDs    []string
 	builder   core.Builder
 	builderID string
-	merged    bool // run structure shrank (minor or major): re-base the amp window
 }
 
-// buildCompacted performs a compaction's heavy lifting off the shard's
-// write lock: flush the frozen delta to a tier run, and when the
-// tiering policy (run count or measured read amplification over the
-// bound) demands it, consolidate — a minor merge folds the upper tier
-// runs into one tombstone-carrying run and leaves the base index
-// untouched, a major merge rewrites the whole shard and re-tunes its
-// index. Under force (or with tiering disabled) it always majors: the
-// Compact contract is a fully merged, tombstone-free single run.
-func (st *Store) buildCompacted(i int, s *shardState, frozen *delta, builder core.Builder, builderID string, force bool) (compactResult, error) {
-	runs, runIDs := s.runs, s.runIDs
-	if !force && st.tiered() {
+// buildCompacted is the tiering policy: which merge steps a round takes
+// over run set rs and the frozen delta, under run bound maxRuns. Tiered
+// (maxRuns > 1), a non-empty frozen delta is flushed into a run of its
+// own, and only when that leaves the shard over the bound — in run
+// count or in measured read amplification — does one consolidation
+// follow, from the run chooseMajor picks: minor keeps the base and its
+// tuned index, major rewrites the shard. Untiered, the one step is the
+// major, frozen delta included.
+func (st *Store) buildCompacted(i int, rs runSet, frozen *delta, maxRuns int) (runSet, error) {
+	from := 0
+	if maxRuns > 1 {
 		if frozen.len() > 0 {
-			t0 := time.Now()
-			fr, fid, err := st.buildTierRun(builderID, frozen.keys, frozen.vals, frozen.tombs)
-			if err != nil {
-				return compactResult{}, err
+			var err error
+			if rs, err = st.mergeTop(i, rs, len(rs.runs), frozen); err != nil {
+				return rs, err
 			}
-			ewmaUpdate(&st.stats[i].minorNsPerKey, float64(time.Since(t0).Nanoseconds())/float64(frozen.len()))
-			runs = append(append([]*table.Table{}, runs...), fr)
-			runIDs = append(append([]string{}, runIDs...), fid)
-			st.flushes.Add(1)
-			st.journalEvent(i, "flush", len(s.runs), len(runs), frozen.len(), time.Since(t0))
+			frozen = emptyDelta
 		}
-		if len(runs) <= st.cfg.MaxRuns && !st.ampWindowExceeded(i) {
-			return compactResult{runs: runs, runIDs: runIDs, builder: builder, builderID: builderID}, nil
+		if len(rs.runs) <= maxRuns && !st.ampWindowExceeded(i) {
+			return rs, nil
 		}
-		if !st.chooseMajor(i, runs) {
-			layers := make([]mergeLayer, 0, len(runs)-1)
-			for _, t := range runs[1:] {
-				layers = append(layers, runLayer(t))
-			}
-			t0 := time.Now()
-			k, v, tb := mergeLayers(layers, false)
-			mr, mid, err := st.buildTierRun(builderID, k, v, tb)
-			if err != nil {
-				return compactResult{}, err
-			}
-			if len(k) > 0 {
-				ewmaUpdate(&st.stats[i].minorNsPerKey, float64(time.Since(t0).Nanoseconds())/float64(len(k)))
-			}
-			st.minorMerges.Add(1)
-			st.journalEvent(i, "minor", len(runs), 2, len(k), time.Since(t0))
-			return compactResult{
-				runs:    []*table.Table{runs[0], mr},
-				runIDs:  []string{runIDs[0], mid},
-				builder: builder, builderID: builderID, merged: true,
-			}, nil
+		if !st.chooseMajor(i, rs.runs) {
+			from = 1
 		}
-		// Major path below merges the runs (the flush above already
-		// absorbed the frozen delta into the newest run).
-		frozen = emptyDelta
 	}
+	return st.mergeTop(i, rs, from, frozen)
+}
 
-	// Major merge: every run plus the frozen delta into one
-	// tombstone-free base run with a freshly built (for learned
-	// families re-tuned) index.
-	layers := make([]mergeLayer, 0, len(runs)+1)
-	for _, t := range runs {
+// mergeTop is the one compaction step: merge rs.runs[from:] and the
+// frozen delta into a single run that replaces them. Where from points
+// is all that tells the three kinds apart. from == len(runs) merges the
+// delta alone — a flush, which stacks a tier run. from == 0 takes every
+// run — a major: nothing older is left to shadow, so tombstones drop,
+// and the result is the new base run under a full (for learned
+// families re-tuned) index. Anything between is a minor: tombstones
+// are carried, since they still shadow the runs below, and the result
+// gets the family's cheap tier index like a flush.
+func (st *Store) mergeTop(i int, rs runSet, from int, frozen *delta) (runSet, error) {
+	kind, count, nsPerKey := "minor", &st.minorMerges, &st.stats[i].minorNsPerKey
+	switch from {
+	case 0:
+		kind, count, nsPerKey = "major", &st.majorMerges, &st.stats[i].majorNsPerKey
+	case len(rs.runs):
+		kind, count = "flush", &st.flushes // priced with the minors: same builder, same kind of run
+	}
+	layers := make([]mergeLayer, 0, len(rs.runs)-from+1)
+	for _, t := range rs.runs[from:] {
 		layers = append(layers, runLayer(t))
 	}
 	layers = append(layers, deltaLayer(frozen))
 	t0 := time.Now()
-	keys, vals, _ := mergeLayers(layers, true)
+	keys, vals, tombs := mergeLayers(layers, from == 0)
+	out := rs
 	var nt *table.Table
+	var id string
 	var err error
-	if len(keys) == 0 {
-		nt = table.Empty(st.cfg.Search)
-	} else {
+	switch {
+	case from > 0:
+		nt, id, err = st.buildTierRun(rs.builderID, keys, vals, tombs)
+	case len(keys) == 0:
+		nt, id = table.Empty(search.BinarySearch), rs.builderID
+	default:
 		// Learned families re-tune for the merged key set via their
 		// registry rebuild hook; everyone else reuses the shard's
 		// builder. A warm-opened shard has no builder value yet — its
 		// codec tag names the catalog entry to resolve lazily, here at
-		// first compaction rather than at Open, so warm loads never
-		// pay a training cost up front.
-		var b core.Builder
-		var id string
-		b, id, err = resolveRebuild(builder, builderID, keys)
-		if err == nil {
-			nt, err = table.Build(b, keys, vals, st.cfg.Search)
-			if err == nil {
-				builder, builderID = b, id
-			}
+		// first major rather than at Open, so warm loads never pay a
+		// training cost up front.
+		if out.builder, id, err = resolveRebuild(rs.builder, rs.builderID, keys); err == nil {
+			nt, err = table.Build(out.builder, keys, vals, search.BinarySearch)
+			out.builderID = id
 		}
 	}
 	if err != nil {
-		return compactResult{}, err
+		return rs, err
 	}
+	dur := time.Since(t0)
 	if len(keys) > 0 {
-		ewmaUpdate(&st.stats[i].majorNsPerKey, float64(time.Since(t0).Nanoseconds())/float64(len(keys)))
+		ewmaUpdate(nsPerKey, float64(dur.Nanoseconds())/float64(len(keys)))
 	}
-	st.majorMerges.Add(1)
-	st.journalEvent(i, "major", len(runs), 1, len(keys), time.Since(t0))
-	return compactResult{
-		runs: []*table.Table{nt}, runIDs: []string{builderID},
-		builder: builder, builderID: builderID, merged: true,
-	}, nil
+	count.Add(1)
+	st.journalEvent(i, kind, len(rs.runs), from+1, len(keys), dur)
+	// Three-index slices: the appends copy, never write into the arrays
+	// the published shard state still holds.
+	out.runs = append(rs.runs[:from:from], nt)
+	out.runIDs = append(rs.runIDs[:from:from], id)
+	return out, nil
 }
 
 // chooseMajor decides a triggered consolidation's destination: fold
@@ -1193,7 +1163,8 @@ func (st *Store) chooseMajor(i int, runs []*table.Table) bool {
 	ss := &st.stats[i]
 	majorNs := ewmaLoad(&ss.majorNsPerKey) * float64(total)
 	minorNs := ewmaLoad(&ss.minorNsPerKey) * float64(upper)
-	saved := float64(ss.ops.Load()-ss.ops0.Load()) * probeNsEstimate
+	_, windowOps := st.windowAmp(i)
+	saved := float64(windowOps) * probeNsEstimate
 	return majorNs-minorNs <= saved
 }
 
@@ -1202,11 +1173,11 @@ func (st *Store) chooseMajor(i int, runs []*table.Table) bool {
 // coarse learned bound, never the full per-base tuning.
 func (st *Store) buildTierRun(builderID string, keys []core.Key, vals []uint64, tombs []bool) (*table.Table, string, error) {
 	if len(keys) == 0 {
-		return table.Empty(st.cfg.Search), "BS", nil
+		return table.Empty(search.BinarySearch), "BS", nil
 	}
 	family, _ := registry.ParseID(builderID)
 	nb, id := registry.TierBuilder(family, keys)
-	t, err := table.BuildTombed(nb.Builder, keys, vals, tombs, st.cfg.Search)
+	t, err := table.BuildTombed(nb.Builder, keys, vals, tombs, search.BinarySearch)
 	if err != nil {
 		return nil, "", err
 	}
@@ -1297,7 +1268,7 @@ func (st *Store) getBatchInto(keys []core.Key, out []uint64, fbits []bool) int {
 	}
 	// One sampling decision per batch: a traced batch records its
 	// route/probe/merge phases, every other batch pays one atomic add.
-	sp := st.tracer.Sample()
+	sp := st.cfg.Tracer.Sample()
 	nShards := len(st.shards)
 	s := st.scratch.Get().(*batchScratch)
 	s.ensure(n, nShards)

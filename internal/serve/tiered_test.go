@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -370,6 +371,134 @@ func TestTieredMixedRace(t *testing.T) {
 	if st.Len() != len(keys)+len(inserts) {
 		t.Fatalf("Len = %d, want %d", st.Len(), len(keys)+len(inserts))
 	}
+}
+
+// failingBuilder builds through inner except on its failAt-th Build
+// (counted from 1 across the store), which announces itself on
+// entered, waits for gate, and fails.
+type failingBuilder struct {
+	inner   core.Builder
+	calls   *atomic.Int64
+	failAt  int64
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+var errInjectedBuild = errors.New("injected index build failure")
+
+func (b failingBuilder) Build(keys []core.Key) (core.Index, error) {
+	if b.calls.Add(1) == b.failAt {
+		close(b.entered)
+		<-b.gate
+		return nil, errInjectedBuild
+	}
+	return b.inner.Build(keys)
+}
+
+func (b failingBuilder) Name() string { return b.inner.Name() }
+
+// TestFailedBackgroundRebuildFoldsBackAndReports: a background round
+// whose index rebuild fails must lose nothing and must not stay silent.
+// The failing Build is held on a gate until writes have landed on top
+// of the frozen delta, so the fold-back merges a non-empty frozen delta
+// under a non-empty active one; the writers keep going throughout.
+// Afterwards every write reads back against the writers' own record, no
+// frozen delta is left behind, PersistErr names the failure, and with
+// the builder healthy again the next round drains the delta.
+func TestFailedBackgroundRebuildFoldsBackAndReports(t *testing.T) {
+	keys, payloads := testData(t, 4000)
+	fb := failingBuilder{
+		calls: &atomic.Int64{}, failAt: 3, // 1 is New's build, 2 a healthy round
+		entered: make(chan struct{}), gate: make(chan struct{}),
+	}
+	st, err := New(keys, payloads, Config{
+		Shards: 1, CompactThreshold: 32, MaxRuns: 1,
+		BuilderFor: func(_ int, ks []core.Key) (core.Builder, error) {
+			nb, _ := registry.Builder("RBS", ks) // no rebuild hook: rounds reuse this builder
+			fb.inner = nb.Builder
+			return fb, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	const writers = 2
+	inserts := dataset.InsertKeys(keys, 400, 23)
+	wrote := make([]map[core.Key]uint64, writers) // key -> last payload; absent once deleted
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	// Deferred so that a failed assertion cannot leave Close waiting on a
+	// parked compactor: the gate opens first, then the writers stop.
+	stopWriters := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopWriters()
+	release := sync.OnceFunc(func() { close(fb.gate) })
+	defer release()
+	for c := 0; c < writers; c++ {
+		wrote[c] = map[core.Key]uint64{}
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := inserts[(n*writers+c)%len(inserts)] // residue c: this writer's keys only
+				if n%5 == 4 {
+					st.Delete(k)
+					delete(wrote[c], k)
+				} else {
+					st.Put(k, uint64(n)<<8|uint64(c))
+					wrote[c][k] = uint64(n)<<8 | uint64(c)
+				}
+			}
+		}(c)
+	}
+	select {
+	case <-fb.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the compactor never reached its third build")
+	}
+	// The round is parked with its delta frozen; the writers are not, so
+	// the active delta fills.
+	deadline := time.Now().Add(10 * time.Second)
+	for st.shards[0].Load().del.len() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no write landed on top of the frozen delta")
+		}
+		runtime.Gosched()
+	}
+	if f := st.shards[0].Load().frozen; f == nil || f.len() == 0 {
+		t.Fatal("no frozen delta while the rebuild is parked")
+	}
+	release()
+	stopWriters()
+	st.WaitCompactions() // the failed request has ended, whatever followed it too
+	if err := st.PersistErr(); !errors.Is(err, errInjectedBuild) {
+		t.Fatalf("PersistErr = %v, want the failed rebuild", err)
+	}
+	// The writers stopped wherever they were; one more write makes sure
+	// a delta left over the threshold by the fold-back is queued again.
+	st.Put(inserts[0], 7)
+	wrote[0][inserts[0]] = 7
+	waitDrained(t, st)
+	if fb.calls.Load() <= fb.failAt {
+		t.Fatal("no round ran after the failed one")
+	}
+
+	oracle := make(map[core.Key]uint64, len(keys)+len(inserts))
+	for i, k := range keys {
+		oracle[k] = payloads[i]
+	}
+	for _, m := range wrote {
+		for k, v := range m {
+			oracle[k] = v
+		}
+	}
+	checkOracle(t, st, oracle, append(append([]core.Key{}, keys...), inserts...), "after the failed round")
 }
 
 // gatedBuilder wraps a real builder and, while armed, parks every
