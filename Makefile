@@ -63,13 +63,16 @@ obs-smoke:
 # (serve includes the snapshot/restore map-oracle suite; net runs
 # concurrent clients against the server with compactions and a
 # snapshot racing the traffic; obs scrapes a registry while recorders
-# hammer it; repl streams a primary into followers killed mid-flight).
+# hammer it; repl streams a primary into followers killed mid-flight;
+# dataset and load fill their streams from one goroutine per CPU).
 # The warm-restart test runs ten more times: it is the one that caught
 # a follower publishing its position before the batch was readable,
-# and then only two times in ten.
+# and then only two times in ten. So do the stream generators' tests at
+# GOMAXPROCS 1, 2, 3 and 8: where the chunks fall depends on the count.
 race:
-	$(GO) test -race ./internal/serve/ ./internal/table/ ./internal/stats/ ./internal/load/ ./internal/persist/ ./internal/net/ ./internal/obs/ ./internal/repl/
+	$(GO) test -race ./internal/serve/ ./internal/table/ ./internal/stats/ ./internal/load/ ./internal/persist/ ./internal/net/ ./internal/obs/ ./internal/repl/ ./internal/dataset/
 	$(GO) test -race -count=10 -run TestFollowerWarmRestart ./internal/repl/
+	$(GO) test -race -count=10 -run SameUnderGOMAXPROCS ./internal/dataset/ ./internal/load/
 
 # serve prints the serving-layer experiment at a quick scale.
 serve:

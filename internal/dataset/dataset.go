@@ -275,12 +275,7 @@ func dedupeInPlaceFill(r *rng, keys []core.Key, lo, hi uint64) {
 // Lookups samples m lookup keys uniformly from keys (with repetition),
 // matching the paper's workload of random lookups of present keys.
 func Lookups(keys []core.Key, m int, seed uint64) []core.Key {
-	r := newRNG(seed ^ 0x100C)
-	out := make([]core.Key, m)
-	for i := range out {
-		out[i] = keys[r.intn(len(keys))]
-	}
-	return out
+	return sample(keys, m, newRNG(seed^0x100C), uniform(len(keys)))
 }
 
 // AbsentLookups samples m lookup keys that are not present in keys by
@@ -306,9 +301,12 @@ func AbsentLookups(keys []core.Key, m int, seed uint64) []core.Key {
 func Payloads(n int, seed uint64) []uint64 {
 	r := newRNG(seed ^ 0x9A71)
 	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.next()
-	}
+	chunks(n, func(lo, hi int) {
+		r := r.at(lo)
+		for i := lo; i < hi; i++ {
+			out[i] = r.next()
+		}
+	})
 	return out
 }
 

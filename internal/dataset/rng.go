@@ -1,6 +1,10 @@
 package dataset
 
-import "math"
+import (
+	"math"
+	"runtime"
+	"sync"
+)
 
 // rng is a small deterministic PRNG (splitmix64 core) used by all
 // generators so that datasets and workloads are reproducible across
@@ -11,9 +15,34 @@ type rng struct {
 
 func newRNG(seed uint64) *rng { return &rng{state: seed} }
 
+// gamma is splitmix64's increment. The state is a counter, which makes
+// every stream splittable: draw k needs none of the draws before it.
+const gamma = 0x9E3779B97F4A7C15
+
+// at returns the generator k draws ahead of r.
+func (r *rng) at(k int) *rng { return &rng{state: r.state + uint64(k)*gamma} }
+
+// chunks cuts [0, m) into one contiguous range per CPU, runs fn on all
+// of them at once and returns when the last is done. What a stream
+// holds must not depend on where the cuts fall: fn derives everything
+// it needs from lo.
+func chunks(m int, fn func(lo, hi int)) {
+	p := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for c := 1; c < p; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(c*m/p, (c+1)*m/p)
+		}()
+	}
+	fn(0, m/p)
+	wg.Wait()
+}
+
 // next returns the next 64 random bits (splitmix64).
 func (r *rng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -31,7 +60,9 @@ func (r *rng) intn(n int) int {
 }
 
 // norm returns a standard normal variate via Box–Muller. It wastes the
-// second variate for simplicity; generators are not hot paths.
+// second variate (keeping it would change every key set), and how many
+// draws it takes depends on the draws (u1 == 0 is drawn again): the
+// key-set generators built on it cannot jump ahead and stay sequential.
 func (r *rng) norm() float64 {
 	u1 := r.float64()
 	for u1 == 0 {

@@ -20,17 +20,36 @@ import (
 // in (0, 1); theta <= 0 degrades to the uniform distribution.
 func ZipfLookups(keys []core.Key, m int, theta float64, seed uint64) []core.Key {
 	r := newRNG(seed ^ 0x21BF)
-	out := make([]core.Key, m)
 	if theta <= 0 || len(keys) < 2 {
-		for i := range out {
-			out[i] = keys[r.intn(len(keys))]
+		return sample(keys, m, r, uniform(len(keys)))
+	}
+	return sample(keys, m, r, newZipf(len(keys), theta, r).next)
+}
+
+// uniform draws positions in [0, n), one draw each.
+func uniform(n int) func(*rng) int { return func(r *rng) int { return r.intn(n) } }
+
+// sample returns the m keys at the positions draw yields, draw taking
+// one draw of r per position. Every CPU fills one chunk of the stream
+// from its own generator, jumped to the chunk's first draw. Within a
+// chunk a block of positions is drawn before its keys are fetched: the
+// fetches miss the cache, and back to back they overlap, where one
+// between two draws would wait behind the arithmetic of a draw.
+func sample(keys []core.Key, m int, r *rng, draw func(*rng) int) []core.Key {
+	out := make([]core.Key, m)
+	chunks(m, func(lo, hi int) {
+		r := r.at(lo)
+		var idx [256]int
+		for ; lo < hi; lo += len(idx) {
+			block := out[lo:min(lo+len(idx), hi)]
+			for i := range block {
+				idx[i] = draw(r)
+			}
+			for i := range block {
+				block[i] = keys[idx[i]]
+			}
 		}
-		return out
-	}
-	z := newZipf(len(keys), theta, r)
-	for i := range out {
-		out[i] = keys[z.next()]
-	}
+	})
 	return out
 }
 
@@ -39,7 +58,6 @@ func ZipfLookups(keys []core.Key, m int, theta float64, seed uint64) []core.Key 
 // stateless hash so rank 0 (the hottest key) lands at a pseudo-random
 // position rather than the smallest key.
 type zipf struct {
-	r        *rng
 	n        int
 	alpha    float64
 	zetan    float64
@@ -52,29 +70,39 @@ type zipf struct {
 // math.Pow calls that every stream over one key set would repeat.
 var zetaMemo sync.Map
 
+// zeta computes the terms on every CPU and adds them on one, in index
+// order: a float sum depends on its order, and ζ must be the same to
+// the last bit on any machine. The terms are garbage on return.
 func zeta(n int, theta float64) float64 {
 	key := [2]float64{float64(n), theta}
 	if v, ok := zetaMemo.Load(key); ok {
 		return v.(float64)
 	}
+	terms := make([]float64, n)
+	chunks(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			terms[i] = 1 / math.Pow(float64(i+1), theta)
+		}
+	})
 	var sum float64
-	for i := 1; i <= n; i++ {
-		sum += 1 / math.Pow(float64(i), theta)
+	for _, t := range terms {
+		sum += t
 	}
 	zetaMemo.Store(key, sum)
 	return sum
 }
 
 func newZipf(n int, theta float64, r *rng) *zipf {
-	z := &zipf{r: r, n: n, scramble: r.next(), zetan: zeta(n, theta)}
+	z := &zipf{n: n, scramble: r.next(), zetan: zeta(n, theta)}
 	z.alpha = 1 / (1 - theta)
 	z.zeta2 = 1 + math.Pow(0.5, theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
 }
 
-func (z *zipf) next() int {
-	u := z.r.float64()
+// next draws one rank with one draw of r.
+func (z *zipf) next(r *rng) int {
+	u := r.float64()
 	uz := u * z.zetan
 	var rank int
 	switch {
@@ -106,29 +134,48 @@ func InsertKeys(keys []core.Key, m int, seed uint64) []core.Key {
 	r := newRNG(seed ^ 0x1453)
 	seen := newU64Set(m)
 	out := make([]core.Key, 0, m)
+	// A candidate is two draws — a gap, an offset into it — unless its
+	// gap is < 2, which ends it after the first. A block of candidates is
+	// drawn as if all took two, so that their gaps can be fetched together
+	// and the set probed back to back (as genOSM does); the first short gap
+	// ends the block, and the generator resumes one draw after it, where a
+	// one-at-a-time loop would be. The rest of that block's draws are
+	// wasted, which is cheap only while short gaps are rare, as they are
+	// in every dataset.
+	var idx [256]int
+	var cand [256]uint64
 	for len(out) < m {
-		i := r.intn(len(keys))
-		var gap uint64
-		if i+1 < len(keys) {
-			gap = keys[i+1] - keys[i]
-		} else {
-			gap = 1 << 16 // past the max key: open-ended gap
+		start, n := *r, len(idx)
+		for j := range idx {
+			idx[j], cand[j] = r.intn(len(keys)), r.next()
 		}
-		if gap < 2 {
-			continue
-		}
-		k := keys[i] + 1 + r.next()%(gap-1)
-		if k < keys[i] {
-			continue // wrapped past the top of the key space
-		}
-		if i+1 == len(keys) {
-			// Only the open-ended last gap can reach a present key.
-			if pos := core.LowerBound(keys, k); pos < len(keys) && keys[pos] == k {
-				continue
+		for j, i := range idx {
+			gap := uint64(1 << 16) // past the max key: open-ended gap
+			if i+1 < len(keys) {
+				gap = keys[i+1] - keys[i]
 			}
+			if gap < 2 {
+				r, n = start.at(2*j+1), j
+				break
+			}
+			cand[j] = keys[i] + 1 + cand[j]%(gap-1)
 		}
-		if seen.add(k) {
-			out = append(out, k)
+		for j, k := range cand[:n] {
+			i := idx[j]
+			if k < keys[i] {
+				continue // wrapped past the top of the key space
+			}
+			if i+1 == len(keys) {
+				// Only the open-ended last gap can reach a present key.
+				if pos := core.LowerBound(keys, k); pos < len(keys) && keys[pos] == k {
+					continue
+				}
+			}
+			// The one-at-a-time loop stops at the m-th key: the rest of
+			// the block is dropped.
+			if len(out) < m && seen.add(k) {
+				out = append(out, k)
+			}
 		}
 	}
 	return out

@@ -1,6 +1,9 @@
 package load
 
 import (
+	"runtime"
+	"sync"
+
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
@@ -28,26 +31,54 @@ func MixedOps(keys []core.Key, n int, readFrac, theta float64, seed uint64) []Op
 		inserts = dataset.InsertKeys(keys, nWrites/2+1, seed+1)
 	}
 
-	ops := make([]Op, 0, n)
-	ri, wi, ii := 0, 0, 0
-	acc := 0.0
-	for i := 0; i < n; i++ {
-		acc += readFrac
-		if acc >= 1 {
-			acc--
-			ops = append(ops, Op{Kind: Get, Key: readKeys[ri]})
-			ri++
-			continue
+	// The schedule is walked twice. The first walk touches no memory and
+	// only notes the state at each CPU's first op; the second fills
+	// every CPU's chunk by index from that state, all chunks at once. The
+	// accumulator is a float and is carried, never recomputed: a chunk
+	// starts from the very bits a single pass would hold there.
+	ops := make([]Op, n)
+	p := runtime.GOMAXPROCS(0)
+	var s schedule
+	var wg sync.WaitGroup
+	for c := 0; c < p; c++ {
+		lo, hi := c*n/p, (c+1)*n/p
+		wg.Add(1)
+		go func(s schedule) {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				ri, wi := s.reads, s.writes
+				switch read := s.next(readFrac); {
+				case read:
+					ops[i] = Op{Kind: Get, Key: readKeys[ri]}
+				case wi%2 == 0:
+					ops[i] = Op{Kind: Put, Key: inserts[wi/2], Payload: uint64(i) | 1}
+				default:
+					ops[i] = Op{Kind: Put, Key: readKeys[(ri+wi)%len(readKeys)], Payload: uint64(i) | 1}
+				}
+			}
+		}(s)
+		for i := lo; i < hi; i++ {
+			s.next(readFrac)
 		}
-		var key core.Key
-		if wi%2 == 0 {
-			key = inserts[ii]
-			ii++
-		} else {
-			key = readKeys[(ri+wi)%len(readKeys)]
-		}
-		ops = append(ops, Op{Kind: Put, Key: key, Payload: uint64(i) | 1})
-		wi++
 	}
+	wg.Wait()
 	return ops
+}
+
+// schedule is the state of the Bresenham interleaving before an op.
+type schedule struct {
+	reads, writes int
+	acc           float64
+}
+
+// next moves past one op and reports whether it is a read.
+func (s *schedule) next(readFrac float64) bool {
+	s.acc += readFrac
+	if s.acc >= 1 {
+		s.acc--
+		s.reads++
+		return true
+	}
+	s.writes++
+	return false
 }
