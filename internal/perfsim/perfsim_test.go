@@ -184,6 +184,28 @@ func TestTracedBoundsMatchPlainLookups(t *testing.T) {
 	}
 }
 
+// TestTracedRMILeafIsOneLine: the simulated leaf load is at the stride
+// memory holds the leaf array in, and a leaf of either layout lies
+// within one cache line.
+func TestTracedRMILeafIsOneLine(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Amzn, 20000, 1)
+	for _, stage2 := range []rmi.ModelKind{rmi.ModelLinear, rmi.ModelCubic} {
+		idx, err := rmi.New(keys, rmi.Config{Stage1: rmi.ModelLinear, Stage2: stage2, Branch: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(Config{CacheBytes: 1 << 20})
+		tr := NewTracedRMI(idx, m, keys).(*tracedRMI)
+		for leaf := 0; leaf < idx.NumLeaves(); leaf++ {
+			before := m.Counters().Accesses
+			tr.touchLeaf(leaf)
+			if lines := m.Counters().Accesses - before; lines != 1 {
+				t.Fatalf("stage 2 %v: leaf %d (%d bytes) touches %d lines", stage2, leaf, idx.LeafBytes(), lines)
+			}
+		}
+	}
+}
+
 func TestTracedCounterProfiles(t *testing.T) {
 	// The relative profiles the paper reports: the RMI needs far fewer
 	// cache misses per lookup than a full B-Tree; RobinHood needs the

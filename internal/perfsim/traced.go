@@ -80,7 +80,7 @@ func NewTracedRMI(idx *rmi.Index, m *Machine, keys []core.Key) Traced {
 	return &tracedRMI{
 		idx:    idx,
 		data:   newDataRegions(m, keys),
-		leaves: m.Alloc(idx.NumLeaves() * 56),
+		leaves: m.Alloc(idx.NumLeaves() * idx.LeafBytes()),
 		m:      m,
 	}
 }
@@ -93,10 +93,16 @@ func (t *tracedRMI) Lookup(key core.Key) core.Bound {
 	// coefficients (the stage-1 model is a single cache line, hot in
 	// any realistic loop), then one dependent load of the leaf model.
 	t.m.Instr(8)
-	t.m.Access(t.leaves, leaf*56, 56)
+	t.touchLeaf(leaf)
 	t.m.Instr(10)
 	t.data.lastMile(key, b)
 	return b
+}
+
+// touchLeaf loads one leaf at the stride memory holds the array in.
+func (t *tracedRMI) touchLeaf(leaf int) {
+	stride := t.idx.LeafBytes()
+	t.m.Access(t.leaves, leaf*stride, stride)
 }
 
 // --- PGM ---

@@ -89,7 +89,7 @@ func TestCommitLeavesInSpans(t *testing.T) {
 // before the fsync: the sink's error comes back, no temp file stays
 // behind, and the previous file at the path is untouched.
 func TestCommitFailedWriteLeavesNothing(t *testing.T) {
-	encodeIdx := rmiEncoder(t, 20_000)
+	encodeIdx := rmiEncoder(t, 150_000)
 	seed := make([]Op, 7000) // 168 KB of records: three spans
 	for i := range seed {
 		seed[i] = Op{Key: uint64(i), Val: uint64(2 * i), Tomb: i%5 == 0}

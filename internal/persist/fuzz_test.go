@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -330,4 +331,33 @@ func TestEncodersMatchCheckedInCorpus(t *testing.T) {
 			t.Errorf("%s: the encoder no longer writes the checked-in bytes", name)
 		}
 	}
+}
+
+// TestOldRMISeedDecodesToError: FuzzDecode/old-RMI is raw-RMI as it was
+// checked in before the RMI leaf was folded — the RMI selector byte, then
+// a payload that opens with the stage-1 kind and carries tagged leaves.
+// No encoder writes it any more, so fuzzCorpus does not regenerate it;
+// it stays so that the fuzzer starts from it, and it must be named as
+// the old layout, never decoded to an index.
+func TestOldRMISeedDecodesToError(t *testing.T) {
+	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", "old-RMI"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted, ok := bytes.CutPrefix(file, []byte("go test fuzz v1\n[]byte("))
+	quoted, ok2 := bytes.CutSuffix(quoted, []byte(")\n"))
+	seed, err := strconv.Unquote(string(quoted))
+	if !ok || !ok2 || err != nil {
+		t.Fatalf("old-RMI is not a fuzz corpus file: %v", err)
+	}
+	families := registry.CodecFamilies()
+	if fam := families[int(seed[0]-1)%len(families)]; fam != "RMI" {
+		t.Fatalf("old-RMI selects the %s decoder", fam)
+	}
+	codec, _ := registry.CodecFor("RMI")
+	idx, err := codec.Decode(binio.NewReader([]byte(seed[1:])))
+	if idx != nil || !errors.Is(err, binio.ErrCorrupt) {
+		t.Fatalf("old-RMI decoded to (%v, %v), want a corrupt-data error", idx, err)
+	}
+	t.Log(err)
 }

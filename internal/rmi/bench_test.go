@@ -1,0 +1,52 @@
+package rmi
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+)
+
+var benchSink core.Bound
+
+// BenchmarkRMILookup prices the lookup kernel alone — no table, no
+// last-mile search — on the architecture every store shard builds, from
+// a leaf array that fits L2 to one far beyond it. B/leaf and the mean
+// bound width ride along so a layout change shows up beside its timing.
+func BenchmarkRMILookup(b *testing.B) {
+	for _, name := range []dataset.Name{dataset.Amzn, dataset.OSM} {
+		keys := dataset.MustGenerate(name, dataset.DefaultN, 1)
+		const nProbes = 1 << 16 // a power of two: the loops index it with a mask
+		probes := dataset.Lookups(keys, nProbes, 7)
+		for _, branch := range []int{4096, 65536, 262144} {
+			idx, err := New(keys, Config{Stage1: ModelRadix, Stage2: ModelLinear, Branch: branch})
+			if err != nil {
+				b.Fatal(err)
+			}
+			width := 0
+			for _, x := range probes {
+				width += idx.Lookup(x).Width()
+			}
+			report := func(b *testing.B) { // after the loop: b.Loop resets metrics
+				b.ReportMetric(float64(idx.LeafBytes()), "B/leaf")
+				b.ReportMetric(float64(width)/float64(len(probes)), "width")
+			}
+			b.Run(fmt.Sprintf("%s/B=%d/scalar", name, branch), func(b *testing.B) {
+				for i := 0; b.Loop(); i++ {
+					benchSink = idx.Lookup(probes[i&(nProbes-1)])
+				}
+				report(b)
+			})
+			b.Run(fmt.Sprintf("%s/B=%d/batch256", name, branch), func(b *testing.B) {
+				out := make([]core.Bound, 256)
+				for i := 0; b.Loop(); i++ {
+					off := i * 256 & (nProbes - 1)
+					idx.LookupBatch(probes[off:off+256], out)
+				}
+				report(b)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/256, "ns/key")
+			})
+		}
+	}
+}

@@ -6,61 +6,76 @@ package rmi
 // the trainer or the tuner — the point of snapshot-based cold starts.
 // The wire layout is little-endian via binio; framing, versioning and
 // checksums are the caller's job (package persist).
+//
+// The payload opens with a layout byte, the stride of the leaf records
+// that follow. Payloads of the tagged-leaf layout before it opened with
+// the stage-1 ModelKind (0..3), which no stride is, so Decode names one
+// instead of misreading it.
 
 import (
 	"repro/internal/binio"
 )
 
-// wire sizes used for allocation guards: one model is a kind byte plus
-// six float64s; a leaf adds four int32s.
-const (
-	modelWireBytes = 1 + 6*8
-	leafWireBytes  = modelWireBytes + 4*4
-)
+func (p *poly) encode(w *binio.Writer) {
+	w.F64(p.keyOff)
+	w.F64(p.keyScale)
+	w.F64(p.c0)
+	w.F64(p.c1)
+	w.F64(p.c2)
+	w.F64(p.c3)
+}
 
-func encodeModel(w *binio.Writer, m *model) {
-	w.U8(uint8(m.kind))
-	w.F64(m.keyOff)
-	w.F64(m.keyScale)
-	w.F64(m.c0)
-	w.F64(m.c1)
-	w.F64(m.c2)
-	w.F64(m.c3)
+func decodePoly(r *binio.Reader) poly {
+	return poly{r.FiniteF64(), r.FiniteF64(), r.FiniteF64(), r.FiniteF64(), r.FiniteF64(), r.FiniteF64()}
 }
 
 func decodeModel(r *binio.Reader) (model, error) {
-	var m model
 	k := r.U8()
 	if k > uint8(ModelRadix) {
-		return m, binio.Corruptf("rmi: unknown model kind %d", k)
+		return model{}, binio.Corruptf("rmi: unknown model kind %d", k)
 	}
-	m.kind = ModelKind(k)
-	m.keyOff = r.FiniteF64()
-	m.keyScale = r.FiniteF64()
-	m.c0 = r.FiniteF64()
-	m.c1 = r.FiniteF64()
-	m.c2 = r.FiniteF64()
-	m.c3 = r.FiniteF64()
-	return m, r.Err()
+	return model{ModelKind(k), decodePoly(r)}, r.Err()
 }
 
 // Encode writes the trained index to w. The output is exactly what
 // Decode consumes; it carries no framing or checksum of its own.
 func (idx *Index) Encode(w *binio.Writer) error {
+	w.U8(uint8(idx.LeafBytes()))
 	w.U8(uint8(idx.cfg.Stage1))
 	w.U8(uint8(idx.cfg.Stage2))
 	w.U64(uint64(idx.n))
-	encodeModel(w, &idx.stage1)
-	w.U32(uint32(len(idx.leaves)))
+	w.F64(idx.avgLog2)
+	w.U8(uint8(idx.stage1.kind))
+	idx.stage1.poly.encode(w)
+	w.U32(uint32(idx.NumLeaves()))
 	for i := range idx.leaves {
-		lf := &idx.leaves[i]
-		encodeModel(w, &lf.m)
-		w.U32(uint32(lf.errLo))
-		w.U32(uint32(lf.errHi))
-		w.U32(uint32(lf.loPos))
-		w.U32(uint32(lf.hiPos))
+		w.F64(idx.leaves[i].keyOff)
+		w.F64(idx.leaves[i].slope)
+		idx.leaves[i].clamps.encode(w)
+	}
+	for i := range idx.cubics {
+		idx.cubics[i].poly.encode(w)
+		idx.cubics[i].clamps.encode(w)
 	}
 	return w.Err()
+}
+
+func (c *clamps) encode(w *binio.Writer) {
+	w.U32(uint32(c.lo))
+	w.U32(uint32(c.hi))
+	w.U32(uint32(c.errLo))
+	w.U32(uint32(c.errHi))
+}
+
+// decodeClamps re-validates what the lookup path leans on: pos returns
+// a value in [lo, hi] and BoundAround only clamps the final bound, so
+// positions outside the data or negative margins would survive into it.
+func decodeClamps(r *binio.Reader, li int, n uint64) clamps {
+	c := clamps{int32(r.U32()), int32(r.U32()), int32(r.U32()), int32(r.U32())}
+	if c.errLo < 0 || c.errHi < 0 || c.lo < 0 || c.lo > c.hi || uint64(c.hi) >= n {
+		r.Fail(binio.Corruptf("rmi: leaf %d clamps [%d,%d] and margins (%d,%d) impossible over %d keys", li, c.lo, c.hi, c.errLo, c.errHi, n))
+	}
+	return c
 }
 
 // Decode reconstructs a trained index from r without retraining. Every
@@ -68,25 +83,34 @@ func (idx *Index) Encode(w *binio.Writer) error {
 // corrupted input yields an error, never a panic or an oversized
 // allocation.
 func Decode(r *binio.Reader) (*Index, error) {
+	layout := int(r.U8())
+	if r.Err() == nil && layout <= int(ModelRadix) {
+		return nil, binio.Corruptf("rmi: payload in the tagged-leaf layout that preceded the folded leaf; rebuild the index")
+	}
 	var cfg Config
 	cfg.Stage1 = ModelKind(r.U8())
 	cfg.Stage2 = ModelKind(r.U8())
 	n := r.U64()
+	avgLog2 := r.FiniteF64()
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
 	if cfg.Stage1 > ModelRadix || cfg.Stage2 > ModelRadix {
 		return nil, binio.Corruptf("rmi: unknown stage model kind")
 	}
+	cubic := cfg.Stage2 == ModelCubic
+	if (cubic && layout != cubicLeafBytes) || (!cubic && layout != leafBytes) {
+		return nil, binio.Corruptf("rmi: leaf layout %d does not match stage-2 kind %v", layout, cfg.Stage2)
+	}
 	const maxN = 1 << 48 // far beyond any in-memory array
-	if n == 0 || n > maxN {
-		return nil, binio.Corruptf("rmi: implausible key count %d", n)
+	if n == 0 || n > maxN || avgLog2 < 0 {
+		return nil, binio.Corruptf("rmi: implausible key count %d or log2 error %v", n, avgLog2)
 	}
 	stage1, err := decodeModel(r)
 	if err != nil {
 		return nil, err
 	}
-	branch := r.Count(leafWireBytes)
+	branch := r.Count(layout)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -94,34 +118,26 @@ func Decode(r *binio.Reader) (*Index, error) {
 		return nil, binio.Corruptf("rmi: zero leaves")
 	}
 	cfg.Branch = branch
-	idx := &Index{cfg: cfg, n: int(n), stage1: stage1}
-	idx.leaves = make([]leaf, branch)
-	for i := range idx.leaves {
-		lf := &idx.leaves[i]
-		lf.m, err = decodeModel(r)
-		if err != nil {
-			return nil, err
+	idx := &Index{cfg: cfg, n: int(n), stage1: stage1, scale: float64(branch) / float64(n), avgLog2: avgLog2}
+	if cubic {
+		idx.cubics = make([]cubicLeaf, branch)
+	} else {
+		idx.leaves = make([]leaf, branch)
+	}
+	for i := 0; i < branch && r.Err() == nil; i++ {
+		if cubic {
+			idx.cubics[i] = cubicLeaf{decodePoly(r), decodeClamps(r, i, n)}
+			continue
 		}
-		lf.errLo = int32(r.U32())
-		lf.errHi = int32(r.U32())
-		lf.loPos = int32(r.U32())
-		lf.hiPos = int32(r.U32())
+		lf := &idx.leaves[i]
+		lf.keyOff, lf.slope = r.FiniteF64(), r.FiniteF64()
+		if lf.slope < 0 { // pos must stay monotone in the key
+			r.Fail(binio.Corruptf("rmi: negative slope in leaf %d", i))
+		}
+		lf.clamps = decodeClamps(r, i, n)
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	for i := range idx.leaves {
-		lf := &idx.leaves[i]
-		// Margins must be non-negative and positions inside the data
-		// array: clampPredict returns a value in [loPos, hiPos] and
-		// BoundAround only clamps the final bound, so wild positions
-		// would survive into bounds wider than the array.
-		if lf.errLo < 0 || lf.errHi < 0 {
-			return nil, binio.Corruptf("rmi: negative error margin in leaf %d", i)
-		}
-		if lf.loPos < 0 || int(lf.hiPos) >= int(n) || lf.loPos > lf.hiPos {
-			return nil, binio.Corruptf("rmi: leaf %d position range [%d,%d] outside data [0,%d)", i, lf.loPos, lf.hiPos, n)
-		}
 	}
 	return idx, nil
 }

@@ -45,6 +45,11 @@ func (k ModelKind) String() string {
 // comment).
 type model struct {
 	kind ModelKind
+	poly
+}
+
+// poly is a model's parameters, and the head of a cubic leaf.
+type poly struct {
 	// Key normalization: t = (key - keyOff) * keyScale, mapping the
 	// training key range onto [0, 1] before evaluating coefficients.
 	// This keeps the fits numerically sane for 64-bit keys.
@@ -56,29 +61,37 @@ type model struct {
 	c0, c1, c2, c3 float64
 }
 
-// sizeBytes is the serialized footprint of one model: kind tag (1 byte,
-// rounded into the struct) plus normalization and coefficients. We
-// charge the full in-memory struct size.
+// modelSizeBytes is what the stage-1 model occupies in memory: the kind
+// (an int) plus normalization and coefficients, seven 8-byte words.
 const modelSizeBytes = 8 * 7
 
 // predict evaluates the model.
 func (m *model) predict(key float64) float64 {
-	t := (key - m.keyOff) * m.keyScale
-	// Clamp to the training range: fitted polynomials are only
-	// guaranteed monotone on [0, 1], and extrapolated predictions for
-	// out-of-range keys would break the global monotonicity that
-	// absent-key validity relies on.
+	if m.kind == ModelCubic {
+		return m.cubic(key)
+	}
+	return m.c0 + m.c1*unit((key-m.keyOff)*m.keyScale)
+}
+
+// cubic evaluates all four coefficients by Horner's rule; with c2 = c3
+// = 0 the result is the line's, bit for bit.
+func (p *poly) cubic(key float64) float64 {
+	t := unit((key - p.keyOff) * p.keyScale)
+	return p.c0 + t*(p.c1+t*(p.c2+t*p.c3))
+}
+
+// unit clamps a normalized key to the training range: fitted polynomials
+// are only guaranteed monotone on [0, 1], and extrapolated predictions
+// for out-of-range keys would break the global monotonicity that
+// absent-key validity relies on.
+func unit(t float64) float64 {
 	if t < 0 {
-		t = 0
-	} else if t > 1 {
-		t = 1
+		return 0
 	}
-	switch m.kind {
-	case ModelRadix, ModelLinear, ModelLinearSpline:
-		return m.c0 + m.c1*t
-	default: // cubic
-		return m.c0 + t*(m.c1+t*(m.c2+t*m.c3))
+	if t > 1 {
+		return 1
 	}
+	return t
 }
 
 // fitModel trains a model of the requested kind on (keys[i], pos0+i)
@@ -88,10 +101,10 @@ func (m *model) predict(key float64) float64 {
 func fitModel(kind ModelKind, keys []float64, pos0 float64) model {
 	n := len(keys)
 	if n == 0 {
-		return model{kind: ModelLinearSpline, keyScale: 0, c0: pos0}
+		return model{kind: ModelLinearSpline, poly: poly{c0: pos0}}
 	}
 	lo, hi := keys[0], keys[n-1]
-	m := model{kind: kind, keyOff: lo}
+	m := model{kind: kind, poly: poly{keyOff: lo}}
 	if hi > lo {
 		m.keyScale = 1 / (hi - lo)
 	} else {

@@ -59,28 +59,98 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 	return idx, nil
 }
 
-// Index is a trained two-stage RMI.
+// Index is a trained two-stage RMI. The stage-2 kind is a property of
+// the index, not of a leaf: exactly one of leaves and cubics is set, and
+// a lookup path picks the layout once, outside its per-key loop.
 type Index struct {
-	cfg    Config
-	n      int
-	stage1 model
-	leaves []leaf
+	cfg     Config
+	n       int
+	stage1  model
+	scale   float64     // B/n: route multiplies the stage-1 position by it
+	leaves  []leaf      // Stage2 linear, linear_spline or radix
+	cubics  []cubicLeaf // Stage2 cubic
+	avgLog2 float64     // AvgLog2Error, computed by finish: it needs the trained spans
 }
 
-type leaf struct {
-	m model
+// clamps is the tail of both leaf layouts.
+type clamps struct {
+	// A leaf's rounded prediction is clamped to [lo, hi], inside the
+	// span of positions it was trained on; this keeps extrapolation in
+	// check exactly like the reference implementation.
+	lo, hi int32
 	// errLo and errHi are the search-bound margins below and above the
 	// prediction. errLo covers the worst over-prediction (pred-actual)
 	// and errHi the worst under-prediction (actual-pred); both include
 	// the +1 widening needed for absent-key validity.
 	errLo, errHi int32
-	// loPos/hiPos clamp the leaf's predictions to the position range
-	// it was trained on (inclusive); this keeps wild extrapolation in
-	// check exactly like the reference implementation.
-	loPos, hiPos int32
 }
 
-const leafSizeBytes = modelSizeBytes + 4*4
+// leaf is a linear second-stage model with the key normalisation and
+// the clamps of model.predict and of the trained span folded in at
+// build time (see foldLeaf): pos = lo + slope·(key − keyOff), rounded
+// and clamped to [lo, hi]. 32 bytes: two share a cache line and none
+// straddles one.
+type leaf struct {
+	keyOff, slope float64
+	clamps
+}
+
+// cubicLeaf is a cubic second-stage model, one 64-byte cache line, with
+// [lo, hi] the trained span. It needs no tag: a leaf whose cubic fit
+// fell back to a line has c2 = c3 = 0 (see poly.cubic).
+type cubicLeaf struct {
+	poly
+	clamps
+}
+
+// Bytes a leaf of each layout occupies in memory (pinned by a test).
+const leafBytes, cubicLeafBytes = 32, 64
+
+// foldLeaf folds a fitted linear model and the span [loPos, hiPos] it
+// was trained on into the 32-byte layout. model.predict clamps t to
+// [0, 1], i.e. the prediction to [c0, c0+c1]; the span clamps it again;
+// rounding is monotone, so both are one integer clamp of the rounded
+// line. slope absorbs the key scale, and the intercept moves into the
+// key origin: keyOff is where the line crosses lo. Margins are measured
+// through pos afterwards, so they cover what the re-origin rounds away.
+func foldLeaf(m *model, loPos, hiPos int) leaf {
+	lo := clampRound(m.c0, loPos, hiPos)
+	hi := clampRound(m.c0+m.c1, loPos, hiPos)
+	lf := leaf{clamps: clamps{int32(lo), int32(hi), 1, 1}}
+	if lo < hi {
+		lf.slope = m.c1 * m.keyScale
+		lf.keyOff = m.keyOff - (m.c0-float64(lo))/lf.slope
+	}
+	return lf
+}
+
+func (lf *leaf) pos(fkey float64) int {
+	return clampRound(float64(lf.lo)+lf.slope*(fkey-lf.keyOff), int(lf.lo), int(lf.hi))
+}
+
+func (lf *cubicLeaf) pos(fkey float64) int {
+	return clampRound(lf.cubic(fkey), int(lf.lo), int(lf.hi))
+}
+
+// clampRound rounds p to the nearest position in [lo, hi], lo >= 0.
+func clampRound(p float64, lo, hi int) int {
+	// Clamp in float space: converting an out-of-range float64 to int
+	// is not defined in Go and wraps to the wrong extreme on amd64.
+	if p <= float64(lo) {
+		return lo
+	}
+	if p >= float64(hi) {
+		return hi
+	}
+	return int(p + 0.5)
+}
+
+// widen grows the margins to cover a key predicted d positions above
+// its true position: over-prediction widens the low margin.
+func (c *clamps) widen(d int) {
+	c.errLo = max(c.errLo, int32(d+1))
+	c.errHi = max(c.errHi, int32(-d+1))
+}
 
 // New trains an RMI over sorted keys.
 func New(keys []core.Key, cfg Config) (*Index, error) {
@@ -112,7 +182,7 @@ var stage1Fits map[[2]int]int
 type routed struct {
 	top Index // cfg.Stage1, cfg.Branch, n and stage1 set; no leaves
 	// assign is the leaf each key routes to; first/last are the span of
-	// positions each leaf receives (first < 0 for an empty leaf).
+	// positions each leaf receives (both -1 for an empty leaf).
 	assign, first, last []int
 }
 
@@ -121,17 +191,13 @@ type routed struct {
 // scales by B/n.
 func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
 	n := len(fkeys)
-	if branch < 1 {
-		branch = 1
-	}
-	if branch > n {
-		branch = n
-	}
+	branch = max(1, min(branch, n))
 	if stage1Fits != nil {
 		stage1Fits[[2]int{int(kind), branch}]++
 	}
 	r := &routed{
-		top:    Index{cfg: Config{Stage1: kind, Branch: branch}, n: n, stage1: fitModel(kind, fkeys, 0)},
+		top: Index{cfg: Config{Stage1: kind, Branch: branch}, n: n,
+			stage1: fitModel(kind, fkeys, 0), scale: float64(branch) / float64(n)},
 		assign: make([]int, n),
 		first:  make([]int, branch),
 		last:   make([]int, branch),
@@ -142,7 +208,7 @@ func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
 	// span bookkeeping below stays correct even if float rounding
 	// produces a stray non-monotone assignment.
 	for li := range r.first {
-		r.first[li] = -1
+		r.first[li], r.last[li] = -1, -1
 	}
 	for i := range fkeys {
 		li := r.top.route(fkeys[i])
@@ -162,7 +228,12 @@ func (r *routed) finish(fkeys []float64, stage2 ModelKind) *Index {
 	idx := r.top
 	idx.cfg.Stage2 = stage2
 	n, B := idx.n, idx.cfg.Branch
-	idx.leaves = make([]leaf, B)
+	cubic := stage2 == ModelCubic
+	if cubic {
+		idx.cubics = make([]cubicLeaf, B)
+	} else {
+		idx.leaves = make([]leaf, B)
+	}
 
 	// Fit each leaf on the contiguous span of keys it received.
 	// Empty leaves get a constant model at the boundary position so
@@ -170,51 +241,53 @@ func (r *routed) finish(fkeys []float64, stage2 ModelKind) *Index {
 	// boundary is the first position owned by any later leaf.
 	nextStart := n
 	for li := B - 1; li >= 0; li-- {
-		lf := &idx.leaves[li]
 		first, last := r.first[li], r.last[li]
+		var trained []float64
 		if first < 0 {
-			p := clampPos(nextStart, n)
-			lf.m = fitModel(ModelLinearSpline, nil, float64(p))
-			lf.loPos, lf.hiPos = int32(p), int32(p)
-			lf.errLo, lf.errHi = 1, 1
-			continue
+			first = min(nextStart, n-1)
+			last = first
+		} else {
+			trained, nextStart = fkeys[first:last+1], first
 		}
-		lf.m = fitModel(stage2, fkeys[first:last+1], float64(first))
-		lf.loPos, lf.hiPos = int32(first), int32(last)
-		nextStart = first
+		m := fitModel(stage2, trained, float64(first))
+		if cubic {
+			idx.cubics[li] = cubicLeaf{m.poly, clamps{int32(first), int32(last), 1, 1}}
+		} else {
+			idx.leaves[li] = foldLeaf(&m, first, last)
+		}
 	}
 
 	// Error collection: replay every key through the lookup path so the
 	// recorded bounds are exact for present keys by construction.
-	for i := range fkeys {
-		lf := &idx.leaves[r.assign[i]]
-		d := lf.clampPredict(fkeys[i]) - i
-		// Over-prediction (d > 0) means the true position lies below
-		// the prediction: it widens the low margin, and vice versa.
-		if d+1 > int(lf.errLo) {
-			lf.errLo = int32(d + 1)
+	if cubic {
+		for i, k := range fkeys {
+			lf := &idx.cubics[r.assign[i]]
+			lf.widen(lf.pos(k) - i)
 		}
-		if -d+1 > int(lf.errHi) {
-			lf.errHi = int32(-d + 1)
+	} else {
+		for i, k := range fkeys {
+			lf := &idx.leaves[r.assign[i]]
+			lf.widen(lf.pos(k) - i)
 		}
 	}
-	return &idx
-}
 
-func clampPos(p, n int) int {
-	if p < 0 {
-		return 0
+	// The paper's "log2 error": mean log2 of the search-bound width,
+	// each leaf weighted by the keys it was trained on (an empty leaf,
+	// first = last = -1, counts as one).
+	total, count := 0.0, 0.0
+	for li := 0; li < B; li++ {
+		occ := float64(r.last[li]-r.first[li]) + 1
+		c := idx.clampsOf(li)
+		total += occ * math.Log2(float64(c.errLo+c.errHi+1)+1)
+		count += occ
 	}
-	if p >= n {
-		return n - 1
-	}
-	return p
+	idx.avgLog2 = total / count
+	return &idx
 }
 
 // route maps a key (as float64) to a leaf number.
 func (idx *Index) route(fkey float64) int {
-	p := idx.stage1.predict(fkey)
-	li := int(p * float64(idx.cfg.Branch) / float64(idx.n))
+	li := int(idx.stage1.predict(fkey) * idx.scale)
 	if li < 0 {
 		return 0
 	}
@@ -224,27 +297,10 @@ func (idx *Index) route(fkey float64) int {
 	return li
 }
 
-// clampPredict evaluates the leaf model and clamps into the leaf's
-// trained position range, returning a rounded integer position.
-func (lf *leaf) clampPredict(fkey float64) int {
-	p := lf.m.predict(fkey)
-	// Clamp in float space: converting an out-of-range float64 to int
-	// is not defined in Go and wraps to the wrong extreme on amd64.
-	if p <= float64(lf.loPos) {
-		return int(lf.loPos)
-	}
-	if p >= float64(lf.hiPos) {
-		return int(lf.hiPos)
-	}
-	return int(math.Round(p))
-}
-
 // Lookup implements core.Index.
 func (idx *Index) Lookup(key core.Key) core.Bound {
-	fkey := float64(key)
-	lf := &idx.leaves[idx.route(fkey)]
-	pos := lf.clampPredict(fkey)
-	return core.BoundAround(pos, int(lf.errLo), int(lf.errHi), idx.n)
+	_, _, b := idx.Explain(key)
+	return b
 }
 
 // batchChunk is the LookupBatch processing granularity: the per-chunk
@@ -262,29 +318,41 @@ const batchChunk = 64
 // per key. Routing uses exactly the scalar route() arithmetic, so
 // batched bounds are bit-identical to Lookup's.
 func (idx *Index) LookupBatch(keys []core.Key, out []core.Bound) {
-	n := idx.n
+	n, leaves, cubics := idx.n, idx.leaves, idx.cubics
 	var route [batchChunk]int32
 	for off := 0; off < len(keys); off += batchChunk {
-		end := off + batchChunk
-		if end > len(keys) {
-			end = len(keys)
-		}
+		end := min(off+batchChunk, len(keys))
 		chunk := keys[off:end]
 		outc := out[off:end]
 		for i, x := range chunk {
 			route[i] = int32(idx.route(float64(x)))
 		}
+		if cubics != nil {
+			for i, x := range chunk {
+				lf := &cubics[route[i]]
+				outc[i] = core.BoundAround(lf.pos(float64(x)), int(lf.errLo), int(lf.errHi), n)
+			}
+			continue
+		}
 		for i, x := range chunk {
-			lf := &idx.leaves[route[i]]
-			pos := lf.clampPredict(float64(x))
-			outc[i] = core.BoundAround(pos, int(lf.errLo), int(lf.errHi), n)
+			lf := &leaves[route[i]]
+			outc[i] = core.BoundAround(lf.pos(float64(x)), int(lf.errLo), int(lf.errHi), n)
 		}
 	}
 }
 
-// SizeBytes implements core.Index.
+// SizeBytes implements core.Index: the stage-1 model plus the leaf array
+// as memory holds it.
 func (idx *Index) SizeBytes() int {
-	return modelSizeBytes + len(idx.leaves)*leafSizeBytes
+	return modelSizeBytes + idx.NumLeaves()*idx.LeafBytes()
+}
+
+// LeafBytes is the leaf array's stride: what a lookup's leaf access loads.
+func (idx *Index) LeafBytes() int {
+	if idx.cubics != nil {
+		return cubicLeafBytes
+	}
+	return leafBytes
 }
 
 // Name implements core.Index.
@@ -293,15 +361,22 @@ func (idx *Index) Name() string { return "RMI" }
 // Config returns the architecture this index was trained with.
 func (idx *Index) ConfigUsed() Config { return idx.cfg }
 
+// clampsOf returns leaf li's clamps and margins in whichever layout.
+func (idx *Index) clampsOf(li int) *clamps {
+	if idx.cubics != nil {
+		return &idx.cubics[li].clamps
+	}
+	return &idx.leaves[li].clamps
+}
+
 // MaxErrorWidth returns the widest possible search bound the index can
 // produce (max over leaves of errLo+errHi+1); a diagnostic used by the
 // tuner and the explanatory analysis.
 func (idx *Index) MaxErrorWidth() int {
 	w := 0
-	for i := range idx.leaves {
-		if e := int(idx.leaves[i].errLo + idx.leaves[i].errHi + 1); e > w {
-			w = e
-		}
+	for li := 0; li < idx.NumLeaves(); li++ {
+		c := idx.clampsOf(li)
+		w = max(w, int(c.errLo+c.errHi+1))
 	}
 	return w
 }
@@ -309,35 +384,23 @@ func (idx *Index) MaxErrorWidth() int {
 // AvgLog2Error returns the mean log2 of the search-bound width over all
 // keys' leaves, weighted by leaf occupancy — the paper's "log2 error"
 // metric (expected binary-search steps).
-func (idx *Index) AvgLog2Error() float64 {
-	total := 0.0
-	count := 0.0
-	for i := range idx.leaves {
-		lf := &idx.leaves[i]
-		occ := float64(lf.hiPos-lf.loPos) + 1
-		if occ <= 0 {
-			continue
-		}
-		width := float64(lf.errLo + lf.errHi + 1)
-		total += occ * math.Log2(width+1)
-		count += occ
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / count
-}
+func (idx *Index) AvgLog2Error() float64 { return idx.avgLog2 }
 
 // NumLeaves reports the branching factor actually used.
-func (idx *Index) NumLeaves() int { return len(idx.leaves) }
+func (idx *Index) NumLeaves() int { return idx.cfg.Branch }
 
 // Explain returns the lookup-path internals for the performance-
 // counter simulation: the routed leaf, the predicted position, and
-// the resulting bound. It follows exactly the Lookup code path.
+// the resulting bound. It is the Lookup code path.
 func (idx *Index) Explain(key core.Key) (leaf, pos int, b core.Bound) {
 	fkey := float64(key)
 	leaf = idx.route(fkey)
+	if idx.cubics != nil {
+		lf := &idx.cubics[leaf]
+		pos = lf.pos(fkey)
+		return leaf, pos, core.BoundAround(pos, int(lf.errLo), int(lf.errHi), idx.n)
+	}
 	lf := &idx.leaves[leaf]
-	pos = lf.clampPredict(fkey)
+	pos = lf.pos(fkey)
 	return leaf, pos, core.BoundAround(pos, int(lf.errLo), int(lf.errHi), idx.n)
 }

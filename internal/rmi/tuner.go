@@ -152,7 +152,7 @@ func Tune(keys []core.Key, sizeBudget int) Config {
 	}
 	var all []scored
 	for _, b := range branchGrid(len(keys)) {
-		size := modelSizeBytes + b*leafSizeBytes
+		size := modelSizeBytes + b*leafBytes // every candidate's second stage is linear
 		if sizeBudget > 0 && size > sizeBudget {
 			continue
 		}

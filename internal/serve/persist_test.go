@@ -117,6 +117,44 @@ func TestSnapshotOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRMIBoundsSurviveSnapshot: a shard's decoded RMI is the built one.
+// Every key, its absent neighbours and the extremes get bit-identical
+// bounds from the store that built the index and from the one that
+// opened its snapshot — the folded leaves and the log2 error travel
+// whole, nothing is re-derived on load.
+func TestRMIBoundsSurviveSnapshot(t *testing.T) {
+	keys, payloads := testData(t, 40000)
+	st, err := New(keys, payloads, Config{Shards: 4, Family: "RMI", CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	dir := t.TempDir()
+	if err := st.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	probes := []core.Key{0, 1, ^core.Key(0) - 1, ^core.Key(0)}
+	for _, k := range keys {
+		probes = append(probes, k-1, k, k+1)
+	}
+	for i := 0; i < st.NumShards(); i++ {
+		built, opened := st.Shard(i).Index(), warm.Shard(i).Index()
+		if opened.Name() != "RMI" || opened.SizeBytes() != built.SizeBytes() {
+			t.Fatalf("shard %d: opened a %d-byte %s, built a %d-byte RMI", i, opened.SizeBytes(), opened.Name(), built.SizeBytes())
+		}
+		for _, x := range probes {
+			if b, w := built.Lookup(x), opened.Lookup(x); b != w {
+				t.Fatalf("shard %d key %d: bound %v built, %v after snapshot and open", i, x, b, w)
+			}
+		}
+	}
+}
+
 // TestOpenCrashSimulatedWALTail is the acceptance scenario: snapshot,
 // reopen attached, write, then "crash" (no Close, a torn record
 // appended to a WAL) and verify the reopened store serves the exact
