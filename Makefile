@@ -1,6 +1,8 @@
 GO ?= go
 
-.PHONY: tier1 vet loc bench bench-smoke bench-quick report-smoke obs-smoke race serve serve-write serve-lsm serve-tail serve-net serve-obs serve-repl persist fuzz-smoke examples doccheck perfgate perfgate-update build-audit
+EXPERIMENTS = serve serve-write serve-lsm serve-tail serve-net serve-obs serve-repl persist
+
+.PHONY: tier1 vet loc bench bench-smoke bench-quick report-smoke obs-smoke race $(EXPERIMENTS) fuzz-smoke examples doccheck perfgate perfgate-update build-audit
 
 # tier1 is the verify recipe: everything must build and every test pass.
 tier1:
@@ -30,7 +32,7 @@ bench:
 # end to end.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) run ./cmd/sosd -n 20000 -lookups 2000 serve-lsm
+	$(MAKE) smoke-serve-lsm
 
 # bench-quick drives the acceptance benchmark (BENCHMARK.json) end to
 # end at its smallest scale, traced: all five workloads plus the layer
@@ -74,45 +76,33 @@ race:
 	$(GO) test -race -count=10 -run TestFollowerWarmRestart ./internal/repl/
 	$(GO) test -race -count=10 -run SameUnderGOMAXPROCS ./internal/dataset/ ./internal/load/
 
-# serve prints the serving-layer experiment at a quick scale.
-serve:
-	$(GO) run ./cmd/sosd -n 200000 -lookups 20000 serve
+# One rule prints any of the serving experiments at a quick scale
+# (override N and LOOKUPS for another):
+#   serve       the serving layer, batched + sharded.
+#   serve-write the mixed read/write experiment.
+#   serve-lsm   the tiered-run write path (tier policy x family over
+#               YCSB A/B: throughput, read p99, compaction cost, read
+#               amplification).
+#   serve-tail  tail latency (closed vs open loop, p50..p99.9 per family
+#               x workload x arrival rate).
+#   serve-net   network serving (goodput vs tail through coalescing +
+#               admission control, below and past capacity).
+#   serve-obs   the observability conservation laws (metrics, traces and
+#               journal checked against each other under a mixed
+#               workload with compactions in flight).
+#   serve-repl  replication (read goodput vs replica count through the
+#               scatter/gather router, stream conservation laws, and the
+#               failover-to-ready timeline).
+#   persist     cold build vs warm restart.
+N ?= 200000
+LOOKUPS ?= 20000
+$(EXPERIMENTS):
+	$(GO) run ./cmd/sosd -n $(N) -lookups $(LOOKUPS) $@
 
-# serve-write prints the mixed read/write experiment at a quick scale.
-serve-write:
-	$(GO) run ./cmd/sosd -n 200000 -lookups 20000 serve-write
-
-# serve-lsm prints the tiered-run write-path experiment (tier policy x
-# family over YCSB A/B: throughput, read p99, compaction cost, read
-# amplification) at a quick scale.
-serve-lsm:
-	$(GO) run ./cmd/sosd -n 200000 -lookups 20000 serve-lsm
-
-# serve-tail prints the tail-latency experiment (closed vs open loop,
-# p50..p99.9 per family x workload x arrival rate) at a quick scale.
-serve-tail:
-	$(GO) run ./cmd/sosd -n 200000 -lookups 20000 serve-tail
-
-# serve-net prints the network serving experiment (goodput vs tail
-# through coalescing + admission control, below and past capacity).
-serve-net:
-	$(GO) run ./cmd/sosd -n 200000 -lookups 20000 serve-net
-
-# serve-obs prints the observability conservation-law experiment
-# (metrics, traces, and journal checked against each other under a
-# mixed workload with compactions in flight).
-serve-obs:
-	$(GO) run ./cmd/sosd -n 200000 -lookups 20000 serve-obs
-
-# serve-repl prints the replication experiment (read goodput vs
-# replica count through the scatter/gather router, stream conservation
-# laws, and the failover-to-ready timeline).
-serve-repl:
-	$(GO) run ./cmd/sosd -n 200000 -lookups 20000 serve-repl
-
-# persist prints the cold-vs-warm restart experiment at a quick scale.
-persist:
-	$(GO) run ./cmd/sosd -n 200000 -lookups 20000 persist
+# smoke-<experiment> runs one of them at the tiny scale CI affords: the
+# laws and the code paths, no timing value.
+smoke-%:
+	$(MAKE) $* N=20000 LOOKUPS=2000
 
 # fuzz-smoke runs every decoder fuzz target briefly (10s each):
 # truncated/bit-flipped snapshots, WALs, tables, manifests, and wire

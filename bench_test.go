@@ -538,13 +538,13 @@ func BenchmarkServeTail(b *testing.B) {
 		// Capacity probe for the open loop's offered rate (fixed size,
 		// outside any timed loop, on its own store).
 		probeSt := newStore(b)
-		probe := load.RunClosed(probeSt, load.MixedOps(e.Keys, 20_000, readFrac, theta, 7),
+		probe := load.Run(load.InProcess(probeSt), load.MixedOps(e.Keys, 20_000, readFrac, theta, 7),
 			load.Config{Workers: workers})
 		probeSt.Close()
 
 		reportTail := func(b *testing.B, res *load.Result) {
-			s := res.Hist.Summary()
-			b.ReportMetric(res.Throughput/1e3, "kops/s")
+			s := res.Latency().Summary()
+			b.ReportMetric(res.Throughput()/1e3, "kops/s")
 			b.ReportMetric(float64(s.P50), "p50-ns")
 			b.ReportMetric(float64(s.P99), "p99-ns")
 			b.ReportMetric(float64(s.P999), "p99.9-ns")
@@ -554,7 +554,7 @@ func BenchmarkServeTail(b *testing.B) {
 			defer st.Close()
 			ops := load.MixedOps(e.Keys, b.N, readFrac, theta, 7)
 			b.ResetTimer()
-			res := load.RunClosed(st, ops, load.Config{Workers: workers})
+			res := load.Run(load.InProcess(st), ops, load.Config{Workers: workers})
 			b.StopTimer()
 			reportTail(b, res)
 		})
@@ -563,8 +563,8 @@ func BenchmarkServeTail(b *testing.B) {
 			defer st.Close()
 			ops := load.MixedOps(e.Keys, b.N, readFrac, theta, 7)
 			b.ResetTimer()
-			res := load.RunOpen(st, ops, load.Config{
-				Workers: workers, Rate: probe.Throughput / 2, Seed: 7,
+			res := load.Run(load.InProcess(st), ops, load.Config{
+				Workers: workers, Rate: probe.Throughput() / 2, Seed: 7,
 			})
 			b.StopTimer()
 			reportTail(b, res)

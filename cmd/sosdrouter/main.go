@@ -83,11 +83,11 @@ func main() {
 			fatal(err)
 		}
 		stream := load.MixedOps(keys, *lookups, 1, 0, *seed)
-		res := load.RunClosed(r, stream, load.Config{Workers: *workers})
-		q := res.Hist.Summary()
+		res := load.Run(r, stream, load.Config{Workers: *workers})
+		q := res.Reads.Summary()
 		fmt.Fprintf(os.Stderr,
 			"served %d, shed %d, errors %d, goodput %.1f kops/s, p50 %.1fµs p99 %.1fµs p99.9 %.1fµs\n",
-			res.Ops, res.Sheds, res.Errors, res.Throughput/1e3,
+			res.Ops(), res.Sheds, res.Errors, res.Throughput()/1e3,
 			float64(q.P50)/1e3, float64(q.P99)/1e3, float64(q.P999)/1e3)
 		printStats(r)
 		return

@@ -13,14 +13,11 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/load"
 	"repro/internal/registry"
 	"repro/internal/report"
 	"repro/internal/serve"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -45,68 +42,6 @@ func TierPolicies() []TierPolicy {
 	}
 }
 
-// LSMResult summarizes one tiered mixed-workload run.
-type LSMResult struct {
-	OpsPerSec        float64
-	WriteNs          float64 // mean write latency
-	ReadP50, ReadP99 int64   // read latency quantiles (ns)
-	CompactTime      time.Duration
-	ReadAmp          float64 // measured run probes per multi-run lookup
-	MaxRuns          int     // widest shard at run end
-	Flushes          uint64
-	MinorMerges      uint64
-	MajorMerges      uint64
-}
-
-// MeasureLSM drives the load.MixedOps stream (the serve-write stream,
-// kept identical so policies are comparable) against st, recording
-// every read latency in a histogram for tail quantiles.
-func MeasureLSM(e *Env, st *serve.Store, ops int, wl MixedWorkload, seed uint64) LSMResult {
-	theta := 0.0
-	if wl.Zipfian {
-		theta = YCSBTheta
-	}
-	stream := load.MixedOps(e.Keys, ops, wl.ReadFrac, theta, seed)
-
-	var res LSMResult
-	var hist stats.Histogram
-	baseCompactTime := st.CompactTime()
-	var writeTime time.Duration
-	writes := 0
-	var sink uint64
-	start := time.Now()
-	for _, op := range stream {
-		switch op.Kind {
-		case load.Get:
-			t0 := time.Now()
-			v, _ := st.Get(op.Key)
-			hist.Record(time.Since(t0).Nanoseconds())
-			sink += v
-		case load.Put:
-			t0 := time.Now()
-			st.Put(op.Key, op.Payload)
-			writeTime += time.Since(t0)
-			writes++
-		}
-	}
-	elapsed := time.Since(start)
-	res.MaxRuns = st.MaxRunCount() // at load stop, before the drain merges
-	st.WaitCompactions()
-	_ = sink
-	res.OpsPerSec = float64(ops) / elapsed.Seconds()
-	if writes > 0 {
-		res.WriteNs = float64(writeTime.Nanoseconds()) / float64(writes)
-	}
-	res.ReadP50 = hist.Quantile(0.50)
-	res.ReadP99 = hist.Quantile(0.99)
-	res.CompactTime = st.CompactTime() - baseCompactTime
-	res.ReadAmp = st.ReadAmp()
-	res.Flushes = st.Flushes()
-	res.MinorMerges = st.MinorMerges()
-	res.MajorMerges = st.MajorMerges()
-	return res
-}
-
 // serveLSMSweep reports the tier-policy experiment: policy × family
 // over zipfian YCSB A (write-heavy) and B (read-heavy).
 func serveLSMSweep(r *Run) ([]report.Table, error) {
@@ -117,10 +52,7 @@ func serveLSMSweep(r *Run) ([]report.Table, error) {
 	}
 	ops := o.Lookups
 	const shards = 4
-	threshold := ops / 32
-	if threshold < 64 {
-		threshold = 64
-	}
+	threshold := compactThreshold(ops, 64)
 	families := r.Families(registry.WriteFamilies)
 	workloads := []MixedWorkload{
 		{"A", 0.50, true},
@@ -151,13 +83,15 @@ func serveLSMSweep(r *Run) ([]report.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				res := MeasureLSM(e, st, ops, wl, o.Seed)
+				// The serve-write run, kept identical so policies are
+				// comparable; the read histogram gives the tail quantiles.
+				res, _, maxRuns := runMixed(e, st, wl, ops, o.Seed)
 				tbl.Row([]string{family, wl.Name, pol.Name},
-					res.OpsPerSec/1e3, res.WriteNs,
-					float64(res.ReadP50)/1e3, float64(res.ReadP99)/1e3,
-					float64(res.CompactTime.Nanoseconds())/1e6, res.ReadAmp,
-					float64(res.MaxRuns), float64(res.Flushes),
-					float64(res.MinorMerges), float64(res.MajorMerges))
+					res.Throughput()/1e3, res.Writes.Mean(),
+					float64(res.Reads.Quantile(0.50))/1e3, float64(res.Reads.Quantile(0.99))/1e3,
+					float64(st.CompactTime().Nanoseconds())/1e6, st.ReadAmp(),
+					float64(maxRuns), float64(st.Flushes()),
+					float64(st.MinorMerges()), float64(st.MajorMerges()))
 				st.Close()
 			}
 		}

@@ -51,18 +51,24 @@ func netCapacity() float64 {
 	return float64(netBatchCap) / netWindow.Seconds()
 }
 
+// pinnedNet is the server configuration that pins that capacity; every
+// network experiment's overload laws are stated against it.
+func pinnedNet() net.Config {
+	return net.Config{CoalesceWindow: netWindow, BatchCap: netBatchCap, MaxPending: netMaxPending}
+}
+
 // netRow appends one sweep row: offered and achieved goodput, the
 // server's shed count and mean coalesced batch size for the run, and
 // the accepted-request latency tail (from scheduled arrival in the
 // open loop).
 func netRow(t *report.Table, family, loop string, offered float64, res *load.Result, s *net.Stats) {
-	sum := res.Hist.Summary()
+	sum := res.Reads.Summary()
 	batch := 0.0
 	if s.Batches > 0 {
 		batch = float64(s.BatchedKeys) / float64(s.Batches)
 	}
 	t.Row([]string{family, loop},
-		offered/1e3, res.Throughput/1e3,
+		offered/1e3, res.Throughput()/1e3,
 		float64(s.Shed), batch,
 		float64(sum.P50)/1e3, float64(sum.P99)/1e3, float64(sum.P999)/1e3)
 }
@@ -97,7 +103,7 @@ func serveNetSweep(r *Run) ([]report.Table, error) {
 		Notef("rate(k/s) is the offered arrival rate; 0 for the closed loop (saturation). past 1.0x capacity the server sheds and goodput plateaus")
 
 	for _, family := range r.Families([]string{"PGM"}) {
-		run := func(loop string, offered float64, rate float64) error {
+		run := func(loop string, rate float64) error {
 			st, err := serve.New(e.Keys, e.Payloads, serve.Config{
 				Shards: netShards, Family: family,
 			})
@@ -105,11 +111,7 @@ func serveNetSweep(r *Run) ([]report.Table, error) {
 				return err
 			}
 			defer st.Close()
-			srv, err := net.Listen("127.0.0.1:0", st, net.Config{
-				CoalesceWindow: netWindow,
-				BatchCap:       netBatchCap,
-				MaxPending:     netMaxPending,
-			})
+			srv, err := net.Listen("127.0.0.1:0", st, pinnedNet())
 			if err != nil {
 				return err
 			}
@@ -121,33 +123,27 @@ func serveNetSweep(r *Run) ([]report.Table, error) {
 			defer pool.Close()
 
 			stream := load.MixedOps(e.Keys, ops, 1, 0, o.Seed)
-			var res *load.Result
-			if rate > 0 {
-				res = load.RunOpen(pool, stream, load.Config{Workers: netWorkers, Rate: rate, Seed: o.Seed})
-			} else {
-				res = load.RunClosed(pool, stream, load.Config{Workers: netWorkers})
-			}
+			res := load.Run(pool, stream, load.Config{Workers: netWorkers, Rate: rate, Seed: o.Seed})
 			if res.Errors > 0 {
 				return fmt.Errorf("serve-net %s/%s: %d hard errors (sheds must be RetryLater)", family, loop, res.Errors)
 			}
-			if res.Ops+res.Sheds != len(stream) {
+			if res.Ops()+res.Sheds != len(stream) {
 				return fmt.Errorf("serve-net %s/%s: %d ops + %d sheds != %d offered (silent drop)",
-					family, loop, res.Ops, res.Sheds, len(stream))
+					family, loop, res.Ops(), res.Sheds, len(stream))
 			}
 			s, err := pool.Stats()
 			if err != nil {
 				return err
 			}
-			netRow(t, family, loop, offered, res, s)
+			netRow(t, family, loop, rate, res, s)
 			return nil
 		}
 
-		if err := run("closed", 0, 0); err != nil {
+		if err := run("closed", 0); err != nil {
 			return nil, err
 		}
 		for _, frac := range NetRateFractions {
-			rate := frac * capacity
-			if err := run(fmt.Sprintf("open%.0f%%", frac*100), rate, rate); err != nil {
+			if err := run(fmt.Sprintf("open%.0f%%", frac*100), frac*capacity); err != nil {
 				return nil, err
 			}
 		}

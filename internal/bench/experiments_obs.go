@@ -15,7 +15,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/load"
@@ -44,16 +43,16 @@ func obsLaws(phase string, offered int, res *load.Result, s *net.Stats,
 	if res.Errors > 0 {
 		return fail("%d hard errors (sheds must be RetryLater)", res.Errors)
 	}
-	if res.Ops+res.Sheds != offered {
-		return fail("%d ops + %d sheds != %d offered", res.Ops, res.Sheds, offered)
+	if res.Ops()+res.Sheds != offered {
+		return fail("%d ops + %d sheds != %d offered", res.Ops(), res.Sheds, offered)
 	}
 	// Server side agrees with the client, request for request.
 	if s.Accepted+s.Shed != uint64(offered) {
 		return fail("server accepted %d + shed %d != %d offered", s.Accepted, s.Shed, offered)
 	}
-	if s.Accepted != uint64(res.Ops) || s.Shed != uint64(res.Sheds) {
+	if s.Accepted != uint64(res.Ops()) || s.Shed != uint64(res.Sheds) {
 		return fail("server (%d, %d) disagrees with client (%d, %d)",
-			s.Accepted, s.Shed, res.Ops, res.Sheds)
+			s.Accepted, s.Shed, res.Ops(), res.Sheds)
 	}
 	// Every admitted request records exactly one service-time sample.
 	if s.Latency == nil || s.Latency.Count() != s.Accepted {
@@ -121,10 +120,7 @@ func serveObsSweep(r *Run) ([]report.Table, error) {
 	// A lower floor than serve-lsm's: the law checks need flushes to
 	// actually happen even at test-suite (tiny) scale.
 	ops := o.Lookups
-	threshold := ops / 32
-	if threshold < 16 {
-		threshold = 16
-	}
+	threshold := compactThreshold(ops, 16)
 	const shards = 4
 
 	tbl := report.New("serve-obs",
@@ -144,7 +140,7 @@ func serveObsSweep(r *Run) ([]report.Table, error) {
 		Notef("closed phase runs at full capacity with compactions in flight; open phase offers 2x a pinned capacity so admission control must shed")
 
 	for _, family := range r.Families([]string{"PGM"}) {
-		run := func(phase string, ncfg net.Config, rate float64) error {
+		run := func(phase string, ncfg net.Config, workers int, rate float64) error {
 			reg := obs.NewRegistry()
 			journal := obs.NewJournal(obs.DefaultJournalCap)
 			tracer := obs.NewTracer(reg, obsTraceEvery)
@@ -173,12 +169,7 @@ func serveObsSweep(r *Run) ([]report.Table, error) {
 			defer pool.Close()
 
 			stream := load.MixedOps(e.Keys, ops, 0.50, YCSBTheta, o.Seed)
-			var res *load.Result
-			if rate > 0 {
-				res = load.RunOpen(pool, stream, load.Config{Workers: 96, Rate: rate, Seed: o.Seed})
-			} else {
-				res = load.RunClosed(pool, stream, load.Config{Workers: 32})
-			}
+			res := load.Run(pool, stream, load.Config{Workers: workers, Rate: rate, Seed: o.Seed})
 			st.WaitCompactions()
 			s, err := pool.Stats()
 			if err != nil {
@@ -191,28 +182,21 @@ func serveObsSweep(r *Run) ([]report.Table, error) {
 				return fmt.Errorf("serve-obs %s: no flushes — the write-path laws were vacuous", phase)
 			}
 			traces, _ := reg.Value("sosd_trace_sampled_total")
-			sum := res.Hist.Summary()
 			tbl.Row([]string{family, phase},
-				res.Throughput/1e3, float64(res.Sheds),
+				res.Throughput()/1e3, float64(res.Sheds),
 				float64(st.Flushes()), float64(st.MinorMerges()), float64(st.MajorMerges()),
 				float64(journal.Total()), st.ReadAmp(), traces,
-				float64(sum.P99)/1e3)
+				float64(res.Latency().Quantile(0.99))/1e3)
 			return nil
 		}
 
 		// Full capacity, closed loop: compactions in flight, no sheds.
-		if err := run("closed", net.Config{}, 0); err != nil {
+		if err := run("closed", net.Config{}, 32, 0); err != nil {
 			return nil, err
 		}
 		// Deep overload, open loop: pin capacity low and offer 2x, so
 		// the shed side of every law is exercised.
-		pinned := net.Config{
-			CoalesceWindow: time.Millisecond,
-			BatchCap:       16,
-			MaxPending:     32,
-		}
-		capacity := float64(pinned.BatchCap) / pinned.CoalesceWindow.Seconds()
-		if err := run("open200%", pinned, 2*capacity); err != nil {
+		if err := run("open200%", pinnedNet(), 96, 2*netCapacity()); err != nil {
 			return nil, err
 		}
 	}

@@ -52,34 +52,6 @@ func TailWorkers() int {
 	return w
 }
 
-// MeasureTail drives one tail-latency run against st: the workload's
-// operation stream (reads under its key distribution, writes
-// alternating fresh inserts and updates) generated from e, executed by
-// the open-loop generator when cfg.Rate > 0 and the closed-loop
-// generator otherwise. The result's histogram holds one latency per
-// operation — measured from scheduled arrival in the open loop.
-func MeasureTail(e *Env, st *serve.Store, wl MixedWorkload, ops int, cfg load.Config) *load.Result {
-	theta := 0.0
-	if wl.Zipfian {
-		theta = YCSBTheta
-	}
-	stream := load.MixedOps(e.Keys, ops, wl.ReadFrac, theta, cfg.Seed)
-	if cfg.Rate > 0 {
-		return load.RunOpen(st, stream, cfg)
-	}
-	return load.RunClosed(st, stream, cfg)
-}
-
-// tailRow appends one result line of the sweep. offered is 0 for the
-// closed loop (no fixed arrival schedule).
-func tailRow(t *report.Table, family, wlName, loop string, offered float64, res *load.Result) {
-	s := res.Hist.Summary()
-	t.Row([]string{family, wlName, loop},
-		offered/1e3, res.Throughput/1e3,
-		float64(s.P50)/1e3, float64(s.P90)/1e3, float64(s.P99)/1e3,
-		float64(s.P999)/1e3, float64(s.Max)/1e3)
-}
-
 // serveTailSweep reports the tail-latency experiment: per index family
 // and YCSB-style workload, a closed-loop saturation run (capacity and
 // latency under full load) followed by open-loop runs at fractions of
@@ -93,10 +65,7 @@ func serveTailSweep(r *Run) ([]report.Table, error) {
 	}
 	ops := o.Lookups
 	const shards = 4
-	threshold := ops / 32
-	if threshold < 64 {
-		threshold = 64
-	}
+	threshold := compactThreshold(ops, 64)
 	workers := TailWorkers()
 
 	t := report.New("serve-tail",
@@ -114,34 +83,37 @@ func serveTailSweep(r *Run) ([]report.Table, error) {
 		Notef("rate(k/s) is the offered open-loop arrival rate; 0 for the closed loop (saturation)")
 	for _, family := range r.Families(registry.WriteFamilies) {
 		for _, wl := range TailWorkloads() {
-			newStore := func() (*serve.Store, error) {
-				return serve.New(e.Keys, e.Payloads, serve.Config{
+			stream := wl.stream(e, ops, o.Seed)
+			// One run on a fresh store, so earlier writes and compactions
+			// cannot leak into later rows: saturated when rate is 0, else
+			// on the Poisson schedule of that rate.
+			run := func(loop string, rate float64) (*load.Result, error) {
+				st, err := serve.New(e.Keys, e.Payloads, serve.Config{
 					Shards: shards, Family: family, CompactThreshold: threshold,
 				})
-			}
-
-			st, err := newStore()
-			if err != nil {
-				return nil, err
-			}
-			closed := MeasureTail(e, st, wl, ops, load.Config{Workers: workers, Seed: o.Seed})
-			st.Close()
-			tailRow(t, family, wl.Name, "closed", 0, closed)
-
-			for _, frac := range TailRateFractions {
-				rate := frac * closed.Throughput
-				if rate <= 0 {
-					continue
-				}
-				st, err := newStore()
 				if err != nil {
 					return nil, err
 				}
-				open := MeasureTail(e, st, wl, ops, load.Config{
-					Workers: workers, Rate: rate, Seed: o.Seed,
-				})
-				st.Close()
-				tailRow(t, family, wl.Name, fmt.Sprintf("open%.0f%%", frac*100), rate, open)
+				defer st.Close()
+				res := load.Run(load.InProcess(st), stream, load.Config{Workers: workers, Rate: rate, Seed: o.Seed})
+				s := res.Latency().Summary()
+				t.Row([]string{family, wl.Name, loop},
+					rate/1e3, res.Throughput()/1e3,
+					float64(s.P50)/1e3, float64(s.P90)/1e3, float64(s.P99)/1e3,
+					float64(s.P999)/1e3, float64(s.Max)/1e3)
+				return res, nil
+			}
+
+			closed, err := run("closed", 0)
+			if err != nil {
+				return nil, err
+			}
+			for _, frac := range TailRateFractions {
+				if rate := frac * closed.Throughput(); rate > 0 {
+					if _, err := run(fmt.Sprintf("open%.0f%%", frac*100), rate); err != nil {
+						return nil, err
+					}
+				}
 			}
 		}
 	}

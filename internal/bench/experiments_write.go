@@ -11,7 +11,6 @@ package bench
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/load"
@@ -49,70 +48,44 @@ func MixedWorkloads() []MixedWorkload {
 	}
 }
 
-// MixedResult summarizes one mixed-workload run.
-type MixedResult struct {
-	Ops, Reads, Writes int
-	ReadNs, WriteNs    float64 // mean per-operation latencies
-	OpsPerSec          float64
-	Compactions        uint64        // shard compactions completed during the run
-	CompactTime        time.Duration // wall time spent merging + rebuilding
-	DeltaLen           int           // pending entries at run end (staleness)
-	Checksum           uint64
+// theta is the zipfian parameter of the workload's key choice; 0 is
+// uniform.
+func (wl MixedWorkload) theta() float64 {
+	if wl.Zipfian {
+		return YCSBTheta
+	}
+	return 0
 }
 
-// MeasureMixed drives ops operations against st from one client:
-// reads draw present keys under the workload's distribution, writes
-// alternate inserting a fresh key and updating a distribution-drawn
-// present one. Reads and writes interleave at the exact ReadFrac ratio
-// (Bresenham scheduling), so compactions triggered by the write stream
-// land in the middle of the measured read stream, as in a live system.
-// The operation stream is load.MixedOps — the same stream the tail
-// experiments replay, keeping serve-write and serve-tail comparable.
-func MeasureMixed(e *Env, st *serve.Store, ops int, wl MixedWorkload, seed uint64) MixedResult {
-	theta := 0.0
-	if wl.Zipfian {
-		theta = YCSBTheta
-	}
-	stream := load.MixedOps(e.Keys, ops, wl.ReadFrac, theta, seed)
+// stream is the workload's load.MixedOps stream over e's keys: reads
+// draw present keys under the workload's distribution, writes alternate
+// inserting a fresh key and updating a distribution-drawn present one,
+// interleaved at the exact ReadFrac ratio, so compactions triggered by
+// the write stream land in the middle of the measured read stream, as
+// in a live system. Every serve-* experiment replays this one stream,
+// which keeps their rows comparable.
+func (wl MixedWorkload) stream(e *Env, ops int, seed uint64) []load.Op {
+	return load.MixedOps(e.Keys, ops, wl.ReadFrac, wl.theta(), seed)
+}
 
-	res := MixedResult{Ops: ops}
-	baseCompactions := st.Compactions()
-	baseCompactTime := st.CompactTime()
-	var readTime, writeTime time.Duration
-	start := time.Now()
-	for _, op := range stream {
-		switch op.Kind {
-		case load.Get:
-			t0 := time.Now()
-			v, ok := st.Get(op.Key)
-			readTime += time.Since(t0)
-			res.Reads++
-			if ok {
-				res.Checksum += v
-			}
-		case load.Put:
-			t0 := time.Now()
-			st.Put(op.Key, op.Payload)
-			writeTime += time.Since(t0)
-			res.Writes++
-		}
-	}
-	elapsed := time.Since(start)
-	// Staleness is read at load stop; compaction counters after the
-	// background compactor drains what the run queued, so short runs do
-	// not under-report rebuild work still in flight.
-	res.DeltaLen = st.DeltaLen()
+// compactThreshold sizes the delta so a run of ops operations forces
+// several compactions per shard within one run at default scale; floor
+// keeps it meaningful at test-suite scale.
+func compactThreshold(ops, floor int) int {
+	return max(ops/32, floor)
+}
+
+// runMixed drives wl's stream against a fresh st from one saturating
+// client and returns once the background compactor has drained what the
+// run queued, so st's compaction counters do not under-report rebuild
+// work a short run left in flight. Staleness — pending delta entries
+// and the widest shard's run count — is read at load stop, before that
+// drain.
+func runMixed(e *Env, st *serve.Store, wl MixedWorkload, ops int, seed uint64) (res *load.Result, deltaLen, maxRuns int) {
+	res = load.Run(load.InProcess(st), wl.stream(e, ops, seed), load.Config{Workers: 1})
+	deltaLen, maxRuns = st.DeltaLen(), st.MaxRunCount()
 	st.WaitCompactions()
-	if res.Reads > 0 {
-		res.ReadNs = float64(readTime.Nanoseconds()) / float64(res.Reads)
-	}
-	if res.Writes > 0 {
-		res.WriteNs = float64(writeTime.Nanoseconds()) / float64(res.Writes)
-	}
-	res.OpsPerSec = float64(ops) / elapsed.Seconds()
-	res.Compactions = st.Compactions() - baseCompactions
-	res.CompactTime = st.CompactTime() - baseCompactTime
-	return res
+	return res, deltaLen, maxRuns
 }
 
 // writeDist renders a workload's key-choice distribution.
@@ -135,12 +108,7 @@ func serveWriteSweep(r *Run) ([]report.Table, error) {
 	}
 	ops := o.Lookups
 	const shards = 4
-	// Sized so workload A's write stream forces several compactions per
-	// shard within one run at default scale.
-	threshold := ops / 32
-	if threshold < 64 {
-		threshold = 64
-	}
+	threshold := compactThreshold(ops, 64)
 	families := r.Families(registry.WriteFamilies)
 
 	mixed := report.New("serve-write",
@@ -162,11 +130,11 @@ func serveWriteSweep(r *Run) ([]report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res := MeasureMixed(e, st, ops, wl, o.Seed)
+			res, deltaLen, _ := runMixed(e, st, wl, ops, o.Seed)
 			mixed.Row([]string{family, wl.Name, writeDist(wl)},
-				wl.ReadFrac*100, res.OpsPerSec/1e3, res.ReadNs, res.WriteNs,
-				float64(res.Compactions), float64(res.CompactTime.Nanoseconds())/1e6,
-				float64(res.DeltaLen))
+				wl.ReadFrac*100, res.Throughput()/1e3, res.Reads.Mean(), res.Writes.Mean(),
+				float64(st.Compactions()), float64(st.CompactTime().Nanoseconds())/1e6,
+				float64(deltaLen))
 			st.Close()
 		}
 	}
@@ -190,10 +158,10 @@ func serveWriteSweep(r *Run) ([]report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res := MeasureMixed(e, st, ops, wlA, o.Seed)
+			res, deltaLen, _ := runMixed(e, st, wlA, ops, o.Seed)
 			sweep.Row([]string{family, strconv.Itoa(th)},
-				res.OpsPerSec/1e3, float64(res.Compactions),
-				float64(res.CompactTime.Nanoseconds())/1e6, float64(res.DeltaLen))
+				res.Throughput()/1e3, float64(st.Compactions()),
+				float64(st.CompactTime().Nanoseconds())/1e6, float64(deltaLen))
 			st.Close()
 		}
 	}

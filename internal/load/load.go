@@ -1,25 +1,24 @@
-// Package load implements the concurrent load generators of the
-// tail-latency experiments: closed-loop and open-loop drivers that
-// push mixed Get/GetBatch/Put operation streams into a Target — a
-// serve.Store in process, or a network client pool fronting one — and
-// record per-operation latency into per-worker stats.Histograms.
+// Package load is the op-stream driver of every serving experiment: one
+// Run pushes a mixed Get/Put stream (MixedOps) into a Target — a
+// serve.Store in process behind InProcess, a net.Pool over a socket, a
+// repl.Router over a topology — from a fixed set of workers, and
+// records each accepted operation's latency into a read or a write
+// stats.Histogram.
 //
-// The two loops answer different questions. The closed loop (RunClosed)
-// keeps a fixed number of workers saturated — each issues its next
-// operation the instant the previous one returns — and so measures the
-// store's capacity and its latency *under saturation*. The open loop
-// (RunOpen) replays a Poisson arrival schedule fixed before the run:
-// each operation has a scheduled arrival instant, workers never issue
+// Config.Rate selects which question the run answers. With Rate == 0
+// the loop is closed: each worker issues its next operation the instant
+// the previous one returns, which measures the target's capacity and
+// its latency *under saturation*. With Rate > 0 the loop is open: a
+// Poisson arrival schedule is fixed before the run, workers never issue
 // early, and latency is measured from the scheduled arrival, not from
-// the moment the operation was actually sent. A store that stalls
+// the moment the operation was actually sent. A target that stalls
 // therefore keeps accumulating lateness for every request scheduled
 // during the stall — the measurement is free of coordinated omission,
 // unlike a closed loop, whose workers politely stop offering load
-// whenever the store backs up. See DESIGN.md "Measurement".
+// whenever the target backs up. See DESIGN.md "Measurement".
 //
-// Both runners spawn their workers, join them, and merge the
-// per-worker histograms before returning: no goroutine outlives the
-// call, even on early Stop.
+// Run spawns its workers, joins them, and merges their histograms
+// before returning: no goroutine outlives the call.
 package load
 
 import (
@@ -33,33 +32,44 @@ import (
 	"repro/internal/stats"
 )
 
-// Target is the operation sink of a generator run: the serve.Store
-// read/write surface the generators drive. serve.Store satisfies it
-// directly; net.Pool satisfies it over a wire.
+// Target is the operation sink of a run. Its operations can be refused
+// or fail — a network client under server admission control: a shed
+// refusal (an error whose chain carries Shed() bool == true) counts
+// into Result.Sheds, any other error into Result.Errors, and neither
+// lands in a histogram — a shed is an explicit fast refusal, not a
+// served request, and folding its latency into the histogram would let
+// a server flatter its tail by shedding. net.Pool and repl.Router
+// satisfy it directly; InProcess adapts a serve.Store.
 type Target interface {
-	// Get returns the live payload for key, or false when absent.
+	// TryGet returns the live payload for key, or false when absent.
+	TryGet(key core.Key) (uint64, bool, error)
+	// TryPut inserts or updates key.
+	TryPut(key core.Key, payload uint64) error
+}
+
+// store is the surface of serve.Store that InProcess adapts; declared
+// structurally so load does not import the store it drives.
+type store interface {
 	Get(key core.Key) (uint64, bool)
-	// GetBatch fills out[i] with the payload of keys[i] (0 when
-	// absent) and returns the number found.
-	GetBatch(keys []core.Key, out []uint64) int
-	// Put inserts or updates key.
 	Put(key core.Key, payload uint64)
 }
 
-// ErrTarget is the optional Target extension for sinks whose
-// operations can be refused or fail — a network client under server
-// admission control. When a Target implements it, the generators issue
-// every operation through the Try variants: a shed refusal (an error
-// whose chain carries Shed() bool == true) counts into Result.Sheds,
-// any other error into Result.Errors, and neither lands in the
-// accepted-operation histogram — a shed is an explicit fast refusal,
-// not a served request, and folding its latency into the histogram
-// would let a server flatter its tail by shedding.
-type ErrTarget interface {
-	Target
-	TryGet(key core.Key) (uint64, bool, error)
-	TryGetBatch(keys []core.Key, out []uint64) (int, error)
-	TryPut(key core.Key, payload uint64) error
+// inProcess is the Target over a store called directly, whose
+// operations cannot fail.
+type inProcess struct{ st store }
+
+// InProcess adapts an in-process store (serve.Store) to Target, so a
+// function call and a socket are driven by the same loop.
+func InProcess(st store) Target { return inProcess{st} }
+
+func (p inProcess) TryGet(key core.Key) (uint64, bool, error) {
+	v, ok := p.st.Get(key)
+	return v, ok, nil
+}
+
+func (p inProcess) TryPut(key core.Key, payload uint64) error {
+	p.st.Put(key, payload)
+	return nil
 }
 
 // shedder is the marker carried by refusal errors; declared structurally
@@ -89,218 +99,84 @@ type Op struct {
 	Payload uint64
 }
 
-// Config configures a generator run.
+// Config configures a run.
 type Config struct {
 	// Workers is the number of concurrent generator goroutines; 0
 	// defaults to runtime.NumCPU().
 	Workers int
 
-	// Batch groups runs of consecutive read operations within one
-	// worker's stream into single GetBatch calls of at most Batch keys
-	// (each key in the batch is charged the batch's latency). 0 or 1
-	// issues per-key Gets. Ignored by the open loop, which dispatches
-	// every arrival individually.
-	Batch int
-
 	// Rate is the open loop's target aggregate arrival rate in
-	// operations per second; RunOpen requires it positive.
+	// operations per second; 0 runs the closed loop.
 	Rate float64
 
 	// Seed derives the open loop's Poisson arrival schedule.
 	Seed uint64
-
-	// Stop, when non-nil, aborts the run early: workers finish their
-	// in-flight operation, drain nothing further, and Run returns with
-	// the operations completed so far.
-	Stop <-chan struct{}
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
-	}
-	return c
-}
-
-// Result summarizes one generator run.
+// Result summarizes one run.
 type Result struct {
-	// Hist holds per-operation latencies, merged across workers. In the
-	// open loop a latency spans from the operation's scheduled arrival
-	// to its completion (queueing delay included).
-	Hist *stats.Histogram
-
-	// Ops, Reads, and Writes count completed (accepted) operations.
-	Ops, Reads, Writes int
+	// Reads and Writes hold the latency of every accepted Get and Put,
+	// merged across workers. In the open loop a latency spans from the
+	// operation's scheduled arrival to its completion (queueing delay
+	// included).
+	Reads, Writes stats.Histogram
 
 	// Sheds counts operations the target explicitly refused under
-	// admission control (see ErrTarget); Errors counts operations that
-	// failed for any other reason. Neither is included in Ops or Hist,
-	// so Throughput is goodput: accepted operations per second.
+	// admission control (see Target); Errors counts operations that
+	// failed for any other reason. Neither is in Ops or a histogram, so
+	// Throughput is goodput: accepted operations per second.
 	Sheds, Errors int
 
-	// Elapsed is the wall time of the whole run; Throughput is
-	// Ops/Elapsed in operations per second.
-	Elapsed    time.Duration
-	Throughput float64
+	// Elapsed is the wall time of the whole run.
+	Elapsed time.Duration
 
 	// Checksum sums the payloads of found reads (the paper's
 	// keep-the-benchmark-honest device).
 	Checksum uint64
 }
 
-// worker accumulates one goroutine's share of a run; merged after join.
-type worker struct {
-	hist          stats.Histogram
-	reads, writes int
-	sheds, errs   int
-	checksum      uint64
+// Ops is the number of accepted operations.
+func (r *Result) Ops() int { return int(r.Reads.Count() + r.Writes.Count()) }
+
+// Throughput is Ops/Elapsed in operations per second.
+func (r *Result) Throughput() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(r.Ops()) / r.Elapsed.Seconds()
 }
 
-// merge folds per-worker results into one Result and computes rates.
-func mergeWorkers(ws []*worker, elapsed time.Duration) *Result {
-	res := &Result{Hist: &stats.Histogram{}, Elapsed: elapsed}
-	for _, w := range ws {
-		res.Hist.Merge(&w.hist)
-		res.Reads += w.reads
-		res.Writes += w.writes
-		res.Sheds += w.sheds
-		res.Errors += w.errs
-		res.Checksum += w.checksum
-	}
-	res.Ops = res.Reads + res.Writes
-	if elapsed > 0 {
-		res.Throughput = float64(res.Ops) / elapsed.Seconds()
-	}
-	return res
+// Latency is the distribution over every accepted operation, reads and
+// writes together.
+func (r *Result) Latency() *stats.Histogram {
+	h := r.Reads.Snapshot()
+	h.Merge(&r.Writes)
+	return h
 }
 
-// note classifies a Try-variant failure into the worker's counters.
-func (w *worker) note(err error, nOps int) {
-	if IsShed(err) {
-		w.sheds += nOps
-	} else {
-		w.errs += nOps
-	}
-}
-
-// stopped reports whether cfg.Stop has fired (nil Stop never fires).
-func stopped(stop <-chan struct{}) bool {
-	if stop == nil {
-		return false
-	}
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// RunClosed drives ops through st with cfg.Workers saturated workers:
-// worker w executes ops[w], ops[w+W], ... back to back, timing each
-// operation (or each GetBatch flush) individually. All workers are
-// joined before RunClosed returns.
-func RunClosed(st Target, ops []Op, cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	if cfg.Batch < 1 {
-		cfg.Batch = 1
-	}
-	ws := make([]*worker, cfg.Workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := range ws {
-		ws[i] = &worker{}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			closedWorker(st, ops, cfg, w, ws[w])
-		}(i)
-	}
-	wg.Wait()
-	return mergeWorkers(ws, time.Since(start))
-}
-
-func closedWorker(st Target, ops []Op, cfg Config, w int, out *worker) {
-	et, _ := st.(ErrTarget)
-	keys := make([]core.Key, 0, cfg.Batch)
-	vals := make([]uint64, cfg.Batch)
-	flush := func() {
-		if len(keys) == 0 {
-			return
-		}
-		t0 := time.Now()
-		if et != nil {
-			if _, err := et.TryGetBatch(keys, vals[:len(keys)]); err != nil {
-				out.note(err, len(keys))
-				keys = keys[:0]
-				return
-			}
-		} else {
-			st.GetBatch(keys, vals[:len(keys)])
-		}
-		lat := time.Since(t0).Nanoseconds()
-		for _, v := range vals[:len(keys)] {
-			out.hist.Record(lat)
-			out.checksum += v
-			out.reads++
-		}
-		keys = keys[:0]
-	}
-	for i := w; i < len(ops); i += cfg.Workers {
-		if stopped(cfg.Stop) {
-			// Keys accumulated toward the next batch were never issued;
-			// an abort drops them rather than flushing one more call.
-			return
-		}
-		op := ops[i]
-		if op.Kind == Get && cfg.Batch > 1 {
-			keys = append(keys, op.Key)
-			if len(keys) == cfg.Batch {
-				flush()
-			}
-			continue
-		}
-		flush() // a write (or unbatched read) breaks the read run
-		t0 := time.Now()
-		execOp(st, et, op, t0, out)
-	}
-	flush()
-}
-
-// execOp issues one point operation against the target and records its
-// outcome: accepted operations land in the histogram (latency measured
-// from t0, which the open loop sets to the scheduled arrival), refused
-// and failed ones only in their counters.
-func execOp(st Target, et ErrTarget, op Op, t0 time.Time, out *worker) {
-	switch op.Kind {
-	case Get:
+// exec issues one operation and records its outcome: an accepted one
+// lands in its kind's histogram with latency measured from t0, a
+// refused or failed one only in its counter.
+func (r *Result) exec(t Target, op Op, t0 time.Time) {
+	var err error
+	hist := &r.Writes
+	if op.Kind == Get {
 		var v uint64
-		var ok bool
-		if et != nil {
-			var err error
-			if v, ok, err = et.TryGet(op.Key); err != nil {
-				out.note(err, 1)
-				return
-			}
-		} else {
-			v, ok = st.Get(op.Key)
+		var found bool
+		if v, found, err = t.TryGet(op.Key); err == nil && found {
+			r.Checksum += v
 		}
-		out.hist.Record(time.Since(t0).Nanoseconds())
-		if ok {
-			out.checksum += v
-		}
-		out.reads++
-	case Put:
-		if et != nil {
-			if err := et.TryPut(op.Key, op.Payload); err != nil {
-				out.note(err, 1)
-				return
-			}
-		} else {
-			st.Put(op.Key, op.Payload)
-		}
-		out.hist.Record(time.Since(t0).Nanoseconds())
-		out.writes++
+		hist = &r.Reads
+	} else {
+		err = t.TryPut(op.Key, op.Payload)
+	}
+	switch {
+	case err == nil:
+		hist.Record(time.Since(t0).Nanoseconds())
+	case IsShed(err):
+		r.Sheds++
+	default:
+		r.Errors++
 	}
 }
 
@@ -310,68 +186,61 @@ func execOp(st Target, et ErrTarget, op Op, t0 time.Time, out *worker) {
 // would smear the schedule the measurement is defined against.
 const sleepSlack = 200 * time.Microsecond
 
-// RunOpen drives ops through st on a Poisson arrival schedule of
-// cfg.Rate operations per second (coordinated-omission-free): arrival
-// instants are fixed up front from cfg.Seed, worker w serves arrivals
-// w, w+W, ..., never issuing one early, and each operation's recorded
-// latency runs from its *scheduled* arrival to completion — a worker
-// running behind schedule executes late operations immediately and the
-// backlog wait lands in the histogram. All workers are joined before
-// RunOpen returns.
-func RunOpen(st Target, ops []Op, cfg Config) *Result {
-	cfg = cfg.withDefaults()
-	if cfg.Rate <= 0 {
-		panic("load: RunOpen requires a positive Rate")
+// waitUntil returns at sched, or at once when it has passed.
+func waitUntil(sched time.Time) {
+	for d := time.Until(sched); d > 0; d = time.Until(sched) {
+		if d > sleepSlack {
+			time.Sleep(d - sleepSlack)
+		} else {
+			runtime.Gosched()
+		}
 	}
-	arrivals := dataset.Arrivals(len(ops), cfg.Rate, cfg.Seed)
-	ws := make([]*worker, cfg.Workers)
-	var wg sync.WaitGroup
-	epoch := time.Now()
-	for i := range ws {
-		ws[i] = &worker{}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			openWorker(st, ops, arrivals, epoch, cfg, w, ws[w])
-		}(i)
-	}
-	wg.Wait()
-	return mergeWorkers(ws, time.Since(epoch))
 }
 
-func openWorker(st Target, ops []Op, arrivals []time.Duration, epoch time.Time, cfg Config, w int, out *worker) {
-	et, _ := st.(ErrTarget)
-	for i := w; i < len(ops); i += cfg.Workers {
-		sched := epoch.Add(arrivals[i])
-		for {
-			if stopped(cfg.Stop) {
-				return
-			}
-			d := time.Until(sched)
-			if d <= 0 {
-				break
-			}
-			if d > sleepSlack {
-				wait := d - sleepSlack
-				if cfg.Stop != nil {
-					// The inter-arrival wait can span seconds at low
-					// rates; Stop must interrupt it, not wait it out.
-					t := time.NewTimer(wait)
-					select {
-					case <-cfg.Stop:
-						t.Stop()
-						return
-					case <-t.C:
-					}
-				} else {
-					time.Sleep(wait)
-				}
-			} else {
-				runtime.Gosched()
-			}
-		}
-		// Latency is charged from the scheduled arrival: backlog wait
-		// for late operations, zero queueing for on-time ones.
-		execOp(st, et, ops[i], sched, out)
+// Run drives ops through t: worker w executes ops[w], ops[w+W], ... in
+// order, timing each operation individually. With cfg.Rate == 0 an
+// operation is timed from the moment it is sent. With cfg.Rate > 0
+// arrival instants are fixed up front from cfg.Seed, no operation is
+// issued before its arrival, and its latency runs from the *scheduled*
+// arrival — a worker running behind schedule executes late operations
+// immediately and the backlog wait lands in the histogram.
+func Run(t Target, ops []Op, cfg Config) *Result {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
+	var arrivals []time.Duration
+	if cfg.Rate > 0 {
+		arrivals = dataset.Arrivals(len(ops), cfg.Rate, cfg.Seed)
+	}
+	parts := make([]Result, workers)
+	var wg sync.WaitGroup
+	epoch := time.Now()
+	for w := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(ops); i += workers {
+				var t0 time.Time
+				if arrivals == nil {
+					t0 = time.Now()
+				} else {
+					t0 = epoch.Add(arrivals[i])
+					waitUntil(t0)
+				}
+				parts[w].exec(t, ops[i], t0)
+			}
+		}()
+	}
+	wg.Wait()
+	res := &Result{Elapsed: time.Since(epoch)}
+	for i := range parts {
+		w := &parts[i]
+		res.Reads.Merge(&w.Reads)
+		res.Writes.Merge(&w.Writes)
+		res.Sheds += w.Sheds
+		res.Errors += w.Errors
+		res.Checksum += w.Checksum
+	}
+	return res
 }

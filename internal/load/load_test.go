@@ -77,42 +77,54 @@ func TestMixedOpsShape(t *testing.T) {
 
 // TestRunClosedCorrectness checks a read-only closed-loop run end to
 // end: every op completes, the checksum matches the serial oracle, and
-// the histogram holds exactly one sample per op — for both the per-key
-// and the batched read path.
+// the read histogram holds exactly one sample per op.
 func TestRunClosedCorrectness(t *testing.T) {
 	st, keys, payloads := testStore(t, 4000)
 	defer st.Close()
 	ops := MixedOps(keys, 3000, 1, 0.99, 5)
 	want := oracleChecksum(ops, keys, payloads)
-	for _, batch := range []int{1, 64} {
-		res := RunClosed(st, ops, Config{Workers: 4, Batch: batch})
-		if res.Ops != len(ops) || res.Reads != len(ops) || res.Writes != 0 {
-			t.Fatalf("batch=%d: ops=%d reads=%d writes=%d", batch, res.Ops, res.Reads, res.Writes)
-		}
-		if res.Checksum != want {
-			t.Fatalf("batch=%d: checksum %d, want %d", batch, res.Checksum, want)
-		}
-		if res.Hist.Count() != uint64(len(ops)) {
-			t.Fatalf("batch=%d: histogram holds %d samples, want %d", batch, res.Hist.Count(), len(ops))
-		}
-		if res.Throughput <= 0 || res.Elapsed <= 0 {
-			t.Fatalf("batch=%d: no throughput/elapsed", batch)
-		}
+	res := Run(InProcess(st), ops, Config{Workers: 4})
+	if res.Ops() != len(ops) || res.Writes.Count() != 0 {
+		t.Fatalf("ops=%d writes=%d", res.Ops(), res.Writes.Count())
+	}
+	if res.Checksum != want {
+		t.Fatalf("checksum %d, want %d", res.Checksum, want)
+	}
+	if res.Reads.Count() != uint64(len(ops)) {
+		t.Fatalf("histogram holds %d samples, want %d", res.Reads.Count(), len(ops))
+	}
+	if res.Throughput() <= 0 || res.Elapsed <= 0 {
+		t.Fatal("no throughput/elapsed")
 	}
 }
 
 // TestRunClosedMixedWrites drives a 50/50 mix and verifies the writes
-// actually landed in the store.
+// actually landed in the store, and that each histogram holds exactly
+// the stream's operations of its kind — in both loops.
 func TestRunClosedMixedWrites(t *testing.T) {
 	st, keys, _ := testStore(t, 4000)
 	defer st.Close()
 	ops := MixedOps(keys, 2000, 0.5, 0, 5)
-	res := RunClosed(st, ops, Config{Workers: 4})
-	if res.Writes == 0 || res.Reads == 0 {
-		t.Fatalf("mix degenerate: reads=%d writes=%d", res.Reads, res.Writes)
+	var gets, puts uint64
+	for _, op := range ops {
+		if op.Kind == Get {
+			gets++
+		} else {
+			puts++
+		}
 	}
-	if res.Hist.Count() != uint64(res.Ops) {
-		t.Fatalf("histogram %d != ops %d", res.Hist.Count(), res.Ops)
+	if gets == 0 || puts == 0 {
+		t.Fatalf("mix degenerate: gets=%d puts=%d", gets, puts)
+	}
+	for _, rate := range []float64{0, 2_000_000} {
+		res := Run(InProcess(st), ops, Config{Workers: 4, Rate: rate, Seed: 1})
+		if res.Reads.Count() != gets || res.Writes.Count() != puts {
+			t.Fatalf("rate=%g: histograms hold %d reads + %d writes, stream has %d + %d",
+				rate, res.Reads.Count(), res.Writes.Count(), gets, puts)
+		}
+		if res.Latency().Count() != uint64(res.Ops()) || res.Ops() != len(ops) {
+			t.Fatalf("rate=%g: latency %d, ops %d, stream %d", rate, res.Latency().Count(), res.Ops(), len(ops))
+		}
 	}
 	for _, op := range ops {
 		if op.Kind != Put {
@@ -135,12 +147,12 @@ func TestRunOpenSchedule(t *testing.T) {
 	const rate = 50_000.0
 	ops := MixedOps(keys, n, 1, 0, 5)
 	want := oracleChecksum(ops, keys, payloads)
-	res := RunOpen(st, ops, Config{Workers: 4, Rate: rate, Seed: 11})
-	if res.Ops != n || res.Checksum != want {
-		t.Fatalf("ops=%d checksum=%d, want %d/%d", res.Ops, res.Checksum, n, want)
+	res := Run(InProcess(st), ops, Config{Workers: 4, Rate: rate, Seed: 11})
+	if res.Ops() != n || res.Checksum != want {
+		t.Fatalf("ops=%d checksum=%d, want %d/%d", res.Ops(), res.Checksum, n, want)
 	}
-	if res.Hist.Count() != uint64(n) {
-		t.Fatalf("histogram holds %d samples, want %d", res.Hist.Count(), n)
+	if res.Reads.Count() != uint64(n) {
+		t.Fatalf("histogram holds %d samples, want %d", res.Reads.Count(), n)
 	}
 	// The schedule spans ~n/rate seconds; an open-loop run cannot finish
 	// faster than its last scheduled arrival.
@@ -150,8 +162,8 @@ func TestRunOpenSchedule(t *testing.T) {
 	}
 	// Achieved throughput approaches the offered rate when the store
 	// keeps up (generous bound: within a factor of two).
-	if res.Throughput < rate/2 {
-		t.Fatalf("achieved %.0f ops/s at offered %.0f", res.Throughput, rate)
+	if res.Throughput() < rate/2 {
+		t.Fatalf("achieved %.0f ops/s at offered %.0f", res.Throughput(), rate)
 	}
 }
 
@@ -172,19 +184,19 @@ func TestRunOpenMeasuresFromScheduledArrival(t *testing.T) {
 	ops := MixedOps(keys, n, 1, 0, 5)
 
 	// Closed-loop reference: the bare per-operation service time.
-	closed := RunClosed(st, ops, Config{Workers: 1})
+	closed := Run(InProcess(st), ops, Config{Workers: 1})
 
-	res := RunOpen(st, ops, Config{Workers: 1, Rate: 100_000_000, Seed: 3})
-	if res.Hist.Count() != uint64(n) {
-		t.Fatalf("histogram holds %d samples, want %d", res.Hist.Count(), n)
+	res := Run(InProcess(st), ops, Config{Workers: 1, Rate: 100_000_000, Seed: 3})
+	if res.Reads.Count() != uint64(n) {
+		t.Fatalf("histogram holds %d samples, want %d", res.Reads.Count(), n)
 	}
-	med, max := res.Hist.Quantile(0.5), res.Hist.Max()
+	med, max := res.Reads.Quantile(0.5), res.Reads.Max()
 	// The median arrival waits out ~half the backlog — roughly n/2
 	// service times — so it must dwarf the closed-loop median, which a
 	// send-time measurement would have reported instead.
-	if med < 10*closed.Hist.Quantile(0.5) {
+	if med < 10*closed.Reads.Quantile(0.5) {
 		t.Fatalf("no queueing in open-loop median: open=%dns closed=%dns",
-			med, closed.Hist.Quantile(0.5))
+			med, closed.Reads.Quantile(0.5))
 	}
 	// The last arrivals wait out nearly the whole run: the max must be
 	// on the order of the run's span (allowing bucket error and noise).
@@ -217,8 +229,8 @@ func waitGoroutines(t *testing.T, baseline int) {
 }
 
 // TestGeneratorShutdownLeavesNoGoroutines is the satellite leak test:
-// after every generator variant returns — including an early abort via
-// Stop mid-run — the goroutine count returns to its pre-run baseline.
+// after a run of either loop returns, the goroutine count returns to
+// its pre-run baseline.
 func TestGeneratorShutdownLeavesNoGoroutines(t *testing.T) {
 	st, keys, _ := testStore(t, 4000)
 	defer st.Close()
@@ -226,40 +238,16 @@ func TestGeneratorShutdownLeavesNoGoroutines(t *testing.T) {
 	st.WaitCompactions()
 	baseline := runtime.NumGoroutine()
 
-	RunClosed(st, ops, Config{Workers: 8, Batch: 32})
+	Run(InProcess(st), ops, Config{Workers: 8})
 	waitGoroutines(t, baseline)
 
-	RunOpen(st, ops, Config{Workers: 8, Rate: 2_000_000, Seed: 1})
-	waitGoroutines(t, baseline)
-
-	// Early abort: fire Stop while workers are mid-schedule at a rate
-	// slow enough that the run would otherwise take ~5s.
-	stop := make(chan struct{})
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		close(stop)
-	}()
-	res := RunOpen(st, ops, Config{Workers: 8, Rate: 1000, Seed: 1, Stop: stop})
-	if res.Ops >= len(ops) {
-		t.Fatalf("Stop did not abort early: %d ops completed", res.Ops)
-	}
-	waitGoroutines(t, baseline)
-
-	stop2 := make(chan struct{})
-	close(stop2) // already fired: closed loop must return almost empty
-	res2 := RunClosed(st, ops, Config{Workers: 4, Stop: stop2})
-	if res2.Ops >= len(ops) {
-		t.Fatalf("pre-fired Stop did not abort closed loop: %d ops", res2.Ops)
-	}
+	Run(InProcess(st), ops, Config{Workers: 8, Rate: 2_000_000, Seed: 1})
 	waitGoroutines(t, baseline)
 }
 
-// serve.Store is the canonical in-process Target.
-var _ Target = (*serve.Store)(nil)
-
-// shedTarget is a fake ErrTarget that refuses every n-th operation
-// with a shed error and fails every m-th with a plain error, tracking
-// what it actually executed.
+// shedTarget is a fake Target that refuses every n-th operation with a
+// shed error and fails every m-th with a plain error, tracking what it
+// actually executed.
 type shedTarget struct {
 	mu       sync.Mutex
 	n        int
@@ -294,48 +282,41 @@ func (s *shedTarget) TryGet(k core.Key) (uint64, bool, error) {
 	return uint64(k) + 1, true, nil
 }
 
-func (s *shedTarget) TryGetBatch(keys []core.Key, out []uint64) (int, error) {
-	if err := s.disposition(); err != nil {
-		return 0, err
-	}
-	for i, k := range keys {
-		out[i] = uint64(k) + 1
-	}
-	return len(keys), nil
-}
-
 func (s *shedTarget) TryPut(core.Key, uint64) error { return s.disposition() }
 
-// The non-Try surface must never be reached once ErrTarget is
-// implemented; panic so a regression is loud.
-func (s *shedTarget) Get(core.Key) (uint64, bool)       { panic("load bypassed TryGet") }
-func (s *shedTarget) GetBatch([]core.Key, []uint64) int { panic("load bypassed TryGetBatch") }
-func (s *shedTarget) Put(core.Key, uint64)              { panic("load bypassed TryPut") }
-
-// TestShedAccounting pins the ErrTarget contract for both generators:
-// sheds and errors are counted apart from accepted ops, excluded from
-// the histogram, and conservation holds — every operation of the
-// stream is accepted, shed, or errored.
+// TestShedAccounting pins the Target contract for both loops: sheds
+// and errors are counted apart from accepted ops, excluded from the
+// histograms, and conservation holds — every operation of the stream
+// is accepted, shed, or errored. An in-process store, which can do
+// neither, and a target that fails every operation go through the same
+// Run and the same law.
 func TestShedAccounting(t *testing.T) {
-	keys := dataset.MustGenerate(dataset.Amzn, 500, 3)
+	st, keys, _ := testStore(t, 500)
+	defer st.Close()
 	ops := MixedOps(keys, 1200, 0.75, 0, 9)
-	for name, run := range map[string]func(Target, []Op, Config) *Result{
-		"closed":      func(tg Target, o []Op, c Config) *Result { return RunClosed(tg, o, c) },
-		"closedBatch": func(tg Target, o []Op, c Config) *Result { c.Batch = 16; return RunClosed(tg, o, c) },
-		"open":        func(tg Target, o []Op, c Config) *Result { c.Rate = 5_000_000; return RunOpen(tg, o, c) },
+	for _, tc := range []struct {
+		name         string
+		target       func() Target
+		sheds, fails bool // whether the target refuses / fails anything
+		accepts      bool // whether it serves anything
+	}{
+		{"mixed", func() Target { return &shedTarget{shedMod: 3, errMod: 7} }, true, true, true},
+		{"failing", func() Target { return &shedTarget{errMod: 1} }, false, true, false},
+		{"inprocess", func() Target { return InProcess(st) }, false, false, true},
 	} {
-		tg := &shedTarget{shedMod: 3, errMod: 7}
-		res := run(tg, ops, Config{Workers: 4, Seed: 1})
-		if res.Sheds == 0 || res.Errors == 0 {
-			t.Fatalf("%s: degenerate dispositions: %+v", name, res)
-		}
-		if res.Ops+res.Sheds+res.Errors != len(ops) {
-			t.Fatalf("%s: conservation violated: ops=%d sheds=%d errors=%d stream=%d",
-				name, res.Ops, res.Sheds, res.Errors, len(ops))
-		}
-		if res.Hist.Count() != uint64(res.Ops) {
-			t.Fatalf("%s: histogram holds %d samples for %d accepted ops",
-				name, res.Hist.Count(), res.Ops)
+		for _, rate := range []float64{0, 5_000_000} {
+			name := fmt.Sprintf("%s/rate=%g", tc.name, rate)
+			res := Run(tc.target(), ops, Config{Workers: 4, Rate: rate, Seed: 1})
+			if (res.Sheds > 0) != tc.sheds || (res.Errors > 0) != tc.fails || (res.Ops() > 0) != tc.accepts {
+				t.Fatalf("%s: dispositions: ops=%d sheds=%d errors=%d", name, res.Ops(), res.Sheds, res.Errors)
+			}
+			if res.Ops()+res.Sheds+res.Errors != len(ops) {
+				t.Fatalf("%s: conservation violated: ops=%d sheds=%d errors=%d stream=%d",
+					name, res.Ops(), res.Sheds, res.Errors, len(ops))
+			}
+			if got := res.Reads.Count() + res.Writes.Count(); got != uint64(res.Ops()) {
+				t.Fatalf("%s: histograms hold %d samples for %d accepted ops", name, got, res.Ops())
+			}
 		}
 	}
 }
@@ -380,8 +361,8 @@ func TestGeneratorRace(t *testing.T) {
 		}
 	}()
 	ops := MixedOps(keys, 4000, 0.5, 0.99, 5)
-	RunClosed(st, ops, Config{Workers: 8, Batch: 16})
-	RunOpen(st, ops, Config{Workers: 8, Rate: 500_000, Seed: 2})
+	Run(InProcess(st), ops, Config{Workers: 8})
+	Run(InProcess(st), ops, Config{Workers: 8, Rate: 500_000, Seed: 2})
 	close(stop)
 	st.WaitCompactions()
 }

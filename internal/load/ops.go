@@ -14,9 +14,8 @@ import (
 // theta (theta <= 0 degrades to uniform), and the rest are writes
 // alternating between inserting a fresh absent key and updating a
 // distribution-drawn present one. Reads and writes interleave at the
-// exact ratio (Bresenham scheduling), matching bench.MeasureMixed, so
-// write-triggered compactions land mid-read-stream as in a live
-// system. Deterministic in seed.
+// exact ratio (Bresenham scheduling), so write-triggered compactions
+// land mid-read-stream as in a live system. Deterministic in seed.
 func MixedOps(keys []core.Key, n int, readFrac, theta float64, seed uint64) []Op {
 	if readFrac < 0 {
 		readFrac = 0

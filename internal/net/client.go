@@ -64,8 +64,7 @@ type Client struct {
 	redialBackoff time.Duration
 	readerDone    chan struct{} // current connection's reader
 
-	probing atomic.Bool // one background probe at a time
-	nextID  atomic.Uint64
+	nextID atomic.Uint64
 }
 
 // Dial connects to a Server at addr.
@@ -162,21 +161,6 @@ func (c *Client) redialLocked() error {
 	c.readerDone = done
 	go c.reader(nc, c.epoch, done)
 	return nil
-}
-
-// probe attempts one background redial if the client is dead and its
-// backoff window has elapsed — the Pool's cheap way to resurrect a
-// recovered server without routing a real request at it.
-func (c *Client) probe() {
-	if !c.probing.CompareAndSwap(false, true) {
-		return
-	}
-	defer c.probing.Store(false)
-	c.mu.Lock()
-	if c.failErr != nil && !c.closed {
-		_ = c.redialLocked()
-	}
-	c.mu.Unlock()
 }
 
 // reader dispatches one connection's response frames to their waiters
@@ -354,38 +338,21 @@ func (c *Client) Promote() error {
 	return c.expectOK(&Msg{Type: MsgPromote})
 }
 
-// Pool is a fixed set of client connections striped round-robin per
-// call. It satisfies load.Target and load.ErrTarget, so the open- and
-// closed-loop generators can drive a remote store exactly as they
-// drive an in-process one — with sheds surfacing as ErrRetryLater
-// through the Try methods.
+// Pool is a fixed set of client connections to one server, striped
+// round-robin per call. It satisfies load.Target, so load.Run drives a
+// remote store exactly as it drives an in-process one — with sheds
+// surfacing as ErrRetryLater. Several servers are reached through
+// repl.Router, not a Pool.
 type Pool struct {
-	cs    []*Client
-	addrs []string // dial target per connection, for Stats dedup
-	next  atomic.Uint64
+	cs   []*Client
+	next atomic.Uint64
 }
 
 // DialPool opens n connections to addr. On any dial failure the
 // already-opened connections are closed.
 func DialPool(addr string, n int) (*Pool, error) {
-	return DialPoolMulti([]string{addr}, n)
-}
-
-// DialPoolMulti opens n connections striped round-robin across addrs
-// (every address gets at least one, so n is raised to len(addrs) when
-// smaller) — the multi-server pool whose calls spread over every
-// server and whose Stats merge across them. On any dial failure the
-// already-opened connections are closed.
-func DialPoolMulti(addrs []string, n int) (*Pool, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("net: no addresses")
-	}
-	if n < len(addrs) {
-		n = len(addrs)
-	}
-	p := &Pool{cs: make([]*Client, n), addrs: make([]string, n)}
+	p := &Pool{cs: make([]*Client, n)}
 	for i := range p.cs {
-		addr := addrs[i%len(addrs)]
 		c, err := Dial(addr)
 		if err != nil {
 			for _, prev := range p.cs[:i] {
@@ -394,7 +361,6 @@ func DialPoolMulti(addrs []string, n int) (*Pool, error) {
 			return nil, err
 		}
 		p.cs[i] = c
-		p.addrs[i] = addr
 	}
 	return p, nil
 }
@@ -410,52 +376,19 @@ func (p *Pool) Close() error {
 	return first
 }
 
-// pick returns the next connection round-robin, skipping dead ones: a
-// server that vanished stops receiving requests immediately instead of
-// failing every len(cs)/nth call. Skipped connections are probed in
-// the background (rate-limited by the redial backoff), so a recovered
-// server rejoins the rotation without a real request paying the dial.
-// With every connection dead, the scheduled one is returned anyway —
-// its call attempts the redial and surfaces the true error.
+// pick returns the next connection round-robin. A connection whose
+// transport failed redials itself inside its next call.
 func (p *Pool) pick() *Client {
-	n := uint64(len(p.cs))
-	start := p.next.Add(1)
-	for k := uint64(0); k < n; k++ {
-		c := p.cs[(start+k)%n]
-		if c.Healthy() {
-			if k > 0 {
-				go p.cs[start%n].probe()
-			}
-			return c
-		}
-	}
-	return p.cs[start%n]
+	return p.cs[p.next.Add(1)%uint64(len(p.cs))]
 }
 
-// Stats fetches one snapshot per distinct server behind the pool and
-// merges them (counters sum, latency histograms merge, the queue
-// high-water takes the max) — the truthful pool-wide view. Connections
-// to the same address share one server, so only the first connection
-// per address is asked; a single-server pool reports that server's
-// stats exactly, never double-counted.
-func (p *Pool) Stats() (*Stats, error) {
-	merged := &Stats{}
-	seen := map[string]bool{}
-	for i, c := range p.cs {
-		if seen[p.addrs[i]] {
-			continue
-		}
-		seen[p.addrs[i]] = true
-		s, err := c.Stats()
-		if err != nil {
-			return nil, err
-		}
-		merged.Merge(s)
-	}
-	return merged, nil
-}
+// Stats fetches the server's counters over one connection: every
+// connection reaches the same server, so asking more than one would
+// count it more than once.
+func (p *Pool) Stats() (*Stats, error) { return p.pick().Stats() }
 
-// TryGet, TryGetBatch, and TryPut implement load.ErrTarget.
+// TryGet and TryPut implement load.Target; TryGetBatch is the batch
+// read beside them.
 func (p *Pool) TryGet(key core.Key) (uint64, bool, error) { return p.pick().Get(key) }
 
 func (p *Pool) TryGetBatch(keys []core.Key, out []uint64) (int, error) {
@@ -463,27 +396,3 @@ func (p *Pool) TryGetBatch(keys []core.Key, out []uint64) (int, error) {
 }
 
 func (p *Pool) TryPut(key core.Key, val uint64) error { return p.pick().Put(key, val) }
-
-// Get, GetBatch, and Put complete the load.Target surface. The
-// generators never reach them on an ErrTarget (they prefer the Try
-// variants); for direct callers they degrade errors to zero values —
-// use the Try variants or Client when the error matters.
-func (p *Pool) Get(key core.Key) (uint64, bool) {
-	v, ok, err := p.TryGet(key)
-	if err != nil {
-		return 0, false
-	}
-	return v, ok
-}
-
-func (p *Pool) GetBatch(keys []core.Key, out []uint64) int {
-	n, err := p.TryGetBatch(keys, out)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-func (p *Pool) Put(key core.Key, val uint64) {
-	_ = p.TryPut(key, val)
-}

@@ -12,10 +12,7 @@ import (
 )
 
 // The pool is the generators' network target.
-var (
-	_ load.Target    = (*Pool)(nil)
-	_ load.ErrTarget = (*Pool)(nil)
-)
+var _ load.Target = (*Pool)(nil)
 
 // newServed builds a store over n amzn keys and a server fronting it,
 // both torn down with the test. Payloads are i*3+7 (never zero, except
@@ -287,9 +284,9 @@ func TestCoalescing(t *testing.T) {
 	defer pool.Close()
 
 	ops := load.MixedOps(keys, 4000, 1, 0, 7)
-	res := load.RunClosed(pool, ops, load.Config{Workers: 8})
-	if res.Ops != len(ops) || res.Errors != 0 {
-		t.Fatalf("run degenerate: %+v", res)
+	res := load.Run(pool, ops, load.Config{Workers: 8})
+	if res.Ops() != len(ops) || res.Errors != 0 {
+		t.Fatalf("run degenerate: %d ops, %d errors", res.Ops(), res.Errors)
 	}
 	s, err := pool.Stats()
 	if err != nil {

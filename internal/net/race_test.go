@@ -49,9 +49,17 @@ func TestConcurrentMixedRace(t *testing.T) {
 		}
 		defer pool.Close()
 		ops := load.MixedOps(keys, 6000, 0.5, 0, 11)
-		res := load.RunClosed(pool, ops, load.Config{Workers: 8, Batch: 16})
+		res := load.Run(pool, ops, load.Config{Workers: 8})
 		if res.Errors != 0 {
-			t.Errorf("closed-loop errors under race: %+v", res)
+			t.Errorf("closed-loop errors under race: %d", res.Errors)
+		}
+		// Batch frames race the same writes and compactions.
+		out := make([]uint64, 16)
+		for i := 0; i+16 <= len(keys); i += 16 {
+			if _, err := pool.TryGetBatch(keys[i:i+16], out); err != nil {
+				t.Errorf("batch read under race: %v", err)
+				return
+			}
 		}
 	}()
 	wg.Add(1)
@@ -64,9 +72,9 @@ func TestConcurrentMixedRace(t *testing.T) {
 		}
 		defer pool.Close()
 		ops := load.MixedOps(keys, 3000, 0.8, 0, 13)
-		res := load.RunOpen(pool, ops, load.Config{Workers: 16, Rate: 20000})
+		res := load.Run(pool, ops, load.Config{Workers: 16, Rate: 20000})
 		if res.Errors != 0 {
-			t.Errorf("open-loop errors under race: %+v", res)
+			t.Errorf("open-loop errors under race: %d", res.Errors)
 		}
 	}()
 

@@ -92,74 +92,3 @@ func TestClientRedial(t *testing.T) {
 		t.Fatalf("get after Close: %v, want ErrClosed", err)
 	}
 }
-
-// TestPoolSkipsDeadServer runs a pool over two servers, kills one, and
-// verifies calls keep succeeding (the dead server is skipped) and that
-// the revived server rejoins the rotation.
-func TestPoolSkipsDeadServer(t *testing.T) {
-	st, keys := redialStore(t)
-	srvA, err := Listen("127.0.0.1:0", st, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srvA.Close()
-	lnB, err := stdnet.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrB := lnB.Addr().String()
-	srvB := Serve(lnB, st, Config{})
-
-	p, err := DialPoolMulti([]string{srvA.Addr().String(), addrB}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	for i := 0; i < 8; i++ {
-		if _, _, err := p.TryGet(keys[i]); err != nil {
-			t.Fatalf("warmup get %d: %v", i, err)
-		}
-	}
-
-	if err := srvB.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Let the pool discover the dead connections (first calls on them
-	// fail and mark them), then every subsequent call must be routed to
-	// the live server.
-	for i := 0; i < 16; i++ {
-		p.TryGet(keys[i%len(keys)])
-	}
-	time.Sleep(20 * time.Millisecond) // in-flight probes settle
-	for i := 0; i < 64; i++ {
-		if _, _, err := p.TryGet(keys[i%len(keys)]); err != nil {
-			t.Fatalf("get %d with one server dead: %v", i, err)
-		}
-	}
-
-	// Revive server B; background probes must bring its connections
-	// back into rotation.
-	lnB2, err := stdnet.Listen("tcp", addrB)
-	if err != nil {
-		t.Fatalf("relisten on %s: %v", addrB, err)
-	}
-	srvB2 := Serve(lnB2, st, Config{})
-	defer srvB2.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		healthy := 0
-		for _, c := range p.cs {
-			if c.Healthy() {
-				healthy++
-			}
-		}
-		if healthy == len(p.cs) {
-			break
-		}
-		p.TryGet(keys[0]) // picks trigger probes
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never resurrected revived server (%d/%d healthy)", healthy, len(p.cs))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}

@@ -43,9 +43,8 @@ type Op struct {
 
 // WAL is an open, append-only write-ahead log.
 type WAL struct {
-	f    *os.File
-	path string
-	n    int // records in the log (replayed + appended)
+	f *os.File
+	n int // records in the log (replayed + appended)
 }
 
 func encodeRecord(buf []byte, op Op) {
@@ -114,7 +113,7 @@ func CreateWAL(path string, seed []Op) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WAL{f: f, path: path, n: len(seed)}, nil
+	return &WAL{f: f, n: len(seed)}, nil
 }
 
 // seedWAL encodes a fresh log: the header, then one record per op.
@@ -161,7 +160,7 @@ func OpenWAL(path string) (*WAL, []Op, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	return &WAL{f: f, path: path, n: len(ops)}, ops, nil
+	return &WAL{f: f, n: len(ops)}, ops, nil
 }
 
 // Append logs one write. The record reaches the OS before Append
@@ -186,86 +185,6 @@ func (w *WAL) Sync() error {
 
 // Len reports the record count (replayed plus appended).
 func (w *WAL) Len() int { return w.n }
-
-// Records is Len under its replication-facing name: the count of
-// intact records, which is also the offset-space the tail readers
-// below address (record i lives at walHeaderLen + i*walRecordLen).
-func (w *WAL) Records() int { return w.n }
-
-// TailFrom returns the ops of every intact record from index `from`
-// onward, reading positionally through the log's own descriptor — no
-// re-open, no whole-file read, and the append offset is untouched, so
-// it is safe on a live log whose owner is appending concurrently (the
-// shard write lock in serve serializes Append itself; TailFrom only
-// ever observes complete records or stops at a partial one). A torn or
-// corrupt record ends the read without error, exactly like ReplayWAL;
-// from past the end returns nil.
-func (w *WAL) TailFrom(from int) ([]Op, error) {
-	if from < 0 {
-		from = 0
-	}
-	return tailRecords(w.f, from)
-}
-
-// TailWAL reads the ops of records [from, end) of the log at path
-// without disturbing any open handle on it: a standalone read-only
-// open, a header check, then positional reads. Torn-tail semantics
-// match ReplayWAL — the read stops at the first torn or corrupt
-// record, which is what a crash mid-append leaves behind.
-func TailWAL(path string, from int) ([]Op, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var hdr [walHeaderLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, binio.Corruptf("persist: wal shorter than header")
-	}
-	if string(hdr[:len(walMagic)]) != string(walMagic) {
-		return nil, binio.Corruptf("persist: bad wal magic")
-	}
-	if v := binary.LittleEndian.Uint32(hdr[len(walMagic):]); v != FormatVersion {
-		return nil, binio.Corruptf("persist: wal format version %d, want %d", v, FormatVersion)
-	}
-	if from < 0 {
-		from = 0
-	}
-	return tailRecords(f, from)
-}
-
-// tailRecords reads records [from, ...) via ReadAt in fixed-size
-// chunks, stopping at EOF or the first record that fails its CRC.
-func tailRecords(f *os.File, from int) ([]Op, error) {
-	const chunkRecords = 1024
-	var ops []Op
-	buf := make([]byte, chunkRecords*walRecordLen)
-	off := int64(walHeaderLen) + int64(from)*walRecordLen
-	for {
-		n, err := f.ReadAt(buf, off)
-		whole := n / walRecordLen
-		for i := 0; i < whole; i++ {
-			op, ok := decodeRecord(buf[i*walRecordLen : (i+1)*walRecordLen])
-			if !ok {
-				return ops, nil // torn or corrupt tail: clean stop
-			}
-			ops = append(ops, op)
-		}
-		off += int64(whole) * walRecordLen
-		if err == io.EOF || whole < chunkRecords {
-			// Short read: the remainder (if any) is a partial record — a
-			// concurrent append in progress or a torn tail. Either way
-			// the intact prefix ends here.
-			return ops, nil
-		}
-		if err != nil {
-			return ops, err
-		}
-	}
-}
-
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
 
 // Close syncs and closes the log.
 func (w *WAL) Close() error {

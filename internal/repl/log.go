@@ -21,8 +21,6 @@ package repl
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"fmt"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/persist"
@@ -34,8 +32,7 @@ import (
 const DefaultRingOps = 1 << 16
 
 // Log is the primary's stream source: one in-memory op ring per shard,
-// fed by the store's WriteHook, seeded from the committed WAL tail of
-// an attached store. Appends assign the per-shard sequence numbers the
+// fed by the store's WriteHook. Appends assign the per-shard sequence numbers the
 // whole subsystem is ordered by.
 type Log struct {
 	epoch   uint64
@@ -100,29 +97,6 @@ func (l *Log) Append(shard int, op persist.Op) uint64 {
 		close(ch)
 	}
 	return seq
-}
-
-// SeedFromDir preloads the rings with each shard's committed WAL tail
-// — the pending writes a snapshot directory carries past its run
-// files. Call once, before any Append, on a primary opened from disk:
-// the seeded ops take seqs 1..n exactly as the attached store replays
-// them, so a snapshot captured later agrees with the ring.
-func (l *Log) SeedFromDir(dir string) error {
-	m, err := persist.ReadManifest(filepath.Join(dir, persist.ManifestName))
-	if err != nil {
-		return err
-	}
-	if len(m.Shards) != len(l.shards) {
-		return fmt.Errorf("repl: manifest has %d shards, log has %d", len(m.Shards), len(l.shards))
-	}
-	for i, sm := range m.Shards {
-		ops, err := persist.TailWAL(filepath.Join(dir, sm.WAL), 0)
-		if err != nil {
-			return err
-		}
-		l.shards[i].ops = append(l.shards[i].ops, ops...)
-	}
-	return nil
 }
 
 // Seqs snapshots the last assigned sequence number per shard.

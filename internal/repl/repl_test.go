@@ -14,7 +14,7 @@ import (
 	"repro/internal/serve"
 )
 
-var _ load.ErrTarget = (*Router)(nil)
+var _ load.Target = (*Router)(nil)
 
 // --- Log unit tests ---
 

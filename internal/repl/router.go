@@ -71,9 +71,8 @@ type RouterStats struct {
 // serves a stable working set. A monitor goroutine polls replication
 // status; when the primary stops answering it promotes the
 // most-caught-up follower and re-points writes, and reads route around
-// replicas marked dead. The Router satisfies load.Target and
-// load.ErrTarget, so the workload generators can drive a topology
-// exactly as they drive one store.
+// replicas marked dead. The Router satisfies load.Target, so load.Run
+// drives a topology exactly as it drives one store.
 type Router struct {
 	cfg RouterConfig
 
@@ -313,26 +312,6 @@ func (r *Router) account(err error) error {
 		return err
 	}
 }
-
-// Get, GetBatch, and Put complete the load.Target surface (the
-// generators prefer the Try variants on an ErrTarget).
-func (r *Router) Get(key core.Key) (uint64, bool) {
-	v, ok, err := r.TryGet(key)
-	if err != nil {
-		return 0, false
-	}
-	return v, ok
-}
-
-func (r *Router) GetBatch(keys []core.Key, out []uint64) int {
-	n, err := r.TryGetBatch(keys, out)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-func (r *Router) Put(key core.Key, val uint64) { _ = r.TryPut(key, val) }
 
 // monitor polls the primary's replication status every CheckEvery;
 // FailAfter consecutive failures trigger a failover. Follower polls

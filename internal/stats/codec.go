@@ -43,8 +43,10 @@ func (h *Histogram) EncodeTo(w *binio.Writer) {
 
 // DecodeHistogram reads a histogram encoded by EncodeTo. Structural
 // invariants are enforced — version, bucket indexes in range and
-// strictly ascending — so corrupt input errors instead of producing a
-// histogram that panics later; the sample count and sum are taken as
+// strictly ascending, no pair with a zero count (EncodeTo skips empty
+// buckets, so only one byte string decodes to any histogram) — so
+// corrupt input errors instead of producing a histogram that panics
+// later; the sample count and sum are taken as
 // recorded (a snapshot under concurrent writers is per-counter
 // consistent, not cross-counter consistent, by documented contract).
 func DecodeHistogram(r *binio.Reader) (*Histogram, error) {
@@ -65,6 +67,9 @@ func DecodeHistogram(r *binio.Reader) (*Histogram, error) {
 		}
 		if idx <= prev {
 			return nil, binio.Corruptf("histogram bucket indexes not ascending at %d", idx)
+		}
+		if c == 0 {
+			return nil, binio.Corruptf("histogram bucket %d encoded with a zero count", idx)
 		}
 		prev = idx
 		h.counts[idx].Store(c)

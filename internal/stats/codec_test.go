@@ -81,6 +81,12 @@ func TestHistogramCodecCorrupt(t *testing.T) {
 	if _, err := DecodeHistogram(binio.NewReader(mut)); !errors.Is(err, binio.ErrCorrupt) {
 		t.Fatalf("wild bucket index: got %v, want ErrCorrupt", err)
 	}
+	// A pair the encoder never writes: an empty bucket spelled out.
+	mut = append([]byte(nil), enc...)
+	copy(mut[9:17], make([]byte, 8))
+	if _, err := DecodeHistogram(binio.NewReader(mut)); !errors.Is(err, binio.ErrCorrupt) {
+		t.Fatalf("zero-count bucket: got %v, want ErrCorrupt", err)
+	}
 }
 
 // TestHistogramCodecConcurrent encodes while writers are recording:
