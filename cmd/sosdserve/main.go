@@ -86,14 +86,7 @@ func main() {
 		fatal(fmt.Errorf("-follow requires -repldir"))
 	}
 
-	known := false
-	for _, f := range registry.Families() {
-		if f == *family {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !registry.Has(*family) {
 		fatal(fmt.Errorf("unknown family %q (known: %v)", *family, registry.Families()))
 	}
 

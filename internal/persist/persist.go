@@ -20,6 +20,7 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"io"
@@ -105,20 +106,33 @@ func SyncDir(dir string) error {
 	return nil
 }
 
+// indexCodec returns the codec idx is framed with. Families without a
+// registered codec (and the zero-size empty-table index) have none and
+// cannot be encoded: the error matches errors.ErrUnsupported, and
+// callers fall back to rebuild-at-load for those.
+func indexCodec(idx core.Index) (registry.Codec, error) {
+	codec, ok := registry.CodecFor(idx.Name())
+	if !ok {
+		return codec, fmt.Errorf("persist: no codec for index family %q: %w", idx.Name(), errors.ErrUnsupported)
+	}
+	return codec, nil
+}
+
 // EncodeIndex frames and writes a built index: magic, version, the
 // family codec tag, the codec payload, and a trailing CRC64 over
-// everything preceding it. Families without a registered codec (and
-// the zero-size empty-table index) cannot be encoded; callers fall
-// back to rebuild-at-load for those.
+// everything preceding it.
 func EncodeIndex(w *binio.Writer, idx core.Index) error {
-	family := idx.Name()
-	codec, ok := registry.CodecFor(family)
-	if !ok {
-		return fmt.Errorf("persist: no codec for index family %q", family)
+	codec, err := indexCodec(idx)
+	if err != nil {
+		return err
 	}
+	return encodeIndex(w, idx, codec)
+}
+
+func encodeIndex(w *binio.Writer, idx core.Index, codec registry.Codec) error {
 	w.Bytes(indexMagic)
 	w.U32(FormatVersion)
-	w.Str(family)
+	w.Str(idx.Name())
 	if err := codec.Encode(idx, w); err != nil {
 		return err
 	}
@@ -165,7 +179,11 @@ func DecodeIndex(data []byte) (core.Index, error) {
 
 // WriteIndex atomically writes an index frame to path.
 func WriteIndex(path string, idx core.Index) error {
-	return AtomicWrite(path, func(w *binio.Writer) error { return EncodeIndex(w, idx) })
+	codec, err := indexCodec(idx) // before any file exists: no codec, no I/O
+	if err != nil {
+		return err
+	}
+	return AtomicWrite(path, func(w *binio.Writer) error { return encodeIndex(w, idx, codec) })
 }
 
 // ReadIndex loads and decodes an index frame from path.

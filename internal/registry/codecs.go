@@ -62,62 +62,42 @@ func CodecFamilies() []string {
 	return out
 }
 
-// encodeAs adapts a family's concrete Encode method, failing cleanly
-// when handed an index of the wrong dynamic type (e.g. a manifest tag
-// edited to name the wrong family).
-func encodeAs[T core.Index](w *binio.Writer, idx core.Index, enc func(T, *binio.Writer) error) error {
-	t, ok := idx.(T)
-	if !ok {
-		return fmt.Errorf("registry: index %s has type %T, not the registered codec's", idx.Name(), idx)
+// codecOf is the codec of a family whose index type T encodes itself
+// and whose package exports decode. Encode fails cleanly when handed an
+// index of the wrong dynamic type (e.g. a manifest tag edited to name
+// the wrong family). Decode returns a nil interface on error: a failed
+// decode's concrete nil pointer, returned through the interface, would
+// read as non-nil to callers.
+func codecOf[T interface {
+	core.Index
+	Encode(*binio.Writer) error
+}](decode func(*binio.Reader) (T, error)) Codec {
+	return Codec{
+		Encode: func(idx core.Index, w *binio.Writer) error {
+			t, ok := idx.(T)
+			if !ok {
+				return fmt.Errorf("registry: index %s has type %T, not the registered codec's", idx.Name(), idx)
+			}
+			return t.Encode(w)
+		},
+		Decode: func(r *binio.Reader) (core.Index, error) {
+			idx, err := decode(r)
+			if err != nil {
+				return nil, err
+			}
+			return idx, nil
+		},
 	}
-	return enc(t, w)
-}
-
-// decodeAs adapts a family's concrete Decode function, centralizing
-// the nil-on-error guard: returning a failed decode's concrete nil
-// pointer through the interface would read as non-nil to callers.
-func decodeAs[T core.Index](r *binio.Reader, dec func(*binio.Reader) (T, error)) (core.Index, error) {
-	idx, err := dec(r)
-	if err != nil {
-		return nil, err
-	}
-	return idx, nil
 }
 
 func init() {
-	RegisterCodec("RMI", Codec{
-		Encode: func(idx core.Index, w *binio.Writer) error {
-			return encodeAs(w, idx, func(t *rmi.Index, w *binio.Writer) error { return t.Encode(w) })
-		},
-		Decode: func(r *binio.Reader) (core.Index, error) { return decodeAs(r, rmi.Decode) },
-	})
-	RegisterCodec("PGM", Codec{
-		Encode: func(idx core.Index, w *binio.Writer) error {
-			return encodeAs(w, idx, func(t *pgm.Index, w *binio.Writer) error { return t.Encode(w) })
-		},
-		Decode: func(r *binio.Reader) (core.Index, error) { return decodeAs(r, pgm.Decode) },
-	})
-	RegisterCodec("RS", Codec{
-		Encode: func(idx core.Index, w *binio.Writer) error {
-			return encodeAs(w, idx, func(t *rs.Index, w *binio.Writer) error { return t.Encode(w) })
-		},
-		Decode: func(r *binio.Reader) (core.Index, error) { return decodeAs(r, rs.Decode) },
-	})
-	RegisterCodec("RBS", Codec{
-		Encode: func(idx core.Index, w *binio.Writer) error {
-			return encodeAs(w, idx, func(t *rbs.Index, w *binio.Writer) error { return t.Encode(w) })
-		},
-		Decode: func(r *binio.Reader) (core.Index, error) { return decodeAs(r, rbs.Decode) },
-	})
+	RegisterCodec("RMI", codecOf(rmi.Decode))
+	RegisterCodec("PGM", codecOf(pgm.Decode))
+	RegisterCodec("RS", codecOf(rs.Decode))
+	RegisterCodec("RBS", codecOf(rbs.Decode))
 	// BTree and IBTree share one implementation (and so one decoder,
 	// which restores the in-node search flavour from the encoded flag);
 	// both tags are registered so manifests stay self-describing.
-	btreeCodec := Codec{
-		Encode: func(idx core.Index, w *binio.Writer) error {
-			return encodeAs(w, idx, func(t *btree.Index, w *binio.Writer) error { return t.Encode(w) })
-		},
-		Decode: func(r *binio.Reader) (core.Index, error) { return decodeAs(r, btree.Decode) },
-	}
-	RegisterCodec("BTree", btreeCodec)
-	RegisterCodec("IBTree", btreeCodec)
+	RegisterCodec("BTree", codecOf(btree.Decode))
+	RegisterCodec("IBTree", codecOf(btree.Decode))
 }

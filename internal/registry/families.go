@@ -84,41 +84,28 @@ func init() {
 	Register("BS", single("", rbs.BinarySearchBuilder{}))
 	Register("RobinHash", single("lf=0.25", hashidx.RobinHoodBuilder{}))
 	Register("CuckooMap", single("lf=0.99", hashidx.CuckooBuilder{}))
+}
 
-	// Compaction rebuild hooks: the learned families re-pick their
-	// mid-sweep configuration over the merged key set — RMI re-runs its
-	// tuner, PGM/RS re-derive their ladders — because model sizing is a
-	// function of the data. Tree and hash families bulk-load with their
-	// existing configuration and need no hook.
-	for _, fam := range []string{"RMI", "PGM", "RS"} {
-		RegisterRebuild(fam, func(prev core.Builder, keys []core.Key) core.Builder {
-			if nb, ok := Builder(fam, keys); ok {
-				return nb.Builder
-			}
-			return prev
-		})
+// Tier returns the builder for indexing a small LSM tier run of a shard
+// of family — keys is typically one flushed delta or a minor merge of a
+// few, orders of magnitude smaller than the shard base — plus the
+// catalog ID of the entry that builds it, which is the family the
+// builder belongs to, not the shard's, so a persisted run names the
+// exact entry that rebuilds it. A run is served by plain binary search
+// (no build at all: every bound is the full array) until it is a run of
+// a learned family big enough (≥ tierLearnedMin keys) that a coarse
+// learned bound — one cheap linear fit per ~epsilon keys — beats the
+// log2(n) last-mile probes. Coarse PGM stands in for all three learned
+// families: its O(n) greedy build is the cheapest learned construction
+// and the run is replaced wholesale at the next merge, so per-family
+// tuning would buy nothing. Tree, hash and custom families never pay
+// index construction on a flush.
+func Tier(family string, keys []core.Key) (nb NamedBuilder, id string) {
+	if learned[family] && len(keys) >= tierLearnedMin {
+		lab := lbl("eps=%d", tierEps)
+		return NamedBuilder{lab, pgm.Builder{Eps: tierEps}}, ID("PGM", lab)
 	}
-
-	// Tier-run hooks: the index of a small LSM run. Flushed deltas are
-	// tiny relative to the base, so a run is served by plain binary
-	// search until it's big enough (≥ tierLearnedMin keys) that a coarse
-	// learned bound — one cheap linear fit per ~epsilon keys — beats the
-	// log2(n) last-mile probes. Coarse PGM stands in for all three
-	// learned families: its O(n) greedy build is the cheapest learned
-	// construction and the run is replaced wholesale at the next merge,
-	// so per-family tuning would buy nothing.
-	SetTierFallback(func() NamedBuilder {
-		return NamedBuilder{"", rbs.BinarySearchBuilder{}}
-	})
-	for _, fam := range []string{"RMI", "PGM", "RS"} {
-		RegisterTier(fam, func(keys []core.Key) (NamedBuilder, string) {
-			if len(keys) >= tierLearnedMin {
-				lab := lbl("eps=%d", tierEps)
-				return NamedBuilder{lab, pgm.Builder{Eps: tierEps}}, ID("PGM", lab)
-			}
-			return NamedBuilder{"", rbs.BinarySearchBuilder{}}, "BS"
-		})
-	}
+	return NamedBuilder{"", rbs.BinarySearchBuilder{}}, "BS"
 }
 
 // tierLearnedMin is the run size above which a tier run gets a coarse

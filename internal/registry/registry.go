@@ -7,10 +7,14 @@
 //
 // A ladder is lazy: enumerating its rungs is free, and a rung's
 // configuration is tuned to the keys only when that rung is resolved.
-// Sweep resolves every rung (the figures), Builder the middle one (a
-// serving shard, a compaction rebuild), SweepEntry the one a label
-// names (a warm-opened shard) — one ladder definition per family, and
-// nobody pays for tuning a rung they don't build.
+// Sweep resolves every rung (the figures), Builder the middle one,
+// SweepEntry the one a label names — one ladder definition per family,
+// and nobody pays for tuning a rung they don't build.
+//
+// The serving layer picks indexes through two rules over those ladders
+// and one set, learned (the families tuned per key set): Rebuild maps a
+// run's codec tag and its keys to the builder of a shard's base run,
+// Tier maps a shard's family to the cheap index of a small LSM run.
 package registry
 
 import (
@@ -165,96 +169,36 @@ func SweepEntry(family, label string, keys []core.Key) (NamedBuilder, bool) {
 	return NamedBuilder{}, false
 }
 
-// RebuildFunc produces the builder used when a serving shard is
-// compacted and its index rebuilt: prev is the builder that built the
-// shard's current index, keys the merged key set about to be indexed.
-// Families whose configuration is tuned per key set (the learned
-// structures) register one so compaction re-tunes; families without a
-// hook reuse prev, the cheap bulk-load path.
-type RebuildFunc func(prev core.Builder, keys []core.Key) core.Builder
+// learned is the set of families whose configuration is tuned per key
+// set: their model sizing is a function of the data, so a rebuild over
+// new keys re-picks the rung instead of keeping the old one, and their
+// small tier runs are worth a coarse learned bound (see Tier). Tree and
+// hash families bulk-load with the configuration they have.
+var learned = map[string]bool{"RMI": true, "PGM": true, "RS": true}
 
-var rebuilds = map[string]RebuildFunc{}
-
-// RegisterRebuild adds a family's compaction rebuild hook. Like
-// Register, it panics on nil hooks and duplicate registrations.
-func RegisterRebuild(family string, fn RebuildFunc) {
-	if fn == nil {
-		panic(fmt.Sprintf("registry: nil rebuild hook for family %q", family))
+// Rebuild is the one rule for choosing the builder of a serving shard's
+// base run: tag is the codec tag of the run being replaced (or the bare
+// family of a shard not built yet), keys the key set about to be
+// indexed. A learned family re-picks its mid-ladder rung for the keys —
+// RMI re-runs its tuner — whatever rung the tag names; every other
+// family keeps the rung the tag names and falls back to mid-ladder when
+// the tag names none (a bare family is "no rung yet") or one its ladder
+// no longer has. id is the labelled ID of the entry returned, and a
+// fixed point of Rebuild over the same keys: the tag to record for the
+// new run, from which any process re-finds this entry. ok is false for
+// a family the catalog does not know.
+func Rebuild(tag string, keys []core.Key) (nb NamedBuilder, id string, ok bool) {
+	family, label := ParseID(tag)
+	if !learned[family] {
+		if nb, ok = SweepEntry(family, label, keys); ok {
+			return nb, tag, true
+		}
 	}
-	if _, dup := rebuilds[family]; dup {
-		panic(fmt.Sprintf("registry: duplicate rebuild hook for family %q", family))
+	if nb, ok = Builder(family, keys); !ok {
+		return NamedBuilder{}, "", false
 	}
-	rebuilds[family] = fn
+	return nb, ID(family, nb.Label), true
 }
-
-// HasRebuild reports whether a family registered a compaction rebuild
-// hook (i.e. whether RebuildBuilder can return a builder other than
-// prev).
-func HasRebuild(family string) bool {
-	_, ok := rebuilds[family]
-	return ok
-}
-
-// RebuildBuilder returns the builder for re-indexing keys after a
-// compaction merge: the family's rebuild hook when registered,
-// otherwise prev unchanged. family values not in the catalog (custom
-// builders) always reuse prev.
-func RebuildBuilder(family string, prev core.Builder, keys []core.Key) core.Builder {
-	if fn, ok := rebuilds[family]; ok {
-		return fn(prev, keys)
-	}
-	return prev
-}
-
-// TierFunc produces the builder for a small LSM tier run of a family:
-// keys is the run about to be indexed — typically one flushed delta or
-// a minor merge of a few deltas, so orders of magnitude smaller than
-// the shard base. The hook lets a family serve small runs with a cheap
-// low-tier index (plain binary search, a coarse PGM) instead of paying
-// its full per-base tuning cost on every flush. The returned id is the
-// catalog ID of the entry that built the index — the family the
-// builder actually belongs to, not necessarily the shard's family — so
-// a persisted run can name the exact entry that rebuilds it.
-type TierFunc func(keys []core.Key) (nb NamedBuilder, id string)
-
-var tiers = map[string]TierFunc{}
-
-// RegisterTier adds a family's tier-run builder hook. Like Register,
-// it panics on nil hooks and duplicate registrations.
-func RegisterTier(family string, fn TierFunc) {
-	if fn == nil {
-		panic(fmt.Sprintf("registry: nil tier hook for family %q", family))
-	}
-	if _, dup := tiers[family]; dup {
-		panic(fmt.Sprintf("registry: duplicate tier hook for family %q", family))
-	}
-	tiers[family] = fn
-}
-
-// TierBuilder returns the builder for indexing a small tier run of
-// keys, plus its catalog ID for persistence: the family's tier hook
-// when registered, otherwise the zero-cost binary-search fallback
-// (families without a hook — and custom builders outside the catalog —
-// never pay index construction on a flush).
-func TierBuilder(family string, keys []core.Key) (NamedBuilder, string) {
-	if fn, ok := tiers[family]; ok {
-		return fn(keys)
-	}
-	return binarySearchTier(), "BS"
-}
-
-// binarySearchTier is the universal tier fallback: a no-build index
-// whose every bound is the full array, resolved by the last-mile
-// search. Registered by the families package as the "BS" catalog entry;
-// kept behind a function hook here so registry carries no structure
-// dependencies.
-var binarySearchTier = func() NamedBuilder {
-	panic("registry: tier fallback not wired (families package not linked)")
-}
-
-// SetTierFallback wires the binary-search tier fallback; called once at
-// init by the families catalog.
-func SetTierFallback(fn func() NamedBuilder) { binarySearchTier = fn }
 
 // ParetoFamilies is the structure set of Figure 7.
 var ParetoFamilies = []string{"RMI", "PGM", "RS", "RBS", "ART", "BTree", "IBTree", "FAST"}

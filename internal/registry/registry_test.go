@@ -94,50 +94,77 @@ func TestRegisterNilPanics(t *testing.T) {
 	Register("SomethingNew", nil)
 }
 
-func TestRebuildBuilder(t *testing.T) {
-	keys := make([]core.Key, 2000)
-	for i := range keys {
-		keys[i] = core.Key(i)*7 + 3
-	}
-	// A family without a hook (trees bulk-load) reuses prev verbatim.
-	prevNB, ok := Builder("BTree", keys)
-	if !ok {
-		t.Fatal("no BTree builder")
-	}
-	if got := RebuildBuilder("BTree", prevNB.Builder, keys); got != prevNB.Builder {
-		t.Error("BTree rebuild did not reuse the previous builder")
-	}
-	// An unknown family (custom builder) also reuses prev.
-	if got := RebuildBuilder("NoSuchFamily", prevNB.Builder, keys); got != prevNB.Builder {
-		t.Error("unknown-family rebuild did not reuse the previous builder")
-	}
-	// Learned families re-tune: the hook must return a usable builder
-	// of the same family.
-	for _, fam := range []string{"RMI", "PGM", "RS"} {
-		nb, ok := Builder(fam, keys)
-		if !ok {
-			t.Fatalf("no %s builder", fam)
+// TestRebuild pins the one rule that picks a serving shard's base
+// builder from a codec tag and a key set.
+func TestRebuild(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Amzn, 2000, 3)
+	for _, fam := range Families() {
+		if fam == "BS" {
+			continue // one unlabelled rung: its bare tag is its ID, below
 		}
-		b := RebuildBuilder(fam, nb.Builder, keys)
-		if b == nil {
-			t.Fatalf("%s rebuild returned nil", fam)
+		mid, _ := Builder(fam, keys)
+		// A bare family tag is "no rung yet": the mid-ladder rung, under
+		// its labelled ID.
+		nb, id, ok := Rebuild(fam, keys)
+		if !ok || nb.Label != mid.Label || id != ID(fam, mid.Label) || id == fam {
+			t.Errorf("Rebuild(%q) = %q, %q, %v; want the mid rung %q", fam, nb.Label, id, ok, mid.Label)
 		}
-		if b.Name() != nb.Builder.Name() {
-			t.Errorf("%s rebuild switched family to %s", fam, b.Name())
+		// The returned ID is a fixed point: rebuilding from it over the
+		// same keys re-finds the same entry.
+		nb2, id2, ok := Rebuild(id, keys)
+		if !ok || id2 != id || nb2.Label != nb.Label {
+			t.Errorf("Rebuild(%q) = %q, %q, %v; want a fixed point", id, nb2.Label, id2, ok)
 		}
-		if _, err := b.Build(keys); err != nil {
-			t.Errorf("%s rebuilt builder failed: %v", fam, err)
+	}
+	if _, id, ok := Rebuild("BS", keys); !ok || id != "BS" {
+		t.Errorf("Rebuild(BS) = %q, %v", id, ok)
+	}
+	// A tree keeps the rung its tag names (the cheap bulk-load path)...
+	want, _ := SweepEntry("BTree", "stride=4", keys)
+	if nb, id, ok := Rebuild("BTree/stride=4", keys); !ok || id != "BTree/stride=4" || nb != want {
+		t.Errorf("Rebuild(BTree/stride=4) = %v, %q, %v", nb, id, ok)
+	}
+	// ...and falls back to mid-ladder when its ladder has no such rung.
+	if _, id, ok := Rebuild("BTree/stride=3", keys); !ok || id != "BTree/stride=16" {
+		t.Errorf("Rebuild(BTree/stride=3) = %q, %v; want the mid rung", id, ok)
+	}
+	// A learned family re-tunes to the mid rung whatever rung it had, and
+	// the builder it returns builds.
+	for _, tag := range []string{"PGM/eps=4096", "RS/eps=4,r=22", "RMI/rmi[linear,linear,B=2]"} {
+		fam, _ := ParseID(tag)
+		mid, _ := Builder(fam, keys)
+		nb, id, ok := Rebuild(tag, keys)
+		if !ok || id != ID(fam, mid.Label) || nb.Builder.Name() != fam {
+			t.Errorf("Rebuild(%q) = %q, %v; want %q", tag, id, ok, ID(fam, mid.Label))
 		}
+		if _, err := nb.Builder.Build(keys); err != nil {
+			t.Errorf("Rebuild(%q): builder failed: %v", tag, err)
+		}
+	}
+	if _, _, ok := Rebuild("NoSuchFamily/x=1", keys); ok {
+		t.Error("unknown family rebuilt")
 	}
 }
 
-func TestRegisterRebuildDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate RegisterRebuild did not panic")
+// TestTier pins the tier policy: binary search for every small run and
+// for every run of a family that is not learned, one coarse PGM for the
+// large runs of the learned families.
+func TestTier(t *testing.T) {
+	small, large := make([]core.Key, tierLearnedMin-1), make([]core.Key, tierLearnedMin)
+	for _, c := range []struct {
+		family string
+		keys   []core.Key
+		id     string
+	}{
+		{"RMI", small, "BS"}, {"RMI", large, "PGM/eps=256"}, {"PGM", large, "PGM/eps=256"},
+		{"RS", large, "PGM/eps=256"}, {"BTree", large, "BS"}, {"CustomFamily", large, "BS"},
+	} {
+		nb, id := Tier(c.family, c.keys)
+		fam, label := ParseID(c.id)
+		if id != c.id || nb.Label != label || nb.Builder.Name() != fam {
+			t.Errorf("Tier(%s, %d keys) = %s(%q), %q; want %q", c.family, len(c.keys), nb.Builder.Name(), nb.Label, id, c.id)
 		}
-	}()
-	RegisterRebuild("RMI", func(prev core.Builder, _ []core.Key) core.Builder { return prev })
+	}
 }
 
 func TestConfigIDs(t *testing.T) {

@@ -24,6 +24,7 @@ package serve
 // major merge rewrites the base. See DESIGN.md "Persistence".
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -121,11 +122,11 @@ func (st *Store) writeShardRun(dir string, i int, gen uint64, r int, tab *table.
 		return persist.RunMeta{}, err
 	}
 	if tab.Len() > 0 {
-		if _, ok := registry.CodecFor(tab.Index().Name()); ok {
-			rm.Index = runIdxName(i, gen, r)
-			if err := persist.WriteIndex(filepath.Join(dir, rm.Index), tab.Index()); err != nil {
-				return persist.RunMeta{}, err
-			}
+		name := runIdxName(i, gen, r)
+		if err := persist.WriteIndex(filepath.Join(dir, name), tab.Index()); err == nil {
+			rm.Index = name
+		} else if !errors.Is(err, errors.ErrUnsupported) { // no codec, nothing written
+			return persist.RunMeta{}, err
 		}
 	}
 	if tab.HasTombs() {
@@ -277,7 +278,6 @@ func (st *Store) exportTo(abs string, onShard func(shard int), exported func(per
 func (st *Store) exportShard(abs string, i int, gen uint64, onShard func(shard int)) (persist.ShardMeta, error) {
 	st.writeMu[i].Lock()
 	s := st.shards[i].Load()
-	tag := st.builderIDs[i] // read with its state under the lock
 	if onShard != nil {
 		onShard(i)
 	}
@@ -291,7 +291,7 @@ func (st *Store) exportShard(abs string, i int, gen uint64, onShard func(shard i
 	if err != nil {
 		return persist.ShardMeta{}, err
 	}
-	return persist.ShardMeta{Sep: st.seps[i], Codec: tag, WAL: walName, Runs: runs}, w.Close()
+	return persist.ShardMeta{Sep: st.seps[i], Codec: s.runIDs[0], WAL: walName, Runs: runs}, w.Close()
 }
 
 // persistShard commits shard i's current state to the attached
@@ -353,7 +353,7 @@ func (st *Store) persistShardLocked(i int) error {
 			return err
 		}
 		shards := append([]persist.ShardMeta(nil), st.meta...)
-		shards[i] = persist.ShardMeta{Sep: st.seps[i], Codec: st.builderIDs[i], WAL: walName, Runs: runs}
+		shards[i] = persist.ShardMeta{Sep: st.seps[i], Codec: s.runIDs[0], WAL: walName, Runs: runs}
 		m := &persist.Manifest{Family: st.cfg.Family, Gen: gen, Shards: shards}
 		if err := persist.WriteManifest(filepath.Join(dir, persist.ManifestName), m); err != nil {
 			w.Close()
@@ -380,20 +380,6 @@ func (st *Store) persistShardLocked(i int) error {
 	}
 }
 
-// wrapBuilderFor adapts a Config.BuilderFor callback to the internal
-// (builder, codec tag, error) shape shared by New and Open. Custom
-// builders have no catalog label; the family name alone is still a
-// usable codec tag.
-func wrapBuilderFor(custom func(shard int, keys []core.Key) (core.Builder, error)) func(int, []core.Key) (core.Builder, string, error) {
-	return func(shard int, keys []core.Key) (core.Builder, string, error) {
-		b, err := custom(shard, keys)
-		if err != nil {
-			return nil, "", err
-		}
-		return b, registry.ID(b.Name(), ""), nil
-	}
-}
-
 // Open loads a store from a snapshot directory: each shard's runs are
 // read through io.ReaderAt into their final arrays, their indexes
 // decoded from trained parameters (no retraining; runs without an
@@ -416,20 +402,14 @@ func Open(dir string, cfg Config) (*Store, error) {
 	}
 	cfg.Family = m.Family
 	nShards := len(m.Shards)
-	st := newStore(cfg, nShards) // builders stay nil: resolved lazily at first major
+	st := newStore(cfg, nShards)
 	st.dir, st.gen = abs, m.Gen
 	st.meta = append([]persist.ShardMeta(nil), m.Shards...)
-	if cfg.BuilderFor != nil {
-		// Only openRun's no-codec base rebuild asks for it; compactions
-		// resolve their builder from the shard's codec tag.
-		st.builderFor = wrapBuilderFor(cfg.BuilderFor)
-	}
 
 	// Populate the boundary metadata first: the shard loaders below
 	// read neighbouring separators for their routing checks.
 	for i := range m.Shards {
 		st.seps[i] = m.Shards[i].Sep
-		st.builderIDs[i] = m.Shards[i].Codec
 	}
 	err = st.populate(func(i int) error { return st.openShard(abs, i, &m.Shards[i]) })
 	if err != nil {
@@ -447,7 +427,9 @@ func Open(dir string, cfg Config) (*Store, error) {
 		s := st.shards[i].Load()
 		committed := make(map[*table.Table]persist.RunMeta, len(s.runs))
 		for r, t := range s.runs {
-			committed[t] = m.Shards[i].Runs[r]
+			rm := m.Shards[i].Runs[r]
+			rm.Codec = s.runIDs[r] // a run rebuilt at load carries the tag it was built under
+			committed[t] = rm
 		}
 		st.persistedRuns[i] = committed
 	}
@@ -464,12 +446,10 @@ func (st *Store) openShard(dir string, i int, meta *persist.ShardMeta) error {
 	runs := make([]*table.Table, len(meta.Runs))
 	runIDs := make([]string, len(meta.Runs))
 	for r := range meta.Runs {
-		tab, err := st.openRun(dir, i, r, &meta.Runs[r])
-		if err != nil {
+		var err error
+		if runs[r], runIDs[r], err = st.openRun(dir, i, r, &meta.Runs[r], runIDs[0]); err != nil {
 			return err
 		}
-		runs[r] = tab
-		runIDs[r] = meta.Runs[r].Codec
 	}
 
 	wal, ops, err := persist.OpenWAL(filepath.Join(dir, meta.WAL))
@@ -491,11 +471,14 @@ func (st *Store) openShard(dir string, i int, meta *persist.ShardMeta) error {
 	return nil
 }
 
-// openRun loads one run of shard i: table, tombstone bitmap, index.
-func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta) (*table.Table, error) {
+// openRun loads one run of shard i: table, tombstone bitmap, index. It
+// returns the run's codec tag with it — the manifest's, unless the index
+// had to be rebuilt, which reports the tag it was built under. shardTag
+// is the tag of the shard's base run, already loaded when r > 0.
+func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta, shardTag string) (*table.Table, string, error) {
 	keys, payloads, err := persist.ReadTable(filepath.Join(dir, rm.Table))
 	if err != nil {
-		return nil, fmt.Errorf("serve: shard %d run %d table: %w", i, r, err)
+		return nil, "", fmt.Errorf("serve: shard %d run %d table: %w", i, r, err)
 	}
 	// Boundary check: a table file swapped between shards would pass
 	// its own checksums but violate the routing invariant. Shard 0 has
@@ -503,27 +486,27 @@ func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta) (*table.Tabl
 	// shardOf), so any of its runs may legitimately start below seps[0].
 	if len(keys) > 0 {
 		if i > 0 && keys[0] < st.seps[i] {
-			return nil, fmt.Errorf("serve: shard %d run %d starts at %d, before separator %d", i, r, keys[0], st.seps[i])
+			return nil, "", fmt.Errorf("serve: shard %d run %d starts at %d, before separator %d", i, r, keys[0], st.seps[i])
 		}
 		if i+1 < len(st.seps) && keys[len(keys)-1] >= st.seps[i+1] {
-			return nil, fmt.Errorf("serve: shard %d run %d crosses into shard %d", i, r, i+1)
+			return nil, "", fmt.Errorf("serve: shard %d run %d crosses into shard %d", i, r, i+1)
 		}
 	}
 	var tombs []bool
 	if rm.Tombs != "" {
 		tombs, err = persist.ReadTombs(filepath.Join(dir, rm.Tombs), len(keys))
 		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d run %d tombs: %w", i, r, err)
+			return nil, "", fmt.Errorf("serve: shard %d run %d tombs: %w", i, r, err)
 		}
 	}
 
 	switch {
 	case len(keys) == 0:
-		return table.Empty(search.BinarySearch), nil
+		return table.Empty(search.BinarySearch), rm.Codec, nil
 	case rm.Index != "":
 		idx, err := persist.ReadIndex(filepath.Join(dir, rm.Index))
 		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d run %d index: %w", i, r, err)
+			return nil, "", fmt.Errorf("serve: shard %d run %d index: %w", i, r, err)
 		}
 		if fam, _ := registry.ParseID(rm.Codec); fam != idx.Name() {
 			// A mismatch between the manifest tag and the frame's own
@@ -531,43 +514,39 @@ func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta) (*table.Tabl
 			// builder (no codec of its own) that produced an index of a
 			// codec family; there the frame's self-description wins.
 			if _, tagHasCodec := registry.CodecFor(fam); tagHasCodec {
-				return nil, fmt.Errorf("serve: shard %d run %d index family %q does not match codec tag %q", i, r, idx.Name(), rm.Codec)
+				return nil, "", fmt.Errorf("serve: shard %d run %d index family %q does not match codec tag %q", i, r, idx.Name(), rm.Codec)
 			}
 		}
 		if err := sampleValidate(keys, idx); err != nil {
-			return nil, fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
+			return nil, "", fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
 		}
 		tab, err := table.NewTombed(keys, payloads, tombs, idx, search.BinarySearch)
 		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
+			return nil, "", fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
 		}
-		return tab, nil
+		return tab, rm.Codec, nil
 	default:
 		// No encoded index (a family without a codec, or a plain
 		// binary-search tier run): rebuild from the loaded keys — the
-		// documented retraining fallback. For the base run a caller-
-		// supplied BuilderFor wins over the catalog: it may be the only
-		// way to build a family the registry does not know.
-		var b core.Builder
-		var id string
-		var err error
-		if r == 0 && st.cfg.BuilderFor != nil {
-			b, id, err = st.builderFor(i, keys)
-		} else {
-			b, id, err = resolveRebuild(nil, rm.Codec, keys)
+		// documented retraining fallback — by the rule that built the
+		// run: a tier run under the shard family's tier entry, the base
+		// under whatever baseBuilder picks for its tag.
+		if r > 0 {
+			tab, tag, err := st.buildTierRun(shardTag, keys, payloads, tombs)
+			if err != nil {
+				return nil, "", fmt.Errorf("serve: shard %d run %d rebuild: %w", i, r, err)
+			}
+			return tab, tag, nil
 		}
+		b, tag, err := st.baseBuilder(i, rm.Codec, keys)
 		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
+			return nil, "", fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
 		}
 		tab, err := table.BuildTombed(b, keys, payloads, tombs, search.BinarySearch)
 		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d run %d rebuild: %w", i, r, err)
+			return nil, "", fmt.Errorf("serve: shard %d run %d rebuild: %w", i, r, err)
 		}
-		if r == 0 {
-			st.builders[i] = b
-			st.builderIDs[i] = id
-		}
-		return tab, nil
+		return tab, tag, nil
 	}
 }
 

@@ -91,7 +91,10 @@ type Config struct {
 
 	// BuilderFor, when non-nil, supplies the index builder per shard,
 	// allowing heterogeneous stores (e.g. a learned index on smooth
-	// shards, a B-tree on adversarial ones).
+	// shards, a B-tree on adversarial ones). It is consulted at every
+	// build of a shard's base run — New, each major merge, and Open's
+	// rebuild of a base run snapshotted without an encoded index — with
+	// the keys about to be indexed; tier runs never ask it.
 	BuilderFor func(shard int, keys []core.Key) (core.Builder, error)
 
 	// Workers is the goroutine-pool size serving batched lookups; 0
@@ -155,14 +158,10 @@ type Config struct {
 // Store is a sharded, mutable key→payload store. See the package
 // comment for the concurrency model.
 type Store struct {
-	cfg        Config
-	seps       []core.Key // seps[i] = first key owned by shard i
-	shards     []atomic.Pointer[shardState]
-	writeMu    []sync.Mutex   // per-shard single-writer locks
-	builders   []core.Builder // last builder used per shard; guarded by writeMu; nil until resolved on warm-opened shards
-	builderIDs []string       // registry config ID per shard (manifest codec tag); guarded by writeMu
-
-	builderFor func(shard int, keys []core.Key) (core.Builder, string, error)
+	cfg     Config
+	seps    []core.Key // seps[i] = first key owned by shard i
+	shards  []atomic.Pointer[shardState]
+	writeMu []sync.Mutex // per-shard single-writer locks
 
 	// Persistence state (zero, and every WAL slot nil, unless the store
 	// was opened from a snapshot directory): the attached directory
@@ -307,11 +306,6 @@ func New(keys []core.Key, payloads []uint64, cfg Config) (*Store, error) {
 		prev = s
 	}
 	st := newStore(cfg, len(starts))
-	if cfg.BuilderFor != nil {
-		st.builderFor = wrapBuilderFor(cfg.BuilderFor)
-	} else {
-		st.builderFor = familyBuilderFor(cfg.Family)
-	}
 	for i, lo := range starts {
 		st.seps[i] = keys[lo]
 	}
@@ -368,8 +362,6 @@ func newStore(cfg Config, nShards int) *Store {
 		seps:          make([]core.Key, nShards),
 		shards:        make([]atomic.Pointer[shardState], nShards),
 		writeMu:       make([]sync.Mutex, nShards),
-		builders:      make([]core.Builder, nShards),
-		builderIDs:    make([]string, nShards),
 		wals:          make([]*persist.WAL, nShards),
 		compactQueued: make([]bool, nShards),
 		stats:         make([]shardStats, nShards),
@@ -377,19 +369,6 @@ func newStore(cfg Config, nShards int) *Store {
 	st.compactCond = sync.NewCond(&st.compactMu)
 	st.idleCond = sync.NewCond(&st.compactMu)
 	return st
-}
-
-// familyBuilderFor is the registry-backed shard builder used when no
-// custom BuilderFor is configured: the family's mid-sweep entry, with
-// its catalog label recorded as the shard's codec tag.
-func familyBuilderFor(family string) func(int, []core.Key) (core.Builder, string, error) {
-	return func(_ int, keys []core.Key) (core.Builder, string, error) {
-		nb, ok := registry.Builder(family, keys)
-		if !ok {
-			return nil, "", fmt.Errorf("serve: empty sweep for family %q", family)
-		}
-		return nb.Builder, registry.ID(family, nb.Label), nil
-	}
 }
 
 // start launches the worker pool and the background compactor over the
@@ -494,15 +473,15 @@ func (st *Store) journalEvent(i int, kind string, runsBefore, runsAfter, keys in
 	})
 }
 
-// buildShard picks (and records) the shard's builder, constructs its
-// table and publishes it as the shard's base run. Only New calls it,
-// where each shard is touched by exactly one goroutine.
+// buildShard picks the shard's builder — no run yet, so the store's
+// family is the tag — constructs its table and publishes it as the
+// shard's base run. Only New calls it, where each shard is touched by
+// exactly one goroutine.
 func (st *Store) buildShard(i int, keys []core.Key, payloads []uint64) error {
-	b, id, err := st.builderFor(i, keys)
+	b, id, err := st.baseBuilder(i, st.cfg.Family, keys)
 	if err != nil {
 		return err
 	}
-	st.builders[i], st.builderIDs[i] = b, id
 	t, err := table.Build(b, keys, payloads, search.BinarySearch)
 	if err != nil {
 		return fmt.Errorf("serve: shard %d: %w", i, err)
@@ -710,14 +689,12 @@ func (st *Store) Policy() (threshold, maxRuns int, ampBound float64) {
 	return st.cfg.CompactThreshold, st.cfg.MaxRuns, st.cfg.AmpBound
 }
 
-// ConfigIDs reports each shard's current index config ID (the registry
-// codec tag, tracking re-tunes across major merges).
+// ConfigIDs reports each shard's current index config ID: the codec
+// tag of its base run, which tracks re-tunes across major merges.
 func (st *Store) ConfigIDs() []string {
-	out := make([]string, len(st.builderIDs))
+	out := make([]string, len(st.shards))
 	for i := range out {
-		st.writeMu[i].Lock()
-		out[i] = st.builderIDs[i]
-		st.writeMu[i].Unlock()
+		out[i] = st.shards[i].Load().runIDs[0]
 	}
 	return out
 }
@@ -1002,7 +979,7 @@ func (st *Store) compactShard(i int, force bool) error {
 		st.deltaFreezes.Add(1)
 	}
 	st.shards[i].Store(&shardState{runs: s.runs, runIDs: s.runIDs, del: emptyDelta, frozen: frozen})
-	rs := runSet{runs: s.runs, runIDs: s.runIDs, builder: st.builders[i], builderID: st.builderIDs[i]}
+	rs := runSet{runs: s.runs, runIDs: s.runIDs}
 	st.writeMu[i].Unlock()
 
 	start := time.Now()
@@ -1017,8 +994,6 @@ func (st *Store) compactShard(i int, force bool) error {
 		st.writeMu[i].Unlock()
 		return fmt.Errorf("serve: compact shard %d: %w", i, err)
 	}
-	st.builders[i] = res.builder
-	st.builderIDs[i] = res.builderID // keeps the manifest codec tag tracking re-tunes
 	st.shards[i].Store(&shardState{runs: res.runs, runIDs: res.runIDs, del: s2.del})
 	st.writeMu[i].Unlock()
 	if len(res.runs) <= len(s.runs) {
@@ -1039,13 +1014,13 @@ func (st *Store) compactShard(i int, force bool) error {
 	return nil
 }
 
-// runSet is a shard's runs and the builder of its base run, as a
-// compaction round carries them from step to step off the write lock.
+// runSet is a shard's runs and their codec tags, as a compaction round
+// carries them from step to step off the write lock. runIDs[0], the base
+// run's tag, is the shard's: it names the family of its tier runs and
+// the catalog entry its next major rebuilds from.
 type runSet struct {
-	runs      []*table.Table
-	runIDs    []string
-	builder   core.Builder
-	builderID string
+	runs   []*table.Table
+	runIDs []string
 }
 
 // buildCompacted is the tiering policy: which merge steps a round takes
@@ -1081,8 +1056,8 @@ func (st *Store) buildCompacted(i int, rs runSet, frozen *delta, maxRuns int) (r
 // is all that tells the three kinds apart. from == len(runs) merges the
 // delta alone — a flush, which stacks a tier run. from == 0 takes every
 // run — a major: nothing older is left to shadow, so tombstones drop,
-// and the result is the new base run under a full (for learned
-// families re-tuned) index. Anything between is a minor: tombstones
+// and the result is the new base run under the index baseBuilder picks
+// (for learned families, re-tuned). Anything between is a minor: tombstones
 // are carried, since they still shadow the runs below, and the result
 // gets the family's cheap tier index like a flush.
 func (st *Store) mergeTop(i int, rs runSet, from int, frozen *delta) (runSet, error) {
@@ -1106,19 +1081,17 @@ func (st *Store) mergeTop(i int, rs runSet, from int, frozen *delta) (runSet, er
 	var err error
 	switch {
 	case from > 0:
-		nt, id, err = st.buildTierRun(rs.builderID, keys, vals, tombs)
+		nt, id, err = st.buildTierRun(rs.runIDs[0], keys, vals, tombs)
 	case len(keys) == 0:
-		nt, id = table.Empty(search.BinarySearch), rs.builderID
+		nt, id = table.Empty(search.BinarySearch), rs.runIDs[0]
 	default:
-		// Learned families re-tune for the merged key set via their
-		// registry rebuild hook; everyone else reuses the shard's
-		// builder. A warm-opened shard has no builder value yet — its
-		// codec tag names the catalog entry to resolve lazily, here at
-		// first major rather than at Open, so warm loads never pay a
-		// training cost up front.
-		if out.builder, id, err = resolveRebuild(rs.builder, rs.builderID, keys); err == nil {
-			nt, err = table.Build(out.builder, keys, vals, search.BinarySearch)
-			out.builderID = id
+		// The builder is a function of the old base's tag and the merged
+		// keys, resolved here and never at Open, so warm loads pay no
+		// training cost up front and a warm-opened shard rebuilds exactly
+		// as one that never restarted.
+		var b core.Builder
+		if b, id, err = st.baseBuilder(i, rs.runIDs[0], keys); err == nil {
+			nt, err = table.Build(b, keys, vals, search.BinarySearch)
 		}
 	}
 	if err != nil {
@@ -1171,12 +1144,12 @@ func (st *Store) chooseMajor(i int, runs []*table.Table) bool {
 // buildTierRun indexes a small run (a flushed delta or a minor merge)
 // with the cheap tier entry of the shard's family — binary search or a
 // coarse learned bound, never the full per-base tuning.
-func (st *Store) buildTierRun(builderID string, keys []core.Key, vals []uint64, tombs []bool) (*table.Table, string, error) {
+func (st *Store) buildTierRun(shardTag string, keys []core.Key, vals []uint64, tombs []bool) (*table.Table, string, error) {
 	if len(keys) == 0 {
 		return table.Empty(search.BinarySearch), "BS", nil
 	}
-	family, _ := registry.ParseID(builderID)
-	nb, id := registry.TierBuilder(family, keys)
+	family, _ := registry.ParseID(shardTag)
+	nb, id := registry.Tier(family, keys)
 	t, err := table.BuildTombed(nb.Builder, keys, vals, tombs, search.BinarySearch)
 	if err != nil {
 		return nil, "", err
@@ -1184,29 +1157,27 @@ func (st *Store) buildTierRun(builderID string, keys []core.Key, vals []uint64, 
 	return t, id, nil
 }
 
-// resolveRebuild picks the builder (and its codec tag) for re-indexing
-// a compacted shard. prev non-nil follows the standard rebuild-hook
-// path — when the hook re-tunes, the old label no longer describes the
-// builder, so the tag degrades to the bare family. prev nil (a
-// warm-opened shard) resolves the codec tag against the catalog —
-// exact label first, mid-sweep fallback when the tuned ladder no
-// longer contains it.
-func resolveRebuild(prev core.Builder, id string, keys []core.Key) (core.Builder, string, error) {
-	if prev != nil {
-		if !registry.HasRebuild(prev.Name()) {
-			return prev, id, nil // hookless family: builder and tag unchanged
+// baseBuilder is the one place a base run's index is chosen: the builder
+// for shard i's base run over keys, and the codec tag to record for it.
+// tag is the tag of the base run being replaced, or the store's family
+// for a shard not built yet. A caller-supplied Config.BuilderFor decides
+// every base build (it may be the only way to build a family the
+// catalog does not know); custom builders have no catalog label, and
+// the family name alone is still a usable codec tag. Otherwise the
+// catalog's rule applies: registry.Rebuild.
+func (st *Store) baseBuilder(i int, tag string, keys []core.Key) (core.Builder, string, error) {
+	if st.cfg.BuilderFor != nil {
+		b, err := st.cfg.BuilderFor(i, keys)
+		if err != nil {
+			return nil, "", err
 		}
-		b := registry.RebuildBuilder(prev.Name(), prev, keys)
 		return b, registry.ID(b.Name(), ""), nil
 	}
-	family, label := registry.ParseID(id)
-	if nb, ok := registry.SweepEntry(family, label, keys); ok {
-		return nb.Builder, id, nil
+	nb, id, ok := registry.Rebuild(tag, keys)
+	if !ok {
+		return nil, "", fmt.Errorf("serve: cannot resolve builder for codec tag %q", tag)
 	}
-	if nb, ok := registry.Builder(family, keys); ok {
-		return nb.Builder, registry.ID(family, nb.Label), nil
-	}
-	return nil, "", fmt.Errorf("serve: cannot resolve builder for codec tag %q", id)
+	return nb.Builder, id, nil
 }
 
 // Compact synchronously merges every shard's runs and pending writes
