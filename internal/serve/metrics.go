@@ -1,0 +1,129 @@
+package serve
+
+import (
+	"strconv"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/obs"
+)
+
+// registerMetrics binds the store's observability series into r: every
+// counter is a scrape-time func over an atomic the store maintains
+// anyway, and every gauge reads the current shard state through the
+// same lock-free pointer loads the read path uses — registration adds
+// nothing to Get/Put.
+func (st *Store) registerMetrics(r *obs.Registry) {
+	if r == nil {
+		return
+	}
+	cf := func(a *atomic.Uint64) func() float64 {
+		return func() float64 { return float64(a.Load()) }
+	}
+	r.CounterFunc("sosd_store_compactions_total", cf(&st.compactions))
+	r.CounterFunc("sosd_store_flushes_total", cf(&st.flushes))
+	r.CounterFunc("sosd_store_minor_merges_total", cf(&st.minorMerges))
+	r.CounterFunc("sosd_store_major_merges_total", cf(&st.majorMerges))
+	r.CounterFunc("sosd_store_delta_freezes_total", cf(&st.deltaFreezes))
+	r.CounterFunc("sosd_store_compact_ns_total", func() float64 { return float64(st.compactNs.Load()) })
+	r.CounterFunc("sosd_store_run_probes_total", func() float64 {
+		var probes int64
+		for i := range st.stats {
+			probes += st.stats[i].probes.Load()
+		}
+		return float64(probes)
+	})
+	r.CounterFunc("sosd_store_multirun_ops_total", func() float64 {
+		var ops int64
+		for i := range st.stats {
+			ops += st.stats[i].ops.Load()
+		}
+		return float64(ops)
+	})
+	r.GaugeFunc("sosd_store_read_amp", st.ReadAmp)
+	r.GaugeFunc("sosd_store_delta_len", func() float64 { return float64(st.DeltaLen()) })
+	r.GaugeFunc("sosd_store_pending_compactions", func() float64 {
+		st.compactMu.Lock()
+		defer st.compactMu.Unlock()
+		return float64(st.compactPending)
+	})
+	for i := range st.shards {
+		lbl := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
+		r.GaugeFunc("sosd_shard_runs", func() float64 {
+			return float64(len(st.shards[i].Load().runs))
+		}, lbl)
+		r.GaugeFunc("sosd_shard_delta_len", func() float64 {
+			return float64(st.shards[i].Load().deltaLen())
+		}, lbl)
+		r.GaugeFunc("sosd_shard_read_amp", func() float64 {
+			amp, _ := st.windowAmp(i)
+			return amp
+		}, lbl)
+		r.GaugeFunc("sosd_shard_compact_queued", func() float64 {
+			st.compactMu.Lock()
+			defer st.compactMu.Unlock()
+			if st.compactQueued[i] {
+				return 1
+			}
+			return 0
+		}, lbl)
+	}
+}
+
+// journalEvent appends one write-path event with the tiering-policy
+// inputs as the compactor saw them (a nil journal drops it).
+func (st *Store) journalEvent(i int, kind string, runsBefore, runsAfter, keys int, dur time.Duration) {
+	amp, ops := st.windowAmp(i)
+	st.cfg.Journal.Append(obs.Event{
+		Shard: i, Kind: kind,
+		RunsBefore: runsBefore, RunsAfter: runsAfter, Keys: keys, Dur: dur,
+		ReadAmp: amp, WindowOps: ops,
+		MajorNs: ewmaLoad(&st.stats[i].majorNsPerKey),
+		MinorNs: ewmaLoad(&st.stats[i].minorNsPerKey),
+	})
+}
+
+// Compactions reports the number of completed shard compactions
+// (background and manual; flushes and merges both count).
+func (st *Store) Compactions() uint64 { return st.compactions.Load() }
+
+// CompactTime reports the cumulative wall time spent flushing deltas,
+// merging runs and rebuilding shard indexes — the rebuild-cost axis of
+// the write-path tradeoff.
+func (st *Store) CompactTime() time.Duration {
+	return time.Duration(st.compactNs.Load())
+}
+
+// Flushes reports the number of delta-to-tier-run flushes (tiered
+// stores only; a single-run store merges instead of flushing).
+func (st *Store) Flushes() uint64 { return st.flushes.Load() }
+
+// MinorMerges reports the number of tier-run consolidations that left
+// the base run (and its tuned index) untouched.
+func (st *Store) MinorMerges() uint64 { return st.minorMerges.Load() }
+
+// MajorMerges reports the number of full-shard merges that rebuilt
+// (and for learned families re-tuned) the base index.
+func (st *Store) MajorMerges() uint64 { return st.majorMerges.Load() }
+
+// DeltaFreezes reports the number of non-empty delta fills frozen and
+// handed to the tier flusher — the independent end of the
+// flushes==freezes conservation law (they diverge only when a flush
+// build fails, which PersistErr-style accounting would surface).
+func (st *Store) DeltaFreezes() uint64 { return st.deltaFreezes.Load() }
+
+// ReadAmp reports the measured read amplification — run probes per
+// lookup — accumulated over reads that hit tiered (multi-run) shard
+// states. Reads on fully-compacted shards probe exactly one run and
+// are not accumulated; a store that never tiered reports 1.
+func (st *Store) ReadAmp() float64 {
+	var probes, ops int64
+	for i := range st.stats {
+		probes += st.stats[i].probes.Load()
+		ops += st.stats[i].ops.Load()
+	}
+	if ops == 0 {
+		return 1
+	}
+	return float64(probes) / float64(ops)
+}
