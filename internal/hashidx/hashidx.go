@@ -40,6 +40,10 @@ type RobinHood struct {
 	count int
 }
 
+// SlotSizeBytes is what one slot of either table occupies: a key, a
+// position and one byte of slot state.
+const SlotSizeBytes = 8 + 4 + 1
+
 // maxProbe caps the stored displacement; tables sized from the load
 // factor below stay far under it.
 const maxProbe = 120
@@ -140,7 +144,7 @@ func (t *RobinHood) Get(key uint64) (int32, bool) {
 func (t *RobinHood) Count() int { return t.count }
 
 // SizeBytes reports the table footprint.
-func (t *RobinHood) SizeBytes() int { return len(t.keys) * (8 + 4 + 1) }
+func (t *RobinHood) SizeBytes() int { return len(t.keys) * SlotSizeBytes }
 
 // Cuckoo is a bucketized cuckoo hash table: two candidate buckets of
 // four slots each per key.
@@ -270,7 +274,7 @@ func (t *Cuckoo) Get(key uint64) (int32, bool) {
 func (t *Cuckoo) Count() int { return t.count }
 
 // SizeBytes reports the table footprint.
-func (t *Cuckoo) SizeBytes() int { return len(t.keys) * (8 + 4 + 1) }
+func (t *Cuckoo) SizeBytes() int { return len(t.keys) * SlotSizeBytes }
 
 // pointIndex adapts a hash table to core.Index: exact bounds for
 // present keys, the trivial full bound otherwise.
@@ -377,6 +381,3 @@ func (t *RobinHood) Probe(key uint64) (home uint64, slots int, found bool) {
 		}
 	}
 }
-
-// Slots reports the table capacity in slots.
-func (t *RobinHood) Slots() int { return len(t.keys) }

@@ -184,6 +184,46 @@ func TestTracedBoundsMatchPlainLookups(t *testing.T) {
 	}
 }
 
+// TestTracedRegionsSumToSizeBytes: what a traced structure lays out in
+// the simulated address space is what the real index says it occupies —
+// the regions it allocates beside the shared key and payload arrays sum
+// to SizeBytes(), so a simulated lookup cannot skip an array the real
+// one reads, or stride one at a size memory does not hold it in.
+func TestTracedRegionsSumToSizeBytes(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Amzn, 20000, 1)
+	for name, tr := range buildTraced(t, keys) {
+		var regions []Region
+		var size int
+		switch v := tr.(type) {
+		case *tracedRMI:
+			regions, size = []Region{v.model, v.leaves}, v.idx.SizeBytes()
+		case *tracedPGM:
+			regions, size = append(v.levels[:len(v.levels):len(v.levels)], v.margins), v.idx.SizeBytes()
+		case *tracedRS:
+			regions, size = []Region{v.radix, v.points}, v.idx.SizeBytes()
+		case *tracedRBS:
+			regions, size = []Region{v.table}, v.idx.SizeBytes()
+		case *tracedBTree:
+			regions, size = []Region{v.nodes}, v.idx.SizeBytes()
+		case *tracedART:
+			regions, size = []Region{v.heap}, v.idx.SizeBytes()
+		case *tracedFAST:
+			regions, size = v.levels, v.idx.SizeBytes()
+		case *tracedRobin:
+			regions, size = []Region{v.slots}, v.tbl.SizeBytes()
+		default:
+			t.Fatalf("%s: traced type %T has no region list here", name, tr)
+		}
+		sum := 0
+		for _, r := range regions {
+			sum += r.size
+		}
+		if sum != size {
+			t.Errorf("%s: simulated index regions hold %d B, SizeBytes() is %d", name, sum, size)
+		}
+	}
+}
+
 // TestTracedRMILeafIsOneLine: the simulated leaf load is at the stride
 // memory holds the leaf array in, and a leaf of either layout lies
 // within one cache line.

@@ -66,21 +66,44 @@ func (d *dataRegions) lastMile(key core.Key, b core.Bound) int {
 	return lo
 }
 
+// windowSearch simulates a binary search over elements [lo, hi) of r,
+// stride bytes apart, reading width bytes of each probed element. The
+// direction taken is data dependent; the window is halved.
+func (m *Machine) windowSearch(r Region, lo, hi, stride, width int, site uint32) {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		m.Access(r, mid*stride, width)
+		m.Branch(site, mid&1 == 0)
+		m.Instr(3)
+		if hi-lo <= 1 {
+			break
+		}
+		if mid-lo > hi-mid {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+}
+
 // --- RMI ---
 
 type tracedRMI struct {
 	idx    *rmi.Index
 	data   *dataRegions
+	model  Region
 	leaves Region
 	m      *Machine
 }
 
 // NewTracedRMI wires an RMI into the machine.
 func NewTracedRMI(idx *rmi.Index, m *Machine, keys []core.Key) Traced {
+	leaves := idx.NumLeaves() * idx.LeafBytes()
 	return &tracedRMI{
 		idx:    idx,
 		data:   newDataRegions(m, keys),
-		leaves: m.Alloc(idx.NumLeaves() * idx.LeafBytes()),
+		model:  m.Alloc(idx.SizeBytes() - leaves),
+		leaves: m.Alloc(leaves),
 		m:      m,
 	}
 }
@@ -89,9 +112,10 @@ func (t *tracedRMI) Name() string { return "RMI" }
 
 func (t *tracedRMI) Lookup(key core.Key) core.Bound {
 	leaf, _, b := t.idx.Explain(key)
-	// Stage-1 model: a handful of FLOPs on register-resident
-	// coefficients (the stage-1 model is a single cache line, hot in
-	// any realistic loop), then one dependent load of the leaf model.
+	// Stage-1 model: a handful of FLOPs on coefficients that fit a
+	// single cache line (hot in any realistic loop), then one dependent
+	// load of the leaf model.
+	t.m.Access(t.model, 0, t.model.size)
 	t.m.Instr(8)
 	t.touchLeaf(leaf)
 	t.m.Instr(10)
@@ -108,10 +132,11 @@ func (t *tracedRMI) touchLeaf(leaf int) {
 // --- PGM ---
 
 type tracedPGM struct {
-	idx    *pgm.Index
-	data   *dataRegions
-	levels []Region
-	m      *Machine
+	idx     *pgm.Index
+	data    *dataRegions
+	levels  []Region
+	margins Region // the data level's dataErrLo array, then its dataErrHi
+	m       *Machine
 }
 
 // NewTracedPGM wires a PGM index into the machine.
@@ -119,8 +144,9 @@ func NewTracedPGM(idx *pgm.Index, m *Machine, keys []core.Key) Traced {
 	sizes := idx.LevelSizes()
 	t := &tracedPGM{idx: idx, data: newDataRegions(m, keys), m: m}
 	for _, n := range sizes {
-		t.levels = append(t.levels, m.Alloc(n*20))
+		t.levels = append(t.levels, m.Alloc(n*pgm.SegmentSizeBytes))
 	}
+	t.margins = m.Alloc(sizes[0] * pgm.MarginSizeBytes)
 	return t
 }
 
@@ -131,28 +157,17 @@ func (t *tracedPGM) Lookup(key core.Key) core.Bound {
 	const site = 0x77
 	for _, st := range steps {
 		// Evaluate the segment at this level: one load + linear math.
-		t.m.Access(t.levels[st.Level], st.Seg*20, 20)
+		t.m.Access(t.levels[st.Level], st.Seg*pgm.SegmentSizeBytes, pgm.SegmentSizeBytes)
 		t.m.Instr(8)
-		if st.Level > 0 {
+		if st.Level == 0 {
+			// Widen the prediction by the segment's two verified margins.
+			const half = pgm.MarginSizeBytes / 2
+			t.m.Access(t.margins, st.Seg*half, half)
+			t.m.Access(t.margins, t.margins.size/2+st.Seg*half, half)
+		} else {
 			// Binary search of the window in the level below: touch the
 			// probed segments' first keys.
-			lo, hi := st.WinLo, st.WinHi
-			below := t.levels[st.Level-1]
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				t.m.Access(below, mid*20, 8)
-				t.m.Branch(site, mid&1 == 0)
-				t.m.Instr(3)
-				// Direction is data dependent; halve the window.
-				if hi-lo <= 1 {
-					break
-				}
-				if mid-lo > hi-mid {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
+			t.m.windowSearch(t.levels[st.Level-1], st.WinLo, st.WinHi, pgm.SegmentSizeBytes, 8, site)
 		}
 	}
 	t.data.lastMile(key, b)
@@ -174,8 +189,8 @@ func NewTracedRS(idx *rs.Index, m *Machine, keys []core.Key) Traced {
 	return &tracedRS{
 		idx:    idx,
 		data:   newDataRegions(m, keys),
-		radix:  m.Alloc(idx.SizeBytes() - idx.NumPoints()*12),
-		points: m.Alloc(idx.NumPoints() * 12),
+		radix:  m.Alloc(idx.SizeBytes() - idx.NumPoints()*rs.PointSizeBytes),
+		points: m.Alloc(idx.NumPoints() * rs.PointSizeBytes),
 		m:      m,
 	}
 }
@@ -189,21 +204,7 @@ func (t *tracedRS) Lookup(key core.Key) core.Bound {
 	t.m.Access(t.radix, int(e.Bucket)*4, 8)
 	// Binary search the spline points within the window.
 	const site = 0x33
-	lo, hi := e.WinLo, e.WinHi
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		t.m.Access(t.points, mid*12, 12)
-		t.m.Branch(site, mid&1 == 0)
-		t.m.Instr(3)
-		if hi-lo <= 1 {
-			break
-		}
-		if mid-lo > hi-mid {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
+	t.m.windowSearch(t.points, e.WinLo, e.WinHi, rs.PointSizeBytes, rs.PointSizeBytes, site)
 	// Interpolation between the two spline points (already touched).
 	t.m.Instr(8)
 	t.data.lastMile(key, e.Bound)
@@ -224,7 +225,7 @@ func NewTracedRBS(idx *rbs.Index, m *Machine, keys []core.Key) Traced {
 	return &tracedRBS{
 		idx:   idx,
 		data:  newDataRegions(m, keys),
-		table: m.Alloc(idx.TableLen() * 4),
+		table: m.Alloc(idx.SizeBytes()),
 		m:     m,
 	}
 }
@@ -242,36 +243,41 @@ func (t *tracedRBS) Lookup(key core.Key) core.Bound {
 // --- B+tree / IBTree ---
 
 type tracedBTree struct {
-	idx   *btree.Index
-	data  *dataRegions
-	nodes Region
-	m     *Machine
-	path  []int32
-	name  string
+	idx       *btree.Index
+	data      *dataRegions
+	nodes     Region
+	nodeBytes int
+	m         *Machine
+	path      []int32
+	name      string
 }
 
-// NewTracedBTree wires a B+tree (or IBTree) into the machine.
+// NewTracedBTree wires a B+tree (or IBTree) into the machine. The tree
+// accounts for its size per entry and per node, not per node alone, so
+// the nodes are laid out at the mean stride that accounting gives them,
+// rounded down to whole cache lines: nodes are line-aligned, as the STX
+// node size class the tree's fanout follows is.
 func NewTracedBTree(idx *btree.Index, m *Machine, keys []core.Key) Traced {
-	const nodeBytes = 32*12 + 64
+	line := int(m.lineSz)
 	return &tracedBTree{
-		idx:   idx,
-		data:  newDataRegions(m, keys),
-		nodes: m.Alloc(idx.NumNodes() * nodeBytes),
-		m:     m,
-		name:  idx.Name(),
+		idx:       idx,
+		data:      newDataRegions(m, keys),
+		nodes:     m.Alloc(idx.SizeBytes()),
+		nodeBytes: idx.SizeBytes() / idx.NumNodes() / line * line,
+		m:         m,
+		name:      idx.Name(),
 	}
 }
 
 func (t *tracedBTree) Name() string { return t.name }
 
 func (t *tracedBTree) Lookup(key core.Key) core.Bound {
-	const nodeBytes = 32*12 + 64
 	const site = 0x91
 	t.path = t.idx.PathIDs(key, t.path[:0])
 	for _, id := range t.path {
 		// In-node binary search over up to 32 keys: ~5 compares
 		// touching about two of the node's cache lines.
-		base := int(id) * nodeBytes
+		base := int(id) * t.nodeBytes
 		t.m.Access(t.nodes, base, 64)
 		t.m.Access(t.nodes, base+128, 64)
 		for s := 0; s < 5; s++ {
@@ -385,7 +391,7 @@ func NewTracedRobin(tbl *hashidx.RobinHood, m *Machine, keys []core.Key) Traced 
 	return &tracedRobin{
 		tbl:   tbl,
 		data:  newDataRegions(m, keys),
-		slots: m.Alloc(tbl.Slots() * 13),
+		slots: m.Alloc(tbl.SizeBytes()),
 		m:     m,
 		n:     len(keys),
 	}
@@ -398,7 +404,7 @@ func (t *tracedRobin) Lookup(key core.Key) core.Bound {
 	t.m.Instr(4) // hash
 	const site = 0xB7
 	for p := 0; p < probes; p++ {
-		t.m.Access(t.slots, (int(home)+p)*13, 13)
+		t.m.Access(t.slots, (int(home)+p)*hashidx.SlotSizeBytes, hashidx.SlotSizeBytes)
 		t.m.Branch(site, p < probes-1)
 		t.m.Instr(2)
 	}
@@ -408,11 +414,4 @@ func (t *tracedRobin) Lookup(key core.Key) core.Bound {
 	pos, _ := t.tbl.Get(key)
 	t.m.Access(t.data.paysReg, int(pos)*8, 8)
 	return core.Bound{Lo: int(pos), Hi: int(pos) + 1}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -34,7 +34,14 @@ type Segment struct {
 	Pos   int32 // position of the first covered point in the level below
 }
 
-const segmentSizeBytes = 8 + 8 + 4
+// SegmentSizeBytes is what one segment occupies in a level's array, and
+// MarginSizeBytes what the two verified margins of one data-level
+// segment occupy in theirs: the units of SizeBytes, and of the
+// performance-counter simulation's regions.
+const (
+	SegmentSizeBytes = 8 + 8 + 4
+	MarginSizeBytes  = 4 + 4
+)
 
 // Index is a built PGM index.
 type Index struct {
@@ -426,9 +433,9 @@ func (idx *Index) LookupBatch(keys []core.Key, out []core.Bound) {
 func (idx *Index) SizeBytes() int {
 	total := 0
 	for _, l := range idx.levels {
-		total += len(l) * segmentSizeBytes
+		total += len(l) * SegmentSizeBytes
 	}
-	total += 8 * len(idx.dataErrLo) // per-segment margins on the data level
+	total += len(idx.dataErrLo) * MarginSizeBytes
 	return total
 }
 

@@ -161,6 +161,3 @@ func (b binarySearch) Name() string               { return "BS" }
 // Bucket exposes the radix bucket probed for a key, for the
 // performance-counter simulation.
 func (idx *Index) Bucket(key core.Key) uint64 { return idx.prefix(key) }
-
-// TableLen reports the number of table entries.
-func (idx *Index) TableLen() int { return len(idx.table) }

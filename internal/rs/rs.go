@@ -25,7 +25,8 @@ type Point struct {
 	Pos int32
 }
 
-const pointSizeBytes = 8 + 4
+// PointSizeBytes is what one spline point occupies in the points array.
+const PointSizeBytes = 8 + 4
 
 // Config holds the two RadixSpline hyperparameters; the paper notes RS
 // is easy to tune precisely because these are the only knobs.
@@ -382,7 +383,7 @@ func computeMargins(keys []core.Key, idx *Index) (errLo, errHi int) {
 
 // SizeBytes implements core.Index.
 func (idx *Index) SizeBytes() int {
-	return len(idx.radix)*4 + len(idx.points)*pointSizeBytes
+	return len(idx.radix)*4 + len(idx.points)*PointSizeBytes
 }
 
 // Name implements core.Index.
