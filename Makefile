@@ -14,13 +14,17 @@ vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # loc prints the non-test Go line count of every internal/ package and
-# their total — the number the roadmap's north star wants to go down.
-# CI's test job runs it, so every PR's log carries it.
+# their total — the number the roadmap's north star wants to go down —
+# then every non-test file under internal/ over 800 lines, the north
+# star's candidates for a split. CI's test job runs it, so every PR's
+# log carries both.
 loc:
 	@total=0; for d in internal/*/; do \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		printf '%6d  %s\n' $$n $${d%/}; total=$$((total+n)); \
 	done; printf '%6d  internal (total)\n' $$total
+	@find internal -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
+		awk '$$2 != "total" && $$1 > 800 { printf "%6d  %s (over 800 lines)\n", $$1, $$2 }'
 
 # bench runs the root benchmark subset exercising the serving layer.
 bench:

@@ -16,10 +16,11 @@ import (
 // it does accept stays bounded instead of growing with the backlog.
 func TestShedNotCollapse(t *testing.T) {
 	// Capacity = BatchCap/CoalesceWindow = 16 keys / 2ms = 8k ops/s.
+	const maxPending = 32
 	srv, _, keys, _ := newServed(t, 4000, Config{
 		CoalesceWindow: 2 * time.Millisecond,
 		BatchCap:       16,
-		MaxPending:     32,
+		MaxPending:     maxPending,
 	})
 	pool, err := DialPool(srv.Addr().String(), 8)
 	if err != nil {
@@ -62,13 +63,29 @@ func TestShedNotCollapse(t *testing.T) {
 		t.Fatalf("server severed %d connections during overload", s.DroppedConns)
 	}
 
-	// Bounded accepted latency: an accepted request waits at most
-	// ~MaxPending/capacity = 32/8k = 4ms in queue plus a coalesce
-	// window; the headroom covers scheduler and race-detector noise. A
+	// What bounds an accepted request's latency, asserted at every scale
+	// and under any instrumentation: the server admitted no more than it
+	// may hold, it accounted for every request it was offered, and the
+	// time it spent on those it accepted — at most ~MaxPending/capacity =
+	// 32/8k = 4ms in queue plus a coalesce window — stayed bounded. A
 	// server that queued instead of shedding would blow far past this
 	// (the offered backlog alone runs to hundreds of milliseconds).
-	p99 := time.Duration(res.Reads.Quantile(0.99))
-	if p99 > 150*time.Millisecond {
+	if s.MaxQueueDepth > maxPending {
+		t.Fatalf("admission queue reached %d, past MaxPending %d", s.MaxQueueDepth, maxPending)
+	}
+	if s.Accepted+s.Shed != uint64(len(ops)) {
+		t.Fatalf("server accepted %d + shed %d != offered %d", s.Accepted, s.Shed, len(ops))
+	}
+	const bound = 150 * time.Millisecond // headroom for scheduler and race-detector noise
+	if p99 := time.Duration(s.Latency.Quantile(0.99)); p99 > bound {
+		t.Fatalf("server-side p99 %v not bounded under overload (p50 %v)",
+			p99, time.Duration(s.Latency.Quantile(0.5)))
+	}
+	// The client's p99 is timed from each request's scheduled arrival, so
+	// it also counts how late 128 workers get to issue it. Under the race
+	// detector that lateness alone can pass the bound; without it the
+	// client must see what the server delivered.
+	if p99 := time.Duration(res.Reads.Quantile(0.99)); !raceEnabled && p99 > bound {
 		t.Fatalf("accepted p99 %v not bounded under overload (p50 %v)",
 			p99, time.Duration(res.Reads.Quantile(0.5)))
 	}

@@ -106,10 +106,9 @@ func SyncDir(dir string) error {
 	return nil
 }
 
-// indexCodec returns the codec idx is framed with. Families without a
-// registered codec (and the zero-size empty-table index) have none and
-// cannot be encoded: the error matches errors.ErrUnsupported, and
-// callers fall back to rebuild-at-load for those.
+// indexCodec returns the codec idx is framed with. Families without one
+// (and the zero-size empty-table index) cannot be encoded: the error
+// matches errors.ErrUnsupported, and callers fall back to rebuild-at-load.
 func indexCodec(idx core.Index) (registry.Codec, error) {
 	codec, ok := registry.CodecFor(idx.Name())
 	if !ok {

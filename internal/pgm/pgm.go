@@ -34,10 +34,9 @@ type Segment struct {
 	Pos   int32 // position of the first covered point in the level below
 }
 
-// SegmentSizeBytes is what one segment occupies in a level's array, and
-// MarginSizeBytes what the two verified margins of one data-level
-// segment occupy in theirs: the units of SizeBytes, and of the
-// performance-counter simulation's regions.
+// SegmentSizeBytes is what one segment occupies in its level's array,
+// MarginSizeBytes what a data-level segment's two verified margins do in
+// theirs: the units of SizeBytes and of the simulator's regions.
 const (
 	SegmentSizeBytes = 8 + 8 + 4
 	MarginSizeBytes  = 4 + 4

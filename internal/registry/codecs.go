@@ -10,7 +10,8 @@ package registry
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/binio"
 	"repro/internal/btree"
@@ -53,14 +54,7 @@ func CodecFor(family string) (Codec, bool) {
 }
 
 // CodecFamilies returns every family with a registered codec, sorted.
-func CodecFamilies() []string {
-	out := make([]string, 0, len(codecs))
-	for name := range codecs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func CodecFamilies() []string { return slices.Sorted(maps.Keys(codecs)) }
 
 // codecOf is the codec of a family whose index type T encodes itself
 // and whose package exports decode. Encode fails cleanly when handed an

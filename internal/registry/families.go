@@ -22,9 +22,12 @@ import (
 	"repro/internal/wormhole"
 )
 
-// strides is the subset-stride sweep used for every tree structure
-// ("ten configurations ranging from minimum to maximum size").
-var strides = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
+// treeStrides is the subset-stride sweep used for every tree structure
+// ("ten configurations ranging from minimum to maximum size"): large
+// stride = small index first, matching the ladder order of the learned
+// structures. stringStrides is the sweep of the two string structures.
+var treeStrides = []int{512, 256, 128, 64, 32, 16, 8, 4, 2, 1}
+var stringStrides = []int{1, 4, 16, 64}
 
 func init() {
 	Register("RMI", func(keys []core.Key) []Rung {
@@ -32,7 +35,7 @@ func init() {
 		for _, b := range rmi.ParetoBranches(len(keys), 10) {
 			// The knob is the tail of rmi.Config.String(), the one part
 			// of the label that does not wait for the tuner.
-			out = append(out, Rung{Knob: lbl("B=%d]", b), Resolve: func() NamedBuilder {
+			out = append(out, Rung{Knob: fmt.Sprintf("B=%d]", b), Resolve: func() NamedBuilder {
 				c := rmi.TuneBranch(keys, b)
 				return NamedBuilder{c.String(), rmi.Builder{Config: c}}
 			}})
@@ -42,7 +45,7 @@ func init() {
 	Register("PGM", func([]core.Key) []Rung {
 		var out []Rung
 		for _, eps := range []int{4096, 1024, 512, 256, 128, 64, 32, 16, 8, 4} {
-			out = append(out, fixed(lbl("eps=%d", eps), pgm.Builder{Eps: eps}))
+			out = append(out, fixed(fmt.Sprintf("eps=%d", eps), pgm.Builder{Eps: eps}))
 		}
 		return out
 	})
@@ -51,7 +54,7 @@ func init() {
 		type rc struct{ err, bits int }
 		for _, c := range []rc{{4096, 4}, {1024, 6}, {512, 8}, {256, 10}, {128, 12},
 			{64, 14}, {32, 16}, {16, 18}, {8, 20}, {4, 22}} {
-			out = append(out, fixed(lbl("eps=%d,r=%d", c.err, c.bits),
+			out = append(out, fixed(fmt.Sprintf("eps=%d,r=%d", c.err, c.bits),
 				rs.Builder{Config: rs.Config{SplineErr: c.err, RadixBits: c.bits}}))
 		}
 		return out
@@ -59,28 +62,16 @@ func init() {
 	Register("RBS", func([]core.Key) []Rung {
 		var out []Rung
 		for _, bits := range []int{4, 6, 8, 10, 12, 14, 16, 18, 20, 22} {
-			out = append(out, fixed(lbl("r=%d", bits), rbs.Builder{RadixBits: bits}))
+			out = append(out, fixed(fmt.Sprintf("r=%d", bits), rbs.Builder{RadixBits: bits}))
 		}
 		return out
 	})
-	Register("BTree", strideLadder(func(s int) core.Builder { return btree.Builder{Stride: s} }))
-	Register("IBTree", strideLadder(func(s int) core.Builder { return ibtree.Builder{Stride: s} }))
-	Register("ART", strideLadder(func(s int) core.Builder { return art.Builder{Stride: s} }))
-	Register("FAST", strideLadder(func(s int) core.Builder { return fast.Builder{Stride: s} }))
-	Register("FST", func([]core.Key) []Rung {
-		var out []Rung
-		for _, s := range []int{1, 4, 16, 64} {
-			out = append(out, fixed(lbl("stride=%d", s), fst.Builder{Stride: s}))
-		}
-		return out
-	})
-	Register("Wormhole", func([]core.Key) []Rung {
-		var out []Rung
-		for _, s := range []int{1, 4, 16, 64} {
-			out = append(out, fixed(lbl("stride=%d", s), wormhole.Builder{Stride: s}))
-		}
-		return out
-	})
+	Register("BTree", strideLadder(treeStrides, func(s int) core.Builder { return btree.Builder{Stride: s} }))
+	Register("IBTree", strideLadder(treeStrides, func(s int) core.Builder { return ibtree.Builder{Stride: s} }))
+	Register("ART", strideLadder(treeStrides, func(s int) core.Builder { return art.Builder{Stride: s} }))
+	Register("FAST", strideLadder(treeStrides, func(s int) core.Builder { return fast.Builder{Stride: s} }))
+	Register("FST", strideLadder(stringStrides, func(s int) core.Builder { return fst.Builder{Stride: s} }))
+	Register("Wormhole", strideLadder(stringStrides, func(s int) core.Builder { return wormhole.Builder{Stride: s} }))
 	Register("BS", single("", rbs.BinarySearchBuilder{}))
 	Register("RobinHash", single("lf=0.25", hashidx.RobinHoodBuilder{}))
 	Register("CuckooMap", single("lf=0.99", hashidx.CuckooBuilder{}))
@@ -89,20 +80,19 @@ func init() {
 // Tier returns the builder for indexing a small LSM tier run of a shard
 // of family — keys is typically one flushed delta or a minor merge of a
 // few, orders of magnitude smaller than the shard base — plus the
-// catalog ID of the entry that builds it, which is the family the
-// builder belongs to, not the shard's, so a persisted run names the
-// exact entry that rebuilds it. A run is served by plain binary search
-// (no build at all: every bound is the full array) until it is a run of
-// a learned family big enough (≥ tierLearnedMin keys) that a coarse
-// learned bound — one cheap linear fit per ~epsilon keys — beats the
-// log2(n) last-mile probes. Coarse PGM stands in for all three learned
-// families: its O(n) greedy build is the cheapest learned construction
-// and the run is replaced wholesale at the next merge, so per-family
-// tuning would buy nothing. Tree, hash and custom families never pay
-// index construction on a flush.
+// catalog ID of the entry that builds it: the builder's own family, not
+// the shard's, so a persisted run names the exact entry that rebuilds
+// it. A run is served by plain binary search (no build at all: every
+// bound is the full array) until it is a run of a learned family big
+// enough (≥ tierLearnedMin keys) that a coarse learned bound — one cheap
+// linear fit per ~epsilon keys — beats the log2(n) last-mile probes.
+// Coarse PGM stands in for all three learned families: its O(n) greedy
+// build is the cheapest learned construction and the run is replaced
+// wholesale at the next merge, so per-family tuning would buy nothing.
+// Tree, hash and custom families never pay index construction on a flush.
 func Tier(family string, keys []core.Key) (nb NamedBuilder, id string) {
 	if learned[family] && len(keys) >= tierLearnedMin {
-		lab := lbl("eps=%d", tierEps)
+		lab := fmt.Sprintf("eps=%d", tierEps)
 		return NamedBuilder{lab, pgm.Builder{Eps: tierEps}}, ID("PGM", lab)
 	}
 	return NamedBuilder{"", rbs.BinarySearchBuilder{}}, "BS"
@@ -118,14 +108,13 @@ const tierLearnedMin = 1 << 14
 // to cut the last mile to a handful of probes.
 const tierEps = 256
 
-// strideLadder is the ladder of a subset-stride structure. Large
-// stride = small index first, matching the ladder order of the learned
-// structures.
-func strideLadder(mk func(int) core.Builder) LadderFunc {
+// strideLadder is the ladder of a subset-stride structure: one rung per
+// stride, in the order given.
+func strideLadder(strides []int, mk func(int) core.Builder) LadderFunc {
 	return func([]core.Key) []Rung {
 		out := make([]Rung, 0, len(strides))
-		for i := len(strides) - 1; i >= 0; i-- {
-			out = append(out, fixed(lbl("stride=%d", strides[i]), mk(strides[i])))
+		for _, s := range strides {
+			out = append(out, fixed(fmt.Sprintf("stride=%d", s), mk(s)))
 		}
 		return out
 	}
@@ -134,8 +123,4 @@ func strideLadder(mk func(int) core.Builder) LadderFunc {
 // single is the ladder of a structure with one configuration.
 func single(label string, b core.Builder) LadderFunc {
 	return func([]core.Key) []Rung { return []Rung{fixed(label, b)} }
-}
-
-func lbl(format string, args ...any) string {
-	return fmt.Sprintf(format, args...)
 }

@@ -19,7 +19,8 @@ package registry
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -82,14 +83,7 @@ func Has(family string) bool {
 }
 
 // Families returns every registered family name, sorted.
-func Families() []string {
-	out := make([]string, 0, len(families))
-	for name := range families {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Families() []string { return slices.Sorted(maps.Keys(families)) }
 
 // ladder returns a registered family's rungs, or nil for an unknown
 // family.
@@ -183,10 +177,9 @@ var learned = map[string]bool{"RMI": true, "PGM": true, "RS": true}
 // RMI re-runs its tuner — whatever rung the tag names; every other
 // family keeps the rung the tag names and falls back to mid-ladder when
 // the tag names none (a bare family is "no rung yet") or one its ladder
-// no longer has. id is the labelled ID of the entry returned, and a
-// fixed point of Rebuild over the same keys: the tag to record for the
-// new run, from which any process re-finds this entry. ok is false for
-// a family the catalog does not know.
+// no longer has. id is the labelled ID of the entry returned and a fixed
+// point of Rebuild over the same keys: the tag to record for the new
+// run. ok is false for a family the catalog does not know.
 func Rebuild(tag string, keys []core.Key) (nb NamedBuilder, id string, ok bool) {
 	family, label := ParseID(tag)
 	if !learned[family] {

@@ -233,9 +233,9 @@ func (st *Store) buildCompacted(i int, rs runSet, frozen *delta, maxRuns int) (r
 // delta alone — a flush, which stacks a tier run. from == 0 takes every
 // run — a major: nothing older is left to shadow, so tombstones drop,
 // and the result is the new base run under the index baseBuilder picks
-// (for learned families, re-tuned). Anything between is a minor: tombstones
-// are carried, since they still shadow the runs below, and the result
-// gets the family's cheap tier index like a flush.
+// (for learned families, re-tuned). Anything between is a minor:
+// tombstones are carried, since they still shadow the runs below, and
+// the result gets the family's cheap tier index like a flush.
 func (st *Store) mergeTop(i int, rs runSet, from int, frozen *delta) (runSet, error) {
 	kind, count, nsPerKey := "minor", &st.minorMerges, &st.stats[i].minorNsPerKey
 	switch from {
@@ -251,25 +251,11 @@ func (st *Store) mergeTop(i int, rs runSet, from int, frozen *delta) (runSet, er
 	layers = append(layers, deltaLayer(frozen))
 	t0 := time.Now()
 	keys, vals, tombs := mergeLayers(layers, from == 0)
-	out := rs
-	var nt *table.Table
-	var id string
-	var err error
-	switch {
-	case from > 0:
-		nt, id, err = st.buildTierRun(rs.runIDs[0], keys, vals, tombs)
-	case len(keys) == 0:
-		nt, id = table.Empty(search.BinarySearch), rs.runIDs[0]
-	default:
-		// The builder is a function of the old base's tag and the merged
-		// keys, resolved here and never at Open, so warm loads pay no
-		// training cost up front and a warm-opened shard rebuilds exactly
-		// as one that never restarted.
-		var b core.Builder
-		if b, id, err = st.baseBuilder(i, rs.runIDs[0], keys); err == nil {
-			nt, err = table.Build(b, keys, vals, search.BinarySearch)
-		}
-	}
+	// The new run's builder is a function of the shard's tag and the
+	// merged keys, resolved here and never at Open, so warm loads pay no
+	// training cost up front and a warm-opened shard rebuilds exactly as
+	// one that never restarted.
+	nt, id, err := st.buildRun(i, from, rs.runIDs[0], keys, vals, tombs)
 	if err != nil {
 		return rs, err
 	}
@@ -281,9 +267,7 @@ func (st *Store) mergeTop(i int, rs runSet, from int, frozen *delta) (runSet, er
 	st.journalEvent(i, kind, len(rs.runs), from+1, len(keys), dur)
 	// Three-index slices: the appends copy, never write into the arrays
 	// the published shard state still holds.
-	out.runs = append(rs.runs[:from:from], nt)
-	out.runIDs = append(rs.runIDs[:from:from], id)
-	return out, nil
+	return runSet{runs: append(rs.runs[:from:from], nt), runIDs: append(rs.runIDs[:from:from], id)}, nil
 }
 
 // chooseMajor decides a triggered consolidation's destination: fold
@@ -317,20 +301,32 @@ func (st *Store) chooseMajor(i int, runs []*table.Table) bool {
 	return majorNs-minorNs <= saved
 }
 
-// buildTierRun indexes a small run (a flushed delta or a minor merge)
-// with the cheap tier entry of the shard's family — binary search or a
-// coarse learned bound, never the full per-base tuning.
-func (st *Store) buildTierRun(shardTag string, keys []core.Key, vals []uint64, tombs []bool) (*table.Table, string, error) {
+// buildRun is the one place a run's table is built: keys indexed as run
+// r of shard i, whose tag (its base run's) is tag, returned with the tag
+// to record for the new run. The base run (r == 0) gets the builder
+// baseBuilder picks; a tier run — a flushed delta or a minor merge —
+// the cheap tier entry of the shard's family, binary search or a coarse
+// learned bound, never the full per-base tuning. A base run left with
+// no keys keeps the shard's tag, and with it the family.
+func (st *Store) buildRun(i, r int, tag string, keys []core.Key, vals []uint64, tombs []bool) (*table.Table, string, error) {
+	var b core.Builder
+	if r > 0 {
+		family, _ := registry.ParseID(tag)
+		var nb registry.NamedBuilder
+		nb, tag = registry.Tier(family, keys)
+		b = nb.Builder
+	}
 	if len(keys) == 0 {
-		return table.Empty(search.BinarySearch), "BS", nil
+		return table.Empty(search.BinarySearch), tag, nil
 	}
-	family, _ := registry.ParseID(shardTag)
-	nb, id := registry.Tier(family, keys)
-	t, err := table.BuildTombed(nb.Builder, keys, vals, tombs, search.BinarySearch)
-	if err != nil {
-		return nil, "", err
+	if r == 0 {
+		var err error
+		if b, tag, err = st.baseBuilder(i, tag, keys); err != nil {
+			return nil, "", err
+		}
 	}
-	return t, id, nil
+	t, err := table.BuildTombed(b, keys, vals, tombs, search.BinarySearch)
+	return t, tag, err
 }
 
 // baseBuilder is the one place a base run's index is chosen: the builder
@@ -338,9 +334,9 @@ func (st *Store) buildTierRun(shardTag string, keys []core.Key, vals []uint64, t
 // tag is the tag of the base run being replaced, or the store's family
 // for a shard not built yet. A caller-supplied Config.BuilderFor decides
 // every base build (it may be the only way to build a family the
-// catalog does not know); custom builders have no catalog label, and
-// the family name alone is still a usable codec tag. Otherwise the
-// catalog's rule applies: registry.Rebuild.
+// catalog does not know); a custom builder has no catalog label, and
+// its family name alone is still a usable tag. Otherwise the catalog's
+// rule applies: registry.Rebuild.
 func (st *Store) baseBuilder(i int, tag string, keys []core.Key) (core.Builder, string, error) {
 	if st.cfg.BuilderFor != nil {
 		b, err := st.cfg.BuilderFor(i, keys)

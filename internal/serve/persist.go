@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -305,20 +306,6 @@ func (st *Store) persistShard(i int) error {
 	return st.persistShardLocked(i)
 }
 
-// sameRuns reports whether two run sets are the identical tables in
-// the identical order (pointer identity: runs are immutable).
-func sameRuns(a, b []*table.Table) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // persistShardLocked (persistMu held) does the work. The heavy run
 // writes happen off the shard's write lock against the immutable
 // tables (retrying if a compaction republishes the run set mid-write);
@@ -342,7 +329,7 @@ func (st *Store) persistShardLocked(i int) error {
 
 		st.writeMu[i].Lock()
 		s2 := st.shards[i].Load()
-		if !sameRuns(s2.runs, s.runs) {
+		if !slices.Equal(s2.runs, s.runs) { // pointer identity: runs are immutable
 			st.writeMu[i].Unlock()
 			continue // run set republished mid-write; redo (same gen, files overwritten)
 		}
@@ -411,6 +398,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	for i := range m.Shards {
 		st.seps[i] = m.Shards[i].Sep
 	}
+	st.persistedRuns = make([]map[*table.Table]persist.RunMeta, nShards)
 	err = st.populate(func(i int) error { return st.openShard(abs, i, &m.Shards[i]) })
 	if err != nil {
 		for _, w := range st.wals {
@@ -419,19 +407,6 @@ func Open(dir string, cfg Config) (*Store, error) {
 			}
 		}
 		return nil, err
-	}
-	// The just-loaded runs are exactly what the manifest committed, so
-	// the first checkpoint of an unchanged shard can reuse every file.
-	st.persistedRuns = make([]map[*table.Table]persist.RunMeta, nShards)
-	for i := range st.shards {
-		s := st.shards[i].Load()
-		committed := make(map[*table.Table]persist.RunMeta, len(s.runs))
-		for r, t := range s.runs {
-			rm := m.Shards[i].Runs[r]
-			rm.Codec = s.runIDs[r] // a run rebuilt at load carries the tag it was built under
-			committed[t] = rm
-		}
-		st.persistedRuns[i] = committed
 	}
 	// A replayed delta past the threshold has queued its shard (commit
 	// does, as for any write): the compactor picks it up right away
@@ -445,12 +420,18 @@ func Open(dir string, cfg Config) (*Store, error) {
 func (st *Store) openShard(dir string, i int, meta *persist.ShardMeta) error {
 	runs := make([]*table.Table, len(meta.Runs))
 	runIDs := make([]string, len(meta.Runs))
-	for r := range meta.Runs {
+	// The just-loaded runs are exactly what the manifest committed, so
+	// the first checkpoint of an unchanged shard can reuse every file.
+	committed := make(map[*table.Table]persist.RunMeta, len(meta.Runs))
+	for r, rm := range meta.Runs {
 		var err error
-		if runs[r], runIDs[r], err = st.openRun(dir, i, r, &meta.Runs[r], runIDs[0]); err != nil {
+		if runs[r], runIDs[r], err = st.openRun(dir, i, r, &rm, meta.Codec); err != nil {
 			return err
 		}
+		rm.Codec = runIDs[r] // a run rebuilt at load carries the tag it was built under
+		committed[runs[r]] = rm
 	}
+	st.persistedRuns[i] = committed
 
 	wal, ops, err := persist.OpenWAL(filepath.Join(dir, meta.WAL))
 	if err != nil {
@@ -471,10 +452,10 @@ func (st *Store) openShard(dir string, i int, meta *persist.ShardMeta) error {
 	return nil
 }
 
-// openRun loads one run of shard i: table, tombstone bitmap, index. It
-// returns the run's codec tag with it — the manifest's, unless the index
-// had to be rebuilt, which reports the tag it was built under. shardTag
-// is the tag of the shard's base run, already loaded when r > 0.
+// openRun loads one run of shard i, whose tag in the manifest is
+// shardTag: table, tombstone bitmap, index. It returns the run's codec
+// tag with it — the manifest's, unless the index had to be rebuilt,
+// which reports the tag it was built under.
 func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta, shardTag string) (*table.Table, string, error) {
 	keys, payloads, err := persist.ReadTable(filepath.Join(dir, rm.Table))
 	if err != nil {
@@ -528,21 +509,9 @@ func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta, shardTag str
 	default:
 		// No encoded index (a family without a codec, or a plain
 		// binary-search tier run): rebuild from the loaded keys — the
-		// documented retraining fallback — by the rule that built the
-		// run: a tier run under the shard family's tier entry, the base
-		// under whatever baseBuilder picks for its tag.
-		if r > 0 {
-			tab, tag, err := st.buildTierRun(shardTag, keys, payloads, tombs)
-			if err != nil {
-				return nil, "", fmt.Errorf("serve: shard %d run %d rebuild: %w", i, r, err)
-			}
-			return tab, tag, nil
-		}
-		b, tag, err := st.baseBuilder(i, rm.Codec, keys)
-		if err != nil {
-			return nil, "", fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
-		}
-		tab, err := table.BuildTombed(b, keys, payloads, tombs, search.BinarySearch)
+		// documented retraining fallback — as a compaction would have
+		// built the run.
+		tab, tag, err := st.buildRun(i, r, shardTag, keys, payloads, tombs)
 		if err != nil {
 			return nil, "", fmt.Errorf("serve: shard %d run %d rebuild: %w", i, r, err)
 		}

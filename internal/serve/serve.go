@@ -38,7 +38,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/registry"
-	"repro/internal/search"
 	"repro/internal/table"
 )
 
@@ -319,16 +318,11 @@ func (st *Store) start() {
 	go st.compactor()
 }
 
-// buildShard picks the shard's builder — no run yet, so the store's
-// family is the tag — constructs its table and publishes it as the
-// shard's base run. Only New calls it, where each shard is touched by
-// exactly one goroutine.
+// buildShard builds the shard's base run — no run yet, so the store's
+// family is the tag — and publishes it. Only New calls it, where each
+// shard is touched by exactly one goroutine.
 func (st *Store) buildShard(i int, keys []core.Key, payloads []uint64) error {
-	b, id, err := st.baseBuilder(i, st.cfg.Family, keys)
-	if err != nil {
-		return err
-	}
-	t, err := table.Build(b, keys, payloads, search.BinarySearch)
+	t, id, err := st.buildRun(i, 0, st.cfg.Family, keys, payloads, nil)
 	if err != nil {
 		return fmt.Errorf("serve: shard %d: %w", i, err)
 	}
