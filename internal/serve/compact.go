@@ -312,9 +312,8 @@ func (st *Store) buildRun(i, r int, tag string, keys []core.Key, vals []uint64, 
 	var b core.Builder
 	if r > 0 {
 		family, _ := registry.ParseID(tag)
-		var nb registry.NamedBuilder
-		nb, tag = registry.Tier(family, keys)
-		b = nb.Builder
+		nb, id := registry.Tier(family, keys)
+		b, tag = nb.Builder, id
 	}
 	if len(keys) == 0 {
 		return table.Empty(search.BinarySearch), tag, nil
@@ -343,7 +342,7 @@ func (st *Store) baseBuilder(i int, tag string, keys []core.Key) (core.Builder, 
 		if err != nil {
 			return nil, "", err
 		}
-		return b, registry.ID(b.Name(), ""), nil
+		return b, b.Name(), nil
 	}
 	nb, id, ok := registry.Rebuild(tag, keys)
 	if !ok {

@@ -74,7 +74,8 @@ type Config struct {
 	// shards, a B-tree on adversarial ones). It is consulted at every
 	// build of a shard's base run — New, each major merge, and Open's
 	// rebuild of a base run snapshotted without an encoded index — with
-	// the keys about to be indexed; tier runs never ask it.
+	// the keys about to be indexed, possibly for several shards at once;
+	// tier runs never ask it.
 	BuilderFor func(shard int, keys []core.Key) (core.Builder, error)
 
 	// Workers is the goroutine-pool size serving batched lookups; 0
