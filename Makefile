@@ -70,15 +70,17 @@ obs-smoke:
 # concurrent clients against the server with compactions and a
 # snapshot racing the traffic; obs scrapes a registry while recorders
 # hammer it; repl streams a primary into followers killed mid-flight;
-# dataset and load fill their streams from one goroutine per CPU).
+# dataset and load fill their streams and key sets, and core, rmi, pgm
+# and rs their build passes, from up to one goroutine per CPU).
 # The warm-restart test runs ten more times: it is the one that caught
 # a follower publishing its position before the batch was readable,
-# and then only two times in ten. So do the stream generators' tests at
-# GOMAXPROCS 1, 2, 3 and 8: where the chunks fall depends on the count.
+# and then only two times in ten. So do the generators' and the builds'
+# tests at GOMAXPROCS 1, 2, 3 and 8: which goroutine fills which range
+# depends on the count and on the scheduler.
 race:
-	$(GO) test -race ./internal/serve/ ./internal/table/ ./internal/stats/ ./internal/load/ ./internal/persist/ ./internal/net/ ./internal/obs/ ./internal/repl/ ./internal/dataset/
+	$(GO) test -race ./internal/serve/ ./internal/table/ ./internal/stats/ ./internal/load/ ./internal/persist/ ./internal/net/ ./internal/obs/ ./internal/repl/ ./internal/dataset/ ./internal/core/ ./internal/rmi/ ./internal/pgm/ ./internal/rs/
 	$(GO) test -race -count=10 -run TestFollowerWarmRestart ./internal/repl/
-	$(GO) test -race -count=10 -run SameUnderGOMAXPROCS ./internal/dataset/ ./internal/load/
+	$(GO) test -race -count=10 -run SameUnderGOMAXPROCS ./internal/dataset/ ./internal/load/ ./internal/registry/
 
 # One rule prints any of the serving experiments at a quick scale
 # (override N and LOOKUPS for another):

@@ -20,6 +20,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/search"
 	"repro/internal/serve"
+	"repro/internal/table"
 )
 
 // benchN is the dataset scale for the root benchmarks; the CLI scales
@@ -355,23 +356,28 @@ func BenchmarkFig17_BuildTimes(b *testing.B) {
 	}
 }
 
-// BenchmarkBuild times the two single-pass learned builds at the
-// registry's mid-sweep configuration on osm, the dataset with the most
-// spline points and segments: one fit pass plus the margin walk.
+// BenchmarkBuild times one cell of the idx-lookup workload per family
+// and dataset, as its set-up builds it: the registry's mid-sweep
+// builder (the RMI tunes its rung here) and table.Build over the
+// 2M-key set with its payloads.
 func BenchmarkBuild(b *testing.B) {
-	e := benchEnv(b, dataset.OSM)
-	for _, family := range []string{"RS", "PGM"} {
-		nb, ok := registry.Builder(family, e.Keys)
-		if !ok {
-			b.Fatalf("%s: no mid-sweep builder", family)
-		}
-		b.Run(family, func(b *testing.B) {
-			for b.Loop() {
-				if _, err := nb.Builder.Build(e.Keys); err != nil {
-					b.Fatal(err)
+	for _, ds := range dataset.All() {
+		keys := dataset.MustGenerate(ds, dataset.DefaultN, 1)
+		payloads := dataset.Payloads(len(keys), 1)
+		for _, family := range []string{"RMI", "PGM", "RS", "BTree"} {
+			b.Run(family+"/"+string(ds), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					nb, ok := registry.Builder(family, keys)
+					if !ok {
+						b.Fatalf("%s: no mid-sweep builder", family)
+					}
+					if _, err := table.Build(nb.Builder, keys, payloads, nil); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

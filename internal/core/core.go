@@ -9,7 +9,10 @@
 // locates the exact position within the bound.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Key is the canonical key type of the benchmark: an unsigned 64-bit
 // integer, as in the SOSD datasets. 32-bit experiments use Key32.
@@ -154,14 +157,18 @@ func ValidBound(keys []Key, x Key, b Bound) bool {
 }
 
 // IsSorted reports whether keys is sorted in ascending order
-// (duplicates allowed).
+// (duplicates allowed). Each range of the check also compares its first
+// key with the one before it.
 func IsSorted(keys []Key) bool {
-	for i := 1; i < len(keys); i++ {
-		if keys[i] < keys[i-1] {
-			return false
+	sorted := Parallel(len(keys), func(_, lo, hi int) bool {
+		for i := max(lo, 1); i < hi; i++ {
+			if keys[i] < keys[i-1] {
+				return false
+			}
 		}
-	}
-	return true
+		return true
+	})
+	return !slices.Contains(sorted, false)
 }
 
 // FullBound returns the trivial always-valid bound [0, n).

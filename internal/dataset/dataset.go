@@ -15,6 +15,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -52,6 +53,9 @@ const DefaultN = 2_000_000
 // dataset, matching the paper's "≈ 100 large outlier keys".
 const FaceOutliers = 100
 
+// faceSpan is the span of face's bulk keys: 1 + a draw mod faceSpan.
+const faceSpan = 1<<50 - 1
+
 // Generate produces the named dataset with n unique sorted keys.
 func Generate(name Name, n int, seed uint64) ([]core.Key, error) {
 	if n <= 0 {
@@ -61,7 +65,7 @@ func Generate(name Name, n int, seed uint64) ([]core.Key, error) {
 	case Amzn:
 		return genAmzn(n, seed), nil
 	case Face:
-		return genFace(n, seed), nil
+		return genFace(n, seed, faceSpan), nil
 	case OSM:
 		return genOSM(n, seed), nil
 	case Wiki:
@@ -84,53 +88,174 @@ func MustGenerate(name Name, n int, seed uint64) []core.Key {
 // genAmzn builds a smooth popularity-style key set: key values are the
 // cumulative sums of positive gaps whose scale drifts slowly (regions
 // of locally-linear CDF the paper notes learned structures exploit),
-// with mild lognormal noise per gap.
+// with mild lognormal noise per gap. The scale is piecewise: segments of
+// ~n/64 keys whose mean gaps random-walk between 8 and 4096.
+//
+// A key takes a normal variate for its gap, and a key that starts a
+// segment one before it for the segment's scale: two draws each. The
+// variates are drawn chunk-wise (speculate), the scales then walk one
+// after the other, the gaps follow chunk-wise, and the keys are their
+// running sum from 1, in exact integer arithmetic.
 func genAmzn(n int, seed uint64) []core.Key {
 	r := newRNG(seed ^ 0xA3A3)
-	keys := make([]core.Key, n)
-	cur := uint64(1)
-	// Slowly drifting gap scale: piecewise segments of ~n/64 keys with
-	// gap means that random-walk between 8 and 4096.
-	logScale := 5.0 // log2 of mean gap
-	var mean float64
+	keys := make([]core.Key, n) // the gaps' variates as bits, then the gaps, then the keys
 	segLen := n/64 + 1
-	for i := 0; i < n; i++ {
-		if i%segLen == 0 {
-			logScale += r.norm() * 0.8
-			if logScale < 3 {
-				logScale = 3
+	// Each segment's variate, then its mean gap.
+	scales := make([]float64, (n+segLen-1)/segLen)
+	// starts counts the segment starts before key i.
+	starts := func(i int) int { return (i + segLen - 1) / segLen }
+	for from := 0; from < n; {
+		at := func(j int) int { return 2*j + 2*(starts(from+j)-starts(from)) }
+		miss, g := speculate(r, n-from, at, func(g *rng, j int) int {
+			i, draws := from+j, 2
+			if i%segLen == 0 {
+				scales[i/segLen], draws = g.norm(), 4
 			}
-			if logScale > 12 {
-				logScale = 12
-			}
-			mean = math.Exp2(logScale)
+			keys[i] = math.Float64bits(g.norm())
+			return draws
+		})
+		if g == nil {
+			break
 		}
-		gap := uint64(mean*r.lognorm(0, 0.35)) + 1
-		cur += gap
-		keys[i] = cur
+		r, from = g, from+miss+1
 	}
+	logScale := 5.0 // log2 of the mean gap
+	for s, z := range scales {
+		logScale = min(max(logScale+z*0.8, 3), 12)
+		scales[s] = math.Exp2(logScale)
+	}
+	// The running sum: every range turns its variates into gaps and adds
+	// them up, the sums before each range are added up in range order,
+	// and every range adds on from its own.
+	sums := core.Parallel(n, func(_, lo, hi int) uint64 {
+		var sum uint64
+		for i := lo; i < hi; i++ {
+			// The gap is the mean times lognormal(0, 0.35) of the variate.
+			keys[i] = uint64(scales[i/segLen]*math.Exp(0+0.35*math.Float64frombits(keys[i]))) + 1
+			sum += keys[i]
+		}
+		return sum
+	})
+	cur := uint64(1)
+	for k, sum := range sums {
+		sums[k], cur = cur, cur+sum
+	}
+	core.Parallel(n, func(k, lo, hi int) struct{} {
+		cur := sums[k]
+		for i := lo; i < hi; i++ {
+			cur += keys[i]
+			keys[i] = cur
+		}
+		return struct{}{}
+	})
 	return keys
 }
 
 // genFace builds near-uniform unique IDs in a mid-range span, then
 // replaces the top FaceOutliers keys with extreme outliers in
 // (2^59, 2^64), reproducing the paper's prefix-killing skew.
-func genFace(n int, seed uint64) []core.Key {
+//
+// The bulk is the first n distinct draws, one draw each, 1 + a draw mod
+// span (faceSpan: below 2^50; the tests shrink it to force repeats); the
+// outliers overwrite the last of them in draw order. The draws fill
+// chunk-wise on the assumption that none repeats, and the check comes
+// after the sort: the bulk must be strictly increasing there, and the
+// overwritten draws must be absent from it and from each other. A
+// repeat (expected once in ~500 key sets of 2M) is a miss: the draws
+// fill again, in draw order, the first repeat is skipped, and the fill
+// resumes one draw later from that key on.
+func genFace(n int, seed, span uint64) []core.Key {
 	r := newRNG(seed ^ 0xFACE)
-	span := uint64(1) << 50
-	keys := uniqueUniform(r, n, 1, span)
-	outliers := FaceOutliers
-	if outliers > n/2 {
-		outliers = n / 2
+	outLo, outHi := uint64(1)<<59, ^uint64(0)
+	outliers := min(FaceOutliers, n/2)
+	keys := make([]core.Key, n)
+	// Key i takes draw i plus the number of skips at or before it.
+	var skips []int
+	fill := func() {
+		core.Parallel(n, func(_, lo, hi int) struct{} {
+			s, _ := slices.BinarySearch(skips, lo+1) // the skips at or before lo
+			g := r.at(lo + s)
+			for i := lo; i < hi; i++ {
+				for ; s < len(skips) && skips[s] == i; s++ {
+					g.next()
+				}
+				keys[i] = 1 + g.next()%span
+			}
+			return struct{}{}
+		})
 	}
-	lo := uint64(1) << 59
-	hi := ^uint64(0)
-	for i := 0; i < outliers; i++ {
-		keys[n-outliers+i] = lo + r.next()%(hi-lo)
+	for {
+		fill()
+		tail := slices.Clone(keys[n-outliers:])
+		g := r.at(n + len(skips))
+		for i := range tail {
+			keys[n-outliers+i] = outLo + g.next()%(outHi-outLo)
+		}
+		// Every outlier is above the bulk: the two sort apart, and the
+		// bulk's top byte is constant.
+		bulk := keys[:n-outliers]
+		sortKeys(bulk)
+		sortKeys(keys[n-outliers:])
+		if distinct(bulk, tail) {
+			// Only two outliers can be equal now; if they are, the
+			// repair draws again.
+			if !increasing(keys[n-outliers:]) {
+				dedupeInPlaceFill(g, keys, 1, outHi)
+			}
+			return keys
+		}
+		fill()
+		skips = append(skips, firstRepeat(keys))
 	}
-	sortKeys(keys)
-	dedupeInPlaceFill(r, keys, 1, hi)
-	return keys
+}
+
+// distinct reports whether the sorted bulk holds no value twice and no
+// draw of tail is in it or in tail twice.
+func distinct(bulk, tail []core.Key) bool {
+	if !increasing(bulk) {
+		return false
+	}
+	for i, k := range tail {
+		if _, found := slices.BinarySearch(bulk, k); found || slices.Contains(tail[:i], k) {
+			return false
+		}
+	}
+	return true
+}
+
+// increasing reports whether keys is strictly increasing.
+func increasing(keys []core.Key) bool {
+	ok := core.Parallel(len(keys), func(_, lo, hi int) bool {
+		for i := max(lo, 1); i < hi; i++ {
+			if keys[i] <= keys[i-1] {
+				return false
+			}
+		}
+		return true
+	})
+	return !slices.Contains(ok, false)
+}
+
+// firstRepeat returns the first i at which keys[i] is some earlier
+// keys[j], or len(keys).
+func firstRepeat(keys []core.Key) int {
+	sorted := slices.Clone(keys)
+	sortKeys(sorted)
+	seen := map[core.Key]bool{} // the values keys holds twice or more: seen yet
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			seen[sorted[i]] = false
+		}
+	}
+	for i, k := range keys {
+		if done, twice := seen[k]; twice {
+			if done {
+				return i
+			}
+			seen[k] = true
+		}
+	}
+	return len(keys)
 }
 
 // genOSM builds clustered 2-D points (Gaussian clusters on a 2^24 grid,
@@ -141,7 +266,7 @@ func genOSM(n int, seed uint64) []core.Key {
 	r := newRNG(seed ^ 0x05E5)
 	const order = 24
 	grid := uint64(1) << order
-	nClusters := 512
+	const nClusters = 512 // a power of two: the cluster search halves it
 	type cluster struct {
 		cx, cy  float64
 		sd      float64
@@ -161,54 +286,113 @@ func genOSM(n int, seed uint64) []core.Key {
 		total += c.weight
 		c.cumulat = total
 	}
-	pick := func() *cluster {
-		t := r.float64() * total
-		lo, hi := 0, nClusters-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if clusters[mid].cumulat < t {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return &clusters[lo]
+	// An attempt picks a cluster (one draw) and a point around it (two
+	// normal variates, two draws each); a point off the grid is no cell.
+	const offGrid = ^uint64(0)
+	// The running weights as bits: non-negative floats order as their
+	// bits do, and integers compare without a branch.
+	var cumBits [nClusters]uint64
+	for i, c := range clusters {
+		cumBits[i] = math.Float64bits(c.cumulat)
 	}
-	// Cells are drawn a block at a time and deduplicated afterwards.
-	// Drawing one is a long dependent chain (two logarithms, a cosine, the
-	// curve walk); a probe of the 32 MB set in the middle of it is a cache
-	// miss with nothing to overlap, whereas the probes of a block, back
-	// to back, overlap with each other. The draws and the order of the
-	// cells are those of a one-at-a-time loop; it would have stopped at
-	// the n-th distinct cell, so the rest of the last block is dropped.
-	seen := newU64Set(n)
-	keys := make([]core.Key, 0, n)
-	var block [256]uint64
-	for len(keys) < n {
-		m := 0
-		for m < len(block) {
-			c := pick()
-			x := int64(c.cx + r.norm()*c.sd)
-			y := int64(c.cy + r.norm()*c.sd)
-			if x < 0 || y < 0 || x >= int64(grid) || y >= int64(grid) {
-				continue
+	attempt := func(g *rng) uint64 {
+		// The cluster is the first whose running weight reaches t, or the
+		// last: the count of the first nClusters-1 below t, which a
+		// binary search finds without branching on them.
+		t := math.Float64bits(g.float64() * total)
+		i := 0
+		for step := nClusters / 2; step > 0; step >>= 1 {
+			below := 0
+			if cumBits[i+step-1] < t {
+				below = 1
 			}
-			block[m] = hilbertD2(order, uint64(x), uint64(y))
-			m++
+			i += step & -below
 		}
-		for _, d := range block[:] {
-			if len(keys) < n && seen.add(d) {
-				keys = append(keys, d)
+		c := &clusters[i]
+		x := int64(c.cx + g.norm()*c.sd)
+		y := int64(c.cy + g.norm()*c.sd)
+		if x < 0 || y < 0 || x >= int64(grid) || y >= int64(grid) {
+			return offGrid
+		}
+		return hilbertD2(order, uint64(x), uint64(y))
+	}
+	// The attempts are made a batch at a time, chunk-wise on the
+	// assumption of five draws each (speculate); next hands out their
+	// cells in attempt order, off-grid ones skipped. Fewer than one
+	// attempt in a hundred is off the grid or a cell drawn before, so the
+	// first batch is sized to hold n cells with room to spare.
+	var cells []uint64
+	at := 0
+	next := func() uint64 {
+		for {
+			for ; at < len(cells); at++ {
+				if c := cells[at]; c != offGrid {
+					at++
+					return c
+				}
+			}
+			m := n/32 + 1024
+			if cells == nil {
+				m += n
+			}
+			cells, at = slices.Grow(cells[:0], m)[:m], 0
+			for from := 0; from < m; {
+				miss, g := speculate(r, m-from, func(j int) int { return 5 * j }, func(g *rng, j int) int {
+					cells[from+j] = attempt(g)
+					return 5
+				})
+				if g == nil {
+					r, from = r.at(5*miss), m
+				} else {
+					r, from = g, from+miss+1
+				}
 			}
 		}
+	}
+	// The key set is the first n distinct cells in attempt order. The
+	// first n cells, sorted, hold all but the repeats among them; the
+	// cells after them are taken one at a time until n are distinct.
+	keys := make([]core.Key, n)
+	for i := range keys {
+		keys[i] = next()
 	}
 	sortKeys(keys)
+	u := 0 // distinct keys, moved to the front
+	for i, k := range keys {
+		if i == 0 || k != keys[u-1] {
+			keys[u] = k
+			u++
+		}
+	}
+	var more []core.Key
+	taken := map[core.Key]bool{}
+	for u+len(more) < n {
+		if c := next(); !taken[c] {
+			if _, found := slices.BinarySearch(keys[:u], c); !found {
+				taken[c] = true
+				more = append(more, c)
+			}
+		}
+	}
+	// Merge the later cells in, from the top down.
+	slices.Sort(more)
+	for i, j, w := u-1, len(more)-1, n-1; j >= 0; w-- {
+		if i >= 0 && keys[i] > more[j] {
+			keys[w], i = keys[i], i-1
+		} else {
+			keys[w], j = more[j], j-1
+		}
+	}
 	return keys
 }
 
 // genWiki builds timestamp-style keys: second-resolution arrival times
 // with a bursty, periodically modulated rate. The result is monotone
 // with smooth large-scale shape and dense/sparse alternation locally.
+//
+// It is the one generator that runs one key after the other: every key
+// passes the float time so far through a sine, so no key can be drawn
+// before the one ahead of it is.
 func genWiki(n int, seed uint64) []core.Key {
 	r := newRNG(seed ^ 0x3171)
 	keys := make([]core.Key, n)
@@ -234,19 +418,6 @@ func genWiki(n int, seed uint64) []core.Key {
 	for i := 1; i < n; i++ {
 		if keys[i] <= keys[i-1] {
 			keys[i] = keys[i-1] + 1
-		}
-	}
-	return keys
-}
-
-// uniqueUniform draws n unique uniform keys in [lo, hi).
-func uniqueUniform(r *rng, n int, lo, hi uint64) []core.Key {
-	seen := newU64Set(n)
-	keys := make([]core.Key, 0, n)
-	span := hi - lo
-	for len(keys) < n {
-		if k := lo + r.next()%span; seen.add(k) {
-			keys = append(keys, k)
 		}
 	}
 	return keys
@@ -301,11 +472,12 @@ func AbsentLookups(keys []core.Key, m int, seed uint64) []core.Key {
 func Payloads(n int, seed uint64) []uint64 {
 	r := newRNG(seed ^ 0x9A71)
 	out := make([]uint64, n)
-	chunks(n, func(lo, hi int) {
+	core.Parallel(n, func(_, lo, hi int) struct{} {
 		r := r.at(lo)
 		for i := lo; i < hi; i++ {
 			out[i] = r.next()
 		}
+		return struct{}{}
 	})
 	return out
 }

@@ -2,8 +2,8 @@ package dataset
 
 import (
 	"math"
-	"runtime"
-	"sync"
+
+	"repro/internal/core"
 )
 
 // rng is a small deterministic PRNG (splitmix64 core) used by all
@@ -22,22 +22,37 @@ const gamma = 0x9E3779B97F4A7C15
 // at returns the generator k draws ahead of r.
 func (r *rng) at(k int) *rng { return &rng{state: r.state + uint64(k)*gamma} }
 
-// chunks cuts [0, m) into one contiguous range per CPU, runs fn on all
-// of them at once and returns when the last is done. What a stream
-// holds must not depend on where the cuts fall: fn derives everything
-// it needs from lo.
-func chunks(m int, fn func(lo, hi int)) {
-	p := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	for c := 1; c < p; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(c*m/p, (c+1)*m/p)
-		}()
+// speculate fills items [0, m) chunk-wise, item(g, i) drawing item i
+// from g and returning how many draws it took for granted. Every range
+// starts at(lo) draws past r, on the assumption that each item before
+// it took exactly those draws. An item that takes more — a normal
+// variate whose first uniform is 0 and is drawn again — is still right,
+// being drawn from its true first draw, but every item behind it is
+// not: speculate returns the first such miss with the generator just
+// past it, for the caller to resume the same fill from the next item.
+// With no miss it returns m and nil. A miss has probability 2^-53 per
+// normal variate; the tests force them through chosen seeds.
+func speculate(r *rng, m int, at func(i int) int, item func(g *rng, i int) int) (int, *rng) {
+	type stop struct {
+		i int
+		g rng
 	}
-	fn(0, m/p)
-	wg.Wait()
+	stops := core.Parallel(m, func(_, lo, hi int) stop {
+		g := r.at(at(lo))
+		for i := lo; i < hi; i++ {
+			before := g.state
+			if draws := item(g, i); g.state != before+uint64(draws)*gamma {
+				return stop{i, *g}
+			}
+		}
+		return stop{i: m}
+	})
+	for _, s := range stops {
+		if s.i < m {
+			return s.i, &s.g
+		}
+	}
+	return m, nil
 }
 
 // next returns the next 64 random bits (splitmix64).
@@ -60,9 +75,10 @@ func (r *rng) intn(n int) int {
 }
 
 // norm returns a standard normal variate via Box–Muller. It wastes the
-// second variate (keeping it would change every key set), and how many
-// draws it takes depends on the draws (u1 == 0 is drawn again): the
-// key-set generators built on it cannot jump ahead and stay sequential.
+// second variate (keeping it would change every key set). It takes two
+// draws unless the first is 0, which is drawn again: the key-set
+// generators fill chunk-wise on the assumption of two and resume after
+// the item where it took more (speculate).
 func (r *rng) norm() float64 {
 	u1 := r.float64()
 	for u1 == 0 {
@@ -79,10 +95,4 @@ func (r *rng) exp() float64 {
 		u = r.float64()
 	}
 	return -math.Log(u)
-}
-
-// lognorm returns a log-normal variate with the given log-space mean
-// and standard deviation.
-func (r *rng) lognorm(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.norm())
 }

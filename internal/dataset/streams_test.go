@@ -57,28 +57,44 @@ func TestGoldenStreamSizes(t *testing.T) {
 }
 
 // TestStreamsSameUnderGOMAXPROCS is the splittable generators' law: the
-// CPU count decides how a stream is cut into chunks and never what is
-// in it. ζ is compared as bits: its terms are computed chunk-parallel
-// and must be added in index order.
+// CPU count decides how a stream or a key set is filled chunk-wise and
+// never what is in it. Streams run at lengths that are one chunk and at
+// one that is several; key sets at generatorSizes, where n = 1 and 200
+// put face's outliers at half the set. ζ is compared as bits: its terms
+// are computed chunk-parallel and must be added in index order.
 func TestStreamsSameUnderGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	keys := MustGenerate(Amzn, 50_000, 1)
 	zetaNs := []int{1, 2, 255, 50_000, 300_007}
+	sizes := append(slices.Clone(streamSizes), 300_007)
 	var want []map[string][]core.Key
 	var wantZeta []float64
+	wantSets := map[Name][][]core.Key{}
 	runtime.GOMAXPROCS(1)
-	for _, m := range streamSizes {
+	for _, m := range sizes {
 		want = append(want, streams(keys, m))
 	}
 	for _, n := range zetaNs {
 		wantZeta = append(wantZeta, refZeta(n, 0.99))
 	}
+	for _, ds := range All() {
+		for _, n := range generatorSizes {
+			wantSets[ds] = append(wantSets[ds], MustGenerate(ds, n, 1))
+		}
+	}
 	for _, procs := range []int{1, 2, 3, 8} {
 		runtime.GOMAXPROCS(procs)
-		for i, m := range streamSizes {
+		for i, m := range sizes {
 			for name, s := range streams(keys, m) {
 				if !slices.Equal(s, want[i][name]) {
 					t.Errorf("GOMAXPROCS=%d %s m=%d: differs from GOMAXPROCS=1", procs, name, m)
+				}
+			}
+		}
+		for _, ds := range All() {
+			for i, n := range generatorSizes {
+				if !slices.Equal(MustGenerate(ds, n, 1), wantSets[ds][i]) {
+					t.Errorf("GOMAXPROCS=%d %s n=%d: differs from GOMAXPROCS=1", procs, ds, n)
 				}
 			}
 		}

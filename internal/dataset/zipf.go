@@ -37,7 +37,7 @@ func uniform(n int) func(*rng) int { return func(r *rng) int { return r.intn(n) 
 // between two draws would wait behind the arithmetic of a draw.
 func sample(keys []core.Key, m int, r *rng, draw func(*rng) int) []core.Key {
 	out := make([]core.Key, m)
-	chunks(m, func(lo, hi int) {
+	core.Parallel(m, func(_, lo, hi int) struct{} {
 		r := r.at(lo)
 		var idx [256]int
 		for ; lo < hi; lo += len(idx) {
@@ -49,6 +49,7 @@ func sample(keys []core.Key, m int, r *rng, draw func(*rng) int) []core.Key {
 				block[i] = keys[idx[i]]
 			}
 		}
+		return struct{}{}
 	})
 	return out
 }
@@ -79,10 +80,11 @@ func zeta(n int, theta float64) float64 {
 		return v.(float64)
 	}
 	terms := make([]float64, n)
-	chunks(n, func(lo, hi int) {
+	core.Parallel(n, func(_, lo, hi int) struct{} {
 		for i := lo; i < hi; i++ {
 			terms[i] = 1 / math.Pow(float64(i+1), theta)
 		}
+		return struct{}{}
 	})
 	var sum float64
 	for _, t := range terms {

@@ -1,9 +1,6 @@
 package load
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/dataset"
 )
@@ -31,36 +28,38 @@ func MixedOps(keys []core.Key, n int, readFrac, theta float64, seed uint64) []Op
 	}
 
 	// The schedule is walked twice. The first walk touches no memory and
-	// only notes the state at each CPU's first op; the second fills
-	// every CPU's chunk by index from that state, all chunks at once. The
-	// accumulator is a float and is carried, never recomputed: a chunk
-	// starts from the very bits a single pass would hold there.
-	ops := make([]Op, n)
-	p := runtime.GOMAXPROCS(0)
+	// only notes the state every noteEvery ops; the second fills the ops
+	// chunk-wise, each range from the last note at or before its first
+	// op. The accumulator is a float and is carried, never recomputed: a
+	// range starts from the very bits a single pass would hold there.
+	const noteEvery = 1024
+	notes := make([]schedule, 0, n/noteEvery+1)
 	var s schedule
-	var wg sync.WaitGroup
-	for c := 0; c < p; c++ {
-		lo, hi := c*n/p, (c+1)*n/p
-		wg.Add(1)
-		go func(s schedule) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				ri, wi := s.reads, s.writes
-				switch read := s.next(readFrac); {
-				case read:
-					ops[i] = Op{Kind: Get, Key: readKeys[ri]}
-				case wi%2 == 0:
-					ops[i] = Op{Kind: Put, Key: inserts[wi/2], Payload: uint64(i) | 1}
-				default:
-					ops[i] = Op{Kind: Put, Key: readKeys[(ri+wi)%len(readKeys)], Payload: uint64(i) | 1}
-				}
-			}
-		}(s)
-		for i := lo; i < hi; i++ {
+	for i := range n {
+		if i%noteEvery == 0 {
+			notes = append(notes, s)
+		}
+		s.next(readFrac)
+	}
+	ops := make([]Op, n)
+	core.Parallel(n, func(_, lo, hi int) struct{} {
+		s := notes[lo/noteEvery]
+		for i := lo / noteEvery * noteEvery; i < lo; i++ {
 			s.next(readFrac)
 		}
-	}
-	wg.Wait()
+		for i := lo; i < hi; i++ {
+			ri, wi := s.reads, s.writes
+			switch read := s.next(readFrac); {
+			case read:
+				ops[i] = Op{Kind: Get, Key: readKeys[ri]}
+			case wi%2 == 0:
+				ops[i] = Op{Kind: Put, Key: inserts[wi/2], Payload: uint64(i) | 1}
+			default:
+				ops[i] = Op{Kind: Put, Key: readKeys[(ri+wi)%len(readKeys)], Payload: uint64(i) | 1}
+			}
+		}
+		return struct{}{}
+	})
 	return ops
 }
 

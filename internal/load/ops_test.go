@@ -89,18 +89,19 @@ func refMixedOps(keys []core.Key, n int, readFrac, theta float64, seed uint64) [
 }
 
 // TestMixedOpsSameUnderGOMAXPROCS compares MixedOps with the one-pass
-// loop under every CPU count, at the sizes where a chunk is empty, a
-// single op, or does not end on a block or a CPU boundary, and at read
-// fractions whose float accumulator never returns to a value it had
-// (0.95, 1/3): a chunk must start from the accumulator the one-pass
-// loop reaches there, not from one computed in closed form.
+// loop under every CPU count, at the sizes where the stream is empty, a
+// single op, one chunk that does not end on a block, or several chunks
+// and a short last one, and at read fractions whose float accumulator
+// never returns to a value it had (0.95, 1/3): a chunk must start from
+// the accumulator the one-pass loop reaches there, not from one
+// computed in closed form.
 func TestMixedOpsSameUnderGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	keys := dataset.MustGenerate(dataset.Amzn, 50_000, 1)
 	fracs := []float64{-1, 0, 1.0 / 3, 0.5, 0.95, 1, 2}
 	for _, procs := range []int{1, 2, 3, 8} {
 		runtime.GOMAXPROCS(procs)
-		for _, n := range []int{0, 1, 2, 7, 255, 256, 257, 20_011} {
+		for _, n := range []int{0, 1, 2, 7, 255, 256, 257, 20_011, 150_001} {
 			for _, readFrac := range fracs {
 				for _, theta := range []float64{0, 0.99} {
 					want := refMixedOps(keys, n, readFrac, theta, 7)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 
 	"repro/internal/core"
 )
@@ -115,43 +116,76 @@ func New(keys []core.Key, eps int) (*Index, error) {
 // top of the current key's gap — is carried over as that key's own
 // prediction unless the cursor moves first: one evaluation per distinct
 // key, plus one per segment boundary.
+//
+// The walk runs chunk-wise: a range of keys starts at its first distinct
+// key, finds its cursor by binary search and keeps margins of its own
+// for the segments it reaches, which merge by max.
 func computeDataMargins(keys []core.Key, segs []Segment, eps int) (errLo, errHi []int32) {
 	n, m := len(keys), len(segs)
+	type run struct {
+		seg0         int
+		errLo, errHi []int32 // of segments seg0, seg0+1, ...
+	}
+	runs := core.Parallel(n, func(_, lo, hi int) run {
+		lo, hi = distinctFrom(keys, lo), distinctFrom(keys, hi)
+		if lo == hi {
+			return run{} // inside a run of duplicates that began before
+		}
+		si := max(sort.Search(m, func(j int) bool { return segs[j].Key > keys[lo] })-1, 0)
+		rn := run{seg0: si, errLo: []int32{int32(eps + 1)}, errHi: []int32{int32(eps + 1)}}
+		pred := -1 // segs[si]'s prediction at keys[i]; negative: not evaluated yet
+		for i := lo; i < hi; {
+			k := keys[i]
+			nr := i + 1 // lower-bound rank of any key in the gap above k
+			for nr < n && keys[nr] == k {
+				nr++
+			}
+			for si+1 < m && segs[si+1].Key <= k {
+				si++
+				pred = -1
+				rn.errLo, rn.errHi = append(rn.errLo, int32(eps+1)), append(rn.errHi, int32(eps+1))
+			}
+			nextPos := n
+			if si+1 < m {
+				nextPos = int(segs[si+1].Pos)
+			}
+			if pred < 0 {
+				pred = predict(segs[si], nextPos, k)
+			}
+			j := si - rn.seg0
+			rn.errLo[j] = max(rn.errLo[j], int32(pred-i+1))
+			rn.errHi[j] = max(rn.errHi[j], int32(nr-pred+1))
+			if nr < n {
+				// Gap queries route to this segment but can be predicted as
+				// high as the (clamped) prediction at the next distinct key.
+				pred = predict(segs[si], nextPos, keys[nr])
+				rn.errLo[j] = max(rn.errLo[j], int32(pred-nr+1))
+			}
+			i = nr
+		}
+		return rn
+	})
 	errLo = make([]int32, m)
 	errHi = make([]int32, m)
 	for i := range errLo {
 		errLo[i], errHi[i] = int32(eps+1), int32(eps+1)
 	}
-	si := 0
-	pred := -1 // segs[si]'s prediction at keys[i]; negative: not evaluated yet
-	for i := 0; i < n; {
-		k := keys[i]
-		nr := i + 1 // lower-bound rank of any key in the gap above k
-		for nr < n && keys[nr] == k {
-			nr++
+	for _, rn := range runs {
+		for j := range rn.errLo {
+			si := rn.seg0 + j
+			errLo[si], errHi[si] = max(errLo[si], rn.errLo[j]), max(errHi[si], rn.errHi[j])
 		}
-		for si+1 < m && segs[si+1].Key <= k {
-			si++
-			pred = -1
-		}
-		nextPos := n
-		if si+1 < m {
-			nextPos = int(segs[si+1].Pos)
-		}
-		if pred < 0 {
-			pred = predict(segs[si], nextPos, k)
-		}
-		errLo[si] = max(errLo[si], int32(pred-i+1))
-		errHi[si] = max(errHi[si], int32(nr-pred+1))
-		if nr < n {
-			// Gap queries route to this segment but can be predicted as
-			// high as the (clamped) prediction at the next distinct key.
-			pred = predict(segs[si], nextPos, keys[nr])
-			errLo[si] = max(errLo[si], int32(pred-nr+1))
-		}
-		i = nr
 	}
 	return errLo, errHi
+}
+
+// distinctFrom returns the first position at or after i that holds the
+// first occurrence of its key, or len(keys).
+func distinctFrom(keys []core.Key, i int) int {
+	for i > 0 && i < len(keys) && keys[i] == keys[i-1] {
+		i++
+	}
+	return i
 }
 
 // fitSegments runs the one-pass corridor filter over (key, rank)

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -164,16 +165,22 @@ func New(keys []core.Key, cfg Config) (*Index, error) {
 // floatKeys converts keys to the float64 domain the models work in.
 func floatKeys(keys []core.Key) []float64 {
 	fkeys := make([]float64, len(keys))
-	for i, k := range keys {
-		fkeys[i] = float64(k)
-	}
+	core.Parallel(len(keys), func(_, lo, hi int) struct{} {
+		for i := lo; i < hi; i++ {
+			fkeys[i] = float64(keys[i])
+		}
+		return struct{}{}
+	})
 	return fkeys
 }
 
 // stage1Fits counts stage-1 model fits by (kind, branch) while non-nil.
-// Tests set it to pin how much work tuning does; it is never set while
-// anything trains concurrently.
-var stage1Fits map[[2]int]int
+// Tests set it to pin how much work tuning does; the tuner fits its
+// stage-1 kinds concurrently, so the counts are taken under a lock.
+var (
+	stage1Fits   map[[2]int]int
+	stage1FitsMu sync.Mutex
+)
 
 // routed is the top half of a trained RMI: the stage-1 model and the
 // routing of every training key through it. Nothing in it depends on
@@ -183,7 +190,31 @@ type routed struct {
 	top Index // cfg.Stage1, cfg.Branch, n and stage1 set; no leaves
 	// assign is the leaf each key routes to; first/last are the span of
 	// positions each leaf receives (both -1 for an empty leaf).
-	assign, first, last []int
+	assign      []int32
+	first, last []int
+	// routes[k] is what the k-th range core.Parallel cuts the keys into
+	// routes: its leaves and the span of positions each receives from it.
+	// finish cuts the same keys into the same ranges.
+	routes []leafRun
+}
+
+// leafRun is what one range of keys finds for the leaves its keys route
+// to, leaf0 to leaf0+len(spans)-1: the positions each leaf receives
+// from the range, or the margins the range's keys need.
+type leafRun struct {
+	leaf0 int
+	spans []clamps // lo/hi: first and last position (-1 if none); errLo/errHi: margins
+}
+
+// newLeafRun returns a run over leaves l0 to l1, every span empty and
+// every margin 0 (a leaf's own margins start at 1, so merging a 0
+// changes nothing).
+func newLeafRun(l0, l1 int) leafRun {
+	run := leafRun{leaf0: l0, spans: make([]clamps, l1-l0+1)}
+	for j := range run.spans {
+		run.spans[j].lo, run.spans[j].hi = -1, -1
+	}
+	return run
 }
 
 // trainStage1 fits the stage-1 model on the full CDF and routes every
@@ -192,13 +223,15 @@ type routed struct {
 func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
 	n := len(fkeys)
 	branch = max(1, min(branch, n))
+	stage1FitsMu.Lock()
 	if stage1Fits != nil {
 		stage1Fits[[2]int{int(kind), branch}]++
 	}
+	stage1FitsMu.Unlock()
 	r := &routed{
 		top: Index{cfg: Config{Stage1: kind, Branch: branch}, n: n,
 			stage1: fitModel(kind, fkeys, 0), scale: float64(branch) / float64(n)},
-		assign: make([]int, n),
+		assign: make([]int32, n),
 		first:  make([]int, branch),
 		last:   make([]int, branch),
 	}
@@ -206,17 +239,39 @@ func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
 	// routing function, and record the span of positions each leaf
 	// receives. Monotone stage-1 models make spans contiguous; the
 	// span bookkeeping below stays correct even if float rounding
-	// produces a stray non-monotone assignment.
+	// produces a stray non-monotone assignment. Ranges of keys route
+	// chunk-wise, each recording the spans its own keys give, and the
+	// spans merge in range order: a leaf's first position is the first
+	// range's that has one, its last the last range's.
+	r.routes = core.Parallel(n, func(_, lo, hi int) leafRun {
+		l0, l1 := branch, -1
+		for i := lo; i < hi; i++ {
+			li := r.top.route(fkeys[i])
+			r.assign[i] = int32(li)
+			l0, l1 = min(l0, li), max(l1, li)
+		}
+		run := newLeafRun(l0, l1)
+		for i := lo; i < hi; i++ {
+			s := &run.spans[int(r.assign[i])-l0]
+			if s.lo < 0 {
+				s.lo = int32(i)
+			}
+			s.hi = int32(i)
+		}
+		return run
+	})
 	for li := range r.first {
 		r.first[li], r.last[li] = -1, -1
 	}
-	for i := range fkeys {
-		li := r.top.route(fkeys[i])
-		r.assign[i] = li
-		if r.first[li] < 0 {
-			r.first[li] = i
+	for _, run := range r.routes {
+		for j, s := range run.spans {
+			if li := run.leaf0 + j; s.lo >= 0 {
+				if r.first[li] < 0 {
+					r.first[li] = int(s.lo)
+				}
+				r.last[li] = int(s.hi)
+			}
 		}
-		r.last[li] = i
 	}
 	return r
 }
@@ -235,20 +290,9 @@ func (r *routed) finish(fkeys []float64, stage2 ModelKind) *Index {
 		idx.leaves = make([]leaf, B)
 	}
 
-	// Fit each leaf on the contiguous span of keys it received.
-	// Empty leaves get a constant model at the boundary position so
-	// keys routed there still receive valid (if wide) bounds; the
-	// boundary is the first position owned by any later leaf.
-	nextStart := n
-	for li := B - 1; li >= 0; li-- {
-		first, last := r.first[li], r.last[li]
-		var trained []float64
-		if first < 0 {
-			first = min(nextStart, n-1)
-			last = first
-		} else {
-			trained, nextStart = fkeys[first:last+1], first
-		}
+	// setLeaf fits leaf li on the keys at positions first..last it was
+	// trained on (none for an empty leaf).
+	setLeaf := func(li, first, last int, trained []float64) {
 		m := fitModel(stage2, trained, float64(first))
 		if cubic {
 			idx.cubics[li] = cubicLeaf{m.poly, clamps{int32(first), int32(last), 1, 1}}
@@ -256,18 +300,54 @@ func (r *routed) finish(fkeys []float64, stage2 ModelKind) *Index {
 			idx.leaves[li] = foldLeaf(&m, first, last)
 		}
 	}
+	// Fit each leaf on the contiguous span of keys it received. The fits
+	// are independent, and run chunk-wise, the leaves cut in proportion
+	// to the keys' ranges.
+	core.Parallel(n, func(_, lo, hi int) struct{} {
+		for li := lo * B / n; li < hi*B/n; li++ {
+			if first, last := r.first[li], r.last[li]; first >= 0 {
+				setLeaf(li, first, last, fkeys[first:last+1])
+			}
+		}
+		return struct{}{}
+	})
+	// Empty leaves get a constant model at the boundary position so
+	// keys routed there still receive valid (if wide) bounds; the
+	// boundary is the first position owned by any later leaf.
+	nextStart := n
+	for li := B - 1; li >= 0; li-- {
+		if first := r.first[li]; first >= 0 {
+			nextStart = first
+		} else {
+			p := min(nextStart, n-1)
+			setLeaf(li, p, p, nil)
+		}
+	}
 
 	// Error collection: replay every key through the lookup path so the
-	// recorded bounds are exact for present keys by construction.
-	if cubic {
-		for i, k := range fkeys {
-			lf := &idx.cubics[r.assign[i]]
-			lf.widen(lf.pos(k) - i)
+	// recorded bounds are exact for present keys by construction. Ranges
+	// of keys replay chunk-wise into margins of their own, merged by max,
+	// which does not care in what order; a range's leaves are the ones
+	// it routed to.
+	runs := core.Parallel(n, func(k, lo, hi int) leafRun {
+		route := r.routes[k]
+		run := newLeafRun(route.leaf0, route.leaf0+len(route.spans)-1)
+		for i := lo; i < hi; i++ {
+			li := int(r.assign[i])
+			var pos int
+			if cubic {
+				pos = idx.cubics[li].pos(fkeys[i])
+			} else {
+				pos = idx.leaves[li].pos(fkeys[i])
+			}
+			run.spans[li-run.leaf0].widen(pos - i)
 		}
-	} else {
-		for i, k := range fkeys {
-			lf := &idx.leaves[r.assign[i]]
-			lf.widen(lf.pos(k) - i)
+		return run
+	})
+	for _, run := range runs {
+		for j, s := range run.spans {
+			c := idx.clampsOf(run.leaf0 + j)
+			c.errLo, c.errHi = max(c.errLo, s.errLo), max(c.errHi, s.errHi)
 		}
 	}
 

@@ -3,6 +3,7 @@ package rmi
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -79,6 +80,9 @@ func sample(keys []core.Key, m int) []core.Key {
 // routed once, and every stage-2 kind paired with it is scored over
 // that shared routing — the same models, costs and tie-breaks as
 // training each combination from scratch, for about half the work.
+// The stage-1 kinds are independent, so each is tuned on a goroutine of
+// its own; the first cheapest combination in grid order wins, as it
+// would one after the other.
 func bestComboFor(keys []core.Key, branch int) (Config, float64) {
 	best := Config{Stage1: ModelLinear, Stage2: ModelLinear, Branch: branch}
 	bestCost := math.Inf(1)
@@ -89,15 +93,29 @@ func bestComboFor(keys []core.Key, branch int) (Config, float64) {
 	// Scale the branch factor to the sample so leaf occupancy (and
 	// hence log2 error) is comparable to the full build.
 	sb := branch * len(s) / len(keys)
-	tops := map[ModelKind]*routed{}
+	costs := make([]float64, len(candidateCombos))
+	tuned := map[ModelKind]bool{}
+	var wg sync.WaitGroup
 	for _, combo := range candidateCombos {
-		top := tops[combo.s1]
-		if top == nil {
-			top = trainStage1(s, combo.s1, sb)
-			tops[combo.s1] = top
+		if tuned[combo.s1] {
+			continue
 		}
-		if c := proxyCost(top.finish(s, combo.s2)); c < bestCost {
-			bestCost = c
+		tuned[combo.s1] = true
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			top := trainStage1(s, combo.s1, sb)
+			for i, c := range candidateCombos {
+				if c.s1 == combo.s1 {
+					costs[i] = proxyCost(top.finish(s, c.s2))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, combo := range candidateCombos {
+		if costs[i] < bestCost {
+			bestCost = costs[i]
 			best = Config{Stage1: combo.s1, Stage2: combo.s2, Branch: branch}
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sort"
 
 	"repro/internal/core"
 )
@@ -360,25 +361,49 @@ func (idx *Index) LookupBatch(keys []core.Key, out []core.Bound) {
 // the next key contributes for itself, so the gaps need no evaluation
 // of their own. Every distinct key is interpolated once and no key is
 // routed.
+//
+// The walk runs chunk-wise: a range of keys starts at its first distinct
+// key, finds its cursor by binary search and takes margins of its own,
+// which merge by max.
 func computeMargins(keys []core.Key, idx *Index) (errLo, errHi int) {
-	errLo, errHi = idx.cfg.SplineErr+1, idx.cfg.SplineErr+1
 	n, pts := len(keys), idx.points
-	seg := 0
-	for i := 0; i < n; {
-		k := keys[i]
-		nr := i + 1 // lower-bound rank of any key in the gap above k
-		for nr < n && keys[nr] == k {
-			nr++
+	margins := core.Parallel(n, func(_, lo, hi int) [2]int {
+		lo, hi = distinctFrom(keys, lo), distinctFrom(keys, hi)
+		errLo, errHi := idx.cfg.SplineErr+1, idx.cfg.SplineErr+1
+		if lo == hi {
+			return [2]int{errLo, errHi} // inside a run of duplicates that began before
 		}
-		for seg+1 < len(pts) && pts[seg+1].Key <= k {
-			seg++
+		seg := max(sort.Search(len(pts), func(j int) bool { return pts[j].Key > keys[lo] })-1, 0)
+		for i := lo; i < hi; {
+			k := keys[i]
+			nr := i + 1 // lower-bound rank of any key in the gap above k
+			for nr < n && keys[nr] == k {
+				nr++
+			}
+			for seg+1 < len(pts) && pts[seg+1].Key <= k {
+				seg++
+			}
+			pred := idx.interpolate(seg, k)
+			errLo = max(errLo, pred-i+1)
+			errHi = max(errHi, nr-pred+1)
+			i = nr
 		}
-		pred := idx.interpolate(seg, k)
-		errLo = max(errLo, pred-i+1)
-		errHi = max(errHi, nr-pred+1)
-		i = nr
+		return [2]int{errLo, errHi}
+	})
+	errLo, errHi = idx.cfg.SplineErr+1, idx.cfg.SplineErr+1
+	for _, m := range margins {
+		errLo, errHi = max(errLo, m[0]), max(errHi, m[1])
 	}
 	return errLo, errHi
+}
+
+// distinctFrom returns the first position at or after i that holds the
+// first occurrence of its key, or len(keys).
+func distinctFrom(keys []core.Key, i int) int {
+	for i > 0 && i < len(keys) && keys[i] == keys[i-1] {
+		i++
+	}
+	return i
 }
 
 // SizeBytes implements core.Index.

@@ -45,19 +45,7 @@ type Table struct {
 // binary search (search.BranchlessSearch).
 // The Table aliases both slices — callers must not mutate them.
 func New(keys []core.Key, payloads []uint64, idx core.Index, fn search.Fn) (*Table, error) {
-	if idx == nil {
-		return nil, errors.New("table: nil index")
-	}
-	if len(keys) != len(payloads) {
-		return nil, errors.New("table: keys and payloads length mismatch")
-	}
-	if !core.IsSorted(keys) {
-		return nil, errors.New("table: keys not sorted")
-	}
-	if fn == nil {
-		fn = search.BranchlessSearch
-	}
-	return &Table{keys: keys, payloads: payloads, idx: idx, fn: fn}, nil
+	return NewTombed(keys, payloads, nil, idx, fn)
 }
 
 // NewTombed wraps existing data plus a parallel tombstone-bit array in
@@ -65,10 +53,24 @@ func New(keys []core.Key, payloads []uint64, idx core.Index, fn search.Fn) (*Tab
 // nil (no tombstones) or exactly len(keys) long; an all-false array is
 // normalized to nil so HasTombs stays a cheap run-set fast-path gate.
 func NewTombed(keys []core.Key, payloads []uint64, tombs []bool, idx core.Index, fn search.Fn) (*Table, error) {
-	t, err := New(keys, payloads, idx, fn)
-	if err != nil {
-		return nil, err
+	return wrap(keys, payloads, tombs, idx, fn, core.IsSorted(keys))
+}
+
+// wrap is NewTombed with the keys' order already checked.
+func wrap(keys []core.Key, payloads []uint64, tombs []bool, idx core.Index, fn search.Fn, sorted bool) (*Table, error) {
+	if idx == nil {
+		return nil, errors.New("table: nil index")
 	}
+	if len(keys) != len(payloads) {
+		return nil, errors.New("table: keys and payloads length mismatch")
+	}
+	if !sorted {
+		return nil, errors.New("table: keys not sorted")
+	}
+	if fn == nil {
+		fn = search.BranchlessSearch
+	}
+	t := &Table{keys: keys, payloads: payloads, idx: idx, fn: fn}
 	if tombs != nil {
 		if len(tombs) != len(keys) {
 			return nil, errors.New("table: tombs and keys length mismatch")
@@ -85,22 +87,23 @@ func NewTombed(keys []core.Key, payloads []uint64, tombs []bool, idx core.Index,
 
 // Build constructs the index with b and wraps the result in a Table.
 func Build(b core.Builder, keys []core.Key, payloads []uint64, fn search.Fn) (*Table, error) {
-	idx, err := b.Build(keys)
-	if err != nil {
-		return nil, err
-	}
-	return New(keys, payloads, idx, fn)
+	return BuildTombed(b, keys, payloads, nil, fn)
 }
 
 // BuildTombed constructs the index with b and wraps data plus
 // tombstone bits in a Table — the constructor of freshly flushed or
-// minor-merged LSM runs.
+// minor-merged LSM runs. The keys' order is checked on a goroutine of
+// its own while the index builds: a build has passes that run on one
+// core.
 func BuildTombed(b core.Builder, keys []core.Key, payloads []uint64, tombs []bool, fn search.Fn) (*Table, error) {
+	sorted := make(chan bool, 1)
+	go func() { sorted <- core.IsSorted(keys) }()
 	idx, err := b.Build(keys)
+	ok := <-sorted
 	if err != nil {
 		return nil, err
 	}
-	return NewTombed(keys, payloads, tombs, idx, fn)
+	return wrap(keys, payloads, tombs, idx, fn, ok)
 }
 
 // emptyIndex is the index of an empty table: every bound is the empty
