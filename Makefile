@@ -17,7 +17,13 @@ vet:
 # their total — the number the roadmap's north star wants to go down —
 # then every non-test file under internal/ over 800 lines, the north
 # star's candidates for a split. CI's test job runs it, so every PR's
-# log carries both.
+# log carries both. Its companion is TestEveryNameHasACaller
+# (callers_test.go, part of `go test ./...`): a name under internal/
+# with no non-test caller fails it as "R1 dead: pkg.[Recv.]Name
+# (file:line)", an exported func or method with no caller outside its
+# package as "R2 over-exported"; delete, move into a _test.go file,
+# unexport, or add the name to its callerAllowlist — every entry there
+# needs a one-line reason, and a stale entry fails too.
 loc:
 	@total=0; for d in internal/*/; do \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \

@@ -3,6 +3,8 @@
 // sub-benchmark corresponds to one point (structure x configuration x
 // dataset) of the corresponding plot. The cmd/sosd CLI runs the same
 // experiments with full configuration sweeps and formatted output.
+// Figures 12 and 16c, the simulated counters, are benchmarked in
+// internal/bench beside the code that collects them.
 //
 // Benchmarks use laptop-scale datasets (DESIGN.md substitution 2);
 // shapes, not absolute nanoseconds, are the reproduction target.
@@ -216,32 +218,6 @@ func BenchmarkFig11_SearchFunctions(b *testing.B) {
 	}
 }
 
-// BenchmarkFig12_Metrics is Figure 12: simulated performance counters
-// per structure (reported as extra metrics alongside ns/op).
-func BenchmarkFig12_Metrics(b *testing.B) {
-	for _, name := range []dataset.Name{dataset.Amzn, dataset.OSM} {
-		rows, err := bench.CollectCounters(
-			bench.Options{N: 50_000, Lookups: 5_000, Seed: 42}, name,
-			[]string{"RMI", "PGM", "RS", "BTree", "ART"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := benchEnv(b, name)
-		for _, r := range rows[:min(len(rows), 10)] {
-			r := r
-			b.Run(fmt.Sprintf("%s/%s/%s", name, r.Family, r.Label), func(b *testing.B) {
-				b.ReportMetric(r.CacheMisses, "cmiss/op")
-				b.ReportMetric(r.BranchMisses, "brmiss/op")
-				b.ReportMetric(r.Instructions, "instr/op")
-				b.ReportMetric(r.Log2Err, "log2err")
-				for i := 0; i < b.N; i++ {
-					_ = e.Keys[i%len(e.Keys)]
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkFig14_ColdCache is Figure 14: warm lookups as ns/op, with
 // the cold-cache latency (cache thrashed between lookups, measured
 // once outside the timed loop) reported as a companion metric.
@@ -315,26 +291,6 @@ func BenchmarkFig16a_Threads(b *testing.B) {
 				}
 				_ = sum
 			})
-		})
-	}
-}
-
-// BenchmarkFig16c_CacheMissRate reports the simulated cache misses per
-// lookup used in Figure 16c.
-func BenchmarkFig16c_CacheMissRate(b *testing.B) {
-	rows, err := bench.CollectCountersMid(
-		bench.Options{N: 50_000, Lookups: 5_000, Seed: 42},
-		dataset.Amzn, registry.Fig16Families)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range rows {
-		r := r
-		b.Run(r.Family, func(b *testing.B) {
-			b.ReportMetric(r.CacheMisses, "cmiss/op")
-			b.ReportMetric(r.CacheMisses/(r.NsPerLookup*1e-9)/1e6, "Mmiss/op/s")
-			for i := 0; i < b.N; i++ {
-			}
 		})
 	}
 }

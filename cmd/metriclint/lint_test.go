@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// goodExposition mirrors what obs.WritePrometheus emits: typed
+// goodExposition mirrors what the obs registry's /metrics emits: typed
 // contiguous families, a labelled counter, and a summary with
 // quantile pseudo-series.
 const goodExposition = `# TYPE sosd_net_accepted_total counter
@@ -40,7 +40,7 @@ func TestLintClean(t *testing.T) {
 }
 
 func TestLintAcceptsLiveRegistry(t *testing.T) {
-	// The linter's contract is with obs.WritePrometheus; an escaped
+	// The linter's contract is with the obs registry's /metrics; an escaped
 	// label value with a space must parse.
 	text := "# TYPE esc_total counter\n" +
 		`esc_total{v="a b\"c\\d"} 1` + "\n"

@@ -2,7 +2,7 @@
 // Indexes" (Marcus et al., VLDB 2020). Each experiment regenerates one
 // table or figure of the paper's evaluation; see DESIGN.md for the
 // per-experiment index. The catalog is self-registering
-// (bench.Register); `sosd -list` is derived from it, and the list
+// (internal/bench); `sosd -list` is derived from it, and the list
 // below is checked against it by TestDocCommentMatchesCatalog.
 //
 // Usage:

@@ -63,7 +63,6 @@ func keyBytes(key core.Key) [keyLen]byte {
 // Tree is an adaptive radix tree mapping uint64 keys to positions.
 type Tree struct {
 	root   *node
-	count  int
 	counts [5]int // node population per kind, for size accounting
 	nextID int32
 }
@@ -75,35 +74,29 @@ func (t *Tree) stamp(n *node) *node {
 	return n
 }
 
-// NewTree returns an empty tree.
-func NewTree() *Tree { return &Tree{} }
+// newTree returns an empty tree.
+func newTree() *Tree { return &Tree{} }
 
-// Count returns the number of stored keys.
-func (t *Tree) Count() int { return t.count }
-
-// Insert adds key -> val. Inserting an existing key overwrites its
+// put adds key -> val. Inserting an existing key overwrites its
 // value.
-func (t *Tree) Insert(key core.Key, val int32) {
+func (t *Tree) put(key core.Key, val int32) {
 	kb := keyBytes(key)
 	if t.root == nil {
 		t.root = t.stamp(newLeaf(key, val))
 		t.counts[kindLeaf]++
-		t.count++
 		return
 	}
-	if t.insert(&t.root, kb[:], 0, key, val) {
-		t.count++
-	}
+	t.insert(&t.root, kb[:], 0, key, val)
 }
 
-// insert descends to place the leaf; returns false when an existing
-// key was overwritten.
-func (t *Tree) insert(ref **node, kb []byte, depth int, key core.Key, val int32) bool {
+// insert descends to place the leaf, overwriting an existing key's
+// value.
+func (t *Tree) insert(ref **node, kb []byte, depth int, key core.Key, val int32) {
 	n := *ref
 	if n.kind == kindLeaf {
 		if n.key == key {
 			n.val = val
-			return false
+			return
 		}
 		// Split: create an inner node on the common prefix.
 		ob := keyBytes(n.key)
@@ -118,7 +111,7 @@ func (t *Tree) insert(ref **node, kb []byte, depth int, key core.Key, val int32)
 		in.addChild(ob[depth+common], n)
 		in.addChild(kb[depth+common], nl)
 		*ref = in
-		return true
+		return
 	}
 	// Match the compressed path.
 	p := n.prefix
@@ -133,19 +126,19 @@ func (t *Tree) insert(ref **node, kb []byte, depth int, key core.Key, val int32)
 			in.addChild(p[i], n)
 			in.addChild(kb[depth+i], nl)
 			*ref = in
-			return true
+			return
 		}
 	}
 	depth += len(p)
 	b := kb[depth]
 	if child := n.findChild(b); child != nil {
-		return t.insert(child, kb, depth+1, key, val)
+		t.insert(child, kb, depth+1, key, val)
+		return
 	}
 	nl := t.stamp(newLeaf(key, val))
 	t.counts[kindLeaf]++
 	t.grow(ref)
 	(*ref).addChild(b, nl)
-	return true
 }
 
 // grow upgrades a full node to the next kind.
@@ -297,8 +290,8 @@ func minLeaf(n *node) *node {
 	return n
 }
 
-// Ceiling returns the value of the smallest stored key >= x.
-func (t *Tree) Ceiling(x core.Key) (key core.Key, val int32, found bool) {
+// ceiling returns the value of the smallest stored key >= x.
+func (t *Tree) ceiling(x core.Key) (key core.Key, val int32, found bool) {
 	if t.root == nil {
 		return 0, 0, false
 	}
@@ -363,8 +356,8 @@ const (
 	node256Bytes = 16 + 256*8
 )
 
-// SizeBytes estimates the tree footprint.
-func (t *Tree) SizeBytes() int {
+// sizeBytes estimates the tree footprint.
+func (t *Tree) sizeBytes() int {
 	return t.counts[kindLeaf]*leafBytes +
 		t.counts[kind4]*node4Bytes +
 		t.counts[kind16]*node16Bytes +
@@ -399,7 +392,7 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 	if stride < 1 {
 		stride = 1
 	}
-	t := NewTree()
+	t := newTree()
 	var maxPos int32
 	for i := 0; i < n; i += stride {
 		// ART stores unique keys; for duplicate data keys keep the
@@ -408,7 +401,7 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 		if i > 0 && keys[i] == keys[i-stride] {
 			continue
 		}
-		t.Insert(keys[i], int32(i))
+		t.put(keys[i], int32(i))
 		maxPos = int32(i)
 	}
 	return &Index{tree: t, n: n, stride: stride, maxPos: maxPos}, nil
@@ -416,7 +409,7 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 
 // Lookup implements core.Index.
 func (idx *Index) Lookup(key core.Key) core.Bound {
-	_, pos, found := idx.tree.Ceiling(key)
+	_, pos, found := idx.tree.ceiling(key)
 	if !found {
 		// Every indexed key is smaller: the lower bound lies after the
 		// last subset position.
@@ -431,7 +424,7 @@ func (idx *Index) Lookup(key core.Key) core.Bound {
 }
 
 // SizeBytes implements core.Index.
-func (idx *Index) SizeBytes() int { return idx.tree.SizeBytes() }
+func (idx *Index) SizeBytes() int { return idx.tree.sizeBytes() }
 
 // Name implements core.Index.
 func (idx *Index) Name() string { return "ART" }

@@ -13,14 +13,14 @@ import (
 
 func TestARTCeilingMatchesReference(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 10000, 1)
-	tr := NewTree()
+	tr := newTree()
 	for i, k := range keys {
-		tr.Insert(k, int32(i))
+		tr.put(k, int32(i))
 	}
 	probes := indextest.ProbesFor(keys[:2000])
 	for _, x := range probes {
 		want := core.LowerBound(keys, x)
-		k, v, found := tr.Ceiling(x)
+		k, v, found := tr.ceiling(x)
 		if want == len(keys) {
 			if found {
 				t.Fatalf("Ceiling(%d): found %d, want none", x, k)
@@ -48,21 +48,21 @@ func TestARTValidityAllDatasets(t *testing.T) {
 }
 
 func TestARTInsertOverwrite(t *testing.T) {
-	tr := NewTree()
-	tr.Insert(42, 1)
-	tr.Insert(42, 7)
-	if tr.Count() != 1 {
-		t.Fatalf("count = %d, want 1", tr.Count())
+	tr := newTree()
+	tr.put(42, 1)
+	tr.put(42, 7)
+	if n := tr.counts[kindLeaf]; n != 1 {
+		t.Fatalf("leaves = %d, want 1", n)
 	}
-	_, v, found := tr.Ceiling(42)
+	_, v, found := tr.ceiling(42)
 	if !found || v != 7 {
 		t.Fatalf("Ceiling(42) = (%d, %v)", v, found)
 	}
 }
 
 func TestARTEmptyTree(t *testing.T) {
-	tr := NewTree()
-	if _, _, found := tr.Ceiling(5); found {
+	tr := newTree()
+	if _, _, found := tr.ceiling(5); found {
 		t.Error("empty tree should find nothing")
 	}
 	if _, err := (Builder{}).Build(nil); err == nil {
@@ -73,16 +73,16 @@ func TestARTEmptyTree(t *testing.T) {
 func TestARTNodeGrowth(t *testing.T) {
 	// Keys sharing a 7-byte prefix with all 256 final bytes force one
 	// node through every size class.
-	tr := NewTree()
+	tr := newTree()
 	base := core.Key(0xAABBCCDD11223300)
 	for i := 0; i < 256; i++ {
-		tr.Insert(base|core.Key(i), int32(i))
+		tr.put(base|core.Key(i), int32(i))
 	}
 	if tr.counts[kind256] != 1 {
 		t.Errorf("expected one Node256, got %d (counts=%v)", tr.counts[kind256], tr.counts)
 	}
 	for i := 0; i < 256; i++ {
-		k, v, found := tr.Ceiling(base | core.Key(i))
+		k, v, found := tr.ceiling(base | core.Key(i))
 		if !found || v != int32(i) || k != base|core.Key(i) {
 			t.Fatalf("Ceiling(%d) = (%d,%d,%v)", base|core.Key(i), k, v, found)
 		}
@@ -92,19 +92,19 @@ func TestARTNodeGrowth(t *testing.T) {
 func TestARTPathCompression(t *testing.T) {
 	// Two keys differing only in the last byte share a 7-byte
 	// compressed path: exactly one inner node.
-	tr := NewTree()
-	tr.Insert(0x1122334455667701, 1)
-	tr.Insert(0x1122334455667702, 2)
+	tr := newTree()
+	tr.put(0x1122334455667701, 1)
+	tr.put(0x1122334455667702, 2)
 	if tr.counts[kind4] != 1 {
 		t.Errorf("expected 1 Node4, got %d", tr.counts[kind4])
 	}
 	// A key diverging at byte 3 splits the path.
-	tr.Insert(0x11223399AA000000, 3)
+	tr.put(0x11223399AA000000, 3)
 	if tr.counts[kind4] != 2 {
 		t.Errorf("expected 2 Node4 after split, got %d", tr.counts[kind4])
 	}
 	for _, k := range []core.Key{0x1122334455667701, 0x1122334455667702, 0x11223399AA000000} {
-		got, _, found := tr.Ceiling(k)
+		got, _, found := tr.ceiling(k)
 		if !found || got != k {
 			t.Fatalf("Ceiling(%x) = (%x, %v)", k, got, found)
 		}
@@ -112,10 +112,10 @@ func TestARTPathCompression(t *testing.T) {
 }
 
 func TestARTCeilingAcrossSplitPaths(t *testing.T) {
-	tr := NewTree()
+	tr := newTree()
 	keys := []core.Key{0x1000000000000000, 0x1000000000000005, 0x2000000000000000, 0xFF00000000000000}
 	for i, k := range keys {
-		tr.Insert(k, int32(i))
+		tr.put(k, int32(i))
 	}
 	cases := []struct {
 		x    core.Key
@@ -129,7 +129,7 @@ func TestARTCeilingAcrossSplitPaths(t *testing.T) {
 		{0xFF00000000000001, 0, false},
 	}
 	for _, tc := range cases {
-		k, _, found := tr.Ceiling(tc.x)
+		k, _, found := tr.ceiling(tc.x)
 		if found != tc.ok || (found && k != tc.want) {
 			t.Errorf("Ceiling(%x) = (%x, %v), want (%x, %v)", tc.x, k, found, tc.want, tc.ok)
 		}
@@ -138,7 +138,7 @@ func TestARTCeilingAcrossSplitPaths(t *testing.T) {
 
 func TestARTRandomInsertCeiling(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tr := NewTree()
+	tr := newTree()
 	seen := map[core.Key]int32{}
 	var sorted []core.Key
 	for i := 0; i < 5000; i++ {
@@ -147,14 +147,14 @@ func TestARTRandomInsertCeiling(t *testing.T) {
 			continue
 		}
 		seen[k] = int32(i)
-		tr.Insert(k, int32(i))
+		tr.put(k, int32(i))
 		sorted = append(sorted, k)
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	for q := 0; q < 3000; q++ {
 		x := core.Key(rng.Uint64())
 		i := core.LowerBound(sorted, x)
-		k, v, found := tr.Ceiling(x)
+		k, v, found := tr.ceiling(x)
 		if i == len(sorted) {
 			if found {
 				t.Fatalf("Ceiling(%d) found %d, want none", x, k)
@@ -206,19 +206,19 @@ func TestARTBuilderName(t *testing.T) {
 func TestARTProperty(t *testing.T) {
 	f := func(raw []uint64, x uint64) bool {
 		uniq := map[uint64]bool{}
-		tr := NewTree()
+		tr := newTree()
 		var sorted []core.Key
 		for _, k := range raw {
 			if uniq[k] {
 				continue
 			}
 			uniq[k] = true
-			tr.Insert(k, 0)
+			tr.put(k, 0)
 			sorted = append(sorted, k)
 		}
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		i := core.LowerBound(sorted, x)
-		k, _, found := tr.Ceiling(x)
+		k, _, found := tr.ceiling(x)
 		if i == len(sorted) {
 			return !found
 		}

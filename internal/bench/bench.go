@@ -6,7 +6,7 @@
 // repo's serving layer: batched and sharded lookup sweeps (serve) and
 // YCSB-style mixed read/write workloads over the mutable store
 // (serve-write). Experiments self-register in a catalog
-// (Register/Experiments/Find) and produce typed report.Tables; the
+// (register/Experiments/Find) and produce typed report.Tables; the
 // sosd CLI renders them through the report sinks. See DESIGN.md for
 // the experiment index.
 package bench
@@ -47,17 +47,6 @@ func NewEnv(name dataset.Name, n, m int, seed uint64) (*Env, error) {
 	}, nil
 }
 
-// Checksum returns the expected payload sum over the environment's
-// lookups; every measurement loop must reproduce it (the paper sums
-// payloads "to ensure the results are accurate").
-func (e *Env) Checksum() uint64 {
-	var sum uint64
-	for _, x := range e.Lookups {
-		sum += e.Payloads[core.LowerBound(e.Keys, x)]
-	}
-	return sum
-}
-
 // Measurement is one timed lookup run.
 type Measurement struct {
 	NsPerLookup float64
@@ -90,13 +79,13 @@ func runLookups(e *Env, idx core.Index, fn search.Fn) uint64 {
 	return sum
 }
 
-// MeasureFenced times the serialized regime of Figure 15: each lookup
+// measureFenced times the serialized regime of Figure 15: each lookup
 // key is made data-dependent on the previous lookup's payload, so the
 // CPU cannot overlap consecutive lookups. This replaces the paper's
 // mfence, which Go cannot emit (DESIGN.md substitution 4). The
 // dependency steers which lookup runs next without changing the key
 // distribution.
-func MeasureFenced(e *Env, idx core.Index, fn search.Fn) Measurement {
+func measureFenced(e *Env, idx core.Index, fn search.Fn) Measurement {
 	run := func() (uint64, int) {
 		var sum uint64
 		n := len(e.Lookups)
@@ -162,11 +151,11 @@ func MeasureCold(e *Env, idx core.Index, fn search.Fn, coldOps int) Measurement 
 	}
 }
 
-// MeasureThroughput runs the multithreaded regime of Figure 16:
+// measureThroughput runs the multithreaded regime of Figure 16:
 // threads goroutines each execute the full lookup workload; the result
 // is aggregate lookups per second. fenced selects the serialized
 // per-thread loop.
-func MeasureThroughput(e *Env, idx core.Index, fn search.Fn, threads int, fenced bool) float64 {
+func measureThroughput(e *Env, idx core.Index, fn search.Fn, threads int, fenced bool) float64 {
 	if threads < 1 {
 		threads = 1
 	}
@@ -178,7 +167,7 @@ func MeasureThroughput(e *Env, idx core.Index, fn search.Fn, threads int, fenced
 		go func(tid int) {
 			defer wg.Done()
 			if fenced {
-				MeasureFencedOnce(e, idx, fn, tid)
+				measureFencedOnce(e, idx, fn, tid)
 				return
 			}
 			var sum uint64
@@ -199,8 +188,8 @@ func MeasureThroughput(e *Env, idx core.Index, fn search.Fn, threads int, fenced
 	return float64(threads*len(e.Lookups)) / elapsed
 }
 
-// MeasureFencedOnce is one serialized pass, offset per thread.
-func MeasureFencedOnce(e *Env, idx core.Index, fn search.Fn, tid int) {
+// measureFencedOnce is one serialized pass, offset per thread.
+func measureFencedOnce(e *Env, idx core.Index, fn search.Fn, tid int) {
 	var sum uint64
 	n := len(e.Lookups)
 	i := (tid * 7919) % n
@@ -226,17 +215,17 @@ func sink(v uint64) {
 	sinkMu.Unlock()
 }
 
-// MeasureBuild times index construction.
-func MeasureBuild(b core.Builder, keys []core.Key) (core.Index, time.Duration, error) {
+// measureBuild times index construction.
+func measureBuild(b core.Builder, keys []core.Key) (core.Index, time.Duration, error) {
 	start := time.Now()
 	idx, err := b.Build(keys)
 	return idx, time.Since(start), err
 }
 
-// AvgLog2Width measures the empirical mean log2 search-bound width of
+// avgLog2Width measures the empirical mean log2 search-bound width of
 // an index over the environment's lookups — the paper's log2-error
 // metric, computed uniformly for every structure.
-func AvgLog2Width(e *Env, idx core.Index) float64 {
+func avgLog2Width(e *Env, idx core.Index) float64 {
 	total := 0.0
 	for _, x := range e.Lookups {
 		total += float64(search.BinarySteps(idx.Lookup(x).Width()))
@@ -244,8 +233,8 @@ func AvgLog2Width(e *Env, idx core.Index) float64 {
 	return total / float64(len(e.Lookups))
 }
 
-// MaxThreads returns the thread counts swept in Figure 16a.
-func MaxThreads() []int {
+// maxThreads returns the thread counts swept in Figure 16a.
+func maxThreads() []int {
 	max := runtime.NumCPU()
 	var out []int
 	for t := 1; t <= max; t *= 2 {
@@ -289,11 +278,11 @@ func (e *Env) Table(idx core.Index, fn search.Fn) *table.Table {
 	return t
 }
 
-// MeasureWarmBatch times the batched serving regime: the lookup
+// measureWarmBatch times the batched serving regime: the lookup
 // workload is driven through Table.GetBatch in fixed-size batches,
 // amortizing bound computation and last-mile search. Comparable to
 // MeasureWarm on the same environment and index.
-func MeasureWarmBatch(e *Env, t *table.Table, batch int) Measurement {
+func measureWarmBatch(e *Env, t *table.Table, batch int) Measurement {
 	if batch < 1 {
 		batch = ServeBatchSize
 	}

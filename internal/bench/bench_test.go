@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,6 +14,17 @@ import (
 // tiny keeps harness tests fast; the real experiments scale via
 // Options and the CLI.
 var tiny = Options{N: 4000, Lookups: 400, Seed: 7}
+
+// Checksum returns the expected payload sum over the environment's
+// lookups; every measurement loop must reproduce it (the paper sums
+// payloads "to ensure the results are accurate").
+func (e *Env) Checksum() uint64 {
+	var sum uint64
+	for _, x := range e.Lookups {
+		sum += e.Payloads[core.LowerBound(e.Keys, x)]
+	}
+	return sum
+}
 
 func TestEnvChecksum(t *testing.T) {
 	e, err := NewEnv(dataset.Amzn, 2000, 300, 1)
@@ -27,7 +39,7 @@ func TestEnvChecksum(t *testing.T) {
 	}
 	cold := MeasureCold(e, idx, search.BinarySearch, 50)
 	_ = cold // cold measures a prefix of the workload; only validity of run matters
-	fenced := MeasureFenced(e, idx, search.BinarySearch)
+	fenced := measureFenced(e, idx, search.BinarySearch)
 	if fenced.NsPerLookup <= 0 {
 		t.Fatal("fenced measurement empty")
 	}
@@ -68,8 +80,8 @@ func TestThroughputScalesOrRuns(t *testing.T) {
 	if idx == nil {
 		t.Fatal("no RMI variant")
 	}
-	t1 := MeasureThroughput(e, idx, search.BinarySearch, 1, false)
-	tn := MeasureThroughput(e, idx, search.BinarySearch, 4, false)
+	t1 := measureThroughput(e, idx, search.BinarySearch, 1, false)
+	tn := measureThroughput(e, idx, search.BinarySearch, 4, false)
 	if t1 <= 0 || tn <= 0 {
 		t.Fatal("non-positive throughput")
 	}
@@ -112,10 +124,11 @@ func TestExperimentSmoke(t *testing.T) {
 }
 
 func TestCollectCounters(t *testing.T) {
-	rows, err := CollectCounters(Options{N: 3000, Lookups: 300, Seed: 1}, dataset.Amzn, []string{"RMI", "BTree"})
+	e, err := NewEnv(dataset.Amzn, 3000, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := countersFromEnv(e, []string{"RMI", "BTree"})
 	if len(rows) < 10 {
 		t.Fatalf("only %d counter rows", len(rows))
 	}
@@ -149,13 +162,53 @@ func TestSweepSpansSizes(t *testing.T) {
 }
 
 func TestMaxThreads(t *testing.T) {
-	ts := MaxThreads()
+	ts := maxThreads()
 	if len(ts) == 0 || ts[0] != 1 {
-		t.Fatalf("MaxThreads = %v", ts)
+		t.Fatalf("maxThreads = %v", ts)
 	}
 	for i := 1; i < len(ts); i++ {
 		if ts[i] <= ts[i-1] {
 			t.Fatalf("not increasing: %v", ts)
 		}
+	}
+}
+
+// BenchmarkFig12_Metrics is Figure 12: simulated performance counters
+// per structure (reported as extra metrics alongside ns/op).
+func BenchmarkFig12_Metrics(b *testing.B) {
+	for _, name := range []dataset.Name{dataset.Amzn, dataset.OSM} {
+		e, err := NewEnv(name, 50_000, 5_000, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := countersFromEnv(e, []string{"RMI", "PGM", "RS", "BTree", "ART"})
+		for _, r := range rows[:min(len(rows), 10)] {
+			b.Run(fmt.Sprintf("%s/%s/%s", name, r.Family, r.Label), func(b *testing.B) {
+				b.ReportMetric(r.CacheMisses, "cmiss/op")
+				b.ReportMetric(r.BranchMisses, "brmiss/op")
+				b.ReportMetric(r.Instructions, "instr/op")
+				b.ReportMetric(r.Log2Err, "log2err")
+				for i := 0; i < b.N; i++ {
+					_ = e.Keys[i%len(e.Keys)]
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkFig16c_CacheMissRate reports the simulated cache misses per
+// lookup used in Figure 16c.
+func BenchmarkFig16c_CacheMissRate(b *testing.B) {
+	e, err := NewEnv(dataset.Amzn, 50_000, 5_000, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range countersMidFromEnv(e, registry.Fig16Families) {
+		b.Run(r.Family, func(b *testing.B) {
+			b.ReportMetric(r.CacheMisses, "cmiss/op")
+			b.ReportMetric(r.CacheMisses/(r.NsPerLookup*1e-9)/1e6, "Mmiss/op/s")
+			for i := 0; i < b.N; i++ {
+			}
+		})
 	}
 }

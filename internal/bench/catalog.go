@@ -56,12 +56,12 @@ var (
 	byName    = map[string]int{}
 )
 
-// Register adds an experiment to the catalog, in call order (package
+// register adds an experiment to the catalog, in call order (package
 // init order makes that the declaration order of the experiment
-// files). Like registry.Register it panics on duplicates and nil run
+// files). Like registry's register it panics on duplicates and nil run
 // functions: the catalog is assembled at init time, where failing
 // loudly is the only useful behaviour.
-func Register(e Experiment) {
+func register(e Experiment) {
 	if e.Name == "" || e.Run == nil {
 		panic(fmt.Sprintf("bench: experiment %q registered without name or run", e.Name))
 	}
@@ -110,15 +110,15 @@ func NewRun(o Options) *Run {
 	return &Run{Options: o.withDefaults(), checksums: map[string]uint64{}}
 }
 
-// Env builds the benchmark environment for a dataset at the run's
+// env builds the benchmark environment for a dataset at the run's
 // scale, recording its key checksum.
-func (r *Run) Env(name dataset.Name) (*Env, error) {
-	return r.EnvAt(name, r.Options.N, r.Options.Lookups)
+func (r *Run) env(name dataset.Name) (*Env, error) {
+	return r.envAt(name, r.Options.N, r.Options.Lookups)
 }
 
-// EnvAt builds an environment at an explicit scale (the 1x..4x
+// envAt builds an environment at an explicit scale (the 1x..4x
 // scaling sweeps), recording its key checksum.
-func (r *Run) EnvAt(name dataset.Name, n, lookups int) (*Env, error) {
+func (r *Run) envAt(name dataset.Name, n, lookups int) (*Env, error) {
 	e, err := NewEnv(name, n, lookups, r.Options.Seed)
 	if err != nil {
 		return nil, err
@@ -141,22 +141,22 @@ func (r *Run) DatasetChecksums() map[string]uint64 {
 	return out
 }
 
-// Families filters an experiment's default family set through the
+// families filters an experiment's default family set through the
 // run's -families option, preserving the experiment's order. With no
 // filter the default set passes through unchanged.
-func (r *Run) Families(def []string) []string {
+func (r *Run) families(def []string) []string {
 	return filterNames(def, r.Options.Families)
 }
 
-// FamilyAllowed reports whether a single family passes the filter —
+// familyAllowed reports whether a single family passes the filter —
 // for experiments whose rows are per-family but not loop-driven.
-func (r *Run) FamilyAllowed(family string) bool {
+func (r *Run) familyAllowed(family string) bool {
 	return nameAllowed(family, r.Options.Families)
 }
 
-// Datasets filters an experiment's default dataset sweep through the
+// datasets filters an experiment's default dataset sweep through the
 // run's -datasets option.
-func (r *Run) Datasets(def []dataset.Name) []dataset.Name {
+func (r *Run) datasets(def []dataset.Name) []dataset.Name {
 	if len(r.Options.Datasets) == 0 {
 		return def
 	}

@@ -43,10 +43,10 @@ func TestRegisterRejectsBadEntries(t *testing.T) {
 	mustPanic := func(name string, e Experiment) {
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s: Register did not panic", name)
+				t.Errorf("%s: register did not panic", name)
 			}
 		}()
-		Register(e)
+		register(e)
 	}
 	mustPanic("duplicate", Experiment{Name: "fig7", Desc: "dup", Run: fig7})
 	mustPanic("nil run", Experiment{Name: "new", Desc: "x"})
@@ -65,7 +65,7 @@ func TestSeedZeroHonored(t *testing.T) {
 	if r.Options.Seed != 0 {
 		t.Errorf("NewRun coerced seed to %d", r.Options.Seed)
 	}
-	e0, err := r.Env(dataset.Amzn)
+	e0, err := r.env(dataset.Amzn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +80,10 @@ func TestSeedZeroHonored(t *testing.T) {
 
 func TestRunRecordsChecksums(t *testing.T) {
 	r := NewRun(Options{N: 200, Lookups: 20, Seed: 7})
-	if _, err := r.Env(dataset.Amzn); err != nil {
+	if _, err := r.env(dataset.Amzn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.EnvAt(dataset.OSM, 400, 20); err != nil {
+	if _, err := r.envAt(dataset.OSM, 400, 20); err != nil {
 		t.Fatal(err)
 	}
 	sums := r.DatasetChecksums()
@@ -131,23 +131,23 @@ func TestRegressRows(t *testing.T) {
 
 func TestFilters(t *testing.T) {
 	r := NewRun(Options{N: 100, Lookups: 10, Families: []string{"PGM", "RMI"}, Datasets: []string{"osm"}})
-	got := r.Families([]string{"RMI", "PGM", "RS", "BTree"})
+	got := r.families([]string{"RMI", "PGM", "RS", "BTree"})
 	if len(got) != 2 || got[0] != "RMI" || got[1] != "PGM" {
 		t.Errorf("Families filter = %v", got)
 	}
-	if r.FamilyAllowed("BTree") || !r.FamilyAllowed("RMI") {
-		t.Error("FamilyAllowed disagrees with filter")
+	if r.familyAllowed("BTree") || !r.familyAllowed("RMI") {
+		t.Error("familyAllowed disagrees with filter")
 	}
-	ds := r.Datasets(dataset.All())
+	ds := r.datasets(dataset.All())
 	if len(ds) != 1 || ds[0] != dataset.OSM {
 		t.Errorf("Datasets filter = %v", ds)
 	}
 
 	open := NewRun(Options{N: 100, Lookups: 10})
-	if got := open.Families([]string{"A", "B"}); len(got) != 2 {
+	if got := open.families([]string{"A", "B"}); len(got) != 2 {
 		t.Errorf("unfiltered Families = %v", got)
 	}
-	if got := open.Datasets(dataset.All()); len(got) != len(dataset.All()) {
+	if got := open.datasets(dataset.All()); len(got) != len(dataset.All()) {
 		t.Errorf("unfiltered Datasets = %v", got)
 	}
 }

@@ -25,23 +25,23 @@ import (
 // The paper's experiments, registered in figure order. Each returns
 // typed report.Tables; rendering belongs to the report sinks.
 func init() {
-	Register(Experiment{"table1", "capability matrix", table1})
-	Register(Experiment{"fig6", "dataset CDFs", fig6})
-	Register(Experiment{"fig7", "Pareto size/performance sweep, 4 datasets", fig7})
-	Register(Experiment{"fig8", "string structures (FST, Wormhole) on integers", fig8})
-	Register(Experiment{"table2", "fastest variants vs hash tables", table2})
-	Register(Experiment{"fig9", "dataset size scaling 1x..4x", fig9})
-	Register(Experiment{"fig10", "32-bit vs 64-bit keys", fig10})
-	Register(Experiment{"fig11", "last-mile search functions", fig11})
-	Register(Experiment{"fig12", "lookup time vs explanatory metrics", fig12})
-	Register(Experiment{"regress", "Section 4.3 OLS analysis", regress})
-	Register(Experiment{"fig13", "size vs log2 error (compression view)", fig13})
-	Register(Experiment{"fig14", "warm vs cold cache", fig14})
-	Register(Experiment{"fig15", "memory-fence (serialized) lookups", fig15})
-	Register(Experiment{"fig16a", "threads vs throughput", fig16a})
-	Register(Experiment{"fig16b", "size vs throughput at max threads", fig16b})
-	Register(Experiment{"fig16c", "cache misses per lookup per second", fig16c})
-	Register(Experiment{"fig17", "build times at 1x..4x scale", fig17})
+	register(Experiment{"table1", "capability matrix", table1})
+	register(Experiment{"fig6", "dataset CDFs", fig6})
+	register(Experiment{"fig7", "Pareto size/performance sweep, 4 datasets", fig7})
+	register(Experiment{"fig8", "string structures (FST, Wormhole) on integers", fig8})
+	register(Experiment{"table2", "fastest variants vs hash tables", table2})
+	register(Experiment{"fig9", "dataset size scaling 1x..4x", fig9})
+	register(Experiment{"fig10", "32-bit vs 64-bit keys", fig10})
+	register(Experiment{"fig11", "last-mile search functions", fig11})
+	register(Experiment{"fig12", "lookup time vs explanatory metrics", fig12})
+	register(Experiment{"regress", "Section 4.3 OLS analysis", regress})
+	register(Experiment{"fig13", "size vs log2 error (compression view)", fig13})
+	register(Experiment{"fig14", "warm vs cold cache", fig14})
+	register(Experiment{"fig15", "memory-fence (serialized) lookups", fig15})
+	register(Experiment{"fig16a", "threads vs throughput", fig16a})
+	register(Experiment{"fig16b", "size vs throughput at max threads", fig16b})
+	register(Experiment{"fig16c", "cache misses per lookup per second", fig16c})
+	register(Experiment{"fig17", "build times at 1x..4x scale", fig17})
 }
 
 // table1 reports the capability matrix of Table 1 (static facts about
@@ -65,7 +65,7 @@ func table1(r *Run) ([]report.Table, error) {
 		{"BS", "No", "Yes", "Binary search"},
 	}
 	for _, row := range rows {
-		if r.FamilyAllowed(row[0]) {
+		if r.familyAllowed(row[0]) {
 			t.Row([]string{row[0], row[1], row[2], row[3]})
 		}
 	}
@@ -78,8 +78,8 @@ func fig6(r *Run) ([]report.Table, error) {
 		Dims("data").
 		Float("key", "norm", 3).
 		Float("cdf", "frac", 3)
-	for _, name := range r.Datasets(dataset.All()) {
-		e, err := r.Env(name)
+	for _, name := range r.datasets(dataset.All()) {
+		e, err := r.env(name)
 		if err != nil {
 			return nil, err
 		}
@@ -109,16 +109,16 @@ func paretoSchema(experiment, title string) *report.Table {
 func fig7(r *Run) ([]report.Table, error) {
 	t := paretoSchema("fig7", "Figure 7: performance/size tradeoffs (warm cache, tight loop)").
 		Notef("BS rows are the size-0 binary-search baseline")
-	for _, name := range r.Datasets(dataset.All()) {
-		e, err := r.Env(name)
+	for _, name := range r.datasets(dataset.All()) {
+		e, err := r.env(name)
 		if err != nil {
 			return nil, err
 		}
-		if r.FamilyAllowed("BS") {
+		if r.familyAllowed("BS") {
 			bs := MeasureWarm(e, mustBS(e), search.BinarySearch)
 			t.Row([]string{string(name), "BS", ""}, 0, bs.NsPerLookup)
 		}
-		for _, family := range r.Families(registry.ParetoFamilies) {
+		for _, family := range r.families(registry.ParetoFamilies) {
 			for _, nb := range registry.Sweep(family, e.Keys) {
 				idx, err := nb.Builder.Build(e.Keys)
 				if err != nil {
@@ -137,16 +137,16 @@ func fig7(r *Run) ([]report.Table, error) {
 func fig8(r *Run) ([]report.Table, error) {
 	t := paretoSchema("fig8", "Figure 8: structures designed for strings, on integer keys").
 		Notef("BS rows are the size-0 binary-search baseline")
-	for _, name := range r.Datasets([]dataset.Name{dataset.Amzn, dataset.Face}) {
-		e, err := r.Env(name)
+	for _, name := range r.datasets([]dataset.Name{dataset.Amzn, dataset.Face}) {
+		e, err := r.env(name)
 		if err != nil {
 			return nil, err
 		}
-		if r.FamilyAllowed("BS") {
+		if r.familyAllowed("BS") {
 			bs := MeasureWarm(e, mustBS(e), search.BinarySearch)
 			t.Row([]string{string(name), "BS", ""}, 0, bs.NsPerLookup)
 		}
-		for _, family := range r.Families(registry.StringFamilies) {
+		for _, family := range r.families(registry.StringFamilies) {
 			for _, nb := range registry.Sweep(family, e.Keys) {
 				idx, err := nb.Builder.Build(e.Keys)
 				if err != nil {
@@ -163,7 +163,7 @@ func fig8(r *Run) ([]report.Table, error) {
 // table2 reports the fastest variant of each structure against the
 // two hashing techniques on amzn (Table 2).
 func table2(r *Run) ([]report.Table, error) {
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +171,7 @@ func table2(r *Run) ([]report.Table, error) {
 		Dims("Method", "config").
 		Float("ns/lookup", "ns", 1).
 		Float("size(MB)", "MB", 4)
-	for _, family := range r.Families(registry.Table2Families) {
+	for _, family := range r.families(registry.Table2Families) {
 		nb, idx, ns := BestVariant(e, family, func(e *Env, idx core.Index) float64 {
 			return MeasureWarm(e, idx, search.BinarySearch).NsPerLookup
 		})
@@ -191,11 +191,11 @@ func fig9(r *Run) ([]report.Table, error) {
 		Float("size(MB)", "MB", 4).
 		Float("ns/lookup", "ns", 1)
 	for mult := 1; mult <= 4; mult++ {
-		e, err := r.EnvAt(dataset.Amzn, o.N*mult, o.Lookups)
+		e, err := r.envAt(dataset.Amzn, o.N*mult, o.Lookups)
 		if err != nil {
 			return nil, err
 		}
-		for _, family := range r.Families([]string{"RMI", "PGM", "RS", "BTree"}) {
+		for _, family := range r.families([]string{"RMI", "PGM", "RS", "BTree"}) {
 			for _, nb := range registry.Sweep(family, e.Keys) {
 				idx, err := nb.Builder.Build(e.Keys)
 				if err != nil {
@@ -217,7 +217,7 @@ func fig9(r *Run) ([]report.Table, error) {
 // instantiations where key packing matters architecturally.
 func fig10(r *Run) ([]report.Table, error) {
 	o := r.Options
-	e64, err := r.Env(dataset.Amzn)
+	e64, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +233,7 @@ func fig10(r *Run) ([]report.Table, error) {
 		Dims("index", "bits", "config").
 		Float("size(MB)", "MB", 4).
 		Float("ns/lookup", "ns", 1)
-	families := r.Families([]string{"RMI", "RS", "PGM", "BTree", "FAST"})
+	families := r.families([]string{"RMI", "RS", "PGM", "BTree", "FAST"})
 	for _, family := range families {
 		for _, nb := range registry.Sweep(family, e64.Keys) {
 			idx, err := nb.Builder.Build(e64.Keys)
@@ -262,10 +262,10 @@ func fig10(r *Run) ([]report.Table, error) {
 	native := report.New("fig10", "Figure 10 (cont.): native 32-bit tree loops (Ceiling only)").
 		Dims("index").
 		Float("ns/op", "ns", 1)
-	if r.FamilyAllowed("BTree") {
+	if r.familyAllowed("BTree") {
 		native.Row([]string{"BTree32"}, native32BTreeNs(k32, e32))
 	}
-	if r.FamilyAllowed("FAST") {
+	if r.familyAllowed("FAST") {
 		native.Row([]string{"FAST32"}, native32FASTNs(k32, e32))
 	}
 	return []report.Table{*t, *native}, nil
@@ -345,12 +345,12 @@ func fig11(r *Run) ([]report.Table, error) {
 	t := report.New("fig11", "Figure 11: last-mile search functions").
 		Dims("data", "index", "config", "search").
 		Float("ns/lookup", "ns", 1)
-	for _, name := range r.Datasets([]dataset.Name{dataset.Amzn, dataset.OSM}) {
-		e, err := r.Env(name)
+	for _, name := range r.datasets([]dataset.Name{dataset.Amzn, dataset.OSM}) {
+		e, err := r.env(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, family := range r.Families([]string{"RMI", "PGM", "RS", "RBS"}) {
+		for _, family := range r.families([]string{"RMI", "PGM", "RS", "RBS"}) {
 			for _, nb := range registry.Sweep(family, e.Keys) {
 				idx, err := nb.Builder.Build(e.Keys)
 				if err != nil {
@@ -380,19 +380,9 @@ type CounterRow struct {
 	Instructions float64
 }
 
-// CollectCounters measures warm lookup latency and simulated counters
-// for every configuration of the given families on a dataset.
-func CollectCounters(o Options, name dataset.Name, families []string) ([]CounterRow, error) {
-	o = o.withDefaults()
-	e, err := NewEnv(name, o.N, o.Lookups, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return countersFromEnv(e, families), nil
-}
-
-// countersFromEnv is CollectCounters over an existing environment —
-// the catalog experiments build theirs through Run.EnvAt so dataset
+// countersFromEnv measures warm lookup latency and simulated counters
+// for every configuration of the given families on an environment —
+// the catalog experiments build theirs through Run.envAt so dataset
 // checksums land in the run metadata.
 func countersFromEnv(e *Env, families []string) []CounterRow {
 	var rows []CounterRow
@@ -434,7 +424,7 @@ func counterRow(e *Env, family string, nb registry.NamedBuilder, reps int) (Coun
 		Family:       family,
 		Label:        nb.Label,
 		SizeMB:       MB(idx.SizeBytes()),
-		Log2Err:      AvgLog2Width(e, idx),
+		Log2Err:      avgLog2Width(e, idx),
 		NsPerLookup:  meas.NsPerLookup,
 		CacheMisses:  float64(c.CacheMisses) / nl,
 		BranchMisses: float64(c.BranchMisses) / nl,
@@ -505,12 +495,12 @@ func fig12(r *Run) ([]report.Table, error) {
 		Float("c-miss", "misses/op", 2).
 		Float("br-miss", "misses/op", 2).
 		Float("instr", "instr/op", 1)
-	for _, name := range r.Datasets([]dataset.Name{dataset.Amzn, dataset.OSM}) {
-		e, err := r.Env(name)
+	for _, name := range r.datasets([]dataset.Name{dataset.Amzn, dataset.OSM}) {
+		e, err := r.env(name)
 		if err != nil {
 			return nil, err
 		}
-		counterTable(t, countersFromEnv(e, r.Families(registry.Fig12Families)))
+		counterTable(t, countersFromEnv(e, r.families(registry.Fig12Families)))
 	}
 	return []report.Table{*t}, nil
 }
@@ -545,14 +535,14 @@ func regress(r *Run) ([]report.Table, error) {
 		o.Lookups = 100_000
 	}
 	var rows []CounterRow
-	for _, name := range r.Datasets(dataset.All()) {
-		// EnvAt (not CollectCounters) so the floored scale and its
-		// dataset checksums are recorded in the run metadata.
-		e, err := r.EnvAt(name, o.N, o.Lookups)
+	for _, name := range r.datasets(dataset.All()) {
+		// envAt so the floored scale and its dataset checksums are
+		// recorded in the run metadata.
+		e, err := r.envAt(name, o.N, o.Lookups)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, countersFromEnv(e, r.Families(registry.Fig12Families))...)
+		rows = append(rows, countersFromEnv(e, r.families(registry.Fig12Families))...)
 	}
 	y := make([]float64, len(rows))
 	cm := make([]float64, len(rows))
@@ -604,19 +594,19 @@ func fig13(r *Run) ([]report.Table, error) {
 		Dims("data", "index", "config").
 		Float("size(MB)", "MB", 4).
 		Float("log2err", "log2", 2)
-	for _, name := range r.Datasets([]dataset.Name{dataset.Amzn, dataset.OSM}) {
-		e, err := r.Env(name)
+	for _, name := range r.datasets([]dataset.Name{dataset.Amzn, dataset.OSM}) {
+		e, err := r.env(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, family := range r.Families([]string{"RS", "RMI", "PGM", "BTree"}) {
+		for _, family := range r.families([]string{"RS", "RMI", "PGM", "BTree"}) {
 			for _, nb := range registry.Sweep(family, e.Keys) {
 				idx, err := nb.Builder.Build(e.Keys)
 				if err != nil {
 					continue
 				}
 				t.Row([]string{string(name), family, nb.Label},
-					MB(idx.SizeBytes()), AvgLog2Width(e, idx))
+					MB(idx.SizeBytes()), avgLog2Width(e, idx))
 			}
 		}
 	}
@@ -625,7 +615,7 @@ func fig13(r *Run) ([]report.Table, error) {
 
 // fig14 reports the warm/cold cache comparison of Figure 14 on amzn.
 func fig14(r *Run) ([]report.Table, error) {
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
@@ -638,7 +628,7 @@ func fig14(r *Run) ([]report.Table, error) {
 		Float("size(MB)", "MB", 4).
 		Float("warm(ns)", "ns", 1).
 		Float("cold(ns)", "ns", 1)
-	for _, family := range r.Families([]string{"RMI", "RS", "PGM", "BTree", "FAST"}) {
+	for _, family := range r.families([]string{"RMI", "RS", "PGM", "BTree", "FAST"}) {
 		for _, nb := range registry.Sweep(family, e.Keys) {
 			idx, err := nb.Builder.Build(e.Keys)
 			if err != nil {
@@ -655,7 +645,7 @@ func fig14(r *Run) ([]report.Table, error) {
 
 // fig15 reports the fence comparison of Figure 15 on amzn.
 func fig15(r *Run) ([]report.Table, error) {
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
@@ -664,14 +654,14 @@ func fig15(r *Run) ([]report.Table, error) {
 		Float("size(MB)", "MB", 4).
 		Float("no-fence", "ns", 1).
 		Float("fence", "ns", 1)
-	for _, family := range r.Families([]string{"RMI", "RS", "PGM", "BTree", "FAST"}) {
+	for _, family := range r.families([]string{"RMI", "RS", "PGM", "BTree", "FAST"}) {
 		for _, nb := range registry.Sweep(family, e.Keys) {
 			idx, err := nb.Builder.Build(e.Keys)
 			if err != nil {
 				continue
 			}
 			plain := MeasureWarm(e, idx, search.BinarySearch)
-			fenced := MeasureFenced(e, idx, search.BinarySearch)
+			fenced := measureFenced(e, idx, search.BinarySearch)
 			t.Row([]string{family, nb.Label},
 				MB(idx.SizeBytes()), plain.NsPerLookup, fenced.NsPerLookup)
 		}
@@ -682,7 +672,7 @@ func fig15(r *Run) ([]report.Table, error) {
 // fig16a reports multithreaded throughput against thread count, with
 // and without the serialized loop, at a mid-size configuration.
 func fig16a(r *Run) ([]report.Table, error) {
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
@@ -690,14 +680,14 @@ func fig16a(r *Run) ([]report.Table, error) {
 		Dims("index", "threads").
 		Float("Mlookups/s", "M/s", 2).
 		Float("Mlookups/s(fence)", "M/s", 2)
-	for _, family := range r.Families(registry.Fig16Families) {
+	for _, family := range r.families(registry.Fig16Families) {
 		idx := midVariant(e, family)
 		if idx == nil {
 			continue
 		}
-		for _, threads := range MaxThreads() {
-			plain := MeasureThroughput(e, idx, search.BinarySearch, threads, false)
-			fenced := MeasureThroughput(e, idx, search.BinarySearch, threads, true)
+		for _, threads := range maxThreads() {
+			plain := measureThroughput(e, idx, search.BinarySearch, threads, false)
+			fenced := measureThroughput(e, idx, search.BinarySearch, threads, true)
 			t.Row([]string{family, strconv.Itoa(threads)}, plain/1e6, fenced/1e6)
 		}
 	}
@@ -720,23 +710,23 @@ func midVariant(e *Env, family string) core.Index {
 
 // fig16b reports size vs max-thread throughput.
 func fig16b(r *Run) ([]report.Table, error) {
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
-	threads := MaxThreads()
+	threads := maxThreads()
 	maxT := threads[len(threads)-1]
 	t := report.New("fig16b", "Figure 16b: size vs throughput at max threads (amzn)").
 		Dims("index", "config").
 		Float("size(MB)", "MB", 4).
 		Float("Mlookups/s", "M/s", 2)
-	for _, family := range r.Families([]string{"RMI", "PGM", "RS", "BTree", "ART"}) {
+	for _, family := range r.families([]string{"RMI", "PGM", "RS", "BTree", "ART"}) {
 		for _, nb := range registry.Sweep(family, e.Keys) {
 			idx, err := nb.Builder.Build(e.Keys)
 			if err != nil {
 				continue
 			}
-			tp := MeasureThroughput(e, idx, search.BinarySearch, maxT, false)
+			tp := measureThroughput(e, idx, search.BinarySearch, maxT, false)
 			t.Row([]string{family, nb.Label}, MB(idx.SizeBytes()), tp/1e6)
 		}
 	}
@@ -752,30 +742,19 @@ func fig16c(r *Run) ([]report.Table, error) {
 		Float("c-miss/op", "misses/op", 2).
 		Float("ns/lookup", "ns", 1).
 		Float("miss/op/s (M)", "M/s", 1)
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
-	for _, cr := range countersMidFromEnv(e, r.Families(registry.Fig16Families)) {
+	for _, cr := range countersMidFromEnv(e, r.families(registry.Fig16Families)) {
 		perSec := cr.CacheMisses / (cr.NsPerLookup * 1e-9) / 1e6
 		t.Row([]string{cr.Family}, cr.CacheMisses, cr.NsPerLookup, perSec)
 	}
 	return []report.Table{*t}, nil
 }
 
-// CollectCountersMid is CollectCounters restricted to each family's
+// countersMidFromEnv is countersFromEnv restricted to each family's
 // middle configuration.
-func CollectCountersMid(o Options, name dataset.Name, families []string) ([]CounterRow, error) {
-	o = o.withDefaults()
-	e, err := NewEnv(name, o.N, o.Lookups, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return countersMidFromEnv(e, families), nil
-}
-
-// countersMidFromEnv is CollectCountersMid over an existing
-// (checksum-recorded) environment.
 func countersMidFromEnv(e *Env, families []string) []CounterRow {
 	var rows []CounterRow
 	for _, family := range families {
@@ -796,13 +775,13 @@ func countersMidFromEnv(e *Env, families []string) []CounterRow {
 // nothing for the families whose ladders are fixed.
 func fig17(r *Run) ([]report.Table, error) {
 	o := r.Options
-	families := r.Families([]string{"PGM", "RS", "RMI", "RBS", "ART", "BTree", "IBTree", "FAST", "FST", "Wormhole", "RobinHash"})
+	families := r.families([]string{"PGM", "RS", "RMI", "RBS", "ART", "BTree", "IBTree", "FAST", "FST", "Wormhole", "RobinHash"})
 	t := report.New("fig17", "Figure 17: build times (fastest lookup variants, amzn)").
 		Dims("index", "keys").
 		Float("tune(ms)", "ms", 2).
 		Float("build(ms)", "ms", 2)
 	for mult := 1; mult <= 4; mult++ {
-		e, err := r.EnvAt(dataset.Amzn, o.N*mult, o.Lookups)
+		e, err := r.envAt(dataset.Amzn, o.N*mult, o.Lookups)
 		if err != nil {
 			return nil, err
 		}
@@ -816,7 +795,7 @@ func fig17(r *Run) ([]report.Table, error) {
 			start := time.Now()
 			registry.SweepEntry(family, nb.Label, e.Keys)
 			tune := time.Since(start)
-			_, dur, err := MeasureBuild(nb.Builder, e.Keys)
+			_, dur, err := measureBuild(nb.Builder, e.Keys)
 			if err != nil {
 				continue
 			}

@@ -21,7 +21,7 @@ import (
 )
 
 func init() {
-	Register(Experiment{"serve-lsm", "tiered-run write path: tier policy sweep over YCSB mixes", serveLSMSweep})
+	register(Experiment{"serve-lsm", "tiered-run write path: tier policy sweep over YCSB mixes", serveLSMSweep})
 }
 
 // TierPolicy is one point on the experiment's policy axis.
@@ -31,10 +31,10 @@ type TierPolicy struct {
 	AmpBound float64 // serve.Config.AmpBound (0 = default)
 }
 
-// TierPolicies lists the swept write-path policies: the single-run
+// tierPolicies lists the swept write-path policies: the single-run
 // baseline (every compaction re-tunes the shard index) and tiered
 // variants at a tight and a loose run bound.
-func TierPolicies() []TierPolicy {
+func tierPolicies() []TierPolicy {
 	return []TierPolicy{
 		{"single", 1, 0},
 		{"tier4", 4, 0},
@@ -46,14 +46,14 @@ func TierPolicies() []TierPolicy {
 // over zipfian YCSB A (write-heavy) and B (read-heavy).
 func serveLSMSweep(r *Run) ([]report.Table, error) {
 	o := r.Options
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
 	ops := o.Lookups
 	const shards = 4
 	threshold := compactThreshold(ops, 64)
-	families := r.Families(registry.WriteFamilies)
+	families := r.families(registry.WriteFamilies)
 	workloads := []MixedWorkload{
 		{"A", 0.50, true},
 		{"B", 0.95, true},
@@ -75,7 +75,7 @@ func serveLSMSweep(r *Run) ([]report.Table, error) {
 		Int("major", "major merges")
 	for _, family := range families {
 		for _, wl := range workloads {
-			for _, pol := range TierPolicies() {
+			for _, pol := range tierPolicies() {
 				st, err := serve.New(e.Keys, e.Payloads, serve.Config{
 					Shards: shards, Family: family, CompactThreshold: threshold,
 					MaxRuns: pol.MaxRuns, AmpBound: pol.AmpBound,

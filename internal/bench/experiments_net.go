@@ -23,7 +23,7 @@ import (
 )
 
 func init() {
-	Register(Experiment{"serve-net", "network serving: goodput vs tail latency over loopback, coalescing + admission control (shed, don't collapse)", serveNetSweep})
+	register(Experiment{"serve-net", "network serving: goodput vs tail latency over loopback, coalescing + admission control (shed, don't collapse)", serveNetSweep})
 }
 
 // Serving parameters of the sweep. The coalescer's pacing makes
@@ -80,7 +80,7 @@ func netRow(t *report.Table, family, loop string, offered float64, res *load.Res
 // histograms are per-run, not cumulative.
 func serveNetSweep(r *Run) ([]report.Table, error) {
 	o := r.Options
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +102,7 @@ func serveNetSweep(r *Run) ([]report.Table, error) {
 		Notef("batch is the mean coalesced GetBatch size; open-loop latency runs from each operation's scheduled Poisson arrival").
 		Notef("rate(k/s) is the offered arrival rate; 0 for the closed loop (saturation). past 1.0x capacity the server sheds and goodput plateaus")
 
-	for _, family := range r.Families([]string{"PGM"}) {
+	for _, family := range r.families([]string{"PGM"}) {
 		run := func(loop string, rate float64) error {
 			st, err := serve.New(e.Keys, e.Payloads, serve.Config{
 				Shards: netShards, Family: family,

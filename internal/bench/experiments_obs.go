@@ -25,7 +25,7 @@ import (
 )
 
 func init() {
-	Register(Experiment{"serve-obs", "observability layer: conservation laws for metrics, traces, and the compaction journal under mixed load", serveObsSweep})
+	register(Experiment{"serve-obs", "observability layer: conservation laws for metrics, traces, and the compaction journal under mixed load", serveObsSweep})
 }
 
 // obsTraceEvery samples aggressively (1 in 64) so a default-sized run
@@ -113,7 +113,7 @@ func varValue(vars []obs.Var, name string) float64 {
 // the conservation laws before reporting the row.
 func serveObsSweep(r *Run) ([]report.Table, error) {
 	o := r.Options
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func serveObsSweep(r *Run) ([]report.Table, error) {
 		Notef("laws: ops+sheds==offered on both sides; latency count==accepted; freezes==flushes==journal flush events; merge counts match journal; registry probes reproduce read amp").
 		Notef("closed phase runs at full capacity with compactions in flight; open phase offers 2x a pinned capacity so admission control must shed")
 
-	for _, family := range r.Families([]string{"PGM"}) {
+	for _, family := range r.families([]string{"PGM"}) {
 		run := func(phase string, ncfg net.Config, workers int, rate float64) error {
 			reg := obs.NewRegistry()
 			journal := obs.NewJournal(obs.DefaultJournalCap)

@@ -23,7 +23,7 @@ import (
 )
 
 func init() {
-	Register(Experiment{"persist", "cold build-from-scratch vs warm load-from-snapshot per family", persistSweep})
+	register(Experiment{"persist", "cold build-from-scratch vs warm load-from-snapshot per family", persistSweep})
 }
 
 // PersistFamilies is the family set of the persist experiment: every
@@ -43,9 +43,9 @@ type PersistResult struct {
 	IndexBytes int
 }
 
-// MeasurePersist measures one family's cold build vs warm load over
+// measurePersist measures one family's cold build vs warm load over
 // the environment's data, using dir for the snapshot.
-func MeasurePersist(e *Env, family string, shards int, dir string) (PersistResult, error) {
+func measurePersist(e *Env, family string, shards int, dir string) (PersistResult, error) {
 	res := PersistResult{Family: family}
 
 	start := time.Now()
@@ -108,7 +108,7 @@ func dirSize(dir string) int64 {
 // the warm path restored each index: "decode" for families with a
 // snapshot codec, "rebuild" for codec-less families rebuilt at load.
 func persistSweep(r *Run) ([]report.Table, error) {
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func persistSweep(r *Run) ([]report.Table, error) {
 		Float("speedup", "x", 1).
 		Float("snap(ms)", "ms", 1).
 		Float("disk(MB)", "MB", 2)
-	for _, family := range r.Families(PersistFamilies) {
+	for _, family := range r.families(PersistFamilies) {
 		if !registry.Has(family) {
 			continue
 		}
@@ -129,7 +129,7 @@ func persistSweep(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := MeasurePersist(e, family, shards, dir)
+		res, err := measurePersist(e, family, shards, dir)
 		os.RemoveAll(dir)
 		if err != nil {
 			return nil, err

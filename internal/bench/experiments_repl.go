@@ -29,7 +29,7 @@ import (
 )
 
 func init() {
-	Register(Experiment{"serve-repl", "replication: scatter/gather read goodput vs replica count, stream conservation laws, and failover-to-ready time", serveReplSweep})
+	register(Experiment{"serve-repl", "replication: scatter/gather read goodput vs replica count, stream conservation laws, and failover-to-ready time", serveReplSweep})
 }
 
 // Topology parameters. The per-server read capacity is pinned exactly
@@ -66,7 +66,7 @@ type replNode struct {
 // the router with closed-loop point reads.
 func serveReplSweep(r *Run) ([]report.Table, error) {
 	o := r.Options
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ import (
 )
 
 func init() {
-	Register(Experiment{"serve", "serving layer: batched table lookups + sharded store sweep", serveSweep})
+	register(Experiment{"serve", "serving layer: batched table lookups + sharded store sweep", serveSweep})
 }
 
 // ServeBatchSize is the default lookup batch size of the serving
@@ -29,10 +29,10 @@ func init() {
 // enough to be a realistic request size.
 const ServeBatchSize = 256
 
-// MeasureServeThroughput drives clients goroutines, each pushing the
+// measureServeThroughput drives clients goroutines, each pushing the
 // environment's lookup workload through st.GetBatch in batches of
 // batch keys; the result is aggregate lookups per second.
-func MeasureServeThroughput(e *Env, st *serve.Store, clients, batch int) float64 {
+func measureServeThroughput(e *Env, st *serve.Store, clients, batch int) float64 {
 	if clients < 1 {
 		clients = 1
 	}
@@ -73,11 +73,11 @@ func MeasureServeThroughput(e *Env, st *serve.Store, clients, batch int) float64
 // table lookups per family, then sharded-store throughput across shard
 // counts and client counts.
 func serveSweep(r *Run) ([]report.Table, error) {
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
-	families := r.Families(registry.ServeFamilies)
+	families := r.families(registry.ServeFamilies)
 
 	batchedT := report.New("serve", "Serving layer: Table batched lookups (amzn, mid-sweep configs)").
 		Dims("index").
@@ -95,7 +95,7 @@ func serveSweep(r *Run) ([]report.Table, error) {
 		}
 		t := e.Table(idx, search.BinarySearch)
 		perKey := MeasureWarm(e, idx, search.BinarySearch)
-		batched := MeasureWarmBatch(e, t, ServeBatchSize)
+		batched := measureWarmBatch(e, t, ServeBatchSize)
 		if batched.Checksum != perKey.Checksum {
 			return nil, fmt.Errorf("serve: %s batched checksum mismatch", family)
 		}
@@ -122,7 +122,7 @@ func serveSweep(r *Run) ([]report.Table, error) {
 				return nil, err
 			}
 			for _, clients := range []int{1, 4, 8} {
-				tp := MeasureServeThroughput(e, st, clients, ServeBatchSize)
+				tp := measureServeThroughput(e, st, clients, ServeBatchSize)
 				shardedT.Row([]string{family, strconv.Itoa(st.NumShards()), strconv.Itoa(clients)}, tp/1e6)
 			}
 			st.Close()

@@ -23,12 +23,12 @@ import (
 )
 
 func init() {
-	Register(Experiment{"serve-tail", "tail latency: closed vs open-loop (Poisson) load, p50..p99.9 per arrival rate", serveTailSweep})
+	register(Experiment{"serve-tail", "tail latency: closed vs open-loop (Poisson) load, p50..p99.9 per arrival rate", serveTailSweep})
 }
 
-// TailWorkloads lists the YCSB-style mixes of the tail experiment:
+// tailWorkloads lists the YCSB-style mixes of the tail experiment:
 // A (50/50), B (95/5), and C (read-only), all zipfian.
-func TailWorkloads() []MixedWorkload {
+func tailWorkloads() []MixedWorkload {
 	return []MixedWorkload{
 		{"A", 0.50, true},
 		{"B", 0.95, true},
@@ -59,7 +59,7 @@ func TailWorkers() int {
 // store so earlier writes and compactions cannot leak into later rows.
 func serveTailSweep(r *Run) ([]report.Table, error) {
 	o := r.Options
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
@@ -81,8 +81,8 @@ func serveTailSweep(r *Run) ([]report.Table, error) {
 		Float("max", "µs", 1).
 		Notef("open-loop latency is measured from each operation's scheduled Poisson arrival (coordinated-omission-free); latencies in µs").
 		Notef("rate(k/s) is the offered open-loop arrival rate; 0 for the closed loop (saturation)")
-	for _, family := range r.Families(registry.WriteFamilies) {
-		for _, wl := range TailWorkloads() {
+	for _, family := range r.families(registry.WriteFamilies) {
+		for _, wl := range tailWorkloads() {
 			stream := wl.stream(e, ops, o.Seed)
 			// One run on a fresh store, so earlier writes and compactions
 			// cannot leak into later rows: saturated when rate is 0, else

@@ -12,8 +12,8 @@ import (
 // Every experiment must run end-to-end at tiny scale through the
 // catalog, and its rendered text must contain its table headers plus a
 // handful of data rows. These are the integration tests for the full
-// figure pipeline; numeric shapes are asserted in EXPERIMENTS.md from
-// full-scale runs.
+// figure pipeline. No test asserts their numeric shapes yet; that is
+// ROADMAP item 5.
 
 // renderCatalog runs a catalog experiment and renders its tables
 // through the text sink.

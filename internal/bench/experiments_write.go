@@ -20,7 +20,7 @@ import (
 )
 
 func init() {
-	Register(Experiment{"serve-write", "mixed read/write workloads over the mutable store", serveWriteSweep})
+	register(Experiment{"serve-write", "mixed read/write workloads over the mutable store", serveWriteSweep})
 }
 
 // YCSBTheta is the zipfian skew parameter of the YCSB core generator.
@@ -35,10 +35,10 @@ type MixedWorkload struct {
 	Zipfian  bool    // zipfian (theta=0.99) vs uniform key choice
 }
 
-// MixedWorkloads lists the experiment's YCSB-like mixes: A (50/50
+// mixedWorkloads lists the experiment's YCSB-like mixes: A (50/50
 // read/write), B (95/5), and C (read-only), A and B under both zipfian
 // and uniform key choice.
-func MixedWorkloads() []MixedWorkload {
+func mixedWorkloads() []MixedWorkload {
 	return []MixedWorkload{
 		{"A", 0.50, true},
 		{"A", 0.50, false},
@@ -102,14 +102,14 @@ func writeDist(wl MixedWorkload) string {
 // tradeoff.
 func serveWriteSweep(r *Run) ([]report.Table, error) {
 	o := r.Options
-	e, err := r.Env(dataset.Amzn)
+	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
 	ops := o.Lookups
 	const shards = 4
 	threshold := compactThreshold(ops, 64)
-	families := r.Families(registry.WriteFamilies)
+	families := r.families(registry.WriteFamilies)
 
 	mixed := report.New("serve-write",
 		fmt.Sprintf("Mixed read/write workloads (amzn, mid-sweep configs, %d shards, compact threshold %d)",
@@ -123,7 +123,7 @@ func serveWriteSweep(r *Run) ([]report.Table, error) {
 		Float("cmp(ms)", "ms", 2).
 		Int("delta", "entries")
 	for _, family := range families {
-		for _, wl := range MixedWorkloads() {
+		for _, wl := range mixedWorkloads() {
 			st, err := serve.New(e.Keys, e.Payloads, serve.Config{
 				Shards: shards, Family: family, CompactThreshold: threshold,
 			})

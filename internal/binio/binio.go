@@ -217,15 +217,15 @@ func (r *Reader) U64() uint64 {
 // I64 reads a little-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
-// F64 reads an IEEE-754 float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+// f64 reads an IEEE-754 float64.
+func (r *Reader) f64() float64 { return math.Float64frombits(r.U64()) }
 
 // FiniteF64 reads a float64 and errors on NaN or infinity — persisted
 // model parameters are always finite, so a non-finite value is
 // corruption, and rejecting it here keeps decoded indexes out of
 // undefined float-to-int conversions.
 func (r *Reader) FiniteF64() float64 {
-	v := r.F64()
+	v := r.f64()
 	if r.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
 		r.err = Corruptf("non-finite float")
 		return 0

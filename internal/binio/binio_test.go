@@ -37,7 +37,7 @@ func TestRoundTripPrimitives(t *testing.T) {
 	if v := r.I64(); v != -42 {
 		t.Errorf("I64 = %d", v)
 	}
-	if v := r.F64(); v != 3.14159 {
+	if v := r.f64(); v != 3.14159 {
 		t.Errorf("F64 = %v", v)
 	}
 	if v := r.Str(100); v != "hello" {

@@ -18,10 +18,6 @@ import (
 	"io"
 )
 
-// frameOverhead is the non-body byte count of a framed message: the
-// u32 length prefix plus the u64 CRC trailer.
-const frameOverhead = 4 + 8
-
 // WriteFramed writes body to w as one framed message. The body bytes
 // are written exactly once; the checksum is computed here, so callers
 // hand over raw encoded bytes and nothing else.

@@ -7,15 +7,11 @@
 // lookup resolves to a search bound of width s over the full array
 // (Section 2.1's "B-Tree with an error bound of s-1").
 //
-// The tree is a real dynamic B+tree — bulk-loaded for the read-only
-// benchmarks, with Insert support for completeness (Table 1 lists
-// BTrees as update-capable).
+// The tree is bulk-loaded once from the sorted data: the benchmarks are
+// read-only.
 package btree
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // KeyT constrains the key types the tree supports.
 type KeyT interface {
@@ -37,7 +33,7 @@ type node[K KeyT] struct {
 
 func (nd *node[K]) isLeaf() bool { return nd.children == nil }
 
-// Tree is a dynamic B+tree mapping keys to data positions.
+// Tree is a bulk-loaded B+tree mapping keys to data positions.
 type Tree[K KeyT] struct {
 	root   *node[K]
 	height int
@@ -194,93 +190,6 @@ func (t *Tree[K]) Ceiling(x K) (val int32, found bool, pred int32, predOK bool) 
 	return nd.vals[i], true, pred, predOK
 }
 
-// Insert adds a (key, pos) entry, keeping the tree balanced. Duplicate
-// keys are allowed and stored adjacently.
-func (t *Tree[K]) Insert(key K, pos int32) {
-	newChild, sepKey := t.insert(t.root, key, pos)
-	if newChild != nil {
-		root := &node[K]{
-			keys:     []K{sepKey},
-			children: []*node[K]{t.root, newChild},
-			id:       int32(t.nNodes),
-		}
-		t.root = root
-		t.nNodes++
-		t.height++
-	}
-	t.count++
-}
-
-// insert descends recursively; on child split it returns the new right
-// sibling and the separator key (max of the left part).
-func (t *Tree[K]) insert(nd *node[K], key K, pos int32) (*node[K], K) {
-	var zero K
-	if nd.isLeaf() {
-		i := t.searchNode(nd, key)
-		nd.keys = insertAt(nd.keys, i, key)
-		nd.vals = insertAt(nd.vals, i, pos)
-		if len(nd.keys) <= fanout {
-			return nil, zero
-		}
-		// Split the leaf.
-		mid := len(nd.keys) / 2
-		right := &node[K]{
-			keys: append([]K(nil), nd.keys[mid:]...),
-			vals: append([]int32(nil), nd.vals[mid:]...),
-			next: nd.next,
-			prev: nd,
-			id:   int32(t.nNodes),
-		}
-		if nd.next != nil {
-			nd.next.prev = right
-		}
-		nd.keys = nd.keys[:mid]
-		nd.vals = nd.vals[:mid]
-		nd.next = right
-		t.nNodes++
-		return right, nd.keys[mid-1]
-	}
-	i := t.searchNode(nd, key)
-	ci := i
-	if ci == len(nd.keys) {
-		ci = len(nd.children) - 1
-	}
-	newChild, sepKey := t.insert(nd.children[ci], key, pos)
-	if newChild == nil {
-		return nil, zero
-	}
-	nd.keys = insertAt(nd.keys, ci, sepKey)
-	nd.children = insertAt(nd.children, ci+1, newChild)
-	if len(nd.keys) <= fanout {
-		return nil, zero
-	}
-	// Split the inner node.
-	mid := len(nd.keys) / 2
-	sep := nd.keys[mid]
-	right := &node[K]{
-		keys:     append([]K(nil), nd.keys[mid+1:]...),
-		children: append([]*node[K](nil), nd.children[mid+1:]...),
-		id:       int32(t.nNodes),
-	}
-	nd.keys = nd.keys[:mid]
-	nd.children = nd.children[:mid+1]
-	t.nNodes++
-	return right, sep
-}
-
-func insertAt[T any](s []T, i int, v T) []T {
-	s = append(s, v)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-// Count returns the number of entries.
-func (t *Tree[K]) Count() int { return t.count }
-
-// Height returns the number of levels.
-func (t *Tree[K]) Height() int { return t.height }
-
 // SizeBytes estimates the in-memory footprint: per entry one key and
 // one value, per node slice headers and child pointers.
 func (t *Tree[K]) SizeBytes() int {
@@ -297,56 +206,10 @@ func (t *Tree[K]) SizeBytes() int {
 	return t.count*(keySize+4) + t.nNodes*nodeOverhead + inner*fanout/2*8
 }
 
-// Validate checks B+tree structural invariants; used by tests.
-func (t *Tree[K]) Validate() error {
-	if t.root == nil {
-		return errors.New("btree: nil root")
-	}
-	_, _, err := validate(t.root, t.height)
-	return err
-}
-
-func validate[K KeyT](nd *node[K], levels int) (minK, maxK K, err error) {
-	if nd.isLeaf() {
-		if levels != 1 {
-			return minK, maxK, errors.New("btree: leaves at different depths")
-		}
-		for i := 1; i < len(nd.keys); i++ {
-			if nd.keys[i] < nd.keys[i-1] {
-				return minK, maxK, errors.New("btree: leaf keys out of order")
-			}
-		}
-		if len(nd.keys) == 0 {
-			return minK, maxK, nil
-		}
-		return nd.keys[0], nd.keys[len(nd.keys)-1], nil
-	}
-	if len(nd.children) != len(nd.keys)+1 {
-		return minK, maxK, fmt.Errorf("btree: inner node has %d keys, %d children", len(nd.keys), len(nd.children))
-	}
-	for ci, ch := range nd.children {
-		cmin, cmax, err := validate(ch, levels-1)
-		if err != nil {
-			return minK, maxK, err
-		}
-		if ci == 0 {
-			minK = cmin
-		}
-		if ci > 0 && cmin < nd.keys[ci-1] {
-			return minK, maxK, errors.New("btree: child violates separator")
-		}
-		if ci < len(nd.keys) && cmax > nd.keys[ci] {
-			return minK, maxK, errors.New("btree: child exceeds separator")
-		}
-		maxK = cmax
-	}
-	return minK, maxK, nil
-}
-
-// PathIDs appends the node ids visited when searching for x, root to
+// pathIDs appends the node ids visited when searching for x, root to
 // leaf, to dst, returning the extended slice. It exists for the
 // performance-counter simulation and follows the Ceiling descent.
-func (t *Tree[K]) PathIDs(x K, dst []int32) []int32 {
+func (t *Tree[K]) pathIDs(x K, dst []int32) []int32 {
 	nd := t.root
 	for {
 		dst = append(dst, nd.id)
@@ -362,5 +225,5 @@ func (t *Tree[K]) PathIDs(x K, dst []int32) []int32 {
 	}
 }
 
-// NumNodes reports the node count.
-func (t *Tree[K]) NumNodes() int { return t.nNodes }
+// numNodes reports the node count.
+func (t *Tree[K]) numNodes() int { return t.nNodes }

@@ -1,7 +1,8 @@
 package btree
 
 import (
-	"math/rand"
+	"errors"
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -100,8 +101,8 @@ func TestBulkLoadStructure(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if tr.Count() != n {
-			t.Fatalf("count = %d, want %d", tr.Count(), n)
+		if tr.count != n {
+			t.Fatalf("count = %d, want %d", tr.count, n)
 		}
 	}
 }
@@ -132,56 +133,6 @@ func TestCeilingSemantics(t *testing.T) {
 			t.Errorf("Ceiling(%d) = (%d,%v,%d,%v), want (%d,%v,%d,%v)",
 				tc.x, val, found, pred, predOK, tc.val, tc.found, tc.pred, tc.predOK)
 		}
-	}
-}
-
-func TestInsertMaintainsInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tr, _ := NewTree[uint64](nil, nil, false)
-	inserted := make([]uint64, 0, 2000)
-	for i := 0; i < 2000; i++ {
-		k := uint64(rng.Intn(10000))
-		tr.Insert(k, int32(i))
-		inserted = append(inserted, k)
-		if i%500 == 0 {
-			if err := tr.Validate(); err != nil {
-				t.Fatalf("after %d inserts: %v", i+1, err)
-			}
-		}
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Count() != 2000 {
-		t.Fatalf("count = %d", tr.Count())
-	}
-	sort.Slice(inserted, func(i, j int) bool { return inserted[i] < inserted[j] })
-	// Ceiling of every key must find an entry with a key >= x.
-	for _, x := range []uint64{0, 1, 500, 5000, 9999, 10000, 20000} {
-		_, found, _, _ := tr.Ceiling(x)
-		wantFound := x <= inserted[len(inserted)-1]
-		if found != wantFound {
-			t.Errorf("Ceiling(%d): found=%v want %v", x, found, wantFound)
-		}
-	}
-}
-
-func TestInsertIntoBulkLoaded(t *testing.T) {
-	keys := make([]uint64, 1000)
-	vals := make([]int32, 1000)
-	for i := range keys {
-		keys[i] = uint64(i * 10)
-		vals[i] = int32(i)
-	}
-	tr, _ := NewTree(keys, vals, false)
-	for i := 0; i < 500; i++ {
-		tr.Insert(uint64(i*20+5), int32(1000+i))
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Count() != 1500 {
-		t.Fatalf("count = %d", tr.Count())
 	}
 }
 
@@ -223,8 +174,8 @@ func TestHeightGrows(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 100000, 1)
 	big, _ := Builder{Stride: 1}.Build(keys)
 	small, _ := Builder{Stride: 1000}.Build(keys)
-	if big.(*Index).Height() <= small.(*Index).Height() {
-		t.Errorf("height: %d vs %d", big.(*Index).Height(), small.(*Index).Height())
+	if hb, hs := big.(*Index).tree.height, small.(*Index).tree.height; hb <= hs {
+		t.Errorf("height: %d vs %d", hb, hs)
 	}
 }
 
@@ -248,4 +199,50 @@ func TestBTreeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Validate checks B+tree structural invariants; used by tests.
+func (t *Tree[K]) Validate() error {
+	if t.root == nil {
+		return errors.New("btree: nil root")
+	}
+	_, _, err := validate(t.root, t.height)
+	return err
+}
+
+func validate[K KeyT](nd *node[K], levels int) (minK, maxK K, err error) {
+	if nd.isLeaf() {
+		if levels != 1 {
+			return minK, maxK, errors.New("btree: leaves at different depths")
+		}
+		for i := 1; i < len(nd.keys); i++ {
+			if nd.keys[i] < nd.keys[i-1] {
+				return minK, maxK, errors.New("btree: leaf keys out of order")
+			}
+		}
+		if len(nd.keys) == 0 {
+			return minK, maxK, nil
+		}
+		return nd.keys[0], nd.keys[len(nd.keys)-1], nil
+	}
+	if len(nd.children) != len(nd.keys)+1 {
+		return minK, maxK, fmt.Errorf("btree: inner node has %d keys, %d children", len(nd.keys), len(nd.children))
+	}
+	for ci, ch := range nd.children {
+		cmin, cmax, err := validate(ch, levels-1)
+		if err != nil {
+			return minK, maxK, err
+		}
+		if ci == 0 {
+			minK = cmin
+		}
+		if ci > 0 && cmin < nd.keys[ci-1] {
+			return minK, maxK, errors.New("btree: child violates separator")
+		}
+		if ci < len(nd.keys) && cmax > nd.keys[ci] {
+			return minK, maxK, errors.New("btree: child exceeds separator")
+		}
+		maxK = cmax
+	}
+	return minK, maxK, nil
 }

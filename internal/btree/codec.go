@@ -25,7 +25,7 @@ func (idx *Index) Encode(w *binio.Writer) error {
 		interp = 1
 	}
 	w.U8(interp)
-	w.U32(uint32(idx.tree.Count()))
+	w.U32(uint32(idx.tree.count))
 	nd := idx.tree.root
 	for !nd.isLeaf() {
 		nd = nd.children[0]

@@ -82,18 +82,11 @@ func (idx *Index) SizeBytes() int { return idx.tree.SizeBytes() }
 // Name implements core.Index.
 func (idx *Index) Name() string { return idx.name }
 
-// Height exposes the underlying tree height (one cache miss per level
-// in the paper's cost discussion).
-func (idx *Index) Height() int { return idx.tree.Height() }
-
-// Stride returns the subset stride the index was built with.
-func (idx *Index) Stride() int { return idx.stride }
-
 // PathIDs exposes the node-id descent path for the performance-counter
 // simulation.
 func (idx *Index) PathIDs(key core.Key, dst []int32) []int32 {
-	return idx.tree.PathIDs(key, dst)
+	return idx.tree.pathIDs(key, dst)
 }
 
 // NumNodes reports the underlying tree's node count.
-func (idx *Index) NumNodes() int { return idx.tree.NumNodes() }
+func (idx *Index) NumNodes() int { return idx.tree.numNodes() }

@@ -125,20 +125,6 @@ func LowerBound(keys []Key, x Key) int {
 	return lo
 }
 
-// LowerBound32 is LowerBound for 32-bit keys.
-func LowerBound32(keys []Key32, x Key32) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // ValidBound reports whether bound b is a correct search bound for
 // lookup key x over keys: it must be clamped to [0, len(keys)] and
 // contain the lower bound of x. When the lower bound is len(keys)

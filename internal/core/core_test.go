@@ -63,25 +63,6 @@ func TestLowerBoundMatchesSortSearch(t *testing.T) {
 	}
 }
 
-func TestLowerBound32MatchesSortSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(100)
-		keys := make([]Key32, n)
-		for i := range keys {
-			keys[i] = Key32(rng.Intn(300))
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for q := 0; q < 30; q++ {
-			x := Key32(rng.Intn(400))
-			want := sort.Search(n, func(i int) bool { return keys[i] >= x })
-			if got := LowerBound32(keys, x); got != want {
-				t.Fatalf("LowerBound32(%d) = %d, want %d", x, got, want)
-			}
-		}
-	}
-}
-
 func TestValidBound(t *testing.T) {
 	keys := []Key{10, 20, 30, 40, 50}
 	cases := []struct {

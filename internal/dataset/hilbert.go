@@ -66,25 +66,3 @@ var hilbertTab = func() (tab [4 << 8]uint16) {
 	}
 	return tab
 }()
-
-// hilbertXY is the inverse of hilbertD2: it maps a curve distance back
-// to 2-D coordinates. Exported only for testing the round trip.
-func hilbertXY(order uint, d uint64) (x, y uint64) {
-	t := d
-	for s := uint64(1); s < uint64(1)<<order; s <<= 1 {
-		rx := 1 & (t / 2)
-		ry := 1 & (t ^ rx)
-		// Rotate back.
-		if ry == 0 {
-			if rx == 1 {
-				x = s - 1 - x
-				y = s - 1 - y
-			}
-			x, y = y, x
-		}
-		x += s * rx
-		y += s * ry
-		t /= 4
-	}
-	return x, y
-}

@@ -87,9 +87,6 @@ func (t *Tree[K]) Ceiling(x K) int {
 	return 0 // unreachable
 }
 
-// Height reports the number of levels, including the key array.
-func (t *Tree[K]) Height() int { return len(t.levels) }
-
 // SizeBytes reports the footprint of every level including the subset
 // key array (the subset is part of the index, distinct from the data).
 func (t *Tree[K]) SizeBytes() int {
@@ -171,9 +168,6 @@ func (idx *Index) SizeBytes() int { return idx.tree.SizeBytes() }
 
 // Name implements core.Index.
 func (idx *Index) Name() string { return "FAST" }
-
-// Height exposes the tree height for the explanatory analysis.
-func (idx *Index) Height() int { return idx.tree.Height() }
 
 // CeilingPath is Ceiling with a visitor invoked once per level touched
 // with (level, blockStart, blockLen) in that level's array; used by the

@@ -117,8 +117,8 @@ func TestFASTHeight(t *testing.T) {
 		keys[i] = core.Key(i)
 	}
 	tr, _ := NewTree(keys)
-	if tr.Height() != 3 {
-		t.Errorf("height = %d, want 3", tr.Height())
+	if h := len(tr.levels); h != 3 {
+		t.Errorf("height = %d, want 3", h)
 	}
 }
 

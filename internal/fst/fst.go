@@ -25,11 +25,10 @@ type Trie struct {
 	hasChild bitvector
 	louds    bitvector
 	values   []int32 // one per leaf edge, in key order
-	count    int
 }
 
-// NewTrie builds the trie from sorted unique keys with their values.
-func NewTrie(keys []core.Key, vals []int32) (*Trie, error) {
+// newTrie builds the trie from sorted unique keys with their values.
+func newTrie(keys []core.Key, vals []int32) (*Trie, error) {
 	if len(keys) != len(vals) {
 		return nil, errors.New("fst: keys/vals length mismatch")
 	}
@@ -41,7 +40,7 @@ func NewTrie(keys []core.Key, vals []int32) (*Trie, error) {
 			return nil, errors.New("fst: keys must be sorted and unique")
 		}
 	}
-	t := &Trie{count: len(keys)}
+	t := &Trie{}
 
 	// Build level by level (BFS). A node is identified by the key range
 	// [lo, hi) sharing a byte prefix of length depth.
@@ -107,8 +106,8 @@ func (t *Trie) valueIndex(i int) int {
 	return i + 1 - t.hasChild.rank1(i) - 1
 }
 
-// Ceiling returns the value for the smallest stored key >= x.
-func (t *Trie) Ceiling(x core.Key) (val int32, found bool) {
+// ceilingValue returns the value for the smallest stored key >= x.
+func (t *Trie) ceilingValue(x core.Key) (val int32, found bool) {
 	var kb [keyLen]byte
 	binary.BigEndian.PutUint64(kb[:], x)
 	vi := t.ceiling(0, kb[:], 0)
@@ -156,11 +155,8 @@ func (t *Trie) minValue(i int) int {
 	return t.valueIndex(i)
 }
 
-// Count returns the number of stored keys.
-func (t *Trie) Count() int { return t.count }
-
-// SizeBytes reports the trie footprint.
-func (t *Trie) SizeBytes() int {
+// sizeBytes reports the trie footprint.
+func (t *Trie) sizeBytes() int {
 	return len(t.labels) + t.hasChild.size() + t.louds.size() + len(t.values)*4
 }
 
@@ -204,7 +200,7 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 		sv = append(sv, int32(i))
 		maxPos = int32(i)
 	}
-	t, err := NewTrie(sk, sv)
+	t, err := newTrie(sk, sv)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +209,7 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 
 // Lookup implements core.Index (same subset bound mapping as ART).
 func (idx *Index) Lookup(key core.Key) core.Bound {
-	pos, found := idx.trie.Ceiling(key)
+	pos, found := idx.trie.ceilingValue(key)
 	if !found {
 		return core.Bound{Lo: int(idx.maxPos) + 1, Hi: idx.n}.Clamp(idx.n)
 	}
@@ -225,7 +221,7 @@ func (idx *Index) Lookup(key core.Key) core.Bound {
 }
 
 // SizeBytes implements core.Index.
-func (idx *Index) SizeBytes() int { return idx.trie.SizeBytes() }
+func (idx *Index) SizeBytes() int { return idx.trie.sizeBytes() }
 
 // Name implements core.Index.
 func (idx *Index) Name() string { return "FST" }

@@ -79,16 +79,16 @@ func TestTrieCeilingMatchesReference(t *testing.T) {
 	for i := range vals {
 		vals[i] = int32(i)
 	}
-	tr, err := NewTrie(keys, vals)
+	tr, err := newTrie(keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Count() != len(keys) {
-		t.Fatalf("count = %d", tr.Count())
+	if len(tr.values) != len(keys) {
+		t.Fatalf("count = %d", len(tr.values))
 	}
 	for _, x := range indextest.ProbesFor(keys[:1000]) {
 		want := core.LowerBound(keys, x)
-		v, found := tr.Ceiling(x)
+		v, found := tr.ceilingValue(x)
 		if want == len(keys) {
 			if found {
 				t.Fatalf("Ceiling(%d): found %d, want none", x, v)
@@ -102,32 +102,32 @@ func TestTrieCeilingMatchesReference(t *testing.T) {
 }
 
 func TestTrieRejectsBadInput(t *testing.T) {
-	if _, err := NewTrie(nil, nil); err == nil {
+	if _, err := newTrie(nil, nil); err == nil {
 		t.Error("empty should error")
 	}
-	if _, err := NewTrie([]core.Key{1, 2}, []int32{0}); err == nil {
+	if _, err := newTrie([]core.Key{1, 2}, []int32{0}); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := NewTrie([]core.Key{2, 1}, []int32{0, 1}); err == nil {
+	if _, err := newTrie([]core.Key{2, 1}, []int32{0, 1}); err == nil {
 		t.Error("unsorted should error")
 	}
-	if _, err := NewTrie([]core.Key{2, 2}, []int32{0, 1}); err == nil {
+	if _, err := newTrie([]core.Key{2, 2}, []int32{0, 1}); err == nil {
 		t.Error("duplicates should error")
 	}
 }
 
 func TestTrieSingleKey(t *testing.T) {
-	tr, err := NewTrie([]core.Key{0xDEADBEEF}, []int32{7})
+	tr, err := newTrie([]core.Key{0xDEADBEEF}, []int32{7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, found := tr.Ceiling(0xDEADBEEF); !found || v != 7 {
+	if v, found := tr.ceilingValue(0xDEADBEEF); !found || v != 7 {
 		t.Fatalf("exact: (%d,%v)", v, found)
 	}
-	if v, found := tr.Ceiling(0); !found || v != 7 {
+	if v, found := tr.ceilingValue(0); !found || v != 7 {
 		t.Fatalf("below: (%d,%v)", v, found)
 	}
-	if _, found := tr.Ceiling(0xDEADBEF0); found {
+	if _, found := tr.ceilingValue(0xDEADBEF0); found {
 		t.Fatal("above should not find")
 	}
 }
@@ -139,16 +139,16 @@ func TestTrieAdjacentKeys(t *testing.T) {
 		0x10000000000000FF, 0x1000000000000100,
 	}
 	vals := []int32{0, 1, 2, 3, 4}
-	tr, err := NewTrie(keys, vals)
+	tr, err := newTrie(keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		if v, found := tr.Ceiling(k); !found || v != int32(i) {
+		if v, found := tr.ceilingValue(k); !found || v != int32(i) {
 			t.Fatalf("Ceiling(%x) = (%d,%v)", k, v, found)
 		}
 	}
-	if v, found := tr.Ceiling(0x1000000000000003); !found || v != 3 {
+	if v, found := tr.ceilingValue(0x1000000000000003); !found || v != 3 {
 		t.Fatalf("gap: (%d,%v)", v, found)
 	}
 }
@@ -208,12 +208,12 @@ func TestTrieProperty(t *testing.T) {
 		for i := range vals {
 			vals[i] = int32(i)
 		}
-		tr, err := NewTrie(keys, vals)
+		tr, err := newTrie(keys, vals)
 		if err != nil {
 			return false
 		}
 		want := core.LowerBound(keys, x)
-		v, found := tr.Ceiling(x)
+		v, found := tr.ceilingValue(x)
 		if want == len(keys) {
 			return !found
 		}

@@ -33,11 +33,10 @@ func hash2(x uint64) uint64 {
 // displacement: on collision, the entry farther from its home slot
 // wins, keeping probe-length variance low.
 type RobinHood struct {
-	keys  []uint64
-	vals  []int32
-	dist  []int8 // probe distance from home slot; -1 = empty
-	mask  uint64
-	count int
+	keys []uint64
+	vals []int32
+	dist []int8 // probe distance from home slot; -1 = empty
+	mask uint64
 }
 
 // SlotSizeBytes is what one slot of either table occupies: a key, a
@@ -77,7 +76,6 @@ func (t *RobinHood) Insert(key uint64, val int32) {
 	for {
 		if t.dist[slot] < 0 {
 			t.keys[slot], t.vals[slot], t.dist[slot] = key, val, d
-			t.count++
 			return
 		}
 		if t.keys[slot] == key {
@@ -106,7 +104,6 @@ func (t *RobinHood) growAndReinsert(key uint64, val int32) {
 	t.vals = make([]int32, capacity)
 	t.dist = make([]int8, capacity)
 	t.mask = uint64(capacity - 1)
-	t.count = 0
 	for i := range t.dist {
 		t.dist[i] = -1
 	}
@@ -140,9 +137,6 @@ func (t *RobinHood) Get(key uint64) (int32, bool) {
 	}
 }
 
-// Count returns the number of stored entries.
-func (t *RobinHood) Count() int { return t.count }
-
 // SizeBytes reports the table footprint.
 func (t *RobinHood) SizeBytes() int { return len(t.keys) * SlotSizeBytes }
 
@@ -153,16 +147,15 @@ type Cuckoo struct {
 	vals    []int32
 	used    []bool
 	nBucket uint64
-	count   int
 	rng     uint64
 }
 
 const cuckooSlots = 4
 const maxKicks = 500
 
-// NewCuckoo builds a table sized for n entries at the given load
+// newCuckoo builds a table sized for n entries at the given load
 // factor (the paper found 0.99 maximizes Cuckoo lookup speed).
-func NewCuckoo(n int, loadFactor float64) (*Cuckoo, error) {
+func newCuckoo(n int, loadFactor float64) (*Cuckoo, error) {
 	if loadFactor <= 0 || loadFactor > 1 {
 		return nil, fmt.Errorf("hashidx: invalid load factor %f", loadFactor)
 	}
@@ -196,15 +189,14 @@ func (t *Cuckoo) nextRand() uint64 {
 	return t.rng
 }
 
-// Insert adds key -> val; existing keys are overwritten.
-func (t *Cuckoo) Insert(key uint64, val int32) {
+// insert adds key -> val; existing keys are overwritten.
+func (t *Cuckoo) insert(key uint64, val int32) {
 	if t.update(key, val) {
 		return
 	}
 	for kick := 0; kick < maxKicks; kick++ {
 		b1, b2 := t.buckets(key)
 		if t.place(b1, key, val) || t.place(b2, key, val) {
-			t.count++
 			return
 		}
 		// Evict a random slot from a random candidate bucket.
@@ -218,7 +210,7 @@ func (t *Cuckoo) Insert(key uint64, val int32) {
 	}
 	// Persistent failure: grow and rehash.
 	t.grow()
-	t.Insert(key, val)
+	t.insert(key, val)
 }
 
 func (t *Cuckoo) update(key uint64, val int32) bool {
@@ -251,13 +243,13 @@ func (t *Cuckoo) grow() {
 	*t = *newCuckooBuckets(old.nBucket * 2)
 	for i, u := range old.used {
 		if u {
-			t.Insert(old.keys[i], old.vals[i])
+			t.insert(old.keys[i], old.vals[i])
 		}
 	}
 }
 
-// Get returns the value stored for key.
-func (t *Cuckoo) Get(key uint64) (int32, bool) {
+// get returns the value stored for key.
+func (t *Cuckoo) get(key uint64) (int32, bool) {
 	b1, b2 := t.buckets(key)
 	for _, b := range [2]uint64{b1, b2} {
 		base := b * cuckooSlots
@@ -270,11 +262,8 @@ func (t *Cuckoo) Get(key uint64) (int32, bool) {
 	return 0, false
 }
 
-// Count returns the number of stored entries.
-func (t *Cuckoo) Count() int { return t.count }
-
-// SizeBytes reports the table footprint.
-func (t *Cuckoo) SizeBytes() int { return len(t.keys) * SlotSizeBytes }
+// sizeBytes reports the table footprint.
+func (t *Cuckoo) sizeBytes() int { return len(t.keys) * SlotSizeBytes }
 
 // pointIndex adapts a hash table to core.Index: exact bounds for
 // present keys, the trivial full bound otherwise.
@@ -345,7 +334,7 @@ func (b CuckooBuilder) Build(keys []core.Key) (core.Index, error) {
 	if lf == 0 {
 		lf = 0.99
 	}
-	t, err := NewCuckoo(len(keys), lf)
+	t, err := newCuckoo(len(keys), lf)
 	if err != nil {
 		return nil, err
 	}
@@ -353,9 +342,9 @@ func (b CuckooBuilder) Build(keys []core.Key) (core.Index, error) {
 		if i > 0 && keys[i-1] == k {
 			continue
 		}
-		t.Insert(k, int32(i))
+		t.insert(k, int32(i))
 	}
-	return &pointIndex{get: t.Get, size: t.SizeBytes, n: len(keys), name: "CuckooMap"}, nil
+	return &pointIndex{get: t.get, size: t.sizeBytes, n: len(keys), name: "CuckooMap"}, nil
 }
 
 // Probe reports the probe sequence of a RobinHood lookup: the home

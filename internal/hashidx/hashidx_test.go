@@ -9,6 +9,25 @@ import (
 	"repro/internal/dataset"
 )
 
+// entries counts the table's occupied slots.
+func (t *RobinHood) entries() (n int) {
+	for _, d := range t.dist {
+		if d >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func (t *Cuckoo) entries() (n int) {
+	for _, u := range t.used {
+		if u {
+			n++
+		}
+	}
+	return n
+}
+
 func TestRobinHoodBasic(t *testing.T) {
 	tbl, err := NewRobinHood(100, 0.25)
 	if err != nil {
@@ -17,8 +36,8 @@ func TestRobinHoodBasic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tbl.Insert(uint64(i*17), int32(i))
 	}
-	if tbl.Count() != 100 {
-		t.Fatalf("count = %d", tbl.Count())
+	if n := tbl.entries(); n != 100 {
+		t.Fatalf("count = %d", n)
 	}
 	for i := 0; i < 100; i++ {
 		v, ok := tbl.Get(uint64(i * 17))
@@ -35,8 +54,8 @@ func TestRobinHoodOverwrite(t *testing.T) {
 	tbl, _ := NewRobinHood(10, 0.5)
 	tbl.Insert(7, 1)
 	tbl.Insert(7, 2)
-	if tbl.Count() != 1 {
-		t.Fatalf("count = %d", tbl.Count())
+	if n := tbl.entries(); n != 1 {
+		t.Fatalf("count = %d", n)
 	}
 	if v, _ := tbl.Get(7); v != 2 {
 		t.Fatalf("Get(7) = %d", v)
@@ -70,23 +89,23 @@ func TestRobinHoodInvalidLoadFactor(t *testing.T) {
 }
 
 func TestCuckooBasic(t *testing.T) {
-	tbl, err := NewCuckoo(100, 0.5)
+	tbl, err := newCuckoo(100, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		tbl.Insert(uint64(i*31+7), int32(i))
+		tbl.insert(uint64(i*31+7), int32(i))
 	}
-	if tbl.Count() != 100 {
-		t.Fatalf("count = %d", tbl.Count())
+	if n := tbl.entries(); n != 100 {
+		t.Fatalf("count = %d", n)
 	}
 	for i := 0; i < 100; i++ {
-		v, ok := tbl.Get(uint64(i*31 + 7))
+		v, ok := tbl.get(uint64(i*31 + 7))
 		if !ok || v != int32(i) {
 			t.Fatalf("Get = (%d, %v)", v, ok)
 		}
 	}
-	if _, ok := tbl.Get(1); ok {
+	if _, ok := tbl.get(1); ok {
 		t.Error("absent key found")
 	}
 }
@@ -94,16 +113,16 @@ func TestCuckooBasic(t *testing.T) {
 func TestCuckooHighLoad(t *testing.T) {
 	// The paper runs Cuckoo at 0.99 load; eviction chains and grow
 	// must keep every entry reachable.
-	tbl, _ := NewCuckoo(5000, 0.99)
+	tbl, _ := newCuckoo(5000, 0.99)
 	rng := rand.New(rand.NewSource(3))
 	keys := map[uint64]int32{}
 	for i := 0; i < 5000; i++ {
 		k := rng.Uint64()
 		keys[k] = int32(i)
-		tbl.Insert(k, int32(i))
+		tbl.insert(k, int32(i))
 	}
 	for k, v := range keys {
-		got, ok := tbl.Get(k)
+		got, ok := tbl.get(k)
 		if !ok || got != v {
 			t.Fatalf("Get(%d) = (%d, %v), want %d", k, got, ok, v)
 		}
@@ -111,13 +130,13 @@ func TestCuckooHighLoad(t *testing.T) {
 }
 
 func TestCuckooOverwrite(t *testing.T) {
-	tbl, _ := NewCuckoo(10, 0.5)
-	tbl.Insert(9, 1)
-	tbl.Insert(9, 5)
-	if tbl.Count() != 1 {
-		t.Fatalf("count = %d", tbl.Count())
+	tbl, _ := newCuckoo(10, 0.5)
+	tbl.insert(9, 1)
+	tbl.insert(9, 5)
+	if n := tbl.entries(); n != 1 {
+		t.Fatalf("count = %d", n)
 	}
-	if v, _ := tbl.Get(9); v != 5 {
+	if v, _ := tbl.get(9); v != 5 {
 		t.Fatalf("Get(9) = %d", v)
 	}
 }
@@ -186,22 +205,22 @@ func TestSizeReflectsLoadFactor(t *testing.T) {
 func TestHashTablesProperty(t *testing.T) {
 	f := func(raw []uint64) bool {
 		rh, _ := NewRobinHood(len(raw), 0.5)
-		ck, _ := NewCuckoo(len(raw), 0.5)
+		ck, _ := newCuckoo(len(raw), 0.5)
 		ref := map[uint64]int32{}
 		for i, k := range raw {
 			ref[k] = int32(i)
 			rh.Insert(k, int32(i))
-			ck.Insert(k, int32(i))
+			ck.insert(k, int32(i))
 		}
 		for k, v := range ref {
 			if got, ok := rh.Get(k); !ok || got != v {
 				return false
 			}
-			if got, ok := ck.Get(k); !ok || got != v {
+			if got, ok := ck.get(k); !ok || got != v {
 				return false
 			}
 		}
-		return rh.Count() == len(ref) && ck.Count() == len(ref)
+		return rh.entries() == len(ref) && ck.entries() == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

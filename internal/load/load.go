@@ -76,8 +76,8 @@ func (p inProcess) TryPut(key core.Key, payload uint64) error {
 // so load does not import the transport package that sheds.
 type shedder interface{ Shed() bool }
 
-// IsShed reports whether err marks a load-shed refusal.
-func IsShed(err error) bool {
+// isShed reports whether err marks a load-shed refusal.
+func isShed(err error) bool {
 	var s shedder
 	return errors.As(err, &s) && s.Shed()
 }
@@ -173,7 +173,7 @@ func (r *Result) exec(t Target, op Op, t0 time.Time) {
 	switch {
 	case err == nil:
 		hist.Record(time.Since(t0).Nanoseconds())
-	case IsShed(err):
+	case isShed(err):
 		r.Sheds++
 	default:
 		r.Errors++

@@ -322,10 +322,10 @@ func TestShedAccounting(t *testing.T) {
 }
 
 func TestIsShed(t *testing.T) {
-	if !IsShed(shedErr{}) || !IsShed(fmt.Errorf("wrapped: %w", shedErr{})) {
+	if !isShed(shedErr{}) || !isShed(fmt.Errorf("wrapped: %w", shedErr{})) {
 		t.Fatal("shed error not recognized")
 	}
-	if IsShed(errors.New("plain")) || IsShed(nil) {
+	if isShed(errors.New("plain")) || isShed(nil) {
 		t.Fatal("non-shed error recognized as shed")
 	}
 }

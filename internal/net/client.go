@@ -34,7 +34,7 @@ func (retryLaterError) Shed() bool    { return true }
 
 // ErrRetryLater is returned when the server refused the request under
 // admission control. The request was not executed; retry after
-// backing off. errors.Is-comparable, and recognized by load.IsShed.
+// backing off. errors.Is-comparable, and counted as shed by load.Run.
 var ErrRetryLater error = retryLaterError{}
 
 // ErrClosed is returned for calls on a closed or failed client.
@@ -90,15 +90,6 @@ func (c *Client) Close() error {
 	c.failConn(0, ErrClosed)
 	<-done
 	return nil
-}
-
-// Healthy reports whether the client has a live connection. A false
-// result is advisory: the next call will attempt a redial (unless the
-// client is closed).
-func (c *Client) Healthy() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failErr == nil && !c.closed
 }
 
 // failConn marks connection generation epoch dead (first error wins),
@@ -290,10 +281,10 @@ func (c *Client) expectOK(m *Msg) error {
 	return nil
 }
 
-// Stats fetches the server's live counters and latency histogram.
+// stats fetches the server's live counters and latency histogram.
 // Stats requests bypass the server's admission control, so monitoring
 // works during overload.
-func (c *Client) Stats() (*Stats, error) {
+func (c *Client) stats() (*Stats, error) {
 	resp, err := c.call(&Msg{Type: MsgStats})
 	if err != nil {
 		return nil, err
@@ -385,7 +376,7 @@ func (p *Pool) pick() *Client {
 // Stats fetches the server's counters over one connection: every
 // connection reaches the same server, so asking more than one would
 // count it more than once.
-func (p *Pool) Stats() (*Stats, error) { return p.pick().Stats() }
+func (p *Pool) Stats() (*Stats, error) { return p.pick().stats() }
 
 // TryGet and TryPut implement load.Target; TryGetBatch is the batch
 // read beside them.

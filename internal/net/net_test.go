@@ -88,7 +88,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal("Delete not visible")
 	}
 
-	s, err := c.Stats()
+	s, err := c.stats()
 	if err != nil {
 		t.Fatal(err)
 	}

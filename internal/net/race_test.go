@@ -99,7 +99,7 @@ func TestConcurrentMixedRace(t *testing.T) {
 		}
 		defer c.Close()
 		for i := 0; i < 50; i++ {
-			if _, err := c.Stats(); err != nil {
+			if _, err := c.stats(); err != nil {
 				t.Errorf("stats poll: %v", err)
 				return
 			}

@@ -36,7 +36,7 @@ func TestClientRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	srv := Serve(ln, st, Config{})
+	srv := serveOn(ln, st, Config{})
 
 	c, err := Dial(addr)
 	if err != nil {
@@ -62,7 +62,7 @@ func TestClientRedial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("relisten on %s: %v", addr, err)
 	}
-	srv2 := Serve(ln2, st, Config{})
+	srv2 := serveOn(ln2, st, Config{})
 	defer srv2.Close()
 
 	// Within a few backoff windows the client must reconnect and serve.
@@ -91,4 +91,13 @@ func TestClientRedial(t *testing.T) {
 	if _, _, err := c.Get(keys[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("get after Close: %v, want ErrClosed", err)
 	}
+}
+
+// Healthy reports whether the client has a live connection. A false
+// result is advisory: the next call will attempt a redial (unless the
+// client is closed).
+func (c *Client) Healthy() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.failErr == nil && !c.closed
 }

@@ -145,12 +145,12 @@ func Listen(addr string, st *serve.Store, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Serve(ln, st, cfg), nil
+	return serveOn(ln, st, cfg), nil
 }
 
-// Serve starts a Server over an existing listener, which the Server
+// serveOn starts a Server over an existing listener, which the Server
 // takes ownership of (Close closes it).
-func Serve(ln net.Listener, st *serve.Store, cfg Config) *Server {
+func serveOn(ln net.Listener, st *serve.Store, cfg Config) *Server {
 	s := &Server{
 		st:    st,
 		cfg:   cfg.withDefaults(),

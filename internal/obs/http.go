@@ -7,16 +7,16 @@ import (
 	"net/http/pprof"
 )
 
-// AdminMux builds the admin endpoint: Prometheus text at /metrics,
+// adminMux builds the admin endpoint: Prometheus text at /metrics,
 // the flattened JSON snapshot at /vars, the write-path event journal
 // at /events, and the standard pprof handlers under /debug/pprof/.
 // reg and j may be nil (the endpoints then serve empty documents); the
 // pprof handlers are always live — profiling needs no registry.
-func AdminMux(reg *Registry, j *Journal) *http.ServeMux {
+func adminMux(reg *Registry, j *Journal) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
+		_ = reg.writePrometheus(w)
 	})
 	mux.HandleFunc("/vars", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, reg.Vars())
@@ -26,7 +26,7 @@ func AdminMux(reg *Registry, j *Journal) *http.ServeMux {
 			Total   uint64  `json:"total"`
 			Evicted uint64  `json:"evicted"`
 			Events  []Event `json:"events"`
-		}{j.Total(), j.Evicted(), j.Events()})
+		}{j.Total(), j.evicted(), j.Events()})
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -65,7 +65,7 @@ func ListenAdmin(addr string, reg *Registry, j *Journal) (*AdminServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &AdminServer{srv: &http.Server{Handler: AdminMux(reg, j)}, ln: ln}
+	a := &AdminServer{srv: &http.Server{Handler: adminMux(reg, j)}, ln: ln}
 	go func() { _ = a.srv.Serve(ln) }()
 	return a, nil
 }

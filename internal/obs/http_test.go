@@ -10,7 +10,7 @@ import (
 
 func TestAdminEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hits_total").Add(12)
+	r.CounterFunc("hits_total", func() float64 { return 12 })
 	r.GaugeFunc("temp", func() float64 { return 3.5 })
 	j := NewJournal(8)
 	j.Append(Event{Shard: 1, Kind: "flush", Keys: 100})

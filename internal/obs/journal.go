@@ -105,8 +105,8 @@ func (j *Journal) Count(kind string) uint64 {
 	return j.counts[kind]
 }
 
-// Evicted reports how many events the ring has dropped.
-func (j *Journal) Evicted() uint64 {
+// evicted reports how many events the ring has dropped.
+func (j *Journal) evicted() uint64 {
 	if j == nil {
 		return 0
 	}

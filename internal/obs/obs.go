@@ -1,6 +1,6 @@
 // Package obs is the live observability layer: a dependency-light
-// metrics registry (atomic counters, gauges, and histograms reusing
-// stats.Histogram, registered under Prometheus-style names with
+// metrics registry (atomic counters, scrape-time counters and gauges,
+// and histograms reusing stats.Histogram, registered under Prometheus-style names with
 // labels), a sampled request tracer that decomposes request latency
 // into phases, and a bounded in-memory event journal for flushes and
 // compactions. The hot path is lock-free — recording into any handle
@@ -37,7 +37,6 @@ type kind uint8
 
 const (
 	kindCounter kind = iota
-	kindGauge
 	kindCounterFunc
 	kindGaugeFunc
 	kindHistogram
@@ -47,7 +46,7 @@ func (k kind) promType() string {
 	switch k {
 	case kindCounter, kindCounterFunc:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGaugeFunc:
 		return "gauge"
 	default:
 		return "summary"
@@ -60,7 +59,6 @@ type series struct {
 	id     string // rendered name{labels} identity
 	kind   kind
 	c      *Counter
-	g      *Gauge
 	fn     func() float64
 	h      *Histogram
 	labels []Label
@@ -74,7 +72,7 @@ type series struct {
 //
 // Series identities (name plus label set) must be unique and a base
 // name keeps one metric type; violations panic at registration time,
-// like a duplicate bench.Register — they are assembly mistakes, not
+// like a duplicate bench experiment — they are assembly mistakes, not
 // runtime conditions. Register one Store or Server per Registry.
 type Registry struct {
 	mu     sync.Mutex
@@ -112,25 +110,15 @@ func (r *Registry) register(s *series) {
 	r.series = append(r.series, s)
 }
 
-// Counter registers and returns a monotonically increasing counter.
+// counter registers and returns a monotonically increasing counter.
 // Returns nil (a valid no-op handle) on a nil registry.
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
+func (r *Registry) counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
 	c := &Counter{}
 	r.register(&series{name: name, kind: kindCounter, c: c, labels: labels})
 	return c
-}
-
-// Gauge registers and returns a settable integer gauge.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.register(&series{name: name, kind: kindGauge, g: g, labels: labels})
-	return g
 }
 
 // CounterFunc registers a counter whose value is computed at scrape
@@ -153,10 +141,10 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	r.register(&series{name: name, kind: kindGaugeFunc, fn: fn, labels: labels})
 }
 
-// Histogram registers and returns a fresh latency histogram, exposed
+// histogram registers and returns a fresh latency histogram, exposed
 // as a Prometheus summary (p50/p90/p99/p999 quantiles plus _sum and
 // _count).
-func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
+func (r *Registry) histogram(name string, labels ...Label) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -199,9 +187,7 @@ func (r *Registry) Vars() []Var {
 	for _, s := range ss {
 		switch s.kind {
 		case kindCounter:
-			vars = append(vars, Var{s.id, float64(s.c.Value())})
-		case kindGauge:
-			vars = append(vars, Var{s.id, float64(s.g.Value())})
+			vars = append(vars, Var{s.id, float64(s.c.value())})
 		case kindCounterFunc, kindGaugeFunc:
 			vars = append(vars, Var{s.id, s.fn()})
 		case kindHistogram:
@@ -235,52 +221,19 @@ func (r *Registry) Value(id string) (float64, bool) {
 // record. Methods are no-ops on a nil handle.
 type Counter struct{ v atomic.Uint64 }
 
-// Inc adds one.
-func (c *Counter) Inc() {
+// inc adds one.
+func (c *Counter) inc() {
 	if c != nil {
 		c.v.Add(1)
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value reports the current count (0 on a nil handle).
-func (c *Counter) Value() uint64 {
+// value reports the current count (0 on a nil handle).
+func (c *Counter) value() uint64 {
 	if c == nil {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a settable integer gauge. Methods are no-ops on a nil
-// handle.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adjusts the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
-// Value reports the current value (0 on a nil handle).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram records value distributions (latencies in nanoseconds, by
@@ -288,20 +241,11 @@ func (g *Gauge) Value() int64 {
 // handle.
 type Histogram struct{ h *stats.Histogram }
 
-// Observe records one sample.
-func (h *Histogram) Observe(v int64) {
+// observe records one sample.
+func (h *Histogram) observe(v int64) {
 	if h != nil {
 		h.h.Record(v)
 	}
-}
-
-// Snapshot returns an independent copy of the underlying histogram
-// (nil on a nil handle).
-func (h *Histogram) Snapshot() *stats.Histogram {
-	if h == nil {
-		return nil
-	}
-	return h.h.Snapshot()
 }
 
 // renderID renders the canonical series identity: name alone, or

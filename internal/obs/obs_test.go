@@ -10,25 +10,15 @@ import (
 func TestNilSafety(t *testing.T) {
 	// A nil registry hands out nil handles; every method must no-op.
 	var r *Registry
-	c := r.Counter("x_total")
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
+	c := r.counter("x_total")
+	c.inc()
+	if c.value() != 0 {
 		t.Fatal("nil counter has a value")
-	}
-	g := r.Gauge("x")
-	g.Set(3)
-	g.Add(-1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge has a value")
 	}
 	r.CounterFunc("y_total", func() float64 { return 1 })
 	r.GaugeFunc("y", func() float64 { return 1 })
-	h := r.Histogram("z_ns")
-	h.Observe(100)
-	if h.Snapshot() != nil {
-		t.Fatal("nil histogram has a snapshot")
-	}
+	h := r.histogram("z_ns")
+	h.observe(100)
 	if vars := r.Vars(); vars != nil {
 		t.Fatalf("nil registry has vars: %v", vars)
 	}
@@ -41,7 +31,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var sp *Span
 	sp.Mark(PhaseQueueWait) // must not panic
-	sp.Observe(PhaseMerge, time.Millisecond)
 	var j *Journal
 	j.Append(Event{Kind: "flush"})
 	if j.Total() != 0 || j.Events() != nil || j.Count("flush") != 0 {
@@ -51,15 +40,16 @@ func TestNilSafety(t *testing.T) {
 
 func TestRegistryVarsAndValue(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("a_total")
-	c.Add(7)
-	g := r.Gauge("b", Label{"shard", "0"})
-	g.Set(-2)
+	c := r.counter("a_total")
+	for range 7 {
+		c.inc()
+	}
+	r.GaugeFunc("b", func() float64 { return -2 }, Label{"shard", "0"})
 	r.GaugeFunc("c", func() float64 { return 1.5 })
 	r.CounterFunc("d_total", func() float64 { return 9 })
-	h := r.Histogram("e_ns")
-	h.Observe(100)
-	h.Observe(300)
+	h := r.histogram("e_ns")
+	h.observe(100)
+	h.observe(300)
 
 	want := map[string]float64{
 		"a_total":      7,
@@ -101,26 +91,29 @@ func TestRegistryPanicsOnBadRegistration(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	r.Counter("dup_total", Label{"shard", "1"})
-	expectPanic("duplicate series", func() { r.Counter("dup_total", Label{"shard", "1"}) })
-	expectPanic("type clash", func() { r.Gauge("dup_total", Label{"shard", "2"}) })
-	expectPanic("bad name", func() { r.Counter("has space") })
-	expectPanic("bad label key", func() { r.Counter("ok_total", Label{"0bad", "v"}) })
+	r.counter("dup_total", Label{"shard", "1"})
+	expectPanic("duplicate series", func() { r.counter("dup_total", Label{"shard", "1"}) })
+	expectPanic("type clash", func() { r.GaugeFunc("dup_total", func() float64 { return 0 }, Label{"shard", "2"}) })
+	expectPanic("bad name", func() { r.counter("has space") })
+	expectPanic("bad label key", func() { r.counter("ok_total", Label{"0bad", "v"}) })
 }
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("req_total", Label{"kind", "get"}).Add(3)
-	r.Counter("req_total", Label{"kind", "put"}).Add(1)
-	r.Gauge("depth").Set(5)
-	h := r.Histogram("lat_ns")
-	for i := int64(1); i <= 100; i++ {
-		h.Observe(i * 1000)
+	get := r.counter("req_total", Label{"kind", "get"})
+	for range 3 {
+		get.inc()
 	}
-	r.Counter("esc_total", Label{"v", "a\"b\\c\nd"}).Inc()
+	r.counter("req_total", Label{"kind", "put"}).inc()
+	r.GaugeFunc("depth", func() float64 { return 5 })
+	h := r.histogram("lat_ns")
+	for i := int64(1); i <= 100; i++ {
+		h.observe(i * 1000)
+	}
+	r.counter("esc_total", Label{"v", "a\"b\\c\nd"}).inc()
 
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.writePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -155,7 +148,7 @@ func TestTracerSampling(t *testing.T) {
 			sampled++
 			sp.Mark(PhaseShardRoute)
 			sp.Mark(PhaseRunProbe)
-			sp.Observe(PhaseMerge, 2*time.Microsecond)
+			sp.Mark(PhaseMerge)
 		}
 	}
 	if sampled != 16 {
@@ -202,8 +195,8 @@ func TestJournalRing(t *testing.T) {
 			t.Fatal("journal did not stamp event time")
 		}
 	}
-	if j.Total() != 10 || j.Evicted() != 6 {
-		t.Fatalf("total=%d evicted=%d, want 10/6", j.Total(), j.Evicted())
+	if j.Total() != 10 || j.evicted() != 6 {
+		t.Fatalf("total=%d evicted=%d, want 10/6", j.Total(), j.evicted())
 	}
 	// Kind counts survive eviction.
 	if j.Count("minor") != 4 || j.Count("flush") != 6 {
@@ -217,9 +210,9 @@ func TestJournalRing(t *testing.T) {
 // exactly.
 func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("ops_total")
-	h := r.Histogram("lat_ns")
-	g := r.Gauge("depth")
+	c := r.counter("ops_total")
+	h := r.histogram("lat_ns")
+	r.GaugeFunc("depth", func() float64 { return float64(c.value()) })
 	const workers, perWorker = 4, 5000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -234,7 +227,7 @@ func TestConcurrentScrape(t *testing.T) {
 			}
 			_ = r.Vars()
 			var b strings.Builder
-			_ = r.WritePrometheus(&b)
+			_ = r.writePrometheus(&b)
 		}
 	}()
 	for w := 0; w < workers; w++ {
@@ -242,15 +235,14 @@ func TestConcurrentScrape(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.Inc()
-				h.Observe(int64(i))
-				g.Add(1)
+				c.inc()
+				h.observe(int64(i))
 			}
 		}()
 	}
 	// Wait for the recorders to land every sample, then stop the
 	// scraper and join everything.
-	for c.Value() != workers*perWorker {
+	for c.value() != workers*perWorker {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)

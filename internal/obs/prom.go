@@ -11,12 +11,12 @@ import (
 // summaryQuantiles are the quantile series a Histogram exposes.
 var summaryQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
 
-// WritePrometheus renders the registry in the Prometheus text
+// writePrometheus renders the registry in the Prometheus text
 // exposition format (version 0.0.4): one `# TYPE` line per metric
 // family, then its series sorted by label set. Counters and gauges
 // emit one series each; histograms emit a summary — quantile-labeled
 // series plus _sum and _count. Returns the first write error.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	ss := r.snapshot()
 	// Group by family so each base name gets exactly one TYPE line with
 	// its series contiguous, as the format requires.
@@ -35,9 +35,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		switch s.kind {
 		case kindCounter:
-			writeSeries(&b, s.id, float64(s.c.Value()))
-		case kindGauge:
-			writeSeries(&b, s.id, float64(s.g.Value()))
+			writeSeries(&b, s.id, float64(s.c.value()))
 		case kindCounterFunc, kindGaugeFunc:
 			writeSeries(&b, s.id, s.fn())
 		case kindHistogram:

@@ -60,9 +60,9 @@ func NewTracer(r *Registry, every int) *Tracer {
 		pow <<= 1
 	}
 	t := &Tracer{mask: pow - 1}
-	t.sampled = r.Counter("sosd_trace_sampled_total")
+	t.sampled = r.counter("sosd_trace_sampled_total")
 	for p := Phase(0); p < numPhases; p++ {
-		t.phases[p] = r.Histogram("sosd_trace_phase_ns", Label{"phase", phaseNames[p]})
+		t.phases[p] = r.histogram("sosd_trace_phase_ns", Label{"phase", phaseNames[p]})
 	}
 	return t
 }
@@ -77,7 +77,7 @@ func (t *Tracer) Sample() *Span {
 	if t.n.Add(1)&t.mask != 0 {
 		return nil
 	}
-	t.sampled.Inc()
+	t.sampled.inc()
 	return &Span{t: t, last: time.Now()}
 }
 
@@ -96,15 +96,6 @@ func (s *Span) Mark(p Phase) {
 		return
 	}
 	now := time.Now()
-	s.t.phases[p].Observe(now.Sub(s.last).Nanoseconds())
+	s.t.phases[p].observe(now.Sub(s.last).Nanoseconds())
 	s.last = now
-}
-
-// Observe records an explicitly measured duration for phase p without
-// moving the span's sequential clock.
-func (s *Span) Observe(p Phase, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.t.phases[p].Observe(d.Nanoseconds())
 }

@@ -43,17 +43,6 @@ type Counters struct {
 	Instructions uint64
 }
 
-// Sub returns c - o, for per-interval measurement.
-func (c Counters) Sub(o Counters) Counters {
-	return Counters{
-		Accesses:     c.Accesses - o.Accesses,
-		CacheMisses:  c.CacheMisses - o.CacheMisses,
-		Branches:     c.Branches - o.Branches,
-		BranchMisses: c.BranchMisses - o.BranchMisses,
-		Instructions: c.Instructions - o.Instructions,
-	}
-}
-
 // String implements fmt.Stringer.
 func (c Counters) String() string {
 	return fmt.Sprintf("acc=%d miss=%d br=%d brmiss=%d instr=%d",
@@ -151,9 +140,9 @@ func (m *Machine) touchLine(line uint64) {
 	m.ticks[set][lru] = m.tick
 }
 
-// Branch records a conditional branch at the given site with the given
+// recordBranch records a conditional branch at the given site with the given
 // outcome, consulting a 2-bit saturating predictor.
-func (m *Machine) Branch(site uint32, taken bool) {
+func (m *Machine) recordBranch(site uint32, taken bool) {
 	m.ctr.Branches++
 	m.ctr.Instructions++
 	idx := site & uint32(len(m.branch)-1)
@@ -169,18 +158,8 @@ func (m *Machine) Branch(site uint32, taken bool) {
 	}
 }
 
-// Instr counts n ALU instructions.
-func (m *Machine) Instr(n int) { m.ctr.Instructions += uint64(n) }
-
-// FlushCache empties the cache (the cold-cache experiments).
-func (m *Machine) FlushCache() {
-	for s := range m.tags {
-		for w := range m.tags[s] {
-			m.tags[s][w] = 0
-			m.ticks[s][w] = 0
-		}
-	}
-}
+// instr counts n ALU instructions.
+func (m *Machine) instr(n int) { m.ctr.Instructions += uint64(n) }
 
 // Counters returns the accumulated counters.
 func (m *Machine) Counters() Counters { return m.ctr }

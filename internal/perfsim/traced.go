@@ -52,8 +52,8 @@ func (d *dataRegions) lastMile(key core.Key, b core.Bound) int {
 		mid := int(uint(lo+hi) >> 1)
 		d.m.Access(d.keysReg, mid*8, 8)
 		taken := d.keys[mid] < key
-		d.m.Branch(site, taken)
-		d.m.Instr(3)
+		d.m.recordBranch(site, taken)
+		d.m.instr(3)
 		if taken {
 			lo = mid + 1
 		} else {
@@ -73,8 +73,8 @@ func (m *Machine) windowSearch(r Region, lo, hi, stride, width int, site uint32)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		m.Access(r, mid*stride, width)
-		m.Branch(site, mid&1 == 0)
-		m.Instr(3)
+		m.recordBranch(site, mid&1 == 0)
+		m.instr(3)
 		if hi-lo <= 1 {
 			break
 		}
@@ -116,9 +116,9 @@ func (t *tracedRMI) Lookup(key core.Key) core.Bound {
 	// single cache line (hot in any realistic loop), then one dependent
 	// load of the leaf model.
 	t.m.Access(t.model, 0, t.model.size)
-	t.m.Instr(8)
+	t.m.instr(8)
 	t.touchLeaf(leaf)
-	t.m.Instr(10)
+	t.m.instr(10)
 	t.data.lastMile(key, b)
 	return b
 }
@@ -158,7 +158,7 @@ func (t *tracedPGM) Lookup(key core.Key) core.Bound {
 	for _, st := range steps {
 		// Evaluate the segment at this level: one load + linear math.
 		t.m.Access(t.levels[st.Level], st.Seg*pgm.SegmentSizeBytes, pgm.SegmentSizeBytes)
-		t.m.Instr(8)
+		t.m.instr(8)
 		if st.Level == 0 {
 			// Widen the prediction by the segment's two verified margins.
 			const half = pgm.MarginSizeBytes / 2
@@ -200,13 +200,13 @@ func (t *tracedRS) Name() string { return "RS" }
 func (t *tracedRS) Lookup(key core.Key) core.Bound {
 	e := t.idx.Explain(key)
 	// Radix table probe: a shift plus one load (two adjacent entries).
-	t.m.Instr(3)
+	t.m.instr(3)
 	t.m.Access(t.radix, int(e.Bucket)*4, 8)
 	// Binary search the spline points within the window.
 	const site = 0x33
 	t.m.windowSearch(t.points, e.WinLo, e.WinHi, rs.PointSizeBytes, rs.PointSizeBytes, site)
 	// Interpolation between the two spline points (already touched).
-	t.m.Instr(8)
+	t.m.instr(8)
 	t.data.lastMile(key, e.Bound)
 	return e.Bound
 }
@@ -234,7 +234,7 @@ func (t *tracedRBS) Name() string { return "RBS" }
 
 func (t *tracedRBS) Lookup(key core.Key) core.Bound {
 	b := t.idx.Lookup(key)
-	t.m.Instr(3)
+	t.m.instr(3)
 	t.m.Access(t.table, int(t.idx.Bucket(key))*4, 8)
 	t.data.lastMile(key, b)
 	return b
@@ -281,8 +281,8 @@ func (t *tracedBTree) Lookup(key core.Key) core.Bound {
 		t.m.Access(t.nodes, base, 64)
 		t.m.Access(t.nodes, base+128, 64)
 		for s := 0; s < 5; s++ {
-			t.m.Branch(site, (int(id)+s)&1 == 0)
-			t.m.Instr(3)
+			t.m.recordBranch(site, (int(id)+s)&1 == 0)
+			t.m.instr(3)
 		}
 	}
 	b := t.idx.Lookup(key)
@@ -322,8 +322,8 @@ func (t *tracedART) Lookup(key core.Key) core.Bound {
 			off = 0
 		}
 		t.m.Access(t.heap, off, min(st.SizeBytes, 64))
-		t.m.Branch(site, st.ID&1 == 0)
-		t.m.Instr(6)
+		t.m.recordBranch(site, st.ID&1 == 0)
+		t.m.instr(6)
 		offset += st.SizeBytes
 	})
 	var b core.Bound
@@ -369,7 +369,7 @@ func (t *tracedFAST) Lookup(key core.Key) core.Bound {
 		// predictable branches (FAST's SIMD compare is branch-free;
 		// model it as cheap instructions).
 		t.m.Access(t.levels[level], blockStart*8, blockLen*8)
-		t.m.Instr(blockLen)
+		t.m.instr(blockLen)
 	})
 	b := t.idx.Lookup(key)
 	t.data.lastMile(key, b)
@@ -401,12 +401,12 @@ func (t *tracedRobin) Name() string { return "RobinHash" }
 
 func (t *tracedRobin) Lookup(key core.Key) core.Bound {
 	home, probes, found := t.tbl.Probe(key)
-	t.m.Instr(4) // hash
+	t.m.instr(4) // hash
 	const site = 0xB7
 	for p := 0; p < probes; p++ {
 		t.m.Access(t.slots, (int(home)+p)*hashidx.SlotSizeBytes, hashidx.SlotSizeBytes)
-		t.m.Branch(site, p < probes-1)
-		t.m.Instr(2)
+		t.m.recordBranch(site, p < probes-1)
+		t.m.instr(2)
 	}
 	if !found {
 		return core.FullBound(t.n)

@@ -79,7 +79,7 @@ func TestCommitLeavesInSpans(t *testing.T) {
 	if limit := len(file)/binio.BufSize + 2; c.writes > limit {
 		t.Errorf("%d-byte index left in %d writes, want at most %d", len(file), c.writes, limit)
 	}
-	if _, err := DecodeIndex(file); err != nil {
+	if _, err := decodeIndex(file); err != nil {
 		t.Errorf("committed index does not decode: %v", err)
 	}
 }

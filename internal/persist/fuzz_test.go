@@ -20,11 +20,23 @@ func fuzzKeys() []core.Key {
 	return dataset.MustGenerate(dataset.Amzn, 400, 99)
 }
 
+// codecFamilies lists every registered family with a codec, sorted:
+// FuzzDecode's selector byte k routes to the k-th of them.
+func codecFamilies() []string {
+	var fams []string
+	for _, fam := range registry.Families() {
+		if _, ok := registry.CodecFor(fam); ok {
+			fams = append(fams, fam)
+		}
+	}
+	return fams
+}
+
 // seedIndexFrames returns one encoded index frame per codec family.
 func seedIndexFrames(tb testing.TB) map[string][]byte {
 	keys := fuzzKeys()
 	out := map[string][]byte{}
-	for _, family := range registry.CodecFamilies() {
+	for _, family := range codecFamilies() {
 		nb, ok := registry.Builder(family, keys)
 		if !ok {
 			tb.Fatalf("%s: no builder", family)
@@ -43,13 +55,13 @@ func seedIndexFrames(tb testing.TB) map[string][]byte {
 }
 
 // FuzzDecode feeds arbitrary bytes to every index decoder: the first
-// byte routes to the framed DecodeIndex path (0) or directly into one
+// byte routes to the framed decodeIndex path (0) or directly into one
 // family's codec decoder, and the rest is the payload. The contract
 // under fuzz: an error or a structurally usable index — never a panic,
 // never an allocation beyond the input's own size class.
 func FuzzDecode(f *testing.F) {
 	frames := seedIndexFrames(f)
-	families := registry.CodecFamilies()
+	families := codecFamilies()
 	for _, fam := range families {
 		f.Add(append([]byte{0}, frames[fam]...))
 	}
@@ -69,7 +81,7 @@ func FuzzDecode(f *testing.F) {
 		var idx core.Index
 		var err error
 		if sel == 0 {
-			idx, err = DecodeIndex(payload)
+			idx, err = decodeIndex(payload)
 		} else {
 			codec, _ := registry.CodecFor(families[int(sel-1)%len(families)])
 			idx, err = codec.Decode(binio.NewReader(payload))
@@ -102,7 +114,7 @@ func FuzzWAL(f *testing.F) {
 	f.Add(seed[:len(seed)-5]) // torn tail
 	f.Add([]byte("sosdWAL1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops, validLen, err := ReplayWAL(data)
+		ops, validLen, err := replayWAL(data)
 		if err != nil {
 			return
 		}
@@ -111,7 +123,7 @@ func FuzzWAL(f *testing.F) {
 		}
 		// Replay is deterministic and the valid prefix replays to the
 		// same ops.
-		ops2, validLen2, err2 := ReplayWAL(data[:validLen])
+		ops2, validLen2, err2 := replayWAL(data[:validLen])
 		if err2 != nil || validLen2 != validLen || len(ops2) != len(ops) {
 			t.Fatalf("replay of valid prefix diverged: %v, %d vs %d ops", err2, len(ops2), len(ops))
 		}
@@ -153,7 +165,7 @@ func FuzzTable(f *testing.F) {
 	f.Add(seed[:4096])
 	f.Add([]byte("sosdTAB1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		gk, gp, err := ReadTableFrom(bytes.NewReader(data), int64(len(data)))
+		gk, gp, err := readTableFrom(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
@@ -182,18 +194,18 @@ func FuzzManifest(f *testing.F) {
 		},
 	}
 	buf := binio.NewWriter(nil)
-	if err := EncodeManifest(buf, m); err != nil {
+	if err := encodeManifest(buf, m); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Buffered())
 	f.Add([]byte("sosdMAN2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeManifest(data)
+		got, err := decodeManifest(data)
 		if err != nil {
 			return
 		}
 		re := binio.NewWriter(nil)
-		if err := EncodeManifest(re, got); err != nil {
+		if err := encodeManifest(re, got); err != nil {
 			t.Fatalf("re-encode of decoded manifest failed: %v", err)
 		}
 		if !bytes.Equal(re.Buffered(), data) {
@@ -210,14 +222,14 @@ func FuzzTombs(f *testing.F) {
 		tombs[i] = i%3 == 0
 	}
 	buf := binio.NewWriter(nil)
-	if err := EncodeTombs(buf, tombs); err != nil {
+	if err := encodeTombs(buf, tombs); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Buffered())
 	f.Add([]byte("sosdTMB1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, count := range []int{0, 1, 37, 64, 4096} {
-			got, err := DecodeTombs(data, count)
+			got, err := decodeTombs(data, count)
 			if err != nil {
 				continue
 			}
@@ -236,7 +248,7 @@ func fuzzCorpus(t *testing.T) map[string][]byte {
 		corpus[filepath.Join(target, name)] = append([]byte(nil), data...)
 	}
 	frames := seedIndexFrames(t)
-	families := registry.CodecFamilies()
+	families := codecFamilies()
 	for fi, fam := range families {
 		write("FuzzDecode", "frame-"+fam, append([]byte{0}, frames[fam]...))
 		frame := frames[fam]
@@ -275,7 +287,7 @@ func fuzzCorpus(t *testing.T) map[string][]byte {
 		{Codec: "RMI/rmi[linear,linear,B=64]", Table: "shard-0000-r00.tab", Index: "shard-0000-r00.idx"},
 		{Codec: "BS", Table: "shard-0000-r01.tab", Tombs: "shard-0000-r01.tmb"},
 	}}}}
-	if err := EncodeManifest(mbuf, m); err != nil {
+	if err := encodeManifest(mbuf, m); err != nil {
 		t.Fatal(err)
 	}
 	write("FuzzManifest", "clean", mbuf.Buffered())
@@ -285,7 +297,7 @@ func fuzzCorpus(t *testing.T) map[string][]byte {
 	for i := range tombs {
 		tombs[i] = i%3 == 0
 	}
-	if err := EncodeTombs(tbuf, tombs); err != nil {
+	if err := encodeTombs(tbuf, tombs); err != nil {
 		t.Fatal(err)
 	}
 	write("FuzzTombs", "clean", tbuf.Buffered())
@@ -350,7 +362,7 @@ func TestOldRMISeedDecodesToError(t *testing.T) {
 	if !ok || !ok2 || err != nil {
 		t.Fatalf("old-RMI is not a fuzz corpus file: %v", err)
 	}
-	families := registry.CodecFamilies()
+	families := codecFamilies()
 	if fam := families[int(seed[0]-1)%len(families)]; fam != "RMI" {
 		t.Fatalf("old-RMI selects the %s decoder", fam)
 	}

@@ -75,9 +75,9 @@ const (
 	minRunWire   = 4 * 4
 )
 
-// EncodeManifest writes the manifest with the standard frame: magic,
+// encodeManifest writes the manifest with the standard frame: magic,
 // version, body, trailing CRC64.
-func EncodeManifest(w *binio.Writer, m *Manifest) error {
+func encodeManifest(w *binio.Writer, m *Manifest) error {
 	w.Bytes(manifestMagic)
 	w.U32(FormatVersion)
 	w.Str(m.Family)
@@ -99,8 +99,8 @@ func EncodeManifest(w *binio.Writer, m *Manifest) error {
 	return w.Err()
 }
 
-// DecodeManifest parses and validates a manifest image.
-func DecodeManifest(data []byte) (*Manifest, error) {
+// decodeManifest parses and validates a manifest image.
+func decodeManifest(data []byte) (*Manifest, error) {
 	body, err := checkCRCFrame(data)
 	if err != nil {
 		return nil, err
@@ -197,7 +197,7 @@ func safeFileName(name string) bool {
 
 // WriteManifest atomically commits the manifest to path.
 func WriteManifest(path string, m *Manifest) error {
-	return AtomicWrite(path, func(w *binio.Writer) error { return EncodeManifest(w, m) })
+	return AtomicWrite(path, func(w *binio.Writer) error { return encodeManifest(w, m) })
 }
 
 // ReadManifest loads and validates the manifest at path.
@@ -206,5 +206,5 @@ func ReadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeManifest(data)
+	return decodeManifest(data)
 }

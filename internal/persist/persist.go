@@ -117,17 +117,6 @@ func indexCodec(idx core.Index) (registry.Codec, error) {
 	return codec, nil
 }
 
-// EncodeIndex frames and writes a built index: magic, version, the
-// family codec tag, the codec payload, and a trailing CRC64 over
-// everything preceding it.
-func EncodeIndex(w *binio.Writer, idx core.Index) error {
-	codec, err := indexCodec(idx)
-	if err != nil {
-		return err
-	}
-	return encodeIndex(w, idx, codec)
-}
-
 func encodeIndex(w *binio.Writer, idx core.Index, codec registry.Codec) error {
 	w.Bytes(indexMagic)
 	w.U32(FormatVersion)
@@ -139,11 +128,11 @@ func encodeIndex(w *binio.Writer, idx core.Index, codec registry.Codec) error {
 	return w.Err()
 }
 
-// DecodeIndex reconstructs a built index from an encoded frame,
+// decodeIndex reconstructs a built index from an encoded frame,
 // verifying magic, version, and checksum before handing the payload to
 // the family decoder. The whole frame must be consumed — trailing
 // garbage is corruption.
-func DecodeIndex(data []byte) (core.Index, error) {
+func decodeIndex(data []byte) (core.Index, error) {
 	if len(data) < len(indexMagic)+4+4+8 {
 		return nil, binio.Corruptf("persist: index frame too short (%d bytes)", len(data))
 	}
@@ -191,7 +180,7 @@ func ReadIndex(path string) (core.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeIndex(data)
+	return decodeIndex(data)
 }
 
 // checkCRCFrame verifies a file whose last 8 bytes are the CRC64 of

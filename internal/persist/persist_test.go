@@ -21,7 +21,7 @@ import (
 func buildFamilies(t *testing.T, keys []core.Key) map[string]core.Index {
 	t.Helper()
 	out := map[string]core.Index{}
-	for _, family := range registry.CodecFamilies() {
+	for _, family := range codecFamilies() {
 		nb, ok := registry.Builder(family, keys)
 		if !ok {
 			t.Fatalf("%s: no builder", family)
@@ -90,18 +90,18 @@ func TestIndexFrameCorruption(t *testing.T) {
 			t.Fatalf("%s: encode: %v", family, err)
 		}
 		data := buf.Buffered()
-		if _, err := DecodeIndex(data); err != nil {
+		if _, err := decodeIndex(data); err != nil {
 			t.Fatalf("%s: clean decode failed: %v", family, err)
 		}
 		for pos := 0; pos < len(data); pos += 7 {
 			mut := append([]byte(nil), data...)
 			mut[pos] ^= 0x40
-			if _, err := DecodeIndex(mut); err == nil {
+			if _, err := decodeIndex(mut); err == nil {
 				t.Fatalf("%s: bit flip at %d decoded without error", family, pos)
 			}
 		}
 		for cut := 0; cut < len(data); cut += 11 {
-			if _, err := DecodeIndex(data[:cut]); err == nil {
+			if _, err := decodeIndex(data[:cut]); err == nil {
 				t.Fatalf("%s: truncation at %d decoded without error", family, cut)
 			}
 		}
@@ -168,7 +168,7 @@ func TestTableGoldenBytes(t *testing.T) {
 		if got := crc64.Checksum(file, binio.CRCTable); len(file) != g.size || got != g.crc {
 			t.Errorf("n=%d: file is %d bytes, CRC64 %016x; want %d bytes, %016x", g.n, len(file), got, g.size, g.crc)
 		}
-		gk, gp, err := ReadTableFrom(bytes.NewReader(file), int64(len(file)))
+		gk, gp, err := readTableFrom(bytes.NewReader(file), int64(len(file)))
 		if err != nil {
 			t.Fatalf("n=%d: read: %v", g.n, err)
 		}
@@ -203,12 +203,12 @@ func TestTableCorruption(t *testing.T) {
 	for _, pos := range []int{0, 9, 20, 30, 50, 4096, 4104, len(data) - 1} {
 		mut := append([]byte(nil), data...)
 		mut[pos] ^= 1
-		if _, _, err := ReadTableFrom(bytes.NewReader(mut), int64(len(mut))); err == nil {
+		if _, _, err := readTableFrom(bytes.NewReader(mut), int64(len(mut))); err == nil {
 			t.Errorf("bit flip at %d read without error", pos)
 		}
 	}
 	for _, cut := range []int{0, 10, 59, 4095, 4100, len(data) / 2} {
-		if _, _, err := ReadTableFrom(bytes.NewReader(data[:cut]), int64(cut)); err == nil {
+		if _, _, err := readTableFrom(bytes.NewReader(data[:cut]), int64(cut)); err == nil {
 			t.Errorf("truncation at %d read without error", cut)
 		}
 	}
@@ -292,7 +292,7 @@ func TestWALTornTail(t *testing.T) {
 	// Bit flip inside an earlier record: replay stops there.
 	data, _ := os.ReadFile(path)
 	data[walHeaderLen+3*walRecordLen+5] ^= 1
-	ops, _, err = ReplayWAL(data)
+	ops, _, err = replayWAL(data)
 	if err != nil {
 		t.Fatalf("replay flipped: %v", err)
 	}
@@ -302,7 +302,7 @@ func TestWALTornTail(t *testing.T) {
 
 	// A bad header is corruption, not a torn tail.
 	data[0] ^= 1
-	if _, _, err := ReplayWAL(data); !errors.Is(err, binio.ErrCorrupt) {
+	if _, _, err := replayWAL(data); !errors.Is(err, binio.ErrCorrupt) {
 		t.Fatalf("bad header: err = %v", err)
 	}
 }
@@ -352,10 +352,10 @@ func TestManifestRejectsTraversalAndDisorder(t *testing.T) {
 	}
 	for i, m := range bad {
 		buf := binio.NewWriter(nil)
-		if err := EncodeManifest(buf, m); err != nil {
+		if err := encodeManifest(buf, m); err != nil {
 			t.Fatalf("case %d encode: %v", i, err)
 		}
-		if _, err := DecodeManifest(buf.Buffered()); !errors.Is(err, binio.ErrCorrupt) {
+		if _, err := decodeManifest(buf.Buffered()); !errors.Is(err, binio.ErrCorrupt) {
 			t.Errorf("case %d: err = %v, want ErrCorrupt", i, err)
 		}
 	}
@@ -394,7 +394,7 @@ func TestTombsRoundTripAndRejects(t *testing.T) {
 		for pos := 0; pos < len(data); pos++ {
 			mut := append([]byte(nil), data...)
 			mut[pos] ^= 0x80
-			if _, err := DecodeTombs(mut, n); err == nil {
+			if _, err := decodeTombs(mut, n); err == nil {
 				t.Fatalf("n=%d bit flip at %d decoded without error", n, pos)
 			}
 		}
@@ -405,15 +405,26 @@ func TestManifestCorruption(t *testing.T) {
 	m := &Manifest{Family: "RMI", Shards: []ShardMeta{{Sep: 0, Codec: "RMI", WAL: "w",
 		Runs: []RunMeta{{Codec: "RMI", Table: "t"}}}}}
 	buf := binio.NewWriter(nil)
-	if err := EncodeManifest(buf, m); err != nil {
+	if err := encodeManifest(buf, m); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	data := buf.Buffered()
 	for pos := 0; pos < len(data); pos++ {
 		mut := append([]byte(nil), data...)
 		mut[pos] ^= 0x10
-		if _, err := DecodeManifest(mut); err == nil {
+		if _, err := decodeManifest(mut); err == nil {
 			t.Fatalf("bit flip at %d decoded without error", pos)
 		}
 	}
+}
+
+// EncodeIndex frames and writes a built index: magic, version, the
+// family codec tag, the codec payload, and a trailing CRC64 over
+// everything preceding it.
+func EncodeIndex(w *binio.Writer, idx core.Index) error {
+	codec, err := indexCodec(idx)
+	if err != nil {
+		return err
+	}
+	return encodeIndex(w, idx, codec)
 }

@@ -100,12 +100,12 @@ func WriteTable(path string, keys []core.Key, payloads []uint64) error {
 	})
 }
 
-// ReadTableFrom loads a table file through an io.ReaderAt of known
+// readTableFrom loads a table file through an io.ReaderAt of known
 // size: the header block is read and validated, then each data array
 // is read directly into its final allocation and checksummed. size
 // caps every allocation, so a corrupt count cannot out-allocate the
 // file it claims to describe.
-func ReadTableFrom(ra io.ReaderAt, size int64) (keys []core.Key, payloads []uint64, err error) {
+func readTableFrom(ra io.ReaderAt, size int64) (keys []core.Key, payloads []uint64, err error) {
 	if size < tableHeaderLen {
 		return nil, nil, binio.Corruptf("persist: table file too short (%d bytes)", size)
 	}
@@ -183,7 +183,7 @@ func readU64Block(ra io.ReaderAt, off int64, dst []uint64, want uint64) error {
 	return nil
 }
 
-// ReadTable loads a table file from disk via ReadTableFrom.
+// ReadTable loads a table file from disk via readTableFrom.
 func ReadTable(path string) (keys []core.Key, payloads []uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -194,5 +194,5 @@ func ReadTable(path string) (keys []core.Key, payloads []uint64, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return ReadTableFrom(f, st.Size())
+	return readTableFrom(f, st.Size())
 }

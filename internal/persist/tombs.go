@@ -14,9 +14,9 @@ import (
 
 var tombsMagic = []byte("sosdTMB1")
 
-// EncodeTombs writes the tombstone bits of a run (tombs[i] == pair i
+// encodeTombs writes the tombstone bits of a run (tombs[i] == pair i
 // is a delete marker) with the standard frame.
-func EncodeTombs(w *binio.Writer, tombs []bool) error {
+func encodeTombs(w *binio.Writer, tombs []bool) error {
 	w.Bytes(tombsMagic)
 	w.U32(FormatVersion)
 	w.U64(uint64(len(tombs)))
@@ -37,11 +37,11 @@ func EncodeTombs(w *binio.Writer, tombs []bool) error {
 	return w.Err()
 }
 
-// DecodeTombs parses and validates a tombstone image, returning the
+// decodeTombs parses and validates a tombstone image, returning the
 // unpacked bit array. count must match the run's pair count; padding
 // bits past count must be zero, so a tombstone file cannot smuggle
 // undecoded state.
-func DecodeTombs(data []byte, count int) ([]bool, error) {
+func decodeTombs(data []byte, count int) ([]bool, error) {
 	body, err := checkCRCFrame(data)
 	if err != nil {
 		return nil, err
@@ -81,7 +81,7 @@ func DecodeTombs(data []byte, count int) ([]bool, error) {
 
 // WriteTombs atomically writes a run's tombstone bits to path.
 func WriteTombs(path string, tombs []bool) error {
-	return AtomicWrite(path, func(w *binio.Writer) error { return EncodeTombs(w, tombs) })
+	return AtomicWrite(path, func(w *binio.Writer) error { return encodeTombs(w, tombs) })
 }
 
 // ReadTombs loads and validates the tombstone file at path; count is
@@ -91,5 +91,5 @@ func ReadTombs(path string, count int) ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeTombs(data, count)
+	return decodeTombs(data, count)
 }

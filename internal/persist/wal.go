@@ -75,11 +75,11 @@ func decodeRecord(buf []byte) (Op, bool) {
 	}, true
 }
 
-// ReplayWAL parses a log image: the ops of every intact record in
+// replayWAL parses a log image: the ops of every intact record in
 // order, plus the byte length of the intact prefix. A torn or corrupt
 // tail ends replay without error (that is what a crash leaves behind);
 // a bad header is corruption.
-func ReplayWAL(data []byte) (ops []Op, validLen int64, err error) {
+func replayWAL(data []byte) (ops []Op, validLen int64, err error) {
 	if len(data) < walHeaderLen {
 		return nil, 0, binio.Corruptf("persist: wal shorter than header")
 	}
@@ -145,7 +145,7 @@ func OpenWAL(path string) (*WAL, []Op, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	ops, validLen, err := ReplayWAL(data)
+	ops, validLen, err := replayWAL(data)
 	if err != nil {
 		f.Close()
 		return nil, nil, err

@@ -475,13 +475,6 @@ func (idx *Index) SizeBytes() int {
 // Name implements core.Index.
 func (idx *Index) Name() string { return "PGM" }
 
-// Eps returns the error bound the index was built with.
-func (idx *Index) Eps() int { return idx.eps }
-
-// NumLevels reports the number of PLA levels (the paper's discussion of
-// PGM lookup cost centres on one cache miss per level).
-func (idx *Index) NumLevels() int { return len(idx.levels) }
-
 // NumSegments reports the total segment count across levels.
 func (idx *Index) NumSegments() int {
 	total := 0

@@ -72,8 +72,8 @@ func TestPGMSingleKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkValidity(t, idx, keys, []core.Key{0, 41, 42, 43, ^core.Key(0)})
-	if idx.NumLevels() != 1 || idx.NumSegments() != 1 {
-		t.Errorf("single key: levels=%d segments=%d", idx.NumLevels(), idx.NumSegments())
+	if len(idx.levels) != 1 || idx.NumSegments() != 1 {
+		t.Errorf("single key: levels=%d segments=%d", len(idx.levels), idx.NumSegments())
 	}
 }
 
@@ -110,8 +110,8 @@ func TestPGMLinearDataOneSegment(t *testing.T) {
 	if idx.NumSegments() != 1 {
 		t.Errorf("linear data produced %d segments, want 1", idx.NumSegments())
 	}
-	if idx.NumLevels() != 1 {
-		t.Errorf("linear data produced %d levels, want 1", idx.NumLevels())
+	if len(idx.levels) != 1 {
+		t.Errorf("linear data produced %d levels, want 1", len(idx.levels))
 	}
 }
 
@@ -143,8 +143,8 @@ func TestPGMEpsClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Eps() != 1 {
-		t.Errorf("eps=0 should clamp to 1, got %d", idx.Eps())
+	if idx.eps != 1 {
+		t.Errorf("eps=0 should clamp to 1, got %d", idx.eps)
 	}
 	checkValidity(t, idx, keys, probesFor(keys))
 }
@@ -168,11 +168,11 @@ func TestPGMBuilderInterface(t *testing.T) {
 func TestPGMLevelsShrink(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.OSM, 100000, 1)
 	idx, _ := New(keys, 8)
-	if idx.NumLevels() < 2 {
-		t.Skipf("osm at this size built only %d levels", idx.NumLevels())
+	if len(idx.levels) < 2 {
+		t.Skipf("osm at this size built only %d levels", len(idx.levels))
 	}
 	// Each level must be strictly smaller than the one below.
-	for li := 1; li < idx.NumLevels(); li++ {
+	for li := 1; li < len(idx.levels); li++ {
 		if len(idx.levels[li]) >= len(idx.levels[li-1]) {
 			t.Errorf("level %d (%d segs) not smaller than level %d (%d)",
 				li, len(idx.levels[li]), li-1, len(idx.levels[li-1]))

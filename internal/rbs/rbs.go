@@ -134,9 +134,6 @@ func (idx *Index) Name() string { return "RBS" }
 // String implements fmt.Stringer.
 func (idx *Index) String() string { return fmt.Sprintf("rbs[r=%d]", idx.radixBits) }
 
-// RadixBits returns the configured prefix width.
-func (idx *Index) RadixBits() int { return idx.radixBits }
-
 // BinarySearchBuilder builds the zero-size pure binary search baseline
 // (BS in the paper): the index is the trivial full bound.
 type BinarySearchBuilder struct{}

@@ -99,11 +99,11 @@ func TestRBSBitsClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.RadixBits() != 1 {
-		t.Errorf("bits=0 should clamp to 1, got %d", idx.RadixBits())
+	if idx.radixBits != 1 {
+		t.Errorf("bits=0 should clamp to 1, got %d", idx.radixBits)
 	}
 	idx2, _ := New(keys, 99)
-	if idx2.RadixBits() > 28 {
+	if idx2.radixBits > 28 {
 		t.Error("bits not clamped high")
 	}
 	indextest.CheckValidity(t, idx2, keys, indextest.ProbesFor(keys))

@@ -10,8 +10,6 @@ package registry
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"repro/internal/binio"
 	"repro/internal/btree"
@@ -33,10 +31,10 @@ type Codec struct {
 
 var codecs = map[string]Codec{}
 
-// RegisterCodec adds a family's codec to the catalog, panicking on nil
+// registerCodec adds a family's codec to the catalog, panicking on nil
 // hooks or duplicates (catalog assembly is init-time, where failing
 // loudly is the only useful behaviour).
-func RegisterCodec(family string, c Codec) {
+func registerCodec(family string, c Codec) {
 	if c.Encode == nil || c.Decode == nil {
 		panic(fmt.Sprintf("registry: incomplete codec for family %q", family))
 	}
@@ -52,9 +50,6 @@ func CodecFor(family string) (Codec, bool) {
 	c, ok := codecs[family]
 	return c, ok
 }
-
-// CodecFamilies returns every family with a registered codec, sorted.
-func CodecFamilies() []string { return slices.Sorted(maps.Keys(codecs)) }
 
 // codecOf is the codec of a family whose index type T encodes itself
 // and whose package exports decode. Encode fails cleanly when handed an
@@ -85,13 +80,13 @@ func codecOf[T interface {
 }
 
 func init() {
-	RegisterCodec("RMI", codecOf(rmi.Decode))
-	RegisterCodec("PGM", codecOf(pgm.Decode))
-	RegisterCodec("RS", codecOf(rs.Decode))
-	RegisterCodec("RBS", codecOf(rbs.Decode))
+	registerCodec("RMI", codecOf(rmi.Decode))
+	registerCodec("PGM", codecOf(pgm.Decode))
+	registerCodec("RS", codecOf(rs.Decode))
+	registerCodec("RBS", codecOf(rbs.Decode))
 	// BTree and IBTree share one implementation (and so one decoder,
 	// which restores the in-node search flavour from the encoded flag);
 	// both tags are registered so manifests stay self-describing.
-	RegisterCodec("BTree", codecOf(btree.Decode))
-	RegisterCodec("IBTree", codecOf(btree.Decode))
+	registerCodec("BTree", codecOf(btree.Decode))
+	registerCodec("IBTree", codecOf(btree.Decode))
 }

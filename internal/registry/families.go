@@ -30,7 +30,7 @@ var treeStrides = []int{512, 256, 128, 64, 32, 16, 8, 4, 2, 1}
 var stringStrides = []int{1, 4, 16, 64}
 
 func init() {
-	Register("RMI", func(keys []core.Key) []Rung {
+	register("RMI", func(keys []core.Key) []Rung {
 		var out []Rung
 		for _, b := range rmi.ParetoBranches(len(keys), 10) {
 			// The knob is the tail of rmi.Config.String(), the one part
@@ -42,14 +42,14 @@ func init() {
 		}
 		return out
 	})
-	Register("PGM", func([]core.Key) []Rung {
+	register("PGM", func([]core.Key) []Rung {
 		var out []Rung
 		for _, eps := range []int{4096, 1024, 512, 256, 128, 64, 32, 16, 8, 4} {
 			out = append(out, fixed(fmt.Sprintf("eps=%d", eps), pgm.Builder{Eps: eps}))
 		}
 		return out
 	})
-	Register("RS", func([]core.Key) []Rung {
+	register("RS", func([]core.Key) []Rung {
 		var out []Rung
 		type rc struct{ err, bits int }
 		for _, c := range []rc{{4096, 4}, {1024, 6}, {512, 8}, {256, 10}, {128, 12},
@@ -59,22 +59,22 @@ func init() {
 		}
 		return out
 	})
-	Register("RBS", func([]core.Key) []Rung {
+	register("RBS", func([]core.Key) []Rung {
 		var out []Rung
 		for _, bits := range []int{4, 6, 8, 10, 12, 14, 16, 18, 20, 22} {
 			out = append(out, fixed(fmt.Sprintf("r=%d", bits), rbs.Builder{RadixBits: bits}))
 		}
 		return out
 	})
-	Register("BTree", strideLadder(treeStrides, func(s int) core.Builder { return btree.Builder{Stride: s} }))
-	Register("IBTree", strideLadder(treeStrides, func(s int) core.Builder { return ibtree.Builder{Stride: s} }))
-	Register("ART", strideLadder(treeStrides, func(s int) core.Builder { return art.Builder{Stride: s} }))
-	Register("FAST", strideLadder(treeStrides, func(s int) core.Builder { return fast.Builder{Stride: s} }))
-	Register("FST", strideLadder(stringStrides, func(s int) core.Builder { return fst.Builder{Stride: s} }))
-	Register("Wormhole", strideLadder(stringStrides, func(s int) core.Builder { return wormhole.Builder{Stride: s} }))
-	Register("BS", single("", rbs.BinarySearchBuilder{}))
-	Register("RobinHash", single("lf=0.25", hashidx.RobinHoodBuilder{}))
-	Register("CuckooMap", single("lf=0.99", hashidx.CuckooBuilder{}))
+	register("BTree", strideLadder(treeStrides, func(s int) core.Builder { return btree.Builder{Stride: s} }))
+	register("IBTree", strideLadder(treeStrides, func(s int) core.Builder { return ibtree.Builder{Stride: s} }))
+	register("ART", strideLadder(treeStrides, func(s int) core.Builder { return art.Builder{Stride: s} }))
+	register("FAST", strideLadder(treeStrides, func(s int) core.Builder { return fast.Builder{Stride: s} }))
+	register("FST", strideLadder(stringStrides, func(s int) core.Builder { return fst.Builder{Stride: s} }))
+	register("Wormhole", strideLadder(stringStrides, func(s int) core.Builder { return wormhole.Builder{Stride: s} }))
+	register("BS", single("", rbs.BinarySearchBuilder{}))
+	register("RobinHash", single("lf=0.25", hashidx.RobinHoodBuilder{}))
+	register("CuckooMap", single("lf=0.99", hashidx.CuckooBuilder{}))
 }
 
 // Tier returns the builder for indexing a small LSM tier run of a shard

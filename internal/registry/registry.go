@@ -62,11 +62,11 @@ type LadderFunc func(keys []core.Key) []Rung
 
 var families = map[string]LadderFunc{}
 
-// Register adds a family to the catalog. It panics on duplicate names:
+// register adds a family to the catalog. It panics on duplicate names:
 // two packages claiming one family is a programming error, and the
 // catalog is assembled at init time where failing loudly is the only
 // useful behaviour.
-func Register(family string, fn LadderFunc) {
+func register(family string, fn LadderFunc) {
 	if fn == nil {
 		panic(fmt.Sprintf("registry: nil ladder for family %q", family))
 	}

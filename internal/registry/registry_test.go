@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -79,19 +80,19 @@ func TestSweepUnknownFamily(t *testing.T) {
 func TestRegisterDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("duplicate Register did not panic")
+			t.Error("duplicate register did not panic")
 		}
 	}()
-	Register("RMI", func([]core.Key) []Rung { return nil })
+	register("RMI", func([]core.Key) []Rung { return nil })
 }
 
 func TestRegisterNilPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("nil Register did not panic")
+			t.Error("nil register did not panic")
 		}
 	}()
-	Register("SomethingNew", nil)
+	register("SomethingNew", nil)
 }
 
 // TestRebuild pins the one rule that picks a serving shard's base
@@ -256,7 +257,7 @@ func TestBuilderIsMidSweep(t *testing.T) {
 func TestLadderResolvesOnlyWhatIsAsked(t *testing.T) {
 	const rungs = 7
 	var resolved [rungs]int
-	Register("CountingLadder", func([]core.Key) []Rung {
+	register("CountingLadder", func([]core.Key) []Rung {
 		out := make([]Rung, rungs)
 		for i := range out {
 			knob := fmt.Sprintf("k=%d]", i)
@@ -305,10 +306,13 @@ func TestCodecCatalog(t *testing.T) {
 	if _, ok := CodecFor("ART"); ok {
 		t.Error("ART unexpectedly has a codec")
 	}
-	fams := CodecFamilies()
-	for i := 1; i < len(fams); i++ {
-		if fams[i] <= fams[i-1] {
-			t.Errorf("CodecFamilies not sorted: %v", fams)
+	var fams []string
+	for _, fam := range Families() {
+		if _, ok := CodecFor(fam); ok {
+			fams = append(fams, fam)
 		}
+	}
+	if want := []string{"BTree", "IBTree", "PGM", "RBS", "RMI", "RS"}; !slices.Equal(fams, want) {
+		t.Errorf("families with a codec: %v, want %v", fams, want)
 	}
 }

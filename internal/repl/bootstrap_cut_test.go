@@ -106,7 +106,7 @@ func TestBootstrapCutMidShip(t *testing.T) {
 		// leaving none, once by leaving one from a foreign epoch, which
 		// also makes the follower warm-open the old snapshot first.
 		if quarter == 2 {
-			if err := WriteState(dir, &State{Epoch: 1, Gen: 1, Seqs: make([]uint64, 4)}); err != nil {
+			if err := writeState(dir, &State{Epoch: 1, Gen: 1, Seqs: make([]uint64, 4)}); err != nil {
 				t.Fatal(err)
 			}
 		} else if err := os.Remove(filepath.Join(dir, StateName)); err != nil {

@@ -127,7 +127,7 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	// committed snapshot; open the store (its WAL replay may be ahead
 	// of REPLSTATE — the primary re-streams that suffix, which replays
 	// convergently). Any failure here falls back to a cold bootstrap.
-	if state, err := ReadState(cfg.Dir); err == nil {
+	if state, err := readState(cfg.Dir); err == nil {
 		if st, err := serve.Open(cfg.Dir, cfg.Store); err == nil {
 			st.SetReadOnly(true)
 			f.st = st
@@ -183,8 +183,8 @@ func (f *Follower) Stats() FollowerStats {
 	}
 }
 
-// Applied snapshots the per-shard applied sequence vector.
-func (f *Follower) Applied() []uint64 {
+// appliedSeqs snapshots the per-shard applied sequence vector.
+func (f *Follower) appliedSeqs() []uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]uint64(nil), f.applied...)
@@ -205,7 +205,7 @@ func (f *Follower) ReplStatHook() func() (uint8, uint64, uint64, []uint64) {
 }
 
 // PromoteHook adapts Promote to net.Config.Promote.
-func (f *Follower) PromoteHook() func() error { return func() error { return f.Promote() } }
+func (f *Follower) PromoteHook() func() error { return func() error { return f.promote() } }
 
 // WaitReady blocks until the replica store exists (first bootstrap
 // committed or warm-opened) or the timeout passes.
@@ -238,17 +238,17 @@ func (f *Follower) WaitCaughtUp(want []uint64, timeout time.Duration) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("repl: not caught up to %v after %v (at %v)", want, timeout, f.Applied())
+			return fmt.Errorf("repl: not caught up to %v after %v (at %v)", want, timeout, f.appliedSeqs())
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// Promote ends the subscription and turns the replica writable: the
+// promote ends the subscription and turns the replica writable: the
 // stream is severed, the WAL synced, the read-only gate lifted. The
 // store keeps serving throughout. Safe to call more than once; fails
 // before the first bootstrap commits.
-func (f *Follower) Promote() error {
+func (f *Follower) promote() error {
 	f.mu.Lock()
 	st := f.st
 	f.mu.Unlock()
@@ -266,9 +266,6 @@ func (f *Follower) Promote() error {
 	return nil
 }
 
-// Promoted reports whether Promote has run.
-func (f *Follower) Promoted() bool { return f.promoted.Load() }
-
 // Stop ends the subscription loop gracefully: the final position is
 // made durable (WAL sync + REPLSTATE) before the store closes. Not a
 // crash simulation — use Kill for that.
@@ -280,22 +277,6 @@ func (f *Follower) Stop() {
 	f.mu.Unlock()
 	if st != nil {
 		_ = f.syncState(st)
-		st.Close()
-	}
-}
-
-// Kill simulates dying mid-work for recovery tests: the subscription
-// stops and the store is closed WITHOUT a final WAL sync or REPLSTATE
-// commit, so the durable position undercounts what was applied — the
-// exact state a crash leaves. Restart with StartFollower on the same
-// directory.
-func (f *Follower) Kill() {
-	f.halt()
-	f.mu.Lock()
-	st := f.st
-	f.st = nil
-	f.mu.Unlock()
-	if st != nil {
 		st.Close()
 	}
 }
@@ -423,7 +404,7 @@ func (f *Follower) session(nc stdnet.Conn) {
 			f.applied = append([]uint64(nil), m.Seqs...)
 			f.signalReady()
 			f.mu.Unlock()
-			if err := WriteState(f.cfg.Dir, &State{Epoch: m.Epoch, Gen: m.Gen, Seqs: m.Seqs}); err != nil {
+			if err := writeState(f.cfg.Dir, &State{Epoch: m.Epoch, Gen: m.Gen, Seqs: m.Seqs}); err != nil {
 				return
 			}
 			f.stateSyncs.Add(1)
@@ -464,7 +445,7 @@ func (f *Follower) session(nc stdnet.Conn) {
 				f.appliedOps.Add(uint64(len(ops)))
 			}
 			// The position moves only now that the ops are readable:
-			// whoever sees it (WaitCaughtUp, Applied, the heartbeat lag,
+			// whoever sees it (WaitCaughtUp, appliedSeqs, the heartbeat lag,
 			// REPLSTATE, the next subscription) can read what it covers.
 			f.mu.Lock()
 			f.applied[m.Shard] = max(f.applied[m.Shard], end)
@@ -511,7 +492,7 @@ func (f *Follower) syncState(st *serve.Store) error {
 	f.mu.Lock()
 	state := &State{Epoch: f.epoch, Gen: f.gen, Seqs: append([]uint64(nil), f.applied...)}
 	f.mu.Unlock()
-	if err := WriteState(f.cfg.Dir, state); err != nil {
+	if err := writeState(f.cfg.Dir, state); err != nil {
 		return err
 	}
 	f.stateSyncs.Add(1)

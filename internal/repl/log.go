@@ -66,21 +66,18 @@ func NewLog(shards int) *Log {
 	return &Log{epoch: e, ringCap: DefaultRingOps, shards: make([]logShard, shards)}
 }
 
-// Epoch is this primary incarnation's identity.
-func (l *Log) Epoch() uint64 { return l.epoch }
-
-// NumShards reports the per-shard ring count.
-func (l *Log) NumShards() int { return len(l.shards) }
+// numShards reports the per-shard ring count.
+func (l *Log) numShards() int { return len(l.shards) }
 
 // Hook adapts the log to serve.Config.WriteHook: every write the store
 // applies is appended to its shard's ring in apply order.
 func (l *Log) Hook() func(shard int, op persist.Op) {
-	return func(shard int, op persist.Op) { l.Append(shard, op) }
+	return func(shard int, op persist.Op) { l.append(shard, op) }
 }
 
-// Append assigns the next sequence number of shard's stream to op and
+// append assigns the next sequence number of shard's stream to op and
 // returns it, waking any waiting streamer.
-func (l *Log) Append(shard int, op persist.Op) uint64 {
+func (l *Log) append(shard int, op persist.Op) uint64 {
 	l.mu.Lock()
 	s := &l.shards[shard]
 	s.ops = append(s.ops, op)
@@ -110,21 +107,21 @@ func (l *Log) Seqs() []uint64 {
 	return out
 }
 
-// SeqOf reports shard's last assigned sequence number. Safe to call
+// seqOf reports shard's last assigned sequence number. Safe to call
 // from a SnapshotWith capture callback: the callback holds the shard's
 // write lock, so the value is exactly the stream position the captured
 // state corresponds to.
-func (l *Log) SeqOf(shard int) uint64 {
+func (l *Log) seqOf(shard int) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := &l.shards[shard]
 	return s.base + uint64(len(s.ops))
 }
 
-// TailFrom copies out shard's ops with sequence numbers in
+// tailFrom copies out shard's ops with sequence numbers in
 // (from, from+maxOps]. ok=false means from precedes the ring (the ops
 // were evicted): the subscriber must resync from a snapshot.
-func (l *Log) TailFrom(shard int, from uint64, maxOps int) (ops []persist.Op, ok bool) {
+func (l *Log) tailFrom(shard int, from uint64, maxOps int) (ops []persist.Op, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := &l.shards[shard]
@@ -142,9 +139,9 @@ func (l *Log) TailFrom(shard int, from uint64, maxOps int) (ops []persist.Op, ok
 	return append([]persist.Op(nil), s.ops[start:end]...), true
 }
 
-// Updated returns a channel closed by the next Append — the streamer's
+// updated returns a channel closed by the next Append — the streamer's
 // wait point between drained tails.
-func (l *Log) Updated() <-chan struct{} {
+func (l *Log) updated() <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.notifyC == nil {

@@ -119,8 +119,8 @@ type PrimaryStats struct {
 // NewPrimary starts a replication primary for st on addr (e.g.
 // "127.0.0.1:0"). log must be the same Log st's WriteHook feeds.
 func NewPrimary(st *serve.Store, log *Log, addr string, cfg PrimaryConfig) (*Primary, error) {
-	if log.NumShards() != st.NumShards() {
-		return nil, fmt.Errorf("repl: log has %d shards, store %d", log.NumShards(), st.NumShards())
+	if log.numShards() != st.NumShards() {
+		return nil, fmt.Errorf("repl: log has %d shards, store %d", log.numShards(), st.NumShards())
 	}
 	ln, err := stdnet.Listen("tcp", addr)
 	if err != nil {
@@ -156,14 +156,11 @@ func (p *Primary) registerMetrics(r *obs.Registry) {
 // Addr is the replication listener's address (the follower dial target).
 func (p *Primary) Addr() stdnet.Addr { return p.ln.Addr() }
 
-// Epoch is the primary incarnation identity followers subscribe under.
-func (p *Primary) Epoch() uint64 { return p.log.Epoch() }
-
 // ReplStatHook adapts the primary to net.Config.ReplStat for its
 // serving port.
 func (p *Primary) ReplStatHook() func() (uint8, uint64, uint64, []uint64) {
 	return func() (uint8, uint64, uint64, []uint64) {
-		return net.RolePrimary, p.log.Epoch(), 0, p.log.Seqs()
+		return net.RolePrimary, p.log.epoch, 0, p.log.Seqs()
 	}
 }
 
@@ -295,10 +292,10 @@ func (s *session) serve() {
 	// Decide stream-from-position versus bootstrap: an unknown epoch, a
 	// malformed vector, or a position the ring has evicted all mean the
 	// follower's state cannot be caught up incrementally.
-	needBoot := sub.Epoch != p.log.Epoch() || len(sub.Seqs) != shards
+	needBoot := sub.Epoch != p.log.epoch || len(sub.Seqs) != shards
 	if !needBoot {
 		for i, q := range sub.Seqs {
-			if _, ok := p.log.TailFrom(i, q, 1); !ok {
+			if _, ok := p.log.tailFrom(i, q, 1); !ok {
 				needBoot = true
 				break
 			}
@@ -362,7 +359,7 @@ func (s *session) bootstrap(wbuf *binio.Writer) error {
 	exportErr := make(chan error, 1)
 	go func() {
 		exportErr <- p.st.SnapshotWith(dir,
-			func(i int) { base[i] = p.log.SeqOf(i) },
+			func(i int) { base[i] = p.log.seqOf(i) },
 			func(sm persist.ShardMeta) error {
 				if dead.Load() {
 					return fmt.Errorf("repl: bootstrap ship failed")
@@ -408,7 +405,7 @@ func (s *session) bootstrap(wbuf *binio.Writer) error {
 	s.acked = append([]uint64(nil), base...)
 	s.mu.Unlock()
 	return net.WriteMsg(s.nc, wbuf, &net.Msg{
-		Type: net.MsgSnapEnd, Epoch: p.log.Epoch(), Gen: m.Gen, Seqs: base,
+		Type: net.MsgSnapEnd, Epoch: p.log.epoch, Gen: m.Gen, Seqs: base,
 	})
 }
 
@@ -457,14 +454,14 @@ func (s *session) stream(wbuf *binio.Writer) {
 	hb := time.NewTicker(p.cfg.HeartbeatEvery)
 	defer hb.Stop()
 	for {
-		ch := p.log.Updated()
+		ch := p.log.updated()
 		progress := false
 		for i := 0; i < p.st.NumShards(); i++ {
 			for {
 				s.mu.Lock()
 				from := s.sent[i]
 				s.mu.Unlock()
-				ops, ok := p.log.TailFrom(i, from, p.cfg.StreamBatch)
+				ops, ok := p.log.tailFrom(i, from, p.cfg.StreamBatch)
 				if !ok {
 					p.resyncs.Add(1)
 					_ = net.WriteMsg(s.nc, wbuf, &net.Msg{Type: net.MsgResync})
@@ -495,7 +492,7 @@ func (s *session) stream(wbuf *binio.Writer) {
 		case <-ch:
 		case <-hb.C:
 			err := net.WriteMsg(s.nc, wbuf, &net.Msg{
-				Type: net.MsgHeartbeat, Epoch: p.log.Epoch(), Seqs: p.log.Seqs(),
+				Type: net.MsgHeartbeat, Epoch: p.log.epoch, Seqs: p.log.Seqs(),
 			})
 			if err != nil {
 				return

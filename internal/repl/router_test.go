@@ -203,7 +203,7 @@ func TestRouterFailover(t *testing.T) {
 	}
 	promoted := 0
 	for i, f := range tp.fs {
-		if f.Promoted() {
+		if f.promoted.Load() {
 			promoted++
 			if got := tp.addrs[i+1]; r.PrimaryAddr() != got {
 				t.Fatalf("router primary %s, promoted node %s", r.PrimaryAddr(), got)

@@ -33,8 +33,8 @@ type State struct {
 	Seqs  []uint64
 }
 
-// WriteState atomically commits s as dir's REPLSTATE.
-func WriteState(dir string, s *State) error {
+// writeState atomically commits s as dir's REPLSTATE.
+func writeState(dir string, s *State) error {
 	if len(s.Seqs) > maxStateShards {
 		return fmt.Errorf("repl: state has %d shards, limit %d", len(s.Seqs), maxStateShards)
 	}
@@ -52,10 +52,10 @@ func WriteState(dir string, s *State) error {
 	})
 }
 
-// ReadState loads and validates dir's REPLSTATE. A missing file is
+// readState loads and validates dir's REPLSTATE. A missing file is
 // returned as os.ErrNotExist (a fresh follower); a corrupt one is an
 // error — the caller resyncs from scratch.
-func ReadState(dir string) (*State, error) {
+func readState(dir string) (*State, error) {
 	data, err := os.ReadFile(filepath.Join(dir, StateName))
 	if err != nil {
 		return nil, err

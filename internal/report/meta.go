@@ -32,7 +32,7 @@ type Meta struct {
 func NewMeta(tool string) Meta {
 	return Meta{
 		Tool:      tool,
-		Version:   BuildVersion(),
+		Version:   buildVersion(),
 		GoVersion: runtime.Version(),
 		OS:        runtime.GOOS,
 		Arch:      runtime.GOARCH,
@@ -41,12 +41,12 @@ func NewMeta(tool string) Meta {
 	}
 }
 
-// BuildVersion returns a git-describe-style identifier of the running
+// buildVersion returns a git-describe-style identifier of the running
 // binary: the embedded VCS revision (shortened, "+dirty" when the
 // working tree was modified), the module version for released builds,
 // or "devel" when no build info is available (e.g. `go run` without
 // VCS stamping).
-func BuildVersion() string {
+func buildVersion() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return "devel"

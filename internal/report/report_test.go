@@ -190,7 +190,7 @@ func TestDecodeDocumentRejectsInvalid(t *testing.T) {
 }
 
 func TestBuildVersion(t *testing.T) {
-	if BuildVersion() == "" {
+	if buildVersion() == "" {
 		t.Error("empty build version")
 	}
 }

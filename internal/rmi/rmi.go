@@ -438,27 +438,12 @@ func (idx *Index) LeafBytes() int {
 // Name implements core.Index.
 func (idx *Index) Name() string { return "RMI" }
 
-// Config returns the architecture this index was trained with.
-func (idx *Index) ConfigUsed() Config { return idx.cfg }
-
 // clampsOf returns leaf li's clamps and margins in whichever layout.
 func (idx *Index) clampsOf(li int) *clamps {
 	if idx.cubics != nil {
 		return &idx.cubics[li].clamps
 	}
 	return &idx.leaves[li].clamps
-}
-
-// MaxErrorWidth returns the widest possible search bound the index can
-// produce (max over leaves of errLo+errHi+1); a diagnostic used by the
-// tuner and the explanatory analysis.
-func (idx *Index) MaxErrorWidth() int {
-	w := 0
-	for li := 0; li < idx.NumLeaves(); li++ {
-		c := idx.clampsOf(li)
-		w = max(w, int(c.errLo+c.errHi+1))
-	}
-	return w
 }
 
 // AvgLog2Error returns the mean log2 of the search-bound width over all

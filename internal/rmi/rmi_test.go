@@ -179,17 +179,22 @@ func TestRMIBuilderInterface(t *testing.T) {
 	checkValidity(t, idx, keys, probesFor(keys))
 }
 
+// TestRMIMaxErrorWidth: no lookup's bound is wider than the widest
+// leaf's margins allow (errLo+errHi+1).
 func TestRMIMaxErrorWidth(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.OSM, 5000, 1)
 	idx, _ := New(keys, Config{Stage1: ModelLinear, Stage2: ModelLinear, Branch: 64})
-	w := idx.MaxErrorWidth()
+	w := 0
+	for li := 0; li < idx.NumLeaves(); li++ {
+		c := idx.clampsOf(li)
+		w = max(w, int(c.errLo+c.errHi+1))
+	}
 	if w < 1 {
 		t.Errorf("max error width %d < 1", w)
 	}
-	// Every bound must be no wider than the max error width.
 	for _, k := range keys[:500] {
 		if b := idx.Lookup(k); b.Width() > w {
-			t.Errorf("bound %v wider than MaxErrorWidth %d", b, w)
+			t.Errorf("bound %v wider than max error width %d", b, w)
 		}
 	}
 }

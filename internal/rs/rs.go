@@ -423,9 +423,6 @@ func (idx *Index) AvgLog2Error() float64 {
 	return math.Log2(float64(idx.errLo+idx.errHi+1) + 1)
 }
 
-// ConfigUsed returns the configuration the index was built with.
-func (idx *Index) ConfigUsed() Config { return idx.cfg }
-
 // Explanation records the lookup path internals for the performance-
 // counter simulation.
 type Explanation struct {

@@ -125,7 +125,7 @@ func TestRSConfigClamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx2.ConfigUsed().RadixBits > 28 {
+	if idx2.cfg.RadixBits > 28 {
 		t.Error("radix bits not clamped")
 	}
 }

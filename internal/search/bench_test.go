@@ -10,15 +10,12 @@ import (
 
 // BenchmarkLastMile times every last-mile search kind against bound
 // widths spanning the paper's error-bound spectrum (1, 8, 64, 1k), on
-// a 1M-key array so wide-bound probes actually miss cache. The batch
-// rows drive the same workload through SearchBatch in 256-key batches
-// — the pipelined path the table layer uses. Run by the bench-smoke CI
-// job; compare kinds at fixed width to see the branchless and
-// pipelining wins.
+// a 1M-key array so wide-bound probes actually miss cache. Run by the
+// bench-smoke CI job; compare kinds at fixed width to see the
+// branchless win.
 func BenchmarkLastMile(b *testing.B) {
 	const n = 1 << 20
 	const nq = 4096
-	const batch = 256
 	rng := rand.New(rand.NewSource(42))
 	keys := make([]core.Key, n)
 	acc := core.Key(0)
@@ -60,8 +57,8 @@ func BenchmarkLastMile(b *testing.B) {
 	}{
 		{"binary", BinarySearch},
 		{"branchless", BranchlessSearch},
-		{"linear", LinearSearch},
-		{"interpolation", InterpolationSearch},
+		{"linear", linearSearch},
+		{"interpolation", interpolationSearch},
 	}
 	for _, width := range widths {
 		bs := bounds(width)
@@ -75,20 +72,6 @@ func BenchmarkLastMile(b *testing.B) {
 				sinkPos = sink
 			})
 		}
-		// One op = one 256-key batch; ns/key makes it comparable to the
-		// per-key scalar rows above.
-		b.Run(fmt.Sprintf("batch/w=%d", width), func(b *testing.B) {
-			scratch := make([]core.Bound, batch)
-			pos := make([]int, batch)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lo := (i * batch) % (nq - batch)
-				copy(scratch, bs[lo:lo+batch])
-				SearchBatch(keys, qs[lo:lo+batch], scratch, pos)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/key")
-			sinkPos = pos[0]
-		})
 	}
 }
 

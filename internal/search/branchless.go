@@ -6,10 +6,10 @@
 // this file attack both terms. BranchlessSearch replaces the
 // unpredictable compare-and-branch with a conditional-move ladder over
 // power-of-two widths, so the only pipeline hazard left is the load
-// itself. LinearSearch (in search.go) uses a sentinel-free
-// compare-accumulate block scan with the same property. NarrowBatch and
-// SearchBatch then attack the loads: a batch of independent searches is
-// advanced one probe step per round, so the random data-array loads of
+// itself. linearSearch (in search.go) uses a sentinel-free
+// compare-accumulate block scan with the same property. NarrowBatch
+// then attacks the loads: a batch of independent searches is advanced
+// one probe step per round, so the random data-array loads of
 // different keys are all in flight at once instead of each search
 // serializing behind its own log2(width) dependent-miss chain — the
 // software-prefetch-style pipelining the table layer's GetBatch
@@ -111,20 +111,5 @@ func NarrowBatch(keys []core.Key, qs []core.Key, bs []core.Bound, stopWidth, max
 		if !active {
 			return
 		}
-	}
-}
-
-// SearchBatch resolves a batch of independent searches: pos[i] receives
-// the absolute lower-bound position of qs[i] within bs[i]. Wide bounds
-// are first narrowed with pipelined probe rounds (NarrowBatch), then
-// each key finishes with the branchless ladder over its residual
-// window. bs is consumed as scratch (narrowed in place). len(bs) and
-// len(pos) must be at least len(qs).
-func SearchBatch(keys []core.Key, qs []core.Key, bs []core.Bound, pos []int) {
-	bs = bs[:len(qs)]
-	pos = pos[:len(qs)]
-	NarrowBatch(keys, qs, bs, narrowStop, 0)
-	for i, x := range qs {
-		pos[i] = BranchlessSearch(keys, x, bs[i])
 	}
 }

@@ -13,9 +13,8 @@ import (
 func allFns() map[string]Fn {
 	return map[string]Fn{
 		"binary":        BinarySearch,
-		"linear":        LinearSearch,
-		"interpolation": InterpolationSearch,
-		"exponential":   ExponentialSearch,
+		"linear":        linearSearch,
+		"interpolation": interpolationSearch,
 		"branchless":    BranchlessSearch,
 	}
 }
@@ -34,14 +33,6 @@ func checkAll(t *testing.T, keys []core.Key, x core.Key, b core.Bound) {
 		if got := fn(keys, x, b); got != want {
 			t.Fatalf("%s: search(%d, %v) = %d, want %d (n=%d)", name, x, b, got, want, len(keys))
 		}
-	}
-	// The batched path must agree as well: resolve the case as a batch
-	// of one plus a batch including neighbours.
-	bs := []core.Bound{b}
-	pos := []int{0}
-	SearchBatch(keys, []core.Key{x}, bs, pos)
-	if pos[0] != want {
-		t.Fatalf("SearchBatch: search(%d, %v) = %d, want %d", x, b, pos[0], want)
 	}
 }
 
@@ -90,9 +81,10 @@ func TestSearchAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestSearchBatch holds the pipelined batch path to the scalar oracle
-// over whole random batches, including batches larger than any internal
-// chunking and bounds of every width class.
+// TestSearchBatch holds the pipelined batch path — NarrowBatch's probe
+// rounds, then the branchless ladder over each narrowed bound — to the
+// scalar oracle over whole random batches, including bounds of every
+// width class.
 func TestSearchBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
@@ -107,11 +99,10 @@ func TestSearchBatch(t *testing.T) {
 			bs[i] = validBoundFor(rng, keys, qs[i])
 			want[i] = oracle(keys, qs[i], bs[i])
 		}
-		pos := make([]int, m)
-		SearchBatch(keys, qs, bs, pos)
-		for i := range pos {
-			if pos[i] != want[i] {
-				t.Fatalf("SearchBatch[%d]: search(%d) = %d, want %d", i, qs[i], pos[i], want[i])
+		NarrowBatch(keys, qs, bs, 0, 0)
+		for i, x := range qs {
+			if got := BranchlessSearch(keys, x, bs[i]); got != want[i] {
+				t.Fatalf("batch[%d]: search(%d) = %d, want %d", i, x, got, want[i])
 			}
 		}
 	}
@@ -207,12 +198,6 @@ func FuzzSearch(f *testing.F) {
 			if got := fn(keys, x, sub); got != want {
 				t.Fatalf("%s: sub-bound %v search(%d) = %d, want %d", name, sub, x, got, want)
 			}
-		}
-		bs := []core.Bound{sub}
-		pos := []int{0}
-		SearchBatch(keys, []core.Key{x}, bs, pos)
-		if pos[0] != want {
-			t.Fatalf("SearchBatch: sub-bound %v search(%d) = %d, want %d", sub, x, pos[0], want)
 		}
 	})
 }

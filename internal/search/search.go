@@ -51,9 +51,9 @@ func ByKind(k Kind) Fn {
 	case Binary:
 		return BinarySearch
 	case Linear:
-		return LinearSearch
+		return linearSearch
 	case Interpolation:
-		return InterpolationSearch
+		return interpolationSearch
 	case Branchless:
 		return BranchlessSearch
 	default:
@@ -76,12 +76,12 @@ func BinarySearch(keys []core.Key, key core.Key, b core.Bound) int {
 	return lo
 }
 
-// linearBlock is the LinearSearch block width: one block is eight keys
+// linearBlock is the linearSearch block width: one block is eight keys
 // (a cache line), compared without branches; the scan branches only
 // between blocks.
 const linearBlock = 8
 
-// LinearSearch scans forward from the start of the bound. It is fastest
+// linearSearch scans forward from the start of the bound. It is fastest
 // only for very narrow bounds (the paper finds binary search wins above
 // a small threshold). The scan is a sentinel-free compare-accumulate:
 // each block of eight keys is compared unconditionally and the match
@@ -89,7 +89,7 @@ const linearBlock = 8
 // the only branch is the once-per-block exit test — the classic
 // per-element `keys[i] < key` exit branch, mispredicted exactly at the
 // answer, is gone.
-func LinearSearch(keys []core.Key, key core.Key, b core.Bound) int {
+func linearSearch(keys []core.Key, key core.Key, b core.Bound) int {
 	i := b.Lo
 	for i+linearBlock <= b.Hi {
 		blk := keys[i : i+linearBlock : i+linearBlock]
@@ -115,12 +115,12 @@ func LinearSearch(keys []core.Key, key core.Key, b core.Bound) int {
 	return i + c
 }
 
-// InterpolationSearch repeatedly estimates the key's position assuming
+// interpolationSearch repeatedly estimates the key's position assuming
 // keys are uniformly distributed between the bound's endpoints, then
 // narrows the bound around the probe. It falls back to binary search
 // when the range stops shrinking quickly, guaranteeing O(log n) worst
 // case while keeping the O(log log n) behaviour on smooth data.
-func InterpolationSearch(keys []core.Key, key core.Key, b core.Bound) int {
+func interpolationSearch(keys []core.Key, key core.Key, b core.Bound) int {
 	lo, hi := b.Lo, b.Hi
 	// Invariant: the lower bound of key lies in [lo, hi], with lb == hi
 	// only possible when every key in the range is less than key.
@@ -150,44 +150,6 @@ func InterpolationSearch(keys []core.Key, key core.Key, b core.Bound) int {
 		}
 	}
 	return BinarySearch(keys, key, core.Bound{Lo: lo, Hi: hi})
-}
-
-// ExponentialSearch searches forward from b.Lo with doubling steps, then
-// binary-searches the final gallop range. The paper mentions integrating
-// exponential search as future work; it is provided for the ablation
-// benchmarks.
-func ExponentialSearch(keys []core.Key, key core.Key, b core.Bound) int {
-	if b.Lo >= b.Hi {
-		return b.Lo
-	}
-	if keys[b.Lo] >= key {
-		return b.Lo
-	}
-	step := 1
-	lo := b.Lo
-	for lo+step < b.Hi && keys[lo+step] < key {
-		lo += step
-		step <<= 1
-	}
-	hi := lo + step
-	if hi > b.Hi {
-		hi = b.Hi
-	}
-	return BinarySearch(keys, key, core.Bound{Lo: lo, Hi: hi})
-}
-
-// BinarySearch32 is BinarySearch for 32-bit keys.
-func BinarySearch32(keys []core.Key32, key core.Key32, b core.Bound) int {
-	lo, hi := b.Lo, b.Hi
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // BinarySteps reports the number of binary-search iterations needed to

@@ -34,9 +34,8 @@ func validBoundFor(rng *rand.Rand, keys []core.Key, x core.Key) core.Bound {
 func TestSearchFnsAgreeWithLowerBound(t *testing.T) {
 	fns := map[string]Fn{
 		"binary":        BinarySearch,
-		"linear":        LinearSearch,
-		"interpolation": InterpolationSearch,
-		"exponential":   ExponentialSearch,
+		"linear":        linearSearch,
+		"interpolation": interpolationSearch,
 	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -59,7 +58,7 @@ func TestSearchFnsAgreeWithLowerBound(t *testing.T) {
 func TestSearchFullBound(t *testing.T) {
 	keys := []core.Key{1, 3, 9, 12, 56, 57, 58, 95, 98, 99}
 	b := core.FullBound(len(keys))
-	for _, fn := range []Fn{BinarySearch, LinearSearch, InterpolationSearch, ExponentialSearch} {
+	for _, fn := range []Fn{BinarySearch, linearSearch, interpolationSearch} {
 		if got := fn(keys, 72, b); got != 7 {
 			t.Errorf("search(72) = %d, want 7", got)
 		}
@@ -75,7 +74,7 @@ func TestSearchFullBound(t *testing.T) {
 func TestSearchEmptyBound(t *testing.T) {
 	keys := []core.Key{10, 20, 30}
 	b := core.Bound{Lo: 3, Hi: 3} // overflow-key case: lb == n
-	for _, fn := range []Fn{BinarySearch, LinearSearch, InterpolationSearch, ExponentialSearch} {
+	for _, fn := range []Fn{BinarySearch, linearSearch, interpolationSearch} {
 		if got := fn(keys, 99, b); got != 3 {
 			t.Errorf("search on empty bound = %d, want 3", got)
 		}
@@ -85,7 +84,7 @@ func TestSearchEmptyBound(t *testing.T) {
 func TestSearchSingleElementBound(t *testing.T) {
 	keys := []core.Key{10, 20, 30}
 	b := core.Bound{Lo: 1, Hi: 2}
-	for _, fn := range []Fn{BinarySearch, LinearSearch, InterpolationSearch, ExponentialSearch} {
+	for _, fn := range []Fn{BinarySearch, linearSearch, interpolationSearch} {
 		if got := fn(keys, 15, b); got != 1 {
 			t.Errorf("search(15) = %d, want 1", got)
 		}
@@ -98,7 +97,7 @@ func TestSearchSingleElementBound(t *testing.T) {
 func TestSearchAllDuplicates(t *testing.T) {
 	keys := []core.Key{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}
 	b := core.FullBound(len(keys))
-	for _, fn := range []Fn{BinarySearch, LinearSearch, InterpolationSearch, ExponentialSearch} {
+	for _, fn := range []Fn{BinarySearch, linearSearch, interpolationSearch} {
 		if got := fn(keys, 7, b); got != 0 {
 			t.Errorf("search(7) over dups = %d, want 0", got)
 		}
@@ -107,7 +106,7 @@ func TestSearchAllDuplicates(t *testing.T) {
 		}
 	}
 	// A key greater than all duplicates has lb == n; validity requires Hi == n.
-	for _, fn := range []Fn{BinarySearch, LinearSearch, InterpolationSearch, ExponentialSearch} {
+	for _, fn := range []Fn{BinarySearch, linearSearch, interpolationSearch} {
 		if got := fn(keys, 8, b); got != len(keys) {
 			t.Errorf("search(8) over dups = %d, want %d", got, len(keys))
 		}
@@ -125,29 +124,12 @@ func TestInterpolationExtremeSkew(t *testing.T) {
 	b := core.FullBound(len(keys))
 	for x := core.Key(0); x < 999; x += 7 {
 		want := core.LowerBound(keys, x)
-		if got := InterpolationSearch(keys, x, b); got != want {
+		if got := interpolationSearch(keys, x, b); got != want {
 			t.Fatalf("interpolation(%d) = %d, want %d", x, got, want)
 		}
 	}
-	if got := InterpolationSearch(keys, ^core.Key(0), b); got != 999 {
+	if got := interpolationSearch(keys, ^core.Key(0), b); got != 999 {
 		t.Errorf("interpolation(max) = %d, want 999", got)
-	}
-}
-
-func TestBinarySearch32(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 500
-	keys := make([]core.Key32, n)
-	for i := range keys {
-		keys[i] = core.Key32(rng.Intn(10000))
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for q := 0; q < 200; q++ {
-		x := core.Key32(rng.Intn(12000))
-		want := core.LowerBound32(keys, x)
-		if got := BinarySearch32(keys, x, core.FullBound(n)); got != want {
-			t.Fatalf("BinarySearch32(%d) = %d, want %d", x, got, want)
-		}
 	}
 }
 
@@ -192,9 +174,8 @@ func TestSearchProperty(t *testing.T) {
 		b := core.FullBound(len(keys))
 		want := core.LowerBound(keys, x)
 		return BinarySearch(keys, x, b) == want &&
-			LinearSearch(keys, x, b) == want &&
-			InterpolationSearch(keys, x, b) == want &&
-			ExponentialSearch(keys, x, b) == want
+			linearSearch(keys, x, b) == want &&
+			interpolationSearch(keys, x, b) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)

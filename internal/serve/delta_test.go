@@ -182,7 +182,7 @@ func TestMutableOracle(t *testing.T) {
 				}
 				// Range over everything below the max key, plus a point
 				// check for the max key itself (Range's hi is exclusive).
-				ks, vs := st.Range(0, ^core.Key(0))
+				ks, vs := rangeOf(st, 0, ^core.Key(0))
 				wantN := len(oracle)
 				if _, hasMax := oracle[^core.Key(0)]; hasMax {
 					wantN--

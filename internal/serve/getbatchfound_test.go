@@ -55,7 +55,7 @@ func TestGetBatchFound(t *testing.T) {
 				if err := st.compactShard(i, false); err != nil {
 					t.Fatal(err)
 				}
-				if n := st.RunCount(i); (maxRuns == 1) != (n == 1) {
+				if n := st.runCount(i); (maxRuns == 1) != (n == 1) {
 					t.Fatalf("MaxRuns %d left shard %d with %d runs", maxRuns, i, n)
 				}
 			}

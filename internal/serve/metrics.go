@@ -25,6 +25,7 @@ func (st *Store) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("sosd_store_minor_merges_total", cf(&st.minorMerges))
 	r.CounterFunc("sosd_store_major_merges_total", cf(&st.majorMerges))
 	r.CounterFunc("sosd_store_delta_freezes_total", cf(&st.deltaFreezes))
+	r.CounterFunc("sosd_store_readonly_drops_total", cf(&st.readOnlyDrops))
 	r.CounterFunc("sosd_store_compact_ns_total", func() float64 { return float64(st.compactNs.Load()) })
 	r.CounterFunc("sosd_store_run_probes_total", func() float64 {
 		var probes int64

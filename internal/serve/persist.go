@@ -73,10 +73,6 @@ func (st *Store) PersistErr() error {
 	return st.persistErr
 }
 
-// Dir reports the attached snapshot directory ("" for a volatile
-// store built with New).
-func (st *Store) Dir() string { return st.dir }
-
 // SyncWAL fsyncs every attached write-ahead log: an explicit storage
 // barrier for stores running without SyncWrites. Safe alongside
 // concurrent writes and compactions.

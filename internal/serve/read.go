@@ -255,19 +255,6 @@ func (st *Store) Scan(lo, hi core.Key, visit func(core.Key, uint64) bool) int {
 	return n
 }
 
-// Range returns the store's live pairs with key in [lo, hi) as freshly
-// allocated slices, merged across shards and pending writes.
-func (st *Store) Range(lo, hi core.Key) ([]core.Key, []uint64) {
-	var ks []core.Key
-	var vs []uint64
-	st.Scan(lo, hi, func(k core.Key, v uint64) bool {
-		ks = append(ks, k)
-		vs = append(vs, v)
-		return true
-	})
-	return ks, vs
-}
-
 func (s *batchScratch) ensure(n, nShards int) {
 	if cap(s.shard) < n {
 		s.shard = make([]int32, n)

@@ -7,6 +7,19 @@ import (
 	"repro/internal/core"
 )
 
+// rangeOf collects the store's live pairs with key in [lo, hi) through
+// Scan, merged across shards and pending writes.
+func rangeOf(st *Store, lo, hi core.Key) ([]core.Key, []uint64) {
+	var ks []core.Key
+	var vs []uint64
+	st.Scan(lo, hi, func(k core.Key, v uint64) bool {
+		ks = append(ks, k)
+		vs = append(vs, v)
+		return true
+	})
+	return ks, vs
+}
+
 // TestScanAcrossShardBoundaries is the satellite coverage for the
 // merged-scan path at shard split points: fresh keys are inserted into
 // the uncompacted deltas on *both* sides of every shard edge and base
@@ -97,7 +110,7 @@ func TestScanAcrossShardBoundaries(t *testing.T) {
 					wantV = append(wantV, oracle[k])
 				}
 			}
-			gotK, gotV := st.Range(lo, hi)
+			gotK, gotV := rangeOf(st, lo, hi)
 			if len(gotK) != len(wantK) {
 				t.Fatalf("%s: Range(%d,%d) returned %d pairs, want %d", stage, lo, hi, len(gotK), len(wantK))
 			}
@@ -183,7 +196,7 @@ func TestScanBoundaryTombstoneShadowing(t *testing.T) {
 	st.Delete(sep - 10)
 	st.Put(sep-5, 99) // fresh key in shard 0's range, adjacent to the edge
 
-	gotK, gotV := st.Range(sep-20, sep+11)
+	gotK, gotV := rangeOf(st, sep-20, sep+11)
 	wantK := []core.Key{sep - 20, sep - 5, sep, sep + 10}
 	wantV := []uint64{0, 99, 424242, 0} // zeros filled from base below
 	for i, k := range wantK {

@@ -459,15 +459,15 @@ func (st *Store) ConfigIDs() []string {
 	return out
 }
 
-// RunCount reports shard i's current sorted-run count (1 = fully
+// runCount reports shard i's current sorted-run count (1 = fully
 // compacted).
-func (st *Store) RunCount(i int) int { return len(st.shards[i].Load().runs) }
+func (st *Store) runCount(i int) int { return len(st.shards[i].Load().runs) }
 
 // MaxRunCount reports the largest run count across shards.
 func (st *Store) MaxRunCount() int {
 	m := 0
 	for i := range st.shards {
-		if n := st.RunCount(i); n > m {
+		if n := st.runCount(i); n > m {
 			m = n
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
@@ -229,6 +230,31 @@ func TestHeterogeneousShards(t *testing.T) {
 }
 
 // TestUnknownFamily covers config validation.
+// TestReadOnlyDropsSeries: sosd_store_readonly_drops_total counts the
+// direct writes the replica gate refuses, one per refused Put or
+// Delete, and the refused writes leave the data as it was.
+func TestReadOnlyDropsSeries(t *testing.T) {
+	keys, payloads := testData(t, 2000)
+	reg := obs.NewRegistry()
+	st, err := New(keys, payloads, Config{Shards: 2, Family: "PGM", CompactThreshold: -1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.Put(keys[0], 5) // accepted, not counted
+	st.SetReadOnly(true)
+	st.Put(keys[1], 6)
+	st.Delete(keys[2])
+	if v, ok := reg.Value("sosd_store_readonly_drops_total"); !ok || v != 2 {
+		t.Fatalf("sosd_store_readonly_drops_total = %v (registered %v), want 2", v, ok)
+	}
+	for i, want := range []uint64{5, payloads[1], payloads[2]} {
+		if v, ok := st.Get(keys[i]); !ok || v != want {
+			t.Errorf("key %d = (%d, %v), want %d", i, v, ok, want)
+		}
+	}
+}
+
 func TestUnknownFamily(t *testing.T) {
 	keys, payloads := testData(t, 100)
 	if _, err := New(keys, payloads, Config{Family: "NoSuchIndex"}); err == nil {

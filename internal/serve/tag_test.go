@@ -32,7 +32,7 @@ func TestShardTagPinnedColdAndWarm(t *testing.T) {
 				if _, id, ok := registry.Rebuild(tag, st.Shard(0).Keys()); !ok || id != tag {
 					t.Errorf("%s: Rebuild(%q) = %q, %v; want a fixed point", step, tag, id, ok)
 				}
-				dir := st.Dir()
+				dir := st.dir
 				if dir == "" {
 					dir = t.TempDir()
 				}

@@ -44,7 +44,7 @@ func checkOracle(t *testing.T, st *Store, oracle map[core.Key]uint64, universe [
 	if st.Len() != len(oracle) {
 		t.Fatalf("%s: Len = %d, want %d", stage, st.Len(), len(oracle))
 	}
-	ks, vs := st.Range(0, ^core.Key(0))
+	ks, vs := rangeOf(st, 0, ^core.Key(0))
 	wantN := len(oracle)
 	if _, hasMax := oracle[^core.Key(0)]; hasMax {
 		wantN--
@@ -126,7 +126,7 @@ func TestTieredRunsOracle(t *testing.T) {
 				t.Fatalf("MaxRuns 1 stacked runs: %d flushes, max run count %d", st.Flushes(), st.MaxRunCount())
 			}
 			for i := 0; i < st.NumShards(); i++ {
-				if n := st.RunCount(i); n > st.cfg.MaxRuns+1 {
+				if n := st.runCount(i); n > st.cfg.MaxRuns+1 {
 					t.Fatalf("shard %d holds %d runs, policy bound %d", i, n, st.cfg.MaxRuns)
 				}
 			}
@@ -197,7 +197,7 @@ func TestTieredRunsOracle(t *testing.T) {
 				t.Fatalf("DeltaLen = %d after Compact", st.DeltaLen())
 			}
 			for i := 0; i < st.NumShards(); i++ {
-				if n := st.RunCount(i); n != 1 {
+				if n := st.runCount(i); n != 1 {
 					t.Fatalf("shard %d holds %d runs after Compact, want 1", i, n)
 				}
 				if st.Shard(i).HasTombs() {
@@ -232,8 +232,8 @@ func TestTombstoneShadowsOlderRuns(t *testing.T) {
 		st.Put(k, uint64(i)+100)
 	}
 	waitDrained(t, st)
-	if st.RunCount(0) < 2 {
-		t.Fatalf("run count %d, want >= 2", st.RunCount(0))
+	if st.runCount(0) < 2 {
+		t.Fatalf("run count %d, want >= 2", st.runCount(0))
 	}
 	// The tombstone was the first of 65 writes at threshold 32, so the
 	// first freeze took it; the writes after the last freeze stay pending.
@@ -773,7 +773,7 @@ func TestMinorMergeChosenWhenMajorExpensive(t *testing.T) {
 	st.WaitCompactions()
 	if st.MinorMerges() == 0 {
 		t.Fatalf("no minor merge despite prohibitive major pricing (flushes=%d majors=%d runs=%d)",
-			st.Flushes(), st.MajorMerges(), st.RunCount(0))
+			st.Flushes(), st.MajorMerges(), st.runCount(0))
 	}
 	if st.MajorMerges() != 0 {
 		t.Fatalf("%d major merges despite prohibitive pricing", st.MajorMerges())
@@ -810,21 +810,21 @@ func TestReadAmpTriggersMerge(t *testing.T) {
 		}
 	}
 	st.WaitCompactions()
-	if st.RunCount(0) < 3 {
-		t.Fatalf("run count %d, want >= 3", st.RunCount(0))
+	if st.runCount(0) < 3 {
+		t.Fatalf("run count %d, want >= 3", st.runCount(0))
 	}
 
 	// Read-only from here: base-resolving keys pay one probe per run,
 	// so measured amplification sits near the run count, far over 1.2.
 	deadline := time.Now().Add(30 * time.Second)
-	for st.RunCount(0) >= 3 {
+	for st.runCount(0) >= 3 {
 		for i := 0; i < 2048; i++ {
 			st.Get(keys[(i*37)%len(keys)])
 		}
 		st.WaitCompactions()
 		if time.Now().After(deadline) {
 			t.Fatalf("read amplification %.2f over bound never triggered a merge (runs=%d)",
-				st.ReadAmp(), st.RunCount(0))
+				st.ReadAmp(), st.runCount(0))
 		}
 	}
 	if st.ReadAmp() <= 1 {

@@ -94,13 +94,9 @@ func (st *Store) commit(i int, ops []persist.Op, hook func(shard int, op persist
 }
 
 // SetReadOnly flips the store's replica gate: while set, Put and
-// Delete are refused (counted in ReadOnlyDrops) and Apply remains the
-// only write path. Reads are unaffected.
+// Delete are refused (counted in sosd_store_readonly_drops_total) and
+// Apply remains the only write path. Reads are unaffected.
 func (st *Store) SetReadOnly(v bool) { st.readOnly.Store(v) }
 
 // ReadOnly reports whether the store currently refuses direct writes.
 func (st *Store) ReadOnly() bool { return st.readOnly.Load() }
-
-// ReadOnlyDrops reports the number of direct writes refused by the
-// read-only gate.
-func (st *Store) ReadOnlyDrops() uint64 { return st.readOnlyDrops.Load() }

@@ -205,7 +205,7 @@ func GetRuns(runs []*Table, key core.Key) (val uint64, ok bool, probes int) {
 			continue
 		}
 		probes++
-		pos, hit := t.Find(key)
+		pos, hit := t.find(key)
 		if !hit {
 			continue
 		}

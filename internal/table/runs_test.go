@@ -281,7 +281,7 @@ func TestFindBlockMatchesFind(t *testing.T) {
 			pos, hit := s.pos[:len(chunk)], s.hit[:len(chunk)]
 			c.run.findBlock(chunk, pos, hit, s.bounds[:len(chunk)])
 			for i, x := range chunk {
-				if p, ok := c.run.Find(x); int(pos[i]) != p || hit[i] != ok {
+				if p, ok := c.run.find(x); int(pos[i]) != p || hit[i] != ok {
 					t.Fatalf("%s: findBlock key %d -> (%d,%v), Find (%d,%v)", name, x, pos[i], hit[i], p, ok)
 				}
 			}

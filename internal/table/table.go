@@ -162,22 +162,6 @@ func (t *Table) Index() core.Index { return t.idx }
 // tradeoff curves; the data arrays are the same for every index).
 func (t *Table) SizeBytes() int { return t.idx.SizeBytes() }
 
-// MinKey returns the smallest key; ok is false for an empty table.
-func (t *Table) MinKey() (core.Key, bool) {
-	if len(t.keys) == 0 {
-		return 0, false
-	}
-	return t.keys[0], true
-}
-
-// MaxKey returns the largest key; ok is false for an empty table.
-func (t *Table) MaxKey() (core.Key, bool) {
-	if len(t.keys) == 0 {
-		return 0, false
-	}
-	return t.keys[len(t.keys)-1], true
-}
-
 // lowerBound resolves the exact lower-bound position of key through
 // the index and last-mile search.
 func (t *Table) lowerBound(key core.Key) int {
@@ -194,18 +178,18 @@ func (t *Table) Get(key core.Key) (uint64, bool) {
 	return 0, false
 }
 
-// Find resolves key to its lower-bound position through the index and
+// find resolves key to its lower-bound position through the index and
 // last-mile search; found reports whether the pair at pos actually
 // carries key. Unlike Get it exposes the position, which is what the
 // LSM run-set read path needs to consult the tombstone bit.
-func (t *Table) Find(key core.Key) (pos int, found bool) {
+func (t *Table) find(key core.Key) (pos int, found bool) {
 	pos = t.lowerBound(key)
 	return pos, pos < len(t.keys) && t.keys[pos] == key
 }
 
-// Range returns the keys and payloads with key in [lo, hi), as views
+// between returns the keys and payloads with key in [lo, hi), as views
 // into the table's arrays (zero-copy; callers must not mutate them).
-func (t *Table) Range(lo, hi core.Key) ([]core.Key, []uint64) {
+func (t *Table) between(lo, hi core.Key) ([]core.Key, []uint64) {
 	start := t.lowerBound(lo)
 	if hi < lo {
 		hi = lo
@@ -217,7 +201,7 @@ func (t *Table) Range(lo, hi core.Key) ([]core.Key, []uint64) {
 // Scan visits the pairs with key in [lo, hi) in order, stopping early
 // when visit returns false. It returns the number of pairs visited.
 func (t *Table) Scan(lo, hi core.Key, visit func(core.Key, uint64) bool) int {
-	keys, payloads := t.Range(lo, hi)
+	keys, payloads := t.between(lo, hi)
 	for i := range keys {
 		if !visit(keys[i], payloads[i]) {
 			return i + 1

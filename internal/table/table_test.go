@@ -86,7 +86,7 @@ func TestConformanceAllFamilies(t *testing.T) {
 
 		// Range over a middle window against LowerBound ground truth.
 		lo, hi := keys[len(keys)/4], keys[3*len(keys)/4]
-		rk, rv := tbl.Range(lo, hi)
+		rk, rv := tbl.between(lo, hi)
 		wantLo := core.LowerBound(keys, lo)
 		wantHi := core.LowerBound(keys, hi)
 		if len(rk) != wantHi-wantLo || len(rv) != wantHi-wantLo {
@@ -195,11 +195,8 @@ func TestTableValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mn, _ := tbl.MinKey(); mn != 1 {
-		t.Errorf("MinKey = %d", mn)
-	}
-	if mx, _ := tbl.MaxKey(); mx != 3 {
-		t.Errorf("MaxKey = %d", mx)
+	if ks := tbl.Keys(); ks[0] != 1 || ks[len(ks)-1] != 3 {
+		t.Errorf("min, max key = %d, %d", ks[0], ks[len(ks)-1])
 	}
 	if tbl.Len() != 3 || tbl.Index() == nil || tbl.SizeBytes() <= 0 {
 		t.Error("accessor inconsistency")
@@ -238,10 +235,10 @@ func TestEmptyTable(t *testing.T) {
 	if _, ok := tbl.Get(42); ok {
 		t.Error("Get on empty table found a key")
 	}
-	if _, ok := tbl.MinKey(); ok {
-		t.Error("MinKey on empty table ok")
+	if len(tbl.Keys()) != 0 {
+		t.Error("empty table has keys")
 	}
-	if k, _ := tbl.Range(0, ^core.Key(0)); len(k) != 0 {
+	if k, _ := tbl.between(0, ^core.Key(0)); len(k) != 0 {
 		t.Error("Range on empty table non-empty")
 	}
 	out := make([]uint64, 3)

@@ -180,6 +180,3 @@ func (idx *Index) SizeBytes() int {
 
 // Name implements core.Index.
 func (idx *Index) Name() string { return "Wormhole" }
-
-// NumLeaves reports the leaf count.
-func (idx *Index) NumLeaves() int { return len(idx.anchors) }
