@@ -2,7 +2,7 @@ GO ?= go
 
 EXPERIMENTS = serve serve-write serve-lsm serve-tail serve-net serve-obs serve-repl persist
 
-.PHONY: tier1 vet loc bench bench-smoke bench-quick report-smoke obs-smoke race $(EXPERIMENTS) fuzz-smoke examples doccheck perfgate perfgate-update build-audit
+.PHONY: tier1 vet loc bench bench-smoke bench-quick report-smoke obs-smoke race $(EXPERIMENTS) fuzz-smoke examples doccheck build-audit
 
 # tier1 is the verify recipe: everything must build and every test pass.
 tier1:
@@ -126,28 +126,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/net/
-
-# perfgate is the perf regression gate: a fresh 1M-key serve run (RMI +
-# PGM batched-lookup latency and sharded-store throughput) rendered as
-# JSON and compared against the checked-in BENCH_baseline.json by
-# cmd/perfdiff. The gate fails on any directional metric drifting more
-# than PERFGATE_THRESHOLD percent in the bad direction. The default is
-# deliberately loose: the baseline's absolute numbers are pinned to the
-# machine that ran perfgate-update, and shared CI runners both differ
-# from it and jitter by tens of percent — the gate exists to catch
-# order-of-magnitude mistakes (a lost fast path, an accidental linear
-# scan), not 10% noise. Tighten it on quiet dedicated hardware. After
-# an intentional perf change, refresh with `make perfgate-update` and
-# commit the new baseline.
-PERFGATE_RUN = $(GO) run ./cmd/sosd -n 1000000 -lookups 100000 -families RMI,PGM -format json -o BENCH_current.json serve
-PERFGATE_THRESHOLD ?= 75
-perfgate:
-	$(PERFGATE_RUN)
-	$(GO) run ./cmd/perfdiff -threshold $(PERFGATE_THRESHOLD) BENCH_current.json
-
-perfgate-update:
-	$(PERFGATE_RUN)
-	$(GO) run ./cmd/perfdiff -update BENCH_current.json
 
 # build-audit is the GOAMD64=v3 check from the roadmap's hot-path
 # item: the whole tree must compile at the wider instruction baseline

@@ -108,9 +108,9 @@ func serveSweep(r *Run) ([]report.Table, error) {
 		Float("Mlookups/s", "M/s", 2)
 	for _, family := range families {
 		for _, shards := range []int{1, 4, 8} {
-			// Full observability wiring at default sampling: perfgate
-			// runs this sweep, so the gate measures the instrumented
-			// path, not a metrics-free special case.
+			// Full observability wiring at default sampling, so the
+			// sweep measures the instrumented path, not a metrics-free
+			// special case.
 			reg := obs.NewRegistry()
 			st, err := serve.New(e.Keys, e.Payloads, serve.Config{
 				Shards: shards, Family: family,

@@ -223,7 +223,8 @@ func TestWriterSinkErrorIsSticky(t *testing.T) {
 }
 
 // TestWriterReset: an in-memory encoder reused across messages starts
-// each one clean and keeps its memory.
+// each one clean. That reuse allocates nothing is the work ledger's
+// binio.reused_writer_allocs row (internal/ledger).
 func TestWriterReset(t *testing.T) {
 	var w Writer
 	w.U64(1)
@@ -234,8 +235,5 @@ func TestWriterReset(t *testing.T) {
 	ref.U32(5)
 	if !bytes.Equal(w.Buffered(), ref.out.Bytes()) || w.Sum64() != ref.crc || w.Len() != 4 {
 		t.Errorf("after Reset: bytes %v crc %x len %d", w.Buffered(), w.Sum64(), w.Len())
-	}
-	if allocs := testing.AllocsPerRun(100, func() { w.Reset(); w.U64(1); w.U64(2) }); allocs != 0 {
-		t.Errorf("reused encoder allocates %v times per message", allocs)
 	}
 }

@@ -1,0 +1,494 @@
+//go:build !race
+
+// Package ledger is the work ledger: one test that prices every layer a
+// request crosses in counts that are exact at a fixed seed and scale,
+// and holds them to testdata/ledger.golden. Its rows, in layer order:
+//
+//   - index: bytes per key, mean bound width, and perfsim's simulated
+//     cache misses and instructions per lookup, for RMI, PGM, RS and
+//     BTree over the four datasets;
+//   - table: allocations per Get, GetBatch and GetBatchRuns;
+//   - store: allocations per clean and dirty Get, per GetBatch and per
+//     detached, hooked and attached Put, and run probes per read after a
+//     scripted sequence of writes and flushes;
+//   - persist: WAL bytes and fsyncs per put, snapshot bytes per key and
+//     per put;
+//   - net: frames and bytes per one-in-flight point get, batch get and
+//     put, counted by a loopback proxy between client and server;
+//   - codec and repl: allocations of a reused encoder and of a stream-log
+//     append on a full ring.
+//
+// A changed row fails the test by name. A change that moves a row on
+// purpose regenerates the file in the same diff, so the move is a
+// reviewed line:
+//
+//	LEDGER_WRITE_GOLDEN=1 go test -run TestLedger ./internal/ledger/
+//
+// Nothing here is a timing (benchmark/ measures those), and nothing
+// depends on scheduling: allocation counts are taken on calls whose
+// work does not fan out by GOMAXPROCS, and background compaction is
+// either off or waited out after each write that triggers it. The test
+// is excluded under -race, where sync.Pool drops items on purpose.
+package ledger
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math/rand/v2"
+	stdnet "net"
+	"os"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/binio"
+	"repro/internal/btree"
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/net"
+	"repro/internal/perfsim"
+	"repro/internal/persist"
+	"repro/internal/pgm"
+	"repro/internal/registry"
+	"repro/internal/repl"
+	"repro/internal/rmi"
+	"repro/internal/rs"
+	"repro/internal/serve"
+	"repro/internal/table"
+)
+
+const (
+	seed         = 42
+	indexKeys    = 200_000 // per dataset, for the index and table rows
+	indexLookups = 20_000
+	storeKeys    = 20_000 // for the store, persist and net rows
+	goldenPath   = "testdata/ledger.golden"
+)
+
+// families are the paper's four headline families, in row order.
+var families = []string{"RMI", "PGM", "RS", "BTree"}
+
+// ledger collects rows in the order they are measured.
+type ledger struct{ rows []string }
+
+func (l *ledger) add(name string, v float64) {
+	l.rows = append(l.rows, name+" "+strconv.FormatFloat(v, 'g', 6, 64))
+}
+
+func (l *ledger) ratio(name string, num, den uint64) { l.add(name, float64(num)/float64(den)) }
+
+// allocs is allocations per call of f, after one warm-up call.
+func allocs(f func()) float64 { return testing.AllocsPerRun(200, f) }
+
+func TestLedger(t *testing.T) {
+	var l ledger
+	tables := indexRows(t, &l)
+	tableRows(t, &l, tables)
+	keys := dataset.MustGenerate(dataset.Amzn, storeKeys, seed)
+	payloads := dataset.Payloads(len(keys), seed)
+	storeRows(t, &l, keys, payloads)
+	tieredRows(t, &l, keys, payloads)
+	persistRows(t, &l, keys, payloads)
+	netRows(t, &l, keys, payloads)
+	codecRows(&l)
+
+	got := strings.Join(l.rows, "\n") + "\n"
+	if os.Getenv("LEDGER_WRITE_GOLDEN") != "" {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, diff := range diffRows(string(data), got) {
+		t.Error(diff)
+	}
+	if t.Failed() {
+		t.Log("a deliberate change regenerates the golden: LEDGER_WRITE_GOLDEN=1 go test -run TestLedger ./internal/ledger/")
+	}
+}
+
+// diffRows names every row whose value moved, that is new, or that is
+// gone, in golden order then new-row order.
+func diffRows(golden, got string) []string {
+	parse := func(s string) (names []string, vals map[string]string) {
+		vals = map[string]string{}
+		for _, line := range strings.Split(strings.TrimSpace(s), "\n") {
+			name, val, _ := strings.Cut(line, " ")
+			names = append(names, name)
+			vals[name] = val
+		}
+		return names, vals
+	}
+	wantNames, want := parse(golden)
+	gotNames, have := parse(got)
+	var diffs []string
+	for _, name := range wantNames {
+		switch v, ok := have[name]; {
+		case !ok:
+			diffs = append(diffs, fmt.Sprintf("%s: gone (golden %s)", name, want[name]))
+		case v != want[name]:
+			diffs = append(diffs, fmt.Sprintf("%s: %s, golden %s", name, v, want[name]))
+		}
+	}
+	for _, name := range gotNames {
+		if _, ok := want[name]; !ok {
+			diffs = append(diffs, fmt.Sprintf("%s: new row %s", name, have[name]))
+		}
+	}
+	return diffs
+}
+
+// indexRows builds every family's mid-ladder index on every dataset and
+// returns the amzn tables the table rows reuse.
+func indexRows(t *testing.T, l *ledger) map[string]*table.Table {
+	tables := map[string]*table.Table{}
+	for _, ds := range dataset.All() {
+		keys := dataset.MustGenerate(ds, indexKeys, seed)
+		lookups := dataset.Lookups(keys, indexLookups, seed)
+		for _, family := range families {
+			nb, ok := registry.Builder(family, keys)
+			if !ok {
+				t.Fatalf("no builder for %s", family)
+			}
+			idx, err := nb.Builder.Build(keys)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", family, ds, err)
+			}
+			row := fmt.Sprintf("index.%s.%s.", strings.ToLower(family), ds)
+			l.add(row+"bytes_per_key", float64(idx.SizeBytes())/float64(len(keys)))
+			width := 0
+			for _, x := range lookups {
+				width += idx.Lookup(x).Width()
+			}
+			l.ratio(row+"bound_width", uint64(width), uint64(len(lookups)))
+			c := simulate(t, idx, keys, lookups)
+			l.ratio(row+"sim_misses", c.CacheMisses, uint64(len(lookups)))
+			l.ratio(row+"sim_instructions", c.Instructions, uint64(len(lookups)))
+			if ds == dataset.Amzn {
+				tbl, err := table.New(keys, dataset.Payloads(len(keys), seed), idx, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tables[family] = tbl
+			}
+		}
+	}
+	return tables
+}
+
+// simulate replays the lookups on perfsim's machine, as fig12 does —
+// one byte of simulated cache per key, one warm pass — and returns the
+// counters of the second pass.
+func simulate(t *testing.T, idx core.Index, keys, lookups []core.Key) perfsim.Counters {
+	m := perfsim.New(perfsim.Config{CacheBytes: min(max(len(keys), 128<<10), 4<<20)})
+	var tr perfsim.Traced
+	switch v := idx.(type) {
+	case *rmi.Index:
+		tr = perfsim.NewTracedRMI(v, m, keys)
+	case *pgm.Index:
+		tr = perfsim.NewTracedPGM(v, m, keys)
+	case *rs.Index:
+		tr = perfsim.NewTracedRS(v, m, keys)
+	case *btree.Index:
+		tr = perfsim.NewTracedBTree(v, m, keys)
+	default:
+		t.Fatalf("no traced form of %T", idx)
+	}
+	for _, x := range lookups {
+		tr.Lookup(x)
+	}
+	m.ResetCounters()
+	for _, x := range lookups {
+		tr.Lookup(x)
+	}
+	return m.Counters()
+}
+
+// tableRows prices the table layer over the amzn tables: a point Get
+// and a 256-key GetBatch per family, and a GetBatchRuns over a base run
+// and two tier runs that shadow part of it.
+func tableRows(t *testing.T, l *ledger, tables map[string]*table.Table) {
+	base := tables["PGM"]
+	probes := dataset.Lookups(base.Keys(), 256, seed)
+	out := make([]uint64, len(probes))
+	for _, family := range families {
+		tbl := tables[family]
+		i := 0
+		row := "table." + strings.ToLower(family) + "."
+		l.add(row+"get_allocs", allocs(func() { tbl.Get(probes[i%len(probes)]); i++ }))
+		l.add(row+"getbatch_allocs", allocs(func() { tbl.GetBatch(probes, out) }))
+	}
+	runs := []*table.Table{base, tierRun(t, base, 7), tierRun(t, base, 11)}
+	found := make([]bool, len(probes))
+	_, probed := table.GetBatchRuns(runs, probes, out, found)
+	l.ratio("table.getbatchruns.probes_per_key", uint64(probed), uint64(len(probes)))
+	l.add("table.getbatchruns.allocs", allocs(func() { table.GetBatchRuns(runs, probes, out, found) }))
+}
+
+// tierRun is a run over every stride-th key of base with new payloads
+// and every third of them a tombstone.
+func tierRun(t *testing.T, base *table.Table, stride int) *table.Table {
+	var keys []core.Key
+	var vals []uint64
+	var tombs []bool
+	for i := 0; i < base.Len(); i += stride {
+		keys = append(keys, base.Keys()[i])
+		vals = append(vals, uint64(i)<<8|uint64(stride))
+		tombs = append(tombs, len(keys)%3 == 0)
+	}
+	nb, _ := registry.Tier("PGM", keys)
+	tbl, err := table.BuildTombed(nb.Builder, keys, vals, tombs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// storeConfig is every ledger store's: two shards served by two
+// workers whatever the CPU count, background compaction off.
+func storeConfig() serve.Config {
+	return serve.Config{Shards: 2, Workers: 2, Family: "PGM", CompactThreshold: -1}
+}
+
+func newStore(t *testing.T, keys []core.Key, payloads []uint64, cfg serve.Config) *serve.Store {
+	st, err := serve.New(keys, payloads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st
+}
+
+// putter returns a Put of a key above every key the store holds, a new
+// one per call, so every measured Put takes the same insert path.
+func putter(st *serve.Store, keys []core.Key) func() {
+	next := keys[len(keys)-1]
+	return func() {
+		next++
+		st.Put(next, uint64(next))
+	}
+}
+
+// storeRows prices Store's read and write paths on a compacted store.
+func storeRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
+	st := newStore(t, keys, payloads, storeConfig())
+	probes := dataset.Lookups(keys, 256, seed)
+	out := make([]uint64, len(probes))
+	i := 0
+	get := func() { st.Get(probes[i%len(probes)]); i++ }
+	l.add("store.get_clean_allocs", allocs(get))
+	l.add("store.getbatch_allocs", allocs(func() { st.GetBatch(probes, out) }))
+	l.add("store.put_detached_allocs", allocs(putter(st, keys)))
+	l.add("store.get_dirty_allocs", allocs(get))
+
+	cfg := storeConfig()
+	cfg.WriteHook = repl.NewLog(2).Hook()
+	hooked := newStore(t, keys, payloads, cfg)
+	l.add("store.put_hooked_allocs", allocs(putter(hooked, keys)))
+}
+
+// tieredRows replays a scripted write sequence on one tiered shard —
+// three delta fills, each flushed into a tier run and waited out, then
+// a partial fill — and counts run probes per read over a fixed read
+// set. The tiering bounds are set so that only flushes happen: no merge
+// choice, whose cost model reads measured times, is ever taken.
+func tieredRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
+	const fill = 256
+	st := newStore(t, keys, payloads, serve.Config{
+		Shards: 1, Family: "PGM", CompactThreshold: fill, MaxRuns: 8, AmpBound: 1e9,
+	})
+	r := rand.New(rand.NewPCG(seed, 0))
+	for w := 0; w < 3*fill+fill/2; w++ {
+		k := keys[r.IntN(len(keys))]
+		switch r.IntN(4) {
+		case 0:
+			st.Delete(k)
+		case 1:
+			st.Put(k, r.Uint64())
+		default:
+			st.Put(k+1, r.Uint64())
+		}
+		st.WaitCompactions()
+	}
+	l.add("store.tiered.runs", float64(st.MaxRunCount()))
+	l.add("store.tiered.flushes", float64(st.Flushes()))
+	l.add("store.tiered.delta_len", float64(st.DeltaLen()))
+	reads := dataset.Lookups(keys, 4096, seed+1)
+	for _, x := range reads {
+		st.Get(x)
+	}
+	l.add("store.tiered.probes_per_read", st.ReadAmp())
+	i := 0
+	l.add("store.tiered.get_allocs", allocs(func() { st.Get(reads[i%len(reads)]); i++ }))
+}
+
+// persistRows prices the attached store: the snapshot that creates its
+// directory, then puts with one WAL sync each, then the checkpoint
+// (Compact) that folds them into the runs and truncates the WAL.
+func persistRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
+	const puts = 500
+	dir := t.TempDir()
+	st := newStore(t, keys, payloads, storeConfig())
+	c0 := persist.CountersNow()
+	if err := st.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	c1 := persist.CountersNow()
+	l.ratio("persist.snapshot_bytes_per_key", c1.SnapshotBytes-c0.SnapshotBytes, storeKeys)
+	l.add("persist.snapshot_fsyncs", float64(c1.Fsyncs-c0.Fsyncs))
+
+	cfg := storeConfig()
+	cfg.SyncWrites = true
+	at, err := serve.Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(at.Close)
+	put := putter(at, keys)
+	c2 := persist.CountersNow()
+	for range puts {
+		put()
+	}
+	c3 := persist.CountersNow()
+	l.ratio("persist.wal_bytes_per_put", c3.WALBytes-c2.WALBytes, puts)
+	l.ratio("persist.wal_appends_per_put", c3.WALAppends-c2.WALAppends, puts)
+	l.ratio("persist.fsyncs_per_put", c3.Fsyncs-c2.Fsyncs, puts)
+	if err := at.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	c4 := persist.CountersNow()
+	l.ratio("persist.checkpoint_bytes_per_put", c4.SnapshotBytes-c3.SnapshotBytes, puts)
+	l.add("persist.checkpoint_fsyncs", float64(c4.Fsyncs-c3.Fsyncs))
+	l.add("store.put_attached_allocs", allocs(put))
+	if err := at.PersistErr(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// netRows counts what one client with one request in flight puts on
+// the wire, per op and in both directions, through a proxy that parses
+// the frame stream.
+func netRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
+	st := newStore(t, keys, payloads, storeConfig())
+	srv, err := net.Listen("127.0.0.1:0", st, net.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	probes := dataset.Lookups(keys, 256, seed)
+	out := make([]uint64, len(probes))
+	for _, op := range []struct {
+		name string
+		n    int
+		do   func(c *net.Client, i int) error
+	}{
+		{"get", 100, func(c *net.Client, i int) error { _, _, err := c.Get(probes[i%len(probes)]); return err }},
+		{"getbatch", 20, func(c *net.Client, i int) error { _, err := c.GetBatch(probes, out); return err }},
+		{"put", 100, func(c *net.Client, i int) error { return c.Put(keys[i]+1, uint64(i)) }},
+	} {
+		p := newFrameProxy(t, srv.Addr().String())
+		c, err := net.Dial(p.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range op.n {
+			if err := op.do(c, i); err != nil {
+				t.Fatalf("net %s: %v", op.name, err)
+			}
+		}
+		c.Close()
+		frames, bytes := p.wait()
+		l.ratio("net."+op.name+".frames_per_op", frames, uint64(op.n))
+		l.ratio("net."+op.name+".bytes_per_op", bytes, uint64(op.n))
+	}
+}
+
+// frameProxy relays one client connection to the server and counts the
+// frames and bytes that cross it in either direction. Each frame is
+// counted before it is forwarded, so a call that has returned has been
+// counted in full.
+type frameProxy struct {
+	addr          string
+	wg            sync.WaitGroup
+	mu            sync.Mutex
+	frames, bytes uint64
+}
+
+func newFrameProxy(t *testing.T, server string) *frameProxy {
+	t.Helper()
+	ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &frameProxy{addr: ln.Addr().String()}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		down, err := ln.Accept()
+		ln.Close()
+		if err != nil {
+			return
+		}
+		up, err := stdnet.Dial("tcp", server)
+		if err != nil {
+			down.Close()
+			return
+		}
+		p.wg.Add(2)
+		go p.relay(up, down)
+		go p.relay(down, up)
+	}()
+	return p
+}
+
+// relay forwards whole frames from src to dst until src ends, then
+// closes both sides, which ends the opposite relay too.
+func (p *frameProxy) relay(dst, src stdnet.Conn) {
+	defer p.wg.Done()
+	defer dst.Close()
+	defer src.Close()
+	var hdr [4]byte
+	for {
+		if _, err := io.ReadFull(src, hdr[:]); err != nil {
+			return
+		}
+		frame := make([]byte, 4+int(binary.LittleEndian.Uint32(hdr[:]))+8)
+		copy(frame, hdr[:])
+		if _, err := io.ReadFull(src, frame[4:]); err != nil {
+			return
+		}
+		p.mu.Lock()
+		p.frames++
+		p.bytes += uint64(len(frame))
+		p.mu.Unlock()
+		if _, err := dst.Write(frame); err != nil {
+			return
+		}
+	}
+}
+
+// wait joins the relays (the client has closed) and returns the totals.
+func (p *frameProxy) wait() (frames, bytes uint64) {
+	p.wg.Wait()
+	return p.frames, p.bytes
+}
+
+// codecRows prices the encoder every frame and file goes through, and
+// the replication stream log's append once its ring is full — the state
+// of every shard of a primary that has taken DefaultRingOps writes.
+func codecRows(l *ledger) {
+	var w binio.Writer
+	l.add("binio.reused_writer_allocs", allocs(func() { w.Reset(); w.U64(1); w.U64(2) }))
+	hook := repl.NewLog(1).Hook()
+	for i := range repl.DefaultRingOps {
+		hook(0, persist.Op{Key: core.Key(i)})
+	}
+	i := 0
+	l.add("repl.log_append_full_allocs", allocs(func() { hook(0, persist.Op{Key: core.Key(i)}); i++ }))
+}

@@ -43,12 +43,31 @@ type Log struct {
 	shards  []logShard
 }
 
-// logShard is one shard's ring: ops[k] carries sequence base+k+1, so
-// base is the seq of the last evicted (or zero) record and base+len
-// the last assigned.
+// logShard is one shard's ring: the op with sequence base+k+1 is at
+// ops[(head+k) % len(ops)], so base is the seq of the last evicted (or
+// zero) record and base+len the last assigned. ops grows on demand up
+// to the ring's capacity; from then on an append overwrites the oldest
+// op in place (head is 0 until then).
 type logShard struct {
 	base uint64
+	head int
 	ops  []persist.Op
+}
+
+// push appends op, evicting the oldest op once the ring holds ringCap.
+func (s *logShard) push(op persist.Op, ringCap int) {
+	if len(s.ops) < ringCap {
+		if len(s.ops) == cap(s.ops) { // grow, but never past the ring
+			s.ops = append(make([]persist.Op, 0, min(max(2*cap(s.ops), 64), ringCap)), s.ops...)
+		}
+		s.ops = append(s.ops, op)
+		return
+	}
+	s.ops[s.head] = op
+	s.base++
+	if s.head++; s.head == len(s.ops) {
+		s.head = 0
+	}
 }
 
 // NewLog creates a stream log for a store with the given shard count,
@@ -80,12 +99,7 @@ func (l *Log) Hook() func(shard int, op persist.Op) {
 func (l *Log) append(shard int, op persist.Op) uint64 {
 	l.mu.Lock()
 	s := &l.shards[shard]
-	s.ops = append(s.ops, op)
-	if len(s.ops) > l.ringCap {
-		drop := len(s.ops) - l.ringCap
-		s.base += uint64(drop)
-		s.ops = append(s.ops[:0:0], s.ops[drop:]...)
-	}
+	s.push(op, l.ringCap)
 	seq := s.base + uint64(len(s.ops))
 	ch := l.notifyC
 	l.notifyC = nil
@@ -132,11 +146,16 @@ func (l *Log) tailFrom(shard int, from uint64, maxOps int) (ops []persist.Op, ok
 	if start >= len(s.ops) {
 		return nil, true
 	}
-	end := len(s.ops)
-	if maxOps > 0 && end-start > maxOps {
-		end = start + maxOps
+	n := len(s.ops) - start
+	if maxOps > 0 && n > maxOps {
+		n = maxOps
 	}
-	return append([]persist.Op(nil), s.ops[start:end]...), true
+	ops = make([]persist.Op, n)
+	at := (s.head + start) % len(s.ops)
+	if k := copy(ops, s.ops[at:]); k < n { // wrapped: the rest is at the front
+		copy(ops[k:], s.ops)
+	}
+	return ops, true
 }
 
 // updated returns a channel closed by the next Append — the streamer's

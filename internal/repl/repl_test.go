@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -63,6 +64,51 @@ func TestLogEviction(t *testing.T) {
 	ops, ok := l.tailFrom(0, 19, 0)
 	if !ok || len(ops) != 1 || ops[0].Key != 19 {
 		t.Fatalf("tip read after eviction: %d ops ok=%v", len(ops), ok)
+	}
+}
+
+// TestLogRingMatchesAllOps: across many wraparounds, every tailFrom
+// answers what a log of every op ever appended would — the ops after
+// from, capped at maxOps — for exactly the last ringCap ops, and
+// ok=false before them. The ring never reserves more than ringCap ops.
+func TestLogRingMatchesAllOps(t *testing.T) {
+	r := rand.New(rand.NewSource(30))
+	for _, ringCap := range []int{1, 3, 8, 100, 1000} {
+		const shards = 3
+		l := NewLog(shards)
+		l.ringCap = ringCap
+		all := make([][]persist.Op, shards)
+		for step := 0; step < 20*ringCap+200; step++ {
+			shard := r.Intn(shards)
+			op := persist.Op{Key: r.Uint64(), Val: uint64(step), Tomb: r.Intn(4) == 0}
+			all[shard] = append(all[shard], op)
+			if seq := l.append(shard, op); seq != uint64(len(all[shard])) {
+				t.Fatalf("ring %d: append %d got seq %d, want %d", ringCap, step, seq, len(all[shard]))
+			}
+			s := &l.shards[shard]
+			if held := min(len(all[shard]), ringCap); len(s.ops) != held || cap(s.ops) > ringCap {
+				t.Fatalf("ring %d: holds %d ops in cap %d after %d appends, want %d in cap <= %d",
+					ringCap, len(s.ops), cap(s.ops), len(all[shard]), held, ringCap)
+			}
+			q := r.Intn(shards)
+			last := len(all[q])
+			from := r.Intn(last + 1)
+			maxOps := r.Intn(ringCap + 2)
+			ops, ok := l.tailFrom(q, uint64(from), maxOps)
+			if wantOK := from >= last-min(last, ringCap); ok != wantOK {
+				t.Fatalf("ring %d: tailFrom(%d, %d) ok=%v with %d appended", ringCap, q, from, ok, last)
+			}
+			if !ok {
+				continue
+			}
+			want := all[q][from:]
+			if maxOps > 0 && len(want) > maxOps {
+				want = want[:maxOps]
+			}
+			if !slices.Equal(ops, want) {
+				t.Fatalf("ring %d: tailFrom(%d, %d, %d) = %v, want %v", ringCap, q, from, maxOps, ops, want)
+			}
+		}
 	}
 }
 
