@@ -290,13 +290,15 @@ func minLeaf(n *node) *node {
 	return n
 }
 
-// ceiling returns the value of the smallest stored key >= x.
-func (t *Tree) ceiling(x core.Key) (key core.Key, val int32, found bool) {
+// ceiling returns the value of the smallest stored key >= x. A
+// non-nil visit is called for every node touched, the path the
+// performance-counter simulation replays.
+func (t *Tree) ceiling(x core.Key, visit func(NodeStep)) (key core.Key, val int32, found bool) {
 	if t.root == nil {
 		return 0, 0, false
 	}
 	kb := keyBytes(x)
-	lf := ceiling(t.root, kb[:], 0)
+	lf := ceiling(t.root, kb[:], 0, visit)
 	if lf == nil {
 		return 0, 0, false
 	}
@@ -306,7 +308,10 @@ func (t *Tree) ceiling(x core.Key) (key core.Key, val int32, found bool) {
 // ceiling finds the smallest leaf with key >= kb within the subtree,
 // assuming the subtree's path so far equals kb[:depth]. Returns nil
 // when every key in the subtree is smaller.
-func ceiling(n *node, kb []byte, depth int) *node {
+func ceiling(n *node, kb []byte, depth int, visit func(NodeStep)) *node {
+	if visit != nil {
+		visit(NodeStep{ID: n.id, SizeBytes: nodeBytes(n.kind)})
+	}
 	if n.kind == kindLeaf {
 		ob := keyBytes(n.key)
 		for i := depth; i < keyLen; i++ {
@@ -322,7 +327,7 @@ func ceiling(n *node, kb []byte, depth int) *node {
 	// Compare the compressed path against the query.
 	for i, pb := range n.prefix {
 		if pb > kb[depth+i] {
-			return minLeaf(n) // whole subtree is greater
+			return minLeafVisit(n, visit) // whole subtree is greater
 		}
 		if pb < kb[depth+i] {
 			return nil // whole subtree is smaller
@@ -334,7 +339,7 @@ func ceiling(n *node, kb []byte, depth int) *node {
 		return nil
 	}
 	if exact {
-		if lf := ceiling(child, kb, depth+1); lf != nil {
+		if lf := ceiling(child, kb, depth+1, visit); lf != nil {
 			return lf
 		}
 		// Everything under the exact child is smaller; take the next one.
@@ -342,9 +347,20 @@ func ceiling(n *node, kb []byte, depth int) *node {
 		if kb[depth] == 0xFF || next == nil {
 			return nil
 		}
-		return minLeaf(next)
+		return minLeafVisit(next, visit)
 	}
-	return minLeaf(child)
+	return minLeafVisit(child, visit)
+}
+
+// minLeafVisit is minLeaf reporting only the leaf it reaches: min-leaf
+// descents touch one node per remaining byte but those nodes are
+// usually adjacent; the dominant cost is the final leaf line.
+func minLeafVisit(n *node, visit func(NodeStep)) *node {
+	lf := minLeaf(n)
+	if visit != nil {
+		visit(NodeStep{ID: lf.id, SizeBytes: leafBytes})
+	}
+	return lf
 }
 
 // Node size accounting, approximating the C++ struct sizes.
@@ -408,8 +424,12 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 }
 
 // Lookup implements core.Index.
-func (idx *Index) Lookup(key core.Key) core.Bound {
-	_, pos, found := idx.tree.ceiling(key)
+func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
+
+// Trace is Lookup's descent: a non-nil visit is called for every node
+// touched, including backtracking and min-leaf descents.
+func (idx *Index) Trace(key core.Key, visit func(NodeStep)) core.Bound {
+	_, pos, found := idx.tree.ceiling(key, visit)
 	if !found {
 		// Every indexed key is smaller: the lower bound lies after the
 		// last subset position.
@@ -429,8 +449,8 @@ func (idx *Index) SizeBytes() int { return idx.tree.sizeBytes() }
 // Name implements core.Index.
 func (idx *Index) Name() string { return "ART" }
 
-// NodeStep describes one node visited during a lookup, for the
-// performance-counter simulation.
+// NodeStep is one node of a descent as Trace reports it: its stable id
+// and its size class.
 type NodeStep struct {
 	ID        int32
 	SizeBytes int
@@ -450,78 +470,3 @@ func nodeBytes(k nodeKind) int {
 		return node256Bytes
 	}
 }
-
-// CeilingPath is Ceiling with a visitor invoked for every node touched
-// (including backtracking and min-leaf descents).
-func (t *Tree) CeilingPath(x core.Key, visit func(NodeStep)) (core.Key, int32, bool) {
-	if t.root == nil {
-		return 0, 0, false
-	}
-	kb := keyBytes(x)
-	lf := ceilingVisit(t.root, kb[:], 0, visit)
-	if lf == nil {
-		return 0, 0, false
-	}
-	return lf.key, lf.val, true
-}
-
-func ceilingVisit(n *node, kb []byte, depth int, visit func(NodeStep)) *node {
-	visit(NodeStep{ID: n.id, SizeBytes: nodeBytes(n.kind)})
-	if n.kind == kindLeaf {
-		ob := keyBytes(n.key)
-		for i := depth; i < keyLen; i++ {
-			if ob[i] > kb[i] {
-				return n
-			}
-			if ob[i] < kb[i] {
-				return nil
-			}
-		}
-		return n
-	}
-	for i, pb := range n.prefix {
-		if pb > kb[depth+i] {
-			return minLeafVisit(n, visit)
-		}
-		if pb < kb[depth+i] {
-			return nil
-		}
-	}
-	depth += len(n.prefix)
-	child, exact := n.childAtOrAfter(kb[depth])
-	if child == nil {
-		return nil
-	}
-	if exact {
-		if lf := ceilingVisit(child, kb, depth+1, visit); lf != nil {
-			return lf
-		}
-		next, _ := n.childAtOrAfter(kb[depth] + 1)
-		if kb[depth] == 0xFF || next == nil {
-			return nil
-		}
-		return minLeafVisit(next, visit)
-	}
-	return minLeafVisit(child, visit)
-}
-
-func minLeafVisit(n *node, visit func(NodeStep)) *node {
-	lf := minLeaf(n)
-	// Approximate the visit trail with the leaf itself: min-leaf
-	// descents touch one node per remaining byte but those nodes are
-	// usually adjacent; the dominant cost is the final leaf line.
-	visit(NodeStep{ID: lf.id, SizeBytes: leafBytes})
-	return lf
-}
-
-// IndexTree exposes the underlying tree of an Index.
-func (idx *Index) IndexTree() *Tree { return idx.tree }
-
-// Stride returns the subset stride.
-func (idx *Index) Stride() int { return idx.stride }
-
-// N returns the indexed data size.
-func (idx *Index) N() int { return idx.n }
-
-// MaxPos returns the data position of the last subset key.
-func (idx *Index) MaxPos() int32 { return idx.maxPos }

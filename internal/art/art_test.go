@@ -20,7 +20,7 @@ func TestARTCeilingMatchesReference(t *testing.T) {
 	probes := indextest.ProbesFor(keys[:2000])
 	for _, x := range probes {
 		want := core.LowerBound(keys, x)
-		k, v, found := tr.ceiling(x)
+		k, v, found := tr.ceiling(x, nil)
 		if want == len(keys) {
 			if found {
 				t.Fatalf("Ceiling(%d): found %d, want none", x, k)
@@ -54,7 +54,7 @@ func TestARTInsertOverwrite(t *testing.T) {
 	if n := tr.counts[kindLeaf]; n != 1 {
 		t.Fatalf("leaves = %d, want 1", n)
 	}
-	_, v, found := tr.ceiling(42)
+	_, v, found := tr.ceiling(42, nil)
 	if !found || v != 7 {
 		t.Fatalf("Ceiling(42) = (%d, %v)", v, found)
 	}
@@ -62,7 +62,7 @@ func TestARTInsertOverwrite(t *testing.T) {
 
 func TestARTEmptyTree(t *testing.T) {
 	tr := newTree()
-	if _, _, found := tr.ceiling(5); found {
+	if _, _, found := tr.ceiling(5, nil); found {
 		t.Error("empty tree should find nothing")
 	}
 	if _, err := (Builder{}).Build(nil); err == nil {
@@ -82,7 +82,7 @@ func TestARTNodeGrowth(t *testing.T) {
 		t.Errorf("expected one Node256, got %d (counts=%v)", tr.counts[kind256], tr.counts)
 	}
 	for i := 0; i < 256; i++ {
-		k, v, found := tr.ceiling(base | core.Key(i))
+		k, v, found := tr.ceiling(base|core.Key(i), nil)
 		if !found || v != int32(i) || k != base|core.Key(i) {
 			t.Fatalf("Ceiling(%d) = (%d,%d,%v)", base|core.Key(i), k, v, found)
 		}
@@ -104,7 +104,7 @@ func TestARTPathCompression(t *testing.T) {
 		t.Errorf("expected 2 Node4 after split, got %d", tr.counts[kind4])
 	}
 	for _, k := range []core.Key{0x1122334455667701, 0x1122334455667702, 0x11223399AA000000} {
-		got, _, found := tr.ceiling(k)
+		got, _, found := tr.ceiling(k, nil)
 		if !found || got != k {
 			t.Fatalf("Ceiling(%x) = (%x, %v)", k, got, found)
 		}
@@ -129,7 +129,7 @@ func TestARTCeilingAcrossSplitPaths(t *testing.T) {
 		{0xFF00000000000001, 0, false},
 	}
 	for _, tc := range cases {
-		k, _, found := tr.ceiling(tc.x)
+		k, _, found := tr.ceiling(tc.x, nil)
 		if found != tc.ok || (found && k != tc.want) {
 			t.Errorf("Ceiling(%x) = (%x, %v), want (%x, %v)", tc.x, k, found, tc.want, tc.ok)
 		}
@@ -154,7 +154,7 @@ func TestARTRandomInsertCeiling(t *testing.T) {
 	for q := 0; q < 3000; q++ {
 		x := core.Key(rng.Uint64())
 		i := core.LowerBound(sorted, x)
-		k, v, found := tr.ceiling(x)
+		k, v, found := tr.ceiling(x, nil)
 		if i == len(sorted) {
 			if found {
 				t.Fatalf("Ceiling(%d) found %d, want none", x, k)
@@ -218,7 +218,7 @@ func TestARTProperty(t *testing.T) {
 		}
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		i := core.LowerBound(sorted, x)
-		k, _, found := tr.ceiling(x)
+		k, _, found := tr.ceiling(x, nil)
 		if i == len(sorted) {
 			return !found
 		}

@@ -8,18 +8,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fast"
-	"repro/internal/hashidx"
 	"repro/internal/perfsim"
-	"repro/internal/pgm"
 	"repro/internal/rbs"
 	"repro/internal/registry"
 	"repro/internal/report"
-	"repro/internal/rmi"
-	"repro/internal/rs"
 	"repro/internal/search"
 	"repro/internal/stats"
-
-	artpkg "repro/internal/art"
 )
 
 // The paper's experiments, registered in figure order. Each returns
@@ -309,7 +303,7 @@ func native32BTreeNs(k32 []core.Key32, e *Env) float64 {
 	var sum int64
 	start := time.Now()
 	for _, x := range lookups {
-		v, found, _, _ := t.Ceiling(x)
+		v, found, _, _ := t.Ceiling(x, nil)
 		if found {
 			sum += int64(v)
 		}
@@ -331,7 +325,7 @@ func native32FASTNs(k32 []core.Key32, e *Env) float64 {
 	var sum int
 	start := time.Now()
 	for _, x := range lookups {
-		sum += t.Ceiling(x)
+		sum += t.Ceiling(x, nil)
 	}
 	elapsed := time.Since(start)
 	_ = sum
@@ -404,8 +398,9 @@ func counterRow(e *Env, family string, nb registry.NamedBuilder, reps int) (Coun
 	if err != nil {
 		return CounterRow{}, false
 	}
-	tr, m := traceFor(family, idx, e)
-	if tr == nil {
+	m := perfsim.New(perfsim.CacheFor(len(e.Keys)))
+	tr, ok := perfsim.For(idx, m, e.Keys)
+	if !ok {
 		return CounterRow{}, false
 	}
 	meas := measureWarmBest(e, idx, reps)
@@ -430,49 +425,6 @@ func counterRow(e *Env, family string, nb registry.NamedBuilder, reps int) (Coun
 		BranchMisses: float64(c.BranchMisses) / nl,
 		Instructions: float64(c.Instructions) / nl,
 	}, true
-}
-
-// traceFor wires a built index into a fresh simulated machine. The
-// simulated cache is sized relative to the data so the paper's regime
-// (working set far larger than the LLC) holds at laptop scale: one
-// byte of cache per key keeps the ratio near the paper's 3.2 GB data
-// to 27.5 MB LLC.
-func traceFor(family string, idx core.Index, e *Env) (perfsim.Traced, *perfsim.Machine) {
-	cache := len(e.Keys)
-	if cache < 128<<10 {
-		cache = 128 << 10
-	}
-	if cache > 4<<20 {
-		cache = 4 << 20
-	}
-	m := perfsim.New(perfsim.Config{CacheBytes: cache})
-	switch v := idx.(type) {
-	case *rmi.Index:
-		return perfsim.NewTracedRMI(v, m, e.Keys), m
-	case *pgm.Index:
-		return perfsim.NewTracedPGM(v, m, e.Keys), m
-	case *rs.Index:
-		return perfsim.NewTracedRS(v, m, e.Keys), m
-	case *rbs.Index:
-		return perfsim.NewTracedRBS(v, m, e.Keys), m
-	case *btree.Index:
-		return perfsim.NewTracedBTree(v, m, e.Keys), m
-	case *artpkg.Index:
-		return perfsim.NewTracedART(v, m, e.Keys), m
-	case *fast.Index:
-		return perfsim.NewTracedFAST(v, m, e.Keys), m
-	}
-	if family == "RobinHash" {
-		tbl, err := hashidx.NewRobinHood(len(e.Keys), 0.25)
-		if err != nil {
-			return nil, nil
-		}
-		for i, k := range e.Keys {
-			tbl.Insert(k, int32(i))
-		}
-		return perfsim.NewTracedRobin(tbl, m, e.Keys), m
-	}
-	return nil, nil
 }
 
 // counterTable renders CounterRows into the Figure 12 table shape.

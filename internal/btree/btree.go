@@ -155,10 +155,15 @@ func (t *Tree[K]) searchNode(nd *node[K], x K) int {
 // Ceiling returns the value of the smallest key >= x, with found=false
 // when every key is smaller (or the tree is empty). The second return
 // is the value (data position) of the predecessor entry — the largest
-// key < x — with predOK=false when x is not greater than any key.
-func (t *Tree[K]) Ceiling(x K) (val int32, found bool, pred int32, predOK bool) {
+// key < x — with predOK=false when x is not greater than any key. A
+// non-nil visit is called with the id of every node searched, root to
+// leaf: the path the performance-counter simulation replays.
+func (t *Tree[K]) Ceiling(x K, visit func(id int32)) (val int32, found bool, pred int32, predOK bool) {
 	nd := t.root
 	for !nd.isLeaf() {
+		if visit != nil {
+			visit(nd.id)
+		}
 		i := t.searchNode(nd, x)
 		// Inner separators are child maxima: child i holds keys <= keys[i].
 		if i == len(nd.keys) {
@@ -166,6 +171,9 @@ func (t *Tree[K]) Ceiling(x K) (val int32, found bool, pred int32, predOK bool) 
 		} else {
 			nd = nd.children[i]
 		}
+	}
+	if visit != nil {
+		visit(nd.id)
 	}
 	i := t.searchNode(nd, x)
 	if i == len(nd.keys) {
@@ -204,25 +212,6 @@ func (t *Tree[K]) SizeBytes() int {
 		inner = 0
 	}
 	return t.count*(keySize+4) + t.nNodes*nodeOverhead + inner*fanout/2*8
-}
-
-// pathIDs appends the node ids visited when searching for x, root to
-// leaf, to dst, returning the extended slice. It exists for the
-// performance-counter simulation and follows the Ceiling descent.
-func (t *Tree[K]) pathIDs(x K, dst []int32) []int32 {
-	nd := t.root
-	for {
-		dst = append(dst, nd.id)
-		if nd.isLeaf() {
-			return dst
-		}
-		i := t.searchNode(nd, x)
-		if i == len(nd.keys) {
-			nd = nd.children[len(nd.children)-1]
-		} else {
-			nd = nd.children[i]
-		}
-	}
 }
 
 // numNodes reports the node count.

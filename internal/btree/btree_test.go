@@ -127,7 +127,7 @@ func TestCeilingSemantics(t *testing.T) {
 		{51, 0, false, 4, true},
 	}
 	for _, tc := range cases {
-		val, found, pred, predOK := tr.Ceiling(tc.x)
+		val, found, pred, predOK := tr.Ceiling(tc.x, nil)
 		if found != tc.found || predOK != tc.predOK ||
 			(found && val != tc.val) || (predOK && pred != tc.pred) {
 			t.Errorf("Ceiling(%d) = (%d,%v,%d,%v), want (%d,%v,%d,%v)",
@@ -154,7 +154,7 @@ func TestBTree32(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		val, found, _, _ := tr.Ceiling(k)
+		val, found, _, _ := tr.Ceiling(k, nil)
 		if !found || val != int32(i) {
 			t.Fatalf("Ceiling(%d) = (%d, %v)", k, val, found)
 		}

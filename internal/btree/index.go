@@ -57,8 +57,11 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 }
 
 // Lookup implements core.Index.
-func (idx *Index) Lookup(key core.Key) core.Bound {
-	ceilPos, found, predPos, predOK := idx.tree.Ceiling(key)
+func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
+
+// Trace is Lookup's descent; visit is the tree's Ceiling visitor.
+func (idx *Index) Trace(key core.Key, visit func(id int32)) core.Bound {
+	ceilPos, found, predPos, predOK := idx.tree.Ceiling(key, visit)
 	lo := 0
 	if predOK {
 		lo = int(predPos) + 1
@@ -81,12 +84,6 @@ func (idx *Index) SizeBytes() int { return idx.tree.SizeBytes() }
 
 // Name implements core.Index.
 func (idx *Index) Name() string { return idx.name }
-
-// PathIDs exposes the node-id descent path for the performance-counter
-// simulation.
-func (idx *Index) PathIDs(key core.Key, dst []int32) []int32 {
-	return idx.tree.pathIDs(key, dst)
-}
 
 // NumNodes reports the underlying tree's node count.
 func (idx *Index) NumNodes() int { return idx.tree.numNodes() }

@@ -57,10 +57,16 @@ func NewTree[K interface{ ~uint32 | ~uint64 }](keys []K) (*Tree[K], error) {
 }
 
 // Ceiling returns the index (into the sorted key array) of the
-// smallest key >= x, or len(keys) when every key is smaller.
-func (t *Tree[K]) Ceiling(x K) int {
+// smallest key >= x, or len(keys) when every key is smaller. A non-nil
+// visit is called once per block scanned, top level first, with the
+// level and the block's start and length in that level's array — the
+// path the performance-counter simulation replays.
+func (t *Tree[K]) Ceiling(x K, visit func(level, blockStart, blockLen int)) int {
 	top := t.levels[len(t.levels)-1]
 	if x > top[len(top)-1] {
+		if visit != nil {
+			visit(len(t.levels)-1, 0, len(top))
+		}
 		return len(t.levels[0])
 	}
 	// Scan the top block, then descend: the selected separator index at
@@ -74,6 +80,9 @@ func (t *Tree[K]) Ceiling(x K) int {
 		end := start + blockKeys
 		if end > len(lvl) {
 			end = len(lvl)
+		}
+		if visit != nil {
+			visit(li, start, end-start)
 		}
 		i := start
 		for i < end && lvl[i] < x {
@@ -139,11 +148,15 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 	return &Index{tree: t, n: n, stride: stride}, nil
 }
 
-// Lookup implements core.Index. Subset entry i corresponds to data
-// position i*stride, so the ceiling entry brackets the lower bound
-// between the previous subset position (exclusive) and its own.
-func (idx *Index) Lookup(key core.Key) core.Bound {
-	i := idx.tree.Ceiling(key)
+// Lookup implements core.Index.
+func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
+
+// Trace is Lookup's descent; visit is the tree's Ceiling visitor.
+// Subset entry i corresponds to data position i*stride, so the ceiling
+// entry brackets the lower bound between the previous subset position
+// (exclusive) and its own.
+func (idx *Index) Trace(key core.Key, visit func(level, blockStart, blockLen int)) core.Bound {
+	i := idx.tree.Ceiling(key, visit)
 	m := len(idx.tree.levels[0])
 	var lo, hi int
 	switch {
@@ -169,47 +182,12 @@ func (idx *Index) SizeBytes() int { return idx.tree.SizeBytes() }
 // Name implements core.Index.
 func (idx *Index) Name() string { return "FAST" }
 
-// CeilingPath is Ceiling with a visitor invoked once per level touched
-// with (level, blockStart, blockLen) in that level's array; used by the
-// performance-counter simulation.
-func (t *Tree[K]) CeilingPath(x K, visit func(level, blockStart, blockLen int)) int {
-	top := t.levels[len(t.levels)-1]
-	if x > top[len(top)-1] {
-		visit(len(t.levels)-1, 0, len(top))
-		return len(t.levels[0])
-	}
-	block := 0
-	for li := len(t.levels) - 1; li >= 0; li-- {
-		lvl := t.levels[li]
-		start := block * blockKeys
-		end := start + blockKeys
-		if end > len(lvl) {
-			end = len(lvl)
-		}
-		visit(li, start, end-start)
-		i := start
-		for i < end && lvl[i] < x {
-			i++
-		}
-		if li == 0 {
-			return i
-		}
-		block = i
-	}
-	return 0
-}
-
-// LevelLens reports the entry count of every level, bottom first.
-func (t *Tree[K]) LevelLens() []int {
-	out := make([]int, len(t.levels))
-	for i, l := range t.levels {
+// LevelSizes returns the entry count of each level of the tree, the
+// data subset first.
+func (idx *Index) LevelSizes() []int {
+	out := make([]int, len(idx.tree.levels))
+	for i, l := range idx.tree.levels {
 		out[i] = len(l)
 	}
 	return out
 }
-
-// IndexTree exposes the underlying tree of an Index.
-func (idx *Index) IndexTree() *Tree[core.Key] { return idx.tree }
-
-// Stride returns the subset stride.
-func (idx *Index) Stride() int { return idx.stride }

@@ -33,7 +33,7 @@ func TestFASTCeilingMatchesReference(t *testing.T) {
 	probes := indextest.ProbesFor(keys[:2000])
 	for _, x := range probes {
 		want := core.LowerBound(keys, x)
-		if got := tr.Ceiling(x); got != want {
+		if got := tr.Ceiling(x, nil); got != want {
 			t.Fatalf("Ceiling(%d) = %d, want %d", x, got, want)
 		}
 	}
@@ -50,14 +50,14 @@ func TestFASTSmallTrees(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, k := range keys {
-			if got := tr.Ceiling(k); got != i {
+			if got := tr.Ceiling(k, nil); got != i {
 				t.Fatalf("n=%d: Ceiling(%d) = %d, want %d", n, k, got, i)
 			}
-			if got := tr.Ceiling(k + 1); got != i+1 {
+			if got := tr.Ceiling(k+1, nil); got != i+1 {
 				t.Fatalf("n=%d: Ceiling(%d) = %d, want %d", n, k+1, got, i+1)
 			}
 		}
-		if got := tr.Ceiling(0); got != 0 {
+		if got := tr.Ceiling(0, nil); got != 0 {
 			t.Fatalf("n=%d: Ceiling(0) = %d", n, got)
 		}
 	}
@@ -96,7 +96,7 @@ func TestFAST32(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		if got := tr.Ceiling(k); got != i {
+		if got := tr.Ceiling(k, nil); got != i {
 			t.Fatalf("Ceiling(%d) = %d, want %d", k, got, i)
 		}
 	}
@@ -156,7 +156,7 @@ func TestFASTProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return tr.Ceiling(x) == core.LowerBound(keys, x)
+		return tr.Ceiling(x, nil) == core.LowerBound(keys, x)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -31,12 +31,14 @@ func hash2(x uint64) uint64 {
 
 // RobinHood is an open-addressing hash table with Robin Hood
 // displacement: on collision, the entry farther from its home slot
-// wins, keeping probe-length variance low.
+// wins, keeping probe-length variance low. It is the point index
+// RobinHoodBuilder builds.
 type RobinHood struct {
 	keys []uint64
 	vals []int32
 	dist []int8 // probe distance from home slot; -1 = empty
 	mask uint64
+	n    int // data size: the full bound of an absent key
 }
 
 // SlotSizeBytes is what one slot of either table occupies: a key, a
@@ -47,9 +49,9 @@ const SlotSizeBytes = 8 + 4 + 1
 // factor below stay far under it.
 const maxProbe = 120
 
-// NewRobinHood builds a table sized for n entries at the given load
+// newRobinHood builds a table sized for n entries at the given load
 // factor (the paper found 0.25 maximizes RobinHood lookup speed).
-func NewRobinHood(n int, loadFactor float64) (*RobinHood, error) {
+func newRobinHood(n int, loadFactor float64) (*RobinHood, error) {
 	if loadFactor <= 0 || loadFactor > 1 {
 		return nil, fmt.Errorf("hashidx: invalid load factor %f", loadFactor)
 	}
@@ -62,6 +64,7 @@ func NewRobinHood(n int, loadFactor float64) (*RobinHood, error) {
 		vals: make([]int32, capacity),
 		dist: make([]int8, capacity),
 		mask: uint64(capacity - 1),
+		n:    n,
 	}
 	for i := range t.dist {
 		t.dist[i] = -1
@@ -69,8 +72,8 @@ func NewRobinHood(n int, loadFactor float64) (*RobinHood, error) {
 	return t, nil
 }
 
-// Insert adds key -> val. Existing keys are overwritten.
-func (t *RobinHood) Insert(key uint64, val int32) {
+// insert adds key -> val. Existing keys are overwritten.
+func (t *RobinHood) insert(key uint64, val int32) {
 	slot := hash1(key) & t.mask
 	d := int8(0)
 	for {
@@ -109,35 +112,53 @@ func (t *RobinHood) growAndReinsert(key uint64, val int32) {
 	}
 	for i, d := range old.dist {
 		if d >= 0 {
-			t.Insert(old.keys[i], old.vals[i])
+			t.insert(old.keys[i], old.vals[i])
 		}
 	}
-	t.Insert(key, val)
+	t.insert(key, val)
 }
 
-// Get returns the value stored for key.
-func (t *RobinHood) Get(key uint64) (int32, bool) {
-	slot := hash1(key) & t.mask
-	d := int8(0)
-	for {
+// get returns the value stored for key. A non-nil visit is called once
+// with the key's home slot and the number of slots inspected.
+func (t *RobinHood) get(key uint64, visit func(home uint64, probes int)) (val int32, ok bool) {
+	home := hash1(key) & t.mask
+	slot, d := home, int8(0)
+	for ; d < maxProbe; d++ {
 		sd := t.dist[slot]
 		if sd < 0 || sd < d {
 			// An entry poorer than us would have displaced anything
 			// here: the key is absent.
-			return 0, false
+			break
 		}
 		if t.keys[slot] == key {
-			return t.vals[slot], true
+			val, ok = t.vals[slot], true
+			break
 		}
 		slot = (slot + 1) & t.mask
-		d++
-		if d >= maxProbe {
-			return 0, false
-		}
 	}
+	if visit != nil {
+		visit(home, min(int(d)+1, maxProbe))
+	}
+	return val, ok
 }
 
-// SizeBytes reports the table footprint.
+// Lookup implements core.Index.
+func (t *RobinHood) Lookup(key core.Key) core.Bound { return t.Trace(key, nil) }
+
+// Trace is Lookup's descent: an exact bound for a present key, the full
+// bound otherwise. A non-nil visit is get's visitor, the path the
+// performance-counter simulation replays.
+func (t *RobinHood) Trace(key core.Key, visit func(home uint64, probes int)) core.Bound {
+	if pos, ok := t.get(key, visit); ok {
+		return core.Bound{Lo: int(pos), Hi: int(pos) + 1}
+	}
+	return core.FullBound(t.n)
+}
+
+// Name implements core.Index.
+func (t *RobinHood) Name() string { return "RobinHash" }
+
+// SizeBytes implements core.Index.
 func (t *RobinHood) SizeBytes() int { return len(t.keys) * SlotSizeBytes }
 
 // Cuckoo is a bucketized cuckoo hash table: two candidate buckets of
@@ -265,7 +286,7 @@ func (t *Cuckoo) get(key uint64) (int32, bool) {
 // sizeBytes reports the table footprint.
 func (t *Cuckoo) sizeBytes() int { return len(t.keys) * SlotSizeBytes }
 
-// pointIndex adapts a hash table to core.Index: exact bounds for
+// pointIndex adapts the Cuckoo table to core.Index: exact bounds for
 // present keys, the trivial full bound otherwise.
 type pointIndex struct {
 	get  func(uint64) (int32, bool)
@@ -284,8 +305,8 @@ func (p *pointIndex) Lookup(key core.Key) core.Bound {
 func (p *pointIndex) SizeBytes() int { return p.size() }
 func (p *pointIndex) Name() string   { return p.name }
 
-// RobinHoodBuilder builds a RobinHood-backed point index mapping each
-// key to its first (lower-bound) position.
+// RobinHoodBuilder builds a RobinHood point index mapping each key to
+// its first (lower-bound) position.
 type RobinHoodBuilder struct {
 	// LoadFactor defaults to the paper's 0.25 when zero.
 	LoadFactor float64
@@ -303,7 +324,7 @@ func (b RobinHoodBuilder) Build(keys []core.Key) (core.Index, error) {
 	if lf == 0 {
 		lf = 0.25
 	}
-	t, err := NewRobinHood(len(keys), lf)
+	t, err := newRobinHood(len(keys), lf)
 	if err != nil {
 		return nil, err
 	}
@@ -311,9 +332,9 @@ func (b RobinHoodBuilder) Build(keys []core.Key) (core.Index, error) {
 		if i > 0 && keys[i-1] == k {
 			continue // keep the lower-bound position for duplicates
 		}
-		t.Insert(k, int32(i))
+		t.insert(k, int32(i))
 	}
-	return &pointIndex{get: t.Get, size: t.SizeBytes, n: len(keys), name: "RobinHash"}, nil
+	return t, nil
 }
 
 // CuckooBuilder builds a Cuckoo-backed point index.
@@ -345,28 +366,4 @@ func (b CuckooBuilder) Build(keys []core.Key) (core.Index, error) {
 		t.insert(k, int32(i))
 	}
 	return &pointIndex{get: t.get, size: t.sizeBytes, n: len(keys), name: "CuckooMap"}, nil
-}
-
-// Probe reports the probe sequence of a RobinHood lookup: the home
-// slot and the number of slots inspected; used by the performance-
-// counter simulation.
-func (t *RobinHood) Probe(key uint64) (home uint64, slots int, found bool) {
-	home = hash1(key) & t.mask
-	slot := home
-	d := int8(0)
-	for {
-		slots++
-		sd := t.dist[slot]
-		if sd < 0 || sd < d {
-			return home, slots, false
-		}
-		if t.keys[slot] == key {
-			return home, slots, true
-		}
-		slot = (slot + 1) & t.mask
-		d++
-		if d >= maxProbe {
-			return home, slots, false
-		}
-	}
 }

@@ -29,51 +29,51 @@ func (t *Cuckoo) entries() (n int) {
 }
 
 func TestRobinHoodBasic(t *testing.T) {
-	tbl, err := NewRobinHood(100, 0.25)
+	tbl, err := newRobinHood(100, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		tbl.Insert(uint64(i*17), int32(i))
+		tbl.insert(uint64(i*17), int32(i))
 	}
 	if n := tbl.entries(); n != 100 {
 		t.Fatalf("count = %d", n)
 	}
 	for i := 0; i < 100; i++ {
-		v, ok := tbl.Get(uint64(i * 17))
+		v, ok := tbl.get(uint64(i*17), nil)
 		if !ok || v != int32(i) {
 			t.Fatalf("Get(%d) = (%d, %v)", i*17, v, ok)
 		}
 	}
-	if _, ok := tbl.Get(5); ok {
+	if _, ok := tbl.get(5, nil); ok {
 		t.Error("absent key found")
 	}
 }
 
 func TestRobinHoodOverwrite(t *testing.T) {
-	tbl, _ := NewRobinHood(10, 0.5)
-	tbl.Insert(7, 1)
-	tbl.Insert(7, 2)
+	tbl, _ := newRobinHood(10, 0.5)
+	tbl.insert(7, 1)
+	tbl.insert(7, 2)
 	if n := tbl.entries(); n != 1 {
 		t.Fatalf("count = %d", n)
 	}
-	if v, _ := tbl.Get(7); v != 2 {
+	if v, _ := tbl.get(7, nil); v != 2 {
 		t.Fatalf("Get(7) = %d", v)
 	}
 }
 
 func TestRobinHoodHighLoad(t *testing.T) {
 	// 0.99 load factor forces long probe chains and displacement.
-	tbl, _ := NewRobinHood(1000, 0.99)
+	tbl, _ := newRobinHood(1000, 0.99)
 	rng := rand.New(rand.NewSource(2))
 	keys := map[uint64]int32{}
 	for i := 0; i < 1000; i++ {
 		k := rng.Uint64()
 		keys[k] = int32(i)
-		tbl.Insert(k, int32(i))
+		tbl.insert(k, int32(i))
 	}
 	for k, v := range keys {
-		got, ok := tbl.Get(k)
+		got, ok := tbl.get(k, nil)
 		if !ok || got != v {
 			t.Fatalf("Get(%d) = (%d, %v), want %d", k, got, ok, v)
 		}
@@ -82,7 +82,7 @@ func TestRobinHoodHighLoad(t *testing.T) {
 
 func TestRobinHoodInvalidLoadFactor(t *testing.T) {
 	for _, lf := range []float64{0, -1, 1.5} {
-		if _, err := NewRobinHood(10, lf); err == nil {
+		if _, err := newRobinHood(10, lf); err == nil {
 			t.Errorf("load factor %f should error", lf)
 		}
 	}
@@ -204,16 +204,16 @@ func TestSizeReflectsLoadFactor(t *testing.T) {
 // insert sequences with overwrites.
 func TestHashTablesProperty(t *testing.T) {
 	f := func(raw []uint64) bool {
-		rh, _ := NewRobinHood(len(raw), 0.5)
+		rh, _ := newRobinHood(len(raw), 0.5)
 		ck, _ := newCuckoo(len(raw), 0.5)
 		ref := map[uint64]int32{}
 		for i, k := range raw {
 			ref[k] = int32(i)
-			rh.Insert(k, int32(i))
+			rh.insert(k, int32(i))
 			ck.insert(k, int32(i))
 		}
 		for k, v := range ref {
-			if got, ok := rh.Get(k); !ok || got != v {
+			if got, ok := rh.get(k, nil); !ok || got != v {
 				return false
 			}
 			if got, ok := ck.get(k); !ok || got != v {

@@ -44,17 +44,13 @@ import (
 	"testing"
 
 	"repro/internal/binio"
-	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/net"
 	"repro/internal/perfsim"
 	"repro/internal/persist"
-	"repro/internal/pgm"
 	"repro/internal/registry"
 	"repro/internal/repl"
-	"repro/internal/rmi"
-	"repro/internal/rs"
 	"repro/internal/serve"
 	"repro/internal/table"
 )
@@ -186,18 +182,9 @@ func indexRows(t *testing.T, l *ledger) map[string]*table.Table {
 // one byte of simulated cache per key, one warm pass — and returns the
 // counters of the second pass.
 func simulate(t *testing.T, idx core.Index, keys, lookups []core.Key) perfsim.Counters {
-	m := perfsim.New(perfsim.Config{CacheBytes: min(max(len(keys), 128<<10), 4<<20)})
-	var tr perfsim.Traced
-	switch v := idx.(type) {
-	case *rmi.Index:
-		tr = perfsim.NewTracedRMI(v, m, keys)
-	case *pgm.Index:
-		tr = perfsim.NewTracedPGM(v, m, keys)
-	case *rs.Index:
-		tr = perfsim.NewTracedRS(v, m, keys)
-	case *btree.Index:
-		tr = perfsim.NewTracedBTree(v, m, keys)
-	default:
+	m := perfsim.New(perfsim.CacheFor(len(keys)))
+	tr, ok := perfsim.For(idx, m, keys)
+	if !ok {
 		t.Fatalf("no traced form of %T", idx)
 	}
 	for _, x := range lookups {

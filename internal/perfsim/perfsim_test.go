@@ -89,68 +89,39 @@ func TestCountersSubString(t *testing.T) {
 	}
 }
 
+// tracedCase is one traced structure and the machine it runs on.
+type tracedCase struct {
+	Traced
+	m *Machine
+}
+
 // buildTraced builds every traced structure over the same dataset.
-func buildTraced(t *testing.T, keys []core.Key) map[string]Traced {
+func buildTraced(t *testing.T, keys []core.Key) map[string]tracedCase {
 	t.Helper()
-	out := map[string]Traced{}
-	mk := func() *Machine { return New(Config{CacheBytes: 1 << 20}) }
-
-	ri, err := rmi.New(keys, rmi.Config{Stage1: rmi.ModelLinear, Stage2: rmi.ModelLinear, Branch: 256})
-	if err != nil {
-		t.Fatal(err)
+	builders := map[string]core.Builder{
+		"RMI":       rmi.Builder{Config: rmi.Config{Stage1: rmi.ModelLinear, Stage2: rmi.ModelLinear, Branch: 256}},
+		"PGM":       pgm.Builder{Eps: 32},
+		"RS":        rs.Builder{Config: rs.Config{SplineErr: 32, RadixBits: 10}},
+		"RBS":       rbs.Builder{RadixBits: 10},
+		"BTree":     btree.Builder{Stride: 1},
+		"IBTree":    btree.Builder{Stride: 1, Interpolate: true},
+		"ART":       artpkg.Builder{Stride: 1},
+		"FAST":      fastpkg.Builder{Stride: 1},
+		"RobinHash": hashidx.RobinHoodBuilder{},
 	}
-	out["RMI"] = NewTracedRMI(ri, mk(), keys)
-
-	pi, err := pgm.New(keys, 32)
-	if err != nil {
-		t.Fatal(err)
+	out := map[string]tracedCase{}
+	for name, b := range builders {
+		idx, err := b.Build(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(Config{CacheBytes: 1 << 20})
+		tr, ok := For(idx, m, keys)
+		if !ok {
+			t.Fatalf("%s: no traced form", name)
+		}
+		out[name] = tracedCase{tr, m}
 	}
-	out["PGM"] = NewTracedPGM(pi, mk(), keys)
-
-	si, err := rs.New(keys, rs.Config{SplineErr: 32, RadixBits: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["RS"] = NewTracedRS(si, mk(), keys)
-
-	bi, err := rbs.New(keys, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["RBS"] = NewTracedRBS(bi, mk(), keys)
-
-	bt, err := (btree.Builder{Stride: 1}).Build(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["BTree"] = NewTracedBTree(bt.(*btree.Index), mk(), keys)
-
-	ib, err := (btree.Builder{Stride: 1, Interpolate: true}).Build(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["IBTree"] = NewTracedBTree(ib.(*btree.Index), mk(), keys)
-
-	ai, err := (artpkg.Builder{Stride: 1}).Build(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["ART"] = NewTracedART(ai.(*artpkg.Index), mk(), keys)
-
-	fi, err := (fastpkg.Builder{Stride: 1}).Build(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["FAST"] = NewTracedFAST(fi.(*fastpkg.Index), mk(), keys)
-
-	rh, err := hashidx.NewRobinHood(len(keys), 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		rh.Insert(k, int32(i))
-	}
-	out["RobinHash"] = NewTracedRobin(rh, mk(), keys)
 	return out
 }
 
@@ -177,7 +148,7 @@ func TestTracedRegionsSumToSizeBytes(t *testing.T) {
 	for name, tr := range buildTraced(t, keys) {
 		var regions []Region
 		var size int
-		switch v := tr.(type) {
+		switch v := tr.Traced.(type) {
 		case *tracedRMI:
 			regions, size = []Region{v.model, v.leaves}, v.idx.SizeBytes()
 		case *tracedPGM:
@@ -218,10 +189,10 @@ func TestTracedRMILeafIsOneLine(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := New(Config{CacheBytes: 1 << 20})
-		tr := NewTracedRMI(idx, m, keys).(*tracedRMI)
+		tr, _ := For(idx, m, keys)
 		for leaf := 0; leaf < idx.NumLeaves(); leaf++ {
 			before := m.Counters().Accesses
-			tr.touchLeaf(leaf)
+			tr.(*tracedRMI).touchLeaf(leaf)
 			if lines := m.Counters().Accesses - before; lines != 1 {
 				t.Fatalf("stage 2 %v: leaf %d (%d bytes) touches %d lines", stage2, leaf, idx.LeafBytes(), lines)
 			}
@@ -242,25 +213,7 @@ func TestTracedCounterProfiles(t *testing.T) {
 	traced := buildTraced(t, keys)
 	missRate := map[string]float64{}
 	for name, tr := range traced {
-		var m *Machine
-		switch v := tr.(type) {
-		case *tracedRMI:
-			m = v.m
-		case *tracedPGM:
-			m = v.m
-		case *tracedRS:
-			m = v.m
-		case *tracedRBS:
-			m = v.m
-		case *tracedBTree:
-			m = v.m
-		case *tracedART:
-			m = v.m
-		case *tracedFAST:
-			m = v.m
-		case *tracedRobin:
-			m = v.m
-		}
+		m := tr.m
 		// Warm up, then measure.
 		for _, x := range lookups {
 			tr.Lookup(x)

@@ -359,7 +359,22 @@ func segSearchBL(segs []Segment, x core.Key, lo, hi int) int {
 }
 
 // Lookup implements core.Index.
-func (idx *Index) Lookup(key core.Key) core.Bound {
+func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
+
+// PathStep is one level of a descent as Trace reports it.
+type PathStep struct {
+	Level int // 0 = data level
+	Seg   int // segment evaluated at this level
+	// WinLo/WinHi is the segment-search window in the level below
+	// (both zero at the data level).
+	WinLo, WinHi int
+}
+
+// Trace is Lookup's descent. A non-nil visit is called once per level,
+// top-down, with the segment evaluated there — after the window below
+// is known and before it is searched — which is the path the
+// performance-counter simulation replays.
+func (idx *Index) Trace(key core.Key, visit func(PathStep)) core.Bound {
 	top := idx.levels[len(idx.levels)-1]
 	j := segSearch(top, key, 0, len(top))
 
@@ -383,6 +398,9 @@ func (idx *Index) Lookup(key core.Key) core.Bound {
 		if hi > len(below) {
 			hi = len(below)
 		}
+		if visit != nil {
+			visit(PathStep{Level: li, Seg: j, WinLo: lo, WinHi: hi})
+		}
 		j = segSearch(below, key, lo, hi)
 	}
 
@@ -393,6 +411,9 @@ func (idx *Index) Lookup(key core.Key) core.Bound {
 	nextPos := idx.n
 	if j+1 < len(lvl) {
 		nextPos = int(lvl[j+1].Pos)
+	}
+	if visit != nil {
+		visit(PathStep{Level: 0, Seg: j})
 	}
 	pos := predict(seg, nextPos, key)
 	return core.BoundAround(pos, int(idx.dataErrLo[j]), int(idx.dataErrHi[j]), idx.n)
@@ -511,53 +532,6 @@ func (idx *Index) AvgLog2Error() float64 {
 		return 0
 	}
 	return total / count
-}
-
-// PathStep records one level visited during a lookup, for the
-// performance-counter simulation.
-type PathStep struct {
-	Level int // 0 = data level
-	Seg   int // segment evaluated at this level
-	// WinLo/WinHi is the segment-search window in the level below
-	// (both zero at the data level).
-	WinLo, WinHi int
-}
-
-// Explain returns the levels visited by Lookup(key) top-down, plus the
-// bound. It follows exactly the Lookup code path.
-func (idx *Index) Explain(key core.Key) ([]PathStep, core.Bound) {
-	steps := make([]PathStep, 0, len(idx.levels))
-	top := idx.levels[len(idx.levels)-1]
-	j := segSearch(top, key, 0, len(top))
-	for li := len(idx.levels) - 1; li >= 1; li-- {
-		below := idx.levels[li-1]
-		lvl := idx.levels[li]
-		seg := lvl[j]
-		nextPos := len(below)
-		if j+1 < len(lvl) {
-			nextPos = int(lvl[j+1].Pos)
-		}
-		pred := predict(seg, nextPos, key)
-		lo := pred - idx.eps - 1
-		hi := pred + idx.eps + 2
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(below) {
-			hi = len(below)
-		}
-		steps = append(steps, PathStep{Level: li, Seg: j, WinLo: lo, WinHi: hi})
-		j = segSearch(below, key, lo, hi)
-	}
-	lvl := idx.levels[0]
-	seg := lvl[j]
-	nextPos := idx.n
-	if j+1 < len(lvl) {
-		nextPos = int(lvl[j+1].Pos)
-	}
-	pos := predict(seg, nextPos, key)
-	steps = append(steps, PathStep{Level: 0, Seg: j})
-	return steps, core.BoundAround(pos, int(idx.dataErrLo[j]), int(idx.dataErrHi[j]), idx.n)
 }
 
 // LevelSizes returns the segment count of each level, data level first.

@@ -24,7 +24,7 @@ func (b Builder) Name() string { return "RBS" }
 
 // Build implements core.Builder.
 func (b Builder) Build(keys []core.Key) (core.Index, error) {
-	return New(keys, b.RadixBits)
+	return newIndex(keys, b.RadixBits)
 }
 
 // Index is a built radix binary search table.
@@ -36,8 +36,8 @@ type Index struct {
 	table     []int32 // table[p] = first data position with prefix >= p
 }
 
-// New builds an RBS table over sorted keys.
-func New(keys []core.Key, radixBits int) (*Index, error) {
+// newIndex builds an RBS table over sorted keys.
+func newIndex(keys []core.Key, radixBits int) (*Index, error) {
 	n := len(keys)
 	if n == 0 {
 		return nil, errors.New("rbs: empty key set")
@@ -80,8 +80,16 @@ func (idx *Index) prefix(x core.Key) uint64 {
 // Lookup implements core.Index. The lower bound of x lies within the
 // run of keys sharing x's prefix (inclusive of the position just past
 // the run, for keys greater than every key in the run).
-func (idx *Index) Lookup(key core.Key) core.Bound {
+func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
+
+// Trace is Lookup's descent: a non-nil visit is called once with the
+// radix bucket probed, which is the path the performance-counter
+// simulation replays.
+func (idx *Index) Trace(key core.Key, visit func(bucket uint64)) core.Bound {
 	p := idx.prefix(key)
+	if visit != nil {
+		visit(p)
+	}
 	lo := int(idx.table[p])
 	hi := int(idx.table[p+1]) + 1
 	if hi > idx.n {
@@ -154,7 +162,3 @@ type binarySearch struct{ n int }
 func (b binarySearch) Lookup(core.Key) core.Bound { return core.Bound{Lo: 0, Hi: b.n} }
 func (b binarySearch) SizeBytes() int             { return 0 }
 func (b binarySearch) Name() string               { return "BS" }
-
-// Bucket exposes the radix bucket probed for a key, for the
-// performance-counter simulation.
-func (idx *Index) Bucket(key core.Key) uint64 { return idx.prefix(key) }

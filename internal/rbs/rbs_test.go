@@ -13,7 +13,7 @@ func TestRBSValidityAllDatasets(t *testing.T) {
 		keys := dataset.MustGenerate(name, 5000, 1)
 		probes := indextest.ProbesFor(keys)
 		for _, r := range []int{1, 4, 10, 18} {
-			idx, err := New(keys, r)
+			idx, err := newIndex(keys, r)
 			if err != nil {
 				t.Fatalf("%s r=%d: %v", name, r, err)
 			}
@@ -32,8 +32,8 @@ func TestRBSBoundsShrinkWithBits(t *testing.T) {
 		}
 		return float64(total) / float64(len(lookups))
 	}
-	small, _ := New(keys, 6)
-	large, _ := New(keys, 16)
+	small, _ := newIndex(keys, 6)
+	large, _ := newIndex(keys, 16)
 	if avgWidth(large) >= avgWidth(small) {
 		t.Errorf("more bits should shrink bounds: %f vs %f", avgWidth(large), avgWidth(small))
 	}
@@ -45,8 +45,8 @@ func TestRBSFaceCollapse(t *testing.T) {
 	// so bounds stay enormous.
 	face := dataset.MustGenerate(dataset.Face, 50000, 1)
 	amzn := dataset.MustGenerate(dataset.Amzn, 50000, 1)
-	rf, _ := New(face, 16)
-	ra, _ := New(amzn, 16)
+	rf, _ := newIndex(face, 16)
+	ra, _ := newIndex(amzn, 16)
 	width := func(idx core.Index, keys []core.Key) float64 {
 		total := 0
 		for _, x := range keys[:5000] {
@@ -62,7 +62,7 @@ func TestRBSFaceCollapse(t *testing.T) {
 
 func TestRBSSize(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 1000, 1)
-	idx, _ := New(keys, 10)
+	idx, _ := newIndex(keys, 10)
 	want := (1<<10 + 1) * 4
 	if idx.SizeBytes() != want {
 		t.Errorf("size = %d, want %d", idx.SizeBytes(), want)
@@ -70,14 +70,14 @@ func TestRBSSize(t *testing.T) {
 }
 
 func TestRBSEmpty(t *testing.T) {
-	if _, err := New(nil, 8); err == nil {
+	if _, err := newIndex(nil, 8); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestRBSSingleKey(t *testing.T) {
 	keys := []core.Key{42}
-	idx, err := New(keys, 8)
+	idx, err := newIndex(keys, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRBSSingleKey(t *testing.T) {
 
 func TestRBSDuplicates(t *testing.T) {
 	keys := []core.Key{5, 5, 5, 5, 100, 100, 7000, 7000, 7000, 90000}
-	idx, err := New(keys, 6)
+	idx, err := newIndex(keys, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +95,14 @@ func TestRBSDuplicates(t *testing.T) {
 
 func TestRBSBitsClamp(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Wiki, 1000, 1)
-	idx, err := New(keys, 0)
+	idx, err := newIndex(keys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if idx.radixBits != 1 {
 		t.Errorf("bits=0 should clamp to 1, got %d", idx.radixBits)
 	}
-	idx2, _ := New(keys, 99)
+	idx2, _ := newIndex(keys, 99)
 	if idx2.radixBits > 28 {
 		t.Error("bits not clamped high")
 	}

@@ -22,7 +22,7 @@ func refComputeMargins(keys []core.Key, idx *Index) (errLo, errHi int) {
 			j++
 		}
 		nr := j + 1
-		seg := idx.segmentFor(k)
+		seg := idx.segmentFor(k, nil)
 		pred := idx.interpolate(seg, k)
 		if need := pred - i + 1; need > errLo {
 			errLo = need
@@ -31,7 +31,7 @@ func refComputeMargins(keys []core.Key, idx *Index) (errLo, errHi int) {
 			errHi = need
 		}
 		if j+1 < n {
-			segG := idx.segmentFor(keys[j+1])
+			segG := idx.segmentFor(keys[j+1], nil)
 			predG := idx.interpolate(segG, keys[j+1])
 			if need := predG - nr + 1; need > errLo {
 				errLo = need

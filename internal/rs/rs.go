@@ -286,8 +286,9 @@ func pointSearchBL(points []Point, x core.Key, lo, hi int) int {
 }
 
 // segmentFor locates the spline segment containing x: the rightmost
-// point with Key <= x, restricted to the radix-table window.
-func (idx *Index) segmentFor(x core.Key) int {
+// point with Key <= x, restricted to the radix-table window. A non-nil
+// visit sees the bucket probed and the window before it is searched.
+func (idx *Index) segmentFor(x core.Key, visit func(bucket uint64, winLo, winHi int)) int {
 	p := idx.prefix(x)
 	lo, hi := int(idx.radix[p]), int(idx.radix[p+1])
 	// The window bounds points with prefix exactly p; the containing
@@ -298,12 +299,20 @@ func (idx *Index) segmentFor(x core.Key) int {
 	if hi > len(idx.points) {
 		hi = len(idx.points)
 	}
+	if visit != nil {
+		visit(p, lo, hi)
+	}
 	return pointSearch(idx.points, x, lo, hi)
 }
 
 // Lookup implements core.Index.
-func (idx *Index) Lookup(key core.Key) core.Bound {
-	seg := idx.segmentFor(key)
+func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
+
+// Trace is Lookup's descent: a non-nil visit is called once, with the
+// radix bucket probed and the spline-point window searched, which is
+// the path the performance-counter simulation replays.
+func (idx *Index) Trace(key core.Key, visit func(bucket uint64, winLo, winHi int)) core.Bound {
+	seg := idx.segmentFor(key, visit)
 	pos := idx.interpolate(seg, key)
 	return core.BoundAround(pos, idx.errLo, idx.errHi, idx.n)
 }
@@ -421,36 +430,4 @@ func (idx *Index) NumPoints() int { return len(idx.points) }
 // log2-error metric.
 func (idx *Index) AvgLog2Error() float64 {
 	return math.Log2(float64(idx.errLo+idx.errHi+1) + 1)
-}
-
-// Explanation records the lookup path internals for the performance-
-// counter simulation.
-type Explanation struct {
-	Bucket       uint64 // radix-table bucket probed
-	WinLo, WinHi int    // spline-point binary-search window
-	Seg          int    // spline segment selected
-	Pos          int    // interpolated position
-	Bound        core.Bound
-}
-
-// Explain follows exactly the Lookup code path and reports each step.
-func (idx *Index) Explain(key core.Key) Explanation {
-	p := idx.prefix(key)
-	lo, hi := int(idx.radix[p]), int(idx.radix[p+1])
-	if lo > 0 {
-		lo--
-	}
-	if hi > len(idx.points) {
-		hi = len(idx.points)
-	}
-	seg := idx.segmentFor(key)
-	pos := idx.interpolate(seg, key)
-	return Explanation{
-		Bucket: p,
-		WinLo:  lo,
-		WinHi:  hi,
-		Seg:    seg,
-		Pos:    pos,
-		Bound:  core.BoundAround(pos, idx.errLo, idx.errHi, idx.n),
-	}
 }
