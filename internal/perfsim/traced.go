@@ -1,6 +1,8 @@
 package perfsim
 
 import (
+	"unsafe"
+
 	"repro/internal/art"
 	"repro/internal/btree"
 	"repro/internal/core"
@@ -23,6 +25,14 @@ type Traced interface {
 	Lookup(key core.Key) core.Bound
 }
 
+// keyBytes is the width of one key — of the data array, of PGM's
+// segment keys and of FAST's levels — and payloadBytes that of one
+// payload in the table's uint64 payload array.
+const (
+	keyBytes     = int(unsafe.Sizeof(core.Key(0)))
+	payloadBytes = int(unsafe.Sizeof(uint64(0)))
+)
+
 // CacheFor sizes the simulated cache for n keys so the paper's regime
 // (working set far larger than the LLC) holds at laptop scale: one byte
 // of cache per key keeps the ratio near the paper's 3.2 GB data to
@@ -32,7 +42,7 @@ func CacheFor(n int) Config { return Config{CacheBytes: min(max(n, 128<<10), 4<<
 // For wires a built index over keys into m; ok is false for a family
 // with no traced form.
 func For(idx core.Index, m *Machine, keys []core.Key) (tr Traced, ok bool) {
-	d := &dataRegions{m: m, keys: keys, keysReg: m.Alloc(len(keys) * 8), paysReg: m.Alloc(len(keys) * 8)}
+	d := &dataRegions{m: m, keys: keys, keysReg: m.Alloc(len(keys) * keyBytes), paysReg: m.Alloc(len(keys) * payloadBytes)}
 	switch v := idx.(type) {
 	case *rmi.Index:
 		leaves := v.NumLeaves() * v.LeafBytes()
@@ -63,7 +73,7 @@ func For(idx core.Index, m *Machine, keys []core.Key) (tr Traced, ok bool) {
 	case *fast.Index:
 		t := &tracedFAST{dataRegions: d, idx: v}
 		for _, n := range v.LevelSizes() {
-			t.levels = append(t.levels, m.Alloc(n*8))
+			t.levels = append(t.levels, m.Alloc(n*keyBytes))
 		}
 		return t, true
 	case *hashidx.RobinHood:
@@ -89,7 +99,7 @@ func (d *dataRegions) lastMile(key core.Key, b core.Bound) core.Bound {
 	const site = 0x51 // one static branch site: binary search compare
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		d.m.Access(d.keysReg, mid*8, 8)
+		d.m.Access(d.keysReg, mid*keyBytes, keyBytes)
 		taken := d.keys[mid] < key
 		d.m.recordBranch(site, taken)
 		d.m.instr(3)
@@ -100,7 +110,7 @@ func (d *dataRegions) lastMile(key core.Key, b core.Bound) core.Bound {
 		}
 	}
 	if lo < len(d.keys) {
-		d.m.Access(d.paysReg, lo*8, 8)
+		d.m.Access(d.paysReg, lo*payloadBytes, payloadBytes)
 	}
 	return b
 }
@@ -173,7 +183,7 @@ func (t *tracedPGM) step(st pgm.PathStep) {
 	}
 	// Binary search of the window in the level below: touch the probed
 	// segments' first keys.
-	t.m.windowSearch(t.levels[st.Level-1], st.WinLo, st.WinHi, pgm.SegmentSizeBytes, 8, 0x77)
+	t.m.windowSearch(t.levels[st.Level-1], st.WinLo, st.WinHi, pgm.SegmentSizeBytes, keyBytes, 0x77)
 }
 
 type tracedRS struct {
@@ -192,7 +202,7 @@ func (t *tracedRS) Lookup(key core.Key) core.Bound {
 func (t *tracedRS) step(bucket uint64, winLo, winHi int) {
 	// Radix table probe: a shift plus one load (two adjacent entries).
 	t.m.instr(3)
-	t.m.Access(t.radix, int(bucket)*4, 8)
+	t.m.Access(t.radix, int(bucket)*rs.RadixEntrySizeBytes, 2*rs.RadixEntrySizeBytes)
 	// Binary search the spline points within the window.
 	t.m.windowSearch(t.points, winLo, winHi, rs.PointSizeBytes, rs.PointSizeBytes, 0x33)
 }
@@ -209,7 +219,7 @@ func (t *tracedRBS) Lookup(key core.Key) core.Bound {
 
 func (t *tracedRBS) step(bucket uint64) {
 	t.m.instr(3)
-	t.m.Access(t.table, int(bucket)*4, 8)
+	t.m.Access(t.table, int(bucket)*rbs.RadixEntrySizeBytes, 2*rbs.RadixEntrySizeBytes)
 }
 
 type tracedBTree struct {
@@ -226,9 +236,9 @@ func (t *tracedBTree) Lookup(key core.Key) core.Bound {
 func (t *tracedBTree) step(id int32) {
 	// In-node binary search over up to 32 keys: ~5 compares touching
 	// about two of the node's cache lines.
-	base := int(id) * t.nodeBytes
-	t.m.Access(t.nodes, base, 64)
-	t.m.Access(t.nodes, base+128, 64)
+	base, line := int(id)*t.nodeBytes, int(t.m.lineSz)
+	t.m.Access(t.nodes, base, line)
+	t.m.Access(t.nodes, base+2*line, line)
 	for s := 0; s < 5; s++ {
 		t.m.recordBranch(0x91, (int(id)+s)&1 == 0)
 		t.m.instr(3)
@@ -246,9 +256,11 @@ func (t *tracedART) Lookup(key core.Key) core.Bound {
 }
 
 func (t *tracedART) step(st art.NodeStep) {
-	// Nodes live at id-proportional offsets in the simulated heap.
-	off := max((int(st.ID)*64)%(t.heap.size-st.SizeBytes), 0)
-	t.m.Access(t.heap, off, min(st.SizeBytes, 64))
+	// Nodes live at one line per id in the simulated heap, and a
+	// visit reads a node's first line.
+	line := int(t.m.lineSz)
+	off := max((int(st.ID)*line)%(t.heap.size-st.SizeBytes), 0)
+	t.m.Access(t.heap, off, min(st.SizeBytes, line))
 	t.m.recordBranch(0xA1, st.ID&1 == 0)
 	t.m.instr(6)
 }
@@ -267,7 +279,7 @@ func (t *tracedFAST) step(level, blockStart, blockLen int) {
 	// One blocked node: two cache lines of keys, scanned with
 	// predictable branches (FAST's SIMD compare is branch-free; model
 	// it as cheap instructions).
-	t.m.Access(t.levels[level], blockStart*8, blockLen*8)
+	t.m.Access(t.levels[level], blockStart*keyBytes, blockLen*keyBytes)
 	t.m.instr(blockLen)
 }
 
@@ -282,7 +294,7 @@ type tracedRobin struct {
 func (t *tracedRobin) Lookup(key core.Key) core.Bound {
 	b := t.tbl.Trace(key, t.step)
 	if b.Hi-b.Lo == 1 {
-		t.m.Access(t.paysReg, b.Lo*8, 8)
+		t.m.Access(t.paysReg, b.Lo*payloadBytes, payloadBytes)
 	}
 	return b
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -133,8 +134,11 @@ func (idx *Index) LookupBatch(keys []core.Key, out []core.Bound) {
 	}
 }
 
+// RadixEntrySizeBytes is what one table entry occupies.
+const RadixEntrySizeBytes = int(unsafe.Sizeof(Index{}.table[0]))
+
 // SizeBytes implements core.Index.
-func (idx *Index) SizeBytes() int { return len(idx.table) * 4 }
+func (idx *Index) SizeBytes() int { return len(idx.table) * RadixEntrySizeBytes }
 
 // Name implements core.Index.
 func (idx *Index) Name() string { return "RBS" }

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -26,8 +27,12 @@ type Point struct {
 	Pos int32
 }
 
-// PointSizeBytes is what one spline point occupies in the points array.
-const PointSizeBytes = 8 + 4
+// PointSizeBytes is what one spline point occupies in the points array,
+// RadixEntrySizeBytes what one radix-table offset does in the table.
+const (
+	PointSizeBytes      = 8 + 4
+	RadixEntrySizeBytes = int(unsafe.Sizeof(Index{}.radix[0]))
+)
 
 // Config holds the two RadixSpline hyperparameters; the paper notes RS
 // is easy to tune precisely because these are the only knobs.
@@ -417,7 +422,7 @@ func distinctFrom(keys []core.Key, i int) int {
 
 // SizeBytes implements core.Index.
 func (idx *Index) SizeBytes() int {
-	return len(idx.radix)*4 + len(idx.points)*PointSizeBytes
+	return len(idx.radix)*RadixEntrySizeBytes + len(idx.points)*PointSizeBytes
 }
 
 // Name implements core.Index.
