@@ -56,10 +56,22 @@ type Measurement struct {
 // MeasureWarm times the paper's standard regime: a tight loop of
 // lookups with everything hot in cache, using fn for the last mile.
 func MeasureWarm(e *Env, idx core.Index, fn search.Fn) Measurement {
-	// One warm-up pass.
-	runLookups(e, idx, fn)
+	return e.timed(idx, fn, false)
+}
+
+// measureFenced times the serialized regime of Figure 15: each lookup
+// key is made data-dependent on the previous lookup's payload, so the
+// CPU cannot overlap consecutive lookups. This replaces the paper's
+// mfence, which Go cannot emit (DESIGN.md substitution 4).
+func measureFenced(e *Env, idx core.Index, fn search.Fn) Measurement {
+	return e.timed(idx, fn, true)
+}
+
+// timed runs one warm-up pass, then times a second.
+func (e *Env) timed(idx core.Index, fn search.Fn, fenced bool) Measurement {
+	e.pass(idx, fn, 0, fenced)
 	start := time.Now()
-	sum := runLookups(e, idx, fn)
+	sum := e.pass(idx, fn, 0, fenced)
 	elapsed := time.Since(start)
 	return Measurement{
 		NsPerLookup: float64(elapsed.Nanoseconds()) / float64(len(e.Lookups)),
@@ -67,52 +79,27 @@ func MeasureWarm(e *Env, idx core.Index, fn search.Fn) Measurement {
 	}
 }
 
-func runLookups(e *Env, idx core.Index, fn search.Fn) uint64 {
+// pass runs len(e.Lookups) lookups — bound, last-mile search, payload
+// read — from lookup start on and returns the payload sum. Unfenced it
+// walks the lookups in order; fenced, the next index depends on the
+// payload just read, a true data dependency chain that steers which
+// lookup runs next without changing the key distribution.
+func (e *Env) pass(idx core.Index, fn search.Fn, start int, fenced bool) uint64 {
 	var sum uint64
-	for _, x := range e.Lookups {
-		b := idx.Lookup(x)
-		pos := fn(e.Keys, x, b)
-		if pos < len(e.Payloads) {
+	n := len(e.Lookups)
+	i := start % max(n, 1)
+	for ops := 0; ops < n; ops++ {
+		x := e.Lookups[i]
+		if pos := fn(e.Keys, x, idx.Lookup(x)); pos < len(e.Payloads) {
 			sum += e.Payloads[pos]
+		}
+		if fenced {
+			i = (i + 1 + int(sum&1)) % n
+		} else if i++; i == n {
+			i = 0
 		}
 	}
 	return sum
-}
-
-// measureFenced times the serialized regime of Figure 15: each lookup
-// key is made data-dependent on the previous lookup's payload, so the
-// CPU cannot overlap consecutive lookups. This replaces the paper's
-// mfence, which Go cannot emit (DESIGN.md substitution 4). The
-// dependency steers which lookup runs next without changing the key
-// distribution.
-func measureFenced(e *Env, idx core.Index, fn search.Fn) Measurement {
-	run := func() (uint64, int) {
-		var sum uint64
-		n := len(e.Lookups)
-		ops := 0
-		i := 0
-		for ops < n {
-			x := e.Lookups[i]
-			b := idx.Lookup(x)
-			pos := fn(e.Keys, x, b)
-			if pos < len(e.Payloads) {
-				sum += e.Payloads[pos]
-			}
-			// The next index depends on the payload just read: a true
-			// data dependency chain.
-			i = (i + 1 + int(sum&1)) % n
-			ops++
-		}
-		return sum, ops
-	}
-	run() // warm up
-	start := time.Now()
-	sum, ops := run()
-	elapsed := time.Since(start)
-	return Measurement{
-		NsPerLookup: float64(elapsed.Nanoseconds()) / float64(ops),
-		Checksum:    sum,
-	}
 }
 
 // thrash is the cold-cache eviction buffer (must exceed the LLC).
@@ -152,57 +139,26 @@ func MeasureCold(e *Env, idx core.Index, fn search.Fn, coldOps int) Measurement 
 }
 
 // measureThroughput runs the multithreaded regime of Figure 16:
-// threads goroutines each execute the full lookup workload; the result
-// is aggregate lookups per second. fenced selects the serialized
-// per-thread loop.
+// threads goroutines each execute the full lookup workload from their
+// own offset; the result is aggregate lookups per second. fenced
+// selects the serialized per-thread loop.
 func measureThroughput(e *Env, idx core.Index, fn search.Fn, threads int, fenced bool) float64 {
 	if threads < 1 {
 		threads = 1
 	}
-	runLookups(e, idx, fn) // warm caches and fault pages before timing
+	e.pass(idx, fn, 0, false) // warm caches and fault pages before timing
 	var wg sync.WaitGroup
 	start := time.Now()
 	for t := 0; t < threads; t++ {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			if fenced {
-				measureFencedOnce(e, idx, fn, tid)
-				return
-			}
-			var sum uint64
-			n := len(e.Lookups)
-			for i := 0; i < n; i++ {
-				x := e.Lookups[(i+tid*7919)%n]
-				b := idx.Lookup(x)
-				pos := fn(e.Keys, x, b)
-				if pos < len(e.Payloads) {
-					sum += e.Payloads[pos]
-				}
-			}
-			sink(sum)
+			sink(e.pass(idx, fn, tid*7919, fenced))
 		}(t)
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 	return float64(threads*len(e.Lookups)) / elapsed
-}
-
-// measureFencedOnce is one serialized pass, offset per thread.
-func measureFencedOnce(e *Env, idx core.Index, fn search.Fn, tid int) {
-	var sum uint64
-	n := len(e.Lookups)
-	i := (tid * 7919) % n
-	for ops := 0; ops < n; ops++ {
-		x := e.Lookups[i]
-		b := idx.Lookup(x)
-		pos := fn(e.Keys, x, b)
-		if pos < len(e.Payloads) {
-			sum += e.Payloads[pos]
-		}
-		i = (i + 1 + int(sum&1)) % n
-	}
-	sink(sum)
 }
 
 var sinkVal uint64
