@@ -276,14 +276,6 @@ func (r *Reader) Count(elemSize int) int {
 // Remaining reports the unconsumed byte count.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
 
-// Offset reports the bytes consumed so far.
-func (r *Reader) Offset() int { return r.off }
-
-// CRCSoFar returns the CRC64 of every byte consumed so far.
-func (r *Reader) CRCSoFar() uint64 {
-	return crc64.Checksum(r.b[:r.off], CRCTable)
-}
-
 // Fail records err (if the reader has not already failed).
 func (r *Reader) Fail(err error) {
 	if r.err == nil {

@@ -78,39 +78,31 @@ const (
 // encodeManifest writes the manifest with the standard frame: magic,
 // version, body, trailing CRC64.
 func encodeManifest(w *binio.Writer, m *Manifest) error {
-	w.Bytes(manifestMagic)
-	w.U32(FormatVersion)
-	w.Str(m.Family)
-	w.U64(m.Gen)
-	w.U32(uint32(len(m.Shards)))
-	for _, s := range m.Shards {
-		w.U64(s.Sep)
-		w.Str(s.Codec)
-		w.Str(s.WAL)
-		w.U32(uint32(len(s.Runs)))
-		for _, run := range s.Runs {
-			w.Str(run.Codec)
-			w.Str(run.Table)
-			w.Str(run.Index)
-			w.Str(run.Tombs)
+	return WriteFrame(w, manifestMagic, func() error {
+		w.Str(m.Family)
+		w.U64(m.Gen)
+		w.U32(uint32(len(m.Shards)))
+		for _, s := range m.Shards {
+			w.U64(s.Sep)
+			w.Str(s.Codec)
+			w.Str(s.WAL)
+			w.U32(uint32(len(s.Runs)))
+			for _, run := range s.Runs {
+				w.Str(run.Codec)
+				w.Str(run.Table)
+				w.Str(run.Index)
+				w.Str(run.Tombs)
+			}
 		}
-	}
-	w.U64(w.Sum64())
-	return w.Err()
+		return nil
+	})
 }
 
 // decodeManifest parses and validates a manifest image.
 func decodeManifest(data []byte) (*Manifest, error) {
-	body, err := checkCRCFrame(data)
+	r, err := OpenFrame(data, manifestMagic, "manifest")
 	if err != nil {
 		return nil, err
-	}
-	r := binio.NewReader(body)
-	if string(r.Bytes(len(manifestMagic))) != string(manifestMagic) {
-		return nil, binio.Corruptf("persist: bad manifest magic")
-	}
-	if v := r.U32(); v != FormatVersion {
-		return nil, binio.Corruptf("persist: manifest format version %d, want %d", v, FormatVersion)
 	}
 	m := &Manifest{Family: r.Str(maxTagLen)}
 	m.Gen = r.U64()

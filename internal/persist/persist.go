@@ -118,14 +118,10 @@ func indexCodec(idx core.Index) (registry.Codec, error) {
 }
 
 func encodeIndex(w *binio.Writer, idx core.Index, codec registry.Codec) error {
-	w.Bytes(indexMagic)
-	w.U32(FormatVersion)
-	w.Str(idx.Name())
-	if err := codec.Encode(idx, w); err != nil {
-		return err
-	}
-	w.U64(w.Sum64())
-	return w.Err()
+	return WriteFrame(w, indexMagic, func() error {
+		w.Str(idx.Name())
+		return codec.Encode(idx, w)
+	})
 }
 
 // decodeIndex reconstructs a built index from an encoded frame,
@@ -133,19 +129,9 @@ func encodeIndex(w *binio.Writer, idx core.Index, codec registry.Codec) error {
 // the family decoder. The whole frame must be consumed — trailing
 // garbage is corruption.
 func decodeIndex(data []byte) (core.Index, error) {
-	if len(data) < len(indexMagic)+4+4+8 {
-		return nil, binio.Corruptf("persist: index frame too short (%d bytes)", len(data))
-	}
-	body, err := checkCRCFrame(data)
+	r, err := OpenFrame(data, indexMagic, "index")
 	if err != nil {
 		return nil, err
-	}
-	r := binio.NewReader(body)
-	if string(r.Bytes(len(indexMagic))) != string(indexMagic) {
-		return nil, binio.Corruptf("persist: bad index magic")
-	}
-	if v := r.U32(); v != FormatVersion {
-		return nil, binio.Corruptf("persist: index format version %d, want %d", v, FormatVersion)
 	}
 	family := r.Str(maxTagLen)
 	if err := r.Err(); err != nil {
@@ -183,17 +169,36 @@ func ReadIndex(path string) (core.Index, error) {
 	return decodeIndex(data)
 }
 
-// checkCRCFrame verifies a file whose last 8 bytes are the CRC64 of
-// everything before them, returning the body.
-func checkCRCFrame(data []byte) ([]byte, error) {
+// WriteFrame writes the envelope every checked artifact shares: magic,
+// FormatVersion, what body writes to w, then the CRC64 of all of it.
+func WriteFrame(w *binio.Writer, magic []byte, body func() error) error {
+	w.Bytes(magic)
+	w.U32(FormatVersion)
+	if err := body(); err != nil {
+		return err
+	}
+	w.U64(w.Sum64())
+	return w.Err()
+}
+
+// OpenFrame checks a WriteFrame envelope — trailing CRC64, magic,
+// FormatVersion — and returns a reader over the body. what names the
+// artifact in errors.
+func OpenFrame(data, magic []byte, what string) (*binio.Reader, error) {
 	if len(data) < 8 {
-		return nil, binio.Corruptf("persist: frame shorter than its checksum")
+		return nil, binio.Corruptf("persist: %s shorter than its checksum", what)
 	}
 	body := data[:len(data)-8]
-	r := binio.NewReader(data[len(data)-8:])
-	want := r.U64()
+	want := binio.NewReader(data[len(data)-8:]).U64()
 	if got := crc64.Checksum(body, binio.CRCTable); got != want {
-		return nil, binio.Corruptf("persist: checksum mismatch (have %x, want %x)", got, want)
+		return nil, binio.Corruptf("persist: %s checksum mismatch (have %x, want %x)", what, got, want)
 	}
-	return body, nil
+	r := binio.NewReader(body)
+	if string(r.Bytes(len(magic))) != string(magic) {
+		return nil, binio.Corruptf("persist: bad %s magic", what)
+	}
+	if v := r.U32(); v != FormatVersion {
+		return nil, binio.Corruptf("persist: %s format version %d, want %d", what, v, FormatVersion)
+	}
+	return r, nil
 }

@@ -81,14 +81,16 @@ func WriteTable(path string, keys []core.Key, payloads []uint64) error {
 	crcKeys := crc64.Checksum(keyBytes, binio.CRCTable)
 	crcPays := crc64.Checksum(payBytes, binio.CRCTable)
 	return AtomicWrite(path, func(w *binio.Writer) error {
-		w.Bytes(tableMagic)
-		w.U32(FormatVersion)
-		w.U64(uint64(len(keys)))
-		w.U64(uint64(keysOff))
-		w.U64(uint64(paysOff))
-		w.U64(crcKeys)
-		w.U64(crcPays)
-		w.U64(w.Sum64())
+		if err := WriteFrame(w, tableMagic, func() error {
+			w.U64(uint64(len(keys)))
+			w.U64(uint64(keysOff))
+			w.U64(uint64(paysOff))
+			w.U64(crcKeys)
+			w.U64(crcPays)
+			return nil
+		}); err != nil {
+			return err
+		}
 		// Past the header nothing reads the writer's running CRC, and
 		// the blocks' own CRCs are already in the header: write them raw
 		// rather than hash every data byte a second time.
@@ -113,22 +115,15 @@ func readTableFrom(ra io.ReaderAt, size int64) (keys []core.Key, payloads []uint
 	if _, err := ra.ReadAt(head, 0); err != nil {
 		return nil, nil, err
 	}
-	r := binio.NewReader(head)
-	if string(r.Bytes(len(tableMagic))) != string(tableMagic) {
-		return nil, nil, binio.Corruptf("persist: bad table magic")
-	}
-	if v := r.U32(); v != FormatVersion {
-		return nil, nil, binio.Corruptf("persist: table format version %d, want %d", v, FormatVersion)
+	r, err := OpenFrame(head, tableMagic, "table header")
+	if err != nil {
+		return nil, nil, err
 	}
 	count := r.U64()
 	keysOff := int64(r.U64())
 	paysOff := int64(r.U64())
 	crcKeys := r.U64()
 	crcPays := r.U64()
-	wantHeaderCRC := crc64.Checksum(head[:r.Offset()], binio.CRCTable)
-	if got := r.U64(); got != wantHeaderCRC {
-		return nil, nil, binio.Corruptf("persist: table header checksum mismatch")
-	}
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}

@@ -17,24 +17,23 @@ var tombsMagic = []byte("sosdTMB1")
 // encodeTombs writes the tombstone bits of a run (tombs[i] == pair i
 // is a delete marker) with the standard frame.
 func encodeTombs(w *binio.Writer, tombs []bool) error {
-	w.Bytes(tombsMagic)
-	w.U32(FormatVersion)
-	w.U64(uint64(len(tombs)))
-	var b byte
-	for i, t := range tombs {
-		if t {
-			b |= 1 << (uint(i) & 7)
+	return WriteFrame(w, tombsMagic, func() error {
+		w.U64(uint64(len(tombs)))
+		var b byte
+		for i, t := range tombs {
+			if t {
+				b |= 1 << (uint(i) & 7)
+			}
+			if i&7 == 7 {
+				w.U8(b)
+				b = 0
+			}
 		}
-		if i&7 == 7 {
+		if len(tombs)&7 != 0 {
 			w.U8(b)
-			b = 0
 		}
-	}
-	if len(tombs)&7 != 0 {
-		w.U8(b)
-	}
-	w.U64(w.Sum64())
-	return w.Err()
+		return nil
+	})
 }
 
 // decodeTombs parses and validates a tombstone image, returning the
@@ -42,16 +41,9 @@ func encodeTombs(w *binio.Writer, tombs []bool) error {
 // bits past count must be zero, so a tombstone file cannot smuggle
 // undecoded state.
 func decodeTombs(data []byte, count int) ([]bool, error) {
-	body, err := checkCRCFrame(data)
+	r, err := OpenFrame(data, tombsMagic, "tombs")
 	if err != nil {
 		return nil, err
-	}
-	r := binio.NewReader(body)
-	if string(r.Bytes(len(tombsMagic))) != string(tombsMagic) {
-		return nil, binio.Corruptf("persist: bad tombs magic")
-	}
-	if v := r.U32(); v != FormatVersion {
-		return nil, binio.Corruptf("persist: tombs format version %d, want %d", v, FormatVersion)
 	}
 	n := r.U64()
 	if err := r.Err(); err != nil {

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,16 +38,15 @@ func writeState(dir string, s *State) error {
 		return fmt.Errorf("repl: state has %d shards, limit %d", len(s.Seqs), maxStateShards)
 	}
 	return persist.AtomicWrite(filepath.Join(dir, StateName), func(w *binio.Writer) error {
-		w.Bytes(stateMagic)
-		w.U32(persist.FormatVersion)
-		w.U64(s.Epoch)
-		w.U64(s.Gen)
-		w.U32(uint32(len(s.Seqs)))
-		for _, q := range s.Seqs {
-			w.U64(q)
-		}
-		w.U64(w.Sum64())
-		return w.Err()
+		return persist.WriteFrame(w, stateMagic, func() error {
+			w.U64(s.Epoch)
+			w.U64(s.Gen)
+			w.U32(uint32(len(s.Seqs)))
+			for _, q := range s.Seqs {
+				w.U64(q)
+			}
+			return nil
+		})
 	})
 }
 
@@ -60,16 +58,9 @@ func readState(dir string) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(stateMagic)+4+8+8+4+8 {
-		return nil, binio.Corruptf("repl: state file too short (%d bytes)", len(data))
-	}
-	body, tail := data[:len(data)-8], data[len(data)-8:]
-	r := binio.NewReader(body)
-	if string(r.Bytes(len(stateMagic))) != string(stateMagic) {
-		return nil, binio.Corruptf("repl: bad state magic")
-	}
-	if v := r.U32(); v != persist.FormatVersion {
-		return nil, binio.Corruptf("repl: state format version %d, want %d", v, persist.FormatVersion)
+	r, err := persist.OpenFrame(data, stateMagic, "repl state")
+	if err != nil {
+		return nil, err
 	}
 	s := &State{Epoch: r.U64(), Gen: r.U64()}
 	n := r.Count(8)
@@ -87,9 +78,6 @@ func readState(dir string) (*State, error) {
 	}
 	if r.Remaining() != 0 {
 		return nil, binio.Corruptf("repl: %d trailing bytes in state file", r.Remaining())
-	}
-	if got, want := r.CRCSoFar(), binary.LittleEndian.Uint64(tail); got != want {
-		return nil, binio.Corruptf("repl: state checksum mismatch")
 	}
 	return s, nil
 }
