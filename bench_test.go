@@ -337,6 +337,35 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+var lookupSink core.Bound
+
+// BenchmarkLookup prices one scalar Lookup — no table, no last-mile
+// search — of every family whose Lookup is also the descent perfsim
+// traces, at the registry's mid-sweep configuration on amzn and osm at
+// the default scale.
+func BenchmarkLookup(b *testing.B) {
+	const nProbes = 1 << 16 // a power of two: the loop indexes it with a mask
+	for _, ds := range []dataset.Name{dataset.Amzn, dataset.OSM} {
+		keys := dataset.MustGenerate(ds, dataset.DefaultN, 1)
+		probes := dataset.Lookups(keys, nProbes, 7)
+		for _, family := range []string{"PGM", "RS", "RBS", "BTree", "ART", "FAST", "RobinHash"} {
+			b.Run(family+"/"+string(ds), func(b *testing.B) {
+				nb, ok := registry.Builder(family, keys)
+				if !ok {
+					b.Fatalf("%s: no mid-sweep builder", family)
+				}
+				idx, err := nb.Builder.Build(keys)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; b.Loop(); i++ {
+					lookupSink = idx.Lookup(probes[i&(nProbes-1)])
+				}
+			})
+		}
+	}
+}
+
 // serveN sizes the serving-layer benchmarks: 1M keys (8 MB of keys +
 // 8 MB of payloads) so the data array exceeds mid-level caches and the
 // batched path's overlapped memory accesses have misses to hide.
