@@ -5,8 +5,8 @@
 // and holds them to testdata/ledger.golden. Its rows, in layer order:
 //
 //   - index: bytes per key, mean bound width, and perfsim's simulated
-//     cache misses and instructions per lookup, for RMI, PGM, RS and
-//     BTree over the four datasets;
+//     cache misses and instructions per lookup, for every family perfsim
+//     traces over the four datasets;
 //   - table: allocations per Get, GetBatch and GetBatchRuns;
 //   - store: allocations per clean and dirty Get, per GetBatch and per
 //     detached, hooked and attached Put, and run probes per read after a
@@ -63,8 +63,13 @@ const (
 	goldenPath   = "testdata/ledger.golden"
 )
 
-// families are the paper's four headline families, in row order.
-var families = []string{"RMI", "PGM", "RS", "BTree"}
+// families are the paper's four headline families, in row order;
+// indexFamilies adds the other families perfsim traces, whose index
+// rows hold each simulated descent to its count.
+var (
+	families      = []string{"RMI", "PGM", "RS", "BTree"}
+	indexFamilies = append(families[:len(families):len(families)], "RBS", "IBTree", "ART", "FAST", "RobinHash")
+)
 
 // ledger collects rows in the order they are measured.
 type ledger struct{ rows []string }
@@ -140,14 +145,14 @@ func diffRows(golden, got string) []string {
 	return diffs
 }
 
-// indexRows builds every family's mid-ladder index on every dataset and
-// returns the amzn tables the table rows reuse.
+// indexRows builds every traced family's mid-ladder index on every
+// dataset and returns the amzn tables of families the table rows reuse.
 func indexRows(t *testing.T, l *ledger) map[string]*table.Table {
 	tables := map[string]*table.Table{}
 	for _, ds := range dataset.All() {
 		keys := dataset.MustGenerate(ds, indexKeys, seed)
 		lookups := dataset.Lookups(keys, indexLookups, seed)
-		for _, family := range families {
+		for i, family := range indexFamilies {
 			nb, ok := registry.Builder(family, keys)
 			if !ok {
 				t.Fatalf("no builder for %s", family)
@@ -166,7 +171,7 @@ func indexRows(t *testing.T, l *ledger) map[string]*table.Table {
 			c := simulate(t, idx, keys, lookups)
 			l.ratio(row+"sim_misses", c.CacheMisses, uint64(len(lookups)))
 			l.ratio(row+"sim_instructions", c.Instructions, uint64(len(lookups)))
-			if ds == dataset.Amzn {
+			if ds == dataset.Amzn && i < len(families) {
 				tbl, err := table.New(keys, dataset.Payloads(len(keys), seed), idx, nil)
 				if err != nil {
 					t.Fatal(err)
