@@ -268,14 +268,7 @@ func fig10(r *Run) ([]report.Table, error) {
 func native32Size(family string, k32 []core.Key32) int {
 	switch family {
 	case "BTree":
-		vals := make([]int32, len(k32))
-		for i := range vals {
-			vals[i] = int32(i)
-		}
-		t, err := btree.NewTree(k32, vals, false)
-		if err != nil {
-			return 0
-		}
+		t := btree.NewTree(k32, false)
 		return t.SizeBytes()
 	case "FAST":
 		t, err := fast.NewTree(k32)
@@ -288,14 +281,7 @@ func native32Size(family string, k32 []core.Key32) int {
 }
 
 func native32BTreeNs(k32 []core.Key32, e *Env) float64 {
-	vals := make([]int32, len(k32))
-	for i := range vals {
-		vals[i] = int32(i)
-	}
-	t, err := btree.NewTree(k32, vals, false)
-	if err != nil {
-		return 0
-	}
+	t := btree.NewTree(k32, false)
 	lookups := make([]core.Key32, len(e.Lookups))
 	for i, x := range e.Lookups {
 		lookups[i] = core.Key32(x)
@@ -303,10 +289,7 @@ func native32BTreeNs(k32 []core.Key32, e *Env) float64 {
 	var sum int64
 	start := time.Now()
 	for _, x := range lookups {
-		v, found, _, _ := t.Ceiling(x, nil)
-		if found {
-			sum += int64(v)
-		}
+		sum += int64(t.Ceiling(x, nil))
 	}
 	elapsed := time.Since(start)
 	_ = sum

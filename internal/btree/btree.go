@@ -11,208 +11,123 @@
 // read-only.
 package btree
 
-import "errors"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // KeyT constrains the key types the tree supports.
 type KeyT interface {
 	~uint32 | ~uint64
 }
 
-// fanout is the maximum number of keys per node. 32 eight-byte keys
-// fill four cache lines, matching STX's default node size class.
-const fanout = 32
+// Fanout is the maximum number of keys per node: node j of a level is
+// its keys [j*Fanout, (j+1)*Fanout). 32 eight-byte keys fill four cache
+// lines, matching STX's default node size class.
+const Fanout = 32
 
-type node[K KeyT] struct {
-	keys     []K
-	children []*node[K] // inner nodes: len(children) == len(keys)+1
-	vals     []int32    // leaves: data positions, parallel to keys
-	next     *node[K]   // leaf chain
-	prev     *node[K]
-	id       int32 // stable node number for the perf-counter simulation
-}
-
-func (nd *node[K]) isLeaf() bool { return nd.children == nil }
-
-// Tree is a bulk-loaded B+tree mapping keys to data positions.
+// Tree is a bulk-loaded B+tree over a sorted key array, stored without
+// pointers or positions: levels[0] is the keys themselves, and
+// levels[l+1][j] is the max of node j of level l, the Fanout keys
+// levels[l][j*Fanout : (j+1)*Fanout]. So entry i of a level-(l+1) node
+// routes to node i of level l, and a key's position is its rank in
+// levels[0]. The top level is a single node.
 type Tree[K KeyT] struct {
-	root   *node[K]
-	height int
-	nNodes int
-	count  int
+	levels [][]K
 	// interpolate selects interpolation search inside nodes instead of
 	// binary search — this is what turns the BTree into the paper's
 	// IBTree (Graefe's interpolation-based B-tree).
 	interpolate bool
 }
 
-// NewTree bulk-loads a tree from sorted (key, pos) pairs. keys must be
-// sorted ascending.
-func NewTree[K KeyT](keys []K, vals []int32, interpolate bool) (*Tree[K], error) {
-	if len(keys) != len(vals) {
-		return nil, errors.New("btree: keys/vals length mismatch")
+// NewTree bulk-loads a tree over keys, which must be sorted ascending.
+// The tree keeps keys as its bottom level; it does not copy them.
+func NewTree[K KeyT](keys []K, interpolate bool) Tree[K] {
+	height := 1
+	for n := len(keys); n > Fanout; n = (n + Fanout - 1) / Fanout {
+		height++
 	}
-	t := &Tree[K]{interpolate: interpolate}
-	if len(keys) == 0 {
-		t.root = &node[K]{}
-		t.nNodes = 1
-		t.height = 1
-		return t, nil
+	t := Tree[K]{levels: make([][]K, 1, height), interpolate: interpolate}
+	t.levels[0] = keys
+	for cur := keys; len(cur) > Fanout; {
+		up := make([]K, (len(cur)+Fanout-1)/Fanout)
+		for j := range up {
+			up[j] = cur[min((j+1)*Fanout, len(cur))-1]
+		}
+		t.levels = append(t.levels, up)
+		cur = up
 	}
-	// Build full leaves left to right, then build inner levels over
-	// the max key of each child.
-	var leaves []*node[K]
-	for i := 0; i < len(keys); i += fanout {
-		end := i + fanout
-		if end > len(keys) {
-			end = len(keys)
-		}
-		lf := &node[K]{
-			keys: append([]K(nil), keys[i:end]...),
-			vals: append([]int32(nil), vals[i:end]...),
-			id:   int32(len(leaves)),
-		}
-		if n := len(leaves); n > 0 {
-			leaves[n-1].next = lf
-			lf.prev = leaves[n-1]
-		}
-		leaves = append(leaves, lf)
-	}
-	t.nNodes = len(leaves)
-	t.count = len(keys)
-	level := leaves
-	t.height = 1
-	for len(level) > 1 {
-		var upper []*node[K]
-		for i := 0; i < len(level); i += fanout + 1 {
-			end := i + fanout + 1
-			if end > len(level) {
-				end = len(level)
-			}
-			in := &node[K]{children: append([]*node[K](nil), level[i:end]...)}
-			in.id = int32(t.nNodes + len(upper))
-			// Separators are the max keys of all children but the last.
-			in.keys = make([]K, end-i-1)
-			for c := 0; c < end-i-1; c++ {
-				in.keys[c] = maxKey(level[i+c])
-			}
-			upper = append(upper, in)
-		}
-		t.nNodes += len(upper)
-		level = upper
-		t.height++
-	}
-	t.root = level[0]
-	return t, nil
+	return t
 }
 
-func maxKey[K KeyT](nd *node[K]) K {
-	for !nd.isLeaf() {
-		nd = nd.children[len(nd.children)-1]
-	}
-	return nd.keys[len(nd.keys)-1]
-}
-
-// searchNode returns the first index i in nd.keys with keys[i] >= x
-// (binary or interpolation search per tree configuration).
-func (t *Tree[K]) searchNode(nd *node[K], x K) int {
-	keys := nd.keys
-	if t.interpolate && len(keys) > 8 {
-		lo, hi := 0, len(keys)
-		first, last := keys[0], keys[len(keys)-1]
-		if x > first && x <= last && last > first {
+// search returns the first index i in node with node[i] >= x (binary
+// or interpolation search per tree configuration).
+func (t *Tree[K]) search(node []K, x K) int {
+	lo, hi := 0, len(node)
+	if t.interpolate && len(node) > 8 {
+		first, last := node[0], node[len(node)-1]
+		if x > first && x <= last {
 			frac := float64(x-first) / float64(last-first)
-			pos := int(frac * float64(len(keys)-1))
+			pos := int(frac * float64(len(node)-1))
 			// One interpolation probe, then fall back to binary search
 			// on the surviving half — the in-node arrays are small.
-			if keys[pos] < x {
+			if node[pos] < x {
 				lo = pos + 1
 			} else {
 				hi = pos + 1
 			}
 		}
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if keys[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
+	}
+	if lo == hi {
 		return lo
 	}
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	// Branch-free halving: the answer lies in [lo, lo+n], and each step
+	// adds the borrow of node[mid] - x, so a data-dependent compare
+	// never becomes a mispredicted branch.
+	for n := hi - lo; n > 1; {
+		half := n / 2
+		_, less := bits.Sub64(uint64(node[lo+half]), uint64(x), 0)
+		lo += half * int(less)
+		n -= half
 	}
-	return lo
+	_, less := bits.Sub64(uint64(node[lo]), uint64(x), 0)
+	return lo + int(less)
 }
 
-// Ceiling returns the value of the smallest key >= x, with found=false
-// when every key is smaller (or the tree is empty). The second return
-// is the value (data position) of the predecessor entry — the largest
-// key < x — with predOK=false when x is not greater than any key. A
-// non-nil visit is called with the id of every node searched, root to
-// leaf: the path the performance-counter simulation replays.
-func (t *Tree[K]) Ceiling(x K, visit func(id int32)) (val int32, found bool, pred int32, predOK bool) {
-	nd := t.root
-	for !nd.isLeaf() {
+// Ceiling returns the rank of the smallest key >= x, or the key count
+// when every key is smaller. A non-nil visit is called with the level
+// and node number of every node searched, root first: the path the
+// performance-counter simulation replays.
+func (t *Tree[K]) Ceiling(x K, visit func(level, node int)) int {
+	node := 0
+	for l := len(t.levels) - 1; ; l-- {
 		if visit != nil {
-			visit(nd.id)
+			visit(l, node)
 		}
-		i := t.searchNode(nd, x)
-		// Inner separators are child maxima: child i holds keys <= keys[i].
-		if i == len(nd.keys) {
-			nd = nd.children[len(nd.children)-1]
-		} else {
-			nd = nd.children[i]
+		lvl := t.levels[l]
+		lo := node * Fanout
+		span := lvl[lo:min(lo+Fanout, len(lvl))]
+		i := t.search(span, x)
+		if l == 0 {
+			return lo + i
 		}
-	}
-	if visit != nil {
-		visit(nd.id)
-	}
-	i := t.searchNode(nd, x)
-	if i == len(nd.keys) {
-		// All keys in this leaf are < x. With max-separator routing
-		// this only happens in the rightmost subtree; the ceiling is
-		// in the next leaf if any.
-		if len(nd.keys) > 0 {
-			pred, predOK = nd.vals[len(nd.keys)-1], true
-		} else if nd.prev != nil && len(nd.prev.keys) > 0 {
-			pred, predOK = nd.prev.vals[len(nd.prev.keys)-1], true
+		// A node's max is its parent's entry, so below the root the
+		// search always lands inside the node; only at the root can
+		// every key be smaller than x.
+		if i == len(span) {
+			return len(t.levels[0])
 		}
-		if nd.next != nil && len(nd.next.keys) > 0 {
-			return nd.next.vals[0], true, pred, predOK
-		}
-		return 0, false, pred, predOK
+		node = lo + i
 	}
-	if i > 0 {
-		pred, predOK = nd.vals[i-1], true
-	} else if nd.prev != nil && len(nd.prev.keys) > 0 {
-		pred, predOK = nd.prev.vals[len(nd.prev.keys)-1], true
-	}
-	return nd.vals[i], true, pred, predOK
 }
 
-// SizeBytes estimates the in-memory footprint: per entry one key and
-// one value, per node slice headers and child pointers.
+// SizeBytes is the footprint of the level arrays, the bottom level's
+// keys included.
 func (t *Tree[K]) SizeBytes() int {
 	var k K
-	keySize := 8
-	if _, ok := any(k).(uint32); ok {
-		keySize = 4
+	total := 0
+	for _, lvl := range t.levels {
+		total += len(lvl) * int(unsafe.Sizeof(k))
 	}
-	const nodeOverhead = 5 * 24 // slice headers + leaf links
-	inner := t.nNodes - (t.count+fanout-1)/fanout
-	if inner < 0 {
-		inner = 0
-	}
-	return t.count*(keySize+4) + t.nNodes*nodeOverhead + inner*fanout/2*8
+	return total
 }
-
-// numNodes reports the node count.
-func (t *Tree[K]) numNodes() int { return t.nNodes }

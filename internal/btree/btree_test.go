@@ -1,12 +1,16 @@
 package btree
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/binio"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/indextest"
@@ -87,51 +91,29 @@ func TestBTreeDuplicates(t *testing.T) {
 }
 
 func TestBulkLoadStructure(t *testing.T) {
-	for _, n := range []int{0, 1, fanout, fanout + 1, fanout * fanout, 12345} {
+	for _, n := range []int{0, 1, Fanout, Fanout + 1, Fanout * Fanout, Fanout*Fanout + 1, 12345} {
 		keys := make([]uint64, n)
-		vals := make([]int32, n)
 		for i := range keys {
 			keys[i] = uint64(i * 3)
-			vals[i] = int32(i)
 		}
-		tr, err := NewTree(keys, vals, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := NewTree(keys, false)
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if tr.count != n {
-			t.Fatalf("count = %d, want %d", tr.count, n)
+		if len(tr.levels[0]) != n {
+			t.Fatalf("n=%d: %d leaf keys", n, len(tr.levels[0]))
 		}
 	}
 }
 
 func TestCeilingSemantics(t *testing.T) {
-	keys := []uint64{10, 20, 30, 40, 50}
-	vals := []int32{0, 1, 2, 3, 4}
-	tr, _ := NewTree(keys, vals, false)
-	cases := []struct {
-		x      uint64
-		val    int32
-		found  bool
-		pred   int32
-		predOK bool
-	}{
-		{5, 0, true, 0, false},
-		{10, 0, true, 0, false},
-		{11, 1, true, 0, true},
-		{30, 2, true, 1, true},
-		{45, 4, true, 3, true},
-		{50, 4, true, 3, true},
-		{51, 0, false, 4, true},
-	}
-	for _, tc := range cases {
-		val, found, pred, predOK := tr.Ceiling(tc.x, nil)
-		if found != tc.found || predOK != tc.predOK ||
-			(found && val != tc.val) || (predOK && pred != tc.pred) {
-			t.Errorf("Ceiling(%d) = (%d,%v,%d,%v), want (%d,%v,%d,%v)",
-				tc.x, val, found, pred, predOK, tc.val, tc.found, tc.pred, tc.predOK)
+	tr := NewTree([]uint64{10, 20, 30, 40, 50}, false)
+	for _, tc := range []struct {
+		x    uint64
+		rank int
+	}{{5, 0}, {10, 0}, {11, 1}, {30, 2}, {45, 4}, {50, 4}, {51, 5}} {
+		if r := tr.Ceiling(tc.x, nil); r != tc.rank {
+			t.Errorf("Ceiling(%d) = %d, want %d", tc.x, r, tc.rank)
 		}
 	}
 }
@@ -142,23 +124,137 @@ func TestBTree32(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint32(i * 7)
 	}
-	vals := make([]int32, len(keys))
-	for i := range vals {
-		vals[i] = int32(i)
-	}
-	tr, err := NewTree(keys, vals, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := NewTree(keys, false)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		val, found, _, _ := tr.Ceiling(k, nil)
-		if !found || val != int32(i) {
-			t.Fatalf("Ceiling(%d) = (%d, %v)", k, val, found)
+		if r := tr.Ceiling(k, nil); r != i {
+			t.Fatalf("Ceiling(%d) = %d, want %d", k, r, i)
 		}
 	}
+	if got, want := tr.SizeBytes(), 4*(5000+157+5); got != want {
+		t.Fatalf("SizeBytes() = %d, want %d", got, want)
+	}
+}
+
+// TestLookupMatchesSubsetLowerBound: the bound of every probe is the one
+// the rank of its lower bound among the subset keys gives — the key of
+// rank r is data key r*stride — on every dataset and on runs of equal
+// keys, for both in-node searches.
+func TestLookupMatchesSubsetLowerBound(t *testing.T) {
+	sets := map[string][]core.Key{}
+	for _, name := range dataset.All() {
+		sets[string(name)] = dataset.MustGenerate(name, 200_000, 1)
+	}
+	dups := make([]core.Key, 20_000)
+	for i := range dups {
+		dups[i] = core.Key(100 + i/7*3) // runs of seven equal keys
+	}
+	sets["dups"] = dups
+	for name, keys := range sets {
+		n := len(keys)
+		probes := indextest.ProbesFor(keys)
+		for _, stride := range []int{1, 3, 16, 512} {
+			var subset []core.Key
+			for i := 0; i < n; i += stride {
+				subset = append(subset, keys[i])
+			}
+			for _, interp := range []bool{false, true} {
+				idx, err := Builder{Stride: stride, Interpolate: interp}.Build(keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, x := range probes {
+					r := core.LowerBound(subset, x)
+					want := core.Bound{Hi: n}
+					if r > 0 {
+						want.Lo = (r-1)*stride + 1
+					}
+					if r < len(subset) {
+						want.Hi = r*stride + 1
+					}
+					if got := idx.Lookup(x); got != want || !core.ValidBound(keys, x, got) {
+						t.Fatalf("%s stride=%d interp=%v: Lookup(%d) = %v, want %v", name, stride, interp, x, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSizeBytesIsLevelBytes: the footprint is the level arrays and
+// nothing else, eight bytes per key of every level.
+func TestSizeBytesIsLevelBytes(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.OSM, 100_000, 1)
+	for _, stride := range []int{1, 16, 512} {
+		b, _ := Builder{Stride: stride}.Build(keys)
+		idx := b.(*Index)
+		want := 0
+		for _, n := range idx.LevelSizes() {
+			want += 8 * n
+		}
+		if got := idx.SizeBytes(); got != want || want == 0 {
+			t.Errorf("stride %d: SizeBytes() = %d, level arrays hold %d B", stride, got, want)
+		}
+	}
+}
+
+// TestBuildAllocs: a build allocates the subset keys, the level list,
+// each upper level and the Index — no per-node allocation.
+func TestBuildAllocs(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Amzn, 200_000, 1)
+	for _, stride := range []int{1, 16, 512} {
+		b := Builder{Stride: stride}
+		idx, _ := b.Build(keys)
+		height := len(idx.(*Index).tree.levels)
+		if allocs := testing.AllocsPerRun(3, func() { _, _ = b.Build(keys) }); allocs > float64(height+2) {
+			t.Errorf("stride %d: Build makes %.0f allocations, want at most %d (height %d)", stride, allocs, height+2, height)
+		}
+	}
+}
+
+func TestCodecRoundTrip(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Face, 5000, 1)
+	for _, b := range []Builder{{Stride: 1}, {Stride: 7, Interpolate: true}} {
+		idx, _ := b.Build(keys)
+		got, err := Decode(binio.NewReader(encoded(t, idx.(*Index))))
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name(), err)
+		}
+		if !reflect.DeepEqual(got, idx) {
+			t.Fatalf("%s: decoded index differs from the encoded one", b.Name())
+		}
+	}
+}
+
+// TestDecodeRejectsWrongPositions: the wire keeps a position per entry
+// that the tree does not store, so Decode holds each to rank*stride and
+// the entry count to one per stride.
+func TestDecodeRejectsWrongPositions(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Amzn, 1000, 1)
+	idx, _ := Builder{Stride: 4}.Build(keys)
+	data := encoded(t, idx.(*Index))
+	const header = 8 + 4 + 1 + 4
+	flipped := append([]byte(nil), data...)
+	flipped[header+10*entryWireBytes+8] ^= 0x01 // entry 10's position
+	if _, err := Decode(binio.NewReader(flipped)); !errors.Is(err, binio.ErrCorrupt) {
+		t.Errorf("flipped position: err = %v, want ErrCorrupt", err)
+	}
+	short := append([]byte(nil), data[:len(data)-entryWireBytes]...)
+	binary.LittleEndian.PutUint32(short[header-4:], uint32(len(keys)/4-1))
+	if _, err := Decode(binio.NewReader(short)); !errors.Is(err, binio.ErrCorrupt) {
+		t.Errorf("one entry short: err = %v, want ErrCorrupt", err)
+	}
+}
+
+func encoded(t *testing.T, idx *Index) []byte {
+	t.Helper()
+	w := binio.NewWriter(nil)
+	if err := idx.Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(nil), w.Buffered()...)
 }
 
 func TestIBTreeName(t *testing.T) {
@@ -174,7 +270,7 @@ func TestHeightGrows(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 100000, 1)
 	big, _ := Builder{Stride: 1}.Build(keys)
 	small, _ := Builder{Stride: 1000}.Build(keys)
-	if hb, hs := big.(*Index).tree.height, small.(*Index).tree.height; hb <= hs {
+	if hb, hs := len(big.(*Index).tree.levels), len(small.(*Index).tree.levels); hb <= hs {
 		t.Errorf("height: %d vs %d", hb, hs)
 	}
 }
@@ -201,48 +297,24 @@ func TestBTreeProperty(t *testing.T) {
 	}
 }
 
-// Validate checks B+tree structural invariants; used by tests.
+// Validate checks the flat B+tree invariants; used by tests.
 func (t *Tree[K]) Validate() error {
-	if t.root == nil {
-		return errors.New("btree: nil root")
+	if len(t.levels[len(t.levels)-1]) > Fanout {
+		return errors.New("btree: more than one root node")
 	}
-	_, _, err := validate(t.root, t.height)
-	return err
-}
-
-func validate[K KeyT](nd *node[K], levels int) (minK, maxK K, err error) {
-	if nd.isLeaf() {
-		if levels != 1 {
-			return minK, maxK, errors.New("btree: leaves at different depths")
+	if !slices.IsSorted(t.levels[0]) {
+		return errors.New("btree: leaf keys out of order")
+	}
+	for l := 1; l < len(t.levels); l++ {
+		below, lvl := t.levels[l-1], t.levels[l]
+		if len(lvl) != (len(below)+Fanout-1)/Fanout {
+			return fmt.Errorf("btree: level %d has %d keys over %d below", l, len(lvl), len(below))
 		}
-		for i := 1; i < len(nd.keys); i++ {
-			if nd.keys[i] < nd.keys[i-1] {
-				return minK, maxK, errors.New("btree: leaf keys out of order")
+		for j, k := range lvl {
+			if k != slices.Max(below[j*Fanout:min((j+1)*Fanout, len(below))]) {
+				return fmt.Errorf("btree: level %d key %d is not the max of its node", l, j)
 			}
 		}
-		if len(nd.keys) == 0 {
-			return minK, maxK, nil
-		}
-		return nd.keys[0], nd.keys[len(nd.keys)-1], nil
 	}
-	if len(nd.children) != len(nd.keys)+1 {
-		return minK, maxK, fmt.Errorf("btree: inner node has %d keys, %d children", len(nd.keys), len(nd.children))
-	}
-	for ci, ch := range nd.children {
-		cmin, cmax, err := validate(ch, levels-1)
-		if err != nil {
-			return minK, maxK, err
-		}
-		if ci == 0 {
-			minK = cmin
-		}
-		if ci > 0 && cmin < nd.keys[ci-1] {
-			return minK, maxK, errors.New("btree: child violates separator")
-		}
-		if ci < len(nd.keys) && cmax > nd.keys[ci] {
-			return minK, maxK, errors.New("btree: child exceeds separator")
-		}
-		maxK = cmax
-	}
-	return minK, maxK, nil
+	return nil
 }

@@ -2,11 +2,12 @@ package btree
 
 // Binary codec for the B+tree index adapter. Unlike the learned
 // families there are no trained parameters to preserve: the tree's
-// entire state is its (subset key, data position) entries, so Encode
-// walks the leaf chain and Decode bulk-loads a fresh tree from the
-// entries — a single linear pass, not a retrain (the subset-stride
-// selection, the only data-dependent choice, is preserved verbatim).
-// Little-endian via binio; framing and checksums live in persist.
+// entire state is its subset keys, so Encode writes them as (subset
+// key, data position) entries and Decode bulk-loads a fresh tree from
+// the keys — a single linear pass, not a retrain. The tree stores no
+// positions (entry r is data key r*stride), so Decode only checks the
+// ones on the wire. Little-endian via binio; framing and checksums live
+// in persist.
 
 import (
 	"repro/internal/binio"
@@ -21,27 +22,23 @@ func (idx *Index) Encode(w *binio.Writer) error {
 	w.U64(uint64(idx.n))
 	w.U32(uint32(idx.stride))
 	interp := uint8(0)
-	if idx.name == "IBTree" {
+	if idx.tree.interpolate {
 		interp = 1
 	}
 	w.U8(interp)
-	w.U32(uint32(idx.tree.count))
-	nd := idx.tree.root
-	for !nd.isLeaf() {
-		nd = nd.children[0]
-	}
-	for ; nd != nil; nd = nd.next {
-		for i := range nd.keys {
-			w.U64(uint64(nd.keys[i]))
-			w.U32(uint32(nd.vals[i]))
-		}
+	keys := idx.tree.levels[0]
+	w.U32(uint32(len(keys)))
+	for r, k := range keys {
+		w.U64(uint64(k))
+		w.U32(uint32(r * idx.stride))
 	}
 	return w.Err()
 }
 
 // Decode reconstructs the index from r by bulk-loading the entries.
-// Entries must be sorted with positions inside [0, n): Lookup turns
-// positions directly into search-bound endpoints.
+// Entries must be sorted, one per stride of the n data keys, with entry
+// r at position r*stride: Lookup turns ranks directly into search-bound
+// endpoints.
 func Decode(r *binio.Reader) (*Index, error) {
 	n := r.U64()
 	stride := int(r.U32())
@@ -57,33 +54,19 @@ func Decode(r *binio.Reader) (*Index, error) {
 	if stride < 1 || interp > 1 {
 		return nil, binio.Corruptf("btree: stride %d, interp flag %d", stride, interp)
 	}
-	if count < 1 {
-		return nil, binio.Corruptf("btree: no entries")
+	if want := (n + uint64(stride) - 1) / uint64(stride); uint64(count) != want {
+		return nil, binio.Corruptf("btree: %d entries, want %d for %d keys at stride %d", count, want, n, stride)
 	}
+	// Count has checked that every entry's bytes are there.
 	keys := make([]core.Key, count)
-	vals := make([]int32, count)
-	for i := 0; i < count; i++ {
+	for i := range keys {
 		keys[i] = r.U64()
-		vals[i] = int32(r.U32())
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < count; i++ {
+		if pos := r.U32(); pos != uint32(i*stride) {
+			return nil, binio.Corruptf("btree: entry %d at position %d, not %d", i, pos, i*stride)
+		}
 		if i > 0 && keys[i] < keys[i-1] {
 			return nil, binio.Corruptf("btree: entries out of order at %d", i)
 		}
-		if vals[i] < 0 || uint64(vals[i]) >= n {
-			return nil, binio.Corruptf("btree: entry %d position %d outside data [0,%d)", i, vals[i], n)
-		}
 	}
-	t, err := NewTree(keys, vals, interp == 1)
-	if err != nil {
-		return nil, binio.Corruptf("btree: %v", err)
-	}
-	name := "BTree"
-	if interp == 1 {
-		name = "IBTree"
-	}
-	return &Index{tree: t, n: int(n), stride: stride, name: name}, nil
+	return &Index{tree: NewTree(keys, interp == 1), n: int(n), stride: stride}, nil
 }

@@ -8,12 +8,12 @@ import (
 
 // Index adapts Tree to the benchmark's core.Index contract using the
 // paper's subset-insertion size knob: every Stride-th key of the data
-// is inserted, so bounds have width at most Stride.
+// is inserted, so bounds have width at most Stride. The key of rank r
+// in the tree is data key r*stride, so no position is stored.
 type Index struct {
-	tree   *Tree[core.Key]
+	tree   Tree[core.Key]
 	n      int
 	stride int
-	name   string
 }
 
 // Builder builds B+tree indexes with a fixed stride.
@@ -39,51 +39,45 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 	if n == 0 {
 		return nil, errors.New("btree: empty key set")
 	}
-	stride := b.Stride
-	if stride < 1 {
-		stride = 1
-	}
-	subsetKeys := make([]core.Key, 0, n/stride+1)
-	subsetVals := make([]int32, 0, n/stride+1)
+	stride := max(b.Stride, 1)
+	subset := make([]core.Key, 0, (n+stride-1)/stride)
 	for i := 0; i < n; i += stride {
-		subsetKeys = append(subsetKeys, keys[i])
-		subsetVals = append(subsetVals, int32(i))
+		subset = append(subset, keys[i])
 	}
-	t, err := NewTree(subsetKeys, subsetVals, b.Interpolate)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{tree: t, n: n, stride: stride, name: b.Name()}, nil
+	return &Index{tree: NewTree(subset, b.Interpolate), n: n, stride: stride}, nil
 }
 
 // Lookup implements core.Index.
 func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 
 // Trace is Lookup's descent; visit is the tree's Ceiling visitor.
-func (idx *Index) Trace(key core.Key, visit func(id int32)) core.Bound {
-	ceilPos, found, predPos, predOK := idx.tree.Ceiling(key, visit)
-	lo := 0
-	if predOK {
-		lo = int(predPos) + 1
+func (idx *Index) Trace(key core.Key, visit func(level, node int)) core.Bound {
+	// The ceiling of rank r is data key r*stride and its predecessor
+	// data key (r-1)*stride, so the first key >= key lies in
+	// [(r-1)*stride+1, r*stride+1), cut to [0, n) at either end.
+	r := idx.tree.Ceiling(key, visit)
+	b := core.Bound{Hi: idx.n}
+	if r > 0 {
+		b.Lo = (r-1)*idx.stride + 1
 	}
-	hi := idx.n
-	if found {
-		hi = int(ceilPos) + 1
+	if r < len(idx.tree.levels[0]) {
+		b.Hi = r*idx.stride + 1
 	}
-	if hi > idx.n {
-		hi = idx.n
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return core.Bound{Lo: lo, Hi: hi}
+	return b
 }
 
 // SizeBytes implements core.Index.
 func (idx *Index) SizeBytes() int { return idx.tree.SizeBytes() }
 
 // Name implements core.Index.
-func (idx *Index) Name() string { return idx.name }
+func (idx *Index) Name() string { return Builder{Interpolate: idx.tree.interpolate}.Name() }
 
-// NumNodes reports the underlying tree's node count.
-func (idx *Index) NumNodes() int { return idx.tree.numNodes() }
+// LevelSizes returns the key count of each level of the tree, the
+// subset keys first.
+func (idx *Index) LevelSizes() []int {
+	out := make([]int, len(idx.tree.levels))
+	for i, l := range idx.tree.levels {
+		out[i] = len(l)
+	}
+	return out
+}

@@ -158,7 +158,7 @@ func TestTracedRegionsSumToSizeBytes(t *testing.T) {
 		case *tracedRBS:
 			regions, size = []Region{v.table}, v.idx.SizeBytes()
 		case *tracedBTree:
-			regions, size = []Region{v.nodes}, v.idx.SizeBytes()
+			regions, size = v.levels, v.idx.SizeBytes()
 		case *tracedART:
 			regions, size = []Region{v.heap}, v.idx.SizeBytes()
 		case *tracedFAST:

@@ -61,13 +61,11 @@ func For(idx core.Index, m *Machine, keys []core.Key) (tr Traced, ok bool) {
 	case *rbs.Index:
 		return &tracedRBS{d, v, m.Alloc(v.SizeBytes())}, true
 	case *btree.Index:
-		// The tree accounts for its size per entry and per node, not
-		// per node alone, so the nodes are laid out at the mean stride
-		// that accounting gives them, rounded down to whole cache
-		// lines: nodes are line-aligned, as the STX node size class the
-		// tree's fanout follows is.
-		line := int(m.lineSz)
-		return &tracedBTree{d, v, m.Alloc(v.SizeBytes()), v.SizeBytes() / v.NumNodes() / line * line}, true
+		t := &tracedBTree{dataRegions: d, idx: v}
+		for _, n := range v.LevelSizes() {
+			t.levels = append(t.levels, m.Alloc(n*keyBytes))
+		}
+		return t, true
 	case *art.Index:
 		return &tracedART{d, v, m.Alloc(v.SizeBytes())}, true
 	case *fast.Index:
@@ -224,23 +222,22 @@ func (t *tracedRBS) step(bucket uint64) {
 
 type tracedBTree struct {
 	*dataRegions
-	idx       *btree.Index
-	nodes     Region
-	nodeBytes int
+	idx    *btree.Index
+	levels []Region
 }
 
 func (t *tracedBTree) Lookup(key core.Key) core.Bound {
 	return t.lastMile(key, t.idx.Trace(key, t.step))
 }
 
-func (t *tracedBTree) step(id int32) {
-	// In-node binary search over up to 32 keys: ~5 compares touching
-	// about two of the node's cache lines.
-	base, line := int(id)*t.nodeBytes, int(t.m.lineSz)
-	t.m.Access(t.nodes, base, line)
-	t.m.Access(t.nodes, base+2*line, line)
-	for s := 0; s < 5; s++ {
-		t.m.recordBranch(0x91, (int(id)+s)&1 == 0)
+func (t *tracedBTree) step(level, node int) {
+	// The in-node search halves the node's (up to 32) keys of its level
+	// array with no data-dependent branch: about five probes of three
+	// instructions each, within the node's own lines.
+	lvl := t.levels[level]
+	lo := node * btree.Fanout
+	for n := min(btree.Fanout, lvl.size/keyBytes-lo); n > 1; n -= n / 2 {
+		t.m.Access(lvl, (lo+n/2)*keyBytes, keyBytes)
 		t.m.instr(3)
 	}
 }
