@@ -386,15 +386,20 @@ func serveEnv(b *testing.B) *bench.Env {
 }
 
 // serveBenchFamilies is the family set of the serving benchmarks: two
-// learned indexes with a vectorized bound path plus the tree baseline,
-// on the books-style amzn dataset.
+// learned indexes plus the tree baseline, on the books-style amzn
+// dataset.
 var serveBenchFamilies = []string{"RMI", "PGM", "BTree"}
+
+// getBatchFamilies is BenchmarkGetBatch's family set: every learned
+// family, the one batch descent (PGM) beside the three that bound a
+// batch with Lookup per key, and the tree baseline.
+var getBatchFamilies = []string{"RMI", "PGM", "RS", "RBS", "BTree"}
 
 // BenchmarkGetBatch compares the per-key Table.Get loop against the
 // batched GetBatch fast path. ns/op is per lookup in both cases.
 func BenchmarkGetBatch(b *testing.B) {
 	e := serveEnv(b)
-	for _, family := range serveBenchFamilies {
+	for _, family := range getBatchFamilies {
 		nb, ok := registry.Builder(family, e.Keys)
 		if !ok {
 			b.Fatalf("no builder for %s", family)

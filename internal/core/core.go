@@ -67,11 +67,10 @@ type Index interface {
 	Name() string
 }
 
-// BatchIndex is an optional extension of Index for structures that can
-// amortize bound prediction over a batch of lookup keys (model
-// evaluation without per-key interface dispatch, table loads batched
-// for the hardware prefetcher). The serving layer uses it when
-// available; LookupBatch provides the generic fallback.
+// BatchIndex is an optional extension of Index for a structure whose
+// batch descent beats a loop of its own Lookup; PGM's level-synchronous
+// descent is the one such. Elsewhere the out-of-order core already
+// overlaps independent lookups' misses, so LookupBatch loops Lookup.
 type BatchIndex interface {
 	Index
 
@@ -82,8 +81,8 @@ type BatchIndex interface {
 }
 
 // LookupBatch computes search bounds for a batch of keys, using the
-// index's vectorized path when it implements BatchIndex and a scalar
-// loop otherwise.
+// index's batch descent when it implements BatchIndex and a loop of
+// Lookup otherwise.
 func LookupBatch(idx Index, keys []Key, out []Bound) {
 	if bi, ok := idx.(BatchIndex); ok {
 		bi.LookupBatch(keys, out)

@@ -107,38 +107,6 @@ func (idx *Index) bucketBound(p uint64) core.Bound {
 	return core.Bound{Lo: lo, Hi: hi}
 }
 
-// LookupBatch implements core.BatchIndex. RBS bounds are two adjacent
-// table loads per key; the batched loop issues them back to back with
-// the shift and clamp constants held in registers and every clamp in
-// conditional-move shape, which lets the out-of-order core overlap the
-// (random) table misses across keys with no mispredict flushes in
-// between. The table slice and output window are hoisted so the loop
-// body carries no per-iteration bounds checks on the output store.
-func (idx *Index) LookupBatch(keys []core.Key, out []core.Bound) {
-	minKey, shift, n := idx.minKey, idx.shift, idx.n
-	max := uint64(1)<<idx.radixBits - 1
-	table := idx.table
-	out = out[:len(keys)]
-	for i, x := range keys {
-		var p uint64
-		if x > minKey {
-			p = (x - minKey) >> shift
-			if p > max {
-				p = max
-			}
-		}
-		lo := int(table[p])
-		hi := int(table[p+1]) + 1
-		if hi > n {
-			hi = n
-		}
-		if lo > hi {
-			lo = hi
-		}
-		out[i] = core.Bound{Lo: lo, Hi: hi}
-	}
-}
-
 // RadixEntrySizeBytes is what one table entry occupies.
 const RadixEntrySizeBytes = int(unsafe.Sizeof(Index{}.table[0]))
 

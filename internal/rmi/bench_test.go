@@ -28,24 +28,13 @@ func BenchmarkRMILookup(b *testing.B) {
 			for _, x := range probes {
 				width += idx.Lookup(x).Width()
 			}
-			report := func(b *testing.B) { // after the loop: b.Loop resets metrics
-				b.ReportMetric(float64(idx.LeafBytes()), "B/leaf")
-				b.ReportMetric(float64(width)/float64(len(probes)), "width")
-			}
 			b.Run(fmt.Sprintf("%s/B=%d/scalar", name, branch), func(b *testing.B) {
 				for i := 0; b.Loop(); i++ {
 					benchSink = idx.Lookup(probes[i&(nProbes-1)])
 				}
-				report(b)
-			})
-			b.Run(fmt.Sprintf("%s/B=%d/batch256", name, branch), func(b *testing.B) {
-				out := make([]core.Bound, 256)
-				for i := 0; b.Loop(); i++ {
-					off := i * 256 & (nProbes - 1)
-					idx.LookupBatch(probes[off:off+256], out)
-				}
-				report(b)
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/256, "ns/key")
+				// After the loop: b.Loop resets metrics.
+				b.ReportMetric(float64(idx.LeafBytes()), "B/leaf")
+				b.ReportMetric(float64(width)/float64(len(probes)), "width")
 			})
 		}
 	}

@@ -70,7 +70,7 @@ func refFinish(r *routed, fkeys []float64, stage2 ModelKind) ([]refLeaf, float64
 // over the same routing: per-leaf margins and the log2 error equal,
 // every probe's position within one of the reference's (the fold
 // re-associates the arithmetic, so a prediction on a rounding tie may
-// land on the other side), and LookupBatch bit-identical to Lookup.
+// land on the other side), and Explain's bound equal to Lookup's.
 func checkAgainstReference(t *testing.T, keys []core.Key, cfg Config, probes []core.Key) {
 	t.Helper()
 	fkeys := floatKeys(keys)
@@ -89,15 +89,13 @@ func checkAgainstReference(t *testing.T, keys []core.Key, cfg Config, probes []c
 	if got := idx.AvgLog2Error(); got != refLog2 {
 		t.Fatalf("%v: AvgLog2Error %v, reference %v", cfg, got, refLog2)
 	}
-	batch := make([]core.Bound, len(probes))
-	idx.LookupBatch(probes, batch)
-	for i, x := range probes {
+	for _, x := range probes {
 		li, pos, b := idx.Explain(x)
 		if refPos := ref[li].clampPredict(float64(x)); pos < refPos-1 || pos > refPos+1 {
 			t.Fatalf("%v key %d: position %d, reference %d", cfg, x, pos, refPos)
 		}
-		if b != idx.Lookup(x) || b != batch[i] {
-			t.Fatalf("%v key %d: Explain %v, Lookup %v, LookupBatch %v", cfg, x, b, idx.Lookup(x), batch[i])
+		if b != idx.Lookup(x) {
+			t.Fatalf("%v key %d: Explain %v, Lookup %v", cfg, x, b, idx.Lookup(x))
 		}
 	}
 }
@@ -176,7 +174,6 @@ func TestLeafLayout(t *testing.T) {
 // (internal/ledger), whose RMI is the mid-ladder radix/linear one.
 func TestLookupDoesNotAllocate(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.OSM, 20000, 1)
-	out := make([]core.Bound, 256)
 	idx, err := New(keys, Config{Stage1: ModelRadix, Stage2: ModelCubic, Branch: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -184,9 +181,6 @@ func TestLookupDoesNotAllocate(t *testing.T) {
 	var sink core.Bound
 	if a := testing.AllocsPerRun(100, func() { sink = idx.Lookup(keys[777]) }); a != 0 {
 		t.Errorf("Lookup allocates %v times", a)
-	}
-	if a := testing.AllocsPerRun(100, func() { idx.LookupBatch(keys[:256], out) }); a != 0 {
-		t.Errorf("LookupBatch allocates %v times", a)
 	}
 	_ = sink
 }

@@ -383,44 +383,6 @@ func (idx *Index) Lookup(key core.Key) core.Bound {
 	return b
 }
 
-// batchChunk is the LookupBatch processing granularity: the per-chunk
-// leaf-routing scratch lives on the stack, and a chunk's keys stay in
-// L1 between the two passes.
-const batchChunk = 64
-
-// LookupBatch implements core.BatchIndex. The batch is processed in
-// two passes per chunk: pass 1 routes every key through the stage-1
-// model (pure arithmetic, model coefficients pinned in registers);
-// pass 2 evaluates the routed leaves. Splitting the passes decouples
-// the random leaf-array loads from the routing arithmetic: the loads
-// of different keys are independent, so the out-of-order core overlaps
-// their cache misses instead of serializing a route→load→predict chain
-// per key. Routing uses exactly the scalar route() arithmetic, so
-// batched bounds are bit-identical to Lookup's.
-func (idx *Index) LookupBatch(keys []core.Key, out []core.Bound) {
-	n, leaves, cubics := idx.n, idx.leaves, idx.cubics
-	var route [batchChunk]int32
-	for off := 0; off < len(keys); off += batchChunk {
-		end := min(off+batchChunk, len(keys))
-		chunk := keys[off:end]
-		outc := out[off:end]
-		for i, x := range chunk {
-			route[i] = int32(idx.route(float64(x)))
-		}
-		if cubics != nil {
-			for i, x := range chunk {
-				lf := &cubics[route[i]]
-				outc[i] = core.BoundAround(lf.pos(float64(x)), int(lf.errLo), int(lf.errHi), n)
-			}
-			continue
-		}
-		for i, x := range chunk {
-			lf := &leaves[route[i]]
-			outc[i] = core.BoundAround(lf.pos(float64(x)), int(lf.errLo), int(lf.errHi), n)
-		}
-	}
-}
-
 // SizeBytes implements core.Index: the stage-1 model plus the leaf array
 // as memory holds it.
 func (idx *Index) SizeBytes() int {

@@ -225,8 +225,7 @@ func (idx *Index) interpolate(seg int, x core.Key) int {
 // ladder. The comparisons stay branches on purpose: a lone lookup's
 // spline-point loads can miss cache, and branch speculation runs those
 // misses ahead — a mask/CMOV form chains them serially (measured
-// slower per scalar lookup). The batch path uses pointSearchBL, where
-// independent neighbours provide the overlap.
+// slower per scalar lookup).
 func pointSearch(points []Point, x core.Key, lo, hi int) int {
 	width := hi - lo
 	if width > 0 {
@@ -246,43 +245,6 @@ func pointSearch(points []Point, x core.Key, lo, hi int) int {
 		if points[lo].Key <= x {
 			lo++
 		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return lo - 1
-}
-
-// pointSearchBL is pointSearch with every comparison materialized by
-// SETcc and folded in with mask arithmetic — no data-dependent
-// branches. Used by LookupBatch's evaluation pass, whose iterations
-// are independent across keys: out-of-order execution overlaps their
-// loads, and removing the mispredict flushes is pure win there.
-func pointSearchBL(points []Point, x core.Key, lo, hi int) int {
-	width := hi - lo
-	if width > 0 {
-		w := 1 << (bits.Len(uint(width)) - 1)
-		if w != width {
-			c := 0
-			if points[lo+width-w].Key <= x {
-				c = 1
-			}
-			lo += (width - w) & -c
-		}
-		for w > 1 {
-			half := w >> 1
-			c := 0
-			if points[lo+half-1].Key <= x {
-				c = 1
-			}
-			lo += half & -c
-			w = half
-		}
-		c := 0
-		if points[lo].Key <= x {
-			c = 1
-		}
-		lo += c
 	}
 	if lo == 0 {
 		return 0
@@ -320,46 +282,6 @@ func (idx *Index) Trace(key core.Key, visit func(bucket uint64, winLo, winHi int
 	seg := idx.segmentFor(key, visit)
 	pos := idx.interpolate(seg, key)
 	return core.BoundAround(pos, idx.errLo, idx.errHi, idx.n)
-}
-
-// batchChunk is the LookupBatch processing granularity: the per-chunk
-// window scratch lives on the stack and a chunk's keys stay in L1
-// between the two passes.
-const batchChunk = 64
-
-// LookupBatch implements core.BatchIndex in two passes per chunk:
-// pass 1 computes every key's radix-table window (the table loads of
-// different keys are independent, so their misses overlap); pass 2
-// runs the branchless spline-point search and interpolation over the
-// prefetched windows. Bounds are identical to Lookup's.
-func (idx *Index) LookupBatch(keys []core.Key, out []core.Bound) {
-	errLo, errHi, n := idx.errLo, idx.errHi, idx.n
-	npts := len(idx.points)
-	var wlo, whi [batchChunk]int32
-	for off := 0; off < len(keys); off += batchChunk {
-		end := off + batchChunk
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := keys[off:end]
-		outc := out[off:end]
-		for i, x := range chunk {
-			p := idx.prefix(x)
-			lo, hi := int(idx.radix[p]), int(idx.radix[p+1])
-			if lo > 0 {
-				lo--
-			}
-			if hi > npts {
-				hi = npts
-			}
-			wlo[i], whi[i] = int32(lo), int32(hi)
-		}
-		for i, x := range chunk {
-			seg := pointSearchBL(idx.points, x, int(wlo[i]), int(whi[i]))
-			pos := idx.interpolate(seg, x)
-			outc[i] = core.BoundAround(pos, errLo, errHi, n)
-		}
-	}
 }
 
 // computeMargins verifies the spline against every distinct key and

@@ -12,10 +12,8 @@
 // one probe step per round, so the random data-array loads of
 // different keys are all in flight at once instead of each search
 // serializing behind its own log2(width) dependent-miss chain — the
-// software-prefetch-style pipelining the table layer's GetBatch
-// introduced, pushed down into the search layer where every consumer
-// (table probe rounds, index-family batch lookups, bench harnesses)
-// can reach it.
+// software-prefetch-style pipelining of the table layer's GetBatch,
+// which calls it for its probe rounds.
 package search
 
 import (
@@ -75,29 +73,22 @@ func BranchlessSearch(keys []core.Key, key core.Key, b core.Bound) int {
 const narrowStop = 8
 
 // NarrowBatch runs pipelined binary probe rounds over a batch of
-// searches: each round advances every bound wider than stopWidth by one
-// branchless probe step. The probes of a round touch independent
+// searches: each round advances every bound wider than narrowStop by
+// one probe step, until none is. The probes of a round touch independent
 // cache lines, so the memory system overlaps their misses — the batch
 // resolves in ~log2(maxWidth) rounds of parallel loads instead of
 // len(qs) serial chains. Bounds are narrowed in place in the closed
 // form Lo <= lb <= Hi (a probe that moves Hi can land it exactly on
 // the lower bound; every Fn in this package resolves that form
 // correctly, exactly as the intermediate states of a classic binary
-// search do). stopWidth < 1 defaults to 8; maxRounds <= 0 means no
-// cap.
-func NarrowBatch(keys []core.Key, qs []core.Key, bs []core.Bound, stopWidth, maxRounds int) {
-	if stopWidth < 1 {
-		stopWidth = narrowStop
-	}
-	if maxRounds <= 0 {
-		maxRounds = bits.UintSize
-	}
+// search do).
+func NarrowBatch(keys []core.Key, qs []core.Key, bs []core.Bound) {
 	bs = bs[:len(qs)] // one bounds check here, none in the rounds
-	for round := 0; round < maxRounds; round++ {
+	for {
 		active := false
 		for i := range bs {
 			lo, hi := bs[i].Lo, bs[i].Hi
-			if hi-lo <= stopWidth {
+			if hi-lo <= narrowStop {
 				continue
 			}
 			active = true

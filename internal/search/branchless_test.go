@@ -99,7 +99,7 @@ func TestSearchBatch(t *testing.T) {
 			bs[i] = validBoundFor(rng, keys, qs[i])
 			want[i] = oracle(keys, qs[i], bs[i])
 		}
-		NarrowBatch(keys, qs, bs, 0, 0)
+		NarrowBatch(keys, qs, bs)
 		for i, x := range qs {
 			if got := BranchlessSearch(keys, x, bs[i]); got != want[i] {
 				t.Fatalf("batch[%d]: search(%d) = %d, want %d", i, x, got, want[i])
@@ -109,7 +109,7 @@ func TestSearchBatch(t *testing.T) {
 }
 
 // TestNarrowBatch checks that the probe rounds preserve bound validity
-// and honor the stop width and round cap.
+// and narrow every bound to the stop width.
 func TestNarrowBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n := 5000
@@ -128,20 +128,9 @@ func TestNarrowBatch(t *testing.T) {
 		lb := core.LowerBound(keys, x)
 		return b.Lo <= lb && lb <= b.Hi
 	}
-	// One round halves each wide bound but may not finish the job.
-	cp := append([]core.Bound(nil), bs...)
-	NarrowBatch(keys, qs, cp, 8, 1)
-	for i := range cp {
-		if !contains(keys, qs[i], cp[i]) {
-			t.Fatalf("round 1 lost bound %d: %v for key %d", i, cp[i], qs[i])
-		}
-		if w, w0 := cp[i].Width(), bs[i].Width(); w0 > 8 && w > (w0+1)/2 {
-			t.Fatalf("round 1 did not halve bound %d: %d -> %d", i, w0, w)
-		}
-	}
-	// Unlimited rounds must reach the stop width everywhere, and every
-	// scalar Fn must finish the narrowed bounds to the exact answer.
-	NarrowBatch(keys, qs, bs, 8, 0)
+	// The rounds must reach the stop width everywhere, and every scalar
+	// Fn must finish the narrowed bounds to the exact answer.
+	NarrowBatch(keys, qs, bs)
 	for i := range bs {
 		if !contains(keys, qs[i], bs[i]) {
 			t.Fatalf("narrowed bound %d lost its key: %v for key %d", i, bs[i], qs[i])

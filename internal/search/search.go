@@ -26,7 +26,6 @@ const (
 	Binary Kind = iota
 	Linear
 	Interpolation
-	Branchless
 )
 
 // String implements fmt.Stringer.
@@ -38,8 +37,6 @@ func (k Kind) String() string {
 		return "linear"
 	case Interpolation:
 		return "interpolation"
-	case Branchless:
-		return "branchless"
 	default:
 		return "unknown"
 	}
@@ -54,8 +51,6 @@ func ByKind(k Kind) Fn {
 		return linearSearch
 	case Interpolation:
 		return interpolationSearch
-	case Branchless:
-		return BranchlessSearch
 	default:
 		return BinarySearch
 	}

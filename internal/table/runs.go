@@ -41,7 +41,7 @@ var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
 // hit[i] whether the pair there carries it. bs is scratch for the
 // bounds.
 func (t *Table) findBlock(chunk []core.Key, pos []int32, hit []bool, bs []core.Bound) {
-	// Pass 1: bound prediction, vectorized when the index supports it.
+	// Pass 1: bound prediction.
 	core.LookupBatch(t.idx, chunk, bs)
 
 	keys := t.keys
@@ -59,7 +59,7 @@ func (t *Table) findBlock(chunk []core.Key, pos []int32, hit []bool, bs []core.B
 	// overlap instead of chaining like the per-key path's log2(width)
 	// dependent misses.
 	if n >= pipelineMinKeys {
-		search.NarrowBatch(keys, chunk, bs, narrowWidth, maxProbeRounds)
+		search.NarrowBatch(keys, chunk, bs)
 	}
 
 	// Pass 3: scalar last mile on the narrowed bounds, reusing the

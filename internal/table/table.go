@@ -5,15 +5,14 @@
 // batched lookup fast path.
 //
 // The batched path amortizes the two halves of a lookup over a batch:
-// bound prediction goes through core.BatchIndex when the index
-// implements it (one call per batch instead of one interface dispatch
-// per key), and the last-mile search runs as rounds of independent
-// probes across the batch, so the random data-array loads of different
-// keys overlap in the memory system instead of serializing behind one
-// binary search at a time. There is one such path (runs.go): a block
-// kernel that resolves position and presence per key, and
-// GetBatchRuns, which composes it across an ordered set of 1..N runs;
-// Table.GetBatch is its one-run caller.
+// bound prediction goes through core.LookupBatch (PGM's batch descent,
+// every other family's Lookup per key), and the last-mile search runs
+// as rounds of independent probes across the batch, so the random
+// data-array loads of different keys overlap in the memory system
+// instead of serializing behind one binary search at a time. There is
+// one such path (runs.go): a block kernel that resolves position and
+// presence per key, and GetBatchRuns, which composes it across an
+// ordered set of 1..N runs; Table.GetBatch is its one-run caller.
 package table
 
 import (
@@ -214,17 +213,6 @@ func (t *Table) Scan(lo, hi core.Key, visit func(core.Key, uint64) bool) int {
 // amortize the per-block passes, small enough that the block's bounds
 // and keys stay resident in L1 between passes.
 const batchBlock = 256
-
-// narrowWidth is the bound width below which the pipelined probe
-// rounds stop and the scalar last mile takes over; past this point the
-// whole bound sits in one or two cache lines and independent-probe
-// scheduling has nothing left to overlap.
-const narrowWidth = 8
-
-// maxProbeRounds caps the pipelined rounds per block. Each round
-// halves every active bound, so 16 rounds narrow even a 512k-wide
-// bound (the worst sweep configurations) to scalar range.
-const maxProbeRounds = 16
 
 // pipelineMinKeys gates the pipelined probe rounds: below ~2 MB of
 // keys the data array is cache-resident, every probe hits anyway, and

@@ -145,30 +145,30 @@ func TestGetBatchSortedAndShuffled(t *testing.T) {
 	}
 }
 
-// TestBatchIndexAgreement verifies that every BatchIndex
-// implementation returns bit-identical bounds to its scalar Lookup.
+// TestBatchIndexAgreement holds core.LookupBatch, the bound pass of
+// every batched read, to each family's Lookup key for key: PGM's batch
+// descent and the per-key loop every other family takes. Probes cover
+// present and absent keys and both ends of the key space.
 func TestBatchIndexAgreement(t *testing.T) {
-	keys := dataset.MustGenerate(dataset.Face, 4000, 5)
-	probes := dataset.Lookups(keys, 1000, 9)
-	probes = append(probes, 0, ^core.Key(0), keys[0]-1, keys[len(keys)-1]+1)
-	for _, family := range []string{"RMI", "PGM", "RS", "RBS"} {
-		nb, ok := registry.Builder(family, keys)
-		if !ok {
-			t.Fatalf("no builder for %s", family)
-		}
-		idx, err := nb.Builder.Build(keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bi, ok := idx.(core.BatchIndex)
-		if !ok {
-			t.Fatalf("%s does not implement core.BatchIndex", family)
-		}
+	for _, name := range dataset.All() {
+		keys := dataset.MustGenerate(name, 4000, 5)
+		probes := dataset.Lookups(keys, 1000, 9)
+		probes = append(probes, 0, ^core.Key(0), keys[0]-1, keys[0], keys[len(keys)-1], keys[len(keys)-1]+1)
 		got := make([]core.Bound, len(probes))
-		bi.LookupBatch(probes, got)
-		for i, x := range probes {
-			if want := idx.Lookup(x); got[i] != want {
-				t.Fatalf("%s: LookupBatch bound %v != Lookup bound %v for key %d", family, got[i], want, x)
+		for _, family := range registry.Families() {
+			nb, ok := registry.Builder(family, keys)
+			if !ok {
+				t.Fatalf("no builder for %s", family)
+			}
+			idx, err := nb.Builder.Build(keys)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", family, name, err)
+			}
+			core.LookupBatch(idx, probes, got)
+			for i, x := range probes {
+				if want := idx.Lookup(x); got[i] != want {
+					t.Fatalf("%s on %s: LookupBatch bound %v != Lookup bound %v for key %d", family, name, got[i], want, x)
+				}
 			}
 		}
 	}
