@@ -117,14 +117,15 @@ smoke-%:
 	$(MAKE) $* N=20000 LOOKUPS=2000
 
 # fuzz-smoke runs every decoder fuzz target briefly (10s each):
-# truncated/bit-flipped snapshots, WALs, tables, manifests, and wire
-# frames must error, never panic or over-allocate.
+# truncated/bit-flipped snapshots, WALs, tables, manifests, tombstone
+# bitmaps and wire frames must error, never panic or over-allocate.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzWAL$$' -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/persist/
+	$(GO) test -run '^$$' -fuzz '^FuzzTombs$$' -fuzztime $(FUZZTIME) ./internal/persist/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime $(FUZZTIME) ./internal/net/
 
 # build-audit is the GOAMD64=v3 check from the roadmap's hot-path

@@ -154,7 +154,7 @@ func TestTracedRegionsSumToSizeBytes(t *testing.T) {
 		case *tracedPGM:
 			regions, size = append(v.levels[:len(v.levels):len(v.levels)], v.margins), v.idx.SizeBytes()
 		case *tracedRS:
-			regions, size = []Region{v.radix, v.points}, v.idx.SizeBytes()
+			regions, size = []Region{v.radix, v.keys, v.pos}, v.idx.SizeBytes()
 		case *tracedRBS:
 			regions, size = []Region{v.table}, v.idx.SizeBytes()
 		case *tracedBTree:

@@ -26,11 +26,13 @@ type Traced interface {
 }
 
 // keyBytes is the width of one key — of the data array, of PGM's
-// segment keys and of FAST's levels — and payloadBytes that of one
-// payload in the table's uint64 payload array.
+// segment keys, of RS's spline-point keys and of FAST's levels —
+// payloadBytes that of one payload in the table's uint64 payload array,
+// and posBytes that of one RS spline point's position.
 const (
 	keyBytes     = int(unsafe.Sizeof(core.Key(0)))
 	payloadBytes = int(unsafe.Sizeof(uint64(0)))
+	posBytes     = int(unsafe.Sizeof(int32(0)))
 )
 
 // CacheFor sizes the simulated cache for n keys so the paper's regime
@@ -56,8 +58,9 @@ func For(idx core.Index, m *Machine, keys []core.Key) (tr Traced, ok bool) {
 		t.margins = m.Alloc(sizes[0] * pgm.MarginSizeBytes)
 		return t, true
 	case *rs.Index:
-		points := v.NumPoints() * rs.PointSizeBytes
-		return &tracedRS{d, v, m.Alloc(v.SizeBytes() - points), m.Alloc(points)}, true
+		np := v.NumPoints()
+		radix := m.Alloc(v.SizeBytes() - np*(keyBytes+posBytes))
+		return &tracedRS{d, v, radix, m.Alloc(np * keyBytes), m.Alloc(np * posBytes)}, true
 	case *rbs.Index:
 		return &tracedRBS{d, v, m.Alloc(v.SizeBytes())}, true
 	case *btree.Index:
@@ -186,23 +189,25 @@ func (t *tracedPGM) step(st pgm.PathStep) {
 
 type tracedRS struct {
 	*dataRegions
-	idx           *rs.Index
-	radix, points Region
+	idx              *rs.Index
+	radix, keys, pos Region
 }
 
 func (t *tracedRS) Lookup(key core.Key) core.Bound {
-	b := t.idx.Trace(key, t.step)
-	// Interpolation between the two spline points (already touched).
-	t.m.instr(8)
-	return t.lastMile(key, b)
+	return t.lastMile(key, t.idx.Trace(key, t.step))
 }
 
-func (t *tracedRS) step(bucket uint64, winLo, winHi int) {
+func (t *tracedRS) step(bucket uint64, winLo, winHi, seg int) {
 	// Radix table probe: a shift plus one load (two adjacent entries).
 	t.m.instr(3)
 	t.m.Access(t.radix, int(bucket)*rs.RadixEntrySizeBytes, 2*rs.RadixEntrySizeBytes)
-	// Binary search the spline points within the window.
-	t.m.windowSearch(t.points, winLo, winHi, rs.PointSizeBytes, rs.PointSizeBytes, 0x33)
+	// Binary search the spline-point keys within the window.
+	t.m.windowSearch(t.keys, winLo, winHi, keyBytes, keyBytes, 0x33)
+	// Interpolation between points seg and seg+1: their keys and positions.
+	pts := min(2, t.idx.NumPoints()-seg)
+	t.m.Access(t.keys, seg*keyBytes, pts*keyBytes)
+	t.m.Access(t.pos, seg*posBytes, pts*posBytes)
+	t.m.instr(8)
 }
 
 type tracedRBS struct {

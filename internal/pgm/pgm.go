@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -39,8 +40,8 @@ type Segment struct {
 // MarginSizeBytes what a data-level segment's two verified margins do in
 // theirs: the units of SizeBytes and of the simulator's regions.
 const (
-	SegmentSizeBytes = 8 + 8 + 4
-	MarginSizeBytes  = 4 + 4
+	SegmentSizeBytes = int(unsafe.Sizeof(Segment{}))
+	MarginSizeBytes  = int(unsafe.Sizeof(Index{}.dataErrLo[0]) + unsafe.Sizeof(Index{}.dataErrHi[0]))
 )
 
 // Index is a built PGM index.

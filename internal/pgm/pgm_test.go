@@ -3,6 +3,7 @@ package pgm
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -222,5 +223,33 @@ func TestPGMString(t *testing.T) {
 	idx, _ := New(keys, 8)
 	if idx.String() == "" {
 		t.Error("empty String()")
+	}
+}
+
+// TestSegmentLayout pins what memory holds: SizeBytes charges every
+// level at the stride its array really has (a Segment is padded to 24
+// bytes, not the 20 its fields add up to) and both margin arrays at
+// theirs, so a field added to a Segment fails here.
+func TestSegmentLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Segment{}); got != uintptr(SegmentSizeBytes) || SegmentSizeBytes != 24 {
+		t.Errorf("Segment is %d bytes, SegmentSizeBytes %d, want 24", got, SegmentSizeBytes)
+	}
+	keys := dataset.MustGenerate(dataset.OSM, 100000, 1)
+	idx, err := New(keys, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for li, l := range idx.levels {
+		if len(l) > 1 {
+			if stride := uintptr(unsafe.Pointer(&l[1])) - uintptr(unsafe.Pointer(&l[0])); stride != uintptr(SegmentSizeBytes) {
+				t.Errorf("level %d: segments %d bytes apart, SegmentSizeBytes %d", li, stride, SegmentSizeBytes)
+			}
+		}
+		want += len(l) * int(unsafe.Sizeof(l[0]))
+	}
+	want += len(idx.dataErrLo)*int(unsafe.Sizeof(idx.dataErrLo[0])) + len(idx.dataErrHi)*int(unsafe.Sizeof(idx.dataErrHi[0]))
+	if got := idx.SizeBytes(); got != want {
+		t.Errorf("SizeBytes %d, arrays hold %d", got, want)
 	}
 }

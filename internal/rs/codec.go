@@ -7,6 +7,7 @@ package rs
 
 import (
 	"repro/internal/binio"
+	"repro/internal/core"
 )
 
 const pointWireBytes = 8 + 4
@@ -20,22 +21,22 @@ func (idx *Index) Encode(w *binio.Writer) error {
 	w.U32(uint32(idx.shift))
 	w.U32(uint32(idx.errLo))
 	w.U32(uint32(idx.errHi))
-	w.U32(uint32(len(idx.points)))
-	for _, p := range idx.points {
-		w.U64(p.Key)
-		w.U32(uint32(p.Pos))
+	w.U32(uint32(len(idx.keys)))
+	for i, k := range idx.keys {
+		w.U64(k)
+		w.U32(uint32(idx.pos[i]))
 	}
 	w.U32(uint32(len(idx.radix)))
-	for _, v := range idx.radix {
-		w.U32(uint32(v))
-	}
+	idx.exactRadix(func(_ int, v uint32) { w.U32(v) })
 	return w.Err()
 }
 
-// Decode reconstructs a built index from r. The radix table's entries
-// are offsets into the point array and are fully re-validated (bounds
-// and monotonicity) — segmentFor indexes points through them, so a
-// corrupt table would otherwise turn into an out-of-range access.
+// Decode reconstructs a built index from r. The wire carries the exact
+// radix table, which Encode re-derives from the spline points; Decode
+// accepts only that table, entry for entry, and then stores it at the
+// width New does. A table that differed would index points a different
+// Encode would not write back, and one out of bounds would turn into an
+// out-of-range access in segmentFor.
 func Decode(r *binio.Reader) (*Index, error) {
 	var cfg Config
 	cfg.SplineErr = int(r.U32())
@@ -69,10 +70,10 @@ func Decode(r *binio.Reader) (*Index, error) {
 		return nil, binio.Corruptf("rs: no spline points")
 	}
 	idx := &Index{cfg: cfg, n: int(n), minKey: minKey, shift: uint(shift), errLo: errLo, errHi: errHi}
-	idx.points = make([]Point, nPoints)
-	for i := range idx.points {
-		idx.points[i].Key = r.U64()
-		idx.points[i].Pos = int32(r.U32())
+	idx.keys, idx.pos = make([]core.Key, nPoints), make([]int32, nPoints)
+	for i := range idx.keys {
+		idx.keys[i] = r.U64()
+		idx.pos[i] = int32(r.U32())
 	}
 	nRadix := r.Count(4)
 	if err := r.Err(); err != nil {
@@ -81,19 +82,18 @@ func Decode(r *binio.Reader) (*Index, error) {
 	if nRadix != 1<<cfg.RadixBits+1 {
 		return nil, binio.Corruptf("rs: radix table has %d entries, want %d", nRadix, 1<<cfg.RadixBits+1)
 	}
-	idx.radix = make([]int32, nRadix)
-	for i := range idx.radix {
-		idx.radix[i] = int32(r.U32())
-	}
+	var bad error
+	idx.exactRadix(func(p int, want uint32) {
+		if v := r.U32(); v != want && bad == nil {
+			bad = binio.Corruptf("rs: radix entry %d = %d, the spline points give %d", p, v, want)
+		}
+	})
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	prev := int32(0)
-	for i, v := range idx.radix {
-		if v < prev || int(v) > nPoints {
-			return nil, binio.Corruptf("rs: radix entry %d = %d invalid (prev %d, points %d)", i, v, prev, nPoints)
-		}
-		prev = v
+	if bad != nil {
+		return nil, bad
 	}
+	idx.setRadix()
 	return idx, nil
 }

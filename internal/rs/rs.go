@@ -20,18 +20,15 @@ import (
 	"repro/internal/core"
 )
 
-// Point is a spline point: an actual (key, lower-bound rank) pair from
-// the data; the spline is the polyline through consecutive points.
-type Point struct {
-	Key core.Key
-	Pos int32
-}
+// RadixEntrySizeBytes is what one radix-table entry occupies in the
+// table.
+const RadixEntrySizeBytes = int(unsafe.Sizeof(Index{}.radix[0]))
 
-// PointSizeBytes is what one spline point occupies in the points array,
-// RadixEntrySizeBytes what one radix-table offset does in the table.
+// keyBytes and posBytes are what one spline point occupies in each of
+// its two arrays.
 const (
-	PointSizeBytes      = 8 + 4
-	RadixEntrySizeBytes = int(unsafe.Sizeof(Index{}.radix[0]))
+	keyBytes = int(unsafe.Sizeof(Index{}.keys[0]))
+	posBytes = int(unsafe.Sizeof(Index{}.pos[0]))
 )
 
 // Config holds the two RadixSpline hyperparameters; the paper notes RS
@@ -66,8 +63,18 @@ type Index struct {
 	n      int
 	minKey core.Key
 	shift  uint
-	radix  []int32 // 2^r+1 offsets into points
-	points []Point
+	// radix[p] is the first spline point whose prefix is >= p, shifted
+	// right by radixShift so that every entry fits 16 bits: the table
+	// has 2^r+1 entries whatever the spline's size. radixShift is 0
+	// below 65,536 points; above, the window segmentFor reads only
+	// widens, so the segment it picks is the same.
+	radix      []uint16
+	radixShift uint
+	// The spline points, one distinct (key, lower-bound rank) pair of
+	// the data each: the spline is the polyline through consecutive
+	// points. Split so that the point search scans keys alone.
+	keys []core.Key
+	pos  []int32
 	// Verified global search margins (spline error plus absent-key and
 	// duplicate-run slack; see computeMargins).
 	errLo, errHi int
@@ -89,7 +96,7 @@ func New(keys []core.Key, cfg Config) (*Index, error) {
 		cfg.RadixBits = 28
 	}
 	idx := &Index{cfg: cfg, n: n, minKey: keys[0]}
-	idx.points = fitSpline(keys, cfg.SplineErr)
+	idx.keys, idx.pos = fitSpline(keys, cfg.SplineErr)
 
 	// Radix table over the key range: prefix(x) = (x-minKey)>>shift.
 	span := keys[n-1] - keys[0]
@@ -97,18 +104,31 @@ func New(keys []core.Key, cfg Config) (*Index, error) {
 	if spanBits > cfg.RadixBits {
 		idx.shift = uint(spanBits - cfg.RadixBits)
 	}
-	tableSize := 1<<cfg.RadixBits + 1
-	idx.radix = make([]int32, tableSize)
-	// radix[p] = first spline point whose prefix is >= p.
-	pi := 0
-	for p := 0; p < tableSize; p++ {
-		for pi < len(idx.points) && idx.prefix(idx.points[pi].Key) < uint64(p) {
-			pi++
-		}
-		idx.radix[p] = int32(pi)
-	}
+	idx.setRadix()
 	idx.errLo, idx.errHi = computeMargins(keys, idx)
 	return idx, nil
+}
+
+// exactRadix calls emit with every entry of the exact radix table, in
+// order: entry p is the first spline point whose prefix is >= p.
+func (idx *Index) exactRadix(emit func(p int, v uint32)) {
+	pi := 0
+	for p := 0; p <= 1<<idx.cfg.RadixBits; p++ {
+		for pi < len(idx.keys) && idx.prefix(idx.keys[pi]) < uint64(p) {
+			pi++
+		}
+		emit(p, uint32(pi))
+	}
+}
+
+// setRadix stores the exact radix table at the width it needs: the
+// smallest radixShift that brings the point count within 16 bits.
+func (idx *Index) setRadix() {
+	for len(idx.keys)>>idx.radixShift > math.MaxUint16 {
+		idx.radixShift++
+	}
+	idx.radix = make([]uint16, 1<<idx.cfg.RadixBits+1)
+	idx.exactRadix(func(p int, v uint32) { idx.radix[p] = uint16(v >> idx.radixShift) })
 }
 
 // prefix extracts the radix-table bucket of a key, clamped to the
@@ -135,17 +155,17 @@ func (idx *Index) prefix(x core.Key) uint64 {
 // inside the corridor (so the eventual spline segment, which IS that
 // chord, honours every accepted point); the corridor then narrows with
 // the candidate's own eps window.
-func fitSpline(keys []core.Key, eps int) []Point {
+func fitSpline(keys []core.Key, eps int) (ptKeys []core.Key, ptPos []int32) {
 	n := len(keys)
 	feps := float64(eps)
-	pts := []Point{{Key: keys[0], Pos: 0}}
+	ptKeys, ptPos = []core.Key{keys[0]}, []int32{0}
 	baseX, baseY := float64(keys[0]), 0.0
 	slopeLo, slopeHi := math.Inf(-1), math.Inf(1)
 	prevKey, prevPos := keys[0], int32(0)
 	havePrev := false
 
 	rebase := func(k core.Key, pos int32) {
-		pts = append(pts, Point{Key: k, Pos: pos})
+		ptKeys, ptPos = append(ptKeys, k), append(ptPos, pos)
 		baseX, baseY = float64(k), float64(pos)
 		slopeLo, slopeHi = math.Inf(-1), math.Inf(1)
 	}
@@ -172,7 +192,7 @@ func fitSpline(keys []core.Key, eps int) []Point {
 		if chord < slopeLo || chord > slopeHi {
 			// The chord would violate an earlier point: emit the
 			// previous point as a spline point and restart from it.
-			if havePrev && prevKey != pts[len(pts)-1].Key {
+			if havePrev && prevKey != ptKeys[len(ptKeys)-1] {
 				rebase(prevKey, prevPos)
 				gap = x - baseX
 				if gap <= 0 {
@@ -194,55 +214,52 @@ func fitSpline(keys []core.Key, eps int) []Point {
 		}
 		prevKey, prevPos, havePrev = keys[i], int32(i), true
 	}
-	if havePrev && pts[len(pts)-1].Key != prevKey {
-		pts = append(pts, Point{Key: prevKey, Pos: prevPos})
+	if havePrev && ptKeys[len(ptKeys)-1] != prevKey {
+		ptKeys, ptPos = append(ptKeys, prevKey), append(ptPos, prevPos)
 	}
-	return pts
+	return ptKeys, ptPos
 }
 
 // interpolate evaluates the spline at x: the polyline through points
 // seg and seg+1. The result is clamped into the segment's rank range.
 func (idx *Index) interpolate(seg int, x core.Key) int {
-	p0 := idx.points[seg]
-	if seg+1 >= len(idx.points) {
-		return int(p0.Pos)
+	k0, p0 := idx.keys[seg], idx.pos[seg]
+	if seg+1 >= len(idx.keys) || x <= k0 {
+		return int(p0)
 	}
-	p1 := idx.points[seg+1]
-	if x <= p0.Key {
-		return int(p0.Pos)
+	k1, p1 := idx.keys[seg+1], idx.pos[seg+1]
+	if x >= k1 {
+		return int(p1)
 	}
-	if x >= p1.Key {
-		return int(p1.Pos)
-	}
-	frac := float64(x-p0.Key) / float64(p1.Key-p0.Key)
-	p := float64(p0.Pos) + frac*float64(p1.Pos-p0.Pos)
+	frac := float64(x-k0) / float64(k1-k0)
+	p := float64(p0) + frac*float64(p1-p0)
 	return int(math.Round(p))
 }
 
 // pointSearch returns the predecessor spline point for x in
-// points[lo:hi]: one below the first point whose Key exceeds x
+// keys[lo:hi]: one below the first point whose key exceeds x
 // (clamped at 0). A power-of-two reduction step followed by a halving
 // ladder. The comparisons stay branches on purpose: a lone lookup's
 // spline-point loads can miss cache, and branch speculation runs those
 // misses ahead — a mask/CMOV form chains them serially (measured
 // slower per scalar lookup).
-func pointSearch(points []Point, x core.Key, lo, hi int) int {
+func pointSearch(keys []core.Key, x core.Key, lo, hi int) int {
 	width := hi - lo
 	if width > 0 {
 		w := 1 << (bits.Len(uint(width)) - 1)
 		if w != width {
-			if points[lo+width-w].Key <= x {
+			if keys[lo+width-w] <= x {
 				lo += width - w
 			}
 		}
 		for w > 1 {
 			half := w >> 1
-			if points[lo+half-1].Key <= x {
+			if keys[lo+half-1] <= x {
 				lo += half
 			}
 			w = half
 		}
-		if points[lo].Key <= x {
+		if keys[lo] <= x {
 			lo++
 		}
 	}
@@ -253,32 +270,36 @@ func pointSearch(points []Point, x core.Key, lo, hi int) int {
 }
 
 // segmentFor locates the spline segment containing x: the rightmost
-// point with Key <= x, restricted to the radix-table window. A non-nil
-// visit sees the bucket probed and the window before it is searched.
-func (idx *Index) segmentFor(x core.Key, visit func(bucket uint64, winLo, winHi int)) int {
+// point with key <= x, restricted to the radix-table window. A non-nil
+// visit sees the bucket probed, the window searched and the segment
+// found.
+func (idx *Index) segmentFor(x core.Key, visit func(bucket uint64, winLo, winHi, seg int)) int {
 	p := idx.prefix(x)
-	lo, hi := int(idx.radix[p]), int(idx.radix[p+1])
+	s := idx.radixShift
+	lo, hi := int(idx.radix[p])<<s, int(idx.radix[p+1])<<s+(1<<s-1)
 	// The window bounds points with prefix exactly p; the containing
 	// segment can start one point earlier.
 	if lo > 0 {
 		lo--
 	}
-	if hi > len(idx.points) {
-		hi = len(idx.points)
+	if hi > len(idx.keys) {
+		hi = len(idx.keys)
 	}
+	seg := pointSearch(idx.keys, x, lo, hi)
 	if visit != nil {
-		visit(p, lo, hi)
+		visit(p, lo, hi, seg)
 	}
-	return pointSearch(idx.points, x, lo, hi)
+	return seg
 }
 
 // Lookup implements core.Index.
 func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 
 // Trace is Lookup's descent: a non-nil visit is called once, with the
-// radix bucket probed and the spline-point window searched, which is
-// the path the performance-counter simulation replays.
-func (idx *Index) Trace(key core.Key, visit func(bucket uint64, winLo, winHi int)) core.Bound {
+// radix bucket probed, the spline-point window searched and the
+// segment interpolated, which is the path the performance-counter
+// simulation replays.
+func (idx *Index) Trace(key core.Key, visit func(bucket uint64, winLo, winHi, seg int)) core.Bound {
 	seg := idx.segmentFor(key, visit)
 	pos := idx.interpolate(seg, key)
 	return core.BoundAround(pos, idx.errLo, idx.errHi, idx.n)
@@ -302,21 +323,21 @@ func (idx *Index) Trace(key core.Key, visit func(bucket uint64, winLo, winHi int
 // key, finds its cursor by binary search and takes margins of its own,
 // which merge by max.
 func computeMargins(keys []core.Key, idx *Index) (errLo, errHi int) {
-	n, pts := len(keys), idx.points
+	n, pts := len(keys), idx.keys
 	margins := core.Parallel(n, func(_, lo, hi int) [2]int {
 		lo, hi = distinctFrom(keys, lo), distinctFrom(keys, hi)
 		errLo, errHi := idx.cfg.SplineErr+1, idx.cfg.SplineErr+1
 		if lo == hi {
 			return [2]int{errLo, errHi} // inside a run of duplicates that began before
 		}
-		seg := max(sort.Search(len(pts), func(j int) bool { return pts[j].Key > keys[lo] })-1, 0)
+		seg := max(sort.Search(len(pts), func(j int) bool { return pts[j] > keys[lo] })-1, 0)
 		for i := lo; i < hi; {
 			k := keys[i]
 			nr := i + 1 // lower-bound rank of any key in the gap above k
 			for nr < n && keys[nr] == k {
 				nr++
 			}
-			for seg+1 < len(pts) && pts[seg+1].Key <= k {
+			for seg+1 < len(pts) && pts[seg+1] <= k {
 				seg++
 			}
 			pred := idx.interpolate(seg, k)
@@ -344,14 +365,14 @@ func distinctFrom(keys []core.Key, i int) int {
 
 // SizeBytes implements core.Index.
 func (idx *Index) SizeBytes() int {
-	return len(idx.radix)*RadixEntrySizeBytes + len(idx.points)*PointSizeBytes
+	return len(idx.radix)*RadixEntrySizeBytes + len(idx.keys)*(keyBytes+posBytes)
 }
 
 // Name implements core.Index.
 func (idx *Index) Name() string { return "RS" }
 
 // NumPoints reports the spline point count.
-func (idx *Index) NumPoints() int { return len(idx.points) }
+func (idx *Index) NumPoints() int { return len(idx.keys) }
 
 // AvgLog2Error returns log2 of the (global) bound width, the paper's
 // log2-error metric.
