@@ -12,8 +12,10 @@ import (
 // Every experiment must run end-to-end at tiny scale through the
 // catalog, and its rendered text must contain its table headers plus a
 // handful of data rows. These are the integration tests for the full
-// figure pipeline. No test asserts their numeric shapes yet; that is
-// ROADMAP item 5.
+// figure pipeline. They assert no numeric shape; the findings that are
+// asserted live beside the structures they are about (fig13's in
+// registry.TestFig13SizeBuysLog2Error), and the rest are ROADMAP
+// item 5.
 
 // renderCatalog runs a catalog experiment and renders its tables
 // through the text sink.

