@@ -1,6 +1,7 @@
 package perfsim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/btree"
@@ -152,7 +153,7 @@ func TestTracedRegionsSumToSizeBytes(t *testing.T) {
 		case *tracedRMI:
 			regions, size = []Region{v.model, v.leaves}, v.idx.SizeBytes()
 		case *tracedPGM:
-			regions, size = append(v.levels[:len(v.levels):len(v.levels)], v.margins), v.idx.SizeBytes()
+			regions, size = slices.Concat(v.keys, v.slopes, v.pos, []Region{v.margins}), v.idx.SizeBytes()
 		case *tracedRS:
 			regions, size = []Region{v.radix, v.keys, v.pos}, v.idx.SizeBytes()
 		case *tracedRBS:

@@ -28,11 +28,14 @@ type Traced interface {
 // keyBytes is the width of one key — of the data array, of PGM's
 // segment keys, of RS's spline-point keys and of FAST's levels —
 // payloadBytes that of one payload in the table's uint64 payload array,
-// and posBytes that of one RS spline point's position.
+// posBytes that of one RS spline point's position, of one PGM segment's
+// position and of one of its margins, and slopeBytes that of one PGM
+// segment's slope.
 const (
 	keyBytes     = int(unsafe.Sizeof(core.Key(0)))
 	payloadBytes = int(unsafe.Sizeof(uint64(0)))
 	posBytes     = int(unsafe.Sizeof(int32(0)))
+	slopeBytes   = int(unsafe.Sizeof(float64(0)))
 )
 
 // CacheFor sizes the simulated cache for n keys so the paper's regime
@@ -53,9 +56,11 @@ func For(idx core.Index, m *Machine, keys []core.Key) (tr Traced, ok bool) {
 		t := &tracedPGM{dataRegions: d, idx: v}
 		sizes := v.LevelSizes()
 		for _, n := range sizes {
-			t.levels = append(t.levels, m.Alloc(n*pgm.SegmentSizeBytes))
+			t.keys = append(t.keys, m.Alloc(n*keyBytes))
+			t.slopes = append(t.slopes, m.Alloc(n*slopeBytes))
+			t.pos = append(t.pos, m.Alloc(n*posBytes))
 		}
-		t.margins = m.Alloc(sizes[0] * pgm.MarginSizeBytes)
+		t.margins = m.Alloc(sizes[0] * 2 * posBytes)
 		return t, true
 	case *rs.Index:
 		np := v.NumPoints()
@@ -162,29 +167,33 @@ func (t *tracedRMI) touchLeaf(leaf int) {
 
 type tracedPGM struct {
 	*dataRegions
-	idx     *pgm.Index
-	levels  []Region
-	margins Region // the data level's dataErrLo array, then its dataErrHi
+	idx               *pgm.Index
+	keys, slopes, pos []Region // each level's three arrays, data level first
+	margins           Region   // the data level's margins, a segment's two side by side
 }
 
 func (t *tracedPGM) Lookup(key core.Key) core.Bound {
+	// The descent starts with a search of the whole top level.
+	top := t.keys[len(t.keys)-1]
+	t.m.windowSearch(top, 0, top.size/keyBytes, keyBytes, keyBytes, 0x77)
 	return t.lastMile(key, t.idx.Trace(key, t.step))
 }
 
 func (t *tracedPGM) step(st pgm.PathStep) {
-	// Evaluate the segment at this level: one load + linear math.
-	t.m.Access(t.levels[st.Level], st.Seg*pgm.SegmentSizeBytes, pgm.SegmentSizeBytes)
+	// Evaluate the segment at this level: its key, its slope and the
+	// two positions its prediction is clamped between, then linear math.
+	l, j := st.Level, st.Seg
+	t.m.Access(t.keys[l], j*keyBytes, keyBytes)
+	t.m.Access(t.slopes[l], j*slopeBytes, slopeBytes)
+	t.m.Access(t.pos[l], j*posBytes, min(2, t.pos[l].size/posBytes-j)*posBytes)
 	t.m.instr(8)
-	if st.Level == 0 {
+	if l == 0 {
 		// Widen the prediction by the segment's two verified margins.
-		const half = pgm.MarginSizeBytes / 2
-		t.m.Access(t.margins, st.Seg*half, half)
-		t.m.Access(t.margins, t.margins.size/2+st.Seg*half, half)
+		t.m.Access(t.margins, j*2*posBytes, 2*posBytes)
 		return
 	}
-	// Binary search of the window in the level below: touch the probed
-	// segments' first keys.
-	t.m.windowSearch(t.levels[st.Level-1], st.WinLo, st.WinHi, pgm.SegmentSizeBytes, keyBytes, 0x77)
+	// Binary search of the window in the level below: its segment keys.
+	t.m.windowSearch(t.keys[l-1], st.WinLo, st.WinHi, keyBytes, keyBytes, 0x77)
 }
 
 type tracedRS struct {

@@ -74,6 +74,12 @@ func FuzzDecode(f *testing.F) {
 		f.Add(append([]byte{byte(fi + 1)}, body...))
 	}
 	f.Add([]byte{})
+	// Lookups across the key space: every power of two, one below each,
+	// and the largest key.
+	probes := []core.Key{^core.Key(0)}
+	for s := range 64 {
+		probes = append(probes, 1<<s, 1<<s-1)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -98,7 +104,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		// A successfully decoded index must survive lookups across the
 		// key space without panicking and produce ordered bounds.
-		for _, x := range []core.Key{0, 1, 1 << 20, 1 << 40, ^core.Key(0)} {
+		for _, x := range probes {
 			b := idx.Lookup(x)
 			if b.Lo < 0 || b.Lo > b.Hi {
 				t.Fatalf("decoded index produced malformed bound %v for %d", b, x)
@@ -380,6 +386,20 @@ func TestOldRMISeedDecodesToError(t *testing.T) {
 		t.Fatalf("old-RMI decoded to (%v, %v), want a corrupt-data error", idx, err)
 	}
 	t.Log(err)
+}
+
+// TestBadPosSeedDecodesToError: FuzzDecode/badpos-PGM is osm 20k keys
+// at eps=4 (levels 1131/65/2) with the top level's first slope set to
+// 1e300 and its second position to 1<<30, so every key above the first
+// is sent to segment 1<<30 of a 65-segment level. Decode once took it
+// and Lookup then indexed past the level; it must be named corrupt.
+// No encoder writes it, so fuzzCorpus does not regenerate it.
+func TestBadPosSeedDecodesToError(t *testing.T) {
+	codec, _ := registry.CodecFor("PGM")
+	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "badpos-PGM", "PGM")))
+	if idx != nil || !errors.Is(err, binio.ErrCorrupt) {
+		t.Fatalf("badpos-PGM decoded to (%v, %v), want a corrupt-data error", idx, err)
+	}
 }
 
 // TestOldRSSeedDecodesToSameBounds: FuzzDecode/old-RS is raw-RS as it

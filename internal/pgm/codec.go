@@ -7,41 +7,41 @@ package pgm
 
 import (
 	"repro/internal/binio"
+	"repro/internal/core"
 )
 
-// segWireBytes is the wire footprint of one segment (key, slope, pos),
-// used for allocation guards.
-const segWireBytes = 8 + 8 + 4
-
-// Encode writes the built index to w.
+// Encode writes the built index to w: per level its segment count and
+// each segment's key, slope and pos, then every data segment's lower
+// margin, then every upper one.
 func (idx *Index) Encode(w *binio.Writer) error {
 	w.U32(uint32(idx.eps))
 	w.U64(uint64(idx.n))
 	w.U32(uint32(len(idx.levels)))
-	for _, lvl := range idx.levels {
-		w.U32(uint32(len(lvl)))
-		for _, s := range lvl {
-			w.U64(s.Key)
-			w.F64(s.Slope)
-			w.U32(uint32(s.Pos))
+	for _, l := range idx.levels {
+		w.U32(uint32(len(l.keys)))
+		for i, k := range l.keys {
+			w.U64(k)
+			w.F64(l.slopes[i])
+			w.U32(uint32(l.pos[i]))
 		}
 	}
-	for _, v := range idx.dataErrLo {
-		w.U32(uint32(v))
-	}
-	for _, v := range idx.dataErrHi {
-		w.U32(uint32(v))
+	for side := range 2 {
+		for j := side; j < len(idx.margins); j += 2 {
+			w.U32(uint32(idx.margins[j]))
+		}
 	}
 	return w.Err()
 }
 
 // Decode reconstructs a built index from r without refitting. All
-// invariants the descent relies on (non-empty levels, margin arrays
-// sized to the data level) are re-validated.
+// invariants the descent relies on are re-validated: every level is
+// non-empty with non-decreasing keys, its positions run non-decreasing
+// from 0 and stay below the size of the level beneath (n for the data
+// level), and the margin array is sized to the data level.
 func Decode(r *binio.Reader) (*Index, error) {
 	eps := int(r.U32())
 	n := r.U64()
-	nLevels := r.Count(4 + segWireBytes) // every level carries >=1 segment
+	nLevels := r.Count(4 + segmentBytes) // every level carries >=1 segment
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -53,41 +53,52 @@ func Decode(r *binio.Reader) (*Index, error) {
 		return nil, binio.Corruptf("pgm: eps %d, levels %d", eps, nLevels)
 	}
 	idx := &Index{eps: eps, n: int(n)}
-	idx.levels = make([][]Segment, 0, nLevels)
+	idx.levels = make([]level, 0, nLevels)
+	below := idx.n
 	for li := 0; li < nLevels; li++ {
-		m := r.Count(segWireBytes)
+		m := r.Count(segmentBytes)
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
 		if m < 1 {
 			return nil, binio.Corruptf("pgm: empty level %d", li)
 		}
-		lvl := make([]Segment, m)
-		for i := range lvl {
-			lvl[i].Key = r.U64()
-			lvl[i].Slope = r.FiniteF64()
-			lvl[i].Pos = int32(r.U32())
+		l := level{keys: make([]core.Key, m), slopes: make([]float64, m), pos: make([]int32, m)}
+		for i := range l.keys {
+			l.keys[i] = r.U64()
+			l.slopes[i] = r.FiniteF64()
+			l.pos[i] = int32(r.U32())
 		}
-		idx.levels = append(idx.levels, lvl)
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		if l.pos[0] != 0 || int(l.pos[m-1]) >= below {
+			return nil, binio.Corruptf("pgm: level %d positions run %d..%d over a level of %d", li, l.pos[0], l.pos[m-1], below)
+		}
+		for i := 1; i < m; i++ {
+			if l.keys[i] < l.keys[i-1] || l.pos[i] < l.pos[i-1] {
+				return nil, binio.Corruptf("pgm: level %d segment %d out of order", li, i)
+			}
+		}
+		idx.levels = append(idx.levels, l)
+		below = m
 	}
-	m0 := len(idx.levels[0])
+	m0 := len(idx.levels[0].keys)
 	if r.Remaining() < 8*m0 {
 		return nil, binio.Corruptf("pgm: truncated margin arrays")
 	}
-	idx.dataErrLo = make([]int32, m0)
-	idx.dataErrHi = make([]int32, m0)
-	for i := range idx.dataErrLo {
-		idx.dataErrLo[i] = int32(r.U32())
-	}
-	for i := range idx.dataErrHi {
-		idx.dataErrHi[i] = int32(r.U32())
+	idx.margins = make([]int32, 2*m0)
+	for side := range 2 {
+		for j := side; j < len(idx.margins); j += 2 {
+			idx.margins[j] = int32(r.U32())
+		}
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	for i := range idx.dataErrLo {
-		if idx.dataErrLo[i] < 0 || idx.dataErrHi[i] < 0 {
-			return nil, binio.Corruptf("pgm: negative data margin at segment %d", i)
+	for j, v := range idx.margins {
+		if v < 0 {
+			return nil, binio.Corruptf("pgm: negative data margin at segment %d", j/2)
 		}
 	}
 	return idx, nil

@@ -12,13 +12,13 @@ import (
 // refComputeDataMargins is the margin pass as it was before predictions
 // were carried from one key to the next: every distinct key evaluated
 // twice, once as itself and once as the top of the gap below it. It is
-// the oracle computeDataMargins must agree with.
-func refComputeDataMargins(keys []core.Key, segs []Segment, eps int) (errLo, errHi []int32) {
-	n, m := len(keys), len(segs)
-	errLo = make([]int32, m)
-	errHi = make([]int32, m)
-	for i := range errLo {
-		errLo[i], errHi[i] = int32(eps+1), int32(eps+1)
+// the oracle computeDataMargins must agree with, and lays its margins
+// out as Index.margins does: segment j's lower at 2j, its upper at 2j+1.
+func refComputeDataMargins(keys []core.Key, l *level, eps int) []int32 {
+	n, m := len(keys), len(l.keys)
+	margins := make([]int32, 2*m)
+	for i := range margins {
+		margins[i] = int32(eps + 1)
 	}
 	si := 0
 	for i := 0; i < n; {
@@ -28,29 +28,29 @@ func refComputeDataMargins(keys []core.Key, segs []Segment, eps int) (errLo, err
 			j++
 		}
 		nr := j + 1
-		for si+1 < m && segs[si+1].Key <= k {
+		for si+1 < m && l.keys[si+1] <= k {
 			si++
 		}
 		nextPos := n
 		if si+1 < m {
-			nextPos = int(segs[si+1].Pos)
+			nextPos = int(l.pos[si+1])
 		}
-		pred := predict(segs[si], nextPos, k)
-		if need := int32(pred - i + 1); need > errLo[si] {
-			errLo[si] = need
+		pred := l.predict(si, nextPos, k)
+		if need := int32(pred - i + 1); need > margins[2*si] {
+			margins[2*si] = need
 		}
-		if need := int32(nr - pred + 1); need > errHi[si] {
-			errHi[si] = need
+		if need := int32(nr - pred + 1); need > margins[2*si+1] {
+			margins[2*si+1] = need
 		}
 		if j+1 < n {
-			predGap := predict(segs[si], nextPos, keys[j+1])
-			if need := int32(predGap - nr + 1); need > errLo[si] {
-				errLo[si] = need
+			predGap := l.predict(si, nextPos, keys[j+1])
+			if need := int32(predGap - nr + 1); need > margins[2*si] {
+				margins[2*si] = need
 			}
 		}
 		i = j + 1
 	}
-	return errLo, errHi
+	return margins
 }
 
 func checkMarginsAgainstRef(t *testing.T, what string, keys []core.Key) {
@@ -60,9 +60,9 @@ func checkMarginsAgainstRef(t *testing.T, what string, keys []core.Key) {
 		if err != nil {
 			t.Fatalf("%s eps=%d: %v", what, eps, err)
 		}
-		lo, hi := refComputeDataMargins(keys, idx.levels[0], eps)
-		if !slices.Equal(idx.dataErrLo, lo) || !slices.Equal(idx.dataErrHi, hi) {
-			t.Errorf("%s eps=%d: margins over %d segments differ from the two-evaluation reference", what, eps, len(lo))
+		want := refComputeDataMargins(keys, &idx.levels[0], eps)
+		if !slices.Equal(idx.margins, want) {
+			t.Errorf("%s eps=%d: margins over %d segments differ from the two-evaluation reference", what, eps, len(want)/2)
 		}
 	}
 }

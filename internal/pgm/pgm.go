@@ -20,41 +20,38 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
-	"sort"
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/search"
 )
 
-// Segment is one piece of an error-bounded linear regression: it
-// covers points with keys in [Key, nextSegment.Key) and predicts
-// Pos + Slope*(x-Key) for the position of x in the level below.
-type Segment struct {
-	Key   core.Key // first key covered (exact integer for routing)
-	Slope float64
-	Pos   int32 // position of the first covered point in the level below
+// level is one level of the hierarchy as three parallel arrays, one
+// slot per segment: segment i covers the points with keys in
+// [keys[i], keys[i+1]) and predicts pos[i] + slopes[i]*(x-keys[i]) for
+// the position of x in the level below. Apart, the arrays hold the 20
+// bytes a segment carries; a struct of the three would pad it to 24.
+type level struct {
+	keys   []core.Key // first key covered (exact integer for routing)
+	slopes []float64
+	pos    []int32 // position of the first covered point in the level below
 }
 
-// SegmentSizeBytes is what one segment occupies in its level's array,
-// MarginSizeBytes what a data-level segment's two verified margins do in
-// theirs: the units of SizeBytes and of the simulator's regions.
-const (
-	SegmentSizeBytes = int(unsafe.Sizeof(Segment{}))
-	MarginSizeBytes  = int(unsafe.Sizeof(Index{}.dataErrLo[0]) + unsafe.Sizeof(Index{}.dataErrHi[0]))
-)
+// segmentBytes is what one segment occupies, in memory and on the wire.
+const segmentBytes = int(unsafe.Sizeof(core.Key(0)) + unsafe.Sizeof(float64(0)) + unsafe.Sizeof(int32(0)))
 
 // Index is a built PGM index.
 type Index struct {
 	eps    int
 	n      int
-	levels [][]Segment // levels[0] indexes the data; levels[k] indexes levels[k-1]
-	// Per-segment verified margins for the data level. The corridor
+	levels []level // levels[0] indexes the data; levels[k] indexes levels[k-1]
+	// Per-segment verified margins for the data level, side by side:
+	// segment j's lower margin at 2j, its upper at 2j+1. The corridor
 	// guarantees eps for the first occurrence of every present key;
 	// these margins additionally cover absent keys, duplicate runs
 	// (whose lower-bound rank jumps can exceed eps) and float
 	// rounding. For unique-key datasets they stay within eps+2.
-	dataErrLo, dataErrHi []int32
+	margins []int32
 }
 
 // Builder constructs PGM indexes with a fixed error bound.
@@ -89,16 +86,12 @@ func New(keys []core.Key, eps int) (*Index, error) {
 
 	// Build the data level on (key, position) points, then recursively
 	// index each level's first keys until small enough.
-	level := fitSegments(keys, eps)
-	idx.levels = append(idx.levels, level)
-	idx.dataErrLo, idx.dataErrHi = computeDataMargins(keys, level, eps)
-	for len(level) > topLevelMax {
-		firstKeys := make([]core.Key, len(level))
-		for i, s := range level {
-			firstKeys[i] = s.Key
-		}
-		level = fitSegments(firstKeys, eps)
-		idx.levels = append(idx.levels, level)
+	l := fitSegments(keys, eps)
+	idx.levels = append(idx.levels, l)
+	idx.margins = computeDataMargins(keys, &l, eps)
+	for len(l.keys) > topLevelMax {
+		l = fitSegments(l.keys, eps)
+		idx.levels = append(idx.levels, l)
 	}
 	return idx, nil
 }
@@ -120,64 +113,60 @@ func New(keys []core.Key, eps int) (*Index, error) {
 //
 // The walk runs chunk-wise: a range of keys starts at its first distinct
 // key, finds its cursor by binary search and keeps margins of its own
-// for the segments it reaches, which merge by max.
-func computeDataMargins(keys []core.Key, segs []Segment, eps int) (errLo, errHi []int32) {
-	n, m := len(keys), len(segs)
+// for the segments it reaches, which merge by max. The result holds
+// segment j's lower margin at 2j and its upper at 2j+1.
+func computeDataMargins(keys []core.Key, l *level, eps int) []int32 {
+	n, m := len(keys), len(l.keys)
 	type run struct {
-		seg0         int
-		errLo, errHi []int32 // of segments seg0, seg0+1, ...
+		seg0    int
+		margins []int32 // of segments seg0, seg0+1, ..., side by side
 	}
 	runs := core.Parallel(n, func(_, lo, hi int) run {
 		lo, hi = distinctFrom(keys, lo), distinctFrom(keys, hi)
 		if lo == hi {
 			return run{} // inside a run of duplicates that began before
 		}
-		si := max(sort.Search(m, func(j int) bool { return segs[j].Key > keys[lo] })-1, 0)
-		rn := run{seg0: si, errLo: []int32{int32(eps + 1)}, errHi: []int32{int32(eps + 1)}}
-		pred := -1 // segs[si]'s prediction at keys[i]; negative: not evaluated yet
+		si := search.Pred(l.keys, keys[lo], 0, m)
+		rn := run{seg0: si, margins: []int32{int32(eps + 1), int32(eps + 1)}}
+		pred := -1 // segment si's prediction at keys[i]; negative: not evaluated yet
 		for i := lo; i < hi; {
 			k := keys[i]
 			nr := i + 1 // lower-bound rank of any key in the gap above k
 			for nr < n && keys[nr] == k {
 				nr++
 			}
-			for si+1 < m && segs[si+1].Key <= k {
+			for si+1 < m && l.keys[si+1] <= k {
 				si++
 				pred = -1
-				rn.errLo, rn.errHi = append(rn.errLo, int32(eps+1)), append(rn.errHi, int32(eps+1))
+				rn.margins = append(rn.margins, int32(eps+1), int32(eps+1))
 			}
-			nextPos := n
-			if si+1 < m {
-				nextPos = int(segs[si+1].Pos)
-			}
+			nextPos := l.end(si, n)
 			if pred < 0 {
-				pred = predict(segs[si], nextPos, k)
+				pred = l.predict(si, nextPos, k)
 			}
-			j := si - rn.seg0
-			rn.errLo[j] = max(rn.errLo[j], int32(pred-i+1))
-			rn.errHi[j] = max(rn.errHi[j], int32(nr-pred+1))
+			j := 2 * (si - rn.seg0)
+			rn.margins[j] = max(rn.margins[j], int32(pred-i+1))
+			rn.margins[j+1] = max(rn.margins[j+1], int32(nr-pred+1))
 			if nr < n {
 				// Gap queries route to this segment but can be predicted as
 				// high as the (clamped) prediction at the next distinct key.
-				pred = predict(segs[si], nextPos, keys[nr])
-				rn.errLo[j] = max(rn.errLo[j], int32(pred-nr+1))
+				pred = l.predict(si, nextPos, keys[nr])
+				rn.margins[j] = max(rn.margins[j], int32(pred-nr+1))
 			}
 			i = nr
 		}
 		return rn
 	})
-	errLo = make([]int32, m)
-	errHi = make([]int32, m)
-	for i := range errLo {
-		errLo[i], errHi[i] = int32(eps+1), int32(eps+1)
+	margins := make([]int32, 2*m)
+	for i := range margins {
+		margins[i] = int32(eps + 1)
 	}
 	for _, rn := range runs {
-		for j := range rn.errLo {
-			si := rn.seg0 + j
-			errLo[si], errHi[si] = max(errLo[si], rn.errLo[j]), max(errHi[si], rn.errHi[j])
+		for j, v := range rn.margins {
+			margins[2*rn.seg0+j] = max(margins[2*rn.seg0+j], v)
 		}
 	}
-	return errLo, errHi
+	return margins
 }
 
 // distinctFrom returns the first position at or after i that holds the
@@ -197,35 +186,14 @@ func distinctFrom(keys []core.Key, i int) int {
 // reference PGM handles duplicates: predictions then approximate the
 // lower-bound rank directly, and constraint x-values are strictly
 // increasing so the corridor slopes are always well defined.
-func fitSegments(keys []core.Key, eps int) []Segment {
+func fitSegments(keys []core.Key, eps int) level {
 	n := len(keys)
-	segs := make([]Segment, 0, 16)
+	var l level
 	feps := float64(eps)
 
 	start := 0
 	x0 := float64(keys[0])
 	slopeLo, slopeHi := math.Inf(-1), math.Inf(1)
-	emit := func() {
-		// Any slope within the corridor satisfies all constraints;
-		// take the midpoint, clamped non-negative (positions are
-		// non-decreasing, so a valid non-negative slope exists).
-		var slope float64
-		switch {
-		case math.IsInf(slopeHi, 1) && math.IsInf(slopeLo, -1):
-			slope = 0 // single-point segment
-		case math.IsInf(slopeHi, 1):
-			slope = slopeLo
-		case math.IsInf(slopeLo, -1):
-			slope = slopeHi
-		default:
-			slope = (slopeLo + slopeHi) / 2
-		}
-		if slope < 0 {
-			slope = 0 // slopeHi > 0 always holds: ranks increase with keys
-		}
-		segs = append(segs, Segment{Key: keys[start], Slope: slope, Pos: int32(start)})
-	}
-
 	for i := start + 1; i < n; i++ {
 		if keys[i] == keys[i-1] {
 			continue // duplicate: constrained by its first occurrence
@@ -238,7 +206,7 @@ func fitSegments(keys []core.Key, eps int) []Segment {
 			if float64(i-start) <= feps {
 				continue
 			}
-			emit()
+			l.emit(keys[start], start, slopeLo, slopeHi)
 			start, x0 = i, x
 			slopeLo, slopeHi = math.Inf(-1), math.Inf(1)
 			continue
@@ -254,28 +222,62 @@ func fitSegments(keys []core.Key, eps int) []Segment {
 			newHi = hi
 		}
 		if newLo > newHi {
-			emit()
+			l.emit(keys[start], start, slopeLo, slopeHi)
 			start, x0 = i, x
 			slopeLo, slopeHi = math.Inf(-1), math.Inf(1)
 			continue
 		}
 		slopeLo, slopeHi = newLo, newHi
 	}
-	emit()
-	return segs
+	l.emit(keys[start], start, slopeLo, slopeHi)
+	return l
 }
 
-// predict evaluates segment s for key x, clamped into [s.Pos, nextPos],
-// where nextPos is the first position of the following segment (or the
-// size of the level below for the last segment). Clamping against the
-// neighbour keeps extrapolation near segment boundaries within the
-// epsilon argument (as in the reference implementation).
-func predict(s Segment, nextPos int, x core.Key) int {
-	p := float64(s.Pos) + s.Slope*(float64(x)-float64(s.Key))
+// emit appends the segment that starts at key, position start, and
+// whose slope corridor is [slopeLo, slopeHi]. Any slope within the
+// corridor satisfies all constraints; take the midpoint, clamped
+// non-negative (positions are non-decreasing, so a valid non-negative
+// slope exists).
+func (l *level) emit(key core.Key, start int, slopeLo, slopeHi float64) {
+	var slope float64
+	switch {
+	case math.IsInf(slopeHi, 1) && math.IsInf(slopeLo, -1):
+		slope = 0 // single-point segment
+	case math.IsInf(slopeHi, 1):
+		slope = slopeLo
+	case math.IsInf(slopeLo, -1):
+		slope = slopeHi
+	default:
+		slope = (slopeLo + slopeHi) / 2
+	}
+	if slope < 0 {
+		slope = 0 // slopeHi > 0 always holds: ranks increase with keys
+	}
+	l.keys = append(l.keys, key)
+	l.slopes = append(l.slopes, slope)
+	l.pos = append(l.pos, int32(start))
+}
+
+// end is the first position below covered by the segment after j, or
+// below — the size of the level below — for the last segment.
+func (l *level) end(j, below int) int {
+	if j+1 < len(l.pos) {
+		return int(l.pos[j+1])
+	}
+	return below
+}
+
+// predict evaluates segment j for key x, clamped into [pos[j], nextPos],
+// where nextPos is l.end(j, ...). Clamping against the neighbour keeps
+// extrapolation near segment boundaries within the epsilon argument (as
+// in the reference implementation).
+func (l *level) predict(j, nextPos int, x core.Key) int {
+	pos := float64(l.pos[j])
+	p := pos + l.slopes[j]*(float64(x)-float64(l.keys[j]))
 	// Clamp in float space: converting an out-of-range float64 to int
 	// is not defined in Go and wraps to the wrong extreme on amd64.
-	if p <= float64(s.Pos) {
-		return int(s.Pos)
+	if p <= pos {
+		return int(l.pos[j])
 	}
 	if p >= float64(nextPos) {
 		return nextPos
@@ -283,80 +285,13 @@ func predict(s Segment, nextPos int, x core.Key) int {
 	return int(math.Round(p))
 }
 
-// segSearch returns the predecessor segment for x in segs[lo:hi]: one
-// below the first segment whose Key exceeds x (clamped at 0). The
-// search is branch-free: one conditional step reduces the window to a
-// power-of-two width, then a ladder of exact halvings advances lo by
-// half whenever the probed segment key is <= x. The comparisons stay
-// branches on purpose: a lone descent's loads miss cache level after
-// level, and branch speculation runs those misses ahead — a mask/CMOV
-// form would chain them serially (measured ~20% slower per lookup).
-// The batch descent uses segSearchBL instead, where independent
-// neighbours provide the overlap and mispredict flushes are the
-// bottleneck.
-func segSearch(segs []Segment, x core.Key, lo, hi int) int {
-	width := hi - lo
-	if width > 0 {
-		w := 1 << (bits.Len(uint(width)) - 1)
-		if w != width {
-			if segs[lo+width-w].Key <= x {
-				lo += width - w
-			}
-		}
-		for w > 1 {
-			half := w >> 1
-			if segs[lo+half-1].Key <= x {
-				lo += half
-			}
-			w = half
-		}
-		if segs[lo].Key <= x {
-			lo++
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return lo - 1
-}
-
-// segSearchBL is segSearch with every comparison materialized by SETcc
-// and folded in with mask arithmetic (lo += half & -c) — no
-// data-dependent branches. Used by the level-synchronous batch descent:
-// its iterations are independent across keys, so out-of-order execution
-// overlaps their loads and the only per-iteration hazard left to remove
-// is the mispredict flush. (The scalar descent deliberately keeps the
-// branchy form; see segSearch.)
-func segSearchBL(segs []Segment, x core.Key, lo, hi int) int {
-	width := hi - lo
-	if width > 0 {
-		w := 1 << (bits.Len(uint(width)) - 1)
-		if w != width {
-			c := 0
-			if segs[lo+width-w].Key <= x {
-				c = 1
-			}
-			lo += (width - w) & -c
-		}
-		for w > 1 {
-			half := w >> 1
-			c := 0
-			if segs[lo+half-1].Key <= x {
-				c = 1
-			}
-			lo += half & -c
-			w = half
-		}
-		c := 0
-		if segs[lo].Key <= x {
-			c = 1
-		}
-		lo += c
-	}
-	if lo == 0 {
-		return 0
-	}
-	return lo - 1
+// window is the slice of the level below that segment j of level li
+// sends x to: its prediction widened by eps+1 below and eps+2 above,
+// clamped into the level.
+func (idx *Index) window(li, j int, x core.Key) (lo, hi int) {
+	below := len(idx.levels[li-1].keys)
+	pred := idx.levels[li].predict(j, idx.levels[li].end(j, below), x)
+	return max(pred-idx.eps-1, 0), min(pred+idx.eps+2, below)
 }
 
 // Lookup implements core.Index.
@@ -376,48 +311,28 @@ type PathStep struct {
 // is known and before it is searched — which is the path the
 // performance-counter simulation replays.
 func (idx *Index) Trace(key core.Key, visit func(PathStep)) core.Bound {
-	top := idx.levels[len(idx.levels)-1]
-	j := segSearch(top, key, 0, len(top))
+	top := idx.levels[len(idx.levels)-1].keys
+	j := search.Pred(top, key, 0, len(top))
 
 	// Descend internal levels: each level's segment predicts the
 	// segment number in the level below to within eps; search only
 	// that window.
 	for li := len(idx.levels) - 1; li >= 1; li-- {
-		below := idx.levels[li-1]
-		lvl := idx.levels[li]
-		seg := lvl[j]
-		nextPos := len(below)
-		if j+1 < len(lvl) {
-			nextPos = int(lvl[j+1].Pos)
-		}
-		pred := predict(seg, nextPos, key)
-		lo := pred - idx.eps - 1
-		hi := pred + idx.eps + 2
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(below) {
-			hi = len(below)
-		}
+		lo, hi := idx.window(li, j, key)
 		if visit != nil {
 			visit(PathStep{Level: li, Seg: j, WinLo: lo, WinHi: hi})
 		}
-		j = segSearch(below, key, lo, hi)
+		j = search.Pred(idx.levels[li-1].keys, key, lo, hi)
 	}
 
 	// Data level: predict the position and widen by the segment's
 	// verified margins.
-	lvl := idx.levels[0]
-	seg := lvl[j]
-	nextPos := idx.n
-	if j+1 < len(lvl) {
-		nextPos = int(lvl[j+1].Pos)
-	}
 	if visit != nil {
 		visit(PathStep{Level: 0, Seg: j})
 	}
-	pos := predict(seg, nextPos, key)
-	return core.BoundAround(pos, int(idx.dataErrLo[j]), int(idx.dataErrHi[j]), idx.n)
+	data := &idx.levels[0]
+	pos := data.predict(j, data.end(j, idx.n), key)
+	return core.BoundAround(pos, int(idx.margins[2*j]), int(idx.margins[2*j+1]), idx.n)
 }
 
 // batchChunk is the LookupBatch processing granularity: the per-chunk
@@ -435,63 +350,33 @@ const batchChunk = 64
 // exactly the scalar Lookup arithmetic, so batched bounds are
 // bit-identical to Lookup's.
 func (idx *Index) LookupBatch(keys []core.Key, out []core.Bound) {
-	top := idx.levels[len(idx.levels)-1]
+	top := idx.levels[len(idx.levels)-1].keys
+	data := &idx.levels[0]
 	var seg [batchChunk]int32
 	for off := 0; off < len(keys); off += batchChunk {
-		end := off + batchChunk
-		if end > len(keys) {
-			end = len(keys)
-		}
-		chunk := keys[off:end]
-		outc := out[off:end]
-
+		chunk := keys[off:min(off+batchChunk, len(keys))]
+		outc := out[off : off+len(chunk)]
 		for i, x := range chunk {
-			seg[i] = int32(segSearchBL(top, x, 0, len(top)))
+			seg[i] = int32(search.PredBranchless(top, x, 0, len(top)))
 		}
 		for li := len(idx.levels) - 1; li >= 1; li-- {
-			below := idx.levels[li-1]
-			lvl := idx.levels[li]
+			below := idx.levels[li-1].keys
 			for i, x := range chunk {
-				j := int(seg[i])
-				s := lvl[j]
-				nextPos := len(below)
-				if j+1 < len(lvl) {
-					nextPos = int(lvl[j+1].Pos)
-				}
-				pred := predict(s, nextPos, x)
-				lo := pred - idx.eps - 1
-				hi := pred + idx.eps + 2
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > len(below) {
-					hi = len(below)
-				}
-				seg[i] = int32(segSearchBL(below, x, lo, hi))
+				lo, hi := idx.window(li, int(seg[i]), x)
+				seg[i] = int32(search.PredBranchless(below, x, lo, hi))
 			}
 		}
-		lvl := idx.levels[0]
 		for i, x := range chunk {
 			j := int(seg[i])
-			s := lvl[j]
-			nextPos := idx.n
-			if j+1 < len(lvl) {
-				nextPos = int(lvl[j+1].Pos)
-			}
-			pos := predict(s, nextPos, x)
-			outc[i] = core.BoundAround(pos, int(idx.dataErrLo[j]), int(idx.dataErrHi[j]), idx.n)
+			pos := data.predict(j, data.end(j, idx.n), x)
+			outc[i] = core.BoundAround(pos, int(idx.margins[2*j]), int(idx.margins[2*j+1]), idx.n)
 		}
 	}
 }
 
 // SizeBytes implements core.Index.
 func (idx *Index) SizeBytes() int {
-	total := 0
-	for _, l := range idx.levels {
-		total += len(l) * SegmentSizeBytes
-	}
-	total += len(idx.dataErrLo) * MarginSizeBytes
-	return total
+	return idx.NumSegments()*segmentBytes + len(idx.margins)*int(unsafe.Sizeof(idx.margins[0]))
 }
 
 // Name implements core.Index.
@@ -501,7 +386,7 @@ func (idx *Index) Name() string { return "PGM" }
 func (idx *Index) NumSegments() int {
 	total := 0
 	for _, l := range idx.levels {
-		total += len(l)
+		total += len(l.keys)
 	}
 	return total
 }
@@ -514,18 +399,14 @@ func (idx *Index) String() string {
 // AvgLog2Error returns the mean log2 search-bound width over the data,
 // weighted by segment coverage — the paper's log2-error metric.
 func (idx *Index) AvgLog2Error() float64 {
-	lvl := idx.levels[0]
+	data := &idx.levels[0]
 	total, count := 0.0, 0.0
-	for j := range lvl {
-		next := idx.n
-		if j+1 < len(lvl) {
-			next = int(lvl[j+1].Pos)
-		}
-		occ := float64(next - int(lvl[j].Pos))
+	for j, p := range data.pos {
+		occ := float64(data.end(j, idx.n) - int(p))
 		if occ <= 0 {
 			continue
 		}
-		w := float64(idx.dataErrLo[j] + idx.dataErrHi[j] + 1)
+		w := float64(idx.margins[2*j] + idx.margins[2*j+1] + 1)
 		total += occ * math.Log2(w+1)
 		count += occ
 	}
@@ -539,7 +420,7 @@ func (idx *Index) AvgLog2Error() float64 {
 func (idx *Index) LevelSizes() []int {
 	out := make([]int, len(idx.levels))
 	for i, l := range idx.levels {
-		out[i] = len(l)
+		out[i] = len(l.keys)
 	}
 	return out
 }

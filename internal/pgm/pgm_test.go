@@ -174,9 +174,9 @@ func TestPGMLevelsShrink(t *testing.T) {
 	}
 	// Each level must be strictly smaller than the one below.
 	for li := 1; li < len(idx.levels); li++ {
-		if len(idx.levels[li]) >= len(idx.levels[li-1]) {
+		if len(idx.levels[li].keys) >= len(idx.levels[li-1].keys) {
 			t.Errorf("level %d (%d segs) not smaller than level %d (%d)",
-				li, len(idx.levels[li]), li-1, len(idx.levels[li-1]))
+				li, len(idx.levels[li].keys), li-1, len(idx.levels[li-1].keys))
 		}
 	}
 }
@@ -198,18 +198,13 @@ func TestFitSegmentsErrorGuarantee(t *testing.T) {
 	for _, name := range dataset.All() {
 		keys := dataset.MustGenerate(name, 20000, 2)
 		for _, eps := range []int{1, 8, 64} {
-			segs := fitSegments(keys, eps)
+			l := fitSegments(keys, eps)
 			si := 0
 			for i, k := range keys {
-				for si+1 < len(segs) && segs[si+1].Key <= k {
+				for si+1 < len(l.keys) && l.keys[si+1] <= k {
 					si++
 				}
-				s := segs[si]
-				nextPos := len(keys)
-				if si+1 < len(segs) {
-					nextPos = int(segs[si+1].Pos)
-				}
-				pred := predict(s, nextPos, k)
+				pred := l.predict(si, l.end(si, len(keys)), k)
 				if d := pred - i; d > eps+1 || d < -eps-1 {
 					t.Fatalf("%s eps=%d: point %d predicted %d (err %d)", name, eps, i, pred, d)
 				}
@@ -227,12 +222,12 @@ func TestPGMString(t *testing.T) {
 }
 
 // TestSegmentLayout pins what memory holds: SizeBytes charges every
-// level at the stride its array really has (a Segment is padded to 24
-// bytes, not the 20 its fields add up to) and both margin arrays at
-// theirs, so a field added to a Segment fails here.
+// level's three arrays and the margin array at the bytes their elements
+// really take, 20 per segment and 8 per data segment's margins, so a
+// field added to a level fails here.
 func TestSegmentLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Segment{}); got != uintptr(SegmentSizeBytes) || SegmentSizeBytes != 24 {
-		t.Errorf("Segment is %d bytes, SegmentSizeBytes %d, want 24", got, SegmentSizeBytes)
+	if segmentBytes != 20 {
+		t.Errorf("segmentBytes %d, want 20", segmentBytes)
 	}
 	keys := dataset.MustGenerate(dataset.OSM, 100000, 1)
 	idx, err := New(keys, 8)
@@ -240,15 +235,13 @@ func TestSegmentLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0
-	for li, l := range idx.levels {
-		if len(l) > 1 {
-			if stride := uintptr(unsafe.Pointer(&l[1])) - uintptr(unsafe.Pointer(&l[0])); stride != uintptr(SegmentSizeBytes) {
-				t.Errorf("level %d: segments %d bytes apart, SegmentSizeBytes %d", li, stride, SegmentSizeBytes)
-			}
-		}
-		want += len(l) * int(unsafe.Sizeof(l[0]))
+	for _, l := range idx.levels {
+		want += len(l.keys)*int(unsafe.Sizeof(l.keys[0])) + len(l.slopes)*int(unsafe.Sizeof(l.slopes[0])) + len(l.pos)*int(unsafe.Sizeof(l.pos[0]))
 	}
-	want += len(idx.dataErrLo)*int(unsafe.Sizeof(idx.dataErrLo[0])) + len(idx.dataErrHi)*int(unsafe.Sizeof(idx.dataErrHi[0]))
+	if got := unsafe.Sizeof(level{}); got != 3*unsafe.Sizeof([]byte(nil)) {
+		t.Errorf("level is %d bytes: a field beyond its three arrays", got)
+	}
+	want += len(idx.margins) * int(unsafe.Sizeof(idx.margins[0]))
 	if got := idx.SizeBytes(); got != want {
 		t.Errorf("SizeBytes %d, arrays hold %d", got, want)
 	}

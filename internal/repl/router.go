@@ -3,13 +3,13 @@ package repl
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/net"
+	"repro/internal/search"
 )
 
 // Router defaults; see RouterConfig.
@@ -180,14 +180,10 @@ func (r *Router) Lag() map[string]uint64 {
 	return out
 }
 
-// shardOf mirrors serve.Store's routing: the shard whose separator is
+// shardOf is serve.Store's routing rule: the shard whose separator is
 // the greatest <= key (keys below every separator route to shard 0).
-func (r *Router) shardOf(key core.Key, seps []core.Key) int {
-	i := sort.Search(len(seps), func(i int) bool { return seps[i] > key })
-	if i == 0 {
-		return 0
-	}
-	return i - 1
+func shardOf(key core.Key, seps []core.Key) int {
+	return search.PredBranchless(seps, key, 0, len(seps))
 }
 
 // nodeFor picks the serving node for a shard under the read lock:
@@ -205,7 +201,7 @@ func (r *Router) nodeFor(shard int) (*routerNode, *routerNode) {
 // once against the primary if the replica fails outright.
 func (r *Router) TryGet(key core.Key) (uint64, bool, error) {
 	r.mu.RLock()
-	n, pri := r.nodeFor(r.shardOf(key, r.seps))
+	n, pri := r.nodeFor(shardOf(key, r.seps))
 	r.mu.RUnlock()
 	v, ok, err := n.c.Get(key)
 	if err != nil && !errors.Is(err, net.ErrRetryLater) && n != pri {
@@ -233,7 +229,7 @@ func (r *Router) TryGetBatch(keys []core.Key, out []uint64) (int, error) {
 	buckets := map[*routerNode]*bucket{}
 	pri := r.nodes[r.primary]
 	for i, k := range keys {
-		n, _ := r.nodeFor(r.shardOf(k, seps))
+		n, _ := r.nodeFor(shardOf(k, seps))
 		b := buckets[n]
 		if b == nil {
 			b = &bucket{node: n}

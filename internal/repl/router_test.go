@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/net"
+	"repro/internal/persist"
 	"repro/internal/serve"
 )
 
@@ -339,4 +340,32 @@ func TestKillRecoveryRandomized(t *testing.T) {
 	// And the primary itself matches the oracle (the stream's source of
 	// truth was never corrupted by session churn).
 	oracleCheck(t, st, oracle)
+}
+
+// TestRouterShardsAsStore holds the router's shard rule to the store's:
+// every separator, one either side of it, 0 and the largest key are
+// Put into a sharded store, whose write hook names the shard that took
+// each, and shardOf over the store's separators must name the same.
+func TestRouterShardsAsStore(t *testing.T) {
+	keys, payloads := testKeys(t, 4000)
+	var took []int
+	st, err := serve.New(keys, payloads, serve.Config{
+		Shards: 7, Family: "PGM", WriteHook: func(shard int, _ persist.Op) { took = append(took, shard) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	seps := st.Separators()
+	probes := []core.Key{0, ^core.Key(0)}
+	for _, s := range seps {
+		probes = append(probes, s-1, s, s+1)
+	}
+	for _, x := range probes {
+		took = took[:0]
+		st.Put(x, 1)
+		if len(took) != 1 || took[0] != shardOf(x, seps) {
+			t.Fatalf("key %d: store wrote shard %v, router routes to %d over %v", x, took, shardOf(x, seps), seps)
+		}
+	}
 }

@@ -19,7 +19,7 @@ func atBits(idx *Index, keys []core.Key, r int) *Index {
 	return &at
 }
 
-// refProbes counts the comparisons pointSearch makes in a window of
+// refProbes counts the comparisons search.Pred makes in a window of
 // width points, step by step.
 func refProbes(width int) (n int) {
 	if width == 0 {

@@ -18,6 +18,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/search"
 )
 
 // RadixEntrySizeBytes is what one radix-table entry occupies in the
@@ -110,7 +111,7 @@ func New(keys []core.Key, cfg Config) (*Index, error) {
 	return idx, nil
 }
 
-// bitSavesProbe reports whether some key takes fewer pointSearch
+// bitSavesProbe reports whether some key takes fewer search.Pred
 // probes through a radix table at shift sh than at sh+1, where bucket
 // q merges buckets 2q and 2q+1, without building either table. Every
 // point is a key, so the points below a bucket are those of the
@@ -118,7 +119,7 @@ func New(keys []core.Key, cfg Config) (*Index, error) {
 func (idx *Index) bitSavesProbe(keys []core.Key, sh uint) bool {
 	probes := func(a, b int) int { // over the points a to b, stored as a>>s and b>>s
 		lo, hi := idx.window(a>>idx.radixShift, b>>idx.radixShift)
-		return searchProbes(hi - lo)
+		return search.Probes(hi - lo)
 	}
 	a := 0
 	for i := 0; i < len(keys); {
@@ -149,13 +150,6 @@ func bucketEnd(s []core.Key, i int, minKey core.Key, sh uint, p uint64) int {
 	}
 	hi := min(i+step-1, len(s))
 	return i + sort.Search(hi-i, func(k int) bool { return (s[i+k]-minKey)>>sh > p })
-}
-
-// searchProbes is how many keys pointSearch compares in a window of
-// width points: none in an empty one, else one per halving, the last,
-// and the reduction step unless width is a power of two.
-func searchProbes(width int) int {
-	return bits.Len(uint(width)) + min(width&(width-1), 1)
 }
 
 // exactRadix calls emit with every entry of the exact radix table, in
@@ -285,39 +279,6 @@ func (idx *Index) interpolate(seg int, x core.Key) int {
 	return int(math.Round(p))
 }
 
-// pointSearch returns the predecessor spline point for x in
-// keys[lo:hi]: one below the first point whose key exceeds x
-// (clamped at 0). A power-of-two reduction step followed by a halving
-// ladder. The comparisons stay branches on purpose: a lone lookup's
-// spline-point loads can miss cache, and branch speculation runs those
-// misses ahead — a mask/CMOV form chains them serially (measured
-// slower per scalar lookup).
-func pointSearch(keys []core.Key, x core.Key, lo, hi int) int {
-	width := hi - lo
-	if width > 0 {
-		w := 1 << (bits.Len(uint(width)) - 1)
-		if w != width {
-			if keys[lo+width-w] <= x {
-				lo += width - w
-			}
-		}
-		for w > 1 {
-			half := w >> 1
-			if keys[lo+half-1] <= x {
-				lo += half
-			}
-			w = half
-		}
-		if keys[lo] <= x {
-			lo++
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return lo - 1
-}
-
 // segmentFor locates the spline segment containing x: the rightmost
 // point with key <= x, restricted to the radix-table window. A non-nil
 // visit sees the bucket probed, the window searched and the segment
@@ -325,7 +286,7 @@ func pointSearch(keys []core.Key, x core.Key, lo, hi int) int {
 func (idx *Index) segmentFor(x core.Key, visit func(bucket uint64, winLo, winHi, seg int)) int {
 	p := idx.prefix(x)
 	lo, hi := idx.window(int(idx.radix[p]), int(idx.radix[p+1]))
-	seg := pointSearch(idx.keys, x, lo, hi)
+	seg := search.Pred(idx.keys, x, lo, hi)
 	if visit != nil {
 		visit(p, lo, hi, seg)
 	}

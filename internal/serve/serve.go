@@ -29,7 +29,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -38,6 +37,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/registry"
+	"repro/internal/search"
 	"repro/internal/table"
 )
 
@@ -362,44 +362,10 @@ func (st *Store) Close() {
 // shardOf routes a key to the shard owning its range: the rightmost
 // shard whose separator is <= key (keys below every separator belong
 // to shard 0, where they are correctly reported absent). It sits on
-// every single Get/Put and GetBatch gather, so the generic sort.Search
-// closure (an indirect call per probe plus a mispredict-prone branch)
-// is replaced by an inlined branch-free ladder: one conditional step
-// reduces the separator count to a power of two, then each halving is
-// a compare materialized with SETcc and folded in by mask arithmetic.
+// every single Get/Put and GetBatch gather, so it runs the branch-free
+// predecessor kernel, whose hard-to-predict compares cost no flush.
 func (st *Store) shardOf(x core.Key) int {
-	seps := st.seps
-	lo, width := 0, len(seps)
-	if width > 0 {
-		w := 1 << (bits.Len(uint(width)) - 1)
-		if w != width {
-			c := 0
-			if seps[width-w] <= x {
-				c = 1
-			}
-			lo = (width - w) & -c
-		}
-		for w > 1 {
-			half := w >> 1
-			c := 0
-			if seps[lo+half-1] <= x {
-				c = 1
-			}
-			lo += half & -c
-			w = half
-		}
-		c := 0
-		if seps[lo] <= x {
-			c = 1
-		}
-		lo += c
-	}
-	// lo is now the first separator above x; its predecessor owns the
-	// key, with below-all-separators keys clamped into shard 0.
-	if lo == 0 {
-		return 0
-	}
-	return lo - 1
+	return search.PredBranchless(st.seps, x, 0, len(st.seps))
 }
 
 // NumShards reports the number of range partitions actually built.
