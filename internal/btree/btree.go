@@ -12,14 +12,10 @@
 package btree
 
 import (
-	"math/bits"
 	"unsafe"
-)
 
-// KeyT constrains the key types the tree supports.
-type KeyT interface {
-	~uint32 | ~uint64
-}
+	"repro/internal/search"
+)
 
 // Fanout is the maximum number of keys per node: node j of a level is
 // its keys [j*Fanout, (j+1)*Fanout). 32 eight-byte keys fill four cache
@@ -32,17 +28,17 @@ const Fanout = 32
 // levels[l][j*Fanout : (j+1)*Fanout]. So entry i of a level-(l+1) node
 // routes to node i of level l, and a key's position is its rank in
 // levels[0]. The top level is a single node.
-type Tree[K KeyT] struct {
+type Tree[K search.Unsigned] struct {
 	levels [][]K
-	// interpolate selects interpolation search inside nodes instead of
-	// binary search — this is what turns the BTree into the paper's
+	// interpolate adds one interpolation probe to the in-node search
+	// before the ladder — this is what turns the BTree into the paper's
 	// IBTree (Graefe's interpolation-based B-tree).
 	interpolate bool
 }
 
 // NewTree bulk-loads a tree over keys, which must be sorted ascending.
 // The tree keeps keys as its bottom level; it does not copy them.
-func NewTree[K KeyT](keys []K, interpolate bool) Tree[K] {
+func NewTree[K search.Unsigned](keys []K, interpolate bool) Tree[K] {
 	height := 1
 	for n := len(keys); n > Fanout; n = (n + Fanout - 1) / Fanout {
 		height++
@@ -60,56 +56,58 @@ func NewTree[K KeyT](keys []K, interpolate bool) Tree[K] {
 	return t
 }
 
-// search returns the first index i in node with node[i] >= x (binary
-// or interpolation search per tree configuration).
-func (t *Tree[K]) search(node []K, x K) int {
-	lo, hi := 0, len(node)
-	if t.interpolate && len(node) > 8 {
-		first, last := node[0], node[len(node)-1]
-		if x > first && x <= last {
-			frac := float64(x-first) / float64(last-first)
-			pos := int(frac * float64(len(node)-1))
-			// One interpolation probe, then fall back to binary search
-			// on the surviving half — the in-node arrays are small.
-			if node[pos] < x {
-				lo = pos + 1
-			} else {
-				hi = pos + 1
-			}
-		}
-	}
-	if lo == hi {
-		return lo
-	}
-	// Branch-free halving: the answer lies in [lo, lo+n], and each step
-	// adds the borrow of node[mid] - x, so a data-dependent compare
-	// never becomes a mispredicted branch.
-	for n := hi - lo; n > 1; {
-		half := n / 2
-		_, less := bits.Sub64(uint64(node[lo+half]), uint64(x), 0)
-		lo += half * int(less)
-		n -= half
-	}
-	_, less := bits.Sub64(uint64(node[lo]), uint64(x), 0)
-	return lo + int(less)
+// NodeStep is one node of a descent as Ceiling reports it: the node,
+// and the slots of it the in-node search read.
+type NodeStep struct {
+	Level, Node int
+	// Ends is set when IBTree read the node's first and last keys to
+	// interpolate between them, and Probe is the slot it then compared
+	// (-1 when x lay outside the two).
+	Ends  bool
+	Probe int
+	// Lo, Hi and Rank are the window the ladder searched and the slot
+	// it returned.
+	Lo, Hi, Rank int
 }
 
 // Ceiling returns the rank of the smallest key >= x, or the key count
-// when every key is smaller. A non-nil visit is called with the level
-// and node number of every node searched, root first: the path the
-// performance-counter simulation replays.
-func (t *Tree[K]) Ceiling(x K, visit func(level, node int)) int {
+// when every key is smaller. Each node is searched for the rank of x-1
+// by the mask form of search's halving ladder (search.RankBranchless),
+// after IBTree's one interpolation probe; x == 0 reads no node, as
+// every key is >= 0. A non-nil visit is called with every node
+// searched, root first: the path the performance-counter simulation
+// replays.
+func (t *Tree[K]) Ceiling(x K, visit func(NodeStep)) int {
+	if x == 0 {
+		return 0
+	}
+	below := x - 1 // the keys < x are the keys <= x-1
 	node := 0
 	for l := len(t.levels) - 1; ; l-- {
-		if visit != nil {
-			visit(l, node)
-		}
 		lvl := t.levels[l]
-		lo := node * Fanout
-		span := lvl[lo:min(lo+Fanout, len(lvl))]
-		i := t.search(span, x)
+		base := node * Fanout
+		span := lvl[base:min(base+Fanout, len(lvl))]
+		// IBTree's one interpolation probe, in a node of more than 8
+		// keys whose end keys x lies between, halves the window at the
+		// slot their line predicts; the nodes are small, so the ladder
+		// finishes the search.
+		lo, hi, probe := 0, len(span), -1
+		ends := t.interpolate && len(span) > 8
+		if ends && x > span[0] && x <= span[len(span)-1] {
+			first, last := span[0], span[len(span)-1]
+			probe = int(float64(x-first) / float64(last-first) * float64(len(span)-1))
+			if span[probe] < x {
+				lo = probe + 1
+			} else {
+				hi = probe + 1
+			}
+		}
+		i := search.RankBranchless(span, below, lo, hi)
+		if visit != nil {
+			visit(NodeStep{l, node, ends, probe, lo, hi, i})
+		}
 		if l == 0 {
-			return lo + i
+			return base + i
 		}
 		// A node's max is its parent's entry, so below the root the
 		// search always lands inside the node; only at the root can
@@ -117,7 +115,7 @@ func (t *Tree[K]) Ceiling(x K, visit func(level, node int)) int {
 		if i == len(span) {
 			return len(t.levels[0])
 		}
-		node = lo + i
+		node = base + i
 	}
 }
 

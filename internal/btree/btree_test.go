@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -118,23 +119,35 @@ func TestCeilingSemantics(t *testing.T) {
 	}
 }
 
+// TestBTree32 is the generic instantiation at uint32 for the key-size
+// experiment, for both in-node searches: every present key, every
+// absent key between two, 0 (whose lower bound reads no node) and
+// MaxUint32 (above every key) find their rank.
 func TestBTree32(t *testing.T) {
-	// Generic instantiation at uint32 for the key-size experiment.
 	keys := make([]uint32, 5000)
 	for i := range keys {
-		keys[i] = uint32(i * 7)
+		keys[i] = uint32(i*7 + 1)
 	}
-	tr := NewTree(keys, false)
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if r := tr.Ceiling(k, nil); r != i {
-			t.Fatalf("Ceiling(%d) = %d, want %d", k, r, i)
+	for _, interp := range []bool{false, true} {
+		tr := NewTree(keys, interp)
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got, want := tr.SizeBytes(), 4*(5000+157+5); got != want {
-		t.Fatalf("SizeBytes() = %d, want %d", got, want)
+		for i, k := range keys {
+			for x, want := range map[uint32]int{k: i, k - 1: i, k + 3: i + 1} {
+				if r := tr.Ceiling(x, nil); r != want {
+					t.Fatalf("interp=%v: Ceiling(%d) = %d, want %d", interp, x, r, want)
+				}
+			}
+		}
+		for x, want := range map[uint32]int{0: 0, math.MaxUint32: len(keys)} {
+			if r := tr.Ceiling(x, nil); r != want {
+				t.Fatalf("interp=%v: Ceiling(%d) = %d, want %d", interp, x, r, want)
+			}
+		}
+		if got, want := tr.SizeBytes(), 4*(5000+157+5); got != want {
+			t.Fatalf("SizeBytes() = %d, want %d", got, want)
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 
 // Trace is Lookup's descent; visit is the tree's Ceiling visitor.
-func (idx *Index) Trace(key core.Key, visit func(level, node int)) core.Bound {
+func (idx *Index) Trace(key core.Key, visit func(NodeStep)) core.Bound {
 	// The ceiling of rank r is data key r*stride and its predecessor
 	// data key (r-1)*stride, so the first key >= key lies in
 	// [(r-1)*stride+1, r*stride+1), cut to [0, n) at either end.

@@ -5,8 +5,8 @@
 // and holds them to testdata/ledger.golden. Its rows, in layer order:
 //
 //   - index: bytes per key, mean bound width, and perfsim's simulated
-//     cache misses and instructions per lookup, for every family perfsim
-//     traces over the four datasets;
+//     cache misses, instructions and branch misses per lookup, for every
+//     family perfsim traces over the four datasets;
 //   - table: allocations per Get, GetBatch and GetBatchRuns;
 //   - store: allocations per clean and dirty Get, per GetBatch and per
 //     detached, hooked and attached Put, and run probes per read after a
@@ -171,6 +171,7 @@ func indexRows(t *testing.T, l *ledger) map[string]*table.Table {
 			c := simulate(t, idx, keys, lookups)
 			l.ratio(row+"sim_misses", c.CacheMisses, uint64(len(lookups)))
 			l.ratio(row+"sim_instructions", c.Instructions, uint64(len(lookups)))
+			l.ratio(row+"sim_branch_misses", c.BranchMisses, uint64(len(lookups)))
 			if ds == dataset.Amzn && i < len(families) {
 				tbl, err := table.New(keys, dataset.Payloads(len(keys), seed), idx, nil)
 				if err != nil {

@@ -1,6 +1,7 @@
 package perfsim
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/rbs"
 	"repro/internal/rmi"
 	"repro/internal/rs"
+	"repro/internal/search"
 
 	artpkg "repro/internal/art"
 	fastpkg "repro/internal/fast"
@@ -236,4 +238,127 @@ func TestTracedCounterProfiles(t *testing.T) {
 			t.Errorf("%s: zero cache misses with an out-of-cache working set", name)
 		}
 	}
+}
+
+// TestIBTreeProfileIsItsOwn: IBTree's interpolation — its end-key
+// reads, its float work and its probe, a branch — is charged, so its
+// profile is not BTree's.
+func TestIBTreeProfileIsItsOwn(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Amzn, 100000, 1)
+	lookups := dataset.Lookups(keys, 5000, 3)
+	traced := buildTraced(t, keys)
+	var c [2]Counters
+	for i, name := range []string{"BTree", "IBTree"} {
+		for _, x := range lookups {
+			traced[name].Lookup(x)
+		}
+		c[i] = traced[name].m.Counters()
+	}
+	if c[0] == c[1] {
+		t.Fatalf("IBTree is charged exactly as BTree: %v", c[0])
+	}
+	if c[1].Branches <= c[0].Branches {
+		t.Errorf("IBTree records %d branches, BTree %d: the interpolation probe is not charged", c[1].Branches, c[0].Branches)
+	}
+}
+
+// TestTracedSearchesChargeReplaySlots: the key loads a traced lookup
+// charges to PGM's level keys, RS's spline keys and the B+tree's levels
+// are the slots the real search compared — search.Replay over the
+// window and rank the descent reports — in order, followed by the reads
+// that evaluate what the search found. Lines are one key wide, so the
+// cache's last-touch ticks give every slot's order.
+func TestTracedSearchesChargeReplaySlots(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.OSM, 20000, 1)
+	lookups := dataset.Lookups(keys, 300, 3)
+	for name, b := range map[string]core.Builder{
+		"PGM":    pgm.Builder{Eps: 32},
+		"RS":     rs.Builder{Config: rs.Config{SplineErr: 32, RadixBits: 10}},
+		"BTree":  btree.Builder{Stride: 4},
+		"IBTree": btree.Builder{Stride: 4, Interpolate: true},
+	} {
+		idx, err := b.Build(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(Config{CacheBytes: 64 << 10, LineBytes: keyBytes})
+		tr, _ := For(idx, m, keys)
+		for _, x := range lookups {
+			// want lists, per key region, the slots charged in order.
+			want := map[Region][]int{}
+			charge := func(r Region, slots ...int) { want[r] = append(want[r], slots...) }
+			ladder := func(r Region, lo, hi, rank int) {
+				search.Replay(lo, hi, rank, func(slot int, _ bool) { charge(r, slot) })
+			}
+			switch v := tr.(type) {
+			case *tracedPGM:
+				v.idx.Trace(x, func(st pgm.PathStep) {
+					ladder(v.keys[st.Level], st.Lo, st.Hi, st.Rank)
+					charge(v.keys[st.Level], max(st.Rank-1, 0))
+				})
+			case *tracedRS:
+				v.idx.Trace(x, func(_ uint64, lo, hi, rank int) {
+					ladder(v.keys, lo, hi, rank)
+					seg := max(rank-1, 0)
+					charge(v.keys, seg)
+					if seg+1 < v.idx.NumPoints() {
+						charge(v.keys, seg+1)
+					}
+				})
+			case *tracedBTree:
+				v.idx.Trace(x, func(st btree.NodeStep) {
+					lvl, base := v.levels[st.Level], st.Node*btree.Fanout
+					if st.Ends {
+						charge(lvl, base, base+min(btree.Fanout, lvl.size/keyBytes-base)-1)
+					}
+					if st.Probe >= 0 {
+						charge(lvl, base+st.Probe)
+					}
+					ladder(lvl, base+st.Lo, base+st.Hi, base+st.Rank)
+				})
+			}
+			from := m.tick
+			tr.Lookup(x)
+			for r, slots := range want {
+				if got, want := touched(m, r, from), lastTouches(slots); !slices.Equal(got, want) {
+					t.Fatalf("%s: Lookup(%d) charged slots %v of a key region, the search compared %v", name, x, got, want)
+				}
+			}
+		}
+	}
+}
+
+// touched lists the keyBytes-wide slots of r whose lines m has touched
+// since tick from, in order of last touch.
+func touched(m *Machine, r Region, from uint64) []int {
+	type touch struct {
+		slot int
+		tick uint64
+	}
+	var ts []touch
+	for set, tags := range m.tags {
+		for w, line := range tags {
+			addr := line * m.lineSz
+			if tick := m.ticks[set][w]; tick > from && addr >= r.base && addr < r.base+uint64(r.size) {
+				ts = append(ts, touch{int(addr-r.base) / keyBytes, tick})
+			}
+		}
+	}
+	slices.SortFunc(ts, func(a, b touch) int { return cmp.Compare(a.tick, b.tick) })
+	slots := make([]int, len(ts))
+	for i, tc := range ts {
+		slots[i] = tc.slot
+	}
+	return slots
+}
+
+// lastTouches is slots in order of each one's last occurrence.
+func lastTouches(slots []int) []int {
+	var out []int
+	for i, s := range slots {
+		if !slices.Contains(slots[i+1:], s) {
+			out = append(out, s)
+		}
+	}
+	return out
 }

@@ -12,13 +12,16 @@ import (
 	"repro/internal/rbs"
 	"repro/internal/rmi"
 	"repro/internal/rs"
+	"repro/internal/search"
 )
 
 // Traced replays index lookups against a simulated Machine, producing
 // the counter profiles of Section 4.3. Each Lookup runs the index's
-// own descent, whose visitor turns every step into simulated accesses,
-// followed by the last-mile binary search over the (shared) data
-// region, exactly mirroring the paper's measured loop.
+// own descent, whose visitor turns every step into simulated accesses
+// — for PGM's, RS's and the B+tree's searches, the very slots the
+// search compared (search.Replay) — followed by the last-mile binary
+// search over the (shared) data region, mirroring the paper's measured
+// loop.
 type Traced interface {
 	// Lookup simulates one full lookup (inference + last-mile search
 	// + one payload access) and returns the bound the descent resolved.
@@ -26,7 +29,8 @@ type Traced interface {
 }
 
 // keyBytes is the width of one key — of the data array, of PGM's
-// segment keys, of RS's spline-point keys and of FAST's levels —
+// segment keys, of RS's spline-point keys and of the B+tree's and
+// FAST's levels —
 // payloadBytes that of one payload in the table's uint64 payload array,
 // posBytes that of one RS spline point's position, of one PGM segment's
 // position and of one of its margins, and slopeBytes that of one PGM
@@ -121,24 +125,20 @@ func (d *dataRegions) lastMile(key core.Key, b core.Bound) core.Bound {
 	return b
 }
 
-// windowSearch simulates a binary search over elements [lo, hi) of r,
-// stride bytes apart, reading width bytes of each probed element. The
-// direction taken is data dependent; the window is halved.
-func (m *Machine) windowSearch(r Region, lo, hi, stride, width int, site uint32) {
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		m.Access(r, mid*stride, width)
-		m.recordBranch(site, mid&1 == 0)
+// ladder charges the probes of search's halving ladder over keys
+// [lo, hi) of r, in a search that returned rank: search.Replay names
+// the slots the real search compared, and each costs one key load and
+// three instructions. The branchy form (search.Rank) also records a
+// branch at site on each comparison's real outcome; the mask form
+// (search.RankBranchless, site 0) has none to mispredict.
+func (m *Machine) ladder(r Region, lo, hi, rank int, site uint32) {
+	search.Replay(lo, hi, rank, func(slot int, atMost bool) {
+		m.Access(r, slot*keyBytes, keyBytes)
+		if site != 0 {
+			m.recordBranch(site, atMost)
+		}
 		m.instr(3)
-		if hi-lo <= 1 {
-			break
-		}
-		if mid-lo > hi-mid {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
+	})
 }
 
 type tracedRMI struct {
@@ -173,16 +173,15 @@ type tracedPGM struct {
 }
 
 func (t *tracedPGM) Lookup(key core.Key) core.Bound {
-	// The descent starts with a search of the whole top level.
-	top := t.keys[len(t.keys)-1]
-	t.m.windowSearch(top, 0, top.size/keyBytes, keyBytes, keyBytes, 0x77)
 	return t.lastMile(key, t.idx.Trace(key, t.step))
 }
 
 func (t *tracedPGM) step(st pgm.PathStep) {
-	// Evaluate the segment at this level: its key, its slope and the
-	// two positions its prediction is clamped between, then linear math.
-	l, j := st.Level, st.Seg
+	// The segment search of this level's window (the whole level at the
+	// top), then the segment below the rank: its key, its slope and the
+	// two positions its prediction is clamped between, and linear math.
+	l, j := st.Level, max(st.Rank-1, 0)
+	t.m.ladder(t.keys[l], st.Lo, st.Hi, st.Rank, 0x77)
 	t.m.Access(t.keys[l], j*keyBytes, keyBytes)
 	t.m.Access(t.slopes[l], j*slopeBytes, slopeBytes)
 	t.m.Access(t.pos[l], j*posBytes, min(2, t.pos[l].size/posBytes-j)*posBytes)
@@ -190,10 +189,7 @@ func (t *tracedPGM) step(st pgm.PathStep) {
 	if l == 0 {
 		// Widen the prediction by the segment's two verified margins.
 		t.m.Access(t.margins, j*2*posBytes, 2*posBytes)
-		return
 	}
-	// Binary search of the window in the level below: its segment keys.
-	t.m.windowSearch(t.keys[l-1], st.WinLo, st.WinHi, keyBytes, keyBytes, 0x77)
 }
 
 type tracedRS struct {
@@ -206,13 +202,15 @@ func (t *tracedRS) Lookup(key core.Key) core.Bound {
 	return t.lastMile(key, t.idx.Trace(key, t.step))
 }
 
-func (t *tracedRS) step(bucket uint64, winLo, winHi, seg int) {
+func (t *tracedRS) step(bucket uint64, winLo, winHi, rank int) {
 	// Radix table probe: a shift plus one load (two adjacent entries).
 	t.m.instr(3)
 	t.m.Access(t.radix, int(bucket)*rs.RadixEntrySizeBytes, 2*rs.RadixEntrySizeBytes)
-	// Binary search the spline-point keys within the window.
-	t.m.windowSearch(t.keys, winLo, winHi, keyBytes, keyBytes, 0x33)
-	// Interpolation between points seg and seg+1: their keys and positions.
+	// The spline-point search within the window.
+	t.m.ladder(t.keys, winLo, winHi, rank, 0x33)
+	// Interpolation between the point below the rank and the next:
+	// their keys and positions.
+	seg := max(rank-1, 0)
 	pts := min(2, t.idx.NumPoints()-seg)
 	t.m.Access(t.keys, seg*keyBytes, pts*keyBytes)
 	t.m.Access(t.pos, seg*posBytes, pts*posBytes)
@@ -244,16 +242,23 @@ func (t *tracedBTree) Lookup(key core.Key) core.Bound {
 	return t.lastMile(key, t.idx.Trace(key, t.step))
 }
 
-func (t *tracedBTree) step(level, node int) {
-	// The in-node search halves the node's (up to 32) keys of its level
-	// array with no data-dependent branch: about five probes of three
-	// instructions each, within the node's own lines.
-	lvl := t.levels[level]
-	lo := node * btree.Fanout
-	for n := min(btree.Fanout, lvl.size/keyBytes-lo); n > 1; n -= n / 2 {
-		t.m.Access(lvl, (lo+n/2)*keyBytes, keyBytes)
-		t.m.instr(3)
+func (t *tracedBTree) step(st btree.NodeStep) {
+	// IBTree's interpolation reads the node's end keys, then, with x
+	// between them, does the float work and compares the predicted
+	// slot, a branch; the ladder over what is left is the mask form.
+	lvl := t.levels[st.Level]
+	base := st.Node * btree.Fanout
+	if st.Ends {
+		t.m.Access(lvl, base*keyBytes, keyBytes)
+		t.m.Access(lvl, (base+min(btree.Fanout, lvl.size/keyBytes-base)-1)*keyBytes, keyBytes)
+		t.m.instr(2)
 	}
+	if st.Probe >= 0 {
+		t.m.instr(8)
+		t.m.Access(lvl, (base+st.Probe)*keyBytes, keyBytes)
+		t.m.recordBranch(0xB3, st.Lo > st.Probe) // taken: x is right of the probe
+	}
+	t.m.ladder(lvl, base+st.Lo, base+st.Hi, base+st.Rank, 0)
 }
 
 type tracedART struct {

@@ -297,42 +297,40 @@ func (idx *Index) window(li, j int, x core.Key) (lo, hi int) {
 // Lookup implements core.Index.
 func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 
-// PathStep is one level of a descent as Trace reports it.
+// PathStep is one level of a descent as Trace reports it: the window
+// [Lo, Hi) of the level's segment keys that was searched and the rank
+// search.Rank returned there. The segment evaluated is the one below
+// the rank, clamped at 0.
 type PathStep struct {
-	Level int // 0 = data level
-	Seg   int // segment evaluated at this level
-	// WinLo/WinHi is the segment-search window in the level below
-	// (both zero at the data level).
-	WinLo, WinHi int
+	Level        int // 0 = data level
+	Lo, Hi, Rank int
 }
 
 // Trace is Lookup's descent. A non-nil visit is called once per level,
-// top-down, with the segment evaluated there — after the window below
-// is known and before it is searched — which is the path the
+// top-down, after the level's segment search, which is the path the
 // performance-counter simulation replays.
 func (idx *Index) Trace(key core.Key, visit func(PathStep)) core.Bound {
-	top := idx.levels[len(idx.levels)-1].keys
-	j := search.Pred(top, key, 0, len(top))
-
-	// Descend internal levels: each level's segment predicts the
-	// segment number in the level below to within eps; search only
-	// that window.
-	for li := len(idx.levels) - 1; li >= 1; li-- {
-		lo, hi := idx.window(li, j, key)
+	// The top level is searched whole; each level's segment then
+	// predicts the segment number in the level below to within eps, and
+	// only that window is searched.
+	li := len(idx.levels) - 1
+	lo, hi := 0, len(idx.levels[li].keys)
+	for {
+		r := search.Rank(idx.levels[li].keys, key, lo, hi)
 		if visit != nil {
-			visit(PathStep{Level: li, Seg: j, WinLo: lo, WinHi: hi})
+			visit(PathStep{Level: li, Lo: lo, Hi: hi, Rank: r})
 		}
-		j = search.Pred(idx.levels[li-1].keys, key, lo, hi)
+		j := max(r-1, 0)
+		if li == 0 {
+			// Data level: predict the position and widen by the
+			// segment's verified margins.
+			data := &idx.levels[0]
+			pos := data.predict(j, data.end(j, idx.n), key)
+			return core.BoundAround(pos, int(idx.margins[2*j]), int(idx.margins[2*j+1]), idx.n)
+		}
+		lo, hi = idx.window(li, j, key)
+		li--
 	}
-
-	// Data level: predict the position and widen by the segment's
-	// verified margins.
-	if visit != nil {
-		visit(PathStep{Level: 0, Seg: j})
-	}
-	data := &idx.levels[0]
-	pos := data.predict(j, data.end(j, idx.n), key)
-	return core.BoundAround(pos, int(idx.margins[2*j]), int(idx.margins[2*j+1]), idx.n)
 }
 
 // batchChunk is the LookupBatch processing granularity: the per-chunk

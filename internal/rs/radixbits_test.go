@@ -19,18 +19,14 @@ func atBits(idx *Index, keys []core.Key, r int) *Index {
 	return &at
 }
 
-// refProbes counts the comparisons search.Pred makes in a window of
+// refProbes counts the comparisons search.Rank makes in a window of
 // width points, step by step.
 func refProbes(width int) (n int) {
 	if width == 0 {
 		return 0
 	}
-	w := 1 << (bits.Len(uint(width)) - 1)
-	if w != width {
-		n++ // the reduction step
-	}
-	for ; w > 1; w >>= 1 {
-		n++
+	for ; width > 1; width -= width >> 1 {
+		n++ // one halving
 	}
 	return n + 1
 }

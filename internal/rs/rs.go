@@ -111,7 +111,7 @@ func New(keys []core.Key, cfg Config) (*Index, error) {
 	return idx, nil
 }
 
-// bitSavesProbe reports whether some key takes fewer search.Pred
+// bitSavesProbe reports whether some key takes fewer search.Rank
 // probes through a radix table at shift sh than at sh+1, where bucket
 // q merges buckets 2q and 2q+1, without building either table. Every
 // point is a key, so the points below a bucket are those of the
@@ -281,16 +281,17 @@ func (idx *Index) interpolate(seg int, x core.Key) int {
 
 // segmentFor locates the spline segment containing x: the rightmost
 // point with key <= x, restricted to the radix-table window. A non-nil
-// visit sees the bucket probed, the window searched and the segment
-// found.
-func (idx *Index) segmentFor(x core.Key, visit func(bucket uint64, winLo, winHi, seg int)) int {
+// visit sees the bucket probed, the window searched and the rank
+// search.Rank returned there; the segment is the point below the rank,
+// clamped at 0.
+func (idx *Index) segmentFor(x core.Key, visit func(bucket uint64, winLo, winHi, rank int)) int {
 	p := idx.prefix(x)
 	lo, hi := idx.window(int(idx.radix[p]), int(idx.radix[p+1]))
-	seg := search.Pred(idx.keys, x, lo, hi)
+	r := search.Rank(idx.keys, x, lo, hi)
 	if visit != nil {
-		visit(p, lo, hi, seg)
+		visit(p, lo, hi, r)
 	}
-	return seg
+	return max(r-1, 0)
 }
 
 // window is the range of points searched for a bucket whose stored
@@ -313,10 +314,10 @@ func (idx *Index) window(ra, rb int) (lo, hi int) {
 func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 
 // Trace is Lookup's descent: a non-nil visit is called once, with the
-// radix bucket probed, the spline-point window searched and the
-// segment interpolated, which is the path the performance-counter
-// simulation replays.
-func (idx *Index) Trace(key core.Key, visit func(bucket uint64, winLo, winHi, seg int)) core.Bound {
+// radix bucket probed, the spline-point window searched and the rank
+// found there, which is the path the performance-counter simulation
+// replays.
+func (idx *Index) Trace(key core.Key, visit func(bucket uint64, winLo, winHi, rank int)) core.Bound {
 	seg := idx.segmentFor(key, visit)
 	pos := idx.interpolate(seg, key)
 	return core.BoundAround(pos, idx.errLo, idx.errHi, idx.n)

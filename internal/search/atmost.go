@@ -2,9 +2,7 @@
 
 package search
 
-import "repro/internal/core"
-
-// atMost is every comparison Pred and PredBranchless make. Building
-// with -tags probecount swaps in a counting twin (atmost_count.go), so
-// a test can hold the kernels' probe sequences to Probes.
-func atMost(k, x core.Key) bool { return k <= x }
+// atMost is every comparison the ladder makes. Building with -tags
+// probecount swaps in a logging twin (atmost_count.go), so a test can
+// hold the ladder's probes to Replay's slots.
+func atMost[K Unsigned](k, x K) bool { return k <= x }

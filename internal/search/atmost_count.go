@@ -2,13 +2,12 @@
 
 package search
 
-import "repro/internal/core"
+// compared logs the keys atMost compares, in order, in a -tags
+// probecount build.
+var compared []uint64
 
-// compared counts atMost's calls in a -tags probecount build.
-var compared int
-
-// atMost is the counting twin of the comparison in atmost.go.
-func atMost(k, x core.Key) bool {
-	compared++
+// atMost is the logging twin of the comparison in atmost.go.
+func atMost[K Unsigned](k, x K) bool {
+	compared = append(compared, uint64(k))
 	return k <= x
 }

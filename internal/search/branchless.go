@@ -4,8 +4,8 @@
 // mile (Section 4.2.3 of the paper): a handful of data-array loads plus
 // the branch mispredicts of a classic binary search. The functions in
 // this file attack both terms. BranchlessSearch replaces the
-// unpredictable compare-and-branch with a conditional-move ladder over
-// power-of-two widths, so the only pipeline hazard left is the load
+// unpredictable compare-and-branch with the mask form of pred.go's
+// halving ladder, so the only pipeline hazard left is the load
 // itself. linearSearch (in search.go) uses a sentinel-free
 // compare-accumulate block scan with the same property. NarrowBatch
 // then attacks the loads: a batch of independent searches is advanced
@@ -16,54 +16,18 @@
 // which calls it for its probe rounds.
 package search
 
-import (
-	"math/bits"
+import "repro/internal/core"
 
-	"repro/internal/core"
-)
-
-// BranchlessSearch locates the lower bound of key within the bound
-// using a branch-free fixed-width binary search: one conditional step
-// reduces the bound to the largest power-of-two width, then a ladder of
-// exact halvings advances lo by (width>>1) whenever the probed key is
-// small. Each comparison is materialized with SETcc and folded into lo
-// by mask arithmetic (lo += half & -c), so the ladder carries no
-// data-dependent branches — the hard-to-predict comparisons of a
-// random workload cost no mispredict flushes. The explicit mask form
-// matters: a plain `if keys[m] < key { lo += half }` stays a branch,
-// because the compiler refuses to put a load's latency on a loop-
-// carried dependency via CMOV.
+// BranchlessSearch locates the lower bound of key within the bound: the
+// rank of key-1 on the mask form of the halving ladder (RankBranchless
+// in pred.go), whose comparisons are folded into the position by mask
+// arithmetic, so the hard-to-predict comparisons of a random workload
+// cost no mispredict flushes.
 func BranchlessSearch(keys []core.Key, key core.Key, b core.Bound) int {
-	lo, width := b.Lo, b.Hi-b.Lo
-	if width <= 0 {
-		return lo
+	if key == 0 {
+		return b.Lo
 	}
-	// Reduce to a power-of-two width: the lower bound lies in
-	// [lo, lo+width]; comparing at lo+width-w either keeps [lo, lo+w]
-	// or shifts the base so the remaining window is exactly w wide.
-	w := 1 << (bits.Len(uint(width)) - 1)
-	if w != width {
-		c := 0
-		if keys[lo+width-w] < key {
-			c = 1
-		}
-		lo += (width - w) & -c
-	}
-	// Exact-halving ladder: invariant lb(key) ∈ [lo, lo+w].
-	for w > 1 {
-		half := w >> 1
-		c := 0
-		if keys[lo+half-1] < key {
-			c = 1
-		}
-		lo += half & -c
-		w = half
-	}
-	c := 0
-	if keys[lo] < key {
-		c = 1
-	}
-	return lo + c
+	return RankBranchless(keys, key-1, b.Lo, b.Hi)
 }
 
 // narrowStop is the bound width at which the pipelined rounds of

@@ -148,17 +148,10 @@ func interpolationSearch(keys []core.Key, key core.Key, b core.Bound) int {
 }
 
 // BinarySteps reports the number of binary-search iterations needed to
-// resolve a bound of the given width: ceil(log2(width)) for width >= 2.
-// It is the paper's "log2 error" unit for a single bound.
+// resolve a bound of the given width: ceil(log2(width)) for width >= 2,
+// the ladder's Probes less the last comparison, which a classic loop
+// folds into its exit. It is the paper's "log2 error" unit for a single
+// bound.
 func BinarySteps(width int) int {
-	if width <= 1 {
-		return 0
-	}
-	steps := 0
-	w := uint(width - 1)
-	for w > 0 {
-		steps++
-		w >>= 1
-	}
-	return steps
+	return max(Probes(width)-1, 0)
 }
