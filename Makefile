@@ -82,11 +82,12 @@ obs-smoke:
 # a follower publishing its position before the batch was readable,
 # and then only two times in ten. So do the generators' and the builds'
 # tests at GOMAXPROCS 1, 2, 3 and 8: which goroutine fills which range
-# depends on the count and on the scheduler.
+# depends on the count and on the scheduler. serve's holds a store's
+# merge decisions to its op sequence at GOMAXPROCS 1, 2 and 8.
 race:
 	$(GO) test -race ./internal/serve/ ./internal/table/ ./internal/stats/ ./internal/load/ ./internal/persist/ ./internal/net/ ./internal/obs/ ./internal/repl/ ./internal/dataset/ ./internal/core/ ./internal/rmi/ ./internal/pgm/ ./internal/rs/
 	$(GO) test -race -count=10 -run TestFollowerWarmRestart ./internal/repl/
-	$(GO) test -race -count=10 -run SameUnderGOMAXPROCS ./internal/dataset/ ./internal/load/ ./internal/registry/
+	$(GO) test -race -count=10 -run SameUnderGOMAXPROCS ./internal/dataset/ ./internal/load/ ./internal/registry/ ./internal/serve/
 
 # One rule prints any of the serving experiments at a quick scale
 # (override N and LOOKUPS for another):

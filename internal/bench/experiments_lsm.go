@@ -9,7 +9,10 @@ package bench
 // run bounds — makes the compaction-cost-versus-read-amplification
 // tradeoff a table: write throughput and compaction time fall as runs
 // stack, read p99 and measured read amplification rise, and the
-// re-tune-aware merge policy sits between the extremes.
+// re-tune-aware merge policy sits between the extremes: it prices a
+// merge in work (keys rewritten times the family's build passes, a
+// re-tune's many) against the run probes the window's reads would save,
+// and reads no clock.
 
 import (
 	"fmt"

@@ -9,8 +9,10 @@
 //     family perfsim traces over the four datasets;
 //   - table: allocations per Get, GetBatch and GetBatchRuns;
 //   - store: allocations per clean and dirty Get, per GetBatch and per
-//     detached, hooked and attached Put, and run probes per read after a
-//     scripted sequence of writes and flushes;
+//     detached, hooked and attached Put, run probes per read after a
+//     scripted sequence of writes and flushes, and the flushes, merges,
+//     keys rewritten per written key and run probes per read of a
+//     scripted sequence that takes one minor and one major merge;
 //   - persist: WAL bytes and fsyncs per put, snapshot bytes per key and
 //     per put;
 //   - net: frames and bytes per one-in-flight point get, batch get and
@@ -47,6 +49,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/net"
+	"repro/internal/obs"
 	"repro/internal/perfsim"
 	"repro/internal/persist"
 	"repro/internal/registry"
@@ -91,6 +94,7 @@ func TestLedger(t *testing.T) {
 	payloads := dataset.Payloads(len(keys), seed)
 	storeRows(t, &l, keys, payloads)
 	tieredRows(t, &l, keys, payloads)
+	mergeRows(t, &l, keys, payloads)
 	persistRows(t, &l, keys, payloads)
 	netRows(t, &l, keys, payloads)
 	codecRows(&l)
@@ -290,7 +294,7 @@ func storeRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
 // three delta fills, each flushed into a tier run and waited out, then
 // a partial fill — and counts run probes per read over a fixed read
 // set. The tiering bounds are set so that only flushes happen: no merge
-// choice, whose cost model reads measured times, is ever taken.
+// choice is taken (mergeRows prices one of each kind).
 func tieredRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
 	const fill = 256
 	st := newStore(t, keys, payloads, serve.Config{
@@ -319,6 +323,65 @@ func tieredRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
 	l.add("store.tiered.probes_per_read", st.ReadAmp())
 	i := 0
 	l.add("store.tiered.get_allocs", allocs(func() { st.Get(reads[i%len(reads)]); i++ }))
+}
+
+// mergeRows replays a scripted write sequence on one tiered shard that
+// takes both merge kinds. Writes stack tier runs until the shard holds
+// one over the bound and folds its upper runs (minor: no reads yet to
+// repay a major's rewrite); a fixed read set then fills the read window,
+// and writes stack runs again until the choice comes again, now a major.
+// The read set is read after each merge. AmpBound is out of reach, so
+// only the run count triggers a merge and a read never queues one.
+func mergeRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
+	reg, journal := obs.NewRegistry(), obs.NewJournal(64)
+	st := newStore(t, keys, payloads, serve.Config{
+		Shards: 1, Family: "PGM", CompactThreshold: 256, MaxRuns: 3, AmpBound: 1e9,
+		Metrics: reg, Journal: journal,
+	})
+	r := rand.New(rand.NewPCG(seed, 1))
+	writes := 0
+	writeUntilMerges := func(merges uint64) {
+		for st.MinorMerges()+st.MajorMerges() < merges {
+			k := keys[r.IntN(len(keys))]
+			switch r.IntN(4) {
+			case 0:
+				st.Delete(k)
+			case 1:
+				st.Put(k, r.Uint64())
+			default:
+				st.Put(k+1, r.Uint64())
+			}
+			st.WaitCompactions()
+			writes++
+		}
+	}
+	reads := dataset.Lookups(keys, 4096, seed+2)
+	// probesPerRead reads the read set once. A read served by a single
+	// run probes that run and is not accounted (the store counts
+	// multi-run reads only); the write-path waits leave no pending write
+	// to answer a read without a probe.
+	probesPerRead := func() float64 {
+		value := func(id string) float64 { v, _ := reg.Value(id); return v }
+		p0, o0 := value("sosd_store_run_probes_total"), value("sosd_store_multirun_ops_total")
+		for _, x := range reads {
+			st.Get(x)
+		}
+		probes := value("sosd_store_run_probes_total") - p0
+		single := float64(len(reads)) - (value("sosd_store_multirun_ops_total") - o0)
+		return (probes + single) / float64(len(reads))
+	}
+	writeUntilMerges(1)
+	l.add("store.merge.probes_per_read_after_minor", probesPerRead())
+	writeUntilMerges(2)
+	l.add("store.merge.probes_per_read_after_major", probesPerRead())
+	l.add("store.merge.flushes", float64(st.Flushes()))
+	l.add("store.merge.minors", float64(st.MinorMerges()))
+	l.add("store.merge.majors", float64(st.MajorMerges()))
+	rewritten := 0
+	for _, e := range journal.Events() {
+		rewritten += e.Keys
+	}
+	l.ratio("store.merge.rewritten_per_write", uint64(rewritten), uint64(writes))
 }
 
 // persistRows prices the attached store: the snapshot that creates its

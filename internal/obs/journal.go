@@ -10,7 +10,8 @@ const DefaultJournalCap = 1024
 
 // Event is one write-path decision: a delta flush, a minor (tier)
 // merge, or a major merge, with the inputs the tiering policy saw when
-// it chose. Durations and EWMA costs are nanoseconds.
+// it chose. Dur is nanoseconds, the work prices key visits: a merge is a
+// major exactly when ExtraWork <= WindowOps * ProbeWork.
 type Event struct {
 	Seq        uint64        `json:"seq"`
 	Time       time.Time     `json:"time"`
@@ -22,8 +23,8 @@ type Event struct {
 	Dur        time.Duration `json:"dur_ns"`
 	ReadAmp    float64       `json:"read_amp"`   // measured window amp at the decision
 	WindowOps  int64         `json:"window_ops"` // lookups in the window
-	MajorNs    float64       `json:"major_ns_per_key"`
-	MinorNs    float64       `json:"minor_ns_per_key"`
+	ExtraWork  int64         `json:"extra_work"` // what a major rewrites and fits beyond a minor
+	ProbeWork  int64         `json:"probe_work"` // keys a read compares in the run a major saves probing
 }
 
 // Journal is a bounded in-memory ring of write-path events: appends

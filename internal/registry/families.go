@@ -98,6 +98,23 @@ func Tier(family string, keys []core.Key) (nb NamedBuilder, id string) {
 	return NamedBuilder{"", rbs.BinarySearchBuilder{}}, "BS"
 }
 
+// BuildWork prices building a serving run of n keys in key visits: one
+// merge pass to write them, plus the passes that fit the index base
+// picks — Rebuild's rule for a base run, Tier's for a tier run. Binary
+// search, trees, hashes and unknown families fit nothing (a bulk load
+// is the write pass), PGM, RS and the coarse tier PGM one streaming
+// pass, and an RMI base its tuner, rmi.TuneWork.
+func BuildWork(family string, n int, base bool) int64 {
+	w := int64(n)
+	switch {
+	case base && family == "RMI":
+		w += rmi.TuneWork(n)
+	case base && learned[family], !base && learned[family] && n >= tierLearnedMin:
+		w += int64(n)
+	}
+	return w
+}
+
 // tierLearnedMin is the run size above which a tier run gets a coarse
 // learned index instead of binary search; below it the run fits in a
 // few cache lines' worth of probe path and construction can't pay off.

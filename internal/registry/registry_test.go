@@ -168,6 +168,37 @@ func TestTier(t *testing.T) {
 	}
 }
 
+// TestBuildWork: a base build's price per key orders the families as
+// their measured build times do (250k amzn keys: BTree 1.0 < PGM 14.6 ≈
+// RS 19.7 < RMI 41.4 ns/key), RMI's falls with n as its tuning sample
+// caps (154 ns/key at 2k keys), and a tier run's price follows Tier:
+// binary search fits nothing, a coarse PGM one pass.
+func TestBuildWork(t *testing.T) {
+	const n = 250_000
+	perKey := func(family string, n int, base bool) float64 {
+		return float64(BuildWork(family, n, base)) / float64(n)
+	}
+	bt, pgm, rs, rmi := perKey("BTree", n, true), perKey("PGM", n, true), perKey("RS", n, true), perKey("RMI", n, true)
+	if !(bt < pgm && pgm == rs && rs < rmi) {
+		t.Errorf("base price per key BTree %v, PGM %v, RS %v, RMI %v: want BTree < PGM = RS < RMI", bt, pgm, rs, rmi)
+	}
+	if small := perKey("RMI", 2000, true); small <= rmi {
+		t.Errorf("RMI base price per key %v at 2k keys, %v at 250k: want it higher at 2k", small, rmi)
+	}
+	for _, c := range []struct {
+		family string
+		n      int
+		want   int64
+	}{
+		{"RMI", tierLearnedMin - 1, tierLearnedMin - 1}, {"RMI", tierLearnedMin, 2 * tierLearnedMin},
+		{"BTree", tierLearnedMin, tierLearnedMin}, {"CustomFamily", tierLearnedMin, tierLearnedMin},
+	} {
+		if got := BuildWork(c.family, c.n, false); got != c.want {
+			t.Errorf("BuildWork(%s, %d, tier) = %d, want %d", c.family, c.n, got, c.want)
+		}
+	}
+}
+
 func TestConfigIDs(t *testing.T) {
 	cases := []struct{ family, label, id string }{
 		{"PGM", "eps=64", "PGM/eps=64"},

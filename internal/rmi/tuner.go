@@ -129,6 +129,20 @@ func TuneBranch(keys []core.Key, branch int) Config {
 	return cfg
 }
 
+// TuneWork is the key visits of tuning and building an RMI over n keys:
+// each distinct stage-1 kind of candidateCombos fitted and each
+// combination finished on a sample of at most tuneSampleMax keys, then
+// the chosen one fitted and finished on all n — each visiting every key
+// twice (fit, then route; leaf fit, then error replay).
+func TuneWork(n int) int64 {
+	kinds := map[ModelKind]bool{}
+	for _, c := range candidateCombos {
+		kinds[c.s1] = true
+	}
+	fits := (len(kinds)+len(candidateCombos))*min(n, tuneSampleMax) + 2*n
+	return 2 * int64(fits)
+}
+
 // branchGrid returns the branching factors explored for a dataset of n
 // keys: powers of four from 64 up to n/2, capped at 4M leaves.
 func branchGrid(n int) []int {

@@ -2,37 +2,15 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/search"
 	"repro/internal/table"
 )
-
-// probeNsEstimate is the assumed cost in nanoseconds of one extra run
-// probe — the unit the tiering policy uses to convert a window's
-// lookup count into the read-time value of merging runs away. A
-// deliberate round figure for an out-of-cache search descent; only the
-// major-versus-minor tip point depends on it, never correctness.
-const probeNsEstimate = 100
-
-func ewmaLoad(a *atomic.Uint64) float64 { return math.Float64frombits(a.Load()) }
-
-// ewmaUpdate folds one observation into a cost estimate: seeded by the
-// first observation, then smoothed so a single slow or fast merge
-// cannot whipsaw the policy.
-func ewmaUpdate(a *atomic.Uint64, obs float64) {
-	old := math.Float64frombits(a.Load())
-	if old == 0 {
-		a.Store(math.Float64bits(obs))
-		return
-	}
-	a.Store(math.Float64bits(0.7*old + 0.3*obs))
-}
 
 // overThreshold reports whether s's active delta is due for the
 // background compactor: compaction on, the threshold reached, and no
@@ -142,7 +120,7 @@ func (st *Store) compactShard(i int, force bool) error {
 	// A clean shard still has work when it holds more runs than the
 	// bound allows or a read-amp trigger is up — the merge-only round a
 	// pure read load can queue.
-	mergeDue := len(s.runs) > maxRuns || (len(s.runs) > 1 && st.ampWindowExceeded(i))
+	mergeDue := len(s.runs) > maxRuns || (len(s.runs) > 1 && st.overAmp(st.windowAmp(i)))
 	if s.frozen != nil || (s.del.len() == 0 && !mergeDue) {
 		st.writeMu[i].Unlock()
 		return nil
@@ -200,31 +178,43 @@ type runSet struct {
 }
 
 // buildCompacted is the tiering policy: which merge steps a round takes
-// over run set rs and the frozen delta, under run bound maxRuns. Tiered
-// (maxRuns > 1), a non-empty frozen delta is flushed into a run of its
-// own, and only when that leaves the shard over the bound — in run
-// count or in measured read amplification — does one consolidation
-// follow, from the run chooseMajor picks: minor keeps the base and its
-// tuned index, major rewrites the shard. Untiered, the one step is the
-// major, frozen delta included.
+// over run set rs and the frozen delta, under run bound maxRuns, on the
+// shard's read window as the round begins. Tiered (maxRuns > 1), a
+// non-empty frozen delta is flushed into a run of its own, and only when
+// that leaves the shard over the bound — in run count or in measured
+// read amplification — does one consolidation follow, from the run
+// chooseMajor picks: minor keeps the base and its tuned index, major
+// rewrites the shard. Untiered, the one step is the major, frozen delta
+// included.
 func (st *Store) buildCompacted(i int, rs runSet, frozen *delta, maxRuns int) (runSet, error) {
+	var p mergePrice
+	p.amp, p.ops = st.windowAmp(i)
 	from := 0
 	if maxRuns > 1 {
 		if frozen.len() > 0 {
 			var err error
-			if rs, err = st.mergeTop(i, rs, len(rs.runs), frozen); err != nil {
+			if rs, err = st.mergeTop(i, rs, len(rs.runs), frozen, p); err != nil {
 				return rs, err
 			}
 			frozen = emptyDelta
 		}
-		if len(rs.runs) <= maxRuns && !st.ampWindowExceeded(i) {
+		if len(rs.runs) <= maxRuns && !st.overAmp(p.amp, p.ops) {
 			return rs, nil
 		}
-		if !st.chooseMajor(i, rs.runs) {
+		p.extra, p.perRead = chooseMajor(rs.runIDs[0], rs.runs)
+		if p.extra > p.ops*p.perRead {
 			from = 1
 		}
 	}
-	return st.mergeTop(i, rs, from, frozen)
+	return st.mergeTop(i, rs, from, frozen, p)
+}
+
+// mergePrice is what a round chose its steps on, as the journal records
+// it: the read window as the round began (amp over ops reads) and, for
+// a triggered consolidation, chooseMajor's prices (zero elsewhere).
+type mergePrice struct {
+	amp                 float64
+	ops, extra, perRead int64
 }
 
 // mergeTop is the one compaction step: merge rs.runs[from:] and the
@@ -236,13 +226,13 @@ func (st *Store) buildCompacted(i int, rs runSet, frozen *delta, maxRuns int) (r
 // (for learned families, re-tuned). Anything between is a minor:
 // tombstones are carried, since they still shadow the runs below, and
 // the result gets the family's cheap tier index like a flush.
-func (st *Store) mergeTop(i int, rs runSet, from int, frozen *delta) (runSet, error) {
-	kind, count, nsPerKey := "minor", &st.minorMerges, &st.stats[i].minorNsPerKey
+func (st *Store) mergeTop(i int, rs runSet, from int, frozen *delta, p mergePrice) (runSet, error) {
+	kind, count := "minor", &st.minorMerges
 	switch from {
 	case 0:
-		kind, count, nsPerKey = "major", &st.majorMerges, &st.stats[i].majorNsPerKey
+		kind, count = "major", &st.majorMerges
 	case len(rs.runs):
-		kind, count = "flush", &st.flushes // priced with the minors: same builder, same kind of run
+		kind, count = "flush", &st.flushes
 	}
 	layers := make([]mergeLayer, 0, len(rs.runs)-from+1)
 	for _, t := range rs.runs[from:] {
@@ -259,29 +249,26 @@ func (st *Store) mergeTop(i int, rs runSet, from int, frozen *delta) (runSet, er
 	if err != nil {
 		return rs, err
 	}
-	dur := time.Since(t0)
-	if len(keys) > 0 {
-		ewmaUpdate(nsPerKey, float64(dur.Nanoseconds())/float64(len(keys)))
-	}
 	count.Add(1)
-	st.journalEvent(i, kind, len(rs.runs), from+1, len(keys), dur)
+	st.cfg.Journal.Append(obs.Event{Shard: i, Kind: kind, RunsBefore: len(rs.runs), RunsAfter: from + 1,
+		Keys: len(keys), Dur: time.Since(t0), ReadAmp: p.amp, WindowOps: p.ops, ExtraWork: p.extra, ProbeWork: p.perRead})
 	// Three-index slices: the appends copy, never write into the arrays
 	// the published shard state still holds.
 	return runSet{runs: append(rs.runs[:from:from], nt), runIDs: append(rs.runIDs[:from:from], id)}, nil
 }
 
-// chooseMajor decides a triggered consolidation's destination: fold
-// the upper tiers into one run (minor — cheap, but the base keeps
-// amplifying reads by one extra probe) or rewrite the whole shard
-// (major — pays the measured index re-tune). The extra cost of a major
-// is estimated from the per-key cost EWMAs measured on this shard's
-// own past compactions — a learned family's re-tune prices majors high
-// where a B-tree's bulk load prices them near a minor — and weighed
-// against the read-amp reduction: the lookups of the current window,
-// each saved about one run probe by the deeper merge.
-func (st *Store) chooseMajor(i int, runs []*table.Table) bool {
+// chooseMajor prices a triggered consolidation of runs in key visits,
+// from the base run's tag and the run lengths alone: extra is what a
+// major (rewrite the shard; learned families re-tune) costs beyond a
+// minor (fold the upper runs into one tier run), both priced by
+// registry.BuildWork; perRead is what the major saves each read, the
+// probe of that tier run — search.Probes of its length, what binary
+// search compares and about what a coarse tier PGM does. The major is
+// free of extra when a minor would be a no-op (one upper run) or the
+// upper runs rival the base.
+func chooseMajor(tag string, runs []*table.Table) (extra, perRead int64) {
 	if len(runs) <= 2 {
-		return true // one upper run: a minor merge would be a no-op
+		return 0, 0
 	}
 	total, upper := 0, 0
 	for r, t := range runs {
@@ -291,14 +278,10 @@ func (st *Store) chooseMajor(i int, runs []*table.Table) bool {
 		}
 	}
 	if total == 0 || 2*upper >= total {
-		return true // upper tiers rival the base: rewrite once, properly
+		return 0, 0
 	}
-	ss := &st.stats[i]
-	majorNs := ewmaLoad(&ss.majorNsPerKey) * float64(total)
-	minorNs := ewmaLoad(&ss.minorNsPerKey) * float64(upper)
-	_, windowOps := st.windowAmp(i)
-	saved := float64(windowOps) * probeNsEstimate
-	return majorNs-minorNs <= saved
+	family, _ := registry.ParseID(tag)
+	return registry.BuildWork(family, total, true) - registry.BuildWork(family, upper, false), int64(search.Probes(upper))
 }
 
 // buildRun is the one place a run's table is built: keys indexed as run

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -14,13 +13,16 @@ import (
 // steps it takes, in which order, over how many runs and keys, and
 // which counters move — for every arm of the tiering policy. Nothing
 // in it depends on timing: background compaction is off, the shard is
-// driven round by round through compactShard, and the two cost EWMAs
-// that chooseMajor weighs are re-pinned before every round. The want
+// driven round by round through compactShard, and chooseMajor prices
+// its choice from the family, the run lengths and a read window the row
+// sets. Each merge row's family and window put it on its arm: with no
+// reads a PGM shard folds its upper runs (minor), 512 reads a round make
+// the major worth its rewrite, and an RMI shard's re-tune outprices the
+// 4,096 reads of an amplification trigger. The want
 // strings were recorded at commit d6bb883, where flush, minor and major
 // were three separate blocks of buildCompacted; they are the reference
 // the single merge step is held to.
 func TestCompactionStepGolden(t *testing.T) {
-	const cheap, dear = 1e-9, 1e9
 	type round struct {
 		writes int  // seeded puts/deletes before the round
 		amp    bool // push the read-amp window over the bound first
@@ -34,32 +36,33 @@ func TestCompactionStepGolden(t *testing.T) {
 		return rs
 	}
 	for _, row := range []struct {
-		name         string
-		maxRuns      int
-		major, minor float64 // pinned ns/key estimates
-		rounds       []round
-		want         string
+		name    string
+		family  string
+		maxRuns int
+		reads   int64 // read-window ops added before each round, one run probe each
+		rounds  []round
+		want    string
 	}{
-		{"tiered under the bound", 4, dear, cheap, flushes(3),
+		{"tiered under the bound", "PGM", 4, 0, flushes(3),
 			"flush 1>2 44, flush 2>3 41, flush 3>4 42 | flushes=3 minors=0 majors=0 freezes=3 runs=4"},
-		{"over MaxRuns, minor", 3, dear, cheap, flushes(5),
+		{"over MaxRuns, minor", "PGM", 3, 0, flushes(5),
 			"flush 1>2 44, flush 2>3 41, flush 3>4 42, minor 4>2 100, flush 2>3 45, flush 3>4 40, minor 4>2 122 | flushes=5 minors=2 majors=0 freezes=5 runs=2"},
-		{"over MaxRuns, major", 3, cheap, dear, flushes(5),
+		{"over MaxRuns, major", "PGM", 3, 512, flushes(5),
 			"flush 1>2 44, flush 2>3 41, flush 3>4 42, major 4>1 2032, flush 1>2 45, flush 2>3 40 | flushes=5 minors=0 majors=1 freezes=5 runs=3"},
-		{"amp-triggered merge-only rounds", 8, dear, cheap,
+		{"amp-triggered merge-only rounds", "RMI", 8, 0,
 			append(flushes(3), round{amp: true}, round{}, round{amp: true}),
 			"flush 1>2 44, flush 2>3 41, flush 3>4 42, minor 4>2 100, major 2>1 2032 | flushes=3 minors=1 majors=1 freezes=3 runs=1"},
-		{"force", 4, dear, cheap,
+		{"force", "PGM", 4, 0,
 			append(flushes(2), round{writes: 50, force: true}, round{force: true}, round{writes: 50}, round{force: true}),
 			"flush 1>2 44, flush 2>3 41, major 3>1 2032, flush 1>2 45, major 2>1 2040 | flushes=3 minors=0 majors=2 freezes=3 runs=1"},
-		{"MaxRuns 1", 1, dear, cheap, flushes(3),
+		{"MaxRuns 1", "PGM", 1, 0, flushes(3),
 			"major 1>1 2022, major 1>1 2028, major 1>1 2032 | flushes=0 minors=0 majors=3 freezes=0 runs=1"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			keys, payloads := testData(t, 2000)
 			journal := obs.NewJournal(64)
 			st, err := New(keys, payloads, Config{
-				Shards: 1, Family: "PGM", CompactThreshold: -1, MaxRuns: row.maxRuns, Journal: journal,
+				Shards: 1, Family: row.family, CompactThreshold: -1, MaxRuns: row.maxRuns, Journal: journal,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -99,8 +102,8 @@ func TestCompactionStepGolden(t *testing.T) {
 					st.stats[0].probes.Add(3 * ampMinWindow)
 					st.stats[0].ops.Add(ampMinWindow)
 				}
-				st.stats[0].majorNsPerKey.Store(math.Float64bits(row.major))
-				st.stats[0].minorNsPerKey.Store(math.Float64bits(row.minor))
+				st.stats[0].probes.Add(row.reads)
+				st.stats[0].ops.Add(row.reads)
 				if err := st.compactShard(0, r.force); err != nil {
 					t.Fatal(err)
 				}

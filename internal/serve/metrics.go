@@ -27,20 +27,8 @@ func (st *Store) registerMetrics(r *obs.Registry) {
 	r.CounterFunc("sosd_store_delta_freezes_total", cf(&st.deltaFreezes))
 	r.CounterFunc("sosd_store_readonly_drops_total", cf(&st.readOnlyDrops))
 	r.CounterFunc("sosd_store_compact_ns_total", func() float64 { return float64(st.compactNs.Load()) })
-	r.CounterFunc("sosd_store_run_probes_total", func() float64 {
-		var probes int64
-		for i := range st.stats {
-			probes += st.stats[i].probes.Load()
-		}
-		return float64(probes)
-	})
-	r.CounterFunc("sosd_store_multirun_ops_total", func() float64 {
-		var ops int64
-		for i := range st.stats {
-			ops += st.stats[i].ops.Load()
-		}
-		return float64(ops)
-	})
+	r.CounterFunc("sosd_store_run_probes_total", func() float64 { probes, _ := st.runProbes(); return float64(probes) })
+	r.CounterFunc("sosd_store_multirun_ops_total", func() float64 { _, ops := st.runProbes(); return float64(ops) })
 	r.GaugeFunc("sosd_store_read_amp", st.ReadAmp)
 	r.GaugeFunc("sosd_store_delta_len", func() float64 { return float64(st.DeltaLen()) })
 	r.GaugeFunc("sosd_store_pending_compactions", func() float64 {
@@ -69,19 +57,6 @@ func (st *Store) registerMetrics(r *obs.Registry) {
 			return 0
 		}, lbl)
 	}
-}
-
-// journalEvent appends one write-path event with the tiering-policy
-// inputs as the compactor saw them (a nil journal drops it).
-func (st *Store) journalEvent(i int, kind string, runsBefore, runsAfter, keys int, dur time.Duration) {
-	amp, ops := st.windowAmp(i)
-	st.cfg.Journal.Append(obs.Event{
-		Shard: i, Kind: kind,
-		RunsBefore: runsBefore, RunsAfter: runsAfter, Keys: keys, Dur: dur,
-		ReadAmp: amp, WindowOps: ops,
-		MajorNs: ewmaLoad(&st.stats[i].majorNsPerKey),
-		MinorNs: ewmaLoad(&st.stats[i].minorNsPerKey),
-	})
 }
 
 // Compactions reports the number of completed shard compactions
@@ -118,13 +93,19 @@ func (st *Store) DeltaFreezes() uint64 { return st.deltaFreezes.Load() }
 // states. Reads on fully-compacted shards probe exactly one run and
 // are not accumulated; a store that never tiered reports 1.
 func (st *Store) ReadAmp() float64 {
-	var probes, ops int64
-	for i := range st.stats {
-		probes += st.stats[i].probes.Load()
-		ops += st.stats[i].ops.Load()
-	}
+	probes, ops := st.runProbes()
 	if ops == 0 {
 		return 1
 	}
 	return float64(probes) / float64(ops)
+}
+
+// runProbes sums every shard's multi-run reads and the run probes they
+// made.
+func (st *Store) runProbes() (probes, ops int64) {
+	for i := range st.stats {
+		probes += st.stats[i].probes.Load()
+		ops += st.stats[i].ops.Load()
+	}
+	return probes, ops
 }

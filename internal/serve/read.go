@@ -17,19 +17,15 @@ const ampMinWindow = 4096
 // evaluations, keeping the trigger check off the per-batch hot path.
 const ampCheckEvery = 1024
 
-// shardStats carries one shard's measured read-amplification window
-// and rebuild-cost estimates. probes/ops accumulate from multi-run
-// reads only (a single-run shard has amplification 1 by construction
-// and pays no accounting — see noteReads); probes0/ops0 snapshot the
-// window base at the shard's last merge. The per-key cost EWMAs are measured from
-// actual compactions: major from full-merge index re-tunes, minor from
-// tier flushes and tier merges.
+// shardStats carries one shard's measured read-amplification window.
+// probes/ops accumulate from multi-run reads only (a single-run shard
+// has amplification 1 by construction and pays no accounting — see
+// noteReads); probes0/ops0 snapshot the window base at the shard's last
+// merge.
 type shardStats struct {
 	probes, ops   atomic.Int64
 	probes0, ops0 atomic.Int64
 	sinceCheck    atomic.Int64
-	majorNsPerKey atomic.Uint64 // math.Float64bits
-	minorNsPerKey atomic.Uint64 // math.Float64bits
 }
 
 type job struct {
@@ -94,16 +90,15 @@ func (st *Store) noteReads(i, probes, ops int) {
 	}
 	ss.sinceCheck.Store(0)
 	s := st.shards[i].Load()
-	if !s.single() && s.frozen == nil && st.ampWindowExceeded(i) {
+	if !s.single() && s.frozen == nil && st.overAmp(st.windowAmp(i)) {
 		st.requestCompact(i)
 	}
 }
 
-// ampWindowExceeded reports whether shard i's measured read
-// amplification since its last merge exceeds the configured bound
-// (with at least ampMinWindow lookups of evidence).
-func (st *Store) ampWindowExceeded(i int) bool {
-	amp, ops := st.windowAmp(i)
+// overAmp reports whether a read window of ops reads at amplification
+// amp exceeds the configured bound, with at least ampMinWindow reads of
+// evidence.
+func (st *Store) overAmp(amp float64, ops int64) bool {
 	return ops >= ampMinWindow && amp > st.cfg.AmpBound
 }
 

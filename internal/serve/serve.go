@@ -186,7 +186,7 @@ type Store struct {
 	compactStop    bool
 
 	compactWG    sync.WaitGroup
-	stats        []shardStats // per-shard read-amp accounting and merge-cost EWMAs
+	stats        []shardStats // per-shard read-amp accounting
 	compactions  atomic.Uint64
 	compactNs    atomic.Int64
 	flushes      atomic.Uint64
