@@ -15,20 +15,24 @@ vet:
 
 # loc prints the non-test Go line count of every internal/ package and
 # their total — the number the roadmap's north star wants to go down —
-# then every non-test file under internal/ over 800 lines, the north
-# star's candidates for a split. CI's test job runs it, so every PR's
-# log carries both. Its companion is TestEveryNameHasACaller
-# (callers_test.go, part of `go test ./...`): a name under internal/
-# with no non-test caller fails it as "R1 dead: pkg.[Recv.]Name
-# (file:line)", an exported func or method with no caller outside its
-# package as "R2 over-exported"; delete, move into a _test.go file,
-# unexport, or add the name to its callerAllowlist — every entry there
-# needs a one-line reason, and a stale entry fails too.
+# and beside it the count of exported identifiers under internal/, by
+# kind, that TestEveryNameHasACaller logs; then every non-test file
+# under internal/ over 800 lines, the north star's candidates for a
+# split. CI's test job runs it, so every PR's log carries all three.
+# TestEveryNameHasACaller (callers_test.go, part of `go test ./...`)
+# fails a name under internal/ with no non-test caller as
+# "R1 dead: pkg.[Recv.]Name (file:line)", an exported name with no
+# reference from outside its package as "R2 over-exported", and a
+# struct field no non-test code reads as "R3 unread: pkg.Type.field
+# (file:line)"; delete, move into a _test.go file, unexport, or add
+# the name to its callerAllowlist — every entry there needs a one-line
+# reason, and a stale entry fails too.
 loc:
 	@total=0; for d in internal/*/; do \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		printf '%6d  %s\n' $$n $${d%/}; total=$$((total+n)); \
 	done; printf '%6d  internal (total)\n' $$total
+	@$(GO) test -count=1 -run 'TestEveryNameHasACaller$$' -v . | grep -o 'exported identifiers under internal/: .*'
 	@find internal -name '*.go' ! -name '*_test.go' -exec wc -l {} + | \
 		awk '$$2 != "total" && $$1 > 800 { printf "%6d  %s (over 800 lines)\n", $$1, $$2 }'
 

@@ -1,12 +1,13 @@
 package repro
 
 // The reachability check: every package-level name declared in a
-// non-test file under internal/ has a caller. It type-checks the module
-// from source with the standard library alone (go/parser, go/types,
-// and go/importer for the standard library's export data), so it needs
-// no tool the module does not already have. DESIGN.md "Every name has a
-// caller" gives the rules, and why fields are outside both and types,
-// consts and vars outside R2.
+// non-test file under internal/ has a caller, every exported one a
+// caller outside its package, and every struct field a reader. It
+// type-checks the module from source with the standard library alone
+// (go/parser, go/types, and go/importer for the standard library's
+// export data), so it needs no tool the module does not already have.
+// DESIGN.md "Every name has a caller" gives the rules R1 (dead), R2
+// (over-exported) and R3 (unread field) and their exemptions.
 
 import (
 	"fmt"
@@ -33,7 +34,7 @@ var callerAllowlist = map[string]string{
 	"rs.Index.AvgLog2Error":  "the paper's log2-error metric; registry's GOMAXPROCS test compares it bit for bit through a test-declared interface",
 	"stats.HistMaxRelError":  "the histogram's documented error bound, which its tests hold it to",
 	"net.RoleNone":           "wire value 0 of the role byte; deleting it would renumber the block",
-	"net.Client.Delete":      "the client half of MsgDelete, which the server serves and the fuzz corpus covers",
+	"net.Client.Delete":      "the client half of msgDelete, which the server serves and the fuzz corpus covers",
 	"dataset.AbsentLookups":  "the absent-key input generator three packages' tests share",
 	"serve.Store.Scan":       "the store's range read",
 }
@@ -48,7 +49,7 @@ var stdMethodNames = map[string]bool{
 }
 
 func TestEveryNameHasACaller(t *testing.T) {
-	fails, err := checkCallers(".", callerAllowlist)
+	fails, n, err := checkCallers(".", callerAllowlist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +58,11 @@ func TestEveryNameHasACaller(t *testing.T) {
 	}
 	if len(fails) > 0 {
 		t.Log("R1: delete the name (or move a test-only helper into a _test.go file); " +
-			"R2: unexport it; or add it to callerAllowlist with the reason it stays")
+			"R2: unexport it; R3: delete the field and what fills it; " +
+			"or add it to callerAllowlist with the reason it stays")
 	}
+	t.Logf("exported identifiers under internal/: %d (types %d, funcs %d, methods %d, consts %d, vars %d, fields %d)",
+		n.types+n.funcs+n.methods+n.consts+n.vars+n.fields, n.types, n.funcs, n.methods, n.consts, n.vars, n.fields)
 
 	t.Run("planted", func(t *testing.T) {
 		root := t.TempDir()
@@ -71,7 +75,7 @@ func TestEveryNameHasACaller(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := checkCallers(root, map[string]string{"a.Gone": "planted stale entry"})
+		got, _, err := checkCallers(root, map[string]string{"a.Gone": "planted stale entry"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +84,12 @@ func TestEveryNameHasACaller(t *testing.T) {
 			"R1 dead: a.UnusedExported (internal/a/a.go:7)",
 			"R1 dead: a.selfOnly (internal/a/a.go:9)",
 			"R1 dead: a.unusedUnexported (internal/a/a.go:8)",
+			"R2 over-exported: a.Hidden (internal/a/a.go:43)",
+			"R2 over-exported: a.Limit (internal/a/a.go:30)",
 			"R2 over-exported: a.T.Inner (internal/a/a.go:18)",
+			"R2 over-exported: a.rec.Wide (internal/a/a.go:33)",
+			"R3 unread: a.rec.log (internal/a/a.go:34)",
+			"R3 unread: a.rec.probe (internal/a/a.go:35)",
 			"stale allowlist entry: a.Gone (no rule flags it)",
 		}
 		if !slices.Equal(got, want) {
@@ -89,9 +98,11 @@ func TestEveryNameHasACaller(t *testing.T) {
 	})
 }
 
-// plantedModule holds one case per rule, plus the two method kinds the
-// interface exemption must let through: Sq.Area satisfies an interface
-// another package calls, G.Size a type-parameter constraint.
+// plantedModule holds one case per rule, plus the names an exemption
+// must let through: Sq.Area satisfies an interface another package
+// calls, G.Size a type-parameter constraint, rec.Note carries a struct
+// tag, and Shape is the result of an exported func another package
+// calls.
 var plantedModule = map[string]string{
 	"go.mod": "module planted\n\ngo 1.24\n",
 	"internal/a/a.go": `package a
@@ -122,8 +133,30 @@ func (Sq) Area() int { return 4 }
 type G struct{}
 
 func (G) Size() int { return 3 }
+
+const Limit = 3
+
+type rec struct {
+	Wide  int
+	log   []int
+	probe int
+	Note  string ` + "`json:\"note\"`" + `
+}
+
+type Shape struct{}
+
+func NewShape() Shape { return Shape{} }
+
+type Hidden int
+
+func Fill(n int) int {
+	r := rec{Wide: n, Note: "x"}
+	r.log = []int{n}
+	r.probe++
+	return r.Wide + Limit + int(Hidden(n))
+}
 `,
-	"internal/a/a_test.go": "package a\n\nfunc useTestOnly() { TestOnly() }\n",
+	"internal/a/a_test.go": "package a\n\nfunc useTestOnly() { TestOnly() }\n\nfunc probeOf(r rec) int { return r.probe }\n",
 	"internal/b/b.go": `package b
 
 import "planted/internal/a"
@@ -139,7 +172,12 @@ func sizes[E interface{ Size() int }](xs []E) (n int) {
 	return n
 }
 
-func Run() int { return total(a.Sq{}) + sizes([]a.G{{}}) + a.Used() + a.UseInner() }
+var _ a.T
+
+func Run() int {
+	_ = a.NewShape()
+	return total(a.Sq{}) + sizes([]a.G{{}}) + a.Used() + a.UseInner() + a.Fill(1)
+}
 `,
 	"cmd/planted/main.go": "package main\n\nimport \"planted/internal/b\"\n\nfunc main() { _ = b.Run() }\n",
 }
@@ -153,15 +191,20 @@ type modPkg struct {
 	info                 *types.Info
 }
 
-// candidate is one package-level name under internal/.
+// candidate is one package-level name or one untagged struct field
+// under internal/.
 type candidate struct {
-	name     string    // pkg.[Recv.]Name
+	name     string    // pkg.[Recv.]Name, or pkg.Type.field
 	where    string    // file:line, relative to the module root
 	from, to token.Pos // the name's own declaration
 	obj      types.Object
-	live     bool // referenced from a non-test file outside its own declaration
+	live     bool // referenced (a field: read) from a non-test file outside its own declaration
 	outside  bool // referenced from another package or an external test package
 }
+
+// exportCount is the number of exported identifiers under internal/,
+// by kind; fields count every exported named field of every struct.
+type exportCount struct{ types, funcs, methods, consts, vars, fields int }
 
 type callerCheck struct {
 	root, mod string
@@ -170,46 +213,56 @@ type callerCheck struct {
 	std       types.Importer
 }
 
-// checkCallers applies R1 and R2 to the module rooted at root and
-// returns one line per failure, sorted.
-func checkCallers(root string, allow map[string]string) ([]string, error) {
+// checkCallers applies R1, R2 and R3 to the module rooted at root and
+// returns one line per failure, sorted, and the count of exported
+// identifiers under internal/.
+func checkCallers(root string, allow map[string]string) ([]string, exportCount, error) {
+	var n exportCount
 	c := &callerCheck{root: root, fset: token.NewFileSet(), pkgs: map[string]*modPkg{}, std: importer.Default()}
 	if err := c.load(); err != nil {
-		return nil, err
+		return nil, n, err
 	}
 	for _, p := range c.pkgs {
 		if _, err := c.Import(p.path); err != nil {
-			return nil, err
+			return nil, n, err
 		}
 	}
 
 	cands := map[token.Pos]*candidate{}
+	stores := map[*ast.Ident]bool{}
 	var ifaces []*types.Interface
 	for _, p := range c.pkgs {
 		ifaces = appendInterfaces(ifaces, p.info)
+		addStores(stores, p.files)
 		if !strings.HasPrefix(p.path, c.mod+"/internal/") {
 			continue
 		}
-		for _, cd := range c.candidates(p) {
+		for _, cd := range c.candidates(p, &n) {
 			cands[cd.obj.Pos()] = cd
 		}
 	}
 
 	// Every use from every file of the module, tests included: the
 	// non-test files as their packages build, each package's files with
-	// its in-package tests, and each external test package.
+	// its in-package tests, and each external test package. A type
+	// in the type of an exported name another package uses is exposed:
+	// that package already holds its values.
+	exposed := map[token.Pos]bool{}
 	record := func(info *types.Info, pkgPath string) {
 		for id, obj := range info.Uses {
 			obj = origin(obj)
 			if obj.Pkg() == nil {
 				continue
 			}
+			if _, ok := obj.(*types.TypeName); !ok && pkgPath != obj.Pkg().Path() && obj.Exported() {
+				expose(exposed, obj.Type())
+			}
 			cd := cands[obj.Pos()]
 			if cd == nil || cd.obj.Pkg().Path() != obj.Pkg().Path() || cd.obj.Name() != obj.Name() {
 				continue
 			}
 			if !strings.HasSuffix(c.fset.Position(id.Pos()).Filename, "_test.go") &&
-				(id.Pos() < cd.from || id.Pos() >= cd.to) {
+				(id.Pos() < cd.from || id.Pos() >= cd.to) && !(isField(obj) && stores[id]) {
 				cd.live = true
 			}
 			if pkgPath != obj.Pkg().Path() {
@@ -234,10 +287,12 @@ func checkCallers(root string, allow map[string]string) ([]string, error) {
 			continue
 		}
 		rule := ""
-		switch _, fn := cd.obj.(*types.Func); {
+		switch {
+		case !cd.live && isField(cd.obj):
+			rule = "R3 unread"
 		case !cd.live:
 			rule = "R1 dead"
-		case fn && cd.obj.Exported() && !cd.outside:
+		case cd.obj.Exported() && !cd.outside && !exposed[cd.obj.Pos()]:
 			rule = "R2 over-exported"
 		default:
 			continue
@@ -253,7 +308,7 @@ func checkCallers(root string, allow map[string]string) ([]string, error) {
 		}
 	}
 	slices.Sort(fails)
-	return fails, nil
+	return fails, n, nil
 }
 
 // load parses every package directory of the module, skipping testdata
@@ -353,10 +408,12 @@ func newInfo() *types.Info {
 }
 
 // candidates lists the package-level names a non-test package declares,
-// each with the extent of its own declaration.
-func (c *callerCheck) candidates(p *modPkg) []*candidate {
+// each with the extent of its own declaration, and the untagged named
+// fields of every struct type it declares, package-level or local, and
+// adds its exported identifiers to n.
+func (c *callerCheck) candidates(p *modPkg, n *exportCount) []*candidate {
 	var out []*candidate
-	add := func(id *ast.Ident, from, to token.Pos) {
+	add := func(id *ast.Ident, owner string, from, to token.Pos) {
 		if id.Name == "_" || id.Name == "init" || id.Name == "main" {
 			return
 		}
@@ -367,8 +424,11 @@ func (c *callerCheck) candidates(p *modPkg) []*candidate {
 		name := p.pkg.Name() + "."
 		if fn, ok := obj.(*types.Func); ok {
 			if recv := fn.Signature().Recv(); recv != nil {
-				name += recvNamed(recv.Type()).Obj().Name() + "."
+				owner = recvNamed(recv.Type()).Obj().Name()
 			}
+		}
+		if owner != "" {
+			name += owner + "."
 		}
 		pos := c.fset.Position(id.Pos())
 		rel, _ := filepath.Rel(c.root, pos.Filename)
@@ -377,26 +437,160 @@ func (c *callerCheck) candidates(p *modPkg) []*candidate {
 			from: from, to: to, obj: obj,
 		})
 	}
+	count := func(id *ast.Ident, k *int) {
+		if id.IsExported() {
+			*k++
+		}
+	}
 	for _, f := range p.files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				add(d.Name, d.Pos(), d.End())
+				add(d.Name, "", d.Pos(), d.End())
+				if d.Recv != nil {
+					count(d.Name, &n.methods)
+				} else {
+					count(d.Name, &n.funcs)
+				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
-						add(s.Name, s.Pos(), s.End())
+						add(s.Name, "", s.Pos(), s.End())
+						count(s.Name, &n.types)
 					case *ast.ValueSpec:
 						for _, id := range s.Names {
-							add(id, s.Pos(), s.End())
+							add(id, "", s.Pos(), s.End())
+							if d.Tok == token.CONST {
+								count(id, &n.consts)
+							} else {
+								count(id, &n.vars)
+							}
 						}
 					}
 				}
 			}
 		}
+		var stack []ast.Node
+		ast.Inspect(f, func(node ast.Node) bool {
+			if node == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, node)
+			st, ok := node.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			owner := structOwner(stack)
+			for _, fl := range st.Fields.List {
+				for _, id := range fl.Names {
+					count(id, &n.fields)
+					if fl.Tag == nil {
+						add(id, owner, id.Pos(), id.End())
+					}
+				}
+			}
+			return true
+		})
 	}
 	return out
+}
+
+// structOwner names the struct type on top of the stack after the
+// nearest type, var or func that declares it.
+func structOwner(stack []ast.Node) string {
+	for i := len(stack) - 2; i >= 0; i-- {
+		switch d := stack[i].(type) {
+		case *ast.TypeSpec:
+			return d.Name.Name
+		case *ast.ValueSpec:
+			return d.Names[0].Name
+		case *ast.FuncDecl:
+			return d.Name.Name
+		}
+	}
+	return ""
+}
+
+// addStores marks the field selectors the files only store to: the
+// left side of = and op=, the operand of ++ and --, and the keys of
+// composite literals.
+func addStores(stores map[*ast.Ident]bool, files []*ast.File) {
+	lhs := func(e ast.Expr) {
+		if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			stores[s.Sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(node ast.Node) bool {
+			switch s := node.(type) {
+			case *ast.AssignStmt:
+				if s.Tok != token.DEFINE {
+					for _, e := range s.Lhs {
+						lhs(e)
+					}
+				}
+			case *ast.IncDecStmt:
+				lhs(s.X)
+			case *ast.CompositeLit:
+				for _, e := range s.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							stores[id] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// expose marks every named type that a value of type t lets its holder
+// name: t itself, and what its elements, fields, params and results
+// are made of, but not the insides of a named type.
+func expose(exposed map[token.Pos]bool, t types.Type) {
+	switch t := types.Unalias(t).(type) {
+	case *types.Named:
+		exposed[t.Obj().Pos()] = true
+		for a := range t.TypeArgs().Types() {
+			expose(exposed, a)
+		}
+	case *types.Pointer:
+		expose(exposed, t.Elem())
+	case *types.Slice:
+		expose(exposed, t.Elem())
+	case *types.Array:
+		expose(exposed, t.Elem())
+	case *types.Chan:
+		expose(exposed, t.Elem())
+	case *types.Map:
+		expose(exposed, t.Key())
+		expose(exposed, t.Elem())
+	case *types.Signature:
+		for _, tuple := range []*types.Tuple{t.Params(), t.Results()} {
+			for v := range tuple.Variables() {
+				expose(exposed, v.Type())
+			}
+		}
+		if r := t.Recv(); r != nil {
+			expose(exposed, r.Type())
+		}
+	case *types.Struct:
+		for f := range t.Fields() {
+			expose(exposed, f.Type())
+		}
+	case *types.Interface:
+		for m := range t.Methods() {
+			expose(exposed, m.Type())
+		}
+	}
+}
+
+func isField(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && v.IsField()
 }
 
 // appendInterfaces adds every interface with methods that the package's
@@ -464,11 +658,14 @@ func recvNamed(t types.Type) *types.Named {
 	return t.(*types.Named)
 }
 
-// origin maps a use of an instantiated generic func or method to its
-// declaration.
+// origin maps a use of an instantiated generic func, method or field
+// to its declaration.
 func origin(obj types.Object) types.Object {
-	if fn, ok := obj.(*types.Func); ok {
-		return fn.Origin()
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
 	}
 	return obj
 }

@@ -60,26 +60,26 @@ func keyBytes(key core.Key) [keyLen]byte {
 	return b
 }
 
-// Tree is an adaptive radix tree mapping uint64 keys to positions.
-type Tree struct {
+// tree is an adaptive radix tree mapping uint64 keys to positions.
+type tree struct {
 	root   *node
 	counts [5]int // node population per kind, for size accounting
 	nextID int32
 }
 
 // stamp assigns a fresh id to a newly created node.
-func (t *Tree) stamp(n *node) *node {
+func (t *tree) stamp(n *node) *node {
 	n.id = t.nextID
 	t.nextID++
 	return n
 }
 
 // newTree returns an empty tree.
-func newTree() *Tree { return &Tree{} }
+func newTree() *tree { return &tree{} }
 
 // put adds key -> val. Inserting an existing key overwrites its
 // value.
-func (t *Tree) put(key core.Key, val int32) {
+func (t *tree) put(key core.Key, val int32) {
 	kb := keyBytes(key)
 	if t.root == nil {
 		t.root = t.stamp(newLeaf(key, val))
@@ -91,7 +91,7 @@ func (t *Tree) put(key core.Key, val int32) {
 
 // insert descends to place the leaf, overwriting an existing key's
 // value.
-func (t *Tree) insert(ref **node, kb []byte, depth int, key core.Key, val int32) {
+func (t *tree) insert(ref **node, kb []byte, depth int, key core.Key, val int32) {
 	n := *ref
 	if n.kind == kindLeaf {
 		if n.key == key {
@@ -142,7 +142,7 @@ func (t *Tree) insert(ref **node, kb []byte, depth int, key core.Key, val int32)
 }
 
 // grow upgrades a full node to the next kind.
-func (t *Tree) grow(ref **node) {
+func (t *tree) grow(ref **node) {
 	n := *ref
 	switch n.kind {
 	case kind4:
@@ -293,7 +293,7 @@ func minLeaf(n *node) *node {
 // ceiling returns the value of the smallest stored key >= x. A
 // non-nil visit is called for every node touched, the path the
 // performance-counter simulation replays.
-func (t *Tree) ceiling(x core.Key, visit func(NodeStep)) (key core.Key, val int32, found bool) {
+func (t *tree) ceiling(x core.Key, visit func(NodeStep)) (key core.Key, val int32, found bool) {
 	if t.root == nil {
 		return 0, 0, false
 	}
@@ -373,7 +373,7 @@ const (
 )
 
 // sizeBytes estimates the tree footprint.
-func (t *Tree) sizeBytes() int {
+func (t *tree) sizeBytes() int {
 	return t.counts[kindLeaf]*leafBytes +
 		t.counts[kind4]*node4Bytes +
 		t.counts[kind16]*node16Bytes +
@@ -381,9 +381,9 @@ func (t *Tree) sizeBytes() int {
 		t.counts[kind256]*node256Bytes
 }
 
-// Index adapts Tree to core.Index with the subset-stride size knob.
+// Index adapts tree to core.Index with the subset-stride size knob.
 type Index struct {
-	tree   *Tree
+	tree   *tree
 	n      int
 	stride int
 	maxPos int32 // data position of the last subset key

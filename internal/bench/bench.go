@@ -50,7 +50,7 @@ func NewEnv(name dataset.Name, n, m int, seed uint64) (*Env, error) {
 // Measurement is one timed lookup run.
 type Measurement struct {
 	NsPerLookup float64
-	Checksum    uint64
+	checksum    uint64
 }
 
 // MeasureWarm times the paper's standard regime: a tight loop of
@@ -75,7 +75,7 @@ func (e *Env) timed(idx core.Index, fn search.Fn, fenced bool) Measurement {
 	elapsed := time.Since(start)
 	return Measurement{
 		NsPerLookup: float64(elapsed.Nanoseconds()) / float64(len(e.Lookups)),
-		Checksum:    sum,
+		checksum:    sum,
 	}
 }
 
@@ -134,7 +134,7 @@ func MeasureCold(e *Env, idx core.Index, fn search.Fn, coldOps int) Measurement 
 	_ = sink
 	return Measurement{
 		NsPerLookup: float64(total.Nanoseconds()) / float64(coldOps),
-		Checksum:    sum,
+		checksum:    sum,
 	}
 }
 
@@ -264,6 +264,6 @@ func measureWarmBatch(e *Env, t *table.Table, batch int) Measurement {
 	elapsed := time.Since(start)
 	return Measurement{
 		NsPerLookup: float64(elapsed.Nanoseconds()) / float64(len(e.Lookups)),
-		Checksum:    sum,
+		checksum:    sum,
 	}
 }

@@ -34,8 +34,8 @@ func TestEnvChecksum(t *testing.T) {
 	want := e.Checksum()
 	idx := mustBS(e)
 	m := MeasureWarm(e, idx, search.BinarySearch)
-	if m.Checksum != want {
-		t.Fatalf("warm checksum %d != %d", m.Checksum, want)
+	if m.checksum != want {
+		t.Fatalf("warm checksum %d != %d", m.checksum, want)
 	}
 	cold := MeasureCold(e, idx, search.BinarySearch, 50)
 	_ = cold // cold measures a prefix of the workload; only validity of run matters
@@ -62,8 +62,8 @@ func TestMeasureWarmAllFamilies(t *testing.T) {
 			t.Fatalf("%s: %v", family, err)
 		}
 		m := MeasureWarm(e, idx, search.BinarySearch)
-		if m.Checksum != want {
-			t.Fatalf("%s: checksum %d != %d (wrong lookup results)", family, m.Checksum, want)
+		if m.checksum != want {
+			t.Fatalf("%s: checksum %d != %d (wrong lookup results)", family, m.checksum, want)
 		}
 		if m.NsPerLookup <= 0 {
 			t.Fatalf("%s: non-positive latency", family)
@@ -133,7 +133,7 @@ func TestCollectCounters(t *testing.T) {
 		t.Fatalf("only %d counter rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.NsPerLookup <= 0 || r.Instructions <= 0 {
+		if r.nsPerLookup <= 0 || r.instructions <= 0 {
 			t.Fatalf("empty counters: %+v", r)
 		}
 	}
@@ -183,11 +183,11 @@ func BenchmarkFig12_Metrics(b *testing.B) {
 		}
 		rows := countersFromEnv(e, []string{"RMI", "PGM", "RS", "BTree", "ART"})
 		for _, r := range rows[:min(len(rows), 10)] {
-			b.Run(fmt.Sprintf("%s/%s/%s", name, r.Family, r.Label), func(b *testing.B) {
-				b.ReportMetric(r.CacheMisses, "cmiss/op")
-				b.ReportMetric(r.BranchMisses, "brmiss/op")
-				b.ReportMetric(r.Instructions, "instr/op")
-				b.ReportMetric(r.Log2Err, "log2err")
+			b.Run(fmt.Sprintf("%s/%s/%s", name, r.family, r.label), func(b *testing.B) {
+				b.ReportMetric(r.cacheMisses, "cmiss/op")
+				b.ReportMetric(r.branchMisses, "brmiss/op")
+				b.ReportMetric(r.instructions, "instr/op")
+				b.ReportMetric(r.log2Err, "log2err")
 				for i := 0; i < b.N; i++ {
 					_ = e.Keys[i%len(e.Keys)]
 				}
@@ -204,9 +204,9 @@ func BenchmarkFig16c_CacheMissRate(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, r := range countersMidFromEnv(e, registry.Fig16Families) {
-		b.Run(r.Family, func(b *testing.B) {
-			b.ReportMetric(r.CacheMisses, "cmiss/op")
-			b.ReportMetric(r.CacheMisses/(r.NsPerLookup*1e-9)/1e6, "Mmiss/op/s")
+		b.Run(r.family, func(b *testing.B) {
+			b.ReportMetric(r.cacheMisses, "cmiss/op")
+			b.ReportMetric(r.cacheMisses/(r.nsPerLookup*1e-9)/1e6, "Mmiss/op/s")
 			for i := 0; i < b.N; i++ {
 			}
 		})

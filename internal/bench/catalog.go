@@ -98,7 +98,7 @@ func Find(name string) (Experiment, bool) {
 // metadata so two result files are comparable only when they measured
 // identical data.
 type Run struct {
-	Options Options
+	options Options
 
 	mu        sync.Mutex
 	checksums map[string]uint64
@@ -107,24 +107,24 @@ type Run struct {
 // NewRun prepares a run context. Defaults are applied once here; the
 // Seed is kept verbatim (an explicit 0 stays 0).
 func NewRun(o Options) *Run {
-	return &Run{Options: o.withDefaults(), checksums: map[string]uint64{}}
+	return &Run{options: o.withDefaults(), checksums: map[string]uint64{}}
 }
 
 // env builds the benchmark environment for a dataset at the run's
 // scale, recording its key checksum.
 func (r *Run) env(name dataset.Name) (*Env, error) {
-	return r.envAt(name, r.Options.N, r.Options.Lookups)
+	return r.envAt(name, r.options.N, r.options.Lookups)
 }
 
 // envAt builds an environment at an explicit scale (the 1x..4x
 // scaling sweeps), recording its key checksum.
 func (r *Run) envAt(name dataset.Name, n, lookups int) (*Env, error) {
-	e, err := NewEnv(name, n, lookups, r.Options.Seed)
+	e, err := NewEnv(name, n, lookups, r.options.Seed)
 	if err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
-	r.checksums[fmt.Sprintf("%s/n=%d/seed=%d", name, n, r.Options.Seed)] = keysChecksum(e.Keys)
+	r.checksums[fmt.Sprintf("%s/n=%d/seed=%d", name, n, r.options.Seed)] = keysChecksum(e.Keys)
 	r.mu.Unlock()
 	return e, nil
 }
@@ -145,24 +145,24 @@ func (r *Run) DatasetChecksums() map[string]uint64 {
 // run's -families option, preserving the experiment's order. With no
 // filter the default set passes through unchanged.
 func (r *Run) families(def []string) []string {
-	return filterNames(def, r.Options.Families)
+	return filterNames(def, r.options.Families)
 }
 
 // familyAllowed reports whether a single family passes the filter —
 // for experiments whose rows are per-family but not loop-driven.
 func (r *Run) familyAllowed(family string) bool {
-	return nameAllowed(family, r.Options.Families)
+	return nameAllowed(family, r.options.Families)
 }
 
 // datasets filters an experiment's default dataset sweep through the
 // run's -datasets option.
 func (r *Run) datasets(def []dataset.Name) []dataset.Name {
-	if len(r.Options.Datasets) == 0 {
+	if len(r.options.Datasets) == 0 {
 		return def
 	}
 	var out []dataset.Name
 	for _, d := range def {
-		if nameAllowed(string(d), r.Options.Datasets) {
+		if nameAllowed(string(d), r.options.Datasets) {
 			out = append(out, d)
 		}
 	}

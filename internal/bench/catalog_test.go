@@ -62,8 +62,8 @@ func TestSeedZeroHonored(t *testing.T) {
 		t.Errorf("Seed 0 was coerced to %d", o.Seed)
 	}
 	r := NewRun(Options{N: 100, Lookups: 10})
-	if r.Options.Seed != 0 {
-		t.Errorf("NewRun coerced seed to %d", r.Options.Seed)
+	if r.options.Seed != 0 {
+		t.Errorf("NewRun coerced seed to %d", r.options.Seed)
 	}
 	e0, err := r.env(dataset.Amzn)
 	if err != nil {

@@ -179,7 +179,7 @@ func table2(r *Run) ([]report.Table, error) {
 
 // fig9 reports the dataset-size scaling of Figure 9: amzn at 1x..4x.
 func fig9(r *Run) ([]report.Table, error) {
-	o := r.Options
+	o := r.options
 	t := report.New("fig9", "Figure 9: performance/size across dataset sizes (amzn)").
 		Dims("keys", "index", "config").
 		Float("size(MB)", "MB", 4).
@@ -210,7 +210,7 @@ func fig9(r *Run) ([]report.Table, error) {
 // float64 anyway); BTree and FAST additionally run native 32-bit
 // instantiations where key packing matters architecturally.
 func fig10(r *Run) ([]report.Table, error) {
-	o := r.Options
+	o := r.options
 	e64, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
@@ -343,26 +343,26 @@ func fig11(r *Run) ([]report.Table, error) {
 	return []report.Table{*t}, nil
 }
 
-// CounterRow is one structure+configuration sample of Figure 12 /
+// counterRecord is one structure+configuration sample of Figure 12 /
 // Section 4.3: measured lookup latency alongside simulated counters.
-type CounterRow struct {
-	Dataset      dataset.Name
-	Family       string
-	Label        string
-	SizeMB       float64
-	Log2Err      float64
-	NsPerLookup  float64
-	CacheMisses  float64
-	BranchMisses float64
-	Instructions float64
+type counterRecord struct {
+	dataset      dataset.Name
+	family       string
+	label        string
+	sizeMB       float64
+	log2Err      float64
+	nsPerLookup  float64
+	cacheMisses  float64
+	branchMisses float64
+	instructions float64
 }
 
 // countersFromEnv measures warm lookup latency and simulated counters
 // for every configuration of the given families on an environment —
 // the catalog experiments build theirs through Run.envAt so dataset
 // checksums land in the run metadata.
-func countersFromEnv(e *Env, families []string) []CounterRow {
-	var rows []CounterRow
+func countersFromEnv(e *Env, families []string) []counterRecord {
+	var rows []counterRecord
 	for _, family := range families {
 		for _, nb := range registry.Sweep(family, e.Keys) {
 			if row, ok := counterRow(e, family, nb, 3); ok {
@@ -376,15 +376,15 @@ func countersFromEnv(e *Env, families []string) []CounterRow {
 // counterRow builds one configuration and reads its simulated counters
 // beside the fastest of reps warm timings; ok is false when the
 // configuration does not build or has no traced form.
-func counterRow(e *Env, family string, nb registry.NamedBuilder, reps int) (CounterRow, bool) {
+func counterRow(e *Env, family string, nb registry.NamedBuilder, reps int) (counterRecord, bool) {
 	idx, err := nb.Builder.Build(e.Keys)
 	if err != nil {
-		return CounterRow{}, false
+		return counterRecord{}, false
 	}
 	m := perfsim.New(perfsim.CacheFor(len(e.Keys)))
 	tr, ok := perfsim.For(idx, m, e.Keys)
 	if !ok {
-		return CounterRow{}, false
+		return counterRecord{}, false
 	}
 	meas := measureWarmBest(e, idx, reps)
 	// Warm the simulated cache, then measure.
@@ -397,25 +397,25 @@ func counterRow(e *Env, family string, nb registry.NamedBuilder, reps int) (Coun
 	}
 	c := m.Counters()
 	nl := float64(len(e.Lookups))
-	return CounterRow{
-		Dataset:      e.Dataset,
-		Family:       family,
-		Label:        nb.Label,
-		SizeMB:       MB(idx.SizeBytes()),
-		Log2Err:      avgLog2Width(e, idx),
-		NsPerLookup:  meas.NsPerLookup,
-		CacheMisses:  float64(c.CacheMisses) / nl,
-		BranchMisses: float64(c.BranchMisses) / nl,
-		Instructions: float64(c.Instructions) / nl,
+	return counterRecord{
+		dataset:      e.Dataset,
+		family:       family,
+		label:        nb.Label,
+		sizeMB:       MB(idx.SizeBytes()),
+		log2Err:      avgLog2Width(e, idx),
+		nsPerLookup:  meas.NsPerLookup,
+		cacheMisses:  float64(c.CacheMisses) / nl,
+		branchMisses: float64(c.BranchMisses) / nl,
+		instructions: float64(c.Instructions) / nl,
 	}, true
 }
 
 // counterTable renders CounterRows into the Figure 12 table shape.
-func counterTable(t *report.Table, rows []CounterRow) {
+func counterTable(t *report.Table, rows []counterRecord) {
 	for _, cr := range rows {
-		t.Row([]string{string(cr.Dataset), cr.Family, cr.Label},
-			cr.SizeMB, cr.Log2Err, cr.NsPerLookup,
-			cr.CacheMisses, cr.BranchMisses, cr.Instructions)
+		t.Row([]string{string(cr.dataset), cr.family, cr.label},
+			cr.sizeMB, cr.log2Err, cr.nsPerLookup,
+			cr.cacheMisses, cr.branchMisses, cr.instructions)
 	}
 }
 
@@ -462,14 +462,14 @@ func measureWarmBest(e *Env, idx core.Index, reps int) Measurement {
 // exceeds the host LLC, otherwise lookup latency decouples from memory
 // behaviour and the regression degenerates.
 func regress(r *Run) ([]report.Table, error) {
-	o := r.Options
+	o := r.options
 	if o.N < 2_000_000 {
 		o.N = 2_000_000
 	}
 	if o.Lookups < 100_000 {
 		o.Lookups = 100_000
 	}
-	var rows []CounterRow
+	var rows []counterRecord
 	for _, name := range r.datasets(dataset.All()) {
 		// envAt so the floored scale and its dataset checksums are
 		// recorded in the run metadata.
@@ -486,12 +486,12 @@ func regress(r *Run) ([]report.Table, error) {
 	sz := make([]float64, len(rows))
 	le := make([]float64, len(rows))
 	for i, cr := range rows {
-		y[i] = cr.NsPerLookup
-		cm[i] = cr.CacheMisses
-		bm[i] = cr.BranchMisses
-		in[i] = cr.Instructions
-		sz[i] = cr.SizeMB
-		le[i] = cr.Log2Err
+		y[i] = cr.nsPerLookup
+		cm[i] = cr.cacheMisses
+		bm[i] = cr.branchMisses
+		in[i] = cr.instructions
+		sz[i] = cr.sizeMB
+		le[i] = cr.log2Err
 	}
 	t := report.New("regress", "Section 4.3 regression: lookup time ~ cache misses + branch misses + instructions").
 		Dims("model", "term").
@@ -554,7 +554,7 @@ func fig14(r *Run) ([]report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	coldOps := r.Options.Lookups / 20
+	coldOps := r.options.Lookups / 20
 	if coldOps < 50 {
 		coldOps = 50
 	}
@@ -682,16 +682,16 @@ func fig16c(r *Run) ([]report.Table, error) {
 		return nil, err
 	}
 	for _, cr := range countersMidFromEnv(e, r.families(registry.Fig16Families)) {
-		perSec := cr.CacheMisses / (cr.NsPerLookup * 1e-9) / 1e6
-		t.Row([]string{cr.Family}, cr.CacheMisses, cr.NsPerLookup, perSec)
+		perSec := cr.cacheMisses / (cr.nsPerLookup * 1e-9) / 1e6
+		t.Row([]string{cr.family}, cr.cacheMisses, cr.nsPerLookup, perSec)
 	}
 	return []report.Table{*t}, nil
 }
 
 // countersMidFromEnv is countersFromEnv restricted to each family's
 // middle configuration.
-func countersMidFromEnv(e *Env, families []string) []CounterRow {
-	var rows []CounterRow
+func countersMidFromEnv(e *Env, families []string) []counterRecord {
+	var rows []counterRecord
 	for _, family := range families {
 		if nb, ok := registry.Builder(family, e.Keys); ok {
 			if row, ok := counterRow(e, family, nb, 1); ok {
@@ -709,7 +709,7 @@ func countersMidFromEnv(e *Env, families []string) []CounterRow {
 // prices resolving the built rung from its ladder — RMI's tuner run,
 // nothing for the families whose ladders are fixed.
 func fig17(r *Run) ([]report.Table, error) {
-	o := r.Options
+	o := r.options
 	families := r.families([]string{"PGM", "RS", "RMI", "RBS", "ART", "BTree", "IBTree", "FAST", "FST", "Wormhole", "RobinHash"})
 	t := report.New("fig17", "Figure 17: build times (fastest lookup variants, amzn)").
 		Dims("index", "keys").

@@ -27,18 +27,18 @@ func init() {
 	register(Experiment{"serve-lsm", "tiered-run write path: tier policy sweep over YCSB mixes", serveLSMSweep})
 }
 
-// TierPolicy is one point on the experiment's policy axis.
-type TierPolicy struct {
-	Name     string
-	MaxRuns  int     // serve.Config.MaxRuns (1 = classic single-run)
-	AmpBound float64 // serve.Config.AmpBound (0 = default)
+// tierPolicy is one point on the experiment's policy axis.
+type tierPolicy struct {
+	name     string
+	maxRuns  int     // serve.Config.MaxRuns (1 = classic single-run)
+	ampBound float64 // serve.Config.AmpBound (0 = default)
 }
 
 // tierPolicies lists the swept write-path policies: the single-run
 // baseline (every compaction re-tunes the shard index) and tiered
 // variants at a tight and a loose run bound.
-func tierPolicies() []TierPolicy {
-	return []TierPolicy{
+func tierPolicies() []tierPolicy {
+	return []tierPolicy{
 		{"single", 1, 0},
 		{"tier4", 4, 0},
 		{"tier8", 8, 0},
@@ -48,7 +48,7 @@ func tierPolicies() []TierPolicy {
 // serveLSMSweep reports the tier-policy experiment: policy × family
 // over zipfian YCSB A (write-heavy) and B (read-heavy).
 func serveLSMSweep(r *Run) ([]report.Table, error) {
-	o := r.Options
+	o := r.options
 	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
@@ -57,7 +57,7 @@ func serveLSMSweep(r *Run) ([]report.Table, error) {
 	const shards = 4
 	threshold := compactThreshold(ops, 64)
 	families := r.families(registry.WriteFamilies)
-	workloads := []MixedWorkload{
+	workloads := []mixedWorkload{
 		{"A", 0.50, true},
 		{"B", 0.95, true},
 	}
@@ -81,7 +81,7 @@ func serveLSMSweep(r *Run) ([]report.Table, error) {
 			for _, pol := range tierPolicies() {
 				st, err := serve.New(e.Keys, e.Payloads, serve.Config{
 					Shards: shards, Family: family, CompactThreshold: threshold,
-					MaxRuns: pol.MaxRuns, AmpBound: pol.AmpBound,
+					MaxRuns: pol.maxRuns, AmpBound: pol.ampBound,
 				})
 				if err != nil {
 					return nil, err
@@ -89,7 +89,7 @@ func serveLSMSweep(r *Run) ([]report.Table, error) {
 				// The serve-write run, kept identical so policies are
 				// comparable; the read histogram gives the tail quantiles.
 				res, _, maxRuns := runMixed(e, st, wl, ops, o.Seed)
-				tbl.Row([]string{family, wl.Name, pol.Name},
+				tbl.Row([]string{family, wl.name, pol.name},
 					res.Throughput()/1e3, res.Writes.Mean(),
 					float64(res.Reads.Quantile(0.50))/1e3, float64(res.Reads.Quantile(0.99))/1e3,
 					float64(st.CompactTime().Nanoseconds())/1e6, st.ReadAmp(),

@@ -42,10 +42,10 @@ const (
 	netWorkers    = 96
 )
 
-// NetRateFractions are the offered open-loop rates as fractions of the
+// netRateFractions are the offered open-loop rates as fractions of the
 // server's pinned capacity: two points below the knee, one just past
 // it, and one at 2x — deep overload.
-var NetRateFractions = []float64{0.5, 0.8, 1.2, 2.0}
+var netRateFractions = []float64{0.5, 0.8, 1.2, 2.0}
 
 func netCapacity() float64 {
 	return float64(netBatchCap) / netWindow.Seconds()
@@ -75,11 +75,11 @@ func netRow(t *report.Table, family, loop string, offered float64, res *load.Res
 
 // serveNetSweep reports the network serving experiment: per family, a
 // closed-loop saturation run through the socket (which the pacing caps
-// at the pinned capacity), then open-loop runs at NetRateFractions of
+// at the pinned capacity), then open-loop runs at netRateFractions of
 // that capacity. Each row gets a fresh store and server, so sheds and
 // histograms are per-run, not cumulative.
 func serveNetSweep(r *Run) ([]report.Table, error) {
-	o := r.Options
+	o := r.options
 	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
@@ -142,7 +142,7 @@ func serveNetSweep(r *Run) ([]report.Table, error) {
 		if err := run("closed", 0); err != nil {
 			return nil, err
 		}
-		for _, frac := range NetRateFractions {
+		for _, frac := range netRateFractions {
 			if err := run(fmt.Sprintf("open%.0f%%", frac*100), frac*capacity); err != nil {
 				return nil, err
 			}

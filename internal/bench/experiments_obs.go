@@ -112,7 +112,7 @@ func varValue(vars []obs.Var, name string) float64 {
 // (sheds guaranteed), each on a freshly instrumented stack, asserting
 // the conservation laws before reporting the row.
 func serveObsSweep(r *Run) ([]report.Table, error) {
-	o := r.Options
+	o := r.options
 	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err

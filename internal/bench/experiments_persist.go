@@ -26,51 +26,48 @@ func init() {
 	register(Experiment{"persist", "cold build-from-scratch vs warm load-from-snapshot per family", persistSweep})
 }
 
-// PersistFamilies is the family set of the persist experiment: every
+// persistFamilies is the family set of the persist experiment: every
 // family with a registered snapshot codec, tuned RMI first (the
 // paper's extreme build-cost case), plus ART as the codec-less
 // rebuild-at-load baseline.
-var PersistFamilies = []string{"RMI", "PGM", "RS", "RBS", "BTree", "ART"}
+var persistFamilies = []string{"RMI", "PGM", "RS", "RBS", "BTree", "ART"}
 
-// PersistResult is one family's cold/warm measurement.
-type PersistResult struct {
-	Family     string
-	Cold       time.Duration // New: build + tune every shard from raw keys
-	SnapshotT  time.Duration // Snapshot: serialize tables + indexes + WALs
-	Warm       time.Duration // Open: load + decode, no retraining
-	DiskBytes  int64
-	Speedup    float64
-	IndexBytes int
+// persistResult is one family's cold/warm measurement.
+type persistResult struct {
+	cold      time.Duration // New: build + tune every shard from raw keys
+	snapshotT time.Duration // Snapshot: serialize tables + indexes + WALs
+	warm      time.Duration // Open: load + decode, no retraining
+	diskBytes int64
+	speedup   float64
 }
 
 // measurePersist measures one family's cold build vs warm load over
 // the environment's data, using dir for the snapshot.
-func measurePersist(e *Env, family string, shards int, dir string) (PersistResult, error) {
-	res := PersistResult{Family: family}
+func measurePersist(e *Env, family string, shards int, dir string) (persistResult, error) {
+	var res persistResult
 
 	start := time.Now()
 	st, err := serve.New(e.Keys, e.Payloads, serve.Config{Shards: shards, Family: family})
 	if err != nil {
 		return res, err
 	}
-	res.Cold = time.Since(start)
-	res.IndexBytes = st.SizeBytes()
+	res.cold = time.Since(start)
 
 	start = time.Now()
 	if err := st.Snapshot(dir); err != nil {
 		st.Close()
 		return res, err
 	}
-	res.SnapshotT = time.Since(start)
+	res.snapshotT = time.Since(start)
 	st.Close()
-	res.DiskBytes = dirSize(dir)
+	res.diskBytes = dirSize(dir)
 
 	start = time.Now()
 	warm, err := serve.Open(dir, serve.Config{})
 	if err != nil {
 		return res, err
 	}
-	res.Warm = time.Since(start)
+	res.warm = time.Since(start)
 
 	// Ready-to-serve means answering correctly: spot-check the warm
 	// store against ground truth before trusting the timing.
@@ -87,7 +84,7 @@ func measurePersist(e *Env, family string, shards int, dir string) (PersistResul
 		}
 	}
 	warm.Close()
-	res.Speedup = float64(res.Cold) / float64(res.Warm)
+	res.speedup = float64(res.cold) / float64(res.warm)
 	return res, nil
 }
 
@@ -114,14 +111,14 @@ func persistSweep(r *Run) ([]report.Table, error) {
 	}
 	const shards = 4
 	t := report.New("persist",
-		fmt.Sprintf("Persistence: cold build vs warm snapshot load (amzn, n=%d, %d shards)", r.Options.N, shards)).
+		fmt.Sprintf("Persistence: cold build vs warm snapshot load (amzn, n=%d, %d shards)", r.options.N, shards)).
 		Dims("index", "load").
 		Float("cold(ms)", "ms", 1).
 		Float("warm(ms)", "ms", 1).
 		Float("speedup", "x", 1).
 		Float("snap(ms)", "ms", 1).
 		Float("disk(MB)", "MB", 2)
-	for _, family := range r.families(PersistFamilies) {
+	for _, family := range r.families(persistFamilies) {
 		if !registry.Has(family) {
 			continue
 		}
@@ -139,11 +136,11 @@ func persistSweep(r *Run) ([]report.Table, error) {
 			loadKind = "rebuild"
 		}
 		t.Row([]string{family, loadKind},
-			float64(res.Cold.Microseconds())/1000,
-			float64(res.Warm.Microseconds())/1000,
-			res.Speedup,
-			float64(res.SnapshotT.Microseconds())/1000,
-			float64(res.DiskBytes)/(1<<20))
+			float64(res.cold.Microseconds())/1000,
+			float64(res.warm.Microseconds())/1000,
+			res.speedup,
+			float64(res.snapshotT.Microseconds())/1000,
+			float64(res.diskBytes)/(1<<20))
 	}
 	return []report.Table{*t}, nil
 }

@@ -65,7 +65,7 @@ type replNode struct {
 // followers, streams a write burst through, settles, then saturates
 // the router with closed-loop point reads.
 func serveReplSweep(r *Run) ([]report.Table, error) {
-	o := r.Options
+	o := r.options
 	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
@@ -118,7 +118,7 @@ func serveReplSweep(r *Run) ([]report.Table, error) {
 // failover is set it also kills the primary afterwards and appends
 // the failover timeline.
 func runReplTopology(r *Run, e *Env, replicas, ops int, base float64, t, ft *report.Table, failover bool) (float64, error) {
-	o := r.Options
+	o := r.options
 	tmp, err := os.MkdirTemp("", "serve-repl-*")
 	if err != nil {
 		return 0, err

@@ -96,7 +96,7 @@ func serveSweep(r *Run) ([]report.Table, error) {
 		t := e.Table(idx, search.BinarySearch)
 		perKey := MeasureWarm(e, idx, search.BinarySearch)
 		batched := measureWarmBatch(e, t, ServeBatchSize)
-		if batched.Checksum != perKey.Checksum {
+		if batched.checksum != perKey.checksum {
 			return nil, fmt.Errorf("serve: %s batched checksum mismatch", family)
 		}
 		batchedT.Row([]string{family},

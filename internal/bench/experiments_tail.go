@@ -28,18 +28,18 @@ func init() {
 
 // tailWorkloads lists the YCSB-style mixes of the tail experiment:
 // A (50/50), B (95/5), and C (read-only), all zipfian.
-func tailWorkloads() []MixedWorkload {
-	return []MixedWorkload{
+func tailWorkloads() []mixedWorkload {
+	return []mixedWorkload{
 		{"A", 0.50, true},
 		{"B", 0.95, true},
 		{"C", 1.00, true},
 	}
 }
 
-// TailRateFractions are the open-loop offered rates of the sweep, as
+// tailRateFractions are the open-loop offered rates of the sweep, as
 // fractions of the measured closed-loop capacity: comfortably below,
 // at half, and near saturation — the knee of the latency curve.
-var TailRateFractions = []float64{0.25, 0.5, 0.8}
+var tailRateFractions = []float64{0.25, 0.5, 0.8}
 
 // TailWorkers sizes the generator pool for the tail experiments (and
 // the root BenchmarkServeTail): enough concurrency to saturate the
@@ -58,7 +58,7 @@ func TailWorkers() int {
 // that capacity — the throughput-vs-p99 curve. Each run gets a fresh
 // store so earlier writes and compactions cannot leak into later rows.
 func serveTailSweep(r *Run) ([]report.Table, error) {
-	o := r.Options
+	o := r.options
 	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
@@ -97,7 +97,7 @@ func serveTailSweep(r *Run) ([]report.Table, error) {
 				defer st.Close()
 				res := load.Run(load.InProcess(st), stream, load.Config{Workers: workers, Rate: rate, Seed: o.Seed})
 				s := res.Latency().Summary()
-				t.Row([]string{family, wl.Name, loop},
+				t.Row([]string{family, wl.name, loop},
 					rate/1e3, res.Throughput()/1e3,
 					float64(s.P50)/1e3, float64(s.P90)/1e3, float64(s.P99)/1e3,
 					float64(s.P999)/1e3, float64(s.Max)/1e3)
@@ -108,7 +108,7 @@ func serveTailSweep(r *Run) ([]report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, frac := range TailRateFractions {
+			for _, frac := range tailRateFractions {
 				if rate := frac * closed.Throughput(); rate > 0 {
 					if _, err := run(fmt.Sprintf("open%.0f%%", frac*100), rate); err != nil {
 						return nil, err

@@ -26,20 +26,20 @@ func init() {
 // YCSBTheta is the zipfian skew parameter of the YCSB core generator.
 const YCSBTheta = 0.99
 
-// MixedWorkload describes a YCSB-style operation mix over the mutable
+// mixedWorkload describes a YCSB-style operation mix over the mutable
 // store. Writes alternate between inserting a fresh key and updating a
 // present one; read and update keys follow the workload's distribution.
-type MixedWorkload struct {
-	Name     string
-	ReadFrac float64 // fraction of operations that are point reads
-	Zipfian  bool    // zipfian (theta=0.99) vs uniform key choice
+type mixedWorkload struct {
+	name     string
+	readFrac float64 // fraction of operations that are point reads
+	zipfian  bool    // zipfian (theta=0.99) vs uniform key choice
 }
 
 // mixedWorkloads lists the experiment's YCSB-like mixes: A (50/50
 // read/write), B (95/5), and C (read-only), A and B under both zipfian
 // and uniform key choice.
-func mixedWorkloads() []MixedWorkload {
-	return []MixedWorkload{
+func mixedWorkloads() []mixedWorkload {
+	return []mixedWorkload{
 		{"A", 0.50, true},
 		{"A", 0.50, false},
 		{"B", 0.95, true},
@@ -50,8 +50,8 @@ func mixedWorkloads() []MixedWorkload {
 
 // theta is the zipfian parameter of the workload's key choice; 0 is
 // uniform.
-func (wl MixedWorkload) theta() float64 {
-	if wl.Zipfian {
+func (wl mixedWorkload) theta() float64 {
+	if wl.zipfian {
 		return YCSBTheta
 	}
 	return 0
@@ -60,12 +60,12 @@ func (wl MixedWorkload) theta() float64 {
 // stream is the workload's load.MixedOps stream over e's keys: reads
 // draw present keys under the workload's distribution, writes alternate
 // inserting a fresh key and updating a distribution-drawn present one,
-// interleaved at the exact ReadFrac ratio, so compactions triggered by
+// interleaved at the exact readFrac ratio, so compactions triggered by
 // the write stream land in the middle of the measured read stream, as
 // in a live system. Every serve-* experiment replays this one stream,
 // which keeps their rows comparable.
-func (wl MixedWorkload) stream(e *Env, ops int, seed uint64) []load.Op {
-	return load.MixedOps(e.Keys, ops, wl.ReadFrac, wl.theta(), seed)
+func (wl mixedWorkload) stream(e *Env, ops int, seed uint64) []load.Op {
+	return load.MixedOps(e.Keys, ops, wl.readFrac, wl.theta(), seed)
 }
 
 // compactThreshold sizes the delta so a run of ops operations forces
@@ -81,7 +81,7 @@ func compactThreshold(ops, floor int) int {
 // work a short run left in flight. Staleness — pending delta entries
 // and the widest shard's run count — is read at load stop, before that
 // drain.
-func runMixed(e *Env, st *serve.Store, wl MixedWorkload, ops int, seed uint64) (res *load.Result, deltaLen, maxRuns int) {
+func runMixed(e *Env, st *serve.Store, wl mixedWorkload, ops int, seed uint64) (res *load.Result, deltaLen, maxRuns int) {
 	res = load.Run(load.InProcess(st), wl.stream(e, ops, seed), load.Config{Workers: 1})
 	deltaLen, maxRuns = st.DeltaLen(), st.MaxRunCount()
 	st.WaitCompactions()
@@ -89,8 +89,8 @@ func runMixed(e *Env, st *serve.Store, wl MixedWorkload, ops int, seed uint64) (
 }
 
 // writeDist renders a workload's key-choice distribution.
-func writeDist(wl MixedWorkload) string {
-	if wl.Zipfian {
+func writeDist(wl mixedWorkload) string {
+	if wl.zipfian {
 		return "zipf"
 	}
 	return "unif"
@@ -101,7 +101,7 @@ func writeDist(wl MixedWorkload) string {
 // compaction-threshold sweep exposing the rebuild-cost-vs-staleness
 // tradeoff.
 func serveWriteSweep(r *Run) ([]report.Table, error) {
-	o := r.Options
+	o := r.options
 	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
@@ -131,8 +131,8 @@ func serveWriteSweep(r *Run) ([]report.Table, error) {
 				return nil, err
 			}
 			res, deltaLen, _ := runMixed(e, st, wl, ops, o.Seed)
-			mixed.Row([]string{family, wl.Name, writeDist(wl)},
-				wl.ReadFrac*100, res.Throughput()/1e3, res.Reads.Mean(), res.Writes.Mean(),
+			mixed.Row([]string{family, wl.name, writeDist(wl)},
+				wl.readFrac*100, res.Throughput()/1e3, res.Reads.Mean(), res.Writes.Mean(),
 				float64(st.Compactions()), float64(st.CompactTime().Nanoseconds())/1e6,
 				float64(deltaLen))
 			st.Close()
@@ -146,7 +146,7 @@ func serveWriteSweep(r *Run) ([]report.Table, error) {
 		Int("compact", "compactions").
 		Float("cmp(ms)", "ms", 2).
 		Int("delta", "entries")
-	wlA := MixedWorkload{Name: "A", ReadFrac: 0.5, Zipfian: true}
+	wlA := mixedWorkload{name: "A", readFrac: 0.5, zipfian: true}
 	for _, family := range families {
 		for _, th := range []int{threshold / 4, threshold, threshold * 4} {
 			if th < 16 {

@@ -67,11 +67,11 @@ type Index interface {
 	Name() string
 }
 
-// BatchIndex is an optional extension of Index for a structure whose
+// batchIndex is an optional extension of Index for a structure whose
 // batch descent beats a loop of its own Lookup; PGM's level-synchronous
 // descent is the one such. Elsewhere the out-of-order core already
 // overlaps independent lookups' misses, so LookupBatch loops Lookup.
-type BatchIndex interface {
+type batchIndex interface {
 	Index
 
 	// LookupBatch fills out[i] with a valid search bound for keys[i].
@@ -81,10 +81,10 @@ type BatchIndex interface {
 }
 
 // LookupBatch computes search bounds for a batch of keys, using the
-// index's batch descent when it implements BatchIndex and a loop of
+// index's batch descent when it implements batchIndex and a loop of
 // Lookup otherwise.
 func LookupBatch(idx Index, keys []Key, out []Bound) {
-	if bi, ok := idx.(BatchIndex); ok {
+	if bi, ok := idx.(batchIndex); ok {
 		bi.LookupBatch(keys, out)
 		return
 	}

@@ -49,9 +49,9 @@ func All() []Name { return []Name{Amzn, Face, OSM, Wiki} }
 // and scales linearly via the harness -scale flag.
 const DefaultN = 2_000_000
 
-// FaceOutliers is the number of extreme outlier keys in the face
+// faceOutliers is the number of extreme outlier keys in the face
 // dataset, matching the paper's "≈ 100 large outlier keys".
-const FaceOutliers = 100
+const faceOutliers = 100
 
 // faceSpan is the span of face's bulk keys: 1 + a draw mod faceSpan.
 const faceSpan = 1<<50 - 1
@@ -152,7 +152,7 @@ func genAmzn(n int, seed uint64) []core.Key {
 }
 
 // genFace builds near-uniform unique IDs in a mid-range span, then
-// replaces the top FaceOutliers keys with extreme outliers in
+// replaces the top faceOutliers keys with extreme outliers in
 // (2^59, 2^64), reproducing the paper's prefix-killing skew.
 //
 // The bulk is the first n distinct draws, one draw each, 1 + a draw mod
@@ -167,7 +167,7 @@ func genAmzn(n int, seed uint64) []core.Key {
 func genFace(n int, seed, span uint64) []core.Key {
 	r := newRNG(seed ^ 0xFACE)
 	outLo, outHi := uint64(1)<<59, ^uint64(0)
-	outliers := min(FaceOutliers, n/2)
+	outliers := min(faceOutliers, n/2)
 	keys := make([]core.Key, n)
 	// Key i takes draw i plus the number of skips at or before it.
 	var skips []int

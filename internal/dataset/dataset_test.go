@@ -70,7 +70,7 @@ func TestGenerateErrors(t *testing.T) {
 
 func TestFaceOutliers(t *testing.T) {
 	keys := checkDataset(t, Face)
-	// The top FaceOutliers keys must sit in the extreme range (>= 2^59)
+	// The top faceOutliers keys must sit in the extreme range (>= 2^59)
 	// while the bulk stays below 2^50 — this is what breaks radix
 	// prefixes in the paper.
 	bulkMax := uint64(1) << 50
@@ -83,8 +83,8 @@ func TestFaceOutliers(t *testing.T) {
 			t.Fatalf("face key %d in the dead zone [2^50, 2^59)", k)
 		}
 	}
-	if nOut < FaceOutliers-5 || nOut > FaceOutliers {
-		t.Errorf("face: got %d outliers, want ≈%d", nOut, FaceOutliers)
+	if nOut < faceOutliers-5 || nOut > faceOutliers {
+		t.Errorf("face: got %d outliers, want ≈%d", nOut, faceOutliers)
 	}
 }
 

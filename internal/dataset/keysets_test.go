@@ -58,7 +58,7 @@ func (o *oracle) amzn(n int, seed uint64) []core.Key {
 // overwrite.
 func (o *oracle) face(n int, seed, span uint64) (keys []core.Key, tailRepeats int) {
 	r := newRNG(seed ^ 0xFACE)
-	outliers := min(FaceOutliers, n/2)
+	outliers := min(faceOutliers, n/2)
 	seen := newU64Set(n)
 	for len(keys) < n {
 		if k := 1 + r.next()%span; seen.add(k) {

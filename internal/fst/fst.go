@@ -19,8 +19,8 @@ import (
 
 const keyLen = 8
 
-// Trie is a LOUDS-sparse succinct trie mapping 8-byte keys to values.
-type Trie struct {
+// trie is a LOUDS-sparse succinct trie mapping 8-byte keys to values.
+type trie struct {
 	labels   []byte
 	hasChild bitvector
 	louds    bitvector
@@ -28,7 +28,7 @@ type Trie struct {
 }
 
 // newTrie builds the trie from sorted unique keys with their values.
-func newTrie(keys []core.Key, vals []int32) (*Trie, error) {
+func newTrie(keys []core.Key, vals []int32) (*trie, error) {
 	if len(keys) != len(vals) {
 		return nil, errors.New("fst: keys/vals length mismatch")
 	}
@@ -40,7 +40,7 @@ func newTrie(keys []core.Key, vals []int32) (*Trie, error) {
 			return nil, errors.New("fst: keys must be sorted and unique")
 		}
 	}
-	t := &Trie{}
+	t := &trie{}
 
 	// Build level by level (BFS). A node is identified by the key range
 	// [lo, hi) sharing a byte prefix of length depth.
@@ -82,7 +82,7 @@ func newTrie(keys []core.Key, vals []int32) (*Trie, error) {
 
 // edgeRange returns the half-open edge range [start, end) of node n
 // (nodes are numbered in BFS order; node 0 is the root).
-func (t *Trie) edgeRange(n int) (int, int) {
+func (t *trie) edgeRange(n int) (int, int) {
 	start := 0
 	if n > 0 {
 		start = t.louds.select1(n + 1)
@@ -95,19 +95,19 @@ func (t *Trie) edgeRange(n int) (int, int) {
 }
 
 // childNode returns the node number reached through inner edge i.
-func (t *Trie) childNode(i int) int {
+func (t *trie) childNode(i int) int {
 	// Children are laid out in BFS order: edge with the k-th set
 	// has-child bit leads to node k (root is node 0).
 	return t.hasChild.rank1(i)
 }
 
 // valueIndex returns the value slot of leaf edge i.
-func (t *Trie) valueIndex(i int) int {
+func (t *trie) valueIndex(i int) int {
 	return i + 1 - t.hasChild.rank1(i) - 1
 }
 
 // ceilingValue returns the value for the smallest stored key >= x.
-func (t *Trie) ceilingValue(x core.Key) (val int32, found bool) {
+func (t *trie) ceilingValue(x core.Key) (val int32, found bool) {
 	var kb [keyLen]byte
 	binary.BigEndian.PutUint64(kb[:], x)
 	vi := t.ceiling(0, kb[:], 0)
@@ -119,7 +119,7 @@ func (t *Trie) ceilingValue(x core.Key) (val int32, found bool) {
 
 // ceiling returns the value index of the smallest key >= kb within the
 // subtree rooted at node n (whose path equals kb[:depth]), or -1.
-func (t *Trie) ceiling(n int, kb []byte, depth int) int {
+func (t *trie) ceiling(n int, kb []byte, depth int) int {
 	start, end := t.edgeRange(n)
 	// Find the first edge with label >= kb[depth].
 	i := start
@@ -147,7 +147,7 @@ func (t *Trie) ceiling(n int, kb []byte, depth int) int {
 }
 
 // minValue descends through edge i to the smallest key below it.
-func (t *Trie) minValue(i int) int {
+func (t *trie) minValue(i int) int {
 	for t.hasChild.get(i) {
 		n := t.childNode(i)
 		i, _ = t.edgeRange(n)
@@ -156,13 +156,13 @@ func (t *Trie) minValue(i int) int {
 }
 
 // sizeBytes reports the trie footprint.
-func (t *Trie) sizeBytes() int {
+func (t *trie) sizeBytes() int {
 	return len(t.labels) + t.hasChild.size() + t.louds.size() + len(t.values)*4
 }
 
-// Index adapts Trie to core.Index with the subset-stride size knob.
-type Index struct {
-	trie   *Trie
+// index adapts trie to core.Index with the subset-stride size knob.
+type index struct {
+	trie   *trie
 	n      int
 	stride int
 	maxPos int32
@@ -204,11 +204,11 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{trie: t, n: n, stride: stride, maxPos: maxPos}, nil
+	return &index{trie: t, n: n, stride: stride, maxPos: maxPos}, nil
 }
 
 // Lookup implements core.Index (same subset bound mapping as ART).
-func (idx *Index) Lookup(key core.Key) core.Bound {
+func (idx *index) Lookup(key core.Key) core.Bound {
 	pos, found := idx.trie.ceilingValue(key)
 	if !found {
 		return core.Bound{Lo: int(idx.maxPos) + 1, Hi: idx.n}.Clamp(idx.n)
@@ -221,7 +221,7 @@ func (idx *Index) Lookup(key core.Key) core.Bound {
 }
 
 // SizeBytes implements core.Index.
-func (idx *Index) SizeBytes() int { return idx.trie.sizeBytes() }
+func (idx *index) SizeBytes() int { return idx.trie.sizeBytes() }
 
 // Name implements core.Index.
-func (idx *Index) Name() string { return "FST" }
+func (idx *index) Name() string { return "FST" }

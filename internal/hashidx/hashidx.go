@@ -50,7 +50,7 @@ const SlotSizeBytes = 8 + 4 + 1
 const maxProbe = 120
 
 // newRobinHood builds a table sized for n entries at the given load
-// factor (the paper found 0.25 maximizes RobinHood lookup speed).
+// factor.
 func newRobinHood(n int, loadFactor float64) (*RobinHood, error) {
 	if loadFactor <= 0 || loadFactor > 1 {
 		return nil, fmt.Errorf("hashidx: invalid load factor %f", loadFactor)
@@ -161,9 +161,9 @@ func (t *RobinHood) Name() string { return "RobinHash" }
 // SizeBytes implements core.Index.
 func (t *RobinHood) SizeBytes() int { return len(t.keys) * SlotSizeBytes }
 
-// Cuckoo is a bucketized cuckoo hash table: two candidate buckets of
+// cuckoo is a bucketized cuckoo hash table: two candidate buckets of
 // four slots each per key.
-type Cuckoo struct {
+type cuckoo struct {
 	keys    []uint64 // nBuckets*4 slots
 	vals    []int32
 	used    []bool
@@ -175,8 +175,8 @@ const cuckooSlots = 4
 const maxKicks = 500
 
 // newCuckoo builds a table sized for n entries at the given load
-// factor (the paper found 0.99 maximizes Cuckoo lookup speed).
-func newCuckoo(n int, loadFactor float64) (*Cuckoo, error) {
+// factor.
+func newCuckoo(n int, loadFactor float64) (*cuckoo, error) {
 	if loadFactor <= 0 || loadFactor > 1 {
 		return nil, fmt.Errorf("hashidx: invalid load factor %f", loadFactor)
 	}
@@ -187,8 +187,8 @@ func newCuckoo(n int, loadFactor float64) (*Cuckoo, error) {
 	return newCuckooBuckets(buckets), nil
 }
 
-func newCuckooBuckets(buckets uint64) *Cuckoo {
-	return &Cuckoo{
+func newCuckooBuckets(buckets uint64) *cuckoo {
+	return &cuckoo{
 		keys:    make([]uint64, buckets*cuckooSlots),
 		vals:    make([]int32, buckets*cuckooSlots),
 		used:    make([]bool, buckets*cuckooSlots),
@@ -197,13 +197,13 @@ func newCuckooBuckets(buckets uint64) *Cuckoo {
 	}
 }
 
-func (t *Cuckoo) buckets(key uint64) (uint64, uint64) {
+func (t *cuckoo) buckets(key uint64) (uint64, uint64) {
 	b1 := hash1(key) & (t.nBucket - 1)
 	b2 := hash2(key) & (t.nBucket - 1)
 	return b1, b2
 }
 
-func (t *Cuckoo) nextRand() uint64 {
+func (t *cuckoo) nextRand() uint64 {
 	t.rng ^= t.rng << 13
 	t.rng ^= t.rng >> 7
 	t.rng ^= t.rng << 17
@@ -211,7 +211,7 @@ func (t *Cuckoo) nextRand() uint64 {
 }
 
 // insert adds key -> val; existing keys are overwritten.
-func (t *Cuckoo) insert(key uint64, val int32) {
+func (t *cuckoo) insert(key uint64, val int32) {
 	if t.update(key, val) {
 		return
 	}
@@ -234,7 +234,7 @@ func (t *Cuckoo) insert(key uint64, val int32) {
 	t.insert(key, val)
 }
 
-func (t *Cuckoo) update(key uint64, val int32) bool {
+func (t *cuckoo) update(key uint64, val int32) bool {
 	b1, b2 := t.buckets(key)
 	for _, b := range [2]uint64{b1, b2} {
 		base := b * cuckooSlots
@@ -248,7 +248,7 @@ func (t *Cuckoo) update(key uint64, val int32) bool {
 	return false
 }
 
-func (t *Cuckoo) place(b uint64, key uint64, val int32) bool {
+func (t *cuckoo) place(b uint64, key uint64, val int32) bool {
 	base := b * cuckooSlots
 	for s := uint64(0); s < cuckooSlots; s++ {
 		if !t.used[base+s] {
@@ -259,7 +259,7 @@ func (t *Cuckoo) place(b uint64, key uint64, val int32) bool {
 	return false
 }
 
-func (t *Cuckoo) grow() {
+func (t *cuckoo) grow() {
 	old := *t
 	*t = *newCuckooBuckets(old.nBucket * 2)
 	for i, u := range old.used {
@@ -270,7 +270,7 @@ func (t *Cuckoo) grow() {
 }
 
 // get returns the value stored for key.
-func (t *Cuckoo) get(key uint64) (int32, bool) {
+func (t *cuckoo) get(key uint64) (int32, bool) {
 	b1, b2 := t.buckets(key)
 	for _, b := range [2]uint64{b1, b2} {
 		base := b * cuckooSlots
@@ -284,7 +284,7 @@ func (t *Cuckoo) get(key uint64) (int32, bool) {
 }
 
 // sizeBytes reports the table footprint.
-func (t *Cuckoo) sizeBytes() int { return len(t.keys) * SlotSizeBytes }
+func (t *cuckoo) sizeBytes() int { return len(t.keys) * SlotSizeBytes }
 
 // pointIndex adapts the Cuckoo table to core.Index: exact bounds for
 // present keys, the trivial full bound otherwise.
@@ -305,26 +305,27 @@ func (p *pointIndex) Lookup(key core.Key) core.Bound {
 func (p *pointIndex) SizeBytes() int { return p.size() }
 func (p *pointIndex) Name() string   { return p.name }
 
-// RobinHoodBuilder builds a RobinHood point index mapping each key to
-// its first (lower-bound) position.
-type RobinHoodBuilder struct {
-	// LoadFactor defaults to the paper's 0.25 when zero.
-	LoadFactor float64
-}
+// The paper's load factors, the ones it found maximize each table's
+// lookup speed.
+const (
+	RobinHoodLoadFactor = 0.25
+	CuckooLoadFactor    = 0.99
+)
+
+// RobinHoodBuilder builds a RobinHood point index at
+// RobinHoodLoadFactor, mapping each key to its first (lower-bound)
+// position.
+type RobinHoodBuilder struct{}
 
 // Name implements core.Builder.
 func (RobinHoodBuilder) Name() string { return "RobinHash" }
 
 // Build implements core.Builder.
-func (b RobinHoodBuilder) Build(keys []core.Key) (core.Index, error) {
+func (RobinHoodBuilder) Build(keys []core.Key) (core.Index, error) {
 	if len(keys) == 0 {
 		return nil, errors.New("hashidx: empty key set")
 	}
-	lf := b.LoadFactor
-	if lf == 0 {
-		lf = 0.25
-	}
-	t, err := newRobinHood(len(keys), lf)
+	t, err := newRobinHood(len(keys), RobinHoodLoadFactor)
 	if err != nil {
 		return nil, err
 	}
@@ -337,25 +338,19 @@ func (b RobinHoodBuilder) Build(keys []core.Key) (core.Index, error) {
 	return t, nil
 }
 
-// CuckooBuilder builds a Cuckoo-backed point index.
-type CuckooBuilder struct {
-	// LoadFactor defaults to the paper's 0.99 when zero.
-	LoadFactor float64
-}
+// CuckooBuilder builds a Cuckoo-backed point index at
+// CuckooLoadFactor.
+type CuckooBuilder struct{}
 
 // Name implements core.Builder.
 func (CuckooBuilder) Name() string { return "CuckooMap" }
 
 // Build implements core.Builder.
-func (b CuckooBuilder) Build(keys []core.Key) (core.Index, error) {
+func (CuckooBuilder) Build(keys []core.Key) (core.Index, error) {
 	if len(keys) == 0 {
 		return nil, errors.New("hashidx: empty key set")
 	}
-	lf := b.LoadFactor
-	if lf == 0 {
-		lf = 0.99
-	}
-	t, err := newCuckoo(len(keys), lf)
+	t, err := newCuckoo(len(keys), CuckooLoadFactor)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func (t *RobinHood) entries() (n int) {
 	return n
 }
 
-func (t *Cuckoo) entries() (n int) {
+func (t *cuckoo) entries() (n int) {
 	for _, u := range t.used {
 		if u {
 			n++
@@ -192,8 +192,12 @@ func TestBuildersEmpty(t *testing.T) {
 
 func TestSizeReflectsLoadFactor(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 10000, 1)
-	dense, _ := RobinHoodBuilder{LoadFactor: 0.9}.Build(keys)
-	sparse, _ := RobinHoodBuilder{LoadFactor: 0.25}.Build(keys)
+	dense, _ := newRobinHood(len(keys), 0.9)
+	sparse, _ := newRobinHood(len(keys), 0.25)
+	for i, k := range keys {
+		dense.insert(k, int32(i))
+		sparse.insert(k, int32(i))
+	}
 	if dense.SizeBytes() >= sparse.SizeBytes() {
 		t.Errorf("0.9 load (%d B) should be smaller than 0.25 load (%d B)",
 			dense.SizeBytes(), sparse.SizeBytes())

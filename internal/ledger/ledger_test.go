@@ -12,7 +12,10 @@
 //     detached, hooked and attached Put, run probes per read after a
 //     scripted sequence of writes and flushes, and the flushes, merges,
 //     keys rewritten per written key and run probes per read of a
-//     scripted sequence that takes one minor and one major merge;
+//     scripted sequence that takes one minor and one major merge, and
+//     the files and snapshot bytes its first flush, its minor and its
+//     major commit when it is replayed on a store opened from a
+//     snapshot;
 //   - persist: WAL bytes and fsyncs per put, snapshot bytes per key and
 //     per put;
 //   - net: frames and bytes per one-in-flight point get, batch get and
@@ -95,6 +98,7 @@ func TestLedger(t *testing.T) {
 	storeRows(t, &l, keys, payloads)
 	tieredRows(t, &l, keys, payloads)
 	mergeRows(t, &l, keys, payloads)
+	mergeCommitRows(t, &l, keys, payloads)
 	persistRows(t, &l, keys, payloads)
 	netRows(t, &l, keys, payloads)
 	codecRows(&l)
@@ -334,28 +338,11 @@ func tieredRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
 // only the run count triggers a merge and a read never queues one.
 func mergeRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
 	reg, journal := obs.NewRegistry(), obs.NewJournal(64)
-	st := newStore(t, keys, payloads, serve.Config{
-		Shards: 1, Family: "PGM", CompactThreshold: 256, MaxRuns: 3, AmpBound: 1e9,
-		Metrics: reg, Journal: journal,
-	})
-	r := rand.New(rand.NewPCG(seed, 1))
-	writes := 0
-	writeUntilMerges := func(merges uint64) {
-		for st.MinorMerges()+st.MajorMerges() < merges {
-			k := keys[r.IntN(len(keys))]
-			switch r.IntN(4) {
-			case 0:
-				st.Delete(k)
-			case 1:
-				st.Put(k, r.Uint64())
-			default:
-				st.Put(k+1, r.Uint64())
-			}
-			st.WaitCompactions()
-			writes++
-		}
-	}
-	reads := dataset.Lookups(keys, 4096, seed+2)
+	cfg := mergeConfig()
+	cfg.Metrics, cfg.Journal = reg, journal
+	st := newStore(t, keys, payloads, cfg)
+	script := newMergeScript(st, keys)
+	reads := mergeReads(keys)
 	// probesPerRead reads the read set once. A read served by a single
 	// run probes that run and is not accounted (the store counts
 	// multi-run reads only); the write-path waits leave no pending write
@@ -370,9 +357,9 @@ func mergeRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
 		single := float64(len(reads)) - (value("sosd_store_multirun_ops_total") - o0)
 		return (probes + single) / float64(len(reads))
 	}
-	writeUntilMerges(1)
+	script.writeUntilMerges(1)
 	l.add("store.merge.probes_per_read_after_minor", probesPerRead())
-	writeUntilMerges(2)
+	script.writeUntilMerges(2)
 	l.add("store.merge.probes_per_read_after_major", probesPerRead())
 	l.add("store.merge.flushes", float64(st.Flushes()))
 	l.add("store.merge.minors", float64(st.MinorMerges()))
@@ -381,7 +368,137 @@ func mergeRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
 	for _, e := range journal.Events() {
 		rewritten += e.Keys
 	}
-	l.ratio("store.merge.rewritten_per_write", uint64(rewritten), uint64(writes))
+	l.ratio("store.merge.rewritten_per_write", uint64(rewritten), uint64(script.writes))
+}
+
+// mergeCommitRows replays mergeRows' script on a store opened from a
+// snapshot and prices what the first flush, the minor and the major
+// each commit to its directory: the files the step adds and removes,
+// found by diffing the directory's file set around it, and the bytes it
+// writes through the atomic-write path. A flush adds one small file
+// set, a minor replaces the upper tiers, and only a major rewrites the
+// base.
+func mergeCommitRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
+	dir := t.TempDir()
+	cfg := mergeConfig()
+	src := newStore(t, keys, payloads, cfg)
+	if err := src.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	st, err := serve.Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+
+	files := func() map[string]bool {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := map[string]bool{}
+		for _, e := range ents {
+			set[e.Name()] = true
+		}
+		return set
+	}
+	type commit struct{ added, removed, bytes uint64 }
+	steps := map[string]commit{}
+	prevFiles, prevBytes := files(), persist.CountersNow().SnapshotBytes
+	var flushes, minors, majors uint64
+	script := newMergeScript(st, keys)
+	script.step = func() {
+		kind := ""
+		switch {
+		case st.MajorMerges() > majors:
+			kind = "major"
+		case st.MinorMerges() > minors:
+			kind = "minor"
+		case st.Flushes() > flushes:
+			kind = "flush"
+		}
+		flushes, minors, majors = st.Flushes(), st.MinorMerges(), st.MajorMerges()
+		if kind == "" {
+			return
+		}
+		now, bytes := files(), persist.CountersNow().SnapshotBytes
+		if _, seen := steps[kind]; !seen {
+			var c commit
+			for f := range now {
+				if !prevFiles[f] {
+					c.added++
+				}
+			}
+			for f := range prevFiles {
+				if !now[f] {
+					c.removed++
+				}
+			}
+			c.bytes = bytes - prevBytes
+			steps[kind] = c
+		}
+		prevFiles, prevBytes = now, bytes
+	}
+	script.writeUntilMerges(1)
+	for _, x := range mergeReads(keys) {
+		st.Get(x)
+	}
+	script.writeUntilMerges(2)
+	for _, kind := range []string{"flush", "minor", "major"} {
+		c, ok := steps[kind]
+		if !ok {
+			t.Fatalf("merge commit replay took no %s", kind)
+		}
+		l.add("store.merge.commit."+kind+"_files_added", float64(c.added))
+		l.add("store.merge.commit."+kind+"_files_removed", float64(c.removed))
+		l.add("store.merge.commit."+kind+"_snapshot_bytes", float64(c.bytes))
+	}
+}
+
+// mergeConfig is the one tiered PGM shard mergeRows and mergeCommitRows
+// script.
+func mergeConfig() serve.Config {
+	return serve.Config{Shards: 1, Family: "PGM", CompactThreshold: 256, MaxRuns: 3, AmpBound: 1e9}
+}
+
+// mergeReads is the read set that fills the read window between the
+// script's minor and its major.
+func mergeReads(keys []core.Key) []core.Key { return dataset.Lookups(keys, 4096, seed+2) }
+
+// mergeScript is mergeRows' write sequence on one store, the same for
+// every store it drives.
+type mergeScript struct {
+	st     *serve.Store
+	keys   []core.Key
+	r      *rand.Rand
+	writes int
+	step   func() // when set, called after each write's compaction is waited out
+}
+
+func newMergeScript(st *serve.Store, keys []core.Key) *mergeScript {
+	return &mergeScript{st: st, keys: keys, r: rand.New(rand.NewPCG(seed, 1))}
+}
+
+// writeUntilMerges writes until the store has taken merges merges in
+// all, waiting out each write's compaction.
+func (m *mergeScript) writeUntilMerges(merges uint64) {
+	for m.st.MinorMerges()+m.st.MajorMerges() < merges {
+		k := m.keys[m.r.IntN(len(m.keys))]
+		switch m.r.IntN(4) {
+		case 0:
+			m.st.Delete(k)
+		case 1:
+			m.st.Put(k, m.r.Uint64())
+		default:
+			m.st.Put(k+1, m.r.Uint64())
+		}
+		m.st.WaitCompactions()
+		m.writes++
+		if m.step != nil {
+			m.step()
+		}
+	}
 }
 
 // persistRows prices the attached store: the snapshot that creates its

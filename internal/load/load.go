@@ -86,9 +86,9 @@ func isShed(err error) bool {
 type Kind uint8
 
 const (
-	// Get is a point read of Key.
-	Get Kind = iota
-	// Put is an insert or update of Key with Payload.
+	// get is a point read of Key.
+	get Kind = iota
+	// Put is an insert or update of Key with payload.
 	Put
 )
 
@@ -96,7 +96,7 @@ const (
 type Op struct {
 	Kind    Kind
 	Key     core.Key
-	Payload uint64
+	payload uint64
 }
 
 // Config configures a run.
@@ -127,23 +127,23 @@ type Result struct {
 	// Throughput is goodput: accepted operations per second.
 	Sheds, Errors int
 
-	// Elapsed is the wall time of the whole run.
-	Elapsed time.Duration
+	// elapsed is the wall time of the whole run.
+	elapsed time.Duration
 
-	// Checksum sums the payloads of found reads (the paper's
+	// checksum sums the payloads of found reads (the paper's
 	// keep-the-benchmark-honest device).
-	Checksum uint64
+	checksum uint64
 }
 
 // Ops is the number of accepted operations.
 func (r *Result) Ops() int { return int(r.Reads.Count() + r.Writes.Count()) }
 
-// Throughput is Ops/Elapsed in operations per second.
+// Throughput is Ops/elapsed in operations per second.
 func (r *Result) Throughput() float64 {
-	if r.Elapsed <= 0 {
+	if r.elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Ops()) / r.Elapsed.Seconds()
+	return float64(r.Ops()) / r.elapsed.Seconds()
 }
 
 // Latency is the distribution over every accepted operation, reads and
@@ -160,15 +160,15 @@ func (r *Result) Latency() *stats.Histogram {
 func (r *Result) exec(t Target, op Op, t0 time.Time) {
 	var err error
 	hist := &r.Writes
-	if op.Kind == Get {
+	if op.Kind == get {
 		var v uint64
 		var found bool
 		if v, found, err = t.TryGet(op.Key); err == nil && found {
-			r.Checksum += v
+			r.checksum += v
 		}
 		hist = &r.Reads
 	} else {
-		err = t.TryPut(op.Key, op.Payload)
+		err = t.TryPut(op.Key, op.payload)
 	}
 	switch {
 	case err == nil:
@@ -233,14 +233,14 @@ func Run(t Target, ops []Op, cfg Config) *Result {
 		}()
 	}
 	wg.Wait()
-	res := &Result{Elapsed: time.Since(epoch)}
+	res := &Result{elapsed: time.Since(epoch)}
 	for i := range parts {
 		w := &parts[i]
 		res.Reads.Merge(&w.Reads)
 		res.Writes.Merge(&w.Writes)
 		res.Sheds += w.Sheds
 		res.Errors += w.Errors
-		res.Checksum += w.Checksum
+		res.checksum += w.checksum
 	}
 	return res
 }

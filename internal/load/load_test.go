@@ -36,7 +36,7 @@ func testStore(t testing.TB, n int) (*serve.Store, []core.Key, []uint64) {
 func oracleChecksum(ops []Op, keys []core.Key, payloads []uint64) uint64 {
 	var sum uint64
 	for _, op := range ops {
-		if op.Kind != Get {
+		if op.Kind != get {
 			continue
 		}
 		pos := core.LowerBound(keys, op.Key)
@@ -56,7 +56,7 @@ func TestMixedOpsShape(t *testing.T) {
 		}
 		reads := 0
 		for _, op := range ops {
-			if op.Kind == Get {
+			if op.Kind == get {
 				reads++
 			}
 		}
@@ -87,13 +87,13 @@ func TestRunClosedCorrectness(t *testing.T) {
 	if res.Ops() != len(ops) || res.Writes.Count() != 0 {
 		t.Fatalf("ops=%d writes=%d", res.Ops(), res.Writes.Count())
 	}
-	if res.Checksum != want {
-		t.Fatalf("checksum %d, want %d", res.Checksum, want)
+	if res.checksum != want {
+		t.Fatalf("checksum %d, want %d", res.checksum, want)
 	}
 	if res.Reads.Count() != uint64(len(ops)) {
 		t.Fatalf("histogram holds %d samples, want %d", res.Reads.Count(), len(ops))
 	}
-	if res.Throughput() <= 0 || res.Elapsed <= 0 {
+	if res.Throughput() <= 0 || res.elapsed <= 0 {
 		t.Fatal("no throughput/elapsed")
 	}
 }
@@ -107,7 +107,7 @@ func TestRunClosedMixedWrites(t *testing.T) {
 	ops := MixedOps(keys, 2000, 0.5, 0, 5)
 	var gets, puts uint64
 	for _, op := range ops {
-		if op.Kind == Get {
+		if op.Kind == get {
 			gets++
 		} else {
 			puts++
@@ -148,8 +148,8 @@ func TestRunOpenSchedule(t *testing.T) {
 	ops := MixedOps(keys, n, 1, 0, 5)
 	want := oracleChecksum(ops, keys, payloads)
 	res := Run(InProcess(st), ops, Config{Workers: 4, Rate: rate, Seed: 11})
-	if res.Ops() != n || res.Checksum != want {
-		t.Fatalf("ops=%d checksum=%d, want %d/%d", res.Ops(), res.Checksum, n, want)
+	if res.Ops() != n || res.checksum != want {
+		t.Fatalf("ops=%d checksum=%d, want %d/%d", res.Ops(), res.checksum, n, want)
 	}
 	if res.Reads.Count() != uint64(n) {
 		t.Fatalf("histogram holds %d samples, want %d", res.Reads.Count(), n)
@@ -157,8 +157,8 @@ func TestRunOpenSchedule(t *testing.T) {
 	// The schedule spans ~n/rate seconds; an open-loop run cannot finish
 	// faster than its last scheduled arrival.
 	minSpan := dataset.Arrivals(n, rate, 11)[n-1]
-	if res.Elapsed < minSpan {
-		t.Fatalf("run finished in %v, before the last scheduled arrival %v", res.Elapsed, minSpan)
+	if res.elapsed < minSpan {
+		t.Fatalf("run finished in %v, before the last scheduled arrival %v", res.elapsed, minSpan)
 	}
 	// Achieved throughput approaches the offered rate when the store
 	// keeps up (generous bound: within a factor of two).
@@ -200,8 +200,8 @@ func TestRunOpenMeasuresFromScheduledArrival(t *testing.T) {
 	}
 	// The last arrivals wait out nearly the whole run: the max must be
 	// on the order of the run's span (allowing bucket error and noise).
-	if max < res.Elapsed.Nanoseconds()/2 {
-		t.Fatalf("max latency %dns does not reflect the %v backlog", max, res.Elapsed)
+	if max < res.elapsed.Nanoseconds()/2 {
+		t.Fatalf("max latency %dns does not reflect the %v backlog", max, res.elapsed)
 	}
 	if max < med {
 		t.Fatalf("max %dns below median %dns", max, med)

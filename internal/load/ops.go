@@ -51,11 +51,11 @@ func MixedOps(keys []core.Key, n int, readFrac, theta float64, seed uint64) []Op
 			ri, wi := s.reads, s.writes
 			switch read := s.next(readFrac); {
 			case read:
-				ops[i] = Op{Kind: Get, Key: readKeys[ri]}
+				ops[i] = Op{Kind: get, Key: readKeys[ri]}
 			case wi%2 == 0:
-				ops[i] = Op{Kind: Put, Key: inserts[wi/2], Payload: uint64(i) | 1}
+				ops[i] = Op{Kind: Put, Key: inserts[wi/2], payload: uint64(i) | 1}
 			default:
-				ops[i] = Op{Kind: Put, Key: readKeys[(ri+wi)%len(readKeys)], Payload: uint64(i) | 1}
+				ops[i] = Op{Kind: Put, Key: readKeys[(ri+wi)%len(readKeys)], payload: uint64(i) | 1}
 			}
 		}
 		return struct{}{}

@@ -15,7 +15,7 @@ import (
 func opsChecksum(ops []Op) uint64 {
 	h := uint64(14695981039346656037)
 	for _, op := range ops {
-		for _, w := range [3]uint64{uint64(op.Kind), uint64(op.Key), op.Payload} {
+		for _, w := range [3]uint64{uint64(op.Kind), uint64(op.Key), op.payload} {
 			h = (h ^ w) * 1099511628211
 		}
 	}
@@ -71,7 +71,7 @@ func refMixedOps(keys []core.Key, n int, readFrac, theta float64, seed uint64) [
 		acc += readFrac
 		if acc >= 1 {
 			acc--
-			ops = append(ops, Op{Kind: Get, Key: readKeys[ri]})
+			ops = append(ops, Op{Kind: get, Key: readKeys[ri]})
 			ri++
 			continue
 		}
@@ -82,7 +82,7 @@ func refMixedOps(keys []core.Key, n int, readFrac, theta float64, seed uint64) [
 		} else {
 			key = readKeys[(ri+wi)%len(readKeys)]
 		}
-		ops = append(ops, Op{Kind: Put, Key: key, Payload: uint64(i) | 1})
+		ops = append(ops, Op{Kind: Put, Key: key, payload: uint64(i) | 1})
 		wi++
 	}
 	return ops

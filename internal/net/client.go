@@ -24,7 +24,7 @@ const (
 	redialTimeout    = time.Second
 )
 
-// retryLaterError is the client-side face of a MsgRetryLater refusal.
+// retryLaterError is the client-side face of a msgRetryLater refusal.
 // It carries the Shed marker the load generators classify on, so shed
 // operations are counted as sheds, not failures or served requests.
 type retryLaterError struct{}
@@ -37,8 +37,8 @@ func (retryLaterError) Shed() bool    { return true }
 // backing off. errors.Is-comparable, and counted as shed by load.Run.
 var ErrRetryLater error = retryLaterError{}
 
-// ErrClosed is returned for calls on a closed or failed client.
-var ErrClosed = errors.New("net: client closed")
+// errClosed is returned for calls on a closed or failed client.
+var errClosed = errors.New("net: client closed")
 
 // Client is one multiplexed connection to a Server: any number of
 // goroutines may issue calls concurrently, each call is matched to its
@@ -80,14 +80,14 @@ func Dial(addr string) (*Client, error) {
 }
 
 // Close tears the connection down permanently; in-flight calls fail
-// with ErrClosed and no redial is ever attempted. The current reader
+// with errClosed and no redial is ever attempted. The current reader
 // goroutine is joined before Close returns.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	done := c.readerDone
 	c.mu.Unlock()
-	c.failConn(0, ErrClosed)
+	c.failConn(0, errClosed)
 	<-done
 	return nil
 }
@@ -121,7 +121,7 @@ func (c *Client) failConn(epoch uint64, err error) {
 // doubles (capped) and the dial error is returned.
 func (c *Client) redialLocked() error {
 	if c.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if c.addr == "" {
 		return c.failErr
@@ -169,9 +169,9 @@ func (c *Client) reader(nc net.Conn, epoch uint64, done chan struct{}) {
 		}
 		scratch = sc
 		c.mu.Lock()
-		ch, ok := c.waiters[m.ID]
+		ch, ok := c.waiters[m.id]
 		if ok {
-			delete(c.waiters, m.ID)
+			delete(c.waiters, m.id)
 		}
 		c.mu.Unlock()
 		if ok {
@@ -183,7 +183,7 @@ func (c *Client) reader(nc net.Conn, epoch uint64, done chan struct{}) {
 // call sends one request and waits for its response, redialing first
 // when the previous connection failed.
 func (c *Client) call(m *Msg) (*Msg, error) {
-	m.ID = c.nextID.Add(1)
+	m.id = c.nextID.Add(1)
 	ch := make(chan *Msg, 1)
 	c.mu.Lock()
 	if c.failErr != nil || c.closed {
@@ -192,7 +192,7 @@ func (c *Client) call(m *Msg) (*Msg, error) {
 			return nil, err
 		}
 	}
-	c.waiters[m.ID] = ch
+	c.waiters[m.id] = ch
 	nc := c.nc
 	epoch := c.epoch
 	c.mu.Unlock()
@@ -218,21 +218,21 @@ func (c *Client) call(m *Msg) (*Msg, error) {
 		return nil, err
 	}
 	switch resp.Type {
-	case MsgRetryLater:
+	case msgRetryLater:
 		return nil, ErrRetryLater
-	case MsgError:
-		return nil, fmt.Errorf("net: server: %s", resp.Err)
+	case msgError:
+		return nil, fmt.Errorf("net: server: %s", resp.err)
 	}
 	return resp, nil
 }
 
 // Get returns the live payload for key, or found=false when absent.
 func (c *Client) Get(key core.Key) (val uint64, found bool, err error) {
-	resp, err := c.call(&Msg{Type: MsgGet, Key: key})
+	resp, err := c.call(&Msg{Type: msgGet, key: key})
 	if err != nil {
 		return 0, false, err
 	}
-	if resp.Type != MsgValue {
+	if resp.Type != msgValue {
 		return 0, false, fmt.Errorf("net: unexpected response type %d to Get", resp.Type)
 	}
 	return resp.Val, resp.Found, nil
@@ -245,29 +245,29 @@ func (c *Client) GetBatch(keys []core.Key, out []uint64) (int, error) {
 	if len(out) < len(keys) {
 		return 0, errors.New("net: GetBatch output shorter than key batch")
 	}
-	if len(keys) > MaxBatch {
-		return 0, fmt.Errorf("net: batch of %d keys exceeds limit %d", len(keys), MaxBatch)
+	if len(keys) > maxBatch {
+		return 0, fmt.Errorf("net: batch of %d keys exceeds limit %d", len(keys), maxBatch)
 	}
-	resp, err := c.call(&Msg{Type: MsgGetBatch, Keys: keys})
+	resp, err := c.call(&Msg{Type: msgGetBatch, keys: keys})
 	if err != nil {
 		return 0, err
 	}
-	if resp.Type != MsgValueBatch || len(resp.Vals) != len(keys) {
+	if resp.Type != msgValueBatch || len(resp.vals) != len(keys) {
 		return 0, fmt.Errorf("net: malformed batch response (type %d, %d vals for %d keys)",
-			resp.Type, len(resp.Vals), len(keys))
+			resp.Type, len(resp.vals), len(keys))
 	}
-	copy(out, resp.Vals)
-	return int(resp.FoundN), nil
+	copy(out, resp.vals)
+	return int(resp.foundN), nil
 }
 
 // Put inserts or updates key.
 func (c *Client) Put(key core.Key, val uint64) error {
-	return c.expectOK(&Msg{Type: MsgPut, Key: key, Val: val})
+	return c.expectOK(&Msg{Type: msgPut, key: key, Val: val})
 }
 
 // Delete removes key (a no-op for absent keys, as in the store).
 func (c *Client) Delete(key core.Key) error {
-	return c.expectOK(&Msg{Type: MsgDelete, Key: key})
+	return c.expectOK(&Msg{Type: msgDelete, key: key})
 }
 
 func (c *Client) expectOK(m *Msg) error {
@@ -275,7 +275,7 @@ func (c *Client) expectOK(m *Msg) error {
 	if err != nil {
 		return err
 	}
-	if resp.Type != MsgOK {
+	if resp.Type != msgOK {
 		return fmt.Errorf("net: unexpected response type %d to write", resp.Type)
 	}
 	return nil
@@ -285,48 +285,48 @@ func (c *Client) expectOK(m *Msg) error {
 // Stats requests bypass the server's admission control, so monitoring
 // works during overload.
 func (c *Client) stats() (*Stats, error) {
-	resp, err := c.call(&Msg{Type: MsgStats})
+	resp, err := c.call(&Msg{Type: msgStats})
 	if err != nil {
 		return nil, err
 	}
-	if resp.Type != MsgStatsReply || resp.Stats == nil {
+	if resp.Type != msgStatsReply || resp.stats == nil {
 		return nil, fmt.Errorf("net: unexpected response type %d to Stats", resp.Type)
 	}
-	return resp.Stats, nil
+	return resp.stats, nil
 }
 
 // Topo fetches the server's shard separators — the routing table a
 // range-aware router partitions key batches with. Like Stats, Topo
 // bypasses admission control.
 func (c *Client) Topo() ([]core.Key, error) {
-	resp, err := c.call(&Msg{Type: MsgTopo})
+	resp, err := c.call(&Msg{Type: msgTopo})
 	if err != nil {
 		return nil, err
 	}
-	if resp.Type != MsgTopoReply {
+	if resp.Type != msgTopoReply {
 		return nil, fmt.Errorf("net: unexpected response type %d to Topo", resp.Type)
 	}
-	return resp.Keys, nil
+	return resp.keys, nil
 }
 
 // ReplStat fetches the server's replication status: role, epoch, the
 // snapshot generation it was built from, and per-shard applied
 // sequence numbers. Errors when the server has no replication layer.
 func (c *Client) ReplStat() (role uint8, epoch, gen uint64, seqs []uint64, err error) {
-	resp, err := c.call(&Msg{Type: MsgReplStat})
+	resp, err := c.call(&Msg{Type: msgReplStat})
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
-	if resp.Type != MsgReplStatReply {
+	if resp.Type != msgReplStatReply {
 		return 0, 0, 0, nil, fmt.Errorf("net: unexpected response type %d to ReplStat", resp.Type)
 	}
-	return resp.Role, resp.Epoch, resp.Gen, resp.Seqs, nil
+	return resp.role, resp.Epoch, resp.Gen, resp.Seqs, nil
 }
 
 // Promote asks the server to become the primary (failover). Errors
 // when the server is not promotable or refuses.
 func (c *Client) Promote() error {
-	return c.expectOK(&Msg{Type: MsgPromote})
+	return c.expectOK(&Msg{Type: msgPromote})
 }
 
 // Pool is a fixed set of client connections to one server, striped

@@ -31,14 +31,14 @@ import (
 )
 
 const (
-	// MaxFrameBody bounds any frame body on the wire; a peer claiming
+	// maxFrameBody bounds any frame body on the wire; a peer claiming
 	// more is corrupt (or hostile) and is disconnected.
-	MaxFrameBody = 1 << 20
+	maxFrameBody = 1 << 20
 
-	// MaxBatch bounds the key count of one GetBatch request — the
+	// maxBatch bounds the key count of one GetBatch request — the
 	// largest count whose request and response frames both fit
-	// MaxFrameBody with room to spare.
-	MaxBatch = 1 << 16
+	// maxFrameBody with room to spare.
+	maxBatch = 1 << 16
 
 	// maxErrLen bounds an error string on the wire.
 	maxErrLen = 4096
@@ -50,11 +50,11 @@ const (
 	maxVarNameLen = 512
 
 	// MaxSnapChunk bounds one snapshot-file chunk on the wire (with
-	// frame overhead it sits comfortably inside MaxFrameBody).
+	// frame overhead it sits comfortably inside maxFrameBody).
 	MaxSnapChunk = 256 << 10
 
 	// MaxWalOps bounds the op count of one replication wal-batch — the
-	// largest count whose 17-byte encodings fit MaxFrameBody with room
+	// largest count whose 17-byte encodings fit maxFrameBody with room
 	// to spare.
 	MaxWalOps = 16384
 
@@ -68,17 +68,17 @@ const (
 
 // Message types. Requests flow client→server, responses server→client.
 const (
-	MsgGet        uint8 = iota + 1 // point lookup: Key
-	MsgGetBatch                    // batched lookup: Keys
-	MsgPut                         // insert/update: Key, Val
-	MsgDelete                      // delete: Key
-	MsgStats                       // server stats snapshot request
-	MsgValue                       // Get response: Val, Found
-	MsgValueBatch                  // GetBatch response: Vals, FoundN
-	MsgOK                          // Put/Delete ack
-	MsgRetryLater                  // admission refusal: retry later
-	MsgError                       // request failed server-side: Err
-	MsgStatsReply                  // stats response: Stats
+	msgGet        uint8 = iota + 1 // point lookup: key
+	msgGetBatch                    // batched lookup: keys
+	msgPut                         // insert/update: key, Val
+	msgDelete                      // delete: key
+	msgStats                       // server stats snapshot request
+	msgValue                       // Get response: Val, Found
+	msgValueBatch                  // GetBatch response: vals, foundN
+	msgOK                          // Put/Delete ack
+	msgRetryLater                  // admission refusal: retry later
+	msgError                       // request failed server-side: err
+	msgStatsReply                  // stats response: stats
 
 	// Replication stream (see internal/repl): Subscribe..Heartbeat flow
 	// on a dedicated follower→primary connection, Topo..Promote on the
@@ -90,15 +90,15 @@ const (
 	MsgWalBatch      // live stream: Shard, Seq (of Ops[0]), Ops
 	MsgAck           // follower→primary: Seqs received per shard
 	MsgHeartbeat     // primary→follower: Epoch, Seqs written per shard
-	MsgTopo          // request: shard topology
-	MsgTopoReply     // topology: Keys (separators), Gen
-	MsgReplStat      // request: replication status
-	MsgReplStatReply // status: Role, Epoch, Gen, Seqs
-	MsgPromote       // request: promote this follower to writable
+	msgTopo          // request: shard topology
+	msgTopoReply     // topology: keys (separators), Gen
+	msgReplStat      // request: replication status
+	msgReplStatReply // status: role, Epoch, Gen, Seqs
+	msgPromote       // request: promote this follower to writable
 	msgTypeEnd       // sentinel: first invalid type
 )
 
-// Replication roles carried by MsgReplStatReply.
+// Replication roles carried by msgReplStatReply.
 const (
 	RoleNone     uint8 = iota // server without a replication hook
 	RolePrimary               // accepts writes, streams to followers
@@ -112,40 +112,40 @@ const (
 // not eleven packages.
 type Msg struct {
 	Type   uint8
-	ID     uint64
-	Key    core.Key
-	Val    uint64     // MsgPut value; MsgSnapFile byte offset
-	Found  bool       // MsgValue found bit; MsgSnapFile last-chunk bit
-	Keys   []core.Key // MsgGetBatch; MsgTopoReply separators
-	Vals   []uint64   // MsgValueBatch
-	FoundN uint32     // MsgValueBatch: number of keys found
-	Err    string     // MsgError
-	Stats  *Stats     // MsgStatsReply
+	id     uint64
+	key    core.Key
+	Val    uint64     // msgPut value; MsgSnapFile byte offset
+	Found  bool       // msgValue found bit; MsgSnapFile last-chunk bit
+	keys   []core.Key // msgGetBatch; msgTopoReply separators
+	vals   []uint64   // msgValueBatch
+	foundN uint32     // msgValueBatch: number of keys found
+	err    string     // msgError
+	stats  *Stats     // msgStatsReply
 
 	// Replication fields.
-	Epoch uint64       // primary incarnation (MsgSubscribe, MsgSnapEnd, MsgHeartbeat, MsgReplStatReply)
-	Gen   uint64       // snapshot generation (MsgSubscribe, MsgSnapEnd, MsgTopoReply, MsgReplStatReply)
+	Epoch uint64       // primary incarnation (MsgSubscribe, MsgSnapEnd, MsgHeartbeat, msgReplStatReply)
+	Gen   uint64       // snapshot generation (MsgSubscribe, MsgSnapEnd, msgTopoReply, msgReplStatReply)
 	Shard uint32       // MsgWalBatch
 	Seq   uint64       // MsgWalBatch: sequence number of Ops[0]
 	Seqs  []uint64     // per-shard sequence vector
 	Name  string       // MsgSnapFile
 	Data  []byte       // MsgSnapFile chunk payload
 	Ops   []persist.Op // MsgWalBatch
-	Role  uint8        // MsgReplStatReply
+	role  uint8        // msgReplStatReply
 }
 
 // Stats is the server's live counter snapshot, shipped in a stats
-// frame. Counters are cumulative since server start; QueueDepth is
+// frame. Counters are cumulative since server start; queueDepth is
 // instantaneous.
 type Stats struct {
-	Conns         uint64 // live connections
+	conns         uint64 // live connections
 	Accepted      uint64 // requests admitted past admission control
 	Shed          uint64 // requests refused with RetryLater
 	ShedConns     uint64 // connections refused at accept (MaxConns)
 	DroppedConns  uint64 // connections severed for not draining responses
 	Batches       uint64 // coalesced GetBatch rounds executed
 	BatchedKeys   uint64 // point lookups served through those rounds
-	QueueDepth    uint64 // admission-queue occupancy now
+	queueDepth    uint64 // admission-queue occupancy now
 	MaxQueueDepth uint64 // high-water admission-queue occupancy
 
 	// Latency is the server-side service-time histogram (ns): frame
@@ -163,14 +163,14 @@ type Stats struct {
 // server saw), latency histograms merge, and vars sum by name. The
 // pool-wide truth for multi-connection and multi-server stats.
 func (s *Stats) Merge(o *Stats) {
-	s.Conns += o.Conns
+	s.conns += o.conns
 	s.Accepted += o.Accepted
 	s.Shed += o.Shed
 	s.ShedConns += o.ShedConns
 	s.DroppedConns += o.DroppedConns
 	s.Batches += o.Batches
 	s.BatchedKeys += o.BatchedKeys
-	s.QueueDepth += o.QueueDepth
+	s.queueDepth += o.queueDepth
 	if o.MaxQueueDepth > s.MaxQueueDepth {
 		s.MaxQueueDepth = o.MaxQueueDepth
 	}
@@ -216,47 +216,47 @@ func mergeVars(a, b []obs.Var) []obs.Var {
 func encodeMsg(w *binio.Writer, m *Msg) ([]byte, error) {
 	w.Reset()
 	w.U8(m.Type)
-	w.U64(m.ID)
+	w.U64(m.id)
 	switch m.Type {
-	case MsgGet:
-		w.U64(uint64(m.Key))
-	case MsgGetBatch:
-		w.U32(uint32(len(m.Keys)))
-		for _, k := range m.Keys {
+	case msgGet:
+		w.U64(uint64(m.key))
+	case msgGetBatch:
+		w.U32(uint32(len(m.keys)))
+		for _, k := range m.keys {
 			w.U64(uint64(k))
 		}
-	case MsgPut:
-		w.U64(uint64(m.Key))
+	case msgPut:
+		w.U64(uint64(m.key))
 		w.U64(m.Val)
-	case MsgDelete:
-		w.U64(uint64(m.Key))
-	case MsgStats, MsgOK, MsgRetryLater:
+	case msgDelete:
+		w.U64(uint64(m.key))
+	case msgStats, msgOK, msgRetryLater:
 		// header only
-	case MsgValue:
+	case msgValue:
 		w.U64(m.Val)
 		found := uint8(0)
 		if m.Found {
 			found = 1
 		}
 		w.U8(found)
-	case MsgValueBatch:
-		w.U32(m.FoundN)
-		w.U32(uint32(len(m.Vals)))
-		for _, v := range m.Vals {
+	case msgValueBatch:
+		w.U32(m.foundN)
+		w.U32(uint32(len(m.vals)))
+		for _, v := range m.vals {
 			w.U64(v)
 		}
-	case MsgError:
-		w.Str(m.Err)
-	case MsgStatsReply:
-		s := m.Stats
-		w.U64(s.Conns)
+	case msgError:
+		w.Str(m.err)
+	case msgStatsReply:
+		s := m.stats
+		w.U64(s.conns)
 		w.U64(s.Accepted)
 		w.U64(s.Shed)
 		w.U64(s.ShedConns)
 		w.U64(s.DroppedConns)
 		w.U64(s.Batches)
 		w.U64(s.BatchedKeys)
-		w.U64(s.QueueDepth)
+		w.U64(s.queueDepth)
 		w.U64(s.MaxQueueDepth)
 		s.Latency.EncodeTo(w)
 		if len(s.Vars) > maxVars {
@@ -282,7 +282,7 @@ func encodeMsg(w *binio.Writer, m *Msg) ([]byte, error) {
 		if err := encodeSeqs(w, m.Seqs); err != nil {
 			return nil, err
 		}
-	case MsgResync, MsgTopo, MsgReplStat, MsgPromote:
+	case MsgResync, msgTopo, msgReplStat, msgPromote:
 		// header only
 	case MsgSnapFile:
 		if len(m.Name) == 0 || len(m.Name) > maxSnapNameLen {
@@ -331,25 +331,25 @@ func encodeMsg(w *binio.Writer, m *Msg) ([]byte, error) {
 		if err := encodeSeqs(w, m.Seqs); err != nil {
 			return nil, err
 		}
-	case MsgTopoReply:
+	case msgTopoReply:
 		w.U64(m.Gen)
-		if len(m.Keys) > maxShards {
-			return nil, binio.Corruptf("encode: %d separators exceed limit %d", len(m.Keys), maxShards)
+		if len(m.keys) > maxShards {
+			return nil, binio.Corruptf("encode: %d separators exceed limit %d", len(m.keys), maxShards)
 		}
-		w.U32(uint32(len(m.Keys)))
-		for i, k := range m.Keys {
+		w.U32(uint32(len(m.keys)))
+		for i, k := range m.keys {
 			// Separators strictly increase by construction; the wire form
 			// is canonical, so the invariant is enforced on both sides.
-			if i > 0 && k <= m.Keys[i-1] {
+			if i > 0 && k <= m.keys[i-1] {
 				return nil, binio.Corruptf("encode: separators not strictly ascending")
 			}
 			w.U64(uint64(k))
 		}
-	case MsgReplStatReply:
-		if m.Role >= roleEnd {
-			return nil, binio.Corruptf("encode: unknown role %d", m.Role)
+	case msgReplStatReply:
+		if m.role >= roleEnd {
+			return nil, binio.Corruptf("encode: unknown role %d", m.role)
 		}
-		w.U8(m.Role)
+		w.U8(m.role)
 		w.U64(m.Epoch)
 		w.U64(m.Gen)
 		if err := encodeSeqs(w, m.Seqs); err != nil {
@@ -395,7 +395,7 @@ func decodeSeqs(r *binio.Reader) ([]uint64, error) {
 // binio Reader before it sizes an allocation.
 func decodeMsg(body []byte) (*Msg, error) {
 	r := binio.NewReader(body)
-	m := &Msg{Type: r.U8(), ID: r.U64()}
+	m := &Msg{Type: r.U8(), id: r.U64()}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -403,23 +403,23 @@ func decodeMsg(body []byte) (*Msg, error) {
 		return nil, binio.Corruptf("decode: unknown message type %d", m.Type)
 	}
 	switch m.Type {
-	case MsgGet, MsgDelete:
-		m.Key = core.Key(r.U64())
-	case MsgGetBatch:
+	case msgGet, msgDelete:
+		m.key = core.Key(r.U64())
+	case msgGetBatch:
 		n := r.Count(8)
-		if n > MaxBatch {
-			return nil, binio.Corruptf("batch of %d keys exceeds limit %d", n, MaxBatch)
+		if n > maxBatch {
+			return nil, binio.Corruptf("batch of %d keys exceeds limit %d", n, maxBatch)
 		}
-		m.Keys = make([]core.Key, n)
-		for i := range m.Keys {
-			m.Keys[i] = core.Key(r.U64())
+		m.keys = make([]core.Key, n)
+		for i := range m.keys {
+			m.keys[i] = core.Key(r.U64())
 		}
-	case MsgPut:
-		m.Key = core.Key(r.U64())
+	case msgPut:
+		m.key = core.Key(r.U64())
 		m.Val = r.U64()
-	case MsgStats, MsgOK, MsgRetryLater:
+	case msgStats, msgOK, msgRetryLater:
 		// header only
-	case MsgValue:
+	case msgValue:
 		m.Val = r.U64()
 		switch r.U8() {
 		case 0:
@@ -430,31 +430,31 @@ func decodeMsg(body []byte) (*Msg, error) {
 				return nil, binio.Corruptf("found flag out of range")
 			}
 		}
-	case MsgValueBatch:
-		m.FoundN = r.U32()
+	case msgValueBatch:
+		m.foundN = r.U32()
 		n := r.Count(8)
-		if n > MaxBatch {
-			return nil, binio.Corruptf("batch of %d values exceeds limit %d", n, MaxBatch)
+		if n > maxBatch {
+			return nil, binio.Corruptf("batch of %d values exceeds limit %d", n, maxBatch)
 		}
-		if int(m.FoundN) > n {
-			return nil, binio.Corruptf("found count %d exceeds batch %d", m.FoundN, n)
+		if int(m.foundN) > n {
+			return nil, binio.Corruptf("found count %d exceeds batch %d", m.foundN, n)
 		}
-		m.Vals = make([]uint64, n)
-		for i := range m.Vals {
-			m.Vals[i] = r.U64()
+		m.vals = make([]uint64, n)
+		for i := range m.vals {
+			m.vals[i] = r.U64()
 		}
-	case MsgError:
-		m.Err = r.Str(maxErrLen)
-	case MsgStatsReply:
+	case msgError:
+		m.err = r.Str(maxErrLen)
+	case msgStatsReply:
 		s := &Stats{
-			Conns:         r.U64(),
+			conns:         r.U64(),
 			Accepted:      r.U64(),
 			Shed:          r.U64(),
 			ShedConns:     r.U64(),
 			DroppedConns:  r.U64(),
 			Batches:       r.U64(),
 			BatchedKeys:   r.U64(),
-			QueueDepth:    r.U64(),
+			queueDepth:    r.U64(),
 			MaxQueueDepth: r.U64(),
 		}
 		if err := r.Err(); err != nil {
@@ -478,7 +478,7 @@ func decodeMsg(body []byte) (*Msg, error) {
 				}
 			}
 		}
-		m.Stats = s
+		m.stats = s
 	case MsgSubscribe, MsgSnapEnd:
 		m.Epoch = r.U64()
 		m.Gen = r.U64()
@@ -487,7 +487,7 @@ func decodeMsg(body []byte) (*Msg, error) {
 			return nil, err
 		}
 		m.Seqs = seqs
-	case MsgResync, MsgTopo, MsgReplStat, MsgPromote:
+	case MsgResync, msgTopo, msgReplStat, msgPromote:
 		// header only
 	case MsgSnapFile:
 		m.Name = r.Str(maxSnapNameLen)
@@ -553,7 +553,7 @@ func decodeMsg(body []byte) (*Msg, error) {
 			return nil, err
 		}
 		m.Seqs = seqs
-	case MsgTopoReply:
+	case msgTopoReply:
 		m.Gen = r.U64()
 		n := r.Count(8)
 		if n > maxShards {
@@ -563,18 +563,18 @@ func decodeMsg(body []byte) (*Msg, error) {
 			return nil, r.Err()
 		}
 		if n > 0 {
-			m.Keys = make([]core.Key, n)
-			for i := range m.Keys {
-				m.Keys[i] = core.Key(r.U64())
-				if r.Err() == nil && i > 0 && m.Keys[i] <= m.Keys[i-1] {
+			m.keys = make([]core.Key, n)
+			for i := range m.keys {
+				m.keys[i] = core.Key(r.U64())
+				if r.Err() == nil && i > 0 && m.keys[i] <= m.keys[i-1] {
 					return nil, binio.Corruptf("separators not strictly ascending")
 				}
 			}
 		}
-	case MsgReplStatReply:
-		m.Role = r.U8()
-		if r.Err() == nil && m.Role >= roleEnd {
-			return nil, binio.Corruptf("unknown role %d", m.Role)
+	case msgReplStatReply:
+		m.role = r.U8()
+		if r.Err() == nil && m.role >= roleEnd {
+			return nil, binio.Corruptf("unknown role %d", m.role)
 		}
 		m.Epoch = r.U64()
 		m.Gen = r.U64()
@@ -609,7 +609,7 @@ func WriteMsg(w io.Writer, buf *binio.Writer, m *Msg) error {
 // ReadMsg reads and decodes one framed message, reusing scratch; it
 // returns the (possibly grown) scratch for the next call.
 func ReadMsg(r io.Reader, scratch []byte) (*Msg, []byte, error) {
-	body, err := binio.ReadFramed(r, scratch, MaxFrameBody)
+	body, err := binio.ReadFramed(r, scratch, maxFrameBody)
 	if err != nil {
 		return nil, scratch, err
 	}

@@ -21,47 +21,47 @@ func seedMsgs() []*Msg {
 	h.Record(90_000)
 	h.Record(2_500_000)
 	return []*Msg{
-		{Type: MsgGet, ID: 1, Key: 42},
-		{Type: MsgGetBatch, ID: 2, Keys: []core.Key{1, 5, 9, 1 << 40}},
-		{Type: MsgPut, ID: 3, Key: 7, Val: 700},
-		{Type: MsgDelete, ID: 4, Key: 7},
-		{Type: MsgStats, ID: 5},
-		{Type: MsgValue, ID: 6, Val: 700, Found: true},
-		{Type: MsgValue, ID: 7, Val: 0, Found: false},
-		{Type: MsgValueBatch, ID: 8, FoundN: 2, Vals: []uint64{3, 0, 9}},
-		{Type: MsgOK, ID: 9},
-		{Type: MsgRetryLater, ID: 10},
-		{Type: MsgError, ID: 11, Err: "shard 3: index rebuild in progress"},
-		{Type: MsgStatsReply, ID: 12, Stats: &Stats{
-			Conns: 2, Accepted: 100, Shed: 3, Batches: 10, BatchedKeys: 60,
-			QueueDepth: 1, MaxQueueDepth: 17, Latency: h.Snapshot(),
+		{Type: msgGet, id: 1, key: 42},
+		{Type: msgGetBatch, id: 2, keys: []core.Key{1, 5, 9, 1 << 40}},
+		{Type: msgPut, id: 3, key: 7, Val: 700},
+		{Type: msgDelete, id: 4, key: 7},
+		{Type: msgStats, id: 5},
+		{Type: msgValue, id: 6, Val: 700, Found: true},
+		{Type: msgValue, id: 7, Val: 0, Found: false},
+		{Type: msgValueBatch, id: 8, foundN: 2, vals: []uint64{3, 0, 9}},
+		{Type: msgOK, id: 9},
+		{Type: msgRetryLater, id: 10},
+		{Type: msgError, id: 11, err: "shard 3: index rebuild in progress"},
+		{Type: msgStatsReply, id: 12, stats: &Stats{
+			conns: 2, Accepted: 100, Shed: 3, Batches: 10, BatchedKeys: 60,
+			queueDepth: 1, MaxQueueDepth: 17, Latency: h.Snapshot(),
 		}},
-		{Type: MsgStatsReply, ID: 13, Stats: &Stats{
-			Conns: 1, Accepted: 42, Latency: h.Snapshot(),
+		{Type: msgStatsReply, id: 13, stats: &Stats{
+			conns: 1, Accepted: 42, Latency: h.Snapshot(),
 			Vars: []obs.Var{
 				{Name: "sosd_net_accepted_total", Value: 42},
 				{Name: `sosd_shard_runs{shard="0"}`, Value: 3},
 				{Name: "sosd_store_read_amp", Value: 1.75},
 			},
 		}},
-		{Type: MsgSubscribe, ID: 14, Epoch: 0xfeed, Gen: 3, Seqs: []uint64{12, 0, 7, 99}},
-		{Type: MsgSubscribe, ID: 15, Epoch: 1, Gen: 0}, // fresh follower: no seqs
-		{Type: MsgResync, ID: 16},
-		{Type: MsgSnapFile, ID: 17, Name: "shard-0001-g000003-r00.tab", Val: 262144,
+		{Type: MsgSubscribe, id: 14, Epoch: 0xfeed, Gen: 3, Seqs: []uint64{12, 0, 7, 99}},
+		{Type: MsgSubscribe, id: 15, Epoch: 1, Gen: 0}, // fresh follower: no seqs
+		{Type: MsgResync, id: 16},
+		{Type: MsgSnapFile, id: 17, Name: "shard-0001-g000003-r00.tab", Val: 262144,
 			Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
-		{Type: MsgSnapFile, ID: 18, Name: "MANIFEST", Val: 0, Found: true, Data: []byte("x")},
-		{Type: MsgSnapEnd, ID: 19, Epoch: 0xfeed, Gen: 3, Seqs: []uint64{100, 200}},
-		{Type: MsgWalBatch, ID: 20, Shard: 2, Seq: 101, Ops: []persist.Op{
+		{Type: MsgSnapFile, id: 18, Name: "MANIFEST", Val: 0, Found: true, Data: []byte("x")},
+		{Type: MsgSnapEnd, id: 19, Epoch: 0xfeed, Gen: 3, Seqs: []uint64{100, 200}},
+		{Type: MsgWalBatch, id: 20, Shard: 2, Seq: 101, Ops: []persist.Op{
 			{Key: 5, Val: 50}, {Key: 9, Tomb: true},
 		}},
-		{Type: MsgAck, ID: 21, Seqs: []uint64{101, 0}},
-		{Type: MsgHeartbeat, ID: 22, Epoch: 0xfeed, Seqs: []uint64{103, 4}},
-		{Type: MsgTopo, ID: 23},
-		{Type: MsgTopoReply, ID: 24, Gen: 3, Keys: []core.Key{1 << 20, 1 << 40, 1 << 60}},
-		{Type: MsgReplStat, ID: 25},
-		{Type: MsgReplStatReply, ID: 26, Role: RoleFollower, Epoch: 0xfeed, Gen: 3,
+		{Type: MsgAck, id: 21, Seqs: []uint64{101, 0}},
+		{Type: MsgHeartbeat, id: 22, Epoch: 0xfeed, Seqs: []uint64{103, 4}},
+		{Type: msgTopo, id: 23},
+		{Type: msgTopoReply, id: 24, Gen: 3, keys: []core.Key{1 << 20, 1 << 40, 1 << 60}},
+		{Type: msgReplStat, id: 25},
+		{Type: msgReplStatReply, id: 26, role: RoleFollower, Epoch: 0xfeed, Gen: 3,
 			Seqs: []uint64{101, 4}},
-		{Type: MsgPromote, ID: 27},
+		{Type: msgPromote, id: 27},
 	}
 }
 
@@ -107,7 +107,7 @@ func FuzzFrame(f *testing.F) {
 			m, err = decodeMsg(payload)
 		} else {
 			var body []byte
-			body, err = binio.ReadFramed(bytes.NewReader(payload), nil, MaxFrameBody)
+			body, err = binio.ReadFramed(bytes.NewReader(payload), nil, maxFrameBody)
 			if err == nil {
 				m, err = decodeMsg(body)
 			}
@@ -125,10 +125,10 @@ func FuzzFrame(f *testing.F) {
 		if m.Type == 0 || m.Type >= msgTypeEnd {
 			t.Fatalf("decoded message has invalid type %d", m.Type)
 		}
-		if m.Type == MsgValueBatch && int(m.FoundN) > len(m.Vals) {
-			t.Fatalf("decoded FoundN %d > %d vals", m.FoundN, len(m.Vals))
+		if m.Type == msgValueBatch && int(m.foundN) > len(m.vals) {
+			t.Fatalf("decoded foundN %d > %d vals", m.foundN, len(m.vals))
 		}
-		if m.Type == MsgStatsReply && m.Stats.Latency == nil {
+		if m.Type == msgStatsReply && m.stats.Latency == nil {
 			t.Fatal("decoded stats reply without histogram")
 		}
 		// Round-trip: a decoded message is always re-encodable, and the
@@ -150,7 +150,7 @@ func fuzzCorpus(t *testing.T) map[string][]byte {
 	corpus := map[string][]byte{}
 	for _, m := range seedMsgs() {
 		frame := seedFrame(t, m)
-		name := "type-" + strconv.Itoa(int(m.Type)) + "-id-" + strconv.FormatUint(m.ID, 10)
+		name := "type-" + strconv.Itoa(int(m.Type)) + "-id-" + strconv.FormatUint(m.id, 10)
 		corpus["framed-"+name] = append([]byte{1}, frame...)
 		corpus["body-"+name] = append([]byte{0}, frame[4:len(frame)-8]...)
 		// Keep the error paths in the corpus: a truncation and a CRC-

@@ -138,9 +138,9 @@ func TestServerShutdownLeavesNoGoroutines(t *testing.T) {
 
 	// Both connections must be reaped before the server closes.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv3.Stats().Conns != 0 {
+	for srv3.Stats().conns != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("server still reports %d conns after disconnects", srv3.Stats().Conns)
+			t.Fatalf("server still reports %d conns after disconnects", srv3.Stats().conns)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

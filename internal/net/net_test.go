@@ -92,7 +92,7 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Accepted == 0 || s.Conns != 1 || s.Latency == nil || s.Latency.Count() == 0 {
+	if s.Accepted == 0 || s.conns != 1 || s.Latency == nil || s.Latency.Count() == 0 {
 		t.Fatalf("stats degenerate: %+v", s)
 	}
 	if s.Shed != 0 {

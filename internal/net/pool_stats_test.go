@@ -38,17 +38,17 @@ func TestStatsMerge(t *testing.T) {
 	ha.Record(100)
 	hb.Record(300)
 	a := &Stats{
-		Conns: 1, Accepted: 10, Shed: 2, QueueDepth: 3, MaxQueueDepth: 5,
+		conns: 1, Accepted: 10, Shed: 2, queueDepth: 3, MaxQueueDepth: 5,
 		Latency: ha,
 		Vars:    []obs.Var{{Name: "alpha", Value: 1}, {Name: "beta", Value: 2}},
 	}
 	b := &Stats{
-		Conns: 2, Accepted: 20, Shed: 1, QueueDepth: 1, MaxQueueDepth: 9,
+		conns: 2, Accepted: 20, Shed: 1, queueDepth: 1, MaxQueueDepth: 9,
 		Latency: hb,
 		Vars:    []obs.Var{{Name: "beta", Value: 5}, {Name: "gamma", Value: 7}},
 	}
 	a.Merge(b)
-	if a.Conns != 3 || a.Accepted != 30 || a.Shed != 3 || a.QueueDepth != 4 {
+	if a.conns != 3 || a.Accepted != 30 || a.Shed != 3 || a.queueDepth != 4 {
 		t.Fatalf("summed counters wrong: %+v", a)
 	}
 	if a.MaxQueueDepth != 9 {

@@ -88,8 +88,8 @@ func TestClientRedial(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get(keys[0]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("get after Close: %v, want ErrClosed", err)
+	if _, _, err := c.Get(keys[0]); !errors.Is(err, errClosed) {
+		t.Fatalf("get after Close: %v, want errClosed", err)
 	}
 }
 

@@ -41,12 +41,12 @@ type Config struct {
 
 	// MaxPending bounds the admission queue: requests admitted but not
 	// yet answered. A request arriving with the queue full is refused
-	// with MsgRetryLater — shed explicitly, never queued without bound
+	// with msgRetryLater — shed explicitly, never queued without bound
 	// and never dropped silently. 0 defaults to DefaultMaxPending.
 	MaxPending int
 
 	// MaxConns bounds accepted connections; one past the bound is sent
-	// MsgRetryLater and closed. 0 defaults to DefaultMaxConns.
+	// msgRetryLater and closed. 0 defaults to DefaultMaxConns.
 	MaxConns int
 
 	// Metrics, when non-nil, receives the server's observability
@@ -63,7 +63,7 @@ type Config struct {
 	// stack).
 	Tracer *obs.Tracer
 
-	// ReplStat, when non-nil, answers MsgReplStat with this node's
+	// ReplStat, when non-nil, answers msgReplStat with this node's
 	// replication role, epoch, applied generation, and per-shard applied
 	// sequence numbers. Nodes without a replication layer leave it nil
 	// and refuse the request.
@@ -212,14 +212,14 @@ func (s *Server) Stats() *Stats {
 		return uint64(v)
 	}
 	return &Stats{
-		Conns:         clampU(s.connCount.Load()),
+		conns:         clampU(s.connCount.Load()),
 		Accepted:      s.accepted.Load(),
 		Shed:          s.shed.Load(),
 		ShedConns:     s.shedConns.Load(),
 		DroppedConns:  s.droppedConns.Load(),
 		Batches:       s.batches.Load(),
 		BatchedKeys:   s.batchedKeys.Load(),
-		QueueDepth:    clampU(s.pending.Load()),
+		queueDepth:    clampU(s.pending.Load()),
 		MaxQueueDepth: clampU(s.maxPending.Load()),
 		Latency:       s.lat.Snapshot(),
 		Vars:          s.reg.Vars(),
@@ -266,7 +266,7 @@ func (s *Server) acceptLoop() {
 			// queue would refuse anyway.
 			s.shedConns.Add(1)
 			var buf binio.Writer
-			_ = WriteMsg(nc, &buf, &Msg{Type: MsgRetryLater})
+			_ = WriteMsg(nc, &buf, &Msg{Type: msgRetryLater})
 			_ = nc.Close()
 			continue
 		}
@@ -363,7 +363,7 @@ func (s *Server) coalescer() {
 		// landed after its round.
 		s.st.GetBatchFound(keys, vals[:n], fbits[:n])
 		for i, g := range batch {
-			g.c.send(&Msg{Type: MsgValue, ID: g.id, Val: vals[i], Found: fbits[i]})
+			g.c.send(&Msg{Type: msgValue, id: g.id, Val: vals[i], Found: fbits[i]})
 			s.lat.Record(time.Since(g.t0).Nanoseconds())
 			s.release()
 		}
@@ -503,80 +503,80 @@ func (c *srvConn) writer() {
 // path is internally synchronized and its GetBatch already runs the
 // batched fast path — while point lookups go to the coalescer. Every
 // admitted request is answered exactly once; every refusal is an
-// explicit MsgRetryLater.
+// explicit msgRetryLater.
 func (c *srvConn) handle(m *Msg) {
 	s := c.s
 	switch m.Type {
-	case MsgStats:
+	case msgStats:
 		// Monitoring must work under overload: never admission-gated.
-		c.send(&Msg{Type: MsgStatsReply, ID: m.ID, Stats: s.Stats()})
-	case MsgTopo:
+		c.send(&Msg{Type: msgStatsReply, id: m.id, stats: s.Stats()})
+	case msgTopo:
 		// Routing metadata, like monitoring: never admission-gated.
-		c.send(&Msg{Type: MsgTopoReply, ID: m.ID, Keys: s.st.Separators()})
-	case MsgReplStat:
+		c.send(&Msg{Type: msgTopoReply, id: m.id, keys: s.st.Separators()})
+	case msgReplStat:
 		if s.cfg.ReplStat == nil {
-			c.send(&Msg{Type: MsgError, ID: m.ID, Err: "no replication status"})
+			c.send(&Msg{Type: msgError, id: m.id, err: "no replication status"})
 			return
 		}
 		role, epoch, gen, seqs := s.cfg.ReplStat()
-		c.send(&Msg{Type: MsgReplStatReply, ID: m.ID, Role: role, Epoch: epoch, Gen: gen, Seqs: seqs})
-	case MsgPromote:
+		c.send(&Msg{Type: msgReplStatReply, id: m.id, role: role, Epoch: epoch, Gen: gen, Seqs: seqs})
+	case msgPromote:
 		if s.cfg.Promote == nil {
-			c.send(&Msg{Type: MsgError, ID: m.ID, Err: "not promotable"})
+			c.send(&Msg{Type: msgError, id: m.id, err: "not promotable"})
 			return
 		}
 		if err := s.cfg.Promote(); err != nil {
-			c.send(&Msg{Type: MsgError, ID: m.ID, Err: err.Error()})
+			c.send(&Msg{Type: msgError, id: m.id, err: err.Error()})
 			return
 		}
-		c.send(&Msg{Type: MsgOK, ID: m.ID})
-	case MsgGet:
+		c.send(&Msg{Type: msgOK, id: m.id})
+	case msgGet:
 		if !s.admit() {
-			c.send(&Msg{Type: MsgRetryLater, ID: m.ID})
+			c.send(&Msg{Type: msgRetryLater, id: m.id})
 			return
 		}
 		// Admission bounds occupancy, so this send cannot block.
-		s.getC <- getReq{key: m.Key, id: m.ID, c: c, t0: time.Now(), sp: s.tracer.Sample()}
-	case MsgGetBatch:
+		s.getC <- getReq{key: m.key, id: m.id, c: c, t0: time.Now(), sp: s.tracer.Sample()}
+	case msgGetBatch:
 		if !s.admit() {
-			c.send(&Msg{Type: MsgRetryLater, ID: m.ID})
+			c.send(&Msg{Type: msgRetryLater, id: m.id})
 			return
 		}
 		t0 := time.Now()
-		vals := make([]uint64, len(m.Keys))
-		found := s.st.GetBatch(m.Keys, vals)
-		c.send(&Msg{Type: MsgValueBatch, ID: m.ID, Vals: vals, FoundN: uint32(found)})
+		vals := make([]uint64, len(m.keys))
+		found := s.st.GetBatch(m.keys, vals)
+		c.send(&Msg{Type: msgValueBatch, id: m.id, vals: vals, foundN: uint32(found)})
 		s.lat.Record(time.Since(t0).Nanoseconds())
 		s.release()
-	case MsgPut:
+	case msgPut:
 		if s.st.ReadOnly() {
-			c.send(&Msg{Type: MsgError, ID: m.ID, Err: "read-only replica"})
+			c.send(&Msg{Type: msgError, id: m.id, err: "read-only replica"})
 			return
 		}
 		if !s.admit() {
-			c.send(&Msg{Type: MsgRetryLater, ID: m.ID})
+			c.send(&Msg{Type: msgRetryLater, id: m.id})
 			return
 		}
 		t0 := time.Now()
-		s.st.Put(m.Key, m.Val)
-		c.send(&Msg{Type: MsgOK, ID: m.ID})
+		s.st.Put(m.key, m.Val)
+		c.send(&Msg{Type: msgOK, id: m.id})
 		s.lat.Record(time.Since(t0).Nanoseconds())
 		s.release()
-	case MsgDelete:
+	case msgDelete:
 		if s.st.ReadOnly() {
-			c.send(&Msg{Type: MsgError, ID: m.ID, Err: "read-only replica"})
+			c.send(&Msg{Type: msgError, id: m.id, err: "read-only replica"})
 			return
 		}
 		if !s.admit() {
-			c.send(&Msg{Type: MsgRetryLater, ID: m.ID})
+			c.send(&Msg{Type: msgRetryLater, id: m.id})
 			return
 		}
 		t0 := time.Now()
-		s.st.Delete(m.Key)
-		c.send(&Msg{Type: MsgOK, ID: m.ID})
+		s.st.Delete(m.key)
+		c.send(&Msg{Type: msgOK, id: m.id})
 		s.lat.Record(time.Since(t0).Nanoseconds())
 		s.release()
 	default:
-		c.send(&Msg{Type: MsgError, ID: m.ID, Err: "not a request type"})
+		c.send(&Msg{Type: msgError, id: m.id, err: "not a request type"})
 	}
 }

@@ -58,9 +58,9 @@ type series struct {
 	name   string // base metric name (family)
 	id     string // rendered name{labels} identity
 	kind   kind
-	c      *Counter
+	c      *counter
 	fn     func() float64
-	h      *Histogram
+	h      *histogram
 	labels []Label
 }
 
@@ -112,11 +112,11 @@ func (r *Registry) register(s *series) {
 
 // counter registers and returns a monotonically increasing counter.
 // Returns nil (a valid no-op handle) on a nil registry.
-func (r *Registry) counter(name string, labels ...Label) *Counter {
+func (r *Registry) counter(name string, labels ...Label) *counter {
 	if r == nil {
 		return nil
 	}
-	c := &Counter{}
+	c := &counter{}
 	r.register(&series{name: name, kind: kindCounter, c: c, labels: labels})
 	return c
 }
@@ -144,11 +144,11 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 // histogram registers and returns a fresh latency histogram, exposed
 // as a Prometheus summary (p50/p90/p99/p999 quantiles plus _sum and
 // _count).
-func (r *Registry) histogram(name string, labels ...Label) *Histogram {
+func (r *Registry) histogram(name string, labels ...Label) *histogram {
 	if r == nil {
 		return nil
 	}
-	h := &Histogram{h: &stats.Histogram{}}
+	h := &histogram{h: &stats.Histogram{}}
 	r.register(&series{name: name, kind: kindHistogram, h: h, labels: labels})
 	return h
 }
@@ -159,7 +159,7 @@ func (r *Registry) AttachHistogram(name string, h *stats.Histogram, labels ...La
 	if r == nil || h == nil {
 		return
 	}
-	r.register(&series{name: name, kind: kindHistogram, h: &Histogram{h: h}, labels: labels})
+	r.register(&series{name: name, kind: kindHistogram, h: &histogram{h: h}, labels: labels})
 }
 
 // snapshot returns the registered series under the lock; values are
@@ -217,32 +217,32 @@ func (r *Registry) Value(id string) (float64, bool) {
 	return 0, false
 }
 
-// Counter is a monotonically increasing counter; one atomic add to
+// counter is a monotonically increasing counter; one atomic add to
 // record. Methods are no-ops on a nil handle.
-type Counter struct{ v atomic.Uint64 }
+type counter struct{ v atomic.Uint64 }
 
 // inc adds one.
-func (c *Counter) inc() {
+func (c *counter) inc() {
 	if c != nil {
 		c.v.Add(1)
 	}
 }
 
 // value reports the current count (0 on a nil handle).
-func (c *Counter) value() uint64 {
+func (c *counter) value() uint64 {
 	if c == nil {
 		return 0
 	}
 	return c.v.Load()
 }
 
-// Histogram records value distributions (latencies in nanoseconds, by
+// histogram records value distributions (latencies in nanoseconds, by
 // convention) into a stats.Histogram. Methods are no-ops on a nil
 // handle.
-type Histogram struct{ h *stats.Histogram }
+type histogram struct{ h *stats.Histogram }
 
 // observe records one sample.
-func (h *Histogram) observe(v int64) {
+func (h *histogram) observe(v int64) {
 	if h != nil {
 		h.h.Record(v)
 	}

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// summaryQuantiles are the quantile series a Histogram exposes.
+// summaryQuantiles are the quantile series a histogram exposes.
 var summaryQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
 
 // writePrometheus renders the registry in the Prometheus text

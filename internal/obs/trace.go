@@ -40,8 +40,8 @@ const DefaultTraceEvery = 1024
 type Tracer struct {
 	mask    uint64 // every-1; every is a power of two
 	n       atomic.Uint64
-	sampled *Counter
-	phases  [numPhases]*Histogram
+	sampled *counter
+	phases  [numPhases]*histogram
 }
 
 // NewTracer registers a tracer's series in r and returns it. every is

@@ -16,29 +16,29 @@ import "fmt"
 // modest last-level cache so that laptop-scale datasets exhibit the
 // same cached-index/uncached-data split as the paper's 200M-key runs.
 type Config struct {
-	CacheBytes int // total capacity; default 4 MiB
-	LineBytes  int // cache line size; default 64
-	Ways       int // associativity; default 16
+	cacheBytes int // total capacity; default 4 MiB
+	lineBytes  int // cache line size; default 64
+	ways       int // associativity; default 16
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheBytes == 0 {
-		c.CacheBytes = 4 << 20
+	if c.cacheBytes == 0 {
+		c.cacheBytes = 4 << 20
 	}
-	if c.LineBytes == 0 {
-		c.LineBytes = 64
+	if c.lineBytes == 0 {
+		c.lineBytes = 64
 	}
-	if c.Ways == 0 {
-		c.Ways = 16
+	if c.ways == 0 {
+		c.ways = 16
 	}
 	return c
 }
 
 // Counters accumulates simulated performance events.
 type Counters struct {
-	Accesses     uint64
+	accesses     uint64
 	CacheMisses  uint64
-	Branches     uint64
+	branches     uint64
 	BranchMisses uint64
 	Instructions uint64
 }
@@ -46,7 +46,7 @@ type Counters struct {
 // String implements fmt.Stringer.
 func (c Counters) String() string {
 	return fmt.Sprintf("acc=%d miss=%d br=%d brmiss=%d instr=%d",
-		c.Accesses, c.CacheMisses, c.Branches, c.BranchMisses, c.Instructions)
+		c.accesses, c.CacheMisses, c.branches, c.BranchMisses, c.Instructions)
 }
 
 // Region is a handle to a simulated memory allocation.
@@ -57,7 +57,6 @@ type Region struct {
 
 // Machine is a simulated memory hierarchy plus branch predictor.
 type Machine struct {
-	cfg     Config
 	nSets   int
 	lineSz  uint64
 	tags    [][]uint64 // per set, per way: line tag (0 = empty)
@@ -71,22 +70,21 @@ type Machine struct {
 // New builds a machine with the given configuration.
 func New(cfg Config) *Machine {
 	cfg = cfg.withDefaults()
-	nSets := cfg.CacheBytes / cfg.LineBytes / cfg.Ways
+	nSets := cfg.cacheBytes / cfg.lineBytes / cfg.ways
 	if nSets < 1 {
 		nSets = 1
 	}
 	m := &Machine{
-		cfg:     cfg,
 		nSets:   nSets,
-		lineSz:  uint64(cfg.LineBytes),
+		lineSz:  uint64(cfg.lineBytes),
 		tags:    make([][]uint64, nSets),
 		ticks:   make([][]uint64, nSets),
-		nextMem: uint64(cfg.LineBytes), // keep tag 0 meaning "empty"
+		nextMem: uint64(cfg.lineBytes), // keep tag 0 meaning "empty"
 		branch:  make([]uint8, 4096),
 	}
 	for s := range m.tags {
-		m.tags[s] = make([]uint64, cfg.Ways)
-		m.ticks[s] = make([]uint64, cfg.Ways)
+		m.tags[s] = make([]uint64, cfg.ways)
+		m.ticks[s] = make([]uint64, cfg.ways)
 	}
 	return m
 }
@@ -118,7 +116,7 @@ func (m *Machine) Access(r Region, offset, size int) {
 }
 
 func (m *Machine) touchLine(line uint64) {
-	m.ctr.Accesses++
+	m.ctr.accesses++
 	m.tick++
 	set := int(line % uint64(m.nSets))
 	tags := m.tags[set]
@@ -143,7 +141,7 @@ func (m *Machine) touchLine(line uint64) {
 // recordBranch records a conditional branch at the given site with the given
 // outcome, consulting a 2-bit saturating predictor.
 func (m *Machine) recordBranch(site uint32, taken bool) {
-	m.ctr.Branches++
+	m.ctr.branches++
 	m.ctr.Instructions++
 	idx := site & uint32(len(m.branch)-1)
 	state := m.branch[idx]

@@ -20,11 +20,11 @@ import (
 )
 
 func TestCacheBasics(t *testing.T) {
-	m := New(Config{CacheBytes: 1 << 12, LineBytes: 64, Ways: 2})
+	m := New(Config{cacheBytes: 1 << 12, lineBytes: 64, ways: 2})
 	r := m.Alloc(1024)
 	m.Access(r, 0, 8)
 	c := m.Counters()
-	if c.CacheMisses != 1 || c.Accesses != 1 {
+	if c.CacheMisses != 1 || c.accesses != 1 {
 		t.Fatalf("first access: %v", c)
 	}
 	m.Access(r, 8, 8) // same line: hit
@@ -44,7 +44,7 @@ func TestCacheBasics(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	// 2 ways, 2 sets of 64B lines = 256B cache. Touching 3 lines that
 	// map to the same set evicts the LRU.
-	m := New(Config{CacheBytes: 256, LineBytes: 64, Ways: 2})
+	m := New(Config{cacheBytes: 256, lineBytes: 64, ways: 2})
 	r := m.Alloc(4096)
 	m.Access(r, 0, 1)   // set 0, miss
 	m.Access(r, 128, 1) // set 0, miss
@@ -60,7 +60,7 @@ func TestCacheSpanningAccess(t *testing.T) {
 	m := New(Config{})
 	r := m.Alloc(4096)
 	m.Access(r, 60, 16) // spans two lines
-	if got := m.Counters().Accesses; got != 2 {
+	if got := m.Counters().accesses; got != 2 {
 		t.Fatalf("spanning access touched %d lines", got)
 	}
 }
@@ -118,7 +118,7 @@ func buildTraced(t *testing.T, keys []core.Key) map[string]tracedCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(Config{CacheBytes: 1 << 20})
+		m := New(Config{cacheBytes: 1 << 20})
 		tr, ok := For(idx, m, keys)
 		if !ok {
 			t.Fatalf("%s: no traced form", name)
@@ -191,12 +191,12 @@ func TestTracedRMILeafIsOneLine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(Config{CacheBytes: 1 << 20})
+		m := New(Config{cacheBytes: 1 << 20})
 		tr, _ := For(idx, m, keys)
 		for leaf := 0; leaf < idx.NumLeaves(); leaf++ {
-			before := m.Counters().Accesses
+			before := m.Counters().accesses
 			tr.(*tracedRMI).touchLeaf(leaf)
-			if lines := m.Counters().Accesses - before; lines != 1 {
+			if lines := m.Counters().accesses - before; lines != 1 {
 				t.Fatalf("stage 2 %v: leaf %d (%d bytes) touches %d lines", stage2, leaf, idx.LeafBytes(), lines)
 			}
 		}
@@ -257,8 +257,8 @@ func TestIBTreeProfileIsItsOwn(t *testing.T) {
 	if c[0] == c[1] {
 		t.Fatalf("IBTree is charged exactly as BTree: %v", c[0])
 	}
-	if c[1].Branches <= c[0].Branches {
-		t.Errorf("IBTree records %d branches, BTree %d: the interpolation probe is not charged", c[1].Branches, c[0].Branches)
+	if c[1].branches <= c[0].branches {
+		t.Errorf("IBTree records %d branches, BTree %d: the interpolation probe is not charged", c[1].branches, c[0].branches)
 	}
 }
 
@@ -281,7 +281,7 @@ func TestTracedSearchesChargeReplaySlots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(Config{CacheBytes: 64 << 10, LineBytes: keyBytes})
+		m := New(Config{cacheBytes: 64 << 10, lineBytes: keyBytes})
 		tr, _ := For(idx, m, keys)
 		for _, x := range lookups {
 			// want lists, per key region, the slots charged in order.

@@ -46,7 +46,7 @@ const (
 // (working set far larger than the LLC) holds at laptop scale: one byte
 // of cache per key keeps the ratio near the paper's 3.2 GB data to
 // 27.5 MB LLC, within [128 KiB, 4 MiB].
-func CacheFor(n int) Config { return Config{CacheBytes: min(max(n, 128<<10), 4<<20)} }
+func CacheFor(n int) Config { return Config{cacheBytes: min(max(n, 128<<10), 4<<20)} }
 
 // For wires a built index over keys into m; ok is false for a family
 // with no traced form.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"repro/internal/binio"
@@ -129,6 +130,27 @@ func TestCommitFailedWriteLeavesNothing(t *testing.T) {
 			if written.Load() != committed {
 				t.Fatalf("%s, write %d failing: %d bytes counted as written", name, k, written.Load()-committed)
 			}
+		}
+	}
+}
+
+// TestDirSyncErrKeepsAllButEINVAL: a directory fsync's EINVAL (a
+// filesystem that cannot fsync directories) is forgiven, bare or
+// wrapped as os.File.Sync wraps it; EIO, which leaves the rename's
+// durability unknown, is returned.
+func TestDirSyncErrKeepsAllButEINVAL(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		keep bool
+	}{
+		{nil, false},
+		{syscall.EINVAL, false},
+		{&os.PathError{Op: "sync", Path: "d", Err: syscall.EINVAL}, false},
+		{syscall.EIO, true},
+		{&os.PathError{Op: "sync", Path: "d", Err: syscall.EIO}, true},
+	} {
+		if got := dirSyncErr(c.err); (got != nil) != c.keep || c.keep && got != c.err {
+			t.Errorf("dirSyncErr(%v) = %v, want kept %v", c.err, got, c.keep)
 		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+	"syscall"
 
 	"repro/internal/binio"
 	"repro/internal/core"
@@ -35,7 +36,7 @@ import (
 
 // Format version, bumped on any incompatible layout change. Decoders
 // reject other versions rather than guessing.
-const FormatVersion = 1
+const formatVersion = 1
 
 // maxTagLen bounds manifest/frame strings (family tags, config IDs,
 // file names) — anything longer is corruption.
@@ -93,8 +94,9 @@ func commitFile(path string, sink func(*os.File) io.Writer, written *atomic.Uint
 }
 
 // SyncDir fsyncs a directory so a completed rename survives power loss.
-// Best-effort where directories cannot be fsynced (some filesystems
-// return EINVAL): only a directory that cannot be opened is an error.
+// Some filesystems cannot fsync a directory and return EINVAL, which
+// is no error here; any other failure (EIO) means the rename may not be
+// durable, and is returned.
 func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -102,8 +104,16 @@ func SyncDir(dir string) error {
 	}
 	defer d.Close()
 	fsyncs.Add(1)
-	_ = d.Sync()
-	return nil
+	return dirSyncErr(d.Sync())
+}
+
+// dirSyncErr drops the EINVAL of a filesystem that cannot fsync a
+// directory and keeps every other error.
+func dirSyncErr(err error) error {
+	if errors.Is(err, syscall.EINVAL) {
+		return nil
+	}
+	return err
 }
 
 // indexCodec returns the codec idx is framed with. Families without one
@@ -170,10 +180,10 @@ func ReadIndex(path string) (core.Index, error) {
 }
 
 // WriteFrame writes the envelope every checked artifact shares: magic,
-// FormatVersion, what body writes to w, then the CRC64 of all of it.
+// formatVersion, what body writes to w, then the CRC64 of all of it.
 func WriteFrame(w *binio.Writer, magic []byte, body func() error) error {
 	w.Bytes(magic)
-	w.U32(FormatVersion)
+	w.U32(formatVersion)
 	if err := body(); err != nil {
 		return err
 	}
@@ -182,7 +192,7 @@ func WriteFrame(w *binio.Writer, magic []byte, body func() error) error {
 }
 
 // OpenFrame checks a WriteFrame envelope — trailing CRC64, magic,
-// FormatVersion — and returns a reader over the body. what names the
+// formatVersion — and returns a reader over the body. what names the
 // artifact in errors.
 func OpenFrame(data, magic []byte, what string) (*binio.Reader, error) {
 	if len(data) < 8 {
@@ -197,8 +207,8 @@ func OpenFrame(data, magic []byte, what string) (*binio.Reader, error) {
 	if string(r.Bytes(len(magic))) != string(magic) {
 		return nil, binio.Corruptf("persist: bad %s magic", what)
 	}
-	if v := r.U32(); v != FormatVersion {
-		return nil, binio.Corruptf("persist: %s format version %d, want %d", what, v, FormatVersion)
+	if v := r.U32(); v != formatVersion {
+		return nil, binio.Corruptf("persist: %s format version %d, want %d", what, v, formatVersion)
 	}
 	return r, nil
 }

@@ -87,8 +87,8 @@ func replayWAL(data []byte) (ops []Op, validLen int64, err error) {
 	if string(r.Bytes(len(walMagic))) != string(walMagic) {
 		return nil, 0, binio.Corruptf("persist: bad wal magic")
 	}
-	if v := r.U32(); v != FormatVersion {
-		return nil, 0, binio.Corruptf("persist: wal format version %d, want %d", v, FormatVersion)
+	if v := r.U32(); v != formatVersion {
+		return nil, 0, binio.Corruptf("persist: wal format version %d, want %d", v, formatVersion)
 	}
 	r.U32() // reserved
 	off := int64(walHeaderLen)
@@ -120,7 +120,7 @@ func CreateWAL(path string, seed []Op) (*WAL, error) {
 func seedWAL(seed []Op) func(w *binio.Writer) error {
 	return func(w *binio.Writer) error {
 		w.Bytes(walMagic)
-		w.U32(FormatVersion)
+		w.U32(formatVersion)
 		w.U32(0)
 		var buf [walRecordLen]byte
 		for _, op := range seed {

@@ -30,27 +30,27 @@ var treeStrides = []int{512, 256, 128, 64, 32, 16, 8, 4, 2, 1}
 var stringStrides = []int{1, 4, 16, 64}
 
 func init() {
-	register("RMI", func(keys []core.Key) []Rung {
-		var out []Rung
+	register("RMI", func(keys []core.Key) []rung {
+		var out []rung
 		for _, b := range rmi.ParetoBranches(len(keys), 10) {
 			// The knob is the tail of rmi.Config.String(), the one part
 			// of the label that does not wait for the tuner.
-			out = append(out, Rung{Knob: fmt.Sprintf("B=%d]", b), Resolve: func() NamedBuilder {
+			out = append(out, rung{knob: fmt.Sprintf("B=%d]", b), resolve: func() NamedBuilder {
 				c := rmi.TuneBranch(keys, b)
 				return NamedBuilder{c.String(), rmi.Builder{Config: c}}
 			}})
 		}
 		return out
 	})
-	register("PGM", func([]core.Key) []Rung {
-		var out []Rung
+	register("PGM", func([]core.Key) []rung {
+		var out []rung
 		for _, eps := range []int{4096, 1024, 512, 256, 128, 64, 32, 16, 8, 4} {
 			out = append(out, fixed(fmt.Sprintf("eps=%d", eps), pgm.Builder{Eps: eps}))
 		}
 		return out
 	})
-	register("RS", func([]core.Key) []Rung {
-		var out []Rung
+	register("RS", func([]core.Key) []rung {
+		var out []rung
 		type rc struct{ err, bits int }
 		for _, c := range []rc{{4096, 4}, {1024, 6}, {512, 8}, {256, 10}, {128, 12},
 			{64, 14}, {32, 16}, {16, 18}, {8, 20}, {4, 22}} {
@@ -59,8 +59,8 @@ func init() {
 		}
 		return out
 	})
-	register("RBS", func([]core.Key) []Rung {
-		var out []Rung
+	register("RBS", func([]core.Key) []rung {
+		var out []rung
 		for _, bits := range []int{4, 6, 8, 10, 12, 14, 16, 18, 20, 22} {
 			out = append(out, fixed(fmt.Sprintf("r=%d", bits), rbs.Builder{RadixBits: bits}))
 		}
@@ -73,8 +73,8 @@ func init() {
 	register("FST", strideLadder(stringStrides, func(s int) core.Builder { return fst.Builder{Stride: s} }))
 	register("Wormhole", strideLadder(stringStrides, func(s int) core.Builder { return wormhole.Builder{Stride: s} }))
 	register("BS", single("", rbs.BinarySearchBuilder{}))
-	register("RobinHash", single("lf=0.25", hashidx.RobinHoodBuilder{}))
-	register("CuckooMap", single("lf=0.99", hashidx.CuckooBuilder{}))
+	register("RobinHash", single(fmt.Sprintf("lf=%g", hashidx.RobinHoodLoadFactor), hashidx.RobinHoodBuilder{}))
+	register("CuckooMap", single(fmt.Sprintf("lf=%g", hashidx.CuckooLoadFactor), hashidx.CuckooBuilder{}))
 }
 
 // Tier returns the builder for indexing a small LSM tier run of a shard
@@ -127,9 +127,9 @@ const tierEps = 256
 
 // strideLadder is the ladder of a subset-stride structure: one rung per
 // stride, in the order given.
-func strideLadder(strides []int, mk func(int) core.Builder) LadderFunc {
-	return func([]core.Key) []Rung {
-		out := make([]Rung, 0, len(strides))
+func strideLadder(strides []int, mk func(int) core.Builder) ladderFunc {
+	return func([]core.Key) []rung {
+		out := make([]rung, 0, len(strides))
 		for _, s := range strides {
 			out = append(out, fixed(fmt.Sprintf("stride=%d", s), mk(s)))
 		}
@@ -138,6 +138,6 @@ func strideLadder(strides []int, mk func(int) core.Builder) LadderFunc {
 }
 
 // single is the ladder of a structure with one configuration.
-func single(label string, b core.Builder) LadderFunc {
-	return func([]core.Key) []Rung { return []Rung{fixed(label, b)} }
+func single(label string, b core.Builder) ladderFunc {
+	return func([]core.Key) []rung { return []rung{fixed(label, b)} }
 }

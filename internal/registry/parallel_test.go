@@ -59,7 +59,7 @@ func TestBuildsSameUnderGOMAXPROCS(t *testing.T) {
 			rungs := ladder(family, keys)
 			for _, at := range []int{0, len(rungs) / 2, len(rungs) - 1} {
 				runtime.GOMAXPROCS(1)
-				nb := rungs[at].Resolve()
+				nb := rungs[at].resolve()
 				want := buildFor(t, family, nb, keys)
 				for _, procs := range []int{2, 3, 8} {
 					runtime.GOMAXPROCS(procs)

@@ -32,41 +32,41 @@ type NamedBuilder struct {
 	Builder core.Builder
 }
 
-// Rung is one step of a family's configuration ladder, not yet tuned.
-type Rung struct {
-	// Knob is the rung's position on the ladder — branching factor, ε,
+// rung is one step of a family's configuration ladder, not yet tuned.
+type rung struct {
+	// knob is the rung's position on the ladder — branching factor, ε,
 	// stride — spelled as it appears in the rung's label ("B=4096]",
 	// "eps=64", "stride=8"). It is known without tuning, and the label
-	// Resolve produces contains it; SweepEntry uses that to skip rungs
+	// resolve produces contains it; SweepEntry uses that to skip rungs
 	// a label cannot name. A knob that also occurs in a sibling's label
-	// costs that lookup one wasted Resolve, never a wrong answer.
-	Knob string
-	// Resolve returns the rung's labelled builder. For a family tuned
+	// costs that lookup one wasted resolve, never a wrong answer.
+	knob string
+	// resolve returns the rung's labelled builder. For a family tuned
 	// per key set this is where the tuning happens.
-	Resolve func() NamedBuilder
+	resolve func() NamedBuilder
 }
 
 // fixed is the rung of a configuration that needs no tuning: its label
 // is its knob and resolving it is free.
-func fixed(label string, b core.Builder) Rung {
+func fixed(label string, b core.Builder) rung {
 	nb := NamedBuilder{label, b}
-	return Rung{Knob: label, Resolve: func() NamedBuilder { return nb }}
+	return rung{knob: label, resolve: func() NamedBuilder { return nb }}
 }
 
-// LadderFunc returns a family's configuration ladder for a key set,
+// ladderFunc returns a family's configuration ladder for a key set,
 // ordered small index to large. Learned structures tune per dataset,
 // mirroring the paper's author-tuned configurations, which is why the
 // ladder is a function of the keys rather than a static list. It must
-// be cheap: per-key-set work belongs in Rung.Resolve.
-type LadderFunc func(keys []core.Key) []Rung
+// be cheap: per-key-set work belongs in rung.resolve.
+type ladderFunc func(keys []core.Key) []rung
 
-var families = map[string]LadderFunc{}
+var families = map[string]ladderFunc{}
 
 // register adds a family to the catalog. It panics on duplicate names:
 // two packages claiming one family is a programming error, and the
 // catalog is assembled at init time where failing loudly is the only
 // useful behaviour.
-func register(family string, fn LadderFunc) {
+func register(family string, fn ladderFunc) {
 	if fn == nil {
 		panic(fmt.Sprintf("registry: nil ladder for family %q", family))
 	}
@@ -87,7 +87,7 @@ func Families() []string { return slices.Sorted(maps.Keys(families)) }
 
 // ladder returns a registered family's rungs, or nil for an unknown
 // family.
-func ladder(family string, keys []core.Key) []Rung {
+func ladder(family string, keys []core.Key) []rung {
 	fn, ok := families[family]
 	if !ok {
 		return nil
@@ -105,7 +105,7 @@ func Sweep(family string, keys []core.Key) []NamedBuilder {
 	}
 	out := make([]NamedBuilder, len(rungs))
 	for i, r := range rungs {
-		out[i] = r.Resolve()
+		out[i] = r.resolve()
 	}
 	return out
 }
@@ -119,7 +119,7 @@ func Builder(family string, keys []core.Key) (NamedBuilder, bool) {
 	if len(rungs) == 0 {
 		return NamedBuilder{}, false
 	}
-	return rungs[len(rungs)/2].Resolve(), true
+	return rungs[len(rungs)/2].resolve(), true
 }
 
 // ID returns the deterministic cross-process identifier of a family
@@ -153,10 +153,10 @@ func ParseID(id string) (family, label string) {
 // family whose tuned ladder changed because the key set did).
 func SweepEntry(family, label string, keys []core.Key) (NamedBuilder, bool) {
 	for _, r := range ladder(family, keys) {
-		if !strings.Contains(label, r.Knob) {
+		if !strings.Contains(label, r.knob) {
 			continue
 		}
-		if nb := r.Resolve(); nb.Label == label {
+		if nb := r.resolve(); nb.Label == label {
 			return nb, true
 		}
 	}

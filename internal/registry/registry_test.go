@@ -83,7 +83,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Error("duplicate register did not panic")
 		}
 	}()
-	register("RMI", func([]core.Key) []Rung { return nil })
+	register("RMI", func([]core.Key) []rung { return nil })
 }
 
 func TestRegisterNilPanics(t *testing.T) {
@@ -288,11 +288,11 @@ func TestBuilderIsMidSweep(t *testing.T) {
 func TestLadderResolvesOnlyWhatIsAsked(t *testing.T) {
 	const rungs = 7
 	var resolved [rungs]int
-	register("CountingLadder", func([]core.Key) []Rung {
-		out := make([]Rung, rungs)
+	register("CountingLadder", func([]core.Key) []rung {
+		out := make([]rung, rungs)
 		for i := range out {
 			knob := fmt.Sprintf("k=%d]", i)
-			out[i] = Rung{Knob: knob, Resolve: func() NamedBuilder {
+			out[i] = rung{knob: knob, resolve: func() NamedBuilder {
 				resolved[i]++
 				return NamedBuilder{Label: "tuned[" + knob}
 			}}

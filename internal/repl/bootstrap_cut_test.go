@@ -61,8 +61,8 @@ func TestBootstrapCutMidShip(t *testing.T) {
 	}
 	defer st.Close()
 	p, err := NewPrimary(st, log, "127.0.0.1:0", PrimaryConfig{
-		HeartbeatEvery: 5 * time.Millisecond,
-		ChunkSize:      2048, // many frames per file: the cut lands inside one
+		heartbeatEvery: 5 * time.Millisecond,
+		chunkSize:      2048, // many frames per file: the cut lands inside one
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestBootstrapCutMidShip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := FollowerConfig{
 		Dir: dir, PrimaryAddr: p.Addr().String(),
-		Store: serve.Config{Family: "PGM"}, SyncEvery: 2, RedialEvery: 5 * time.Millisecond,
+		Store: serve.Config{Family: "PGM"}, syncEvery: 2, redialEvery: 5 * time.Millisecond,
 	}
 	converge := func() {
 		t.Helper()
@@ -106,13 +106,13 @@ func TestBootstrapCutMidShip(t *testing.T) {
 		// leaving none, once by leaving one from a foreign epoch, which
 		// also makes the follower warm-open the old snapshot first.
 		if quarter == 2 {
-			if err := writeState(dir, &State{Epoch: 1, Gen: 1, Seqs: make([]uint64, 4)}); err != nil {
+			if err := writeState(dir, &state{epoch: 1, gen: 1, seqs: make([]uint64, 4)}); err != nil {
 				t.Fatal(err)
 			}
-		} else if err := os.Remove(filepath.Join(dir, StateName)); err != nil {
+		} else if err := os.Remove(filepath.Join(dir, stateName)); err != nil {
 			t.Fatal(err)
 		}
-		state, _ := os.ReadFile(filepath.Join(dir, StateName))
+		state, _ := os.ReadFile(filepath.Join(dir, stateName))
 		manifest, err := os.ReadFile(filepath.Join(dir, persist.ManifestName))
 		if err != nil {
 			t.Fatal(err)
@@ -135,7 +135,7 @@ func TestBootstrapCutMidShip(t *testing.T) {
 		if now, _ := os.ReadFile(filepath.Join(dir, persist.ManifestName)); !bytes.Equal(now, manifest) {
 			t.Fatalf("cut %d/4: the severed bootstrap committed a manifest", quarter)
 		}
-		if now, _ := os.ReadFile(filepath.Join(dir, StateName)); !bytes.Equal(now, state) {
+		if now, _ := os.ReadFile(filepath.Join(dir, stateName)); !bytes.Equal(now, state) {
 			t.Fatalf("cut %d/4: the severed bootstrap moved REPLSTATE", quarter)
 		}
 		converge()

@@ -20,8 +20,8 @@ import (
 
 // Follower defaults; see FollowerConfig.
 const (
-	DefaultSyncEvery   = 32
-	DefaultRedialEvery = 50 * time.Millisecond
+	defaultSyncEvery   = 32
+	defaultRedialEvery = 50 * time.Millisecond
 	dialTimeout        = time.Second
 )
 
@@ -37,29 +37,29 @@ type FollowerConfig struct {
 
 	// Store configures the attached read-only store (family, shards,
 	// compaction policy). SyncWrites should stay off: the follower
-	// batches durability behind SyncEvery.
+	// batches durability behind syncEvery.
 	Store serve.Config
 
-	// SyncEvery is the REPLSTATE cadence in applied wal-batches: after
+	// syncEvery is the REPLSTATE cadence in applied wal-batches: after
 	// this many, the store's WAL is synced and the position committed.
 	// Lower is tighter crash recovery, higher is cheaper. 0 defaults to
-	// DefaultSyncEvery.
-	SyncEvery int
+	// defaultSyncEvery.
+	syncEvery int
 
-	// RedialEvery paces reconnect attempts to a dead primary. 0
-	// defaults to DefaultRedialEvery.
-	RedialEvery time.Duration
+	// redialEvery paces reconnect attempts to a dead primary. 0
+	// defaults to defaultRedialEvery.
+	redialEvery time.Duration
 
 	// Metrics, when non-nil, receives the follower's apply counters.
 	Metrics *obs.Registry
 }
 
 func (c FollowerConfig) withDefaults() FollowerConfig {
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = DefaultSyncEvery
+	if c.syncEvery <= 0 {
+		c.syncEvery = defaultSyncEvery
 	}
-	if c.RedialEvery <= 0 {
-		c.RedialEvery = DefaultRedialEvery
+	if c.redialEvery <= 0 {
+		c.redialEvery = defaultRedialEvery
 	}
 	return c
 }
@@ -131,9 +131,9 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 		if st, err := serve.Open(cfg.Dir, cfg.Store); err == nil {
 			st.SetReadOnly(true)
 			f.st = st
-			f.epoch = state.Epoch
-			f.gen = state.Gen
-			f.applied = append([]uint64(nil), state.Seqs...)
+			f.epoch = state.epoch
+			f.gen = state.gen
+			f.applied = append([]uint64(nil), state.seqs...)
 			f.signalReady()
 		}
 	}
@@ -314,7 +314,7 @@ func (f *Follower) run() {
 			select {
 			case <-f.stop:
 				return
-			case <-time.After(f.cfg.RedialEvery):
+			case <-time.After(f.cfg.redialEvery):
 			}
 			continue
 		}
@@ -331,7 +331,7 @@ func (f *Follower) run() {
 			select {
 			case <-f.stop:
 				return
-			case <-time.After(f.cfg.RedialEvery):
+			case <-time.After(f.cfg.redialEvery):
 			}
 		}
 	}
@@ -404,7 +404,7 @@ func (f *Follower) session(nc stdnet.Conn) {
 			f.applied = append([]uint64(nil), m.Seqs...)
 			f.signalReady()
 			f.mu.Unlock()
-			if err := writeState(f.cfg.Dir, &State{Epoch: m.Epoch, Gen: m.Gen, Seqs: m.Seqs}); err != nil {
+			if err := writeState(f.cfg.Dir, &state{epoch: m.Epoch, gen: m.Gen, seqs: m.Seqs}); err != nil {
 				return
 			}
 			f.stateSyncs.Add(1)
@@ -450,7 +450,7 @@ func (f *Follower) session(nc stdnet.Conn) {
 			f.mu.Lock()
 			f.applied[m.Shard] = max(f.applied[m.Shard], end)
 			f.mu.Unlock()
-			if sinceSync++; sinceSync >= f.cfg.SyncEvery {
+			if sinceSync++; sinceSync >= f.cfg.syncEvery {
 				sinceSync = 0
 				if err := f.syncState(st); err != nil {
 					return
@@ -490,7 +490,7 @@ func (f *Follower) syncState(st *serve.Store) error {
 		return err
 	}
 	f.mu.Lock()
-	state := &State{Epoch: f.epoch, Gen: f.gen, Seqs: append([]uint64(nil), f.applied...)}
+	state := &state{epoch: f.epoch, gen: f.gen, seqs: append([]uint64(nil), f.applied...)}
 	f.mu.Unlock()
 	if err := writeState(f.cfg.Dir, state); err != nil {
 		return err

@@ -19,24 +19,24 @@ import (
 
 // Primary defaults; see PrimaryConfig.
 const (
-	DefaultHeartbeatEvery = 50 * time.Millisecond
-	DefaultStreamBatch    = 1024
+	defaultHeartbeatEvery = 50 * time.Millisecond
+	defaultStreamBatch    = 1024
 )
 
 // PrimaryConfig configures a replication primary.
 type PrimaryConfig struct {
-	// HeartbeatEvery paces MsgHeartbeat frames to idle followers (a
-	// liveness and lag signal). 0 defaults to DefaultHeartbeatEvery.
-	HeartbeatEvery time.Duration
+	// heartbeatEvery paces MsgHeartbeat frames to idle followers (a
+	// liveness and lag signal). 0 defaults to defaultHeartbeatEvery.
+	heartbeatEvery time.Duration
 
-	// StreamBatch caps ops per MsgWalBatch frame. 0 defaults to
-	// DefaultStreamBatch; clamped to net.MaxWalOps.
-	StreamBatch int
+	// streamBatch caps ops per MsgWalBatch frame. 0 defaults to
+	// defaultStreamBatch; clamped to net.MaxWalOps.
+	streamBatch int
 
-	// ChunkSize caps one snapshot-file chunk on the wire. 0 defaults
+	// chunkSize caps one snapshot-file chunk on the wire. 0 defaults
 	// to net.MaxSnapChunk (also the hard cap). Tests shrink it to
 	// exercise kills mid-bootstrap.
-	ChunkSize int
+	chunkSize int
 
 	// SnapDir is the scratch directory bootstrap snapshots are exported
 	// into (one temp dir per bootstrap, removed after shipping). Empty
@@ -48,17 +48,17 @@ type PrimaryConfig struct {
 }
 
 func (c PrimaryConfig) withDefaults() PrimaryConfig {
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = DefaultHeartbeatEvery
+	if c.heartbeatEvery <= 0 {
+		c.heartbeatEvery = defaultHeartbeatEvery
 	}
-	if c.StreamBatch <= 0 {
-		c.StreamBatch = DefaultStreamBatch
+	if c.streamBatch <= 0 {
+		c.streamBatch = defaultStreamBatch
 	}
-	if c.StreamBatch > net.MaxWalOps {
-		c.StreamBatch = net.MaxWalOps
+	if c.streamBatch > net.MaxWalOps {
+		c.streamBatch = net.MaxWalOps
 	}
-	if c.ChunkSize <= 0 || c.ChunkSize > net.MaxSnapChunk {
-		c.ChunkSize = net.MaxSnapChunk
+	if c.chunkSize <= 0 || c.chunkSize > net.MaxSnapChunk {
+		c.chunkSize = net.MaxSnapChunk
 	}
 	return c
 }
@@ -369,7 +369,7 @@ func (s *session) bootstrap(wbuf *binio.Writer) error {
 			})
 		close(done)
 	}()
-	chunk := make([]byte, p.cfg.ChunkSize)
+	chunk := make([]byte, p.cfg.chunkSize)
 	shipErr, resynced := error(nil), false
 	for sm := range done { // drained to the end: dir must outlive the export
 		if !resynced {
@@ -451,7 +451,7 @@ func (s *session) shipFile(wbuf *binio.Writer, buf []byte, dir, name string) err
 // the session ends (it reconnects into a fresh bootstrap).
 func (s *session) stream(wbuf *binio.Writer) {
 	p := s.p
-	hb := time.NewTicker(p.cfg.HeartbeatEvery)
+	hb := time.NewTicker(p.cfg.heartbeatEvery)
 	defer hb.Stop()
 	for {
 		ch := p.log.updated()
@@ -461,7 +461,7 @@ func (s *session) stream(wbuf *binio.Writer) {
 				s.mu.Lock()
 				from := s.sent[i]
 				s.mu.Unlock()
-				ops, ok := p.log.tailFrom(i, from, p.cfg.StreamBatch)
+				ops, ok := p.log.tailFrom(i, from, p.cfg.streamBatch)
 				if !ok {
 					p.resyncs.Add(1)
 					_ = net.WriteMsg(s.nc, wbuf, &net.Msg{Type: net.MsgResync})

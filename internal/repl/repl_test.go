@@ -135,7 +135,7 @@ func TestStateRoundTrip(t *testing.T) {
 	if _, err := readState(dir); !os.IsNotExist(err) {
 		t.Fatalf("fresh dir: %v", err)
 	}
-	in := &State{Epoch: 0xdeadbeef, Gen: 7, Seqs: []uint64{3, 0, 99}}
+	in := &state{epoch: 0xdeadbeef, gen: 7, seqs: []uint64{3, 0, 99}}
 	if err := writeState(dir, in); err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Epoch != in.Epoch || out.Gen != in.Gen || len(out.Seqs) != 3 ||
-		out.Seqs[0] != 3 || out.Seqs[2] != 99 {
+	if out.epoch != in.epoch || out.gen != in.gen || len(out.seqs) != 3 ||
+		out.seqs[0] != 3 || out.seqs[2] != 99 {
 		t.Fatalf("round trip: %+v", out)
 	}
-	path := dir + "/" + StateName
+	path := dir + "/" + stateName
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func testPrimary(t *testing.T, keys []core.Key, payloads []uint64, shards int) (
 	if st.NumShards() != shards {
 		t.Fatalf("store clamped to %d shards", st.NumShards())
 	}
-	p, err := NewPrimary(st, log, "127.0.0.1:0", PrimaryConfig{HeartbeatEvery: 10 * time.Millisecond})
+	p, err := NewPrimary(st, log, "127.0.0.1:0", PrimaryConfig{heartbeatEvery: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFollowerBootstrapAndStream(t *testing.T) {
 
 	f, err := StartFollower(FollowerConfig{
 		Dir: t.TempDir(), PrimaryAddr: p.Addr().String(),
-		Store: serve.Config{Family: "PGM"}, SyncEvery: 4,
+		Store: serve.Config{Family: "PGM"}, syncEvery: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,7 @@ type RouterStats struct {
 
 // Router fans reads across a replication topology and points writes at
 // the primary. Reads route by key range: the store's shard separators
-// (fetched once via MsgTopo) partition a batch into per-shard
+// (fetched once via msgTopo) partition a batch into per-shard
 // sub-batches, and a contiguous band of shards maps to each replica —
 // the same range-affinity the store's own shards use, so a replica
 // serves a stable working set. A monitor goroutine polls replication

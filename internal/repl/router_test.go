@@ -38,7 +38,7 @@ func buildTopology(t *testing.T, keys []core.Key, payloads []uint64, shards, fol
 		t.Fatal(err)
 	}
 	tp.st = st
-	tp.p, err = NewPrimary(st, tp.log, "127.0.0.1:0", PrimaryConfig{HeartbeatEvery: 10 * time.Millisecond})
+	tp.p, err = NewPrimary(st, tp.log, "127.0.0.1:0", PrimaryConfig{heartbeatEvery: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func buildTopology(t *testing.T, keys []core.Key, payloads []uint64, shards, fol
 	for i := 0; i < followers; i++ {
 		f, err := StartFollower(FollowerConfig{
 			Dir: t.TempDir(), PrimaryAddr: tp.p.Addr().String(),
-			Store: serve.Config{Family: "PGM"}, SyncEvery: 4,
+			Store: serve.Config{Family: "PGM"}, syncEvery: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -245,9 +245,9 @@ func TestKillRecoveryRandomized(t *testing.T) {
 	}
 	defer st.Close()
 	p, err := NewPrimary(st, log, "127.0.0.1:0", PrimaryConfig{
-		HeartbeatEvery: 5 * time.Millisecond,
-		ChunkSize:      2048, // many chunks per bootstrap: kills land mid-ship
-		StreamBatch:    32,
+		heartbeatEvery: 5 * time.Millisecond,
+		chunkSize:      2048, // many chunks per bootstrap: kills land mid-ship
+		streamBatch:    32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestKillRecoveryRandomized(t *testing.T) {
 	cfg := FollowerConfig{
 		Dir: dir, PrimaryAddr: p.Addr().String(),
 		Store:     serve.Config{Family: "PGM", CompactThreshold: 64},
-		SyncEvery: 2, RedialEvery: 5 * time.Millisecond,
+		syncEvery: 2, redialEvery: 5 * time.Millisecond,
 	}
 	rng := rand.New(rand.NewSource(99))
 	for round := 0; round < 8; round++ {

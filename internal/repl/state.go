@@ -9,10 +9,10 @@ import (
 	"repro/internal/persist"
 )
 
-// StateName is the follower's durable-position file inside its replica
+// stateName is the follower's durable-position file inside its replica
 // directory, committed with the same temp+fsync+rename discipline as
 // every other persisted artifact.
-const StateName = "REPLSTATE"
+const stateName = "REPLSTATE"
 
 var stateMagic = []byte("sosdREP1")
 
@@ -20,29 +20,29 @@ var stateMagic = []byte("sosdREP1")
 // protocol's shard-vector bound.
 const maxStateShards = 4096
 
-// State is a follower's durable replication position: the primary
+// state is a follower's durable replication position: the primary
 // epoch it is subscribed under, the snapshot generation it bootstrapped
 // from, and the per-shard sequence numbers applied AND synced to its
 // own WAL. It is written only after SyncWAL, so it never overestimates
 // what the store durably holds — a crash replays a suffix, never skips
 // one.
-type State struct {
-	Epoch uint64
-	Gen   uint64
-	Seqs  []uint64
+type state struct {
+	epoch uint64
+	gen   uint64
+	seqs  []uint64
 }
 
 // writeState atomically commits s as dir's REPLSTATE.
-func writeState(dir string, s *State) error {
-	if len(s.Seqs) > maxStateShards {
-		return fmt.Errorf("repl: state has %d shards, limit %d", len(s.Seqs), maxStateShards)
+func writeState(dir string, s *state) error {
+	if len(s.seqs) > maxStateShards {
+		return fmt.Errorf("repl: state has %d shards, limit %d", len(s.seqs), maxStateShards)
 	}
-	return persist.AtomicWrite(filepath.Join(dir, StateName), func(w *binio.Writer) error {
+	return persist.AtomicWrite(filepath.Join(dir, stateName), func(w *binio.Writer) error {
 		return persist.WriteFrame(w, stateMagic, func() error {
-			w.U64(s.Epoch)
-			w.U64(s.Gen)
-			w.U32(uint32(len(s.Seqs)))
-			for _, q := range s.Seqs {
+			w.U64(s.epoch)
+			w.U64(s.gen)
+			w.U32(uint32(len(s.seqs)))
+			for _, q := range s.seqs {
 				w.U64(q)
 			}
 			return nil
@@ -53,8 +53,8 @@ func writeState(dir string, s *State) error {
 // readState loads and validates dir's REPLSTATE. A missing file is
 // returned as os.ErrNotExist (a fresh follower); a corrupt one is an
 // error — the caller resyncs from scratch.
-func readState(dir string) (*State, error) {
-	data, err := os.ReadFile(filepath.Join(dir, StateName))
+func readState(dir string) (*state, error) {
+	data, err := os.ReadFile(filepath.Join(dir, stateName))
 	if err != nil {
 		return nil, err
 	}
@@ -62,15 +62,15 @@ func readState(dir string) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &State{Epoch: r.U64(), Gen: r.U64()}
+	s := &state{epoch: r.U64(), gen: r.U64()}
 	n := r.Count(8)
 	if n > maxStateShards {
 		return nil, binio.Corruptf("repl: state shard count %d exceeds %d", n, maxStateShards)
 	}
 	if n > 0 {
-		s.Seqs = make([]uint64, n)
-		for i := range s.Seqs {
-			s.Seqs[i] = r.U64()
+		s.seqs = make([]uint64, n)
+		for i := range s.seqs {
+			s.seqs[i] = r.U64()
 		}
 	}
 	if err := r.Err(); err != nil {

@@ -14,41 +14,41 @@ import (
 	"strconv"
 )
 
-// Kind classifies a metric column. Values are stored as float64
-// either way (counts stay exact up to 2^53); Kind controls rendering:
+// kind classifies a metric column. Values are stored as float64
+// either way (counts stay exact up to 2^53); kind controls rendering:
 // Int metrics print without a fractional part.
-type Kind string
+type kind string
 
 const (
-	Float Kind = "float"
-	Int   Kind = "int"
+	kindFloat kind = "float"
+	kindInt   kind = "int"
 )
 
-// Dim is one string dimension column: a categorical axis of the
+// dim is one string dimension column: a categorical axis of the
 // experiment (family, config label, dataset, workload, thread count).
-type Dim struct {
+type dim struct {
 	Name string `json:"name"`
 }
 
-// Metric is one numeric column. Name is the display header (it may
+// metric is one numeric column. Name is the display header (it may
 // embed the unit for humans, e.g. "size(MB)"); Unit is the
 // machine-readable unit; Prec is the decimal precision used when a
 // Float metric is rendered as text or CSV.
-type Metric struct {
+type metric struct {
 	Name string `json:"name"`
 	Unit string `json:"unit,omitempty"`
-	Kind Kind   `json:"kind"`
+	Kind kind   `json:"kind"`
 	Prec int    `json:"prec,omitempty"`
 }
 
-// Schema declares a table's columns: dimensions first, then metrics.
-type Schema struct {
-	Dims    []Dim    `json:"dims"`
-	Metrics []Metric `json:"metrics"`
+// schema declares a table's columns: dimensions first, then metrics.
+type schema struct {
+	Dims    []dim    `json:"dims"`
+	Metrics []metric `json:"metrics"`
 }
 
-// Row is one observation: len(Dims) == len(Schema.Dims) and
-// len(Metrics) == len(Schema.Metrics), positionally matched.
+// Row is one observation: len(Dims) == len(schema.Dims) and
+// len(Metrics) == len(schema.Metrics), positionally matched.
 type Row struct {
 	Dims    []string  `json:"dims"`
 	Metrics []float64 `json:"metrics"`
@@ -62,7 +62,7 @@ type Table struct {
 	Experiment string `json:"experiment"`
 	// Title is the human heading, e.g. the paper figure caption.
 	Title  string `json:"title,omitempty"`
-	Schema Schema `json:"schema"`
+	Schema schema `json:"schema"`
 	Rows   []Row  `json:"rows"`
 	// Notes are free-text footnotes rendered after the rows.
 	Notes []string `json:"notes,omitempty"`
@@ -77,7 +77,7 @@ func New(experiment, title string) *Table {
 // Dims declares the dimension columns, in order.
 func (t *Table) Dims(names ...string) *Table {
 	for _, n := range names {
-		t.Schema.Dims = append(t.Schema.Dims, Dim{Name: n})
+		t.Schema.Dims = append(t.Schema.Dims, dim{Name: n})
 	}
 	return t
 }
@@ -85,13 +85,13 @@ func (t *Table) Dims(names ...string) *Table {
 // Float declares a float metric column with a unit and a text
 // rendering precision.
 func (t *Table) Float(name, unit string, prec int) *Table {
-	t.Schema.Metrics = append(t.Schema.Metrics, Metric{Name: name, Unit: unit, Kind: Float, Prec: prec})
+	t.Schema.Metrics = append(t.Schema.Metrics, metric{Name: name, Unit: unit, Kind: kindFloat, Prec: prec})
 	return t
 }
 
 // Int declares an integer metric column.
 func (t *Table) Int(name, unit string) *Table {
-	t.Schema.Metrics = append(t.Schema.Metrics, Metric{Name: name, Unit: unit, Kind: Int})
+	t.Schema.Metrics = append(t.Schema.Metrics, metric{Name: name, Unit: unit, Kind: kindInt})
 	return t
 }
 
@@ -120,7 +120,7 @@ func (t *Table) Validate() error {
 		return fmt.Errorf("report: table with empty experiment name")
 	}
 	for _, m := range t.Schema.Metrics {
-		if m.Kind != Float && m.Kind != Int {
+		if m.Kind != kindFloat && m.Kind != kindInt {
 			return fmt.Errorf("report: %s: metric %q has unknown kind %q", t.Experiment, m.Name, m.Kind)
 		}
 	}
@@ -134,8 +134,8 @@ func (t *Table) Validate() error {
 }
 
 // formatMetric renders one metric value per its column's kind.
-func formatMetric(m Metric, v float64) string {
-	if m.Kind == Int {
+func formatMetric(m metric, v float64) string {
+	if m.Kind == kindInt {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'f', m.Prec, 64)

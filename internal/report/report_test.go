@@ -129,7 +129,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("got %d lines, want %d", len(lines), len(tables)+1)
 	}
 	for i, tb := range tables {
-		var l Line
+		var l line
 		if err := json.Unmarshal([]byte(lines[i]), &l); err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 			t.Errorf("table %d did not round-trip", i)
 		}
 	}
-	var last Line
+	var last line
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid table rejected: %v", err)
 	}
-	bad := &Table{Experiment: "x", Schema: Schema{Dims: []Dim{{Name: "a"}}},
+	bad := &Table{Experiment: "x", Schema: schema{Dims: []dim{{Name: "a"}}},
 		Rows: []Row{{Dims: []string{"v", "extra"}}}}
 	if err := bad.Validate(); err == nil {
 		t.Error("arity-broken table accepted")
@@ -173,7 +173,7 @@ func TestValidate(t *testing.T) {
 	if err := unnamed.Validate(); err == nil {
 		t.Error("unnamed table accepted")
 	}
-	badKind := &Table{Experiment: "x", Schema: Schema{Metrics: []Metric{{Name: "m", Kind: "bogus"}}}}
+	badKind := &Table{Experiment: "x", Schema: schema{Metrics: []metric{{Name: "m", Kind: "bogus"}}}}
 	if err := badKind.Validate(); err == nil {
 		t.Error("unknown metric kind accepted")
 	}

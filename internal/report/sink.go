@@ -252,9 +252,9 @@ func (s *jsonSink) Close(meta Meta) error {
 
 // --------------------------------------------------------------- jsonl
 
-// Line is one JSONL record: exactly one of Table or Meta is set, so a
+// line is one JSONL record: exactly one of Table or Meta is set, so a
 // consumer can stream-dispatch on which field is present.
-type Line struct {
+type line struct {
 	Table *Table `json:"table,omitempty"`
 	Meta  *Meta  `json:"meta,omitempty"`
 }
@@ -272,9 +272,9 @@ func (s *jsonlSink) Table(t *Table) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	return s.enc.Encode(Line{Table: t})
+	return s.enc.Encode(line{Table: t})
 }
 
 func (s *jsonlSink) Close(meta Meta) error {
-	return s.enc.Encode(Line{Meta: &meta})
+	return s.enc.Encode(line{Meta: &meta})
 }

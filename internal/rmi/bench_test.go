@@ -20,7 +20,7 @@ func BenchmarkRMILookup(b *testing.B) {
 		const nProbes = 1 << 16 // a power of two: the loops index it with a mask
 		probes := dataset.Lookups(keys, nProbes, 7)
 		for _, branch := range []int{4096, 65536, 262144} {
-			idx, err := New(keys, Config{Stage1: ModelRadix, Stage2: ModelLinear, Branch: branch})
+			idx, err := New(keys, Config{Stage1: modelRadix, Stage2: ModelLinear, Branch: branch})
 			if err != nil {
 				b.Fatal(err)
 			}

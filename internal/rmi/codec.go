@@ -31,7 +31,7 @@ func decodePoly(r *binio.Reader) poly {
 
 func decodeModel(r *binio.Reader) (model, error) {
 	k := r.U8()
-	if k > uint8(ModelRadix) {
+	if k > uint8(modelRadix) {
 		return model{}, binio.Corruptf("rmi: unknown model kind %d", k)
 	}
 	return model{ModelKind(k), decodePoly(r)}, r.Err()
@@ -84,7 +84,7 @@ func decodeClamps(r *binio.Reader, li int, n uint64) clamps {
 // allocation.
 func Decode(r *binio.Reader) (*Index, error) {
 	layout := int(r.U8())
-	if r.Err() == nil && layout <= int(ModelRadix) {
+	if r.Err() == nil && layout <= int(modelRadix) {
 		return nil, binio.Corruptf("rmi: payload in the tagged-leaf layout that preceded the folded leaf; rebuild the index")
 	}
 	var cfg Config
@@ -95,7 +95,7 @@ func Decode(r *binio.Reader) (*Index, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if cfg.Stage1 > ModelRadix || cfg.Stage2 > ModelRadix {
+	if cfg.Stage1 > modelRadix || cfg.Stage2 > modelRadix {
 		return nil, binio.Corruptf("rmi: unknown stage model kind")
 	}
 	cubic := cfg.Stage2 == ModelCubic

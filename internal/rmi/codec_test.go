@@ -28,7 +28,7 @@ func TestCodecRoundTripAndFlips(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Wiki, 3000, 1)
 	extremes := []core.Key{0, 1, keys[0], keys[len(keys)/2], keys[len(keys)-1], 1 << 40, ^core.Key(0)}
 	for _, cfg := range []Config{
-		{ModelRadix, ModelLinear, 64},
+		{modelRadix, ModelLinear, 64},
 		{ModelCubic, ModelLinearSpline, 64},
 		{ModelLinear, ModelCubic, 64},
 	} {
@@ -66,7 +66,7 @@ func TestCodecRoundTripAndFlips(t *testing.T) {
 // cannot tell from a survivable one: each must be an error.
 func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 3000, 1)
-	idx, err := New(keys, Config{ModelRadix, ModelLinear, 8})
+	idx, err := New(keys, Config{modelRadix, ModelLinear, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 // preceded the folded leaf (stage-1 kind first, a tagged seven-word
 // model per leaf) is named as such, never read as the current layout.
 func TestDecodeRejectsTaggedLeafPayload(t *testing.T) {
-	for s1 := ModelLinear; s1 <= ModelRadix; s1++ {
+	for s1 := ModelLinear; s1 <= modelRadix; s1++ {
 		w := binio.NewWriter(nil)
 		w.U8(uint8(s1))          // cfg.Stage1
 		w.U8(uint8(ModelLinear)) // cfg.Stage2

@@ -120,7 +120,7 @@ func TestLeavesMatchReferenceAtScale(t *testing.T) {
 	for _, name := range dataset.All() {
 		keys := dataset.MustGenerate(name, 2_000_000, 1)
 		for _, cfg := range []Config{
-			{ModelRadix, ModelLinear, 4096},
+			{modelRadix, ModelLinear, 4096},
 			{ModelLinear, ModelLinearSpline, 65536},
 			{ModelCubic, ModelLinear, 1024},
 		} {
@@ -174,7 +174,7 @@ func TestLeafLayout(t *testing.T) {
 // (internal/ledger), whose RMI is the mid-ladder radix/linear one.
 func TestLookupDoesNotAllocate(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.OSM, 20000, 1)
-	idx, err := New(keys, Config{Stage1: ModelRadix, Stage2: ModelCubic, Branch: 1024})
+	idx, err := New(keys, Config{Stage1: modelRadix, Stage2: ModelCubic, Branch: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,9 @@ const (
 	// capture curvature; falls back to linear when the fit would be
 	// non-monotone over the training range.
 	ModelCubic
-	// ModelRadix predicts from the key's top bits — a pure bit shift,
+	// modelRadix predicts from the key's top bits — a pure bit shift,
 	// the cheapest possible stage-1 model.
-	ModelRadix
+	modelRadix
 )
 
 // String implements fmt.Stringer.
@@ -32,7 +32,7 @@ func (k ModelKind) String() string {
 		return "linear_spline"
 	case ModelCubic:
 		return "cubic"
-	case ModelRadix:
+	case modelRadix:
 		return "radix"
 	default:
 		return "unknown"
@@ -114,7 +114,7 @@ func fitModel(kind ModelKind, keys []float64, pos0 float64) model {
 		return m
 	}
 	switch kind {
-	case ModelRadix:
+	case modelRadix:
 		// In normalized key space a radix model (key's offset within
 		// the range, by bit shift) is the line through the endpoints;
 		// it differs from ModelLinearSpline only in inference cost on

@@ -9,7 +9,7 @@ import (
 )
 
 func allConfigs() []Config {
-	kinds := []ModelKind{ModelLinear, ModelLinearSpline, ModelCubic, ModelRadix}
+	kinds := []ModelKind{ModelLinear, ModelLinearSpline, ModelCubic, modelRadix}
 	var cfgs []Config
 	for _, s1 := range kinds {
 		for _, s2 := range kinds {
@@ -316,7 +316,7 @@ func TestModelFitMonotone(t *testing.T) {
 		{1, 2, 4, 8, 16, 32, 64, 128, 256, 512},
 	}
 	for _, keys := range keyset {
-		for _, kind := range []ModelKind{ModelLinear, ModelLinearSpline, ModelCubic, ModelRadix} {
+		for _, kind := range []ModelKind{ModelLinear, ModelLinearSpline, ModelCubic, modelRadix} {
 			m := fitModel(kind, keys, 0)
 			prev := math.Inf(-1)
 			for _, k := range keys {

@@ -22,7 +22,7 @@ import (
 // binary-search-step-equivalent units.
 func inferenceCost(k ModelKind) float64 {
 	switch k {
-	case ModelRadix:
+	case modelRadix:
 		return 0.5
 	case ModelLinearSpline:
 		return 0.8
@@ -49,7 +49,7 @@ func proxyCost(idx *Index) float64 {
 var candidateCombos = []struct{ s1, s2 ModelKind }{
 	{ModelLinear, ModelLinear},
 	{ModelLinearSpline, ModelLinear},
-	{ModelRadix, ModelLinear},
+	{modelRadix, ModelLinear},
 	{ModelCubic, ModelLinear},
 	{ModelLinear, ModelLinearSpline},
 	{ModelCubic, ModelLinearSpline},
@@ -180,7 +180,6 @@ func Tune(keys []core.Key, sizeBudget int) Config {
 	type scored struct {
 		cfg  Config
 		cost float64
-		size int
 	}
 	var all []scored
 	for _, b := range branchGrid(len(keys)) {
@@ -189,7 +188,7 @@ func Tune(keys []core.Key, sizeBudget int) Config {
 			continue
 		}
 		cfg, cost := bestComboFor(keys, b)
-		all = append(all, scored{cfg, cost, size})
+		all = append(all, scored{cfg, cost})
 	}
 	if len(all) == 0 {
 		return Config{Stage1: ModelLinear, Stage2: ModelLinear, Branch: 64}

@@ -320,8 +320,8 @@ func (st *Store) buildRun(i, r int, tag string, keys []core.Key, vals []uint64, 
 // its family name alone is still a usable tag. Otherwise the catalog's
 // rule applies: registry.Rebuild.
 func (st *Store) baseBuilder(i int, tag string, keys []core.Key) (core.Builder, string, error) {
-	if st.cfg.BuilderFor != nil {
-		b, err := st.cfg.BuilderFor(i, keys)
+	if st.cfg.builderFor != nil {
+		b, err := st.cfg.builderFor(i, keys)
 		if err != nil {
 			return nil, "", err
 		}

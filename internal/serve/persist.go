@@ -372,7 +372,7 @@ func (st *Store) persistShardLocked(i int) error {
 // writes) was taken. The returned store is attached: subsequent writes
 // append to the WALs and compactions advance the on-disk state. cfg
 // supplies the runtime knobs (Workers, CompactThreshold, MaxRuns,
-// AmpBound, SyncWrites, BuilderFor); the shard structure,
+// AmpBound, SyncWrites, builderFor); the shard structure,
 // family and index configuration come from the manifest.
 func Open(dir string, cfg Config) (*Store, error) {
 	abs, err := filepath.Abs(dir)

@@ -653,7 +653,7 @@ func TestBelowSeparatorKeySurvivesReopen(t *testing.T) {
 }
 
 // customBuilder is a builder under a family name the registry does not
-// know, exercising the BuilderFor rebuild path at Open. wrapIndex
+// know, exercising the builderFor rebuild path at Open. wrapIndex
 // selects whether the built index also reports the custom family
 // (true: no codec applies, snapshots carry no index file) or keeps the
 // inner family's name (false: the index is encodable even though the
@@ -677,8 +677,8 @@ type customIndex struct{ core.Index }
 func (customIndex) Name() string { return "CustomFamily" }
 
 // TestOpenCustomBuilderFor: a store built (and snapshotted) through a
-// caller-supplied BuilderFor whose family is not in the registry must
-// reopen when the caller supplies the same BuilderFor to Open.
+// caller-supplied builderFor whose family is not in the registry must
+// reopen when the caller supplies the same builderFor to Open.
 func TestOpenCustomBuilderFor(t *testing.T) {
 	keys, payloads := testData(t, 2500)
 	oracle := map[core.Key]uint64{}
@@ -698,7 +698,7 @@ func TestOpenCustomBuilderFor(t *testing.T) {
 	// Fully custom index family: no codec, so the snapshot carries no
 	// index files and reopening needs the caller's builder.
 	builderFor := mk(true)
-	st, err := New(keys, payloads, Config{Shards: 2, BuilderFor: builderFor})
+	st, err := New(keys, payloads, Config{Shards: 2, builderFor: builderFor})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,11 +708,11 @@ func TestOpenCustomBuilderFor(t *testing.T) {
 	}
 	st.Close()
 	if _, err := Open(dir, Config{}); err == nil {
-		t.Fatal("open without BuilderFor unexpectedly succeeded")
+		t.Fatal("open without builderFor unexpectedly succeeded")
 	}
-	warm, err := Open(dir, Config{BuilderFor: builderFor})
+	warm, err := Open(dir, Config{builderFor: builderFor})
 	if err != nil {
-		t.Fatalf("open with BuilderFor: %v", err)
+		t.Fatalf("open with builderFor: %v", err)
 	}
 	assertStateEqual(t, warm, oracle, "custom-builder restore")
 	warm.Close()
@@ -720,7 +720,7 @@ func TestOpenCustomBuilderFor(t *testing.T) {
 	// Custom builder whose index keeps a codec family's name: the
 	// index is encoded under its own family and must warm-load even
 	// though the manifest codec tag names the custom builder.
-	st2, err := New(keys, payloads, Config{Shards: 2, BuilderFor: mk(false)})
+	st2, err := New(keys, payloads, Config{Shards: 2, builderFor: mk(false)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,16 +47,16 @@ import (
 // individual writes.
 const DefaultCompactThreshold = 4096
 
-// DefaultMaxRuns is the per-shard sorted-run bound when Config.MaxRuns
+// defaultMaxRuns is the per-shard sorted-run bound when Config.MaxRuns
 // is zero: enough tiers that a write burst flushes several deltas
 // without forcing an index re-tune, few enough that point reads stay
 // within a handful of run probes.
-const DefaultMaxRuns = 4
+const defaultMaxRuns = 4
 
-// DefaultAmpBound is the measured read-amplification bound (run probes
+// defaultAmpBound is the measured read-amplification bound (run probes
 // per lookup) when Config.AmpBound is zero: a tiered shard whose
 // lookups average more probes than this is merged even below MaxRuns.
-const DefaultAmpBound = 2.5
+const defaultAmpBound = 2.5
 
 // Config configures a Store.
 type Config struct {
@@ -66,17 +66,17 @@ type Config struct {
 
 	// Family selects the registered index family used for every shard
 	// (mid-sweep configuration); empty defaults to "PGM". Ignored when
-	// BuilderFor is set.
+	// builderFor is set.
 	Family string
 
-	// BuilderFor, when non-nil, supplies the index builder per shard,
+	// builderFor, when non-nil, supplies the index builder per shard,
 	// allowing heterogeneous stores (e.g. a learned index on smooth
 	// shards, a B-tree on adversarial ones). It is consulted at every
 	// build of a shard's base run — New, each major merge, and Open's
 	// rebuild of a base run snapshotted without an encoded index — with
 	// the keys about to be indexed, possibly for several shards at once;
 	// tier runs never ask it.
-	BuilderFor func(shard int, keys []core.Key) (core.Builder, error)
+	builderFor func(shard int, keys []core.Key) (core.Builder, error)
 
 	// Workers is the goroutine-pool size serving batched lookups; 0
 	// defaults to min(Shards, runtime.NumCPU()).
@@ -90,7 +90,7 @@ type Config struct {
 
 	// MaxRuns bounds a shard's sorted-run count: a frozen delta flushes
 	// into a new tier run until the shard holds more than MaxRuns runs,
-	// then the tiering policy merges. 0 defaults to DefaultMaxRuns. 1
+	// then the tiering policy merges. 0 defaults to defaultMaxRuns. 1
 	// (or negative) is the policy value under which every round merges
 	// the whole shard into one run and re-tunes its index — the classic
 	// single-run write path, and what Compact asks of a round whatever
@@ -100,7 +100,7 @@ type Config struct {
 	// AmpBound is the measured read-amplification (run probes per
 	// lookup, over the window since the shard's last merge) above which
 	// a tiered shard is merged even below MaxRuns. 0 defaults to
-	// DefaultAmpBound.
+	// defaultAmpBound.
 	AmpBound float64
 
 	// SyncWrites, for a store attached to a snapshot directory (Open),
@@ -217,7 +217,7 @@ func New(keys []core.Key, payloads []uint64, cfg Config) (*Store, error) {
 	if cfg.Family == "" {
 		cfg.Family = "PGM"
 	}
-	if cfg.BuilderFor == nil && !registry.Has(cfg.Family) {
+	if cfg.builderFor == nil && !registry.Has(cfg.Family) {
 		return nil, fmt.Errorf("serve: unknown index family %q", cfg.Family)
 	}
 
@@ -284,10 +284,10 @@ func newStore(cfg Config, nShards int) *Store {
 		cfg.CompactThreshold = DefaultCompactThreshold
 	}
 	if cfg.MaxRuns == 0 {
-		cfg.MaxRuns = DefaultMaxRuns
+		cfg.MaxRuns = defaultMaxRuns
 	}
 	if cfg.AmpBound == 0 {
-		cfg.AmpBound = DefaultAmpBound
+		cfg.AmpBound = defaultAmpBound
 	}
 	st := &Store{
 		cfg:           cfg,

@@ -200,14 +200,14 @@ func TestSwapUnderReads(t *testing.T) {
 	}
 }
 
-// TestHeterogeneousShards exercises BuilderFor: alternating families
+// TestHeterogeneousShards exercises builderFor: alternating families
 // across shards behind one store.
 func TestHeterogeneousShards(t *testing.T) {
 	keys, payloads := testData(t, 6000)
 	fams := []string{"RMI", "BTree", "PGM", "RBS"}
 	st, err := New(keys, payloads, Config{
 		Shards: 4,
-		BuilderFor: func(shard int, keys []core.Key) (core.Builder, error) {
+		builderFor: func(shard int, keys []core.Key) (core.Builder, error) {
 			nb, _ := registry.Builder(fams[shard%len(fams)], keys)
 			return nb.Builder, nil
 		},

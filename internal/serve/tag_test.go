@@ -99,7 +99,7 @@ func TestShardTagPinnedColdAndWarm(t *testing.T) {
 	}
 }
 
-// TestBuilderForChoosesEveryBaseBuild: a caller's BuilderFor is asked at
+// TestBuilderForChoosesEveryBaseBuild: a caller's builderFor is asked at
 // New and at every major, cold and warm, and what it returns is what
 // gets built — a learned family included, which the catalog on its own
 // would re-tune to its mid-ladder rung.
@@ -108,7 +108,7 @@ func TestBuilderForChoosesEveryBaseBuild(t *testing.T) {
 	inserts := dataset.InsertKeys(keys, 2000, 31)
 	var asked atomic.Int64
 	cfg := Config{Shards: 1, CompactThreshold: -1,
-		BuilderFor: func(_ int, ks []core.Key) (core.Builder, error) {
+		builderFor: func(_ int, ks []core.Key) (core.Builder, error) {
 			asked.Add(1)
 			nb, _ := registry.SweepEntry("PGM", "eps=8", ks)
 			return nb.Builder, nil
@@ -122,7 +122,7 @@ func TestBuilderForChoosesEveryBaseBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := asked.Load(); got != wantAsked {
-			t.Errorf("%s: BuilderFor asked %d times, want %d", step, got, wantAsked)
+			t.Errorf("%s: builderFor asked %d times, want %d", step, got, wantAsked)
 		}
 		nb, _ := registry.SweepEntry("PGM", "eps=8", nil)
 		want, err := nb.Builder.Build(st.Shard(0).Keys())

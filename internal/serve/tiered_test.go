@@ -412,7 +412,7 @@ func TestFailedBackgroundRebuildFoldsBackAndReports(t *testing.T) {
 	}
 	st, err := New(keys, payloads, Config{
 		Shards: 1, CompactThreshold: 32, MaxRuns: 1,
-		BuilderFor: func(_ int, ks []core.Key) (core.Builder, error) {
+		builderFor: func(_ int, ks []core.Key) (core.Builder, error) {
 			nb, _ := registry.Builder("RBS", ks) // no rebuild hook: rounds reuse this builder
 			fb.inner = nb.Builder
 			return fb, nil
@@ -520,7 +520,7 @@ func (g gatedBuilder) Build(keys []core.Key) (core.Index, error) {
 
 func (g gatedBuilder) Name() string { return g.inner.Name() }
 
-// gatedConfig returns cfg with a BuilderFor that builds family's
+// gatedConfig returns cfg with a builderFor that builds family's
 // mid-sweep index behind a gate. family must have no compaction rebuild
 // hook (a hook re-picks the builder and would step around the gate).
 func gatedConfig(cfg Config, family string) (Config, gatedBuilder) {
@@ -529,7 +529,7 @@ func gatedConfig(cfg Config, family string) (Config, gatedBuilder) {
 		entered: make(chan struct{}, 64),
 		gate:    make(chan struct{}),
 	}
-	cfg.BuilderFor = func(shard int, ks []core.Key) (core.Builder, error) {
+	cfg.builderFor = func(shard int, ks []core.Key) (core.Builder, error) {
 		nb, _ := registry.Builder(family, ks)
 		return gatedBuilder{inner: nb.Builder, armed: g.armed, entered: g.entered, gate: g.gate}, nil
 	}

@@ -20,17 +20,17 @@ import (
 
 const keyLen = 8
 
-// LeafSize is the number of subset keys per leaf (Wormhole's default
+// leafSize is the number of subset keys per leaf (Wormhole's default
 // leaf capacity class).
-const LeafSize = 128
+const leafSize = 128
 
 // span is the contiguous range of leaves whose anchors share a prefix.
 type span struct {
 	lo, hi int32 // inclusive leaf index range
 }
 
-// Index is a built wormhole index over a key subset.
-type Index struct {
+// index is a built wormhole index over a key subset.
+type index struct {
 	n       int
 	stride  int
 	subset  []core.Key // every stride-th key
@@ -57,14 +57,14 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 	if stride < 1 {
 		stride = 1
 	}
-	idx := &Index{n: n, stride: stride, meta: make(map[string]span)}
+	idx := &index{n: n, stride: stride, meta: make(map[string]span)}
 	for i := 0; i < n; i += stride {
 		idx.subset = append(idx.subset, keys[i])
 	}
-	nLeaves := (len(idx.subset) + LeafSize - 1) / LeafSize
+	nLeaves := (len(idx.subset) + leafSize - 1) / leafSize
 	idx.anchors = make([]core.Key, nLeaves)
 	for l := 0; l < nLeaves; l++ {
-		idx.anchors[l] = idx.subset[l*LeafSize]
+		idx.anchors[l] = idx.subset[l*leafSize]
 	}
 	// Register every anchor prefix with the leaf range it spans.
 	var kb [keyLen]byte
@@ -90,7 +90,7 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 
 // leafFor returns the index of the last anchor <= x (the leaf whose
 // key range contains x), or -1 when x precedes every anchor.
-func (idx *Index) leafFor(x core.Key) int {
+func (idx *index) leafFor(x core.Key) int {
 	var kb [keyLen]byte
 	binary.BigEndian.PutUint64(kb[:], x)
 	// Binary search the longest anchor prefix of x present in the meta
@@ -130,14 +130,14 @@ func (idx *Index) leafFor(x core.Key) int {
 }
 
 // Lookup implements core.Index.
-func (idx *Index) Lookup(key core.Key) core.Bound {
+func (idx *index) Lookup(key core.Key) core.Bound {
 	leaf := idx.leafFor(key)
 	if leaf < 0 {
 		return core.Bound{Lo: 0, Hi: 1}.Clamp(idx.n)
 	}
 	// Binary search inside the leaf for the first subset key >= x.
-	start := leaf * LeafSize
-	end := start + LeafSize
+	start := leaf * leafSize
+	end := start + leafSize
 	if end > len(idx.subset) {
 		end = len(idx.subset)
 	}
@@ -173,10 +173,10 @@ func (idx *Index) Lookup(key core.Key) core.Bound {
 
 // SizeBytes implements core.Index: subset keys, anchors, and the meta
 // hash (per entry: string header+bytes, span, and map overhead).
-func (idx *Index) SizeBytes() int {
+func (idx *index) SizeBytes() int {
 	metaEntry := 16 + 8 + 8 + 16 // string header + avg prefix + span + bucket overhead
 	return len(idx.subset)*8 + len(idx.anchors)*8 + len(idx.meta)*metaEntry
 }
 
 // Name implements core.Index.
-func (idx *Index) Name() string { return "Wormhole" }
+func (idx *index) Name() string { return "Wormhole" }

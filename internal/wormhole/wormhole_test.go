@@ -31,7 +31,7 @@ func TestWormholeSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	indextest.CheckValidity(t, idx, keys, indextest.ProbesFor(keys))
-	if n := len(idx.(*Index).anchors); n != 1 {
+	if n := len(idx.(*index).anchors); n != 1 {
 		t.Errorf("leaves = %d", n)
 	}
 }
@@ -42,8 +42,8 @@ func TestWormholeManyLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := idx.(*Index)
-	wantLeaves := (len(keys) + LeafSize - 1) / LeafSize
+	w := idx.(*index)
+	wantLeaves := (len(keys) + leafSize - 1) / leafSize
 	if n := len(w.anchors); n != wantLeaves {
 		t.Errorf("leaves = %d, want %d", n, wantLeaves)
 	}
@@ -70,9 +70,9 @@ func TestWormholeEmpty(t *testing.T) {
 func TestWormholeDuplicates(t *testing.T) {
 	// Duplicate keys spanning multiple leaves stress the anchor
 	// walk-back path.
-	keys := make([]core.Key, 3*LeafSize)
+	keys := make([]core.Key, 3*leafSize)
 	for i := range keys {
-		if i < 2*LeafSize {
+		if i < 2*leafSize {
 			keys[i] = 777
 		} else {
 			keys[i] = core.Key(1000 + i)
