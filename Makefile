@@ -1,6 +1,6 @@
 GO ?= go
 
-EXPERIMENTS = serve serve-write serve-lsm serve-tail serve-net serve-obs serve-repl persist
+EXPERIMENTS = serve-lsm serve-net serve-obs serve-repl persist
 
 .PHONY: tier1 vet loc bench bench-smoke bench-quick report-smoke obs-smoke race $(EXPERIMENTS) fuzz-smoke examples doccheck build-audit
 
@@ -87,21 +87,19 @@ obs-smoke:
 # and then only two times in ten. So do the generators' and the builds'
 # tests at GOMAXPROCS 1, 2, 3 and 8: which goroutine fills which range
 # depends on the count and on the scheduler. serve's holds a store's
-# merge decisions to its op sequence at GOMAXPROCS 1, 2 and 8.
+# merge decisions to its op sequence at GOMAXPROCS 1, 2 and 8, and
+# bench's holds serve-lsm's replayed table to its golden there.
 race:
 	$(GO) test -race ./internal/serve/ ./internal/table/ ./internal/stats/ ./internal/load/ ./internal/persist/ ./internal/net/ ./internal/obs/ ./internal/repl/ ./internal/dataset/ ./internal/core/ ./internal/rmi/ ./internal/pgm/ ./internal/rs/
 	$(GO) test -race -count=10 -run TestFollowerWarmRestart ./internal/repl/
-	$(GO) test -race -count=10 -run SameUnderGOMAXPROCS ./internal/dataset/ ./internal/load/ ./internal/registry/ ./internal/serve/
+	$(GO) test -race -count=10 -run SameUnderGOMAXPROCS ./internal/dataset/ ./internal/load/ ./internal/registry/ ./internal/serve/ ./internal/bench/
 
 # One rule prints any of the serving experiments at a quick scale
 # (override N and LOOKUPS for another):
-#   serve       the serving layer, batched + sharded.
-#   serve-write the mixed read/write experiment.
-#   serve-lsm   the tiered-run write path (tier policy x family over
-#               YCSB A/B: throughput, read p99, compaction cost, read
-#               amplification).
-#   serve-tail  tail latency (closed vs open loop, p50..p99.9 per family
-#               x workload x arrival rate).
+#   serve-lsm   the tiered-run write path (tier policy x threshold x
+#               family over YCSB A and B, each store a seeded
+#               single-threaded replay: flushes, merges, key visits per
+#               write, run probes per read; work only, no timing).
 #   serve-net   network serving (goodput vs tail through coalescing +
 #               admission control, below and past capacity).
 #   serve-obs   the observability conservation laws (metrics, traces and
@@ -111,6 +109,8 @@ race:
 #               scatter/gather router, stream conservation laws, and the
 #               failover-to-ready timeline).
 #   persist     cold build vs warm restart.
+# In-process serving timings come from benchmark/ (store-read,
+# store-mixed) and the root Go benchmarks (make bench).
 N ?= 200000
 LOOKUPS ?= 20000
 $(EXPERIMENTS):

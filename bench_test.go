@@ -12,6 +12,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -390,6 +391,11 @@ func serveEnv(b *testing.B) *bench.Env {
 // dataset.
 var serveBenchFamilies = []string{"RMI", "PGM", "BTree"}
 
+// serveBatchSize is the lookup batch of the serving benchmarks: large
+// enough to amortize the per-batch passes, small enough to be a
+// realistic request size.
+const serveBatchSize = 256
+
 // getBatchFamilies is BenchmarkGetBatch's family set: every learned
 // family, the one batch descent (PGM) beside the three that bound a
 // batch with Lookup per key, and the tree baseline.
@@ -408,7 +414,10 @@ func BenchmarkGetBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		t := e.Table(idx, search.BinarySearch)
+		t, err := table.New(e.Keys, e.Payloads, idx, search.BinarySearch)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("%s/perkey", family), func(b *testing.B) {
 			var sum uint64
 			for i := 0; i < b.N; i++ {
@@ -417,13 +426,13 @@ func BenchmarkGetBatch(b *testing.B) {
 			}
 			_ = sum
 		})
-		b.Run(fmt.Sprintf("%s/batch%d", family, bench.ServeBatchSize), func(b *testing.B) {
-			out := make([]uint64, bench.ServeBatchSize)
+		b.Run(fmt.Sprintf("%s/batch%d", family, serveBatchSize), func(b *testing.B) {
+			out := make([]uint64, serveBatchSize)
 			n := len(e.Lookups)
 			b.ResetTimer()
 			for done := 0; done < b.N; {
 				lo := done % n
-				hi := lo + bench.ServeBatchSize
+				hi := lo + serveBatchSize
 				if hi > n {
 					hi = n
 				}
@@ -451,12 +460,12 @@ func BenchmarkServeSharded(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/shards=%d", family, st.NumShards()), func(b *testing.B) {
 				b.ReportMetric(bench.MB(st.SizeBytes()), "MB")
 				b.RunParallel(func(pb *testing.PB) {
-					out := make([]uint64, bench.ServeBatchSize)
-					chunk := make([]core.Key, 0, bench.ServeBatchSize)
+					out := make([]uint64, serveBatchSize)
+					chunk := make([]core.Key, 0, serveBatchSize)
 					i := 0
 					for {
 						chunk = chunk[:0]
-						for len(chunk) < bench.ServeBatchSize && pb.Next() {
+						for len(chunk) < serveBatchSize && pb.Next() {
 							chunk = append(chunk, e.Lookups[i%len(e.Lookups)])
 							i++
 						}
@@ -464,7 +473,7 @@ func BenchmarkServeSharded(b *testing.B) {
 							return
 						}
 						st.GetBatch(chunk, out[:len(chunk)])
-						if len(chunk) < bench.ServeBatchSize {
+						if len(chunk) < serveBatchSize {
 							return
 						}
 					}
@@ -507,6 +516,25 @@ func BenchmarkServeMixed(b *testing.B) {
 	}
 }
 
+// tailWorkers sizes BenchmarkServeTail's generator pool: enough
+// concurrency to saturate the store without drowning the machine in
+// pure scheduler overhead.
+func tailWorkers() int { return min(runtime.NumCPU(), 8) }
+
+// storeTarget is the load.Target over a serve.Store called directly,
+// whose operations cannot fail.
+type storeTarget struct{ st *serve.Store }
+
+func (p storeTarget) TryGet(key core.Key) (uint64, bool, error) {
+	v, ok := p.st.Get(key)
+	return v, ok, nil
+}
+
+func (p storeTarget) TryPut(key core.Key, payload uint64) error {
+	p.st.Put(key, payload)
+	return nil
+}
+
 // BenchmarkServeTail measures the mutable store under the tail-latency
 // generators on a YCSB-B-style 95/5 zipfian mix: a closed loop at
 // saturation, then an open loop offering half the measured capacity on
@@ -516,11 +544,11 @@ func BenchmarkServeMixed(b *testing.B) {
 func BenchmarkServeTail(b *testing.B) {
 	e := serveEnv(b)
 	const readFrac, theta = 0.95, bench.YCSBTheta
-	workers := bench.TailWorkers()
+	workers := tailWorkers()
 	for _, family := range serveBenchFamilies {
-		// Every run — capacity probe, closed, open — gets a fresh store,
-		// mirroring ServeTailSweep: earlier writes and compactions must
-		// not leak into later measurements.
+		// Every run — capacity probe, closed, open — gets a fresh store:
+		// earlier writes and compactions must not leak into later
+		// measurements.
 		newStore := func(b *testing.B) *serve.Store {
 			b.Helper()
 			st, err := serve.New(e.Keys, e.Payloads, serve.Config{
@@ -534,7 +562,7 @@ func BenchmarkServeTail(b *testing.B) {
 		// Capacity probe for the open loop's offered rate (fixed size,
 		// outside any timed loop, on its own store).
 		probeSt := newStore(b)
-		probe := load.Run(load.InProcess(probeSt), load.MixedOps(e.Keys, 20_000, readFrac, theta, 7),
+		probe := load.Run(storeTarget{probeSt}, load.MixedOps(e.Keys, 20_000, readFrac, theta, 7),
 			load.Config{Workers: workers})
 		probeSt.Close()
 
@@ -550,7 +578,7 @@ func BenchmarkServeTail(b *testing.B) {
 			defer st.Close()
 			ops := load.MixedOps(e.Keys, b.N, readFrac, theta, 7)
 			b.ResetTimer()
-			res := load.Run(load.InProcess(st), ops, load.Config{Workers: workers})
+			res := load.Run(storeTarget{st}, ops, load.Config{Workers: workers})
 			b.StopTimer()
 			reportTail(b, res)
 		})
@@ -559,7 +587,7 @@ func BenchmarkServeTail(b *testing.B) {
 			defer st.Close()
 			ops := load.MixedOps(e.Keys, b.N, readFrac, theta, 7)
 			b.ResetTimer()
-			res := load.Run(load.InProcess(st), ops, load.Config{
+			res := load.Run(storeTarget{st}, ops, load.Config{
 				Workers: workers, Rate: probe.Throughput() / 2, Seed: 7,
 			})
 			b.StopTimer()

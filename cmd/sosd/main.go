@@ -13,8 +13,8 @@
 //	     <experiment> [...]
 //
 // Experiments: table1 fig6 fig7 fig8 table2 fig9 fig10 fig11 fig12
-// regress fig13 fig14 fig15 fig16a fig16b fig16c fig17 persist serve
-// serve-tail serve-write serve-lsm serve-net serve-obs serve-repl
+// regress fig13 fig14 fig15 fig16a fig16b fig16c fig17 persist
+// serve-lsm serve-net serve-obs serve-repl
 //
 // Results go to stdout (or -o); progress and timing go to stderr, so
 // the machine-readable formats emit pure data:

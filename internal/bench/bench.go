@@ -2,10 +2,12 @@
 // over the benchmark datasets, measures lookups under the paper's
 // regimes (warm tight loop, serialized "fenced" loop, cold cache,
 // multithreaded), and regenerates every table and figure of the
-// paper's evaluation (Section 4). Beyond the paper it measures the
-// repo's serving layer: batched and sharded lookup sweeps (serve) and
-// YCSB-style mixed read/write workloads over the mutable store
-// (serve-write). Experiments self-register in a catalog
+// paper's evaluation (Section 4). Beyond the paper it drives the
+// repo's serving stack: the tiered write path replayed and priced in
+// work (serve-lsm); the network, observability and replication layers
+// under load, with the conservation laws each must hold (serve-net,
+// serve-obs, serve-repl); and cold build against warm restart
+// (persist). Experiments self-register in a catalog
 // (register/Experiments/Find) and produce typed report.Tables; the
 // sosd CLI renders them through the report sinks. See DESIGN.md for
 // the experiment index.
@@ -20,7 +22,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/registry"
 	"repro/internal/search"
-	"repro/internal/table"
 )
 
 // Env bundles a dataset with its lookup workload and payloads.
@@ -45,6 +46,17 @@ func NewEnv(name dataset.Name, n, m int, seed uint64) (*Env, error) {
 		Payloads: dataset.Payloads(n, seed),
 		Lookups:  dataset.Lookups(keys, m, seed),
 	}, nil
+}
+
+// checksum is the payload sum over the environment's lookups at their
+// LowerBound positions: what every unfenced warm pass must reproduce
+// (the paper sums payloads "to ensure the results are accurate").
+func (e *Env) checksum() uint64 {
+	var sum uint64
+	for _, x := range e.Lookups {
+		sum += e.Payloads[core.LowerBound(e.Keys, x)]
+	}
+	return sum
 }
 
 // Measurement is one timed lookup run.
@@ -222,48 +234,4 @@ func BestVariant(e *Env, family string, fn func(*Env, core.Index) float64) (regi
 		}
 	}
 	return bestNB, bestIdx, best
-}
-
-// Table wraps the environment's data and a built index into a serving
-// Table, the unit measured by the batched regime.
-func (e *Env) Table(idx core.Index, fn search.Fn) *table.Table {
-	t, err := table.New(e.Keys, e.Payloads, idx, fn)
-	if err != nil {
-		panic(err) // Env invariants (sorted keys, len match) rule this out
-	}
-	return t
-}
-
-// measureWarmBatch times the batched serving regime: the lookup
-// workload is driven through Table.GetBatch in fixed-size batches,
-// amortizing bound computation and last-mile search. Comparable to
-// MeasureWarm on the same environment and index.
-func measureWarmBatch(e *Env, t *table.Table, batch int) Measurement {
-	if batch < 1 {
-		batch = ServeBatchSize
-	}
-	run := func() uint64 {
-		var sum uint64
-		out := make([]uint64, batch)
-		for i := 0; i < len(e.Lookups); i += batch {
-			end := i + batch
-			if end > len(e.Lookups) {
-				end = len(e.Lookups)
-			}
-			chunk := e.Lookups[i:end]
-			t.GetBatch(chunk, out[:len(chunk)])
-			for _, v := range out[:len(chunk)] {
-				sum += v
-			}
-		}
-		return sum
-	}
-	run() // warm up
-	start := time.Now()
-	sum := run()
-	elapsed := time.Since(start)
-	return Measurement{
-		NsPerLookup: float64(elapsed.Nanoseconds()) / float64(len(e.Lookups)),
-		checksum:    sum,
-	}
 }

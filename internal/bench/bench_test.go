@@ -15,23 +15,12 @@ import (
 // Options and the CLI.
 var tiny = Options{N: 4000, Lookups: 400, Seed: 7}
 
-// Checksum returns the expected payload sum over the environment's
-// lookups; every measurement loop must reproduce it (the paper sums
-// payloads "to ensure the results are accurate").
-func (e *Env) Checksum() uint64 {
-	var sum uint64
-	for _, x := range e.Lookups {
-		sum += e.Payloads[core.LowerBound(e.Keys, x)]
-	}
-	return sum
-}
-
 func TestEnvChecksum(t *testing.T) {
 	e, err := NewEnv(dataset.Amzn, 2000, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := e.Checksum()
+	want := e.checksum()
 	idx := mustBS(e)
 	m := MeasureWarm(e, idx, search.BinarySearch)
 	if m.checksum != want {
@@ -50,7 +39,7 @@ func TestMeasureWarmAllFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := e.Checksum()
+	want := e.checksum()
 	families := append(append([]string{}, registry.ParetoFamilies...), "FST", "Wormhole", "RobinHash", "CuckooMap", "BS")
 	for _, family := range families {
 		nb, ok := registry.Builder(family, e.Keys)

@@ -10,13 +10,13 @@ import (
 )
 
 // expectedExperiments is the full catalog: the paper's 17 artifacts
-// plus the seven serving-layer experiments. A new experiment must be
+// plus the five serving-layer experiments. A new experiment must be
 // added here (and to the sosd doc comment, which has its own guard).
 var expectedExperiments = []string{
 	"table1", "fig6", "fig7", "fig8", "table2", "fig9", "fig10",
 	"fig11", "fig12", "regress", "fig13", "fig14", "fig15",
 	"fig16a", "fig16b", "fig16c", "fig17",
-	"persist", "serve", "serve-lsm", "serve-net", "serve-obs", "serve-repl", "serve-tail", "serve-write",
+	"persist", "serve-lsm", "serve-net", "serve-obs", "serve-repl",
 }
 
 func TestCatalogComplete(t *testing.T) {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strconv"
 	"time"
 
@@ -112,6 +113,7 @@ func fig7(r *Run) ([]report.Table, error) {
 			bs := MeasureWarm(e, mustBS(e), search.BinarySearch)
 			t.Row([]string{string(name), "BS", ""}, 0, bs.NsPerLookup)
 		}
+		want := e.checksum()
 		for _, family := range r.families(registry.ParetoFamilies) {
 			for _, nb := range registry.Sweep(family, e.Keys) {
 				idx, err := nb.Builder.Build(e.Keys)
@@ -119,6 +121,9 @@ func fig7(r *Run) ([]report.Table, error) {
 					continue
 				}
 				m := MeasureWarm(e, idx, search.BinarySearch)
+				if m.checksum != want {
+					return nil, fmt.Errorf("%s: %s %s on %s found other payloads than LowerBound", t.Experiment, family, nb.Label, name)
+				}
 				t.Row([]string{string(name), family, nb.Label}, MB(idx.SizeBytes()), m.NsPerLookup)
 			}
 		}
@@ -140,6 +145,7 @@ func fig8(r *Run) ([]report.Table, error) {
 			bs := MeasureWarm(e, mustBS(e), search.BinarySearch)
 			t.Row([]string{string(name), "BS", ""}, 0, bs.NsPerLookup)
 		}
+		want := e.checksum()
 		for _, family := range r.families(registry.StringFamilies) {
 			for _, nb := range registry.Sweep(family, e.Keys) {
 				idx, err := nb.Builder.Build(e.Keys)
@@ -147,6 +153,9 @@ func fig8(r *Run) ([]report.Table, error) {
 					continue
 				}
 				m := MeasureWarm(e, idx, search.BinarySearch)
+				if m.checksum != want {
+					return nil, fmt.Errorf("%s: %s %s on %s found other payloads than LowerBound", t.Experiment, family, nb.Label, name)
+				}
 				t.Row([]string{string(name), family, nb.Label}, MB(idx.SizeBytes()), m.NsPerLookup)
 			}
 		}

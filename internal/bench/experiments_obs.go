@@ -117,8 +117,9 @@ func serveObsSweep(r *Run) ([]report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A lower floor than serve-lsm's: the law checks need flushes to
-	// actually happen even at test-suite (tiny) scale.
+	// A floor of 16, below the 64 serve-lsm's policies scale from: the
+	// law checks need flushes to actually happen even at the test
+	// suite's tiny scale.
 	ops := o.Lookups
 	threshold := compactThreshold(ops, 16)
 	const shards = 4

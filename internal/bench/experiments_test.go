@@ -2,6 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -130,21 +134,10 @@ func TestFig14ColdSlowerThanWarm(t *testing.T) {
 	}
 }
 
-func TestServeTailSweepEndToEnd(t *testing.T) {
-	runExperiment(t, "serve-tail",
-		"Tail latency", "scheduled Poisson arrival", "p99.9", "closed", "open25%", "open80%",
-		"RMI", "PGM", "BTree")
-}
-
 func TestServeNetSweepEndToEnd(t *testing.T) {
 	runExperiment(t, "serve-net",
 		"Network serving", "loopback", "RetryLater", "goodput", "sheds",
 		"closed", "open50%", "open120%", "open200%", "PGM")
-}
-
-func TestServeWriteSweepEndToEnd(t *testing.T) {
-	runExperiment(t, "serve-write",
-		"Mixed read/write", "threshold sweep", "RMI", "PGM", "BTree", "zipf", "unif")
 }
 
 func TestServeObsSweepEndToEnd(t *testing.T) {
@@ -158,10 +151,94 @@ func TestServeReplSweepEndToEnd(t *testing.T) {
 		"Replicated serving", "speedup", "goodput", "detect+promote", "ready")
 }
 
+// lsmScale is the scale serve-lsm's golden is pinned at: every policy
+// row of workload A flushes, minors or majors, and the whole sweep
+// replays in well under a second.
+var lsmScale = Options{N: 4000, Lookups: 4000, Seed: 7}
+
+// lsmGolden is serve-lsm's table at lsmScale, rendered as text. A change
+// that moves a merge, its price or a read's probes moves it on purpose;
+// regenerate with
+//
+//	go run ./cmd/sosd -n 4000 -lookups 4000 -seed 7 serve-lsm > internal/bench/testdata/serve-lsm.golden
+//
+// and the diff is the claim, row by row.
+const lsmGolden = "testdata/serve-lsm.golden"
+
+// checkLSMGolden renders serve-lsm at lsmScale and requires it to be the
+// golden byte for byte.
+func checkLSMGolden(t *testing.T) {
+	t.Helper()
+	want, err := os.ReadFile(lsmGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderCatalog(t, "serve-lsm", lsmScale); got != string(want) {
+		t.Fatalf("serve-lsm differs from %s; got:\n%s", lsmGolden, got)
+	}
+}
+
+// TestServeLSMSweepEndToEnd: serve-lsm replays seeded scripts and
+// reports work, so its whole table is a golden, not a list of markers.
 func TestServeLSMSweepEndToEnd(t *testing.T) {
-	runExperiment(t, "serve-lsm",
-		"Tiered-run write path", "readamp", "readp99", "single", "tier4", "tier8",
-		"RMI", "PGM", "BTree")
+	checkLSMGolden(t)
+}
+
+// TestServeLSMSameUnderGOMAXPROCS: a replayed store's merges follow
+// from its op sequence, whatever the number of threads its compactor
+// and builds may run on, so the table is the golden at GOMAXPROCS 1, 2
+// and 8.
+func TestServeLSMSameUnderGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		checkLSMGolden(t)
+	}
+}
+
+// TestServeLSMTieringPaysWhereRetuningLives asserts README's tiering
+// finding in key visits, sign and order only: on zipfian workload A a
+// single-run RMI store spends more work per write than a tier4 one, and
+// tiering saves RMI, whose every major re-tunes, a larger factor than
+// BTree, whose major is a bulk load.
+func TestServeLSMTieringPaysWhereRetuningLives(t *testing.T) {
+	o := lsmScale
+	o.Families = []string{"RMI", "BTree"}
+	exp, _ := Find("serve-lsm")
+	tables, err := exp.Run(NewRun(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := tables[0]
+	col := -1
+	for i, m := range tb.Schema.Metrics {
+		if m.Name == "visits/w" {
+			col = i
+		}
+	}
+	if col < 0 {
+		t.Fatal("serve-lsm has no visits/w column")
+	}
+	thresh := strconv.Itoa(compactThreshold(o.Lookups, 64))
+	visits := func(family, policy string) float64 {
+		t.Helper()
+		for _, row := range tb.Rows {
+			if slices.Equal(row.Dims, []string{family, "A", "zipf", policy, thresh}) {
+				return row.Metrics[col]
+			}
+		}
+		t.Fatalf("no %s/A/zipf/%s/%s row", family, policy, thresh)
+		return 0
+	}
+	rmiSingle, rmiTier := visits("RMI", "single"), visits("RMI", "tier4")
+	btSingle, btTier := visits("BTree", "single"), visits("BTree", "tier4")
+	if rmiSingle <= rmiTier {
+		t.Errorf("RMI single-run %.1f visits/write <= tier4 %.1f: tiering saved a re-tuning family nothing", rmiSingle, rmiTier)
+	}
+	if rmiSingle/rmiTier <= btSingle/btTier {
+		t.Errorf("single/tier4 visits: RMI %.1f/%.1f <= BTree %.1f/%.1f: tiering must pay most where re-tuning lives",
+			rmiSingle, rmiTier, btSingle, btTier)
+	}
 }
 
 // TestFamilyDatasetFilters exercises the -families/-datasets options
@@ -189,7 +266,7 @@ func TestFamilyDatasetFilters(t *testing.T) {
 // smoke scale, writes them through the JSON sink, and unmarshals back:
 // dims and metrics must survive byte-for-byte.
 func TestRoundTripRepresentative(t *testing.T) {
-	for _, name := range []string{"table1", "fig13", "serve"} {
+	for _, name := range []string{"table1", "fig13", "serve-lsm"} {
 		exp, ok := Find(name)
 		if !ok {
 			t.Fatalf("experiment %q not in catalog", name)

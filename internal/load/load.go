@@ -1,9 +1,10 @@
-// Package load is the op-stream driver of every serving experiment: one
-// Run pushes a mixed Get/Put stream (MixedOps) into a Target — a
-// serve.Store in process behind InProcess, a net.Pool over a socket, a
-// repl.Router over a topology — from a fixed set of workers, and
-// records each accepted operation's latency into a read or a write
-// stats.Histogram.
+// Package load is the op-stream driver of the serving experiments that
+// run a stack under load: one Run pushes a mixed Get/Put stream
+// (MixedOps) into a Target — a net.Pool over a socket, a repl.Router
+// over a topology — from a fixed set of workers, and records each
+// accepted operation's latency into a read or a write stats.Histogram.
+// serve-lsm replays the same MixedOps streams without Run, one op at a
+// time, because it counts work rather than timing it.
 //
 // Config.Rate selects which question the run answers. With Rate == 0
 // the loop is closed: each worker issues its next operation the instant
@@ -39,37 +40,12 @@ import (
 // lands in a histogram — a shed is an explicit fast refusal, not a
 // served request, and folding its latency into the histogram would let
 // a server flatter its tail by shedding. net.Pool and repl.Router
-// satisfy it directly; InProcess adapts a serve.Store.
+// satisfy it directly.
 type Target interface {
 	// TryGet returns the live payload for key, or false when absent.
 	TryGet(key core.Key) (uint64, bool, error)
 	// TryPut inserts or updates key.
 	TryPut(key core.Key, payload uint64) error
-}
-
-// store is the surface of serve.Store that InProcess adapts; declared
-// structurally so load does not import the store it drives.
-type store interface {
-	Get(key core.Key) (uint64, bool)
-	Put(key core.Key, payload uint64)
-}
-
-// inProcess is the Target over a store called directly, whose
-// operations cannot fail.
-type inProcess struct{ st store }
-
-// InProcess adapts an in-process store (serve.Store) to Target, so a
-// function call and a socket are driven by the same loop.
-func InProcess(st store) Target { return inProcess{st} }
-
-func (p inProcess) TryGet(key core.Key) (uint64, bool, error) {
-	v, ok := p.st.Get(key)
-	return v, ok, nil
-}
-
-func (p inProcess) TryPut(key core.Key, payload uint64) error {
-	p.st.Put(key, payload)
-	return nil
 }
 
 // shedder is the marker carried by refusal errors; declared structurally

@@ -47,6 +47,21 @@ func oracleChecksum(ops []Op, keys []core.Key, payloads []uint64) uint64 {
 	return sum
 }
 
+// inProcess is the Target over a store called directly, whose
+// operations cannot fail: a function call and a socket are driven by
+// the same loop.
+type inProcess struct{ st *serve.Store }
+
+func (p inProcess) TryGet(key core.Key) (uint64, bool, error) {
+	v, ok := p.st.Get(key)
+	return v, ok, nil
+}
+
+func (p inProcess) TryPut(key core.Key, payload uint64) error {
+	p.st.Put(key, payload)
+	return nil
+}
+
 func TestMixedOpsShape(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 5000, 9)
 	for _, readFrac := range []float64{0, 0.5, 0.95, 1} {
@@ -83,7 +98,7 @@ func TestRunClosedCorrectness(t *testing.T) {
 	defer st.Close()
 	ops := MixedOps(keys, 3000, 1, 0.99, 5)
 	want := oracleChecksum(ops, keys, payloads)
-	res := Run(InProcess(st), ops, Config{Workers: 4})
+	res := Run(inProcess{st}, ops, Config{Workers: 4})
 	if res.Ops() != len(ops) || res.Writes.Count() != 0 {
 		t.Fatalf("ops=%d writes=%d", res.Ops(), res.Writes.Count())
 	}
@@ -117,7 +132,7 @@ func TestRunClosedMixedWrites(t *testing.T) {
 		t.Fatalf("mix degenerate: gets=%d puts=%d", gets, puts)
 	}
 	for _, rate := range []float64{0, 2_000_000} {
-		res := Run(InProcess(st), ops, Config{Workers: 4, Rate: rate, Seed: 1})
+		res := Run(inProcess{st}, ops, Config{Workers: 4, Rate: rate, Seed: 1})
 		if res.Reads.Count() != gets || res.Writes.Count() != puts {
 			t.Fatalf("rate=%g: histograms hold %d reads + %d writes, stream has %d + %d",
 				rate, res.Reads.Count(), res.Writes.Count(), gets, puts)
@@ -147,7 +162,7 @@ func TestRunOpenSchedule(t *testing.T) {
 	const rate = 50_000.0
 	ops := MixedOps(keys, n, 1, 0, 5)
 	want := oracleChecksum(ops, keys, payloads)
-	res := Run(InProcess(st), ops, Config{Workers: 4, Rate: rate, Seed: 11})
+	res := Run(inProcess{st}, ops, Config{Workers: 4, Rate: rate, Seed: 11})
 	if res.Ops() != n || res.checksum != want {
 		t.Fatalf("ops=%d checksum=%d, want %d/%d", res.Ops(), res.checksum, n, want)
 	}
@@ -184,9 +199,9 @@ func TestRunOpenMeasuresFromScheduledArrival(t *testing.T) {
 	ops := MixedOps(keys, n, 1, 0, 5)
 
 	// Closed-loop reference: the bare per-operation service time.
-	closed := Run(InProcess(st), ops, Config{Workers: 1})
+	closed := Run(inProcess{st}, ops, Config{Workers: 1})
 
-	res := Run(InProcess(st), ops, Config{Workers: 1, Rate: 100_000_000, Seed: 3})
+	res := Run(inProcess{st}, ops, Config{Workers: 1, Rate: 100_000_000, Seed: 3})
 	if res.Reads.Count() != uint64(n) {
 		t.Fatalf("histogram holds %d samples, want %d", res.Reads.Count(), n)
 	}
@@ -238,10 +253,10 @@ func TestGeneratorShutdownLeavesNoGoroutines(t *testing.T) {
 	st.WaitCompactions()
 	baseline := runtime.NumGoroutine()
 
-	Run(InProcess(st), ops, Config{Workers: 8})
+	Run(inProcess{st}, ops, Config{Workers: 8})
 	waitGoroutines(t, baseline)
 
-	Run(InProcess(st), ops, Config{Workers: 8, Rate: 2_000_000, Seed: 1})
+	Run(inProcess{st}, ops, Config{Workers: 8, Rate: 2_000_000, Seed: 1})
 	waitGoroutines(t, baseline)
 }
 
@@ -302,7 +317,7 @@ func TestShedAccounting(t *testing.T) {
 	}{
 		{"mixed", func() Target { return &shedTarget{shedMod: 3, errMod: 7} }, true, true, true},
 		{"failing", func() Target { return &shedTarget{errMod: 1} }, false, true, false},
-		{"inprocess", func() Target { return InProcess(st) }, false, false, true},
+		{"inprocess", func() Target { return inProcess{st} }, false, false, true},
 	} {
 		for _, rate := range []float64{0, 5_000_000} {
 			name := fmt.Sprintf("%s/rate=%g", tc.name, rate)
@@ -361,8 +376,8 @@ func TestGeneratorRace(t *testing.T) {
 		}
 	}()
 	ops := MixedOps(keys, 4000, 0.5, 0.99, 5)
-	Run(InProcess(st), ops, Config{Workers: 8})
-	Run(InProcess(st), ops, Config{Workers: 8, Rate: 500_000, Seed: 2})
+	Run(inProcess{st}, ops, Config{Workers: 8})
+	Run(inProcess{st}, ops, Config{Workers: 8, Rate: 500_000, Seed: 2})
 	close(stop)
 	st.WaitCompactions()
 }

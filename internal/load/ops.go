@@ -12,7 +12,8 @@ import (
 // alternating between inserting a fresh absent key and updating a
 // distribution-drawn present one. Reads and writes interleave at the
 // exact ratio (Bresenham scheduling), so write-triggered compactions
-// land mid-read-stream as in a live system. Deterministic in seed.
+// land mid-read-stream as in a live system. The write at stream
+// position i carries payload i|1. Deterministic in seed.
 func MixedOps(keys []core.Key, n int, readFrac, theta float64, seed uint64) []Op {
 	if readFrac < 0 {
 		readFrac = 0

@@ -524,21 +524,25 @@ func decodeMsg(body []byte) (*Msg, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if n > 0 {
-			m.Ops = make([]persist.Op, n)
-			for i := range m.Ops {
-				switch r.U8() {
-				case 0:
-				case 1:
-					m.Ops[i].Tomb = true
-				default:
-					if r.Err() == nil {
-						return nil, binio.Corruptf("tombstone flag out of range")
-					}
+		// A batch carries positions Seq .. Seq+n-1, and a follower acks
+		// and resumes from the last. Positions start at 1, and with no
+		// ops the last would be Seq-1, 2^64-1 at Seq 0.
+		if n == 0 || m.Seq == 0 {
+			return nil, binio.Corruptf("wal batch of %d ops at seq %d", n, m.Seq)
+		}
+		m.Ops = make([]persist.Op, n)
+		for i := range m.Ops {
+			switch r.U8() {
+			case 0:
+			case 1:
+				m.Ops[i].Tomb = true
+			default:
+				if r.Err() == nil {
+					return nil, binio.Corruptf("tombstone flag out of range")
 				}
-				m.Ops[i].Key = core.Key(r.U64())
-				m.Ops[i].Val = r.U64()
 			}
+			m.Ops[i].Key = core.Key(r.U64())
+			m.Ops[i].Val = r.U64()
 		}
 	case MsgAck:
 		seqs, err := decodeSeqs(r)

@@ -96,6 +96,8 @@ func FuzzFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 0xff, 0xff, 0xff, 0x7f}) // huge length prefix
+	// A wal batch with no ops at seq 0, which must not decode.
+	f.Add(append([]byte{1}, seedFrame(f, &Msg{Type: MsgWalBatch})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -165,6 +167,28 @@ func fuzzCorpus(t *testing.T) map[string][]byte {
 
 func corpusFile(data []byte) []byte {
 	return []byte("go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n")
+}
+
+// TestDecodeRejectsEmptyWalBatch: a wal batch with no ops, or one
+// starting at seq 0, is corrupt. A follower computes the last position
+// of a batch as Seq+len(Ops)-1 and acks it, so an empty batch at seq 0
+// would ack, store and resubscribe from 2^64-1.
+func TestDecodeRejectsEmptyWalBatch(t *testing.T) {
+	op := []persist.Op{{Key: 5, Val: 50}}
+	for _, m := range []*Msg{
+		{Type: MsgWalBatch},
+		{Type: MsgWalBatch, Seq: 7},
+		{Type: MsgWalBatch, Seq: 0, Ops: op},
+	} {
+		frame := seedFrame(t, m)
+		if got, err := decodeMsg(frame[4 : len(frame)-8]); err == nil {
+			t.Errorf("seq %d, %d ops: decoded to %+v, want an error", m.Seq, len(m.Ops), got)
+		}
+	}
+	frame := seedFrame(t, &Msg{Type: MsgWalBatch, Seq: 1, Ops: op})
+	if _, err := decodeMsg(frame[4 : len(frame)-8]); err != nil {
+		t.Errorf("one op at seq 1: %v", err)
+	}
 }
 
 // TestWriteFuzzCorpus regenerates the checked-in seed corpus under

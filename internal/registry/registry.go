@@ -208,13 +208,8 @@ var Fig12Families = []string{"RMI", "PGM", "RS", "BTree", "ART"}
 // Fig16Families is the structure set of Figure 16.
 var Fig16Families = []string{"RMI", "PGM", "RS", "RBS", "ART", "BTree", "IBTree", "FAST", "RobinHash"}
 
-// ServeFamilies is the default family set of the sharded serving
-// experiments: the three learned structures with a batched bound path
-// plus the classic tree baseline.
-var ServeFamilies = []string{"RMI", "PGM", "RS", "BTree"}
-
-// WriteFamilies is the family set of the mixed read/write serving
-// experiments: the learned structures (whose compactions re-tune and
+// WriteFamilies is the family set of the write-path experiment
+// (serve-lsm): the learned structures (whose compactions re-tune and
 // rebuild whole models) against the B-tree baseline (whose rebuild is
 // a cheap bulk load).
 var WriteFamilies = []string{"RMI", "PGM", "RS", "BTree"}

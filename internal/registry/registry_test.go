@@ -31,7 +31,7 @@ func TestBuiltinCatalogComplete(t *testing.T) {
 		}
 	}
 	for _, set := range [][]string{ParetoFamilies, StringFamilies, Table2Families,
-		Fig12Families, Fig16Families, ServeFamilies} {
+		Fig12Families, Fig16Families, WriteFamilies} {
 		for _, f := range set {
 			if !Has(f) {
 				t.Errorf("figure family set references unregistered %s", f)
@@ -254,7 +254,7 @@ func TestBuilderIsMidSweep(t *testing.T) {
 	for _, n := range sizes {
 		for _, ds := range dataset.All() {
 			keys := dataset.MustGenerate(ds, n, 1)
-			for _, fam := range ServeFamilies {
+			for _, fam := range WriteFamilies {
 				sweep := Sweep(fam, keys)
 				want := sweep[len(sweep)/2]
 				got, ok := Builder(fam, keys)

@@ -34,7 +34,7 @@ func expectGet(keys []core.Key, payloads []uint64, x core.Key) (uint64, bool) {
 // ground truth across shard boundaries, for every serve family.
 func TestStoreCorrectness(t *testing.T) {
 	keys, payloads := testData(t, 6000)
-	for _, family := range registry.ServeFamilies {
+	for _, family := range registry.WriteFamilies {
 		st, err := New(keys, payloads, Config{Shards: 5, Family: family})
 		if err != nil {
 			t.Fatalf("%s: %v", family, err)

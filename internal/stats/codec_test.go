@@ -32,9 +32,9 @@ func TestHistogramCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Count() != h.Count() || got.Max() != h.Max() || got.Mean() != h.Mean() {
+	if got.Count() != h.Count() || got.Max() != h.Max() || got.mean() != h.mean() {
 		t.Fatalf("summary drift: got n=%d max=%d mean=%f, want n=%d max=%d mean=%f",
-			got.Count(), got.Max(), got.Mean(), h.Count(), h.Max(), h.Mean())
+			got.Count(), got.Max(), got.mean(), h.Count(), h.Max(), h.mean())
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
 		if got.Quantile(q) != h.Quantile(q) {

@@ -107,8 +107,8 @@ func (h *Histogram) Max() int64 { return h.max.Load() }
 // _sum/_count pair of a Prometheus summary exposition.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Mean reports the exact mean of recorded samples (0 when empty).
-func (h *Histogram) Mean() float64 {
+// mean reports the exact mean of recorded samples (0 when empty).
+func (h *Histogram) mean() float64 {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
@@ -187,14 +187,13 @@ func (h *Histogram) Quantile(q float64) int64 {
 // Quantiles is the tail-latency summary reported by every serving
 // experiment.
 type Quantiles struct {
-	P50, P90, P99, P999, Max int64
+	P50, P99, P999, Max int64
 }
 
 // Summary extracts the standard quantile set in one pass-per-quantile.
 func (h *Histogram) Summary() Quantiles {
 	return Quantiles{
 		P50:  h.Quantile(0.50),
-		P90:  h.Quantile(0.90),
 		P99:  h.Quantile(0.99),
 		P999: h.Quantile(0.999),
 		Max:  h.Max(),
@@ -205,5 +204,5 @@ func (h *Histogram) Summary() Quantiles {
 func (h *Histogram) String() string {
 	s := h.Summary()
 	return fmt.Sprintf("n=%d mean=%.0f p50=%d p90=%d p99=%d p99.9=%d max=%d",
-		h.Count(), h.Mean(), s.P50, s.P90, s.P99, s.P999, s.Max)
+		h.Count(), h.mean(), s.P50, h.Quantile(0.90), s.P99, s.P999, s.Max)
 }

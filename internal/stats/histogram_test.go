@@ -181,8 +181,8 @@ func TestHistogramMerge(t *testing.T) {
 	if merged.Count() != whole.Count() || merged.Max() != whole.Max() {
 		t.Fatalf("merge count/max mismatch: %v vs %v", merged, whole)
 	}
-	if merged.Mean() != whole.Mean() {
-		t.Fatalf("merge mean mismatch: %v vs %v", merged.Mean(), whole.Mean())
+	if merged.mean() != whole.mean() {
+		t.Fatalf("merge mean mismatch: %v vs %v", merged.mean(), whole.mean())
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999, 1} {
 		if merged.Quantile(q) != whole.Quantile(q) {

@@ -69,7 +69,7 @@ func TestHistogramScrapeInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dec.Count() != snap.Count() || dec.Max() != snap.Max() || dec.Mean() != snap.Mean() {
+		if dec.Count() != snap.Count() || dec.Max() != snap.Max() || dec.mean() != snap.mean() {
 			t.Fatalf("round-trip drift: n=%d/%d max=%d/%d",
 				dec.Count(), snap.Count(), dec.Max(), snap.Max())
 		}
