@@ -8,9 +8,13 @@ EXPERIMENTS = serve-lsm serve-net serve-obs serve-repl persist
 tier1:
 	$(GO) build ./... && $(GO) test ./...
 
-# vet also fails on any file gofmt would rewrite.
+# vet also vets the files only a build tag compiles (the probe-counting
+# comparison of internal/search, the -race variants of net, registry
+# and rs), and fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags probecount ./internal/search
+	$(GO) vet -tags race ./internal/net ./internal/registry ./internal/rs
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # loc prints the non-test Go line count of every internal/ package and

@@ -6,7 +6,8 @@
 //
 //   - index: bytes per key, mean bound width, and perfsim's simulated
 //     cache misses, instructions and branch misses per lookup, for every
-//     family perfsim traces over the four datasets;
+//     family perfsim traces over the four datasets, and the share of the
+//     RMI's leaves that no key routes to;
 //   - table: allocations per Get, GetBatch and GetBatchRuns;
 //   - store: allocations per clean and dirty Get, per GetBatch and per
 //     detached, hooked and attached Put, run probes per read after a
@@ -57,6 +58,7 @@ import (
 	"repro/internal/persist"
 	"repro/internal/registry"
 	"repro/internal/repl"
+	"repro/internal/rmi"
 	"repro/internal/serve"
 	"repro/internal/table"
 )
@@ -180,6 +182,9 @@ func indexRows(t *testing.T, l *ledger) map[string]*table.Table {
 			l.ratio(row+"sim_misses", c.CacheMisses, uint64(len(lookups)))
 			l.ratio(row+"sim_instructions", c.Instructions, uint64(len(lookups)))
 			l.ratio(row+"sim_branch_misses", c.BranchMisses, uint64(len(lookups)))
+			if r, ok := idx.(*rmi.Index); ok {
+				l.ratio(row+"empty_leaf_frac", emptyLeaves(r, keys), uint64(r.NumLeaves()))
+			}
 			if ds == dataset.Amzn && i < len(families) {
 				tbl, err := table.New(keys, dataset.Payloads(len(keys), seed), idx, nil)
 				if err != nil {
@@ -190,6 +195,22 @@ func indexRows(t *testing.T, l *ledger) map[string]*table.Table {
 		}
 	}
 	return tables
+}
+
+// emptyLeaves counts the leaves of r that none of keys routes to.
+func emptyLeaves(r *rmi.Index, keys []core.Key) uint64 {
+	hit := make([]bool, r.NumLeaves())
+	for _, x := range keys {
+		leaf, _, _ := r.Explain(x)
+		hit[leaf] = true
+	}
+	empty := uint64(0)
+	for _, h := range hit {
+		if !h {
+			empty++
+		}
+	}
+	return empty
 }
 
 // simulate replays the lookups on perfsim's machine, as fig12 does —

@@ -181,10 +181,12 @@ func TestTracedRegionsSumToSizeBytes(t *testing.T) {
 	}
 }
 
-// TestTracedRMILeafIsOneLine: the simulated leaf load is at the stride
-// memory holds the leaf array in, and a leaf of either layout lies
-// within one cache line.
-func TestTracedRMILeafIsOneLine(t *testing.T) {
+// TestTracedRMILeafLines: the simulated leaf load is at the stride
+// memory holds the leaf array in, and is charged at every line its
+// bytes span. The leaf region starts on a line, so a 24-byte linear leaf
+// touches two lines exactly when its offset mod 64 is 48 or 56, two of
+// every eight, and a 64-byte cubic leaf always one.
+func TestTracedRMILeafLines(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 20000, 1)
 	for _, stage2 := range []rmi.ModelKind{rmi.ModelLinear, rmi.ModelCubic} {
 		idx, err := rmi.New(keys, rmi.Config{Stage1: rmi.ModelLinear, Stage2: stage2, Branch: 1000})
@@ -194,10 +196,14 @@ func TestTracedRMILeafIsOneLine(t *testing.T) {
 		m := New(Config{cacheBytes: 1 << 20})
 		tr, _ := For(idx, m, keys)
 		for leaf := 0; leaf < idx.NumLeaves(); leaf++ {
+			want := uint64(1)
+			if off := leaf * idx.LeafBytes() % 64; stage2 != rmi.ModelCubic && (off == 48 || off == 56) {
+				want = 2
+			}
 			before := m.Counters().accesses
 			tr.(*tracedRMI).touchLeaf(leaf)
-			if lines := m.Counters().accesses - before; lines != 1 {
-				t.Fatalf("stage 2 %v: leaf %d (%d bytes) touches %d lines", stage2, leaf, idx.LeafBytes(), lines)
+			if lines := m.Counters().accesses - before; lines != want {
+				t.Fatalf("stage 2 %v: leaf %d (%d bytes) touches %d lines, want %d", stage2, leaf, idx.LeafBytes(), lines, want)
 			}
 		}
 	}

@@ -151,7 +151,7 @@ func (t *tracedRMI) Lookup(key core.Key) core.Bound {
 	leaf, _, b := t.idx.Explain(key)
 	// Stage-1 model: a handful of FLOPs on coefficients that fit a
 	// single cache line (hot in any realistic loop), then one dependent
-	// load of the leaf model.
+	// load of the leaf model, one line or two.
 	t.m.Access(t.model, 0, t.model.size)
 	t.m.instr(8)
 	t.touchLeaf(leaf)
@@ -159,7 +159,9 @@ func (t *tracedRMI) Lookup(key core.Key) core.Bound {
 	return t.lastMile(key, b)
 }
 
-// touchLeaf loads one leaf at the stride memory holds the array in.
+// touchLeaf loads one leaf at the stride memory holds the array in,
+// charged at every line its bytes span: a 24-byte linear leaf at offset
+// 48 or 56 mod 64 (two of every eight) spans two, a cubic leaf one.
 func (t *tracedRMI) touchLeaf(leaf int) {
 	stride := t.idx.LeafBytes()
 	t.m.Access(t.leaves, leaf*stride, stride)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/binio"
@@ -375,17 +376,21 @@ func oldSeed(t *testing.T, name, family string) []byte {
 
 // TestOldRMISeedDecodesToError: FuzzDecode/old-RMI is raw-RMI as it was
 // checked in before the RMI leaf was folded — the RMI selector byte, then
-// a payload that opens with the stage-1 kind and carries tagged leaves.
-// No encoder writes it any more, so fuzzCorpus does not regenerate it;
-// it stays so that the fuzzer starts from it, and it must be named as
-// the old layout, never decoded to an index.
+// a payload that opens with the stage-1 kind and carries tagged leaves —
+// and FuzzDecode/old-RMI-32 is raw-RMI as it was checked in while the
+// folded linear leaf was 32 bytes, layout byte 32. No encoder writes
+// either any more, so fuzzCorpus does not regenerate them; they stay so
+// that the fuzzer starts from them, and each must be named as an old
+// layout to rebuild, never decoded to an index.
 func TestOldRMISeedDecodesToError(t *testing.T) {
 	codec, _ := registry.CodecFor("RMI")
-	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "old-RMI", "RMI")))
-	if idx != nil || !errors.Is(err, binio.ErrCorrupt) {
-		t.Fatalf("old-RMI decoded to (%v, %v), want a corrupt-data error", idx, err)
+	for _, name := range []string{"old-RMI", "old-RMI-32"} {
+		idx, err := codec.Decode(binio.NewReader(oldSeed(t, name, "RMI")))
+		if idx != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "rebuild the index") {
+			t.Fatalf("%s decoded to (%v, %v), want a corrupt-data error naming a rebuild", name, idx, err)
+		}
+		t.Log(err)
 	}
-	t.Log(err)
 }
 
 // TestBadPosSeedDecodesToError: FuzzDecode/badpos-PGM is osm 20k keys

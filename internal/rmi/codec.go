@@ -8,11 +8,14 @@ package rmi
 // checksums are the caller's job (package persist).
 //
 // The payload opens with a layout byte, the stride of the leaf records
-// that follow. Payloads of the tagged-leaf layout before it opened with
-// the stage-1 ModelKind (0..3), which no stride is, so Decode names one
-// instead of misreading it.
+// that follow, each written as memory holds it. Payloads of the
+// tagged-leaf layout before it opened with the stage-1 ModelKind
+// (0..3), which no stride is, and those of the 32-byte linear leaf
+// with a stride of 32; Decode names both instead of misreading them.
 
 import (
+	"math"
+
 	"repro/internal/binio"
 )
 
@@ -50,12 +53,13 @@ func (idx *Index) Encode(w *binio.Writer) error {
 	w.U32(uint32(idx.NumLeaves()))
 	for i := range idx.leaves {
 		w.F64(idx.leaves[i].keyOff)
-		w.F64(idx.leaves[i].slope)
+		w.U32(math.Float32bits(idx.leaves[i].slope))
 		idx.leaves[i].clamps.encode(w)
 	}
 	for i := range idx.cubics {
 		idx.cubics[i].poly.encode(w)
 		idx.cubics[i].clamps.encode(w)
+		w.U32(0) // the padding that fills the line
 	}
 	return w.Err()
 }
@@ -63,17 +67,19 @@ func (idx *Index) Encode(w *binio.Writer) error {
 func (c *clamps) encode(w *binio.Writer) {
 	w.U32(uint32(c.lo))
 	w.U32(uint32(c.hi))
-	w.U32(uint32(c.errLo))
-	w.U32(uint32(c.errHi))
+	w.U32(uint32(c.errLo) | uint32(c.errHi)<<16)
 }
 
 // decodeClamps re-validates what the lookup path leans on: pos returns
 // a value in [lo, hi] and BoundAround only clamps the final bound, so
-// positions outside the data or negative margins would survive into it.
+// positions outside the data would survive into it. No true margin
+// exceeds n, so none rounds above n + n>>10.
 func decodeClamps(r *binio.Reader, li int, n uint64) clamps {
-	c := clamps{int32(r.U32()), int32(r.U32()), int32(r.U32()), int32(r.U32())}
-	if c.errLo < 0 || c.errHi < 0 || c.lo < 0 || c.lo > c.hi || uint64(c.hi) >= n {
-		r.Fail(binio.Corruptf("rmi: leaf %d clamps [%d,%d] and margins (%d,%d) impossible over %d keys", li, c.lo, c.hi, c.errLo, c.errHi, n))
+	c := clamps{lo: int32(r.U32()), hi: int32(r.U32())}
+	errs := r.U32()
+	c.errLo, c.errHi = margin(errs), margin(errs>>16)
+	if c.lo < 0 || c.lo > c.hi || uint64(c.hi) >= n || uint64(max(c.errLo, c.errHi).value()) > n+n>>10 {
+		r.Fail(binio.Corruptf("rmi: leaf %d clamps [%d,%d] and margins (%d,%d) impossible over %d keys", li, c.lo, c.hi, c.errLo.value(), c.errHi.value(), n))
 	}
 	return c
 }
@@ -84,8 +90,8 @@ func decodeClamps(r *binio.Reader, li int, n uint64) clamps {
 // allocation.
 func Decode(r *binio.Reader) (*Index, error) {
 	layout := int(r.U8())
-	if r.Err() == nil && layout <= int(modelRadix) {
-		return nil, binio.Corruptf("rmi: payload in the tagged-leaf layout that preceded the folded leaf; rebuild the index")
+	if r.Err() == nil && (layout <= int(modelRadix) || layout == 32) {
+		return nil, binio.Corruptf("rmi: payload in a retired layout (%d: 0..3 the tagged-leaf layout, 32 the 32-byte leaf); rebuild the index", layout)
 	}
 	var cfg Config
 	cfg.Stage1 = ModelKind(r.U8())
@@ -127,12 +133,13 @@ func Decode(r *binio.Reader) (*Index, error) {
 	for i := 0; i < branch && r.Err() == nil; i++ {
 		if cubic {
 			idx.cubics[i] = cubicLeaf{decodePoly(r), decodeClamps(r, i, n)}
+			r.U32() // padding
 			continue
 		}
 		lf := &idx.leaves[i]
-		lf.keyOff, lf.slope = r.FiniteF64(), r.FiniteF64()
-		if lf.slope < 0 { // pos must stay monotone in the key
-			r.Fail(binio.Corruptf("rmi: negative slope in leaf %d", i))
+		lf.keyOff, lf.slope = r.FiniteF64(), math.Float32frombits(r.U32())
+		if !(lf.slope >= 0 && lf.slope <= math.MaxFloat32) { // pos must stay monotone in the key
+			r.Fail(binio.Corruptf("rmi: slope %v in leaf %d", lf.slope, i))
 		}
 		lf.clamps = decodeClamps(r, i, n)
 	}

@@ -1,6 +1,7 @@
 package rmi
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -77,21 +78,24 @@ func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 		avgLog2 = 1 + 2 + 8
 		leaf0   = avgLog2 + 8 + (1 + 6*8) + 4
 		slope   = leaf0 + 8
-		lo      = slope + 8
+		lo      = slope + 4
 		hi      = lo + 4
-		errLo   = hi + 4
+		errs    = hi + 4
 	)
 	for name, corrupt := range map[string]func(b []byte){
 		"cubic layout byte on a linear stage 2": func(b []byte) { b[0] = cubicLeafBytes },
 		"cubic stage 2 on the linear layout":    func(b []byte) { b[2] = byte(ModelCubic) },
 		"negative log2 error":                   func(b []byte) { b[avgLog2+7] |= 0x80 },
-		"negative slope":                        func(b []byte) { b[slope+7] |= 0x80 },
-		"NaN slope":                             func(b []byte) { b[slope+6], b[slope+7] = 0xf8, 0x7f },
+		"the retired 32-byte stride":            func(b []byte) { b[0] = 32 },
+		"negative slope":                        func(b []byte) { b[slope+3] |= 0x80 },
+		"NaN slope":                             func(b []byte) { b[slope+2], b[slope+3] = 0xc0, 0x7f },
+		"infinite slope":                        func(b []byte) { copy(b[slope:], []byte{0, 0, 0x80, 0x7f}) },
 		"infinite key origin":                   func(b []byte) { copy(b[leaf0:], []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}) },
 		"lo above hi":                           func(b []byte) { b[lo+2] = 0x7f },
 		"hi beyond the data":                    func(b []byte) { b[hi+2] = 0x7f },
 		"negative lo":                           func(b []byte) { b[lo+3], b[hi+3] = 0x80, 0x80 },
-		"negative margin":                       func(b []byte) { b[errLo+3] = 0x80 },
+		"low margin far above n":                func(b []byte) { b[errs], b[errs+1] = 0xff, 0xff },
+		"high margin far above n":               func(b []byte) { b[errs+2], b[errs+3] = 0xff, 0xff },
 		"one leaf more than the payload holds":  func(b []byte) { b[leaf0-4]++ },
 	} {
 		mut := append([]byte(nil), data...)
@@ -120,6 +124,32 @@ func TestDecodeRejectsTaggedLeafPayload(t *testing.T) {
 		idx, err := Decode(binio.NewReader(w.Buffered()))
 		if idx != nil || err == nil || !strings.Contains(err.Error(), "tagged-leaf layout") {
 			t.Errorf("stage 1 %v: decoded to (%v, %v), want the tagged-leaf layout error", s1, idx, err)
+		}
+	}
+}
+
+// TestMarginCode holds the 16-bit margin code to its contract over every
+// v below 2¹⁶ and a seeded sample up to 2³¹−1: the decoded margin is
+// never narrower than v, exact below 2,048, at most v + v>>10, and code
+// and value both grow with v, so widening by the max of codes is
+// widening by the max of margins.
+func TestMarginCode(t *testing.T) {
+	vs := []int{1<<31 - 1, 1<<31 - 2, 1 << 30, 1<<30 + 1}
+	for v := range 1 << 16 {
+		vs = append(vs, v)
+	}
+	rng := rand.New(rand.NewPCG(43, 0))
+	for range 1 << 16 {
+		vs = append(vs, rng.IntN(1<<31))
+	}
+	for _, v := range vs {
+		m := toMargin(v)
+		got := m.value()
+		if got < v || (v < 2048 && got != v) || got > v+v>>10 {
+			t.Fatalf("margin %d codes as %#x, decoded %d", v, uint16(m), got)
+		}
+		if prev := toMargin(v - 1); v > 0 && (prev > m || prev.value() > got) {
+			t.Fatalf("margin %d codes as %#x (%d), %d as %#x (%d)", v, uint16(m), got, v-1, uint16(prev), prev.value())
 		}
 	}
 }

@@ -12,10 +12,12 @@ import (
 // refLeaf is the leaf the folded layouts replaced, kept as the
 // reference they are held to: a tagged model evaluated in two steps
 // (model.predict, which normalises the key and clamps t to [0, 1], then
-// a float clamp to the trained span and a rounding).
+// a float clamp to the trained span and a rounding). Its slope is the
+// float32 one a folded leaf stores, and its margins are rounded up
+// through the same 16-bit code, once all are collected.
 type refLeaf struct {
 	m            model
-	errLo, errHi int32
+	errLo, errHi int
 	loPos, hiPos int32
 }
 
@@ -47,6 +49,9 @@ func refFinish(r *routed, fkeys []float64, stage2 ModelKind) ([]refLeaf, float64
 			continue
 		}
 		lf.m = fitModel(stage2, fkeys[first:last+1], float64(first))
+		if stage2 != ModelCubic && lf.m.keyScale != 0 {
+			lf.m.c1 = float64(float32(lf.m.c1*lf.m.keyScale)) / lf.m.keyScale
+		}
 		lf.loPos, lf.hiPos = int32(first), int32(last)
 		lf.errLo, lf.errHi = 1, 1
 		nextStart = first
@@ -54,11 +59,12 @@ func refFinish(r *routed, fkeys []float64, stage2 ModelKind) ([]refLeaf, float64
 	for i := range fkeys {
 		lf := &leaves[r.assign[i]]
 		d := lf.clampPredict(fkeys[i]) - i
-		lf.errLo, lf.errHi = max(lf.errLo, int32(d+1)), max(lf.errHi, int32(-d+1))
+		lf.errLo, lf.errHi = max(lf.errLo, d+1), max(lf.errHi, -d+1)
 	}
 	total, count := 0.0, 0.0
 	for i := range leaves {
 		lf := &leaves[i]
+		lf.errLo, lf.errHi = toMargin(lf.errLo).value(), toMargin(lf.errHi).value()
 		occ := float64(lf.hiPos-lf.loPos) + 1
 		total += occ * math.Log2(float64(lf.errLo+lf.errHi+1)+1)
 		count += occ
@@ -82,8 +88,8 @@ func checkAgainstReference(t *testing.T, keys []core.Key, cfg Config, probes []c
 		t.Fatalf("%v: %d leaves, reference %d", cfg, idx.NumLeaves(), len(ref))
 	}
 	for li := range ref {
-		if c := idx.clampsOf(li); c.errLo != ref[li].errLo || c.errHi != ref[li].errHi {
-			t.Fatalf("%v leaf %d: margins (%d,%d), reference (%d,%d)", cfg, li, c.errLo, c.errHi, ref[li].errLo, ref[li].errHi)
+		if c := idx.clampsOf(li); c.errLo.value() != ref[li].errLo || c.errHi.value() != ref[li].errHi {
+			t.Fatalf("%v leaf %d: margins (%d,%d), reference (%d,%d)", cfg, li, c.errLo.value(), c.errHi.value(), ref[li].errLo, ref[li].errHi)
 		}
 	}
 	if got := idx.AvgLog2Error(); got != refLog2 {
@@ -129,12 +135,15 @@ func TestLeavesMatchReferenceAtScale(t *testing.T) {
 	}
 }
 
-// TestLeafLayout pins what memory holds: a linear leaf is half a cache
-// line and a cubic leaf one, neither straddles a line, and SizeBytes
-// charges every byte of them — a field added to a leaf fails here.
+// TestLeafLayout pins what memory holds: a linear leaf is 24 bytes and a
+// cubic leaf one 64-byte cache line, and SizeBytes charges every byte of
+// them — a field added to a leaf fails here. A cubic array starts on a
+// line, so no cubic leaf straddles one; a linear array starts on a line
+// once it is a large (page-aligned) allocation, as every store shard's
+// 4,096 leaves are, so two of every eight linear leaves straddle one.
 func TestLeafLayout(t *testing.T) {
-	if got := unsafe.Sizeof(leaf{}); got != leafBytes || leafBytes != 32 {
-		t.Errorf("leaf is %d bytes, leafBytes %d, want 32", got, leafBytes)
+	if got := unsafe.Sizeof(leaf{}); got != leafBytes || leafBytes != 24 {
+		t.Errorf("leaf is %d bytes, leafBytes %d, want 24", got, leafBytes)
 	}
 	if got := unsafe.Sizeof(cubicLeaf{}); got != cubicLeafBytes || cubicLeafBytes != 64 {
 		t.Errorf("cubicLeaf is %d bytes, cubicLeafBytes %d, want 64", got, cubicLeafBytes)
@@ -149,16 +158,20 @@ func TestLeafLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		var base, stride uintptr
+		align := uintptr(64)
 		if cfg.Stage2 == ModelCubic {
 			base, stride = uintptr(unsafe.Pointer(&idx.cubics[0])), unsafe.Sizeof(cubicLeaf{})
 		} else {
 			base, stride = uintptr(unsafe.Pointer(&idx.leaves[0])), unsafe.Sizeof(leaf{})
+			if idx.NumLeaves()*leafBytes < 32<<10 {
+				align = 8
+			}
 		}
 		if idx.leaves != nil && idx.cubics != nil {
 			t.Errorf("%v: both layouts populated", cfg)
 		}
-		if base%stride != 0 {
-			t.Errorf("%v: leaf array at %#x, not aligned to its %d-byte stride", cfg, base, stride)
+		if base%align != 0 {
+			t.Errorf("%v: leaf array at %#x, not aligned to %d bytes", cfg, base, align)
 		}
 		if int(stride) != idx.LeafBytes() {
 			t.Errorf("%v: LeafBytes %d, stride %d", cfg, idx.LeafBytes(), stride)

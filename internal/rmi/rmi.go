@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/core"
@@ -83,16 +84,37 @@ type clamps struct {
 	// prediction. errLo covers the worst over-prediction (pred-actual)
 	// and errHi the worst under-prediction (actual-pred); both include
 	// the +1 widening needed for absent-key validity.
-	errLo, errHi int32
+	errLo, errHi margin
 }
+
+// margin is a search-bound margin in 16 bits: a 5-bit exponent e over
+// an 11-bit mantissa m, worth m<<e. toMargin rounds any v < 2³¹ up, by
+// at most v>>10 (exact below 2,048), so a bound never narrows; the
+// codes it returns order as their values do.
+type margin uint16
+
+func toMargin(v int) margin {
+	v = max(v, 0)
+	e := max(bits.Len(uint(v))-11, 0)
+	m := (v + 1<<e - 1) >> e
+	if m == 2048 { // rounding up carried into the next exponent
+		m, e = 1024, e+1
+	}
+	return margin(e<<11 | m)
+}
+
+// value decodes m with no branch, which would mispredict where wide and
+// narrow leaves mix; the &63 spares the shift its overflow check.
+func (m margin) value() int { return int(m&0x7ff) << (m >> 11 & 63) }
 
 // leaf is a linear second-stage model with the key normalisation and
 // the clamps of model.predict and of the trained span folded in at
 // build time (see foldLeaf): pos = lo + slope·(key − keyOff), rounded
-// and clamped to [lo, hi]. 32 bytes: two share a cache line and none
-// straddles one.
+// and clamped to [lo, hi]. 24 bytes: of every eight in a line-aligned
+// array, the two at offsets 48 and 56 mod 64 straddle a cache line.
 type leaf struct {
-	keyOff, slope float64
+	keyOff float64
+	slope  float32
 	clamps
 }
 
@@ -105,28 +127,30 @@ type cubicLeaf struct {
 }
 
 // Bytes a leaf of each layout occupies in memory (pinned by a test).
-const leafBytes, cubicLeafBytes = 32, 64
+const leafBytes, cubicLeafBytes = 24, 64
 
 // foldLeaf folds a fitted linear model and the span [loPos, hiPos] it
-// was trained on into the 32-byte layout. model.predict clamps t to
-// [0, 1], i.e. the prediction to [c0, c0+c1]; the span clamps it again;
-// rounding is monotone, so both are one integer clamp of the rounded
-// line. slope absorbs the key scale, and the intercept moves into the
+// was trained on into the 24-byte layout. The slope, key scale
+// absorbed, is rounded to float32 first, and the line is the one with
+// that slope: it moves a prediction by at most 2⁻²⁴ of the span.
+// model.predict clamps t to [0, 1], i.e. the prediction to [c0,
+// c0+c1]; the span clamps it again; rounding is monotone, so both are
+// one integer clamp of the rounded line. The intercept moves into the
 // key origin: keyOff is where the line crosses lo. Margins are measured
 // through pos afterwards, so they cover what the re-origin rounds away.
 func foldLeaf(m *model, loPos, hiPos int) leaf {
+	slope := float32(m.c1 * m.keyScale)
 	lo := clampRound(m.c0, loPos, hiPos)
-	hi := clampRound(m.c0+m.c1, loPos, hiPos)
-	lf := leaf{clamps: clamps{int32(lo), int32(hi), 1, 1}}
-	if lo < hi {
-		lf.slope = m.c1 * m.keyScale
-		lf.keyOff = m.keyOff - (m.c0-float64(lo))/lf.slope
+	lf := leaf{slope: slope, clamps: clamps{int32(lo), int32(lo), 1, 1}}
+	if slope > 0 {
+		lf.hi = int32(clampRound(m.c0+float64(slope)/m.keyScale, loPos, hiPos))
+		lf.keyOff = m.keyOff - (m.c0-float64(lo))/float64(slope)
 	}
 	return lf
 }
 
 func (lf *leaf) pos(fkey float64) int {
-	return clampRound(float64(lf.lo)+lf.slope*(fkey-lf.keyOff), int(lf.lo), int(lf.hi))
+	return clampRound(float64(lf.lo)+float64(lf.slope)*(fkey-lf.keyOff), int(lf.lo), int(lf.hi))
 }
 
 func (lf *cubicLeaf) pos(fkey float64) int {
@@ -149,8 +173,8 @@ func clampRound(p float64, lo, hi int) int {
 // widen grows the margins to cover a key predicted d positions above
 // its true position: over-prediction widens the low margin.
 func (c *clamps) widen(d int) {
-	c.errLo = max(c.errLo, int32(d+1))
-	c.errHi = max(c.errHi, int32(-d+1))
+	c.errLo = max(c.errLo, toMargin(d+1))
+	c.errHi = max(c.errHi, toMargin(-d+1))
 }
 
 // New trains an RMI over sorted keys.
@@ -358,7 +382,7 @@ func (r *routed) finish(fkeys []float64, stage2 ModelKind) *Index {
 	for li := 0; li < B; li++ {
 		occ := float64(r.last[li]-r.first[li]) + 1
 		c := idx.clampsOf(li)
-		total += occ * math.Log2(float64(c.errLo+c.errHi+1)+1)
+		total += occ * math.Log2(float64(c.errLo.value()+c.errHi.value()+1)+1)
 		count += occ
 	}
 	idx.avgLog2 = total / count
@@ -425,9 +449,9 @@ func (idx *Index) Explain(key core.Key) (leaf, pos int, b core.Bound) {
 	if idx.cubics != nil {
 		lf := &idx.cubics[leaf]
 		pos = lf.pos(fkey)
-		return leaf, pos, core.BoundAround(pos, int(lf.errLo), int(lf.errHi), idx.n)
+		return leaf, pos, core.BoundAround(pos, lf.errLo.value(), lf.errHi.value(), idx.n)
 	}
 	lf := &idx.leaves[leaf]
 	pos = lf.pos(fkey)
-	return leaf, pos, core.BoundAround(pos, int(lf.errLo), int(lf.errHi), idx.n)
+	return leaf, pos, core.BoundAround(pos, lf.errLo.value(), lf.errHi.value(), idx.n)
 }
