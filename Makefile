@@ -1,6 +1,6 @@
 GO ?= go
 
-EXPERIMENTS = serve-lsm serve-net serve-obs serve-repl persist
+EXPERIMENTS = serve-lsm serve-obs serve-repl persist
 
 .PHONY: tier1 vet loc bench bench-smoke bench-quick report-smoke obs-smoke race $(EXPERIMENTS) fuzz-smoke examples doccheck build-audit
 
@@ -92,7 +92,8 @@ obs-smoke:
 # tests at GOMAXPROCS 1, 2, 3 and 8: which goroutine fills which range
 # depends on the count and on the scheduler. serve's holds a store's
 # merge decisions to its op sequence at GOMAXPROCS 1, 2 and 8, and
-# bench's holds serve-lsm's replayed table to its golden there.
+# bench's hold serve-lsm's replayed table and persist's table to their
+# goldens there.
 race:
 	$(GO) test -race ./internal/serve/ ./internal/table/ ./internal/stats/ ./internal/load/ ./internal/persist/ ./internal/net/ ./internal/obs/ ./internal/repl/ ./internal/dataset/ ./internal/core/ ./internal/rmi/ ./internal/pgm/ ./internal/rs/
 	$(GO) test -race -count=10 -run TestFollowerWarmRestart ./internal/repl/
@@ -104,17 +105,17 @@ race:
 #               family over YCSB A and B, each store a seeded
 #               single-threaded replay: flushes, merges, key visits per
 #               write, run probes per read; work only, no timing).
-#   serve-net   network serving (goodput vs tail through coalescing +
-#               admission control, below and past capacity).
-#   serve-obs   the observability conservation laws (metrics, traces and
-#               journal checked against each other under a mixed
-#               workload with compactions in flight).
-#   serve-repl  replication (read goodput vs replica count through the
-#               scatter/gather router, stream conservation laws, and the
-#               failover-to-ready timeline).
-#   persist     cold build vs warm restart.
-# In-process serving timings come from benchmark/ (store-read,
-# store-mixed) and the root Go benchmarks (make bench).
+#   serve-obs   the observability and network conservation laws
+#               (metrics, traces and journal checked against each other
+#               under a mixed workload with compactions in flight, then
+#               a 2x overload that admission control must shed with
+#               its queue inside its bound; counts only).
+#   serve-repl  replication (stream conservation laws, the router's
+#               served + shed == offered and each node's share of the
+#               reads per replica count, and the failover timeline).
+#   persist     cold build vs warm restart in key visits and disk bytes.
+# Every serving timing comes from benchmark/ (store-read, store-mixed,
+# wire-point, routed-batch) and the root Go benchmarks (make bench).
 N ?= 200000
 LOOKUPS ?= 20000
 $(EXPERIMENTS):

@@ -567,7 +567,9 @@ func BenchmarkServeTail(b *testing.B) {
 		probeSt.Close()
 
 		reportTail := func(b *testing.B, res *load.Result) {
-			s := res.Latency().Summary()
+			all := res.Reads.Snapshot()
+			all.Merge(&res.Writes)
+			s := all.Summary()
 			b.ReportMetric(res.Throughput()/1e3, "kops/s")
 			b.ReportMetric(float64(s.P50), "p50-ns")
 			b.ReportMetric(float64(s.P99), "p99-ns")

@@ -1,9 +1,10 @@
 // Command sosdserve runs the network serving front end: it builds a
 // serve.Store over a generated dataset and listens for the internal/net
 // frame protocol, with request coalescing and admission control. It is
-// the long-running half of the serve-net experiment — point sosd's
-// client library (or a second machine) at it to measure serving over a
-// real network instead of loopback.
+// the long-running form of the stack serve-obs checks over loopback —
+// point sosd's client library (or a second machine) at it to serve
+// over a real network; benchmark/'s wire-point workload times the
+// same stack in-process.
 //
 // Usage:
 //

@@ -3,14 +3,16 @@
 // regimes (warm tight loop, serialized "fenced" loop, cold cache,
 // multithreaded), and regenerates every table and figure of the
 // paper's evaluation (Section 4). Beyond the paper it drives the
-// repo's serving stack: the tiered write path replayed and priced in
-// work (serve-lsm); the network, observability and replication layers
-// under load, with the conservation laws each must hold (serve-net,
-// serve-obs, serve-repl); and cold build against warm restart
-// (persist). Experiments self-register in a catalog
-// (register/Experiments/Find) and produce typed report.Tables; the
-// sosd CLI renders them through the report sinks. See DESIGN.md for
-// the experiment index.
+// repo's serving stack and reports laws and work; benchmark/ times the
+// same stacks. The tiered write path is replayed and priced in key
+// visits (serve-lsm); the network, observability and replication
+// layers run under load and report the conservation laws each must
+// hold (serve-obs, serve-repl, whose failover timeline is the one
+// timing left, an ordering law); cold build against warm restart is
+// priced in key visits and disk bytes (persist). Experiments
+// self-register in a catalog (register/Experiments/Find) and produce
+// typed report.Tables; the sosd CLI renders them through the report
+// sinks. See DESIGN.md for the experiment index.
 package bench
 
 import (

@@ -134,21 +134,54 @@ func TestFig14ColdSlowerThanWarm(t *testing.T) {
 	}
 }
 
-func TestServeNetSweepEndToEnd(t *testing.T) {
-	runExperiment(t, "serve-net",
-		"Network serving", "loopback", "RetryLater", "goodput", "sheds",
-		"closed", "open50%", "open120%", "open200%", "PGM")
-}
-
 func TestServeObsSweepEndToEnd(t *testing.T) {
 	runExperiment(t, "serve-obs",
-		"Observability conservation laws", "law held", "readamp", "traces",
-		"closed", "open200%", "PGM")
+		"Observability conservation laws", "law held", "offered", "served", "shed",
+		"batch", "readamp", "traces", "closed", "open200%", "PGM")
 }
 
 func TestServeReplSweepEndToEnd(t *testing.T) {
 	runExperiment(t, "serve-repl",
-		"Replicated serving", "speedup", "goodput", "detect+promote", "ready")
+		"Replicated serving", "snap", "streamed", "busiest", "detect+promote", "ready")
+}
+
+// persistGolden is persist's table at tiny scale, rendered as text. It
+// prices builds in key visits and snapshots in bytes, so it moves only
+// when a codec, a file layout or a build's price does; regenerate with
+//
+//	go run ./cmd/sosd -n 4000 -lookups 400 -seed 7 persist > internal/bench/testdata/persist.golden
+//
+// and the diff is the claim, row by row.
+const persistGolden = "testdata/persist.golden"
+
+// checkPersistGolden renders persist at tiny scale and requires it to be
+// the golden byte for byte.
+func checkPersistGolden(t *testing.T) {
+	t.Helper()
+	want, err := os.ReadFile(persistGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderCatalog(t, "persist", tiny); got != string(want) {
+		t.Fatalf("persist differs from %s; got:\n%s", persistGolden, got)
+	}
+}
+
+// TestPersistSweepEndToEnd: persist reports work and bytes, so its
+// whole table is a golden, not a list of markers.
+func TestPersistSweepEndToEnd(t *testing.T) {
+	checkPersistGolden(t)
+}
+
+// TestPersistSameUnderGOMAXPROCS: shard builds run concurrently, but
+// what they build, and so what the snapshot holds, follows from the
+// keys alone; the table is the golden at GOMAXPROCS 1, 2 and 8.
+func TestPersistSameUnderGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		checkPersistGolden(t)
+	}
 }
 
 // lsmScale is the scale serve-lsm's golden is pinned at: every policy

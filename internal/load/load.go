@@ -122,14 +122,6 @@ func (r *Result) Throughput() float64 {
 	return float64(r.Ops()) / r.elapsed.Seconds()
 }
 
-// Latency is the distribution over every accepted operation, reads and
-// writes together.
-func (r *Result) Latency() *stats.Histogram {
-	h := r.Reads.Snapshot()
-	h.Merge(&r.Writes)
-	return h
-}
-
 // exec issues one operation and records its outcome: an accepted one
 // lands in its kind's histogram with latency measured from t0, a
 // refused or failed one only in its counter.
