@@ -60,11 +60,14 @@ bench-smoke:
 bench-quick:
 	bash benchmark/run.sh --quick --seconds 2 --trace 1
 
-# report-smoke produces a machine-readable result artifact from one
-# experiment and validates that it parses as a report document — the
-# check CI uploads as BENCH_smoke.json.
+# report-smoke runs every paper experiment but regress (which floors
+# its scale at 2M keys) at a small scale into one machine-readable
+# report and validates that it parses as a report document — the
+# artifact CI uploads as BENCH_smoke.json. Every unfenced timed pass is
+# payload-checked, so a wrong lookup anywhere fails it.
+PAPER_EXPERIMENTS = table1 fig6 fig7 fig8 table2 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16a fig16b fig16c fig17
 report-smoke:
-	$(GO) run ./cmd/sosd -n 20000 -lookups 2000 -format json -o BENCH_smoke.json fig13
+	$(GO) run ./cmd/sosd -n 20000 -lookups 2000 -format json -o BENCH_smoke.json $(PAPER_EXPERIMENTS)
 	$(GO) run ./cmd/reportlint BENCH_smoke.json
 
 # obs-smoke is the live observability gate: start sosdserve with the

@@ -137,9 +137,10 @@ func BenchmarkFig8_StringStructures(b *testing.B) {
 func BenchmarkTable2_FastestVariants(b *testing.B) {
 	e := benchEnv(b, dataset.Amzn)
 	for _, family := range registry.Table2Families {
-		nb, idx, _ := bench.BestVariant(e, family, func(e *bench.Env, idx core.Index) float64 {
-			return bench.MeasureWarm(e, idx, search.BinarySearch).NsPerLookup
-		})
+		nb, idx, _, err := bench.BestVariant(e, family)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if idx == nil {
 			continue
 		}

@@ -16,6 +16,8 @@
 package bench
 
 import (
+	"fmt"
+	"iter"
 	"runtime"
 	"sync"
 	"time"
@@ -32,6 +34,9 @@ type Env struct {
 	Keys     []core.Key
 	Payloads []uint64
 	Lookups  []core.Key
+
+	sumOnce sync.Once
+	sum     uint64 // checksum's value, computed once
 }
 
 // NewEnv generates a benchmark environment. n is the dataset size and
@@ -51,14 +56,59 @@ func NewEnv(name dataset.Name, n, m int, seed uint64) (*Env, error) {
 }
 
 // checksum is the payload sum over the environment's lookups at their
-// LowerBound positions: what every unfenced warm pass must reproduce
-// (the paper sums payloads "to ensure the results are accurate").
+// LowerBound positions: what every unfenced pass must reproduce (the
+// paper sums payloads "to ensure the results are accurate").
 func (e *Env) checksum() uint64 {
-	var sum uint64
-	for _, x := range e.Lookups {
-		sum += e.Payloads[core.LowerBound(e.Keys, x)]
+	e.sumOnce.Do(func() {
+		for _, x := range e.Lookups {
+			e.sum += e.Payloads[core.LowerBound(e.Keys, x)]
+		}
+	})
+	return e.sum
+}
+
+// verify fails, naming the dataset, family and config, when a pass of
+// c over every lookup summed other payloads than LowerBound's.
+func (e *Env) verify(c config, sum uint64) error {
+	if want := e.checksum(); sum != want {
+		return fmt.Errorf("%s on %s: payload sum %d, want %d (LowerBound's)", registry.ID(c.family, c.Label), e.Dataset, sum, want)
 	}
-	return sum
+	return nil
+}
+
+// config is one built configuration of a family's sweep.
+type config struct {
+	family string
+	registry.NamedBuilder
+	idx core.Index
+}
+
+// configs yields every configuration of the run's pick of families
+// (def through the -families filter), in def's order and each family's
+// ladder order, built over e's keys. A configuration that does not
+// build is skipped.
+func (r *Run) configs(e *Env, def []string) iter.Seq[config] {
+	return func(yield func(config) bool) {
+		for _, family := range r.families(def) {
+			for _, nb := range registry.Sweep(family, e.Keys) {
+				idx, err := nb.Builder.Build(e.Keys)
+				if err == nil && !yield(config{family, nb, idx}) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// midConfig builds a family's mid-ladder configuration; ok is false
+// when the family has none or it does not build.
+func midConfig(e *Env, family string) (config, bool) {
+	nb, ok := registry.Builder(family, e.Keys)
+	if !ok {
+		return config{}, false
+	}
+	idx, err := nb.Builder.Build(e.Keys)
+	return config{family, nb, idx}, err == nil
 }
 
 // Measurement is one timed lookup run.
@@ -71,6 +121,36 @@ type Measurement struct {
 // lookups with everything hot in cache, using fn for the last mile.
 func MeasureWarm(e *Env, idx core.Index, fn search.Fn) Measurement {
 	return e.timed(idx, fn, false)
+}
+
+// warm is MeasureWarm of c's index, checked: the ns per lookup of the
+// timed pass, or verify's error when its payload sum is wrong.
+func (e *Env) warm(c config, fn search.Fn) (float64, error) {
+	m := MeasureWarm(e, c.idx, fn)
+	return m.NsPerLookup, e.verify(c, m.checksum)
+}
+
+// warmNative32 times a native 32-bit tree's Ceiling over e's lookups as
+// warm times an index, a warm-up pass and then a timed one, and checks
+// the timed pass's payload sum.
+func (e *Env) warmNative32(name string, ceil func(core.Key32) int) (float64, error) {
+	lookups := make([]core.Key32, len(e.Lookups))
+	for i, x := range e.Lookups {
+		lookups[i] = core.Key32(x)
+	}
+	pass := func() (sum uint64) {
+		for _, x := range lookups {
+			if pos := ceil(x); pos < len(e.Payloads) {
+				sum += e.Payloads[pos]
+			}
+		}
+		return sum
+	}
+	pass()
+	start := time.Now()
+	sum := pass()
+	ns := float64(time.Since(start).Nanoseconds()) / float64(len(lookups))
+	return ns, e.verify(config{family: name}, sum)
 }
 
 // measureFenced times the serialized regime of Figure 15: each lookup
@@ -155,41 +235,29 @@ func MeasureCold(e *Env, idx core.Index, fn search.Fn, coldOps int) Measurement 
 // measureThroughput runs the multithreaded regime of Figure 16:
 // threads goroutines each execute the full lookup workload from their
 // own offset; the result is aggregate lookups per second. fenced
-// selects the serialized per-thread loop.
-func measureThroughput(e *Env, idx core.Index, fn search.Fn, threads int, fenced bool) float64 {
-	if threads < 1 {
-		threads = 1
-	}
-	e.pass(idx, fn, 0, false) // warm caches and fault pages before timing
+// selects the serialized per-thread loop. Each unfenced thread's
+// payload sum is verified; a fenced one steers its own keys and is not.
+func measureThroughput(e *Env, c config, threads int, fenced bool) (float64, error) {
+	threads = max(threads, 1)
+	e.pass(c.idx, search.BinarySearch, 0, false) // warm caches and fault pages before timing
+	sums := make([]uint64, threads)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for t := 0; t < threads; t++ {
+	for t := range sums {
 		wg.Add(1)
-		go func(tid int) {
+		go func() {
 			defer wg.Done()
-			sink(e.pass(idx, fn, tid*7919, fenced))
-		}(t)
+			sums[t] = e.pass(c.idx, search.BinarySearch, t*7919, fenced)
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
-	return float64(threads*len(e.Lookups)) / elapsed
-}
-
-var sinkVal uint64
-var sinkMu sync.Mutex
-
-// sink defeats dead-code elimination for concurrent sums.
-func sink(v uint64) {
-	sinkMu.Lock()
-	sinkVal += v
-	sinkMu.Unlock()
-}
-
-// measureBuild times index construction.
-func measureBuild(b core.Builder, keys []core.Key) (core.Index, time.Duration, error) {
-	start := time.Now()
-	idx, err := b.Build(keys)
-	return idx, time.Since(start), err
+	for _, sum := range sums {
+		if err := e.verify(c, sum); err != nil && !fenced {
+			return 0, err
+		}
+	}
+	return float64(threads*len(e.Lookups)) / elapsed, nil
 }
 
 // avgLog2Width measures the empirical mean log2 search-bound width of
@@ -220,20 +288,17 @@ func maxThreads() []int {
 func MB(bytes int) float64 { return float64(bytes) / (1 << 20) }
 
 // BestVariant builds every configuration of a family and returns the
-// one with the lowest warm lookup time (the paper's "fastest variant").
-func BestVariant(e *Env, family string, fn func(*Env, core.Index) float64) (registry.NamedBuilder, core.Index, float64) {
-	var bestNB registry.NamedBuilder
-	var bestIdx core.Index
-	best := -1.0
-	for _, nb := range registry.Sweep(family, e.Keys) {
-		idx, err := nb.Builder.Build(e.Keys)
+// one with the lowest checked warm lookup time (the paper's "fastest
+// variant"); idx is nil when none builds.
+func BestVariant(e *Env, family string) (nb registry.NamedBuilder, idx core.Index, ns float64, err error) {
+	for c := range new(Run).configs(e, []string{family}) {
+		v, err := e.warm(c, search.BinarySearch)
 		if err != nil {
-			continue
+			return registry.NamedBuilder{}, nil, 0, err
 		}
-		v := fn(e, idx)
-		if best < 0 || v < best {
-			best, bestIdx, bestNB = v, idx, nb
+		if idx == nil || v < ns {
+			nb, idx, ns = c.NamedBuilder, c.idx, v
 		}
 	}
-	return bestNB, bestIdx, best
+	return nb, idx, ns, nil
 }

@@ -21,7 +21,11 @@ func TestEnvChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := e.checksum()
-	idx := mustBS(e)
+	bs, ok := midConfig(e, "BS")
+	if !ok {
+		t.Fatal("BS does not build")
+	}
+	idx := bs.idx
 	m := MeasureWarm(e, idx, search.BinarySearch)
 	if m.checksum != want {
 		t.Fatalf("warm checksum %d != %d", m.checksum, want)
@@ -65,37 +69,94 @@ func TestThroughputScalesOrRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := midVariant(e, "RMI")
-	if idx == nil {
+	c, ok := midConfig(e, "RMI")
+	if !ok {
 		t.Fatal("no RMI variant")
 	}
-	t1 := measureThroughput(e, idx, search.BinarySearch, 1, false)
-	tn := measureThroughput(e, idx, search.BinarySearch, 4, false)
+	t1, err := measureThroughput(e, c, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn, err := measureThroughput(e, c, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if t1 <= 0 || tn <= 0 {
 		t.Fatal("non-positive throughput")
 	}
 }
 
+// missIndex wraps an index and, for every third key, returns the empty
+// bound one past the key's position: a bound that misses the key.
+type missIndex struct {
+	core.Index
+	keys []core.Key
+}
+
+func (m missIndex) Lookup(x core.Key) core.Bound {
+	if x%3 != 0 {
+		return m.Index.Lookup(x)
+	}
+	pos := core.LowerBound(m.keys, x) + 1
+	return core.Bound{Lo: pos, Hi: pos}
+}
+
+// TestPayloadCheckNamesTheConfig: an index whose bounds miss the key
+// fails the checked warm measurement and the unfenced threaded passes,
+// and the error names the dataset, the family and the config. The
+// fenced pass, which steers its own keys, is not checked.
+func TestPayloadCheckNamesTheConfig(t *testing.T) {
+	e, err := NewEnv(dataset.Amzn, 3000, 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, ok := midConfig(e, "PGM")
+	if !ok {
+		t.Fatal("no PGM variant")
+	}
+	if _, err := e.warm(good, search.BinarySearch); err != nil {
+		t.Fatalf("correct index failed the check: %v", err)
+	}
+	bad := good
+	bad.idx = missIndex{good.idx, e.Keys}
+	name := "PGM/" + good.Label + " on amzn"
+	if _, err := e.warm(bad, search.BinarySearch); err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("warm: err = %v, want one naming %q", err, name)
+	}
+	if _, err := measureThroughput(e, bad, 2, false); err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("threaded: err = %v, want one naming %q", err, name)
+	}
+	if _, err := measureThroughput(e, bad, 2, true); err != nil {
+		t.Fatalf("fenced pass was checked: %v", err)
+	}
+}
+
+// TestBestVariant: the fastest variant is a configuration of the
+// family's sweep, built as that label builds, with a positive checked
+// time; every family of Table 2 yields one.
 func TestBestVariant(t *testing.T) {
 	e, err := NewEnv(dataset.Amzn, 3000, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Scoring by size must pick the smallest configuration.
-	nb, idx, best := BestVariant(e, "PGM", func(e *Env, idx core.Index) float64 {
-		return float64(idx.SizeBytes())
-	})
-	if idx == nil || nb.Label == "" {
-		t.Fatal("no variant selected")
-	}
-	for _, other := range registry.Sweep("PGM", e.Keys) {
-		oi, err := other.Builder.Build(e.Keys)
+	for _, family := range registry.Table2Families {
+		nb, idx, ns, err := BestVariant(e, family)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if float64(oi.SizeBytes()) < best {
-			t.Fatalf("variant %s (%d B) smaller than selected best (%f)",
-				other.Label, oi.SizeBytes(), best)
+		if idx == nil || ns <= 0 {
+			t.Fatalf("%s: no variant selected (ns %f)", family, ns)
+		}
+		entry, ok := registry.SweepEntry(family, nb.Label, e.Keys)
+		if !ok {
+			t.Fatalf("%s: selected label %q is not in the sweep", family, nb.Label)
+		}
+		fresh, err := entry.Builder.Build(e.Keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh.SizeBytes() != idx.SizeBytes() {
+			t.Fatalf("%s %s: selected index is %d B, a fresh build %d B", family, nb.Label, idx.SizeBytes(), fresh.SizeBytes())
 		}
 	}
 }
@@ -117,7 +178,10 @@ func TestCollectCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := countersFromEnv(e, []string{"RMI", "BTree"})
+	rows, err := new(Run).counters(e, []string{"RMI", "BTree"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) < 10 {
 		t.Fatalf("only %d counter rows", len(rows))
 	}
@@ -170,7 +234,10 @@ func BenchmarkFig12_Metrics(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows := countersFromEnv(e, []string{"RMI", "PGM", "RS", "BTree", "ART"})
+		rows, err := new(Run).counters(e, []string{"RMI", "PGM", "RS", "BTree", "ART"})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, r := range rows[:min(len(rows), 10)] {
 			b.Run(fmt.Sprintf("%s/%s/%s", name, r.family, r.label), func(b *testing.B) {
 				b.ReportMetric(r.cacheMisses, "cmiss/op")
@@ -192,8 +259,19 @@ func BenchmarkFig16c_CacheMissRate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, r := range countersMidFromEnv(e, registry.Fig16Families) {
-		b.Run(r.family, func(b *testing.B) {
+	for _, family := range registry.Fig16Families {
+		c, ok := midConfig(e, family)
+		if !ok {
+			continue
+		}
+		r, err := counterRow(e, c, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r == nil {
+			continue
+		}
+		b.Run(family, func(b *testing.B) {
 			b.ReportMetric(r.cacheMisses, "cmiss/op")
 			b.ReportMetric(r.cacheMisses/(r.nsPerLookup*1e-9)/1e6, "Mmiss/op/s")
 			for i := 0; i < b.N; i++ {

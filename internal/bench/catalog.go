@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -157,25 +158,17 @@ func (r *Run) familyAllowed(family string) bool {
 // datasets filters an experiment's default dataset sweep through the
 // run's -datasets option.
 func (r *Run) datasets(def []dataset.Name) []dataset.Name {
-	if len(r.options.Datasets) == 0 {
-		return def
-	}
-	var out []dataset.Name
-	for _, d := range def {
-		if nameAllowed(string(d), r.options.Datasets) {
-			out = append(out, d)
-		}
-	}
-	return out
+	return filterNames(def, r.options.Datasets)
 }
 
-func filterNames(def, filter []string) []string {
+// filterNames keeps the names of def the filter allows, in def's order.
+func filterNames[T ~string](def []T, filter []string) []T {
 	if len(filter) == 0 {
 		return def
 	}
-	var out []string
+	var out []T
 	for _, n := range def {
-		if nameAllowed(n, filter) {
+		if nameAllowed(string(n), filter) {
 			out = append(out, n)
 		}
 	}
@@ -183,15 +176,7 @@ func filterNames(def, filter []string) []string {
 }
 
 func nameAllowed(name string, filter []string) bool {
-	if len(filter) == 0 {
-		return true
-	}
-	for _, f := range filter {
-		if f == name {
-			return true
-		}
-	}
-	return false
+	return len(filter) == 0 || slices.Contains(filter, name)
 }
 
 // keysChecksum is the dataset fingerprint recorded in run metadata:

@@ -48,9 +48,9 @@ func TestRegisterRejectsBadEntries(t *testing.T) {
 		}()
 		register(e)
 	}
-	mustPanic("duplicate", Experiment{Name: "fig7", Desc: "dup", Run: fig7})
+	mustPanic("duplicate", Experiment{Name: "fig9", Desc: "dup", Run: fig9})
 	mustPanic("nil run", Experiment{Name: "new", Desc: "x"})
-	mustPanic("unnamed", Experiment{Desc: "x", Run: fig7})
+	mustPanic("unnamed", Experiment{Desc: "x", Run: fig9})
 }
 
 // TestSeedZeroHonored pins the Options contract: an explicit seed of 0

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/fast"
 	"repro/internal/perfsim"
-	"repro/internal/rbs"
 	"repro/internal/registry"
 	"repro/internal/report"
 	"repro/internal/search"
@@ -22,8 +22,10 @@ import (
 func init() {
 	register(Experiment{"table1", "capability matrix", table1})
 	register(Experiment{"fig6", "dataset CDFs", fig6})
-	register(Experiment{"fig7", "Pareto size/performance sweep, 4 datasets", fig7})
-	register(Experiment{"fig8", "string structures (FST, Wormhole) on integers", fig8})
+	register(Experiment{"fig7", "Pareto size/performance sweep, 4 datasets",
+		pareto("fig7", "Figure 7: performance/size tradeoffs (warm cache, tight loop)", dataset.All(), registry.ParetoFamilies)})
+	register(Experiment{"fig8", "string structures (FST, Wormhole) on integers",
+		pareto("fig8", "Figure 8: structures designed for strings, on integer keys", []dataset.Name{dataset.Amzn, dataset.Face}, registry.StringFamilies)})
 	register(Experiment{"table2", "fastest variants vs hash tables", table2})
 	register(Experiment{"fig9", "dataset size scaling 1x..4x", fig9})
 	register(Experiment{"fig10", "32-bit vs 64-bit keys", fig10})
@@ -91,76 +93,31 @@ func fig6(r *Run) ([]report.Table, error) {
 	return []report.Table{*t}, nil
 }
 
-// paretoSchema is the shared shape of the size-vs-latency sweeps.
-func paretoSchema(experiment, title string) *report.Table {
-	return report.New(experiment, title).
-		Dims("data", "index", "config").
-		Float("size(MB)", "MB", 4).
-		Float("ns/lookup", "ns", 1)
-}
-
-// fig7 reports the Pareto sweep of Figure 7: size vs warm lookup time
-// for every structure family on every dataset, plus the BS baseline.
-func fig7(r *Run) ([]report.Table, error) {
-	t := paretoSchema("fig7", "Figure 7: performance/size tradeoffs (warm cache, tight loop)").
-		Notef("BS rows are the size-0 binary-search baseline")
-	for _, name := range r.datasets(dataset.All()) {
-		e, err := r.env(name)
-		if err != nil {
-			return nil, err
-		}
-		if r.familyAllowed("BS") {
-			bs := MeasureWarm(e, mustBS(e), search.BinarySearch)
-			t.Row([]string{string(name), "BS", ""}, 0, bs.NsPerLookup)
-		}
-		want := e.checksum()
-		for _, family := range r.families(registry.ParetoFamilies) {
-			for _, nb := range registry.Sweep(family, e.Keys) {
-				idx, err := nb.Builder.Build(e.Keys)
+// pareto returns the size vs warm lookup time sweep of Figures 7 and 8:
+// each family's configurations on each dataset, after the size-0
+// binary-search baseline (BS).
+func pareto(experiment, title string, datasets []dataset.Name, families []string) func(*Run) ([]report.Table, error) {
+	return func(r *Run) ([]report.Table, error) {
+		t := report.New(experiment, title).
+			Dims("data", "index", "config").
+			Float("size(MB)", "MB", 4).
+			Float("ns/lookup", "ns", 1).
+			Notef("BS rows are the size-0 binary-search baseline")
+		for _, name := range r.datasets(datasets) {
+			e, err := r.env(name)
+			if err != nil {
+				return nil, err
+			}
+			for c := range r.configs(e, append([]string{"BS"}, families...)) {
+				ns, err := e.warm(c, search.BinarySearch)
 				if err != nil {
-					continue
+					return nil, err
 				}
-				m := MeasureWarm(e, idx, search.BinarySearch)
-				if m.checksum != want {
-					return nil, fmt.Errorf("%s: %s %s on %s found other payloads than LowerBound", t.Experiment, family, nb.Label, name)
-				}
-				t.Row([]string{string(name), family, nb.Label}, MB(idx.SizeBytes()), m.NsPerLookup)
+				t.Row([]string{string(name), c.family, c.Label}, MB(c.idx.SizeBytes()), ns)
 			}
 		}
+		return []report.Table{*t}, nil
 	}
-	return []report.Table{*t}, nil
-}
-
-// fig8 reports the string-structure comparison of Figure 8 on amzn and
-// face: FST and Wormhole against RMI and BTree.
-func fig8(r *Run) ([]report.Table, error) {
-	t := paretoSchema("fig8", "Figure 8: structures designed for strings, on integer keys").
-		Notef("BS rows are the size-0 binary-search baseline")
-	for _, name := range r.datasets([]dataset.Name{dataset.Amzn, dataset.Face}) {
-		e, err := r.env(name)
-		if err != nil {
-			return nil, err
-		}
-		if r.familyAllowed("BS") {
-			bs := MeasureWarm(e, mustBS(e), search.BinarySearch)
-			t.Row([]string{string(name), "BS", ""}, 0, bs.NsPerLookup)
-		}
-		want := e.checksum()
-		for _, family := range r.families(registry.StringFamilies) {
-			for _, nb := range registry.Sweep(family, e.Keys) {
-				idx, err := nb.Builder.Build(e.Keys)
-				if err != nil {
-					continue
-				}
-				m := MeasureWarm(e, idx, search.BinarySearch)
-				if m.checksum != want {
-					return nil, fmt.Errorf("%s: %s %s on %s found other payloads than LowerBound", t.Experiment, family, nb.Label, name)
-				}
-				t.Row([]string{string(name), family, nb.Label}, MB(idx.SizeBytes()), m.NsPerLookup)
-			}
-		}
-	}
-	return []report.Table{*t}, nil
 }
 
 // table2 reports the fastest variant of each structure against the
@@ -175,13 +132,13 @@ func table2(r *Run) ([]report.Table, error) {
 		Float("ns/lookup", "ns", 1).
 		Float("size(MB)", "MB", 4)
 	for _, family := range r.families(registry.Table2Families) {
-		nb, idx, ns := BestVariant(e, family, func(e *Env, idx core.Index) float64 {
-			return MeasureWarm(e, idx, search.BinarySearch).NsPerLookup
-		})
-		if idx == nil {
-			continue
+		nb, idx, ns, err := BestVariant(e, family)
+		if err != nil {
+			return nil, err
 		}
-		t.Row([]string{family, nb.Label}, ns, MB(idx.SizeBytes()))
+		if idx != nil {
+			t.Row([]string{family, nb.Label}, ns, MB(idx.SizeBytes()))
+		}
 	}
 	return []report.Table{*t}, nil
 }
@@ -198,16 +155,12 @@ func fig9(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, family := range r.families([]string{"RMI", "PGM", "RS", "BTree"}) {
-			for _, nb := range registry.Sweep(family, e.Keys) {
-				idx, err := nb.Builder.Build(e.Keys)
-				if err != nil {
-					continue
-				}
-				m := MeasureWarm(e, idx, search.BinarySearch)
-				t.Row([]string{strconv.Itoa(o.N * mult), family, nb.Label},
-					MB(idx.SizeBytes()), m.NsPerLookup)
+		for c := range r.configs(e, []string{"RMI", "PGM", "RS", "BTree"}) {
+			ns, err := e.warm(c, search.BinarySearch)
+			if err != nil {
+				return nil, err
 			}
+			t.Row([]string{strconv.Itoa(o.N * mult), c.family, c.Label}, MB(c.idx.SizeBytes()), ns)
 		}
 	}
 	return []report.Table{*t}, nil
@@ -231,97 +184,68 @@ func fig10(r *Run) ([]report.Table, error) {
 	}
 	e32 := &Env{Dataset: "amzn32", Keys: widened, Payloads: e64.Payloads,
 		Lookups: dataset.Lookups(widened, o.Lookups, o.Seed)}
+	natives := native32Trees(r, k32)
 
 	t := report.New("fig10", "Figure 10: 32-bit vs 64-bit keys (amzn)").
 		Dims("index", "bits", "config").
 		Float("size(MB)", "MB", 4).
 		Float("ns/lookup", "ns", 1)
-	families := r.families([]string{"RMI", "RS", "PGM", "BTree", "FAST"})
-	for _, family := range families {
-		for _, nb := range registry.Sweep(family, e64.Keys) {
-			idx, err := nb.Builder.Build(e64.Keys)
-			if err != nil {
-				continue
+	for _, family := range r.families([]string{"RMI", "RS", "PGM", "BTree", "FAST"}) {
+		for _, e := range []*Env{e64, e32} {
+			for c := range r.configs(e, []string{family}) {
+				ns, err := e.warm(c, search.BinarySearch)
+				if err != nil {
+					return nil, err
+				}
+				bits, size := "64", c.idx.SizeBytes()
+				if e == e32 {
+					bits = "32"
+					if n, ok := natives[family]; ok {
+						// Native 32-bit trees halve key storage; report
+						// the native footprint.
+						size = n.size
+					}
+				}
+				t.Row([]string{family, bits, c.Label}, MB(size), ns)
 			}
-			m := MeasureWarm(e64, idx, search.BinarySearch)
-			t.Row([]string{family, "64", nb.Label}, MB(idx.SizeBytes()), m.NsPerLookup)
-		}
-		for _, nb := range registry.Sweep(family, e32.Keys) {
-			idx, err := nb.Builder.Build(e32.Keys)
-			if err != nil {
-				continue
-			}
-			m := MeasureWarm(e32, idx, search.BinarySearch)
-			size := idx.SizeBytes()
-			if family == "BTree" || family == "FAST" {
-				// Native 32-bit trees halve key storage; report the
-				// native footprint measured below.
-				size = native32Size(family, k32)
-			}
-			t.Row([]string{family, "32", nb.Label}, MB(size), m.NsPerLookup)
 		}
 	}
-	// Native 32-bit lookup loops for the tree structures.
 	native := report.New("fig10", "Figure 10 (cont.): native 32-bit tree loops (Ceiling only)").
 		Dims("index").
 		Float("ns/op", "ns", 1)
-	if r.familyAllowed("BTree") {
-		native.Row([]string{"BTree32"}, native32BTreeNs(k32, e32))
-	}
-	if r.familyAllowed("FAST") {
-		native.Row([]string{"FAST32"}, native32FASTNs(k32, e32))
+	for _, family := range []string{"BTree", "FAST"} {
+		if n, ok := natives[family]; ok {
+			ns, err := e32.warmNative32(family+"32", n.ceil)
+			if err != nil {
+				return nil, err
+			}
+			native.Row([]string{family + "32"}, ns)
+		}
 	}
 	return []report.Table{*t, *native}, nil
 }
 
-func native32Size(family string, k32 []core.Key32) int {
-	switch family {
-	case "BTree":
+// native32 is a native 32-bit tree of Figure 10: its footprint and its
+// Ceiling.
+type native32 struct {
+	size int
+	ceil func(core.Key32) int
+}
+
+// native32Trees builds the native 32-bit BTree and FAST over k32, each
+// if the run's families allow it.
+func native32Trees(r *Run, k32 []core.Key32) map[string]native32 {
+	out := map[string]native32{}
+	if r.familyAllowed("BTree") {
 		t := btree.NewTree(k32, false)
-		return t.SizeBytes()
-	case "FAST":
-		t, err := fast.NewTree(k32)
-		if err != nil {
-			return 0
+		out["BTree"] = native32{t.SizeBytes(), func(x core.Key32) int { return t.Ceiling(x, nil) }}
+	}
+	if r.familyAllowed("FAST") {
+		if t, err := fast.NewTree(k32); err == nil {
+			out["FAST"] = native32{t.SizeBytes(), func(x core.Key32) int { return t.Ceiling(x, nil) }}
 		}
-		return t.SizeBytes()
 	}
-	return 0
-}
-
-func native32BTreeNs(k32 []core.Key32, e *Env) float64 {
-	t := btree.NewTree(k32, false)
-	lookups := make([]core.Key32, len(e.Lookups))
-	for i, x := range e.Lookups {
-		lookups[i] = core.Key32(x)
-	}
-	var sum int64
-	start := time.Now()
-	for _, x := range lookups {
-		sum += int64(t.Ceiling(x, nil))
-	}
-	elapsed := time.Since(start)
-	_ = sum
-	return float64(elapsed.Nanoseconds()) / float64(len(lookups))
-}
-
-func native32FASTNs(k32 []core.Key32, e *Env) float64 {
-	t, err := fast.NewTree(k32)
-	if err != nil {
-		return 0
-	}
-	lookups := make([]core.Key32, len(e.Lookups))
-	for i, x := range e.Lookups {
-		lookups[i] = core.Key32(x)
-	}
-	var sum int
-	start := time.Now()
-	for _, x := range lookups {
-		sum += t.Ceiling(x, nil)
-	}
-	elapsed := time.Since(start)
-	_ = sum
-	return float64(elapsed.Nanoseconds()) / float64(len(lookups))
+	return out
 }
 
 // fig11 reports the last-mile search comparison of Figure 11: binary,
@@ -336,16 +260,13 @@ func fig11(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, family := range r.families([]string{"RMI", "PGM", "RS", "RBS"}) {
-			for _, nb := range registry.Sweep(family, e.Keys) {
-				idx, err := nb.Builder.Build(e.Keys)
+		for c := range r.configs(e, []string{"RMI", "PGM", "RS", "RBS"}) {
+			for _, kind := range []search.Kind{search.Binary, search.Linear, search.Interpolation} {
+				ns, err := e.warm(c, search.ByKind(kind))
 				if err != nil {
-					continue
+					return nil, fmt.Errorf("%s search: %w", kind, err)
 				}
-				for _, kind := range []search.Kind{search.Binary, search.Linear, search.Interpolation} {
-					m := MeasureWarm(e, idx, search.ByKind(kind))
-					t.Row([]string{string(name), family, nb.Label, kind.String()}, m.NsPerLookup)
-				}
+				t.Row([]string{string(name), c.family, c.Label, kind.String()}, ns)
 			}
 		}
 	}
@@ -366,36 +287,41 @@ type counterRecord struct {
 	instructions float64
 }
 
-// countersFromEnv measures warm lookup latency and simulated counters
-// for every configuration of the given families on an environment —
-// the catalog experiments build theirs through Run.envAt so dataset
-// checksums land in the run metadata.
-func countersFromEnv(e *Env, families []string) []counterRecord {
+// counters measures checked warm lookup latency and simulated counters
+// for every configuration of the run's pick of families on an
+// environment — the catalog experiments build theirs through
+// Run.envAt so dataset checksums land in the run metadata.
+func (r *Run) counters(e *Env, families []string) ([]counterRecord, error) {
 	var rows []counterRecord
-	for _, family := range families {
-		for _, nb := range registry.Sweep(family, e.Keys) {
-			if row, ok := counterRow(e, family, nb, 3); ok {
-				rows = append(rows, row)
-			}
+	for c := range r.configs(e, families) {
+		row, err := counterRow(e, c, 3)
+		if err != nil {
+			return nil, err
+		}
+		if row != nil {
+			rows = append(rows, *row)
 		}
 	}
-	return rows
+	return rows, nil
 }
 
-// counterRow builds one configuration and reads its simulated counters
-// beside the fastest of reps warm timings; ok is false when the
-// configuration does not build or has no traced form.
-func counterRow(e *Env, family string, nb registry.NamedBuilder, reps int) (counterRecord, bool) {
-	idx, err := nb.Builder.Build(e.Keys)
-	if err != nil {
-		return counterRecord{}, false
-	}
+// counterRow reads a built configuration's simulated counters beside
+// the fastest of reps checked warm timings; the row is nil when the
+// configuration has no traced form.
+func counterRow(e *Env, c config, reps int) (*counterRecord, error) {
 	m := perfsim.New(perfsim.CacheFor(len(e.Keys)))
-	tr, ok := perfsim.For(idx, m, e.Keys)
+	tr, ok := perfsim.For(c.idx, m, e.Keys)
 	if !ok {
-		return counterRecord{}, false
+		return nil, nil
 	}
-	meas := measureWarmBest(e, idx, reps)
+	ns := math.Inf(1)
+	for range reps {
+		v, err := e.warm(c, search.BinarySearch)
+		if err != nil {
+			return nil, err
+		}
+		ns = min(ns, v)
+	}
 	// Warm the simulated cache, then measure.
 	for _, x := range e.Lookups {
 		tr.Lookup(x)
@@ -404,28 +330,19 @@ func counterRow(e *Env, family string, nb registry.NamedBuilder, reps int) (coun
 	for _, x := range e.Lookups {
 		tr.Lookup(x)
 	}
-	c := m.Counters()
+	cs := m.Counters()
 	nl := float64(len(e.Lookups))
-	return counterRecord{
+	return &counterRecord{
 		dataset:      e.Dataset,
-		family:       family,
-		label:        nb.Label,
-		sizeMB:       MB(idx.SizeBytes()),
-		log2Err:      avgLog2Width(e, idx),
-		nsPerLookup:  meas.NsPerLookup,
-		cacheMisses:  float64(c.CacheMisses) / nl,
-		branchMisses: float64(c.BranchMisses) / nl,
-		instructions: float64(c.Instructions) / nl,
-	}, true
-}
-
-// counterTable renders CounterRows into the Figure 12 table shape.
-func counterTable(t *report.Table, rows []counterRecord) {
-	for _, cr := range rows {
-		t.Row([]string{string(cr.dataset), cr.family, cr.label},
-			cr.sizeMB, cr.log2Err, cr.nsPerLookup,
-			cr.cacheMisses, cr.branchMisses, cr.instructions)
-	}
+		family:       c.family,
+		label:        c.Label,
+		sizeMB:       MB(c.idx.SizeBytes()),
+		log2Err:      avgLog2Width(e, c.idx),
+		nsPerLookup:  ns,
+		cacheMisses:  float64(cs.CacheMisses) / nl,
+		branchMisses: float64(cs.BranchMisses) / nl,
+		instructions: float64(cs.Instructions) / nl,
+	}, nil
 }
 
 // fig12 reports lookup time against each candidate explanatory metric
@@ -444,21 +361,16 @@ func fig12(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		counterTable(t, countersFromEnv(e, r.families(registry.Fig12Families)))
-	}
-	return []report.Table{*t}, nil
-}
-
-// measureWarmBest returns the fastest of reps warm measurements,
-// suppressing scheduler noise for the regression analysis.
-func measureWarmBest(e *Env, idx core.Index, reps int) Measurement {
-	best := MeasureWarm(e, idx, search.BinarySearch)
-	for r := 1; r < reps; r++ {
-		if m := MeasureWarm(e, idx, search.BinarySearch); m.NsPerLookup < best.NsPerLookup {
-			best = m
+		rows, err := r.counters(e, registry.Fig12Families)
+		if err != nil {
+			return nil, err
+		}
+		for _, cr := range rows {
+			t.Row([]string{string(cr.dataset), cr.family, cr.label}, cr.sizeMB, cr.log2Err,
+				cr.nsPerLookup, cr.cacheMisses, cr.branchMisses, cr.instructions)
 		}
 	}
-	return best
+	return []report.Table{*t}, nil
 }
 
 // regress runs the Section 4.3 analysis: an OLS of lookup time on
@@ -486,7 +398,11 @@ func regress(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, countersFromEnv(e, r.families(registry.Fig12Families))...)
+		more, err := r.counters(e, registry.Fig12Families)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, more...)
 	}
 	y := make([]float64, len(rows))
 	cm := make([]float64, len(rows))
@@ -543,51 +459,41 @@ func fig13(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, family := range r.families([]string{"RS", "RMI", "PGM", "BTree"}) {
-			for _, nb := range registry.Sweep(family, e.Keys) {
-				idx, err := nb.Builder.Build(e.Keys)
-				if err != nil {
-					continue
-				}
-				t.Row([]string{string(name), family, nb.Label},
-					MB(idx.SizeBytes()), avgLog2Width(e, idx))
-			}
+		for c := range r.configs(e, []string{"RS", "RMI", "PGM", "BTree"}) {
+			t.Row([]string{string(name), c.family, c.Label}, MB(c.idx.SizeBytes()), avgLog2Width(e, c.idx))
 		}
 	}
 	return []report.Table{*t}, nil
 }
 
 // fig14 reports the warm/cold cache comparison of Figure 14 on amzn.
+// The cold pass looks up a prefix of the workload, so only the warm one
+// is payload-checked.
 func fig14(r *Run) ([]report.Table, error) {
 	e, err := r.env(dataset.Amzn)
 	if err != nil {
 		return nil, err
 	}
-	coldOps := r.options.Lookups / 20
-	if coldOps < 50 {
-		coldOps = 50
-	}
+	coldOps := max(r.options.Lookups/20, 50)
 	t := report.New("fig14", "Figure 14: warm vs cold cache (amzn)").
 		Dims("index", "config").
 		Float("size(MB)", "MB", 4).
 		Float("warm(ns)", "ns", 1).
 		Float("cold(ns)", "ns", 1)
-	for _, family := range r.families([]string{"RMI", "RS", "PGM", "BTree", "FAST"}) {
-		for _, nb := range registry.Sweep(family, e.Keys) {
-			idx, err := nb.Builder.Build(e.Keys)
-			if err != nil {
-				continue
-			}
-			warm := MeasureWarm(e, idx, search.BinarySearch)
-			cold := MeasureCold(e, idx, search.BinarySearch, coldOps)
-			t.Row([]string{family, nb.Label},
-				MB(idx.SizeBytes()), warm.NsPerLookup, cold.NsPerLookup)
+	for c := range r.configs(e, []string{"RMI", "RS", "PGM", "BTree", "FAST"}) {
+		warm, err := e.warm(c, search.BinarySearch)
+		if err != nil {
+			return nil, err
 		}
+		cold := MeasureCold(e, c.idx, search.BinarySearch, coldOps)
+		t.Row([]string{c.family, c.Label}, MB(c.idx.SizeBytes()), warm, cold.NsPerLookup)
 	}
 	return []report.Table{*t}, nil
 }
 
-// fig15 reports the fence comparison of Figure 15 on amzn.
+// fig15 reports the fence comparison of Figure 15 on amzn. The fenced
+// pass steers which lookup runs next by the payloads it reads, so only
+// the unfenced one is payload-checked.
 func fig15(r *Run) ([]report.Table, error) {
 	e, err := r.env(dataset.Amzn)
 	if err != nil {
@@ -598,23 +504,20 @@ func fig15(r *Run) ([]report.Table, error) {
 		Float("size(MB)", "MB", 4).
 		Float("no-fence", "ns", 1).
 		Float("fence", "ns", 1)
-	for _, family := range r.families([]string{"RMI", "RS", "PGM", "BTree", "FAST"}) {
-		for _, nb := range registry.Sweep(family, e.Keys) {
-			idx, err := nb.Builder.Build(e.Keys)
-			if err != nil {
-				continue
-			}
-			plain := MeasureWarm(e, idx, search.BinarySearch)
-			fenced := measureFenced(e, idx, search.BinarySearch)
-			t.Row([]string{family, nb.Label},
-				MB(idx.SizeBytes()), plain.NsPerLookup, fenced.NsPerLookup)
+	for c := range r.configs(e, []string{"RMI", "RS", "PGM", "BTree", "FAST"}) {
+		plain, err := e.warm(c, search.BinarySearch)
+		if err != nil {
+			return nil, err
 		}
+		fenced := measureFenced(e, c.idx, search.BinarySearch)
+		t.Row([]string{c.family, c.Label}, MB(c.idx.SizeBytes()), plain, fenced.NsPerLookup)
 	}
 	return []report.Table{*t}, nil
 }
 
 // fig16a reports multithreaded throughput against thread count, with
-// and without the serialized loop, at a mid-size configuration.
+// and without the serialized loop, at each family's mid-ladder
+// configuration (the paper fixes ~50MB models for Figure 16a).
 func fig16a(r *Run) ([]report.Table, error) {
 	e, err := r.env(dataset.Amzn)
 	if err != nil {
@@ -625,31 +528,20 @@ func fig16a(r *Run) ([]report.Table, error) {
 		Float("Mlookups/s", "M/s", 2).
 		Float("Mlookups/s(fence)", "M/s", 2)
 	for _, family := range r.families(registry.Fig16Families) {
-		idx := midVariant(e, family)
-		if idx == nil {
+		c, ok := midConfig(e, family)
+		if !ok {
 			continue
 		}
 		for _, threads := range maxThreads() {
-			plain := measureThroughput(e, idx, search.BinarySearch, threads, false)
-			fenced := measureThroughput(e, idx, search.BinarySearch, threads, true)
+			plain, err := measureThroughput(e, c, threads, false)
+			if err != nil {
+				return nil, err
+			}
+			fenced, _ := measureThroughput(e, c, threads, true) // unchecked, so no error
 			t.Row([]string{family, strconv.Itoa(threads)}, plain/1e6, fenced/1e6)
 		}
 	}
 	return []report.Table{*t}, nil
-}
-
-// midVariant picks the middle configuration of a family's sweep (the
-// paper fixes ~50MB models for Figure 16a).
-func midVariant(e *Env, family string) core.Index {
-	nb, ok := registry.Builder(family, e.Keys)
-	if !ok {
-		return nil
-	}
-	idx, err := nb.Builder.Build(e.Keys)
-	if err != nil {
-		return nil
-	}
-	return idx
 }
 
 // fig16b reports size vs max-thread throughput.
@@ -664,22 +556,19 @@ func fig16b(r *Run) ([]report.Table, error) {
 		Dims("index", "config").
 		Float("size(MB)", "MB", 4).
 		Float("Mlookups/s", "M/s", 2)
-	for _, family := range r.families([]string{"RMI", "PGM", "RS", "BTree", "ART"}) {
-		for _, nb := range registry.Sweep(family, e.Keys) {
-			idx, err := nb.Builder.Build(e.Keys)
-			if err != nil {
-				continue
-			}
-			tp := measureThroughput(e, idx, search.BinarySearch, maxT, false)
-			t.Row([]string{family, nb.Label}, MB(idx.SizeBytes()), tp/1e6)
+	for c := range r.configs(e, []string{"RMI", "PGM", "RS", "BTree", "ART"}) {
+		tp, err := measureThroughput(e, c, maxT, false)
+		if err != nil {
+			return nil, err
 		}
+		t.Row([]string{c.family, c.Label}, MB(c.idx.SizeBytes()), tp/1e6)
 	}
 	return []report.Table{*t}, nil
 }
 
 // fig16c reports simulated cache misses per lookup per second: the
-// simulated misses-per-lookup of each structure divided by its
-// measured lookup time.
+// simulated misses-per-lookup of each structure's mid-ladder
+// configuration divided by its measured lookup time.
 func fig16c(r *Run) ([]report.Table, error) {
 	t := report.New("fig16c", "Figure 16c: cache misses per lookup per second (simulated misses / measured ns)").
 		Dims("index").
@@ -690,25 +579,21 @@ func fig16c(r *Run) ([]report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, cr := range countersMidFromEnv(e, r.families(registry.Fig16Families)) {
-		perSec := cr.cacheMisses / (cr.nsPerLookup * 1e-9) / 1e6
-		t.Row([]string{cr.family}, cr.cacheMisses, cr.nsPerLookup, perSec)
-	}
-	return []report.Table{*t}, nil
-}
-
-// countersMidFromEnv is countersFromEnv restricted to each family's
-// middle configuration.
-func countersMidFromEnv(e *Env, families []string) []counterRecord {
-	var rows []counterRecord
-	for _, family := range families {
-		if nb, ok := registry.Builder(family, e.Keys); ok {
-			if row, ok := counterRow(e, family, nb, 1); ok {
-				rows = append(rows, row)
-			}
+	for _, family := range r.families(registry.Fig16Families) {
+		c, ok := midConfig(e, family)
+		if !ok {
+			continue
+		}
+		cr, err := counterRow(e, c, 1)
+		if err != nil {
+			return nil, err
+		}
+		if cr != nil {
+			perSec := cr.cacheMisses / (cr.nsPerLookup * 1e-9) / 1e6
+			t.Row([]string{family}, cr.cacheMisses, cr.nsPerLookup, perSec)
 		}
 	}
-	return rows
+	return []report.Table{*t}, nil
 }
 
 // fig17 reports single-threaded build times at 1x..4x dataset scale
@@ -730,30 +615,23 @@ func fig17(r *Run) ([]report.Table, error) {
 			return nil, err
 		}
 		for _, family := range families {
-			nb, idx, _ := BestVariant(e, family, func(e *Env, idx core.Index) float64 {
-				return MeasureWarm(e, idx, search.BinarySearch).NsPerLookup
-			})
+			nb, idx, _, err := BestVariant(e, family)
+			if err != nil {
+				return nil, err
+			}
 			if idx == nil {
 				continue
 			}
 			start := time.Now()
 			registry.SweepEntry(family, nb.Label, e.Keys)
 			tune := time.Since(start)
-			_, dur, err := measureBuild(nb.Builder, e.Keys)
-			if err != nil {
+			start = time.Now()
+			if _, err := nb.Builder.Build(e.Keys); err != nil {
 				continue
 			}
 			t.Row([]string{family, strconv.Itoa(o.N * mult)},
-				float64(tune.Microseconds())/1000, float64(dur.Microseconds())/1000)
+				float64(tune.Microseconds())/1000, float64(time.Since(start).Microseconds())/1000)
 		}
 	}
 	return []report.Table{*t}, nil
-}
-
-func mustBS(e *Env) core.Index {
-	idx, err := rbs.BinarySearchBuilder{}.Build(e.Keys)
-	if err != nil {
-		panic(err)
-	}
-	return idx
 }

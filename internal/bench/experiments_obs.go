@@ -107,8 +107,8 @@ func obsLaws(phase string, offered, maxPending int, res *load.Result, s *net.Sta
 	}
 	// Write path: every frozen delta was flushed, and the journal saw
 	// each flush and merge the store counted.
-	if st.Flushes() != st.DeltaFreezes() {
-		return fail("flushes %d != delta freezes %d (lost flush work)", st.Flushes(), st.DeltaFreezes())
+	if freezes, ok := reg.Value("sosd_store_delta_freezes_total"); !ok || float64(st.Flushes()) != freezes {
+		return fail("flushes %d != delta freezes %v (lost flush work)", st.Flushes(), freezes)
 	}
 	if j.Count("flush") != st.Flushes() {
 		return fail("journal flushes %d != store flushes %d", j.Count("flush"), st.Flushes())

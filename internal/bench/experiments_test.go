@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strconv"
@@ -16,14 +18,15 @@ import (
 // Every experiment must run end-to-end at tiny scale through the
 // catalog, and its rendered text must contain its table headers plus a
 // handful of data rows. These are the integration tests for the full
-// figure pipeline. They assert no numeric shape; the findings that are
-// asserted live beside the structures they are about (fig13's in
+// figure pipeline. The sweep figures' clock-free columns are goldens
+// (checkSweepGolden), and every unfenced timed pass is payload-checked
+// by the experiment itself. They assert no finding; the findings that
+// are asserted live beside the structures they are about (fig13's in
 // registry.TestFig13SizeBuysLog2Error), and the rest are ROADMAP
 // item 5.
 
-// renderCatalog runs a catalog experiment and renders its tables
-// through the text sink.
-func renderCatalog(t *testing.T, name string, o Options) string {
+// runCatalog runs a catalog experiment at o and returns its tables.
+func runCatalog(t *testing.T, name string, o Options) []report.Table {
 	t.Helper()
 	exp, ok := Find(name)
 	if !ok {
@@ -33,12 +36,26 @@ func renderCatalog(t *testing.T, name string, o Options) string {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	var buf bytes.Buffer
-	sink := report.NewText(&buf)
 	for i := range tables {
 		if tables[i].Experiment != name {
 			t.Errorf("%s returned a table labelled %q", name, tables[i].Experiment)
 		}
+	}
+	return tables
+}
+
+// renderCatalog runs a catalog experiment and renders its tables
+// through the text sink.
+func renderCatalog(t *testing.T, name string, o Options) string {
+	t.Helper()
+	return renderTables(t, name, runCatalog(t, name, o))
+}
+
+func renderTables(t *testing.T, name string, tables []report.Table) string {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := report.NewText(&buf)
+	for i := range tables {
 		if err := sink.Table(&tables[i]); err != nil {
 			t.Fatalf("%s: render: %v", name, err)
 		}
@@ -49,9 +66,12 @@ func renderCatalog(t *testing.T, name string, o Options) string {
 	return buf.String()
 }
 
-func runExperiment(t *testing.T, name string, wantMarkers ...string) {
+// runExperiment runs an experiment at tiny scale, requires its text to
+// carry every marker, and returns its tables.
+func runExperiment(t *testing.T, name string, wantMarkers ...string) []report.Table {
 	t.Helper()
-	out := renderCatalog(t, name, tiny)
+	tables := runCatalog(t, name, tiny)
+	out := renderTables(t, name, tables)
 	for _, marker := range wantMarkers {
 		if !strings.Contains(out, marker) {
 			t.Errorf("%s output missing %q:\n%s", name, marker, clip(out))
@@ -59,6 +79,54 @@ func runExperiment(t *testing.T, name string, wantMarkers ...string) {
 	}
 	if strings.Count(out, "\n") < 4 {
 		t.Errorf("%s produced almost no output:\n%s", name, clip(out))
+	}
+	return tables
+}
+
+// sweepRows renders the clock-free part of a sweep figure's tables: per
+// table its title, then per row its dimensions and, exactly, each
+// metric not read off a clock (size in MB, log2 error).
+func sweepRows(tables []report.Table) string {
+	var b strings.Builder
+	for _, tb := range tables {
+		fmt.Fprintf(&b, "## %s\n", tb.Title)
+		for _, row := range tb.Rows {
+			b.WriteString(strings.Join(row.Dims, "\t"))
+			for i, m := range tb.Schema.Metrics {
+				if m.Unit == "MB" || m.Unit == "log2" {
+					fmt.Fprintf(&b, "\t%s=%s", m.Name, strconv.FormatFloat(row.Metrics[i], 'g', -1, 64))
+				}
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+// checkSweepGolden holds a sweep figure's rows at tiny scale to
+// testdata/sweep/<name>.golden: which configurations it built, in which
+// order, and their sizes and log2 errors, exactly. A missing golden is
+// written and fails the test; regenerate all of them with
+//
+//	rm internal/bench/testdata/sweep/*.golden; go test -run EndToEnd ./internal/bench; go test -run EndToEnd ./internal/bench
+//
+// and the diff is the claim, row by row.
+func checkSweepGolden(t *testing.T, name string, tables []report.Table) {
+	t.Helper()
+	path := filepath.Join("testdata", "sweep", name+".golden")
+	got := sweepRows(tables)
+	want, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote missing golden %s", path)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("%s rows differ from %s; got:\n%s", name, path, got)
 	}
 }
 
@@ -70,36 +138,40 @@ func clip(s string) string {
 }
 
 func TestFig7EndToEnd(t *testing.T) {
-	runExperiment(t, "fig7",
-		"Figure 7", "amzn", "osm", "wiki", "face", "RMI", "FAST", "baseline")
+	checkSweepGolden(t, "fig7", runExperiment(t, "fig7",
+		"Figure 7", "amzn", "osm", "wiki", "face", "RMI", "FAST", "baseline"))
 }
 
 func TestFig8EndToEnd(t *testing.T) {
-	runExperiment(t, "fig8", "Figure 8", "FST", "Wormhole")
+	checkSweepGolden(t, "fig8", runExperiment(t, "fig8", "Figure 8", "FST", "Wormhole"))
 }
 
 func TestFig9EndToEnd(t *testing.T) {
-	runExperiment(t, "fig9", "Figure 9", "16000") // 4x of tiny.N
+	checkSweepGolden(t, "fig9", runExperiment(t, "fig9", "Figure 9", "16000")) // 4x of tiny.N
 }
 
 func TestFig10EndToEnd(t *testing.T) {
-	runExperiment(t, "fig10", "Figure 10", "BTree32", "FAST32", "32", "64")
+	checkSweepGolden(t, "fig10", runExperiment(t, "fig10", "Figure 10", "BTree32", "FAST32", "32", "64"))
 }
 
 func TestFig11EndToEnd(t *testing.T) {
-	runExperiment(t, "fig11", "Figure 11", "binary", "linear", "interpolation")
+	checkSweepGolden(t, "fig11", runExperiment(t, "fig11", "Figure 11", "binary", "linear", "interpolation"))
 }
 
 func TestFig12EndToEnd(t *testing.T) {
 	runExperiment(t, "fig12", "Figure 12", "c-miss", "instr")
 }
 
+func TestFig13EndToEnd(t *testing.T) {
+	checkSweepGolden(t, "fig13", runExperiment(t, "fig13", "Figure 13", "log2err"))
+}
+
 func TestFig14EndToEnd(t *testing.T) {
-	runExperiment(t, "fig14", "Figure 14", "warm", "cold")
+	checkSweepGolden(t, "fig14", runExperiment(t, "fig14", "Figure 14", "warm", "cold"))
 }
 
 func TestFig15EndToEnd(t *testing.T) {
-	runExperiment(t, "fig15", "Figure 15", "fence")
+	checkSweepGolden(t, "fig15", runExperiment(t, "fig15", "Figure 15", "fence"))
 }
 
 func TestFig16aEndToEnd(t *testing.T) {
@@ -107,7 +179,7 @@ func TestFig16aEndToEnd(t *testing.T) {
 }
 
 func TestFig16bEndToEnd(t *testing.T) {
-	runExperiment(t, "fig16b", "Figure 16b", "RMI")
+	checkSweepGolden(t, "fig16b", runExperiment(t, "fig16b", "Figure 16b", "RMI"))
 }
 
 func TestFig16cEndToEnd(t *testing.T) {
@@ -126,7 +198,11 @@ func TestFig14ColdSlowerThanWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := midVariant(e, "BTree")
+	c, ok := midConfig(e, "BTree")
+	if !ok {
+		t.Fatal("no BTree variant")
+	}
+	idx := c.idx
 	warm := MeasureWarm(e, idx, search.BinarySearch)
 	cold := MeasureCold(e, idx, search.BinarySearch, 100)
 	if cold.NsPerLookup < warm.NsPerLookup {

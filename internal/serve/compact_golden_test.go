@@ -116,7 +116,7 @@ func TestCompactionStepGolden(t *testing.T) {
 				steps = append(steps, fmt.Sprintf("%s %d>%d %d", e.Kind, e.RunsBefore, e.RunsAfter, e.Keys))
 			}
 			got := fmt.Sprintf("%s | flushes=%d minors=%d majors=%d freezes=%d runs=%d", strings.Join(steps, ", "),
-				st.Flushes(), st.MinorMerges(), st.MajorMerges(), st.DeltaFreezes(), st.runCount(0))
+				st.Flushes(), st.MinorMerges(), st.MajorMerges(), st.deltaFreezes.Load(), st.runCount(0))
 			if got != row.want {
 				t.Errorf("compaction steps moved:\n got  %s\n want %s", got, row.want)
 			}

@@ -82,12 +82,6 @@ func (st *Store) MinorMerges() uint64 { return st.minorMerges.Load() }
 // (and for learned families re-tuned) the base index.
 func (st *Store) MajorMerges() uint64 { return st.majorMerges.Load() }
 
-// DeltaFreezes reports the number of non-empty delta fills frozen and
-// handed to the tier flusher — the independent end of the
-// flushes==freezes conservation law (they diverge only when a flush
-// build fails, which PersistErr-style accounting would surface).
-func (st *Store) DeltaFreezes() uint64 { return st.deltaFreezes.Load() }
-
 // ReadAmp reports the measured read amplification — run probes per
 // lookup — accumulated over reads that hit tiered (multi-run) shard
 // states. Reads on fully-compacted shards probe exactly one run and
