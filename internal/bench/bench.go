@@ -83,13 +83,12 @@ type config struct {
 	idx core.Index
 }
 
-// configs yields every configuration of the run's pick of families
-// (def through the -families filter), in def's order and each family's
-// ladder order, built over e's keys. A configuration that does not
-// build is skipped.
-func (r *Run) configs(e *Env, def []string) iter.Seq[config] {
+// configs yields every configuration of families, in their order and
+// each family's ladder order, built over e's keys. A configuration
+// that does not build is skipped.
+func configs(e *Env, families []string) iter.Seq[config] {
 	return func(yield func(config) bool) {
-		for _, family := range r.families(def) {
+		for _, family := range families {
 			for _, nb := range registry.Sweep(family, e.Keys) {
 				idx, err := nb.Builder.Build(e.Keys)
 				if err == nil && !yield(config{family, nb, idx}) {
@@ -236,7 +235,8 @@ func MeasureCold(e *Env, idx core.Index, fn search.Fn, coldOps int) Measurement 
 // threads goroutines each execute the full lookup workload from their
 // own offset; the result is aggregate lookups per second. fenced
 // selects the serialized per-thread loop. Each unfenced thread's
-// payload sum is verified; a fenced one steers its own keys and is not.
+// payload sum is verified; a fenced one steers its own keys and is
+// not, so a fenced run never errs.
 func measureThroughput(e *Env, c config, threads int, fenced bool) (float64, error) {
 	threads = max(threads, 1)
 	e.pass(c.idx, search.BinarySearch, 0, false) // warm caches and fault pages before timing
@@ -252,9 +252,11 @@ func measureThroughput(e *Env, c config, threads int, fenced bool) (float64, err
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
-	for _, sum := range sums {
-		if err := e.verify(c, sum); err != nil && !fenced {
-			return 0, err
+	if !fenced {
+		for _, sum := range sums {
+			if err := e.verify(c, sum); err != nil {
+				return 0, err
+			}
 		}
 	}
 	return float64(threads*len(e.Lookups)) / elapsed, nil
@@ -290,15 +292,22 @@ func MB(bytes int) float64 { return float64(bytes) / (1 << 20) }
 // BestVariant builds every configuration of a family and returns the
 // one with the lowest checked warm lookup time (the paper's "fastest
 // variant"); idx is nil when none builds.
-func BestVariant(e *Env, family string) (nb registry.NamedBuilder, idx core.Index, ns float64, err error) {
-	for c := range new(Run).configs(e, []string{family}) {
-		v, err := e.warm(c, search.BinarySearch)
+func BestVariant(e *Env, family string) (registry.NamedBuilder, core.Index, float64, error) {
+	c, ns, err := lowest(e, family, func(c config) (float64, error) { return e.warm(c, search.BinarySearch) })
+	return c.NamedBuilder, c.idx, ns, err
+}
+
+// lowest returns the configuration of family's sweep with the lowest
+// score, and that score; the config's idx is nil when none builds.
+func lowest(e *Env, family string, score func(config) (float64, error)) (best config, lo float64, err error) {
+	for c := range configs(e, []string{family}) {
+		v, err := score(c)
 		if err != nil {
-			return registry.NamedBuilder{}, nil, 0, err
+			return config{}, 0, err
 		}
-		if idx == nil || v < ns {
-			nb, idx, ns = c.NamedBuilder, c.idx, v
+		if best.idx == nil || v < lo {
+			best, lo = c, v
 		}
 	}
-	return nb, idx, ns, nil
+	return best, lo, nil
 }

@@ -108,7 +108,7 @@ func pareto(experiment, title string, datasets []dataset.Name, families []string
 			if err != nil {
 				return nil, err
 			}
-			for c := range r.configs(e, append([]string{"BS"}, families...)) {
+			for c := range configs(e, r.families(append([]string{"BS"}, families...))) {
 				ns, err := e.warm(c, search.BinarySearch)
 				if err != nil {
 					return nil, err
@@ -155,7 +155,7 @@ func fig9(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for c := range r.configs(e, []string{"RMI", "PGM", "RS", "BTree"}) {
+		for c := range configs(e, r.families([]string{"RMI", "PGM", "RS", "BTree"})) {
 			ns, err := e.warm(c, search.BinarySearch)
 			if err != nil {
 				return nil, err
@@ -192,7 +192,7 @@ func fig10(r *Run) ([]report.Table, error) {
 		Float("ns/lookup", "ns", 1)
 	for _, family := range r.families([]string{"RMI", "RS", "PGM", "BTree", "FAST"}) {
 		for _, e := range []*Env{e64, e32} {
-			for c := range r.configs(e, []string{family}) {
+			for c := range configs(e, []string{family}) {
 				ns, err := e.warm(c, search.BinarySearch)
 				if err != nil {
 					return nil, err
@@ -260,7 +260,7 @@ func fig11(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for c := range r.configs(e, []string{"RMI", "PGM", "RS", "RBS"}) {
+		for c := range configs(e, r.families([]string{"RMI", "PGM", "RS", "RBS"})) {
 			for _, kind := range []search.Kind{search.Binary, search.Linear, search.Interpolation} {
 				ns, err := e.warm(c, search.ByKind(kind))
 				if err != nil {
@@ -288,12 +288,11 @@ type counterRecord struct {
 }
 
 // counters measures checked warm lookup latency and simulated counters
-// for every configuration of the run's pick of families on an
-// environment — the catalog experiments build theirs through
+// for every configuration of families on an environment — the catalog experiments build theirs through
 // Run.envAt so dataset checksums land in the run metadata.
-func (r *Run) counters(e *Env, families []string) ([]counterRecord, error) {
+func counters(e *Env, families []string) ([]counterRecord, error) {
 	var rows []counterRecord
-	for c := range r.configs(e, families) {
+	for c := range configs(e, families) {
 		row, err := counterRow(e, c, 3)
 		if err != nil {
 			return nil, err
@@ -361,7 +360,7 @@ func fig12(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows, err := r.counters(e, registry.Fig12Families)
+		rows, err := counters(e, r.families(registry.Fig12Families))
 		if err != nil {
 			return nil, err
 		}
@@ -398,7 +397,7 @@ func regress(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		more, err := r.counters(e, registry.Fig12Families)
+		more, err := counters(e, r.families(registry.Fig12Families))
 		if err != nil {
 			return nil, err
 		}
@@ -459,7 +458,7 @@ func fig13(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for c := range r.configs(e, []string{"RS", "RMI", "PGM", "BTree"}) {
+		for c := range configs(e, r.families([]string{"RS", "RMI", "PGM", "BTree"})) {
 			t.Row([]string{string(name), c.family, c.Label}, MB(c.idx.SizeBytes()), avgLog2Width(e, c.idx))
 		}
 	}
@@ -480,7 +479,7 @@ func fig14(r *Run) ([]report.Table, error) {
 		Float("size(MB)", "MB", 4).
 		Float("warm(ns)", "ns", 1).
 		Float("cold(ns)", "ns", 1)
-	for c := range r.configs(e, []string{"RMI", "RS", "PGM", "BTree", "FAST"}) {
+	for c := range configs(e, r.families([]string{"RMI", "RS", "PGM", "BTree", "FAST"})) {
 		warm, err := e.warm(c, search.BinarySearch)
 		if err != nil {
 			return nil, err
@@ -504,7 +503,7 @@ func fig15(r *Run) ([]report.Table, error) {
 		Float("size(MB)", "MB", 4).
 		Float("no-fence", "ns", 1).
 		Float("fence", "ns", 1)
-	for c := range r.configs(e, []string{"RMI", "RS", "PGM", "BTree", "FAST"}) {
+	for c := range configs(e, r.families([]string{"RMI", "RS", "PGM", "BTree", "FAST"})) {
 		plain, err := e.warm(c, search.BinarySearch)
 		if err != nil {
 			return nil, err
@@ -537,7 +536,10 @@ func fig16a(r *Run) ([]report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			fenced, _ := measureThroughput(e, c, threads, true) // unchecked, so no error
+			fenced, err := measureThroughput(e, c, threads, true)
+			if err != nil {
+				return nil, err
+			}
 			t.Row([]string{family, strconv.Itoa(threads)}, plain/1e6, fenced/1e6)
 		}
 	}
@@ -556,7 +558,7 @@ func fig16b(r *Run) ([]report.Table, error) {
 		Dims("index", "config").
 		Float("size(MB)", "MB", 4).
 		Float("Mlookups/s", "M/s", 2)
-	for c := range r.configs(e, []string{"RMI", "PGM", "RS", "BTree", "ART"}) {
+	for c := range configs(e, r.families([]string{"RMI", "PGM", "RS", "BTree", "ART"})) {
 		tp, err := measureThroughput(e, c, maxT, false)
 		if err != nil {
 			return nil, err
