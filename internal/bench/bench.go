@@ -205,17 +205,14 @@ var thrashOnce sync.Once
 // the full workload impractical, as in the paper's flush).
 func MeasureCold(e *Env, idx core.Index, fn search.Fn, coldOps int) Measurement {
 	thrashOnce.Do(func() { thrash = make([]byte, 64<<20) })
-	if coldOps > len(e.Lookups) {
-		coldOps = len(e.Lookups)
-	}
 	var sum uint64
 	var total time.Duration
 	var sink byte
-	for i := 0; i < coldOps; i++ {
+	coldOps = coldPass(e, coldOps, func() {
 		for j := 0; j < len(thrash); j += 64 {
 			sink += thrash[j]
 		}
-		x := e.Lookups[i]
+	}, func(x core.Key) {
 		start := time.Now()
 		b := idx.Lookup(x)
 		pos := fn(e.Keys, x, b)
@@ -223,12 +220,23 @@ func MeasureCold(e *Env, idx core.Index, fn search.Fn, coldOps int) Measurement 
 		if pos < len(e.Payloads) {
 			sum += e.Payloads[pos]
 		}
-	}
+	})
 	_ = sink
 	return Measurement{
 		NsPerLookup: float64(total.Nanoseconds()) / float64(coldOps),
 		checksum:    sum,
 	}
+}
+
+// coldPass is Figure 14's cold pass: the first coldOps of e's lookups,
+// each after evict. It returns the number of lookups run.
+func coldPass(e *Env, coldOps int, evict func(), lookup func(core.Key)) int {
+	coldOps = min(coldOps, len(e.Lookups))
+	for _, x := range e.Lookups[:coldOps] {
+		evict()
+		lookup(x)
+	}
+	return coldOps
 }
 
 // measureThroughput runs the multithreaded regime of Figure 16:

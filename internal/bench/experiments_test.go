@@ -11,8 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/perfsim"
 	"repro/internal/report"
-	"repro/internal/search"
 )
 
 // Every experiment must run end-to-end at tiny scale through the
@@ -192,8 +193,10 @@ func TestFig17EndToEnd(t *testing.T) {
 
 func TestFig14ColdSlowerThanWarm(t *testing.T) {
 	// The defining property of Figure 14 at any scale: evicting the
-	// cache between lookups cannot make lookups faster. Assert it on
-	// one structure with a safety margin for timer noise.
+	// cache between lookups costs cache misses. Asserted in work, not
+	// wall time: perfsim replays one structure's lookups warm, then
+	// through coldPass, the pass MeasureCold times, with eviction a
+	// stream over a region eight times the simulated cache.
 	e, err := NewEnv("amzn", 20000, 2000, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +205,36 @@ func TestFig14ColdSlowerThanWarm(t *testing.T) {
 	if !ok {
 		t.Fatal("no BTree variant")
 	}
-	idx := c.idx
-	warm := MeasureWarm(e, idx, search.BinarySearch)
-	cold := MeasureCold(e, idx, search.BinarySearch, 100)
-	if cold.NsPerLookup < warm.NsPerLookup {
-		t.Errorf("cold (%f) faster than warm (%f)", cold.NsPerLookup, warm.NsPerLookup)
+	m := perfsim.New(perfsim.CacheFor(len(e.Keys))) // 128 KiB at 20k keys
+	tr, ok := perfsim.For(c.idx, m, e.Keys)
+	if !ok {
+		t.Fatal("BTree has no traced form")
+	}
+	const coldOps, evictBytes = 100, 1 << 20
+	flush := m.Alloc(evictBytes)
+	var misses uint64
+	lookup := func(x core.Key) {
+		before := m.Counters().CacheMisses
+		tr.Lookup(x)
+		misses += m.Counters().CacheMisses - before
+	}
+	for _, x := range e.Lookups {
+		tr.Lookup(x)
+	}
+	for _, x := range e.Lookups[:coldOps] {
+		lookup(x)
+	}
+	warm := float64(misses) / coldOps
+	misses = 0
+	n := coldPass(e, coldOps, func() {
+		for off := 0; off < evictBytes; off += 64 {
+			m.Access(flush, off, 1)
+		}
+	}, lookup)
+	if cold := float64(misses) / float64(n); cold <= warm {
+		t.Errorf("cold pass %.2f simulated misses per lookup, warm %.2f", cold, warm)
+	} else {
+		t.Logf("simulated misses per lookup: cold %.2f, warm %.2f", cold, warm)
 	}
 }
 

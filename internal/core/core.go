@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -187,3 +188,24 @@ func BoundAround(pos, errLo, errHi, n int) Bound {
 	}
 	return Bound{lo, hi}
 }
+
+// Margin is a search-bound margin in 16 bits: a 5-bit exponent e over
+// an 11-bit mantissa m, worth m<<e. ToMargin rounds any v < 2³¹ up, by
+// at most v>>10 (exact below 2,048), so a bound never narrows; the
+// codes it returns order as their values do.
+type Margin uint16
+
+// ToMargin returns the code of the smallest margin >= v (0 for v < 0).
+func ToMargin(v int) Margin {
+	v = max(v, 0)
+	e := max(bits.Len(uint(v))-11, 0)
+	m := (v + 1<<e - 1) >> e
+	if m == 2048 { // rounding up carried into the next exponent
+		m, e = 1024, e+1
+	}
+	return Margin(e<<11 | m)
+}
+
+// Value decodes m with no branch, which would mispredict where wide and
+// narrow margins mix; the &63 spares the shift its overflow check.
+func (m Margin) Value() int { return int(m&0x7ff) << (m >> 11 & 63) }

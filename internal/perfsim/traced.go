@@ -32,14 +32,15 @@ type Traced interface {
 // segment keys, of RS's spline-point keys and of the B+tree's and
 // FAST's levels —
 // payloadBytes that of one payload in the table's uint64 payload array,
-// posBytes that of one RS spline point's position, of one PGM segment's
-// position and of one of its margins, and slopeBytes that of one PGM
-// segment's slope.
+// posBytes that of one RS spline point's position and of one PGM
+// segment's, slopeBytes that of one PGM segment's slope, and
+// marginBytes that of one of a PGM data segment's two margin codes.
 const (
 	keyBytes     = int(unsafe.Sizeof(core.Key(0)))
 	payloadBytes = int(unsafe.Sizeof(uint64(0)))
 	posBytes     = int(unsafe.Sizeof(int32(0)))
-	slopeBytes   = int(unsafe.Sizeof(float64(0)))
+	slopeBytes   = int(unsafe.Sizeof(float32(0)))
+	marginBytes  = int(unsafe.Sizeof(core.Margin(0)))
 )
 
 // CacheFor sizes the simulated cache for n keys so the paper's regime
@@ -64,7 +65,7 @@ func For(idx core.Index, m *Machine, keys []core.Key) (tr Traced, ok bool) {
 			t.slopes = append(t.slopes, m.Alloc(n*slopeBytes))
 			t.pos = append(t.pos, m.Alloc(n*posBytes))
 		}
-		t.margins = m.Alloc(sizes[0] * 2 * posBytes)
+		t.margins = m.Alloc(sizes[0] * 2 * marginBytes)
 		return t, true
 	case *rs.Index:
 		np := v.NumPoints()
@@ -190,7 +191,7 @@ func (t *tracedPGM) step(st pgm.PathStep) {
 	t.m.instr(8)
 	if l == 0 {
 		// Widen the prediction by the segment's two verified margins.
-		t.m.Access(t.margins, j*2*posBytes, 2*posBytes)
+		t.m.Access(t.margins, j*2*marginBytes, 2*marginBytes)
 	}
 }
 

@@ -393,17 +393,31 @@ func TestOldRMISeedDecodesToError(t *testing.T) {
 	}
 }
 
+// TestOldPGMSeedDecodesToError: FuzzDecode/old-PGM-28 is raw-PGM as it
+// was checked in while a data segment was 28 bytes (float64 slope,
+// int32 margins), its payload opening with eps. No encoder writes it any
+// more, so fuzzCorpus does not regenerate it; it must be named as an old
+// layout to rebuild, never decoded to an index.
+func TestOldPGMSeedDecodesToError(t *testing.T) {
+	codec, _ := registry.CodecFor("PGM")
+	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "old-PGM-28", "PGM")))
+	if idx != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "rebuild the index") {
+		t.Fatalf("old-PGM-28 decoded to (%v, %v), want a corrupt-data error naming a rebuild", idx, err)
+	}
+}
+
 // TestBadPosSeedDecodesToError: FuzzDecode/badpos-PGM is osm 20k keys
-// at eps=4 (levels 1131/65/2) with the top level's first slope set to
-// 1e300 and its second position to 1<<30, so every key above the first
-// is sent to segment 1<<30 of a 65-segment level. Decode once took it
-// and Lookup then indexed past the level; it must be named corrupt.
-// No encoder writes it, so fuzzCorpus does not regenerate it.
+// at eps=4 (levels 1131/65/2) in the 20-byte segment layout, with the
+// top level's first slope set to 1e30 and its second position to 1<<30,
+// so every key above the first is sent to segment 1<<30 of a 65-segment
+// level. Decode once took it and Lookup then indexed past the level; it
+// must be named corrupt, and not as a retired layout. No encoder writes
+// it, so fuzzCorpus does not regenerate it.
 func TestBadPosSeedDecodesToError(t *testing.T) {
 	codec, _ := registry.CodecFor("PGM")
 	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "badpos-PGM", "PGM")))
-	if idx != nil || !errors.Is(err, binio.ErrCorrupt) {
-		t.Fatalf("badpos-PGM decoded to (%v, %v), want a corrupt-data error", idx, err)
+	if idx != nil || !errors.Is(err, binio.ErrCorrupt) || strings.Contains(err.Error(), "rebuild") {
+		t.Fatalf("badpos-PGM decoded to (%v, %v), want a corrupt-data error on its positions", idx, err)
 	}
 }
 

@@ -18,7 +18,11 @@ import (
 // two RS-on-face rows were re-recorded when New began keeping only the
 // radix bits that save a point probe: face's mid rung keeps 8 of its 14.
 // The PGM sizes fell, CRCs unchanged, when each level became flat key,
-// slope and pos arrays: 20 bytes a segment instead of a padded 24.
+// slope and pos arrays: 20 bytes a segment instead of a padded 24. The
+// PGM rows were re-recorded when a segment's slope became a float32
+// picked inside its corridor and a data segment's margins two 16-bit
+// codes: 20 bytes a data segment instead of 28, 16 above instead of 20,
+// and a payload that opens with a zero word.
 func TestGoldenEncodedIndexes(t *testing.T) {
 	golden := []struct {
 		n               int
@@ -26,14 +30,14 @@ func TestGoldenEncodedIndexes(t *testing.T) {
 		rs, pgm         uint64
 		rsSize, pgmSize int
 	}{
-		{50_000, dataset.Amzn, 0x4be19f89232100b5, 0xb2e0ae5387769938, 33334, 1140},
-		{50_000, dataset.Face, 0xc2907bf2aff303f7, 0xef6f2f4a6373440d, 670, 168},
-		{50_000, dataset.OSM, 0xed2589158bff187a, 0x2c7b1e196585e7f6, 37294, 6852},
-		{50_000, dataset.Wiki, 0x878a406a2124cc67, 0x9031e13581484a46, 33262, 1028},
-		{2_000_000, dataset.Amzn, 0x1fc6642eeece481a, 0x4549678de9af55b7, 33922, 1896},
-		{2_000_000, dataset.Face, 0x3e8016b9a33cd827, 0x4f928648a7ef6974, 5890, 5528},
-		{2_000_000, dataset.OSM, 0x9b00a05768afc67c, 0xef41a3340e392709, 98158, 115448},
-		{2_000_000, dataset.Wiki, 0xace5ecc540bde73d, 0xdbd47bacc3aacfed, 54982, 44400},
+		{50_000, dataset.Amzn, 0x4be19f89232100b5, 0xbf7462a55b7df6f2, 33334, 816},
+		{50_000, dataset.Face, 0xc2907bf2aff303f7, 0xf2bdb354e88036b1, 670, 120},
+		{50_000, dataset.OSM, 0xed2589158bff187a, 0xe32748fa62d573b5, 37294, 4896},
+		{50_000, dataset.Wiki, 0x878a406a2124cc67, 0xc13e47cf0bda9915, 33262, 736},
+		{2_000_000, dataset.Amzn, 0x1fc6642eeece481a, 0xc92c857765ddfe7a, 33922, 1356},
+		{2_000_000, dataset.Face, 0x3e8016b9a33cd827, 0x8e02ad0db3ce7f0b, 5890, 3952},
+		{2_000_000, dataset.OSM, 0x9b00a05768afc67c, 0xa21dc69f7496d091, 98158, 82480},
+		{2_000_000, dataset.Wiki, 0xace5ecc540bde73d, 0xb328168bed461e3f, 54982, 31716},
 	}
 	for _, g := range golden {
 		if testing.Short() && g.n > 50_000 {

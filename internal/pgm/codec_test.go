@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/binio"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/indextest"
 )
@@ -28,7 +30,7 @@ func encoded(t *testing.T) (payload []byte, top int) {
 	if err := idx.Encode(w); err != nil {
 		t.Fatal(err)
 	}
-	top = 4 + 8 + 4 // eps, n, level count
+	top = 4 + 4 + 8 + 4 // zero word, eps, n, level count
 	for _, m := range sizes[:2] {
 		top += 4 + m*segmentBytes
 	}
@@ -40,13 +42,13 @@ func encoded(t *testing.T) (payload []byte, top int) {
 // and then panicked in Lookup: a top segment whose slope sends every key
 // to its neighbour's position, 1<<30, far past the 65 segments below.
 func TestDecodeRejectsOutOfOrderLevels(t *testing.T) {
-	const slope, pos, next = 8, 16, segmentBytes // offsets within the top level
+	const slope, pos, next = 8, 12, segmentBytes // offsets within the top level
 	for _, c := range []struct {
 		what  string
 		patch func(p []byte, top int)
 	}{
 		{"position past the level below", func(p []byte, top int) {
-			binary.LittleEndian.PutUint64(p[top+slope:], math.Float64bits(1e300))
+			binary.LittleEndian.PutUint32(p[top+slope:], math.Float32bits(1e30))
 			binary.LittleEndian.PutUint32(p[top+next+pos:], 1<<30)
 		}},
 		{"first position not 0", func(p []byte, top int) {
@@ -59,6 +61,21 @@ func TestDecodeRejectsOutOfOrderLevels(t *testing.T) {
 			binary.LittleEndian.PutUint64(p[top+next:], 0)
 			binary.LittleEndian.PutUint64(p[top:], 1)
 		}},
+		{"infinite slope", func(p []byte, top int) {
+			binary.LittleEndian.PutUint32(p[top+slope:], math.Float32bits(float32(math.Inf(1))))
+		}},
+		{"NaN slope", func(p []byte, top int) {
+			binary.LittleEndian.PutUint32(p[top+slope:], 0x7fc00000)
+		}},
+		{"negative slope", func(p []byte, top int) {
+			binary.LittleEndian.PutUint32(p[top+slope:], math.Float32bits(-0.5))
+		}},
+		{"margin excess far above n", func(p []byte, _ int) {
+			binary.LittleEndian.PutUint16(p[len(p)-2:], 0xffff) // the last segment's upper code
+		}},
+		{"margin excess just above n + n>>10", func(p []byte, _ int) {
+			binary.LittleEndian.PutUint16(p[len(p)-4:], uint16(core.ToMargin(20_000+20_000>>10+1)))
+		}},
 	} {
 		p, top := encoded(t)
 		c.patch(p, top)
@@ -66,6 +83,18 @@ func TestDecodeRejectsOutOfOrderLevels(t *testing.T) {
 		if idx != nil || !errors.Is(err, binio.ErrCorrupt) {
 			t.Errorf("%s: decoded to (%v, %v), want a corrupt-data error", c.what, idx, err)
 		}
+	}
+}
+
+// TestDecodeRejectsRetiredLayout: a payload of the 28-byte segment
+// layout opened with eps, never the zero word, and is named as one to
+// rebuild.
+func TestDecodeRejectsRetiredLayout(t *testing.T) {
+	p, _ := encoded(t)
+	binary.LittleEndian.PutUint32(p, 4) // eps, where the retired layout kept it
+	idx, err := Decode(binio.NewReader(p))
+	if idx != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "rebuild the index") {
+		t.Fatalf("decoded to (%v, %v), want a corrupt-data error naming a rebuild", idx, err)
 	}
 }
 

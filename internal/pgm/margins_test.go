@@ -12,8 +12,9 @@ import (
 // refComputeDataMargins is the margin pass as it was before predictions
 // were carried from one key to the next: every distinct key evaluated
 // twice, once as itself and once as the top of the gap below it. It is
-// the oracle computeDataMargins must agree with, and lays its margins
-// out as Index.margins does: segment j's lower at 2j, its upper at 2j+1.
+// the oracle computeDataMargins must agree with, once coded, and lays
+// its margins out as Index.margins does: segment j's lower at 2j, its
+// upper at 2j+1.
 func refComputeDataMargins(keys []core.Key, l *level, eps int) []int32 {
 	n, m := len(keys), len(l.keys)
 	margins := make([]int32, 2*m)
@@ -60,7 +61,11 @@ func checkMarginsAgainstRef(t *testing.T, what string, keys []core.Key) {
 		if err != nil {
 			t.Fatalf("%s eps=%d: %v", what, eps, err)
 		}
-		want := refComputeDataMargins(keys, &idx.levels[0], eps)
+		ref := refComputeDataMargins(keys, &idx.levels[0], eps)
+		want := make([]core.Margin, len(ref))
+		for i, v := range ref {
+			want[i] = core.ToMargin(int(v) - eps - 1)
+		}
 		if !slices.Equal(idx.margins, want) {
 			t.Errorf("%s eps=%d: margins over %d segments differ from the two-evaluation reference", what, eps, len(want)/2)
 		}

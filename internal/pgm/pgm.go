@@ -13,14 +13,16 @@
 // epsilon bound exactly; it can emit slightly more segments than the
 // optimal convex-hull construction of the PGM paper (bounded by a
 // small constant factor), which affects size but never correctness.
-// See DESIGN.md.
+// A segment is its first key, a float32 slope rounded from inside its
+// corridor (see emit) and its start position, 16 bytes; a data segment
+// adds two 16-bit margin codes, 20 bytes. See DESIGN.md.
 package pgm
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"unsafe"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/search"
@@ -29,16 +31,16 @@ import (
 // level is one level of the hierarchy as three parallel arrays, one
 // slot per segment: segment i covers the points with keys in
 // [keys[i], keys[i+1]) and predicts pos[i] + slopes[i]*(x-keys[i]) for
-// the position of x in the level below. Apart, the arrays hold the 20
-// bytes a segment carries; a struct of the three would pad it to 24.
+// the position of x in the level below.
 type level struct {
 	keys   []core.Key // first key covered (exact integer for routing)
-	slopes []float64
-	pos    []int32 // position of the first covered point in the level below
+	slopes []float32  // rounded from inside the corridor by emit
+	pos    []int32    // position of the first covered point in the level below
 }
 
-// segmentBytes is what one segment occupies, in memory and on the wire.
-const segmentBytes = int(unsafe.Sizeof(core.Key(0)) + unsafe.Sizeof(float64(0)) + unsafe.Sizeof(int32(0)))
+// Bytes a segment's key, slope and pos take, in memory and on the wire,
+// and a data segment's two margin codes (pinned by TestSegmentLayout).
+const segmentBytes, marginBytes = 16, 4
 
 // Index is a built PGM index.
 type Index struct {
@@ -46,12 +48,13 @@ type Index struct {
 	n      int
 	levels []level // levels[0] indexes the data; levels[k] indexes levels[k-1]
 	// Per-segment verified margins for the data level, side by side:
-	// segment j's lower margin at 2j, its upper at 2j+1. The corridor
+	// segment j's lower margin at 2j, its upper at 2j+1, each the code
+	// of its excess over eps+1 (exact below 2,048). The corridor
 	// guarantees eps for the first occurrence of every present key;
 	// these margins additionally cover absent keys, duplicate runs
 	// (whose lower-bound rank jumps can exceed eps) and float
 	// rounding. For unique-key datasets they stay within eps+2.
-	margins []int32
+	margins []core.Margin
 }
 
 // Builder constructs PGM indexes with a fixed error bound.
@@ -113,9 +116,9 @@ func New(keys []core.Key, eps int) (*Index, error) {
 //
 // The walk runs chunk-wise: a range of keys starts at its first distinct
 // key, finds its cursor by binary search and keeps margins of its own
-// for the segments it reaches, which merge by max. The result holds
-// segment j's lower margin at 2j and its upper at 2j+1.
-func computeDataMargins(keys []core.Key, l *level, eps int) []int32 {
+// for the segments it reaches, which merge by max. The result holds the
+// codes of segment j's lower margin at 2j and its upper at 2j+1.
+func computeDataMargins(keys []core.Key, l *level, eps int) []core.Margin {
 	n, m := len(keys), len(l.keys)
 	type run struct {
 		seg0    int
@@ -157,13 +160,11 @@ func computeDataMargins(keys []core.Key, l *level, eps int) []int32 {
 		}
 		return rn
 	})
-	margins := make([]int32, 2*m)
-	for i := range margins {
-		margins[i] = int32(eps + 1)
-	}
+	margins := make([]core.Margin, 2*m) // code 0: eps+1
 	for _, rn := range runs {
 		for j, v := range rn.margins {
-			margins[2*rn.seg0+j] = max(margins[2*rn.seg0+j], v)
+			// Codes order as their margins do, so max merges either.
+			margins[2*rn.seg0+j] = max(margins[2*rn.seg0+j], core.ToMargin(int(v)-eps-1))
 		}
 	}
 	return margins
@@ -230,6 +231,8 @@ func fitSegments(keys []core.Key, eps int) level {
 		slopeLo, slopeHi = newLo, newHi
 	}
 	l.emit(keys[start], start, slopeLo, slopeHi)
+	// Appending left up to a quarter of each array spare; keep none.
+	l.keys, l.slopes, l.pos = slices.Clone(l.keys), slices.Clone(l.slopes), slices.Clone(l.pos)
 	return l
 }
 
@@ -237,7 +240,16 @@ func fitSegments(keys []core.Key, eps int) level {
 // whose slope corridor is [slopeLo, slopeHi]. Any slope within the
 // corridor satisfies all constraints; take the midpoint, clamped
 // non-negative (positions are non-decreasing, so a valid non-negative
-// slope exists).
+// slope exists), and store the nearest float32. That float32 lies in
+// the corridor whenever any float32 does, being no farther from the
+// midpoint. Only a corridor narrower than one float32 step holds none
+// (145 of 216,615 segments over the ladder on the four datasets at 2M
+// keys; lo == hi == 1/9 on amzn at eps=4 among them): there the slope
+// misses it by at most half a step, 2⁻²⁴ of itself, which moves a
+// prediction by at most 2⁻²⁴ of the segment's span, under one position
+// below a span of 2²⁴. The data level's margins are measured through
+// the stored slope, so cover it; above, the windows of eps+1 below and
+// eps+2 above, one past the corridor's eps each side, absorb it.
 func (l *level) emit(key core.Key, start int, slopeLo, slopeHi float64) {
 	var slope float64
 	switch {
@@ -254,7 +266,7 @@ func (l *level) emit(key core.Key, start int, slopeLo, slopeHi float64) {
 		slope = 0 // slopeHi > 0 always holds: ranks increase with keys
 	}
 	l.keys = append(l.keys, key)
-	l.slopes = append(l.slopes, slope)
+	l.slopes = append(l.slopes, float32(slope))
 	l.pos = append(l.pos, int32(start))
 }
 
@@ -273,7 +285,7 @@ func (l *level) end(j, below int) int {
 // in the reference implementation).
 func (l *level) predict(j, nextPos int, x core.Key) int {
 	pos := float64(l.pos[j])
-	p := pos + l.slopes[j]*(float64(x)-float64(l.keys[j]))
+	p := pos + float64(l.slopes[j])*(float64(x)-float64(l.keys[j]))
 	// Clamp in float space: converting an out-of-range float64 to int
 	// is not defined in Go and wraps to the wrong extreme on amd64.
 	if p <= pos {
@@ -325,8 +337,8 @@ func (idx *Index) Trace(key core.Key, visit func(PathStep)) core.Bound {
 			// Data level: predict the position and widen by the
 			// segment's verified margins.
 			data := &idx.levels[0]
-			pos := data.predict(j, data.end(j, idx.n), key)
-			return core.BoundAround(pos, int(idx.margins[2*j]), int(idx.margins[2*j+1]), idx.n)
+			lo, hi := idx.margin(j)
+			return core.BoundAround(data.predict(j, data.end(j, idx.n), key), lo, hi, idx.n)
 		}
 		lo, hi = idx.window(li, j, key)
 		li--
@@ -366,15 +378,20 @@ func (idx *Index) LookupBatch(keys []core.Key, out []core.Bound) {
 		}
 		for i, x := range chunk {
 			j := int(seg[i])
-			pos := data.predict(j, data.end(j, idx.n), x)
-			outc[i] = core.BoundAround(pos, int(idx.margins[2*j]), int(idx.margins[2*j+1]), idx.n)
+			lo, hi := idx.margin(j)
+			outc[i] = core.BoundAround(data.predict(j, data.end(j, idx.n), x), lo, hi, idx.n)
 		}
 	}
 }
 
+// margin returns data segment j's lower and upper margins.
+func (idx *Index) margin(j int) (lo, hi int) {
+	return idx.eps + 1 + idx.margins[2*j].Value(), idx.eps + 1 + idx.margins[2*j+1].Value()
+}
+
 // SizeBytes implements core.Index.
 func (idx *Index) SizeBytes() int {
-	return idx.NumSegments()*segmentBytes + len(idx.margins)*int(unsafe.Sizeof(idx.margins[0]))
+	return idx.NumSegments()*segmentBytes + len(idx.levels[0].keys)*marginBytes
 }
 
 // Name implements core.Index.
@@ -404,8 +421,8 @@ func (idx *Index) AvgLog2Error() float64 {
 		if occ <= 0 {
 			continue
 		}
-		w := float64(idx.margins[2*j] + idx.margins[2*j+1] + 1)
-		total += occ * math.Log2(w+1)
+		lo, hi := idx.margin(j)
+		total += occ * math.Log2(float64(lo+hi+1)+1)
 		count += occ
 	}
 	if count == 0 {

@@ -192,22 +192,36 @@ func TestPGMAvgLog2Error(t *testing.T) {
 	}
 }
 
+// TestFitSegmentsErrorGuarantee holds the corridor filter under the
+// float32 slopes it stores: at every level and every rung of the PGM
+// ladder, every point — a distinct data key at its lower-bound rank, or
+// a segment key of the level below at its position — is predicted by
+// its own segment within eps+1, the slack the descent's windows allow.
 func TestFitSegmentsErrorGuarantee(t *testing.T) {
-	// Direct property of the corridor filter: every point predicted
-	// within eps by its own segment.
 	for _, name := range dataset.All() {
 		keys := dataset.MustGenerate(name, 20000, 2)
-		for _, eps := range []int{1, 8, 64} {
-			l := fitSegments(keys, eps)
-			si := 0
-			for i, k := range keys {
-				for si+1 < len(l.keys) && l.keys[si+1] <= k {
-					si++
+		for _, eps := range []int{4096, 1024, 512, 256, 128, 64, 32, 16, 8, 4, 1} {
+			idx, err := New(keys, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points := keys
+			for li, l := range idx.levels {
+				si, rank := 0, 0
+				for i, k := range points {
+					if i > 0 && k == points[i-1] {
+						continue // a duplicate is constrained by its first occurrence
+					}
+					rank = i
+					for si+1 < len(l.keys) && l.keys[si+1] <= k {
+						si++
+					}
+					pred := l.predict(si, l.end(si, len(points)), k)
+					if d := pred - rank; d > eps+1 || d < -eps-1 {
+						t.Fatalf("%s eps=%d level %d: point %d predicted %d (err %d)", name, eps, li, rank, pred, d)
+					}
 				}
-				pred := l.predict(si, l.end(si, len(keys)), k)
-				if d := pred - i; d > eps+1 || d < -eps-1 {
-					t.Fatalf("%s eps=%d: point %d predicted %d (err %d)", name, eps, i, pred, d)
-				}
+				points = l.keys
 			}
 		}
 	}
@@ -223,11 +237,14 @@ func TestPGMString(t *testing.T) {
 
 // TestSegmentLayout pins what memory holds: SizeBytes charges every
 // level's three arrays and the margin array at the bytes their elements
-// really take, 20 per segment and 8 per data segment's margins, so a
-// field added to a level fails here.
+// really take, 16 per segment and 4 per data segment's margin codes, so
+// a field added to a level fails here.
 func TestSegmentLayout(t *testing.T) {
-	if segmentBytes != 20 {
-		t.Errorf("segmentBytes %d, want 20", segmentBytes)
+	var l level
+	var m core.Margin
+	arrays := int(unsafe.Sizeof(l.keys[0]) + unsafe.Sizeof(l.slopes[0]) + unsafe.Sizeof(l.pos[0]))
+	if segmentBytes != arrays || marginBytes != 2*int(unsafe.Sizeof(m)) || segmentBytes+marginBytes != 20 {
+		t.Errorf("segmentBytes %d, marginBytes %d: arrays hold %d and 2x%d, want 20 together", segmentBytes, marginBytes, arrays, unsafe.Sizeof(m))
 	}
 	keys := dataset.MustGenerate(dataset.OSM, 100000, 1)
 	idx, err := New(keys, 8)

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"repro/internal/binio"
+	"repro/internal/core"
 )
 
 func (p *poly) encode(w *binio.Writer) {
@@ -77,9 +78,9 @@ func (c *clamps) encode(w *binio.Writer) {
 func decodeClamps(r *binio.Reader, li int, n uint64) clamps {
 	c := clamps{lo: int32(r.U32()), hi: int32(r.U32())}
 	errs := r.U32()
-	c.errLo, c.errHi = margin(errs), margin(errs>>16)
-	if c.lo < 0 || c.lo > c.hi || uint64(c.hi) >= n || uint64(max(c.errLo, c.errHi).value()) > n+n>>10 {
-		r.Fail(binio.Corruptf("rmi: leaf %d clamps [%d,%d] and margins (%d,%d) impossible over %d keys", li, c.lo, c.hi, c.errLo.value(), c.errHi.value(), n))
+	c.errLo, c.errHi = core.Margin(errs), core.Margin(errs>>16)
+	if c.lo < 0 || c.lo > c.hi || uint64(c.hi) >= n || uint64(max(c.errLo, c.errHi).Value()) > n+n>>10 {
+		r.Fail(binio.Corruptf("rmi: leaf %d clamps [%d,%d] and margins (%d,%d) impossible over %d keys", li, c.lo, c.hi, c.errLo.Value(), c.errHi.Value(), n))
 	}
 	return c
 }

@@ -1,7 +1,6 @@
 package rmi
 
 import (
-	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -124,32 +123,6 @@ func TestDecodeRejectsTaggedLeafPayload(t *testing.T) {
 		idx, err := Decode(binio.NewReader(w.Buffered()))
 		if idx != nil || err == nil || !strings.Contains(err.Error(), "tagged-leaf layout") {
 			t.Errorf("stage 1 %v: decoded to (%v, %v), want the tagged-leaf layout error", s1, idx, err)
-		}
-	}
-}
-
-// TestMarginCode holds the 16-bit margin code to its contract over every
-// v below 2¹⁶ and a seeded sample up to 2³¹−1: the decoded margin is
-// never narrower than v, exact below 2,048, at most v + v>>10, and code
-// and value both grow with v, so widening by the max of codes is
-// widening by the max of margins.
-func TestMarginCode(t *testing.T) {
-	vs := []int{1<<31 - 1, 1<<31 - 2, 1 << 30, 1<<30 + 1}
-	for v := range 1 << 16 {
-		vs = append(vs, v)
-	}
-	rng := rand.New(rand.NewPCG(43, 0))
-	for range 1 << 16 {
-		vs = append(vs, rng.IntN(1<<31))
-	}
-	for _, v := range vs {
-		m := toMargin(v)
-		got := m.value()
-		if got < v || (v < 2048 && got != v) || got > v+v>>10 {
-			t.Fatalf("margin %d codes as %#x, decoded %d", v, uint16(m), got)
-		}
-		if prev := toMargin(v - 1); v > 0 && (prev > m || prev.value() > got) {
-			t.Fatalf("margin %d codes as %#x (%d), %d as %#x (%d)", v, uint16(m), got, v-1, uint16(prev), prev.value())
 		}
 	}
 }

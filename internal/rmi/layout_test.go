@@ -64,7 +64,7 @@ func refFinish(r *routed, fkeys []float64, stage2 ModelKind) ([]refLeaf, float64
 	total, count := 0.0, 0.0
 	for i := range leaves {
 		lf := &leaves[i]
-		lf.errLo, lf.errHi = toMargin(lf.errLo).value(), toMargin(lf.errHi).value()
+		lf.errLo, lf.errHi = core.ToMargin(lf.errLo).Value(), core.ToMargin(lf.errHi).Value()
 		occ := float64(lf.hiPos-lf.loPos) + 1
 		total += occ * math.Log2(float64(lf.errLo+lf.errHi+1)+1)
 		count += occ
@@ -88,8 +88,8 @@ func checkAgainstReference(t *testing.T, keys []core.Key, cfg Config, probes []c
 		t.Fatalf("%v: %d leaves, reference %d", cfg, idx.NumLeaves(), len(ref))
 	}
 	for li := range ref {
-		if c := idx.clampsOf(li); c.errLo.value() != ref[li].errLo || c.errHi.value() != ref[li].errHi {
-			t.Fatalf("%v leaf %d: margins (%d,%d), reference (%d,%d)", cfg, li, c.errLo.value(), c.errHi.value(), ref[li].errLo, ref[li].errHi)
+		if c := idx.clampsOf(li); c.errLo.Value() != ref[li].errLo || c.errHi.Value() != ref[li].errHi {
+			t.Fatalf("%v leaf %d: margins (%d,%d), reference (%d,%d)", cfg, li, c.errLo.Value(), c.errHi.Value(), ref[li].errLo, ref[li].errHi)
 		}
 	}
 	if got := idx.AvgLog2Error(); got != refLog2 {

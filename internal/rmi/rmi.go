@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 
 	"repro/internal/core"
@@ -84,28 +83,8 @@ type clamps struct {
 	// prediction. errLo covers the worst over-prediction (pred-actual)
 	// and errHi the worst under-prediction (actual-pred); both include
 	// the +1 widening needed for absent-key validity.
-	errLo, errHi margin
+	errLo, errHi core.Margin
 }
-
-// margin is a search-bound margin in 16 bits: a 5-bit exponent e over
-// an 11-bit mantissa m, worth m<<e. toMargin rounds any v < 2³¹ up, by
-// at most v>>10 (exact below 2,048), so a bound never narrows; the
-// codes it returns order as their values do.
-type margin uint16
-
-func toMargin(v int) margin {
-	v = max(v, 0)
-	e := max(bits.Len(uint(v))-11, 0)
-	m := (v + 1<<e - 1) >> e
-	if m == 2048 { // rounding up carried into the next exponent
-		m, e = 1024, e+1
-	}
-	return margin(e<<11 | m)
-}
-
-// value decodes m with no branch, which would mispredict where wide and
-// narrow leaves mix; the &63 spares the shift its overflow check.
-func (m margin) value() int { return int(m&0x7ff) << (m >> 11 & 63) }
 
 // leaf is a linear second-stage model with the key normalisation and
 // the clamps of model.predict and of the trained span folded in at
@@ -173,8 +152,8 @@ func clampRound(p float64, lo, hi int) int {
 // widen grows the margins to cover a key predicted d positions above
 // its true position: over-prediction widens the low margin.
 func (c *clamps) widen(d int) {
-	c.errLo = max(c.errLo, toMargin(d+1))
-	c.errHi = max(c.errHi, toMargin(-d+1))
+	c.errLo = max(c.errLo, core.ToMargin(d+1))
+	c.errHi = max(c.errHi, core.ToMargin(-d+1))
 }
 
 // New trains an RMI over sorted keys.
@@ -382,7 +361,7 @@ func (r *routed) finish(fkeys []float64, stage2 ModelKind) *Index {
 	for li := 0; li < B; li++ {
 		occ := float64(r.last[li]-r.first[li]) + 1
 		c := idx.clampsOf(li)
-		total += occ * math.Log2(float64(c.errLo.value()+c.errHi.value()+1)+1)
+		total += occ * math.Log2(float64(c.errLo.Value()+c.errHi.Value()+1)+1)
 		count += occ
 	}
 	idx.avgLog2 = total / count
@@ -449,9 +428,9 @@ func (idx *Index) Explain(key core.Key) (leaf, pos int, b core.Bound) {
 	if idx.cubics != nil {
 		lf := &idx.cubics[leaf]
 		pos = lf.pos(fkey)
-		return leaf, pos, core.BoundAround(pos, lf.errLo.value(), lf.errHi.value(), idx.n)
+		return leaf, pos, core.BoundAround(pos, lf.errLo.Value(), lf.errHi.Value(), idx.n)
 	}
 	lf := &idx.leaves[leaf]
 	pos = lf.pos(fkey)
-	return leaf, pos, core.BoundAround(pos, lf.errLo.value(), lf.errHi.value(), idx.n)
+	return leaf, pos, core.BoundAround(pos, lf.errLo.Value(), lf.errHi.Value(), idx.n)
 }

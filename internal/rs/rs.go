@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -260,7 +261,8 @@ func fitSpline(keys []core.Key, eps int) (ptKeys []core.Key, ptPos []int32) {
 	if havePrev && ptKeys[len(ptKeys)-1] != prevKey {
 		ptKeys, ptPos = append(ptKeys, prevKey), append(ptPos, prevPos)
 	}
-	return ptKeys, ptPos
+	// Appending left up to a quarter of each array spare; keep none.
+	return slices.Clone(ptKeys), slices.Clone(ptPos)
 }
 
 // interpolate evaluates the spline at x: the polyline through points
