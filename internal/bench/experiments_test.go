@@ -86,7 +86,8 @@ func runExperiment(t *testing.T, name string, wantMarkers ...string) []report.Ta
 
 // sweepRows renders the clock-free part of a sweep figure's tables: per
 // table its title, then per row its dimensions and, exactly, each
-// metric not read off a clock (size in MB, log2 error).
+// metric not read off a clock (size in MB, log2 error, and fig12's
+// simulated misses and instructions per lookup).
 func sweepRows(tables []report.Table) string {
 	var b strings.Builder
 	for _, tb := range tables {
@@ -94,7 +95,8 @@ func sweepRows(tables []report.Table) string {
 		for _, row := range tb.Rows {
 			b.WriteString(strings.Join(row.Dims, "\t"))
 			for i, m := range tb.Schema.Metrics {
-				if m.Unit == "MB" || m.Unit == "log2" {
+				switch m.Unit {
+				case "MB", "log2", "misses/op", "instr/op":
 					fmt.Fprintf(&b, "\t%s=%s", m.Name, strconv.FormatFloat(row.Metrics[i], 'g', -1, 64))
 				}
 			}
@@ -106,7 +108,7 @@ func sweepRows(tables []report.Table) string {
 
 // checkSweepGolden holds a sweep figure's rows at tiny scale to
 // testdata/sweep/<name>.golden: which configurations it built, in which
-// order, and their sizes and log2 errors, exactly. A missing golden is
+// order, and their sizes, log2 errors and simulated counters, exactly. A missing golden is
 // written and fails the test; regenerate all of them with
 //
 //	rm internal/bench/testdata/sweep/*.golden; go test -run EndToEnd ./internal/bench; go test -run EndToEnd ./internal/bench
@@ -160,7 +162,7 @@ func TestFig11EndToEnd(t *testing.T) {
 }
 
 func TestFig12EndToEnd(t *testing.T) {
-	runExperiment(t, "fig12", "Figure 12", "c-miss", "instr")
+	checkSweepGolden(t, "fig12", runExperiment(t, "fig12", "Figure 12", "c-miss", "instr"))
 }
 
 func TestFig13EndToEnd(t *testing.T) {
