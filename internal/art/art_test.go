@@ -1,36 +1,51 @@
 package art
 
 import (
-	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/indextest"
 )
 
+// build builds a stride-1 index over keys, which must be sorted.
+func build(t *testing.T, keys []core.Key) *Index {
+	t.Helper()
+	idx, err := Builder{Stride: 1}.Build(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx.(*Index)
+}
+
+// exact reports whether a stride-1 index's bound for x is exactly the
+// lower bound's one position or, past the last key, what follows the
+// last key's first position.
+func exact(idx *Index, keys []core.Key, x core.Key) bool {
+	lb, n := core.LowerBound(keys, x), len(keys)
+	want := core.Bound{Lo: lb, Hi: lb + 1}
+	if lb == n {
+		want = core.Bound{Lo: core.LowerBound(keys, keys[n-1]) + 1, Hi: n}
+	}
+	return idx.Lookup(x) == want
+}
+
+// checkExact holds a stride-1 index to exact at every probe.
+func checkExact(t *testing.T, idx *Index, keys, probes []core.Key) {
+	t.Helper()
+	for _, x := range probes {
+		if !exact(idx, keys, x) {
+			t.Fatalf("Lookup(%#x) = %v, lower bound %d", x, idx.Lookup(x), core.LowerBound(keys, x))
+		}
+	}
+}
+
 func TestARTCeilingMatchesReference(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 10000, 1)
-	tr := newTree()
-	for i, k := range keys {
-		tr.put(k, int32(i))
-	}
-	probes := indextest.ProbesFor(keys[:2000])
-	for _, x := range probes {
-		want := core.LowerBound(keys, x)
-		k, v, found := tr.ceiling(x, nil)
-		if want == len(keys) {
-			if found {
-				t.Fatalf("Ceiling(%d): found %d, want none", x, k)
-			}
-			continue
-		}
-		if !found || v != int32(want) || k != keys[want] {
-			t.Fatalf("Ceiling(%d) = (%d,%d,%v), want key %d pos %d", x, k, v, found, keys[want], want)
-		}
-	}
+	checkExact(t, build(t, keys), keys, indextest.ProbesFor(keys[:2000]))
 }
 
 func TestARTValidityAllDatasets(t *testing.T) {
@@ -47,124 +62,73 @@ func TestARTValidityAllDatasets(t *testing.T) {
 	}
 }
 
-func TestARTInsertOverwrite(t *testing.T) {
-	tr := newTree()
-	tr.put(42, 1)
-	tr.put(42, 7)
-	if n := tr.counts[kindLeaf]; n != 1 {
-		t.Fatalf("leaves = %d, want 1", n)
-	}
-	_, v, found := tr.ceiling(42, nil)
-	if !found || v != 7 {
-		t.Fatalf("Ceiling(42) = (%d, %v)", v, found)
-	}
-}
-
 func TestARTEmptyTree(t *testing.T) {
-	tr := newTree()
-	if _, _, found := tr.ceiling(5, nil); found {
-		t.Error("empty tree should find nothing")
-	}
 	if _, err := (Builder{}).Build(nil); err == nil {
 		t.Error("expected error on empty build")
 	}
+	// One key: the root is a leaf.
+	keys := []core.Key{5}
+	idx := build(t, keys)
+	if idx.root >= 0 || idx.SizeBytes() != 0 {
+		t.Errorf("one key: root %d, %d bytes; want a leaf and no nodes", idx.root, idx.SizeBytes())
+	}
+	checkExact(t, idx, keys, []core.Key{0, 4, 5, 6, ^core.Key(0)})
 }
 
-func TestARTNodeGrowth(t *testing.T) {
-	// Keys sharing a 7-byte prefix with all 256 final bytes force one
-	// node through every size class.
-	tr := newTree()
-	base := core.Key(0xAABBCCDD11223300)
-	for i := 0; i < 256; i++ {
-		tr.put(base|core.Key(i), int32(i))
-	}
-	if tr.counts[kind256] != 1 {
-		t.Errorf("expected one Node256, got %d (counts=%v)", tr.counts[kind256], tr.counts)
-	}
-	for i := 0; i < 256; i++ {
-		k, v, found := tr.ceiling(base|core.Key(i), nil)
-		if !found || v != int32(i) || k != base|core.Key(i) {
-			t.Fatalf("Ceiling(%d) = (%d,%d,%v)", base|core.Key(i), k, v, found)
+// TestARTNodeKinds builds a root with three children, one with 10, one
+// with 40 and one with 256: one node of every kind.
+func TestARTNodeKinds(t *testing.T) {
+	var keys []core.Key
+	for top, n := range map[core.Key]int{0x10: 10, 0x20: 40, 0x30: 256} {
+		for b := range n {
+			keys = append(keys, top<<56|core.Key(b)<<48|0x1234)
 		}
 	}
+	slices.Sort(keys)
+	idx := build(t, keys)
+	tr := idx
+	if got := [4]int{len(tr.n4), len(tr.n16), len(tr.n48), len(tr.n256)}; got != [4]int{1, 1, 1, 1} {
+		t.Fatalf("Node4/16/48/256 counts %v, want one of each", got)
+	}
+	probes := indextest.ProbesFor(keys)
+	for _, top := range []core.Key{0x0F, 0x10, 0x20, 0x30} {
+		for b := range core.Key(256) {
+			probes = append(probes, top<<56|b<<48, top<<56|b<<48|0x1235)
+		}
+	}
+	checkExact(t, idx, keys, probes)
 }
 
 func TestARTPathCompression(t *testing.T) {
 	// Two keys differing only in the last byte share a 7-byte
-	// compressed path: exactly one inner node.
-	tr := newTree()
-	tr.put(0x1122334455667701, 1)
-	tr.put(0x1122334455667702, 2)
-	if tr.counts[kind4] != 1 {
-		t.Errorf("expected 1 Node4, got %d", tr.counts[kind4])
+	// compressed path: one inner node, branching on byte 7.
+	two := []core.Key{0x1122334455667701, 0x1122334455667702}
+	if idx := build(t, two); len(idx.n4) != 1 || idx.n4[0].depth != 7 || idx.n4[0].prefix != 0x1122334455667700 {
+		t.Fatalf("two keys: nodes %+v, want one Node4 at depth 7", idx.n4)
 	}
-	// A key diverging at byte 3 splits the path.
-	tr.put(0x11223399AA000000, 3)
-	if tr.counts[kind4] != 2 {
-		t.Errorf("expected 2 Node4 after split, got %d", tr.counts[kind4])
+	// A key diverging at byte 3 puts a Node4 at depth 3 above it.
+	keys := append(two, 0x11223399AA000000)
+	idx := build(t, keys)
+	if len(idx.n4) != 2 || idx.n4[1].depth != 3 {
+		t.Fatalf("three keys: nodes %+v, want a Node4 at depth 3 over the one at 7", idx.n4)
 	}
-	for _, k := range []core.Key{0x1122334455667701, 0x1122334455667702, 0x11223399AA000000} {
-		got, _, found := tr.ceiling(k, nil)
-		if !found || got != k {
-			t.Fatalf("Ceiling(%x) = (%x, %v)", k, got, found)
-		}
-	}
+	checkExact(t, idx, keys, []core.Key{
+		0, 0x1122330000000000, // the root's prefix is greater: its least key
+		0x2000000000000000, // the root's prefix is smaller: none
+		0x1122334400000000, // the depth-7 node's prefix is greater: its least key
+		0x11223344FF000000, // its prefix is smaller: back up to the root's next byte
+		0x1122334455667701, 0x1122334455667702, 0x1122334455667703, 0x11223399AA000000,
+	})
 }
 
 func TestARTCeilingAcrossSplitPaths(t *testing.T) {
-	tr := newTree()
-	keys := []core.Key{0x1000000000000000, 0x1000000000000005, 0x2000000000000000, 0xFF00000000000000}
-	for i, k := range keys {
-		tr.put(k, int32(i))
-	}
-	cases := []struct {
-		x    core.Key
-		want core.Key
-		ok   bool
-	}{
-		{0, 0x1000000000000000, true},
-		{0x1000000000000001, 0x1000000000000005, true},
-		{0x1000000000000006, 0x2000000000000000, true},
-		{0x3000000000000000, 0xFF00000000000000, true},
-		{0xFF00000000000001, 0, false},
-	}
-	for _, tc := range cases {
-		k, _, found := tr.ceiling(tc.x, nil)
-		if found != tc.ok || (found && k != tc.want) {
-			t.Errorf("Ceiling(%x) = (%x, %v), want (%x, %v)", tc.x, k, found, tc.want, tc.ok)
-		}
-	}
-}
-
-func TestARTRandomInsertCeiling(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tr := newTree()
-	seen := map[core.Key]int32{}
-	var sorted []core.Key
-	for i := 0; i < 5000; i++ {
-		k := core.Key(rng.Uint64())
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = int32(i)
-		tr.put(k, int32(i))
-		sorted = append(sorted, k)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for q := 0; q < 3000; q++ {
-		x := core.Key(rng.Uint64())
-		i := core.LowerBound(sorted, x)
-		k, v, found := tr.ceiling(x, nil)
-		if i == len(sorted) {
-			if found {
-				t.Fatalf("Ceiling(%d) found %d, want none", x, k)
-			}
-			continue
-		}
-		if !found || k != sorted[i] || v != seen[sorted[i]] {
-			t.Fatalf("Ceiling(%d) = (%d,%d,%v), want %d", x, k, v, found, sorted[i])
-		}
-	}
+	keys := []core.Key{0x1000000000000000, 0x1000000000000005, 0x10FF000000000001, 0x10FF000000000002, 0x2000000000000000, 0xFF00000000000000}
+	checkExact(t, build(t, keys), keys, []core.Key{
+		0, 0x1000000000000001, 0x1000000000000006, 0x3000000000000000, 0xFF00000000000001,
+		// Nothing under 0x10FF...02's node at byte 7 is >= 03, and byte
+		// 1's node has no byte past 0xFF: the ceiling is two levels up.
+		0x10FF000000000003, 0x10FFFFFFFFFFFFFF,
+	})
 }
 
 func TestARTDuplicateData(t *testing.T) {
@@ -178,15 +142,20 @@ func TestARTDuplicateData(t *testing.T) {
 	}
 }
 
+// TestARTSizeAccounting: SizeBytes is the four node arrays, each its
+// length times its node's size, and a sparser subset is smaller.
 func TestARTSizeAccounting(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.OSM, 10000, 1)
-	full, _ := Builder{Stride: 1}.Build(keys)
+	full := build(t, keys)
+	tr := full
+	want := len(tr.n4)*int(unsafe.Sizeof(node4{})) + len(tr.n16)*int(unsafe.Sizeof(node16{})) +
+		len(tr.n48)*int(unsafe.Sizeof(node48{})) + len(tr.n256)*int(unsafe.Sizeof(node256{}))
+	if got := full.SizeBytes(); got != want || got <= 0 {
+		t.Errorf("SizeBytes %d, want the arrays' %d bytes", got, want)
+	}
 	sub, _ := Builder{Stride: 16}.Build(keys)
 	if sub.SizeBytes() >= full.SizeBytes() {
 		t.Errorf("stride 16 (%d) not smaller than stride 1 (%d)", sub.SizeBytes(), full.SizeBytes())
-	}
-	if full.SizeBytes() <= 0 {
-		t.Error("size must be positive")
 	}
 }
 
@@ -201,30 +170,29 @@ func TestARTBuilderName(t *testing.T) {
 	}
 }
 
-// Property: ART ceiling agrees with the sorted-array reference under
-// random keys.
+// Property: a stride-1 index's bound is LowerBound's position, over
+// keys shifted right by a random count so that they share leading
+// bytes, with duplicates.
 func TestARTProperty(t *testing.T) {
-	f := func(raw []uint64, x uint64) bool {
-		uniq := map[uint64]bool{}
-		tr := newTree()
-		var sorted []core.Key
-		for _, k := range raw {
-			if uniq[k] {
-				continue
-			}
-			uniq[k] = true
-			tr.put(k, 0)
-			sorted = append(sorted, k)
+	f := func(raw []uint64, shift uint8, x uint64) bool {
+		if len(raw) == 0 {
+			return true
 		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		i := core.LowerBound(sorted, x)
-		k, _, found := tr.ceiling(x, nil)
-		if i == len(sorted) {
-			return !found
+		s := shift % 64
+		keys := make([]core.Key, len(raw))
+		for i, k := range raw {
+			keys[i] = k >> s
 		}
-		return found && k == sorted[i]
+		keys = append(keys, keys[0]) // one duplicate at least
+		slices.Sort(keys)
+		idx, err := Builder{Stride: 1}.Build(keys)
+		if err != nil {
+			return false
+		}
+		mid := keys[len(keys)/2]
+		return exact(idx.(*Index), keys, x>>s) && exact(idx.(*Index), keys, mid) && exact(idx.(*Index), keys, mid+1)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

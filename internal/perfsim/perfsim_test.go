@@ -163,7 +163,7 @@ func TestTracedRegionsSumToSizeBytes(t *testing.T) {
 		case *tracedBTree:
 			regions, size = v.levels, v.idx.SizeBytes()
 		case *tracedART:
-			regions, size = []Region{v.heap}, v.idx.SizeBytes()
+			regions, size = v.arrays[:4], v.idx.SizeBytes()
 		case *tracedFAST:
 			regions, size = v.levels, v.idx.SizeBytes()
 		case *tracedRobin:

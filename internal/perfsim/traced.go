@@ -80,7 +80,12 @@ func For(idx core.Index, m *Machine, keys []core.Key) (tr Traced, ok bool) {
 		}
 		return t, true
 	case *art.Index:
-		return &tracedART{d, v, m.Alloc(v.SizeBytes())}, true
+		t := &tracedART{dataRegions: d, idx: v}
+		for k, n := range v.ArrayBytes() {
+			t.arrays[k] = m.Alloc(n)
+		}
+		t.arrays[4] = d.keysReg
+		return t, true
 	case *fast.Index:
 		t := &tracedFAST{dataRegions: d, idx: v}
 		for _, n := range v.LevelSizes() {
@@ -266,22 +271,24 @@ func (t *tracedBTree) step(st btree.NodeStep) {
 
 type tracedART struct {
 	*dataRegions
-	idx  *art.Index
-	heap Region
+	idx    *art.Index
+	arrays [5]Region // the Node4, Node16, Node48 and Node256 arrays, then the data keys
 }
 
 func (t *tracedART) Lookup(key core.Key) core.Bound {
 	return t.lastMile(key, t.idx.Trace(key, t.step))
 }
 
+// step charges one read at its offset in its array (no read straddles
+// a line: the arrays start on one, and each node's header and every
+// slot lie within one) and records the compare it feeds, at one site
+// per kind of compare.
 func (t *tracedART) step(st art.NodeStep) {
-	// Nodes live at one line per id in the simulated heap, and a
-	// visit reads a node's first line.
-	line := int(t.m.lineSz)
-	off := max((int(st.ID)*line)%(t.heap.size-st.SizeBytes), 0)
-	t.m.Access(t.heap, off, min(st.SizeBytes, line))
-	t.m.recordBranch(0xA1, st.ID&1 == 0)
-	t.m.instr(6)
+	t.m.Access(t.arrays[st.Kind], st.Off, 1)
+	if st.Cmp != 0 {
+		t.m.recordBranch(0xA0+uint32(st.Cmp), st.Taken)
+	}
+	t.m.instr(3)
 }
 
 type tracedFAST struct {
