@@ -1,6 +1,9 @@
 package fst
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // bitvector is an append-only bit sequence with O(1) rank and sampled
 // select support, the building block of LOUDS-encoded tries.
@@ -29,8 +32,10 @@ func (b *bitvector) append(bit bool) {
 }
 
 // finish builds the rank/select directories; must be called before
-// rank1/select1 and after the last append.
+// rank1/select1 and after the last append. The appended arrays are
+// cloned to their length, so the vector holds no spare capacity.
 func (b *bitvector) finish() {
+	b.words = slices.Clone(b.words)
 	b.ranks = make([]int32, len(b.words)+1)
 	total := int32(0)
 	for i, w := range b.words {
@@ -51,6 +56,7 @@ func (b *bitvector) finish() {
 		}
 		seen += c
 	}
+	b.selects = slices.Clone(b.selects)
 }
 
 // selectOneInWord returns the bit offset of the k-th (1-based) one in w.

@@ -13,6 +13,7 @@ package fst
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -77,6 +78,7 @@ func newTrie(keys []core.Key, vals []int32) (*trie, error) {
 	}
 	t.hasChild.finish()
 	t.louds.finish()
+	t.labels, t.values = slices.Clone(t.labels), slices.Clone(t.values)
 	return t, nil
 }
 

@@ -5,21 +5,28 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/art"
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/rs"
 )
 
-// TestRetainedHeapMatchesSizeBytes holds PGM's and RS's SizeBytes to
-// the heap a build retains, at every rung of their ladders over the
-// four datasets at 200k keys: within 10 % plus 4 KiB either way, so an
+// TestRetainedHeapMatchesSizeBytes holds every family's SizeBytes to
+// the heap a build retains, at every rung of its ladder over the four
+// datasets at 200k keys: within 10 % plus 4 KiB either way, so an
 // array with spare capacity, or one SizeBytes leaves out, fails with
 // its family and rung named. It builds on one goroutine, so the heap
-// grows by nothing but the build.
+// grows by nothing but the build. RS gets one rung more, eps=4,r=4,
+// whose spline arrays outweigh its radix table (at every rung of the
+// ladder the table dominates, so spare capacity in the spline arrays
+// would not show).
 //
-// One rung is allowed one page more. Go's allocator rounds an object
-// over 32 KiB up to whole 8 KiB pages, and RS's radix table has 2^r+1
-// two-byte entries: at r=14 it is 32,770 bytes and takes 40,960, so
-// that rung retains 1.20–1.25x its SizeBytes on amzn, osm and wiki with
-// no spare capacity in any array.
+// No family's size is a model that needs an exemption. Wormhole's comes
+// closest: it prices its prefix hash at 48 B an entry, not from its
+// arrays, and retains 0.98–1.10x what it reports (README "Divergences").
+//
+// pageAllowance allows what Go's allocator adds on top: it rounds an
+// object over 32 KiB up to whole 8 KiB pages.
 func TestRetainedHeapMatchesSizeBytes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms runtime.MemStats
@@ -31,8 +38,12 @@ func TestRetainedHeapMatchesSizeBytes(t *testing.T) {
 	}
 	for _, ds := range dataset.All() {
 		keys := dataset.MustGenerate(ds, 200_000, 1)
-		for _, family := range []string{"PGM", "RS"} {
-			for _, nb := range Sweep(family, keys) {
+		for _, family := range Families() {
+			rungs := Sweep(family, keys)
+			if family == "RS" {
+				rungs = append(rungs, NamedBuilder{"eps=4,r=4", rs.Builder{Config: rs.Config{SplineErr: 4, RadixBits: 4}}})
+			}
+			for _, nb := range rungs {
 				before := heap()
 				idx, err := nb.Builder.Build(keys)
 				if err != nil {
@@ -41,14 +52,38 @@ func TestRetainedHeapMatchesSizeBytes(t *testing.T) {
 				retained := heap() - before
 				size := int64(idx.SizeBytes())
 				runtime.KeepAlive(idx)
-				allow := size/10 + 4096
-				if family == "RS" && strings.HasSuffix(nb.Label, ",r=14") {
-					allow += 8192
-				}
+				allow := size/10 + 4096 + pageAllowance(family, nb.Label, idx)
 				if d := retained - size; d > allow || -d > allow {
 					t.Errorf("%s %s on %s: retains %d bytes, SizeBytes %d (%.2fx)", family, nb.Label, ds, retained, size, float64(retained)/float64(size))
 				}
 			}
 		}
 	}
+}
+
+// pageAllowance is the page rounding a rung's arrays may retain beyond
+// the 10 %:
+//   - RS r=14: one page. Its radix table has 2^14+1 two-byte entries,
+//     32,770 bytes, which takes 40,960, so the rung retains 1.20–1.25x
+//     its SizeBytes on amzn, osm and wiki with no spare capacity.
+//   - ART: one page per node array over 32 KiB. At amzn stride=32 the
+//     Node48 and Node256 arrays are 34,800 and 42,640 bytes and take
+//     40,960 and 49,152: 12,672 bytes, against the 12,012 the 10 % and
+//     4 KiB allow. The rung retained 12,896 more than SizeBytes.
+func pageAllowance(family, label string, idx core.Index) int64 {
+	switch family {
+	case "RS":
+		if strings.HasSuffix(label, ",r=14") {
+			return 8192
+		}
+	case "ART":
+		var pages int64
+		for _, b := range idx.(*art.Index).ArrayBytes() {
+			if b > 32<<10 {
+				pages += 8192
+			}
+		}
+		return pages
+	}
+	return 0
 }

@@ -57,7 +57,7 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 	if stride < 1 {
 		stride = 1
 	}
-	idx := &index{n: n, stride: stride, meta: make(map[string]span)}
+	idx := &index{n: n, stride: stride, subset: make([]core.Key, 0, (n+stride-1)/stride), meta: make(map[string]span)}
 	for i := 0; i < n; i += stride {
 		idx.subset = append(idx.subset, keys[i])
 	}
