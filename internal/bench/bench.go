@@ -59,18 +59,29 @@ func NewEnv(name dataset.Name, n, m int, seed uint64) (*Env, error) {
 // LowerBound positions: what every unfenced pass must reproduce (the
 // paper sums payloads "to ensure the results are accurate").
 func (e *Env) checksum() uint64 {
-	e.sumOnce.Do(func() {
-		for _, x := range e.Lookups {
-			e.sum += e.Payloads[core.LowerBound(e.Keys, x)]
-		}
-	})
+	e.sumOnce.Do(func() { e.sum = e.reference(0, len(e.Lookups), false) })
 	return e.sum
 }
 
+// reference is what a correct pass returns: ops lookups from lookup
+// start on, each at its LowerBound position, and fenced, each next
+// lookup chosen by the payloads read so far, as pass chooses it.
+func (e *Env) reference(start, ops int, fenced bool) uint64 {
+	var sum uint64
+	i := start % max(len(e.Lookups), 1)
+	for range ops {
+		if pos := core.LowerBound(e.Keys, e.Lookups[i]); pos < len(e.Payloads) {
+			sum += e.Payloads[pos]
+		}
+		i = e.next(i, sum, fenced)
+	}
+	return sum
+}
+
 // verify fails, naming the dataset, family and config, when a pass of
-// c over every lookup summed other payloads than LowerBound's.
-func (e *Env) verify(c config, sum uint64) error {
-	if want := e.checksum(); sum != want {
+// c summed other payloads than want, the reference's.
+func (e *Env) verify(c config, sum, want uint64) error {
+	if sum != want {
 		return fmt.Errorf("%s on %s: payload sum %d, want %d (LowerBound's)", registry.ID(c.family, c.Label), e.Dataset, sum, want)
 	}
 	return nil
@@ -126,7 +137,7 @@ func MeasureWarm(e *Env, idx core.Index, fn search.Fn) Measurement {
 // timed pass, or verify's error when its payload sum is wrong.
 func (e *Env) warm(c config, fn search.Fn) (float64, error) {
 	m := MeasureWarm(e, c.idx, fn)
-	return m.NsPerLookup, e.verify(c, m.checksum)
+	return m.NsPerLookup, e.verify(c, m.checksum, e.checksum())
 }
 
 // warmNative32 times a native 32-bit tree's Ceiling over e's lookups as
@@ -149,15 +160,17 @@ func (e *Env) warmNative32(name string, ceil func(core.Key32) int) (float64, err
 	start := time.Now()
 	sum := pass()
 	ns := float64(time.Since(start).Nanoseconds()) / float64(len(lookups))
-	return ns, e.verify(config{family: name}, sum)
+	return ns, e.verify(config{family: name}, sum, e.checksum())
 }
 
-// measureFenced times the serialized regime of Figure 15: each lookup
-// key is made data-dependent on the previous lookup's payload, so the
-// CPU cannot overlap consecutive lookups. This replaces the paper's
-// mfence, which Go cannot emit (DESIGN.md substitution 4).
-func measureFenced(e *Env, idx core.Index, fn search.Fn) Measurement {
-	return e.timed(idx, fn, true)
+// fenced times the serialized regime of Figure 15: each lookup key is
+// made data-dependent on the previous lookup's payload, so the CPU
+// cannot overlap consecutive lookups. This replaces the paper's mfence,
+// which Go cannot emit (DESIGN.md substitution 4). The chain is checked
+// against the reference's.
+func (e *Env) fenced(c config, fn search.Fn) (float64, error) {
+	m := e.timed(c.idx, fn, true)
+	return m.NsPerLookup, e.verify(c, m.checksum, e.reference(0, len(e.Lookups), true))
 }
 
 // timed runs one warm-up pass, then times a second.
@@ -186,13 +199,22 @@ func (e *Env) pass(idx core.Index, fn search.Fn, start int, fenced bool) uint64 
 		if pos := fn(e.Keys, x, idx.Lookup(x)); pos < len(e.Payloads) {
 			sum += e.Payloads[pos]
 		}
-		if fenced {
-			i = (i + 1 + int(sum&1)) % n
-		} else if i++; i == n {
-			i = 0
-		}
+		i = e.next(i, sum, fenced)
 	}
 	return sum
+}
+
+// next is the lookup a pass runs after lookup i, with sum the payloads
+// read so far: unfenced the next in order, fenced one or two on, by the
+// sum's low bit.
+func (e *Env) next(i int, sum uint64, fenced bool) int {
+	if fenced {
+		return (i + 1 + int(sum&1)) % len(e.Lookups)
+	}
+	if i++; i == len(e.Lookups) {
+		return 0
+	}
+	return i
 }
 
 // thrash is the cold-cache eviction buffer (must exceed the LLC).
@@ -228,6 +250,14 @@ func MeasureCold(e *Env, idx core.Index, fn search.Fn, coldOps int) Measurement 
 	}
 }
 
+// cold is MeasureCold of c's index, checked: the ns per lookup, or
+// verify's error when the coldOps lookups summed other payloads than
+// the reference over the same prefix.
+func (e *Env) cold(c config, fn search.Fn, coldOps int) (float64, error) {
+	m := MeasureCold(e, c.idx, fn, coldOps)
+	return m.NsPerLookup, e.verify(c, m.checksum, e.reference(0, min(coldOps, len(e.Lookups)), false))
+}
+
 // coldPass is Figure 14's cold pass: the first coldOps of e's lookups,
 // each after evict. It returns the number of lookups run.
 func coldPass(e *Env, coldOps int, evict func(), lookup func(core.Key)) int {
@@ -242,9 +272,8 @@ func coldPass(e *Env, coldOps int, evict func(), lookup func(core.Key)) int {
 // measureThroughput runs the multithreaded regime of Figure 16:
 // threads goroutines each execute the full lookup workload from their
 // own offset; the result is aggregate lookups per second. fenced
-// selects the serialized per-thread loop. Each unfenced thread's
-// payload sum is verified; a fenced one steers its own keys and is
-// not, so a fenced run never errs.
+// selects the serialized per-thread loop. Each thread's payload sum is
+// verified against the reference pass from its offset.
 func measureThroughput(e *Env, c config, threads int, fenced bool) (float64, error) {
 	threads = max(threads, 1)
 	e.pass(c.idx, search.BinarySearch, 0, false) // warm caches and fault pages before timing
@@ -260,11 +289,13 @@ func measureThroughput(e *Env, c config, threads int, fenced bool) (float64, err
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
-	if !fenced {
-		for _, sum := range sums {
-			if err := e.verify(c, sum); err != nil {
-				return 0, err
-			}
+	for t, sum := range sums {
+		want := e.checksum() // any offset sums every lookup once
+		if fenced {
+			want = e.reference(t*7919, len(e.Lookups), true)
+		}
+		if err := e.verify(c, sum, want); err != nil {
+			return 0, err
 		}
 	}
 	return float64(threads*len(e.Lookups)) / elapsed, nil

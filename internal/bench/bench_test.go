@@ -25,16 +25,15 @@ func TestEnvChecksum(t *testing.T) {
 	if !ok {
 		t.Fatal("BS does not build")
 	}
-	idx := bs.idx
-	m := MeasureWarm(e, idx, search.BinarySearch)
+	m := MeasureWarm(e, bs.idx, search.BinarySearch)
 	if m.checksum != want {
 		t.Fatalf("warm checksum %d != %d", m.checksum, want)
 	}
-	cold := MeasureCold(e, idx, search.BinarySearch, 50)
-	_ = cold // cold measures a prefix of the workload; only validity of run matters
-	fenced := measureFenced(e, idx, search.BinarySearch)
-	if fenced.NsPerLookup <= 0 {
-		t.Fatal("fenced measurement empty")
+	if _, err := e.cold(bs, search.BinarySearch, 50); err != nil {
+		t.Fatal(err)
+	}
+	if ns, err := e.fenced(bs, search.BinarySearch); err != nil || ns <= 0 {
+		t.Fatalf("fenced: %v ns, %v", ns, err)
 	}
 }
 
@@ -102,8 +101,9 @@ func (m missIndex) Lookup(x core.Key) core.Bound {
 }
 
 // TestPayloadCheckNamesTheConfig: an index whose bounds miss the key
-// fails the checked warm measurement and the unfenced threaded passes,
-// and the error names the dataset, the family and the config.
+// fails every checked pass — warm, cold, fenced, and the threaded
+// passes fenced or not — and the error names the dataset, the family
+// and the config.
 func TestPayloadCheckNamesTheConfig(t *testing.T) {
 	e, err := NewEnv(dataset.Amzn, 3000, 300, 1)
 	if err != nil {
@@ -113,17 +113,22 @@ func TestPayloadCheckNamesTheConfig(t *testing.T) {
 	if !ok {
 		t.Fatal("no PGM variant")
 	}
-	if _, err := e.warm(good, search.BinarySearch); err != nil {
-		t.Fatalf("correct index failed the check: %v", err)
-	}
 	bad := good
 	bad.idx = missIndex{good.idx, e.Keys}
 	name := "PGM/" + good.Label + " on amzn"
-	if _, err := e.warm(bad, search.BinarySearch); err == nil || !strings.Contains(err.Error(), name) {
-		t.Fatalf("warm: err = %v, want one naming %q", err, name)
-	}
-	if _, err := measureThroughput(e, bad, 2, false); err == nil || !strings.Contains(err.Error(), name) {
-		t.Fatalf("threaded: err = %v, want one naming %q", err, name)
+	for pass, run := range map[string]func(config) (float64, error){
+		"warm":            func(c config) (float64, error) { return e.warm(c, search.BinarySearch) },
+		"cold":            func(c config) (float64, error) { return e.cold(c, search.BinarySearch, 100) },
+		"fenced":          func(c config) (float64, error) { return e.fenced(c, search.BinarySearch) },
+		"threaded":        func(c config) (float64, error) { return measureThroughput(e, c, 2, false) },
+		"threaded fenced": func(c config) (float64, error) { return measureThroughput(e, c, 2, true) },
+	} {
+		if _, err := run(good); err != nil {
+			t.Fatalf("%s: correct index failed the check: %v", pass, err)
+		}
+		if _, err := run(bad); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s: err = %v, want one naming %q", pass, err, name)
+		}
 	}
 }
 

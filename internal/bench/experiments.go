@@ -464,8 +464,8 @@ func fig13(r *Run) ([]report.Table, error) {
 }
 
 // fig14 reports the warm/cold cache comparison of Figure 14 on amzn.
-// The cold pass looks up a prefix of the workload, so only the warm one
-// is payload-checked.
+// The cold pass looks up a prefix of the workload and is checked
+// against the reference over that prefix.
 func fig14(r *Run) ([]report.Table, error) {
 	e, err := r.env(dataset.Amzn)
 	if err != nil {
@@ -482,15 +482,18 @@ func fig14(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cold := MeasureCold(e, c.idx, search.BinarySearch, coldOps)
-		t.Row([]string{c.family, c.Label}, MB(c.idx.SizeBytes()), warm, cold.NsPerLookup)
+		cold, err := e.cold(c, search.BinarySearch, coldOps)
+		if err != nil {
+			return nil, err
+		}
+		t.Row([]string{c.family, c.Label}, MB(c.idx.SizeBytes()), warm, cold)
 	}
 	return []report.Table{*t}, nil
 }
 
 // fig15 reports the fence comparison of Figure 15 on amzn. The fenced
-// pass steers which lookup runs next by the payloads it reads, so only
-// the unfenced one is payload-checked.
+// pass steers which lookup runs next by the payloads it reads, and is
+// checked against the reference chain.
 func fig15(r *Run) ([]report.Table, error) {
 	e, err := r.env(dataset.Amzn)
 	if err != nil {
@@ -506,8 +509,11 @@ func fig15(r *Run) ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		fenced := measureFenced(e, c.idx, search.BinarySearch)
-		t.Row([]string{c.family, c.Label}, MB(c.idx.SizeBytes()), plain, fenced.NsPerLookup)
+		fenced, err := e.fenced(c, search.BinarySearch)
+		if err != nil {
+			return nil, err
+		}
+		t.Row([]string{c.family, c.Label}, MB(c.idx.SizeBytes()), plain, fenced)
 	}
 	return []report.Table{*t}, nil
 }
