@@ -106,7 +106,7 @@ type Builder struct {
 // Name implements core.Builder.
 func (b Builder) Name() string { return "ART" }
 
-// Build implements core.Builder.
+// Build implements core.Builder. The index keeps keys: leaves read them.
 func (b Builder) Build(keys []core.Key) (core.Index, error) {
 	n := len(keys)
 	if n == 0 || n >= math.MaxInt32 {
