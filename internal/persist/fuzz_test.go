@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/binio"
@@ -154,34 +153,65 @@ func encodeSeedWAL(tb testing.TB, ops []Op) []byte {
 	return data
 }
 
-// FuzzTable feeds arbitrary bytes to the table loader.
-func FuzzTable(f *testing.F) {
+// seedRuns returns the run files the FuzzTable seeds start from, over
+// fuzzKeys: a plain run, and one carrying both sections (tombstone bits
+// and an RMI index frame).
+func seedRuns(tb testing.TB) (plain, sections []byte) {
 	keys := fuzzKeys()
 	payloads := make([]uint64, len(keys))
+	tombs := make([]bool, len(keys))
 	for i := range payloads {
-		payloads[i] = uint64(i)
+		payloads[i], tombs[i] = uint64(i), i%3 == 0
 	}
-	path := filepath.Join(f.TempDir(), "seed.tab")
-	if err := WriteTable(path, keys, payloads); err != nil {
-		f.Fatal(err)
+	nb, ok := registry.Builder("RMI", keys)
+	if !ok {
+		tb.Fatal("RMI: no builder")
 	}
-	seed, err := os.ReadFile(path)
+	idx, err := nb.Builder.Build(keys)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
+	dir := tb.(interface{ TempDir() string }).TempDir()
+	file := func(name string, run Run) []byte {
+		path := filepath.Join(dir, name)
+		if err := WriteRun(path, run); err != nil {
+			tb.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return data
+	}
+	return file("plain.run", Run{Keys: keys, Payloads: payloads}),
+		file("sections.run", Run{Keys: keys, Payloads: payloads, Tombs: tombs, Index: idx})
+}
+
+// FuzzTable feeds arbitrary bytes to the run-file loader: an error, or
+// parallel arrays of sorted keys whose tombs and index, where present,
+// fit them — never a panic, never an allocation beyond the file's size.
+func FuzzTable(f *testing.F) {
+	_, seed := seedRuns(f)
 	f.Add(seed)
 	f.Add(seed[:4096])
-	f.Add([]byte("sosdTAB1"))
+	f.Add([]byte("sosdRUN1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		gk, gp, err := readTableFrom(bytes.NewReader(data), int64(len(data)))
+		run, err := readRunFrom(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
-		if len(gk) != len(gp) {
-			t.Fatalf("keys/payloads length diverged: %d vs %d", len(gk), len(gp))
+		if len(run.Keys) != len(run.Payloads) || (run.Tombs != nil && len(run.Tombs) != len(run.Keys)) {
+			t.Fatalf("arrays diverged: %d keys, %d payloads, %d tombs", len(run.Keys), len(run.Payloads), len(run.Tombs))
 		}
-		if !core.IsSorted(gk) {
+		if !core.IsSorted(run.Keys) {
 			t.Fatal("loader returned unsorted keys")
+		}
+		if run.Index != nil {
+			for _, x := range run.Keys {
+				if b := run.Index.Lookup(x); b.Lo < 0 || b.Lo > b.Hi {
+					t.Fatalf("decoded index produced malformed bound %v for %d", b, x)
+				}
+			}
 		}
 	})
 }
@@ -193,11 +223,11 @@ func FuzzManifest(f *testing.F) {
 		Family: "PGM",
 		Shards: []ShardMeta{
 			{Sep: 0, Codec: "PGM/eps=64", WAL: "shard-0000.wal", Runs: []RunMeta{
-				{Codec: "PGM/eps=64", Table: "shard-0000-r00.tab", Index: "shard-0000-r00.idx"},
-				{Codec: "BS", Table: "shard-0000-r01.tab", Tombs: "shard-0000-r01.tmb"},
+				{Codec: "PGM/eps=64", File: "shard-0000-r00.run"},
+				{Codec: "BS", File: "shard-0000-r01.run"},
 			}},
 			{Sep: 9999, Codec: "PGM/eps=64", WAL: "shard-0001.wal", Runs: []RunMeta{
-				{Codec: "PGM/eps=64", Table: "shard-0001-r00.tab"},
+				{Codec: "PGM/eps=64", File: "shard-0001-r00.run"},
 			}},
 		},
 	}
@@ -206,7 +236,7 @@ func FuzzManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Buffered())
-	f.Add([]byte("sosdMAN2"))
+	f.Add([]byte("sosdMAN3"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeManifest(data)
 		if err != nil {
@@ -277,23 +307,15 @@ func fuzzCorpus(t *testing.T) map[string][]byte {
 	flippedWAL[walHeaderLen+walRecordLen+4] ^= 1
 	write("FuzzWAL", "flipped", flippedWAL)
 
-	keys := fuzzKeys()
-	payloads := make([]uint64, len(keys))
-	path := filepath.Join(t.TempDir(), "c.tab")
-	if err := WriteTable(path, keys, payloads); err != nil {
-		t.Fatal(err)
-	}
-	tab, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	write("FuzzTable", "clean", tab)
-	write("FuzzTable", "trunc", tab[:5000])
+	plain, sections := seedRuns(t)
+	write("FuzzTable", "clean", plain)
+	write("FuzzTable", "trunc", plain[:5000])
+	write("FuzzTable", "sections", sections)
 
 	mbuf := binio.NewWriter(nil)
 	m := &Manifest{Family: "RMI", Shards: []ShardMeta{{Sep: 0, Codec: "RMI/rmi[linear,linear,B=64]", WAL: "shard-0000.wal", Runs: []RunMeta{
-		{Codec: "RMI/rmi[linear,linear,B=64]", Table: "shard-0000-r00.tab", Index: "shard-0000-r00.idx"},
-		{Codec: "BS", Table: "shard-0000-r01.tab", Tombs: "shard-0000-r01.tmb"},
+		{Codec: "RMI/rmi[linear,linear,B=64]", File: "shard-0000-r00.run"},
+		{Codec: "BS", File: "shard-0000-r01.run"},
 	}}}}
 	if err := encodeManifest(mbuf, m); err != nil {
 		t.Fatal(err)
@@ -337,11 +359,12 @@ func TestWriteFuzzCorpus(t *testing.T) {
 }
 
 // TestEncodersMatchCheckedInCorpus holds every writer to the bytes in
-// testdata/fuzz: an index frame per codec family, a seeded WAL, a table
-// file, a manifest and a tombstone bitmap, all committed when each
-// primitive was still its own write and its own CRC update. A change to
-// how bytes leave (buffering, CRC folding) must reproduce them exactly;
-// a change of format regenerates them (see TestWriteFuzzCorpus).
+// testdata/fuzz: an index frame per codec family, a seeded WAL, run
+// files with and without sections, a manifest and a tombstone bitmap.
+// The frames and the WAL were committed when each primitive was still
+// its own write and its own CRC update. A change to how bytes leave
+// (buffering, CRC folding) must reproduce them exactly; a change of
+// format regenerates them (see TestWriteFuzzCorpus).
 func TestEncodersMatchCheckedInCorpus(t *testing.T) {
 	for name, data := range fuzzCorpus(t) {
 		have, err := os.ReadFile(filepath.Join("testdata", "fuzz", name))
@@ -374,51 +397,20 @@ func oldSeed(t *testing.T, name, family string) []byte {
 	return []byte(seed[1:])
 }
 
-// TestOldRMISeedDecodesToError: FuzzDecode/old-RMI is raw-RMI as it was
-// checked in before the RMI leaf was folded — the RMI selector byte, then
-// a payload that opens with the stage-1 kind and carries tagged leaves —
-// and FuzzDecode/old-RMI-32 is raw-RMI as it was checked in while the
-// folded linear leaf was 32 bytes, layout byte 32. No encoder writes
-// either any more, so fuzzCorpus does not regenerate them; they stay so
-// that the fuzzer starts from them, and each must be named as an old
-// layout to rebuild, never decoded to an index.
-func TestOldRMISeedDecodesToError(t *testing.T) {
-	codec, _ := registry.CodecFor("RMI")
-	for _, name := range []string{"old-RMI", "old-RMI-32"} {
-		idx, err := codec.Decode(binio.NewReader(oldSeed(t, name, "RMI")))
-		if idx != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "rebuild the index") {
-			t.Fatalf("%s decoded to (%v, %v), want a corrupt-data error naming a rebuild", name, idx, err)
-		}
-		t.Log(err)
-	}
-}
-
-// TestOldPGMSeedDecodesToError: FuzzDecode/old-PGM-28 is raw-PGM as it
-// was checked in while a data segment was 28 bytes (float64 slope,
-// int32 margins), its payload opening with eps. No encoder writes it any
-// more, so fuzzCorpus does not regenerate it; it must be named as an old
-// layout to rebuild, never decoded to an index.
-func TestOldPGMSeedDecodesToError(t *testing.T) {
-	codec, _ := registry.CodecFor("PGM")
-	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "old-PGM-28", "PGM")))
-	if idx != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "rebuild the index") {
-		t.Fatalf("old-PGM-28 decoded to (%v, %v), want a corrupt-data error naming a rebuild", idx, err)
-	}
-}
-
 // TestBadPosSeedDecodesToError: FuzzDecode/badpos-PGM is osm 20k keys
 // at eps=4 (levels 1131/65/2) in the 20-byte segment layout, with the
 // top level's first slope set to 1e30 and its second position to 1<<30,
 // so every key above the first is sent to segment 1<<30 of a 65-segment
 // level. Decode once took it and Lookup then indexed past the level; it
-// must be named corrupt, and not as a retired layout. No encoder writes
-// it, so fuzzCorpus does not regenerate it.
+// must be named corrupt. No encoder writes it, so fuzzCorpus does not
+// regenerate it.
 func TestBadPosSeedDecodesToError(t *testing.T) {
 	codec, _ := registry.CodecFor("PGM")
 	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "badpos-PGM", "PGM")))
-	if idx != nil || !errors.Is(err, binio.ErrCorrupt) || strings.Contains(err.Error(), "rebuild") {
+	if idx != nil || !errors.Is(err, binio.ErrCorrupt) {
 		t.Fatalf("badpos-PGM decoded to (%v, %v), want a corrupt-data error on its positions", idx, err)
 	}
+	t.Log(err)
 }
 
 // TestOldRSSeedDecodesToSameBounds: FuzzDecode/old-RS is raw-RS as it

@@ -4,19 +4,24 @@ package persist
 // naming every shard's boundary separator, its builder codec tag (the
 // deterministic registry config ID that built its base index), its WAL
 // file, and its ordered run list — the LSM tier set, oldest (base) run
-// first, each run a table/index/tombstone file triple. The manifest
-// rename is the snapshot's commit point — shard and run files are
-// written first, so a crash anywhere leaves either the complete old
-// snapshot or the complete new one.
+// first, each run one run file (run.go). The manifest rename is the
+// snapshot's commit point — run files and WALs are written first, so a
+// crash anywhere leaves either the complete old snapshot or the
+// complete new one.
 
 import (
+	"bytes"
 	"os"
 
 	"repro/internal/binio"
 	"repro/internal/core"
 )
 
-var manifestMagic = []byte("sosdMAN2")
+var manifestMagic = []byte("sosdMAN3")
+
+// retiredManifestMagic opens the manifest of the layout before the run
+// file, which gave each run a table, an index and a tombstone file.
+var retiredManifestMagic = []byte("sosdMAN2")
 
 // ManifestName is the manifest's file name inside a snapshot directory.
 const ManifestName = "MANIFEST"
@@ -28,12 +33,9 @@ type RunMeta struct {
 	// selects the decode codec; the label lets a rebuild re-select the
 	// exact catalog entry.
 	Codec string
-	// Table, Index and Tombs are file names inside the snapshot
-	// directory. Index is empty when the run has no encodable index
-	// (no registered codec, or an empty table) and must be rebuilt
-	// from the loaded keys; Tombs is empty when the run carries no
-	// tombstones.
-	Table, Index, Tombs string
+	// File is the run file's name inside the snapshot directory (see
+	// WriteRun).
+	File string
 }
 
 // ShardMeta describes one persisted shard.
@@ -51,8 +53,9 @@ type ShardMeta struct {
 	// directory.
 	WAL string
 	// Runs is the shard's tier set, oldest run first: Runs[0] is the
-	// base run (never tombstoned), later runs are newer and shadow
-	// earlier ones. Every shard has at least the base run.
+	// base run (never tombstoned: Open refuses a base run file that
+	// carries tombstones), later runs are newer and shadow earlier
+	// ones. Every shard has at least the base run.
 	Runs []RunMeta
 }
 
@@ -72,7 +75,7 @@ type Manifest struct {
 // and run entries, used as allocation guards for the two counts.
 const (
 	minShardWire = 8 + 4 + 4 + 4 + minRunWire
-	minRunWire   = 4 * 4
+	minRunWire   = 2 * 4
 )
 
 // encodeManifest writes the manifest with the standard frame: magic,
@@ -89,9 +92,7 @@ func encodeManifest(w *binio.Writer, m *Manifest) error {
 			w.U32(uint32(len(s.Runs)))
 			for _, run := range s.Runs {
 				w.Str(run.Codec)
-				w.Str(run.Table)
-				w.Str(run.Index)
-				w.Str(run.Tombs)
+				w.Str(run.File)
 			}
 		}
 		return nil
@@ -100,6 +101,9 @@ func encodeManifest(w *binio.Writer, m *Manifest) error {
 
 // decodeManifest parses and validates a manifest image.
 func decodeManifest(data []byte) (*Manifest, error) {
+	if bytes.HasPrefix(data, retiredManifestMagic) {
+		return nil, binio.Corruptf("persist: manifest magic %s is the retired layout of a table, an index and a tombstone file per run; this build reads only run files (%s)", retiredManifestMagic, manifestMagic)
+	}
 	r, err := OpenFrame(data, manifestMagic, "manifest")
 	if err != nil {
 		return nil, err
@@ -130,9 +134,7 @@ func decodeManifest(data []byte) (*Manifest, error) {
 		for j := range s.Runs {
 			run := &s.Runs[j]
 			run.Codec = r.Str(maxTagLen)
-			run.Table = r.Str(maxTagLen)
-			run.Index = r.Str(maxTagLen)
-			run.Tombs = r.Str(maxTagLen)
+			run.File = r.Str(maxTagLen)
 		}
 	}
 	if err := r.Err(); err != nil {
@@ -152,18 +154,12 @@ func decodeManifest(data []byte) (*Manifest, error) {
 		if !safeFileName(s.WAL) {
 			return nil, binio.Corruptf("persist: shard %d file name %q escapes the snapshot directory", i, s.WAL)
 		}
-		if s.Runs[0].Tombs != "" {
-			return nil, binio.Corruptf("persist: shard %d base run carries tombstones", i)
-		}
-		for j := range s.Runs {
-			run := &s.Runs[j]
-			if run.Table == "" {
-				return nil, binio.Corruptf("persist: shard %d run %d missing table file name", i, j)
+		for j, run := range s.Runs {
+			if run.File == "" {
+				return nil, binio.Corruptf("persist: shard %d run %d missing file name", i, j)
 			}
-			for _, name := range []string{run.Table, run.Index, run.Tombs} {
-				if !safeFileName(name) {
-					return nil, binio.Corruptf("persist: shard %d file name %q escapes the snapshot directory", i, name)
-				}
+			if !safeFileName(run.File) {
+				return nil, binio.Corruptf("persist: shard %d file name %q escapes the snapshot directory", i, run.File)
 			}
 		}
 	}
@@ -173,9 +169,6 @@ func decodeManifest(data []byte) (*Manifest, error) {
 // safeFileName accepts only bare names: a manifest must not be able to
 // point the loader outside its own directory.
 func safeFileName(name string) bool {
-	if name == "" {
-		return true // empty index/tombs name = rebuild / no-tombstones marker
-	}
 	if name == "." || name == ".." {
 		return false
 	}

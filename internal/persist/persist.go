@@ -1,8 +1,9 @@
 // Package persist is the durability layer of the serving stack: a
-// versioned, checksummed, little-endian binary format for built
-// indexes (via the per-family codecs in internal/registry), table data
-// (block-aligned so large runs load through io.ReaderAt without an
-// intermediate copy), per-shard write-ahead logs, and the snapshot
+// versioned, checksummed, little-endian binary format for sorted runs
+// (one file each: block-aligned key and payload arrays that load
+// through io.ReaderAt without an intermediate copy, then the run's
+// tombstone bits and its built index, framed by the per-family codecs
+// in internal/registry), per-shard write-ahead logs, and the snapshot
 // manifest tying them together. serve.Store composes these into
 // Snapshot/Open; this package owns only the bytes.
 //
@@ -11,12 +12,12 @@
 // place, and the directory fsynced — a reader never observes a
 // half-written file, only the old version or the new one. Every file
 // carries a magic string, a format version, and a trailing CRC64 over
-// its full contents (tables checksum each block separately so the
-// header can be validated without streaming the data twice). Decoders
-// validate every structural invariant and size every allocation
-// against the bytes actually present, so corrupt or truncated input
-// returns an error wrapped in binio.ErrCorrupt — never a panic, never
-// an unbounded allocation. See DESIGN.md "Persistence".
+// its full contents (a run file checksums each block and section
+// separately so the header can be validated without streaming the data
+// twice). Decoders validate every structural invariant and size every
+// allocation against the bytes actually present, so corrupt or
+// truncated input returns an error wrapped in binio.ErrCorrupt — never
+// a panic, never an unbounded allocation. See DESIGN.md "Persistence".
 package persist
 
 import (
@@ -159,24 +160,6 @@ func decodeIndex(data []byte) (core.Index, error) {
 		return nil, binio.Corruptf("persist: %d trailing bytes after index payload", r.Remaining())
 	}
 	return idx, nil
-}
-
-// WriteIndex atomically writes an index frame to path.
-func WriteIndex(path string, idx core.Index) error {
-	codec, err := indexCodec(idx) // before any file exists: no codec, no I/O
-	if err != nil {
-		return err
-	}
-	return AtomicWrite(path, func(w *binio.Writer) error { return encodeIndex(w, idx, codec) })
-}
-
-// ReadIndex loads and decodes an index frame from path.
-func ReadIndex(path string) (core.Index, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeIndex(data)
 }
 
 // WriteFrame writes the envelope every checked artifact shares: magic,

@@ -8,11 +8,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/binio"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/indextest"
 	"repro/internal/registry"
 )
 
@@ -36,22 +38,24 @@ func buildFamilies(t *testing.T, keys []core.Key) map[string]core.Index {
 }
 
 // TestIndexRoundTripEquivalence is the core codec contract: for every
-// family, Encode→Decode must reproduce bit-identical Lookup bounds
-// across the full key set, absent keys in every gap neighbourhood, and
-// both extremes — i.e. the decoded index is indistinguishable from the
-// trained one.
+// family, Encode→Decode through a run file's index section must
+// reproduce bit-identical Lookup bounds across the full key set, absent
+// keys in every gap neighbourhood, and both extremes — i.e. the decoded
+// index is indistinguishable from the trained one.
 func TestIndexRoundTripEquivalence(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 5000, 23)
+	payloads := make([]uint64, len(keys))
 	dir := t.TempDir()
 	for family, idx := range buildFamilies(t, keys) {
-		path := filepath.Join(dir, family+".idx")
-		if err := WriteIndex(path, idx); err != nil {
+		path := filepath.Join(dir, family+".run")
+		if err := WriteRun(path, Run{Keys: keys, Payloads: payloads, Index: idx}); err != nil {
 			t.Fatalf("%s: write: %v", family, err)
 		}
-		got, err := ReadIndex(path)
+		run, err := ReadRun(path)
 		if err != nil {
 			t.Fatalf("%s: read: %v", family, err)
 		}
+		got := run.Index
 		if got.Name() != idx.Name() {
 			t.Fatalf("%s: decoded name %q", family, got.Name())
 		}
@@ -114,13 +118,17 @@ func TestTableRoundTrip(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = uint64(i) * 11
 	}
-	path := filepath.Join(t.TempDir(), "t.tab")
-	if err := WriteTable(path, keys, payloads); err != nil {
+	path := filepath.Join(t.TempDir(), "t.run")
+	if err := WriteRun(path, Run{Keys: keys, Payloads: payloads}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	gk, gp, err := ReadTable(path)
+	run, err := ReadRun(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
+	}
+	gk, gp := run.Keys, run.Payloads
+	if run.Tombs != nil || run.Index != nil {
+		t.Fatalf("plain run read back with sections (tombs %v, index %v)", run.Tombs != nil, run.Index)
 	}
 	if len(gk) != len(keys) || len(gp) != len(payloads) {
 		t.Fatalf("lengths %d/%d", len(gk), len(gp))
@@ -137,11 +145,12 @@ func TestTableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTableGoldenBytes pins the table file byte for byte to what commit
-// 9ff2292 wrote (CRC64 of the whole file), across the empty table, a
-// single block, both sides of a block boundary and a multi-block table:
-// skipping the second hash of the data blocks must not move a byte, and
-// the file must still read back.
+// TestTableGoldenBytes pins a run file without sections byte for byte
+// (CRC64 of the whole file), across the empty run, a single block, both
+// sides of a block boundary and a multi-block run, and the file must
+// still read back. The sizes are those the table file had at commit
+// 9ff2292; the CRCs were re-recorded when the table file became the run
+// file, whose header carries its own magic and the two section slots.
 func TestTableGoldenBytes(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 10_000, 1)
 	payloads := dataset.Payloads(len(keys), 1)
@@ -150,15 +159,15 @@ func TestTableGoldenBytes(t *testing.T) {
 		size int
 		crc  uint64
 	}{
-		{0, 4096, 0x0b08c209f7d27b3c},
-		{1, 8200, 0x753b2fac2f168ce7},
-		{511, 12280, 0xa5ded6052ec15de1},
-		{512, 12288, 0xfe125801616a81b3},
-		{10_000, 166016, 0x4598d5cb530f8751},
+		{0, 4096, 0xb0c9470d87cbdba1},
+		{1, 8200, 0x34c8bcfb3974f2f8},
+		{511, 12280, 0xe41817b7e3cffc8d},
+		{512, 12288, 0x7c3f29ff1405c2a6},
+		{10_000, 166016, 0xc5a27986d5995eb1},
 	}
 	for _, g := range golden {
-		path := filepath.Join(t.TempDir(), "t.tab")
-		if err := WriteTable(path, keys[:g.n], payloads[:g.n]); err != nil {
+		path := filepath.Join(t.TempDir(), "t.run")
+		if err := WriteRun(path, Run{Keys: keys[:g.n], Payloads: payloads[:g.n]}); err != nil {
 			t.Fatalf("n=%d: write: %v", g.n, err)
 		}
 		file, err := os.ReadFile(path)
@@ -168,26 +177,26 @@ func TestTableGoldenBytes(t *testing.T) {
 		if got := crc64.Checksum(file, binio.CRCTable); len(file) != g.size || got != g.crc {
 			t.Errorf("n=%d: file is %d bytes, CRC64 %016x; want %d bytes, %016x", g.n, len(file), got, g.size, g.crc)
 		}
-		gk, gp, err := readTableFrom(bytes.NewReader(file), int64(len(file)))
+		run, err := readRunFrom(bytes.NewReader(file), int64(len(file)))
 		if err != nil {
 			t.Fatalf("n=%d: read: %v", g.n, err)
 		}
-		if !slices.Equal(gk, keys[:g.n]) || !slices.Equal(gp, payloads[:g.n]) {
+		if !slices.Equal(run.Keys, keys[:g.n]) || !slices.Equal(run.Payloads, payloads[:g.n]) {
 			t.Errorf("n=%d: table did not round-trip", g.n)
 		}
 	}
 }
 
 func TestTableEmpty(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.tab")
-	if err := WriteTable(path, nil, nil); err != nil {
+	path := filepath.Join(t.TempDir(), "empty.run")
+	if err := WriteRun(path, Run{}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	gk, gp, err := ReadTable(path)
+	run, err := ReadRun(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if len(gk) != 0 || len(gp) != 0 {
+	if len(run.Keys) != 0 || len(run.Payloads) != 0 || run.Tombs != nil || run.Index != nil {
 		t.Fatalf("non-empty result")
 	}
 }
@@ -195,20 +204,20 @@ func TestTableEmpty(t *testing.T) {
 func TestTableCorruption(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 2000, 5)
 	payloads := make([]uint64, len(keys))
-	path := filepath.Join(t.TempDir(), "t.tab")
-	if err := WriteTable(path, keys, payloads); err != nil {
+	path := filepath.Join(t.TempDir(), "t.run")
+	if err := WriteRun(path, Run{Keys: keys, Payloads: payloads}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	data, _ := os.ReadFile(path)
-	for _, pos := range []int{0, 9, 20, 30, 50, 4096, 4104, len(data) - 1} {
+	for _, pos := range []int{0, 9, 20, 30, 50, 70, 90, 4096, 4104, len(data) - 1} {
 		mut := append([]byte(nil), data...)
 		mut[pos] ^= 1
-		if _, _, err := readTableFrom(bytes.NewReader(mut), int64(len(mut))); err == nil {
+		if _, err := readRunFrom(bytes.NewReader(mut), int64(len(mut))); err == nil {
 			t.Errorf("bit flip at %d read without error", pos)
 		}
 	}
-	for _, cut := range []int{0, 10, 59, 4095, 4100, len(data) / 2} {
-		if _, _, err := readTableFrom(bytes.NewReader(data[:cut]), int64(cut)); err == nil {
+	for _, cut := range []int{0, 10, 59, 99, 4095, 4100, len(data) / 2} {
+		if _, err := readRunFrom(bytes.NewReader(data[:cut]), int64(cut)); err == nil {
 			t.Errorf("truncation at %d read without error", cut)
 		}
 	}
@@ -313,11 +322,11 @@ func TestManifestRoundTrip(t *testing.T) {
 		Gen:    7,
 		Shards: []ShardMeta{
 			{Sep: 0, Codec: "PGM/eps=64", WAL: "shard-0000-g000007.wal", Runs: []RunMeta{
-				{Codec: "PGM/eps=64", Table: "shard-0000-g000007-r00.tab", Index: "shard-0000-g000007-r00.idx"},
-				{Codec: "BS", Table: "shard-0000-g000007-r01.tab", Tombs: "shard-0000-g000007-r01.tmb"},
+				{Codec: "PGM/eps=64", File: "shard-0000-g000007-r00.run"},
+				{Codec: "BS", File: "shard-0000-g000007-r01.run"},
 			}},
 			{Sep: 1000, Codec: "PGM/eps=64", WAL: "shard-0001-g000007.wal", Runs: []RunMeta{
-				{Codec: "PGM/eps=64", Table: "shard-0001-g000007-r00.tab"},
+				{Codec: "PGM/eps=64", File: "shard-0001-g000007-r00.run"},
 			}},
 		},
 	}
@@ -340,15 +349,15 @@ func TestManifestRoundTrip(t *testing.T) {
 func TestManifestRejectsTraversalAndDisorder(t *testing.T) {
 	runs := func(rs ...RunMeta) []RunMeta { return rs }
 	bad := []*Manifest{
-		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{Table: "../evil.tab"})}}},
-		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "sub/dir.wal", Runs: runs(RunMeta{Table: "t"})}}},
+		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{File: "../evil.run"})}}},
+		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "sub/dir.wal", Runs: runs(RunMeta{File: "t"})}}},
 		{Family: "PGM", Shards: []ShardMeta{
-			{Sep: 5, WAL: "w", Runs: runs(RunMeta{Table: "t"})},
-			{Sep: 5, WAL: "w2", Runs: runs(RunMeta{Table: "t2"})}}},
-		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{Table: ""})}}},
-		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w"}}},                                               // no runs
-		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{Table: "t", Tombs: "tm"})}}}, // tombed base
-		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{Table: "t"}, RunMeta{Table: "t2", Tombs: "..\\tm"})}}},
+			{Sep: 5, WAL: "w", Runs: runs(RunMeta{File: "t"})},
+			{Sep: 5, WAL: "w2", Runs: runs(RunMeta{File: "t2"})}}},
+		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{File: ""})}}},
+		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w"}}}, // no runs
+		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{File: "t"}, RunMeta{File: "..\\t2"})}}},
+		{Family: "PGM", Shards: []ShardMeta{{Sep: 0, WAL: "w", Runs: runs(RunMeta{File: "t"}, RunMeta{File: ".."})}}},
 	}
 	for i, m := range bad {
 		buf := binio.NewWriter(nil)
@@ -367,19 +376,20 @@ func TestTombsRoundTripAndRejects(t *testing.T) {
 		for i := range tombs {
 			tombs[i] = i%5 == 0 || i == n-1
 		}
-		path := filepath.Join(t.TempDir(), "run.tmb")
-		if err := WriteTombs(path, tombs); err != nil {
-			t.Fatalf("n=%d write: %v", n, err)
+		w := binio.NewWriter(nil)
+		if err := encodeTombs(w, tombs); err != nil {
+			t.Fatalf("n=%d encode: %v", n, err)
 		}
-		got, err := ReadTombs(path, n)
+		data := w.Buffered()
+		got, err := decodeTombs(data, n)
 		if err != nil {
-			t.Fatalf("n=%d read: %v", n, err)
+			t.Fatalf("n=%d decode: %v", n, err)
 		}
 		if !reflect.DeepEqual(got, tombs) {
 			t.Fatalf("n=%d round trip diverged", n)
 		}
 		// A count mismatch is corruption, not silent truncation.
-		if _, err := ReadTombs(path, n+1); !errors.Is(err, binio.ErrCorrupt) {
+		if _, err := decodeTombs(data, n+1); !errors.Is(err, binio.ErrCorrupt) {
 			t.Fatalf("n=%d count mismatch: err = %v, want ErrCorrupt", n, err)
 		}
 		if n == 0 {
@@ -387,10 +397,6 @@ func TestTombsRoundTripAndRejects(t *testing.T) {
 		}
 		// Every single-bit flip must be detected (CRC frame), and
 		// nonzero padding bits past count must be rejected.
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for pos := 0; pos < len(data); pos++ {
 			mut := append([]byte(nil), data...)
 			mut[pos] ^= 0x80
@@ -401,9 +407,115 @@ func TestTombsRoundTripAndRejects(t *testing.T) {
 	}
 }
 
+// testRuns returns the five shapes of run file over 3000 amzn keys: a
+// plain run, tombs only, index only, both, and the empty run.
+func testRuns(t *testing.T) map[string]Run {
+	keys := dataset.MustGenerate(dataset.Amzn, 3000, 17)
+	payloads := dataset.Payloads(len(keys), 17)
+	tombs := make([]bool, len(keys))
+	for i := range tombs {
+		tombs[i] = i%3 == 0
+	}
+	nb, ok := registry.Builder("RMI", keys)
+	if !ok {
+		t.Fatal("RMI: no builder")
+	}
+	idx, err := nb.Builder.Build(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]Run{
+		"plain": {Keys: keys, Payloads: payloads},
+		"tombs": {Keys: keys, Payloads: payloads, Tombs: tombs},
+		"index": {Keys: keys, Payloads: payloads, Index: idx},
+		"both":  {Keys: keys, Payloads: payloads, Tombs: tombs, Index: idx},
+		"empty": {},
+	}
+}
+
+// TestRunRoundTrip: every shape of run file reads back bit-identical
+// keys, payloads and tombs, and an index that bounds every probe as the
+// built one does.
+func TestRunRoundTrip(t *testing.T) {
+	for name, want := range testRuns(t) {
+		path := filepath.Join(t.TempDir(), name+".run")
+		if err := WriteRun(path, want); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		got, err := ReadRun(path)
+		if err != nil {
+			t.Fatalf("%s: read: %v", name, err)
+		}
+		if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.Payloads, want.Payloads) || !slices.Equal(got.Tombs, want.Tombs) {
+			t.Fatalf("%s: arrays did not round-trip", name)
+		}
+		if (got.Tombs == nil) != (want.Tombs == nil) || (got.Index == nil) != (want.Index == nil) {
+			t.Fatalf("%s: sections read back as tombs %v, index %v", name, got.Tombs != nil, got.Index != nil)
+		}
+		if want.Index == nil {
+			continue
+		}
+		for _, x := range indextest.ProbesFor(want.Keys) {
+			if g, w := got.Index.Lookup(x), want.Index.Lookup(x); g != w {
+				t.Fatalf("%s: key %d: decoded bound %v, built %v", name, x, g, w)
+			}
+		}
+	}
+}
+
+// TestRunFlipNamesItsSection flips one byte inside each part of a run
+// file that carries both sections: the error must name the part hit.
+func TestRunFlipNamesItsSection(t *testing.T) {
+	run := testRuns(t)["both"]
+	path := filepath.Join(t.TempDir(), "both.run")
+	if err := WriteRun(path, run); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := OpenFrame(data[:runHeaderLen], runMagic, "run header")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head.U64() // count
+	keysOff, paysOff := head.U64(), head.U64()
+	head.U64() // the two block CRCs
+	head.U64()
+	tombsOff, tombsLen, indexOff, indexLen := head.U64(), head.U64(), head.U64(), head.U64()
+	for _, c := range []struct {
+		what string
+		pos  uint64
+	}{
+		{"run header", 40},
+		{"keys", keysOff + 100},
+		{"payloads", paysOff + 100},
+		{"tombs", tombsOff + tombsLen/2},
+		{"index", indexOff + indexLen/2},
+	} {
+		mut := append([]byte(nil), data...)
+		mut[c.pos] ^= 0x04
+		_, err := readRunFrom(bytes.NewReader(mut), int64(len(mut)))
+		if !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), c.what) {
+			t.Errorf("flip in the %s at %d: err = %v, want a corrupt-data error naming the %s", c.what, c.pos, err, c.what)
+		}
+	}
+}
+
+// TestRetiredManifestNamed: a manifest of the layout before the run
+// file is refused by its magic, and the error says which layout it is.
+func TestRetiredManifestNamed(t *testing.T) {
+	data := append([]byte("sosdMAN2"), make([]byte, 40)...)
+	_, err := decodeManifest(data)
+	if !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "retired layout") {
+		t.Fatalf("err = %v, want a corrupt-data error naming the retired layout", err)
+	}
+}
+
 func TestManifestCorruption(t *testing.T) {
 	m := &Manifest{Family: "RMI", Shards: []ShardMeta{{Sep: 0, Codec: "RMI", WAL: "w",
-		Runs: []RunMeta{{Codec: "RMI", Table: "t"}}}}}
+		Runs: []RunMeta{{Codec: "RMI", File: "t"}}}}}
 	buf := binio.NewWriter(nil)
 	if err := encodeManifest(buf, m); err != nil {
 		t.Fatalf("encode: %v", err)

@@ -4,8 +4,6 @@ package pgm
 // verified data-level margins are serialized, so Decode reconstructs a
 // ready index without re-running the segment corridor. Little-endian
 // via binio; framing and checksums live in package persist.
-// The payload opens with a zero word: one of the retired 28-byte layout
-// opened with eps >= 1, and Decode names it instead of misreading it.
 
 import (
 	"math"
@@ -18,7 +16,6 @@ import (
 // segment count and each segment's key, float32 slope and pos, then
 // each data segment's two margin codes, lower in the low half.
 func (idx *Index) Encode(w *binio.Writer) error {
-	w.U32(0)
 	w.U32(uint32(idx.eps))
 	w.U64(uint64(idx.n))
 	w.U32(uint32(len(idx.levels)))
@@ -43,9 +40,6 @@ func (idx *Index) Encode(w *binio.Writer) error {
 // the level beneath (n for the data level), and no margin's excess
 // over eps+1 exceeds n + n>>10, which no true margin rounds above.
 func Decode(r *binio.Reader) (*Index, error) {
-	if old := r.U32(); r.Err() == nil && old != 0 {
-		return nil, binio.Corruptf("pgm: payload in the retired 28-byte segment layout; rebuild the index")
-	}
 	eps := int(r.U32())
 	n := r.U64()
 	nLevels := r.Count(4 + segmentBytes) // every level carries >=1 segment

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/binio"
@@ -30,7 +29,7 @@ func encoded(t *testing.T) (payload []byte, top int) {
 	if err := idx.Encode(w); err != nil {
 		t.Fatal(err)
 	}
-	top = 4 + 4 + 8 + 4 // zero word, eps, n, level count
+	top = 4 + 8 + 4 // eps, n, level count
 	for _, m := range sizes[:2] {
 		top += 4 + m*segmentBytes
 	}
@@ -83,18 +82,6 @@ func TestDecodeRejectsOutOfOrderLevels(t *testing.T) {
 		if idx != nil || !errors.Is(err, binio.ErrCorrupt) {
 			t.Errorf("%s: decoded to (%v, %v), want a corrupt-data error", c.what, idx, err)
 		}
-	}
-}
-
-// TestDecodeRejectsRetiredLayout: a payload of the 28-byte segment
-// layout opened with eps, never the zero word, and is named as one to
-// rebuild.
-func TestDecodeRejectsRetiredLayout(t *testing.T) {
-	p, _ := encoded(t)
-	binary.LittleEndian.PutUint32(p, 4) // eps, where the retired layout kept it
-	idx, err := Decode(binio.NewReader(p))
-	if idx != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "rebuild the index") {
-		t.Fatalf("decoded to (%v, %v), want a corrupt-data error naming a rebuild", idx, err)
 	}
 }
 

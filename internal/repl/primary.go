@@ -377,10 +377,10 @@ func (s *session) bootstrap(wbuf *binio.Writer) error {
 		}
 		var names []string
 		for _, run := range sm.Runs {
-			names = append(names, run.Table, run.Index, run.Tombs)
+			names = append(names, run.File)
 		}
 		for _, name := range append(names, sm.WAL) {
-			if name != "" && shipErr == nil {
+			if shipErr == nil {
 				shipErr = s.shipFile(wbuf, chunk, dir, name)
 			}
 		}

@@ -8,10 +8,7 @@ package rmi
 // checksums are the caller's job (package persist).
 //
 // The payload opens with a layout byte, the stride of the leaf records
-// that follow, each written as memory holds it. Payloads of the
-// tagged-leaf layout before it opened with the stage-1 ModelKind
-// (0..3), which no stride is, and those of the 32-byte linear leaf
-// with a stride of 32; Decode names both instead of misreading them.
+// that follow, each written as memory holds it.
 
 import (
 	"math"
@@ -91,9 +88,6 @@ func decodeClamps(r *binio.Reader, li int, n uint64) clamps {
 // allocation.
 func Decode(r *binio.Reader) (*Index, error) {
 	layout := int(r.U8())
-	if r.Err() == nil && (layout <= int(modelRadix) || layout == 32) {
-		return nil, binio.Corruptf("rmi: payload in a retired layout (%d: 0..3 the tagged-leaf layout, 32 the 32-byte leaf); rebuild the index", layout)
-	}
 	var cfg Config
 	cfg.Stage1 = ModelKind(r.U8())
 	cfg.Stage2 = ModelKind(r.U8())

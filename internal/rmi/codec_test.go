@@ -1,8 +1,8 @@
 package rmi
 
 import (
+	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/binio"
@@ -85,7 +85,6 @@ func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 		"cubic layout byte on a linear stage 2": func(b []byte) { b[0] = cubicLeafBytes },
 		"cubic stage 2 on the linear layout":    func(b []byte) { b[2] = byte(ModelCubic) },
 		"negative log2 error":                   func(b []byte) { b[avgLog2+7] |= 0x80 },
-		"the retired 32-byte stride":            func(b []byte) { b[0] = 32 },
 		"negative slope":                        func(b []byte) { b[slope+3] |= 0x80 },
 		"NaN slope":                             func(b []byte) { b[slope+2], b[slope+3] = 0xc0, 0x7f },
 		"infinite slope":                        func(b []byte) { copy(b[slope:], []byte{0, 0, 0x80, 0x7f}) },
@@ -107,7 +106,8 @@ func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 
 // TestDecodeRejectsTaggedLeafPayload: a payload in the layout that
 // preceded the folded leaf (stage-1 kind first, a tagged seven-word
-// model per leaf) is named as such, never read as the current layout.
+// model per leaf) opens with no leaf stride, so the structural checks
+// refuse it as corrupt; it is never read as the current layout.
 func TestDecodeRejectsTaggedLeafPayload(t *testing.T) {
 	for s1 := ModelLinear; s1 <= modelRadix; s1++ {
 		w := binio.NewWriter(nil)
@@ -121,8 +121,8 @@ func TestDecodeRejectsTaggedLeafPayload(t *testing.T) {
 		(&poly{keyScale: 1, c1: 1}).encode(w)
 		(&clamps{1, 1, 0, 1}).encode(w)
 		idx, err := Decode(binio.NewReader(w.Buffered()))
-		if idx != nil || err == nil || !strings.Contains(err.Error(), "tagged-leaf layout") {
-			t.Errorf("stage 1 %v: decoded to (%v, %v), want the tagged-leaf layout error", s1, idx, err)
+		if idx != nil || !errors.Is(err, binio.ErrCorrupt) {
+			t.Errorf("stage 1 %v: decoded to (%v, %v), want a corrupt-data error", s1, idx, err)
 		}
 	}
 }

@@ -85,7 +85,7 @@ func TestExportWorkersAgreeWithOracle(t *testing.T) {
 				mu.Lock()
 				defer mu.Unlock()
 				completions++
-				for _, name := range []string{sm.WAL, sm.Runs[0].Table} {
+				for _, name := range []string{sm.WAL, sm.Runs[0].File} {
 					if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 						t.Errorf("workers=%d: shard reported complete without %s: %v", workers, name, err)
 					}
@@ -119,7 +119,7 @@ func TestExportWorkersAgreeWithOracle(t *testing.T) {
 	}
 }
 
-// TestExportFailingShardCommitsNothing blocks one shard's table file (a
+// TestExportFailingShardCommitsNothing blocks one shard's run file (a
 // directory squats on its name, so the rename into place fails) while
 // the other shards export on four workers: the error surfaces, the
 // failed shard is never reported complete, and the directory is left
@@ -133,7 +133,7 @@ func TestExportFailingShardCommitsNothing(t *testing.T) {
 	defer st.Close()
 	dir := t.TempDir()
 	const bad = 5
-	if err := os.MkdirAll(filepath.Join(dir, runTabName(bad, 1, 0), "squatter"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, runFileName(bad, 1, 0), "squatter"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
@@ -177,7 +177,7 @@ func TestExportStopsAtFirstError(t *testing.T) {
 	errCallback := errors.New("callback refuses")
 	for name, setup := range map[string]func(dir string) func(persist.ShardMeta) error{
 		"shard": func(dir string) func(persist.ShardMeta) error {
-			if err := os.MkdirAll(filepath.Join(dir, runTabName(bad, 1, 0), "squatter"), 0o755); err != nil {
+			if err := os.MkdirAll(filepath.Join(dir, runFileName(bad, 1, 0), "squatter"), 0o755); err != nil {
 				t.Fatal(err)
 			}
 			return nil

@@ -2,11 +2,11 @@ package serve
 
 // Snapshot/Open: the durability face of the Store, composed from the
 // artifacts of internal/persist. A snapshot directory holds, per
-// shard, one file set per sorted run — a block-aligned table file, an
-// encoded index (when the run's codec tag has one), and a tombstone
-// bitmap for tier runs that carry deletions — plus a write-ahead log
-// seeded with the shard's pending delta; the manifest names them all
-// and its rename is the commit point. Shard files are written under
+// shard, one run file per sorted run — block-aligned keys and
+// payloads, the tombstone bits of a tier run that carries deletions,
+// and the encoded index when the run's codec tag has one — plus a
+// write-ahead log seeded with the shard's pending delta; the manifest
+// names them all and its rename is the commit point. Shard files are written under
 // generation-suffixed names and the manifest commits a complete
 // generation at once, so a crash at any instant leaves either the full
 // old file set or the full new one — never a mixed pair.
@@ -20,11 +20,10 @@ package serve
 // replaying a shard's committed WAL over its committed runs reproduces
 // the shard's live state. Runs are immutable, so a commit rewrites
 // only the runs that changed since the last one: a flush adds one
-// small file set, a minor merge replaces the upper tiers, and only a
+// small run file, a minor merge replaces the upper tiers, and only a
 // major merge rewrites the base. See DESIGN.md "Persistence".
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,14 +38,8 @@ import (
 	"repro/internal/table"
 )
 
-func runTabName(i int, gen uint64, r int) string {
-	return fmt.Sprintf("shard-%04d-g%06d-r%02d.tab", i, gen, r)
-}
-func runIdxName(i int, gen uint64, r int) string {
-	return fmt.Sprintf("shard-%04d-g%06d-r%02d.idx", i, gen, r)
-}
-func runTmbName(i int, gen uint64, r int) string {
-	return fmt.Sprintf("shard-%04d-g%06d-r%02d.tmb", i, gen, r)
+func runFileName(i int, gen uint64, r int) string {
+	return fmt.Sprintf("shard-%04d-g%06d-r%02d.run", i, gen, r)
 }
 func walFileName(i int, gen uint64) string { return fmt.Sprintf("shard-%04d-g%06d.wal", i, gen) }
 
@@ -110,32 +103,19 @@ func pendingOps(s *shardState) []persist.Op {
 }
 
 // writeShardRun writes one immutable run of shard i into dir at
-// generation gen: its table file, the encoded index when the family
-// has a codec (otherwise "" marks rebuild-at-load), and its tombstone
-// bitmap when it carries deletions.
+// generation gen as one run file: keys, payloads, tombstones when it
+// carries deletions, and the encoded index when the family has a codec
+// (otherwise Open rebuilds it from the keys).
 func (st *Store) writeShardRun(dir string, i int, gen uint64, r int, tab *table.Table, codec string) (persist.RunMeta, error) {
-	rm := persist.RunMeta{Codec: codec, Table: runTabName(i, gen, r)}
-	if err := persist.WriteTable(filepath.Join(dir, rm.Table), tab.Keys(), tab.Payloads()); err != nil {
+	rm := persist.RunMeta{Codec: codec, File: runFileName(i, gen, r)}
+	run := persist.Run{Keys: tab.Keys(), Payloads: tab.Payloads(), Tombs: tab.Tombs(), Index: tab.Index()}
+	if err := persist.WriteRun(filepath.Join(dir, rm.File), run); err != nil {
 		return persist.RunMeta{}, err
-	}
-	if tab.Len() > 0 {
-		name := runIdxName(i, gen, r)
-		if err := persist.WriteIndex(filepath.Join(dir, name), tab.Index()); err == nil {
-			rm.Index = name
-		} else if !errors.Is(err, errors.ErrUnsupported) { // no codec, nothing written
-			return persist.RunMeta{}, err
-		}
-	}
-	if tab.HasTombs() {
-		rm.Tombs = runTmbName(i, gen, r)
-		if err := persist.WriteTombs(filepath.Join(dir, rm.Tombs), tab.Tombs()); err != nil {
-			return persist.RunMeta{}, err
-		}
 	}
 	return rm, nil
 }
 
-// writeRuns writes the file set of each of s's runs into dir at
+// writeRuns writes the run file of each of s's runs into dir at
 // generation gen, except the runs committed holds already: those keep
 // the files an earlier generation wrote.
 func (st *Store) writeRuns(dir string, i int, gen uint64, s *shardState, committed map[*table.Table]persist.RunMeta) ([]persist.RunMeta, error) {
@@ -161,7 +141,7 @@ func cleanStaleShardFiles(dir string, m *persist.Manifest) {
 	for _, s := range m.Shards {
 		keep[s.WAL] = true
 		for _, r := range s.Runs {
-			keep[r.Table], keep[r.Index], keep[r.Tombs] = true, true, true
+			keep[r.File] = true
 		}
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "shard-*"))
@@ -176,8 +156,7 @@ func cleanStaleShardFiles(dir string, m *persist.Manifest) {
 }
 
 // Snapshot atomically persists the store's full state into dir: every
-// shard's run set (tables, encoded indexes, tombstone bitmaps) and a
-// WAL seeded with the shard's pending writes, committed by the
+// shard's run set (one run file per run) and a WAL seeded with the shard's pending writes, committed by the
 // manifest rename. It runs alongside concurrent reads and writes —
 // each shard is captured at one consistent (runs, pending) point — and
 // leaves the store serving throughout. Snapshotting an attached store
@@ -292,7 +271,7 @@ func (st *Store) exportShard(abs string, i int, gen uint64, onShard func(shard i
 }
 
 // persistShard commits shard i's current state to the attached
-// directory at a fresh generation: file sets for any runs not already
+// directory at a fresh generation: run files for any runs not already
 // committed, a WAL seeded with the still-pending writes, and the
 // manifest naming them. It is the incremental, single-shard form of
 // Snapshot, run after every compaction on an attached store.
@@ -363,10 +342,10 @@ func (st *Store) persistShardLocked(i int) error {
 	}
 }
 
-// Open loads a store from a snapshot directory: each shard's runs are
-// read through io.ReaderAt into their final arrays, their indexes
+// Open loads a store from a snapshot directory: each shard's run files
+// are read through io.ReaderAt into their final arrays, their indexes
 // decoded from trained parameters (no retraining; runs without an
-// encoded index are rebuilt from the loaded keys), tombstone bitmaps
+// encoded index are rebuilt from the loaded keys), tombstone bits
 // restored, and the WAL replayed into the pending delta — so the store
 // serves exactly the state current when the snapshot (plus any logged
 // writes) was taken. The returned store is attached: subsequent writes
@@ -411,8 +390,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	return st, nil
 }
 
-// openShard loads one shard: its runs (table, index, tombstones per
-// run) and its WAL.
+// openShard loads one shard: its run files and its WAL.
 func (st *Store) openShard(dir string, i int, meta *persist.ShardMeta) error {
 	runs := make([]*table.Table, len(meta.Runs))
 	runIDs := make([]string, len(meta.Runs))
@@ -448,16 +426,17 @@ func (st *Store) openShard(dir string, i int, meta *persist.ShardMeta) error {
 	return nil
 }
 
-// openRun loads one run of shard i, whose tag in the manifest is
-// shardTag: table, tombstone bitmap, index. It returns the run's codec
-// tag with it — the manifest's, unless the index had to be rebuilt,
-// which reports the tag it was built under.
+// openRun loads run r of shard i, whose tag in the manifest is
+// shardTag, from its run file. It returns the run's codec tag with it
+// — the manifest's, unless the index had to be rebuilt, which reports
+// the tag it was built under.
 func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta, shardTag string) (*table.Table, string, error) {
-	keys, payloads, err := persist.ReadTable(filepath.Join(dir, rm.Table))
+	run, err := persist.ReadRun(filepath.Join(dir, rm.File))
 	if err != nil {
-		return nil, "", fmt.Errorf("serve: shard %d run %d table: %w", i, r, err)
+		return nil, "", fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
 	}
-	// Boundary check: a table file swapped between shards would pass
+	keys, payloads, tombs := run.Keys, run.Payloads, run.Tombs
+	// Boundary check: a run file swapped between shards would pass
 	// its own checksums but violate the routing invariant. Shard 0 has
 	// no lower fence — keys below every separator route to it (see
 	// shardOf), so any of its runs may legitimately start below seps[0].
@@ -469,22 +448,14 @@ func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta, shardTag str
 			return nil, "", fmt.Errorf("serve: shard %d run %d crosses into shard %d", i, r, i+1)
 		}
 	}
-	var tombs []bool
-	if rm.Tombs != "" {
-		tombs, err = persist.ReadTombs(filepath.Join(dir, rm.Tombs), len(keys))
-		if err != nil {
-			return nil, "", fmt.Errorf("serve: shard %d run %d tombs: %w", i, r, err)
-		}
+	if r == 0 && tombs != nil {
+		return nil, "", fmt.Errorf("serve: shard %d base run carries tombstones", i)
 	}
 
-	switch {
+	switch idx := run.Index; {
 	case len(keys) == 0:
 		return table.Empty(search.BinarySearch), rm.Codec, nil
-	case rm.Index != "":
-		idx, err := persist.ReadIndex(filepath.Join(dir, rm.Index))
-		if err != nil {
-			return nil, "", fmt.Errorf("serve: shard %d run %d index: %w", i, r, err)
-		}
+	case idx != nil:
 		if fam, _ := registry.ParseID(rm.Codec); fam != idx.Name() {
 			// A mismatch between the manifest tag and the frame's own
 			// family is tampering — except when the tag names a custom

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -496,7 +497,35 @@ func TestEmptyShardPersistence(t *testing.T) {
 	again.Close()
 }
 
-// TestOpenRejectsTamperedSnapshot swaps two shards' table files; the
+// TestOpenRejectsTombstonedBase rewrites a shard's base run file with
+// tombstone bits: the file is sound on its own, but a base run never
+// carries deletes, and Open must refuse it.
+func TestOpenRejectsTombstonedBase(t *testing.T) {
+	keys, payloads := testData(t, 2000)
+	st, err := New(keys, payloads, Config{Shards: 2, Family: "PGM"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := st.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	path := filepath.Join(dir, snapshotManifest(t, dir).Shards[1].Runs[0].File)
+	run, err := persist.ReadRun(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Tombs = make([]bool, len(run.Keys))
+	if err := persist.WriteRun(path, run); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Config{}); err == nil || !strings.Contains(err.Error(), "base run carries tombstones") {
+		t.Fatalf("Open of a tombstoned base run: err = %v", err)
+	}
+}
+
+// TestOpenRejectsTamperedSnapshot swaps two shards' run files; the
 // boundary validation must refuse to serve them.
 func TestOpenRejectsTamperedSnapshot(t *testing.T) {
 	keys, payloads := testData(t, 4000)
@@ -510,8 +539,8 @@ func TestOpenRejectsTamperedSnapshot(t *testing.T) {
 	}
 	st.Close()
 	m := snapshotManifest(t, dir)
-	a := filepath.Join(dir, m.Shards[0].Runs[0].Table)
-	b := filepath.Join(dir, m.Shards[1].Runs[0].Table)
+	a := filepath.Join(dir, m.Shards[0].Runs[0].File)
+	b := filepath.Join(dir, m.Shards[1].Runs[0].File)
 	tmp := filepath.Join(dir, "x")
 	os.Rename(a, tmp)
 	os.Rename(b, a)
@@ -771,7 +800,7 @@ func TestCheckpointReusesUnchangedBase(t *testing.T) {
 		t.Fatalf("checkpoint did not advance generation: %d -> %d", m1.Gen, m2.Gen)
 	}
 	for i := range m2.Shards {
-		if m2.Shards[i].Runs[0].Table != m1.Shards[i].Runs[0].Table || m2.Shards[i].Runs[0].Index != m1.Shards[i].Runs[0].Index {
+		if m2.Shards[i].Runs[0].File != m1.Shards[i].Runs[0].File {
 			t.Fatalf("shard %d base rewritten on unchanged-base checkpoint: %+v -> %+v", i, m1.Shards[i], m2.Shards[i])
 		}
 		if m2.Shards[i].WAL == m1.Shards[i].WAL {
@@ -841,11 +870,11 @@ func TestTieredPersistenceRoundTrip(t *testing.T) {
 			multiRun = true
 		}
 		for _, rm := range sm.Runs[1:] {
-			if rm.Tombs != "" {
+			if run, err := persist.ReadRun(filepath.Join(dir, rm.File)); err == nil && run.Tombs != nil {
 				tombed = true
 			}
 		}
-		if sm.Runs[0].Table == m0.Shards[i].Runs[0].Table {
+		if sm.Runs[0].File == m0.Shards[i].Runs[0].File {
 			baseReused = true
 		}
 	}
