@@ -162,13 +162,14 @@ func (t *RobinHood) Name() string { return "RobinHash" }
 func (t *RobinHood) SizeBytes() int { return len(t.keys) * SlotSizeBytes }
 
 // cuckoo is a bucketized cuckoo hash table: two candidate buckets of
-// four slots each per key.
+// four slots each per key. It is the point index CuckooBuilder builds.
 type cuckoo struct {
 	keys    []uint64 // nBuckets*4 slots
 	vals    []int32
 	used    []bool
 	nBucket uint64
 	rng     uint64
+	n       int // data size: the full bound of an absent key
 }
 
 const cuckooSlots = 4
@@ -184,16 +185,17 @@ func newCuckoo(n int, loadFactor float64) (*cuckoo, error) {
 	for float64(buckets*cuckooSlots)*loadFactor < float64(n) {
 		buckets <<= 1
 	}
-	return newCuckooBuckets(buckets), nil
+	return newCuckooBuckets(buckets, n), nil
 }
 
-func newCuckooBuckets(buckets uint64) *cuckoo {
+func newCuckooBuckets(buckets uint64, n int) *cuckoo {
 	return &cuckoo{
 		keys:    make([]uint64, buckets*cuckooSlots),
 		vals:    make([]int32, buckets*cuckooSlots),
 		used:    make([]bool, buckets*cuckooSlots),
 		nBucket: buckets,
 		rng:     0x853C49E6748FEA9B,
+		n:       n,
 	}
 }
 
@@ -261,7 +263,7 @@ func (t *cuckoo) place(b uint64, key uint64, val int32) bool {
 
 func (t *cuckoo) grow() {
 	old := *t
-	*t = *newCuckooBuckets(old.nBucket * 2)
+	*t = *newCuckooBuckets(old.nBucket*2, old.n)
 	for i, u := range old.used {
 		if u {
 			t.insert(old.keys[i], old.vals[i])
@@ -283,27 +285,20 @@ func (t *cuckoo) get(key uint64) (int32, bool) {
 	return 0, false
 }
 
-// sizeBytes reports the table footprint.
-func (t *cuckoo) sizeBytes() int { return len(t.keys) * SlotSizeBytes }
-
-// pointIndex adapts the Cuckoo table to core.Index: exact bounds for
-// present keys, the trivial full bound otherwise.
-type pointIndex struct {
-	get  func(uint64) (int32, bool)
-	size func() int
-	n    int
-	name string
-}
-
-func (p *pointIndex) Lookup(key core.Key) core.Bound {
-	if pos, ok := p.get(key); ok {
+// Lookup implements core.Index: an exact bound for a present key, the
+// full bound otherwise.
+func (t *cuckoo) Lookup(key core.Key) core.Bound {
+	if pos, ok := t.get(key); ok {
 		return core.Bound{Lo: int(pos), Hi: int(pos) + 1}
 	}
-	return core.FullBound(p.n)
+	return core.FullBound(t.n)
 }
 
-func (p *pointIndex) SizeBytes() int { return p.size() }
-func (p *pointIndex) Name() string   { return p.name }
+// Name implements core.Index.
+func (t *cuckoo) Name() string { return "CuckooMap" }
+
+// SizeBytes implements core.Index.
+func (t *cuckoo) SizeBytes() int { return len(t.keys) * SlotSizeBytes }
 
 // The paper's load factors, the ones it found maximize each table's
 // lookup speed.
@@ -360,5 +355,5 @@ func (CuckooBuilder) Build(keys []core.Key) (core.Index, error) {
 		}
 		t.insert(k, int32(i))
 	}
-	return &pointIndex{get: t.get, size: t.sizeBytes, n: len(keys), name: "CuckooMap"}, nil
+	return t, nil
 }

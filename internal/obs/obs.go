@@ -1,12 +1,13 @@
 // Package obs is the live observability layer: a dependency-light
-// metrics registry (atomic counters, scrape-time counters and gauges,
-// and histograms reusing stats.Histogram, registered under Prometheus-style names with
-// labels), a sampled request tracer that decomposes request latency
-// into phases, and a bounded in-memory event journal for flushes and
-// compactions. The hot path is lock-free — recording into any handle
-// is one atomic op — and every handle tolerates a nil receiver, so
-// instrumented code pays a single predictable nil check when
-// observability is disabled. See DESIGN.md "Observability".
+// metrics registry (scrape-time counters and gauges over values the
+// instrumented code keeps anyway, and the stats.Histograms it records
+// into, registered under Prometheus-style names with labels), a
+// sampled request tracer that decomposes request latency into phases,
+// and a bounded in-memory event journal for flushes and compactions.
+// The hot path is lock-free — recording is one atomic op on the
+// instrumented code's own counter or histogram — and a nil Registry,
+// Tracer, Span or Journal is a no-op, so instrumented code pays a
+// single predictable nil check when observability is disabled. See DESIGN.md "Observability".
 package obs
 
 import (
@@ -14,7 +15,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -36,15 +36,14 @@ type Var struct {
 type kind uint8
 
 const (
-	kindCounter kind = iota
-	kindCounterFunc
+	kindCounterFunc kind = iota
 	kindGaugeFunc
 	kindHistogram
 )
 
 func (k kind) promType() string {
 	switch k {
-	case kindCounter, kindCounterFunc:
+	case kindCounterFunc:
 		return "counter"
 	case kindGaugeFunc:
 		return "gauge"
@@ -58,17 +57,16 @@ type series struct {
 	name   string // base metric name (family)
 	id     string // rendered name{labels} identity
 	kind   kind
-	c      *counter
 	fn     func() float64
-	h      *histogram
+	h      *stats.Histogram
 	labels []Label
 }
 
 // Registry holds named metric series. Registration takes a mutex;
-// recording into the returned handles is lock-free. A nil *Registry is
-// valid everywhere and hands out nil handles whose methods no-op —
-// code instruments unconditionally and the caller decides at
-// construction whether the metrics exist.
+// scrapes read the registered funcs and histograms. A nil *Registry is
+// valid everywhere and registers nothing — code instruments
+// unconditionally and the caller decides at construction whether the
+// metrics exist.
 //
 // Series identities (name plus label set) must be unique and a base
 // name keeps one metric type; violations panic at registration time,
@@ -110,17 +108,6 @@ func (r *Registry) register(s *series) {
 	r.series = append(r.series, s)
 }
 
-// counter registers and returns a monotonically increasing counter.
-// Returns nil (a valid no-op handle) on a nil registry.
-func (r *Registry) counter(name string, labels ...Label) *counter {
-	if r == nil {
-		return nil
-	}
-	c := &counter{}
-	r.register(&series{name: name, kind: kindCounter, c: c, labels: labels})
-	return c
-}
-
 // CounterFunc registers a counter whose value is computed at scrape
 // time — the zero-hot-path-cost binding for a cumulative counter the
 // instrumented code already maintains (an atomic it increments anyway).
@@ -141,25 +128,14 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
 	r.register(&series{name: name, kind: kindGaugeFunc, fn: fn, labels: labels})
 }
 
-// histogram registers and returns a fresh latency histogram, exposed
-// as a Prometheus summary (p50/p90/p99/p999 quantiles plus _sum and
-// _count).
-func (r *Registry) histogram(name string, labels ...Label) *histogram {
-	if r == nil {
-		return nil
-	}
-	h := &histogram{h: &stats.Histogram{}}
-	r.register(&series{name: name, kind: kindHistogram, h: h, labels: labels})
-	return h
-}
-
-// AttachHistogram exposes an existing stats.Histogram the instrumented
-// code already records into (the scrape-time sibling of CounterFunc).
+// AttachHistogram exposes a stats.Histogram the instrumented code
+// records into (the scrape-time sibling of CounterFunc) as a
+// Prometheus summary: p50/p90/p99/p999 quantiles plus _sum and _count.
 func (r *Registry) AttachHistogram(name string, h *stats.Histogram, labels ...Label) {
 	if r == nil || h == nil {
 		return
 	}
-	r.register(&series{name: name, kind: kindHistogram, h: &histogram{h: h}, labels: labels})
+	r.register(&series{name: name, kind: kindHistogram, h: h, labels: labels})
 }
 
 // snapshot returns the registered series under the lock; values are
@@ -186,12 +162,10 @@ func (r *Registry) Vars() []Var {
 	vars := make([]Var, 0, len(ss))
 	for _, s := range ss {
 		switch s.kind {
-		case kindCounter:
-			vars = append(vars, Var{s.id, float64(s.c.value())})
 		case kindCounterFunc, kindGaugeFunc:
 			vars = append(vars, Var{s.id, s.fn()})
 		case kindHistogram:
-			h := s.h.h.Snapshot()
+			h := s.h.Snapshot()
 			vars = append(vars,
 				Var{s.id + "_count", float64(h.Count())},
 				Var{s.id + "_sum", float64(h.Sum())},
@@ -215,37 +189,6 @@ func (r *Registry) Value(id string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// counter is a monotonically increasing counter; one atomic add to
-// record. Methods are no-ops on a nil handle.
-type counter struct{ v atomic.Uint64 }
-
-// inc adds one.
-func (c *counter) inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// value reports the current count (0 on a nil handle).
-func (c *counter) value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// histogram records value distributions (latencies in nanoseconds, by
-// convention) into a stats.Histogram. Methods are no-ops on a nil
-// handle.
-type histogram struct{ h *stats.Histogram }
-
-// observe records one sample.
-func (h *histogram) observe(v int64) {
-	if h != nil {
-		h.h.Record(v)
-	}
 }
 
 // renderID renders the canonical series identity: name alone, or

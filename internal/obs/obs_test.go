@@ -3,22 +3,34 @@ package obs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
+// counter registers a CounterFunc over a fresh atomic and returns the
+// atomic: the registration a caller with its own counter makes.
+func counter(r *Registry, name string, labels ...Label) *atomic.Uint64 {
+	c := new(atomic.Uint64)
+	r.CounterFunc(name, func() float64 { return float64(c.Load()) }, labels...)
+	return c
+}
+
+// histogram attaches a fresh stats.Histogram and returns it.
+func histogram(r *Registry, name string, labels ...Label) *stats.Histogram {
+	h := new(stats.Histogram)
+	r.AttachHistogram(name, h, labels...)
+	return h
+}
+
 func TestNilSafety(t *testing.T) {
-	// A nil registry hands out nil handles; every method must no-op.
+	// A nil registry registers nothing; every method must no-op.
 	var r *Registry
-	c := r.counter("x_total")
-	c.inc()
-	if c.value() != 0 {
-		t.Fatal("nil counter has a value")
-	}
 	r.CounterFunc("y_total", func() float64 { return 1 })
 	r.GaugeFunc("y", func() float64 { return 1 })
-	h := r.histogram("z_ns")
-	h.observe(100)
+	r.AttachHistogram("z_ns", new(stats.Histogram))
 	if vars := r.Vars(); vars != nil {
 		t.Fatalf("nil registry has vars: %v", vars)
 	}
@@ -40,16 +52,16 @@ func TestNilSafety(t *testing.T) {
 
 func TestRegistryVarsAndValue(t *testing.T) {
 	r := NewRegistry()
-	c := r.counter("a_total")
+	c := counter(r, "a_total")
 	for range 7 {
-		c.inc()
+		c.Add(1)
 	}
 	r.GaugeFunc("b", func() float64 { return -2 }, Label{"shard", "0"})
 	r.GaugeFunc("c", func() float64 { return 1.5 })
 	r.CounterFunc("d_total", func() float64 { return 9 })
-	h := r.histogram("e_ns")
-	h.observe(100)
-	h.observe(300)
+	h := histogram(r, "e_ns")
+	h.Record(100)
+	h.Record(300)
 
 	want := map[string]float64{
 		"a_total":      7,
@@ -91,26 +103,26 @@ func TestRegistryPanicsOnBadRegistration(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	r.counter("dup_total", Label{"shard", "1"})
-	expectPanic("duplicate series", func() { r.counter("dup_total", Label{"shard", "1"}) })
+	counter(r, "dup_total", Label{"shard", "1"})
+	expectPanic("duplicate series", func() { counter(r, "dup_total", Label{"shard", "1"}) })
 	expectPanic("type clash", func() { r.GaugeFunc("dup_total", func() float64 { return 0 }, Label{"shard", "2"}) })
-	expectPanic("bad name", func() { r.counter("has space") })
-	expectPanic("bad label key", func() { r.counter("ok_total", Label{"0bad", "v"}) })
+	expectPanic("bad name", func() { counter(r, "has space") })
+	expectPanic("bad label key", func() { counter(r, "ok_total", Label{"0bad", "v"}) })
 }
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	get := r.counter("req_total", Label{"kind", "get"})
+	get := counter(r, "req_total", Label{"kind", "get"})
 	for range 3 {
-		get.inc()
+		get.Add(1)
 	}
-	r.counter("req_total", Label{"kind", "put"}).inc()
+	counter(r, "req_total", Label{"kind", "put"}).Add(1)
 	r.GaugeFunc("depth", func() float64 { return 5 })
-	h := r.histogram("lat_ns")
+	h := histogram(r, "lat_ns")
 	for i := int64(1); i <= 100; i++ {
-		h.observe(i * 1000)
+		h.Record(i * 1000)
 	}
-	r.counter("esc_total", Label{"v", "a\"b\\c\nd"}).inc()
+	counter(r, "esc_total", Label{"v", "a\"b\\c\nd"}).Add(1)
 
 	var b strings.Builder
 	if err := r.writePrometheus(&b); err != nil {
@@ -210,9 +222,9 @@ func TestJournalRing(t *testing.T) {
 // exactly.
 func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
-	c := r.counter("ops_total")
-	h := r.histogram("lat_ns")
-	r.GaugeFunc("depth", func() float64 { return float64(c.value()) })
+	c := counter(r, "ops_total")
+	h := histogram(r, "lat_ns")
+	r.GaugeFunc("depth", func() float64 { return float64(c.Load()) })
 	const workers, perWorker = 4, 5000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -235,14 +247,14 @@ func TestConcurrentScrape(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.inc()
-				h.observe(int64(i))
+				c.Add(1)
+				h.Record(int64(i))
 			}
 		}()
 	}
 	// Wait for the recorders to land every sample, then stop the
 	// scraper and join everything.
-	for c.value() != workers*perWorker {
+	for c.Load() != workers*perWorker {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)

@@ -34,12 +34,10 @@ func (r *Registry) writePrometheus(w io.Writer) error {
 			prevName = s.name
 		}
 		switch s.kind {
-		case kindCounter:
-			writeSeries(&b, s.id, float64(s.c.value()))
 		case kindCounterFunc, kindGaugeFunc:
 			writeSeries(&b, s.id, s.fn())
 		case kindHistogram:
-			h := s.h.h.Snapshot()
+			h := s.h.Snapshot()
 			for _, q := range summaryQuantiles {
 				id := renderID(s.name, append(append([]Label{}, s.labels...),
 					Label{"quantile", strconv.FormatFloat(q, 'g', -1, 64)}))

@@ -3,6 +3,8 @@ package obs
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Phase names one segment of a request's life. The serving stack
@@ -40,8 +42,8 @@ const DefaultTraceEvery = 1024
 type Tracer struct {
 	mask    uint64 // every-1; every is a power of two
 	n       atomic.Uint64
-	sampled *counter
-	phases  [numPhases]*histogram
+	sampled atomic.Uint64
+	phases  [numPhases]stats.Histogram
 }
 
 // NewTracer registers a tracer's series in r and returns it. every is
@@ -60,9 +62,9 @@ func NewTracer(r *Registry, every int) *Tracer {
 		pow <<= 1
 	}
 	t := &Tracer{mask: pow - 1}
-	t.sampled = r.counter("sosd_trace_sampled_total")
+	r.CounterFunc("sosd_trace_sampled_total", func() float64 { return float64(t.sampled.Load()) })
 	for p := Phase(0); p < numPhases; p++ {
-		t.phases[p] = r.histogram("sosd_trace_phase_ns", Label{"phase", phaseNames[p]})
+		r.AttachHistogram("sosd_trace_phase_ns", &t.phases[p], Label{"phase", phaseNames[p]})
 	}
 	return t
 }
@@ -77,7 +79,7 @@ func (t *Tracer) Sample() *Span {
 	if t.n.Add(1)&t.mask != 0 {
 		return nil
 	}
-	t.sampled.inc()
+	t.sampled.Add(1)
 	return &Span{t: t, last: time.Now()}
 }
 
@@ -96,6 +98,6 @@ func (s *Span) Mark(p Phase) {
 		return
 	}
 	now := time.Now()
-	s.t.phases[p].observe(now.Sub(s.last).Nanoseconds())
+	s.t.phases[p].Record(now.Sub(s.last).Nanoseconds())
 	s.last = now
 }

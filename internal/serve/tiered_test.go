@@ -199,7 +199,7 @@ func TestTieredRunsOracle(t *testing.T) {
 				if n := st.runCount(i); n != 1 {
 					t.Fatalf("shard %d holds %d runs after Compact, want 1", i, n)
 				}
-				if st.Shard(i).HasTombs() {
+				if st.Shard(i).Tombs() != nil {
 					t.Fatalf("shard %d base carries tombstones after full merge", i)
 				}
 			}

@@ -50,7 +50,8 @@ func New(keys []core.Key, payloads []uint64, idx core.Index, fn search.Fn) (*Tab
 // NewTombed wraps existing data plus a parallel tombstone-bit array in
 // a Table (see the type comment for tombstone semantics). tombs may be
 // nil (no tombstones) or exactly len(keys) long; an all-false array is
-// normalized to nil so HasTombs stays a cheap run-set fast-path gate.
+// normalized to nil so a nil Tombs() stays a cheap run-set fast-path
+// gate.
 func NewTombed(keys []core.Key, payloads []uint64, tombs []bool, idx core.Index, fn search.Fn) (*Table, error) {
 	return wrap(keys, payloads, tombs, idx, fn, core.IsSorted(keys))
 }
@@ -150,9 +151,6 @@ func (t *Table) CountKey(key core.Key) int {
 // Tombs returns the table's tombstone-bit array as a view (nil when
 // the table carries none); callers must not mutate it.
 func (t *Table) Tombs() []bool { return t.tombs }
-
-// HasTombs reports whether any pair of the table is a tombstone.
-func (t *Table) HasTombs() bool { return t.tombs != nil }
 
 // Index returns the underlying search-bound index.
 func (t *Table) Index() core.Index { return t.idx }
