@@ -67,11 +67,11 @@ func renderTables(t *testing.T, name string, tables []report.Table) string {
 	return buf.String()
 }
 
-// runExperiment runs an experiment at tiny scale, requires its text to
-// carry every marker, and returns its tables.
-func runExperiment(t *testing.T, name string, wantMarkers ...string) []report.Table {
+// runExperiment runs an experiment at o, requires its text to carry
+// every marker, and returns its tables.
+func runExperiment(t *testing.T, name string, o Options, wantMarkers ...string) []report.Table {
 	t.Helper()
-	tables := runCatalog(t, name, tiny)
+	tables := runCatalog(t, name, o)
 	out := renderTables(t, name, tables)
 	for _, marker := range wantMarkers {
 		if !strings.Contains(out, marker) {
@@ -106,7 +106,8 @@ func sweepRows(tables []report.Table) string {
 	return b.String()
 }
 
-// checkSweepGolden holds a sweep figure's rows at tiny scale to
+// checkSweepGolden holds a sweep figure's rows (at tiny scale, fig12's
+// at 20,000 keys) to
 // testdata/sweep/<name>.golden: which configurations it built, in which
 // order, and their sizes, log2 errors and simulated counters, exactly. A missing golden is
 // written and fails the test; regenerate all of them with
@@ -141,56 +142,82 @@ func clip(s string) string {
 }
 
 func TestFig7EndToEnd(t *testing.T) {
-	checkSweepGolden(t, "fig7", runExperiment(t, "fig7",
+	checkSweepGolden(t, "fig7", runExperiment(t, "fig7", tiny,
 		"Figure 7", "amzn", "osm", "wiki", "face", "RMI", "FAST", "baseline"))
 }
 
 func TestFig8EndToEnd(t *testing.T) {
-	checkSweepGolden(t, "fig8", runExperiment(t, "fig8", "Figure 8", "FST", "Wormhole"))
+	checkSweepGolden(t, "fig8", runExperiment(t, "fig8", tiny, "Figure 8", "FST", "Wormhole"))
 }
 
 func TestFig9EndToEnd(t *testing.T) {
-	checkSweepGolden(t, "fig9", runExperiment(t, "fig9", "Figure 9", "16000")) // 4x of tiny.N
+	checkSweepGolden(t, "fig9", runExperiment(t, "fig9", tiny, "Figure 9", "16000")) // 4x of tiny.N
 }
 
 func TestFig10EndToEnd(t *testing.T) {
-	checkSweepGolden(t, "fig10", runExperiment(t, "fig10", "Figure 10", "BTree32", "FAST32", "32", "64"))
+	checkSweepGolden(t, "fig10", runExperiment(t, "fig10", tiny, "Figure 10", "BTree32", "FAST32", "32", "64"))
 }
 
 func TestFig11EndToEnd(t *testing.T) {
-	checkSweepGolden(t, "fig11", runExperiment(t, "fig11", "Figure 11", "binary", "linear", "interpolation"))
+	checkSweepGolden(t, "fig11", runExperiment(t, "fig11", tiny, "Figure 11", "binary", "linear", "interpolation"))
 }
 
+// TestFig12EndToEnd runs fig12 at 20,000 keys, not tiny's 4,000: at
+// 4,000 every structure and its keys fit the simulated cache and no row
+// reads a cache miss, so the golden would pin c-miss at 0 throughout.
+// Most rows must miss, so that a scale which fits the cache cannot come
+// back unnoticed.
 func TestFig12EndToEnd(t *testing.T) {
-	checkSweepGolden(t, "fig12", runExperiment(t, "fig12", "Figure 12", "c-miss", "instr"))
+	o := tiny
+	o.N = 20_000
+	tables := runExperiment(t, "fig12", o, "Figure 12", "c-miss", "instr")
+	checkSweepGolden(t, "fig12", tables)
+	rows, missing := 0, 0
+	for _, tb := range tables {
+		for i, m := range tb.Schema.Metrics {
+			if m.Name != "c-miss" {
+				continue
+			}
+			for _, row := range tb.Rows {
+				rows++
+				if row.Metrics[i] > 0 {
+					missing++
+				}
+			}
+		}
+	}
+	if 2*missing <= rows {
+		t.Fatalf("%d of %d fig12 rows read a cache miss, want most", missing, rows)
+	}
+	t.Logf("%d of %d fig12 rows read a cache miss", missing, rows)
 }
 
 func TestFig13EndToEnd(t *testing.T) {
-	checkSweepGolden(t, "fig13", runExperiment(t, "fig13", "Figure 13", "log2err"))
+	checkSweepGolden(t, "fig13", runExperiment(t, "fig13", tiny, "Figure 13", "log2err"))
 }
 
 func TestFig14EndToEnd(t *testing.T) {
-	checkSweepGolden(t, "fig14", runExperiment(t, "fig14", "Figure 14", "warm", "cold"))
+	checkSweepGolden(t, "fig14", runExperiment(t, "fig14", tiny, "Figure 14", "warm", "cold"))
 }
 
 func TestFig15EndToEnd(t *testing.T) {
-	checkSweepGolden(t, "fig15", runExperiment(t, "fig15", "Figure 15", "fence"))
+	checkSweepGolden(t, "fig15", runExperiment(t, "fig15", tiny, "Figure 15", "fence"))
 }
 
 func TestFig16aEndToEnd(t *testing.T) {
-	runExperiment(t, "fig16a", "Figure 16a", "Mlookups/s")
+	runExperiment(t, "fig16a", tiny, "Figure 16a", "Mlookups/s")
 }
 
 func TestFig16bEndToEnd(t *testing.T) {
-	checkSweepGolden(t, "fig16b", runExperiment(t, "fig16b", "Figure 16b", "RMI"))
+	checkSweepGolden(t, "fig16b", runExperiment(t, "fig16b", tiny, "Figure 16b", "RMI"))
 }
 
 func TestFig16cEndToEnd(t *testing.T) {
-	runExperiment(t, "fig16c", "Figure 16c", "miss/op")
+	runExperiment(t, "fig16c", tiny, "Figure 16c", "miss/op")
 }
 
 func TestFig17EndToEnd(t *testing.T) {
-	runExperiment(t, "fig17", "Figure 17", "tune(ms)", "build(ms)", "Wormhole")
+	runExperiment(t, "fig17", tiny, "Figure 17", "tune(ms)", "build(ms)", "Wormhole")
 }
 
 func TestFig14ColdSlowerThanWarm(t *testing.T) {
@@ -241,13 +268,13 @@ func TestFig14ColdSlowerThanWarm(t *testing.T) {
 }
 
 func TestServeObsSweepEndToEnd(t *testing.T) {
-	runExperiment(t, "serve-obs",
+	runExperiment(t, "serve-obs", tiny,
 		"Observability conservation laws", "law held", "offered", "served", "shed",
 		"batch", "readamp", "traces", "closed", "open200%", "PGM")
 }
 
 func TestServeReplSweepEndToEnd(t *testing.T) {
-	runExperiment(t, "serve-repl",
+	runExperiment(t, "serve-repl", tiny,
 		"Replicated serving", "snap", "streamed", "busiest", "detect+promote", "ready")
 }
 
