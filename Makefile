@@ -130,8 +130,10 @@ smoke-%:
 	$(MAKE) $* N=20000 LOOKUPS=2000
 
 # fuzz-smoke runs every decoder fuzz target briefly (10s each):
-# truncated/bit-flipped snapshots, WALs, tables, manifests, tombstone
-# bitmaps and wire frames must error, never panic or over-allocate.
+# truncated/bit-flipped index frames, WALs, run files (FuzzTable, seeded
+# with runs that carry both the tombstone and the index section),
+# manifests, tombstone sections and wire frames must error, never panic
+# or over-allocate.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/persist/

@@ -30,9 +30,10 @@ func init() {
 }
 
 // persistFamilies is the family set of the persist experiment: every
-// family with a registered snapshot codec, tuned RMI first (the
-// paper's extreme build-cost case), plus ART as the codec-less
-// rebuild-at-load baseline.
+// family with a registered snapshot codec, whose run files carry an
+// index section that decodes at load, tuned RMI first (the paper's
+// extreme build-cost case), plus ART as the codec-less baseline, whose
+// run files carry none and whose indexes are rebuilt at load.
 var persistFamilies = []string{"RMI", "PGM", "RS", "RBS", "BTree", "ART"}
 
 // persistRow builds family's store cold, snapshots it into dir, opens
