@@ -93,8 +93,8 @@ func alignBlock(n int64) int64 {
 	return (n + runBlock - 1) / runBlock * runBlock
 }
 
-// WriteRun atomically writes run as one run file: one temp file, one
-// fsync, one rename.
+// WriteRun atomically writes run as one run file, in one AtomicWrite
+// commit.
 func WriteRun(path string, run Run) error {
 	if len(run.Keys) != len(run.Payloads) || (run.Tombs != nil && len(run.Tombs) != len(run.Keys)) {
 		return binio.Corruptf("persist: run arrays differ in length (keys %d, payloads %d, tombs %d)", len(run.Keys), len(run.Payloads), len(run.Tombs))
@@ -213,7 +213,8 @@ func readRunFrom(ra io.ReaderAt, size int64) (Run, error) {
 		(count > 0 && paysOff < keysOff+blobLen) || paysOff+blobLen > size {
 		return Run{}, binio.Corruptf("persist: run block offsets invalid (keys %d, payloads %d, size %d)", keysOff, paysOff, size)
 	}
-	end := uint64(paysOff + blobLen)
+	dataEnd := uint64(paysOff + blobLen)
+	end := dataEnd
 	for _, s := range sections {
 		if (s.len == 0 && s.off != 0) || (s.len != 0 && (s.off != end || s.len > uint64(size)-end)) {
 			return Run{}, binio.Corruptf("persist: run sections invalid (at %d, %d bytes; payloads end at %d, size %d)", s.off, s.len, end, size)
@@ -237,31 +238,25 @@ func readRunFrom(ra io.ReaderAt, size int64) (Run, error) {
 			return Run{}, binio.Corruptf("persist: run keys not sorted")
 		}
 	}
-	if s := sections[0]; s.len != 0 {
-		data, err := readSection(ra, s.off, s.len)
-		if err == nil {
-			run.Tombs, err = decodeTombs(data, int(count))
-		}
-		if err != nil {
+	// The sections follow the payloads back to back: one read takes both.
+	if tail := make([]byte, end-dataEnd); len(tail) > 0 {
+		if _, err := ra.ReadAt(tail, int64(dataEnd)); err != nil {
 			return Run{}, err
 		}
-	}
-	if s := sections[1]; s.len != 0 {
-		data, err := readSection(ra, s.off, s.len)
-		if err == nil {
-			run.Index, err = decodeIndex(data)
+		tombs, index := tail[:sections[0].len], tail[sections[0].len:]
+		var err error
+		if len(tombs) > 0 {
+			if run.Tombs, err = decodeTombs(tombs, int(count)); err != nil {
+				return Run{}, err
+			}
 		}
-		if err != nil {
-			return Run{}, err
+		if len(index) > 0 {
+			if run.Index, err = decodeIndex(index); err != nil {
+				return Run{}, err
+			}
 		}
 	}
 	return run, nil
-}
-
-func readSection(ra io.ReaderAt, off, n uint64) ([]byte, error) {
-	b := make([]byte, n)
-	_, err := ra.ReadAt(b, int64(off))
-	return b, err
 }
 
 // readU64Block reads one array's bytes straight into dst's backing

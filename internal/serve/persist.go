@@ -6,10 +6,10 @@ package serve
 // payloads, the tombstone bits of a tier run that carries deletions,
 // and the encoded index when the run's codec tag has one — plus a
 // write-ahead log seeded with the shard's pending delta; the manifest
-// names them all and its rename is the commit point. Shard files are written under
-// generation-suffixed names and the manifest commits a complete
-// generation at once, so a crash at any instant leaves either the full
-// old file set or the full new one — never a mixed pair.
+// names them all and its rename is the commit point. Shard files are
+// written under generation-suffixed names and the manifest commits a
+// complete generation at once, so a crash at any instant leaves either
+// the full old file set or the full new one — never a mixed pair.
 //
 // A store opened from a snapshot is "attached": every Put/Delete
 // appends to its shard's WAL before becoming visible, and every
@@ -156,8 +156,8 @@ func cleanStaleShardFiles(dir string, m *persist.Manifest) {
 }
 
 // Snapshot atomically persists the store's full state into dir: every
-// shard's run set (one run file per run) and a WAL seeded with the shard's pending writes, committed by the
-// manifest rename. It runs alongside concurrent reads and writes —
+// shard's run set (one run file per run) and a WAL seeded with the
+// shard's pending writes, committed by the manifest rename. It runs alongside concurrent reads and writes —
 // each shard is captured at one consistent (runs, pending) point — and
 // leaves the store serving throughout. Snapshotting an attached store
 // to its own directory commits shard by shard and swaps the live WALs,
@@ -435,7 +435,7 @@ func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta, shardTag str
 	if err != nil {
 		return nil, "", fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
 	}
-	keys, payloads, tombs := run.Keys, run.Payloads, run.Tombs
+	keys, payloads, tombs, idx := run.Keys, run.Payloads, run.Tombs, run.Index
 	// Boundary check: a run file swapped between shards would pass
 	// its own checksums but violate the routing invariant. Shard 0 has
 	// no lower fence — keys below every separator route to it (see
@@ -452,7 +452,7 @@ func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta, shardTag str
 		return nil, "", fmt.Errorf("serve: shard %d base run carries tombstones", i)
 	}
 
-	switch idx := run.Index; {
+	switch {
 	case len(keys) == 0:
 		return table.Empty(search.BinarySearch), rm.Codec, nil
 	case idx != nil:
@@ -489,7 +489,7 @@ func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta, shardTag str
 // sampleValidate spot-checks a decoded index against the run's keys: a
 // sample of present keys (plus both extremes) must produce valid
 // lower-bound search bounds. Checksums catch bit rot; this catches a
-// structurally-valid index paired with the wrong table (sizes or key
+// structurally-valid index written beside the wrong keys (sizes or key
 // ranges that drifted apart), at a cost independent of table size.
 func sampleValidate(keys []core.Key, idx core.Index) error {
 	n := len(keys)
