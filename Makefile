@@ -96,11 +96,15 @@ obs-smoke:
 # depends on the count and on the scheduler. serve's holds a store's
 # merge decisions to its op sequence at GOMAXPROCS 1, 2 and 8, and
 # bench's hold serve-lsm's replayed table and persist's table to their
-# goldens there.
+# goldens there. A batched read probes its shards' states on the
+# caller's goroutine, under concurrent compaction swaps, so the batch
+# readers' tests and the follower resync behind a serving port run ten
+# more times at 1, 2 and 8 CPUs.
 race:
 	$(GO) test -race ./internal/serve/ ./internal/table/ ./internal/stats/ ./internal/load/ ./internal/persist/ ./internal/net/ ./internal/obs/ ./internal/repl/ ./internal/dataset/ ./internal/core/ ./internal/rmi/ ./internal/pgm/ ./internal/rs/
 	$(GO) test -race -count=10 -run TestFollowerWarmRestart ./internal/repl/
 	$(GO) test -race -count=10 -run SameUnderGOMAXPROCS ./internal/dataset/ ./internal/load/ ./internal/registry/ ./internal/serve/ ./internal/bench/
+	$(GO) test -race -count=10 -cpu 1,2,8 -run 'TestConcurrentGetBatch|TestSwapUnderReads|TestReadsAfterClose|TestResyncBehindServingPort' ./internal/serve/ ./internal/repl/
 
 # One rule prints any of the serving experiments at a quick scale
 # (override N and LOOKUPS for another):

@@ -385,8 +385,7 @@ func (s *Server) coalescer() {
 		case <-s.stopC:
 			// Connections are already severed by Close; just drain the
 			// queue so every admitted slot is released.
-			for _, g := range pend {
-				_ = g
+			for range pend {
 				s.release()
 			}
 			for {
@@ -548,7 +547,7 @@ func (c *srvConn) handle(m *Msg) {
 		c.send(&Msg{Type: msgValueBatch, id: m.id, vals: vals, foundN: uint32(found)})
 		s.lat.Record(time.Since(t0).Nanoseconds())
 		s.release()
-	case msgPut:
+	case msgPut, msgDelete:
 		if s.st.ReadOnly() {
 			c.send(&Msg{Type: msgError, id: m.id, err: "read-only replica"})
 			return
@@ -558,21 +557,11 @@ func (c *srvConn) handle(m *Msg) {
 			return
 		}
 		t0 := time.Now()
-		s.st.Put(m.key, m.Val)
-		c.send(&Msg{Type: msgOK, id: m.id})
-		s.lat.Record(time.Since(t0).Nanoseconds())
-		s.release()
-	case msgDelete:
-		if s.st.ReadOnly() {
-			c.send(&Msg{Type: msgError, id: m.id, err: "read-only replica"})
-			return
+		if m.Type == msgPut {
+			s.st.Put(m.key, m.Val)
+		} else {
+			s.st.Delete(m.key)
 		}
-		if !s.admit() {
-			c.send(&Msg{Type: msgRetryLater, id: m.id})
-			return
-		}
-		t0 := time.Now()
-		s.st.Delete(m.key)
 		c.send(&Msg{Type: msgOK, id: m.id})
 		s.lat.Record(time.Since(t0).Nanoseconds())
 		s.release()

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/load"
+	"repro/internal/net"
 	"repro/internal/persist"
 	"repro/internal/serve"
 )
@@ -400,6 +401,84 @@ func TestFollowerResyncAfterEviction(t *testing.T) {
 	oracleCheck(t, f2.Store(), oracle)
 	if f2.Stats().Resyncs == 0 && p.Stats().Bootstraps < 2 {
 		t.Fatal("eviction recovery did not resync")
+	}
+}
+
+// TestResyncBehindServingPort resyncs a follower while a net.Server
+// serves the store the follower had before: the resync closes that
+// store, and the port must go on answering from it (stale reads, as
+// DESIGN.md's "Known limitation" says) — a GetBatch frame, served on
+// the connection's reader, and a point Get, served by the coalescer's
+// GetBatchFound — instead of crashing the process.
+func TestResyncBehindServingPort(t *testing.T) {
+	keys, payloads := testKeys(t, 2000)
+	log := NewLog(2)
+	log.ringCap = 16 // tiny ring, one op a frame: writes outrun the stream
+	st, err := serve.New(keys, payloads, serve.Config{
+		Shards: 2, Family: "PGM", WriteHook: log.Hook(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	p, err := NewPrimary(st, log, "127.0.0.1:0", PrimaryConfig{streamBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	f, err := StartFollower(FollowerConfig{
+		Dir: t.TempDir(), PrimaryAddr: p.Addr().String(), Store: serve.Config{Family: "PGM"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	if err := f.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	served := f.Store()
+	srv, err := net.Listen("127.0.0.1:0", served, net.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	const written = 9e9 // every value the loop writes is at least this
+	deadline := time.Now().Add(15 * time.Second)
+	for i := 0; f.Stats().Resyncs < 2; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("no resync after %d puts", i)
+		}
+		st.Put(keys[i%len(keys)], uint64(i)+written)
+	}
+	if err := f.WaitCaughtUp(log.Seqs(), 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if f.Store() == served {
+		t.Fatal("the resync kept the served store")
+	}
+
+	c, err := net.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stale := func(i int, v uint64) bool { return v == payloads[i] || v >= written }
+	out := make([]uint64, 256)
+	n, err := c.GetBatch(keys[:len(out)], out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(out) {
+		t.Fatalf("GetBatch after resync found %d of %d", n, len(out))
+	}
+	for i, v := range out {
+		if !stale(i, v) {
+			t.Fatalf("GetBatch after resync: key %d read %d, a value never written", i, v)
+		}
+	}
+	if v, ok, err := c.Get(keys[1]); err != nil || !ok || !stale(1, v) {
+		t.Fatalf("Get after resync: %d,%v,%v", v, ok, err)
 	}
 }
 

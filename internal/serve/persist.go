@@ -350,9 +350,9 @@ func (st *Store) persistShardLocked(i int) error {
 // serves exactly the state current when the snapshot (plus any logged
 // writes) was taken. The returned store is attached: subsequent writes
 // append to the WALs and compactions advance the on-disk state. cfg
-// supplies the runtime knobs (Workers, CompactThreshold, MaxRuns,
-// AmpBound, SyncWrites, builderFor); the shard structure,
-// family and index configuration come from the manifest.
+// supplies the runtime knobs (CompactThreshold, MaxRuns, AmpBound,
+// SyncWrites, builderFor, and Workers for later Snapshots); the shard
+// structure, family and index configuration come from the manifest.
 func Open(dir string, cfg Config) (*Store, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {

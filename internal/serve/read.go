@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -28,16 +27,6 @@ type shardStats struct {
 	sinceCheck    atomic.Int64
 }
 
-type job struct {
-	s     *shardState
-	shard int
-	keys  []core.Key
-	out   []uint64
-	found []bool // per-key found bits, resolved by every job
-	hits  *atomic.Int64
-	wg    *sync.WaitGroup
-}
-
 type batchScratch struct {
 	shard  []int32
 	offs   []int32
@@ -57,18 +46,6 @@ func (st *Store) windowAmp(i int) (amp float64, ops int64) {
 		amp = float64(ss.probes.Load()-ss.probes0.Load()) / float64(ops)
 	}
 	return amp, ops
-}
-
-func (st *Store) worker() {
-	defer st.workersWG.Done()
-	for j := range st.jobs {
-		n, probes := j.s.getBatch(j.keys, j.out, j.found)
-		j.hits.Add(int64(n))
-		if probes > 0 && !j.s.single() {
-			st.noteReads(j.shard, probes, len(j.keys))
-		}
-		j.wg.Done()
-	}
 }
 
 // noteReads folds a multi-run read's probe count into the shard's
@@ -130,10 +107,10 @@ func (st *Store) Get(key core.Key) (uint64, bool) {
 
 // GetBatch looks up a batch of keys across all shards: out[i] receives
 // the live payload for keys[i] (0 when absent) and the number found is
-// returned. Keys are gathered per shard, served by the worker pool as
-// one batched job per shard (run-set probe plus delta overlay), and
-// scattered back, so a batch touching S shards runs on up to S workers
-// concurrently.
+// returned. Keys are gathered per shard, served on the caller's
+// goroutine as one batched probe per shard (run-set probe plus delta
+// overlay), and scattered back; concurrency comes from concurrent
+// callers.
 func (st *Store) GetBatch(keys []core.Key, out []uint64) int {
 	if len(out) < len(keys) {
 		panic("serve: GetBatch output shorter than key batch")
@@ -190,25 +167,19 @@ func (st *Store) getBatchInto(keys []core.Key, out []uint64, fbits []bool) int {
 	}
 	sp.Mark(obs.PhaseShardRoute)
 
-	var wg sync.WaitGroup
-	var hits atomic.Int64
+	hits := 0
 	for sh := 0; sh < nShards; sh++ {
 		lo, hi := starts[sh], starts[sh+1]
 		if lo == hi {
 			continue
 		}
-		wg.Add(1)
-		st.jobs <- job{
-			s:     st.shards[sh].Load(),
-			shard: sh,
-			keys:  s.gkeys[lo:hi],
-			out:   s.gout[lo:hi],
-			found: s.gfound[lo:hi],
-			hits:  &hits,
-			wg:    &wg,
+		state := st.shards[sh].Load()
+		n, probes := state.getBatch(s.gkeys[lo:hi], s.gout[lo:hi], s.gfound[lo:hi])
+		hits += n
+		if probes > 0 && !state.single() {
+			st.noteReads(sh, probes, int(hi-lo))
 		}
 	}
-	wg.Wait()
 	sp.Mark(obs.PhaseRunProbe)
 
 	for i := 0; i < n; i++ {
@@ -221,7 +192,7 @@ func (st *Store) getBatchInto(keys []core.Key, out []uint64, fbits []bool) int {
 	}
 	sp.Mark(obs.PhaseMerge)
 	st.scratch.Put(s)
-	return int(hits.Load())
+	return hits
 }
 
 // Scan visits the store's live pairs with key in [lo, hi) in ascending

@@ -2,7 +2,7 @@
 // the table layer: a Store range-partitions the keyspace across N
 // shards, each an independent, atomically replaceable set of sorted
 // runs built from any registered index family, answers batched lookups
-// through a fixed goroutine pool, and absorbs writes into per-shard
+// on the caller's goroutine, and absorbs writes into per-shard
 // delta buffers that a background compactor flushes into small tier
 // runs and merges back into the learned indexes under a cost-model
 // tiering policy.
@@ -78,7 +78,7 @@ type Config struct {
 	// tier runs never ask it.
 	builderFor func(shard int, keys []core.Key) (core.Builder, error)
 
-	// Workers is the goroutine-pool size serving batched lookups; 0
+	// Workers is how many shards a Snapshot exports at once; 0
 	// defaults to min(Shards, runtime.NumCPU()).
 	Workers int
 
@@ -161,10 +161,8 @@ type Store struct {
 	persistErrMu  sync.Mutex
 	persistErr    error
 
-	jobs      chan job
-	workersWG sync.WaitGroup
-	scratch   sync.Pool // *batchScratch
-	closed    atomic.Bool
+	scratch sync.Pool // *batchScratch
+	closed  atomic.Bool
 
 	// Replica mode: a read-only store refuses Put/Delete (each refusal
 	// counted) while Apply — the replication stream's entry
@@ -303,15 +301,10 @@ func newStore(cfg Config, nShards int) *Store {
 	return st
 }
 
-// start launches the worker pool and the background compactor over the
-// already-populated shard array (shared by New and Open).
+// start launches the background compactor over the already-populated
+// shard array (shared by New and Open).
 func (st *Store) start() {
 	st.scratch.New = func() any { return &batchScratch{} }
-	st.jobs = make(chan job)
-	for w := 0; w < st.cfg.Workers; w++ {
-		st.workersWG.Add(1)
-		go st.worker()
-	}
 	st.registerMetrics(st.cfg.Metrics)
 	// One compactor: merges are CPU-bound index rebuilds, and a single
 	// goroutine keeps them off the serving cores; requests queue.
@@ -331,16 +324,15 @@ func (st *Store) buildShard(i int, keys []core.Key, payloads []uint64) error {
 	return nil
 }
 
-// Close stops the worker pool and the background compactor (draining
-// any queued compactions first), then syncs and closes any attached
-// write-ahead logs. No reads or writes may be in flight or issued
-// after Close; shard states remain readable through Get.
+// Close stops the background compactor (draining any queued
+// compactions first), then syncs and closes any attached write-ahead
+// logs. No writes may be in flight or issued after Close. Reads stay
+// served: Get, GetBatch, GetBatchFound and Scan answer from the state
+// the store held when Close returned.
 func (st *Store) Close() {
 	if st.closed.Swap(true) {
 		return
 	}
-	close(st.jobs)
-	st.workersWG.Wait()
 	st.compactMu.Lock()
 	st.compactStop = true
 	st.compactCond.Broadcast()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -197,6 +198,70 @@ func TestSwapUnderReads(t *testing.T) {
 	want *= rounds + 1
 	if got, ok := st.Get(x); !ok || got != want {
 		t.Fatalf("after the last swap: Get(%d) = %d, want %d", x, got, want)
+	}
+}
+
+// TestReadsAfterClose holds every read of a closed store to the state
+// it held at Close: a follower's serving port keeps the store it was
+// given after a resync closes it, and goes on answering stale reads
+// from it. The store closes with a tier run, tombstones and a pending
+// delta, so each read path overlays writes on runs.
+func TestReadsAfterClose(t *testing.T) {
+	keys, payloads := testData(t, 6000)
+	st, err := New(keys, payloads, Config{Shards: 4, Family: "PGM", CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(keys); i += 5 {
+		st.Put(keys[i], uint64(i)+1e9)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(keys); i += 7 {
+		st.Delete(keys[i])
+	}
+	for i := 2; i < len(keys); i += 11 {
+		st.Put(keys[i], uint64(i)+2e9)
+	}
+	probes := append(dataset.Lookups(keys, 2000, 9), dataset.AbsentLookups(keys, 200, 9)...)
+
+	type view struct {
+		get, batch, batchFound []uint64
+		found                  []bool
+		hits, hitsFound        int
+		scanned                []uint64
+	}
+	read := func() view {
+		v := view{
+			get:        make([]uint64, len(probes)),
+			batch:      make([]uint64, len(probes)),
+			batchFound: make([]uint64, len(probes)),
+			found:      make([]bool, len(probes)),
+		}
+		for i, x := range probes {
+			v.get[i], _ = st.Get(x)
+		}
+		v.hits = st.GetBatch(probes, v.batch)
+		v.hitsFound = st.GetBatchFound(probes, v.batchFound, v.found)
+		st.Scan(0, ^core.Key(0), func(k core.Key, p uint64) bool {
+			v.scanned = append(v.scanned, uint64(k), p)
+			return true
+		})
+		return v
+	}
+	before := read()
+	st.Close()
+	after := read()
+
+	if !reflect.DeepEqual(before, after) {
+		t.Fatal("reads after Close differ from the same reads before it")
+	}
+	if got, ok := st.Get(keys[1]); ok {
+		t.Fatalf("closed store lost a tombstone: Get = %d", got)
+	}
+	if got, _ := st.Get(keys[2]); got != 2+2e9 {
+		t.Fatalf("closed store lost a pending write: Get = %d, want %d", got, uint64(2+2e9))
 	}
 }
 
