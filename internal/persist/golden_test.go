@@ -27,19 +27,19 @@ import (
 // a run file, whose magic names the layout.
 func TestGoldenEncodedIndexes(t *testing.T) {
 	golden := []struct {
-		n               int
-		ds              dataset.Name
-		rs, pgm         uint64
-		rsSize, pgmSize int
+		n                        int
+		ds                       dataset.Name
+		rs, pgm, rmi             uint64
+		rsSize, pgmSize, rmiSize int
 	}{
-		{50_000, dataset.Amzn, 0x4be19f89232100b5, 0xa6f50705ca05664a, 33334, 816},
-		{50_000, dataset.Face, 0xc2907bf2aff303f7, 0x9c51b1b4b2515ddf, 670, 120},
-		{50_000, dataset.OSM, 0xed2589158bff187a, 0x97aae44e6dbb3128, 37294, 4896},
-		{50_000, dataset.Wiki, 0x878a406a2124cc67, 0x3d89029c663d6763, 33262, 736},
-		{2_000_000, dataset.Amzn, 0x1fc6642eeece481a, 0xd66637e11d256f26, 33922, 1356},
-		{2_000_000, dataset.Face, 0x3e8016b9a33cd827, 0x868ae6ff2f7539fc, 5890, 3952},
-		{2_000_000, dataset.OSM, 0x9b00a05768afc67c, 0xd5626085d92ee514, 98158, 82480},
-		{2_000_000, dataset.Wiki, 0xace5ecc540bde73d, 0xccf3b5f102a9efa2, 54982, 31716},
+		{50_000, dataset.Amzn, 0x4be19f89232100b5, 0xa6f50705ca05664a, 0xa45a930b0ec94548, 33334, 816, 24632},
+		{50_000, dataset.Face, 0xc2907bf2aff303f7, 0x9c51b1b4b2515ddf, 0xa949a981417d166b, 670, 120, 24632},
+		{50_000, dataset.OSM, 0xed2589158bff187a, 0x97aae44e6dbb3128, 0x11ed999518750212, 37294, 4896, 24632},
+		{50_000, dataset.Wiki, 0x878a406a2124cc67, 0x3d89029c663d6763, 0xd884f148ddaa4c72, 33262, 736, 24632},
+		{2_000_000, dataset.Amzn, 0x1fc6642eeece481a, 0xd66637e11d256f26, 0x78563648bf9431d8, 33922, 1356, 98360},
+		{2_000_000, dataset.Face, 0x3e8016b9a33cd827, 0x868ae6ff2f7539fc, 0x4126b299be26fe39, 5890, 3952, 98360},
+		{2_000_000, dataset.OSM, 0x9b00a05768afc67c, 0xd5626085d92ee514, 0xe4c35e2ad296aedf, 98158, 82480, 98360},
+		{2_000_000, dataset.Wiki, 0xace5ecc540bde73d, 0xccf3b5f102a9efa2, 0xcd1453fae360599d, 54982, 31716, 98360},
 	}
 	for _, g := range golden {
 		if testing.Short() && g.n > 50_000 {
@@ -50,7 +50,7 @@ func TestGoldenEncodedIndexes(t *testing.T) {
 			family string
 			crc    uint64
 			size   int
-		}{{"RS", g.rs, g.rsSize}, {"PGM", g.pgm, g.pgmSize}} {
+		}{{"RS", g.rs, g.rsSize}, {"PGM", g.pgm, g.pgmSize}, {"RMI", g.rmi, g.rmiSize}} {
 			nb, ok := registry.Builder(want.family, keys)
 			if !ok {
 				t.Fatalf("%s: no mid-sweep builder", want.family)
