@@ -149,13 +149,6 @@ func clampRound(p float64, lo, hi int) int {
 	return int(p + 0.5)
 }
 
-// widen grows the margins to cover a key predicted d positions above
-// its true position: over-prediction widens the low margin.
-func (c *clamps) widen(d int) {
-	c.errLo = max(c.errLo, core.ToMargin(d+1))
-	c.errHi = max(c.errHi, core.ToMargin(-d+1))
-}
-
 // New trains an RMI over sorted keys.
 func New(keys []core.Key, cfg Config) (*Index, error) {
 	if len(keys) == 0 {
@@ -202,22 +195,11 @@ type routed struct {
 }
 
 // leafRun is what one range of keys finds for the leaves its keys route
-// to, leaf0 to leaf0+len(spans)-1: the positions each leaf receives
-// from the range, or the margins the range's keys need.
+// to, leaf0 to leaf0+len(spans)-1: the first and last position each
+// leaf receives from the range (both -1 if none).
 type leafRun struct {
 	leaf0 int
-	spans []clamps // lo/hi: first and last position (-1 if none); errLo/errHi: margins
-}
-
-// newLeafRun returns a run over leaves l0 to l1, every span empty and
-// every margin 0 (a leaf's own margins start at 1, so merging a 0
-// changes nothing).
-func newLeafRun(l0, l1 int) leafRun {
-	run := leafRun{leaf0: l0, spans: make([]clamps, l1-l0+1)}
-	for j := range run.spans {
-		run.spans[j].lo, run.spans[j].hi = -1, -1
-	}
-	return run
+	spans [][2]int32
 }
 
 // trainStage1 fits the stage-1 model on the full CDF and routes every
@@ -253,13 +235,16 @@ func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
 			r.assign[i] = int32(li)
 			l0, l1 = min(l0, li), max(l1, li)
 		}
-		run := newLeafRun(l0, l1)
+		run := leafRun{leaf0: l0, spans: make([][2]int32, l1-l0+1)}
+		for j := range run.spans {
+			run.spans[j] = [2]int32{-1, -1}
+		}
 		for i := lo; i < hi; i++ {
 			s := &run.spans[int(r.assign[i])-l0]
-			if s.lo < 0 {
-				s.lo = int32(i)
+			if s[0] < 0 {
+				s[0] = int32(i)
 			}
-			s.hi = int32(i)
+			s[1] = int32(i)
 		}
 		return run
 	})
@@ -268,11 +253,11 @@ func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
 	}
 	for _, run := range r.routes {
 		for j, s := range run.spans {
-			if li := run.leaf0 + j; s.lo >= 0 {
+			if li := run.leaf0 + j; s[0] >= 0 {
 				if r.first[li] < 0 {
-					r.first[li] = int(s.lo)
+					r.first[li] = int(s[0])
 				}
-				r.last[li] = int(s.hi)
+				r.last[li] = int(s[1])
 			}
 		}
 	}
@@ -329,12 +314,14 @@ func (r *routed) finish(fkeys []float64, stage2 ModelKind) *Index {
 
 	// Error collection: replay every key through the lookup path so the
 	// recorded bounds are exact for present keys by construction. Ranges
-	// of keys replay chunk-wise into margins of their own, merged by max,
-	// which does not care in what order; a range's leaves are the ones
-	// it routed to.
-	runs := core.Parallel(n, func(k, lo, hi int) leafRun {
-		route := r.routes[k]
-		run := newLeafRun(route.leaf0, route.leaf0+len(route.spans)-1)
+	// of keys replay chunk-wise into the worst over- and under-prediction
+	// of each leaf they routed to, merged by max, which does not care in
+	// what order. A margin covers its worst error +1 for absent keys,
+	// encoded once per leaf: core.ToMargin's codes order as their
+	// values do, so the code of the worst is the worst of the codes.
+	worst := core.Parallel(n, func(k, lo, hi int) [][2]int {
+		leaf0 := r.routes[k].leaf0
+		w := make([][2]int, len(r.routes[k].spans)) // {pred-actual, actual-pred}
 		for i := lo; i < hi; i++ {
 			li := int(r.assign[i])
 			var pos int
@@ -343,14 +330,15 @@ func (r *routed) finish(fkeys []float64, stage2 ModelKind) *Index {
 			} else {
 				pos = idx.leaves[li].pos(fkeys[i])
 			}
-			run.spans[li-run.leaf0].widen(pos - i)
+			d := &w[li-leaf0]
+			d[0], d[1] = max(d[0], pos-i), max(d[1], i-pos)
 		}
-		return run
+		return w
 	})
-	for _, run := range runs {
-		for j, s := range run.spans {
-			c := idx.clampsOf(run.leaf0 + j)
-			c.errLo, c.errHi = max(c.errLo, s.errLo), max(c.errHi, s.errHi)
+	for k, w := range worst {
+		for j, d := range w {
+			c := idx.clampsOf(r.routes[k].leaf0 + j)
+			c.errLo, c.errHi = max(c.errLo, core.ToMargin(d[0]+1)), max(c.errHi, core.ToMargin(d[1]+1))
 		}
 	}
 
