@@ -157,7 +157,7 @@ func TestTracedRegionsSumToSizeBytes(t *testing.T) {
 		case *tracedPGM:
 			regions, size = slices.Concat(v.keys, v.slopes, v.pos, []Region{v.margins}), v.idx.SizeBytes()
 		case *tracedRS:
-			regions, size = []Region{v.radix, v.keys, v.pos}, v.idx.SizeBytes()
+			regions, size = []Region{v.base, v.fine, v.keys, v.pos}, v.idx.SizeBytes()
 		case *tracedRBS:
 			regions, size = []Region{v.table}, v.idx.SizeBytes()
 		case *tracedBTree:
@@ -303,7 +303,7 @@ func TestTracedSearchesChargeReplaySlots(t *testing.T) {
 					charge(v.keys[st.Level], max(st.Rank-1, 0))
 				})
 			case *tracedRS:
-				v.idx.Trace(x, func(_ uint64, lo, hi, rank int) {
+				v.idx.Trace(x, func(_, _, lo, hi, rank int) {
 					ladder(v.keys, lo, hi, rank)
 					seg := max(rank-1, 0)
 					charge(v.keys, seg)

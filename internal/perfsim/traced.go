@@ -33,14 +33,17 @@ type Traced interface {
 // FAST's levels —
 // payloadBytes that of one payload in the table's uint64 payload array,
 // posBytes that of one RS spline point's position and of one PGM
-// segment's, slopeBytes that of one PGM segment's slope, and
-// marginBytes that of one of a PGM data segment's two margin codes.
+// segment's, slopeBytes that of one PGM segment's slope,
+// marginBytes that of one of a PGM data segment's two margin codes,
+// and baseBytes that of one entry of RS's radix base (its fine offsets
+// are a byte each).
 const (
 	keyBytes     = int(unsafe.Sizeof(core.Key(0)))
 	payloadBytes = int(unsafe.Sizeof(uint64(0)))
 	posBytes     = int(unsafe.Sizeof(int32(0)))
 	slopeBytes   = int(unsafe.Sizeof(float32(0)))
 	marginBytes  = int(unsafe.Sizeof(core.Margin(0)))
+	baseBytes    = int(unsafe.Sizeof(uint16(0)))
 )
 
 // CacheFor sizes the simulated cache for n keys so the paper's regime
@@ -69,8 +72,8 @@ func For(idx core.Index, m *Machine, keys []core.Key) (tr Traced, ok bool) {
 		return t, true
 	case *rs.Index:
 		np := v.NumPoints()
-		radix := m.Alloc(v.SizeBytes() - np*(keyBytes+posBytes))
-		return &tracedRS{d, v, radix, m.Alloc(np * keyBytes), m.Alloc(np * posBytes)}, true
+		base, fine := v.RadixBytes()
+		return &tracedRS{d, v, m.Alloc(base), m.Alloc(fine), m.Alloc(np * keyBytes), m.Alloc(np * posBytes)}, true
 	case *rbs.Index:
 		return &tracedRBS{d, v, m.Alloc(v.SizeBytes())}, true
 	case *btree.Index:
@@ -202,18 +205,21 @@ func (t *tracedPGM) step(st pgm.PathStep) {
 
 type tracedRS struct {
 	*dataRegions
-	idx              *rs.Index
-	radix, keys, pos Region
+	idx                   *rs.Index
+	base, fine, keys, pos Region
 }
 
 func (t *tracedRS) Lookup(key core.Key) core.Bound {
 	return t.lastMile(key, t.idx.Trace(key, t.step))
 }
 
-func (t *tracedRS) step(bucket uint64, winLo, winHi, rank int) {
-	// Radix table probe: a shift plus one load (two adjacent entries).
-	t.m.instr(3)
-	t.m.Access(t.radix, int(bucket)*rs.RadixEntrySizeBytes, 2*rs.RadixEntrySizeBytes)
+func (t *tracedRS) step(base, fine, winLo, winHi, rank int) {
+	// Radix table probe: the bucket's shift, then for it and the next
+	// a shift, a mask and an add over one load from each array (two
+	// adjacent entries each; the last bucket's next reads fine[0]).
+	t.m.instr(9)
+	t.m.Access(t.base, base*baseBytes, 2*baseBytes)
+	t.m.Access(t.fine, fine, min(2, t.fine.size-fine))
 	// The spline-point search within the window.
 	t.m.ladder(t.keys, winLo, winHi, rank, 0x33)
 	// Interpolation between the point below the rank and the next:

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/art"
@@ -52,7 +51,7 @@ func TestRetainedHeapMatchesSizeBytes(t *testing.T) {
 				retained := heap() - before
 				size := int64(idx.SizeBytes())
 				runtime.KeepAlive(idx)
-				allow := size/10 + 4096 + pageAllowance(family, nb.Label, idx)
+				allow := size/10 + 4096 + pageAllowance(family, idx)
 				if d := retained - size; d > allow || -d > allow {
 					t.Errorf("%s %s on %s: retains %d bytes, SizeBytes %d (%.2fx)", family, nb.Label, ds, retained, size, float64(retained)/float64(size))
 				}
@@ -62,28 +61,25 @@ func TestRetainedHeapMatchesSizeBytes(t *testing.T) {
 }
 
 // pageAllowance is the page rounding a rung's arrays may retain beyond
-// the 10 %:
-//   - RS r=14: one page. Its radix table has 2^14+1 two-byte entries,
-//     32,770 bytes, which takes 40,960, so the rung retains 1.20–1.25x
-//     its SizeBytes on amzn, osm and wiki with no spare capacity.
-//   - ART: one page per node array over 32 KiB. At amzn stride=32 the
-//     Node48 and Node256 arrays are 34,800 and 42,640 bytes and take
-//     40,960 and 49,152: 12,672 bytes, against the 12,012 the 10 % and
-//     4 KiB allow. The rung retained 12,896 more than SizeBytes.
-func pageAllowance(family, label string, idx core.Index) int64 {
-	switch family {
-	case "RS":
-		if strings.HasSuffix(label, ",r=14") {
-			return 8192
-		}
-	case "ART":
-		var pages int64
-		for _, b := range idx.(*art.Index).ArrayBytes() {
-			if b > 32<<10 {
-				pages += 8192
-			}
-		}
-		return pages
+// the 10 %: ART's, one page per node array over 32 KiB. At amzn
+// stride=32 the Node48 and Node256 arrays are 34,800 and 42,640 bytes
+// and take 40,960 and 49,152: 12,672 bytes, against the 12,012 the 10 %
+// and 4 KiB allow. The rung retained 12,896 more than SizeBytes.
+//
+// RS needs none here. Its radix table's byte array is 2^r bytes, which
+// Go allocates exactly. Its 16-bit array is over 32 KiB only at face's
+// r >= 18 and osm's r=22, and is at most a third of the index there. A
+// one-level table at r=14 (32,770 bytes in 40,960) would need a page,
+// but no rung here keeps one.
+func pageAllowance(family string, idx core.Index) int64 {
+	if family != "ART" {
+		return 0
 	}
-	return 0
+	var pages int64
+	for _, b := range idx.(*art.Index).ArrayBytes() {
+		if b > 32<<10 {
+			pages += 8192
+		}
+	}
+	return pages
 }

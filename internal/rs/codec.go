@@ -26,7 +26,7 @@ func (idx *Index) Encode(w *binio.Writer) error {
 		w.U64(k)
 		w.U32(uint32(idx.pos[i]))
 	}
-	w.U32(uint32(len(idx.radix)))
+	w.U32(uint32(1<<idx.cfg.RadixBits + 1))
 	idx.exactRadix(func(_ int, v uint32) { w.U32(v) })
 	return w.Err()
 }
@@ -69,7 +69,7 @@ func Decode(r *binio.Reader) (*Index, error) {
 	if nPoints < 1 {
 		return nil, binio.Corruptf("rs: no spline points")
 	}
-	idx := &Index{cfg: cfg, n: int(n), minKey: minKey, shift: uint(shift), errLo: errLo, errHi: errHi}
+	idx := &Index{cfg: cfg, n: int(n), minKey: minKey, shift: uint(shift), lastBucket: 1<<cfg.RadixBits - 1, errLo: errLo, errHi: errHi}
 	idx.keys, idx.pos = make([]core.Key, nPoints), make([]int32, nPoints)
 	for i := range idx.keys {
 		idx.keys[i] = r.U64()

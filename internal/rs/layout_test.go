@@ -81,7 +81,7 @@ func TestDecodeRejectsLaunderedRadix(t *testing.T) {
 	if _, err := Decode(binio.NewReader(wire)); err != nil {
 		t.Fatalf("clean payload: %v", err)
 	}
-	table := len(wire) - 4*len(idx.radix)
+	table := len(wire) - 4*(1<<idx.cfg.RadixBits+1)
 	entry := func(p int) uint32 { return binary.LittleEndian.Uint32(wire[table+4*p:]) }
 	// Lower by one the first entry above its predecessor: still
 	// monotone and in bounds, but not the table the points give.

@@ -13,9 +13,9 @@ import (
 // atBits is idx with its radix prefix at r bits and no table yet.
 func atBits(idx *Index, keys []core.Key, r int) *Index {
 	at := *idx
-	at.cfg.RadixBits = r
+	at.cfg.RadixBits, at.lastBucket = r, 1<<r-1
 	at.shift = uint(max(bits.Len64(keys[len(keys)-1]-keys[0])-r, 0))
-	at.radix = nil
+	at.base, at.fine = nil, nil
 	return &at
 }
 

@@ -1,6 +1,10 @@
 // Package rs implements the RadixSpline index of Kipf et al.
 // (Section 3.2 of the paper): a one-pass greedy linear spline over the
 // CDF plus a radix table indexing r-bit prefixes of the spline points.
+// The table's entries never decrease, so it is stored in two levels: a
+// 16-bit entry per block of buckets plus a byte per bucket, about half
+// the bytes of a 16-bit entry each, wherever the entries rise at most
+// 255 within a block (see setRadix).
 //
 // Lookups extract the key's r-bit prefix, use the radix table to narrow
 // the spline-point search, binary search the narrowed range for the
@@ -21,10 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/search"
 )
-
-// RadixEntrySizeBytes is what one radix-table entry occupies in the
-// table.
-const RadixEntrySizeBytes = int(unsafe.Sizeof(Index{}.radix[0]))
 
 // keyBytes and posBytes are what one spline point occupies in each of
 // its two arrays.
@@ -66,13 +66,19 @@ type Index struct {
 	n      int
 	minKey core.Key
 	shift  uint
-	// radix[p] is the first spline point whose prefix is >= p, shifted
-	// right by radixShift so that every entry fits 16 bits: the table
-	// has 2^r+1 entries whatever the spline's size. radixShift is 0
-	// below 65,536 points; above, the window segmentFor reads only
-	// widens, so the segment it picks is the same.
-	radix      []uint16
+	// Radix entry p, p in [0, 2^r], is the first spline point whose
+	// prefix is >= p, shifted right by radixShift so that every entry
+	// fits 16 bits whatever the spline's size. radixShift is 0 below
+	// 65,536 points; above, the window segmentFor reads only widens, so
+	// the segment it picks is the same. The entries never decrease, and
+	// are stored in two levels (see setRadix): entry p is
+	// base[p>>blockBits] + fine[p&fineMask].
+	base       []uint16
+	fine       []uint8
+	blockBits  uint
+	fineMask   uint64
 	radixShift uint
+	lastBucket uint64 // 2^r - 1, where prefix clamps
 	// The spline points, one distinct (key, lower-bound rank) pair of
 	// the data each: the spline is the polyline through consecutive
 	// points. Split so that the point search scans keys alone.
@@ -106,7 +112,7 @@ func New(keys []core.Key, cfg Config) (*Index, error) {
 	for r > 1 && !idx.bitSavesProbe(keys, uint(spanBits-r)) {
 		r--
 	}
-	idx.cfg.RadixBits, idx.shift = r, uint(max(spanBits-r, 0))
+	idx.cfg.RadixBits, idx.shift, idx.lastBucket = r, uint(max(spanBits-r, 0)), 1<<r-1
 	idx.setRadix()
 	idx.errLo, idx.errHi = computeMargins(keys, idx)
 	return idx, nil
@@ -169,10 +175,54 @@ func (idx *Index) exactRadix(emit func(p int, v uint32)) {
 // within 16 bits: points>>s ≤ 65535 exactly when points>>16 < 2^s.
 func radixShiftFor(points int) uint { return uint(bits.Len(uint(points) >> 16)) }
 
-// setRadix stores the exact radix table at radixShift.
+// setRadix stores the exact radix table at radixShift, in blocks of
+// 2^k entries for the largest k at which every entry lies within a
+// byte of its block's first: base holds each block's first entry and
+// fine each entry's offset from it, 2^r bytes, since entry 2^r is a
+// block of its own and reads fine[0], which is 0. Where no k >= 1
+// fits, base is the whole table and fine the one 0 every entry reads.
 func (idx *Index) setRadix() {
-	idx.radix = make([]uint16, 1<<idx.cfg.RadixBits+1)
-	idx.exactRadix(func(p int, v uint32) { idx.radix[p] = uint16(v >> idx.radixShift) })
+	r := idx.cfg.RadixBits
+	t := make([]uint16, 1<<r+1)
+	idx.exactRadix(func(p int, v uint32) { t[p] = uint16(v >> idx.radixShift) })
+	k := r
+	for k > 0 && !blocksFitByte(t, k) {
+		k--
+	}
+	if k == 0 {
+		idx.base, idx.fine, idx.blockBits, idx.fineMask = t, []uint8{0}, 0, 0
+		return
+	}
+	idx.base, idx.fine = make([]uint16, 1<<(r-k)+1), make([]uint8, 1<<r)
+	idx.blockBits, idx.fineMask = uint(k), 1<<r-1
+	for b := range idx.base {
+		idx.base[b] = t[b<<k]
+	}
+	for p := range idx.fine {
+		idx.fine[p] = uint8(t[p] - idx.base[p>>k])
+	}
+}
+
+// blocksFitByte reports whether every block of 2^k entries of the
+// non-decreasing table t rises at most 255 from its first entry.
+func blocksFitByte(t []uint16, k int) bool {
+	for first := 0; first < len(t); first += 1 << k {
+		if t[min(first+1<<k, len(t))-1]-t[first] > math.MaxUint8 {
+			return false
+		}
+	}
+	return true
+}
+
+// entries returns radix entries p and p+1, which bound bucket p's
+// points. Reading both fine bytes before shifting for the base slots
+// keeps p+1 in a register on amd64, where a variable shift takes its
+// count in CX. Here, in prefix and in window, the &63 spares each
+// variable shift its overflow check: every count is below 64.
+func (idx *Index) entries(p uint64) (lo, hi int) {
+	k, m := idx.blockBits&63, idx.fineMask
+	fp, fq := idx.fine[p&m], idx.fine[(p+1)&m]
+	return int(idx.base[p>>k]) + int(fp), int(idx.base[(p+1)>>k]) + int(fq)
 }
 
 // prefix extracts the radix-table bucket of a key, clamped to the
@@ -181,12 +231,7 @@ func (idx *Index) prefix(x core.Key) uint64 {
 	if x <= idx.minKey {
 		return 0
 	}
-	p := (x - idx.minKey) >> idx.shift
-	max := uint64(1)<<idx.cfg.RadixBits - 1
-	if p > max {
-		p = max
-	}
-	return p
+	return min((x-idx.minKey)>>(idx.shift&63), idx.lastBucket)
 }
 
 // fitSpline runs the one-pass greedy spline corridor over the distinct
@@ -283,15 +328,16 @@ func (idx *Index) interpolate(seg int, x core.Key) int {
 
 // segmentFor locates the spline segment containing x: the rightmost
 // point with key <= x, restricted to the radix-table window. A non-nil
-// visit sees the bucket probed, the window searched and the rank
-// search.Rank returned there; the segment is the point below the rank,
-// clamped at 0.
-func (idx *Index) segmentFor(x core.Key, visit func(bucket uint64, winLo, winHi, rank int)) int {
+// visit sees the base and fine slots of the bucket's entry (the next
+// entry's are the same or the ones after), the window searched and the
+// rank search.Rank returned there; the segment is the point below the
+// rank, clamped at 0.
+func (idx *Index) segmentFor(x core.Key, visit func(base, fine, winLo, winHi, rank int)) int {
 	p := idx.prefix(x)
-	lo, hi := idx.window(int(idx.radix[p]), int(idx.radix[p+1]))
+	lo, hi := idx.window(idx.entries(p))
 	r := search.Rank(idx.keys, x, lo, hi)
 	if visit != nil {
-		visit(p, lo, hi, r)
+		visit(int(p>>(idx.blockBits&63)), int(p&idx.fineMask), lo, hi, r)
 	}
 	return max(r-1, 0)
 }
@@ -299,7 +345,7 @@ func (idx *Index) segmentFor(x core.Key, visit func(bucket uint64, winLo, winHi,
 // window is the range of points searched for a bucket whose stored
 // table entries are ra and rb.
 func (idx *Index) window(ra, rb int) (lo, hi int) {
-	s := idx.radixShift
+	s := idx.radixShift & 63
 	lo, hi = ra<<s, rb<<s+(1<<s-1)
 	// The entries bound points with prefix exactly p; the containing
 	// segment can start one point earlier.
@@ -316,10 +362,10 @@ func (idx *Index) window(ra, rb int) (lo, hi int) {
 func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 
 // Trace is Lookup's descent: a non-nil visit is called once, with the
-// radix bucket probed, the spline-point window searched and the rank
+// radix slots read, the spline-point window searched and the rank
 // found there, which is the path the performance-counter simulation
 // replays.
-func (idx *Index) Trace(key core.Key, visit func(bucket uint64, winLo, winHi, rank int)) core.Bound {
+func (idx *Index) Trace(key core.Key, visit func(base, fine, winLo, winHi, rank int)) core.Bound {
 	seg := idx.segmentFor(key, visit)
 	pos := idx.interpolate(seg, key)
 	return core.BoundAround(pos, idx.errLo, idx.errHi, idx.n)
@@ -385,7 +431,13 @@ func distinctFrom(keys []core.Key, i int) int {
 
 // SizeBytes implements core.Index.
 func (idx *Index) SizeBytes() int {
-	return len(idx.radix)*RadixEntrySizeBytes + len(idx.keys)*(keyBytes+posBytes)
+	base, fine := idx.RadixBytes()
+	return base + fine + len(idx.keys)*(keyBytes+posBytes)
+}
+
+// RadixBytes reports what the radix table's two arrays occupy.
+func (idx *Index) RadixBytes() (base, fine int) {
+	return len(idx.base) * int(unsafe.Sizeof(idx.base[0])), len(idx.fine)
 }
 
 // Name implements core.Index.
