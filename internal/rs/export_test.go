@@ -13,7 +13,7 @@ func CheckRadix(idx *Index) error {
 	check := func(p uint64, got int) error {
 		if got != int(exact[p]) {
 			return fmt.Errorf("entry %d = base[%d] + fine[%d] = %d, exact table %d (r=%d, k=%d)",
-				p, p>>idx.blockBits, p&idx.fineMask, got, exact[p], r, k)
+				p, p>>idx.blockBits, p&uint64(len(idx.fine)-1), got, exact[p], r, k)
 		}
 		return nil
 	}

@@ -72,11 +72,10 @@ type Index struct {
 	// 65,536 points; above, the window segmentFor reads only widens, so
 	// the segment it picks is the same. The entries never decrease, and
 	// are stored in two levels (see setRadix): entry p is
-	// base[p>>blockBits] + fine[p&fineMask].
+	// base[p>>blockBits] + fine[p&(len(fine)-1)].
 	base       []uint16
 	fine       []uint8
 	blockBits  uint
-	fineMask   uint64
 	radixShift uint
 	lastBucket uint64 // 2^r - 1, where prefix clamps
 	// The spline points, one distinct (key, lower-bound rank) pair of
@@ -175,12 +174,13 @@ func (idx *Index) exactRadix(emit func(p int, v uint32)) {
 // within 16 bits: points>>s ≤ 65535 exactly when points>>16 < 2^s.
 func radixShiftFor(points int) uint { return uint(bits.Len(uint(points) >> 16)) }
 
-// setRadix stores the exact radix table at radixShift, in blocks of
-// 2^k entries for the largest k at which every entry lies within a
-// byte of its block's first: base holds each block's first entry and
-// fine each entry's offset from it, 2^r bytes, since entry 2^r is a
-// block of its own and reads fine[0], which is 0. Where no k >= 1
-// fits, base is the whole table and fine the one 0 every entry reads.
+// setRadix stores the exact radix table at radixShift in two levels.
+// Blocks are 2^k entries, for the largest k at which every entry lies
+// within a byte of its block's first: base holds each block's first
+// entry and fine each entry's offset from it. fine is 2^r bytes, read
+// at p&(len(fine)-1), so entry 2^r, a block of its own, reads fine[0],
+// which is 0. Where no k >= 1 fits, base is the whole table and fine
+// the single 0 every entry reads.
 func (idx *Index) setRadix() {
 	r := idx.cfg.RadixBits
 	t := make([]uint16, 1<<r+1)
@@ -190,11 +190,11 @@ func (idx *Index) setRadix() {
 		k--
 	}
 	if k == 0 {
-		idx.base, idx.fine, idx.blockBits, idx.fineMask = t, []uint8{0}, 0, 0
+		idx.base, idx.fine, idx.blockBits = t, []uint8{0}, 0
 		return
 	}
 	idx.base, idx.fine = make([]uint16, 1<<(r-k)+1), make([]uint8, 1<<r)
-	idx.blockBits, idx.fineMask = uint(k), 1<<r-1
+	idx.blockBits = uint(k)
 	for b := range idx.base {
 		idx.base[b] = t[b<<k]
 	}
@@ -220,7 +220,7 @@ func blocksFitByte(t []uint16, k int) bool {
 // count in CX. Here, in prefix and in window, the &63 spares each
 // variable shift its overflow check: every count is below 64.
 func (idx *Index) entries(p uint64) (lo, hi int) {
-	k, m := idx.blockBits&63, idx.fineMask
+	k, m := idx.blockBits&63, uint64(len(idx.fine)-1)
 	fp, fq := idx.fine[p&m], idx.fine[(p+1)&m]
 	return int(idx.base[p>>k]) + int(fp), int(idx.base[(p+1)>>k]) + int(fq)
 }
@@ -337,7 +337,7 @@ func (idx *Index) segmentFor(x core.Key, visit func(base, fine, winLo, winHi, ra
 	lo, hi := idx.window(idx.entries(p))
 	r := search.Rank(idx.keys, x, lo, hi)
 	if visit != nil {
-		visit(int(p>>(idx.blockBits&63)), int(p&idx.fineMask), lo, hi, r)
+		visit(int(p>>(idx.blockBits&63)), int(p&uint64(len(idx.fine)-1)), lo, hi, r)
 	}
 	return max(r-1, 0)
 }
