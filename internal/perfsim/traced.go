@@ -35,8 +35,7 @@ type Traced interface {
 // posBytes that of one RS spline point's position and of one PGM
 // segment's, slopeBytes that of one PGM segment's slope,
 // marginBytes that of one of a PGM data segment's two margin codes,
-// and baseBytes that of one entry of RS's radix base (its fine offsets
-// are a byte each).
+// and baseBytes that of one entry of RS's radix base.
 const (
 	keyBytes     = int(unsafe.Sizeof(core.Key(0)))
 	payloadBytes = int(unsafe.Sizeof(uint64(0)))
@@ -214,9 +213,8 @@ func (t *tracedRS) Lookup(key core.Key) core.Bound {
 }
 
 func (t *tracedRS) step(base, fine, winLo, winHi, rank int) {
-	// Radix table probe: the bucket's shift, then for it and the next
-	// a shift, a mask and an add over one load from each array (two
-	// adjacent entries each; the last bucket's next reads fine[0]).
+	// Radix table probe: for the bucket and the next, a shift, a mask and
+	// an add over a load of two adjacent entries from each array.
 	t.m.instr(9)
 	t.m.Access(t.base, base*baseBytes, 2*baseBytes)
 	t.m.Access(t.fine, fine, min(2, t.fine.size-fine))

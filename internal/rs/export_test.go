@@ -26,8 +26,13 @@ func CheckRadix(idx *Index) error {
 			return err
 		}
 	}
-	if k < r && blocksFitByte(exact, k+1) {
-		return fmt.Errorf("blocks of 2^%d entries fit a byte, but k=%d (r=%d)", k+1, k, r)
+	if k == r {
+		return nil
 	}
-	return nil
+	for first := 0; first < len(exact); first += 2 << k {
+		if exact[min(first+2<<k, len(exact))-1]-exact[first] > 255 {
+			return nil // blocks of 2^(k+1) entries do not fit a byte
+		}
+	}
+	return fmt.Errorf("blocks of 2^%d entries fit a byte, but k=%d (r=%d)", k+1, k, r)
 }

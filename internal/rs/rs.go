@@ -1,10 +1,7 @@
 // Package rs implements the RadixSpline index of Kipf et al.
 // (Section 3.2 of the paper): a one-pass greedy linear spline over the
 // CDF plus a radix table indexing r-bit prefixes of the spline points.
-// The table's entries never decrease, so it is stored in two levels: a
-// 16-bit entry per block of buckets plus a byte per bucket, about half
-// the bytes of a 16-bit entry each, wherever the entries rise at most
-// 255 within a block (see setRadix).
+// The table is two levels: a 16-bit entry a block, a byte a bucket.
 //
 // Lookups extract the key's r-bit prefix, use the radix table to narrow
 // the spline-point search, binary search the narrowed range for the
@@ -66,13 +63,10 @@ type Index struct {
 	n      int
 	minKey core.Key
 	shift  uint
-	// Radix entry p, p in [0, 2^r], is the first spline point whose
-	// prefix is >= p, shifted right by radixShift so that every entry
-	// fits 16 bits whatever the spline's size. radixShift is 0 below
-	// 65,536 points; above, the window segmentFor reads only widens, so
-	// the segment it picks is the same. The entries never decrease, and
-	// are stored in two levels (see setRadix): entry p is
-	// base[p>>blockBits] + fine[p&(len(fine)-1)].
+	// Radix entry p in [0, 2^r] is the first spline point whose prefix
+	// is >= p, shifted right by radixShift (0 below 65,536 points; above,
+	// segmentFor's window only widens) to fit 16 bits. Entry p is
+	// base[p>>blockBits] + fine[p&(len(fine)-1)] (see setRadix).
 	base       []uint16
 	fine       []uint8
 	blockBits  uint
@@ -174,51 +168,42 @@ func (idx *Index) exactRadix(emit func(p int, v uint32)) {
 // within 16 bits: points>>s ≤ 65535 exactly when points>>16 < 2^s.
 func radixShiftFor(points int) uint { return uint(bits.Len(uint(points) >> 16)) }
 
-// setRadix stores the exact radix table at radixShift in two levels.
-// Blocks are 2^k entries, for the largest k at which every entry lies
-// within a byte of its block's first: base holds each block's first
-// entry and fine each entry's offset from it. fine is 2^r bytes, read
-// at p&(len(fine)-1), so entry 2^r, a block of its own, reads fine[0],
-// which is 0. Where no k >= 1 fits, base is the whole table and fine
-// the single 0 every entry reads.
+// setRadix stores the exact radix table at radixShift in blocks of 2^k
+// entries, k the largest at which each entry is within a byte of its
+// block's first: base holds that first and fine (2^r bytes, so entry
+// 2^r reads fine[0], which is 0) each offset from it. Where no k >= 1
+// fits, base is the whole table and fine the one 0 every entry reads.
 func (idx *Index) setRadix() {
 	r := idx.cfg.RadixBits
 	t := make([]uint16, 1<<r+1)
 	idx.exactRadix(func(p int, v uint32) { t[p] = uint16(v >> idx.radixShift) })
+	fits := func(k int) bool { // every block of 2^k entries rises at most 255
+		for first := 0; first < len(t); first += 1 << k {
+			if t[min(first+1<<k, len(t))-1]-t[first] > math.MaxUint8 {
+				return false
+			}
+		}
+		return true
+	}
 	k := r
-	for k > 0 && !blocksFitByte(t, k) {
+	for k > 0 && !fits(k) {
 		k--
 	}
-	if k == 0 {
-		idx.base, idx.fine, idx.blockBits = t, []uint8{0}, 0
-		return
-	}
-	idx.base, idx.fine = make([]uint16, 1<<(r-k)+1), make([]uint8, 1<<r)
-	idx.blockBits = uint(k)
-	for b := range idx.base {
-		idx.base[b] = t[b<<k]
-	}
-	for p := range idx.fine {
-		idx.fine[p] = uint8(t[p] - idx.base[p>>k])
-	}
-}
-
-// blocksFitByte reports whether every block of 2^k entries of the
-// non-decreasing table t rises at most 255 from its first entry.
-func blocksFitByte(t []uint16, k int) bool {
-	for first := 0; first < len(t); first += 1 << k {
-		if t[min(first+1<<k, len(t))-1]-t[first] > math.MaxUint8 {
-			return false
+	idx.base, idx.fine, idx.blockBits = t, []uint8{0}, uint(k)
+	if k > 0 {
+		idx.base, idx.fine = make([]uint16, 1<<(r-k)+1), make([]uint8, 1<<r)
+		for b := range idx.base {
+			idx.base[b] = t[b<<k]
+		}
+		for p := range idx.fine {
+			idx.fine[p] = uint8(t[p] - idx.base[p>>k])
 		}
 	}
-	return true
 }
 
-// entries returns radix entries p and p+1, which bound bucket p's
-// points. Reading both fine bytes before shifting for the base slots
-// keeps p+1 in a register on amd64, where a variable shift takes its
-// count in CX. Here, in prefix and in window, the &63 spares each
-// variable shift its overflow check: every count is below 64.
+// entries returns radix entries p and p+1, bucket p's bounds. Reading
+// the fine bytes first keeps p+1 off the stack on amd64; the &63 here,
+// in prefix and in window spares each shift its overflow check.
 func (idx *Index) entries(p uint64) (lo, hi int) {
 	k, m := idx.blockBits&63, uint64(len(idx.fine)-1)
 	fp, fq := idx.fine[p&m], idx.fine[(p+1)&m]
@@ -328,10 +313,9 @@ func (idx *Index) interpolate(seg int, x core.Key) int {
 
 // segmentFor locates the spline segment containing x: the rightmost
 // point with key <= x, restricted to the radix-table window. A non-nil
-// visit sees the base and fine slots of the bucket's entry (the next
-// entry's are the same or the ones after), the window searched and the
-// rank search.Rank returned there; the segment is the point below the
-// rank, clamped at 0.
+// visit sees bucket p's base and fine slots, the window searched and
+// the rank search.Rank returned there; the segment is the point below
+// the rank, clamped at 0.
 func (idx *Index) segmentFor(x core.Key, visit func(base, fine, winLo, winHi, rank int)) int {
 	p := idx.prefix(x)
 	lo, hi := idx.window(idx.entries(p))
