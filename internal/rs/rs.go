@@ -169,10 +169,10 @@ func (idx *Index) exactRadix(emit func(p int, v uint32)) {
 func radixShiftFor(points int) uint { return uint(bits.Len(uint(points) >> 16)) }
 
 // setRadix stores the exact radix table at radixShift in blocks of 2^k
-// entries, k the largest at which each entry is within a byte of its
-// block's first: base holds that first and fine (2^r bytes, so entry
-// 2^r reads fine[0], which is 0) each offset from it. Where no k >= 1
-// fits, base is the whole table and fine the one 0 every entry reads.
+// entries, k the largest at which each lies within a byte of its block's
+// first: base holds the firsts, fine each entry's offset. fine is 2^r
+// bytes; entry 2^r, a block of its own, reads fine[0], which is 0. Where
+// no k >= 1 fits, base is the whole table and fine the one 0 all read.
 func (idx *Index) setRadix() {
 	r := idx.cfg.RadixBits
 	t := make([]uint16, 1<<r+1)
