@@ -182,10 +182,11 @@ func TestTracedRegionsSumToSizeBytes(t *testing.T) {
 }
 
 // TestTracedRMILeafLines: the simulated leaf load is at the stride
-// memory holds the leaf array in, and is charged at every line its
-// bytes span. The leaf region starts on a line, so a 24-byte linear leaf
-// touches two lines exactly when its offset mod 64 is 48 or 56, two of
-// every eight, and a 64-byte cubic leaf always one.
+// memory holds the leaf array in, and is charged at every line that
+// holds the leaf's bytes or its successor's lo, the upper clamp, which
+// both layouts keep 8 bytes before a leaf's end. The leaf region starts
+// on a line, so a 16-byte linear leaf touches two lines exactly when it
+// is the last of its line, at offset 48 mod 64, and one otherwise.
 func TestTracedRMILeafLines(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 20000, 1)
 	for _, stage2 := range []rmi.ModelKind{rmi.ModelLinear, rmi.ModelCubic} {
@@ -195,15 +196,21 @@ func TestTracedRMILeafLines(t *testing.T) {
 		}
 		m := New(Config{cacheBytes: 1 << 20})
 		tr, _ := For(idx, m, keys)
+		stride := idx.LeafBytes()
 		for leaf := 0; leaf < idx.NumLeaves(); leaf++ {
-			want := uint64(1)
-			if off := leaf * idx.LeafBytes() % 64; stage2 != rmi.ModelCubic && (off == 48 || off == 56) {
-				want = 2
+			off, lo := leaf*stride, (leaf+2)*stride-8
+			lines := map[int]bool{lo / 64: true}
+			for b := off; b < off+stride; b++ {
+				lines[b/64] = true
+			}
+			want := uint64(len(lines))
+			if stage2 == rmi.ModelLinear && (want == 2) != (off%64 == 48) {
+				t.Fatalf("linear leaf %d at offset %d mod 64 spans %d lines with its successor's lo", leaf, off%64, want)
 			}
 			before := m.Counters().accesses
 			tr.(*tracedRMI).touchLeaf(leaf)
-			if lines := m.Counters().accesses - before; lines != want {
-				t.Fatalf("stage 2 %v: leaf %d (%d bytes) touches %d lines, want %d", stage2, leaf, idx.LeafBytes(), lines, want)
+			if got := m.Counters().accesses - before; got != want {
+				t.Fatalf("stage 2 %v: leaf %d (%d bytes) touches %d lines, want %d", stage2, leaf, stride, got, want)
 			}
 		}
 	}

@@ -34,7 +34,8 @@ type Traced interface {
 // payloadBytes that of one payload in the table's uint64 payload array,
 // posBytes that of one RS spline point's position and of one PGM
 // segment's, slopeBytes that of one PGM segment's slope,
-// marginBytes that of one of a PGM data segment's two margin codes,
+// marginBytes that of one margin code (a PGM data segment and an RMI
+// leaf hold two),
 // and baseBytes that of one entry of RS's radix base.
 const (
 	keyBytes     = int(unsafe.Sizeof(core.Key(0)))
@@ -57,7 +58,7 @@ func For(idx core.Index, m *Machine, keys []core.Key) (tr Traced, ok bool) {
 	d := &dataRegions{m: m, keys: keys, keysReg: m.Alloc(len(keys) * keyBytes), paysReg: m.Alloc(len(keys) * payloadBytes)}
 	switch v := idx.(type) {
 	case *rmi.Index:
-		leaves := v.NumLeaves() * v.LeafBytes()
+		leaves := (v.NumLeaves() + 1) * v.LeafBytes() // the sentinel too
 		return &tracedRMI{d, v, m.Alloc(v.SizeBytes() - leaves), m.Alloc(leaves)}, true
 	case *pgm.Index:
 		t := &tracedPGM{dataRegions: d, idx: v}
@@ -159,7 +160,7 @@ func (t *tracedRMI) Lookup(key core.Key) core.Bound {
 	leaf, _, b := t.idx.Explain(key)
 	// Stage-1 model: a handful of FLOPs on coefficients that fit a
 	// single cache line (hot in any realistic loop), then one dependent
-	// load of the leaf model, one line or two.
+	// load of the leaf model and its successor's lo, one line or two.
 	t.m.Access(t.model, 0, t.model.size)
 	t.m.instr(8)
 	t.touchLeaf(leaf)
@@ -167,12 +168,16 @@ func (t *tracedRMI) Lookup(key core.Key) core.Bound {
 	return t.lastMile(key, b)
 }
 
-// touchLeaf loads one leaf at the stride memory holds the array in,
-// charged at every line its bytes span: a 24-byte linear leaf at offset
-// 48 or 56 mod 64 (two of every eight) spans two, a cubic leaf one.
+// touchLeaf loads one leaf at the stride memory holds the array in and
+// the next leaf's lo, its upper clamp, charged at every line those bytes
+// span. Both layouts end in lo and two margin codes, so the load runs
+// from the leaf to 2·marginBytes short of the next one's end, and no
+// line in between holds none of its bytes (the gap is under a line): a
+// 16-byte linear leaf at offset 48 mod 64, the last of its line, spans
+// two, the other three one.
 func (t *tracedRMI) touchLeaf(leaf int) {
 	stride := t.idx.LeafBytes()
-	t.m.Access(t.leaves, leaf*stride, stride)
+	t.m.Access(t.leaves, leaf*stride, 2*stride-2*marginBytes)
 }
 
 type tracedPGM struct {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/binio"
@@ -411,6 +412,20 @@ func TestBadPosSeedDecodesToError(t *testing.T) {
 		t.Fatalf("badpos-PGM decoded to (%v, %v), want a corrupt-data error on its positions", idx, err)
 	}
 	t.Log(err)
+}
+
+// TestOldRMISeedDecodesToError: FuzzDecode/old-RMI-24 is raw-RMI as it
+// was checked in while a linear leaf was 24 bytes, a float64 key
+// origin and its own upper clamp. Decode names the retired layout
+// rather than reading its leaves as corrupt 16-byte ones, so an old
+// snapshot says to rebuild. No encoder writes it, so fuzzCorpus does
+// not regenerate it.
+func TestOldRMISeedDecodesToError(t *testing.T) {
+	codec, _ := registry.CodecFor("RMI")
+	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "old-RMI-24", "RMI")))
+	if idx != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "retired layout") {
+		t.Fatalf("old-RMI-24 decoded to (%v, %v), want a corrupt-data error naming the retired layout", idx, err)
+	}
 }
 
 // TestOldRSSeedDecodesToSameBounds: FuzzDecode/old-RS is raw-RS as it

@@ -8,7 +8,7 @@ package rmi
 // checksums are the caller's job (package persist).
 //
 // The payload opens with a layout byte, the stride of the leaf records
-// that follow, each written as memory holds it.
+// that follow, each written as memory holds it, the sentinel last.
 
 import (
 	"math"
@@ -16,6 +16,11 @@ import (
 	"repro/internal/binio"
 	"repro/internal/core"
 )
+
+// The strides of the layouts before a leaf read stage 1's fraction, a
+// linear leaf with a float64 key origin and a cubic leaf padded to a
+// line, each with its own upper clamp. Decode names them.
+const retiredLeafBytes, retiredCubicLeafBytes = 24, 64
 
 func (p *poly) encode(w *binio.Writer) {
 	w.F64(p.keyOff)
@@ -50,34 +55,34 @@ func (idx *Index) Encode(w *binio.Writer) error {
 	idx.stage1.poly.encode(w)
 	w.U32(uint32(idx.NumLeaves()))
 	for i := range idx.leaves {
-		w.F64(idx.leaves[i].keyOff)
+		w.U32(math.Float32bits(idx.leaves[i].fOff))
 		w.U32(math.Float32bits(idx.leaves[i].slope))
 		idx.leaves[i].clamps.encode(w)
 	}
 	for i := range idx.cubics {
 		idx.cubics[i].poly.encode(w)
 		idx.cubics[i].clamps.encode(w)
-		w.U32(0) // the padding that fills the line
 	}
 	return w.Err()
 }
 
 func (c *clamps) encode(w *binio.Writer) {
 	w.U32(uint32(c.lo))
-	w.U32(uint32(c.hi))
 	w.U32(uint32(c.errLo) | uint32(c.errHi)<<16)
 }
 
 // decodeClamps re-validates what the lookup path leans on: pos returns
-// a value in [lo, hi] and BoundAround only clamps the final bound, so
-// positions outside the data would survive into it. No true margin
-// exceeds n, so none rounds above n + n>>10.
-func decodeClamps(r *binio.Reader, li int, n uint64) clamps {
-	c := clamps{lo: int32(r.U32()), hi: int32(r.U32())}
+// a value from lo to the next leaf's lo − 1, and BoundAround only
+// clamps the final bound, so positions outside the data would survive
+// into it. lo runs from 0, the least position, up to the sentinel's n
+// without falling. No true margin exceeds n, so none rounds above
+// n + n>>10.
+func decodeClamps(r *binio.Reader, li int, prev int32, n uint64) clamps {
+	c := clamps{lo: int32(r.U32())}
 	errs := r.U32()
 	c.errLo, c.errHi = core.Margin(errs), core.Margin(errs>>16)
-	if c.lo < 0 || c.lo > c.hi || uint64(c.hi) >= n || uint64(max(c.errLo, c.errHi).Value()) > n+n>>10 {
-		r.Fail(binio.Corruptf("rmi: leaf %d clamps [%d,%d] and margins (%d,%d) impossible over %d keys", li, c.lo, c.hi, c.errLo.Value(), c.errHi.Value(), n))
+	if c.lo < prev || li == 0 && c.lo > 0 || uint64(c.lo) > n || uint64(max(c.errLo, c.errHi).Value()) > n+n>>10 {
+		r.Fail(binio.Corruptf("rmi: leaf %d lo %d after %d and margins (%d,%d) impossible over %d keys", li, c.lo, prev, c.errLo.Value(), c.errHi.Value(), n))
 	}
 	return c
 }
@@ -100,6 +105,9 @@ func Decode(r *binio.Reader) (*Index, error) {
 		return nil, binio.Corruptf("rmi: unknown stage model kind")
 	}
 	cubic := cfg.Stage2 == ModelCubic
+	if layout == retiredLeafBytes || layout == retiredCubicLeafBytes {
+		return nil, binio.Corruptf("rmi: leaf stride %d is a retired layout, whose leaves keep their own upper clamp; rebuild the index", layout)
+	}
 	if (cubic && layout != cubicLeafBytes) || (!cubic && layout != leafBytes) {
 		return nil, binio.Corruptf("rmi: leaf layout %d does not match stage-2 kind %v", layout, cfg.Stage2)
 	}
@@ -121,25 +129,30 @@ func Decode(r *binio.Reader) (*Index, error) {
 	cfg.Branch = branch
 	idx := &Index{cfg: cfg, n: int(n), stage1: stage1, scale: float64(branch) / float64(n), avgLog2: avgLog2}
 	if cubic {
-		idx.cubics = make([]cubicLeaf, branch)
+		idx.cubics = make([]cubicLeaf, branch+1)
 	} else {
-		idx.leaves = make([]leaf, branch)
+		idx.leaves = make([]leaf, branch+1)
 	}
-	for i := 0; i < branch && r.Err() == nil; i++ {
+	prev := int32(0)
+	for i := 0; i <= branch && r.Err() == nil; i++ {
 		if cubic {
-			idx.cubics[i] = cubicLeaf{decodePoly(r), decodeClamps(r, i, n)}
-			r.U32() // padding
-			continue
+			idx.cubics[i].poly = decodePoly(r)
+		} else {
+			lf := &idx.leaves[i]
+			lf.fOff, lf.slope = math.Float32frombits(r.U32()), math.Float32frombits(r.U32())
+			if !(lf.slope >= 0 && lf.slope <= math.MaxFloat32 && math.Abs(float64(lf.fOff)) <= math.MaxFloat32) { // pos must stay monotone in the fraction
+				r.Fail(binio.Corruptf("rmi: slope %v or fraction origin %v in leaf %d", lf.slope, lf.fOff, i))
+			}
 		}
-		lf := &idx.leaves[i]
-		lf.keyOff, lf.slope = r.FiniteF64(), math.Float32frombits(r.U32())
-		if !(lf.slope >= 0 && lf.slope <= math.MaxFloat32) { // pos must stay monotone in the key
-			r.Fail(binio.Corruptf("rmi: slope %v in leaf %d", lf.slope, i))
-		}
-		lf.clamps = decodeClamps(r, i, n)
+		c := idx.clampsOf(i)
+		*c = decodeClamps(r, i, prev, n)
+		prev = c.lo
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
+	}
+	if uint64(prev) != n {
+		return nil, binio.Corruptf("rmi: sentinel lo %d, want the key count %d", prev, n)
 	}
 	return idx, nil
 }

@@ -1,8 +1,10 @@
 package rmi
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/binio"
@@ -72,15 +74,17 @@ func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 	}
 	data := encoded(t, idx)
 	// Offsets into the payload: layout, kinds, n, log2 error, the
-	// stage-1 model, the leaf count, then leaf 0.
+	// stage-1 model, the leaf count, then leaf 0, leaf 1, ... and the
+	// sentinel, each its fraction origin, slope, lo and margins.
 	const (
-		avgLog2 = 1 + 2 + 8
-		leaf0   = avgLog2 + 8 + (1 + 6*8) + 4
-		slope   = leaf0 + 8
-		lo      = slope + 4
-		hi      = lo + 4
-		errs    = hi + 4
+		avgLog2  = 1 + 2 + 8
+		leaf0    = avgLog2 + 8 + (1 + 6*8) + 4
+		slope    = leaf0 + 4
+		lo       = slope + 4
+		errs     = lo + 4
+		sentinel = leaf0 + 8*leafBytes
 	)
+	n := uint32(len(keys))
 	for name, corrupt := range map[string]func(b []byte){
 		"cubic layout byte on a linear stage 2": func(b []byte) { b[0] = cubicLeafBytes },
 		"cubic stage 2 on the linear layout":    func(b []byte) { b[2] = byte(ModelCubic) },
@@ -88,10 +92,13 @@ func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 		"negative slope":                        func(b []byte) { b[slope+3] |= 0x80 },
 		"NaN slope":                             func(b []byte) { b[slope+2], b[slope+3] = 0xc0, 0x7f },
 		"infinite slope":                        func(b []byte) { copy(b[slope:], []byte{0, 0, 0x80, 0x7f}) },
-		"infinite key origin":                   func(b []byte) { copy(b[leaf0:], []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}) },
-		"lo above hi":                           func(b []byte) { b[lo+2] = 0x7f },
-		"hi beyond the data":                    func(b []byte) { b[hi+2] = 0x7f },
-		"negative lo":                           func(b []byte) { b[lo+3], b[hi+3] = 0x80, 0x80 },
+		"infinite fraction origin":              func(b []byte) { copy(b[leaf0:], []byte{0, 0, 0x80, 0xff}) },
+		"NaN fraction origin":                   func(b []byte) { copy(b[leaf0:], []byte{0, 0, 0xc0, 0x7f}) },
+		"leaf 0 lo above 0":                     func(b []byte) { b[lo] = 1 },
+		"negative lo":                           func(b []byte) { b[lo+3] = 0x80 },
+		"lo falling":                            func(b []byte) { copy(b[lo+2*leafBytes:], []byte{0, 0, 0, 0}) },
+		"sentinel lo beyond the data":           func(b []byte) { binary.LittleEndian.PutUint32(b[sentinel+8:], n+1) },
+		"sentinel lo short of the data":         func(b []byte) { binary.LittleEndian.PutUint32(b[sentinel+8:], n-1) },
 		"low margin far above n":                func(b []byte) { b[errs], b[errs+1] = 0xff, 0xff },
 		"high margin far above n":               func(b []byte) { b[errs+2], b[errs+3] = 0xff, 0xff },
 		"one leaf more than the payload holds":  func(b []byte) { b[leaf0-4]++ },
@@ -100,6 +107,34 @@ func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 		corrupt(mut)
 		if got, err := Decode(binio.NewReader(mut)); err == nil || got != nil {
 			t.Errorf("%s: decoded to (%v, %v), want an error", name, got != nil, err)
+		}
+	}
+	if lo1 := binary.LittleEndian.Uint32(data[lo+leafBytes:]); lo1 < 2 {
+		t.Errorf("leaf 1's lo is %d: the lo cases above need it above 1", lo1)
+	}
+	if got := binary.LittleEndian.Uint32(data[sentinel+8:]); got != n || len(data) != sentinel+leafBytes {
+		t.Errorf("sentinel lo %d at a payload of %d bytes, want %d at %d", got, len(data), n, sentinel+leafBytes)
+	}
+}
+
+// TestDecodeNamesRetiredLayouts: a payload whose leaf stride is one of
+// the layouts before the leaf read stage 1's fraction is refused with
+// an error that names it, so an old snapshot reports a rebuild, not a
+// corrupt leaf.
+func TestDecodeNamesRetiredLayouts(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Amzn, 3000, 1)
+	for _, cfg := range []Config{{modelRadix, ModelLinear, 8}, {modelRadix, ModelCubic, 8}} {
+		idx, err := New(keys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := encoded(t, idx)
+		for _, stride := range []byte{retiredLeafBytes, retiredCubicLeafBytes} {
+			data[0] = stride
+			got, err := Decode(binio.NewReader(data))
+			if got != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "retired layout") {
+				t.Errorf("%v with stride %d: decoded to (%v, %v), want a corrupt-data error naming the retired layout", cfg, stride, got != nil, err)
+			}
 		}
 	}
 }
@@ -119,7 +154,9 @@ func TestDecodeRejectsTaggedLeafPayload(t *testing.T) {
 		w.U32(1) // one leaf: tagged model, margins, span
 		w.U8(uint8(ModelLinear))
 		(&poly{keyScale: 1, c1: 1}).encode(w)
-		(&clamps{1, 1, 0, 1}).encode(w)
+		w.U32(1)       // lo
+		w.U32(1)       // hi
+		w.U32(1 << 16) // margins
 		idx, err := Decode(binio.NewReader(w.Buffered()))
 		if idx != nil || !errors.Is(err, binio.ErrCorrupt) {
 			t.Errorf("stage 1 %v: decoded to (%v, %v), want a corrupt-data error", s1, idx, err)

@@ -2,6 +2,7 @@ package rmi
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -9,20 +10,25 @@ import (
 	"repro/internal/dataset"
 )
 
-// refLeaf is the leaf the folded layouts replaced, kept as the
-// reference they are held to: a tagged model evaluated in two steps
-// (model.predict, which normalises the key and clamps t to [0, 1], then
-// a float clamp to the trained span and a rounding). Its slope is the
-// float32 one a folded leaf stores, and its margins are rounded up
-// through the same 16-bit code, once all are collected.
+// refLeaf is a leaf as its fit leaves it, kept as the reference the
+// folded layouts are held to: a tagged model over the fraction,
+// evaluated in two steps (the line through the fit's own origin, or
+// the cubic, then a float clamp to the trained span and a rounding).
+// Its line is the one a folded leaf stores, the float32 slope through
+// the float32 fraction where the fit crosses the first position, kept
+// in the fit's own origin; its margins are rounded up through the same
+// 16-bit code, once all are collected.
 type refLeaf struct {
 	m            model
 	errLo, errHi int
 	loPos, hiPos int32
 }
 
-func (lf *refLeaf) clampPredict(fkey float64) int {
-	p := lf.m.predict(fkey)
+func (lf *refLeaf) clampPredict(f float64) int {
+	p := lf.m.c0 + lf.m.c1*lf.m.keyScale*(f-lf.m.keyOff)
+	if lf.m.kind == ModelCubic {
+		p = lf.m.predict(f)
+	}
 	if p <= float64(lf.loPos) {
 		return int(lf.loPos)
 	}
@@ -32,8 +38,25 @@ func (lf *refLeaf) clampPredict(fkey float64) int {
 	return int(math.Round(p))
 }
 
+// refLeafOf is the leaf key x routes to, and refFraction what leaf li
+// reads for it: stage 1's position scaled to B leaves, less li.
+func refLeafOf(r *routed, x float64) int {
+	return min(max(int(math.Floor(refScaled(r, x))), 0), r.top.cfg.Branch-1)
+}
+
+func refFraction(r *routed, li int, x float64) float64 { return refScaled(r, x) - float64(li) }
+
+func refScaled(r *routed, x float64) float64 {
+	return r.top.stage1.predict(x) * (float64(r.top.cfg.Branch) / float64(r.top.n))
+}
+
 // refFinish trains reference leaves over a routing exactly as finish
 // trains folded ones, and returns them with the reference's log2 error.
+// A leaf is fitted on the fractions of the keys in its span, and clamped
+// to its first position and the next non-empty leaf's first − 1; an
+// empty leaf predicts the next non-empty leaf's first position (n past
+// the last one). A line whose float32 slope is zero predicts its first
+// position: the folded leaf cannot hold a flat line elsewhere.
 func refFinish(r *routed, fkeys []float64, stage2 ModelKind) ([]refLeaf, float64) {
 	n, B := r.top.n, r.top.cfg.Branch
 	leaves := make([]refLeaf, B)
@@ -41,31 +64,41 @@ func refFinish(r *routed, fkeys []float64, stage2 ModelKind) ([]refLeaf, float64
 	for li := B - 1; li >= 0; li-- {
 		lf := &leaves[li]
 		first, last := r.first[li], r.last[li]
+		lf.errLo, lf.errHi = 1, 1
 		if first < 0 {
-			p := min(nextStart, n-1)
-			lf.m = fitModel(ModelLinearSpline, nil, float64(p))
-			lf.loPos, lf.hiPos = int32(p), int32(p)
-			lf.errLo, lf.errHi = 1, 1
+			lf.m = model{kind: ModelLinearSpline, poly: poly{c0: float64(nextStart)}}
+			lf.loPos, lf.hiPos = int32(nextStart), int32(nextStart)
 			continue
 		}
-		lf.m = fitModel(stage2, fkeys[first:last+1], float64(first))
-		if stage2 != ModelCubic && lf.m.keyScale != 0 {
-			lf.m.c1 = float64(float32(lf.m.c1*lf.m.keyScale)) / lf.m.keyScale
+		fs := make([]float64, last-first+1)
+		for i := range fs {
+			fs[i] = refFraction(r, li, fkeys[first+i])
 		}
-		lf.loPos, lf.hiPos = int32(first), int32(last)
-		lf.errLo, lf.errHi = 1, 1
+		lf.m = fitModel(stage2, fs, float64(first))
+		if stage2 != ModelCubic {
+			m := &lf.m
+			s := float64(float32(m.c1 * m.keyScale))
+			cross := float32(m.keyOff - (m.c0-float64(first))/s)
+			if s > 0 && !math.IsInf(float64(cross), 0) {
+				m.c0, m.c1 = float64(first)+s*(m.keyOff-float64(cross)), s/m.keyScale
+			} else {
+				m.c0, m.c1 = float64(first), 0
+			}
+		}
+		lf.loPos, lf.hiPos = int32(first), int32(nextStart-1)
 		nextStart = first
 	}
 	for i := range fkeys {
-		lf := &leaves[r.assign[i]]
-		d := lf.clampPredict(fkeys[i]) - i
+		li := refLeafOf(r, fkeys[i])
+		lf := &leaves[li]
+		d := lf.clampPredict(refFraction(r, li, fkeys[i])) - i
 		lf.errLo, lf.errHi = max(lf.errLo, d+1), max(lf.errHi, -d+1)
 	}
 	total, count := 0.0, 0.0
-	for i := range leaves {
-		lf := &leaves[i]
+	for li := range leaves {
+		lf := &leaves[li]
 		lf.errLo, lf.errHi = core.ToMargin(lf.errLo).Value(), core.ToMargin(lf.errHi).Value()
-		occ := float64(lf.hiPos-lf.loPos) + 1
+		occ := float64(r.last[li]-r.first[li]) + 1
 		total += occ * math.Log2(float64(lf.errLo+lf.errHi+1)+1)
 		count += occ
 	}
@@ -80,8 +113,8 @@ func refFinish(r *routed, fkeys []float64, stage2 ModelKind) ([]refLeaf, float64
 func checkAgainstReference(t *testing.T, keys []core.Key, cfg Config, probes []core.Key) {
 	t.Helper()
 	fkeys := floatKeys(keys)
-	r := trainStage1(fkeys, cfg.Stage1, cfg.Branch)
-	idx := r.finish(fkeys, cfg.Stage2)
+	r := trainStage1(slices.Clone(fkeys), cfg.Stage1, cfg.Branch)
+	idx := r.finish(cfg.Stage2)
 	ref, refLog2 := refFinish(r, fkeys, cfg.Stage2)
 
 	if idx.NumLeaves() != len(ref) {
@@ -97,7 +130,10 @@ func checkAgainstReference(t *testing.T, keys []core.Key, cfg Config, probes []c
 	}
 	for _, x := range probes {
 		li, pos, b := idx.Explain(x)
-		if refPos := ref[li].clampPredict(float64(x)); pos < refPos-1 || pos > refPos+1 {
+		if refLeafOf(r, float64(x)) != li {
+			t.Fatalf("%v key %d: leaf %d, reference %d", cfg, x, li, refLeafOf(r, float64(x)))
+		}
+		if refPos := ref[li].clampPredict(refFraction(r, li, float64(x))); pos < refPos-1 || pos > refPos+1 {
 			t.Fatalf("%v key %d: position %d, reference %d", cfg, x, pos, refPos)
 		}
 		if b != idx.Lookup(x) {
@@ -135,18 +171,18 @@ func TestLeavesMatchReferenceAtScale(t *testing.T) {
 	}
 }
 
-// TestLeafLayout pins what memory holds: a linear leaf is 24 bytes and a
-// cubic leaf one 64-byte cache line, and SizeBytes charges every byte of
-// them — a field added to a leaf fails here. A cubic array starts on a
-// line, so no cubic leaf straddles one; a linear array starts on a line
-// once it is a large (page-aligned) allocation, as every store shard's
-// 4,096 leaves are, so two of every eight linear leaves straddle one.
+// TestLeafLayout pins what memory holds: a linear leaf is 16 bytes, four
+// to a cache line, and a cubic leaf 56, each array B leaves and a
+// sentinel, and SizeBytes charges every byte of them — a field added to
+// a leaf fails here. A linear array starts on a line once it is a large
+// (page-aligned) allocation, as every store shard's 4,097 leaves are,
+// so no linear leaf straddles one.
 func TestLeafLayout(t *testing.T) {
-	if got := unsafe.Sizeof(leaf{}); got != leafBytes || leafBytes != 24 {
-		t.Errorf("leaf is %d bytes, leafBytes %d, want 24", got, leafBytes)
+	if got := unsafe.Sizeof(leaf{}); got != leafBytes || leafBytes != 16 || 64%leafBytes != 0 {
+		t.Errorf("leaf is %d bytes, leafBytes %d, want 16, four to a line", got, leafBytes)
 	}
-	if got := unsafe.Sizeof(cubicLeaf{}); got != cubicLeafBytes || cubicLeafBytes != 64 {
-		t.Errorf("cubicLeaf is %d bytes, cubicLeafBytes %d, want 64", got, cubicLeafBytes)
+	if got := unsafe.Sizeof(cubicLeaf{}); got != cubicLeafBytes || cubicLeafBytes != 56 {
+		t.Errorf("cubicLeaf is %d bytes, cubicLeafBytes %d, want 56", got, cubicLeafBytes)
 	}
 	if got := unsafe.Sizeof(model{}); got != modelSizeBytes {
 		t.Errorf("model is %d bytes, modelSizeBytes %d", got, modelSizeBytes)
@@ -158,17 +194,21 @@ func TestLeafLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		var base, stride uintptr
-		align := uintptr(64)
+		var count int
+		align := uintptr(8)
 		if cfg.Stage2 == ModelCubic {
-			base, stride = uintptr(unsafe.Pointer(&idx.cubics[0])), unsafe.Sizeof(cubicLeaf{})
+			base, stride, count = uintptr(unsafe.Pointer(&idx.cubics[0])), unsafe.Sizeof(cubicLeaf{}), len(idx.cubics)
 		} else {
-			base, stride = uintptr(unsafe.Pointer(&idx.leaves[0])), unsafe.Sizeof(leaf{})
-			if idx.NumLeaves()*leafBytes < 32<<10 {
-				align = 8
+			base, stride, count = uintptr(unsafe.Pointer(&idx.leaves[0])), unsafe.Sizeof(leaf{}), len(idx.leaves)
+			if count*leafBytes >= 32<<10 {
+				align = 64
 			}
 		}
 		if idx.leaves != nil && idx.cubics != nil {
 			t.Errorf("%v: both layouts populated", cfg)
+		}
+		if count != idx.NumLeaves()+1 || idx.clampsOf(idx.NumLeaves()).lo != int32(len(keys)) {
+			t.Errorf("%v: %d leaves for B = %d, sentinel lo %d", cfg, count, idx.NumLeaves(), idx.clampsOf(count-1).lo)
 		}
 		if base%align != 0 {
 			t.Errorf("%v: leaf array at %#x, not aligned to %d bytes", cfg, base, align)
@@ -176,7 +216,7 @@ func TestLeafLayout(t *testing.T) {
 		if int(stride) != idx.LeafBytes() {
 			t.Errorf("%v: LeafBytes %d, stride %d", cfg, idx.LeafBytes(), stride)
 		}
-		if want := int(unsafe.Sizeof(model{})) + idx.NumLeaves()*int(stride); idx.SizeBytes() != want {
+		if want := int(unsafe.Sizeof(model{})) + count*int(stride); idx.SizeBytes() != want {
 			t.Errorf("%v: SizeBytes %d, memory holds %d", cfg, idx.SizeBytes(), want)
 		}
 	}

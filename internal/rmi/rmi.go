@@ -4,19 +4,26 @@
 // A two-stage RMI consists of a single stage-1 model that routes a key
 // to one of B stage-2 leaf models ("branching factor" B), and per-leaf
 // error bounds collected during training. Lookups evaluate two models
-// and return a search bound centred on the leaf's prediction:
+// and return a search bound centred on the leaf's prediction. Stage 1's
+// position, scaled to leaves, picks the leaf by its integer part, and
+// the leaf reads its fractional part:
 //
-//	A(x) = f2[ floor(B * f1(x) / N) ](x)
+//	u = B * f1(x) / N,  A(x) = f2[ floor(u) ](u - floor(u))
 //
 // Training is top-down (Equation 2 of the paper): the stage-1 model is
-// fit on the whole CDF, then each leaf is fit on exactly the keys the
-// stage-1 model routes to it, so inference and training agree.
+// fit on the whole CDF, then each leaf is fit on the fractions of
+// exactly the keys the stage-1 model routes to it, so inference and
+// training agree. A leaf so needs no key origin of its own, and its
+// upper clamp is the next leaf's first position: a linear leaf is 16
+// bytes.
 //
 // Validity for absent keys: every model is monotone non-decreasing over
 // its training range (enforced at fit time), so the prediction for an
 // absent key x with neighbours k(i-1) < x <= k(i) lies between the
-// predictions for the neighbours; widening the recorded per-leaf error
-// bound by one position therefore yields a bound containing LB(x) = i.
+// predictions for the neighbours (u is monotone in the key, and each
+// leaf's prediction in its fraction); widening the recorded per-leaf
+// error bound by one position therefore yields a bound containing
+// LB(x) = i.
 package rmi
 
 import (
@@ -64,10 +71,11 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 // the index, not of a leaf: exactly one of leaves and cubics is set, and
 // a lookup path picks the layout once, outside its per-key loop.
 type Index struct {
-	cfg     Config
-	n       int
-	stage1  model
-	scale   float64     // B/n: route multiplies the stage-1 position by it
+	cfg    Config
+	n      int
+	stage1 model
+	scale  float64 // B/n: route multiplies the stage-1 position by it
+	// Either array holds B leaves and a sentinel whose lo is n.
 	leaves  []leaf      // Stage2 linear, linear_spline or radix
 	cubics  []cubicLeaf // Stage2 cubic
 	avgLog2 float64     // AvgLog2Error, computed by finish: it needs the trained spans
@@ -75,10 +83,12 @@ type Index struct {
 
 // clamps is the tail of both leaf layouts.
 type clamps struct {
-	// A leaf's rounded prediction is clamped to [lo, hi], inside the
-	// span of positions it was trained on; this keeps extrapolation in
-	// check exactly like the reference implementation.
-	lo, hi int32
+	// lo is the leaf's first trained position (an empty leaf's is the
+	// next leaf's). A leaf's rounded prediction is clamped to lo and the
+	// next leaf's lo − 1, the span of positions it was trained on; this
+	// keeps extrapolation in check exactly like the reference
+	// implementation.
+	lo int32
 	// errLo and errHi are the search-bound margins below and above the
 	// prediction. errLo covers the worst over-prediction (pred-actual)
 	// and errHi the worst under-prediction (actual-pred); both include
@@ -86,67 +96,61 @@ type clamps struct {
 	errLo, errHi core.Margin
 }
 
-// leaf is a linear second-stage model with the key normalisation and
-// the clamps of model.predict and of the trained span folded in at
-// build time (see foldLeaf): pos = lo + slope·(key − keyOff), rounded
-// and clamped to [lo, hi]. 24 bytes: of every eight in a line-aligned
-// array, the two at offsets 48 and 56 mod 64 straddle a cache line.
+// leaf is a linear second-stage model over the fraction f in [0, 1) of
+// stage 1's scaled output that routed to it: pos = lo + slope·(f − fOff),
+// rounded and clamped (see fold). 16 bytes, four to a cache line, so
+// the next leaf's lo, the upper clamp, shares the line for three in four.
 type leaf struct {
-	keyOff float64
-	slope  float32
+	fOff, slope float32
 	clamps
 }
 
-// cubicLeaf is a cubic second-stage model, one 64-byte cache line, with
-// [lo, hi] the trained span. It needs no tag: a leaf whose cubic fit
-// fell back to a line has c2 = c3 = 0 (see poly.cubic).
+// cubicLeaf is a cubic second-stage model over the same fraction. It
+// needs no tag: a leaf whose cubic fit fell back to a line has c2 = c3
+// = 0 (see poly.cubic).
 type cubicLeaf struct {
 	poly
 	clamps
 }
 
 // Bytes a leaf of each layout occupies in memory (pinned by a test).
-const leafBytes, cubicLeafBytes = 24, 64
+const leafBytes, cubicLeafBytes = 16, 56
 
-// foldLeaf folds a fitted linear model and the span [loPos, hiPos] it
-// was trained on into the 24-byte layout. The slope, key scale
-// absorbed, is rounded to float32 first, and the line is the one with
-// that slope: it moves a prediction by at most 2⁻²⁴ of the span.
-// model.predict clamps t to [0, 1], i.e. the prediction to [c0,
-// c0+c1]; the span clamps it again; rounding is monotone, so both are
-// one integer clamp of the rounded line. The intercept moves into the
-// key origin: keyOff is where the line crosses lo. Margins are measured
-// through pos afterwards, so they cover what the re-origin rounds away.
-func foldLeaf(m *model, loPos, hiPos int) leaf {
+// fold folds a linear model fitted on fractions into lf, whose lo is
+// set. The slope, fraction scale absorbed, is rounded to float32
+// first, and the line is the one with that slope; fOff is where it
+// crosses lo, rounded to float32. Margins are measured through pos
+// afterwards, so they cover what either rounding moves. A line too flat
+// to cross lo within float32's range is stored flat, predicting lo.
+func (lf *leaf) fold(m *model) {
 	slope := float32(m.c1 * m.keyScale)
-	lo := clampRound(m.c0, loPos, hiPos)
-	lf := leaf{slope: slope, clamps: clamps{int32(lo), int32(lo), 1, 1}}
-	if slope > 0 {
-		lf.hi = int32(clampRound(m.c0+float64(slope)/m.keyScale, loPos, hiPos))
-		lf.keyOff = m.keyOff - (m.c0-float64(lo))/float64(slope)
+	if off := m.keyOff - (m.c0-float64(lf.lo))/float64(slope); slope > 0 && math.Abs(off) <= math.MaxFloat32 {
+		lf.fOff, lf.slope = float32(off), slope
 	}
-	return lf
 }
 
-func (lf *leaf) pos(fkey float64) int {
-	return clampRound(float64(lf.lo)+float64(lf.slope)*(fkey-lf.keyOff), int(lf.lo), int(lf.hi))
+// pos is the leaf's rounded prediction for fraction f, clamped to its
+// lo and next − 1, next being the lo of the leaf after it.
+func (lf *leaf) pos(f float64, next int32) int {
+	return clampRound(lf.lo, float64(lf.slope)*(f-float64(lf.fOff)), next)
 }
 
-func (lf *cubicLeaf) pos(fkey float64) int {
-	return clampRound(lf.cubic(fkey), int(lf.lo), int(lf.hi))
+func (lf *cubicLeaf) pos(f float64, next int32) int {
+	return clampRound(lf.lo, lf.cubic(f)-float64(lf.lo), next)
 }
 
-// clampRound rounds p to the nearest position in [lo, hi], lo >= 0.
-func clampRound(p float64, lo, hi int) int {
-	// Clamp in float space: converting an out-of-range float64 to int
-	// is not defined in Go and wraps to the wrong extreme on amd64.
-	if p <= float64(lo) {
-		return lo
+// clampRound rounds lo + d to the nearest position from lo to next − 1;
+// lo wins where that range is empty, as an empty leaf's is.
+func clampRound(lo int32, d float64, next int32) int {
+	if d <= 0 {
+		return int(lo)
 	}
-	if p >= float64(hi) {
-		return hi
+	// Clamp in float space first: converting an out-of-range float64 to
+	// int is not defined in Go. No leaf spans 2³¹ positions.
+	if d > 1<<31 {
+		d = 1 << 31
 	}
-	return int(p + 0.5)
+	return min(int(lo)+int(d+0.5), int(next)-1)
 }
 
 // New trains an RMI over sorted keys.
@@ -154,8 +158,7 @@ func New(keys []core.Key, cfg Config) (*Index, error) {
 	if len(keys) == 0 {
 		return nil, errors.New("rmi: empty key set")
 	}
-	fkeys := floatKeys(keys)
-	return trainStage1(fkeys, cfg.Stage1, cfg.Branch).finish(fkeys, cfg.Stage2), nil
+	return trainStage1(floatKeys(keys), cfg.Stage1, cfg.Branch).finish(cfg.Stage2), nil
 }
 
 // floatKeys converts keys to the float64 domain the models work in.
@@ -184,9 +187,11 @@ var (
 // and finishes the same routed stage with each stage-2 candidate.
 type routed struct {
 	top Index // cfg.Stage1, cfg.Branch, n and stage1 set; no leaves
-	// assign is the leaf each key routes to; first/last are the span of
-	// positions each leaf receives (both -1 for an empty leaf).
-	assign      []int32
+	// u is each key's stage-1 position scaled to leaves, which split
+	// cuts into the leaf it routes to and the fraction that leaf reads;
+	// first/last are the span of positions each leaf receives (both -1
+	// for an empty leaf).
+	u           []float64
 	first, last []int
 	// routes[k] is what the k-th range core.Parallel cuts the keys into
 	// routes: its leaves and the span of positions each receives from it.
@@ -204,7 +209,8 @@ type leafRun struct {
 
 // trainStage1 fits the stage-1 model on the full CDF and routes every
 // key through it. The model predicts positions in [0, n-1]; routing
-// scales by B/n.
+// scales by B/n. It overwrites fkeys with the keys' u, which the
+// routing keeps: key i is read once, before its u is written.
 func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
 	n := len(fkeys)
 	branch = max(1, min(branch, n))
@@ -216,9 +222,9 @@ func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
 	r := &routed{
 		top: Index{cfg: Config{Stage1: kind, Branch: branch}, n: n,
 			stage1: fitModel(kind, fkeys, 0), scale: float64(branch) / float64(n)},
-		assign: make([]int32, n),
-		first:  make([]int, branch),
-		last:   make([]int, branch),
+		u:     fkeys,
+		first: make([]int, branch),
+		last:  make([]int, branch),
 	}
 	// Route every key through stage 1 with exactly the lookup-time
 	// routing function, and record the span of positions each leaf
@@ -231,8 +237,8 @@ func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
 	r.routes = core.Parallel(n, func(_, lo, hi int) leafRun {
 		l0, l1 := branch, -1
 		for i := lo; i < hi; i++ {
-			li := r.top.route(fkeys[i])
-			r.assign[i] = int32(li)
+			r.u[i] = r.top.stage1.predict(fkeys[i]) * r.top.scale
+			li, _ := r.top.split(r.u[i])
 			l0, l1 = min(l0, li), max(l1, li)
 		}
 		run := leafRun{leaf0: l0, spans: make([][2]int32, l1-l0+1)}
@@ -240,7 +246,8 @@ func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
 			run.spans[j] = [2]int32{-1, -1}
 		}
 		for i := lo; i < hi; i++ {
-			s := &run.spans[int(r.assign[i])-l0]
+			li, _ := r.top.split(r.u[i])
+			s := &run.spans[li-l0]
 			if s[0] < 0 {
 				s[0] = int32(i)
 			}
@@ -267,50 +274,51 @@ func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
 // finish trains the stage-2 leaves of the given kind over the routing
 // and returns the complete index. r is not modified and can be
 // finished again with another kind.
-func (r *routed) finish(fkeys []float64, stage2 ModelKind) *Index {
+func (r *routed) finish(stage2 ModelKind) *Index {
 	idx := r.top
 	idx.cfg.Stage2 = stage2
 	n, B := idx.n, idx.cfg.Branch
 	cubic := stage2 == ModelCubic
 	if cubic {
-		idx.cubics = make([]cubicLeaf, B)
+		idx.cubics = make([]cubicLeaf, B+1)
 	} else {
-		idx.leaves = make([]leaf, B)
+		idx.leaves = make([]leaf, B+1)
 	}
 
-	// setLeaf fits leaf li on the keys at positions first..last it was
-	// trained on (none for an empty leaf).
-	setLeaf := func(li, first, last int, trained []float64) {
-		m := fitModel(stage2, trained, float64(first))
-		if cubic {
-			idx.cubics[li] = cubicLeaf{m.poly, clamps{int32(first), int32(last), 1, 1}}
-		} else {
-			idx.leaves[li] = foldLeaf(&m, first, last)
+	// Each leaf's lo is the first position it was trained on; an empty
+	// leaf takes the next start, so keys routed there still receive
+	// valid (if wide) bounds, and the sentinel's is n. Taking the least
+	// start at or after a leaf keeps lo non-decreasing even where float
+	// rounding routes a stray key out of order.
+	next := n
+	idx.clampsOf(B).lo = int32(n)
+	for li := B - 1; li >= 0; li-- {
+		if first := r.first[li]; first >= 0 {
+			next = min(next, first)
 		}
+		*idx.clampsOf(li) = clamps{int32(next), 1, 1}
 	}
-	// Fit each leaf on the contiguous span of keys it received. The fits
-	// are independent, and run chunk-wise, the leaves cut in proportion
-	// to the keys' ranges.
+	// Fit each leaf on the fractions of the contiguous span of keys it
+	// received; an empty leaf keeps its zero model, which predicts lo.
+	// A fit on u is the fit on u − li moved by li: it normalises by
+	// differences of u, which are the fractions' differences exactly
+	// (Sterbenz: every u of leaf li ≥ 1 lies in [li, 2li]). The fits are
+	// independent, and run chunk-wise, the leaves cut in proportion to
+	// the keys' ranges.
 	core.Parallel(n, func(_, lo, hi int) struct{} {
 		for li := lo * B / n; li < hi*B/n; li++ {
 			if first, last := r.first[li], r.last[li]; first >= 0 {
-				setLeaf(li, first, last, fkeys[first:last+1])
+				m := fitModel(stage2, r.u[first:last+1], float64(first))
+				m.keyOff -= float64(li)
+				if cubic {
+					idx.cubics[li].poly = m.poly
+				} else {
+					idx.leaves[li].fold(&m)
+				}
 			}
 		}
 		return struct{}{}
 	})
-	// Empty leaves get a constant model at the boundary position so
-	// keys routed there still receive valid (if wide) bounds; the
-	// boundary is the first position owned by any later leaf.
-	nextStart := n
-	for li := B - 1; li >= 0; li-- {
-		if first := r.first[li]; first >= 0 {
-			nextStart = first
-		} else {
-			p := min(nextStart, n-1)
-			setLeaf(li, p, p, nil)
-		}
-	}
 
 	// Error collection: replay every key through the lookup path so the
 	// recorded bounds are exact for present keys by construction. Ranges
@@ -323,12 +331,12 @@ func (r *routed) finish(fkeys []float64, stage2 ModelKind) *Index {
 		leaf0 := r.routes[k].leaf0
 		w := make([][2]int, len(r.routes[k].spans)) // {pred-actual, actual-pred}
 		for i := lo; i < hi; i++ {
-			li := int(r.assign[i])
+			li, f := idx.split(r.u[i])
 			var pos int
 			if cubic {
-				pos = idx.cubics[li].pos(fkeys[i])
+				pos = idx.cubics[li].pos(f, idx.cubics[li+1].lo)
 			} else {
-				pos = idx.leaves[li].pos(fkeys[i])
+				pos = idx.leaves[li].pos(f, idx.leaves[li+1].lo)
 			}
 			d := &w[li-leaf0]
 			d[0], d[1] = max(d[0], pos-i), max(d[1], i-pos)
@@ -356,16 +364,20 @@ func (r *routed) finish(fkeys []float64, stage2 ModelKind) *Index {
 	return &idx
 }
 
-// route maps a key (as float64) to a leaf number.
-func (idx *Index) route(fkey float64) int {
-	li := int(idx.stage1.predict(fkey) * idx.scale)
-	if li < 0 {
-		return 0
+// route maps a key (as float64) to a leaf number and the fraction the
+// leaf reads: stage 1's position scaled to leaves, less the leaf. The
+// fraction lies in [0, 1) except where the leaf number was clamped.
+func (idx *Index) route(fkey float64) (int, float64) {
+	return idx.split(idx.stage1.predict(fkey) * idx.scale)
+}
+
+// split cuts a scaled stage-1 position u into a leaf and its fraction.
+func (idx *Index) split(u float64) (int, float64) {
+	li := int(u)
+	if uint(li) >= uint(idx.cfg.Branch) {
+		li = min(max(li, 0), idx.cfg.Branch-1)
 	}
-	if li >= idx.cfg.Branch {
-		return idx.cfg.Branch - 1
-	}
-	return li
+	return li, u - float64(li)
 }
 
 // Lookup implements core.Index.
@@ -375,9 +387,9 @@ func (idx *Index) Lookup(key core.Key) core.Bound {
 }
 
 // SizeBytes implements core.Index: the stage-1 model plus the leaf array
-// as memory holds it.
+// as memory holds it, sentinel included.
 func (idx *Index) SizeBytes() int {
-	return modelSizeBytes + idx.NumLeaves()*idx.LeafBytes()
+	return modelSizeBytes + (idx.NumLeaves()+1)*idx.LeafBytes()
 }
 
 // LeafBytes is the leaf array's stride: what a lookup's leaf access loads.
@@ -411,14 +423,14 @@ func (idx *Index) NumLeaves() int { return idx.cfg.Branch }
 // counter simulation: the routed leaf, the predicted position, and
 // the resulting bound. It is the Lookup code path.
 func (idx *Index) Explain(key core.Key) (leaf, pos int, b core.Bound) {
-	fkey := float64(key)
-	leaf = idx.route(fkey)
+	leaf, f := idx.route(float64(key))
+	var c *clamps
 	if idx.cubics != nil {
 		lf := &idx.cubics[leaf]
-		pos = lf.pos(fkey)
-		return leaf, pos, core.BoundAround(pos, lf.errLo.Value(), lf.errHi.Value(), idx.n)
+		pos, c = lf.pos(f, idx.cubics[leaf+1].lo), &lf.clamps
+	} else {
+		lf := &idx.leaves[leaf]
+		pos, c = lf.pos(f, idx.leaves[leaf+1].lo), &lf.clamps
 	}
-	lf := &idx.leaves[leaf]
-	pos = lf.pos(fkey)
-	return leaf, pos, core.BoundAround(pos, lf.errLo.Value(), lf.errHi.Value(), idx.n)
+	return leaf, pos, core.BoundAround(pos, c.errLo.Value(), c.errHi.Value(), idx.n)
 }

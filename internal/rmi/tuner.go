@@ -35,9 +35,9 @@ func inferenceCost(k ModelKind) float64 {
 	}
 }
 
-// proxyCost scores a trained RMI: two model evaluations (one per
-// stage), one likely cache miss for the leaf array when B is large,
-// plus the expected binary-search steps.
+// proxyCost scores a trained RMI: the inference cost of its two
+// models (one per stage) plus the expected binary-search steps. It has
+// no term for the leaf array's size or the cache miss a large one costs.
 func proxyCost(idx *Index) float64 {
 	c := inferenceCost(idx.cfg.Stage1) + inferenceCost(idx.cfg.Stage2)
 	return c + idx.AvgLog2Error()
@@ -76,8 +76,9 @@ func sample(keys []core.Key, m int) []core.Key {
 
 // bestComboFor returns the lowest-proxy-cost (stage1, stage2) pair for
 // the given branch factor, tuned on a sample of keys. The sample is
-// drawn and converted once, each distinct stage-1 kind is fitted and
-// routed once, and every stage-2 kind paired with it is scored over
+// drawn once, each distinct stage-1 kind is fitted and routed once
+// (on a conversion of its own, which the routing overwrites), and
+// every stage-2 kind paired with it is scored over
 // that shared routing — the same models, costs and tie-breaks as
 // training each combination from scratch, for about half the work.
 // The stage-1 kinds are independent, so each is tuned on a goroutine of
@@ -89,7 +90,7 @@ func bestComboFor(keys []core.Key, branch int) (Config, float64) {
 	if len(keys) == 0 {
 		return best, bestCost
 	}
-	s := floatKeys(sample(keys, tuneSampleMax))
+	s := sample(keys, tuneSampleMax)
 	// Scale the branch factor to the sample so leaf occupancy (and
 	// hence log2 error) is comparable to the full build.
 	sb := branch * len(s) / len(keys)
@@ -104,10 +105,10 @@ func bestComboFor(keys []core.Key, branch int) (Config, float64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			top := trainStage1(s, combo.s1, sb)
+			top := trainStage1(floatKeys(s), combo.s1, sb)
 			for i, c := range candidateCombos {
 				if c.s1 == combo.s1 {
-					costs[i] = proxyCost(top.finish(s, c.s2))
+					costs[i] = proxyCost(top.finish(c.s2))
 				}
 			}
 		}()
@@ -183,7 +184,7 @@ func Tune(keys []core.Key, sizeBudget int) Config {
 	}
 	var all []scored
 	for _, b := range branchGrid(len(keys)) {
-		size := modelSizeBytes + b*leafBytes // every candidate's second stage is linear
+		size := modelSizeBytes + (b+1)*leafBytes // every candidate's second stage is linear
 		if sizeBudget > 0 && size > sizeBudget {
 			continue
 		}
