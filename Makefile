@@ -162,7 +162,9 @@ examples:
 	$(GO) build ./examples/...
 
 # doccheck fails when README.md does not mention every directory under
-# internal/ — the doc-drift guard run in CI.
+# internal/, or when README.md or DESIGN.md names a `pkg.Name` or
+# `pkg.Type.Member` of an internal package that does not resolve — the
+# doc-drift guard run in CI.
 doccheck:
 	@missing=0; \
 	for d in internal/*/; do \
@@ -170,3 +172,4 @@ doccheck:
 		grep -q "internal/$$p" README.md || { echo "README.md does not mention internal/$$p"; missing=1; }; \
 	done; \
 	exit $$missing
+	$(GO) test -count=1 -run '^TestDocNamesResolve$$' .

@@ -88,7 +88,7 @@ func BenchmarkAblationPGMLevels(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("eps=%d", eps), func(b *testing.B) {
-			b.ReportMetric(float64(len(idx.LevelSizes())), "levels")
+			b.ReportMetric(float64(len(idx.Arrays())/3), "levels") // three arrays a level, then the margins
 			b.ReportMetric(float64(idx.NumSegments()), "segments")
 			lookupLoop(b, e, idx, search.BinarySearch)
 		})

@@ -350,7 +350,7 @@ func BenchmarkLookup(b *testing.B) {
 	for _, ds := range []dataset.Name{dataset.Amzn, dataset.OSM} {
 		keys := dataset.MustGenerate(ds, dataset.DefaultN, 1)
 		probes := dataset.Lookups(keys, nProbes, 7)
-		for _, family := range []string{"PGM", "RS", "RBS", "BTree", "IBTree", "ART", "FAST", "RobinHash"} {
+		for _, family := range []string{"RMI", "PGM", "RS", "RBS", "BTree", "IBTree", "ART", "FAST", "RobinHash"} {
 			b.Run(family+"/"+string(ds), func(b *testing.B) {
 				nb, ok := registry.Builder(family, keys)
 				if !ok {

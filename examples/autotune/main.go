@@ -45,7 +45,7 @@ func main() {
 
 		fmt.Printf("%-6s %-28s %10.1f %10.2f %10d %10d\n",
 			name, cfg, float64(idx.SizeBytes())/1024, idx.AvgLog2Error(),
-			p.NumSegments(), r.NumPoints())
+			p.NumSegments(), r.Arrays()[2].Len) // RS's third array is its spline points' keys
 	}
 	fmt.Println("\nHigher log2 error / more segments at equal budget = harder CDF (osm).")
 }

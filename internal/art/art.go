@@ -9,7 +9,7 @@
 // exact-length array per node kind; a child is an int32 ref into one.
 // A leaf is its key's data position, the combined pointer/value slot
 // of Leis et al., so a leaf's key compare reads the data array.
-// SizeBytes is the four arrays' bytes: what the index holds.
+// SizeBytes is the four arrays' bytes (Arrays): what the index holds.
 package art
 
 import (
@@ -30,7 +30,7 @@ const (
 	kind16
 	kind48
 	kind256
-	leaf // NodeStep.Kind of a leaf's key compare, a read of the data keys
+	leaf // the array a leaf's key compare reads: the data keys, past the four node arrays
 )
 
 // none is an empty Node256 slot. As a leaf it would be data position
@@ -76,7 +76,7 @@ var (
 	byte0     = [3]int{int(unsafe.Offsetof(node4{}.key)), int(unsafe.Offsetof(node16{}.key)), int(unsafe.Offsetof(node48{}.index))}
 )
 
-// The compares a descent makes, as NodeStep.Cmp names them: a node's
+// The compares a descent makes, as step names them: a node's
 // prefix against x's (taken: equal), a child byte against x's (taken:
 // it is x's own byte) and a leaf's key against x (taken: key >= x).
 const (
@@ -85,8 +85,8 @@ const (
 	cmpKey
 )
 
-// Index is an adaptive radix tree over every Stride-th data key.
-type Index struct {
+// index is an adaptive radix tree over every Stride-th data key.
+type index struct {
 	keys   []core.Key // the data array: a leaf's key is keys[its position]
 	root   int32
 	n4     []node4
@@ -122,7 +122,7 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 			ps = append(ps, int32(i))
 		}
 	}
-	idx := &Index{keys: keys, stride: stride, maxPos: ps[len(ps)-1]}
+	idx := &index{keys: keys, stride: stride, maxPos: ps[len(ps)-1]}
 	idx.root = idx.build(ps)
 	idx.n4, idx.n16, idx.n48, idx.n256 = slices.Clone(idx.n4), slices.Clone(idx.n16), slices.Clone(idx.n48), slices.Clone(idx.n256)
 	return idx, nil
@@ -132,7 +132,7 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 // whose keys ascend. The node branches on the first byte where its
 // least and greatest keys differ, and its kind is the smallest that
 // holds its children, which go into their arrays before it.
-func (idx *Index) build(ps []int32) int32 {
+func (idx *index) build(ps []int32) int32 {
 	if len(ps) == 1 {
 		return ^ps[0]
 	}
@@ -185,13 +185,13 @@ func (idx *Index) build(ps []int32) int32 {
 
 // ceiling returns the data position of the least key >= x below ref,
 // whose keys share x's bytes above its depth; ok is false when every
-// key below is smaller. A non-nil visit sees every read.
-func (idx *Index) ceiling(ref int32, x core.Key, visit func(NodeStep)) (pos int32, ok bool) {
+// key below is smaller. A non-nil t sees every read.
+func (idx *index) ceiling(ref int32, x core.Key, t core.Tracer) (pos int32, ok bool) {
 	if ref < 0 {
 		pos = ^ref
 		ok = idx.keys[pos] >= x
-		if visit != nil {
-			visit(NodeStep{Kind: leaf, Off: int(pos) * 8, Cmp: cmpKey, Taken: ok})
+		if t != nil {
+			step(t, leaf, int(pos), cmpKey, ok)
 		}
 		return pos, ok
 	}
@@ -207,32 +207,32 @@ func (idx *Index) ceiling(ref int32, x core.Key, visit func(NodeStep)) (pos int3
 		prefix, depth = idx.n256[i].prefix, idx.n256[i].depth
 	}
 	xp := x &^ (math.MaxUint64 >> (8 * depth))
-	if visit != nil {
-		visit(NodeStep{Kind: int(ref & 3), Off: int(ref>>2) * nodeBytes[ref&3], Cmp: cmpPrefix, Taken: xp == prefix})
+	if t != nil {
+		step(t, int(ref&3), int(ref>>2)*nodeBytes[ref&3], cmpPrefix, xp == prefix)
 	}
 	if xp != prefix {
 		if xp < prefix { // every key below is greater
-			return idx.min(ref, visit), true
+			return idx.min(ref, t), true
 		}
 		return 0, false
 	}
 	b := int(x>>(56-8*depth)) & 0xFF
-	child, at := idx.next(ref, b, visit)
+	child, at := idx.next(ref, b, t)
 	if at == b {
-		if pos, ok := idx.ceiling(child, x, visit); ok {
+		if pos, ok := idx.ceiling(child, x, t); ok {
 			return pos, true
 		}
-		child, at = idx.next(ref, b+1, visit) // every key under x's byte is smaller
+		child, at = idx.next(ref, b+1, t) // every key under x's byte is smaller
 	}
 	if at > 0xFF {
 		return 0, false
 	}
-	return idx.min(child, visit), true
+	return idx.min(child, t), true
 }
 
 // next returns the child of inner node ref under the least byte >= b,
 // and that byte, or 256 when there is none.
-func (idx *Index) next(ref int32, b int, visit func(NodeStep)) (child int32, at int) {
+func (idx *index) next(ref int32, b int, t core.Tracer) (child int32, at int) {
 	k, i, j := int(ref&3), int(ref>>2), 0
 	switch k {
 	case kind4:
@@ -255,15 +255,15 @@ func (idx *Index) next(ref int32, b int, visit func(NodeStep)) (child int32, at 
 			j, child = at, idx.n256[i].child[at]
 		}
 	}
-	if visit != nil && at <= 0xFF {
+	if t != nil && at <= 0xFF {
 		// The byte compare reads a Node4/16 child byte, a Node48 index
 		// entry or a Node256 child slot; the first three then read the
 		// child slot.
 		node := i * nodeBytes[k]
 		read := [4]int{node + byte0[0] + j, node + byte0[1] + j, node + byte0[2] + at, node + slot0[3] + 4*at}[k]
-		visit(NodeStep{Kind: k, Off: read, Cmp: cmpByte, Taken: at == b})
+		step(t, k, read, cmpByte, at == b)
 		if k != kind256 {
-			visit(NodeStep{Kind: k, Off: node + slot0[k] + 4*j})
+			step(t, k, node+slot0[k]+4*j, 0, false)
 		}
 	}
 	return child, at
@@ -280,22 +280,22 @@ func sorted(key []byte, b int) (j, at int) {
 }
 
 // min returns the data position of the least key below ref.
-func (idx *Index) min(ref int32, visit func(NodeStep)) int32 {
+func (idx *index) min(ref int32, t core.Tracer) int32 {
 	for ref >= 0 {
-		ref, _ = idx.next(ref, 0, visit)
+		ref, _ = idx.next(ref, 0, t)
 	}
 	return ^ref
 }
 
 // Lookup implements core.Index.
-func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
+func (idx *index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 
-// Trace is Lookup's descent: a non-nil visit is called for every read
-// of a node or of a leaf's key, backtracking and min-leaf descents
+// Trace is Lookup's descent: a non-nil t sees every read of a node or
+// of a leaf's key (see step), backtracking and min-leaf descents
 // included.
-func (idx *Index) Trace(key core.Key, visit func(NodeStep)) core.Bound {
+func (idx *index) Trace(key core.Key, t core.Tracer) core.Bound {
 	n := len(idx.keys)
-	pos, found := idx.ceiling(idx.root, key, visit)
+	pos, found := idx.ceiling(idx.root, key, t)
 	if !found {
 		// Every indexed key is smaller: the lower bound lies after the
 		// last subset position.
@@ -304,26 +304,33 @@ func (idx *Index) Trace(key core.Key, visit func(NodeStep)) core.Bound {
 	return core.Bound{Lo: max(int(pos)-idx.stride+1, 0), Hi: int(pos) + 1}
 }
 
-// SizeBytes implements core.Index.
-func (idx *Index) SizeBytes() int {
-	a := idx.ArrayBytes()
-	return a[0] + a[1] + a[2] + a[3]
+// step reports one read of a descent, byte off of node array a or, for
+// a leaf, data key off, and the compare it feeds (cmp, 0 for none) at
+// one branch site per kind of compare. No read straddles a line: the
+// arrays start on one, and each node's header and every slot lie
+// within one.
+func step(t core.Tracer, a, off, cmp int, taken bool) {
+	t.Read(a, off, 1)
+	if cmp != 0 {
+		t.Compare(0xA0+uint32(cmp), taken)
+	}
+	t.Work(3) // the read's address
 }
 
-// ArrayBytes is the bytes of the Node4, Node16, Node48 and Node256
-// arrays, in that order.
-func (idx *Index) ArrayBytes() [4]int {
-	return [4]int{len(idx.n4) * nodeBytes[kind4], len(idx.n16) * nodeBytes[kind16], len(idx.n48) * nodeBytes[kind48], len(idx.n256) * nodeBytes[kind256]}
+// Arrays describes the index: the Node4, Node16, Node48 and Node256
+// arrays, in bytes, since a descent reads single bytes and slots inside
+// a node.
+func (idx *index) Arrays() []core.Array {
+	return []core.Array{
+		{Name: "node4", Elem: 1, Len: len(idx.n4) * nodeBytes[kind4]},
+		{Name: "node16", Elem: 1, Len: len(idx.n16) * nodeBytes[kind16]},
+		{Name: "node48", Elem: 1, Len: len(idx.n48) * nodeBytes[kind48]},
+		{Name: "node256", Elem: 1, Len: len(idx.n256) * nodeBytes[kind256]},
+	}
 }
+
+// SizeBytes implements core.Index.
+func (idx *index) SizeBytes() int { return core.SizeOf(idx.Arrays()...) }
 
 // Name implements core.Index.
-func (idx *Index) Name() string { return "ART" }
-
-// NodeStep is one read of a descent, as Trace reports it: byte Off of
-// array Kind, the Node4, Node16, Node48 or Node256 array (0 to 3) or,
-// for a leaf's key, the data keys (4). Cmp names the compare the read
-// feeds (0 for none) and Taken is its outcome.
-type NodeStep struct {
-	Kind, Off, Cmp int
-	Taken          bool
-}
+func (idx *index) Name() string { return "ART" }

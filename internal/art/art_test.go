@@ -12,19 +12,19 @@ import (
 )
 
 // build builds a stride-1 index over keys, which must be sorted.
-func build(t *testing.T, keys []core.Key) *Index {
+func build(t *testing.T, keys []core.Key) *index {
 	t.Helper()
 	idx, err := Builder{Stride: 1}.Build(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return idx.(*Index)
+	return idx.(*index)
 }
 
 // exact reports whether a stride-1 index's bound for x is exactly the
 // lower bound's one position or, past the last key, what follows the
 // last key's first position.
-func exact(idx *Index, keys []core.Key, x core.Key) bool {
+func exact(idx *index, keys []core.Key, x core.Key) bool {
 	lb, n := core.LowerBound(keys, x), len(keys)
 	want := core.Bound{Lo: lb, Hi: lb + 1}
 	if lb == n {
@@ -34,7 +34,7 @@ func exact(idx *Index, keys []core.Key, x core.Key) bool {
 }
 
 // checkExact holds a stride-1 index to exact at every probe.
-func checkExact(t *testing.T, idx *Index, keys, probes []core.Key) {
+func checkExact(t *testing.T, idx *index, keys, probes []core.Key) {
 	t.Helper()
 	for _, x := range probes {
 		if !exact(idx, keys, x) {
@@ -190,7 +190,7 @@ func TestARTProperty(t *testing.T) {
 			return false
 		}
 		mid := keys[len(keys)/2]
-		return exact(idx.(*Index), keys, x>>s) && exact(idx.(*Index), keys, mid) && exact(idx.(*Index), keys, mid+1)
+		return exact(idx.(*index), keys, x>>s) && exact(idx.(*index), keys, mid) && exact(idx.(*index), keys, mid+1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -12,20 +12,19 @@
 package btree
 
 import (
-	"unsafe"
-
+	"repro/internal/core"
 	"repro/internal/search"
 )
 
-// Fanout is the maximum number of keys per node: node j of a level is
-// its keys [j*Fanout, (j+1)*Fanout). 32 eight-byte keys fill four cache
+// fanout is the maximum number of keys per node: node j of a level is
+// its keys [j*fanout, (j+1)*fanout). 32 eight-byte keys fill four cache
 // lines, matching STX's default node size class.
-const Fanout = 32
+const fanout = 32
 
 // Tree is a bulk-loaded B+tree over a sorted key array, stored without
 // pointers or positions: levels[0] is the keys themselves, and
-// levels[l+1][j] is the max of node j of level l, the Fanout keys
-// levels[l][j*Fanout : (j+1)*Fanout]. So entry i of a level-(l+1) node
+// levels[l+1][j] is the max of node j of level l, the fanout keys
+// levels[l][j*fanout : (j+1)*fanout]. So entry i of a level-(l+1) node
 // routes to node i of level l, and a key's position is its rank in
 // levels[0]. The top level is a single node.
 type Tree[K search.Unsigned] struct {
@@ -40,15 +39,15 @@ type Tree[K search.Unsigned] struct {
 // The tree keeps keys as its bottom level; it does not copy them.
 func NewTree[K search.Unsigned](keys []K, interpolate bool) Tree[K] {
 	height := 1
-	for n := len(keys); n > Fanout; n = (n + Fanout - 1) / Fanout {
+	for n := len(keys); n > fanout; n = (n + fanout - 1) / fanout {
 		height++
 	}
 	t := Tree[K]{levels: make([][]K, 1, height), interpolate: interpolate}
 	t.levels[0] = keys
-	for cur := keys; len(cur) > Fanout; {
-		up := make([]K, (len(cur)+Fanout-1)/Fanout)
+	for cur := keys; len(cur) > fanout; {
+		up := make([]K, (len(cur)+fanout-1)/fanout)
 		for j := range up {
-			up[j] = cur[min((j+1)*Fanout, len(cur))-1]
+			up[j] = cur[min((j+1)*fanout, len(cur))-1]
 		}
 		t.levels = append(t.levels, up)
 		cur = up
@@ -56,28 +55,13 @@ func NewTree[K search.Unsigned](keys []K, interpolate bool) Tree[K] {
 	return t
 }
 
-// NodeStep is one node of a descent as Ceiling reports it: the node,
-// and the slots of it the in-node search read.
-type NodeStep struct {
-	Level, Node int
-	// Ends is set when IBTree read the node's first and last keys to
-	// interpolate between them, and Probe is the slot it then compared
-	// (-1 when x lay outside the two).
-	Ends  bool
-	Probe int
-	// Lo, Hi and Rank are the window the ladder searched and the slot
-	// it returned.
-	Lo, Hi, Rank int
-}
-
 // Ceiling returns the rank of the smallest key >= x, or the key count
 // when every key is smaller. Each node is searched for the rank of x-1
 // by the mask form of search's halving ladder (search.RankBranchless),
 // after IBTree's one interpolation probe; x == 0 reads no node, as
-// every key is >= 0. A non-nil visit is called with every node
-// searched, root first: the path the performance-counter simulation
-// replays.
-func (t *Tree[K]) Ceiling(x K, visit func(NodeStep)) int {
+// every key is >= 0. A non-nil tr sees every node searched, root first
+// (see trace): the path the performance-counter simulation replays.
+func (t *Tree[K]) Ceiling(x K, tr core.Tracer) int {
 	if x == 0 {
 		return 0
 	}
@@ -85,8 +69,8 @@ func (t *Tree[K]) Ceiling(x K, visit func(NodeStep)) int {
 	node := 0
 	for l := len(t.levels) - 1; ; l-- {
 		lvl := t.levels[l]
-		base := node * Fanout
-		span := lvl[base:min(base+Fanout, len(lvl))]
+		base := node * fanout
+		span := lvl[base:min(base+fanout, len(lvl))]
 		// IBTree's one interpolation probe, in a node of more than 8
 		// keys whose end keys x lies between, halves the window at the
 		// slot their line predicts; the nodes are small, so the ladder
@@ -103,8 +87,8 @@ func (t *Tree[K]) Ceiling(x K, visit func(NodeStep)) int {
 			}
 		}
 		i := search.RankBranchless(span, below, lo, hi)
-		if visit != nil {
-			visit(NodeStep{l, node, ends, probe, lo, hi, i})
+		if tr != nil {
+			trace(tr, l, base, len(span), ends, probe, lo, hi, i)
 		}
 		if l == 0 {
 			return base + i
@@ -119,13 +103,33 @@ func (t *Tree[K]) Ceiling(x K, visit func(NodeStep)) int {
 	}
 }
 
+// trace reports the search of the n-key node at base of level l, the
+// array of that ordinal: IBTree's read of its end keys, when ends, and
+// of the slot probe it then compared (-1 when x lay outside the two),
+// then the ladder over slots [lo, hi), which returned slot i.
+func trace(tr core.Tracer, l, base, n int, ends bool, probe, lo, hi, i int) {
+	if ends {
+		tr.Read(l, base, 1)
+		tr.Read(l, base+n-1, 1)
+		tr.Work(2) // the end keys' difference
+	}
+	if probe >= 0 {
+		tr.Work(8) // the interpolation's float work
+		tr.Read(l, base+probe, 1)
+		tr.Compare(0xB3, lo > probe) // taken: x is right of the probe
+	}
+	tr.Search(l, base+lo, base+hi, base+i, 0)
+}
+
+// arrays describes the level arrays, the bottom level's keys first.
+func (t *Tree[K]) arrays() []core.Array {
+	out := make([]core.Array, len(t.levels))
+	for l, lvl := range t.levels {
+		out[l] = core.ArrayOf("level", lvl)
+	}
+	return out
+}
+
 // SizeBytes is the footprint of the level arrays, the bottom level's
 // keys included.
-func (t *Tree[K]) SizeBytes() int {
-	var k K
-	total := 0
-	for _, lvl := range t.levels {
-		total += len(lvl) * int(unsafe.Sizeof(k))
-	}
-	return total
-}
+func (t *Tree[K]) SizeBytes() int { return core.SizeOf(t.arrays()...) }

@@ -92,7 +92,7 @@ func TestBTreeDuplicates(t *testing.T) {
 }
 
 func TestBulkLoadStructure(t *testing.T) {
-	for _, n := range []int{0, 1, Fanout, Fanout + 1, Fanout * Fanout, Fanout*Fanout + 1, 12345} {
+	for _, n := range []int{0, 1, fanout, fanout + 1, fanout * fanout, fanout*fanout + 1, 12345} {
 		keys := make([]uint64, n)
 		for i := range keys {
 			keys[i] = uint64(i * 3)
@@ -204,8 +204,8 @@ func TestSizeBytesIsLevelBytes(t *testing.T) {
 		b, _ := Builder{Stride: stride}.Build(keys)
 		idx := b.(*Index)
 		want := 0
-		for _, n := range idx.LevelSizes() {
-			want += 8 * n
+		for _, lvl := range idx.tree.levels {
+			want += 8 * len(lvl)
 		}
 		if got := idx.SizeBytes(); got != want || want == 0 {
 			t.Errorf("stride %d: SizeBytes() = %d, level arrays hold %d B", stride, got, want)
@@ -312,7 +312,7 @@ func TestBTreeProperty(t *testing.T) {
 
 // Validate checks the flat B+tree invariants; used by tests.
 func (t *Tree[K]) Validate() error {
-	if len(t.levels[len(t.levels)-1]) > Fanout {
+	if len(t.levels[len(t.levels)-1]) > fanout {
 		return errors.New("btree: more than one root node")
 	}
 	if !slices.IsSorted(t.levels[0]) {
@@ -320,11 +320,11 @@ func (t *Tree[K]) Validate() error {
 	}
 	for l := 1; l < len(t.levels); l++ {
 		below, lvl := t.levels[l-1], t.levels[l]
-		if len(lvl) != (len(below)+Fanout-1)/Fanout {
+		if len(lvl) != (len(below)+fanout-1)/fanout {
 			return fmt.Errorf("btree: level %d has %d keys over %d below", l, len(lvl), len(below))
 		}
 		for j, k := range lvl {
-			if k != slices.Max(below[j*Fanout:min((j+1)*Fanout, len(below))]) {
+			if k != slices.Max(below[j*fanout:min((j+1)*fanout, len(below))]) {
 				return fmt.Errorf("btree: level %d key %d is not the max of its node", l, j)
 			}
 		}

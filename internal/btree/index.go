@@ -50,12 +50,12 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 // Lookup implements core.Index.
 func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 
-// Trace is Lookup's descent; visit is the tree's Ceiling visitor.
-func (idx *Index) Trace(key core.Key, visit func(NodeStep)) core.Bound {
+// Trace is Lookup's descent; t is the tree's Ceiling tracer.
+func (idx *Index) Trace(key core.Key, t core.Tracer) core.Bound {
 	// The ceiling of rank r is data key r*stride and its predecessor
 	// data key (r-1)*stride, so the first key >= key lies in
 	// [(r-1)*stride+1, r*stride+1), cut to [0, n) at either end.
-	r := idx.tree.Ceiling(key, visit)
+	r := idx.tree.Ceiling(key, t)
 	b := core.Bound{Hi: idx.n}
 	if r > 0 {
 		b.Lo = (r-1)*idx.stride + 1
@@ -66,18 +66,11 @@ func (idx *Index) Trace(key core.Key, visit func(NodeStep)) core.Bound {
 	return b
 }
 
+// Arrays describes the index: the tree's levels, the subset keys first.
+func (idx *Index) Arrays() []core.Array { return idx.tree.arrays() }
+
 // SizeBytes implements core.Index.
 func (idx *Index) SizeBytes() int { return idx.tree.SizeBytes() }
 
 // Name implements core.Index.
 func (idx *Index) Name() string { return Builder{Interpolate: idx.tree.interpolate}.Name() }
-
-// LevelSizes returns the key count of each level of the tree, the
-// subset keys first.
-func (idx *Index) LevelSizes() []int {
-	out := make([]int, len(idx.tree.levels))
-	for i, l := range idx.tree.levels {
-		out[i] = len(l)
-	}
-	return out
-}

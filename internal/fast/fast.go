@@ -58,14 +58,13 @@ func NewTree[K interface{ ~uint32 | ~uint64 }](keys []K) (*Tree[K], error) {
 
 // Ceiling returns the index (into the sorted key array) of the
 // smallest key >= x, or len(keys) when every key is smaller. A non-nil
-// visit is called once per block scanned, top level first, with the
-// level and the block's start and length in that level's array — the
-// path the performance-counter simulation replays.
-func (t *Tree[K]) Ceiling(x K, visit func(level, blockStart, blockLen int)) int {
+// tr sees every block scanned, top level first (see trace) — the path
+// the performance-counter simulation replays.
+func (t *Tree[K]) Ceiling(x K, tr core.Tracer) int {
 	top := t.levels[len(t.levels)-1]
 	if x > top[len(top)-1] {
-		if visit != nil {
-			visit(len(t.levels)-1, 0, len(top))
+		if tr != nil {
+			trace(tr, len(t.levels)-1, 0, len(top))
 		}
 		return len(t.levels[0])
 	}
@@ -81,8 +80,8 @@ func (t *Tree[K]) Ceiling(x K, visit func(level, blockStart, blockLen int)) int 
 		if end > len(lvl) {
 			end = len(lvl)
 		}
-		if visit != nil {
-			visit(li, start, end-start)
+		if tr != nil {
+			trace(tr, li, start, end-start)
 		}
 		i := start
 		for i < end && lvl[i] < x {
@@ -96,23 +95,30 @@ func (t *Tree[K]) Ceiling(x K, visit func(level, blockStart, blockLen int)) int 
 	return 0 // unreachable
 }
 
-// SizeBytes reports the footprint of every level including the subset
-// key array (the subset is part of the index, distinct from the data).
-func (t *Tree[K]) SizeBytes() int {
-	var k K
-	keySize := 8
-	if _, ok := any(k).(uint32); ok {
-		keySize = 4
-	}
-	total := 0
-	for _, lvl := range t.levels {
-		total += len(lvl) * keySize
-	}
-	return total
+// trace reports the scan of the n-key block at start of level l, the
+// array of that ordinal: one load of the block, two cache lines of
+// 64-bit keys, scanned with predictable branches (FAST's SIMD compare
+// is branch-free; it is priced as one cheap instruction a key).
+func trace(tr core.Tracer, l, start, n int) {
+	tr.Read(l, start, n)
+	tr.Work(n)
 }
 
-// Index adapts Tree to core.Index with the subset-stride size knob.
-type Index struct {
+// arrays describes every level, the subset key array first (the subset
+// is part of the index, distinct from the data).
+func (t *Tree[K]) arrays() []core.Array {
+	out := make([]core.Array, len(t.levels))
+	for l, lvl := range t.levels {
+		out[l] = core.ArrayOf("level", lvl)
+	}
+	return out
+}
+
+// SizeBytes reports the footprint of every level.
+func (t *Tree[K]) SizeBytes() int { return core.SizeOf(t.arrays()...) }
+
+// index adapts Tree to core.Index with the subset-stride size knob.
+type index struct {
 	tree   *Tree[core.Key]
 	n      int
 	stride int
@@ -145,18 +151,18 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{tree: t, n: n, stride: stride}, nil
+	return &index{tree: t, n: n, stride: stride}, nil
 }
 
 // Lookup implements core.Index.
-func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
+func (idx *index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 
-// Trace is Lookup's descent; visit is the tree's Ceiling visitor.
+// Trace is Lookup's descent; t is the tree's Ceiling tracer.
 // Subset entry i corresponds to data position i*stride, so the ceiling
 // entry brackets the lower bound between the previous subset position
 // (exclusive) and its own.
-func (idx *Index) Trace(key core.Key, visit func(level, blockStart, blockLen int)) core.Bound {
-	i := idx.tree.Ceiling(key, visit)
+func (idx *index) Trace(key core.Key, t core.Tracer) core.Bound {
+	i := idx.tree.Ceiling(key, t)
 	m := len(idx.tree.levels[0])
 	var lo, hi int
 	switch {
@@ -176,18 +182,11 @@ func (idx *Index) Trace(key core.Key, visit func(level, blockStart, blockLen int
 	return core.Bound{Lo: lo, Hi: hi}
 }
 
+// Arrays describes the index: the tree's levels, the subset keys first.
+func (idx *index) Arrays() []core.Array { return idx.tree.arrays() }
+
 // SizeBytes implements core.Index.
-func (idx *Index) SizeBytes() int { return idx.tree.SizeBytes() }
+func (idx *index) SizeBytes() int { return idx.tree.SizeBytes() }
 
 // Name implements core.Index.
-func (idx *Index) Name() string { return "FAST" }
-
-// LevelSizes returns the entry count of each level of the tree, the
-// data subset first.
-func (idx *Index) LevelSizes() []int {
-	out := make([]int, len(idx.tree.levels))
-	for i, l := range idx.tree.levels {
-		out[i] = len(l)
-	}
-	return out
-}
+func (idx *index) Name() string { return "FAST" }

@@ -41,10 +41,6 @@ type RobinHood struct {
 	n    int // data size: the full bound of an absent key
 }
 
-// SlotSizeBytes is what one slot of either table occupies: a key, a
-// position and one byte of slot state.
-const SlotSizeBytes = 8 + 4 + 1
-
 // maxProbe caps the stored displacement; tables sized from the load
 // factor below stay far under it.
 const maxProbe = 120
@@ -118,9 +114,9 @@ func (t *RobinHood) growAndReinsert(key uint64, val int32) {
 	t.insert(key, val)
 }
 
-// get returns the value stored for key. A non-nil visit is called once
-// with the key's home slot and the number of slots inspected.
-func (t *RobinHood) get(key uint64, visit func(home uint64, probes int)) (val int32, ok bool) {
+// get returns the value stored for key. A non-nil tr sees its probes
+// (see trace).
+func (t *RobinHood) get(key uint64, tr core.Tracer) (val int32, ok bool) {
 	home := hash1(key) & t.mask
 	slot, d := home, int8(0)
 	for ; d < maxProbe; d++ {
@@ -136,20 +132,46 @@ func (t *RobinHood) get(key uint64, visit func(home uint64, probes int)) (val in
 		}
 		slot = (slot + 1) & t.mask
 	}
-	if visit != nil {
-		visit(home, min(int(d)+1, maxProbe))
+	if tr != nil {
+		t.trace(tr, home, int(d), ok)
 	}
 	return val, ok
+}
+
+// trace reports get's probes from slot home, the last at distance d,
+// in arrays as Arrays orders them (keys, vals, dist). Each probe reads
+// dist, and keys where the distance check passed: every probe but the
+// last, and the last on a hit or when the probe cap ran out. A hit then
+// reads vals.
+func (t *RobinHood) trace(tr core.Tracer, home uint64, d int, hit bool) {
+	tr.Work(4) // the hash
+	probes, keyReads := min(d+1, maxProbe), d
+	if hit {
+		keyReads++
+	}
+	slot := 0
+	for p := range probes {
+		slot = int((home + uint64(p)) & t.mask)
+		tr.Read(2, slot, 1)
+		if p < keyReads {
+			tr.Read(0, slot, 1)
+		}
+		tr.Compare(0xB7, p < probes-1) // taken: the probe goes on
+		tr.Work(2)                     // the next slot
+	}
+	if hit {
+		tr.Read(1, slot, 1)
+	}
 }
 
 // Lookup implements core.Index.
 func (t *RobinHood) Lookup(key core.Key) core.Bound { return t.Trace(key, nil) }
 
 // Trace is Lookup's descent: an exact bound for a present key, the full
-// bound otherwise. A non-nil visit is get's visitor, the path the
+// bound otherwise. A non-nil tr is get's tracer, the path the
 // performance-counter simulation replays.
-func (t *RobinHood) Trace(key core.Key, visit func(home uint64, probes int)) core.Bound {
-	if pos, ok := t.get(key, visit); ok {
+func (t *RobinHood) Trace(key core.Key, tr core.Tracer) core.Bound {
+	if pos, ok := t.get(key, tr); ok {
 		return core.Bound{Lo: int(pos), Hi: int(pos) + 1}
 	}
 	return core.FullBound(t.n)
@@ -158,8 +180,13 @@ func (t *RobinHood) Trace(key core.Key, visit func(home uint64, probes int)) cor
 // Name implements core.Index.
 func (t *RobinHood) Name() string { return "RobinHash" }
 
+// Arrays describes the table: its keys, vals and dist arrays.
+func (t *RobinHood) Arrays() []core.Array {
+	return []core.Array{core.ArrayOf("keys", t.keys), core.ArrayOf("vals", t.vals), core.ArrayOf("dist", t.dist)}
+}
+
 // SizeBytes implements core.Index.
-func (t *RobinHood) SizeBytes() int { return len(t.keys) * SlotSizeBytes }
+func (t *RobinHood) SizeBytes() int { return core.SizeOf(t.Arrays()...) }
 
 // cuckoo is a bucketized cuckoo hash table: two candidate buckets of
 // four slots each per key. It is the point index CuckooBuilder builds.
@@ -297,8 +324,13 @@ func (t *cuckoo) Lookup(key core.Key) core.Bound {
 // Name implements core.Index.
 func (t *cuckoo) Name() string { return "CuckooMap" }
 
+// arrays describes the table: its keys, vals and used arrays.
+func (t *cuckoo) arrays() []core.Array {
+	return []core.Array{core.ArrayOf("keys", t.keys), core.ArrayOf("vals", t.vals), core.ArrayOf("used", t.used)}
+}
+
 // SizeBytes implements core.Index.
-func (t *cuckoo) SizeBytes() int { return len(t.keys) * SlotSizeBytes }
+func (t *cuckoo) SizeBytes() int { return core.SizeOf(t.arrays()...) }
 
 // The paper's load factors, the ones it found maximize each table's
 // lookup speed.

@@ -183,7 +183,7 @@ func indexRows(t *testing.T, l *ledger) map[string]*table.Table {
 			l.ratio(row+"sim_instructions", c.Instructions, uint64(len(lookups)))
 			l.ratio(row+"sim_branch_misses", c.BranchMisses, uint64(len(lookups)))
 			if r, ok := idx.(*rmi.Index); ok {
-				l.ratio(row+"empty_leaf_frac", emptyLeaves(r, keys), uint64(r.NumLeaves()))
+				l.ratio(row+"empty_leaf_frac", emptyLeaves(r, keys), uint64(r.Arrays()[1].Len-1))
 			}
 			if ds == dataset.Amzn && i < len(families) {
 				tbl, err := table.New(keys, dataset.Payloads(len(keys), seed), idx, nil)
@@ -197,11 +197,13 @@ func indexRows(t *testing.T, l *ledger) map[string]*table.Table {
 	return tables
 }
 
-// emptyLeaves counts the leaves of r that none of keys routes to.
+// emptyLeaves counts the leaves of r that none of keys routes to. The
+// leaf array is r's second, the sentinel its last element.
 func emptyLeaves(r *rmi.Index, keys []core.Key) uint64 {
-	hit := make([]bool, r.NumLeaves())
+	hit := make([]bool, r.Arrays()[1].Len-1)
+	var leaf leafRead
 	for _, x := range keys {
-		leaf, _, _ := r.Explain(x)
+		r.Trace(x, &leaf)
 		hit[leaf] = true
 	}
 	empty := uint64(0)
@@ -686,3 +688,16 @@ func codecRows(l *ledger) {
 	i := 0
 	l.add("repl.log_append_full_allocs", allocs(func() { hook(0, persist.Op{Key: core.Key(i)}); i++ }))
 }
+
+// leafRead is the leaf a traced RMI lookup read last: the element of its
+// read of the leaf array.
+type leafRead int
+
+func (l *leafRead) Read(a, i, _ int) {
+	if a == 1 {
+		*l = leafRead(i)
+	}
+}
+func (*leafRead) Search(int, int, int, int, uint32) {}
+func (*leafRead) Compare(uint32, bool)              {}
+func (*leafRead) Work(int)                          {}

@@ -49,10 +49,9 @@ func (c Counters) String() string {
 		c.accesses, c.CacheMisses, c.branches, c.BranchMisses, c.Instructions)
 }
 
-// Region is a handle to a simulated memory allocation.
+// Region is a handle to a simulated memory allocation: its base address.
 type Region struct {
 	base uint64
-	size int
 }
 
 // Machine is a simulated memory hierarchy plus branch predictor.
@@ -95,7 +94,7 @@ func (m *Machine) Alloc(size int) Region {
 	if size < 1 {
 		size = 1
 	}
-	r := Region{base: m.nextMem, size: size}
+	r := Region{base: m.nextMem}
 	aligned := (uint64(size) + m.lineSz - 1) / m.lineSz * m.lineSz
 	m.nextMem += aligned + m.lineSz // one-line gap between regions
 	return r

@@ -141,46 +141,6 @@ func TestTracedBoundsMatchPlainLookups(t *testing.T) {
 	}
 }
 
-// TestTracedRegionsSumToSizeBytes: what a traced structure lays out in
-// the simulated address space is what the real index says it occupies —
-// the regions it allocates beside the shared key and payload arrays sum
-// to SizeBytes(), so a simulated lookup cannot skip an array the real
-// one reads, or stride one at a size memory does not hold it in.
-func TestTracedRegionsSumToSizeBytes(t *testing.T) {
-	keys := dataset.MustGenerate(dataset.Amzn, 20000, 1)
-	for name, tr := range buildTraced(t, keys) {
-		var regions []Region
-		var size int
-		switch v := tr.Traced.(type) {
-		case *tracedRMI:
-			regions, size = []Region{v.model, v.leaves}, v.idx.SizeBytes()
-		case *tracedPGM:
-			regions, size = slices.Concat(v.keys, v.slopes, v.pos, []Region{v.margins}), v.idx.SizeBytes()
-		case *tracedRS:
-			regions, size = []Region{v.base, v.fine, v.keys, v.pos}, v.idx.SizeBytes()
-		case *tracedRBS:
-			regions, size = []Region{v.table}, v.idx.SizeBytes()
-		case *tracedBTree:
-			regions, size = v.levels, v.idx.SizeBytes()
-		case *tracedART:
-			regions, size = v.arrays[:4], v.idx.SizeBytes()
-		case *tracedFAST:
-			regions, size = v.levels, v.idx.SizeBytes()
-		case *tracedRobin:
-			regions, size = []Region{v.slots}, v.tbl.SizeBytes()
-		default:
-			t.Fatalf("%s: traced type %T has no region list here", name, tr)
-		}
-		sum := 0
-		for _, r := range regions {
-			sum += r.size
-		}
-		if sum != size {
-			t.Errorf("%s: simulated index regions hold %d B, SizeBytes() is %d", name, sum, size)
-		}
-	}
-}
-
 // TestTracedRMILeafLines: the simulated leaf load is at the stride
 // memory holds the leaf array in, and is charged at every line that
 // holds the leaf's bytes or its successor's lo, the upper clamp, which
@@ -196,9 +156,17 @@ func TestTracedRMILeafLines(t *testing.T) {
 		}
 		m := New(Config{cacheBytes: 1 << 20})
 		tr, _ := For(idx, m, keys)
-		stride := idx.LeafBytes()
-		for leaf := 0; leaf < idx.NumLeaves(); leaf++ {
+		stride := idx.Arrays()[1].Elem
+		offsets := map[int]bool{}
+		for _, x := range keys {
+			var rec readRecorder
+			idx.Trace(x, &rec)
+			if len(rec) != 2 || rec[0].a != 0 || rec[1].a != 1 {
+				t.Fatalf("stage 2 %v: key %d reads %v, want the model, then the leaves", stage2, x, rec)
+			}
+			leaf := rec[1].i
 			off, lo := leaf*stride, (leaf+2)*stride-8
+			offsets[off%64] = true
 			lines := map[int]bool{lo / 64: true}
 			for b := off; b < off+stride; b++ {
 				lines[b/64] = true
@@ -208,13 +176,24 @@ func TestTracedRMILeafLines(t *testing.T) {
 				t.Fatalf("linear leaf %d at offset %d mod 64 spans %d lines with its successor's lo", leaf, off%64, want)
 			}
 			before := m.Counters().accesses
-			tr.(*tracedRMI).touchLeaf(leaf)
+			tr.(*traced).Read(rec[1].a, rec[1].i, rec[1].n)
 			if got := m.Counters().accesses - before; got != want {
 				t.Fatalf("stage 2 %v: leaf %d (%d bytes) touches %d lines, want %d", stage2, leaf, stride, got, want)
 			}
 		}
+		if stage2 == rmi.ModelLinear && len(offsets) != 4 {
+			t.Fatalf("linear leaves read at offsets %v mod 64, want all four", offsets)
+		}
 	}
 }
+
+// readRecorder lists a descent's reads and ignores its other steps.
+type readRecorder []struct{ a, i, n int }
+
+func (r *readRecorder) Read(a, i, n int)                { *r = append(*r, struct{ a, i, n int }{a, i, n}) }
+func (*readRecorder) Search(int, int, int, int, uint32) {}
+func (*readRecorder) Compare(uint32, bool)              {}
+func (*readRecorder) Work(int)                          {}
 
 func TestTracedCounterProfiles(t *testing.T) {
 	// The relative profiles the paper reports: the RMI needs far fewer
@@ -296,54 +275,54 @@ func TestTracedSearchesChargeReplaySlots(t *testing.T) {
 		}
 		m := New(Config{cacheBytes: 64 << 10, lineBytes: keyBytes})
 		tr, _ := For(idx, m, keys)
+		v := tr.(*traced)
+		searched := 0
 		for _, x := range lookups {
-			// want lists, per key region, the slots charged in order.
-			want := map[Region][]int{}
-			charge := func(r Region, slots ...int) { want[r] = append(want[r], slots...) }
-			ladder := func(r Region, lo, hi, rank int) {
-				search.Replay(lo, hi, rank, func(slot int, _ bool) { charge(r, slot) })
-			}
-			switch v := tr.(type) {
-			case *tracedPGM:
-				v.idx.Trace(x, func(st pgm.PathStep) {
-					ladder(v.keys[st.Level], st.Lo, st.Hi, st.Rank)
-					charge(v.keys[st.Level], max(st.Rank-1, 0))
-				})
-			case *tracedRS:
-				v.idx.Trace(x, func(_, _, lo, hi, rank int) {
-					ladder(v.keys, lo, hi, rank)
-					seg := max(rank-1, 0)
-					charge(v.keys, seg)
-					if seg+1 < v.idx.NumPoints() {
-						charge(v.keys, seg+1)
-					}
-				})
-			case *tracedBTree:
-				v.idx.Trace(x, func(st btree.NodeStep) {
-					lvl, base := v.levels[st.Level], st.Node*btree.Fanout
-					if st.Ends {
-						charge(lvl, base, base+min(btree.Fanout, lvl.size/keyBytes-base)-1)
-					}
-					if st.Probe >= 0 {
-						charge(lvl, base+st.Probe)
-					}
-					ladder(lvl, base+st.Lo, base+st.Hi, base+st.Rank)
-				})
-			}
+			rec := slotRecorder{arrays: v.arrays, want: map[int][]int{}}
+			v.idx.Trace(x, &rec)
+			searched += rec.searches
 			from := m.tick
 			tr.Lookup(x)
-			for r, slots := range want {
-				if got, want := touched(m, r, from), lastTouches(slots); !slices.Equal(got, want) {
-					t.Fatalf("%s: Lookup(%d) charged slots %v of a key region, the search compared %v", name, x, got, want)
+			for a, slots := range rec.want {
+				if got, want := touched(m, v.arrays[a].Region, core.SizeOf(v.idx.Arrays()[a]), from), lastTouches(slots); !slices.Equal(got, want) {
+					t.Fatalf("%s: Lookup(%d) charged slots %v of key array %d, the search compared %v", name, x, got, a, want)
 				}
 			}
+		}
+		if searched == 0 {
+			t.Fatalf("%s: no lookup reported a search", name)
 		}
 	}
 }
 
-// touched lists the keyBytes-wide slots of r whose lines m has touched
-// since tick from, in order of last touch.
-func touched(m *Machine, r Region, from uint64) []int {
+// slotRecorder lists, per array of key-wide elements, the slots a
+// descent's steps name in order: those search.Replay names for a
+// search, then those a read loads.
+type slotRecorder struct {
+	arrays   []array
+	want     map[int][]int
+	searches int
+}
+
+func (r *slotRecorder) Read(a, i, n int) {
+	if r.arrays[a].elem == keyBytes {
+		for s := i; s < i+n; s++ {
+			r.want[a] = append(r.want[a], s)
+		}
+	}
+}
+
+func (r *slotRecorder) Search(a, lo, hi, rank int, _ uint32) {
+	r.searches++
+	search.Replay(lo, hi, rank, func(slot int, _ bool) { r.want[a] = append(r.want[a], slot) })
+}
+
+func (*slotRecorder) Compare(uint32, bool) {}
+func (*slotRecorder) Work(int)             {}
+
+// touched lists the keyBytes-wide slots of the size bytes at r whose
+// lines m has touched since tick from, in order of last touch.
+func touched(m *Machine, r Region, size int, from uint64) []int {
 	type touch struct {
 		slot int
 		tick uint64
@@ -352,7 +331,7 @@ func touched(m *Machine, r Region, from uint64) []int {
 	for set, tags := range m.tags {
 		for w, line := range tags {
 			addr := line * m.lineSz
-			if tick := m.ticks[set][w]; tick > from && addr >= r.base && addr < r.base+uint64(r.size) {
+			if tick := m.ticks[set][w]; tick > from && addr >= r.base && addr < r.base+uint64(size) {
 				ts = append(ts, touch{int(addr-r.base) / keyBytes, tick})
 			}
 		}

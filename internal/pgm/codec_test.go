@@ -21,7 +21,10 @@ func encoded(t *testing.T) (payload []byte, top int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := idx.LevelSizes()
+	var sizes []int
+	for _, l := range idx.levels {
+		sizes = append(sizes, len(l.keys))
+	}
 	if len(sizes) != 3 || sizes[2] != 2 {
 		t.Fatalf("osm 20k at eps=4 built levels %v, want three with two segments on top", sizes)
 	}

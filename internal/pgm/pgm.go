@@ -309,19 +309,10 @@ func (idx *Index) window(li, j int, x core.Key) (lo, hi int) {
 // Lookup implements core.Index.
 func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 
-// PathStep is one level of a descent as Trace reports it: the window
-// [Lo, Hi) of the level's segment keys that was searched and the rank
-// search.Rank returned there. The segment evaluated is the one below
-// the rank, clamped at 0.
-type PathStep struct {
-	Level        int // 0 = data level
-	Lo, Hi, Rank int
-}
-
-// Trace is Lookup's descent. A non-nil visit is called once per level,
-// top-down, after the level's segment search, which is the path the
-// performance-counter simulation replays.
-func (idx *Index) Trace(key core.Key, visit func(PathStep)) core.Bound {
+// Trace is Lookup's descent. A non-nil t sees every level's step,
+// top-down (see trace), which is the path the performance-counter
+// simulation replays.
+func (idx *Index) Trace(key core.Key, t core.Tracer) core.Bound {
 	// The top level is searched whole; each level's segment then
 	// predicts the segment number in the level below to within eps, and
 	// only that window is searched.
@@ -329,8 +320,8 @@ func (idx *Index) Trace(key core.Key, visit func(PathStep)) core.Bound {
 	lo, hi := 0, len(idx.levels[li].keys)
 	for {
 		r := search.Rank(idx.levels[li].keys, key, lo, hi)
-		if visit != nil {
-			visit(PathStep{Level: li, Lo: lo, Hi: hi, Rank: r})
+		if t != nil {
+			idx.trace(t, li, lo, hi, r)
 		}
 		j := max(r-1, 0)
 		if li == 0 {
@@ -342,6 +333,23 @@ func (idx *Index) Trace(key core.Key, visit func(PathStep)) core.Bound {
 		}
 		lo, hi = idx.window(li, j, key)
 		li--
+	}
+}
+
+// trace reports level li's step of a descent, in arrays as Arrays
+// orders them: the search of the level's keys over the window [lo, hi)
+// (the whole level at the top), which returned r, then the segment
+// below the rank — its key, its slope and the two positions its
+// prediction is clamped between — and, at the data level, its margins.
+func (idx *Index) trace(t core.Tracer, li, lo, hi, r int) {
+	j, keys := max(r-1, 0), 3*li
+	t.Search(keys, lo, hi, r, 0x77)
+	t.Read(keys, j, 1)
+	t.Read(keys+1, j, 1)
+	t.Read(keys+2, j, min(2, len(idx.levels[li].pos)-j))
+	t.Work(8) // the segment's prediction and its clamp
+	if li == 0 {
+		t.Read(3*len(idx.levels), 2*j, 2)
 	}
 }
 
@@ -389,10 +397,18 @@ func (idx *Index) margin(j int) (lo, hi int) {
 	return idx.eps + 1 + idx.margins[2*j].Value(), idx.eps + 1 + idx.margins[2*j+1].Value()
 }
 
-// SizeBytes implements core.Index.
-func (idx *Index) SizeBytes() int {
-	return idx.NumSegments()*segmentBytes + len(idx.levels[0].keys)*marginBytes
+// Arrays describes the index: each level's keys, slopes and pos, data
+// level first, then the data level's margins.
+func (idx *Index) Arrays() []core.Array {
+	out := make([]core.Array, 0, 3*len(idx.levels)+1)
+	for _, l := range idx.levels {
+		out = append(out, core.ArrayOf("keys", l.keys), core.ArrayOf("slopes", l.slopes), core.ArrayOf("pos", l.pos))
+	}
+	return append(out, core.ArrayOf("margins", idx.margins))
 }
+
+// SizeBytes implements core.Index.
+func (idx *Index) SizeBytes() int { return core.SizeOf(idx.Arrays()...) }
 
 // Name implements core.Index.
 func (idx *Index) Name() string { return "PGM" }
@@ -429,13 +445,4 @@ func (idx *Index) AvgLog2Error() float64 {
 		return 0
 	}
 	return total / count
-}
-
-// LevelSizes returns the segment count of each level, data level first.
-func (idx *Index) LevelSizes() []int {
-	out := make([]int, len(idx.levels))
-	for i, l := range idx.levels {
-		out[i] = len(l.keys)
-	}
-	return out
 }

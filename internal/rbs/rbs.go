@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"unsafe"
 
 	"repro/internal/core"
 )
@@ -81,13 +80,17 @@ func (idx *Index) prefix(x core.Key) uint64 {
 // Lookup implements core.Index.
 func (idx *Index) Lookup(key core.Key) core.Bound { return idx.bucketBound(idx.prefix(key)) }
 
-// Trace is Lookup with a visitor called once with the radix bucket
-// probed, the path the performance-counter simulation replays. Lookup
-// shares bucketBound rather than calling Trace: at a few nanoseconds
-// per lookup, the extra call alone cost RBS a third of its time.
-func (idx *Index) Trace(key core.Key, visit func(bucket uint64)) core.Bound {
+// Trace is Lookup with a Tracer, which sees the two table entries of
+// the bucket probed: the path the performance-counter simulation
+// replays. Lookup shares bucketBound rather than calling Trace: at a
+// few nanoseconds per lookup, the extra call alone cost RBS a third of
+// its time.
+func (idx *Index) Trace(key core.Key, t core.Tracer) core.Bound {
 	p := idx.prefix(key)
-	visit(p)
+	if t != nil {
+		t.Work(3) // the prefix: a subtract, a shift and a clamp
+		t.Read(0, int(p), 2)
+	}
 	return idx.bucketBound(p)
 }
 
@@ -107,11 +110,11 @@ func (idx *Index) bucketBound(p uint64) core.Bound {
 	return core.Bound{Lo: lo, Hi: hi}
 }
 
-// RadixEntrySizeBytes is what one table entry occupies.
-const RadixEntrySizeBytes = int(unsafe.Sizeof(Index{}.table[0]))
+// Arrays describes the index: the table.
+func (idx *Index) Arrays() []core.Array { return []core.Array{core.ArrayOf("table", idx.table)} }
 
 // SizeBytes implements core.Index.
-func (idx *Index) SizeBytes() int { return len(idx.table) * RadixEntrySizeBytes }
+func (idx *Index) SizeBytes() int { return core.SizeOf(idx.Arrays()...) }
 
 // Name implements core.Index.
 func (idx *Index) Name() string { return "RBS" }

@@ -33,7 +33,7 @@ func BenchmarkRMILookup(b *testing.B) {
 					benchSink = idx.Lookup(probes[i&(nProbes-1)])
 				}
 				// After the loop: b.Loop resets metrics.
-				b.ReportMetric(float64(idx.LeafBytes()), "B/leaf")
+				b.ReportMetric(float64(idx.Arrays()[1].Elem), "B/leaf")
 				b.ReportMetric(float64(width)/float64(len(probes)), "width")
 			})
 		}

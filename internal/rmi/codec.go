@@ -46,14 +46,14 @@ func decodeModel(r *binio.Reader) (model, error) {
 // Encode writes the trained index to w. The output is exactly what
 // Decode consumes; it carries no framing or checksum of its own.
 func (idx *Index) Encode(w *binio.Writer) error {
-	w.U8(uint8(idx.LeafBytes()))
+	w.U8(uint8(leafArray(idx.cfg.Stage2, idx.cfg.Branch).Elem))
 	w.U8(uint8(idx.cfg.Stage1))
 	w.U8(uint8(idx.cfg.Stage2))
 	w.U64(uint64(idx.n))
 	w.F64(idx.avgLog2)
 	w.U8(uint8(idx.stage1.kind))
 	idx.stage1.poly.encode(w)
-	w.U32(uint32(idx.NumLeaves()))
+	w.U32(uint32(idx.cfg.Branch))
 	for i := range idx.leaves {
 		w.U32(math.Float32bits(idx.leaves[i].fOff))
 		w.U32(math.Float32bits(idx.leaves[i].slope))
@@ -108,7 +108,7 @@ func Decode(r *binio.Reader) (*Index, error) {
 	if layout == retiredLeafBytes || layout == retiredCubicLeafBytes {
 		return nil, binio.Corruptf("rmi: leaf stride %d is a retired layout, whose leaves keep their own upper clamp; rebuild the index", layout)
 	}
-	if (cubic && layout != cubicLeafBytes) || (!cubic && layout != leafBytes) {
+	if int(layout) != leafArray(cfg.Stage2, 0).Elem {
 		return nil, binio.Corruptf("rmi: leaf layout %d does not match stage-2 kind %v", layout, cfg.Stage2)
 	}
 	const maxN = 1 << 48 // far beyond any in-memory array

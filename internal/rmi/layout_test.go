@@ -109,7 +109,8 @@ func refFinish(r *routed, fkeys []float64, stage2 ModelKind) ([]refLeaf, float64
 // over the same routing: per-leaf margins and the log2 error equal,
 // every probe's position within one of the reference's (the fold
 // re-associates the arithmetic, so a prediction on a rounding tie may
-// land on the other side), and Explain's bound equal to Lookup's.
+// land on the other side), and Lookup's bound the one around that
+// position.
 func checkAgainstReference(t *testing.T, keys []core.Key, cfg Config, probes []core.Key) {
 	t.Helper()
 	fkeys := floatKeys(keys)
@@ -117,8 +118,8 @@ func checkAgainstReference(t *testing.T, keys []core.Key, cfg Config, probes []c
 	idx := r.finish(cfg.Stage2)
 	ref, refLog2 := refFinish(r, fkeys, cfg.Stage2)
 
-	if idx.NumLeaves() != len(ref) {
-		t.Fatalf("%v: %d leaves, reference %d", cfg, idx.NumLeaves(), len(ref))
+	if idx.cfg.Branch != len(ref) {
+		t.Fatalf("%v: %d leaves, reference %d", cfg, idx.cfg.Branch, len(ref))
 	}
 	for li := range ref {
 		if c := idx.clampsOf(li); c.errLo.Value() != ref[li].errLo || c.errHi.Value() != ref[li].errHi {
@@ -129,15 +130,22 @@ func checkAgainstReference(t *testing.T, keys []core.Key, cfg Config, probes []c
 		t.Fatalf("%v: AvgLog2Error %v, reference %v", cfg, got, refLog2)
 	}
 	for _, x := range probes {
-		li, pos, b := idx.Explain(x)
+		li, f := idx.route(float64(x))
+		var pos int
+		if idx.cubics != nil {
+			pos = idx.cubics[li].pos(f, idx.cubics[li+1].lo)
+		} else {
+			pos = idx.leaves[li].pos(f, idx.leaves[li+1].lo)
+		}
 		if refLeafOf(r, float64(x)) != li {
 			t.Fatalf("%v key %d: leaf %d, reference %d", cfg, x, li, refLeafOf(r, float64(x)))
 		}
 		if refPos := ref[li].clampPredict(refFraction(r, li, float64(x))); pos < refPos-1 || pos > refPos+1 {
 			t.Fatalf("%v key %d: position %d, reference %d", cfg, x, pos, refPos)
 		}
-		if b != idx.Lookup(x) {
-			t.Fatalf("%v key %d: Explain %v, Lookup %v", cfg, x, b, idx.Lookup(x))
+		c := idx.clampsOf(li)
+		if b := core.BoundAround(pos, c.errLo.Value(), c.errHi.Value(), len(keys)); b != idx.Lookup(x) {
+			t.Fatalf("%v key %d: bound around position %d is %v, Lookup %v", cfg, x, pos, b, idx.Lookup(x))
 		}
 	}
 }
@@ -207,14 +215,14 @@ func TestLeafLayout(t *testing.T) {
 		if idx.leaves != nil && idx.cubics != nil {
 			t.Errorf("%v: both layouts populated", cfg)
 		}
-		if count != idx.NumLeaves()+1 || idx.clampsOf(idx.NumLeaves()).lo != int32(len(keys)) {
-			t.Errorf("%v: %d leaves for B = %d, sentinel lo %d", cfg, count, idx.NumLeaves(), idx.clampsOf(count-1).lo)
+		if count != idx.cfg.Branch+1 || idx.clampsOf(idx.cfg.Branch).lo != int32(len(keys)) {
+			t.Errorf("%v: %d leaves for B = %d, sentinel lo %d", cfg, count, idx.cfg.Branch, idx.clampsOf(count-1).lo)
 		}
 		if base%align != 0 {
 			t.Errorf("%v: leaf array at %#x, not aligned to %d bytes", cfg, base, align)
 		}
-		if int(stride) != idx.LeafBytes() {
-			t.Errorf("%v: LeafBytes %d, stride %d", cfg, idx.LeafBytes(), stride)
+		if int(stride) != idx.Arrays()[1].Elem {
+			t.Errorf("%v: leaf array described at %d bytes a leaf, stride %d", cfg, idx.Arrays()[1].Elem, stride)
 		}
 		if want := int(unsafe.Sizeof(model{})) + count*int(stride); idx.SizeBytes() != want {
 			t.Errorf("%v: SizeBytes %d, memory holds %d", cfg, idx.SizeBytes(), want)

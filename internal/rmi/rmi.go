@@ -381,24 +381,29 @@ func (idx *Index) split(u float64) (int, float64) {
 }
 
 // Lookup implements core.Index.
-func (idx *Index) Lookup(key core.Key) core.Bound {
-	_, _, b := idx.Explain(key)
-	return b
-}
+func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 
-// SizeBytes implements core.Index: the stage-1 model plus the leaf array
-// as memory holds it, sentinel included.
-func (idx *Index) SizeBytes() int {
-	return modelSizeBytes + (idx.NumLeaves()+1)*idx.LeafBytes()
-}
+// stage1Array describes the stage-1 model, one element.
+var stage1Array = core.Array{Name: "stage1", Elem: modelSizeBytes, Len: 1}
 
-// LeafBytes is the leaf array's stride: what a lookup's leaf access loads.
-func (idx *Index) LeafBytes() int {
-	if idx.cubics != nil {
-		return cubicLeafBytes
+// leafArray describes the leaf array of b leaves of kind stage2 as
+// memory holds it, sentinel included: its stride is what a lookup's
+// leaf access loads.
+func leafArray(stage2 ModelKind, b int) core.Array {
+	a := core.Array{Name: "leaves", Elem: leafBytes, Len: b + 1}
+	if stage2 == ModelCubic {
+		a.Elem = cubicLeafBytes
 	}
-	return leafBytes
+	return a
 }
+
+// Arrays describes the index: the stage-1 model, then the leaves.
+func (idx *Index) Arrays() []core.Array {
+	return []core.Array{stage1Array, leafArray(idx.cfg.Stage2, idx.cfg.Branch)}
+}
+
+// SizeBytes implements core.Index.
+func (idx *Index) SizeBytes() int { return core.SizeOf(idx.Arrays()...) }
 
 // Name implements core.Index.
 func (idx *Index) Name() string { return "RMI" }
@@ -416,14 +421,12 @@ func (idx *Index) clampsOf(li int) *clamps {
 // metric (expected binary-search steps).
 func (idx *Index) AvgLog2Error() float64 { return idx.avgLog2 }
 
-// NumLeaves reports the branching factor actually used.
-func (idx *Index) NumLeaves() int { return idx.cfg.Branch }
-
-// Explain returns the lookup-path internals for the performance-
-// counter simulation: the routed leaf, the predicted position, and
-// the resulting bound. It is the Lookup code path.
-func (idx *Index) Explain(key core.Key) (leaf, pos int, b core.Bound) {
+// Trace is Lookup's descent: a non-nil t sees the stage-1 model read
+// and the leaf read, the path the performance-counter simulation
+// replays.
+func (idx *Index) Trace(key core.Key, t core.Tracer) core.Bound {
 	leaf, f := idx.route(float64(key))
+	var pos int
 	var c *clamps
 	if idx.cubics != nil {
 		lf := &idx.cubics[leaf]
@@ -432,5 +435,18 @@ func (idx *Index) Explain(key core.Key) (leaf, pos int, b core.Bound) {
 		lf := &idx.leaves[leaf]
 		pos, c = lf.pos(f, idx.leaves[leaf+1].lo), &lf.clamps
 	}
-	return leaf, pos, core.BoundAround(pos, c.errLo.Value(), c.errHi.Value(), idx.n)
+	if t != nil {
+		trace(t, leaf)
+	}
+	return core.BoundAround(pos, c.errLo.Value(), c.errHi.Value(), idx.n)
+}
+
+// trace reports a lookup routed to leaf li: stage 1's coefficients,
+// which fit one line, then leaf li and its successor, whose lo is the
+// upper clamp — one line, or two for the last leaf of a line.
+func trace(t core.Tracer, li int) {
+	t.Read(0, 0, 1)
+	t.Work(8) // stage 1's prediction and the split into leaf and fraction
+	t.Read(1, li, 2)
+	t.Work(10) // the leaf's prediction, its clamps and its margins
 }

@@ -112,15 +112,15 @@ func TestRMIBranchClamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.NumLeaves() > 3 {
-		t.Errorf("branch not clamped: %d leaves", idx.NumLeaves())
+	if idx.cfg.Branch > 3 {
+		t.Errorf("branch not clamped: %d leaves", idx.cfg.Branch)
 	}
 	idx2, err := New(keys, Config{Stage1: ModelLinear, Stage2: ModelLinear, Branch: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx2.NumLeaves() != 1 {
-		t.Errorf("zero branch should clamp to 1, got %d", idx2.NumLeaves())
+	if idx2.cfg.Branch != 1 {
+		t.Errorf("zero branch should clamp to 1, got %d", idx2.cfg.Branch)
 	}
 }
 
@@ -185,7 +185,7 @@ func TestRMIMaxErrorWidth(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.OSM, 5000, 1)
 	idx, _ := New(keys, Config{Stage1: ModelLinear, Stage2: ModelLinear, Branch: 64})
 	w := 0
-	for li := 0; li < idx.NumLeaves(); li++ {
+	for li := 0; li < idx.cfg.Branch; li++ {
 		c := idx.clampsOf(li)
 		w = max(w, int(c.errLo+c.errHi+1))
 	}

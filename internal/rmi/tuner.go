@@ -184,7 +184,7 @@ func Tune(keys []core.Key, sizeBudget int) Config {
 	}
 	var all []scored
 	for _, b := range branchGrid(len(keys)) {
-		size := modelSizeBytes + (b+1)*leafBytes // every candidate's second stage is linear
+		size := core.SizeOf(stage1Array, leafArray(ModelLinear, b)) // every candidate's second stage is linear
 		if sizeBudget > 0 && size > sizeBudget {
 			continue
 		}

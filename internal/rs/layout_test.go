@@ -45,18 +45,18 @@ func TestRadixWidthKeepsSegments(t *testing.T) {
 			t.Fatalf("%s n=%d: %v", ds, n, err)
 		}
 		if fine.radixShift < 1 {
-			t.Fatalf("%s n=%d: %d points stored unshifted; the shifted leg is vacuous", ds, n, fine.NumPoints())
+			t.Fatalf("%s n=%d: %d points stored unshifted; the shifted leg is vacuous", ds, n, len(fine.keys))
 		}
 		coarse, err := New(keys, Config{SplineErr: 64, RadixBits: 14})
 		if err != nil {
 			t.Fatalf("%s n=%d: %v", ds, n, err)
 		}
 		if coarse.radixShift != 0 {
-			t.Fatalf("%s n=%d: %d points stored at shift %d, want 0", ds, n, coarse.NumPoints(), coarse.radixShift)
+			t.Fatalf("%s n=%d: %d points stored at shift %d, want 0", ds, n, len(coarse.keys), coarse.radixShift)
 		}
 		probes := indextest.ProbesFor(keys)
 		for _, idx := range []*Index{coarse, fine} {
-			what := fmt.Sprintf("%s n=%d %v (%d points, shift %d)", ds, n, idx.cfg, idx.NumPoints(), idx.radixShift)
+			what := fmt.Sprintf("%s n=%d %v (%d points, shift %d)", ds, n, idx.cfg, len(idx.keys), idx.radixShift)
 			checkSegments(t, what, idx, probes)
 			indextest.CheckValidity(t, idx, keys, probes)
 		}

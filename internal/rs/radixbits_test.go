@@ -83,7 +83,7 @@ func TestRadixKeepsOnlyBitsThatSaveProbes(t *testing.T) {
 					t.Fatalf("%s n=%d %v: %v", ds, n, cfg, err)
 				}
 				r := idx.cfg.RadixBits
-				what := fmt.Sprintf("%s n=%d %v kept r=%d (%d points)", ds, n, cfg, r, idx.NumPoints())
+				what := fmt.Sprintf("%s n=%d %v kept r=%d (%d points)", ds, n, cfg, r, len(idx.keys))
 				t.Log(what)
 				want := refProbeTotal(idx, keys, cfg.RadixBits)
 				full := idx

@@ -17,17 +17,9 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/search"
-)
-
-// keyBytes and posBytes are what one spline point occupies in each of
-// its two arrays.
-const (
-	keyBytes = int(unsafe.Sizeof(Index{}.keys[0]))
-	posBytes = int(unsafe.Sizeof(Index{}.pos[0]))
 )
 
 // Config holds the two RadixSpline hyperparameters; the paper notes RS
@@ -312,18 +304,35 @@ func (idx *Index) interpolate(seg int, x core.Key) int {
 }
 
 // segmentFor locates the spline segment containing x: the rightmost
-// point with key <= x, restricted to the radix-table window. A non-nil
-// visit sees bucket p's base and fine slots, the window searched and
-// the rank search.Rank returned there; the segment is the point below
-// the rank, clamped at 0.
-func (idx *Index) segmentFor(x core.Key, visit func(base, fine, winLo, winHi, rank int)) int {
+// point with key <= x, restricted to the radix-table window: the point
+// below the rank search.Rank returns there, clamped at 0. A non-nil t
+// sees the lookup's reads.
+func (idx *Index) segmentFor(x core.Key, t core.Tracer) int {
 	p := idx.prefix(x)
 	lo, hi := idx.window(idx.entries(p))
 	r := search.Rank(idx.keys, x, lo, hi)
-	if visit != nil {
-		visit(int(p>>(idx.blockBits&63)), int(p&uint64(len(idx.fine)-1)), lo, hi, r)
+	if t != nil {
+		idx.trace(t, p, lo, hi, r)
 	}
 	return max(r-1, 0)
+}
+
+// trace reports a lookup of bucket p, in arrays as Arrays orders them:
+// the radix probe loads two adjacent entries from each of base and
+// fine, the point search runs over the window [lo, hi) and returned r,
+// and the interpolation reads the keys and positions of the point
+// below the rank and the next.
+func (idx *Index) trace(t core.Tracer, p uint64, lo, hi, r int) {
+	fine := int(p & uint64(len(idx.fine)-1))
+	t.Work(9) // each entry's shift, mask and add
+	t.Read(0, int(p>>(idx.blockBits&63)), 2)
+	t.Read(1, fine, min(2, len(idx.fine)-fine))
+	t.Search(2, lo, hi, r, 0x33)
+	seg := max(r-1, 0)
+	pts := min(2, len(idx.keys)-seg)
+	t.Read(2, seg, pts)
+	t.Read(3, seg, pts)
+	t.Work(8) // the interpolation between the two points
 }
 
 // window is the range of points searched for a bucket whose stored
@@ -345,12 +354,10 @@ func (idx *Index) window(ra, rb int) (lo, hi int) {
 // Lookup implements core.Index.
 func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 
-// Trace is Lookup's descent: a non-nil visit is called once, with the
-// radix slots read, the spline-point window searched and the rank
-// found there, which is the path the performance-counter simulation
-// replays.
-func (idx *Index) Trace(key core.Key, visit func(base, fine, winLo, winHi, rank int)) core.Bound {
-	seg := idx.segmentFor(key, visit)
+// Trace is Lookup's descent: a non-nil t sees its reads (see trace),
+// which is the path the performance-counter simulation replays.
+func (idx *Index) Trace(key core.Key, t core.Tracer) core.Bound {
+	seg := idx.segmentFor(key, t)
 	pos := idx.interpolate(seg, key)
 	return core.BoundAround(pos, idx.errLo, idx.errHi, idx.n)
 }
@@ -413,22 +420,17 @@ func distinctFrom(keys []core.Key, i int) int {
 	return i
 }
 
-// SizeBytes implements core.Index.
-func (idx *Index) SizeBytes() int {
-	base, fine := idx.RadixBytes()
-	return base + fine + len(idx.keys)*(keyBytes+posBytes)
+// Arrays describes the index: the radix table's two levels, then the
+// spline points' keys and positions.
+func (idx *Index) Arrays() []core.Array {
+	return []core.Array{core.ArrayOf("base", idx.base), core.ArrayOf("fine", idx.fine), core.ArrayOf("keys", idx.keys), core.ArrayOf("pos", idx.pos)}
 }
 
-// RadixBytes reports what the radix table's two arrays occupy.
-func (idx *Index) RadixBytes() (base, fine int) {
-	return len(idx.base) * int(unsafe.Sizeof(idx.base[0])), len(idx.fine)
-}
+// SizeBytes implements core.Index.
+func (idx *Index) SizeBytes() int { return core.SizeOf(idx.Arrays()...) }
 
 // Name implements core.Index.
 func (idx *Index) Name() string { return "RS" }
-
-// NumPoints reports the spline point count.
-func (idx *Index) NumPoints() int { return len(idx.keys) }
 
 // AvgLog2Error returns log2 of the (global) bound width, the paper's
 // log2-error metric.

@@ -46,8 +46,8 @@ func TestRSLinearDataFewPoints(t *testing.T) {
 		keys[i] = core.Key(7 * i)
 	}
 	idx, _ := New(keys, Config{SplineErr: 8, RadixBits: 8})
-	if idx.NumPoints() > 3 {
-		t.Errorf("linear data needed %d spline points", idx.NumPoints())
+	if len(idx.keys) > 3 {
+		t.Errorf("linear data needed %d spline points", len(idx.keys))
 	}
 }
 
@@ -55,8 +55,8 @@ func TestRSSplineErrSizeTradeoff(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.OSM, 50000, 1)
 	tight, _ := New(keys, Config{SplineErr: 2, RadixBits: 8})
 	loose, _ := New(keys, Config{SplineErr: 256, RadixBits: 8})
-	if tight.NumPoints() <= loose.NumPoints() {
-		t.Errorf("tighter error should need more points: %d vs %d", tight.NumPoints(), loose.NumPoints())
+	if len(tight.keys) <= len(loose.keys) {
+		t.Errorf("tighter error should need more points: %d vs %d", len(tight.keys), len(loose.keys))
 	}
 }
 
