@@ -183,7 +183,7 @@ func indexRows(t *testing.T, l *ledger) map[string]*table.Table {
 			l.ratio(row+"sim_instructions", c.Instructions, uint64(len(lookups)))
 			l.ratio(row+"sim_branch_misses", c.BranchMisses, uint64(len(lookups)))
 			if r, ok := idx.(*rmi.Index); ok {
-				l.ratio(row+"empty_leaf_frac", emptyLeaves(r, keys), uint64(r.Arrays()[1].Len-1))
+				l.ratio(row+"empty_leaf_frac", emptyLeaves(r, keys), uint64(r.Arrays()[1].Len))
 			}
 			if ds == dataset.Amzn && i < len(families) {
 				tbl, err := table.New(keys, dataset.Payloads(len(keys), seed), idx, nil)
@@ -198,9 +198,9 @@ func indexRows(t *testing.T, l *ledger) map[string]*table.Table {
 }
 
 // emptyLeaves counts the leaves of r that none of keys routes to. The
-// leaf array is r's second, the sentinel its last element.
+// leaf array is r's second.
 func emptyLeaves(r *rmi.Index, keys []core.Key) uint64 {
-	hit := make([]bool, r.Arrays()[1].Len-1)
+	hit := make([]bool, r.Arrays()[1].Len)
 	var leaf leafRead
 	for _, x := range keys {
 		r.Trace(x, &leaf)

@@ -144,45 +144,61 @@ func TestTracedBoundsMatchPlainLookups(t *testing.T) {
 // TestTracedRMILeafLines: the simulated leaf load is at the stride
 // memory holds the leaf array in, and is charged at every line that
 // holds the leaf's bytes or its successor's lo, the upper clamp, which
-// both layouts keep 8 bytes before a leaf's end. The leaf region starts
-// on a line, so a 16-byte linear leaf touches two lines exactly when it
-// is the last of its line, at offset 48 mod 64, and one otherwise.
+// every layout keeps 8 bytes before a leaf's end; the last leaf has no
+// successor to read. The leaf region starts on a line, so a 16-byte
+// linear leaf touches two lines exactly when it is at offset 48 mod 64,
+// and an 8-byte knot leaf when it is at 56, and one otherwise.
 func TestTracedRMILeafLines(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 20000, 1)
-	for _, stage2 := range []rmi.ModelKind{rmi.ModelLinear, rmi.ModelCubic} {
-		idx, err := rmi.New(keys, rmi.Config{Stage1: rmi.ModelLinear, Stage2: stage2, Branch: 1000})
+	knot := rmi.TuneBranch(keys, 1024)
+	for _, cfg := range []rmi.Config{
+		{Stage1: rmi.ModelLinear, Stage2: rmi.ModelLinear, Branch: 1000},
+		{Stage1: rmi.ModelLinear, Stage2: rmi.ModelCubic, Branch: 1000},
+		knot,
+	} {
+		idx, err := rmi.New(keys, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := New(Config{cacheBytes: 1 << 20})
 		tr, _ := For(idx, m, keys)
-		stride := idx.Arrays()[1].Elem
+		leaves := idx.Arrays()[1]
+		stride := leaves.Elem
+		split := map[int]int{16: 48, 8: 56}[stride] // the offset mod 64 of a leaf that reads two lines
+		if cfg == knot && stride != 8 {
+			t.Fatalf("%v: the tuner's pick has %d-byte leaves, want the 8-byte knot leaf", cfg, stride)
+		}
 		offsets := map[int]bool{}
 		for _, x := range keys {
 			var rec readRecorder
 			idx.Trace(x, &rec)
 			if len(rec) != 2 || rec[0].a != 0 || rec[1].a != 1 {
-				t.Fatalf("stage 2 %v: key %d reads %v, want the model, then the leaves", stage2, x, rec)
+				t.Fatalf("%v: key %d reads %v, want the model, then the leaves", cfg, x, rec)
 			}
 			leaf := rec[1].i
-			off, lo := leaf*stride, (leaf+2)*stride-8
+			off := leaf * stride
 			offsets[off%64] = true
-			lines := map[int]bool{lo / 64: true}
+			lines := map[int]bool{}
 			for b := off; b < off+stride; b++ {
 				lines[b/64] = true
 			}
+			if last := leaf == leaves.Len-1; !last {
+				lines[((leaf+2)*stride-8)/64] = true
+			} else if rec[1].n != 1 {
+				t.Fatalf("%v: the last leaf reads %d leaves, want itself alone", cfg, rec[1].n)
+			}
 			want := uint64(len(lines))
-			if stage2 == rmi.ModelLinear && (want == 2) != (off%64 == 48) {
-				t.Fatalf("linear leaf %d at offset %d mod 64 spans %d lines with its successor's lo", leaf, off%64, want)
+			if split != 0 && leaf < leaves.Len-1 && (want == 2) != (off%64 == split) {
+				t.Fatalf("%v: leaf %d at offset %d mod 64 spans %d lines with its successor's lo", cfg, leaf, off%64, want)
 			}
 			before := m.Counters().accesses
 			tr.(*traced).Read(rec[1].a, rec[1].i, rec[1].n)
 			if got := m.Counters().accesses - before; got != want {
-				t.Fatalf("stage 2 %v: leaf %d (%d bytes) touches %d lines, want %d", stage2, leaf, stride, got, want)
+				t.Fatalf("%v: leaf %d (%d bytes) touches %d lines, want %d", cfg, leaf, stride, got, want)
 			}
 		}
-		if stage2 == rmi.ModelLinear && len(offsets) != 4 {
-			t.Fatalf("linear leaves read at offsets %v mod 64, want all four", offsets)
+		if split != 0 && len(offsets) != 64/stride {
+			t.Fatalf("%v: leaves read at offsets %v mod 64, want all %d", cfg, offsets, 64/stride)
 		}
 	}
 }

@@ -37,10 +37,12 @@ func (c *countedFile) sink(f *os.File) io.Writer {
 	return c
 }
 
-// rmiEncoder builds an RMI over n keys and returns its frame encoder.
+// rmiEncoder builds an RMI over n osm keys and returns its frame
+// encoder. osm's mid rung keeps the 16-byte linear leaf, so from 150k
+// keys on the frame is more than one binio.BufSize span.
 func rmiEncoder(t *testing.T, n int) func(w *binio.Writer) error {
 	t.Helper()
-	keys := dataset.MustGenerate(dataset.Amzn, n, 1)
+	keys := dataset.MustGenerate(dataset.OSM, n, 1)
 	nb, ok := registry.Builder("RMI", keys)
 	if !ok {
 		t.Fatal("RMI: no builder")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/indextest"
 	"repro/internal/registry"
+	"repro/internal/rmi"
 )
 
 // fuzzKeys is the small key set the seed corpus encodes over.
@@ -300,6 +302,22 @@ func fuzzCorpus(t *testing.T) map[string][]byte {
 		flipped[len(flipped)/2] ^= 0x20
 		write("FuzzDecode", "flip-"+fam, flipped)
 	}
+	// The mid rung over the seed keys keeps the RMI's 16-byte linear
+	// leaf, so the 8-byte knot leaf gets a raw seed of its own: the tuner
+	// picks it over the same keys at B = 8.
+	keys := fuzzKeys()
+	knot, err := rmi.New(keys, rmi.TuneBranch(keys, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kbuf := binio.NewWriter(nil)
+	if err := knot.Encode(kbuf); err != nil {
+		t.Fatal(err)
+	}
+	if stride := kbuf.Buffered()[0]; stride != 8 {
+		t.Fatalf("the RMI tuned at B = 8 over the seed keys has leaf stride %d, want the knot leaf's 8", stride)
+	}
+	write("FuzzDecode", "raw-RMI-knot", append([]byte{byte(slices.Index(families, "RMI") + 1)}, kbuf.Buffered()...))
 
 	wal := encodeSeedWAL(t, []Op{{Key: 7, Val: 8}, {Key: 9, Tomb: true}, {Key: 10, Val: 11}})
 	write("FuzzWAL", "clean", wal)
@@ -425,6 +443,20 @@ func TestOldRMISeedDecodesToError(t *testing.T) {
 	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "old-RMI-24", "RMI")))
 	if idx != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "retired layout") {
 		t.Fatalf("old-RMI-24 decoded to (%v, %v), want a corrupt-data error naming the retired layout", idx, err)
+	}
+}
+
+// TestOldRMISentinelSeedDecodesToError: FuzzDecode/old-RMI-sentinel is
+// raw-RMI as it was checked in while a leaf array held B 16-byte leaves
+// and a sentinel after them, whose lo was the key count. The stride is
+// today's, so Decode reads B leaves and names the record left over
+// rather than calling it trailing garbage. No encoder writes it, so
+// fuzzCorpus does not regenerate it.
+func TestOldRMISentinelSeedDecodesToError(t *testing.T) {
+	codec, _ := registry.CodecFor("RMI")
+	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "old-RMI-sentinel", "RMI")))
+	if idx != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "retired layout with a sentinel leaf") {
+		t.Fatalf("old-RMI-sentinel decoded to (%v, %v), want a corrupt-data error naming the sentinel layout", idx, err)
 	}
 }
 

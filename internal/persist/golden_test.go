@@ -31,7 +31,9 @@ import (
 // by the one byte of its fine array. The RMI column was re-recorded
 // when a leaf began reading stage 1's fraction and taking its upper
 // clamp from the next leaf's lo: 16 bytes a linear leaf instead of 24,
-// and a sentinel leaf after the last.
+// and a sentinel leaf after the last. It was re-recorded again when the
+// sentinel went (the last leaf's upper clamp is the key count) and the
+// tuner gained the 8-byte knot leaf, which amzn's rows now pick.
 func TestGoldenEncodedIndexes(t *testing.T) {
 	golden := []struct {
 		n                        int
@@ -39,14 +41,14 @@ func TestGoldenEncodedIndexes(t *testing.T) {
 		rs, pgm, rmi             uint64
 		rsSize, pgmSize, rmiSize int
 	}{
-		{50_000, dataset.Amzn, 0x4be19f89232100b5, 0xa6f50705ca05664a, 0x63a07b4b0ea05520, 16952, 816, 16456},
-		{50_000, dataset.Face, 0xc2907bf2aff303f7, 0x9c51b1b4b2515ddf, 0x3b5da132ba0412c7, 416, 120, 16456},
-		{50_000, dataset.OSM, 0xed2589158bff187a, 0x97aae44e6dbb3128, 0xe20ec1039551b868, 20914, 4896, 16456},
-		{50_000, dataset.Wiki, 0x878a406a2124cc67, 0x3d89029c663d6763, 0x367a27d2f3a4c708, 16880, 736, 16456},
-		{2_000_000, dataset.Amzn, 0x1fc6642eeece481a, 0xd66637e11d256f26, 0xdb4ca089b53ed739, 17540, 1356, 65608},
-		{2_000_000, dataset.Face, 0x3e8016b9a33cd827, 0x868ae6ff2f7539fc, 0x63d11f2f8cb7de67, 5891, 3952, 65608},
-		{2_000_000, dataset.OSM, 0x9b00a05768afc67c, 0xd5626085d92ee514, 0xb7ba62d81a69290c, 82030, 82480, 65608},
-		{2_000_000, dataset.Wiki, 0xace5ecc540bde73d, 0xccf3b5f102a9efa2, 0xa98a2db68ef4c802, 38630, 31716, 65608},
+		{50_000, dataset.Amzn, 0x4be19f89232100b5, 0xa6f50705ca05664a, 0x29bd43b8d4f98539, 16952, 816, 8248},
+		{50_000, dataset.Face, 0xc2907bf2aff303f7, 0x9c51b1b4b2515ddf, 0xce7e4cf83334d084, 416, 120, 16440},
+		{50_000, dataset.OSM, 0xed2589158bff187a, 0x97aae44e6dbb3128, 0x5eaa5227e4788cae, 20914, 4896, 16440},
+		{50_000, dataset.Wiki, 0x878a406a2124cc67, 0x3d89029c663d6763, 0x58245a3c03a08c44, 16880, 736, 16440},
+		{2_000_000, dataset.Amzn, 0x1fc6642eeece481a, 0xd66637e11d256f26, 0xb21dc21a4e7e07a2, 17540, 1356, 32824},
+		{2_000_000, dataset.Face, 0x3e8016b9a33cd827, 0x868ae6ff2f7539fc, 0x6ff60c3879eaba16, 5891, 3952, 65592},
+		{2_000_000, dataset.OSM, 0x9b00a05768afc67c, 0xd5626085d92ee514, 0x03fc2205e97d9069, 82030, 82480, 65592},
+		{2_000_000, dataset.Wiki, 0xace5ecc540bde73d, 0xccf3b5f102a9efa2, 0x0ed68259616a1d61, 38630, 31716, 65592},
 	}
 	for _, g := range golden {
 		if testing.Short() && g.n > 50_000 {

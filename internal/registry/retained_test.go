@@ -78,8 +78,6 @@ func arraysOf(idx core.Index) []core.Array {
 //     and 42,640 bytes and take 40,960 and 49,152, 12,672 bytes against
 //     the 12,012 the 10 % and 4 KiB allow. The rung retained 12,896 more
 //     than SizeBytes.
-//   - The RMI's leaf array of B + 1 leaves, the sentinel's the one over
-//     a page multiple: at B = 4096 it is 65,552 bytes held in 73,728.
 //   - RS's radix table: its byte array is 2^r bytes, which Go allocates
 //     exactly, but a one-level 16-bit table at r=14 is 32,770 bytes in
 //     40,960.

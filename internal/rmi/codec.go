@@ -7,8 +7,9 @@ package rmi
 // The wire layout is little-endian via binio; framing, versioning and
 // checksums are the caller's job (package persist).
 //
-// The payload opens with a layout byte, the stride of the leaf records
-// that follow, each written as memory holds it, the sentinel last.
+// The payload opens with a layout byte, the stride of the B leaf
+// records that follow, each written as memory holds it. The last
+// leaf's upper clamp is the key count in the header.
 
 import (
 	"math"
@@ -63,6 +64,9 @@ func (idx *Index) Encode(w *binio.Writer) error {
 		idx.cubics[i].poly.encode(w)
 		idx.cubics[i].clamps.encode(w)
 	}
+	for i := range idx.knots {
+		idx.knots[i].encode(w)
+	}
 	return w.Err()
 }
 
@@ -72,11 +76,11 @@ func (c *clamps) encode(w *binio.Writer) {
 }
 
 // decodeClamps re-validates what the lookup path leans on: pos returns
-// a value from lo to the next leaf's lo − 1, and BoundAround only
-// clamps the final bound, so positions outside the data would survive
-// into it. lo runs from 0, the least position, up to the sentinel's n
-// without falling. No true margin exceeds n, so none rounds above
-// n + n>>10.
+// a value from lo to the next leaf's lo − 1 (n − 1 past the last leaf),
+// and BoundAround only clamps the final bound, so positions outside the
+// data would survive into it. lo runs from 0, the least position, up to
+// at most n without falling. No true margin exceeds n, so none rounds
+// above n + n>>10.
 func decodeClamps(r *binio.Reader, li int, prev int32, n uint64) clamps {
 	c := clamps{lo: int32(r.U32())}
 	errs := r.U32()
@@ -101,10 +105,9 @@ func Decode(r *binio.Reader) (*Index, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	if cfg.Stage1 > modelRadix || cfg.Stage2 > modelRadix {
+	if cfg.Stage1 > modelRadix || cfg.Stage2 > modelKnot {
 		return nil, binio.Corruptf("rmi: unknown stage model kind")
 	}
-	cubic := cfg.Stage2 == ModelCubic
 	if layout == retiredLeafBytes || layout == retiredCubicLeafBytes {
 		return nil, binio.Corruptf("rmi: leaf stride %d is a retired layout, whose leaves keep their own upper clamp; rebuild the index", layout)
 	}
@@ -128,16 +131,13 @@ func Decode(r *binio.Reader) (*Index, error) {
 	}
 	cfg.Branch = branch
 	idx := &Index{cfg: cfg, n: int(n), stage1: stage1, scale: float64(branch) / float64(n), avgLog2: avgLog2}
-	if cubic {
-		idx.cubics = make([]cubicLeaf, branch+1)
-	} else {
-		idx.leaves = make([]leaf, branch+1)
-	}
+	idx.makeLeaves()
 	prev := int32(0)
-	for i := 0; i <= branch && r.Err() == nil; i++ {
-		if cubic {
+	for i := 0; i < branch && r.Err() == nil; i++ {
+		switch {
+		case idx.cubics != nil:
 			idx.cubics[i].poly = decodePoly(r)
-		} else {
+		case idx.leaves != nil:
 			lf := &idx.leaves[i]
 			lf.fOff, lf.slope = math.Float32frombits(r.U32()), math.Float32frombits(r.U32())
 			if !(lf.slope >= 0 && lf.slope <= math.MaxFloat32 && math.Abs(float64(lf.fOff)) <= math.MaxFloat32) { // pos must stay monotone in the fraction
@@ -151,8 +151,8 @@ func Decode(r *binio.Reader) (*Index, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if uint64(prev) != n {
-		return nil, binio.Corruptf("rmi: sentinel lo %d, want the key count %d", prev, n)
+	if r.Remaining() == layout {
+		return nil, binio.Corruptf("rmi: a leaf record past leaf %d is the retired layout with a sentinel leaf; rebuild the index", branch-1)
 	}
 	return idx, nil
 }

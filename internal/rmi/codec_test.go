@@ -21,10 +21,10 @@ func encoded(t *testing.T, idx *Index) []byte {
 	return append([]byte(nil), w.Buffered()...)
 }
 
-// TestCodecRoundTripAndFlips: both leaf layouts decode to the index that
+// TestCodecRoundTripAndFlips: every leaf layout decodes to the index that
 // was encoded, field for field, and every single-byte corruption of the
 // payload decodes to an error or to an index whose lookups stay inside
-// the data — the invariants pos and route lean on are re-validated, not
+// the data — the invariants pos and split lean on are re-validated, not
 // trusted.
 func TestCodecRoundTripAndFlips(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Wiki, 3000, 1)
@@ -33,6 +33,7 @@ func TestCodecRoundTripAndFlips(t *testing.T) {
 		{modelRadix, ModelLinear, 64},
 		{ModelCubic, ModelLinearSpline, 64},
 		{ModelLinear, ModelCubic, 64},
+		{modelRadix, modelKnot, 64},
 	} {
 		idx, err := New(keys, cfg)
 		if err != nil {
@@ -65,62 +66,77 @@ func TestCodecRoundTripAndFlips(t *testing.T) {
 }
 
 // TestDecodeRejectsBrokenInvariants names the corruptions the flip sweep
-// cannot tell from a survivable one: each must be an error.
+// cannot tell from a survivable one, on the linear and the knot layout:
+// each must be an error.
 func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 3000, 1)
-	idx, err := New(keys, Config{modelRadix, ModelLinear, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := encoded(t, idx)
-	// Offsets into the payload: layout, kinds, n, log2 error, the
-	// stage-1 model, the leaf count, then leaf 0, leaf 1, ... and the
-	// sentinel, each its fraction origin, slope, lo and margins.
-	const (
-		avgLog2  = 1 + 2 + 8
-		leaf0    = avgLog2 + 8 + (1 + 6*8) + 4
-		slope    = leaf0 + 4
-		lo       = slope + 4
-		errs     = lo + 4
-		sentinel = leaf0 + 8*leafBytes
-	)
 	n := uint32(len(keys))
-	for name, corrupt := range map[string]func(b []byte){
-		"cubic layout byte on a linear stage 2": func(b []byte) { b[0] = cubicLeafBytes },
-		"cubic stage 2 on the linear layout":    func(b []byte) { b[2] = byte(ModelCubic) },
-		"negative log2 error":                   func(b []byte) { b[avgLog2+7] |= 0x80 },
-		"negative slope":                        func(b []byte) { b[slope+3] |= 0x80 },
-		"NaN slope":                             func(b []byte) { b[slope+2], b[slope+3] = 0xc0, 0x7f },
-		"infinite slope":                        func(b []byte) { copy(b[slope:], []byte{0, 0, 0x80, 0x7f}) },
-		"infinite fraction origin":              func(b []byte) { copy(b[leaf0:], []byte{0, 0, 0x80, 0xff}) },
-		"NaN fraction origin":                   func(b []byte) { copy(b[leaf0:], []byte{0, 0, 0xc0, 0x7f}) },
-		"leaf 0 lo above 0":                     func(b []byte) { b[lo] = 1 },
-		"negative lo":                           func(b []byte) { b[lo+3] = 0x80 },
-		"lo falling":                            func(b []byte) { copy(b[lo+2*leafBytes:], []byte{0, 0, 0, 0}) },
-		"sentinel lo beyond the data":           func(b []byte) { binary.LittleEndian.PutUint32(b[sentinel+8:], n+1) },
-		"sentinel lo short of the data":         func(b []byte) { binary.LittleEndian.PutUint32(b[sentinel+8:], n-1) },
-		"low margin far above n":                func(b []byte) { b[errs], b[errs+1] = 0xff, 0xff },
-		"high margin far above n":               func(b []byte) { b[errs+2], b[errs+3] = 0xff, 0xff },
-		"one leaf more than the payload holds":  func(b []byte) { b[leaf0-4]++ },
-	} {
-		mut := append([]byte(nil), data...)
-		corrupt(mut)
-		if got, err := Decode(binio.NewReader(mut)); err == nil || got != nil {
-			t.Errorf("%s: decoded to (%v, %v), want an error", name, got != nil, err)
+	// Offsets into the payload: layout, kinds, n, log2 error, the
+	// stage-1 model, the leaf count, then leaf 0, leaf 1, ..., leaf 7,
+	// each its fraction origin and slope (a linear leaf only), lo and
+	// margins.
+	const (
+		avgLog2 = 1 + 2 + 8
+		leaf0   = avgLog2 + 8 + (1 + 6*8) + 4
+		slope   = leaf0 + 4
+	)
+	for _, stage2 := range []ModelKind{ModelLinear, modelKnot} {
+		idx, err := New(keys, Config{modelRadix, stage2, 8})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if lo1 := binary.LittleEndian.Uint32(data[lo+leafBytes:]); lo1 < 2 {
-		t.Errorf("leaf 1's lo is %d: the lo cases above need it above 1", lo1)
-	}
-	if got := binary.LittleEndian.Uint32(data[sentinel+8:]); got != n || len(data) != sentinel+leafBytes {
-		t.Errorf("sentinel lo %d at a payload of %d bytes, want %d at %d", got, len(data), n, sentinel+leafBytes)
+		data := encoded(t, idx)
+		stride := leafArray(stage2, 0).Elem
+		lo := leaf0 + stride - knotBytes // leaf 0's clamps end its record
+		errs, last := lo+4, lo+7*stride
+		cases := map[string]func(b []byte){
+			"negative log2 error":                  func(b []byte) { b[avgLog2+7] |= 0x80 },
+			"leaf 0 lo above 0":                    func(b []byte) { b[lo] = 1 },
+			"negative lo":                          func(b []byte) { b[lo+3] = 0x80 },
+			"lo falling":                           func(b []byte) { copy(b[lo+2*stride:], []byte{0, 0, 0, 0}) },
+			"last lo beyond the data":              func(b []byte) { binary.LittleEndian.PutUint32(b[last:], n+1) },
+			"low margin far above n":               func(b []byte) { b[errs], b[errs+1] = 0xff, 0xff },
+			"high margin far above n":              func(b []byte) { b[errs+2], b[errs+3] = 0xff, 0xff },
+			"one leaf more than the payload holds": func(b []byte) { b[leaf0-4]++ },
+		}
+		if stage2 == modelKnot {
+			cases["linear layout byte on a knot stage 2"] = func(b []byte) { b[0] = leafBytes }
+			cases["linear stage 2 on the knot layout"] = func(b []byte) { b[2] = byte(ModelLinear) }
+		} else {
+			for name, corrupt := range map[string]func(b []byte){
+				"cubic layout byte on a linear stage 2": func(b []byte) { b[0] = cubicLeafBytes },
+				"cubic stage 2 on the linear layout":    func(b []byte) { b[2] = byte(ModelCubic) },
+				"knot stage 2 on the linear layout":     func(b []byte) { b[2] = byte(modelKnot) },
+				"negative slope":                        func(b []byte) { b[slope+3] |= 0x80 },
+				"NaN slope":                             func(b []byte) { b[slope+2], b[slope+3] = 0xc0, 0x7f },
+				"infinite slope":                        func(b []byte) { copy(b[slope:], []byte{0, 0, 0x80, 0x7f}) },
+				"infinite fraction origin":              func(b []byte) { copy(b[leaf0:], []byte{0, 0, 0x80, 0xff}) },
+				"NaN fraction origin":                   func(b []byte) { copy(b[leaf0:], []byte{0, 0, 0xc0, 0x7f}) },
+			} {
+				cases[name] = corrupt
+			}
+		}
+		for name, corrupt := range cases {
+			mut := append([]byte(nil), data...)
+			corrupt(mut)
+			if got, err := Decode(binio.NewReader(mut)); err == nil || got != nil {
+				t.Errorf("%v %s: decoded to (%v, %v), want an error", stage2, name, got != nil, err)
+			}
+		}
+		if lo1 := binary.LittleEndian.Uint32(data[lo+stride:]); lo1 < 2 {
+			t.Errorf("%v: leaf 1's lo is %d: the lo cases above need it above 1", stage2, lo1)
+		}
+		if len(data) != leaf0+8*stride {
+			t.Errorf("%v: payload of %d bytes, want %d: eight leaf records and nothing after", stage2, len(data), leaf0+8*stride)
+		}
 	}
 }
 
 // TestDecodeNamesRetiredLayouts: a payload whose leaf stride is one of
-// the layouts before the leaf read stage 1's fraction is refused with
-// an error that names it, so an old snapshot reports a rebuild, not a
-// corrupt leaf.
+// the layouts before the leaf read stage 1's fraction, or whose leaf
+// array ends in the sentinel leaf that once held the last upper clamp,
+// is refused with an error that names it, so an old snapshot reports a
+// rebuild, not a corrupt leaf.
 func TestDecodeNamesRetiredLayouts(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 3000, 1)
 	for _, cfg := range []Config{{modelRadix, ModelLinear, 8}, {modelRadix, ModelCubic, 8}} {
@@ -129,11 +145,17 @@ func TestDecodeNamesRetiredLayouts(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := encoded(t, idx)
-		for _, stride := range []byte{retiredLeafBytes, retiredCubicLeafBytes} {
-			data[0] = stride
-			got, err := Decode(binio.NewReader(data))
+		stride := int(data[0])
+		sentinel := append([]byte(nil), data[len(data)-stride:]...)
+		binary.LittleEndian.PutUint32(sentinel[stride-knotBytes:], uint32(len(keys)))
+		for name, payload := range map[string][]byte{
+			"stride 24":          append([]byte{retiredLeafBytes}, data[1:]...),
+			"stride 64":          append([]byte{retiredCubicLeafBytes}, data[1:]...),
+			"B + 1 leaf records": append(data, sentinel...),
+		} {
+			got, err := Decode(binio.NewReader(payload))
 			if got != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "retired layout") {
-				t.Errorf("%v with stride %d: decoded to (%v, %v), want a corrupt-data error naming the retired layout", cfg, stride, got != nil, err)
+				t.Errorf("%v with %s: decoded to (%v, %v), want a corrupt-data error naming the retired layout", cfg, name, got != nil, err)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package rmi
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -56,7 +57,9 @@ func refScaled(r *routed, x float64) float64 {
 // to its first position and the next non-empty leaf's first − 1; an
 // empty leaf predicts the next non-empty leaf's first position (n past
 // the last one). A line whose float32 slope is zero predicts its first
-// position: the folded leaf cannot hold a flat line elsewhere.
+// position: the folded leaf cannot hold a flat line elsewhere. A knot
+// leaf fits nothing: it is the line from its first position to the next
+// non-empty leaf's first over the fraction.
 func refFinish(r *routed, fkeys []float64, stage2 ModelKind) ([]refLeaf, float64) {
 	n, B := r.top.n, r.top.cfg.Branch
 	leaves := make([]refLeaf, B)
@@ -74,8 +77,13 @@ func refFinish(r *routed, fkeys []float64, stage2 ModelKind) ([]refLeaf, float64
 		for i := range fs {
 			fs[i] = refFraction(r, li, fkeys[first+i])
 		}
-		lf.m = fitModel(stage2, fs, float64(first))
-		if stage2 != ModelCubic {
+		switch stage2 {
+		case modelKnot:
+			lf.m = model{kind: ModelLinearSpline, poly: poly{keyScale: 1, c0: float64(first), c1: float64(nextStart - first)}}
+		case ModelCubic:
+			lf.m = fitModel(stage2, fs, float64(first))
+		default:
+			lf.m = fitModel(stage2, fs, float64(first))
 			m := &lf.m
 			s := float64(float32(m.c1 * m.keyScale))
 			cross := float32(m.keyOff - (m.c0-float64(first))/s)
@@ -130,13 +138,7 @@ func checkAgainstReference(t *testing.T, keys []core.Key, cfg Config, probes []c
 		t.Fatalf("%v: AvgLog2Error %v, reference %v", cfg, got, refLog2)
 	}
 	for _, x := range probes {
-		li, f := idx.route(float64(x))
-		var pos int
-		if idx.cubics != nil {
-			pos = idx.cubics[li].pos(f, idx.cubics[li+1].lo)
-		} else {
-			pos = idx.leaves[li].pos(f, idx.leaves[li+1].lo)
-		}
+		li, pos, _ := idx.leafPos(idx.stage1.predict(float64(x)) * idx.scale)
 		if refLeafOf(r, float64(x)) != li {
 			t.Fatalf("%v key %d: leaf %d, reference %d", cfg, x, li, refLeafOf(r, float64(x)))
 		}
@@ -161,8 +163,8 @@ func TestLeavesMatchReference(t *testing.T) {
 }
 
 // TestLeavesMatchReferenceAtScale repeats the reference check at the
-// benchmark's scale, on the configuration every store shard builds and
-// on two with far smaller leaves.
+// benchmark's scale, on the configuration every amzn store shard builds,
+// its linear-leaf counterpart, and two with far smaller leaves.
 func TestLeavesMatchReferenceAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2M keys per dataset")
@@ -170,6 +172,7 @@ func TestLeavesMatchReferenceAtScale(t *testing.T) {
 	for _, name := range dataset.All() {
 		keys := dataset.MustGenerate(name, 2_000_000, 1)
 		for _, cfg := range []Config{
+			{modelRadix, modelKnot, 4096},
 			{modelRadix, ModelLinear, 4096},
 			{ModelLinear, ModelLinearSpline, 65536},
 			{ModelCubic, ModelLinear, 1024},
@@ -180,14 +183,16 @@ func TestLeavesMatchReferenceAtScale(t *testing.T) {
 }
 
 // TestLeafLayout pins what memory holds: a linear leaf is 16 bytes, four
-// to a cache line, and a cubic leaf 56, each array B leaves and a
-// sentinel, and SizeBytes charges every byte of them — a field added to
+// to a cache line, a knot leaf 8 and a cubic leaf 56, each array exactly
+// B leaves, and SizeBytes charges every byte of them — a field added to
 // a leaf fails here. A linear array starts on a line once it is a large
-// (page-aligned) allocation, as every store shard's 4,097 leaves are,
-// so no linear leaf straddles one.
+// (page-aligned) allocation, so no linear leaf straddles one.
 func TestLeafLayout(t *testing.T) {
 	if got := unsafe.Sizeof(leaf{}); got != leafBytes || leafBytes != 16 || 64%leafBytes != 0 {
 		t.Errorf("leaf is %d bytes, leafBytes %d, want 16, four to a line", got, leafBytes)
+	}
+	if got := unsafe.Sizeof(clamps{}); got != knotBytes || knotBytes != 8 {
+		t.Errorf("clamps is %d bytes, knotBytes %d, want 8", got, knotBytes)
 	}
 	if got := unsafe.Sizeof(cubicLeaf{}); got != cubicLeafBytes || cubicLeafBytes != 56 {
 		t.Errorf("cubicLeaf is %d bytes, cubicLeafBytes %d, want 56", got, cubicLeafBytes)
@@ -202,21 +207,28 @@ func TestLeafLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		var base, stride uintptr
-		var count int
+		var count, layouts int
 		align := uintptr(8)
-		if cfg.Stage2 == ModelCubic {
+		if idx.cubics != nil {
 			base, stride, count = uintptr(unsafe.Pointer(&idx.cubics[0])), unsafe.Sizeof(cubicLeaf{}), len(idx.cubics)
-		} else {
+			layouts++
+		}
+		if idx.knots != nil {
+			base, stride, count = uintptr(unsafe.Pointer(&idx.knots[0])), unsafe.Sizeof(clamps{}), len(idx.knots)
+			layouts++
+		}
+		if idx.leaves != nil {
 			base, stride, count = uintptr(unsafe.Pointer(&idx.leaves[0])), unsafe.Sizeof(leaf{}), len(idx.leaves)
 			if count*leafBytes >= 32<<10 {
 				align = 64
 			}
+			layouts++
 		}
-		if idx.leaves != nil && idx.cubics != nil {
-			t.Errorf("%v: both layouts populated", cfg)
+		if layouts != 1 {
+			t.Fatalf("%v: %d layouts populated", cfg, layouts)
 		}
-		if count != idx.cfg.Branch+1 || idx.clampsOf(idx.cfg.Branch).lo != int32(len(keys)) {
-			t.Errorf("%v: %d leaves for B = %d, sentinel lo %d", cfg, count, idx.cfg.Branch, idx.clampsOf(count-1).lo)
+		if count != idx.cfg.Branch || idx.clampsOf(count-1).lo > int32(len(keys)) {
+			t.Errorf("%v: %d leaves for B = %d, last lo %d", cfg, count, idx.cfg.Branch, idx.clampsOf(count-1).lo)
 		}
 		if base%align != 0 {
 			t.Errorf("%v: leaf array at %#x, not aligned to %d bytes", cfg, base, align)
@@ -227,6 +239,37 @@ func TestLeafLayout(t *testing.T) {
 		if want := int(unsafe.Sizeof(model{})) + count*int(stride); idx.SizeBytes() != want {
 			t.Errorf("%v: SizeBytes %d, memory holds %d", cfg, idx.SizeBytes(), want)
 		}
+	}
+}
+
+// TestShardLeavesRetainTheirBytes: an amzn store shard's leaf array, 4,096
+// knot leaves, takes exactly the 32,768 bytes it describes from the heap,
+// and so does the linear layout's 65,536; a sentinel leaf after the last
+// once made that 65,552 bytes, which Go's allocator rounds up to 73,728.
+// Everything else New retains is the Index itself. The test's own heap
+// moves by a few dozen bytes between readings, far under the 8 KiB a page
+// of rounding would add.
+func TestShardLeavesRetainTheirBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	keys := dataset.MustGenerate(dataset.Amzn, 250_000, 1)
+	var ms runtime.MemStats
+	heap := func() int {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int(ms.HeapAlloc)
+	}
+	for _, stage2 := range []ModelKind{modelKnot, ModelLinear} {
+		before := heap()
+		idx, err := New(keys, Config{modelRadix, stage2, 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained := heap() - before - int(unsafe.Sizeof(*idx))
+		if leaves := idx.Arrays()[1]; retained > leaves.Elem*leaves.Len+256 || retained < leaves.Elem*leaves.Len-256 {
+			t.Errorf("%v: retains %d bytes beside the Index, its leaves are %v", idx.cfg, retained, leaves)
+		}
+		runtime.KeepAlive(idx)
 	}
 }
 

@@ -21,6 +21,11 @@ const (
 	// modelRadix predicts from the key's top bits — a pure bit shift,
 	// the cheapest possible stage-1 model.
 	modelRadix
+	// modelKnot is a stage-2 kind only: the leaf stores no model and
+	// interpolates between its own first position and the next leaf's
+	// by stage 1's fraction, the knots of a linear spline over the
+	// leaf boundaries.
+	modelKnot
 )
 
 // String implements fmt.Stringer.
@@ -34,6 +39,8 @@ func (k ModelKind) String() string {
 		return "cubic"
 	case modelRadix:
 		return "radix"
+	case modelKnot:
+		return "knot"
 	default:
 		return "unknown"
 	}

@@ -15,7 +15,8 @@
 // exactly the keys the stage-1 model routes to it, so inference and
 // training agree. A leaf so needs no key origin of its own, and its
 // upper clamp is the next leaf's first position: a linear leaf is 16
-// bytes.
+// bytes. A knot leaf fits nothing: it interpolates from its first
+// position to the next leaf's by the fraction, and is 8 bytes.
 //
 // Validity for absent keys: every model is monotone non-decreasing over
 // its training range (enforced at fit time), so the prediction for an
@@ -68,20 +69,22 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 }
 
 // Index is a trained two-stage RMI. The stage-2 kind is a property of
-// the index, not of a leaf: exactly one of leaves and cubics is set, and
-// a lookup path picks the layout once, outside its per-key loop.
+// the index, not of a leaf: exactly one of leaves, cubics and knots is
+// set, and a lookup path picks the layout once, outside its per-key
+// loop.
 type Index struct {
-	cfg    Config
-	n      int
-	stage1 model
-	scale  float64 // B/n: route multiplies the stage-1 position by it
-	// Either array holds B leaves and a sentinel whose lo is n.
+	cfg     Config
+	n       int // also the last leaf's upper clamp: each array holds just B leaves
+	stage1  model
+	scale   float64     // B/n: Trace multiplies the stage-1 position by it
 	leaves  []leaf      // Stage2 linear, linear_spline or radix
 	cubics  []cubicLeaf // Stage2 cubic
+	knots   []clamps    // Stage2 knot
 	avgLog2 float64     // AvgLog2Error, computed by finish: it needs the trained spans
 }
 
-// clamps is the tail of both leaf layouts.
+// clamps is the tail of every leaf layout, and the whole of a knot
+// leaf.
 type clamps struct {
 	// lo is the leaf's first trained position (an empty leaf's is the
 	// next leaf's). A leaf's rounded prediction is clamped to lo and the
@@ -114,7 +117,7 @@ type cubicLeaf struct {
 }
 
 // Bytes a leaf of each layout occupies in memory (pinned by a test).
-const leafBytes, cubicLeafBytes = 16, 56
+const leafBytes, cubicLeafBytes, knotBytes = 16, 56, 8
 
 // fold folds a linear model fitted on fractions into lf, whose lo is
 // set. The slope, fraction scale absorbed, is rounded to float32
@@ -137,6 +140,12 @@ func (lf *leaf) pos(f float64, next int32) int {
 
 func (lf *cubicLeaf) pos(f float64, next int32) int {
 	return clampRound(lf.lo, lf.cubic(f)-float64(lf.lo), next)
+}
+
+// pos is a knot leaf's prediction: the point the fraction f reaches on
+// the line from lo to next.
+func (c *clamps) pos(f float64, next int32) int {
+	return clampRound(c.lo, f*float64(next-c.lo), next)
 }
 
 // clampRound rounds lo + d to the nearest position from lo to next − 1;
@@ -278,20 +287,14 @@ func (r *routed) finish(stage2 ModelKind) *Index {
 	idx := r.top
 	idx.cfg.Stage2 = stage2
 	n, B := idx.n, idx.cfg.Branch
-	cubic := stage2 == ModelCubic
-	if cubic {
-		idx.cubics = make([]cubicLeaf, B+1)
-	} else {
-		idx.leaves = make([]leaf, B+1)
-	}
+	idx.makeLeaves()
 
 	// Each leaf's lo is the first position it was trained on; an empty
-	// leaf takes the next start, so keys routed there still receive
-	// valid (if wide) bounds, and the sentinel's is n. Taking the least
-	// start at or after a leaf keeps lo non-decreasing even where float
-	// rounding routes a stray key out of order.
+	// leaf takes the next start (n past the last), so keys routed there
+	// still receive valid (if wide) bounds. Taking the least start at or
+	// after a leaf keeps lo non-decreasing even where float rounding
+	// routes a stray key out of order.
 	next := n
-	idx.clampsOf(B).lo = int32(n)
 	for li := B - 1; li >= 0; li-- {
 		if first := r.first[li]; first >= 0 {
 			next = min(next, first)
@@ -304,13 +307,13 @@ func (r *routed) finish(stage2 ModelKind) *Index {
 	// differences of u, which are the fractions' differences exactly
 	// (Sterbenz: every u of leaf li ≥ 1 lies in [li, 2li]). The fits are
 	// independent, and run chunk-wise, the leaves cut in proportion to
-	// the keys' ranges.
+	// the keys' ranges. A knot leaf has nothing to fit.
 	core.Parallel(n, func(_, lo, hi int) struct{} {
 		for li := lo * B / n; li < hi*B/n; li++ {
-			if first, last := r.first[li], r.last[li]; first >= 0 {
+			if first, last := r.first[li], r.last[li]; first >= 0 && stage2 != modelKnot {
 				m := fitModel(stage2, r.u[first:last+1], float64(first))
 				m.keyOff -= float64(li)
-				if cubic {
+				if stage2 == ModelCubic {
 					idx.cubics[li].poly = m.poly
 				} else {
 					idx.leaves[li].fold(&m)
@@ -332,11 +335,17 @@ func (r *routed) finish(stage2 ModelKind) *Index {
 		w := make([][2]int, len(r.routes[k].spans)) // {pred-actual, actual-pred}
 		for i := lo; i < hi; i++ {
 			li, f := idx.split(r.u[i])
-			var pos int
-			if cubic {
-				pos = idx.cubics[li].pos(f, idx.cubics[li+1].lo)
-			} else {
-				pos = idx.leaves[li].pos(f, idx.leaves[li+1].lo)
+			next, pos := int32(n), 0
+			if li+1 < B {
+				next = idx.clampsOf(li + 1).lo
+			}
+			switch { // leafPos's dispatch, inlined: a call per key slowed tuning 15 %
+			case idx.leaves != nil:
+				pos = idx.leaves[li].pos(f, next)
+			case idx.knots != nil:
+				pos = idx.knots[li].pos(f, next)
+			default:
+				pos = idx.cubics[li].pos(f, next)
 			}
 			d := &w[li-leaf0]
 			d[0], d[1] = max(d[0], pos-i), max(d[1], i-pos)
@@ -364,13 +373,6 @@ func (r *routed) finish(stage2 ModelKind) *Index {
 	return &idx
 }
 
-// route maps a key (as float64) to a leaf number and the fraction the
-// leaf reads: stage 1's position scaled to leaves, less the leaf. The
-// fraction lies in [0, 1) except where the leaf number was clamped.
-func (idx *Index) route(fkey float64) (int, float64) {
-	return idx.split(idx.stage1.predict(fkey) * idx.scale)
-}
-
 // split cuts a scaled stage-1 position u into a leaf and its fraction.
 func (idx *Index) split(u float64) (int, float64) {
 	li := int(u)
@@ -387,12 +389,14 @@ func (idx *Index) Lookup(key core.Key) core.Bound { return idx.Trace(key, nil) }
 var stage1Array = core.Array{Name: "stage1", Elem: modelSizeBytes, Len: 1}
 
 // leafArray describes the leaf array of b leaves of kind stage2 as
-// memory holds it, sentinel included: its stride is what a lookup's
-// leaf access loads.
+// memory holds it: its stride is what a lookup's leaf access loads.
 func leafArray(stage2 ModelKind, b int) core.Array {
-	a := core.Array{Name: "leaves", Elem: leafBytes, Len: b + 1}
-	if stage2 == ModelCubic {
+	a := core.Array{Name: "leaves", Elem: leafBytes, Len: b}
+	switch stage2 {
+	case ModelCubic:
 		a.Elem = cubicLeafBytes
+	case modelKnot:
+		a.Elem = knotBytes
 	}
 	return a
 }
@@ -408,9 +412,24 @@ func (idx *Index) SizeBytes() int { return core.SizeOf(idx.Arrays()...) }
 // Name implements core.Index.
 func (idx *Index) Name() string { return "RMI" }
 
+// makeLeaves allocates the B leaves of the stage-2 kind's layout.
+func (idx *Index) makeLeaves() {
+	switch B := idx.cfg.Branch; idx.cfg.Stage2 {
+	case ModelCubic:
+		idx.cubics = make([]cubicLeaf, B)
+	case modelKnot:
+		idx.knots = make([]clamps, B)
+	default:
+		idx.leaves = make([]leaf, B)
+	}
+}
+
 // clampsOf returns leaf li's clamps and margins in whichever layout.
 func (idx *Index) clampsOf(li int) *clamps {
-	if idx.cubics != nil {
+	switch {
+	case idx.knots != nil:
+		return &idx.knots[li]
+	case idx.cubics != nil:
 		return &idx.cubics[li].clamps
 	}
 	return &idx.leaves[li].clamps
@@ -425,28 +444,44 @@ func (idx *Index) AvgLog2Error() float64 { return idx.avgLog2 }
 // and the leaf read, the path the performance-counter simulation
 // replays.
 func (idx *Index) Trace(key core.Key, t core.Tracer) core.Bound {
-	leaf, f := idx.route(float64(key))
-	var pos int
-	var c *clamps
-	if idx.cubics != nil {
-		lf := &idx.cubics[leaf]
-		pos, c = lf.pos(f, idx.cubics[leaf+1].lo), &lf.clamps
-	} else {
-		lf := &idx.leaves[leaf]
-		pos, c = lf.pos(f, idx.leaves[leaf+1].lo), &lf.clamps
-	}
+	leaf, pos, c := idx.leafPos(idx.stage1.predict(float64(key)) * idx.scale)
 	if t != nil {
-		trace(t, leaf)
+		trace(t, leaf, idx.cfg.Branch)
 	}
 	return core.BoundAround(pos, c.errLo.Value(), c.errHi.Value(), idx.n)
 }
 
-// trace reports a lookup routed to leaf li: stage 1's coefficients,
-// which fit one line, then leaf li and its successor, whose lo is the
-// upper clamp — one line, or two for the last leaf of a line.
-func trace(t core.Tracer, li int) {
+// leafPos splits u, stage 1's position scaled to leaves, into a leaf
+// and its fraction, and returns the leaf, its prediction and its
+// clamps. The upper clamp is the next leaf's lo, and n past the last.
+func (idx *Index) leafPos(u float64) (int, int, *clamps) {
+	li, f := idx.split(u)
+	next := int32(idx.n)
+	switch {
+	case idx.leaves != nil:
+		if li+1 < len(idx.leaves) {
+			next = idx.leaves[li+1].lo
+		}
+		return li, idx.leaves[li].pos(f, next), &idx.leaves[li].clamps
+	case idx.knots != nil:
+		if li+1 < len(idx.knots) {
+			next = idx.knots[li+1].lo
+		}
+		return li, idx.knots[li].pos(f, next), &idx.knots[li]
+	}
+	if li+1 < len(idx.cubics) {
+		next = idx.cubics[li+1].lo
+	}
+	return li, idx.cubics[li].pos(f, next), &idx.cubics[li].clamps
+}
+
+// trace reports a lookup routed to leaf li of b: stage 1's
+// coefficients, which fit one line, then leaf li and its successor,
+// whose lo is the upper clamp — one line, or two for the last leaf of
+// a line; the last leaf has no successor to read.
+func trace(t core.Tracer, li, b int) {
 	t.Read(0, 0, 1)
 	t.Work(8) // stage 1's prediction and the split into leaf and fraction
-	t.Read(1, li, 2)
+	t.Read(1, li, min(2, b-li))
 	t.Work(10) // the leaf's prediction, its clamps and its margins
 }

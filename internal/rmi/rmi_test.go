@@ -12,7 +12,7 @@ func allConfigs() []Config {
 	kinds := []ModelKind{ModelLinear, ModelLinearSpline, ModelCubic, modelRadix}
 	var cfgs []Config
 	for _, s1 := range kinds {
-		for _, s2 := range kinds {
+		for _, s2 := range append(kinds, modelKnot) {
 			for _, b := range []int{1, 16, 256, 4096} {
 				cfgs = append(cfgs, Config{Stage1: s1, Stage2: s2, Branch: b})
 			}
@@ -274,7 +274,7 @@ func TestTuneBranchMatchesFromScratch(t *testing.T) {
 						want, wantCost = Config{Stage1: combo.s1, Stage2: combo.s2, Branch: branch}, c
 					}
 				}
-				if got, cost := bestComboFor(keys, branch); got != want || cost != wantCost {
+				if got, cost := bestComboFor(keys, branch, 0); got != want || cost != wantCost {
 					t.Errorf("%s n=%d B=%d: tuned %v (cost %v), from scratch %v (cost %v)", ds, n, branch, got, cost, want, wantCost)
 				}
 			}
@@ -292,6 +292,20 @@ func TestTuneRespectsBudget(t *testing.T) {
 	}
 	if idx.SizeBytes() > budget {
 		t.Errorf("tuned size %d exceeds budget %d", idx.SizeBytes(), budget)
+	}
+}
+
+// TestTunePricesEachLayout: a budget that holds B = 4096 knot leaves
+// but not B = 4096 linear ones still lets that rung compete, with its
+// 8-byte leaves, and amzn's keys pick it.
+func TestTunePricesEachLayout(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Amzn, 100000, 1)
+	budget := core.SizeOf(stage1Array, leafArray(modelKnot, 4096))
+	if budget >= core.SizeOf(stage1Array, leafArray(ModelLinear, 4096)) {
+		t.Fatalf("budget %d holds the linear rung too", budget)
+	}
+	if cfg := Tune(keys, budget); cfg != (Config{modelRadix, modelKnot, 4096}) {
+		t.Errorf("tuned %v under a %d-byte budget, want rmi[radix,knot,B=4096]", cfg, budget)
 	}
 }
 

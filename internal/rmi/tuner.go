@@ -30,6 +30,13 @@ func inferenceCost(k ModelKind) float64 {
 		return 0.8
 	case ModelCubic:
 		return 1.6
+	case modelKnot:
+		// Linear's less 0.1, a hand constant as the others are. Amzn at
+		// B = 4096, 2-vCPU Xeon: lookup plus last mile 60.4 vs linear's
+		// 64.3 ns at 250k keys, 133.6 vs 142.1 at 2M (10 interleaved
+		// runs); in one process the bounds alone won 273 of 300 rounds at
+		// 2M and, with the last mile, were level, at a 4–5 % wider bound.
+		return 0.7
 	default:
 		return 1
 	}
@@ -53,6 +60,10 @@ var candidateCombos = []struct{ s1, s2 ModelKind }{
 	{ModelCubic, ModelLinear},
 	{ModelLinear, ModelLinearSpline},
 	{ModelCubic, ModelLinearSpline},
+	{ModelLinear, modelKnot},
+	{ModelLinearSpline, modelKnot},
+	{modelRadix, modelKnot},
+	{ModelCubic, modelKnot},
 }
 
 // tuneSampleMax caps the number of keys used while exploring
@@ -75,7 +86,8 @@ func sample(keys []core.Key, m int) []core.Key {
 }
 
 // bestComboFor returns the lowest-proxy-cost (stage1, stage2) pair for
-// the given branch factor, tuned on a sample of keys. The sample is
+// the given branch factor whose index fits sizeBudget bytes (0 means
+// unlimited; +Inf if none fits), tuned on a sample of keys. The sample is
 // drawn once, each distinct stage-1 kind is fitted and routed once
 // (on a conversion of its own, which the routing overwrites), and
 // every stage-2 kind paired with it is scored over
@@ -84,7 +96,7 @@ func sample(keys []core.Key, m int) []core.Key {
 // The stage-1 kinds are independent, so each is tuned on a goroutine of
 // its own; the first cheapest combination in grid order wins, as it
 // would one after the other.
-func bestComboFor(keys []core.Key, branch int) (Config, float64) {
+func bestComboFor(keys []core.Key, branch, sizeBudget int) (Config, float64) {
 	best := Config{Stage1: ModelLinear, Stage2: ModelLinear, Branch: branch}
 	bestCost := math.Inf(1)
 	if len(keys) == 0 {
@@ -95,10 +107,13 @@ func bestComboFor(keys []core.Key, branch int) (Config, float64) {
 	// hence log2 error) is comparable to the full build.
 	sb := branch * len(s) / len(keys)
 	costs := make([]float64, len(candidateCombos))
+	fits := func(s2 ModelKind) bool {
+		return sizeBudget == 0 || core.SizeOf(stage1Array, leafArray(s2, branch)) <= sizeBudget
+	}
 	tuned := map[ModelKind]bool{}
 	var wg sync.WaitGroup
 	for _, combo := range candidateCombos {
-		if tuned[combo.s1] {
+		if tuned[combo.s1] || !fits(combo.s2) {
 			continue
 		}
 		tuned[combo.s1] = true
@@ -107,7 +122,7 @@ func bestComboFor(keys []core.Key, branch int) (Config, float64) {
 			defer wg.Done()
 			top := trainStage1(floatKeys(s), combo.s1, sb)
 			for i, c := range candidateCombos {
-				if c.s1 == combo.s1 {
+				if c.s1 == combo.s1 && fits(c.s2) {
 					costs[i] = proxyCost(top.finish(c.s2))
 				}
 			}
@@ -115,7 +130,7 @@ func bestComboFor(keys []core.Key, branch int) (Config, float64) {
 	}
 	wg.Wait()
 	for i, combo := range candidateCombos {
-		if costs[i] < bestCost {
+		if fits(combo.s2) && costs[i] < bestCost {
 			bestCost = costs[i]
 			best = Config{Stage1: combo.s1, Stage2: combo.s2, Branch: branch}
 		}
@@ -126,22 +141,28 @@ func bestComboFor(keys []core.Key, branch int) (Config, float64) {
 // TuneBranch returns the tuned configuration at one branching factor:
 // one rung of the ParetoBranches ladder, resolved on its own.
 func TuneBranch(keys []core.Key, branch int) Config {
-	cfg, _ := bestComboFor(keys, branch)
+	cfg, _ := bestComboFor(keys, branch, 0)
 	return cfg
 }
 
 // TuneWork is the key visits of tuning and building an RMI over n keys:
 // each distinct stage-1 kind of candidateCombos fitted and each
 // combination finished on a sample of at most tuneSampleMax keys, then
-// the chosen one fitted and finished on all n — each visiting every key
-// twice (fit, then route; leaf fit, then error replay).
+// the chosen one fitted and finished on all n. A fit visits every key
+// twice (fit, then route), and so does a finish (leaf fit, then error
+// replay), but a knot finish only replays. The final build is priced
+// at the dearer, fitted finish: which leaf wins depends on the keys.
 func TuneWork(n int) int64 {
 	kinds := map[ModelKind]bool{}
+	finishes := 0 // visits per sample key
 	for _, c := range candidateCombos {
 		kinds[c.s1] = true
+		finishes += 2
+		if c.s2 == modelKnot {
+			finishes--
+		}
 	}
-	fits := (len(kinds)+len(candidateCombos))*min(n, tuneSampleMax) + 2*n
-	return 2 * int64(fits)
+	return int64((2*len(kinds)+finishes)*min(n, tuneSampleMax) + 4*n)
 }
 
 // branchGrid returns the branching factors explored for a dataset of n
@@ -184,12 +205,9 @@ func Tune(keys []core.Key, sizeBudget int) Config {
 	}
 	var all []scored
 	for _, b := range branchGrid(len(keys)) {
-		size := core.SizeOf(stage1Array, leafArray(ModelLinear, b)) // every candidate's second stage is linear
-		if sizeBudget > 0 && size > sizeBudget {
-			continue
+		if cfg, cost := bestComboFor(keys, b, sizeBudget); !math.IsInf(cost, 1) {
+			all = append(all, scored{cfg, cost})
 		}
-		cfg, cost := bestComboFor(keys, b)
-		all = append(all, scored{cfg, cost})
 	}
 	if len(all) == 0 {
 		return Config{Stage1: ModelLinear, Stage2: ModelLinear, Branch: 64}
