@@ -23,7 +23,7 @@ import (
 func BenchmarkAblationRMIStage2(b *testing.B) {
 	for _, name := range []dataset.Name{dataset.Amzn, dataset.OSM} {
 		e := benchEnv(b, name)
-		for _, kind := range []rmi.ModelKind{rmi.ModelLinear, rmi.ModelLinearSpline, rmi.ModelCubic} {
+		for _, kind := range []rmi.ModelKind{rmi.ModelLinear, rmi.ModelLinearSpline} {
 			cfg := rmi.Config{Stage1: rmi.ModelLinear, Stage2: kind, Branch: 1024}
 			idx, err := rmi.New(e.Keys, cfg)
 			if err != nil {

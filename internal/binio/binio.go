@@ -276,12 +276,5 @@ func (r *Reader) Count(elemSize int) int {
 // Remaining reports the unconsumed byte count.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
 
-// Fail records err (if the reader has not already failed).
-func (r *Reader) Fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
 // Err returns the first decode failure, or nil.
 func (r *Reader) Err() error { return r.err }

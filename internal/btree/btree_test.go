@@ -241,23 +241,27 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsWrongPositions: the wire keeps a position per entry
-// that the tree does not store, so Decode holds each to rank*stride and
-// the entry count to one per stride.
+// TestDecodeRejectsWrongPositions: the wire keeps no positions, since
+// entry r is data key r*stride, so Decode holds the entry count to one
+// per stride and the entries to sorted order: a missing or misplaced
+// entry would turn ranks into wrong positions.
 func TestDecodeRejectsWrongPositions(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 1000, 1)
 	idx, _ := Builder{Stride: 4}.Build(keys)
 	data := encoded(t, idx.(*Index))
 	const header = 8 + 4 + 1 + 4
-	flipped := append([]byte(nil), data...)
-	flipped[header+10*entryWireBytes+8] ^= 0x01 // entry 10's position
-	if _, err := Decode(binio.NewReader(flipped)); !errors.Is(err, binio.ErrCorrupt) {
-		t.Errorf("flipped position: err = %v, want ErrCorrupt", err)
-	}
-	short := append([]byte(nil), data[:len(data)-entryWireBytes]...)
+	short := append([]byte(nil), data[:len(data)-8]...)
 	binary.LittleEndian.PutUint32(short[header-4:], uint32(len(keys)/4-1))
 	if _, err := Decode(binio.NewReader(short)); !errors.Is(err, binio.ErrCorrupt) {
 		t.Errorf("one entry short: err = %v, want ErrCorrupt", err)
+	}
+	swapped := append([]byte(nil), data...)
+	e10, e11 := swapped[header+10*8:header+11*8], swapped[header+11*8:header+12*8]
+	tmp := slices.Clone(e10)
+	copy(e10, e11)
+	copy(e11, tmp)
+	if _, err := Decode(binio.NewReader(swapped)); !errors.Is(err, binio.ErrCorrupt) {
+		t.Errorf("entries 10 and 11 swapped: err = %v, want ErrCorrupt", err)
 	}
 }
 

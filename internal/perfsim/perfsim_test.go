@@ -153,7 +153,6 @@ func TestTracedRMILeafLines(t *testing.T) {
 	knot := rmi.TuneBranch(keys, 1024)
 	for _, cfg := range []rmi.Config{
 		{Stage1: rmi.ModelLinear, Stage2: rmi.ModelLinear, Branch: 1000},
-		{Stage1: rmi.ModelLinear, Stage2: rmi.ModelCubic, Branch: 1000},
 		knot,
 	} {
 		idx, err := rmi.New(keys, cfg)

@@ -8,13 +8,11 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/binio"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/indextest"
 	"repro/internal/registry"
 	"repro/internal/rmi"
 )
@@ -93,8 +91,8 @@ func FuzzDecode(f *testing.F) {
 		if sel == 0 {
 			idx, err = decodeIndex(payload)
 		} else {
-			codec, _ := registry.CodecFor(families[int(sel-1)%len(families)])
-			idx, err = codec.Decode(binio.NewReader(payload))
+			decode, _ := registry.CodecFor(families[int(sel-1)%len(families)])
+			idx, err = decode(binio.NewReader(payload))
 		}
 		if err != nil {
 			if idx != nil {
@@ -239,7 +237,7 @@ func FuzzManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Buffered())
-	f.Add([]byte("sosdMAN3"))
+	f.Add([]byte("sosdMAN4"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeManifest(data)
 		if err != nil {
@@ -314,7 +312,7 @@ func fuzzCorpus(t *testing.T) map[string][]byte {
 	if err := knot.Encode(kbuf); err != nil {
 		t.Fatal(err)
 	}
-	if stride := kbuf.Buffered()[0]; stride != 8 {
+	if stride := knot.Arrays()[1].Elem; stride != 8 {
 		t.Fatalf("the RMI tuned at B = 8 over the seed keys has leaf stride %d, want the knot leaf's 8", stride)
 	}
 	write("FuzzDecode", "raw-RMI-knot", append([]byte{byte(slices.Index(families, "RMI") + 1)}, kbuf.Buffered()...))
@@ -395,9 +393,9 @@ func TestEncodersMatchCheckedInCorpus(t *testing.T) {
 	}
 }
 
-// oldSeed reads a FuzzDecode seed kept by hand, checks that its selector
-// byte routes to family's decoder, and returns its payload.
-func oldSeed(t *testing.T, name, family string) []byte {
+// checkedInSeed reads a FuzzDecode seed from testdata: its selector
+// byte, then its payload.
+func checkedInSeed(t *testing.T, name string) []byte {
 	t.Helper()
 	file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", name))
 	if err != nil {
@@ -406,83 +404,43 @@ func oldSeed(t *testing.T, name, family string) []byte {
 	quoted, ok := bytes.CutPrefix(file, []byte("go test fuzz v1\n[]byte("))
 	quoted, ok2 := bytes.CutSuffix(quoted, []byte(")\n"))
 	seed, err := strconv.Unquote(string(quoted))
-	if !ok || !ok2 || err != nil {
+	if !ok || !ok2 || err != nil || len(seed) == 0 {
 		t.Fatalf("%s is not a fuzz corpus file: %v", name, err)
 	}
-	families := codecFamilies()
-	if fam := families[int(seed[0]-1)%len(families)]; fam != family {
-		t.Fatalf("%s selects the %s decoder", name, fam)
-	}
-	return []byte(seed[1:])
+	return []byte(seed)
 }
 
 // TestBadPosSeedDecodesToError: FuzzDecode/badpos-PGM is osm 20k keys
-// at eps=4 (levels 1131/65/2) in the 20-byte segment layout, with the
-// top level's first slope set to 1e30 and its second position to 1<<30,
-// so every key above the first is sent to segment 1<<30 of a 65-segment
-// level. Decode once took it and Lookup then indexed past the level; it
-// must be named corrupt. No encoder writes it, so fuzzCorpus does not
-// regenerate it.
+// at eps=4 (levels 1131/65/2) in the layout of length-prefixed key,
+// slope and pos arrays, with the top level's first slope set to 1e30
+// and its second position to 1<<30, so every key above the first is
+// sent to segment 1<<30 of a 65-segment level. Decode once took such a
+// payload and Lookup then indexed past the level; it must be named
+// corrupt. No encoder writes it, so fuzzCorpus does not regenerate it.
 func TestBadPosSeedDecodesToError(t *testing.T) {
-	codec, _ := registry.CodecFor("PGM")
-	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "badpos-PGM", "PGM")))
+	seed := checkedInSeed(t, "badpos-PGM")
+	families := codecFamilies()
+	if fam := families[int(seed[0]-1)%len(families)]; fam != "PGM" {
+		t.Fatalf("badpos-PGM selects the %s decoder", fam)
+	}
+	decode, _ := registry.CodecFor("PGM")
+	idx, err := decode(binio.NewReader(seed[1:]))
 	if idx != nil || !errors.Is(err, binio.ErrCorrupt) {
 		t.Fatalf("badpos-PGM decoded to (%v, %v), want a corrupt-data error on its positions", idx, err)
 	}
 	t.Log(err)
 }
 
-// TestOldRMISeedDecodesToError: FuzzDecode/old-RMI-24 is raw-RMI as it
-// was checked in while a linear leaf was 24 bytes, a float64 key
-// origin and its own upper clamp. Decode names the retired layout
-// rather than reading its leaves as corrupt 16-byte ones, so an old
-// snapshot says to rebuild. No encoder writes it, so fuzzCorpus does
-// not regenerate it.
-func TestOldRMISeedDecodesToError(t *testing.T) {
-	codec, _ := registry.CodecFor("RMI")
-	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "old-RMI-24", "RMI")))
-	if idx != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "retired layout") {
-		t.Fatalf("old-RMI-24 decoded to (%v, %v), want a corrupt-data error naming the retired layout", idx, err)
-	}
-}
-
-// TestOldRMISentinelSeedDecodesToError: FuzzDecode/old-RMI-sentinel is
-// raw-RMI as it was checked in while a leaf array held B 16-byte leaves
-// and a sentinel after them, whose lo was the key count. The stride is
-// today's, so Decode reads B leaves and names the record left over
-// rather than calling it trailing garbage. No encoder writes it, so
-// fuzzCorpus does not regenerate it.
-func TestOldRMISentinelSeedDecodesToError(t *testing.T) {
-	codec, _ := registry.CodecFor("RMI")
-	idx, err := codec.Decode(binio.NewReader(oldSeed(t, "old-RMI-sentinel", "RMI")))
-	if idx != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "retired layout with a sentinel leaf") {
-		t.Fatalf("old-RMI-sentinel decoded to (%v, %v), want a corrupt-data error naming the sentinel layout", idx, err)
-	}
-}
-
-// TestOldRSSeedDecodesToSameBounds: FuzzDecode/old-RS is raw-RS as it
-// was checked in while New stored every radix bit it was given, 14 over
-// the seed keys. Decode still takes any exact table, so a snapshot of
-// that time opens, and since the bits New now drops save no probe, it
-// bounds every key as an index New builds today does.
-func TestOldRSSeedDecodesToSameBounds(t *testing.T) {
-	codec, _ := registry.CodecFor("RS")
-	old, err := codec.Decode(binio.NewReader(oldSeed(t, "old-RS", "RS")))
-	if err != nil {
-		t.Fatalf("old-RS: %v", err)
-	}
-	keys := fuzzKeys()
-	nb, _ := registry.Builder("RS", keys)
-	idx, err := nb.Builder.Build(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.SizeBytes() <= idx.SizeBytes() {
-		t.Fatalf("old-RS is %d B, New builds %d B: the seed no longer carries the wider table", old.SizeBytes(), idx.SizeBytes())
-	}
-	for _, x := range indextest.ProbesFor(keys) {
-		if got, want := old.Lookup(x), idx.Lookup(x); got != want {
-			t.Fatalf("key %d: old-RS bounds %v, New %v", x, got, want)
+// TestBrokenSeedsDecodeToError: every codec family's trunc- and flip-
+// seed, its index frame cut in half or with one bit flipped, decodes to
+// a corrupt-data error, so the corpus keeps an error path per family.
+func TestBrokenSeedsDecodeToError(t *testing.T) {
+	for _, fam := range codecFamilies() {
+		for _, name := range []string{"trunc-" + fam, "flip-" + fam} {
+			seed := checkedInSeed(t, name)
+			if idx, err := decodeIndex(seed[1:]); seed[0] != 0 || idx != nil || !errors.Is(err, binio.ErrCorrupt) {
+				t.Errorf("%s (selector %d) decoded to (%v, %v), want a corrupt-data error", name, seed[0], idx, err)
+			}
 		}
 	}
 }

@@ -17,11 +17,12 @@ import (
 	"repro/internal/core"
 )
 
-var manifestMagic = []byte("sosdMAN3")
+var manifestMagic = []byte("sosdMAN4")
 
-// retiredManifestMagic opens the manifest of the layout before the run
-// file, which gave each run a table, an index and a tombstone file.
-var retiredManifestMagic = []byte("sosdMAN2")
+// retiredManifestMagic opens the manifest of the layout before each
+// index codec wrote the arrays its index describes. The manifest is the
+// one version check: a snapshot it refuses reaches no index decoder.
+var retiredManifestMagic = []byte("sosdMAN3")
 
 // ManifestName is the manifest's file name inside a snapshot directory.
 const ManifestName = "MANIFEST"
@@ -102,7 +103,7 @@ func encodeManifest(w *binio.Writer, m *Manifest) error {
 // decodeManifest parses and validates a manifest image.
 func decodeManifest(data []byte) (*Manifest, error) {
 	if bytes.HasPrefix(data, retiredManifestMagic) {
-		return nil, binio.Corruptf("persist: manifest magic %s is the retired layout of a table, an index and a tombstone file per run; this build reads only run files (%s)", retiredManifestMagic, manifestMagic)
+		return nil, binio.Corruptf("persist: manifest magic %s is a retired layout, whose index payloads were written field by field; this build reads only %s: rebuild the snapshot", retiredManifestMagic, manifestMagic)
 	}
 	r, err := OpenFrame(data, manifestMagic, "manifest")
 	if err != nil {

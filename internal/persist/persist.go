@@ -117,21 +117,28 @@ func dirSyncErr(err error) error {
 	return err
 }
 
-// indexCodec returns the codec idx is framed with. Families without one
-// (and the zero-size empty-table index) cannot be encoded: the error
-// matches errors.ErrUnsupported, and callers fall back to rebuild-at-load.
-func indexCodec(idx core.Index) (registry.Codec, error) {
-	codec, ok := registry.CodecFor(idx.Name())
-	if !ok {
-		return codec, fmt.Errorf("persist: no codec for index family %q: %w", idx.Name(), errors.ErrUnsupported)
-	}
-	return codec, nil
+// encoder is an index that writes its own codec payload.
+type encoder interface {
+	core.Index
+	Encode(w *binio.Writer) error
 }
 
-func encodeIndex(w *binio.Writer, idx core.Index, codec registry.Codec) error {
+// indexEncoder returns idx as the encoder its frame is written with.
+// Families without a codec (and the zero-size empty-table index) cannot
+// be encoded: the error matches errors.ErrUnsupported, and callers fall
+// back to rebuild-at-load.
+func indexEncoder(idx core.Index) (encoder, error) {
+	enc, ok := idx.(encoder)
+	if _, decodes := registry.CodecFor(idx.Name()); !ok || !decodes {
+		return nil, fmt.Errorf("persist: no codec for index family %q: %w", idx.Name(), errors.ErrUnsupported)
+	}
+	return enc, nil
+}
+
+func encodeIndex(w *binio.Writer, idx encoder) error {
 	return WriteFrame(w, indexMagic, func() error {
 		w.Str(idx.Name())
-		return codec.Encode(idx, w)
+		return idx.Encode(w)
 	})
 }
 
@@ -148,11 +155,11 @@ func decodeIndex(data []byte) (core.Index, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	codec, ok := registry.CodecFor(family)
+	decode, ok := registry.CodecFor(family)
 	if !ok {
 		return nil, binio.Corruptf("persist: no codec for index family %q", family)
 	}
-	idx, err := codec.Decode(r)
+	idx, err := decode(r)
 	if err != nil {
 		return nil, err
 	}

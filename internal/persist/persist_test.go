@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc64"
 	"os"
 	"path/filepath"
@@ -38,47 +39,47 @@ func buildFamilies(t *testing.T, keys []core.Key) map[string]core.Index {
 }
 
 // TestIndexRoundTripEquivalence is the core codec contract: for every
-// family, Encode→Decode through a run file's index section must
-// reproduce bit-identical Lookup bounds across the full key set, absent
-// keys in every gap neighbourhood, and both extremes — i.e. the decoded
-// index is indistinguishable from the trained one.
+// rung of every codec family on every dataset, Encode→Decode through
+// the index frame a run file carries must give back the arrays the index
+// describes, name for name, element size and length alike, and
+// bit-identical Lookup bounds across the full key set, absent keys in
+// every gap neighbourhood, and both extremes — i.e. the decoded index is
+// indistinguishable from the trained one. The mid rung's bounds, the
+// one a store shard builds, are checked valid too.
 func TestIndexRoundTripEquivalence(t *testing.T) {
-	keys := dataset.MustGenerate(dataset.Amzn, 5000, 23)
-	payloads := make([]uint64, len(keys))
-	dir := t.TempDir()
-	for family, idx := range buildFamilies(t, keys) {
-		path := filepath.Join(dir, family+".run")
-		if err := WriteRun(path, Run{Keys: keys, Payloads: payloads, Index: idx}); err != nil {
-			t.Fatalf("%s: write: %v", family, err)
-		}
-		run, err := ReadRun(path)
-		if err != nil {
-			t.Fatalf("%s: read: %v", family, err)
-		}
-		got := run.Index
-		if got.Name() != idx.Name() {
-			t.Fatalf("%s: decoded name %q", family, got.Name())
-		}
-		if got.SizeBytes() != idx.SizeBytes() {
-			t.Errorf("%s: decoded SizeBytes %d != %d", family, got.SizeBytes(), idx.SizeBytes())
-		}
-		probes := make([]core.Key, 0, 3*len(keys)+4)
+	for _, ds := range dataset.All() {
+		keys := dataset.MustGenerate(ds, 20_000, 23)
+		probes := make([]core.Key, 0, 3*len(keys)+2)
 		probes = append(probes, 0, ^core.Key(0))
 		for _, k := range keys {
-			probes = append(probes, k)
-			probes = append(probes, k+1) // gap above (absent unless dup-adjacent)
-			if k > 0 {
-				probes = append(probes, k-1)
-			}
+			probes = append(probes, k, k+1, k-1) // gaps above and below (absent unless dup-adjacent)
 		}
-		for _, x := range probes {
-			want := idx.Lookup(x)
-			have := got.Lookup(x)
-			if want != have {
-				t.Fatalf("%s: Lookup(%d) = %v after decode, want %v", family, x, have, want)
-			}
-			if !core.ValidBound(keys, x, have) {
-				t.Fatalf("%s: decoded bound %v invalid for key %d", family, have, x)
+		for _, family := range codecFamilies() {
+			rungs := registry.Sweep(family, keys)
+			for i, nb := range rungs {
+				what := fmt.Sprintf("%s %s on %s", family, nb.Label, ds)
+				idx, err := nb.Builder.Build(keys)
+				if err != nil {
+					t.Fatalf("%s: build: %v", what, err)
+				}
+				buf := binio.NewWriter(nil)
+				if err := EncodeIndex(buf, idx); err != nil {
+					t.Fatalf("%s: encode: %v", what, err)
+				}
+				got, err := decodeIndex(buf.Buffered())
+				if err != nil || got.Name() != idx.Name() {
+					t.Fatalf("%s: decoded to %v, %v", what, got, err)
+				}
+				type described interface{ Arrays() []core.Array }
+				if have, want := got.(described).Arrays(), idx.(described).Arrays(); !slices.Equal(have, want) {
+					t.Fatalf("%s: decoded arrays %v, built %v", what, have, want)
+				}
+				for _, x := range probes {
+					have, want := got.Lookup(x), idx.Lookup(x)
+					if have != want || i == len(rungs)/2 && !core.ValidBound(keys, x, have) {
+						t.Fatalf("%s: Lookup(%d) = %v after decode, want %v (valid at the mid rung)", what, x, have, want)
+					}
+				}
 			}
 		}
 	}
@@ -503,13 +504,14 @@ func TestRunFlipNamesItsSection(t *testing.T) {
 	}
 }
 
-// TestRetiredManifestNamed: a manifest of the layout before the run
-// file is refused by its magic, and the error says which layout it is.
+// TestRetiredManifestNamed: a manifest of the layout before the index
+// codecs wrote their arrays is refused by its magic, and the error
+// names that magic.
 func TestRetiredManifestNamed(t *testing.T) {
-	data := append([]byte("sosdMAN2"), make([]byte, 40)...)
+	data := append([]byte("sosdMAN3"), make([]byte, 40)...)
 	_, err := decodeManifest(data)
-	if !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "retired layout") {
-		t.Fatalf("err = %v, want a corrupt-data error naming the retired layout", err)
+	if !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "sosdMAN3 is a retired layout") {
+		t.Fatalf("err = %v, want a corrupt-data error naming the retired magic", err)
 	}
 }
 
@@ -534,9 +536,9 @@ func TestManifestCorruption(t *testing.T) {
 // family codec tag, the codec payload, and a trailing CRC64 over
 // everything preceding it.
 func EncodeIndex(w *binio.Writer, idx core.Index) error {
-	codec, err := indexCodec(idx)
+	enc, err := indexEncoder(idx)
 	if err != nil {
 		return err
 	}
-	return encodeIndex(w, idx, codec)
+	return encodeIndex(w, enc)
 }

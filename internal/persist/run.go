@@ -108,9 +108,9 @@ func WriteRun(path string, run Run) error {
 		tombs = w.Buffered()
 	}
 	if len(run.Keys) > 0 && run.Index != nil {
-		if codec, err := indexCodec(run.Index); err == nil { // no codec: rebuilt at load
+		if enc, err := indexEncoder(run.Index); err == nil { // no codec: rebuilt at load
 			w := binio.NewWriter(nil)
-			if err := encodeIndex(w, run.Index, codec); err != nil {
+			if err := encodeIndex(w, enc); err != nil {
 				return err
 			}
 			index = w.Buffered()

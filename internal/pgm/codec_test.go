@@ -12,9 +12,13 @@ import (
 	"repro/internal/indextest"
 )
 
+// topArrays are the byte offsets in a payload of the top level's first
+// key, slope and position.
+type topArrays struct{ keys, slopes, pos int }
+
 // encoded builds osm 20k at eps=4 (levels 1131/65/2) and returns its
-// payload and the byte offset of the top level's first segment.
-func encoded(t *testing.T) (payload []byte, top int) {
+// payload and where the top level's arrays start in it.
+func encoded(t *testing.T) (payload []byte, top topArrays) {
 	t.Helper()
 	keys := dataset.MustGenerate(dataset.OSM, 20_000, 1)
 	idx, err := New(keys, 4)
@@ -32,11 +36,17 @@ func encoded(t *testing.T) (payload []byte, top int) {
 	if err := idx.Encode(w); err != nil {
 		t.Fatal(err)
 	}
-	top = 4 + 8 + 4 // eps, n, level count
+	at := 4 + 8 + 4 // eps, n, level count
 	for _, m := range sizes[:2] {
-		top += 4 + m*segmentBytes
+		at += 3*4 + m*segmentBytes // three counts, then a segment's key, slope and pos
 	}
-	return w.Buffered(), top + 4
+	top = topArrays{keys: at + 4, slopes: at + 4 + 2*8 + 4, pos: at + 4 + 2*8 + 4 + 2*4 + 4}
+	p, l := w.Buffered(), idx.levels[2]
+	if binary.LittleEndian.Uint64(p[top.keys+8:]) != l.keys[1] || math.Float32frombits(binary.LittleEndian.Uint32(p[top.slopes+4:])) != l.slopes[1] ||
+		int32(binary.LittleEndian.Uint32(p[top.pos+4:])) != l.pos[1] || len(p) != top.pos+2*4+4+2*2*sizes[0] {
+		t.Fatalf("the top level's second segment is not where the offsets say")
+	}
+	return p, top
 }
 
 // TestDecodeRejectsOutOfOrderLevels holds Decode to the invariants the
@@ -44,39 +54,45 @@ func encoded(t *testing.T) (payload []byte, top int) {
 // and then panicked in Lookup: a top segment whose slope sends every key
 // to its neighbour's position, 1<<30, far past the 65 segments below.
 func TestDecodeRejectsOutOfOrderLevels(t *testing.T) {
-	const slope, pos, next = 8, 12, segmentBytes // offsets within the top level
 	for _, c := range []struct {
 		what  string
-		patch func(p []byte, top int)
+		patch func(p []byte, top topArrays)
 	}{
-		{"position past the level below", func(p []byte, top int) {
-			binary.LittleEndian.PutUint32(p[top+slope:], math.Float32bits(1e30))
-			binary.LittleEndian.PutUint32(p[top+next+pos:], 1<<30)
+		{"position past the level below", func(p []byte, top topArrays) {
+			binary.LittleEndian.PutUint32(p[top.slopes:], math.Float32bits(1e30))
+			binary.LittleEndian.PutUint32(p[top.pos+4:], 1<<30)
 		}},
-		{"first position not 0", func(p []byte, top int) {
-			binary.LittleEndian.PutUint32(p[top+pos:], 1)
+		{"first position not 0", func(p []byte, top topArrays) {
+			binary.LittleEndian.PutUint32(p[top.pos:], 1)
 		}},
-		{"positions decreasing", func(p []byte, top int) {
-			binary.LittleEndian.PutUint32(p[top+next+pos:], 0xffffffff)
+		{"positions decreasing", func(p []byte, top topArrays) {
+			binary.LittleEndian.PutUint32(p[top.pos+4:], 0xffffffff)
 		}},
-		{"keys decreasing", func(p []byte, top int) {
-			binary.LittleEndian.PutUint64(p[top+next:], 0)
-			binary.LittleEndian.PutUint64(p[top:], 1)
+		{"keys decreasing", func(p []byte, top topArrays) {
+			binary.LittleEndian.PutUint64(p[top.keys+8:], 0)
+			binary.LittleEndian.PutUint64(p[top.keys:], 1)
 		}},
-		{"infinite slope", func(p []byte, top int) {
-			binary.LittleEndian.PutUint32(p[top+slope:], math.Float32bits(float32(math.Inf(1))))
+		{"infinite slope", func(p []byte, top topArrays) {
+			binary.LittleEndian.PutUint32(p[top.slopes:], math.Float32bits(float32(math.Inf(1))))
 		}},
-		{"NaN slope", func(p []byte, top int) {
-			binary.LittleEndian.PutUint32(p[top+slope:], 0x7fc00000)
+		{"NaN slope", func(p []byte, top topArrays) {
+			binary.LittleEndian.PutUint32(p[top.slopes:], 0x7fc00000)
 		}},
-		{"negative slope", func(p []byte, top int) {
-			binary.LittleEndian.PutUint32(p[top+slope:], math.Float32bits(-0.5))
+		{"negative slope", func(p []byte, top topArrays) {
+			binary.LittleEndian.PutUint32(p[top.slopes:], math.Float32bits(-0.5))
 		}},
-		{"margin excess far above n", func(p []byte, _ int) {
+		{"one slope fewer than keys", func(p []byte, top topArrays) {
+			binary.LittleEndian.PutUint32(p[top.slopes-4:], 1)
+		}},
+		{"margin excess far above n", func(p []byte, _ topArrays) {
 			binary.LittleEndian.PutUint16(p[len(p)-2:], 0xffff) // the last segment's upper code
 		}},
-		{"margin excess just above n + n>>10", func(p []byte, _ int) {
+		{"margin excess just above n + n>>10", func(p []byte, _ topArrays) {
 			binary.LittleEndian.PutUint16(p[len(p)-4:], uint16(core.ToMargin(20_000+20_000>>10+1)))
+		}},
+		{"one margin short", func(p []byte, _ topArrays) {
+			at := len(p) - 2*2*1131 - 4
+			binary.LittleEndian.PutUint32(p[at:], 2*1131-1)
 		}},
 	} {
 		p, top := encoded(t)

@@ -38,9 +38,9 @@ type level struct {
 	pos    []int32    // position of the first covered point in the level below
 }
 
-// Bytes a segment's key, slope and pos take, in memory and on the wire,
-// and a data segment's two margin codes (pinned by TestSegmentLayout).
-const segmentBytes, marginBytes = 16, 4
+// Bytes a segment's key, slope and pos take, in memory and on the wire
+// (pinned by TestSegmentLayout).
+const segmentBytes = 16
 
 // Index is a built PGM index.
 type Index struct {

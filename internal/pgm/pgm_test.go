@@ -243,8 +243,8 @@ func TestSegmentLayout(t *testing.T) {
 	var l level
 	var m core.Margin
 	arrays := int(unsafe.Sizeof(l.keys[0]) + unsafe.Sizeof(l.slopes[0]) + unsafe.Sizeof(l.pos[0]))
-	if segmentBytes != arrays || marginBytes != 2*int(unsafe.Sizeof(m)) || segmentBytes+marginBytes != 20 {
-		t.Errorf("segmentBytes %d, marginBytes %d: arrays hold %d and 2x%d, want 20 together", segmentBytes, marginBytes, arrays, unsafe.Sizeof(m))
+	if segmentBytes != arrays || segmentBytes+2*int(unsafe.Sizeof(m)) != 20 {
+		t.Errorf("segmentBytes %d: arrays hold %d, margin codes 2x%d, want 20 together", segmentBytes, arrays, unsafe.Sizeof(m))
 	}
 	keys := dataset.MustGenerate(dataset.OSM, 100000, 1)
 	idx, err := New(keys, 8)

@@ -1,67 +1,38 @@
 package rbs
 
-// Binary codec for built radix-binary-search tables. Little-endian via
-// binio; framing and checksums live in package persist.
-
 import (
+	"slices"
+
 	"repro/internal/binio"
 )
 
-// Encode writes the built table to w.
+// Encode writes the built table to w: the header scalars, then the
+// table as memory holds it.
 func (idx *Index) Encode(w *binio.Writer) error {
 	w.U32(uint32(idx.radixBits))
 	w.U64(uint64(idx.n))
 	w.U64(idx.minKey)
 	w.U32(uint32(idx.shift))
-	w.U32(uint32(len(idx.table)))
-	for _, v := range idx.table {
-		w.U32(uint32(v))
-	}
+	binio.PutSlice(w, idx.table)
 	return w.Err()
 }
 
-// Decode reconstructs a built table from r, re-validating the offsets:
-// Lookup turns two adjacent entries directly into a search bound, so
-// entries must be non-decreasing and confined to [0, n].
+// Decode reconstructs a built table from r and validates it.
 func Decode(r *binio.Reader) (*Index, error) {
-	radixBits := int(r.U32())
-	n := r.U64()
-	minKey := r.U64()
-	shift := r.U32()
-	if err := r.Err(); err != nil {
-		return nil, err
+	idx := &Index{radixBits: int(r.U32()), n: int(r.U64()), minKey: r.U64(), shift: uint(r.U32())}
+	idx.table = binio.GetSlice[int32](r)
+	return binio.Checked(r, idx, idx.validate)
+}
+
+// validate re-checks what Lookup leans on: it turns two adjacent
+// entries directly into a search bound, so the table has 2^r+1 entries,
+// non-decreasing and confined to [0, n].
+func (idx *Index) validate() error {
+	if idx.n < 1 || idx.n > 1<<48 || idx.radixBits < 1 || idx.radixBits > 28 || idx.shift > 63 {
+		return binio.Corruptf("rbs: %d keys, radix bits %d, shift %d", idx.n, idx.radixBits, idx.shift)
 	}
-	const maxN = 1 << 48
-	if n == 0 || n > maxN {
-		return nil, binio.Corruptf("rbs: implausible key count %d", n)
+	if t := idx.table; len(t) != 1<<idx.radixBits+1 || t[0] < 0 || int(t[len(t)-1]) > idx.n || !slices.IsSorted(t) {
+		return binio.Corruptf("rbs: table of %d entries, want %d non-decreasing over [0, %d]", len(t), 1<<idx.radixBits+1, idx.n)
 	}
-	if radixBits < 1 || radixBits > 28 {
-		return nil, binio.Corruptf("rbs: radix bits %d out of range", radixBits)
-	}
-	if shift > 63 {
-		return nil, binio.Corruptf("rbs: shift %d", shift)
-	}
-	size := r.Count(4)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if size != 1<<radixBits+1 {
-		return nil, binio.Corruptf("rbs: table has %d entries, want %d", size, 1<<radixBits+1)
-	}
-	idx := &Index{radixBits: radixBits, n: int(n), minKey: minKey, shift: uint(shift)}
-	idx.table = make([]int32, size)
-	for i := range idx.table {
-		idx.table[i] = int32(r.U32())
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	prev := int32(0)
-	for i, v := range idx.table {
-		if v < prev || uint64(v) > n {
-			return nil, binio.Corruptf("rbs: table entry %d = %d invalid (prev %d, n %d)", i, v, prev, n)
-		}
-		prev = v
-	}
-	return idx, nil
+	return nil
 }

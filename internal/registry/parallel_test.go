@@ -29,7 +29,7 @@ func buildFor(t *testing.T, family string, nb NamedBuilder, keys []core.Key) bui
 		t.Fatalf("%s %s: %v", family, nb.Label, err)
 	}
 	w := binio.NewWriter(nil)
-	if err := codecs[family].Encode(idx, w); err != nil {
+	if err := idx.(interface{ Encode(*binio.Writer) error }).Encode(w); err != nil {
 		t.Fatalf("%s %s: encode: %v", family, nb.Label, err)
 	}
 	b := builtIndex{enc: bytes.Clone(w.Buffered()), size: idx.SizeBytes(), bounds: 14695981039346656037}

@@ -13,8 +13,8 @@ import (
 
 // refLeaf is a leaf as its fit leaves it, kept as the reference the
 // folded layouts are held to: a tagged model over the fraction,
-// evaluated in two steps (the line through the fit's own origin, or
-// the cubic, then a float clamp to the trained span and a rounding).
+// evaluated in two steps (the line through the fit's own origin, then
+// a float clamp to the trained span and a rounding).
 // Its line is the one a folded leaf stores, the float32 slope through
 // the float32 fraction where the fit crosses the first position, kept
 // in the fit's own origin; its margins are rounded up through the same
@@ -27,9 +27,6 @@ type refLeaf struct {
 
 func (lf *refLeaf) clampPredict(f float64) int {
 	p := lf.m.c0 + lf.m.c1*lf.m.keyScale*(f-lf.m.keyOff)
-	if lf.m.kind == ModelCubic {
-		p = lf.m.predict(f)
-	}
 	if p <= float64(lf.loPos) {
 		return int(lf.loPos)
 	}
@@ -80,8 +77,6 @@ func refFinish(r *routed, fkeys []float64, stage2 ModelKind) ([]refLeaf, float64
 		switch stage2 {
 		case modelKnot:
 			lf.m = model{kind: ModelLinearSpline, poly: poly{keyScale: 1, c0: float64(first), c1: float64(nextStart - first)}}
-		case ModelCubic:
-			lf.m = fitModel(stage2, fs, float64(first))
 		default:
 			lf.m = fitModel(stage2, fs, float64(first))
 			m := &lf.m
@@ -175,7 +170,7 @@ func TestLeavesMatchReferenceAtScale(t *testing.T) {
 			{modelRadix, modelKnot, 4096},
 			{modelRadix, ModelLinear, 4096},
 			{ModelLinear, ModelLinearSpline, 65536},
-			{ModelCubic, ModelLinear, 1024},
+			{modelCubic, ModelLinear, 1024},
 		} {
 			checkAgainstReference(t, keys, cfg, keys)
 		}
@@ -183,8 +178,7 @@ func TestLeavesMatchReferenceAtScale(t *testing.T) {
 }
 
 // TestLeafLayout pins what memory holds: a linear leaf is 16 bytes, four
-// to a cache line, a knot leaf 8 and a cubic leaf 56, each array exactly
-// B leaves, and SizeBytes charges every byte of them — a field added to
+// to a cache line, and a knot leaf 8, each array exactly B leaves, and SizeBytes charges every byte of them — a field added to
 // a leaf fails here. A linear array starts on a line once it is a large
 // (page-aligned) allocation, so no linear leaf straddles one.
 func TestLeafLayout(t *testing.T) {
@@ -193,9 +187,6 @@ func TestLeafLayout(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(clamps{}); got != knotBytes || knotBytes != 8 {
 		t.Errorf("clamps is %d bytes, knotBytes %d, want 8", got, knotBytes)
-	}
-	if got := unsafe.Sizeof(cubicLeaf{}); got != cubicLeafBytes || cubicLeafBytes != 56 {
-		t.Errorf("cubicLeaf is %d bytes, cubicLeafBytes %d, want 56", got, cubicLeafBytes)
 	}
 	if got := unsafe.Sizeof(model{}); got != modelSizeBytes {
 		t.Errorf("model is %d bytes, modelSizeBytes %d", got, modelSizeBytes)
@@ -209,10 +200,6 @@ func TestLeafLayout(t *testing.T) {
 		var base, stride uintptr
 		var count, layouts int
 		align := uintptr(8)
-		if idx.cubics != nil {
-			base, stride, count = uintptr(unsafe.Pointer(&idx.cubics[0])), unsafe.Sizeof(cubicLeaf{}), len(idx.cubics)
-			layouts++
-		}
 		if idx.knots != nil {
 			base, stride, count = uintptr(unsafe.Pointer(&idx.knots[0])), unsafe.Sizeof(clamps{}), len(idx.knots)
 			layouts++
@@ -273,12 +260,13 @@ func TestShardLeavesRetainTheirBytes(t *testing.T) {
 	}
 }
 
-// TestLookupDoesNotAllocate holds the cubic layout's lookups to zero
-// allocations. The linear layout's are the work ledger's table.rmi rows
-// (internal/ledger), whose RMI is the mid-ladder radix/linear one.
+// TestLookupDoesNotAllocate holds the knot layout's lookups, under a
+// cubic stage 1, to zero allocations. The linear layout's are the work
+// ledger's table.rmi rows (internal/ledger), whose RMI is the
+// mid-ladder radix/linear one.
 func TestLookupDoesNotAllocate(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.OSM, 20000, 1)
-	idx, err := New(keys, Config{Stage1: modelRadix, Stage2: ModelCubic, Branch: 1024})
+	idx, err := New(keys, Config{Stage1: modelCubic, Stage2: modelKnot, Branch: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

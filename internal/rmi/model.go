@@ -14,10 +14,10 @@ const (
 	// ModelLinearSpline connects the first and last training points;
 	// cheaper to train than OLS and exact at the segment endpoints.
 	ModelLinearSpline
-	// ModelCubic is a least-squares cubic fit, used when a stage must
-	// capture curvature; falls back to linear when the fit would be
-	// non-monotone over the training range.
-	ModelCubic
+	// modelCubic is a least-squares cubic fit, a stage-1 kind only,
+	// used when routing must capture curvature; falls back to linear
+	// when the fit would be non-monotone over the training range.
+	modelCubic
 	// modelRadix predicts from the key's top bits — a pure bit shift,
 	// the cheapest possible stage-1 model.
 	modelRadix
@@ -35,7 +35,7 @@ func (k ModelKind) String() string {
 		return "linear"
 	case ModelLinearSpline:
 		return "linear_spline"
-	case ModelCubic:
+	case modelCubic:
 		return "cubic"
 	case modelRadix:
 		return "radix"
@@ -55,7 +55,7 @@ type model struct {
 	poly
 }
 
-// poly is a model's parameters, and the head of a cubic leaf.
+// poly is a model's parameters.
 type poly struct {
 	// Key normalization: t = (key - keyOff) * keyScale, mapping the
 	// training key range onto [0, 1] before evaluating coefficients.
@@ -74,7 +74,7 @@ const modelSizeBytes = 8 * 7
 
 // predict evaluates the model.
 func (m *model) predict(key float64) float64 {
-	if m.kind == ModelCubic {
+	if m.kind == modelCubic {
 		return m.cubic(key)
 	}
 	return m.c0 + m.c1*unit((key-m.keyOff)*m.keyScale)
@@ -140,7 +140,7 @@ func fitModel(kind ModelKind, keys []float64, pos0 float64) model {
 			m.c1 = float64(n - 1)
 			m.kind = ModelLinearSpline
 		}
-	case ModelCubic:
+	case modelCubic:
 		c0, c1, c2, c3, ok := fitCubicLS(keys, pos0, m.keyOff, m.keyScale)
 		if ok && cubicMonotoneOn01(c1, c2, c3) {
 			m.c0, m.c1, m.c2, m.c3 = c0, c1, c2, c3

@@ -69,18 +69,16 @@ func (b Builder) Build(keys []core.Key) (core.Index, error) {
 }
 
 // Index is a trained two-stage RMI. The stage-2 kind is a property of
-// the index, not of a leaf: exactly one of leaves, cubics and knots is
-// set, and a lookup path picks the layout once, outside its per-key
-// loop.
+// the index, not of a leaf: exactly one of leaves and knots is set, and
+// a lookup path picks the layout once, outside its per-key loop.
 type Index struct {
 	cfg     Config
 	n       int // also the last leaf's upper clamp: each array holds just B leaves
 	stage1  model
-	scale   float64     // B/n: Trace multiplies the stage-1 position by it
-	leaves  []leaf      // Stage2 linear, linear_spline or radix
-	cubics  []cubicLeaf // Stage2 cubic
-	knots   []clamps    // Stage2 knot
-	avgLog2 float64     // AvgLog2Error, computed by finish: it needs the trained spans
+	scale   float64  // B/n: Trace multiplies the stage-1 position by it
+	leaves  []leaf   // Stage2 linear, linear_spline or radix
+	knots   []clamps // Stage2 knot
+	avgLog2 float64  // AvgLog2Error, computed by finish: it needs the trained spans
 }
 
 // clamps is the tail of every leaf layout, and the whole of a knot
@@ -108,16 +106,8 @@ type leaf struct {
 	clamps
 }
 
-// cubicLeaf is a cubic second-stage model over the same fraction. It
-// needs no tag: a leaf whose cubic fit fell back to a line has c2 = c3
-// = 0 (see poly.cubic).
-type cubicLeaf struct {
-	poly
-	clamps
-}
-
 // Bytes a leaf of each layout occupies in memory (pinned by a test).
-const leafBytes, cubicLeafBytes, knotBytes = 16, 56, 8
+const leafBytes, knotBytes = 16, 8
 
 // fold folds a linear model fitted on fractions into lf, whose lo is
 // set. The slope, fraction scale absorbed, is rounded to float32
@@ -136,10 +126,6 @@ func (lf *leaf) fold(m *model) {
 // lo and next − 1, next being the lo of the leaf after it.
 func (lf *leaf) pos(f float64, next int32) int {
 	return clampRound(lf.lo, float64(lf.slope)*(f-float64(lf.fOff)), next)
-}
-
-func (lf *cubicLeaf) pos(f float64, next int32) int {
-	return clampRound(lf.lo, lf.cubic(f)-float64(lf.lo), next)
 }
 
 // pos is a knot leaf's prediction: the point the fraction f reaches on
@@ -162,10 +148,14 @@ func clampRound(lo int32, d float64, next int32) int {
 	return min(int(lo)+int(d+0.5), int(next)-1)
 }
 
-// New trains an RMI over sorted keys.
+// New trains an RMI over sorted keys. A cubic model may be stage 1,
+// not stage 2.
 func New(keys []core.Key, cfg Config) (*Index, error) {
 	if len(keys) == 0 {
 		return nil, errors.New("rmi: empty key set")
+	}
+	if cfg.Stage2 == modelCubic {
+		return nil, errors.New("rmi: no cubic second stage")
 	}
 	return trainStage1(floatKeys(keys), cfg.Stage1, cfg.Branch).finish(cfg.Stage2), nil
 }
@@ -313,11 +303,7 @@ func (r *routed) finish(stage2 ModelKind) *Index {
 			if first, last := r.first[li], r.last[li]; first >= 0 && stage2 != modelKnot {
 				m := fitModel(stage2, r.u[first:last+1], float64(first))
 				m.keyOff -= float64(li)
-				if stage2 == ModelCubic {
-					idx.cubics[li].poly = m.poly
-				} else {
-					idx.leaves[li].fold(&m)
-				}
+				idx.leaves[li].fold(&m)
 			}
 		}
 		return struct{}{}
@@ -339,13 +325,10 @@ func (r *routed) finish(stage2 ModelKind) *Index {
 			if li+1 < B {
 				next = idx.clampsOf(li + 1).lo
 			}
-			switch { // leafPos's dispatch, inlined: a call per key slowed tuning 15 %
-			case idx.leaves != nil:
+			if idx.leaves != nil { // leafPos's dispatch, inlined: a call per key slowed tuning 15 %
 				pos = idx.leaves[li].pos(f, next)
-			case idx.knots != nil:
+			} else {
 				pos = idx.knots[li].pos(f, next)
-			default:
-				pos = idx.cubics[li].pos(f, next)
 			}
 			d := &w[li-leaf0]
 			d[0], d[1] = max(d[0], pos-i), max(d[1], i-pos)
@@ -392,10 +375,7 @@ var stage1Array = core.Array{Name: "stage1", Elem: modelSizeBytes, Len: 1}
 // memory holds it: its stride is what a lookup's leaf access loads.
 func leafArray(stage2 ModelKind, b int) core.Array {
 	a := core.Array{Name: "leaves", Elem: leafBytes, Len: b}
-	switch stage2 {
-	case ModelCubic:
-		a.Elem = cubicLeafBytes
-	case modelKnot:
+	if stage2 == modelKnot {
 		a.Elem = knotBytes
 	}
 	return a
@@ -414,23 +394,17 @@ func (idx *Index) Name() string { return "RMI" }
 
 // makeLeaves allocates the B leaves of the stage-2 kind's layout.
 func (idx *Index) makeLeaves() {
-	switch B := idx.cfg.Branch; idx.cfg.Stage2 {
-	case ModelCubic:
-		idx.cubics = make([]cubicLeaf, B)
-	case modelKnot:
-		idx.knots = make([]clamps, B)
-	default:
-		idx.leaves = make([]leaf, B)
+	if idx.cfg.Stage2 == modelKnot {
+		idx.knots = make([]clamps, idx.cfg.Branch)
+	} else {
+		idx.leaves = make([]leaf, idx.cfg.Branch)
 	}
 }
 
 // clampsOf returns leaf li's clamps and margins in whichever layout.
 func (idx *Index) clampsOf(li int) *clamps {
-	switch {
-	case idx.knots != nil:
+	if idx.knots != nil {
 		return &idx.knots[li]
-	case idx.cubics != nil:
-		return &idx.cubics[li].clamps
 	}
 	return &idx.leaves[li].clamps
 }
@@ -457,22 +431,16 @@ func (idx *Index) Trace(key core.Key, t core.Tracer) core.Bound {
 func (idx *Index) leafPos(u float64) (int, int, *clamps) {
 	li, f := idx.split(u)
 	next := int32(idx.n)
-	switch {
-	case idx.leaves != nil:
+	if idx.leaves != nil {
 		if li+1 < len(idx.leaves) {
 			next = idx.leaves[li+1].lo
 		}
 		return li, idx.leaves[li].pos(f, next), &idx.leaves[li].clamps
-	case idx.knots != nil:
-		if li+1 < len(idx.knots) {
-			next = idx.knots[li+1].lo
-		}
-		return li, idx.knots[li].pos(f, next), &idx.knots[li]
 	}
-	if li+1 < len(idx.cubics) {
-		next = idx.cubics[li+1].lo
+	if li+1 < len(idx.knots) {
+		next = idx.knots[li+1].lo
 	}
-	return li, idx.cubics[li].pos(f, next), &idx.cubics[li].clamps
+	return li, idx.knots[li].pos(f, next), &idx.knots[li]
 }
 
 // trace reports a lookup routed to leaf li of b: stage 1's

@@ -9,10 +9,9 @@ import (
 )
 
 func allConfigs() []Config {
-	kinds := []ModelKind{ModelLinear, ModelLinearSpline, ModelCubic, modelRadix}
 	var cfgs []Config
-	for _, s1 := range kinds {
-		for _, s2 := range append(kinds, modelKnot) {
+	for _, s1 := range []ModelKind{ModelLinear, ModelLinearSpline, modelCubic, modelRadix} {
+		for _, s2 := range []ModelKind{ModelLinear, ModelLinearSpline, modelRadix, modelKnot} {
 			for _, b := range []int{1, 16, 256, 4096} {
 				cfgs = append(cfgs, Config{Stage1: s1, Stage2: s2, Branch: b})
 			}
@@ -310,7 +309,7 @@ func TestTunePricesEachLayout(t *testing.T) {
 }
 
 func TestConfigString(t *testing.T) {
-	c := Config{Stage1: ModelCubic, Stage2: ModelLinear, Branch: 128}
+	c := Config{Stage1: modelCubic, Stage2: ModelLinear, Branch: 128}
 	if got := c.String(); got != "rmi[cubic,linear,B=128]" {
 		t.Errorf("String = %q", got)
 	}
@@ -330,7 +329,7 @@ func TestModelFitMonotone(t *testing.T) {
 		{1, 2, 4, 8, 16, 32, 64, 128, 256, 512},
 	}
 	for _, keys := range keyset {
-		for _, kind := range []ModelKind{ModelLinear, ModelLinearSpline, ModelCubic, modelRadix} {
+		for _, kind := range []ModelKind{ModelLinear, ModelLinearSpline, modelCubic, modelRadix} {
 			m := fitModel(kind, keys, 0)
 			prev := math.Inf(-1)
 			for _, k := range keys {
@@ -359,8 +358,21 @@ func TestCubicMonotoneCheck(t *testing.T) {
 
 func TestFitCubicFallback(t *testing.T) {
 	// Fewer than 4 points cannot fit a cubic; must fall back to linear.
-	m := fitModel(ModelCubic, []float64{1, 2, 3}, 0)
-	if m.kind == ModelCubic {
+	m := fitModel(modelCubic, []float64{1, 2, 3}, 0)
+	if m.kind == modelCubic {
 		t.Error("cubic fit on 3 points should fall back")
+	}
+}
+
+// TestNewRefusesCubicSecondStage: a cubic model is a stage-1 kind only;
+// New refuses it as the leaves' kind rather than building another
+// layout.
+func TestNewRefusesCubicSecondStage(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Amzn, 1000, 1)
+	if idx, err := New(keys, Config{Stage1: ModelLinear, Stage2: modelCubic, Branch: 16}); idx != nil || err == nil {
+		t.Fatalf("cubic stage 2: (%v, %v), want an error", idx, err)
+	}
+	if _, err := New(keys, Config{Stage1: modelCubic, Stage2: ModelLinear, Branch: 16}); err != nil {
+		t.Fatalf("cubic stage 1: %v", err)
 	}
 }

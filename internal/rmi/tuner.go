@@ -28,7 +28,7 @@ func inferenceCost(k ModelKind) float64 {
 		return 0.8
 	case ModelLinear:
 		return 0.8
-	case ModelCubic:
+	case modelCubic:
 		return 1.6
 	case modelKnot:
 		// Linear's less 0.1, a hand constant as the others are. Amzn at
@@ -57,13 +57,13 @@ var candidateCombos = []struct{ s1, s2 ModelKind }{
 	{ModelLinear, ModelLinear},
 	{ModelLinearSpline, ModelLinear},
 	{modelRadix, ModelLinear},
-	{ModelCubic, ModelLinear},
+	{modelCubic, ModelLinear},
 	{ModelLinear, ModelLinearSpline},
-	{ModelCubic, ModelLinearSpline},
+	{modelCubic, ModelLinearSpline},
 	{ModelLinear, modelKnot},
 	{ModelLinearSpline, modelKnot},
 	{modelRadix, modelKnot},
-	{ModelCubic, modelKnot},
+	{modelCubic, modelKnot},
 }
 
 // tuneSampleMax caps the number of keys used while exploring

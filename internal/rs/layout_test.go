@@ -1,9 +1,9 @@
 package rs
 
 import (
-	"encoding/binary"
-	"errors"
+	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -63,35 +63,33 @@ func TestRadixWidthKeepsSegments(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsLaunderedRadix: Encode writes the radix table the
-// spline points give, so Decode must refuse any other, even one that is
-// monotone and in bounds; accepting it would make Encode(Decode(b))
-// differ from b.
-func TestDecodeRejectsLaunderedRadix(t *testing.T) {
-	keys := dataset.MustGenerate(dataset.OSM, 20_000, 1)
-	idx, err := New(keys, Config{SplineErr: 16, RadixBits: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := binio.NewWriter(nil)
-	if err := idx.Encode(w); err != nil {
-		t.Fatal(err)
-	}
-	wire := w.Buffered()
-	if _, err := Decode(binio.NewReader(wire)); err != nil {
-		t.Fatalf("clean payload: %v", err)
-	}
-	table := len(wire) - 4*(1<<idx.cfg.RadixBits+1)
-	entry := func(p int) uint32 { return binary.LittleEndian.Uint32(wire[table+4*p:]) }
-	// Lower by one the first entry above its predecessor: still
-	// monotone and in bounds, but not the table the points give.
-	p := 1
-	for entry(p) == entry(p-1) {
-		p++
-	}
-	bad := append([]byte(nil), wire...)
-	binary.LittleEndian.PutUint32(bad[table+4*p:], entry(p)-1)
-	if _, err := Decode(binio.NewReader(bad)); !errors.Is(err, binio.ErrCorrupt) {
-		t.Fatalf("radix entry %d lowered %d -> %d: Decode error %v, want ErrCorrupt", p, entry(p), entry(p)-1, err)
+// TestDecodeDerivesRadixTable: the wire carries no radix table, so no
+// payload can launder one: Decode derives it from the spline points as
+// New does, to the same two levels, and the decoded index re-encodes to
+// the bytes it was read from.
+func TestDecodeDerivesRadixTable(t *testing.T) {
+	for _, ds := range dataset.All() {
+		keys := dataset.MustGenerate(ds, 20_000, 1)
+		idx, err := New(keys, Config{SplineErr: 16, RadixBits: 18})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := binio.NewWriter(nil)
+		if err := idx.Encode(w); err != nil {
+			t.Fatal(err)
+		}
+		wire := bytes.Clone(w.Buffered())
+		got, err := Decode(binio.NewReader(wire))
+		if err != nil {
+			t.Fatalf("%s: %v", ds, err)
+		}
+		if !reflect.DeepEqual(got, idx) {
+			t.Fatalf("%s: decoded index differs from the built one: base %d, fine %d, k %d vs base %d, fine %d, k %d",
+				ds, len(got.base), len(got.fine), got.blockBits, len(idx.base), len(idx.fine), idx.blockBits)
+		}
+		w.Reset()
+		if err := got.Encode(w); err != nil || !bytes.Equal(w.Buffered(), wire) {
+			t.Fatalf("%s: re-encoded to other bytes (%v)", ds, err)
+		}
 	}
 }

@@ -51,7 +51,7 @@ func (h *Histogram) EncodeTo(w *binio.Writer) {
 // consistent, not cross-counter consistent, by documented contract).
 func DecodeHistogram(r *binio.Reader) (*Histogram, error) {
 	if v := r.U8(); r.Err() == nil && v != histCodecVersion {
-		r.Fail(binio.Corruptf("histogram codec version %d, want %d", v, histCodecVersion))
+		return nil, binio.Corruptf("histogram codec version %d, want %d", v, histCodecVersion)
 	}
 	n := r.Count(12) // each pair is at least u32 idx + u64 count
 	h := &Histogram{}
