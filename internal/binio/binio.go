@@ -127,9 +127,6 @@ func (w *Writer) U64(v uint64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
-// I64 writes a little-endian int64 (two's complement).
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
 // F64 writes an IEEE-754 float64, little-endian.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
@@ -178,7 +175,7 @@ func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if len(r.b)-r.off < n {
+	if n < 0 || len(r.b)-r.off < n {
 		r.err = Corruptf("truncated: need %d bytes, %d remain", n, len(r.b)-r.off)
 		return nil
 	}
@@ -213,9 +210,6 @@ func (r *Reader) U64() uint64 {
 	}
 	return binary.LittleEndian.Uint64(p)
 }
-
-// I64 reads a little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // f64 reads an IEEE-754 float64.
 func (r *Reader) f64() float64 { return math.Float64frombits(r.U64()) }

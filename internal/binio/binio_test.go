@@ -14,7 +14,6 @@ func TestRoundTripPrimitives(t *testing.T) {
 	w.U8(0xAB)
 	w.U32(0xDEADBEEF)
 	w.U64(0x0123456789ABCDEF)
-	w.I64(-42)
 	w.F64(3.14159)
 	w.Str("hello")
 	w.Bytes([]byte{1, 2, 3})
@@ -34,9 +33,6 @@ func TestRoundTripPrimitives(t *testing.T) {
 	}
 	if v := r.U64(); v != 0x0123456789ABCDEF {
 		t.Errorf("U64 = %x", v)
-	}
-	if v := r.I64(); v != -42 {
-		t.Errorf("I64 = %d", v)
 	}
 	if v := r.f64(); v != 3.14159 {
 		t.Errorf("F64 = %v", v)

@@ -10,24 +10,42 @@ import (
 // hostLittleEndian reports whether memory holds numbers as the wire does.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// PutSlice writes a uint32 element count, then s as memory holds it,
-// every number little-endian. E must be fixed-size and pointer-free:
-// a number, or an unpadded struct of numbers and such structs.
+// PutSlice writes a uint32 element count, then Wire(s).
 func PutSlice[E any](w *Writer, s []E) {
 	w.U32(uint32(len(s)))
-	w.Bytes(bytesOf(s))
-	swapOrder[E](w.buf[len(w.buf)-len(bytesOf(s)):])
+	w.Bytes(Wire(s))
 }
 
-// GetSlice reads a slice PutSlice wrote, allocating through Count, so a
-// count the remaining bytes cannot hold is an error, not an allocation.
-func GetSlice[E any](r *Reader) []E {
-	size := int(unsafe.Sizeof(*new(E)))
-	p := r.take(r.Count(size) * size)
-	s := make([]E, len(p)/size)
-	copy(bytesOf(s), p)
-	swapOrder[E](bytesOf(s))
+// GetSlice reads a slice PutSlice wrote, its count gated by Count.
+func GetSlice[E any](r *Reader) []E { return GetArray[E](r, r.Count(sizeOf[E]())) }
+
+// GetArray reads n elements Wire wrote, taking their bytes before it
+// allocates: n past the remaining bytes is an error, not an allocation.
+func GetArray[E any](r *Reader, n int) []E {
+	p := r.take(n * sizeOf[E]())
+	s := make([]E, len(p)/sizeOf[E]())
+	copy(view(s), p)
+	turn(s)
 	return s
+}
+
+// Wire is s as the wire holds it, every number little-endian: s's own
+// memory on a little-endian host, a turned copy elsewhere. E is a
+// number or an unpadded struct of numbers and such structs.
+func Wire[E any](s []E) []byte {
+	if !hostLittleEndian {
+		s = slices.Clone(s)
+		turn(s)
+	}
+	return view(s)
+}
+
+// Fill has read put s's wire bytes straight into s's memory, then turns
+// them to the host's order; read's error is Fill's.
+func Fill[E any](s []E, read func(b []byte) error) error {
+	err := read(view(s))
+	turn(s)
+	return err
 }
 
 // Checked returns v once r has read it whole and check passes, and
@@ -42,22 +60,22 @@ func Checked[T any](r *Reader, v *T, check func() error) (*T, error) {
 	return v, nil
 }
 
-// bytesOf views s as the bytes memory holds it in.
-func bytesOf[E any](s []E) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(*new(E))))
+func sizeOf[E any]() int { return int(unsafe.Sizeof(*new(E))) }
+
+// view is s as the bytes memory holds it in.
+func view[E any](s []E) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*sizeOf[E]())
 }
 
-// swapOrder reverses the bytes of every number in b, E's as memory
-// holds them, between a big-endian host's memory and the wire.
-func swapOrder[E any](b []byte) {
-	if hostLittleEndian {
-		return
-	}
-	t := reflect.TypeFor[E]()
-	nums := numbers(t, 0, nil)
-	for at := 0; at < len(b); at += int(t.Size()) {
-		for _, n := range nums {
-			slices.Reverse(b[at+n[0] : at+n[0]+n[1]])
+// turn reverses the bytes of every number in s on a big-endian host,
+// between its memory's order and the wire's.
+func turn[E any](s []E) {
+	if !hostLittleEndian {
+		b := view(s)
+		for _, n := range numbers(reflect.TypeFor[E](), 0, nil) {
+			for at := n[0]; at < len(b); at += sizeOf[E]() {
+				slices.Reverse(b[at : at+n[1]])
+			}
 		}
 	}
 }

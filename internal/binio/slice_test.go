@@ -68,9 +68,10 @@ func TestSliceWireIsLittleEndianFields(t *testing.T) {
 	}
 }
 
-// TestSliceSwapsEveryNumber runs PutSlice and GetSlice as on a host
-// whose memory order is the other one: the wire then holds every number
-// of every record, nested or not, turned around, and reads back whole.
+// TestSliceSwapsEveryNumber runs PutSlice, GetSlice and Fill as on a
+// host whose memory order is the other one: the wire then holds every
+// number of every record, nested or not, turned around, and reads back
+// whole.
 func TestSliceSwapsEveryNumber(t *testing.T) {
 	swapped := fieldBytes(recs(), binary.BigEndian)
 	if !hostLittleEndian {
@@ -87,10 +88,15 @@ func TestSliceSwapsEveryNumber(t *testing.T) {
 	if back := GetSlice[rec](NewReader(got)); !slices.Equal(back, recs()) {
 		t.Errorf("read back %v", back)
 	}
+	filled := make([]rec, len(recs()))
+	if err := Fill(filled, func(b []byte) error { copy(b, got[4:]); return nil }); err != nil || !slices.Equal(filled, recs()) {
+		t.Errorf("filled %v, err %v", filled, err)
+	}
 }
 
 // TestGetSliceGuardsAllocation: a count the remaining bytes cannot hold
-// fails through Count, and allocates no more than its error.
+// fails through Count, and allocates no more than its error; GetArray
+// refuses a negative count.
 func TestGetSliceGuardsAllocation(t *testing.T) {
 	buf := binary.LittleEndian.AppendUint32(nil, 3)
 	buf = append(buf, make([]byte, 3*8-1)...)
@@ -100,6 +106,10 @@ func TestGetSliceGuardsAllocation(t *testing.T) {
 	}
 	if got := GetSlice[uint8](r); len(got) != 0 {
 		t.Fatalf("read %v after a failure", got)
+	}
+	neg := NewReader(make([]byte, 8))
+	if got := GetArray[uint16](neg, -1); len(got) != 0 || !errors.Is(neg.Err(), ErrCorrupt) {
+		t.Fatalf("-1 elements: %v, err %v", got, neg.Err())
 	}
 	huge := NewReader(binary.LittleEndian.AppendUint32(nil, math.MaxUint32))
 	var before, after runtime.MemStats

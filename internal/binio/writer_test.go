@@ -86,7 +86,7 @@ func TestWriterMatchesPerPrimitiveEncoding(t *testing.T) {
 					case 0:
 						w.U64(v)
 					case 1:
-						w.I64(int64(v))
+						w.Bytes(Wire([]uint64{v}))
 					default:
 						w.F64(math.Float64frombits(v))
 					}

@@ -411,8 +411,9 @@ func checkedInSeed(t *testing.T, name string) []byte {
 }
 
 // TestBadPosSeedDecodesToError: FuzzDecode/badpos-PGM is osm 20k keys
-// at eps=4 (levels 1131/65/2) in the layout of length-prefixed key,
-// slope and pos arrays, with the top level's first slope set to 1e30
+// at eps=4 (levels 1131/65/2) in the layout of a segment count, then
+// key, slope and pos arrays, per level, with the top level's first
+// slope set to 1e30
 // and its second position to 1<<30, so every key above the first is
 // sent to segment 1<<30 of a 65-segment level. Decode once took such a
 // payload and Lookup then indexed past the level; it must be named

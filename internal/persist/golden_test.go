@@ -35,8 +35,8 @@ import (
 // sentinel went (the last leaf's upper clamp is the key count) and the
 // tuner gained the 8-byte knot leaf, which amzn's rows now pick. Every
 // CRC was re-recorded, no size moving, when each codec began writing
-// the arrays its index describes behind a length prefix, and RS's radix
-// table, which Decode derives, left the wire.
+// the arrays its index describes, and RS's radix table went on the wire
+// as its base and fine arrays in place of the exact 32-bit table.
 func TestGoldenEncodedIndexes(t *testing.T) {
 	golden := []struct {
 		n                        int
@@ -44,14 +44,14 @@ func TestGoldenEncodedIndexes(t *testing.T) {
 		rs, pgm, rmi             uint64
 		rsSize, pgmSize, rmiSize int
 	}{
-		{50_000, dataset.Amzn, 0x9b7daf8b28f699cd, 0x9f3710a1d38b9f44, 0x715bdca19bfabe65, 16952, 816, 8248},
-		{50_000, dataset.Face, 0xdc4497d35e005575, 0xa39915dbad2ce7f4, 0x8d750903b1575254, 416, 120, 16440},
-		{50_000, dataset.OSM, 0x6b572d9c9e6b610f, 0x2b86afb5286308ea, 0x1da117dc661b0e7e, 20914, 4896, 16440},
-		{50_000, dataset.Wiki, 0x724cb2d6bef4f4ac, 0x61aa1d0c4f46eb96, 0x1b2f1fc781c30e94, 16880, 736, 16440},
-		{2_000_000, dataset.Amzn, 0xf9093d63f8ec2147, 0x14c7a635409dc3f9, 0x3cafa95bd6c47181, 17540, 1356, 32824},
-		{2_000_000, dataset.Face, 0x7796853f37ad9828, 0x753e9e51feb50ea4, 0x86e413ecf3ee3199, 5891, 3952, 65592},
-		{2_000_000, dataset.OSM, 0x0a435c83278715d9, 0xe6652fd7839028e6, 0xeaee3dd163791be6, 82030, 82480, 65592},
-		{2_000_000, dataset.Wiki, 0x9e65e20faf562c3d, 0x556ebb6b06464ff6, 0xe7c49d8deb6e96ee, 38630, 31716, 65592},
+		{50_000, dataset.Amzn, 0x678be2f2d47f2953, 0x1431fca20f77f935, 0x715bdca19bfabe65, 16952, 816, 8248},
+		{50_000, dataset.Face, 0x7690472533aaca78, 0x9e30a9511c842d3d, 0x8d750903b1575254, 416, 120, 16440},
+		{50_000, dataset.OSM, 0xbf771468a9192c66, 0x3ce6df577b4d40e0, 0x1da117dc661b0e7e, 20914, 4896, 16440},
+		{50_000, dataset.Wiki, 0x2be860a46cee0499, 0xd9777e98ba00e307, 0x1b2f1fc781c30e94, 16880, 736, 16440},
+		{2_000_000, dataset.Amzn, 0xca6e58b66e0f2c08, 0xd09c3cf85b30965e, 0x3cafa95bd6c47181, 17540, 1356, 32824},
+		{2_000_000, dataset.Face, 0xb87b5e3afe3d8eae, 0x9fd9cbe2ea4001b1, 0x86e413ecf3ee3199, 5891, 3952, 65592},
+		{2_000_000, dataset.OSM, 0xd171f994f7788300, 0xd277a20df9236f44, 0xeaee3dd163791be6, 82030, 82480, 65592},
+		{2_000_000, dataset.Wiki, 0x98c9574c7c66c43e, 0x09723e642965b41e, 0xe7c49d8deb6e96ee, 38630, 31716, 65592},
 	}
 	for _, g := range golden {
 		if testing.Short() && g.n > 50_000 {

@@ -11,17 +11,15 @@ package persist
 // section is a frame of its own, magic and CRC64 included, so a flip
 // names the section it hit. A loader with an io.ReaderAt reads each
 // array directly into its final allocation — no intermediate
-// whole-file buffer, no second parse pass — and still verifies it. On
-// little-endian hosts (the wire order) the arrays load zero-copy into
-// their backing memory; big-endian hosts fall back to element-wise
-// decoding.
+// whole-file buffer, no second parse pass — and still verifies it. The
+// arrays go to and from the file through binio.Wire and binio.Fill:
+// zero-copy on a little-endian host (the wire order), turned number by
+// number elsewhere.
 
 import (
-	"encoding/binary"
 	"hash/crc64"
 	"io"
 	"os"
-	"unsafe"
 
 	"repro/internal/binio"
 	"repro/internal/core"
@@ -68,27 +66,6 @@ type Run struct {
 	Index core.Index
 }
 
-var hostLittleEndian = func() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// u64LEBytes views a uint64 slice as its little-endian byte encoding.
-// Zero-copy on little-endian hosts; an explicit encode elsewhere.
-func u64LEBytes(s []uint64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 8*len(s))
-	}
-	out := make([]byte, 8*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(out[8*i:], v)
-	}
-	return out
-}
-
 func alignBlock(n int64) int64 {
 	return (n + runBlock - 1) / runBlock * runBlock
 }
@@ -116,8 +93,8 @@ func WriteRun(path string, run Run) error {
 			index = w.Buffered()
 		}
 	}
-	keyBytes := u64LEBytes(run.Keys)
-	payBytes := u64LEBytes(run.Payloads)
+	keyBytes := binio.Wire(run.Keys)
+	payBytes := binio.Wire(run.Payloads)
 	keysOff := int64(runBlock)
 	paysOff := alignBlock(keysOff + int64(len(keyBytes)))
 	if len(run.Keys) == 0 {
@@ -260,27 +237,17 @@ func readRunFrom(ra io.ReaderAt, size int64) (Run, error) {
 }
 
 // readU64Block reads one array's bytes straight into dst's backing
-// memory (little-endian hosts) and verifies its checksum; what names
-// the block in errors.
+// memory and verifies their checksum; what names the block in errors.
 func readU64Block(ra io.ReaderAt, off int64, dst []uint64, want uint64, what string) error {
-	var b []byte
-	if hostLittleEndian {
-		b = unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*len(dst))
-	} else {
-		b = make([]byte, 8*len(dst))
-	}
-	if _, err := ra.ReadAt(b, off); err != nil {
-		return err
-	}
-	if got := crc64.Checksum(b, binio.CRCTable); got != want {
-		return binio.Corruptf("persist: run %s block checksum mismatch", what)
-	}
-	if !hostLittleEndian {
-		for i := range dst {
-			dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	return binio.Fill(dst, func(b []byte) error {
+		if _, err := ra.ReadAt(b, off); err != nil {
+			return err
 		}
-	}
-	return nil
+		if got := crc64.Checksum(b, binio.CRCTable); got != want {
+			return binio.Corruptf("persist: run %s block checksum mismatch", what)
+		}
+		return nil
+	})
 }
 
 // encodeTombs writes the tombstone bits of a run (tombs[i] == pair i

@@ -38,12 +38,12 @@ func encoded(t *testing.T) (payload []byte, top topArrays) {
 	}
 	at := 4 + 8 + 4 // eps, n, level count
 	for _, m := range sizes[:2] {
-		at += 3*4 + m*segmentBytes // three counts, then a segment's key, slope and pos
+		at += 4 + m*segmentBytes // the count, then a segment's key, slope and pos
 	}
-	top = topArrays{keys: at + 4, slopes: at + 4 + 2*8 + 4, pos: at + 4 + 2*8 + 4 + 2*4 + 4}
+	top = topArrays{keys: at + 4, slopes: at + 4 + 2*8, pos: at + 4 + 2*8 + 2*4}
 	p, l := w.Buffered(), idx.levels[2]
 	if binary.LittleEndian.Uint64(p[top.keys+8:]) != l.keys[1] || math.Float32frombits(binary.LittleEndian.Uint32(p[top.slopes+4:])) != l.slopes[1] ||
-		int32(binary.LittleEndian.Uint32(p[top.pos+4:])) != l.pos[1] || len(p) != top.pos+2*4+4+2*2*sizes[0] {
+		int32(binary.LittleEndian.Uint32(p[top.pos+4:])) != l.pos[1] || len(p) != top.pos+2*4+2*2*sizes[0] {
 		t.Fatalf("the top level's second segment is not where the offsets say")
 	}
 	return p, top
@@ -81,18 +81,14 @@ func TestDecodeRejectsOutOfOrderLevels(t *testing.T) {
 		{"negative slope", func(p []byte, top topArrays) {
 			binary.LittleEndian.PutUint32(p[top.slopes:], math.Float32bits(-0.5))
 		}},
-		{"one slope fewer than keys", func(p []byte, top topArrays) {
-			binary.LittleEndian.PutUint32(p[top.slopes-4:], 1)
+		{"segment count past the payload", func(p []byte, top topArrays) {
+			binary.LittleEndian.PutUint32(p[top.keys-4:], 3)
 		}},
 		{"margin excess far above n", func(p []byte, _ topArrays) {
 			binary.LittleEndian.PutUint16(p[len(p)-2:], 0xffff) // the last segment's upper code
 		}},
 		{"margin excess just above n + n>>10", func(p []byte, _ topArrays) {
 			binary.LittleEndian.PutUint16(p[len(p)-4:], uint16(core.ToMargin(20_000+20_000>>10+1)))
-		}},
-		{"one margin short", func(p []byte, _ topArrays) {
-			at := len(p) - 2*2*1131 - 4
-			binary.LittleEndian.PutUint32(p[at:], 2*1131-1)
 		}},
 	} {
 		p, top := encoded(t)

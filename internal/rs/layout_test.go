@@ -2,8 +2,11 @@ package rs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -63,10 +66,9 @@ func TestRadixWidthKeepsSegments(t *testing.T) {
 	}
 }
 
-// TestDecodeDerivesRadixTable: the wire carries no radix table, so no
-// payload can launder one: Decode derives it from the spline points as
-// New does, to the same two levels, and the decoded index re-encodes to
-// the bytes it was read from.
+// TestDecodeDerivesRadixTable: Decode rebuilds the radix table from the
+// spline points as New does, to the same two levels, and the decoded
+// index re-encodes to the bytes it was read from.
 func TestDecodeDerivesRadixTable(t *testing.T) {
 	for _, ds := range dataset.All() {
 		keys := dataset.MustGenerate(ds, 20_000, 1)
@@ -91,5 +93,68 @@ func TestDecodeDerivesRadixTable(t *testing.T) {
 		if err := got.Encode(w); err != nil || !bytes.Equal(w.Buffered(), wire) {
 			t.Fatalf("%s: re-encoded to other bytes (%v)", ds, err)
 		}
+	}
+}
+
+// TestDecodeRejectsLaunderedRadix: Encode writes the radix table the
+// spline points give, so Decode must refuse any other, even one whose
+// entries stay monotone and in bounds; accepting it would make
+// Encode(Decode(b)) differ from b.
+func TestDecodeRejectsLaunderedRadix(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.OSM, 20_000, 1)
+	idx, err := New(keys, Config{SplineErr: 16, RadixBits: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.blockBits < 1 {
+		t.Fatalf("osm 20k at %v keeps one level; the fine array is vacuous", idx.cfg)
+	}
+	w := binio.NewWriter(nil)
+	if err := idx.Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	wire := w.Buffered()
+	if _, err := Decode(binio.NewReader(wire)); err != nil {
+		t.Fatalf("clean payload: %v", err)
+	}
+	// Lower by one the first fine byte above its predecessor in its
+	// block: still monotone and in bounds, but not the table the points
+	// give. The fine array ends the payload.
+	fine := len(wire) - len(idx.fine)
+	p := 1
+	for idx.fine[p] == idx.fine[p-1] || p&(1<<idx.blockBits-1) == 0 {
+		p++
+	}
+	bad := bytes.Clone(wire)
+	bad[fine+p]--
+	if _, err := Decode(binio.NewReader(bad)); !errors.Is(err, binio.ErrCorrupt) {
+		t.Fatalf("fine entry %d lowered %d -> %d: Decode error %v, want ErrCorrupt", p, idx.fine[p], idx.fine[p]-1, err)
+	}
+}
+
+// TestDecodeRadixAllocationIsBounded: Decode builds the radix table the
+// spline points give only once the wire has carried as many entries, so
+// a one-point payload that claims r=28, whose table would be 2^28
+// entries, fails with no more allocated than its error.
+func TestDecodeRadixAllocationIsBounded(t *testing.T) {
+	idx, err := New([]core.Key{5}, Config{SplineErr: 1, RadixBits: 28})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := binio.NewWriter(nil)
+	if err := idx.Encode(w); err != nil {
+		t.Fatal(err)
+	}
+	wire := bytes.Clone(w.Buffered())
+	binary.LittleEndian.PutUint32(wire[4:], 28) // RadixBits, after SplineErr
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Decode(binio.NewReader(wire))
+	runtime.ReadMemStats(&after)
+	if got != nil || !errors.Is(err, binio.ErrCorrupt) {
+		t.Fatalf("a %d-byte payload at r=28 decoded to (%v, %v), want a corrupt-data error", len(wire), got, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+		t.Errorf("a %d-byte payload at r=28: %d bytes allocated", len(wire), alloc)
 	}
 }

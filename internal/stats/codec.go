@@ -37,8 +37,8 @@ func (h *Histogram) EncodeTo(w *binio.Writer) {
 		}
 	}
 	w.U64(s.count.Load())
-	w.I64(s.sum.Load())
-	w.I64(s.max.Load())
+	w.U64(uint64(s.sum.Load()))
+	w.U64(uint64(s.max.Load()))
 }
 
 // DecodeHistogram reads a histogram encoded by EncodeTo. Structural
@@ -75,8 +75,8 @@ func DecodeHistogram(r *binio.Reader) (*Histogram, error) {
 		h.counts[idx].Store(c)
 	}
 	h.count.Store(r.U64())
-	h.sum.Store(r.I64())
-	max := r.I64()
+	h.sum.Store(int64(r.U64()))
+	max := int64(r.U64())
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
