@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 )
 
@@ -189,23 +188,32 @@ func BoundAround(pos, errLo, errHi, n int) Bound {
 	return Bound{lo, hi}
 }
 
-// Margin is a search-bound margin in 16 bits: a 5-bit exponent e over
-// an 11-bit mantissa m, worth m<<e. ToMargin rounds any v < 2³¹ up, by
-// at most v>>10 (exact below 2,048), so a bound never narrows; the
-// codes it returns order as their values do.
-type Margin uint16
+// Margin is a search-bound margin in one byte. Codes 0–31 are the
+// margins 0–31; from 32 on, code 32+8k+f is (8+f)<<(k+2), a leading bit
+// and three more. ToMargin rounds any v < 2³¹ up, by at most v/8 (exact
+// below 32), so a bound never narrows; the codes it returns order as
+// their values do.
+type Margin uint8
 
 // ToMargin returns the code of the smallest margin >= v (0 for v < 0).
 func ToMargin(v int) Margin {
-	v = max(v, 0)
-	e := max(bits.Len(uint(v))-11, 0)
-	m := (v + 1<<e - 1) >> e
-	if m == 2048 { // rounding up carried into the next exponent
-		m, e = 1024, e+1
+	if v < 32 {
+		return Margin(max(v, 0))
 	}
-	return Margin(e<<11 | m)
+	c, _ := slices.BinarySearch(marginValues[32:], v)
+	return Margin(32 + c)
 }
 
-// Value decodes m with no branch, which would mispredict where wide and
-// narrow margins mix; the &63 spares the shift its overflow check.
-func (m Margin) Value() int { return int(m&0x7ff) << (m >> 11 & 63) }
+// Value decodes m with one load and no branch, which would mispredict
+// where wide and narrow margins mix.
+func (m Margin) Value() int { return marginValues[m] }
+
+// marginValues is every code's margin.
+var marginValues = func() (v [256]int) {
+	for c := range v {
+		if v[c] = c; c >= 32 {
+			v[c] = (8 + c&7) << (c>>3 - 2)
+		}
+	}
+	return v
+}()

@@ -366,10 +366,7 @@ func encodeSeqs(w *binio.Writer, seqs []uint64) error {
 	if len(seqs) > maxShards {
 		return binio.Corruptf("encode: %d shard seqs exceed limit %d", len(seqs), maxShards)
 	}
-	w.U32(uint32(len(seqs)))
-	for _, s := range seqs {
-		w.U64(s)
-	}
+	binio.PutSlice(w, seqs)
 	return nil
 }
 
@@ -382,11 +379,7 @@ func decodeSeqs(r *binio.Reader) ([]uint64, error) {
 	if n == 0 {
 		return nil, r.Err()
 	}
-	seqs := make([]uint64, n)
-	for i := range seqs {
-		seqs[i] = r.U64()
-	}
-	return seqs, r.Err()
+	return binio.GetArray[uint64](r, n), r.Err()
 }
 
 // decodeMsg parses one message body. The returned Msg owns its memory:

@@ -143,14 +143,15 @@ func TestTracedBoundsMatchPlainLookups(t *testing.T) {
 
 // TestTracedRMILeafLines: the simulated leaf load is at the stride
 // memory holds the leaf array in, and is charged at every line that
-// holds the leaf's bytes or its successor's lo, the upper clamp, which
-// every layout keeps 8 bytes before a leaf's end; the last leaf has no
-// successor to read. The leaf region starts on a line, so a 16-byte
-// linear leaf touches two lines exactly when it is at offset 48 mod 64,
-// and an 8-byte knot leaf when it is at 56, and one otherwise.
+// holds the leaf's bytes or its successor's lo, the upper clamp, 8 bytes
+// into a 16-byte linear leaf and 2 into a 6-byte knot leaf; the last
+// leaf has no successor to read. The leaf region starts on a line, so a
+// leaf touches two lines exactly when it is within two strides of a
+// line's end: a linear leaf at offset 48 mod 64, a knot leaf at 54 to
+// 62, and one otherwise.
 func TestTracedRMILeafLines(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 20000, 1)
-	knot := rmi.TuneBranch(keys, 1024)
+	knot := rmi.TuneBranch(keys, 512)
 	for _, cfg := range []rmi.Config{
 		{Stage1: rmi.ModelLinear, Stage2: rmi.ModelLinear, Branch: 1000},
 		knot,
@@ -163,9 +164,9 @@ func TestTracedRMILeafLines(t *testing.T) {
 		tr, _ := For(idx, m, keys)
 		leaves := idx.Arrays()[1]
 		stride := leaves.Elem
-		split := map[int]int{16: 48, 8: 56}[stride] // the offset mod 64 of a leaf that reads two lines
-		if cfg == knot && stride != 8 {
-			t.Fatalf("%v: the tuner's pick has %d-byte leaves, want the 8-byte knot leaf", cfg, stride)
+		loAt := map[int]int{16: 8, 6: 2}[stride] // where a leaf holds its lo
+		if cfg == knot && stride != 6 {
+			t.Fatalf("%v: the tuner's pick has %d-byte leaves, want the 6-byte knot leaf", cfg, stride)
 		}
 		offsets := map[int]bool{}
 		for _, x := range keys {
@@ -182,12 +183,14 @@ func TestTracedRMILeafLines(t *testing.T) {
 				lines[b/64] = true
 			}
 			if last := leaf == leaves.Len-1; !last {
-				lines[((leaf+2)*stride-8)/64] = true
+				for b := (leaf+1)*stride + loAt; b < (leaf+1)*stride+loAt+4; b++ {
+					lines[b/64] = true
+				}
 			} else if rec[1].n != 1 {
 				t.Fatalf("%v: the last leaf reads %d leaves, want itself alone", cfg, rec[1].n)
 			}
 			want := uint64(len(lines))
-			if split != 0 && leaf < leaves.Len-1 && (want == 2) != (off%64 == split) {
+			if leaf < leaves.Len-1 && (want == 2) != (off%64 > 64-2*stride) {
 				t.Fatalf("%v: leaf %d at offset %d mod 64 spans %d lines with its successor's lo", cfg, leaf, off%64, want)
 			}
 			before := m.Counters().accesses
@@ -196,8 +199,8 @@ func TestTracedRMILeafLines(t *testing.T) {
 				t.Fatalf("%v: leaf %d (%d bytes) touches %d lines, want %d", cfg, leaf, stride, got, want)
 			}
 		}
-		if split != 0 && len(offsets) != 64/stride {
-			t.Fatalf("%v: leaves read at offsets %v mod 64, want all %d", cfg, offsets, 64/stride)
+		if len(offsets) != 64/(stride&-stride) {
+			t.Fatalf("%v: leaves read at offsets %v mod 64, want all %d", cfg, offsets, 64/(stride&-stride))
 		}
 	}
 }

@@ -237,7 +237,7 @@ func FuzzManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Buffered())
-	f.Add([]byte("sosdMAN4"))
+	f.Add([]byte("sosdMAN5"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeManifest(data)
 		if err != nil {
@@ -301,7 +301,7 @@ func fuzzCorpus(t *testing.T) map[string][]byte {
 		write("FuzzDecode", "flip-"+fam, flipped)
 	}
 	// The mid rung over the seed keys keeps the RMI's 16-byte linear
-	// leaf, so the 8-byte knot leaf gets a raw seed of its own: the tuner
+	// leaf, so the 6-byte knot leaf gets a raw seed of its own: the tuner
 	// picks it over the same keys at B = 8.
 	keys := fuzzKeys()
 	knot, err := rmi.New(keys, rmi.TuneBranch(keys, 8))
@@ -312,8 +312,8 @@ func fuzzCorpus(t *testing.T) map[string][]byte {
 	if err := knot.Encode(kbuf); err != nil {
 		t.Fatal(err)
 	}
-	if stride := knot.Arrays()[1].Elem; stride != 8 {
-		t.Fatalf("the RMI tuned at B = 8 over the seed keys has leaf stride %d, want the knot leaf's 8", stride)
+	if stride := knot.Arrays()[1].Elem; stride != 6 {
+		t.Fatalf("the RMI tuned at B = 8 over the seed keys has leaf stride %d, want the knot leaf's 6", stride)
 	}
 	write("FuzzDecode", "raw-RMI-knot", append([]byte{byte(slices.Index(families, "RMI") + 1)}, kbuf.Buffered()...))
 

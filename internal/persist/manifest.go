@@ -17,12 +17,12 @@ import (
 	"repro/internal/core"
 )
 
-var manifestMagic = []byte("sosdMAN4")
+var manifestMagic = []byte("sosdMAN5")
 
-// retiredManifestMagic opens the manifest of the layout before each
-// index codec wrote the arrays its index describes. The manifest is the
-// one version check: a snapshot it refuses reaches no index decoder.
-var retiredManifestMagic = []byte("sosdMAN3")
+// retiredManifestMagic opens the manifest of the layout before margins
+// became one-byte codes. The manifest is the one version check: a
+// snapshot it refuses reaches no index decoder.
+var retiredManifestMagic = []byte("sosdMAN4")
 
 // ManifestName is the manifest's file name inside a snapshot directory.
 const ManifestName = "MANIFEST"
@@ -103,7 +103,7 @@ func encodeManifest(w *binio.Writer, m *Manifest) error {
 // decodeManifest parses and validates a manifest image.
 func decodeManifest(data []byte) (*Manifest, error) {
 	if bytes.HasPrefix(data, retiredManifestMagic) {
-		return nil, binio.Corruptf("persist: manifest magic %s is a retired layout, whose index payloads were written field by field; this build reads only %s: rebuild the snapshot", retiredManifestMagic, manifestMagic)
+		return nil, binio.Corruptf("persist: manifest magic %s is a retired layout, whose RMI knot leaves and PGM data segments held 16-bit margin codes; this build reads only %s: rebuild the snapshot", retiredManifestMagic, manifestMagic)
 	}
 	r, err := OpenFrame(data, manifestMagic, "manifest")
 	if err != nil {

@@ -504,13 +504,13 @@ func TestRunFlipNamesItsSection(t *testing.T) {
 	}
 }
 
-// TestRetiredManifestNamed: a manifest of the layout before the index
-// codecs wrote their arrays is refused by its magic, and the error
-// names that magic.
+// TestRetiredManifestNamed: a manifest of the layout before margins
+// became one-byte codes is refused by its magic, and the error names
+// that magic.
 func TestRetiredManifestNamed(t *testing.T) {
-	data := append([]byte("sosdMAN3"), make([]byte, 40)...)
+	data := append([]byte("sosdMAN4"), make([]byte, 40)...)
 	_, err := decodeManifest(data)
-	if !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "sosdMAN3 is a retired layout") {
+	if !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "sosdMAN4 is a retired layout") {
 		t.Fatalf("err = %v, want a corrupt-data error naming the retired magic", err)
 	}
 }

@@ -42,7 +42,7 @@ func Decode(r *binio.Reader) (*Index, error) {
 // non-empty with non-decreasing keys and finite, non-negative slopes,
 // its positions run non-decreasing from 0 and stay below the size of
 // the level beneath (n for the data level), and no margin's excess over
-// eps+1 passes n + n>>10, which no true one rounds above.
+// eps+1 passes n + n>>3, which no true one rounds above.
 func (idx *Index) validate() error {
 	if idx.n < 1 || idx.n > 1<<48 || idx.eps < 1 || len(idx.levels) < 1 {
 		return binio.Corruptf("pgm: %d keys, eps %d, levels %d", idx.n, idx.eps, len(idx.levels))
@@ -56,8 +56,8 @@ func (idx *Index) validate() error {
 		}
 		below = m
 	}
-	if slices.Max(idx.margins).Value() > idx.n+idx.n>>10 {
-		return binio.Corruptf("pgm: a margin's excess over %d keys exceeds %d", idx.n, idx.n+idx.n>>10)
+	if slices.Max(idx.margins).Value() > idx.n+idx.n>>3 {
+		return binio.Corruptf("pgm: a margin's excess over %d keys exceeds %d", idx.n, idx.n+idx.n>>3)
 	}
 	return nil
 }

@@ -43,7 +43,7 @@ func encoded(t *testing.T) (payload []byte, top topArrays) {
 	top = topArrays{keys: at + 4, slopes: at + 4 + 2*8, pos: at + 4 + 2*8 + 2*4}
 	p, l := w.Buffered(), idx.levels[2]
 	if binary.LittleEndian.Uint64(p[top.keys+8:]) != l.keys[1] || math.Float32frombits(binary.LittleEndian.Uint32(p[top.slopes+4:])) != l.slopes[1] ||
-		int32(binary.LittleEndian.Uint32(p[top.pos+4:])) != l.pos[1] || len(p) != top.pos+2*4+2*2*sizes[0] {
+		int32(binary.LittleEndian.Uint32(p[top.pos+4:])) != l.pos[1] || len(p) != top.pos+2*4+2*sizes[0] {
 		t.Fatalf("the top level's second segment is not where the offsets say")
 	}
 	return p, top
@@ -85,10 +85,10 @@ func TestDecodeRejectsOutOfOrderLevels(t *testing.T) {
 			binary.LittleEndian.PutUint32(p[top.keys-4:], 3)
 		}},
 		{"margin excess far above n", func(p []byte, _ topArrays) {
-			binary.LittleEndian.PutUint16(p[len(p)-2:], 0xffff) // the last segment's upper code
+			p[len(p)-1] = 0xff // the last segment's upper code
 		}},
-		{"margin excess just above n + n>>10", func(p []byte, _ topArrays) {
-			binary.LittleEndian.PutUint16(p[len(p)-4:], uint16(core.ToMargin(20_000+20_000>>10+1)))
+		{"margin excess just above n + n>>3", func(p []byte, _ topArrays) {
+			p[len(p)-2] = byte(core.ToMargin(20_000 + 20_000>>3 + 1))
 		}},
 	} {
 		p, top := encoded(t)

@@ -15,7 +15,7 @@
 // small constant factor), which affects size but never correctness.
 // A segment is its first key, a float32 slope rounded from inside its
 // corridor (see emit) and its start position, 16 bytes; a data segment
-// adds two 16-bit margin codes, 20 bytes. See DESIGN.md.
+// adds two one-byte margin codes, 18 bytes. See DESIGN.md.
 package pgm
 
 import (
@@ -49,7 +49,7 @@ type Index struct {
 	levels []level // levels[0] indexes the data; levels[k] indexes levels[k-1]
 	// Per-segment verified margins for the data level, side by side:
 	// segment j's lower margin at 2j, its upper at 2j+1, each the code
-	// of its excess over eps+1 (exact below 2,048). The corridor
+	// of its excess over eps+1 (exact below 32). The corridor
 	// guarantees eps for the first occurrence of every present key;
 	// these margins additionally cover absent keys, duplicate runs
 	// (whose lower-bound rank jumps can exceed eps) and float

@@ -237,14 +237,14 @@ func TestPGMString(t *testing.T) {
 
 // TestSegmentLayout pins what memory holds: SizeBytes charges every
 // level's three arrays and the margin array at the bytes their elements
-// really take, 16 per segment and 4 per data segment's margin codes, so
+// really take, 16 per segment and 2 per data segment's margin codes, so
 // a field added to a level fails here.
 func TestSegmentLayout(t *testing.T) {
 	var l level
 	var m core.Margin
 	arrays := int(unsafe.Sizeof(l.keys[0]) + unsafe.Sizeof(l.slopes[0]) + unsafe.Sizeof(l.pos[0]))
-	if segmentBytes != arrays || segmentBytes+2*int(unsafe.Sizeof(m)) != 20 {
-		t.Errorf("segmentBytes %d: arrays hold %d, margin codes 2x%d, want 20 together", segmentBytes, arrays, unsafe.Sizeof(m))
+	if segmentBytes != arrays || segmentBytes+2*int(unsafe.Sizeof(m)) != 18 {
+		t.Errorf("segmentBytes %d: arrays hold %d, margin codes 2x%d, want 18 together", segmentBytes, arrays, unsafe.Sizeof(m))
 	}
 	keys := dataset.MustGenerate(dataset.OSM, 100000, 1)
 	idx, err := New(keys, 8)

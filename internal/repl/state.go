@@ -41,10 +41,7 @@ func writeState(dir string, s *state) error {
 		return persist.WriteFrame(w, stateMagic, func() error {
 			w.U64(s.epoch)
 			w.U64(s.gen)
-			w.U32(uint32(len(s.seqs)))
-			for _, q := range s.seqs {
-				w.U64(q)
-			}
+			binio.PutSlice(w, s.seqs)
 			return nil
 		})
 	})
@@ -68,10 +65,7 @@ func readState(dir string) (*state, error) {
 		return nil, binio.Corruptf("repl: state shard count %d exceeds %d", n, maxStateShards)
 	}
 	if n > 0 {
-		s.seqs = make([]uint64, n)
-		for i := range s.seqs {
-			s.seqs[i] = r.U64()
-		}
+		s.seqs = binio.GetArray[uint64](r, n)
 	}
 	if err := r.Err(); err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ func Decode(r *binio.Reader) (*Index, error) {
 	idx := &Index{cfg: Config{Stage1: ModelKind(r.U8()), Stage2: ModelKind(r.U8())}, n: int(r.U64()), avgLog2: r.FiniteF64()}
 	idx.stage1 = model{ModelKind(r.U8()), poly{r.FiniteF64(), r.FiniteF64(), r.FiniteF64(), r.FiniteF64(), r.FiniteF64(), r.FiniteF64()}}
 	if idx.cfg.Stage2 == modelKnot {
-		idx.knots = binio.GetSlice[clamps](r)
+		idx.knots = binio.GetSlice[knot](r)
 	} else {
 		idx.leaves = binio.GetSlice[leaf](r)
 	}
@@ -44,7 +44,7 @@ func Decode(r *binio.Reader) (*Index, error) {
 // finite and not negative and its fraction origin finite, so pos stays
 // monotone in the fraction, and lo runs from 0 up to at most n without
 // falling, so pos stays in the data; no true margin rounds above
-// n + n>>10.
+// n + n>>3.
 func (idx *Index) validate() error {
 	cfg, n := idx.cfg, idx.n
 	if cfg.Stage1 > modelRadix || cfg.Stage2 > modelKnot || cfg.Stage2 == modelCubic || idx.stage1.kind > modelRadix {
@@ -58,11 +58,11 @@ func (idx *Index) validate() error {
 		if lf := idx.leaves; lf != nil && !(lf[i].slope >= 0 && lf[i].slope <= math.MaxFloat32 && math.Abs(float64(lf[i].fOff)) <= math.MaxFloat32) {
 			return binio.Corruptf("rmi: slope %v or fraction origin %v in leaf %d", lf[i].slope, lf[i].fOff, i)
 		}
-		c := idx.clampsOf(i)
-		if c.lo < prev || i == 0 && c.lo > 0 || int(c.lo) > n || max(c.errLo, c.errHi).Value() > n+n>>10 {
-			return binio.Corruptf("rmi: leaf %d lo %d after %d and margins (%d,%d) impossible over %d keys", i, c.lo, prev, c.errLo.Value(), c.errHi.Value(), n)
+		lo, errLo, errHi := idx.leafAt(i)
+		if lo < prev || i == 0 && lo > 0 || int(lo) > n || max(errLo, errHi) > n+n>>3 {
+			return binio.Corruptf("rmi: leaf %d lo %d after %d and margins (%d,%d) impossible over %d keys", i, lo, prev, errLo, errHi, n)
 		}
-		prev = c.lo
+		prev = lo
 	}
 	return nil
 }

@@ -71,8 +71,9 @@ func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 3000, 1)
 	n := uint32(len(keys))
 	// Offsets into the payload: kinds, n, log2 error, the stage-1 model,
-	// the leaf count, then leaf 0, leaf 1, ..., leaf 7, each its fraction
-	// origin and slope (a linear leaf only), lo and margins.
+	// the leaf count, then leaf 0, leaf 1, ..., leaf 7: a linear leaf its
+	// fraction origin, slope, lo and two 2-byte margins, a knot leaf two
+	// 1-byte margins and lo, as a little-endian int32 in either layout.
 	const (
 		avgLog2 = 2 + 8
 		leaf0   = avgLog2 + 8 + (1 + 6*8) + 4
@@ -84,17 +85,20 @@ func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := encoded(t, idx)
-		stride := leafArray(stage2, 0).Elem
-		lo := leaf0 + stride - knotBytes // leaf 0's clamps end its record
-		errs, last := lo+4, lo+7*stride
+		stride, errs, lo, code := leafArray(stage2, 0).Elem, leaf0, leaf0+2, 1
+		if stage2 != modelKnot {
+			errs, lo, code = leaf0+12, leaf0+8, 2
+		}
+		last := lo + 7*stride
+		ones := func(b []byte) { copy(b, []byte{0xff, 0xff}[:code]) }
 		cases := map[string]func(b []byte){
 			"negative log2 error":                  func(b []byte) { b[avgLog2+7] |= 0x80 },
 			"leaf 0 lo above 0":                    func(b []byte) { b[lo] = 1 },
 			"negative lo":                          func(b []byte) { b[lo+3] = 0x80 },
 			"lo falling":                           func(b []byte) { copy(b[lo+2*stride:], []byte{0, 0, 0, 0}) },
 			"last lo beyond the data":              func(b []byte) { binary.LittleEndian.PutUint32(b[last:], n+1) },
-			"low margin far above n":               func(b []byte) { b[errs], b[errs+1] = 0xff, 0xff },
-			"high margin far above n":              func(b []byte) { b[errs+2], b[errs+3] = 0xff, 0xff },
+			"low margin far above n":               func(b []byte) { ones(b[errs:]) },
+			"high margin far above n":              func(b []byte) { ones(b[errs+code:]) },
 			"one leaf more than the payload holds": func(b []byte) { b[leaf0-4]++ },
 			"one leaf fewer":                       func(b []byte) { b[leaf0-4]-- },
 			"cubic stage 2":                        func(b []byte) { b[1] = byte(modelCubic) },

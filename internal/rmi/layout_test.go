@@ -2,6 +2,7 @@ package rmi
 
 import (
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"testing"
@@ -18,7 +19,7 @@ import (
 // Its line is the one a folded leaf stores, the float32 slope through
 // the float32 fraction where the fit crosses the first position, kept
 // in the fit's own origin; its margins are rounded up through the same
-// 16-bit code, once all are collected.
+// code as its layout's, once all are collected.
 type refLeaf struct {
 	m            model
 	errLo, errHi int
@@ -100,7 +101,11 @@ func refFinish(r *routed, fkeys []float64, stage2 ModelKind) ([]refLeaf, float64
 	total, count := 0.0, 0.0
 	for li := range leaves {
 		lf := &leaves[li]
-		lf.errLo, lf.errHi = core.ToMargin(lf.errLo).Value(), core.ToMargin(lf.errHi).Value()
+		if stage2 == modelKnot {
+			lf.errLo, lf.errHi = core.ToMargin(lf.errLo).Value(), core.ToMargin(lf.errHi).Value()
+		} else {
+			lf.errLo, lf.errHi = toMargin16(lf.errLo).value(), toMargin16(lf.errHi).value()
+		}
 		occ := float64(r.last[li]-r.first[li]) + 1
 		total += occ * math.Log2(float64(lf.errLo+lf.errHi+1)+1)
 		count += occ
@@ -118,30 +123,29 @@ func checkAgainstReference(t *testing.T, keys []core.Key, cfg Config, probes []c
 	t.Helper()
 	fkeys := floatKeys(keys)
 	r := trainStage1(slices.Clone(fkeys), cfg.Stage1, cfg.Branch)
-	idx := r.finish(cfg.Stage2)
+	idx := r.finish(cfg.Stage2)[0]
 	ref, refLog2 := refFinish(r, fkeys, cfg.Stage2)
 
 	if idx.cfg.Branch != len(ref) {
 		t.Fatalf("%v: %d leaves, reference %d", cfg, idx.cfg.Branch, len(ref))
 	}
 	for li := range ref {
-		if c := idx.clampsOf(li); c.errLo.Value() != ref[li].errLo || c.errHi.Value() != ref[li].errHi {
-			t.Fatalf("%v leaf %d: margins (%d,%d), reference (%d,%d)", cfg, li, c.errLo.Value(), c.errHi.Value(), ref[li].errLo, ref[li].errHi)
+		if _, errLo, errHi := idx.leafAt(li); errLo != ref[li].errLo || errHi != ref[li].errHi {
+			t.Fatalf("%v leaf %d: margins (%d,%d), reference (%d,%d)", cfg, li, errLo, errHi, ref[li].errLo, ref[li].errHi)
 		}
 	}
 	if got := idx.AvgLog2Error(); got != refLog2 {
 		t.Fatalf("%v: AvgLog2Error %v, reference %v", cfg, got, refLog2)
 	}
 	for _, x := range probes {
-		li, pos, _ := idx.leafPos(idx.stage1.predict(float64(x)) * idx.scale)
+		li, pos, errLo, errHi := idx.leafPos(idx.stage1.predict(float64(x)) * idx.scale)
 		if refLeafOf(r, float64(x)) != li {
 			t.Fatalf("%v key %d: leaf %d, reference %d", cfg, x, li, refLeafOf(r, float64(x)))
 		}
 		if refPos := ref[li].clampPredict(refFraction(r, li, float64(x))); pos < refPos-1 || pos > refPos+1 {
 			t.Fatalf("%v key %d: position %d, reference %d", cfg, x, pos, refPos)
 		}
-		c := idx.clampsOf(li)
-		if b := core.BoundAround(pos, c.errLo.Value(), c.errHi.Value(), len(keys)); b != idx.Lookup(x) {
+		if b := core.BoundAround(pos, errLo, errHi, len(keys)); b != idx.Lookup(x) {
 			t.Fatalf("%v key %d: bound around position %d is %v, Lookup %v", cfg, x, pos, b, idx.Lookup(x))
 		}
 	}
@@ -178,15 +182,15 @@ func TestLeavesMatchReferenceAtScale(t *testing.T) {
 }
 
 // TestLeafLayout pins what memory holds: a linear leaf is 16 bytes, four
-// to a cache line, and a knot leaf 8, each array exactly B leaves, and SizeBytes charges every byte of them — a field added to
+// to a cache line, and a knot leaf 6 with no padding, each array exactly B leaves, and SizeBytes charges every byte of them — a field added to
 // a leaf fails here. A linear array starts on a line once it is a large
 // (page-aligned) allocation, so no linear leaf straddles one.
 func TestLeafLayout(t *testing.T) {
 	if got := unsafe.Sizeof(leaf{}); got != leafBytes || leafBytes != 16 || 64%leafBytes != 0 {
 		t.Errorf("leaf is %d bytes, leafBytes %d, want 16, four to a line", got, leafBytes)
 	}
-	if got := unsafe.Sizeof(clamps{}); got != knotBytes || knotBytes != 8 {
-		t.Errorf("clamps is %d bytes, knotBytes %d, want 8", got, knotBytes)
+	if got, align := unsafe.Sizeof(knot{}), unsafe.Alignof(knot{}); got != knotBytes || knotBytes != 6 || align != 2 {
+		t.Errorf("knot is %d bytes aligned to %d, knotBytes %d, want 6 aligned to 2", got, align, knotBytes)
 	}
 	if got := unsafe.Sizeof(model{}); got != modelSizeBytes {
 		t.Errorf("model is %d bytes, modelSizeBytes %d", got, modelSizeBytes)
@@ -201,7 +205,7 @@ func TestLeafLayout(t *testing.T) {
 		var count, layouts int
 		align := uintptr(8)
 		if idx.knots != nil {
-			base, stride, count = uintptr(unsafe.Pointer(&idx.knots[0])), unsafe.Sizeof(clamps{}), len(idx.knots)
+			base, stride, count, align = uintptr(unsafe.Pointer(&idx.knots[0])), unsafe.Sizeof(knot{}), len(idx.knots), 2
 			layouts++
 		}
 		if idx.leaves != nil {
@@ -214,8 +218,8 @@ func TestLeafLayout(t *testing.T) {
 		if layouts != 1 {
 			t.Fatalf("%v: %d layouts populated", cfg, layouts)
 		}
-		if count != idx.cfg.Branch || idx.clampsOf(count-1).lo > int32(len(keys)) {
-			t.Errorf("%v: %d leaves for B = %d, last lo %d", cfg, count, idx.cfg.Branch, idx.clampsOf(count-1).lo)
+		if last, _, _ := idx.leafAt(count - 1); count != idx.cfg.Branch || last > int32(len(keys)) {
+			t.Errorf("%v: %d leaves for B = %d, last lo %d", cfg, count, idx.cfg.Branch, last)
 		}
 		if base%align != 0 {
 			t.Errorf("%v: leaf array at %#x, not aligned to %d bytes", cfg, base, align)
@@ -230,7 +234,7 @@ func TestLeafLayout(t *testing.T) {
 }
 
 // TestShardLeavesRetainTheirBytes: an amzn store shard's leaf array, 4,096
-// knot leaves, takes exactly the 32,768 bytes it describes from the heap,
+// knot leaves, takes exactly the 24,576 bytes it describes from the heap,
 // and so does the linear layout's 65,536; a sentinel leaf after the last
 // once made that 65,552 bytes, which Go's allocator rounds up to 73,728.
 // Everything else New retains is the Index itself. The test's own heap
@@ -275,4 +279,33 @@ func TestLookupDoesNotAllocate(t *testing.T) {
 		t.Errorf("Lookup allocates %v times", a)
 	}
 	_ = sink
+}
+
+// TestLinearLeafMarginCode holds the linear leaf's 16-bit margin code
+// to its contract over every v below 2¹⁶ and a seeded sample up to
+// 2³¹−1: never narrower than v, exact below 2,048, at most v + v>>10,
+// and code and value both grow with v, so the worst of the codes is the
+// code of the worst.
+func TestLinearLeafMarginCode(t *testing.T) {
+	vs := []int{1<<31 - 1, 1<<31 - 2, 1 << 30, 1<<30 + 1}
+	for v := range 1 << 16 {
+		vs = append(vs, v)
+	}
+	rng := rand.New(rand.NewPCG(43, 0))
+	for range 1 << 16 {
+		vs = append(vs, rng.IntN(1<<31))
+	}
+	for _, v := range vs {
+		m := toMargin16(v)
+		got := m.value()
+		if got < v || (v < 2048 && got != v) || got > v+v>>10 {
+			t.Fatalf("margin %d codes as %#x, decoded %d", v, uint16(m), got)
+		}
+		if prev := toMargin16(v - 1); v > 0 && (prev > m || prev.value() > got) {
+			t.Fatalf("margin %d codes as %#x (%d), %d as %#x (%d)", v, uint16(m), got, v-1, uint16(prev), prev.value())
+		}
+	}
+	if m := toMargin16(-5); m != 0 || m.value() != 0 {
+		t.Errorf("margin -5 codes as %#x, want 0", uint16(m))
+	}
 }

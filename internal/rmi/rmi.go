@@ -16,7 +16,7 @@
 // training agree. A leaf so needs no key origin of its own, and its
 // upper clamp is the next leaf's first position: a linear leaf is 16
 // bytes. A knot leaf fits nothing: it interpolates from its first
-// position to the next leaf's by the fraction, and is 8 bytes.
+// position to the next leaf's by the fraction, and is 6 bytes.
 //
 // Validity for absent keys: every model is monotone non-decreasing over
 // its training range (enforced at fit time), so the prediction for an
@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/core"
@@ -75,15 +76,18 @@ type Index struct {
 	cfg     Config
 	n       int // also the last leaf's upper clamp: each array holds just B leaves
 	stage1  model
-	scale   float64  // B/n: Trace multiplies the stage-1 position by it
-	leaves  []leaf   // Stage2 linear, linear_spline or radix
-	knots   []clamps // Stage2 knot
-	avgLog2 float64  // AvgLog2Error, computed by finish: it needs the trained spans
+	scale   float64 // B/n: Trace multiplies the stage-1 position by it
+	leaves  []leaf  // Stage2 linear, linear_spline or radix
+	knots   []knot  // Stage2 knot
+	avgLog2 float64 // AvgLog2Error, computed by finish: it needs the trained spans
 }
 
-// clamps is the tail of every leaf layout, and the whole of a knot
-// leaf.
-type clamps struct {
+// leaf is a linear second-stage model over the fraction f in [0, 1) of
+// stage 1's scaled output that routed to it: pos = lo + slope·(f − fOff),
+// rounded and clamped (see fold). 16 bytes, four to a cache line, so
+// the next leaf's lo, the upper clamp, shares the line for three in four.
+type leaf struct {
+	fOff, slope float32
 	// lo is the leaf's first trained position (an empty leaf's is the
 	// next leaf's). A leaf's rounded prediction is clamped to lo and the
 	// next leaf's lo − 1, the span of positions it was trained on; this
@@ -94,20 +98,37 @@ type clamps struct {
 	// prediction. errLo covers the worst over-prediction (pred-actual)
 	// and errHi the worst under-prediction (actual-pred); both include
 	// the +1 widening needed for absent-key validity.
-	errLo, errHi core.Margin
+	errLo, errHi margin16
 }
 
-// leaf is a linear second-stage model over the fraction f in [0, 1) of
-// stage 1's scaled output that routed to it: pos = lo + slope·(f − fOff),
-// rounded and clamped (see fold). 16 bytes, four to a cache line, so
-// the next leaf's lo, the upper clamp, shares the line for three in four.
-type leaf struct {
-	fOff, slope float32
-	clamps
+// knot is a knot leaf: its margins as one-byte codes, then lo in 16-bit
+// halves, 6 bytes with no padding; lo ends it, so a lookup's read of a
+// leaf and the next one's lo spans the lines of the two leaves.
+type knot struct {
+	errLo, errHi  core.Margin
+	loLow, loHigh uint16
 }
+
+func (k *knot) lo() int32 { return int32(k.loLow) | int32(k.loHigh)<<16 }
 
 // Bytes a leaf of each layout occupies in memory (pinned by a test).
-const leafBytes, knotBytes = 16, 8
+const leafBytes, knotBytes = 16, 6
+
+// margin16 is a linear leaf's margin: a 5-bit exponent e over an 11-bit
+// mantissa m, worth m<<e. toMargin16 rounds any v < 2³¹ up, by at most
+// v>>10 (exact below 2,048); its codes order as their values do.
+type margin16 uint16
+
+func toMargin16(v int) margin16 {
+	v = max(v, 0)
+	e := max(bits.Len(uint(v))-11, 0)
+	m := (v + 1<<e - 1) >> e
+	c := m >> 11 // 1 where rounding up carried into the next exponent
+	return margin16((e+c)<<11 | m>>c)
+}
+
+// value decodes m with no branch.
+func (m margin16) value() int { return int(m&0x7ff) << (m >> 11 & 63) }
 
 // fold folds a linear model fitted on fractions into lf, whose lo is
 // set. The slope, fraction scale absorbed, is rounded to float32
@@ -128,10 +149,10 @@ func (lf *leaf) pos(f float64, next int32) int {
 	return clampRound(lf.lo, float64(lf.slope)*(f-float64(lf.fOff)), next)
 }
 
-// pos is a knot leaf's prediction: the point the fraction f reaches on
-// the line from lo to next.
-func (c *clamps) pos(f float64, next int32) int {
-	return clampRound(c.lo, f*float64(next-c.lo), next)
+// knotPos is a knot leaf's prediction: the point the fraction f
+// reaches on the line from lo to next.
+func knotPos(lo int32, f float64, next int32) int {
+	return clampRound(lo, f*float64(next-lo), next)
 }
 
 // clampRound rounds lo + d to the nearest position from lo to next − 1;
@@ -157,7 +178,7 @@ func New(keys []core.Key, cfg Config) (*Index, error) {
 	if cfg.Stage2 == modelCubic {
 		return nil, errors.New("rmi: no cubic second stage")
 	}
-	return trainStage1(floatKeys(keys), cfg.Stage1, cfg.Branch).finish(cfg.Stage2), nil
+	return trainStage1(floatKeys(keys), cfg.Stage1, cfg.Branch).finish(cfg.Stage2)[0], nil
 }
 
 // floatKeys converts keys to the float64 domain the models work in.
@@ -270,90 +291,110 @@ func trainStage1(fkeys []float64, kind ModelKind, branch int) *routed {
 	return r
 }
 
-// finish trains the stage-2 leaves of the given kind over the routing
-// and returns the complete index. r is not modified and can be
-// finished again with another kind.
-func (r *routed) finish(stage2 ModelKind) *Index {
-	idx := r.top
-	idx.cfg.Stage2 = stage2
-	n, B := idx.n, idx.cfg.Branch
-	idx.makeLeaves()
-
-	// Each leaf's lo is the first position it was trained on; an empty
-	// leaf takes the next start (n past the last), so keys routed there
-	// still receive valid (if wide) bounds. Taking the least start at or
-	// after a leaf keeps lo non-decreasing even where float rounding
-	// routes a stray key out of order.
-	next := n
+// finish trains stage-2 leaves of each given kind over the routing, r
+// unmodified, and returns one complete index a kind, in order. The kinds
+// share each leaf's lo and one replay of the keys for their errors.
+func (r *routed) finish(kinds ...ModelKind) []*Index {
+	n, B := r.top.n, r.top.cfg.Branch
+	// Each leaf's lo is the least first position at or after it, n past
+	// the last (an empty leaf's -1 is past n as a uint): keys routed to an
+	// empty leaf get valid bounds, and no stray key makes lo fall.
+	lo := make([]int32, B+1)
+	lo[B] = int32(n)
 	for li := B - 1; li >= 0; li-- {
-		if first := r.first[li]; first >= 0 {
-			next = min(next, first)
-		}
-		*idx.clampsOf(li) = clamps{int32(next), 1, 1}
+		lo[li] = int32(min(uint(lo[li+1]), uint(r.first[li])))
 	}
-	// Fit each leaf on the fractions of the contiguous span of keys it
-	// received; an empty leaf keeps its zero model, which predicts lo.
-	// A fit on u is the fit on u − li moved by li: it normalises by
-	// differences of u, which are the fractions' differences exactly
-	// (Sterbenz: every u of leaf li ≥ 1 lies in [li, 2li]). The fits are
-	// independent, and run chunk-wise, the leaves cut in proportion to
-	// the keys' ranges. A knot leaf has nothing to fit.
-	core.Parallel(n, func(_, lo, hi int) struct{} {
-		for li := lo * B / n; li < hi*B/n; li++ {
-			if first, last := r.first[li], r.last[li]; first >= 0 && stage2 != modelKnot {
-				m := fitModel(stage2, r.u[first:last+1], float64(first))
-				m.keyOff -= float64(li)
-				idx.leaves[li].fold(&m)
-			}
+	idxs := make([]*Index, len(kinds))
+	for k, stage2 := range kinds {
+		idx := r.top
+		idx.cfg.Stage2 = stage2
+		idxs[k] = &idx
+		if stage2 == modelKnot {
+			idx.knots = make([]knot, B) // a knot leaf has nothing to fit
+			continue
 		}
-		return struct{}{}
-	})
+		idx.leaves = make([]leaf, B)
+		// Fit each leaf on the fractions of the contiguous span of keys
+		// it received; an empty leaf keeps its zero model, which predicts
+		// lo. A fit on u is the fit on u − li moved by li: it normalises
+		// by differences of u, which are the fractions' differences
+		// exactly (Sterbenz: every u of leaf li ≥ 1 lies in [li, 2li]).
+		// The fits are independent, and run chunk-wise, the leaves cut in
+		// proportion to the keys' ranges.
+		core.Parallel(n, func(_, from, to int) struct{} {
+			for li := from * B / n; li < to*B/n; li++ {
+				idx.leaves[li].lo = lo[li]
+				if first, last := r.first[li], r.last[li]; first >= 0 {
+					m := fitModel(stage2, r.u[first:last+1], float64(first))
+					m.keyOff -= float64(li)
+					idx.leaves[li].fold(&m)
+				}
+			}
+			return struct{}{}
+		})
+	}
 
-	// Error collection: replay every key through the lookup path so the
-	// recorded bounds are exact for present keys by construction. Ranges
-	// of keys replay chunk-wise into the worst over- and under-prediction
-	// of each leaf they routed to, merged by max, which does not care in
-	// what order. A margin covers its worst error +1 for absent keys,
-	// encoded once per leaf: core.ToMargin's codes order as their
-	// values do, so the code of the worst is the worst of the codes.
-	worst := core.Parallel(n, func(k, lo, hi int) [][2]int {
-		leaf0 := r.routes[k].leaf0
-		w := make([][2]int, len(r.routes[k].spans)) // {pred-actual, actual-pred}
-		for i := lo; i < hi; i++ {
-			li, f := idx.split(r.u[i])
-			next, pos := int32(n), 0
-			if li+1 < B {
-				next = idx.clampsOf(li + 1).lo
+	// Error collection: replay every key through the lookup path, so the
+	// bounds are exact for present keys by construction. Each range of
+	// keys records the worst over- and under-prediction of every leaf it
+	// reaches under each kind, merged by max in any order; it splits a
+	// block of keys once, then replays it a kind at a time (one loop over
+	// every kind a key ran slower).
+	K := len(idxs)
+	worst := core.Parallel(n, func(c, from, to int) [][2]int {
+		leaf0, u, S := r.routes[c].leaf0, r.u, len(r.routes[c].spans)
+		w := make([][2]int, K*S) // {pred-actual, actual-pred} by kind, then leaf
+		lis, fs := [256]int{}, [256]float64{}
+		for b := from; b < to; b += len(lis) {
+			m := min(len(lis), to-b)
+			for j := range m {
+				lis[j], fs[j] = r.top.split(u[b+j])
 			}
-			if idx.leaves != nil { // leafPos's dispatch, inlined: a call per key slowed tuning 15 %
-				pos = idx.leaves[li].pos(f, next)
-			} else {
-				pos = idx.knots[li].pos(f, next)
+			for k, idx := range idxs {
+				wk := w[k*S : (k+1)*S]
+				for j, li := range lis[:m] {
+					pos := 0
+					if idx.leaves != nil { // leafPos's dispatch, inlined: a call per key slowed tuning 15 %
+						pos = idx.leaves[li].pos(fs[j], lo[li+1])
+					} else {
+						pos = knotPos(lo[li], fs[j], lo[li+1])
+					}
+					d, i := &wk[li-leaf0], b+j
+					d[0], d[1] = max(d[0], pos-i), max(d[1], i-pos)
+				}
 			}
-			d := &w[li-leaf0]
-			d[0], d[1] = max(d[0], pos-i), max(d[1], i-pos)
 		}
 		return w
 	})
-	for k, w := range worst {
+	errs := make([][2]int, K*B) // by kind, then leaf
+	for c, w := range worst {
 		for j, d := range w {
-			c := idx.clampsOf(r.routes[k].leaf0 + j)
-			c.errLo, c.errHi = max(c.errLo, core.ToMargin(d[0]+1)), max(c.errHi, core.ToMargin(d[1]+1))
+			e := &errs[j/(len(w)/K)*B+r.routes[c].leaf0+j%(len(w)/K)]
+			e[0], e[1] = max(e[0], d[0]), max(e[1], d[1])
 		}
 	}
 
-	// The paper's "log2 error": mean log2 of the search-bound width,
-	// each leaf weighted by the keys it was trained on (an empty leaf,
-	// first = last = -1, counts as one).
-	total, count := 0.0, 0.0
-	for li := 0; li < B; li++ {
-		occ := float64(r.last[li]-r.first[li]) + 1
-		c := idx.clampsOf(li)
-		total += occ * math.Log2(float64(c.errLo.Value()+c.errHi.Value()+1)+1)
-		count += occ
+	// A margin covers its worst error +1 for absent keys, coded in the
+	// kind's layout. The paper's "log2 error" is the mean log2 of the
+	// search-bound width, each leaf weighted by the keys it was trained
+	// on (an empty leaf, first = last = -1, counts as one).
+	for k, idx := range idxs {
+		total, count := 0.0, 0.0
+		for li := range B {
+			e := errs[k*B+li]
+			if idx.knots != nil {
+				idx.knots[li] = knot{core.ToMargin(e[0] + 1), core.ToMargin(e[1] + 1), uint16(lo[li]), uint16(lo[li] >> 16)}
+			} else {
+				idx.leaves[li].errLo, idx.leaves[li].errHi = toMargin16(e[0]+1), toMargin16(e[1]+1)
+			}
+			_, errLo, errHi := idx.leafAt(li)
+			occ := float64(r.last[li]-r.first[li]) + 1
+			total += occ * math.Log2(float64(errLo+errHi+1)+1)
+			count += occ
+		}
+		idx.avgLog2 = total / count
 	}
-	idx.avgLog2 = total / count
-	return &idx
+	return idxs
 }
 
 // split cuts a scaled stage-1 position u into a leaf and its fraction.
@@ -392,21 +433,12 @@ func (idx *Index) SizeBytes() int { return core.SizeOf(idx.Arrays()...) }
 // Name implements core.Index.
 func (idx *Index) Name() string { return "RMI" }
 
-// makeLeaves allocates the B leaves of the stage-2 kind's layout.
-func (idx *Index) makeLeaves() {
-	if idx.cfg.Stage2 == modelKnot {
-		idx.knots = make([]clamps, idx.cfg.Branch)
-	} else {
-		idx.leaves = make([]leaf, idx.cfg.Branch)
-	}
-}
-
-// clampsOf returns leaf li's clamps and margins in whichever layout.
-func (idx *Index) clampsOf(li int) *clamps {
+// leafAt returns leaf li's lo and its margins, whichever the layout.
+func (idx *Index) leafAt(li int) (lo int32, errLo, errHi int) {
 	if idx.knots != nil {
-		return &idx.knots[li]
+		return idx.knots[li].lo(), idx.knots[li].errLo.Value(), idx.knots[li].errHi.Value()
 	}
-	return &idx.leaves[li].clamps
+	return idx.leaves[li].lo, idx.leaves[li].errLo.value(), idx.leaves[li].errHi.value()
 }
 
 // AvgLog2Error returns the mean log2 of the search-bound width over all
@@ -418,35 +450,35 @@ func (idx *Index) AvgLog2Error() float64 { return idx.avgLog2 }
 // and the leaf read, the path the performance-counter simulation
 // replays.
 func (idx *Index) Trace(key core.Key, t core.Tracer) core.Bound {
-	leaf, pos, c := idx.leafPos(idx.stage1.predict(float64(key)) * idx.scale)
+	leaf, pos, errLo, errHi := idx.leafPos(idx.stage1.predict(float64(key)) * idx.scale)
 	if t != nil {
 		trace(t, leaf, idx.cfg.Branch)
 	}
-	return core.BoundAround(pos, c.errLo.Value(), c.errHi.Value(), idx.n)
+	return core.BoundAround(pos, errLo, errHi, idx.n)
 }
 
 // leafPos splits u, stage 1's position scaled to leaves, into a leaf
 // and its fraction, and returns the leaf, its prediction and its
-// clamps. The upper clamp is the next leaf's lo, and n past the last.
-func (idx *Index) leafPos(u float64) (int, int, *clamps) {
+// margins. The upper clamp is the next leaf's lo, and n past the last.
+func (idx *Index) leafPos(u float64) (li, pos, errLo, errHi int) {
 	li, f := idx.split(u)
 	next := int32(idx.n)
 	if idx.leaves != nil {
 		if li+1 < len(idx.leaves) {
 			next = idx.leaves[li+1].lo
 		}
-		return li, idx.leaves[li].pos(f, next), &idx.leaves[li].clamps
+		return li, idx.leaves[li].pos(f, next), idx.leaves[li].errLo.value(), idx.leaves[li].errHi.value()
 	}
 	if li+1 < len(idx.knots) {
-		next = idx.knots[li+1].lo
+		next = idx.knots[li+1].lo()
 	}
-	return li, idx.knots[li].pos(f, next), &idx.knots[li]
+	return li, knotPos(idx.knots[li].lo(), f, next), idx.knots[li].errLo.Value(), idx.knots[li].errHi.Value()
 }
 
 // trace reports a lookup routed to leaf li of b: stage 1's
 // coefficients, which fit one line, then leaf li and its successor,
-// whose lo is the upper clamp — one line, or two for the last leaf of
-// a line; the last leaf has no successor to read.
+// whose lo is the upper clamp — one line, or two where the pair
+// straddles one; the last leaf has no successor to read.
 func trace(t core.Tracer, li, b int) {
 	t.Read(0, 0, 1)
 	t.Work(8) // stage 1's prediction and the split into leaf and fraction

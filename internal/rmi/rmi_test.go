@@ -185,8 +185,8 @@ func TestRMIMaxErrorWidth(t *testing.T) {
 	idx, _ := New(keys, Config{Stage1: ModelLinear, Stage2: ModelLinear, Branch: 64})
 	w := 0
 	for li := 0; li < idx.cfg.Branch; li++ {
-		c := idx.clampsOf(li)
-		w = max(w, int(c.errLo+c.errHi+1))
+		_, errLo, errHi := idx.leafAt(li)
+		w = max(w, errLo+errHi+1)
 	}
 	if w < 1 {
 		t.Errorf("max error width %d < 1", w)
@@ -296,7 +296,7 @@ func TestTuneRespectsBudget(t *testing.T) {
 
 // TestTunePricesEachLayout: a budget that holds B = 4096 knot leaves
 // but not B = 4096 linear ones still lets that rung compete, with its
-// 8-byte leaves, and amzn's keys pick it.
+// 6-byte leaves, and amzn's keys pick it.
 func TestTunePricesEachLayout(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 100000, 1)
 	budget := core.SizeOf(stage1Array, leafArray(modelKnot, 4096))

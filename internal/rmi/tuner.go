@@ -90,9 +90,10 @@ func sample(keys []core.Key, m int) []core.Key {
 // unlimited; +Inf if none fits), tuned on a sample of keys. The sample is
 // drawn once, each distinct stage-1 kind is fitted and routed once
 // (on a conversion of its own, which the routing overwrites), and
-// every stage-2 kind paired with it is scored over
-// that shared routing — the same models, costs and tie-breaks as
-// training each combination from scratch, for about half the work.
+// every stage-2 kind paired with it is finished over that shared
+// routing in one replay of the sample — the same models, costs and
+// tie-breaks as training each combination from scratch, for half the
+// work.
 // The stage-1 kinds are independent, so each is tuned on a goroutine of
 // its own; the first cheapest combination in grid order wins, as it
 // would one after the other.
@@ -120,11 +121,14 @@ func bestComboFor(keys []core.Key, branch, sizeBudget int) (Config, float64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			top := trainStage1(floatKeys(s), combo.s1, sb)
+			at, kinds := []int{}, []ModelKind{}
 			for i, c := range candidateCombos {
 				if c.s1 == combo.s1 && fits(c.s2) {
-					costs[i] = proxyCost(top.finish(c.s2))
+					at, kinds = append(at, i), append(kinds, c.s2)
 				}
+			}
+			for j, idx := range trainStage1(floatKeys(s), combo.s1, sb).finish(kinds...) {
+				costs[at[j]] = proxyCost(idx)
 			}
 		}()
 	}
@@ -146,23 +150,22 @@ func TuneBranch(keys []core.Key, branch int) Config {
 }
 
 // TuneWork is the key visits of tuning and building an RMI over n keys:
-// each distinct stage-1 kind of candidateCombos fitted and each
-// combination finished on a sample of at most tuneSampleMax keys, then
-// the chosen one fitted and finished on all n. A fit visits every key
-// twice (fit, then route), and so does a finish (leaf fit, then error
-// replay), but a knot finish only replays. The final build is priced
-// at the dearer, fitted finish: which leaf wins depends on the keys.
+// each distinct stage-1 kind of candidateCombos fitted and finished on
+// a sample of at most tuneSampleMax keys, then the chosen combination
+// fitted and finished on all n. A stage-1 fit visits every key twice
+// (fit, then route), and a finish once per fitted stage-2 kind (a knot
+// leaf fits nothing) and once more for the one error replay all its
+// kinds share. The final build is priced at a fitted finish, the
+// dearer: which leaf wins depends on the keys.
 func TuneWork(n int) int64 {
-	kinds := map[ModelKind]bool{}
-	finishes := 0 // visits per sample key
+	kinds, fitted := map[ModelKind]bool{}, 0
 	for _, c := range candidateCombos {
 		kinds[c.s1] = true
-		finishes += 2
-		if c.s2 == modelKnot {
-			finishes--
+		if c.s2 != modelKnot {
+			fitted++
 		}
 	}
-	return int64((2*len(kinds)+finishes)*min(n, tuneSampleMax) + 4*n)
+	return int64((3*len(kinds)+fitted)*min(n, tuneSampleMax) + 4*n)
 }
 
 // branchGrid returns the branching factors explored for a dataset of n

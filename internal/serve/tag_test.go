@@ -150,3 +150,28 @@ func TestBuilderForChoosesEveryBaseBuild(t *testing.T) {
 	defer warm.Close()
 	major("warm major", warm, inserts[1000:], 3)
 }
+
+// TestRMIStoreShardsKeepKnotLeaves: an RMI store of 8 shards over the
+// 2M amzn keys the store workloads serve tunes every shard to 4,096
+// knot leaves, so its index is 8 × (4,096 6-byte leaves + a 56-byte
+// stage-1 model). A shard that falls back to the 16-byte linear leaf
+// fails here, on its tag and on the size.
+func TestRMIStoreShardsKeepKnotLeaves(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2M keys")
+	}
+	keys := dataset.MustGenerate(dataset.Amzn, 2_000_000, 1)
+	st, err := New(keys, dataset.Payloads(len(keys), 1), Config{Shards: 8, Family: "RMI"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i, tag := range st.ConfigIDs() {
+		if _, label := registry.ParseID(tag); label != "rmi[radix,knot,B=4096]" {
+			t.Errorf("shard %d: tag %q, want rmi[radix,knot,B=4096]", i, tag)
+		}
+	}
+	if got, want := st.SizeBytes(), 8*(4096*6+56); got != want {
+		t.Errorf("SizeBytes %d, want %d", got, want)
+	}
+}
