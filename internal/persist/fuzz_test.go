@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/binio"
@@ -430,6 +431,24 @@ func TestBadPosSeedDecodesToError(t *testing.T) {
 		t.Fatalf("badpos-PGM decoded to (%v, %v), want a corrupt-data error on its positions", idx, err)
 	}
 	t.Log(err)
+}
+
+// TestRetiredCubicSeedDecodesToNamedError: FuzzDecode/retired-RMI-cubic
+// is the raw payload an RMI with a cubic stage 1 had before that kind
+// was retired (the seed keys at rmi[cubic,linear,B=8], c2 and c3
+// nonzero). Decode must refuse it with an error that names the kind.
+// No encoder writes it, so fuzzCorpus does not regenerate it.
+func TestRetiredCubicSeedDecodesToNamedError(t *testing.T) {
+	seed := checkedInSeed(t, "retired-RMI-cubic")
+	families := codecFamilies()
+	if fam := families[int(seed[0]-1)%len(families)]; fam != "RMI" {
+		t.Fatalf("retired-RMI-cubic selects the %s decoder", fam)
+	}
+	decode, _ := registry.CodecFor("RMI")
+	idx, err := decode(binio.NewReader(seed[1:]))
+	if idx != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "cubic") {
+		t.Fatalf("retired-RMI-cubic decoded to (%v, %v), want a corrupt-data error naming the cubic kind", idx, err)
+	}
 }
 
 // TestBrokenSeedsDecodeToError: every codec family's trunc- and flip-

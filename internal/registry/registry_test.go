@@ -203,7 +203,7 @@ func TestConfigIDs(t *testing.T) {
 	cases := []struct{ family, label, id string }{
 		{"PGM", "eps=64", "PGM/eps=64"},
 		{"BTree", "stride=8", "BTree/stride=8"},
-		{"RMI", "rmi[cubic,linear,B=512]", "RMI/rmi[cubic,linear,B=512]"},
+		{"RMI", "rmi[radix,linear,B=512]", "RMI/rmi[radix,linear,B=512]"},
 		{"ART", "", "ART"},
 		{"X", "a/b", "X/a/b"}, // labels may contain '/'
 	}

@@ -44,11 +44,15 @@ func Decode(r *binio.Reader) (*Index, error) {
 // finite and not negative and its fraction origin finite, so pos stays
 // monotone in the fraction, and lo runs from 0 up to at most n without
 // falling, so pos stays in the data; no true margin rounds above
-// n + n>>3.
+// n + n>>3. A stage 1 is a line, whose c2 and c3 are zero; the retired
+// cubic kind is refused by name.
 func (idx *Index) validate() error {
-	cfg, n := idx.cfg, idx.n
-	if cfg.Stage1 > modelRadix || cfg.Stage2 > modelKnot || cfg.Stage2 == modelCubic || idx.stage1.kind > modelRadix {
-		return binio.Corruptf("rmi: model kinds %d and %d, stage-1 fit %d", cfg.Stage1, cfg.Stage2, idx.stage1.kind)
+	cfg, n, s1 := idx.cfg, idx.n, idx.stage1
+	if cfg.Stage1 == modelCubic || s1.kind == modelCubic {
+		return binio.Corruptf("rmi: a cubic stage 1, a retired model kind: rebuild the index")
+	}
+	if cfg.Stage1 > modelRadix || cfg.Stage2 > modelKnot || cfg.Stage2 == modelCubic || s1.kind > modelRadix || s1.c2 != 0 || s1.c3 != 0 {
+		return binio.Corruptf("rmi: model kinds %d and %d, stage-1 fit %d with c2 %v, c3 %v", cfg.Stage1, cfg.Stage2, s1.kind, s1.c2, s1.c3)
 	}
 	if n < 1 || n > 1<<48 || idx.avgLog2 < 0 || cfg.Branch < 1 {
 		return binio.Corruptf("rmi: %d keys, log2 error %v, %d leaves", n, idx.avgLog2, cfg.Branch)

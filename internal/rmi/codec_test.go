@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/binio"
@@ -30,7 +31,7 @@ func TestCodecRoundTripAndFlips(t *testing.T) {
 	extremes := []core.Key{0, 1, keys[0], keys[len(keys)/2], keys[len(keys)-1], 1 << 40, ^core.Key(0)}
 	for _, cfg := range []Config{
 		{modelRadix, ModelLinear, 64},
-		{modelCubic, ModelLinearSpline, 64},
+		{ModelLinear, ModelLinearSpline, 64},
 		{modelRadix, modelKnot, 64},
 	} {
 		idx, err := New(keys, cfg)
@@ -76,6 +77,7 @@ func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 	// 1-byte margins and lo, as a little-endian int32 in either layout.
 	const (
 		avgLog2 = 2 + 8
+		c2      = avgLog2 + 8 + 1 + 4*8
 		leaf0   = avgLog2 + 8 + (1 + 6*8) + 4
 		slope   = leaf0 + 4
 	)
@@ -102,6 +104,8 @@ func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 			"one leaf more than the payload holds": func(b []byte) { b[leaf0-4]++ },
 			"one leaf fewer":                       func(b []byte) { b[leaf0-4]-- },
 			"cubic stage 2":                        func(b []byte) { b[1] = byte(modelCubic) },
+			"nonzero c2":                           func(b []byte) { b[c2+7] = 0x3f },
+			"nonzero c3":                           func(b []byte) { b[c2+15] = 0x3f },
 			"unknown stage-1 kind":                 func(b []byte) { b[0] = byte(modelKnot) },
 			"unknown stage-1 fit":                  func(b []byte) { b[avgLog2+8] = byte(modelKnot) },
 		}
@@ -132,6 +136,31 @@ func TestDecodeRejectsBrokenInvariants(t *testing.T) {
 		}
 		if len(data) != leaf0+8*stride {
 			t.Errorf("%v: payload of %d bytes, want %d: eight leaf records and nothing after", stage2, len(data), leaf0+8*stride)
+		}
+	}
+}
+
+// TestDecodeNamesRetiredCubic: a payload whose stage 1 is the retired
+// cubic kind, in the configuration, in the fitted model or in both, with
+// the nonzero c2 and c3 a cubic fit had, decodes to an error that names
+// the kind. internal/persist's FuzzDecode/retired-RMI-cubic seed is such
+// a payload as the last build to fit cubics wrote it.
+func TestDecodeNamesRetiredCubic(t *testing.T) {
+	keys := dataset.MustGenerate(dataset.Amzn, 400, 99)
+	idx, err := New(keys, Config{modelRadix, ModelLinear, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fit = 2 + 8 + 8 // the stage-1 model's kind byte
+	for _, at := range [][]int{{0}, {fit}, {0, fit}} {
+		data := encoded(t, idx)
+		for _, i := range at {
+			data[i] = byte(modelCubic)
+		}
+		data[fit+1+4*8+7], data[fit+1+5*8+7] = 0xc0, 0x40 // c2 < 0 < c3
+		got, err := Decode(binio.NewReader(data))
+		if got != nil || !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), "cubic") {
+			t.Errorf("cubic kind at bytes %v: decoded to (%v, %v), want a corrupt-data error naming the cubic kind", at, got, err)
 		}
 	}
 }

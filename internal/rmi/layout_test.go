@@ -174,7 +174,7 @@ func TestLeavesMatchReferenceAtScale(t *testing.T) {
 			{modelRadix, modelKnot, 4096},
 			{modelRadix, ModelLinear, 4096},
 			{ModelLinear, ModelLinearSpline, 65536},
-			{modelCubic, ModelLinear, 1024},
+			{ModelLinear, ModelLinear, 1024},
 		} {
 			checkAgainstReference(t, keys, cfg, keys)
 		}
@@ -265,12 +265,12 @@ func TestShardLeavesRetainTheirBytes(t *testing.T) {
 }
 
 // TestLookupDoesNotAllocate holds the knot layout's lookups, under a
-// cubic stage 1, to zero allocations. The linear layout's are the work
+// linear stage 1, to zero allocations. The linear layout's are the work
 // ledger's table.rmi rows (internal/ledger), whose RMI is the
 // mid-ladder radix/linear one.
 func TestLookupDoesNotAllocate(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.OSM, 20000, 1)
-	idx, err := New(keys, Config{Stage1: modelCubic, Stage2: modelKnot, Branch: 1024})
+	idx, err := New(keys, Config{Stage1: ModelLinear, Stage2: modelKnot, Branch: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,14 +169,14 @@ func clampRound(lo int32, d float64, next int32) int {
 	return min(int(lo)+int(d+0.5), int(next)-1)
 }
 
-// New trains an RMI over sorted keys. A cubic model may be stage 1,
-// not stage 2.
+// New trains an RMI over sorted keys. The retired cubic kind is refused
+// at either stage.
 func New(keys []core.Key, cfg Config) (*Index, error) {
 	if len(keys) == 0 {
 		return nil, errors.New("rmi: empty key set")
 	}
-	if cfg.Stage2 == modelCubic {
-		return nil, errors.New("rmi: no cubic second stage")
+	if cfg.Stage1 == modelCubic || cfg.Stage2 == modelCubic {
+		return nil, errors.New("rmi: the cubic model is retired")
 	}
 	return trainStage1(floatKeys(keys), cfg.Stage1, cfg.Branch).finish(cfg.Stage2)[0], nil
 }

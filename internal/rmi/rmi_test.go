@@ -10,7 +10,7 @@ import (
 
 func allConfigs() []Config {
 	var cfgs []Config
-	for _, s1 := range []ModelKind{ModelLinear, ModelLinearSpline, modelCubic, modelRadix} {
+	for _, s1 := range []ModelKind{ModelLinear, ModelLinearSpline, modelRadix} {
 		for _, s2 := range []ModelKind{ModelLinear, ModelLinearSpline, modelRadix, modelKnot} {
 			for _, b := range []int{1, 16, 256, 4096} {
 				cfgs = append(cfgs, Config{Stage1: s1, Stage2: s2, Branch: b})
@@ -309,8 +309,8 @@ func TestTunePricesEachLayout(t *testing.T) {
 }
 
 func TestConfigString(t *testing.T) {
-	c := Config{Stage1: modelCubic, Stage2: ModelLinear, Branch: 128}
-	if got := c.String(); got != "rmi[cubic,linear,B=128]" {
+	c := Config{Stage1: modelRadix, Stage2: ModelLinear, Branch: 128}
+	if got := c.String(); got != "rmi[radix,linear,B=128]" {
 		t.Errorf("String = %q", got)
 	}
 	if ModelKind(99).String() != "unknown" {
@@ -329,7 +329,7 @@ func TestModelFitMonotone(t *testing.T) {
 		{1, 2, 4, 8, 16, 32, 64, 128, 256, 512},
 	}
 	for _, keys := range keyset {
-		for _, kind := range []ModelKind{ModelLinear, ModelLinearSpline, modelCubic, modelRadix} {
+		for _, kind := range []ModelKind{ModelLinear, ModelLinearSpline, modelRadix} {
 			m := fitModel(kind, keys, 0)
 			prev := math.Inf(-1)
 			for _, k := range keys {
@@ -343,36 +343,13 @@ func TestModelFitMonotone(t *testing.T) {
 	}
 }
 
-func TestCubicMonotoneCheck(t *testing.T) {
-	if !cubicMonotoneOn01(1, 0, 0) {
-		t.Error("linear-in-cubic should be monotone")
-	}
-	if cubicMonotoneOn01(-1, 0, 0) {
-		t.Error("negative slope should not be monotone")
-	}
-	// Derivative dips negative in the middle: 1 - 6t + 6t² at t=0.5 is -0.5.
-	if cubicMonotoneOn01(1, -3, 2) {
-		t.Error("mid-dip cubic should not be monotone")
-	}
-}
-
-func TestFitCubicFallback(t *testing.T) {
-	// Fewer than 4 points cannot fit a cubic; must fall back to linear.
-	m := fitModel(modelCubic, []float64{1, 2, 3}, 0)
-	if m.kind == modelCubic {
-		t.Error("cubic fit on 3 points should fall back")
-	}
-}
-
-// TestNewRefusesCubicSecondStage: a cubic model is a stage-1 kind only;
-// New refuses it as the leaves' kind rather than building another
-// layout.
-func TestNewRefusesCubicSecondStage(t *testing.T) {
+// TestNewRefusesCubic: the cubic model is retired; New refuses it at
+// either stage rather than building a model it no longer fits.
+func TestNewRefusesCubic(t *testing.T) {
 	keys := dataset.MustGenerate(dataset.Amzn, 1000, 1)
-	if idx, err := New(keys, Config{Stage1: ModelLinear, Stage2: modelCubic, Branch: 16}); idx != nil || err == nil {
-		t.Fatalf("cubic stage 2: (%v, %v), want an error", idx, err)
-	}
-	if _, err := New(keys, Config{Stage1: modelCubic, Stage2: ModelLinear, Branch: 16}); err != nil {
-		t.Fatalf("cubic stage 1: %v", err)
+	for _, cfg := range []Config{{ModelLinear, modelCubic, 16}, {modelCubic, ModelLinear, 16}} {
+		if idx, err := New(keys, cfg); idx != nil || err == nil {
+			t.Errorf("%v: (%v, %v), want an error", cfg, idx, err)
+		}
 	}
 }

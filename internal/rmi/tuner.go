@@ -24,12 +24,8 @@ func inferenceCost(k ModelKind) float64 {
 	switch k {
 	case modelRadix:
 		return 0.5
-	case ModelLinearSpline:
+	case ModelLinearSpline, ModelLinear:
 		return 0.8
-	case ModelLinear:
-		return 0.8
-	case modelCubic:
-		return 1.6
 	case modelKnot:
 		// Linear's less 0.1, a hand constant as the others are. Amzn at
 		// B = 4096, 2-vCPU Xeon: lookup plus last mile 60.4 vs linear's
@@ -51,19 +47,16 @@ func proxyCost(idx *Index) float64 {
 }
 
 // candidateCombos is the architecture grid the tuner explores. The
-// reference CDFShop grid is larger; these are the combinations that
-// win on the SOSD datasets.
+// reference CDFShop grid is larger, with cubic and linear-spline stage
+// 1s too; on the SOSD datasets at 20k to 2M keys no rung picks either
+// (a linear-spline stage 1 routes as radix does, at a dearer inference
+// cost), and each stage-1 kind costs TuneWork three visits a sample key.
 var candidateCombos = []struct{ s1, s2 ModelKind }{
 	{ModelLinear, ModelLinear},
-	{ModelLinearSpline, ModelLinear},
 	{modelRadix, ModelLinear},
-	{modelCubic, ModelLinear},
 	{ModelLinear, ModelLinearSpline},
-	{modelCubic, ModelLinearSpline},
 	{ModelLinear, modelKnot},
-	{ModelLinearSpline, modelKnot},
 	{modelRadix, modelKnot},
-	{modelCubic, modelKnot},
 }
 
 // tuneSampleMax caps the number of keys used while exploring
@@ -156,7 +149,9 @@ func TuneBranch(keys []core.Key, branch int) Config {
 // (fit, then route), and a finish once per fitted stage-2 kind (a knot
 // leaf fits nothing) and once more for the one error replay all its
 // kinds share. The final build is priced at a fitted finish, the
-// dearer: which leaf wins depends on the keys.
+// dearer: which leaf wins depends on the keys. Over candidateCombos'
+// two stage-1 kinds and three fitted leaves that is 13 visits a key up
+// to tuneSampleMax keys.
 func TuneWork(n int) int64 {
 	kinds, fitted := map[ModelKind]bool{}, 0
 	for _, c := range candidateCombos {

@@ -17,11 +17,13 @@ import (
 // its choice from the family, the run lengths and a read window the row
 // sets. Each merge row's family and window put it on its arm: with no
 // reads a PGM shard folds its upper runs (minor), 512 reads a round make
-// the major worth its rewrite, and an RMI shard's re-tune outprices the
-// 4,096 reads of an amplification trigger. The want
-// strings were recorded at commit d6bb883, where flush, minor and major
-// were three separate blocks of buildCompacted; they are the reference
-// the single merge step is held to.
+// the major worth its rewrite, and an RMI shard's re-tune (13 key
+// visits a key) outprices the 4,096 reads of an amplification trigger
+// when they would each save the 6 probes of 23 upper keys, not when they
+// would save the 7 of 127. The want strings were recorded at commit
+// d6bb883, where flush, minor and major were three separate blocks of
+// buildCompacted; they are the reference the single merge step is held
+// to.
 func TestCompactionStepGolden(t *testing.T) {
 	type round struct {
 		writes int  // seeded puts/deletes before the round
@@ -51,7 +53,10 @@ func TestCompactionStepGolden(t *testing.T) {
 			"flush 1>2 44, flush 2>3 41, flush 3>4 42, major 4>1 2032, flush 1>2 45, flush 2>3 40 | flushes=5 minors=0 majors=1 freezes=5 runs=3"},
 		{"amp-triggered merge-only rounds", "RMI", 8, 0,
 			append(flushes(3), round{amp: true}, round{}, round{amp: true}),
-			"flush 1>2 44, flush 2>3 41, flush 3>4 42, minor 4>2 100, major 2>1 2032 | flushes=3 minors=1 majors=1 freezes=3 runs=1"},
+			"flush 1>2 44, flush 2>3 41, flush 3>4 42, major 4>1 2032 | flushes=3 minors=0 majors=1 freezes=3 runs=1"},
+		{"amp-triggered minor over small upper runs", "RMI", 8, 0,
+			[]round{{writes: 12}, {writes: 12}, {amp: true}},
+			"flush 1>2 12, flush 2>3 11, minor 3>2 23 | flushes=2 minors=1 majors=0 freezes=2 runs=2"},
 		{"force", "PGM", 4, 0,
 			append(flushes(2), round{writes: 50, force: true}, round{force: true}, round{writes: 50}, round{force: true}),
 			"flush 1>2 44, flush 2>3 41, major 3>1 2032, flush 1>2 45, major 2>1 2040 | flushes=3 minors=0 majors=2 freezes=3 runs=1"},
