@@ -104,7 +104,7 @@ race:
 	$(GO) test -race ./internal/serve/ ./internal/table/ ./internal/stats/ ./internal/load/ ./internal/persist/ ./internal/net/ ./internal/obs/ ./internal/repl/ ./internal/dataset/ ./internal/core/ ./internal/rmi/ ./internal/pgm/ ./internal/rs/
 	$(GO) test -race -count=10 -run TestFollowerWarmRestart ./internal/repl/
 	$(GO) test -race -count=10 -run SameUnderGOMAXPROCS ./internal/dataset/ ./internal/load/ ./internal/registry/ ./internal/serve/ ./internal/bench/
-	$(GO) test -race -count=10 -cpu 1,2,8 -run 'TestConcurrentGetBatch|TestSwapUnderReads|TestReadsAfterClose|TestResyncBehindServingPort' ./internal/serve/ ./internal/repl/
+	$(GO) test -race -count=10 -cpu 1,2,8 -run 'TestConcurrentGetBatch|TestSwapUnderReads|TestReadsAfterClose|TestOpenedReadsAfterClose|TestMappedRunsOutliveCompaction|TestResyncBehindServingPort' ./internal/serve/ ./internal/repl/
 
 # One rule prints any of the serving experiments at a quick scale
 # (override N and LOOKUPS for another):

@@ -21,13 +21,7 @@ func GetSlice[E any](r *Reader) []E { return GetArray[E](r, r.Count(sizeOf[E]())
 
 // GetArray reads n elements Wire wrote, taking their bytes before it
 // allocates: n past the remaining bytes is an error, not an allocation.
-func GetArray[E any](r *Reader, n int) []E {
-	p := r.take(n * sizeOf[E]())
-	s := make([]E, len(p)/sizeOf[E]())
-	copy(view(s), p)
-	turn(s)
-	return s
-}
+func GetArray[E any](r *Reader, n int) []E { return turned[E](r.take(n * sizeOf[E]())) }
 
 // Wire is s as the wire holds it, every number little-endian: s's own
 // memory on a little-endian host, a turned copy elsewhere. E is a
@@ -40,12 +34,23 @@ func Wire[E any](s []E) []byte {
 	return view(s)
 }
 
-// Fill has read put s's wire bytes straight into s's memory, then turns
-// them to the host's order; read's error is Fill's.
-func Fill[E any](s []E, read func(b []byte) error) error {
-	err := read(view(s))
+// FromWire is the inverse of Wire: b's own memory as a []E when the
+// host is little-endian and b is aligned for E, and otherwise a turned
+// copy, as GetArray reads. An alias lives no longer than b's memory.
+func FromWire[E any](b []byte) []E {
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if hostLittleEndian && uintptr(p)%unsafe.Alignof(*new(E)) == 0 {
+		return unsafe.Slice((*E)(p), len(b)/sizeOf[E]())
+	}
+	return turned[E](b)
+}
+
+// turned is a copy of the wire bytes p as elements in the host's order.
+func turned[E any](p []byte) []E {
+	s := make([]E, len(p)/sizeOf[E]())
+	copy(view(s), p)
 	turn(s)
-	return err
+	return s
 }
 
 // Checked returns v once r has read it whole and check passes, and

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // rec is a leaf-like record: numbers of three widths, nested, unpadded.
@@ -68,7 +69,7 @@ func TestSliceWireIsLittleEndianFields(t *testing.T) {
 	}
 }
 
-// TestSliceSwapsEveryNumber runs PutSlice, GetSlice and Fill as on a
+// TestSliceSwapsEveryNumber runs PutSlice, GetSlice and FromWire as on a
 // host whose memory order is the other one: the wire then holds every
 // number of every record, nested or not, turned around, and reads back
 // whole.
@@ -88,9 +89,27 @@ func TestSliceSwapsEveryNumber(t *testing.T) {
 	if back := GetSlice[rec](NewReader(got)); !slices.Equal(back, recs()) {
 		t.Errorf("read back %v", back)
 	}
-	filled := make([]rec, len(recs()))
-	if err := Fill(filled, func(b []byte) error { copy(b, got[4:]); return nil }); err != nil || !slices.Equal(filled, recs()) {
-		t.Errorf("filled %v, err %v", filled, err)
+	if back := FromWire[rec](got[4:]); !slices.Equal(back, recs()) {
+		t.Errorf("viewed %v", back)
+	}
+}
+
+// TestFromWireAliasesOnlyAligned: FromWire views aligned wire bytes in
+// place on a little-endian host, and copies misaligned ones; both read
+// back the numbers Wire wrote.
+func TestFromWireAliasesOnlyAligned(t *testing.T) {
+	want := []uint64{1, 1 << 40, ^uint64(0)}
+	buf := view(make([]uint64, len(want)+1))
+	for _, off := range []int{0, 1, 4} {
+		b := buf[off : off+8*len(want)]
+		copy(b, Wire(want))
+		got := FromWire[uint64](b)
+		if !slices.Equal(got, want) {
+			t.Fatalf("offset %d: %v", off, got)
+		}
+		if alias := unsafe.Pointer(&got[0]) == unsafe.Pointer(&b[0]); alias != (off == 0 && hostLittleEndian) {
+			t.Errorf("offset %d: aliased %v", off, alias)
+		}
 	}
 }
 

@@ -525,8 +525,10 @@ func (m *mergeScript) writeUntilMerges(merges uint64) {
 }
 
 // persistRows prices the attached store: the snapshot that creates its
-// directory, then puts with one WAL sync each, then the checkpoint
-// (Compact) that folds them into the runs and truncates the WAL.
+// directory, the open, whose run bytes are served from the heap or from
+// the mapped run files, then puts with one WAL sync each, then the
+// checkpoint (Compact) that folds them into the runs and truncates the
+// WAL.
 func persistRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
 	const puts = 500
 	dir := t.TempDir()
@@ -546,8 +548,10 @@ func persistRows(t *testing.T, l *ledger, keys []core.Key, payloads []uint64) {
 		t.Fatal(err)
 	}
 	t.Cleanup(at.Close)
-	put := putter(at, keys)
 	c2 := persist.CountersNow()
+	l.ratio("persist.open_heap_bytes_per_key", c2.RunHeapBytes-c1.RunHeapBytes, storeKeys)
+	l.ratio("persist.open_mapped_bytes_per_key", c2.RunMappedBytes-c1.RunMappedBytes, storeKeys)
+	put := putter(at, keys)
 	for range puts {
 		put()
 	}

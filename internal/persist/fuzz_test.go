@@ -198,7 +198,7 @@ func FuzzTable(f *testing.F) {
 	f.Add(seed[:4096])
 	f.Add([]byte("sosdRUN1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		run, err := readRunFrom(bytes.NewReader(data), int64(len(data)))
+		run, err := readRunFrom(data)
 		if err != nil {
 			return
 		}

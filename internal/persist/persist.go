@@ -1,8 +1,8 @@
 // Package persist is the durability layer of the serving stack: a
 // versioned, checksummed, little-endian binary format for sorted runs
-// (one file each: block-aligned key and payload arrays that load
-// through io.ReaderAt without an intermediate copy, then the run's
-// tombstone bits and its built index, framed by the per-family codecs
+// (one file each: block-aligned key and payload arrays that are served
+// from the mapped file without a heap copy, then the run's tombstone
+// bits and its built index, framed by the per-family codecs
 // in internal/registry), per-shard write-ahead logs, and the snapshot
 // manifest tying them together. serve.Store composes these into
 // Snapshot/Open; this package owns only the bytes.

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/binio"
 	"repro/internal/core"
@@ -123,10 +125,11 @@ func TestTableRoundTrip(t *testing.T) {
 	if err := WriteRun(path, Run{Keys: keys, Payloads: payloads}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	run, err := ReadRun(path)
+	run, unmap, err := ReadRun(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
+	defer unmap()
 	gk, gp := run.Keys, run.Payloads
 	if run.Tombs != nil || run.Index != nil {
 		t.Fatalf("plain run read back with sections (tombs %v, index %v)", run.Tombs != nil, run.Index)
@@ -178,7 +181,7 @@ func TestTableGoldenBytes(t *testing.T) {
 		if got := crc64.Checksum(file, binio.CRCTable); len(file) != g.size || got != g.crc {
 			t.Errorf("n=%d: file is %d bytes, CRC64 %016x; want %d bytes, %016x", g.n, len(file), got, g.size, g.crc)
 		}
-		run, err := readRunFrom(bytes.NewReader(file), int64(len(file)))
+		run, err := readRunFrom(file)
 		if err != nil {
 			t.Fatalf("n=%d: read: %v", g.n, err)
 		}
@@ -193,10 +196,11 @@ func TestTableEmpty(t *testing.T) {
 	if err := WriteRun(path, Run{}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	run, err := ReadRun(path)
+	run, unmap, err := ReadRun(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
+	defer unmap()
 	if len(run.Keys) != 0 || len(run.Payloads) != 0 || run.Tombs != nil || run.Index != nil {
 		t.Fatalf("non-empty result")
 	}
@@ -213,12 +217,12 @@ func TestTableCorruption(t *testing.T) {
 	for _, pos := range []int{0, 9, 20, 30, 50, 70, 90, 4096, 4104, len(data) - 1} {
 		mut := append([]byte(nil), data...)
 		mut[pos] ^= 1
-		if _, err := readRunFrom(bytes.NewReader(mut), int64(len(mut))); err == nil {
+		if _, err := readRunFrom(mut); err == nil {
 			t.Errorf("bit flip at %d read without error", pos)
 		}
 	}
 	for _, cut := range []int{0, 10, 59, 99, 4095, 4100, len(data) / 2} {
-		if _, err := readRunFrom(bytes.NewReader(data[:cut]), int64(cut)); err == nil {
+		if _, err := readRunFrom(data[:cut]); err == nil {
 			t.Errorf("truncation at %d read without error", cut)
 		}
 	}
@@ -443,10 +447,11 @@ func TestRunRoundTrip(t *testing.T) {
 		if err := WriteRun(path, want); err != nil {
 			t.Fatalf("%s: write: %v", name, err)
 		}
-		got, err := ReadRun(path)
+		got, unmap, err := ReadRun(path)
 		if err != nil {
 			t.Fatalf("%s: read: %v", name, err)
 		}
+		defer unmap()
 		if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.Payloads, want.Payloads) || !slices.Equal(got.Tombs, want.Tombs) {
 			t.Fatalf("%s: arrays did not round-trip", name)
 		}
@@ -459,6 +464,47 @@ func TestRunRoundTrip(t *testing.T) {
 		for _, x := range indextest.ProbesFor(want.Keys) {
 			if g, w := got.Index.Lookup(x), want.Index.Lookup(x); g != w {
 				t.Fatalf("%s: key %d: decoded bound %v, built %v", name, x, g, w)
+			}
+		}
+	}
+}
+
+// TestRunParsesAtOddOffset: a run file's bytes one past an aligned
+// start read back as the same run, through copies of the key and
+// payload blocks; from an aligned start, on a little-endian host, the
+// arrays are views of the file's bytes.
+func TestRunParsesAtOddOffset(t *testing.T) {
+	want := testRuns(t)["both"]
+	path := filepath.Join(t.TempDir(), "both.run")
+	if err := WriteRun(path, want); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := make([]uint64, len(file)/8+1)
+	aligned := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8)
+	little := binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+	for _, off := range []int{1, 0} {
+		data := aligned[off : off+len(file)]
+		copy(data, file)
+		got, err := readRunFrom(data)
+		if err != nil {
+			t.Fatalf("offset %d: %v", off, err)
+		}
+		if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.Payloads, want.Payloads) || !slices.Equal(got.Tombs, want.Tombs) {
+			t.Fatalf("offset %d: arrays did not round-trip", off)
+		}
+		for _, x := range indextest.ProbesFor(want.Keys) {
+			if g, w := got.Index.Lookup(x), want.Index.Lookup(x); g != w {
+				t.Fatalf("offset %d: key %d: decoded bound %v, built %v", off, x, g, w)
+			}
+		}
+		start := uintptr(unsafe.Pointer(&data[0]))
+		for what, p := range map[string]uintptr{"keys": uintptr(unsafe.Pointer(&got.Keys[0])), "payloads": uintptr(unsafe.Pointer(&got.Payloads[0]))} {
+			if inside := p >= start && p < start+uintptr(len(data)); inside != (off == 0 && little) {
+				t.Errorf("offset %d: %s view the file's bytes: %v", off, what, inside)
 			}
 		}
 	}
@@ -497,7 +543,7 @@ func TestRunFlipNamesItsSection(t *testing.T) {
 	} {
 		mut := append([]byte(nil), data...)
 		mut[c.pos] ^= 0x04
-		_, err := readRunFrom(bytes.NewReader(mut), int64(len(mut)))
+		_, err := readRunFrom(mut)
 		if !errors.Is(err, binio.ErrCorrupt) || !strings.Contains(err.Error(), c.what) {
 			t.Errorf("flip in the %s at %d: err = %v, want a corrupt-data error naming the %s", c.what, c.pos, err, c.what)
 		}

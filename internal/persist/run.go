@@ -9,17 +9,13 @@ package persist
 // the index frame (absent when the family has no codec or the run is
 // empty; the loader then rebuilds the index from the keys). Each
 // section is a frame of its own, magic and CRC64 included, so a flip
-// names the section it hit. A loader with an io.ReaderAt reads each
-// array directly into its final allocation — no intermediate
-// whole-file buffer, no second parse pass — and still verifies it. The
-// arrays go to and from the file through binio.Wire and binio.Fill:
-// zero-copy on a little-endian host (the wire order), turned number by
-// number elsewhere.
+// names the section it hit. The loader verifies the mapped file and
+// serves the key and payload arrays from it (binio.Wire out,
+// binio.FromWire back: zero-copy on a little-endian host, turned
+// number by number elsewhere), so the page cache holds the only copy.
 
 import (
 	"hash/crc64"
-	"io"
-	"os"
 
 	"repro/internal/binio"
 	"repro/internal/core"
@@ -138,35 +134,37 @@ func WriteRun(path string, run Run) error {
 	})
 }
 
-// ReadRun loads the run file at path via readRunFrom.
-func ReadRun(path string) (Run, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Run{}, err
+// ReadRun loads the run file at path via readRunFrom. Where the host
+// maps files, the run's keys and payloads are views of the mapped file
+// until unmap, which must wait until nothing reads them; elsewhere they
+// are heap, as the sections always are, and unmap does nothing.
+func ReadRun(path string) (run Run, unmap func(), err error) {
+	data, unmap, err := mapFile(path)
+	if err == nil {
+		run, err = readRunFrom(data)
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return Run{}, err
+	served := &runMappedBytes
+	if unmap == nil {
+		served, unmap = &runHeapBytes, func() {}
 	}
-	return readRunFrom(f, st.Size())
+	if err != nil {
+		unmap()
+		return Run{}, nil, err
+	}
+	served.Add(uint64(len(run.Keys)) * 16)
+	return run, unmap, nil
 }
 
-// readRunFrom loads a run file through an io.ReaderAt of known size:
-// the header block is read and validated, each data array is read
-// directly into its final allocation and checksummed, then each
-// section present is read and decoded under its own frame. size caps
-// every allocation, so a corrupt count or length cannot out-allocate
-// the file it claims to describe.
-func readRunFrom(ra io.ReaderAt, size int64) (Run, error) {
+// readRunFrom parses a whole run file: the header block is validated,
+// each data array checksummed and viewed in place (binio.FromWire),
+// then each section present decoded under its own frame. The file's
+// size caps every offset and allocation.
+func readRunFrom(data []byte) (Run, error) {
+	size := int64(len(data))
 	if size < runHeaderLen {
 		return Run{}, binio.Corruptf("persist: run file too short (%d bytes)", size)
 	}
-	head := make([]byte, runHeaderLen)
-	if _, err := ra.ReadAt(head, 0); err != nil {
-		return Run{}, err
-	}
-	r, err := OpenFrame(head, runMagic, "run header")
+	r, err := OpenFrame(data[:runHeaderLen], runMagic, "run header")
 	if err != nil {
 		return Run{}, err
 	}
@@ -187,7 +185,7 @@ func readRunFrom(ra io.ReaderAt, size int64) (Run, error) {
 	}
 	blobLen := int64(count) * 8
 	if keysOff < runHeaderLen || paysOff < keysOff || keysOff%runBlock != 0 || paysOff%runBlock != 0 ||
-		(count > 0 && paysOff < keysOff+blobLen) || paysOff+blobLen > size {
+		(count > 0 && paysOff < keysOff+blobLen) || paysOff > size-blobLen {
 		return Run{}, binio.Corruptf("persist: run block offsets invalid (keys %d, payloads %d, size %d)", keysOff, paysOff, size)
 	}
 	dataEnd := uint64(paysOff + blobLen)
@@ -203,51 +201,37 @@ func readRunFrom(ra io.ReaderAt, size int64) (Run, error) {
 	}
 	var run Run
 	if count > 0 {
-		run.Keys = make([]core.Key, count)
-		run.Payloads = make([]uint64, count)
-		if err := readU64Block(ra, keysOff, run.Keys, crcKeys, "keys"); err != nil {
+		if run.Keys, err = dataBlock[core.Key](data[keysOff:keysOff+blobLen], crcKeys, "keys"); err != nil {
 			return Run{}, err
 		}
-		if err := readU64Block(ra, paysOff, run.Payloads, crcPays, "payloads"); err != nil {
+		if run.Payloads, err = dataBlock[uint64](data[paysOff:paysOff+blobLen], crcPays, "payloads"); err != nil {
 			return Run{}, err
 		}
 		if !core.IsSorted(run.Keys) {
 			return Run{}, binio.Corruptf("persist: run keys not sorted")
 		}
 	}
-	// The sections follow the payloads back to back: one read takes both.
-	if tail := make([]byte, end-dataEnd); len(tail) > 0 {
-		if _, err := ra.ReadAt(tail, int64(dataEnd)); err != nil {
+	tombs, index := data[dataEnd:dataEnd+sections[0].len], data[dataEnd+sections[0].len:end]
+	if len(tombs) > 0 {
+		if run.Tombs, err = decodeTombs(tombs, int(count)); err != nil {
 			return Run{}, err
 		}
-		tombs, index := tail[:sections[0].len], tail[sections[0].len:]
-		var err error
-		if len(tombs) > 0 {
-			if run.Tombs, err = decodeTombs(tombs, int(count)); err != nil {
-				return Run{}, err
-			}
-		}
-		if len(index) > 0 {
-			if run.Index, err = decodeIndex(index); err != nil {
-				return Run{}, err
-			}
+	}
+	if len(index) > 0 {
+		if run.Index, err = decodeIndex(index); err != nil {
+			return Run{}, err
 		}
 	}
 	return run, nil
 }
 
-// readU64Block reads one array's bytes straight into dst's backing
-// memory and verifies their checksum; what names the block in errors.
-func readU64Block(ra io.ReaderAt, off int64, dst []uint64, want uint64, what string) error {
-	return binio.Fill(dst, func(b []byte) error {
-		if _, err := ra.ReadAt(b, off); err != nil {
-			return err
-		}
-		if got := crc64.Checksum(b, binio.CRCTable); got != want {
-			return binio.Corruptf("persist: run %s block checksum mismatch", what)
-		}
-		return nil
-	})
+// dataBlock verifies one array block's checksum and views it as the
+// array; what names the block in errors.
+func dataBlock[E any](b []byte, want uint64, what string) ([]E, error) {
+	if crc64.Checksum(b, binio.CRCTable) != want {
+		return nil, binio.Corruptf("persist: run %s block checksum mismatch", what)
+	}
+	return binio.FromWire[E](b), nil
 }
 
 // encodeTombs writes the tombstone bits of a run (tombs[i] == pair i

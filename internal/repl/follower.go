@@ -536,7 +536,11 @@ func (b *bootstrapRx) chunk(m *net.Msg) error {
 		if name == persist.ManifestName {
 			name = persist.ManifestName + ".shipped"
 		}
-		f, err := os.Create(filepath.Join(b.dir, name))
+		// Unlink, never truncate: the store this resync replaced, which
+		// a serving port may still read, can map the old file.
+		path := filepath.Join(b.dir, name)
+		os.Remove(path)
+		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,8 @@ import (
 	"encoding/hex"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -457,6 +459,10 @@ func TestResyncBehindServingPort(t *testing.T) {
 	if f.Store() == served {
 		t.Fatal("the resync kept the served store")
 	}
+	// The closed store's runs are the follower's bootstrap, served from
+	// their mapped files; a collection now must not release them while
+	// the port still answers from that store.
+	runtime.GC()
 
 	c, err := net.Dial(srv.Addr().String())
 	if err != nil {
@@ -479,6 +485,59 @@ func TestResyncBehindServingPort(t *testing.T) {
 	}
 	if v, ok, err := c.Get(keys[1]); err != nil || !ok || !stale(1, v) {
 		t.Fatalf("Get after resync: %d,%v,%v", v, ok, err)
+	}
+}
+
+// TestBootstrapKeepsReplacedStoreMapping ships a snapshot into the
+// directory an opened store maps, under the same file names, as a
+// resync does: the replaced store, which a serving port may still
+// read, must go on reading its own runs, not the shipped ones.
+func TestBootstrapKeepsReplacedStoreMapping(t *testing.T) {
+	keys, payloads := testKeys(t, 4000)
+	dir, shipped := t.TempDir(), t.TempDir()
+	newer := make([]uint64, len(payloads))
+	for i, p := range payloads {
+		newer[i] = p + 1
+	}
+	for _, snap := range []struct {
+		dir      string
+		payloads []uint64
+	}{{dir, payloads}, {shipped, newer}} {
+		st, err := serve.New(keys, snap.payloads, serve.Config{Shards: 2, Family: "PGM"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Snapshot(snap.dir); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+	}
+	old, err := serve.Open(dir, serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	files, err := os.ReadDir(shipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &bootstrapRx{dir: dir}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(shipped, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.chunk(&net.Msg{Type: net.MsgSnapFile, Name: f.Name(), Data: data, Found: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range keys {
+		if v, ok := old.Get(x); !ok || v != payloads[slices.Index(keys, x)] {
+			t.Fatalf("replaced store read key %d as %d, %v; want its own %d", x, v, ok, payloads[slices.Index(keys, x)])
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package serve
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
 
 	"repro/internal/core"
@@ -167,11 +168,12 @@ func (d *delta) sizeBytes() int { return d.len() * 17 } // 8B key + 8B val + 1B 
 type mergeLayer struct {
 	keys  []core.Key
 	vals  []uint64
-	tombs []bool // nil = no tombstones
+	tombs []bool       // nil = no tombstones
+	run   *table.Table // a run's, kept reachable while its arrays are read
 }
 
 func runLayer(t *table.Table) mergeLayer {
-	return mergeLayer{keys: t.Keys(), vals: t.Payloads(), tombs: t.Tombs()}
+	return mergeLayer{keys: t.Keys(), vals: t.Payloads(), tombs: t.Tombs(), run: t}
 }
 
 func deltaLayer(d *delta) mergeLayer {
@@ -230,6 +232,7 @@ func mergeVisit(layers []mergeLayer, visit func(k core.Key, v uint64, tomb bool)
 				}
 			}
 			idx[l] += n
+			runtime.KeepAlive(ly.run) // its arrays may be its mapped file's
 		}
 	}
 }
@@ -385,7 +388,7 @@ func (s *shardState) scanLayers(lo, hi core.Key) []mergeLayer {
 	layers := make([]mergeLayer, 0, len(s.runs)+2)
 	for _, t := range s.runs {
 		k, v, tb := t.RangeTombed(lo, hi)
-		layers = append(layers, mergeLayer{keys: k, vals: v, tombs: tb})
+		layers = append(layers, mergeLayer{keys: k, vals: v, tombs: tb, run: t})
 	}
 	if s.frozen != nil {
 		k, v, tb := s.frozen.window(lo, hi)

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -108,6 +109,7 @@ func pendingOps(s *shardState) []persist.Op {
 // (otherwise Open rebuilds it from the keys).
 func (st *Store) writeShardRun(dir string, i int, gen uint64, r int, tab *table.Table, codec string) (persist.RunMeta, error) {
 	rm := persist.RunMeta{Codec: codec, File: runFileName(i, gen, r)}
+	defer runtime.KeepAlive(tab) // the arrays may be its mapped file's
 	run := persist.Run{Keys: tab.Keys(), Payloads: tab.Payloads(), Tombs: tab.Tombs(), Index: tab.Index()}
 	if err := persist.WriteRun(filepath.Join(dir, rm.File), run); err != nil {
 		return persist.RunMeta{}, err
@@ -430,11 +432,20 @@ func (st *Store) openShard(dir string, i int, meta *persist.ShardMeta) error {
 // shardTag, from its run file. It returns the run's codec tag with it
 // — the manifest's, unless the index had to be rebuilt, which reports
 // the tag it was built under.
-func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta, shardTag string) (*table.Table, string, error) {
-	run, err := persist.ReadRun(filepath.Join(dir, rm.File))
+// The mapping a table serves from is released by a cleanup on that
+// table, never by Close: a closed store still serves.
+func (st *Store) openRun(dir string, i, r int, rm *persist.RunMeta, shardTag string) (tab *table.Table, tag string, err error) {
+	run, unmap, err := persist.ReadRun(filepath.Join(dir, rm.File))
 	if err != nil {
 		return nil, "", fmt.Errorf("serve: shard %d run %d: %w", i, r, err)
 	}
+	defer func() {
+		if err != nil || tab.Len() == 0 {
+			unmap()
+		} else {
+			runtime.AddCleanup(tab, func(unmap func()) { unmap() }, unmap)
+		}
+	}()
 	keys, payloads, tombs, idx := run.Keys, run.Payloads, run.Tombs, run.Index
 	// Boundary check: a run file swapped between shards would pass
 	// its own checksums but violate the routing invariant. Shard 0 has

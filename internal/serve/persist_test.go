@@ -512,10 +512,11 @@ func TestOpenRejectsTombstonedBase(t *testing.T) {
 	}
 	st.Close()
 	path := filepath.Join(dir, snapshotManifest(t, dir).Shards[1].Runs[0].File)
-	run, err := persist.ReadRun(path)
+	run, unmap, err := persist.ReadRun(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer unmap()
 	run.Tombs = make([]bool, len(run.Keys))
 	if err := persist.WriteRun(path, run); err != nil {
 		t.Fatal(err)
@@ -870,8 +871,9 @@ func TestTieredPersistenceRoundTrip(t *testing.T) {
 			multiRun = true
 		}
 		for _, rm := range sm.Runs[1:] {
-			if run, err := persist.ReadRun(filepath.Join(dir, rm.File)); err == nil && run.Tombs != nil {
-				tombed = true
+			if run, unmap, err := persist.ReadRun(filepath.Join(dir, rm.File)); err == nil {
+				tombed = tombed || run.Tombs != nil
+				unmap()
 			}
 		}
 		if sm.Runs[0].File == m0.Shards[i].Runs[0].File {

@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -207,6 +212,30 @@ func TestSwapUnderReads(t *testing.T) {
 // from it. The store closes with a tier run, tombstones and a pending
 // delta, so each read path overlays writes on runs.
 func TestReadsAfterClose(t *testing.T) {
+	keys, st := compactedStore(t)
+	checkReadsAfterClose(t, st, keys)
+}
+
+// TestOpenedReadsAfterClose is TestReadsAfterClose on a store opened
+// from a snapshot, whose base runs are served from their mapped files,
+// with the GC run after Close: Close releases no mapping.
+func TestOpenedReadsAfterClose(t *testing.T) {
+	keys, st := compactedStore(t)
+	dir := t.TempDir()
+	if err := st.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	opened, err := Open(dir, Config{CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReadsAfterClose(t, opened, keys)
+}
+
+// compactedStore is a 4-shard PGM store over 6,000 keys whose every
+// fifth key was overwritten and compacted into the base runs.
+func compactedStore(t *testing.T) ([]core.Key, *Store) {
 	keys, payloads := testData(t, 6000)
 	st, err := New(keys, payloads, Config{Shards: 4, Family: "PGM", CompactThreshold: -1})
 	if err != nil {
@@ -218,6 +247,13 @@ func TestReadsAfterClose(t *testing.T) {
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
+	return keys, st
+}
+
+// checkReadsAfterClose deletes every seventh key and overwrites every
+// eleventh, then holds Get, GetBatch, GetBatchFound and Scan after
+// Close and two collections to what they read before Close.
+func checkReadsAfterClose(t *testing.T, st *Store, keys []core.Key) {
 	for i := 1; i < len(keys); i += 7 {
 		st.Delete(keys[i])
 	}
@@ -252,6 +288,8 @@ func TestReadsAfterClose(t *testing.T) {
 	}
 	before := read()
 	st.Close()
+	runtime.GC()
+	runtime.GC()
 	after := read()
 
 	if !reflect.DeepEqual(before, after) {
@@ -262,6 +300,120 @@ func TestReadsAfterClose(t *testing.T) {
 	}
 	if got, _ := st.Get(keys[2]); got != 2+2e9 {
 		t.Fatalf("closed store lost a pending write: Get = %d, want %d", got, uint64(2+2e9))
+	}
+}
+
+// TestMappedRunsOutliveCompaction: readers check every value they read
+// from an opened store while majors replace every mapped base run and
+// the GC runs without pause, so a reader's shard state outlives the
+// runs the store dropped; once the store and its readers are gone, the
+// cleanups unmap every run file. /proc/self/maps counts the mappings.
+func TestMappedRunsOutliveCompaction(t *testing.T) {
+	if _, err := os.ReadFile("/proc/self/maps"); err != nil {
+		t.Skip("no /proc/self/maps to count the mappings in")
+	}
+	keys, payloads := testData(t, 8000)
+	st, err := New(keys, payloads, Config{Shards: 4, Family: "PGM", CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := st.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	mapped := func() int {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(maps), dir+string(os.PathSeparator))
+	}
+	opened, err := Open(dir, Config{CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mapped(); got != 4 {
+		t.Fatalf("%d run files mapped after Open, want the 4 base runs", got)
+	}
+
+	const rounds = 4
+	stop := make(chan struct{})
+	errs := make(chan string, 3)
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // the collector
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
+	for c := range 2 {
+		go func() {
+			defer wg.Done()
+			probes := dataset.Lookups(keys, 256, uint64(c+21))
+			out := make([]uint64, len(probes))
+			found := make([]bool, len(probes))
+			ok := func(x core.Key, v uint64) bool {
+				old, _ := expectGet(keys, payloads, x)
+				m := v / old
+				return v == old*m && m >= 1 && m <= rounds+1
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				opened.GetBatchFound(probes, out, found)
+				for i, x := range probes {
+					if v, _ := opened.Get(x); !found[i] || !ok(x, out[i]) || !ok(x, v) {
+						errs <- fmt.Sprintf("key %d read %d (found %v), %d: no round wrote it", x, out[i], found[i], v)
+						return
+					}
+				}
+				lo := probes[0]
+				opened.Scan(lo, lo+1<<40, func(k core.Key, v uint64) bool {
+					if !ok(k, v) {
+						errs <- fmt.Sprintf("scan read %d at key %d: no round wrote it", v, k)
+						return false
+					}
+					return true
+				})
+			}
+		}()
+	}
+	for r := 1; r <= rounds; r++ {
+		for i, x := range keys {
+			if i == 0 || keys[i-1] != x {
+				old, _ := expectGet(keys, payloads, x)
+				opened.Put(x, old*uint64(r+1))
+			}
+		}
+		if err := opened.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
+	opened.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for mapped() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d run files still mapped after the store was dropped", mapped())
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

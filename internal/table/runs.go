@@ -12,6 +12,7 @@ package table
 // read-amplification numerator) falls as keys resolve early.
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -86,6 +87,7 @@ func (t *Table) findBlock(chunk []core.Key, pos []int32, hit []bool, bs []core.B
 		pos[i] = int32(p)
 		hit[i] = p < n && keys[p] == x
 	}
+	runtime.KeepAlive(t)
 }
 
 // GetBatchRuns serves a merged batched lookup across an ordered run
@@ -170,6 +172,7 @@ func (s *runScratch) probeBlock(runs []*Table, keys []core.Key, out []uint64, fo
 				k += 1 - h
 			}
 		}
+		runtime.KeepAlive(t)
 		sub, ids = s.keys[:k], s.ids[:k]
 	}
 	if probes == 0 { // no non-empty run: nothing above wrote the outputs
@@ -212,7 +215,9 @@ func GetRuns(runs []*Table, key core.Key) (val uint64, ok bool, probes int) {
 		if t.tombs != nil && t.tombs[pos] {
 			return 0, false, probes
 		}
-		return t.payloads[pos], true, probes
+		val = t.payloads[pos]
+		runtime.KeepAlive(t)
+		return val, true, probes
 	}
 	return 0, false, probes
 }

@@ -17,6 +17,7 @@ package table
 
 import (
 	"errors"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/search"
@@ -24,6 +25,9 @@ import (
 
 // Table is an immutable sorted run of key/payload pairs served through
 // a pluggable index. All read methods are safe for concurrent use.
+// Its arrays may live only as long as it does (a mapped run file that
+// a cleanup on the Table unmaps): each read method keeps t reachable to
+// its last array read, and a caller of a view keeps t to its own.
 //
 // A Table built with NewTombed additionally carries a tombstone bit per
 // pair: the run participates in an LSM-tiered run set where a newer
@@ -118,10 +122,7 @@ func (emptyIndex) Name() string               { return "Empty" }
 // run whose every key was deleted). fn nil defaults to branchless
 // binary search.
 func Empty(fn search.Fn) *Table {
-	t, err := New(nil, nil, emptyIndex{}, fn)
-	if err != nil {
-		panic(err) // unreachable: nil slices satisfy every New invariant
-	}
+	t, _ := New(nil, nil, emptyIndex{}, fn) // nil slices satisfy every invariant
 	return t
 }
 
@@ -145,6 +146,7 @@ func (t *Table) CountKey(key core.Key) int {
 	for pos+n < len(t.keys) && t.keys[pos+n] == key {
 		n++
 	}
+	runtime.KeepAlive(t)
 	return n
 }
 
@@ -162,17 +164,21 @@ func (t *Table) SizeBytes() int { return t.idx.SizeBytes() }
 // lowerBound resolves the exact lower-bound position of key through
 // the index and last-mile search.
 func (t *Table) lowerBound(key core.Key) int {
-	return t.fn(t.keys, key, t.idx.Lookup(key))
+	pos := t.fn(t.keys, key, t.idx.Lookup(key))
+	runtime.KeepAlive(t)
+	return pos
 }
 
 // Get returns the payload stored for key, or false when absent. For
 // duplicate keys it returns the first occurrence's payload.
 func (t *Table) Get(key core.Key) (uint64, bool) {
-	pos := t.lowerBound(key)
-	if pos < len(t.keys) && t.keys[pos] == key {
-		return t.payloads[pos], true
+	pos, found := t.find(key)
+	var v uint64
+	if found {
+		v = t.payloads[pos]
 	}
-	return 0, false
+	runtime.KeepAlive(t)
+	return v, found
 }
 
 // find resolves key to its lower-bound position through the index and
@@ -181,30 +187,24 @@ func (t *Table) Get(key core.Key) (uint64, bool) {
 // LSM run-set read path needs to consult the tombstone bit.
 func (t *Table) find(key core.Key) (pos int, found bool) {
 	pos = t.lowerBound(key)
-	return pos, pos < len(t.keys) && t.keys[pos] == key
-}
-
-// between returns the keys and payloads with key in [lo, hi), as views
-// into the table's arrays (zero-copy; callers must not mutate them).
-func (t *Table) between(lo, hi core.Key) ([]core.Key, []uint64) {
-	start := t.lowerBound(lo)
-	if hi < lo {
-		hi = lo
-	}
-	end := t.lowerBound(hi)
-	return t.keys[start:end], t.payloads[start:end]
+	found = pos < len(t.keys) && t.keys[pos] == key
+	runtime.KeepAlive(t)
+	return pos, found
 }
 
 // Scan visits the pairs with key in [lo, hi) in order, stopping early
 // when visit returns false. It returns the number of pairs visited.
 func (t *Table) Scan(lo, hi core.Key, visit func(core.Key, uint64) bool) int {
-	keys, payloads := t.between(lo, hi)
+	keys, payloads, _ := t.RangeTombed(lo, hi)
+	n := len(keys)
 	for i := range keys {
 		if !visit(keys[i], payloads[i]) {
-			return i + 1
+			n = i + 1
+			break
 		}
 	}
-	return len(keys)
+	runtime.KeepAlive(t)
+	return n
 }
 
 // batchBlock is the GetBatch processing granularity: large enough to

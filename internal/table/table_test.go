@@ -86,7 +86,7 @@ func TestConformanceAllFamilies(t *testing.T) {
 
 		// Range over a middle window against LowerBound ground truth.
 		lo, hi := keys[len(keys)/4], keys[3*len(keys)/4]
-		rk, rv := tbl.between(lo, hi)
+		rk, rv, _ := tbl.RangeTombed(lo, hi)
 		wantLo := core.LowerBound(keys, lo)
 		wantHi := core.LowerBound(keys, hi)
 		if len(rk) != wantHi-wantLo || len(rv) != wantHi-wantLo {
@@ -238,7 +238,7 @@ func TestEmptyTable(t *testing.T) {
 	if len(tbl.Keys()) != 0 {
 		t.Error("empty table has keys")
 	}
-	if k, _ := tbl.between(0, ^core.Key(0)); len(k) != 0 {
+	if k, _, _ := tbl.RangeTombed(0, ^core.Key(0)); len(k) != 0 {
 		t.Error("Range on empty table non-empty")
 	}
 	out := make([]uint64, 3)
